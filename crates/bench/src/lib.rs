@@ -65,10 +65,8 @@ pub struct BenchConfig {
     pub crypto_threads: usize,
     /// Dataset / dealer seed.
     pub seed: u64,
-    /// Per-run network settings (LAN simulation + wedge timeout). The
-    /// default reads the legacy `PIVOT_NET_*` environment variables once
-    /// per config, so existing bench invocations keep working; sweeps can
-    /// override per configuration instead of per process.
+    /// Per-run network settings (LAN simulation + wedge timeout); no
+    /// simulation by default, sweeps override per configuration.
     pub net: NetConfig,
 }
 
@@ -87,7 +85,7 @@ impl Default for BenchConfig {
             keysize: 256,
             crypto_threads: 6,
             seed: 0xBE7C4,
-            net: NetConfig::from_env(),
+            net: NetConfig::default(),
         }
     }
 }
@@ -105,7 +103,7 @@ impl BenchConfig {
             keysize: 1024,
             crypto_threads: 6,
             seed: 0xBE7C4,
-            net: NetConfig::from_env(),
+            net: NetConfig::default(),
         }
     }
 
@@ -151,8 +149,8 @@ impl BenchConfig {
 /// The single source of algorithm-to-parameter policy, shared by the bench
 /// harness and `pivot-cli`: enhanced variants get `PivotParams::enhanced()`
 /// plus a keysize floor of 192 bits (the share-conversion mask needs
-/// headroom, DESIGN.md §8), and the `-PP` variants switch on parallel
-/// threshold decryption.
+/// headroom — `pivot_core::gain`, "Scale discipline"), and the `-PP`
+/// variants switch on parallel threshold decryption.
 pub fn algo_params(algo: Algo, tree: TreeParams, keysize: u32, dealer_seed: u64) -> PivotParams {
     match algo {
         Algo::PivotEnhanced | Algo::PivotEnhancedPp => {

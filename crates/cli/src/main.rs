@@ -80,8 +80,8 @@ OPTIONS:
     --diff              trace only: take two report / trace files and
                         print their per-phase rounds, sent bytes, and
                         wait_s side by side with signed deltas (B − A)
-                        and the total round ratio — e.g. a sequential
-                        run against its pipelined twin
+                        and the total round ratio — e.g. the same
+                        scenario before and after a change
     -h, --help          Show this help
     -V, --version       Show the version
 ";

@@ -181,12 +181,6 @@ pub fn run_party_protocol(
     // A no-op at the default `TraceLevel::Off`; otherwise this thread
     // records spans until the matching `finish()` below.
     pivot_trace::install(ep.id(), params.trace);
-    // Pipelined scheduling turns on transport-level frame coalescing.
-    // Every party takes the same branch (params are shared), keeping the
-    // wire format symmetric.
-    if params.scheduling == pivot_core::Scheduling::Pipelined {
-        ep.set_coalescing(true);
-    }
     // Checkpoints snapshot the *inbound transcript*, so recording must
     // start before the first setup exchange ever touches the endpoint
     // (idempotent when `--resume` already enabled it to preload replay).
@@ -226,8 +220,8 @@ pub fn run_party_protocol(
     let train_wall_s = train_start.elapsed().as_secs_f64();
 
     // Settle any staged frames so training traffic is attributed to the
-    // training counters before the reset below (no-op when coalescing is
-    // off or the staging buffers are empty).
+    // training counters before the reset below (no-op when the staging
+    // buffers are empty).
     ctx.ep.flush();
     let stats = ctx.ep.stats();
     let train_bytes_sent = stats.bytes_sent();

@@ -16,7 +16,7 @@ use crate::json::Json;
 use crate::toml::{TomlDoc, TomlValue};
 use pivot_bench::Algo;
 use pivot_core::config::{Packing, PivotParams};
-use pivot_core::{AdversarySpec, CompareBits, Scheduling, TraceLevel, Verification};
+use pivot_core::{AdversarySpec, CompareBits, TraceLevel, Verification};
 use pivot_data::{synth, Dataset, Task};
 use pivot_transport::NetConfig;
 use pivot_trees::TreeParams;
@@ -283,33 +283,6 @@ impl TraceSpec {
     }
 }
 
-/// `params.scheduling`: `"sequential"` or `"pipelined"`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum SchedulingSpec {
-    #[default]
-    Sequential,
-    Pipelined,
-}
-
-impl SchedulingSpec {
-    fn to_core(self) -> Scheduling {
-        match self {
-            SchedulingSpec::Sequential => Scheduling::Sequential,
-            SchedulingSpec::Pipelined => Scheduling::Pipelined,
-        }
-    }
-
-    fn echo(self) -> Json {
-        Json::Str(
-            match self {
-                SchedulingSpec::Sequential => "sequential",
-                SchedulingSpec::Pipelined => "pipelined",
-            }
-            .into(),
-        )
-    }
-}
-
 /// `[params]` section → [`PivotParams`].
 #[derive(Clone, Debug)]
 pub struct ParamSpec {
@@ -318,8 +291,7 @@ pub struct ParamSpec {
     pub min_samples: usize,
     pub keysize: u32,
     pub parallel_decrypt: bool,
-    /// Worker threads for the batched crypto runtime (generalizes the
-    /// deprecated `decrypt_threads` key, still accepted as an alias).
+    /// Worker threads for the batched crypto runtime.
     pub crypto_threads: usize,
     /// Offline randomness-pool size (precomputed `r^N` nonce powers).
     pub randomness_pool: usize,
@@ -341,11 +313,6 @@ pub struct ParamSpec {
     /// `"phases"` (phase timelines + round/byte attribution), `"full"`
     /// (adds per-round and per-node spans).
     pub trace: TraceSpec,
-    /// Protocol scheduling: `"sequential"` keeps the per-node transcript
-    /// bit-identical to prior releases, `"pipelined"` turns on frame
-    /// coalescing + level-batched comparisons and deferred openings (same
-    /// released model, far fewer rounds).
-    pub scheduling: SchedulingSpec,
     /// Malicious-model verification: `"off"` (default, bit-identical
     /// transcript), `"spot(p)"` (proofs on every commit, a seeded
     /// p-fraction verified), `"full"` (every proof verified).
@@ -366,7 +333,6 @@ impl Default for ParamSpec {
             comparison_bits: ComparisonBitsSpec::Full,
             dealer_pool: 256,
             trace: TraceSpec::Off,
-            scheduling: SchedulingSpec::Sequential,
             verification: VerificationSpec::Off,
         }
     }
@@ -375,11 +341,8 @@ impl Default for ParamSpec {
 /// `[network]` section: per-run LAN simulation and liveness, materialized
 /// as a [`pivot_transport::NetConfig`] on every endpoint the run builds.
 ///
-/// Unset keys fall back to the deprecated `PIVOT_NET_LATENCY_US` /
-/// `PIVOT_NET_BANDWIDTH_MBPS` / `PIVOT_NET_RECV_TIMEOUT_S` environment
-/// variables (then to "no simulation, 120 s timeout"), so old invocations
-/// keep working — but explicit keys always win, and because the config is
-/// per-endpoint a `[sweep]` can now vary these within one process.
+/// Unset keys mean "no simulation, 120 s timeout"; because the config is
+/// per-endpoint a `[sweep]` can vary these within one process.
 #[derive(Clone, Debug, Default)]
 pub struct NetworkSpec {
     pub latency_us: Option<u64>,
@@ -720,13 +683,13 @@ const PARAM_KEYS: &[&str] = &[
     "keysize",
     "parallel_decrypt",
     "crypto_threads",
-    // Deprecated alias of crypto_threads (PR-2 name, decryption-only).
-    "decrypt_threads",
     "randomness_pool",
     "packing",
     "comparison_bits",
     "dealer_pool",
     "trace",
+    // Accepted with its one remaining value so scenario files written
+    // when there was a choice keep loading.
     "scheduling",
     "verification",
 ];
@@ -948,28 +911,24 @@ impl Scenario {
                 ))
             }
         };
-        let scheduling = match doc.get_str("params", "scheduling")?.as_deref() {
-            None => pd.scheduling,
-            Some("sequential") => SchedulingSpec::Sequential,
-            Some("pipelined") => SchedulingSpec::Pipelined,
+        match doc.get_str("params", "scheduling")?.as_deref() {
+            None | Some("pipelined") => {}
+            Some("sequential") => {
+                return Err("params.scheduling: the \"sequential\" mode was removed — \
+                     training is always level-wise and pipelined; delete the key"
+                    .into())
+            }
             Some(other) => {
                 return Err(format!(
-                    "params.scheduling: unknown mode {other:?} (expected \
-                     \"sequential\" or \"pipelined\")"
+                    "params.scheduling: unknown mode {other:?} (the only schedule \
+                     is \"pipelined\"; the key can be deleted)"
                 ))
             }
-        };
+        }
         let verification = match doc.get_str("params", "verification")? {
             None => pd.verification,
             Some(s) => VerificationSpec::parse(&s)?,
         };
-        let crypto_threads = doc.get_usize("params", "crypto_threads")?;
-        let decrypt_threads = doc.get_usize("params", "decrypt_threads")?;
-        if crypto_threads.is_some() && decrypt_threads.is_some() {
-            return Err("give either params.crypto_threads or the deprecated alias \
-                 params.decrypt_threads, not both"
-                .into());
-        }
         let params = ParamSpec {
             max_depth: doc
                 .get_usize("params", "max_depth")?
@@ -987,8 +946,8 @@ impl Scenario {
             parallel_decrypt: doc
                 .get_bool("params", "parallel_decrypt")?
                 .unwrap_or(pd.parallel_decrypt),
-            crypto_threads: crypto_threads
-                .or(decrypt_threads)
+            crypto_threads: doc
+                .get_usize("params", "crypto_threads")?
                 .unwrap_or(pd.crypto_threads),
             randomness_pool: doc
                 .get_usize("params", "randomness_pool")?
@@ -999,7 +958,6 @@ impl Scenario {
                 .get_usize("params", "dealer_pool")?
                 .unwrap_or(pd.dealer_pool),
             trace,
-            scheduling,
             verification,
         };
 
@@ -1069,7 +1027,6 @@ impl Scenario {
                     "bandwidth_mbps",
                     "packing",
                     "comparison_bits",
-                    "scheduling",
                     "checkpoint_every_levels",
                 ];
                 if !AXES.contains(&vary.as_str()) {
@@ -1212,14 +1169,6 @@ impl Scenario {
             }
             if ckpt.dir.is_empty() {
                 return Err("checkpoint.dir must not be empty".into());
-            }
-            // Recovery replays the transcript through the deterministic
-            // protocol; the pipelined scheduler is the deployment shape
-            // that replay is defined (and tested) against.
-            if self.params.scheduling != SchedulingSpec::Pipelined {
-                return Err("[checkpoint] requires params.scheduling = \"pipelined\" \
-                     (resume replay is defined against the pipelined scheduler)"
-                    .into());
             }
         }
         if let Some(sweep) = &self.sweep {
@@ -1388,20 +1337,9 @@ impl Scenario {
     }
 
     /// The [`NetConfig`] every endpoint of this run carries: explicit
-    /// `[network]` keys over the deprecated `PIVOT_NET_*` environment
-    /// fallback over "no simulation".
-    ///
-    /// When an environment variable and the scenario both set the same
-    /// knob, the scenario wins — and the overlap is reported once per
-    /// process to stderr, because a stale exported `PIVOT_NET_*` that
-    /// *looks* live is exactly the silent misconfiguration the explicit
-    /// `[network]` section was added to end.
+    /// `[network]` keys over "no simulation".
     pub fn net_config(&self) -> NetConfig {
-        if let Some(warning) = self.env_shadow_warning() {
-            static WARNED: std::sync::Once = std::sync::Once::new();
-            WARNED.call_once(|| eprintln!("{warning}"));
-        }
-        let mut net = NetConfig::from_env();
+        let mut net = NetConfig::default();
         if let Some(us) = self.network.latency_us {
             net.latency = std::time::Duration::from_micros(us);
         }
@@ -1430,41 +1368,6 @@ impl Scenario {
         net
     }
 
-    /// The warning [`Scenario::net_config`] prints when deprecated
-    /// `PIVOT_NET_*` variables overlap explicit `[network]` keys (the
-    /// scenario value is used; the env value is ignored). `None` when
-    /// there is no overlap. Split out so tests can assert the message
-    /// without capturing stderr.
-    pub fn env_shadow_warning(&self) -> Option<String> {
-        let overlaps = [
-            (self.network.latency_us.is_some(), "PIVOT_NET_LATENCY_US"),
-            (
-                self.network.bandwidth_mbps.is_some(),
-                "PIVOT_NET_BANDWIDTH_MBPS",
-            ),
-            (
-                self.network.recv_timeout_s.is_some(),
-                "PIVOT_NET_RECV_TIMEOUT_S",
-            ),
-            (
-                self.network.connect_timeout_s.is_some(),
-                "PIVOT_NET_CONNECT_TIMEOUT_S",
-            ),
-        ];
-        let shadowed: Vec<&str> = overlaps
-            .iter()
-            .filter(|(explicit, var)| *explicit && std::env::var_os(var).is_some())
-            .map(|&(_, var)| var)
-            .collect();
-        (!shadowed.is_empty()).then(|| {
-            format!(
-                "warning: deprecated {} ignored — the scenario's [network] section \
-                 sets the same knob, and explicit keys win",
-                shadowed.join(", ")
-            )
-        })
-    }
-
     /// [`PivotParams`] for one algorithm under this scenario. The
     /// algorithm-to-parameter policy (enhanced keysize floor, `-PP`
     /// parallel decryption) lives in [`pivot_bench::algo_params`] so CLI
@@ -1485,7 +1388,6 @@ impl Scenario {
         p.comparison_bits = self.params.comparison_bits.to_core();
         p.dealer_pool = self.params.dealer_pool;
         p.trace = self.params.trace.to_core();
-        p.scheduling = self.params.scheduling.to_core();
         p.verification = self.params.verification.to_core();
         // The scenario is validated before execution, so a malformed
         // tamper spec never reaches this unwrap.
@@ -1567,14 +1469,13 @@ impl Scenario {
                     .with("comparison_bits", self.params.comparison_bits.echo())
                     .with("dealer_pool", self.params.dealer_pool)
                     .with("trace", self.params.trace.echo())
-                    .with("scheduling", self.params.scheduling.echo())
+                    .with("scheduling", "pipelined")
                     .with("verification", self.params.verification.echo()),
             )
             .with("model", model)
             .with("network", {
                 // Echo the *effective* settings (explicit keys merged over
-                // the deprecated env fallback) so reports are
-                // self-contained.
+                // the defaults) so reports are self-contained.
                 let net = self.net_config();
                 let mut echo = Json::obj()
                     .with("latency_us", net.latency.as_micros() as u64)
@@ -1661,14 +1562,6 @@ impl Scenario {
                     n => ComparisonBitsSpec::Floor(n as u32),
                 }
             }
-            // Scheduling axis: 0 = sequential, anything else = pipelined —
-            // the A/B the round-compaction baseline records.
-            "scheduling" => {
-                s.params.scheduling = match value {
-                    0 => SchedulingSpec::Sequential,
-                    _ => SchedulingSpec::Pipelined,
-                }
-            }
             // Checkpoint-cadence axis: 0 = checkpointing off, n >= 1 =
             // every n barriers (keeping the scenario's dir) — the
             // durability-overhead A/B BENCH_PR10.json records.
@@ -1748,11 +1641,8 @@ mod tests {
         let p = s.pivot_params(Algo::PivotBasicPp);
         assert_eq!(p.crypto_threads, 4);
         assert_eq!(p.randomness_pool, 64);
-        // PR-2 scenarios using decrypt_threads keep working.
-        let old = parse_toml("[params]\ndecrypt_threads = 8").unwrap();
-        assert_eq!(old.params.crypto_threads, 8);
-        // …but giving both is ambiguous.
-        let err = parse_toml("[params]\ncrypto_threads = 4\ndecrypt_threads = 8").unwrap_err();
+        // The PR-2 alias is gone: it is an unknown key like any other.
+        let err = parse_toml("[params]\ndecrypt_threads = 8").unwrap_err();
         assert!(err.contains("decrypt_threads"), "{err}");
         // Echo carries the generalized keys.
         let echo = s.to_json();
@@ -1999,39 +1889,23 @@ mod tests {
     }
 
     #[test]
-    fn explicit_network_keys_win_over_env_fallback() {
-        // Env exported *before* the scenario is loaded: explicit key wins
-        // and the overlap is reported.
-        std::env::set_var("PIVOT_NET_RECV_TIMEOUT_S", "33");
-        let s = parse_toml("[network]\nrecv_timeout_s = 5").unwrap();
-        assert_eq!(
-            s.net_config().recv_timeout,
-            std::time::Duration::from_secs(5)
-        );
-        let warn = s.env_shadow_warning().expect("overlap must warn");
-        assert!(warn.contains("PIVOT_NET_RECV_TIMEOUT_S"), "{warn}");
-        std::env::remove_var("PIVOT_NET_RECV_TIMEOUT_S");
-        assert!(s.env_shadow_warning().is_none());
-
-        // Env exported *after* loading: same precedence, same warning
-        // (net_config reads the environment lazily).
-        let late = parse_toml("[network]\nrecv_timeout_s = 7").unwrap();
-        std::env::set_var("PIVOT_NET_RECV_TIMEOUT_S", "33");
-        assert_eq!(
-            late.net_config().recv_timeout,
-            std::time::Duration::from_secs(7)
-        );
-        assert!(late.env_shadow_warning().is_some());
-
-        // Without an explicit key the deprecated fallback still applies —
-        // and is not an overlap.
-        let plain = parse_toml("[data]\nkind = \"synthetic-classification\"").unwrap();
-        assert_eq!(
-            plain.net_config().recv_timeout,
-            std::time::Duration::from_secs(33)
-        );
-        assert!(plain.env_shadow_warning().is_none());
-        std::env::remove_var("PIVOT_NET_RECV_TIMEOUT_S");
+    fn scheduling_key_accepts_only_pipelined() {
+        let base = "[data]\nkind = \"synthetic-classification\"\n[params]\n";
+        for text in [
+            base.to_string(),
+            format!("{base}scheduling = \"pipelined\"\n"),
+        ] {
+            let echo = parse_toml(&text).unwrap().to_json();
+            assert_eq!(
+                echo.path("params.scheduling").unwrap().as_str(),
+                Some("pipelined")
+            );
+        }
+        let err = parse_toml(&format!("{base}scheduling = \"sequential\"\n")).unwrap_err();
+        assert!(err.contains("removed"), "{err}");
+        assert!(parse_toml(&format!("{base}scheduling = \"eager\"\n")).is_err());
+        // Checkpointing has no scheduling precondition.
+        parse_toml(&format!("{base}[checkpoint]\ndir = \"ckpt\"\n")).unwrap();
     }
 
     #[test]

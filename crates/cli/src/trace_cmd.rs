@@ -359,7 +359,7 @@ fn phase_table_of(doc: &Json) -> Result<Vec<(String, PhaseAgg)>, String> {
 
 /// `pivot trace --diff A B`: per-phase rounds/bytes/wait side by side,
 /// with signed deltas (B − A) and the total round ratio — the intended
-/// view for comparing a `sequential` run against its `pipelined` twin.
+/// view for comparing two runs of one scenario across a change.
 fn run_diff(a_path: &PathBuf, b_path: &PathBuf) -> Result<(), String> {
     let load = |p: &PathBuf| -> Result<Vec<(String, PhaseAgg)>, String> {
         let text =

@@ -185,7 +185,6 @@ fn trainer_checkpoints_round_trip() {
         let toml = format!(
             "name = \"ckpt round-trip {tag}\"\nseed = 99\nparties = 2\n{body}\
              [params]\nmax_depth = 2\nmax_splits = 3\nkeysize = 128\n\
-             scheduling = \"pipelined\"\n\
              [checkpoint]\nevery_levels = 1\ndir = \"{}\"\n",
             dir.display()
         );

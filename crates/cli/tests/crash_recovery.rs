@@ -84,7 +84,6 @@ max_depth = 4
 max_splits = 3
 min_samples = 2
 keysize = 128
-scheduling = "pipelined"
 
 [checkpoint]
 every_levels = 1

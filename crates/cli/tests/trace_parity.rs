@@ -13,6 +13,12 @@
 use pivot_bench::Algo;
 use pivot_cli::runner::{execute, Execution};
 use pivot_cli::scenario::Scenario;
+use std::sync::{Mutex, PoisonError};
+
+/// `pivot_trace::enabled()` and the runtime sink are process-global: a
+/// traced run in one test thread would make the background refills of an
+/// untraced run in another record spans. One run at a time in this binary.
+static ONE_RUN: Mutex<()> = Mutex::new(());
 
 fn scenario(tag: &str, body: &str) -> Scenario {
     let path = std::env::temp_dir().join(format!(
@@ -31,6 +37,8 @@ const BASE: &str = "seed = 31337\nparties = 3\n\
      [params]\nmax_depth = 2\nmax_splits = 3\nkeysize = 128\n";
 
 fn run_with(tag: &str, trace_line: &str, algo: Algo) -> Execution {
+    // A failed assertion in another test poisons the lock; it guards no data.
+    let _one_run = ONE_RUN.lock().unwrap_or_else(PoisonError::into_inner);
     execute(&scenario(tag, &format!("{BASE}{trace_line}")), algo, false).unwrap()
 }
 

@@ -4,7 +4,10 @@
 //! node statistics with secure multiplications. The released model is the
 //! same plaintext tree Pivot-Basic produces.
 
-use crate::gain::{best_split, prune_decision, reveal_identifier, split_gains, NodeShares};
+use crate::gain::{
+    best_split_batch, leaf_label_shares_batch, prune_decisions_batch, reveal_identifier,
+    split_gains_batch, NodeShares,
+};
 use crate::party::PartyContext;
 use crate::stats::{LocalSplits, SplitLayout};
 use pivot_data::Task;
@@ -168,7 +171,8 @@ fn build_node(
         nodes.push(Node::Leaf { value });
         return nodes.len() - 1;
     }
-    if prune_decision(ctx, &node_shares_totals, ctx.params.tree.stop_when_pure) {
+    let stop_when_pure = ctx.params.tree.stop_when_pure;
+    if prune_decisions_batch(ctx, &[&node_shares_totals], stop_when_pure)[0] {
         let value = open_leaf(ctx, &node_shares_totals);
         nodes.push(Node::Leaf { value });
         return nodes.len() - 1;
@@ -217,8 +221,8 @@ fn build_node(
         n_total: node_shares_totals.n_total,
         g_totals,
     };
-    let gains = split_gains(ctx, &node_shares);
-    let (best_idx, _) = best_split(ctx, &gains);
+    let gains = split_gains_batch(ctx, &[&node_shares]);
+    let (best_idx, _) = best_split_batch(ctx, &gains)[0];
     let (winner, local_feature, split_idx) = reveal_identifier(ctx, layout, best_idx);
     let global = layout.global_index(winner, local_feature, split_idx);
 
@@ -266,7 +270,7 @@ fn build_node(
 }
 
 fn open_leaf(ctx: &mut PartyContext<'_>, shares: &NodeShares) -> f64 {
-    let label = crate::gain::leaf_label_share(ctx, shares);
+    let label = leaf_label_shares_batch(ctx, &[shares])[0];
     let opened = ctx.engine.open(label);
     match ctx.current_task() {
         Task::Classification { .. } => opened.value() as f64,

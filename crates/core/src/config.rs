@@ -30,22 +30,6 @@ pub enum Packing {
     Slots(usize),
 }
 
-/// Protocol scheduling policy: how the trainers order independent
-/// protocol stages and how the transport frames their messages.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Scheduling {
-    /// One node at a time, one opening per call, per-message frames —
-    /// bit-identical transcript to the pre-scheduler (PR-6) code.
-    Sequential,
-    /// Round-compacted: frame coalescing on the transport, level-wide
-    /// batched comparisons/openings in the trainers (deferred opens,
-    /// lockstep argmax ladders), and dealer/nonce refill kicks in the
-    /// wait-free windows between tree levels. Released models,
-    /// predictions, and metrics are identical to `Sequential`; only the
-    /// communication schedule (rounds, frames, wait time) changes.
-    Pipelined,
-}
-
 /// Malicious-model verification policy (§9.1): whether parties attach and
 /// check Σ-protocol proofs on their ciphertext commitments.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -178,8 +162,6 @@ pub struct PivotParams {
     /// come from the same seeded stream in the same order.
     pub parallel_decrypt: bool,
     /// Worker threads for batched crypto operations (paper: 6).
-    /// Generalizes the former `decrypt_threads`, which only fed partial
-    /// decryption.
     pub crypto_threads: usize,
     /// Offline randomness-pool size: how many `r^N mod N²` nonce powers
     /// background workers keep precomputed (0 disables precomputation).
@@ -204,10 +186,6 @@ pub struct PivotParams {
     pub dealer_pool: usize,
     /// Common seed for the simulated MPC offline phase.
     pub dealer_seed: u64,
-    /// Protocol scheduling policy. `Sequential` (default) keeps the
-    /// exact PR-6 communication schedule; `Pipelined` compacts rounds
-    /// (same released models/predictions/metrics, fewer round-trips).
-    pub scheduling: Scheduling,
     /// Malicious-model verification policy. `Off` (default) generates
     /// and checks nothing — bit-identical transcript. `Spot(p)`/`Full`
     /// attach Σ-protocol proofs to every ciphertext commit and verify a
@@ -241,7 +219,6 @@ impl Default for PivotParams {
             comparison_bits: CompareBits::Full,
             dealer_pool: 256,
             dealer_seed: 0x9162_07,
-            scheduling: Scheduling::Sequential,
             verification: Verification::Off,
             adversary: None,
             trace: TraceLevel::Off,
@@ -358,7 +335,8 @@ impl PivotParams {
     /// Full validation for a concrete party count.
     pub fn assert_valid_for(&self, n_samples: usize, parties: usize) {
         self.fixed.assert_valid();
-        // Gain-pipeline overflow bound: n²·2^f < p/2 (DESIGN.md §8).
+        // Gain-pipeline overflow bound: n²·2^f < p/2 (`crate::gain`, "Scale
+        // discipline").
         let n_bits = (usize::BITS - n_samples.leading_zeros()) as u64;
         assert!(
             2 * n_bits as u32 + self.fixed.frac_bits + 1 < 61,

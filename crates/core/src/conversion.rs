@@ -10,7 +10,7 @@
 //!   ciphertexts are summed homomorphically. The result's plaintext may
 //!   carry an additive multiple of the share modulus `p` (share sums wrap);
 //!   every consumer reduces modulo `p` on the next conversion, so the slack
-//!   is harmless — see DESIGN.md §8.
+//!   is harmless — see [`crate::gain`], "Scale discipline".
 
 use crate::decrypt::joint_decrypt_vec;
 use crate::party::PartyContext;
@@ -91,11 +91,6 @@ pub fn ciphers_to_shares(ctx: &mut PartyContext<'_>, cts: &[Ciphertext]) -> Vec<
             Share(mine)
         })
         .collect()
-}
-
-/// Convert one encrypted value into a share.
-pub fn cipher_to_share(ctx: &mut PartyContext<'_>, ct: &Ciphertext) -> Share {
-    ciphers_to_shares(ctx, std::slice::from_ref(ct)).remove(0)
 }
 
 /// Algorithm 2 over **packed** ciphertexts: one threshold decryption
@@ -352,9 +347,4 @@ pub fn shares_to_ciphers(ctx: &mut PartyContext<'_>, shares: &[Share]) -> Vec<Ci
         }
         acc
     })
-}
-
-/// Convert one share into a ciphertext.
-pub fn share_to_cipher(ctx: &mut PartyContext<'_>, share: Share) -> Ciphertext {
-    shares_to_ciphers(ctx, &[share]).remove(0)
 }

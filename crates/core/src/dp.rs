@@ -5,7 +5,9 @@
 //! noise; the released model is `B`-DP with `B = 2(h+1)·ε` (paper §9.2).
 
 use crate::config::Protocol;
-use crate::gain::{convert_stats, reveal_identifier, split_gains, NodeShares};
+use crate::gain::{
+    convert_stats_batch, leaf_label_shares_batch, reveal_identifier, split_gains_batch, NodeShares,
+};
 use crate::masks::{compute_label_masks, initial_mask, update_vectors_plain};
 use crate::party::PartyContext;
 use crate::stats::{pooled_statistics, LocalSplits, SplitLayout};
@@ -55,7 +57,7 @@ fn build_node(
 ) -> usize {
     let masks = compute_label_masks(ctx, &alpha, true);
     let enc = pooled_statistics(ctx, layout, local, &alpha, &masks);
-    let shares = convert_stats(ctx, layout, &enc);
+    let shares = convert_stats_batch(ctx, layout, &[&enc]).remove(0);
 
     // DP pruning-condition query: Lap(Δ/ε) with Δ = 1 on the node count.
     let force = depth >= ctx.params.tree.max_depth || layout.total() == 0;
@@ -77,7 +79,7 @@ fn build_node(
 
     // DP non-leaf query: exponential mechanism over the gains (Δ = 2 for
     // Gini gain, per Friedman–Schuster).
-    let gains = split_gains(ctx, &shares);
+    let gains = split_gains_batch(ctx, &[&shares]).remove(0);
     let idx = exponential_mechanism(&mut ctx.engine, &gains, dp.epsilon_per_query, 2.0);
     let (winner, local_feature, split_idx) = reveal_identifier(ctx, layout, idx);
 
@@ -132,7 +134,7 @@ fn dp_leaf(ctx: &mut PartyContext<'_>, dp: &DpParams, shares: &NodeShares) -> f6
         Task::Regression => {
             // Mean with Laplace noise scaled by the public sensitivity
             // bound 2/(min_samples·ε) (labels are normalized to [-1, 1]).
-            let label = crate::gain::leaf_label_share(ctx, shares);
+            let label = leaf_label_shares_batch(ctx, &[shares])[0];
             let sens = 2.0 / (ctx.params.tree.min_samples.max(1) as f64);
             let noise =
                 laplace_sample_vec(&mut ctx.engine, 0.0, sens / dp.epsilon_per_query, 1).remove(0);

@@ -8,7 +8,6 @@
 //! Classification uses one-vs-rest with a **secure softmax** over the
 //! cumulative scores each round.
 
-use crate::config::Scheduling;
 use crate::conversion::{ciphers_to_shares, shares_to_ciphers};
 use crate::masks::initial_mask;
 use crate::party::PartyContext;
@@ -95,15 +94,11 @@ fn train_gbdt_classification(
                 logits.push(class_scores[i]);
             }
         }
-        let probs = if ctx.params.scheduling == Scheduling::Pipelined {
-            // Cumulative scores are sums of `rounds` shrunk leaf means;
-            // residual leaves stay in [−1, 1] up to fixed-point noise, so
-            // |logit| ≤ rounds·lr (+1 margin for the truncation noise).
-            let bound = gbdt.rounds as f64 * gbdt.learning_rate + 1.0;
-            ctx.engine.softmax_rows_clamped(&logits, classes, bound)
-        } else {
-            ctx.engine.softmax_rows(&logits, classes)
-        };
+        // Cumulative scores are sums of `rounds` shrunk leaf means;
+        // residual leaves stay in [−1, 1] up to fixed-point noise, so
+        // |logit| ≤ rounds·lr (+1 margin for the truncation noise).
+        let bound = gbdt.rounds as f64 * gbdt.learning_rate + 1.0;
+        let probs = ctx.engine.softmax_rows_clamped(&logits, classes, bound);
 
         for (k, forest) in forests.iter_mut().enumerate() {
             let residuals: Vec<Share> = (0..n)

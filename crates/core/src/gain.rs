@@ -2,16 +2,46 @@
 //! shares (Algorithm 2), evaluate every split's impurity/variance gain
 //! (Eqns 5–6) on shares, and select the best split with secure argmax.
 //!
-//! Scale discipline (DESIGN.md §8): class counts stay *integer-valued*
-//! shares; reciprocals and label sums are fixed-point at scale `2^f`. The
-//! gain pipeline is arranged so no intermediate exceeds `n²·2^f < p/2`:
+//! Every function runs one protocol stage for a whole tree-level frontier
+//! in the rounds of a single node: the lanes of every node concatenate
+//! into one comparison/multiplication batch. Comparisons and Beaver
+//! multiplications are exact regardless of batching, so every argmax and
+//! prune bit is the one a node-by-node evaluation computes; callers with
+//! one node (the DP trainer, the SPDZ-DT baseline) pass one-element
+//! slices.
 //!
-//! * classification: `gain_side = Σ_k (g_k · recip) · g_k`
-//! * regression:     `gain_side = ((γ₁·recip)²) · n_side`
+//! # Scale discipline
 //!
-//! Both equal the paper's gain up to a positive affine transform shared by
-//! all splits of the node, so the argmax — and therefore the trained tree —
-//! is identical.
+//! Shares live in the field `p = 2^61 − 1`. The fixed-point layout
+//! (`pivot_mpc::FixedConfig`, default `f = 20` fractional bits, `k = 45`
+//! significant bits, `κ = 14` masking bits, `k + κ + 1 < 61`) and every
+//! encoding below exist so that no intermediate of this pipeline wraps:
+//!
+//! * **Counts stay integers, ratios are fixed-point.** Class counts and
+//!   node sizes are *integer-valued* shares; reciprocals and label sums
+//!   are fixed-point at scale `2^f`. The gain is arranged so no
+//!   intermediate exceeds `n²·2^f < p/2` (`PivotParams::assert_valid_for`
+//!   rejects sample counts beyond that):
+//!   classification `gain_side = Σ_k (g_k · recip) · g_k`, regression
+//!   `gain_side = ((γ₁·recip)²) · n_side`. Both equal the paper's gain up
+//!   to a positive affine transform shared by all splits of the node, so
+//!   the argmax — and therefore the trained tree — is identical.
+//! * **Labels are bounded.** Regression labels are normalized into
+//!   `[-1, 1]` (`Dataset::normalize_labels`, `synth::make_regression`), so
+//!   label sums stay below `n·2^f`.
+//! * **Plaintexts under encryption are non-negative.** Regression label
+//!   vectors are encrypted as `(y+1)` and `(y+1)²` ([`crate::masks`]); a
+//!   negative encoding would wrap mod `N` once multiplied into a
+//!   slack-carrying mask. The offset is removed linearly after conversion
+//!   ([`remove_totals_offset`]).
+//! * **Share sums carry slack.** A ciphertext built by summing every
+//!   party's encrypted share ([`crate::conversion::shares_to_ciphers`])
+//!   holds the secret plus a multiple of `p` below `m·p ≪ N`. Every
+//!   consumer reduces mod `p` at its next conversion, so the slack is
+//!   harmless as long as it never reaches `N`. The enhanced protocol's
+//!   Eqn-10 masks multiply two slack-carrying values (up to `m²·b·p²`),
+//!   which is why it needs keysize ≥ 192 and why packed levels refresh
+//!   the masks first.
 
 use crate::conversion::ciphers_to_shares;
 use crate::metrics::Stage;
@@ -54,9 +84,8 @@ pub struct NodeShares {
     pub g_totals: Vec<Share>,
 }
 
-/// Flatten one node's pooled statistics into the conversion order
-/// ([`convert_stats`]' layout: per-split stride chunks, then the totals
-/// tail).
+/// Flatten one node's pooled statistics into the conversion order:
+/// per-split stride chunks, then the totals tail.
 fn stats_flat(enc: &EncryptedStats, layout: &SplitLayout) -> Vec<pivot_paillier::Ciphertext> {
     let stride = enc.gamma_totals.len() + 1;
     let mut flat = Vec::with_capacity(layout.total() * stride + stride);
@@ -100,26 +129,11 @@ fn node_shares_from_flat(
     node
 }
 
-/// Convert the pooled encrypted statistics into shares in one batched
-/// Algorithm-2 invocation.
-pub fn convert_stats(
-    ctx: &mut PartyContext<'_>,
-    layout: &SplitLayout,
-    enc: &EncryptedStats,
-) -> NodeShares {
-    let flat = stats_flat(enc, layout);
-    let started = std::time::Instant::now();
-    let shares = ciphers_to_shares(ctx, &flat);
-    ctx.metrics
-        .add_time(Stage::MpcComputation, started.elapsed());
-    node_shares_from_flat(ctx, layout, enc, &shares)
-}
-
 /// Convert every frontier node's pooled statistics in **one** Algorithm-2
 /// invocation (the scalar counterpart of the packed level-wise
 /// `conversion_batch`): all flats concatenate, a single
 /// [`ciphers_to_shares`] covers the level, and each node's span
-/// reassembles exactly like [`convert_stats`].
+/// reassembles into its [`NodeShares`].
 pub fn convert_stats_batch(
     ctx: &mut PartyContext<'_>,
     layout: &SplitLayout,
@@ -150,7 +164,7 @@ pub fn convert_stats_batch(
 /// conversion ciphertexts (`shares[i]` aligned with the node's
 /// `stats::conversion_batch` order: chunk-major groups, then
 /// per-chunk totals). Applies the regression offset correction like
-/// [`convert_stats`].
+/// [`convert_stats_batch`].
 pub fn node_shares_from_packed(
     ctx: &PartyContext<'_>,
     layout: &SplitLayout,
@@ -250,119 +264,6 @@ fn remove_label_offset(ctx: &PartyContext<'_>, node: &mut NodeShares) {
     node.g_totals[1] = g2;
 }
 
-/// Evaluate the gain of every split (scale `2^f`), with invalid splits
-/// (an empty side) pinned to `-1`.
-pub fn split_gains(ctx: &mut PartyContext<'_>, shares: &NodeShares) -> Vec<Share> {
-    let n_splits = shares.n_l.len();
-    if n_splits == 0 {
-        return Vec::new();
-    }
-    let n_bound = ctx.num_samples() as f64;
-    let task = ctx.current_task();
-    let party = ctx.id();
-    let one_fx = ctx.params.fixed.one();
-    let counts_k = count_width(ctx);
-
-    ctx.metrics.time(Stage::MpcComputation, || {
-        let engine = &mut ctx.engine;
-        // Right-side counts and sums by subtraction from totals.
-        let n_r: Vec<Share> = shares.n_l.iter().map(|&l| shares.n_total - l).collect();
-        let g_r: Vec<Vec<Share>> = shares
-            .g_l
-            .iter()
-            .enumerate()
-            .map(|(k, row)| row.iter().map(|&l| shares.g_totals[k] - l).collect())
-            .collect();
-
-        // Reciprocals of both side sizes in one batch. The sides are
-        // integer-valued counts, so the normalization comparisons run in
-        // the integer domain (`⌈log₂ n⌉`-bit widths instead of
-        // `f + ⌈log₂ n⌉`).
-        let mut sides_int: Vec<Share> = Vec::with_capacity(2 * n_splits);
-        sides_int.extend(shares.n_l.iter().copied());
-        sides_int.extend(n_r.iter().copied());
-        let recips = engine.recip_vec_int(&sides_int, n_bound);
-        let (recip_l, recip_r) = recips.split_at(n_splits);
-
-        let gains_raw: Vec<Share> = match task {
-            Task::Classification { .. } => {
-                // p = g·recip (scale f), term = p·g (scale f); batch both
-                // sides and all classes into two multiplication rounds.
-                let classes = shares.g_l.len();
-                let mut gs = Vec::with_capacity(2 * classes * n_splits);
-                let mut rs = Vec::with_capacity(2 * classes * n_splits);
-                for k in 0..classes {
-                    for s in 0..n_splits {
-                        gs.push(shares.g_l[k][s]);
-                        rs.push(recip_l[s]);
-                    }
-                    for s in 0..n_splits {
-                        gs.push(g_r[k][s]);
-                        rs.push(recip_r[s]);
-                    }
-                }
-                let ps = engine.mul_vec(&gs, &rs);
-                let terms = engine.mul_vec(&ps, &gs);
-                let mut gains = vec![Share::ZERO; n_splits];
-                for k in 0..classes {
-                    let base = 2 * k * n_splits;
-                    for s in 0..n_splits {
-                        gains[s] = gains[s] + terms[base + s] + terms[base + n_splits + s];
-                    }
-                }
-                gains
-            }
-            Task::Regression => {
-                // mean = γ₁·recip (fixmul), gain_side = mean²·n_side.
-                let mut g1 = shares.g_l[0].clone();
-                g1.extend(g_r[0].iter().copied());
-                let mut recs = recip_l.to_vec();
-                recs.extend_from_slice(recip_r);
-                let means = engine.fixmul_vec(&g1, &recs);
-                let m2 = engine.fixmul_vec(&means, &means);
-                let mut counts = shares.n_l.clone();
-                counts.extend(n_r.iter().copied());
-                let terms = engine.mul_vec(&m2, &counts);
-                (0..n_splits)
-                    .map(|s| terms[s] + terms[n_splits + s])
-                    .collect()
-            }
-        };
-
-        // Validity: both sides non-empty. a = 1[n_l = 0], b = 1[n_r = 0];
-        // they cannot both be 1 (the node is non-empty), so
-        // valid = 1 − a − b is linear.
-        let mut sides = Vec::with_capacity(2 * n_splits);
-        sides.extend(shares.n_l.iter().map(|s| s.sub_public(party, Fp::ONE)));
-        sides.extend(n_r.iter().map(|s| s.sub_public(party, Fp::ONE)));
-        // Side counts are integers in [0, n]: the zero tests only need
-        // count-width comparisons, not the full fixed-point layout.
-        let zero_flags = engine.ltz_vec_bounded(&sides, counts_k);
-        let valid: Vec<Share> = (0..n_splits)
-            .map(|s| Share::from_public(party, Fp::ONE) - zero_flags[s] - zero_flags[n_splits + s])
-            .collect();
-
-        // gain_final = valid·(gain + 1) − 1 (scale f): invalid ⇒ −1.
-        let shifted: Vec<Share> = gains_raw
-            .iter()
-            .map(|&g| g.add_public(party, one_fx))
-            .collect();
-        let gated = engine.mul_vec(&valid, &shifted);
-        gated
-            .into_iter()
-            .map(|g| g.sub_public(party, one_fx))
-            .collect()
-    })
-}
-
-/// Secure argmax over the gains; returns `(⟨global split index⟩, ⟨gain⟩)`.
-pub fn best_split(ctx: &mut PartyContext<'_>, gains: &[Share]) -> (Share, Share) {
-    let k = gain_width(ctx);
-    ctx.metrics.time(Stage::MpcComputation, || {
-        ctx.engine.argmax_bounded(gains, k)
-    })
-}
-
 /// Basic protocol: open the winning index and map it to the public
 /// identifier `(i*, j*, s*)`.
 pub fn reveal_identifier(
@@ -374,78 +275,10 @@ pub fn reveal_identifier(
     layout.locate(opened)
 }
 
-/// Enhanced protocol: reveal only the winning `(i*, j*)` block; `⟨s*⟩`
-/// stays secret. One batched comparison against the public block
-/// boundaries, then the boundary bits are opened (they reveal exactly the
-/// block, nothing else).
-pub fn reveal_block_only(
-    ctx: &mut PartyContext<'_>,
-    layout: &SplitLayout,
-    idx: Share,
-) -> (usize, usize, Share) {
-    let party = ctx.id();
-    // Block start offsets in global order.
-    let mut blocks = Vec::new();
-    for (client, row) in layout.counts.iter().enumerate() {
-        for feature in 0..row.len() {
-            if row[feature] > 0 {
-                blocks.push((client, feature, layout.block(client, feature)));
-            }
-        }
-    }
-    // b_t = 1[idx < start_t] for every block start (skip the first: always 0).
-    let diffs: Vec<Share> = blocks
-        .iter()
-        .skip(1)
-        .map(|&(_, _, (start, _))| idx.sub_public(party, Fp::new(start as u64)))
-        .collect();
-    // idx and every block start lie in [0, total splits].
-    let k = width_for_magnitude(layout.total() as u64);
-    let bits = ctx.engine.ltz_vec_bounded(&diffs, k);
-    let opened = ctx.engine.open_vec(&bits);
-    // The winning block is the last one whose start ≤ idx.
-    let mut winner = 0usize;
-    for (t, bit) in opened.iter().enumerate() {
-        if bit.value() == 0 {
-            winner = t + 1;
-        }
-    }
-    let (client, feature, (start, _)) = blocks[winner];
-    let s_star = idx.sub_public(party, Fp::new(start as u64));
-    (client, feature, s_star)
-}
-
-/// Secure leaf label: argmax class (classification, integer share) or mean
-/// label (regression, fixed-point share).
-pub fn leaf_label_share(ctx: &mut PartyContext<'_>, shares: &NodeShares) -> Share {
-    let n_bound = ctx.num_samples() as f64;
-    let task = ctx.current_task();
-    let counts_k = count_width(ctx);
-    ctx.metrics.time(Stage::MpcComputation, || match task {
-        // Class counts are integers in [0, n]: count-width argmax.
-        Task::Classification { .. } => ctx.engine.argmax_bounded(&shares.g_totals, counts_k).0,
-        Task::Regression => {
-            let recip = ctx.engine.recip_vec_int(&[shares.n_total], n_bound);
-            ctx.engine.fixmul_vec(&[shares.g_totals[0]], &[recip[0]])[0]
-        }
-    })
-}
-
-// ---------------------------------------------------------------------
-// Level-batched variants (pipelined scheduling)
-//
-// Each helper runs one protocol stage for a whole tree-level frontier in
-// the rounds of a single node: lanes of every node concatenate into one
-// comparison/multiplication batch, and final openings queue through the
-// engine's deferred-open API so independent results settle together.
-// Values are identical to looping the per-node functions — comparisons
-// and Beaver multiplications are exact regardless of batching, so every
-// argmax and prune bit matches the sequential schedule.
-// ---------------------------------------------------------------------
-
-/// Batched [`prune_decision`]: one comparison unit and one opening round
-/// for the entire frontier (small tests, and — when `check_purity` —
-/// purity maxima in a lockstep tournament sharing the same rounds).
+/// Secure pruning decisions (opened bits): per node, too small or — when
+/// `check_purity` — pure. One comparison unit and one opening round for the
+/// entire frontier (small tests, and purity maxima in a lockstep
+/// tournament sharing the same rounds).
 pub fn prune_decisions_batch(
     ctx: &mut PartyContext<'_>,
     nodes: &[&NodeShares],
@@ -457,6 +290,7 @@ pub fn prune_decisions_batch(
     let party = ctx.id();
     let min_samples = ctx.params.tree.min_samples as u64;
     let is_classification = matches!(ctx.current_task(), Task::Classification { .. });
+    // All operands are integer counts bounded by max(n, min_samples).
     let counts_k = width_for_magnitude((ctx.num_samples() as u64).max(min_samples));
     let purity = check_purity && is_classification;
     ctx.metrics.time(Stage::MpcComputation, || {
@@ -471,7 +305,8 @@ pub fn prune_decisions_batch(
         } else {
             Vec::new()
         };
-        // One mixed batch: every node's small test, then every purity test.
+        // One mixed batch: every node's small test, then every purity test
+        // (pure ⟺ max_k g_k = n̄ ⟺ (n̄ − max) − 1 < 0).
         let mut lanes: Vec<Share> = nodes
             .iter()
             .map(|n| n.n_total.sub_public(party, Fp::new(min_samples)))
@@ -486,7 +321,8 @@ pub fn prune_decisions_batch(
         }
         let bits = engine.ltz_vec_bounded(&lanes, counts_k);
         let decisions: Vec<Share> = if purity {
-            // stop = small ∨ pure, one multiplication round for the level.
+            // stop = small ∨ pure = small + pure − small·pure, one
+            // multiplication round for the level.
             let smalls = &bits[..nodes.len()];
             let pures = &bits[nodes.len()..];
             let prods = engine.mul_vec(smalls, pures);
@@ -504,11 +340,11 @@ pub fn prune_decisions_batch(
     })
 }
 
-/// Batched [`split_gains`]: the reciprocal pipeline, gain multiplications,
-/// validity tests, and gating of every frontier node concatenate into the
-/// per-stage batches of one node. Within-node lane order matches the
-/// scalar function, so per-lane values agree up to the shared truncation
-/// semantics.
+/// Evaluate the gain of every split of every node (scale `2^f`), with
+/// invalid splits (an empty side) pinned to `-1`. The reciprocal pipeline,
+/// gain multiplications, validity tests, and gating of every frontier node
+/// concatenate into the per-stage batches of one node; lanes are
+/// node-major, and within a node in split order.
 pub fn split_gains_batch(ctx: &mut PartyContext<'_>, nodes: &[&NodeShares]) -> Vec<Vec<Share>> {
     if nodes.is_empty() {
         return Vec::new();
@@ -539,7 +375,10 @@ pub fn split_gains_batch(ctx: &mut PartyContext<'_>, nodes: &[&NodeShares]) -> V
             })
             .collect();
 
-        // One reciprocal pipeline over every side of every node.
+        // One reciprocal pipeline over every side of every node. The sides
+        // are integer-valued counts, so the normalization comparisons run
+        // in the integer domain (`⌈log₂ n⌉`-bit widths instead of
+        // `f + ⌈log₂ n⌉`).
         let mut sides_int: Vec<Share> = Vec::with_capacity(2 * lanes);
         for (node, rights) in nodes.iter().zip(&n_r) {
             sides_int.extend(node.n_l.iter().copied());
@@ -550,6 +389,8 @@ pub fn split_gains_batch(ctx: &mut PartyContext<'_>, nodes: &[&NodeShares]) -> V
         let mut gains_raw: Vec<Vec<Share>> = Vec::with_capacity(nodes.len());
         match task {
             Task::Classification { .. } => {
+                // p = g·recip (scale f), term = p·g (scale f); both sides
+                // and all classes in two multiplication rounds.
                 let mut gs = Vec::new();
                 let mut rs = Vec::new();
                 let mut at = 0;
@@ -586,6 +427,7 @@ pub fn split_gains_batch(ctx: &mut PartyContext<'_>, nodes: &[&NodeShares]) -> V
                 }
             }
             Task::Regression => {
+                // mean = γ₁·recip (fixmul), gain_side = mean²·n_side.
                 let mut g1 = Vec::with_capacity(2 * lanes);
                 let mut recs = Vec::with_capacity(2 * lanes);
                 let mut counts = Vec::with_capacity(2 * lanes);
@@ -614,7 +456,11 @@ pub fn split_gains_batch(ctx: &mut PartyContext<'_>, nodes: &[&NodeShares]) -> V
             }
         }
 
-        // Validity lanes of every node in one zero-test batch.
+        // Validity: both sides non-empty. a = 1[n_l = 0], b = 1[n_r = 0];
+        // they cannot both be 1 (the node is non-empty), so
+        // valid = 1 − a − b is linear. Side counts are integers in [0, n]:
+        // the zero tests only need count-width comparisons, not the full
+        // fixed-point layout. Every node's lanes share one batch.
         let mut sides = Vec::with_capacity(2 * lanes);
         for (node, rights) in nodes.iter().zip(&n_r) {
             sides.extend(node.n_l.iter().map(|s| s.sub_public(party, Fp::ONE)));
@@ -636,6 +482,7 @@ pub fn split_gains_batch(ctx: &mut PartyContext<'_>, nodes: &[&NodeShares]) -> V
             }
             at += 2 * n_splits;
         }
+        // gain_final = valid·(gain + 1) − 1 (scale f): invalid ⇒ −1.
         let gated = engine.mul_vec(&valid, &shifted);
         let mut out = Vec::with_capacity(nodes.len());
         let mut at = 0;
@@ -652,8 +499,9 @@ pub fn split_gains_batch(ctx: &mut PartyContext<'_>, nodes: &[&NodeShares]) -> V
     })
 }
 
-/// Batched [`best_split`]: every frontier node's argmax ladder runs in
-/// lockstep (shared comparison rounds, all-pairs tail).
+/// Secure argmax over each node's gains; returns `(⟨global split index⟩,
+/// ⟨gain⟩)` per node. Every frontier node's argmax ladder runs in lockstep
+/// (shared comparison rounds, all-pairs tail).
 pub fn best_split_batch(ctx: &mut PartyContext<'_>, gains: &[Vec<Share>]) -> Vec<(Share, Share)> {
     if gains.is_empty() {
         return Vec::new();
@@ -664,8 +512,9 @@ pub fn best_split_batch(ctx: &mut PartyContext<'_>, gains: &[Vec<Share>]) -> Vec
     })
 }
 
-/// Batched [`leaf_label_share`]: one lockstep argmax (classification) or
-/// one reciprocal/multiply batch (regression) for every leaf of a level.
+/// Secure leaf labels: argmax class (classification, integer share) or
+/// mean label (regression, fixed-point share) — one lockstep argmax or one
+/// reciprocal/multiply batch for every leaf of a level.
 pub fn leaf_label_shares_batch(ctx: &mut PartyContext<'_>, nodes: &[&NodeShares]) -> Vec<Share> {
     if nodes.is_empty() {
         return Vec::new();
@@ -674,6 +523,7 @@ pub fn leaf_label_shares_batch(ctx: &mut PartyContext<'_>, nodes: &[&NodeShares]
     let task = ctx.current_task();
     let counts_k = count_width(ctx);
     ctx.metrics.time(Stage::MpcComputation, || match task {
+        // Class counts are integers in [0, n]: count-width argmax.
         Task::Classification { .. } => {
             let rows: Vec<Vec<Share>> = nodes.iter().map(|n| n.g_totals.clone()).collect();
             ctx.engine
@@ -691,9 +541,10 @@ pub fn leaf_label_shares_batch(ctx: &mut PartyContext<'_>, nodes: &[&NodeShares]
     })
 }
 
-/// Batched [`reveal_block_only`]: the boundary comparisons of every
-/// winner concatenate into one bounded batch and their bits open in one
-/// round; each `⟨s*⟩` stays secret.
+/// Enhanced protocol: reveal only the winning `(i*, j*)` block of every
+/// winner; each `⟨s*⟩` stays secret. The comparisons against the public
+/// block boundaries concatenate into one bounded batch and the boundary
+/// bits open in one round (they reveal exactly the block, nothing else).
 pub fn reveal_blocks_batch(
     ctx: &mut PartyContext<'_>,
     layout: &SplitLayout,
@@ -703,6 +554,7 @@ pub fn reveal_blocks_batch(
         return Vec::new();
     }
     let party = ctx.id();
+    // Block start offsets in global order.
     let mut blocks = Vec::new();
     for (client, row) in layout.counts.iter().enumerate() {
         for feature in 0..row.len() {
@@ -711,6 +563,7 @@ pub fn reveal_blocks_batch(
             }
         }
     }
+    // b_t = 1[idx < start_t] for every block start (skip the first: always 0).
     let per_node = blocks.len() - 1;
     let mut diffs = Vec::with_capacity(idxs.len() * per_node);
     for &idx in idxs {
@@ -721,12 +574,14 @@ pub fn reveal_blocks_batch(
                 .map(|&(_, _, (start, _))| idx.sub_public(party, Fp::new(start as u64))),
         );
     }
+    // idx and every block start lie in [0, total splits].
     let k = width_for_magnitude(layout.total() as u64);
     let bits = ctx.engine.ltz_vec_bounded(&diffs, k);
     let opened = ctx.engine.open_vec(&bits);
     idxs.iter()
         .enumerate()
         .map(|(i, &idx)| {
+            // The winning block is the last one whose start ≤ idx.
             let mut winner = 0usize;
             for (t, bit) in opened[i * per_node..(i + 1) * per_node].iter().enumerate() {
                 if bit.value() == 0 {
@@ -738,32 +593,4 @@ pub fn reveal_blocks_batch(
             (client, feature, s_star)
         })
         .collect()
-}
-
-/// Secure pruning decision (opened bit): node too small, or — basic
-/// protocol only — pure.
-pub fn prune_decision(ctx: &mut PartyContext<'_>, shares: &NodeShares, check_purity: bool) -> bool {
-    let party = ctx.id();
-    let min_samples = ctx.params.tree.min_samples as u64;
-    let is_classification = matches!(ctx.current_task(), Task::Classification { .. });
-    // All operands are integer counts bounded by max(n, min_samples).
-    let counts_k = width_for_magnitude((ctx.num_samples() as u64).max(min_samples));
-    ctx.metrics.time(Stage::MpcComputation, || {
-        let small = {
-            let diff = shares.n_total.sub_public(party, Fp::new(min_samples));
-            ctx.engine.ltz_vec_bounded(&[diff], counts_k)[0]
-        };
-        let decision = if check_purity && is_classification {
-            // pure ⟺ max_k g_k = n̄ ⟺ (n̄ − max) − 1 < 0.
-            let max = ctx.engine.max_vec_bounded(&shares.g_totals, counts_k);
-            let diff = (shares.n_total - max).sub_public(party, Fp::ONE);
-            let pure = ctx.engine.ltz_vec_bounded(&[diff], counts_k)[0];
-            // stop = small ∨ pure = small + pure − small·pure.
-            let prod = ctx.engine.mul(small, pure);
-            small + pure - prod
-        } else {
-            small
-        };
-        ctx.engine.open(decision).value() == 1
-    })
 }

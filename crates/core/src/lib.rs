@@ -38,10 +38,11 @@ pub mod predict_enhanced;
 pub mod stats;
 pub mod train_basic;
 pub mod train_enhanced;
+mod trainer;
 pub mod verify;
 
 pub use checkpoint::{BarrierMeta, CheckpointSink, StateCursors};
-pub use config::{AdversarySpec, PivotParams, Protocol, Scheduling, Verification};
+pub use config::{AdversarySpec, PivotParams, Protocol, Verification};
 pub use metrics::{ProtocolMetrics, VerificationCounters};
 pub use model::{ConcealedNode, ConcealedTree};
 pub use party::PartyContext;

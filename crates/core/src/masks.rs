@@ -8,6 +8,7 @@ use crate::verify;
 use pivot_bignum::BigUint;
 use pivot_data::Task;
 use pivot_paillier::{batch, Ciphertext, SlotCodec};
+use std::borrow::Cow;
 
 /// The encrypted per-class / per-moment label vectors `[L] = {[γ_k]}`.
 ///
@@ -16,11 +17,13 @@ use pivot_paillier::{batch, Ciphertext, SlotCodec};
 /// normalized into `[-1, 1]` and **offset by +1** so every plaintext the
 /// homomorphic pipeline touches is non-negative. Negative encodings would
 /// wrap mod `N` when multiplied into the enhanced protocol's
-/// slack-carrying masks and break the mod-`p` conversion (DESIGN.md §8);
-/// the offset is removed linearly after share conversion
-/// ([`crate::gain::convert_stats`]).
-pub struct LabelMasks {
-    pub gammas: Vec<Vec<Ciphertext>>,
+/// slack-carrying masks and break the mod-`p` conversion ([`crate::gain`],
+/// "Scale discipline"); the offset is removed linearly after share
+/// conversion ([`crate::gain::convert_stats_batch`]).
+pub struct LabelMasks<'a> {
+    /// Owned when the super client just derived them from `[α]`, borrowed
+    /// when the node carries them (GBDT residual vectors).
+    pub gammas: Cow<'a, [Vec<Ciphertext>]>,
     /// True when regression labels carry the +1 offset encoding.
     pub offset_encoded: bool,
 }
@@ -59,7 +62,7 @@ pub fn compute_label_masks(
     ctx: &mut PartyContext<'_>,
     alpha: &[Ciphertext],
     fixed_scale: bool,
-) -> LabelMasks {
+) -> LabelMasks<'static> {
     let task = ctx.current_task();
     let class_vectors = match task {
         Task::Classification { classes } => classes,
@@ -145,7 +148,7 @@ pub fn compute_label_masks(
             verify::check_popcm(ctx, "label_masks", ctx.super_client, alpha, gamma, bundle);
         }
         LabelMasks {
-            gammas,
+            gammas: Cow::Owned(gammas),
             offset_encoded: matches!(task, Task::Regression),
         }
     } else {
@@ -156,7 +159,7 @@ pub fn compute_label_masks(
             verify::check_popcm(ctx, "label_masks", ctx.super_client, alpha, gamma, None);
         }
         LabelMasks {
-            gammas,
+            gammas: Cow::Owned(gammas),
             offset_encoded: matches!(task, Task::Regression),
         }
     }
@@ -289,29 +292,10 @@ fn label_slot_value(ctx: &PartyContext<'_>, task: Task, y: f64, t: usize) -> Big
     }
 }
 
-/// Basic-protocol model update (§4.1): the winning client masks `[α]` with
-/// its plaintext split indicators and broadcasts `[α_l]`, `[α_r]`.
-pub fn update_mask_plain(
-    ctx: &mut PartyContext<'_>,
-    alpha: &[Ciphertext],
-    winner: usize,
-    left_indicator: Option<&[bool]>,
-) -> (Vec<Ciphertext>, Vec<Ciphertext>) {
-    let (l, r) = update_vectors_plain(
-        ctx,
-        std::slice::from_ref(&alpha.to_vec()),
-        winner,
-        left_indicator,
-    );
-    (
-        l.into_iter().next().expect("one vector"),
-        r.into_iter().next().expect("one vector"),
-    )
-}
-
-/// Generalized §7.2 model update: the winner masks `[α]` *and* any
-/// encrypted label vectors (`[γ₁]`, `[γ₂]` for GBDT) with the same split
-/// indicator, broadcasting the left/right versions of each.
+/// Basic-protocol model update (§4.1, generalized per §7.2): the winning
+/// client masks `[α]` *and* any encrypted label vectors (`[γ₁]`, `[γ₂]` for
+/// GBDT) with its plaintext split indicator, broadcasting the left/right
+/// versions of each.
 pub fn update_vectors_plain(
     ctx: &mut PartyContext<'_>,
     vectors: &[Vec<Ciphertext>],

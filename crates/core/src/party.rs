@@ -64,6 +64,10 @@ impl<'a> PartyContext<'a> {
     /// original implementation gets from libhcs.
     pub fn setup(ep: &'a Endpoint, view: VerticalView, params: PivotParams) -> Self {
         let _phase = pivot_trace::phase_span("setup");
+        // Every protocol stages its per-peer messages and sends them as
+        // one envelope per flush. All parties switch here, before the
+        // first protocol byte, so both ends of every link agree.
+        ep.set_coalescing(true);
         params.assert_valid_for(view.num_samples(), ep.parties());
         // assert_valid_for audits packing with the classification bound;
         // regression widens the slots, so re-audit with the real task.
@@ -141,8 +145,8 @@ impl<'a> PartyContext<'a> {
         }
     }
 
-    /// Fire the barrier hook at the end of a tree level. Called by both
-    /// trainers after the inter-level pool refill; a no-op without a
+    /// Fire the barrier hook at the end of a tree level. Called by the
+    /// trainer after the inter-level pool refill; a no-op without a
     /// [`crate::checkpoint::CheckpointSink`] installed.
     pub fn level_barrier(&mut self, level: u64) {
         self.fire_barrier(level);

@@ -4,8 +4,7 @@
 //! internal node is evaluated with one secure comparison, and path markers
 //! are combined multiplicatively so only the final output is opened.
 
-use crate::config::Scheduling;
-use crate::conversion::{ciphers_to_shares, packed_share_conversion_groups};
+use crate::conversion::packed_share_conversion_groups;
 use crate::metrics::Stage;
 use crate::model::{ConcealedNode, ConcealedTree};
 use crate::party::PartyContext;
@@ -45,31 +44,20 @@ pub fn predict_batch(
                 ConcealedNode::Internal { .. } => unreachable!("leaf ids are leaves"),
             }
         }
-        let shares = if ctx.params.scheduling == Scheduling::Pipelined {
-            // Pipelined schedule: pack the model conversion under per-kind
-            // audited bounds. Thresholds are PIR dot products — a
-            // `≤ max_splits`-term sum of `< m·p` λ-slack ciphertexts times
-            // offset-encoded values `< 2^(off_bits+1)`; leaves are §5.2
-            // share sums `< m·p`. Both groups settle in one decryption
-            // round; narrow leaf slots pack several-fold even at the
-            // enhanced keysize floor.
-            let p = BigUint::from_u64(pivot_mpc::MODULUS);
-            let m_p = &BigUint::from_u64(ctx.parties() as u64) * &p;
-            let splits = BigUint::from_u64(ctx.params.tree.max_splits.max(1) as u64);
-            let t_bound = &(&m_p * &splits) * &BigUint::pow2(threshold_offset_bits(ctx) + 1);
-            let (t_cts, l_cts) = cts.split_at(internals.len());
-            let groups = packed_share_conversion_groups(
-                ctx,
-                &[(t_cts, t_bound.bits()), (l_cts, m_p.bits())],
-            );
-            let mut flat = Vec::with_capacity(cts.len());
-            for group in groups {
-                flat.extend(group);
-            }
-            flat
-        } else {
-            ciphers_to_shares(ctx, &cts)
-        };
+        // Pack the model conversion under per-kind audited bounds.
+        // Thresholds are PIR dot products — a `≤ max_splits`-term sum of
+        // `< m·p` λ-slack ciphertexts times offset-encoded values
+        // `< 2^(off_bits+1)`; leaves are §5.2 share sums `< m·p`. Both
+        // groups settle in one decryption round; narrow leaf slots pack
+        // several-fold even at the enhanced keysize floor.
+        let p = BigUint::from_u64(pivot_mpc::MODULUS);
+        let m_p = &BigUint::from_u64(ctx.parties() as u64) * &p;
+        let splits = BigUint::from_u64(ctx.params.tree.max_splits.max(1) as u64);
+        let t_bound = &(&m_p * &splits) * &BigUint::pow2(threshold_offset_bits(ctx) + 1);
+        let (t_cts, l_cts) = cts.split_at(internals.len());
+        let groups =
+            packed_share_conversion_groups(ctx, &[(t_cts, t_bound.bits()), (l_cts, m_p.bits())]);
+        let shares: Vec<Share> = groups.into_iter().flatten().collect();
         let off = Fp::pow2(threshold_offset_bits(ctx));
         let party = ctx.id();
         let thresholds: Vec<Share> = shares[..internals.len()]

@@ -158,7 +158,7 @@ pub fn pooled_statistics(
     layout: &SplitLayout,
     local: &LocalSplits,
     alpha: &[Ciphertext],
-    masks: &LabelMasks,
+    masks: &LabelMasks<'_>,
 ) -> EncryptedStats {
     let stride = 1 + masks.gammas.len();
     let splits: Vec<&Vec<bool>> = local.indicators.iter().flatten().collect();
@@ -171,7 +171,7 @@ pub fn pooled_statistics(
             pivot_runtime::global().map(ctx.crypto_threads(), &splits, |v_l| {
                 let mut stats = Vec::with_capacity(stride);
                 stats.push(vector::dot_binary(&ctx.pk, alpha, v_l));
-                for gamma in &masks.gammas {
+                for gamma in masks.gammas.iter() {
                     stats.push(vector::dot_binary(&ctx.pk, gamma, v_l));
                 }
                 stats

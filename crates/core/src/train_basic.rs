@@ -10,25 +10,18 @@
 //! the label vectors are *pre-encrypted residuals*: the winning client then
 //! updates `[γ₁]`, `[γ₂]` alongside `[α]` with the same split indicator
 //! (the paper's optimization avoiding per-node ciphertext multiplications).
+//!
+//! The level-wise loop itself is `crate::trainer`; this file is the
+//! basic protocol's side of its disclosure hooks.
 
-use crate::config::Scheduling;
-use crate::conversion::{ciphers_to_shares, packed_ciphers_to_shares};
-use crate::gain::{
-    best_split, best_split_batch, convert_stats, convert_stats_batch, leaf_label_share,
-    leaf_label_shares_batch, node_shares_from_packed, prune_decision, prune_decisions_batch,
-    reveal_identifier, split_gains, split_gains_batch, NodeShares,
-};
-use crate::masks::{
-    compute_label_masks, compute_packed_label_masks, initial_mask, plan_packed_labels,
-    update_vectors_plain, LabelMasks,
-};
+use crate::masks::{initial_mask, update_vectors_plain};
 use crate::metrics::Stage;
 use crate::party::PartyContext;
-use crate::stats::{
-    packed_pooled_statistics, pooled_statistics, EncryptedStats, LocalSplits, SplitLayout,
-};
+use crate::stats::{LocalSplits, SplitLayout};
+use crate::trainer::{allocate_children, grow_tree, Arena, ArenaNode, Disclosure, FrontierNode};
 use pivot_data::Task;
-use pivot_paillier::{vector, Ciphertext, SlotCodec};
+use pivot_mpc::{Fp, Share};
+use pivot_paillier::Ciphertext;
 use pivot_trees::{DecisionTree, Node};
 
 /// Where a node's label vectors `[L]` come from.
@@ -67,645 +60,173 @@ pub fn train_with_labels(
         let layout = SplitLayout::build(ctx.ep, &local.counts());
         (local, layout)
     };
-    let task = ctx.current_task();
     // Packed mode needs the super client's plaintext labels to build the
     // packed label vectors, and GBDT residual vectors carry unbounded
     // mod-p slack that no slot-width audit can cover — so packing applies
     // to the SuperClient label source only and GBDT keeps the scalar path.
-    let codec = match &labels {
-        NodeLabels::SuperClient => ctx.packing_codec(),
-        NodeLabels::Encrypted(_) => None,
+    let (codec, root_gammas) = match labels {
+        NodeLabels::SuperClient => (ctx.packing_codec(), None),
+        NodeLabels::Encrypted(gammas) => (None, Some(gammas)),
     };
-    if ctx.params.scheduling == Scheduling::Pipelined {
-        return train_level_wise_pipelined(
-            ctx,
-            &local,
-            &layout,
-            root_alpha,
-            labels,
-            codec.as_ref(),
-        );
-    }
-    if let Some(codec) = codec {
-        return train_level_wise(ctx, &local, &layout, root_alpha, &codec);
-    }
-    let mut nodes = Vec::new();
-    let root = build_node(ctx, &local, &layout, root_alpha, labels, 0, &mut nodes);
-    DecisionTree::new(nodes, root, task)
+    let mut reveal = Reveal {
+        purity_check: ctx.params.tree.stop_when_pure && root_gammas.is_none(),
+        pending_leaves: Vec::new(),
+    };
+    let (nodes, root) = grow_tree(
+        ctx,
+        &mut reveal,
+        &local,
+        &layout,
+        root_alpha,
+        root_gammas,
+        codec.as_ref(),
+    );
+    DecisionTree::new(nodes, root, ctx.current_task())
 }
 
-/// Packed training is **level-wise**: the whole tree frontier at one
-/// depth runs its local computation first, then a *single* Algorithm-2
-/// conversion covers every sibling's packed statistics — the `-PP`
-/// batches grow from `O(b·d)` per call to `O(2^h·b·d)` (the ROADMAP's
-/// pool-aware scheduling lever). Split selection and model updates stay
-/// per node. The trained tree is identical to the recursive path's
-/// (statistics are exact, so every argmax and pruning decision matches);
-/// only the transcript — ciphertext count, bytes, batch widths — differs.
-fn train_level_wise(
-    ctx: &mut PartyContext<'_>,
-    local: &LocalSplits,
-    layout: &SplitLayout,
-    root_alpha: Vec<Ciphertext>,
-    codec: &SlotCodec,
-) -> DecisionTree {
-    let task = ctx.current_task();
-    // The packed label multipliers depend only on labels/task/codec —
-    // built once here, reused by every node at every level.
-    let label_plan = plan_packed_labels(ctx, codec);
-    let mut nodes: Vec<Option<Node>> = vec![None];
-    let mut frontier: Vec<(usize, Vec<Ciphertext>)> = vec![(0, root_alpha)];
-    let mut depth = 0;
-    while !frontier.is_empty() {
-        // Depth-forced leaf levels need only the node totals — a handful
-        // of values per node, where packing has nothing to amortize. They
-        // take the scalar totals path the recursive builder uses.
-        if depth >= ctx.params.tree.max_depth || layout.total() == 0 {
-            for (slot, alpha) in frontier.drain(..) {
-                let _leaf = pivot_trace::phase_span("leaf");
-                let stats_start = ctx.ep.stats().bytes_sent();
-                let masks = compute_label_masks(ctx, &alpha, true);
-                let value = leaf_value_from_totals(ctx, &alpha, &masks, stats_start);
-                nodes[slot] = Some(Node::Leaf { value });
-            }
-            break;
+impl ArenaNode for Node {
+    fn children(&self) -> Option<(usize, usize)> {
+        match self {
+            Node::Leaf { .. } => None,
+            Node::Internal { left, right, .. } => Some((*left, *right)),
         }
-        let _level = pivot_trace::span_fn(|| format!("level {depth}"));
-        let stats_start = ctx.ep.stats().bytes_sent();
+    }
 
-        let per_node: Vec<crate::stats::PackedStats> = {
-            let _stats = pivot_trace::phase_span("stats");
-            // Per-node packed label vectors (the super client broadcasts).
-            let labels: Vec<_> = frontier
-                .iter()
-                .map(|(_, alpha)| compute_packed_label_masks(ctx, alpha, &label_plan))
-                .collect();
+    fn set_children(&mut self, new_left: usize, new_right: usize) {
+        if let Node::Internal { left, right, .. } = self {
+            (*left, *right) = (new_left, new_right);
+        }
+    }
+}
 
-            // Per-node packed statistics.
-            labels
-                .iter()
-                .map(|packed_labels| {
-                    packed_pooled_statistics(ctx, layout, local, packed_labels, codec)
-                })
-                .collect()
+/// §4 disclosure: leaf labels and winning split identifiers are opened —
+/// both through the engine's deferred queue, so one round per level
+/// settles every leaf label and every winner index — and the winner
+/// announces its feature and plaintext threshold.
+struct Reveal {
+    /// `tree.stop_when_pure`, for trees on the super client's own labels.
+    purity_check: bool,
+    /// `(arena slot, deferred-open ticket)` of leaf labels queued since
+    /// the last opening round.
+    pending_leaves: Vec<(usize, usize)>,
+}
+
+impl Reveal {
+    /// ONE opening round for everything queued; fills the pending leaves
+    /// and returns every ticket's opened values.
+    fn open_queued(&mut self, ctx: &mut PartyContext<'_>, arena: &mut Arena<Node>) -> Vec<Vec<Fp>> {
+        let opened = ctx
+            .metrics
+            .time(Stage::MpcComputation, || ctx.engine.resolve());
+        let task = ctx.current_task();
+        for (slot, ticket) in self.pending_leaves.drain(..) {
+            let label = opened[ticket][0];
+            let value = match task {
+                Task::Classification { .. } => label.value() as f64,
+                Task::Regression => ctx.params.fixed.decode(label),
+            };
+            arena[slot] = Some(Node::Leaf { value });
+        }
+        opened
+    }
+}
+
+impl Disclosure for Reveal {
+    type Node = Node;
+
+    fn purity_check(&self) -> bool {
+        self.purity_check
+    }
+
+    fn settle_leaves(
+        &mut self,
+        ctx: &mut PartyContext<'_>,
+        slots: Vec<usize>,
+        labels: Vec<Share>,
+        _arena: &mut Arena<Node>,
+    ) {
+        for (slot, label) in slots.into_iter().zip(labels) {
+            self.pending_leaves
+                .push((slot, ctx.engine.open_deferred(&[label])));
+        }
+    }
+
+    fn flush_leaves(&mut self, ctx: &mut PartyContext<'_>, arena: &mut Arena<Node>) {
+        self.open_queued(ctx, arena);
+    }
+
+    fn settle_splits(
+        &mut self,
+        ctx: &mut PartyContext<'_>,
+        local: &LocalSplits,
+        layout: &SplitLayout,
+        best: Vec<Share>,
+        live: Vec<FrontierNode>,
+        arena: &mut Arena<Node>,
+    ) -> Vec<FrontierNode> {
+        let tickets: Vec<usize> = best
+            .iter()
+            .map(|&idx| ctx.engine.open_deferred(&[idx]))
+            .collect();
+        let opened = {
+            let _reveal = pivot_trace::phase_span("split_reveal");
+            self.open_queued(ctx, arena)
         };
 
-        // ONE conversion for the whole frontier.
-        let (slot_shares, spans) = {
-            let _conv = pivot_trace::phase_span("conversion");
-            let (cts, used, spans) = crate::stats::conversion_batch(&per_node);
-            let started = std::time::Instant::now();
-            let slot_shares = packed_ciphers_to_shares(ctx, codec, &cts, &used);
-            ctx.metrics
-                .add_time(Stage::MpcComputation, started.elapsed());
-            (slot_shares, spans)
-        };
-        ctx.metrics
-            .add_stats_bytes(ctx.ep.stats().bytes_sent() - stats_start);
-
-        let mut next = Vec::new();
-        for (i, ((slot, alpha), ps)) in frontier.drain(..).zip(&per_node).enumerate() {
-            let _node = pivot_trace::span_fn(|| format!("node d{depth} #{i}"));
-            let span = &slot_shares[spans[i]..spans[i] + ps.conversion_len()];
-            let (pruned, shares) = {
-                let _gain = pivot_trace::phase_span("gain");
-                let shares = node_shares_from_packed(ctx, layout, ps, span);
-                let check_purity = ctx.params.tree.stop_when_pure;
-                (prune_decision(ctx, &shares, check_purity), shares)
-            };
-            if pruned {
-                let _leaf = pivot_trace::phase_span("leaf");
-                nodes[slot] = Some(Node::Leaf {
-                    value: open_leaf(ctx, &shares),
-                });
-                continue;
-            }
-
-            let best_idx = {
-                let _gain = pivot_trace::phase_span("gain");
-                let gains = split_gains(ctx, &shares);
-                let (best_idx, _gain_share) = best_split(ctx, &gains);
-                best_idx
-            };
-            let (winner, local_feature, split_idx, feature_global, threshold) = {
+        // Winner announcements and mask updates; the per-node frames of
+        // this stage coalesce at the transport layer.
+        let mut next = Vec::with_capacity(2 * live.len());
+        for (node, ticket) in live.into_iter().zip(tickets) {
+            // The identifier (i*, j*, s*) is public (§4.1 model update
+            // step); the winner announces the global feature id and
+            // plaintext threshold, both part of the released model.
+            let (winner, local_feature, split_idx, feature, threshold) = {
                 let _reveal = pivot_trace::phase_span("split_reveal");
-                let (winner, local_feature, split_idx) = reveal_identifier(ctx, layout, best_idx);
-                let (feature_global, threshold) = ctx.metrics.time(Stage::ModelUpdate, || {
+                let global = opened[ticket][0].value() as usize;
+                let (winner, local_feature, split_idx) = layout.locate(global);
+                let (feature, threshold) = ctx.metrics.time(Stage::ModelUpdate, || {
                     if ctx.id() == winner {
-                        let feature_global = ctx.view.feature_indices[local_feature];
+                        let feature = ctx.view.feature_indices[local_feature];
                         let threshold = local.candidates[local_feature].thresholds[split_idx];
-                        ctx.ep.broadcast(&(feature_global, threshold));
-                        (feature_global, threshold)
+                        ctx.ep.broadcast(&(feature, threshold));
+                        (feature, threshold)
                     } else {
                         ctx.ep.recv::<(usize, f64)>(winner)
                     }
                 });
-                (winner, local_feature, split_idx, feature_global, threshold)
+                (winner, local_feature, split_idx, feature, threshold)
             };
             let indicator =
-                (ctx.id() == winner).then(|| local.indicators[local_feature][split_idx].clone());
-            let vectors = vec![alpha];
+                (ctx.id() == winner).then(|| local.indicators[local_feature][split_idx].as_slice());
+
+            // Mask [α] — and, in GBDT mode, the encrypted label vectors —
+            // with the winning indicator.
+            let has_gammas = node.gammas.is_some();
+            let mut vectors = vec![node.alpha];
+            vectors.extend(node.gammas.into_iter().flatten());
             let started = std::time::Instant::now();
-            let (mut lefts, mut rights) = {
+            let (lefts, rights) = {
                 let _update = pivot_trace::phase_span("update");
-                update_vectors_plain(ctx, &vectors, winner, indicator.as_deref())
+                update_vectors_plain(ctx, &vectors, winner, indicator)
             };
             ctx.metrics.add_time(Stage::ModelUpdate, started.elapsed());
 
-            let left_slot = nodes.len();
-            nodes.push(None);
-            let right_slot = nodes.len();
-            nodes.push(None);
-            nodes[slot] = Some(Node::Internal {
-                feature: feature_global,
-                threshold,
-                left: left_slot,
-                right: right_slot,
-            });
-            next.push((left_slot, lefts.remove(0)));
-            next.push((right_slot, rights.remove(0)));
-        }
-        frontier = next;
-        depth += 1;
-    }
-    let nodes: Vec<Node> = nodes
-        .into_iter()
-        .map(|n| n.expect("every allocated node is resolved"))
-        .collect();
-    // Renumber the breadth-first arena into the recursive builder's
-    // post-order so the released model is *identical* to the unpacked
-    // path's, arena layout included.
-    let (nodes, root) = renumber_postorder(&nodes, 0);
-    DecisionTree::new(nodes, root, task)
-}
-
-/// Rewrite a node arena into post-order (left subtree, right subtree,
-/// node) — the layout the recursive builder produces.
-fn renumber_postorder(nodes: &[Node], root: usize) -> (Vec<Node>, usize) {
-    fn visit(nodes: &[Node], id: usize, out: &mut Vec<Node>) -> usize {
-        match &nodes[id] {
-            Node::Leaf { value } => out.push(Node::Leaf { value: *value }),
-            Node::Internal {
+            let (left, right) = allocate_children(arena);
+            arena[node.slot] = Some(Node::Internal {
                 feature,
                 threshold,
                 left,
                 right,
-            } => {
-                let l = visit(nodes, *left, out);
-                let r = visit(nodes, *right, out);
-                out.push(Node::Internal {
-                    feature: *feature,
-                    threshold: *threshold,
-                    left: l,
-                    right: r,
-                });
-            }
-        }
-        out.len() - 1
-    }
-    let mut out = Vec::with_capacity(nodes.len());
-    let root = visit(nodes, root, &mut out);
-    (out, root)
-}
-
-/// Pipelined scheduling (§ROADMAP "round compaction"): the whole tree
-/// frontier advances level-by-level through **batched** protocol stages —
-/// one statistics conversion, one prune-comparison unit, one gain
-/// pipeline, one lockstep argmax ladder, and one deferred-open settlement
-/// round per level, instead of per node. Works with packed or scalar
-/// statistics and with either label source (the GBDT residual path
-/// included). Statistics, comparisons, and Beaver products are exact, so
-/// the released tree matches the sequential schedule's; only the
-/// transcript (round structure, batch widths) differs.
-fn train_level_wise_pipelined(
-    ctx: &mut PartyContext<'_>,
-    local: &LocalSplits,
-    layout: &SplitLayout,
-    root_alpha: Vec<Ciphertext>,
-    labels: NodeLabels,
-    codec: Option<&SlotCodec>,
-) -> DecisionTree {
-    let task = ctx.current_task();
-    let super_client = matches!(labels, NodeLabels::SuperClient);
-    let label_plan = codec.map(|c| plan_packed_labels(ctx, c));
-    let root_gammas = match labels {
-        NodeLabels::SuperClient => None,
-        NodeLabels::Encrypted(gammas) => Some(gammas),
-    };
-    let mut nodes: Vec<Option<Node>> = vec![None];
-    // (arena slot, [α], encrypted label vectors when not the super client)
-    type Frontier = (usize, Vec<Ciphertext>, Option<Vec<Vec<Ciphertext>>>);
-    let mut frontier: Vec<Frontier> = vec![(0, root_alpha, root_gammas)];
-    let mut depth = 0;
-    while !frontier.is_empty() {
-        if depth >= ctx.params.tree.max_depth || layout.total() == 0 {
-            forced_leaves_batch(ctx, &mut nodes, std::mem::take(&mut frontier));
-            break;
-        }
-        let _level = pivot_trace::span_fn(|| format!("level {depth}"));
-        let stats_start = ctx.ep.stats().bytes_sent();
-
-        // Statistics and ONE Algorithm-2 conversion for the level.
-        let node_shares: Vec<NodeShares> = if let (Some(codec), Some(plan)) = (codec, &label_plan) {
-            let per_node: Vec<crate::stats::PackedStats> = {
-                let _stats = pivot_trace::phase_span("stats");
-                let labels: Vec<_> = frontier
-                    .iter()
-                    .map(|(_, alpha, _)| compute_packed_label_masks(ctx, alpha, plan))
-                    .collect();
-                labels
-                    .iter()
-                    .map(|packed| packed_pooled_statistics(ctx, layout, local, packed, codec))
-                    .collect()
-            };
-            let _conv = pivot_trace::phase_span("conversion");
-            let (cts, used, spans) = crate::stats::conversion_batch(&per_node);
-            let started = std::time::Instant::now();
-            let slot_shares = packed_ciphers_to_shares(ctx, codec, &cts, &used);
-            ctx.metrics
-                .add_time(Stage::MpcComputation, started.elapsed());
-            per_node
-                .iter()
-                .enumerate()
-                .map(|(i, ps)| {
-                    let span = &slot_shares[spans[i]..spans[i] + ps.conversion_len()];
-                    node_shares_from_packed(ctx, layout, ps, span)
-                })
-                .collect()
-        } else {
-            let encs: Vec<EncryptedStats> = {
-                let _stats = pivot_trace::phase_span("stats");
-                frontier
-                    .iter()
-                    .map(|(_, alpha, gammas)| {
-                        let masks = match gammas {
-                            None => compute_label_masks(ctx, alpha, true),
-                            Some(g) => LabelMasks {
-                                gammas: g.clone(),
-                                offset_encoded: false,
-                            },
-                        };
-                        pooled_statistics(ctx, layout, local, alpha, &masks)
-                    })
-                    .collect()
-            };
-            let _conv = pivot_trace::phase_span("conversion");
-            let refs: Vec<&EncryptedStats> = encs.iter().collect();
-            convert_stats_batch(ctx, layout, &refs)
-        };
-        ctx.metrics
-            .add_stats_bytes(ctx.ep.stats().bytes_sent() - stats_start);
-
-        // One prune unit for the frontier.
-        let pruned = {
-            let _gain = pivot_trace::phase_span("gain");
-            let refs: Vec<&NodeShares> = node_shares.iter().collect();
-            let check_purity = ctx.params.tree.stop_when_pure && super_client;
-            prune_decisions_batch(ctx, &refs, check_purity)
-        };
-
-        // Pruned nodes: leaf labels in one batch, opened later via the
-        // deferred queue (settles together with the winner indices).
-        let leaf_tickets: Vec<(usize, usize)> = {
-            let _leaf = pivot_trace::phase_span("leaf");
-            let idxs: Vec<usize> = (0..frontier.len()).filter(|&i| pruned[i]).collect();
-            let sel: Vec<&NodeShares> = idxs.iter().map(|&i| &node_shares[i]).collect();
-            let shares = leaf_label_shares_batch(ctx, &sel);
-            idxs.into_iter()
-                .zip(shares)
-                .map(|(i, s)| (i, ctx.engine.open_deferred(&[s])))
-                .collect()
-        };
-
-        // Survivors: gains, lockstep argmax, winner indices deferred.
-        let live: Vec<usize> = (0..frontier.len()).filter(|&i| !pruned[i]).collect();
-        let idx_tickets: Vec<usize> = {
-            let _gain = pivot_trace::phase_span("gain");
-            let sel: Vec<&NodeShares> = live.iter().map(|&i| &node_shares[i]).collect();
-            let gains = split_gains_batch(ctx, &sel);
-            best_split_batch(ctx, &gains)
-                .into_iter()
-                .map(|(idx, _)| ctx.engine.open_deferred(&[idx]))
-                .collect()
-        };
-
-        // ONE opening round settles every leaf label and winner index.
-        let resolved = {
-            let _reveal = pivot_trace::phase_span("split_reveal");
-            let started = std::time::Instant::now();
-            let resolved = ctx.engine.resolve();
-            ctx.metrics
-                .add_time(Stage::MpcComputation, started.elapsed());
-            resolved
-        };
-
-        let mut items: Vec<Option<Frontier>> = frontier.drain(..).map(Some).collect();
-        for &(i, ticket) in &leaf_tickets {
-            let (slot, _, _) = items[i].take().expect("pruned node unconsumed");
-            let opened = resolved[ticket][0];
-            let value = match task {
-                Task::Classification { .. } => opened.value() as f64,
-                Task::Regression => ctx.params.fixed.decode(opened),
-            };
-            nodes[slot] = Some(Node::Leaf { value });
-        }
-
-        // Winner announcements and mask updates; the per-node frames of
-        // this stage coalesce at the transport layer.
-        let mut next: Vec<Frontier> = Vec::new();
-        for (t, &i) in live.iter().enumerate() {
-            let (slot, alpha, gammas) = items[i].take().expect("live node unconsumed");
-            let (winner, local_feature, split_idx, feature_global, threshold) = {
-                let _reveal = pivot_trace::phase_span("split_reveal");
-                let opened = resolved[idx_tickets[t]][0].value() as usize;
-                let (winner, local_feature, split_idx) = layout.locate(opened);
-                let (feature_global, threshold) = ctx.metrics.time(Stage::ModelUpdate, || {
-                    if ctx.id() == winner {
-                        let feature_global = ctx.view.feature_indices[local_feature];
-                        let threshold = local.candidates[local_feature].thresholds[split_idx];
-                        ctx.ep.broadcast(&(feature_global, threshold));
-                        (feature_global, threshold)
-                    } else {
-                        ctx.ep.recv::<(usize, f64)>(winner)
-                    }
-                });
-                (winner, local_feature, split_idx, feature_global, threshold)
-            };
-            let indicator =
-                (ctx.id() == winner).then(|| local.indicators[local_feature][split_idx].clone());
-            let mut vectors = vec![alpha];
-            let has_gammas = gammas.is_some();
-            if let Some(gammas) = gammas {
-                vectors.extend(gammas);
-            }
-            let started = std::time::Instant::now();
-            let (mut lefts, mut rights) = {
-                let _update = pivot_trace::phase_span("update");
-                update_vectors_plain(ctx, &vectors, winner, indicator.as_deref())
-            };
-            ctx.metrics.add_time(Stage::ModelUpdate, started.elapsed());
-
-            let alpha_l = lefts.remove(0);
-            let alpha_r = rights.remove(0);
-            let (gammas_l, gammas_r) = if has_gammas {
-                (Some(lefts), Some(rights))
-            } else {
-                (None, None)
-            };
-            let left_slot = nodes.len();
-            nodes.push(None);
-            let right_slot = nodes.len();
-            nodes.push(None);
-            nodes[slot] = Some(Node::Internal {
-                feature: feature_global,
-                threshold,
-                left: left_slot,
-                right: right_slot,
             });
-            next.push((left_slot, alpha_l, gammas_l));
-            next.push((right_slot, alpha_r, gammas_r));
-        }
-        frontier = next;
-        depth += 1;
-        // Latency-hiding refill window: the dealer pool and decryption
-        // nonce pool top up between levels while no protocol round is in
-        // flight, so the next level's comparisons hit warm pools. The
-        // dealer top-up is blocking and burst-sized — the next level
-        // drains its whole preprocessing demand at once.
-        if !frontier.is_empty() {
-            ctx.engine
-                .dealer_refill_blocking(frontier.len(), live.len().max(1));
-            ctx.nonces.refill();
-        }
-        // Level barrier: every party reaches this point with identical
-        // depth/frontier state, so the checkpoint sink (when installed)
-        // snapshots the same ordinal everywhere.
-        ctx.level_barrier(depth as u64);
-    }
-    let nodes: Vec<Node> = nodes
-        .into_iter()
-        .map(|n| n.expect("every allocated node is resolved"))
-        .collect();
-    let (nodes, root) = renumber_postorder(&nodes, 0);
-    DecisionTree::new(nodes, root, task)
-}
-
-/// Depth-forced leaf level: every node's totals convert in one
-/// Algorithm-2 batch and every leaf label opens in one round.
-fn forced_leaves_batch(
-    ctx: &mut PartyContext<'_>,
-    nodes: &mut [Option<Node>],
-    frontier: Vec<(usize, Vec<Ciphertext>, Option<Vec<Vec<Ciphertext>>>)>,
-) {
-    let _leaf = pivot_trace::phase_span("leaf");
-    let task = ctx.current_task();
-    let stats_start = ctx.ep.stats().bytes_sent();
-    let mut flats: Vec<Vec<Ciphertext>> = Vec::with_capacity(frontier.len());
-    let mut offsets: Vec<bool> = Vec::with_capacity(frontier.len());
-    for (_, alpha, gammas) in &frontier {
-        let masks = match gammas {
-            None => compute_label_masks(ctx, alpha, true),
-            Some(g) => LabelMasks {
-                gammas: g.clone(),
-                offset_encoded: false,
-            },
-        };
-        let all = vec![true; alpha.len()];
-        let mut flat = vec![vector::dot_binary(&ctx.pk, alpha, &all)];
-        for gamma in &masks.gammas {
-            flat.push(vector::dot_binary(&ctx.pk, gamma, &all));
-        }
-        ctx.metrics
-            .add_ciphertext_ops((alpha.len() * flat.len()) as u64);
-        flats.push(flat);
-        offsets.push(masks.offset_encoded);
-    }
-    let all_flat: Vec<Ciphertext> = flats.iter().flatten().cloned().collect();
-    let shares = ciphers_to_shares(ctx, &all_flat);
-    ctx.metrics
-        .add_stats_bytes(ctx.ep.stats().bytes_sent() - stats_start);
-
-    let mut totals: Vec<NodeShares> = Vec::with_capacity(frontier.len());
-    let mut at = 0;
-    for (flat, &offset_encoded) in flats.iter().zip(&offsets) {
-        let chunk = &shares[at..at + flat.len()];
-        at += flat.len();
-        let mut node = NodeShares {
-            n_l: Vec::new(),
-            g_l: vec![Vec::new(); flat.len() - 1],
-            n_total: chunk[0],
-            g_totals: chunk[1..].to_vec(),
-        };
-        if offset_encoded {
-            crate::gain::remove_totals_offset(ctx, &mut node);
-        }
-        totals.push(node);
-    }
-    let refs: Vec<&NodeShares> = totals.iter().collect();
-    let labels = leaf_label_shares_batch(ctx, &refs);
-    let opened = ctx.engine.open_vec(&labels);
-    for ((slot, _, _), value) in frontier.iter().zip(&opened) {
-        let value = match task {
-            Task::Classification { .. } => value.value() as f64,
-            Task::Regression => ctx.params.fixed.decode(*value),
-        };
-        nodes[*slot] = Some(Node::Leaf { value });
-    }
-}
-
-fn build_node(
-    ctx: &mut PartyContext<'_>,
-    local: &LocalSplits,
-    layout: &SplitLayout,
-    alpha: Vec<Ciphertext>,
-    labels: NodeLabels,
-    depth: usize,
-    nodes: &mut Vec<Node>,
-) -> usize {
-    let _node = pivot_trace::span_fn(|| format!("node d{depth}"));
-    let stats_start = ctx.ep.stats().bytes_sent();
-    let masks = {
-        let _stats = pivot_trace::phase_span("stats");
-        match &labels {
-            NodeLabels::SuperClient => compute_label_masks(ctx, &alpha, true),
-            // GBDT residual vectors are slack-positive share sums; they carry
-            // no +1 offset (see ensemble::gbdt).
-            NodeLabels::Encrypted(gammas) => LabelMasks {
-                gammas: gammas.clone(),
-                offset_encoded: false,
-            },
-        }
-    };
-
-    // Depth pruning is public; the remaining conditions are secure.
-    let force_leaf = depth >= ctx.params.tree.max_depth || layout.total() == 0;
-    if force_leaf {
-        let _leaf = pivot_trace::phase_span("leaf");
-        let value = leaf_value_from_totals(ctx, &alpha, &masks, stats_start);
-        nodes.push(Node::Leaf { value });
-        return nodes.len() - 1;
-    }
-
-    // Local computation + pooling, then MPC conversion (Algorithm 2).
-    let enc = {
-        let _stats = pivot_trace::phase_span("stats");
-        pooled_statistics(ctx, layout, local, &alpha, &masks)
-    };
-    let shares = {
-        let _conv = pivot_trace::phase_span("conversion");
-        convert_stats(ctx, layout, &enc)
-    };
-    ctx.metrics
-        .add_stats_bytes(ctx.ep.stats().bytes_sent() - stats_start);
-
-    let check_purity = ctx.params.tree.stop_when_pure && matches!(labels, NodeLabels::SuperClient);
-    let pruned = {
-        let _gain = pivot_trace::phase_span("gain");
-        prune_decision(ctx, &shares, check_purity)
-    };
-    if pruned {
-        let _leaf = pivot_trace::phase_span("leaf");
-        let value = open_leaf(ctx, &shares);
-        nodes.push(Node::Leaf { value });
-        return nodes.len() - 1;
-    }
-
-    // MPC: gains + secure argmax; the identifier becomes public (§4.1
-    // model update step).
-    let best_idx = {
-        let _gain = pivot_trace::phase_span("gain");
-        let gains = split_gains(ctx, &shares);
-        let (best_idx, _gain_share) = best_split(ctx, &gains);
-        best_idx
-    };
-
-    // The winner announces the global feature id and plaintext threshold
-    // (both part of the released model) and splits the masked vectors.
-    let (winner, local_feature, split_idx, feature_global, threshold) = {
-        let _reveal = pivot_trace::phase_span("split_reveal");
-        let (winner, local_feature, split_idx) = reveal_identifier(ctx, layout, best_idx);
-        let (feature_global, threshold) = ctx.metrics.time(Stage::ModelUpdate, || {
-            if ctx.id() == winner {
-                let feature_global = ctx.view.feature_indices[local_feature];
-                let threshold = local.candidates[local_feature].thresholds[split_idx];
-                ctx.ep.broadcast(&(feature_global, threshold));
-                (feature_global, threshold)
-            } else {
-                ctx.ep.recv::<(usize, f64)>(winner)
+            for (slot, mut vectors) in [(left, lefts), (right, rights)] {
+                let alpha = vectors.remove(0);
+                next.push(FrontierNode {
+                    slot,
+                    alpha,
+                    gammas: has_gammas.then_some(vectors),
+                });
             }
-        });
-        (winner, local_feature, split_idx, feature_global, threshold)
-    };
-    let indicator =
-        (ctx.id() == winner).then(|| local.indicators[local_feature][split_idx].clone());
-
-    // Mask [α] — and, in GBDT mode, the encrypted label vectors — with the
-    // winning indicator.
-    let mut vectors = vec![alpha];
-    if let NodeLabels::Encrypted(gammas) = &labels {
-        vectors.extend(gammas.iter().cloned());
-    }
-    let started = std::time::Instant::now();
-    let (mut lefts, mut rights) = {
-        let _update = pivot_trace::phase_span("update");
-        update_vectors_plain(ctx, &vectors, winner, indicator.as_deref())
-    };
-    ctx.metrics.add_time(Stage::ModelUpdate, started.elapsed());
-    let alpha_l = lefts.remove(0);
-    let alpha_r = rights.remove(0);
-    let (labels_l, labels_r) = match &labels {
-        NodeLabels::SuperClient => (NodeLabels::SuperClient, NodeLabels::SuperClient),
-        NodeLabels::Encrypted(_) => (NodeLabels::Encrypted(lefts), NodeLabels::Encrypted(rights)),
-    };
-
-    let left = build_node(ctx, local, layout, alpha_l, labels_l, depth + 1, nodes);
-    let right = build_node(ctx, local, layout, alpha_r, labels_r, depth + 1, nodes);
-    nodes.push(Node::Internal {
-        feature: feature_global,
-        threshold,
-        left,
-        right,
-    });
-    nodes.len() - 1
-}
-
-/// Leaf label via node totals only (when the depth bound forces a leaf and
-/// per-split statistics are unnecessary).
-fn leaf_value_from_totals(
-    ctx: &mut PartyContext<'_>,
-    alpha: &[Ciphertext],
-    masks: &LabelMasks,
-    stats_start: u64,
-) -> f64 {
-    let all = vec![true; alpha.len()];
-    let node_total = vector::dot_binary(&ctx.pk, alpha, &all);
-    let mut flat = vec![node_total];
-    for gamma in &masks.gammas {
-        flat.push(vector::dot_binary(&ctx.pk, gamma, &all));
-    }
-    ctx.metrics
-        .add_ciphertext_ops((alpha.len() * flat.len()) as u64);
-    let shares = ciphers_to_shares(ctx, &flat);
-    ctx.metrics
-        .add_stats_bytes(ctx.ep.stats().bytes_sent() - stats_start);
-    let mut node = NodeShares {
-        n_l: Vec::new(),
-        g_l: vec![Vec::new(); shares.len() - 1],
-        n_total: shares[0],
-        g_totals: shares[1..].to_vec(),
-    };
-    if masks.offset_encoded {
-        crate::gain::remove_totals_offset(ctx, &mut node);
-    }
-    open_leaf(ctx, &node)
-}
-
-/// Open the secure leaf label (public in the basic protocol).
-fn open_leaf(ctx: &mut PartyContext<'_>, shares: &NodeShares) -> f64 {
-    let label = leaf_label_share(ctx, shares);
-    let opened = ctx.engine.open(label);
-    match ctx.current_task() {
-        Task::Classification { .. } => opened.value() as f64,
-        Task::Regression => ctx.params.fixed.decode(opened),
+        }
+        next
     }
 }

@@ -13,29 +13,22 @@
 //!   at the winner — `O(n)` threshold decryptions per node, the cost that
 //!   separates Pivot-Enhanced from Pivot-Basic in Figures 4–5;
 //! * leaf labels are converted share→ciphertext instead of being opened.
+//!
+//! Everything else is the shared level-wise loop of `crate::trainer`;
+//! this file is the enhanced protocol's side of its disclosure hooks.
 
-use crate::config::{Protocol, Scheduling};
-use crate::conversion::{
-    ciphers_to_shares, packed_ciphers_to_shares, packed_share_conversion, shares_to_ciphers,
-};
-use crate::gain::{
-    best_split, best_split_batch, convert_stats, convert_stats_batch, leaf_label_share,
-    leaf_label_shares_batch, node_shares_from_packed, prune_decision, prune_decisions_batch,
-    reveal_block_only, reveal_blocks_batch, split_gains, split_gains_batch, NodeShares,
-};
-use crate::masks::{
-    compute_label_masks, compute_packed_label_masks, initial_mask, plan_packed_labels, LabelMasks,
-};
+use crate::config::Protocol;
+use crate::conversion::{ciphers_to_shares, packed_share_conversion, shares_to_ciphers};
+use crate::gain::reveal_blocks_batch;
+use crate::masks::initial_mask;
 use crate::metrics::Stage;
 use crate::model::{ConcealedNode, ConcealedTree};
 use crate::party::PartyContext;
-use crate::stats::{
-    packed_pooled_statistics, pooled_statistics, EncryptedStats, LocalSplits, PackedStats,
-    SplitLayout,
-};
+use crate::stats::{LocalSplits, SplitLayout};
+use crate::trainer::{allocate_children, grow_tree, Arena, ArenaNode, Disclosure, FrontierNode};
 use pivot_bignum::BigUint;
 use pivot_mpc::Share;
-use pivot_paillier::{batch, vector, Ciphertext, SlotCodec};
+use pivot_paillier::{batch, vector, Ciphertext};
 
 /// Public offset added to fixed-point thresholds before encryption so the
 /// PIR dot product only ever sees non-negative plaintexts (negative
@@ -84,14 +77,15 @@ pub fn train(ctx: &mut PartyContext<'_>) -> ConcealedTree {
     };
     let alpha = initial_mask(ctx, &mask);
     let codec = ctx.packing_codec();
-    if ctx.params.scheduling == Scheduling::Pipelined {
-        return train_level_wise_pipelined(ctx, &local, &layout, alpha, codec.as_ref());
-    }
-    if let Some(codec) = codec {
-        return train_level_wise(ctx, &local, &layout, alpha, &codec);
-    }
-    let mut nodes = Vec::new();
-    let root = build_node(ctx, &local, &layout, alpha, 0, &mut nodes);
+    let (nodes, root) = grow_tree(
+        ctx,
+        &mut Conceal,
+        &local,
+        &layout,
+        alpha,
+        None,
+        codec.as_ref(),
+    );
     ConcealedTree {
         nodes,
         root,
@@ -99,298 +93,91 @@ pub fn train(ctx: &mut PartyContext<'_>) -> ConcealedTree {
     }
 }
 
-/// Packed enhanced training, level-wise: one Algorithm-2 conversion per
-/// tree depth covers every sibling's packed statistics (see
-/// `train_basic::train_level_wise` for the scheduling rationale). The
-/// private split selection, Theorem-2 PIR and Eqn-10 updates stay per
-/// node and scalar — their ciphertexts are consumed element-wise.
-fn train_level_wise(
-    ctx: &mut PartyContext<'_>,
-    local: &LocalSplits,
-    layout: &SplitLayout,
-    root_alpha: Vec<Ciphertext>,
-    codec: &SlotCodec,
-) -> ConcealedTree {
-    let task = ctx.current_task();
-    // The packed label multipliers depend only on labels/task/codec —
-    // built once here, reused by every node at every level.
-    let label_plan = plan_packed_labels(ctx, codec);
-    let mut nodes: Vec<Option<ConcealedNode>> = vec![None];
-    let mut frontier: Vec<(usize, Vec<Ciphertext>)> = vec![(0, root_alpha)];
-    let mut depth = 0;
-    while !frontier.is_empty() {
-        // Depth-forced leaf levels only need node totals; the scalar
-        // conversion handles the Eqn-10 slack without a refresh, and a
-        // handful of values per node leaves packing nothing to amortize.
-        if depth >= ctx.params.tree.max_depth || layout.total() == 0 {
-            for (slot, alpha) in frontier.drain(..) {
-                let _leaf = pivot_trace::phase_span("leaf");
-                let stats_start = ctx.ep.stats().bytes_sent();
-                let masks = compute_label_masks(ctx, &alpha, true);
-                let enc_value = concealed_leaf_from_totals(ctx, &alpha, &masks, stats_start);
-                nodes[slot] = Some(ConcealedNode::Leaf { enc_value });
-            }
-            break;
+impl ArenaNode for ConcealedNode {
+    fn children(&self) -> Option<(usize, usize)> {
+        match self {
+            ConcealedNode::Leaf { .. } => None,
+            ConcealedNode::Internal { left, right, .. } => Some((*left, *right)),
         }
-        let _level = pivot_trace::span_fn(|| format!("level {depth}"));
-        let stats_start = ctx.ep.stats().bytes_sent();
-
-        // Eqn-10 masks carry *quadratic* mod-p slack (shares scaled by
-        // slack-carrying PIR ciphertexts reach ~m²·b·p² — the reason for
-        // the enhanced keysize floor). The slot-width audit budgets only
-        // the linear `m·p` bound, so packed levels first linearize the
-        // slack: one batched share round-trip re-encrypts every frontier
-        // mask as a plain share sum. Values are untouched mod p, so the
-        // trained tree is unaffected.
-        if depth > 0 {
-            let _conv = pivot_trace::phase_span("conversion");
-            let lens: Vec<usize> = frontier.iter().map(|(_, a)| a.len()).collect();
-            let flat: Vec<Ciphertext> = frontier
-                .iter()
-                .flat_map(|(_, a)| a.iter().cloned())
-                .collect();
-            let shares = ciphers_to_shares(ctx, &flat);
-            let fresh = shares_to_ciphers(ctx, &shares);
-            let mut rest = fresh.as_slice();
-            for ((_, alpha), len) in frontier.iter_mut().zip(lens) {
-                *alpha = rest[..len].to_vec();
-                rest = &rest[len..];
-            }
-        }
-
-        let per_node: Vec<PackedStats> = {
-            let _stats = pivot_trace::phase_span("stats");
-            let labels: Vec<_> = frontier
-                .iter()
-                .map(|(_, alpha)| compute_packed_label_masks(ctx, alpha, &label_plan))
-                .collect();
-            labels
-                .iter()
-                .map(|packed_labels| {
-                    packed_pooled_statistics(ctx, layout, local, packed_labels, codec)
-                })
-                .collect()
-        };
-
-        let (slot_shares, spans) = {
-            let _conv = pivot_trace::phase_span("conversion");
-            let (cts, used, spans) = crate::stats::conversion_batch(&per_node);
-            let started = std::time::Instant::now();
-            let slot_shares = packed_ciphers_to_shares(ctx, codec, &cts, &used);
-            ctx.metrics
-                .add_time(Stage::MpcComputation, started.elapsed());
-            (slot_shares, spans)
-        };
-        ctx.metrics
-            .add_stats_bytes(ctx.ep.stats().bytes_sent() - stats_start);
-
-        let mut next = Vec::new();
-        for (i, ((slot, alpha), ps)) in frontier.drain(..).zip(&per_node).enumerate() {
-            let _node = pivot_trace::span_fn(|| format!("node d{depth} #{i}"));
-            let span = &slot_shares[spans[i]..spans[i] + ps.conversion_len()];
-            let (pruned, shares) = {
-                let _gain = pivot_trace::phase_span("gain");
-                let shares = node_shares_from_packed(ctx, layout, ps, span);
-                // No purity check: it would leak a concealed-label bit.
-                (prune_decision(ctx, &shares, false), shares)
-            };
-            if pruned {
-                let _leaf = pivot_trace::phase_span("leaf");
-                let enc_value = concealed_leaf(ctx, &shares);
-                nodes[slot] = Some(ConcealedNode::Leaf { enc_value });
-                continue;
-            }
-
-            let (winner, feature_global, enc_threshold, alpha_l, alpha_r) =
-                select_and_update(ctx, local, layout, &shares, alpha);
-
-            let left_slot = nodes.len();
-            nodes.push(None);
-            let right_slot = nodes.len();
-            nodes.push(None);
-            nodes[slot] = Some(ConcealedNode::Internal {
-                client: winner,
-                feature_global,
-                enc_threshold,
-                left: left_slot,
-                right: right_slot,
-            });
-            next.push((left_slot, alpha_l));
-            next.push((right_slot, alpha_r));
-        }
-        frontier = next;
-        depth += 1;
     }
-    let nodes: Vec<ConcealedNode> = nodes
-        .into_iter()
-        .map(|n| n.expect("every allocated node is resolved"))
-        .collect();
-    // Renumber breadth-first slots into the recursive builder's
-    // post-order so the released model matches the unpacked path's arena.
-    let (nodes, root) = renumber_postorder(&nodes, 0);
-    ConcealedTree { nodes, root, task }
+
+    fn set_children(&mut self, new_left: usize, new_right: usize) {
+        if let ConcealedNode::Internal { left, right, .. } = self {
+            (*left, *right) = (new_left, new_right);
+        }
+    }
 }
 
-/// Rewrite a concealed arena into post-order (the recursive layout).
-fn renumber_postorder(nodes: &[ConcealedNode], root: usize) -> (Vec<ConcealedNode>, usize) {
-    fn visit(nodes: &[ConcealedNode], id: usize, out: &mut Vec<ConcealedNode>) -> usize {
-        match &nodes[id] {
-            ConcealedNode::Leaf { enc_value } => out.push(ConcealedNode::Leaf {
-                enc_value: enc_value.clone(),
-            }),
-            ConcealedNode::Internal {
-                client,
-                feature_global,
-                enc_threshold,
-                left,
-                right,
-            } => {
-                let l = visit(nodes, *left, out);
-                let r = visit(nodes, *right, out);
-                out.push(ConcealedNode::Internal {
-                    client: *client,
-                    feature_global: *feature_global,
-                    enc_threshold: enc_threshold.clone(),
-                    left: l,
-                    right: r,
-                });
-            }
-        }
-        out.len() - 1
-    }
-    let mut out = Vec::with_capacity(nodes.len());
-    let root = visit(nodes, root, &mut out);
-    (out, root)
+/// Split `flat` back into consecutive vectors of the given lengths.
+fn split_lengths<T>(flat: Vec<T>, lens: impl IntoIterator<Item = usize>) -> Vec<Vec<T>> {
+    let mut flat = flat.into_iter();
+    lens.into_iter()
+        .map(|len| flat.by_ref().take(len).collect())
+        .collect()
 }
 
-/// Pipelined enhanced training: the whole frontier advances through
-/// batched stages — one prune unit, one gain pipeline, one lockstep
-/// argmax, one batched block reveal, one one-hot batch, one `[λ]`
-/// re-encryption, and one Eqn-10 share conversion per level. Per-winner
-/// PIR selection and masked products stay per node (their broadcasts and
-/// gathers coalesce at the transport layer). The released concealed tree
-/// matches the sequential schedule's.
-fn train_level_wise_pipelined(
-    ctx: &mut PartyContext<'_>,
-    local: &LocalSplits,
-    layout: &SplitLayout,
-    root_alpha: Vec<Ciphertext>,
-    codec: Option<&SlotCodec>,
-) -> ConcealedTree {
-    let task = ctx.current_task();
-    let label_plan = codec.map(|c| plan_packed_labels(ctx, c));
-    let mut nodes: Vec<Option<ConcealedNode>> = vec![None];
-    let mut frontier: Vec<(usize, Vec<Ciphertext>)> = vec![(0, root_alpha)];
-    let mut depth = 0;
-    while !frontier.is_empty() {
-        if depth >= ctx.params.tree.max_depth || layout.total() == 0 {
-            forced_concealed_leaves_batch(ctx, &mut nodes, std::mem::take(&mut frontier));
-            break;
+/// §5.2 disclosure: leaf labels are re-encrypted instead of opened, and of
+/// a winning split only the `(i*, j*)` block becomes public — the split
+/// index stays shared, the threshold encrypted, and the mask update runs
+/// on ciphertexts and shares (Eqn 10).
+struct Conceal;
+
+impl Disclosure for Conceal {
+    type Node = ConcealedNode;
+
+    /// Eqn-10 masks carry *quadratic* mod-p slack (shares scaled by
+    /// slack-carrying PIR ciphertexts reach ~m²·b·p² — the reason for the
+    /// enhanced keysize floor). The slot-width audit budgets only the
+    /// linear `m·p` bound, so packed levels first linearize the slack: one
+    /// batched share round-trip re-encrypts every frontier mask as a plain
+    /// share sum. Values are untouched mod p, so the trained tree is
+    /// unaffected; the scalar conversion needs no refresh.
+    fn refresh_masks(&mut self, ctx: &mut PartyContext<'_>, frontier: &mut [FrontierNode]) {
+        let _conv = pivot_trace::phase_span("conversion");
+        let lens: Vec<usize> = frontier.iter().map(|node| node.alpha.len()).collect();
+        let flat: Vec<Ciphertext> = frontier
+            .iter_mut()
+            .flat_map(|node| node.alpha.drain(..))
+            .collect();
+        let shares = ciphers_to_shares(ctx, &flat);
+        let fresh = split_lengths(shares_to_ciphers(ctx, &shares), lens);
+        for (node, alpha) in frontier.iter_mut().zip(fresh) {
+            node.alpha = alpha;
         }
-        let _level = pivot_trace::span_fn(|| format!("level {depth}"));
-        let stats_start = ctx.ep.stats().bytes_sent();
+    }
 
-        // Packed levels linearize the quadratic Eqn-10 slack first (see
-        // `train_level_wise`); the scalar conversion needs no refresh.
-        if codec.is_some() && depth > 0 {
-            let _conv = pivot_trace::phase_span("conversion");
-            let lens: Vec<usize> = frontier.iter().map(|(_, a)| a.len()).collect();
-            let flat: Vec<Ciphertext> = frontier
-                .iter()
-                .flat_map(|(_, a)| a.iter().cloned())
-                .collect();
-            let shares = ciphers_to_shares(ctx, &flat);
-            let fresh = shares_to_ciphers(ctx, &shares);
-            let mut rest = fresh.as_slice();
-            for ((_, alpha), len) in frontier.iter_mut().zip(lens) {
-                *alpha = rest[..len].to_vec();
-                rest = &rest[len..];
-            }
+    /// No purity check: it would leak a bit about the concealed labels.
+    fn purity_check(&self) -> bool {
+        false
+    }
+
+    /// ONE share→ciphertext conversion for every leaf of the level.
+    fn settle_leaves(
+        &mut self,
+        ctx: &mut PartyContext<'_>,
+        slots: Vec<usize>,
+        labels: Vec<Share>,
+        arena: &mut Arena<ConcealedNode>,
+    ) {
+        for (slot, enc_value) in slots.into_iter().zip(shares_to_ciphers(ctx, &labels)) {
+            arena[slot] = Some(ConcealedNode::Leaf { enc_value });
         }
+    }
 
-        let node_shares: Vec<NodeShares> = if let (Some(codec), Some(plan)) = (codec, &label_plan) {
-            let per_node: Vec<PackedStats> = {
-                let _stats = pivot_trace::phase_span("stats");
-                let labels: Vec<_> = frontier
-                    .iter()
-                    .map(|(_, alpha)| compute_packed_label_masks(ctx, alpha, plan))
-                    .collect();
-                labels
-                    .iter()
-                    .map(|packed| packed_pooled_statistics(ctx, layout, local, packed, codec))
-                    .collect()
-            };
-            let _conv = pivot_trace::phase_span("conversion");
-            let (cts, used, spans) = crate::stats::conversion_batch(&per_node);
-            let started = std::time::Instant::now();
-            let slot_shares = packed_ciphers_to_shares(ctx, codec, &cts, &used);
-            ctx.metrics
-                .add_time(Stage::MpcComputation, started.elapsed());
-            per_node
-                .iter()
-                .enumerate()
-                .map(|(i, ps)| {
-                    let span = &slot_shares[spans[i]..spans[i] + ps.conversion_len()];
-                    node_shares_from_packed(ctx, layout, ps, span)
-                })
-                .collect()
-        } else {
-            let encs: Vec<EncryptedStats> = {
-                let _stats = pivot_trace::phase_span("stats");
-                frontier
-                    .iter()
-                    .map(|(_, alpha)| {
-                        let masks = compute_label_masks(ctx, alpha, true);
-                        pooled_statistics(ctx, layout, local, alpha, &masks)
-                    })
-                    .collect()
-            };
-            let _conv = pivot_trace::phase_span("conversion");
-            let refs: Vec<&EncryptedStats> = encs.iter().collect();
-            convert_stats_batch(ctx, layout, &refs)
-        };
-        ctx.metrics
-            .add_stats_bytes(ctx.ep.stats().bytes_sent() - stats_start);
-
-        // One prune unit (no purity check: concealed labels).
-        let pruned = {
-            let _gain = pivot_trace::phase_span("gain");
-            let refs: Vec<&NodeShares> = node_shares.iter().collect();
-            prune_decisions_batch(ctx, &refs, false)
-        };
-
-        // Pruned nodes: one leaf-label batch, ONE share→cipher conversion.
-        {
-            let _leaf = pivot_trace::phase_span("leaf");
-            let idxs: Vec<usize> = (0..frontier.len()).filter(|&i| pruned[i]).collect();
-            if !idxs.is_empty() {
-                let sel: Vec<&NodeShares> = idxs.iter().map(|&i| &node_shares[i]).collect();
-                let shares = leaf_label_shares_batch(ctx, &sel);
-                let encs = shares_to_ciphers(ctx, &shares);
-                for (&i, enc_value) in idxs.iter().zip(encs) {
-                    nodes[frontier[i].0] = Some(ConcealedNode::Leaf { enc_value });
-                }
-            }
-        }
-
-        // Survivors: gains + lockstep argmax.
-        let live: Vec<usize> = (0..frontier.len()).filter(|&i| !pruned[i]).collect();
-        let best = {
-            let _gain = pivot_trace::phase_span("gain");
-            let sel: Vec<&NodeShares> = live.iter().map(|&i| &node_shares[i]).collect();
-            let gains = split_gains_batch(ctx, &sel);
-            best_split_batch(ctx, &gains)
-        };
-
-        // Batched block reveal + one-hot expansion + ONE [λ] re-encryption.
+    fn settle_splits(
+        &mut self,
+        ctx: &mut PartyContext<'_>,
+        local: &LocalSplits,
+        layout: &SplitLayout,
+        best: Vec<Share>,
+        live: Vec<FrontierNode>,
+        arena: &mut Arena<ConcealedNode>,
+    ) -> Vec<FrontierNode> {
+        // Batched block reveal + one-hot expansion + ONE [λ] re-encryption
+        // (§5.2 private split selection).
         let (blocks, lambda_encs) = {
             let _reveal = pivot_trace::phase_span("split_reveal");
-            let idxs: Vec<Share> = best.iter().map(|&(idx, _)| idx).collect();
-            let blocks = if idxs.is_empty() {
-                Vec::new()
-            } else {
-                reveal_blocks_batch(ctx, layout, &idxs)
-            };
+            let blocks = reveal_blocks_batch(ctx, layout, &best);
             let items: Vec<(Share, usize)> = blocks
                 .iter()
                 .map(|&(w, f, s)| (s, layout.counts[w][f]))
@@ -398,15 +185,9 @@ fn train_level_wise_pipelined(
             let lambdas = ctx
                 .metrics
                 .time(Stage::MpcComputation, || ctx.engine.onehot_many(&items));
-            let lens: Vec<usize> = lambdas.iter().map(|l| l.len()).collect();
+            let lens: Vec<usize> = lambdas.iter().map(Vec::len).collect();
             let flat: Vec<Share> = lambdas.into_iter().flatten().collect();
-            let fresh = shares_to_ciphers(ctx, &flat);
-            let mut lambda_encs = Vec::with_capacity(lens.len());
-            let mut rest = fresh.as_slice();
-            for len in lens {
-                lambda_encs.push(rest[..len].to_vec());
-                rest = &rest[len..];
-            }
+            let lambda_encs = split_lengths(shares_to_ciphers(ctx, &flat), lens);
             (blocks, lambda_encs)
         };
 
@@ -426,17 +207,14 @@ fn train_level_wise_pipelined(
         // Eqn-10: ONE share conversion for every survivor's mask, then
         // per-node masked products (both sides share one gather round).
         let _update = pivot_trace::phase_span("update");
-        let live_items: Vec<(usize, Vec<Ciphertext>)> = frontier
-            .drain(..)
-            .enumerate()
-            .filter(|(i, _)| !pruned[*i])
-            .map(|(_, item)| item)
-            .collect();
-        let lens: Vec<usize> = live_items.iter().map(|(_, a)| a.len()).collect();
-        let flat: Vec<Ciphertext> = live_items
-            .iter()
-            .flat_map(|(_, a)| a.iter().cloned())
-            .collect();
+        let mut slots = Vec::with_capacity(live.len());
+        let mut lens = Vec::with_capacity(live.len());
+        let mut flat: Vec<Ciphertext> = Vec::new();
+        for node in live {
+            slots.push(node.slot);
+            lens.push(node.alpha.len());
+            flat.extend(node.alpha);
+        }
         let all_shares = if flat.is_empty() {
             Vec::new()
         } else {
@@ -445,160 +223,38 @@ fn train_level_wise_pipelined(
             // degrades to the scalar conversion otherwise.
             packed_share_conversion(ctx, &flat, eqn10_alpha_bound_bits(ctx, layout))
         };
-        let mut next = Vec::new();
-        let mut at = 0;
-        for (t, &(slot, _)) in live_items.iter().enumerate() {
-            let alpha_shares = &all_shares[at..at + lens[t]];
-            at += lens[t];
-            let (winner, _, _) = blocks[t];
-            let (v_l, v_r, enc_threshold, feature_global) = headers[t].clone();
+        let mut next = Vec::with_capacity(2 * slots.len());
+        let mut rest = all_shares.as_slice();
+        for (((slot, len), (winner, _, _)), header) in
+            slots.into_iter().zip(lens).zip(blocks).zip(headers)
+        {
+            let (alpha_shares, tail) = rest.split_at(len);
+            rest = tail;
+            let (v_l, v_r, enc_threshold, feature_global) = header;
             let (alpha_l, alpha_r) = masked_product_pair(ctx, alpha_shares, &v_l, &v_r, winner);
-            let left_slot = nodes.len();
-            nodes.push(None);
-            let right_slot = nodes.len();
-            nodes.push(None);
-            nodes[slot] = Some(ConcealedNode::Internal {
+            let (left, right) = allocate_children(arena);
+            arena[slot] = Some(ConcealedNode::Internal {
                 client: winner,
                 feature_global,
                 enc_threshold,
-                left: left_slot,
-                right: right_slot,
+                left,
+                right,
             });
-            next.push((left_slot, alpha_l));
-            next.push((right_slot, alpha_r));
+            for (slot, alpha) in [(left, alpha_l), (right, alpha_r)] {
+                next.push(FrontierNode {
+                    slot,
+                    alpha,
+                    gammas: None,
+                });
+            }
         }
-        drop(_update);
-        frontier = next;
-        depth += 1;
-        // Latency-hiding refill window between levels: the next level
-        // drains a whole burst of preprocessing at once, so top the pool
-        // up synchronously to the burst shape at the barrier, scaled by
-        // the frontier growth.
-        if !frontier.is_empty() {
-            ctx.engine
-                .dealer_refill_blocking(frontier.len(), live_items.len().max(1));
-            ctx.nonces.refill();
-        }
-        // Level barrier: identical depth/frontier state on every party,
-        // so checkpoint ordinals agree across the mesh.
-        ctx.level_barrier(depth as u64);
+        next
     }
-    let nodes: Vec<ConcealedNode> = nodes
-        .into_iter()
-        .map(|n| n.expect("every allocated node is resolved"))
-        .collect();
-    let (nodes, root) = renumber_postorder(&nodes, 0);
-    ConcealedTree { nodes, root, task }
-}
-
-/// The per-node tail of enhanced split selection, shared by the recursive
-/// and level-wise schedules: secure argmax, block-only reveal, the §5.2
-/// private split selection (one-hot `[λ]`, Theorem-2 PIR, encrypted
-/// threshold) and the Eqn-10 mask update. Returns the public node header
-/// and the children's masks.
-fn select_and_update(
-    ctx: &mut PartyContext<'_>,
-    local: &LocalSplits,
-    layout: &SplitLayout,
-    shares: &NodeShares,
-    alpha: Vec<Ciphertext>,
-) -> (usize, usize, Ciphertext, Vec<Ciphertext>, Vec<Ciphertext>) {
-    let best_idx = {
-        let _gain = pivot_trace::phase_span("gain");
-        let gains = split_gains(ctx, shares);
-        let (best_idx, _gain_share) = best_split(ctx, &gains);
-        best_idx
-    };
-    let _reveal = pivot_trace::phase_span("split_reveal");
-    // Reveal only the (client, feature) block; ⟨s*⟩ stays secret.
-    let (winner, local_feature, s_share) = reveal_block_only(ctx, layout, best_idx);
-    let n_splits = layout.counts[winner][local_feature];
-
-    // ⟨λ⟩ one-hot of s*, then encrypted [λ] (§5.2 private split selection).
-    let lambda_shares = ctx.metrics.time(Stage::MpcComputation, || {
-        ctx.engine.onehot_vec(s_share, n_splits)
-    });
-    let lambda_enc = shares_to_ciphers(ctx, &lambda_shares);
-
-    // Winner: PIR-select [v_l], [v_r] and the encrypted threshold.
-    let (v_l, v_r, enc_threshold, feature_global) =
-        pir_select(ctx, local, winner, local_feature, n_splits, &lambda_enc);
-
-    drop(_reveal);
-    // Eqn (10): encrypted-mask updating through share conversion.
-    let _update = pivot_trace::phase_span("update");
-    let alpha_shares = ciphers_to_shares(ctx, &alpha);
-    let alpha_l = masked_product(ctx, &alpha_shares, &v_l, winner);
-    let alpha_r = masked_product(ctx, &alpha_shares, &v_r, winner);
-    drop(alpha);
-    (winner, feature_global, enc_threshold, alpha_l, alpha_r)
-}
-
-fn build_node(
-    ctx: &mut PartyContext<'_>,
-    local: &LocalSplits,
-    layout: &SplitLayout,
-    alpha: Vec<Ciphertext>,
-    depth: usize,
-    nodes: &mut Vec<ConcealedNode>,
-) -> usize {
-    let _node = pivot_trace::span_fn(|| format!("node d{depth}"));
-    let stats_start = ctx.ep.stats().bytes_sent();
-    let masks = {
-        let _stats = pivot_trace::phase_span("stats");
-        compute_label_masks(ctx, &alpha, true)
-    };
-
-    let force_leaf = depth >= ctx.params.tree.max_depth || layout.total() == 0;
-    if force_leaf {
-        let _leaf = pivot_trace::phase_span("leaf");
-        let enc_value = concealed_leaf_from_totals(ctx, &alpha, &masks, stats_start);
-        nodes.push(ConcealedNode::Leaf { enc_value });
-        return nodes.len() - 1;
-    }
-
-    let enc = {
-        let _stats = pivot_trace::phase_span("stats");
-        pooled_statistics(ctx, layout, local, &alpha, &masks)
-    };
-    let shares = {
-        let _conv = pivot_trace::phase_span("conversion");
-        convert_stats(ctx, layout, &enc)
-    };
-    ctx.metrics
-        .add_stats_bytes(ctx.ep.stats().bytes_sent() - stats_start);
-
-    // No purity check: it would leak a bit about the concealed labels.
-    let pruned = {
-        let _gain = pivot_trace::phase_span("gain");
-        prune_decision(ctx, &shares, false)
-    };
-    if pruned {
-        let _leaf = pivot_trace::phase_span("leaf");
-        let enc_value = concealed_leaf(ctx, &shares);
-        nodes.push(ConcealedNode::Leaf { enc_value });
-        return nodes.len() - 1;
-    }
-
-    let (winner, feature_global, enc_threshold, alpha_l, alpha_r) =
-        select_and_update(ctx, local, layout, &shares, alpha);
-
-    let left = build_node(ctx, local, layout, alpha_l, depth + 1, nodes);
-    let right = build_node(ctx, local, layout, alpha_r, depth + 1, nodes);
-    nodes.push(ConcealedNode::Internal {
-        client: winner,
-        feature_global,
-        enc_threshold,
-        left,
-        right,
-    });
-    nodes.len() - 1
 }
 
 /// §5.2 private split selection at the winner: Theorem-2 PIR selection of
 /// the split-indicator columns `[v_l]`, `[v_r]` and the encrypted
-/// threshold, broadcast to everyone (shared by the sequential and
-/// pipelined schedules — byte-identical transcript).
+/// threshold, broadcast to everyone.
 fn pir_select(
     ctx: &mut PartyContext<'_>,
     local: &LocalSplits,
@@ -647,49 +303,10 @@ fn pir_select(
     })
 }
 
-/// `[α'_j] = Σᵢ [⟨α_j⟩ᵢ · v_j]` — every client scales the encrypted split
-/// indicator by its own share; the winner aggregates and broadcasts.
-fn masked_product(
-    ctx: &mut PartyContext<'_>,
-    alpha_shares: &[Share],
-    v: &[Ciphertext],
-    winner: usize,
-) -> Vec<Ciphertext> {
-    ctx.metrics.time(Stage::ModelUpdate, || {
-        let threads = ctx.crypto_threads();
-        let share_values: Vec<BigUint> = alpha_shares
-            .iter()
-            .map(|s| BigUint::from_u64(s.0.value()))
-            .collect();
-        let my_terms = batch::mul_plain_batch(&ctx.pk, v, &share_values, threads);
-        ctx.metrics.add_ciphertext_ops(my_terms.len() as u64);
-        // The gather wait is CPU-idle: top up the offline pools.
-        ctx.nonces.refill();
-        ctx.engine.dealer_refill();
-        let gathered = ctx.ep.gather(winner, &my_terms);
-        if ctx.id() == winner {
-            let parts = gathered.expect("winner gathers");
-            let n = alpha_shares.len();
-            let indices: Vec<usize> = (0..n).collect();
-            let sums: Vec<Ciphertext> = pivot_runtime::global().map(threads, &indices, |&j| {
-                let mut acc = parts[0][j].clone();
-                for part in parts.iter().skip(1) {
-                    acc = ctx.pk.add(&acc, &part[j]);
-                }
-                acc
-            });
-            ctx.metrics.add_ciphertext_ops((n * ctx.parties()) as u64);
-            ctx.ep.broadcast(&sums);
-            sums
-        } else {
-            ctx.ep.recv(winner)
-        }
-    })
-}
-
-/// Both Eqn-10 masked products of one node in a single gather round: the
-/// left and right indicator vectors concatenate, so the winner aggregates
-/// and broadcasts once. Values match two [`masked_product`] calls.
+/// Eqn (10), `[α'_j] = Σᵢ [⟨α_j⟩ᵢ · v_j]`: every client scales the encrypted
+/// split indicator by its own share of `α`; the winner aggregates and
+/// broadcasts. Both children of one node share a single gather round — the
+/// left and right indicator vectors concatenate.
 fn masked_product_pair(
     ctx: &mut PartyContext<'_>,
     alpha_shares: &[Share],
@@ -738,59 +355,6 @@ fn masked_product_pair(
     })
 }
 
-/// Depth-forced concealed leaf level: every node's totals convert in one
-/// Algorithm-2 batch and every leaf label re-encrypts in one
-/// share→cipher conversion.
-fn forced_concealed_leaves_batch(
-    ctx: &mut PartyContext<'_>,
-    nodes: &mut [Option<ConcealedNode>],
-    frontier: Vec<(usize, Vec<Ciphertext>)>,
-) {
-    let _leaf = pivot_trace::phase_span("leaf");
-    let stats_start = ctx.ep.stats().bytes_sent();
-    let mut flats: Vec<Vec<Ciphertext>> = Vec::with_capacity(frontier.len());
-    let mut offsets: Vec<bool> = Vec::with_capacity(frontier.len());
-    for (_, alpha) in &frontier {
-        let masks = compute_label_masks(ctx, alpha, true);
-        let all = vec![true; alpha.len()];
-        let mut flat = vec![vector::dot_binary(&ctx.pk, alpha, &all)];
-        for gamma in &masks.gammas {
-            flat.push(vector::dot_binary(&ctx.pk, gamma, &all));
-        }
-        ctx.metrics
-            .add_ciphertext_ops((alpha.len() * flat.len()) as u64);
-        flats.push(flat);
-        offsets.push(masks.offset_encoded);
-    }
-    let all_flat: Vec<Ciphertext> = flats.iter().flatten().cloned().collect();
-    let shares = ciphers_to_shares(ctx, &all_flat);
-    ctx.metrics
-        .add_stats_bytes(ctx.ep.stats().bytes_sent() - stats_start);
-
-    let mut totals: Vec<NodeShares> = Vec::with_capacity(frontier.len());
-    let mut at = 0;
-    for (flat, &offset_encoded) in flats.iter().zip(&offsets) {
-        let chunk = &shares[at..at + flat.len()];
-        at += flat.len();
-        let mut node = NodeShares {
-            n_l: Vec::new(),
-            g_l: vec![Vec::new(); flat.len() - 1],
-            n_total: chunk[0],
-            g_totals: chunk[1..].to_vec(),
-        };
-        if offset_encoded {
-            crate::gain::remove_totals_offset(ctx, &mut node);
-        }
-        totals.push(node);
-    }
-    let refs: Vec<&NodeShares> = totals.iter().collect();
-    let labels = leaf_label_shares_batch(ctx, &refs);
-    let encs = shares_to_ciphers(ctx, &labels);
-    for ((slot, _), enc_value) in frontier.iter().zip(encs) {
-        nodes[*slot] = Some(ConcealedNode::Leaf { enc_value });
-    }
-}
-
 /// Encode a plaintext threshold for PIR selection: fixed-point plus the
 /// public positivity offset.
 fn encode_threshold(ctx: &PartyContext<'_>, threshold: f64) -> BigUint {
@@ -803,40 +367,4 @@ fn encode_threshold(ctx: &PartyContext<'_>, threshold: f64) -> BigUint {
     );
     let with_offset = scaled + (1u64 << off_bits) as f64;
     BigUint::from_u64(with_offset as u64)
-}
-
-/// Concealed leaf from full node statistics.
-fn concealed_leaf(ctx: &mut PartyContext<'_>, shares: &NodeShares) -> Ciphertext {
-    let label = leaf_label_share(ctx, shares);
-    shares_to_ciphers(ctx, &[label]).remove(0)
-}
-
-/// Concealed leaf when the depth bound forces one (totals only).
-fn concealed_leaf_from_totals(
-    ctx: &mut PartyContext<'_>,
-    alpha: &[Ciphertext],
-    masks: &LabelMasks,
-    stats_start: u64,
-) -> Ciphertext {
-    let all = vec![true; alpha.len()];
-    let node_total = vector::dot_binary(&ctx.pk, alpha, &all);
-    let mut flat = vec![node_total];
-    for gamma in &masks.gammas {
-        flat.push(vector::dot_binary(&ctx.pk, gamma, &all));
-    }
-    ctx.metrics
-        .add_ciphertext_ops((alpha.len() * flat.len()) as u64);
-    let converted = ciphers_to_shares(ctx, &flat);
-    ctx.metrics
-        .add_stats_bytes(ctx.ep.stats().bytes_sent() - stats_start);
-    let mut node = NodeShares {
-        n_l: Vec::new(),
-        g_l: vec![Vec::new(); converted.len() - 1],
-        n_total: converted[0],
-        g_totals: converted[1..].to_vec(),
-    };
-    if masks.offset_encoded {
-        crate::gain::remove_totals_offset(ctx, &mut node);
-    }
-    concealed_leaf(ctx, &node)
 }

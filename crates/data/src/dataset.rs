@@ -165,7 +165,8 @@ impl Dataset {
 
     /// Normalize labels into `[-1, 1]` (regression); returns the scale used.
     /// Pivot's MPC fixed-point layout requires bounded label magnitudes
-    /// (DESIGN.md §8); the super client applies this public preprocessing.
+    /// ("Scale discipline" in `pivot-core`'s `gain` module docs); the super
+    /// client applies this public preprocessing.
     pub fn normalize_labels(&mut self) -> f64 {
         let max_abs = self
             .labels

@@ -132,7 +132,8 @@ impl Default for RegressionSpec {
 }
 
 /// Generate a regression dataset from a random linear model; labels are
-/// rescaled into `[-1, 1]` (Pivot's bounded-label requirement, DESIGN.md §8).
+/// rescaled into `[-1, 1]` (Pivot's bounded-label requirement — "Scale
+/// discipline" in `pivot-core`'s `gain` module docs).
 pub fn make_regression(spec: &RegressionSpec) -> Dataset {
     assert!(spec.informative >= 1 && spec.informative <= spec.features);
     let mut rng = StdRng::seed_from_u64(spec.seed);

@@ -707,14 +707,4 @@ impl MpcEngine<'_> {
         }
         (best_idx, best_val)
     }
-
-    /// Secure maximum value only.
-    pub fn max_vec(&mut self, vals: &[Share]) -> Share {
-        self.argmax(vals).1
-    }
-
-    /// Secure maximum value with a proven difference range.
-    pub fn max_vec_bounded(&mut self, vals: &[Share], k: u32) -> Share {
-        self.argmax_bounded(vals, k).1
-    }
 }

@@ -22,7 +22,8 @@ pub struct FixedConfig {
 impl Default for FixedConfig {
     /// `f = 20` keeps `1/n_l` representable for realistic node sizes,
     /// `k = 45` bounds every intermediate of the gain pipeline (see
-    /// DESIGN.md §8), and `κ = 14` statistical masking bits exactly fill
+    /// "Scale discipline" in `pivot-core`'s `gain` module docs), and
+    /// `κ = 14` statistical masking bits exactly fill
     /// the 61-bit field (`45 + 14 + 1 = 60 < 61`).
     fn default() -> Self {
         FixedConfig {

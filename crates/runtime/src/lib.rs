@@ -9,7 +9,7 @@
 //! (`encrypt_batch`, `mul_plain_batch`, partial decryption, combination,
 //! randomness precomputation).
 //!
-//! Scheduling: the queue has two priorities. Online batches
+//! Queue order: the queue has two priorities. Online batches
 //! ([`WorkerPool::map`]) always preempt detached background work
 //! ([`WorkerPool::spawn`], used by the offline randomness pool) — a deep
 //! precompute backlog must never stall the protocol's critical path.

@@ -83,33 +83,6 @@ impl Default for NetConfig {
 }
 
 impl NetConfig {
-    /// Deprecated fallback: read the legacy environment knobs
-    /// (`PIVOT_NET_LATENCY_US`, `PIVOT_NET_BANDWIDTH_MBPS`,
-    /// `PIVOT_NET_RECV_TIMEOUT_S`). Unlike the old `OnceLock`, the
-    /// variables are re-read on every call, so they are no longer latched
-    /// for the process lifetime — but prefer passing a `NetConfig`
-    /// explicitly (scenario `[network]` section / constructor argument).
-    pub fn from_env() -> NetConfig {
-        let mut cfg = NetConfig::default();
-        if let Some(us) = read_env::<u64>("PIVOT_NET_LATENCY_US") {
-            cfg.latency = Duration::from_micros(us);
-        }
-        if let Some(mbps) = read_env::<f64>("PIVOT_NET_BANDWIDTH_MBPS") {
-            cfg.bandwidth_mbps = mbps;
-        }
-        if let Some(secs) = read_env::<f64>("PIVOT_NET_RECV_TIMEOUT_S") {
-            if secs.is_finite() && secs > 0.0 {
-                cfg.recv_timeout = Duration::from_secs_f64(secs.min(MAX_RECV_TIMEOUT_SECS));
-            }
-        }
-        if let Some(secs) = read_env::<f64>("PIVOT_NET_CONNECT_TIMEOUT_S") {
-            if secs.is_finite() && secs > 0.0 {
-                cfg.connect_timeout = Duration::from_secs_f64(secs.min(MAX_RECV_TIMEOUT_SECS));
-            }
-        }
-        cfg
-    }
-
     /// Simulated wire seconds per payload byte (`0.0` when unlimited).
     pub fn secs_per_byte(&self) -> f64 {
         if self.bandwidth_mbps.is_finite() && self.bandwidth_mbps > 0.0 {
@@ -133,10 +106,6 @@ impl NetConfig {
         let wire_time = Duration::from_secs_f64(bytes as f64 * self.secs_per_byte());
         std::thread::sleep(self.latency + wire_time);
     }
-}
-
-fn read_env<T: std::str::FromStr>(key: &str) -> Option<T> {
-    std::env::var(key).ok().and_then(|v| v.parse().ok())
 }
 
 #[cfg(test)]

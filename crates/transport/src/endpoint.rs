@@ -88,13 +88,6 @@ struct PeerTranscript {
 }
 
 impl Network {
-    /// Create a fully connected in-process network of `m` parties with the
-    /// deprecated environment-variable LAN simulation as fallback
-    /// ([`NetConfig::from_env`]). Prefer [`Network::with_config`].
-    pub fn new(m: usize) -> Network {
-        Network::with_config(m, NetConfig::from_env())
-    }
-
     /// Create a fully connected in-process network of `m` parties, every
     /// endpoint carrying a clone of `net`.
     pub fn with_config(m: usize, net: NetConfig) -> Network {
@@ -442,6 +435,7 @@ impl Endpoint {
         };
         let overhead = bytes.len() - msgs.iter().map(Vec::len).sum::<usize>();
         self.stats.record_recv_overhead(overhead);
+        pivot_trace::add_recv(overhead as u64);
         let first = msgs.remove(0);
         self.inbox[from]
             .lock()
@@ -557,16 +551,16 @@ impl Drop for Endpoint {
 }
 
 /// Run an SPMD closure on `m` threads, one per party, and collect the
-/// results in party order, with the deprecated environment-variable LAN
-/// simulation as fallback. This mirrors the paper's "one process per
-/// client" deployment at thread granularity; `pivot party` runs the same
-/// closure shape across real processes over TCP.
+/// results in party order, with no LAN simulation. This mirrors the
+/// paper's "one process per client" deployment at thread granularity;
+/// `pivot party` runs the same closure shape across real processes over
+/// TCP.
 pub fn run_parties<T, F>(m: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(Endpoint) -> T + Send + Sync,
 {
-    run_parties_with(m, NetConfig::from_env(), f)
+    run_parties_with(m, NetConfig::default(), f)
 }
 
 /// [`run_parties`] with an explicit per-run [`NetConfig`] — the form bench
