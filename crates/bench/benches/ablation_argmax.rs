@@ -1,4 +1,4 @@
-//! Ablation (DESIGN.md §7): tournament argmax (log-depth, used by default)
+//! Ablation: tournament argmax (log-depth, used by default)
 //! vs the paper's sequential secure-maximum scan (§4.1).
 
 use criterion::{criterion_group, criterion_main, Criterion};

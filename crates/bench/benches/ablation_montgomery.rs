@@ -1,4 +1,4 @@
-//! Ablation (DESIGN.md §7): Montgomery exponentiation vs naive
+//! Ablation: Montgomery exponentiation vs naive
 //! square-and-multiply with division-based reduction — the substrate
 //! choice underlying every Paillier operation.
 

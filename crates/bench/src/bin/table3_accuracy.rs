@@ -1,6 +1,6 @@
 //! Table 3 — model accuracy: Pivot-DT/RF/GBDT vs their non-private
 //! counterparts on matched-shape stand-ins for the paper's three UCI
-//! datasets (see DESIGN.md §3 for the substitution argument).
+//! datasets (`pivot_data::synth`; the UCI files are not redistributable).
 //!
 //! Reproduced claim: Pivot's accuracy is within a small gap of the
 //! non-private baselines — the only loss channel is fixed-point rounding.

@@ -1,13 +1,14 @@
 //! Shared harness for the Pivot benchmark suite.
 //!
 //! Every table and figure of the paper's §8 maps to one binary in
-//! `src/bin/` (see DESIGN.md §4 for the index) and one Criterion bench in
-//! `benches/`. This library holds the common machinery: scaled-down
-//! default parameters (Table 4 shapes at laptop scale), dataset
-//! construction, and timed SPMD protocol runs.
+//! `src/bin/` and one Criterion bench in `benches/`, each named after the
+//! table or figure it reproduces. This library holds the common
+//! machinery: scaled-down default parameters (Table 4 shapes at laptop
+//! scale), dataset construction, and timed SPMD protocol runs.
 
 use pivot_core::baselines::{npd_dt, spdz_dt};
-use pivot_core::{config::PivotParams, party::PartyContext, train_basic, train_enhanced};
+use pivot_core::config::{PivotParams, Protocol};
+use pivot_core::{party::PartyContext, train_basic, train_enhanced};
 use pivot_data::{partition_vertically, synth, Dataset, Task};
 use pivot_transport::{run_parties_with, NetConfig};
 use pivot_trees::TreeParams;
@@ -40,6 +41,12 @@ impl Algo {
             Algo::SpdzDt => "SPDZ-DT",
             Algo::NpdDt => "NPD-DT",
         }
+    }
+
+    /// Whether this is a `-PP` variant: §8.3's distinction is only how
+    /// many cores run the bulk crypto operations.
+    pub fn is_pp(&self) -> bool {
+        matches!(self, Algo::PivotBasicPp | Algo::PivotEnhancedPp)
     }
 }
 
@@ -140,35 +147,37 @@ impl BenchConfig {
             max_splits: self.b,
             stop_when_pure: false, // full trees, matching the paper's 2^h−1
         };
-        let mut p = algo_params(algo, tree, self.keysize, self.seed);
-        p.crypto_threads = self.crypto_threads;
-        p
+        let base = PivotParams {
+            tree,
+            keysize: self.keysize,
+            crypto_threads: self.crypto_threads,
+            dealer_seed: self.seed,
+            ..Default::default()
+        };
+        algo_params(algo, base)
     }
 }
 
 /// The single source of algorithm-to-parameter policy, shared by the bench
-/// harness and `pivot-cli`: enhanced variants get `PivotParams::enhanced()`
-/// plus a keysize floor of 192 bits (the share-conversion mask needs
-/// headroom — `pivot_core::gain`, "Scale discipline"), and the `-PP`
-/// variants switch on parallel threshold decryption.
-pub fn algo_params(algo: Algo, tree: TreeParams, keysize: u32, dealer_seed: u64) -> PivotParams {
-    match algo {
-        Algo::PivotEnhanced | Algo::PivotEnhancedPp => {
-            let mut p = PivotParams::enhanced();
-            p.tree = tree;
-            p.keysize = keysize.max(192);
-            p.parallel_decrypt = algo == Algo::PivotEnhancedPp;
-            p.dealer_seed = dealer_seed;
-            p
-        }
-        _ => PivotParams {
-            tree,
-            keysize,
-            parallel_decrypt: algo == Algo::PivotBasicPp,
-            dealer_seed,
-            ..Default::default()
-        },
+/// harness and `pivot-cli`, applied on top of the caller's `base` knobs:
+/// enhanced variants run `Protocol::Enhanced` without the purity stop (see
+/// `PivotParams::enhanced`) at a keysize floor of 192 bits (the
+/// share-conversion mask needs headroom — `pivot_core::gain`, "Scale
+/// discipline"), and every non-`-PP` variant runs the same batch API
+/// serially: one crypto thread, no background precomputation.
+pub fn algo_params(algo: Algo, base: PivotParams) -> PivotParams {
+    let mut p = base;
+    if matches!(algo, Algo::PivotEnhanced | Algo::PivotEnhancedPp) {
+        p.protocol = Protocol::Enhanced;
+        p.tree.stop_when_pure = false;
+        p.keysize = p.keysize.max(192);
     }
+    if !algo.is_pp() {
+        p.crypto_threads = 1;
+        p.randomness_pool = 0;
+        p.dealer_pool = 0;
+    }
+    p
 }
 
 /// Outcome of one timed training run.

@@ -154,57 +154,20 @@ impl Default for ModelSpec {
     }
 }
 
-/// `params.packing`: `"off"`, `"auto"`, or an explicit slot count.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum PackingSpec {
-    #[default]
-    Off,
-    Auto,
-    Slots(usize),
-}
-
-impl PackingSpec {
-    fn to_core(self) -> Packing {
-        match self {
-            PackingSpec::Off => Packing::Off,
-            PackingSpec::Auto => Packing::Auto,
-            PackingSpec::Slots(n) => Packing::Slots(n),
-        }
-    }
-
-    fn echo(self) -> Json {
-        match self {
-            PackingSpec::Off => Json::Str("off".into()),
-            PackingSpec::Auto => Json::Str("auto".into()),
-            PackingSpec::Slots(n) => Json::Num(n as f64),
-        }
+/// Echo of `params.packing`: `"off"`, `"auto"`, or the slot count.
+fn echo_packing(packing: Packing) -> Json {
+    match packing {
+        Packing::Off => Json::Str("off".into()),
+        Packing::Auto => Json::Str("auto".into()),
+        Packing::Slots(n) => Json::Num(n as f64),
     }
 }
 
-/// `params.comparison_bits`: `"full"`, `"auto"`, or a width floor.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ComparisonBitsSpec {
-    #[default]
-    Full,
-    Auto,
-    Floor(u32),
-}
-
-impl ComparisonBitsSpec {
-    fn to_core(self) -> CompareBits {
-        match self {
-            ComparisonBitsSpec::Full => CompareBits::Full,
-            ComparisonBitsSpec::Auto => CompareBits::Auto,
-            ComparisonBitsSpec::Floor(n) => CompareBits::Floor(n),
-        }
-    }
-
-    fn echo(self) -> Json {
-        match self {
-            ComparisonBitsSpec::Full => Json::Str("full".into()),
-            ComparisonBitsSpec::Auto => Json::Str("auto".into()),
-            ComparisonBitsSpec::Floor(n) => Json::Num(f64::from(n)),
-        }
+/// Echo of `params.comparison_bits`: `"auto"` or the width floor.
+fn echo_comparison_bits(bits: CompareBits) -> Json {
+    match bits {
+        CompareBits::Auto => Json::Str("auto".into()),
+        CompareBits::Floor(n) => Json::Num(f64::from(n)),
     }
 }
 
@@ -290,24 +253,22 @@ pub struct ParamSpec {
     pub max_splits: usize,
     pub min_samples: usize,
     pub keysize: u32,
-    pub parallel_decrypt: bool,
-    /// Worker threads for the batched crypto runtime.
+    /// Worker threads for the batched crypto runtime under a `-pp`
+    /// algorithm (the others run it on one thread, without the pools).
     pub crypto_threads: usize,
     /// Offline randomness-pool size (precomputed `r^N` nonce powers).
     pub randomness_pool: usize,
-    /// Ciphertext packing for the split-statistics pipeline: `"off"`
-    /// keeps the pre-packing transcript bit-identical, `"auto"` packs as
-    /// many audited slots as the keysize admits, an integer forces the
-    /// slot count.
-    pub packing: PackingSpec,
-    /// Secure-comparison width policy: `"full"` pins every comparison to
-    /// the global `int_bits` (pre-PR-5 transcript, bit for bit), `"auto"`
-    /// pays only for each call site's proven range on the log-depth
-    /// BitLT, an integer sets a minimum width under `"auto"` widths.
-    pub comparison_bits: ComparisonBitsSpec,
+    /// Ciphertext packing for the split-statistics pipeline: `"auto"`
+    /// (default) packs as many audited slots as the keysize admits and
+    /// runs unpacked under `verification`, `"off"` never packs, an
+    /// integer forces the slot count.
+    pub packing: Packing,
+    /// Secure-comparison width policy: `"auto"` (default) pays only for
+    /// each call site's proven range, an integer sets a minimum width
+    /// under `"auto"` widths.
+    pub comparison_bits: CompareBits,
     /// Offline dealer-pool size (precomputed Beaver triples / masked-bit
-    /// rows per stream; active under `parallel_decrypt` + bounded
-    /// `comparison_bits`).
+    /// rows per stream).
     pub dealer_pool: usize,
     /// Protocol tracing: `"off"` (default, bit-identical transcript),
     /// `"phases"` (phase timelines + round/byte attribution), `"full"`
@@ -321,16 +282,16 @@ pub struct ParamSpec {
 
 impl Default for ParamSpec {
     fn default() -> Self {
+        let core = PivotParams::default();
         ParamSpec {
             max_depth: 3,
             max_splits: 4,
             min_samples: 2,
             keysize: 256,
-            parallel_decrypt: false,
             crypto_threads: 6,
             randomness_pool: 256,
-            packing: PackingSpec::Off,
-            comparison_bits: ComparisonBitsSpec::Full,
+            packing: core.packing,
+            comparison_bits: core.comparison_bits,
             dealer_pool: 256,
             trace: TraceSpec::Off,
             verification: VerificationSpec::Off,
@@ -500,14 +461,6 @@ impl Doc {
         }
     }
 
-    fn get_bool(&self, section: &str, key: &str) -> Result<Option<bool>, String> {
-        match self.raw_kind(section, key)? {
-            None => Ok(None),
-            Some(RawValue::Bool(b)) => Ok(Some(b)),
-            Some(_) => Err(format!("{}: expected a boolean", loc(section, key))),
-        }
-    }
-
     fn get_str_array(&self, section: &str, key: &str) -> Result<Option<Vec<String>>, String> {
         match self.raw_kind(section, key)? {
             None => Ok(None),
@@ -600,7 +553,6 @@ enum RawValue {
     /// TOML integer, kept exact (f64 would round above 2^53).
     Int(i64),
     Num(f64),
-    Bool(bool),
     StrArr(Vec<String>),
     NumArr(Vec<f64>),
     Other,
@@ -612,7 +564,7 @@ impl RawValue {
             TomlValue::Str(s) => RawValue::Str(s.clone()),
             TomlValue::Int(i) => RawValue::Int(*i),
             TomlValue::Float(f) => RawValue::Num(*f),
-            TomlValue::Bool(b) => RawValue::Bool(*b),
+            TomlValue::Bool(_) => RawValue::Other,
             TomlValue::Arr(items) => {
                 if items.iter().all(|i| i.as_str().is_some()) {
                     RawValue::StrArr(
@@ -634,7 +586,6 @@ impl RawValue {
         match v {
             Json::Str(s) => RawValue::Str(s.clone()),
             Json::Num(n) => RawValue::Num(*n),
-            Json::Bool(b) => RawValue::Bool(*b),
             Json::Arr(items) => {
                 if items.iter().all(|i| i.as_str().is_some()) {
                     RawValue::StrArr(
@@ -681,7 +632,6 @@ const PARAM_KEYS: &[&str] = &[
     "max_splits",
     "min_samples",
     "keysize",
-    "parallel_decrypt",
     "crypto_threads",
     "randomness_pool",
     "packing",
@@ -845,8 +795,8 @@ impl Scenario {
         let packing = match doc.raw_kind("params", "packing")? {
             None => pd.packing,
             Some(RawValue::Str(s)) => match s.as_str() {
-                "off" => PackingSpec::Off,
-                "auto" => PackingSpec::Auto,
+                "off" => Packing::Off,
+                "auto" => Packing::Auto,
                 other => {
                     return Err(format!(
                         "params.packing: unknown mode {other:?} (expected \"off\", \
@@ -856,10 +806,8 @@ impl Scenario {
             },
             // A 1-slot layout packs nothing, and the sweep axis uses the
             // literal 1 to mean "auto" — reject the ambiguous value here.
-            Some(RawValue::Int(v)) if v >= 2 => PackingSpec::Slots(v as usize),
-            Some(RawValue::Num(v)) if v >= 2.0 && v.fract() == 0.0 => {
-                PackingSpec::Slots(v as usize)
-            }
+            Some(RawValue::Int(v)) if v >= 2 => Packing::Slots(v as usize),
+            Some(RawValue::Num(v)) if v >= 2.0 && v.fract() == 0.0 => Packing::Slots(v as usize),
             Some(_) => {
                 return Err(
                     "params.packing: expected \"off\", \"auto\", or a slot count >= 2 \
@@ -875,27 +823,31 @@ impl Scenario {
         let comparison_bits = match doc.raw_kind("params", "comparison_bits")? {
             None => pd.comparison_bits,
             Some(RawValue::Str(s)) => match s.as_str() {
-                "full" => ComparisonBitsSpec::Full,
-                "auto" => ComparisonBitsSpec::Auto,
+                "auto" => CompareBits::Auto,
+                "full" => {
+                    return Err(format!(
+                        "params.comparison_bits: the \"full\" mode was removed — \
+                         every comparison runs the range-bounded ladder; delete the \
+                         key, or set the width floor {max_floor} for full-width \
+                         comparisons"
+                    ))
+                }
                 other => {
                     return Err(format!(
                         "params.comparison_bits: unknown mode {other:?} (expected \
-                         \"full\", \"auto\", or a width floor)"
+                         \"auto\" or a width floor)"
                     ))
                 }
             },
-            // Width floors below 2 are meaningless; 0/1 are reserved for
-            // the sweep axis (0 = full, 1 = auto).
-            Some(RawValue::Int(v)) if (2..=max_floor).contains(&v) => {
-                ComparisonBitsSpec::Floor(v as u32)
-            }
+            // Width floors below 2 are meaningless.
+            Some(RawValue::Int(v)) if (2..=max_floor).contains(&v) => CompareBits::Floor(v as u32),
             Some(RawValue::Num(v)) if v.fract() == 0.0 && (2.0..=max_floor as f64).contains(&v) => {
-                ComparisonBitsSpec::Floor(v as u32)
+                CompareBits::Floor(v as u32)
             }
             Some(_) => {
                 return Err(format!(
-                    "params.comparison_bits: expected \"full\", \"auto\", or a width \
-                     floor in 2..={max_floor} (the fixed-point int_bits)"
+                    "params.comparison_bits: expected \"auto\" or a width floor in \
+                     2..={max_floor} (the fixed-point int_bits)"
                 ))
             }
         };
@@ -943,9 +895,6 @@ impl Scenario {
                 .get_u64("params", "keysize")?
                 .map(|v| v as u32)
                 .unwrap_or(pd.keysize),
-            parallel_decrypt: doc
-                .get_bool("params", "parallel_decrypt")?
-                .unwrap_or(pd.parallel_decrypt),
             crypto_threads: doc
                 .get_usize("params", "crypto_threads")?
                 .unwrap_or(pd.crypto_threads),
@@ -1026,9 +975,14 @@ impl Scenario {
                     "latency_us",
                     "bandwidth_mbps",
                     "packing",
-                    "comparison_bits",
                     "checkpoint_every_levels",
                 ];
+                if vary == "comparison_bits" {
+                    return Err("sweep.vary = \"comparison_bits\" was removed with the \
+                         \"full\" mode it compared against; set params.comparison_bits \
+                         per scenario"
+                        .into());
+                }
                 if !AXES.contains(&vary.as_str()) {
                     return Err(format!(
                         "unknown sweep.vary {vary:?} (expected one of: {})",
@@ -1115,17 +1069,6 @@ impl Scenario {
         if self.params.max_depth == 0 || self.params.max_splits == 0 {
             return Err("params.max_depth and params.max_splits must be >= 1".into());
         }
-        // Re-checked per sweep point: `with_axis` can build floors the
-        // TOML-knob parser never sees (e.g. values = [46]).
-        if let ComparisonBitsSpec::Floor(n) = self.params.comparison_bits {
-            let max = PivotParams::default().fixed.int_bits;
-            if !(2..=max).contains(&n) {
-                return Err(format!(
-                    "params.comparison_bits: width floor {n} outside 2..={max} \
-                     (the fixed-point int_bits)"
-                ));
-            }
-        }
         if let Some(secs) = self.network.recv_timeout_s {
             if !secs.is_finite() || secs <= 0.0 || secs > pivot_transport::MAX_RECV_TIMEOUT_SECS {
                 return Err(format!(
@@ -1190,9 +1133,11 @@ impl Scenario {
                     ));
                 }
             }
-            if self.params.packing != PackingSpec::Off {
-                return Err("params.verification needs packing = \"off\" (the packed \
-                     statistics pipeline carries no proofs)"
+            if let Packing::Slots(_) = self.params.packing {
+                return Err("params.verification cannot run an explicit packing slot \
+                     count (the packed statistics pipeline carries no proofs); leave \
+                     packing at \"auto\" — it trains unpacked under verification — or \
+                     set \"off\""
                     .into());
             }
         }
@@ -1368,31 +1313,34 @@ impl Scenario {
         net
     }
 
-    /// [`PivotParams`] for one algorithm under this scenario. The
-    /// algorithm-to-parameter policy (enhanced keysize floor, `-PP`
-    /// parallel decryption) lives in [`pivot_bench::algo_params`] so CLI
-    /// runs and the bench binaries can never diverge.
+    /// [`PivotParams`] for one algorithm under this scenario: the
+    /// scenario's knobs under the algorithm-to-parameter policy (enhanced
+    /// keysize floor, serial crypto for non-`-pp` algorithms), which lives
+    /// in [`pivot_bench::algo_params`] so CLI runs and the bench binaries
+    /// can never diverge.
     pub fn pivot_params(&self, algo: Algo) -> PivotParams {
-        let tree = TreeParams {
-            max_depth: self.params.max_depth,
-            min_samples: self.params.min_samples,
-            max_splits: self.params.max_splits,
-            stop_when_pure: false,
+        let base = PivotParams {
+            tree: TreeParams {
+                max_depth: self.params.max_depth,
+                min_samples: self.params.min_samples,
+                max_splits: self.params.max_splits,
+                stop_when_pure: false,
+            },
+            keysize: self.params.keysize,
+            crypto_threads: self.params.crypto_threads,
+            randomness_pool: self.params.randomness_pool,
+            packing: self.params.packing,
+            comparison_bits: self.params.comparison_bits,
+            dealer_pool: self.params.dealer_pool,
+            dealer_seed: self.seed,
+            trace: self.params.trace.to_core(),
+            verification: self.params.verification.to_core(),
+            // The scenario is validated before execution, so a malformed
+            // tamper spec never reaches this unwrap.
+            adversary: self.adversary_spec().expect("validated adversary spec"),
+            ..Default::default()
         };
-        let mut p = pivot_bench::algo_params(algo, tree, self.params.keysize, self.seed);
-        // Scenario-level knobs on top of the shared policy.
-        p.parallel_decrypt |= self.params.parallel_decrypt;
-        p.crypto_threads = self.params.crypto_threads;
-        p.randomness_pool = self.params.randomness_pool;
-        p.packing = self.params.packing.to_core();
-        p.comparison_bits = self.params.comparison_bits.to_core();
-        p.dealer_pool = self.params.dealer_pool;
-        p.trace = self.params.trace.to_core();
-        p.verification = self.params.verification.to_core();
-        // The scenario is validated before execution, so a malformed
-        // tamper spec never reaches this unwrap.
-        p.adversary = self.adversary_spec().expect("validated adversary spec");
-        p
+        pivot_bench::algo_params(algo, base)
     }
 
     /// Echo of the effective configuration, embedded in every report so
@@ -1462,11 +1410,13 @@ impl Scenario {
                     .with("max_splits", self.params.max_splits)
                     .with("min_samples", self.params.min_samples)
                     .with("keysize", u64::from(self.params.keysize))
-                    .with("parallel_decrypt", self.params.parallel_decrypt)
                     .with("crypto_threads", self.params.crypto_threads)
                     .with("randomness_pool", self.params.randomness_pool)
-                    .with("packing", self.params.packing.echo())
-                    .with("comparison_bits", self.params.comparison_bits.echo())
+                    .with("packing", echo_packing(self.params.packing))
+                    .with(
+                        "comparison_bits",
+                        echo_comparison_bits(self.params.comparison_bits),
+                    )
                     .with("dealer_pool", self.params.dealer_pool)
                     .with("trace", self.params.trace.echo())
                     .with("scheduling", "pipelined")
@@ -1548,18 +1498,9 @@ impl Scenario {
             // the off-vs-auto A/B the packing baseline records.
             "packing" => {
                 s.params.packing = match value {
-                    0 => PackingSpec::Off,
-                    1 => PackingSpec::Auto,
-                    n => PackingSpec::Slots(n),
-                }
-            }
-            // Comparison-width axis: 0 = full, 1 = auto, n ≥ 2 = floor n —
-            // the full-vs-auto A/B the comparison baseline records.
-            "comparison_bits" => {
-                s.params.comparison_bits = match value {
-                    0 => ComparisonBitsSpec::Full,
-                    1 => ComparisonBitsSpec::Auto,
-                    n => ComparisonBitsSpec::Floor(n as u32),
+                    0 => Packing::Off,
+                    1 => Packing::Auto,
+                    n => Packing::Slots(n),
                 }
             }
             // Checkpoint-cadence axis: 0 = checkpointing off, n >= 1 =
@@ -1626,11 +1567,26 @@ mod tests {
     }
 
     #[test]
-    fn pp_variants_force_parallel_decrypt() {
-        let s = parse_toml("algorithm = \"pivot-basic-pp\"").unwrap();
-        assert!(s.pivot_params(Algo::PivotBasicPp).parallel_decrypt);
-        let s2 = parse_toml("algorithm = \"pivot-basic\"").unwrap();
-        assert!(!s2.pivot_params(Algo::PivotBasic).parallel_decrypt);
+    fn only_pp_variants_get_threads_and_pools() {
+        let s = parse_toml("[params]\ncrypto_threads = 4\nrandomness_pool = 64\ndealer_pool = 32")
+            .unwrap();
+        for algo in [Algo::PivotBasicPp, Algo::PivotEnhancedPp] {
+            let p = s.pivot_params(algo);
+            assert_eq!(
+                (p.crypto_threads, p.randomness_pool, p.dealer_pool),
+                (4, 64, 32),
+                "{algo:?}"
+            );
+        }
+        // Every other algorithm runs the same batch API serially.
+        for algo in [Algo::PivotBasic, Algo::PivotEnhanced, Algo::SpdzDt] {
+            let p = s.pivot_params(algo);
+            assert_eq!(
+                (p.crypto_threads, p.randomness_pool, p.dealer_pool),
+                (1, 0, 0),
+                "{algo:?}"
+            );
+        }
     }
 
     #[test]
@@ -1658,25 +1614,25 @@ mod tests {
 
     #[test]
     fn packing_knob_parses_and_applies() {
-        // Default off, string modes, explicit slot counts.
-        let s = parse_toml("[data]\nkind = \"synthetic-classification\"").unwrap();
-        assert_eq!(s.params.packing, PackingSpec::Off);
-        assert_eq!(
-            s.pivot_params(Algo::PivotBasic).packing,
-            pivot_core::config::Packing::Off
-        );
-        let s = parse_toml("[params]\npacking = \"auto\"").unwrap();
-        assert_eq!(s.params.packing, PackingSpec::Auto);
-        assert_eq!(
-            s.pivot_params(Algo::PivotEnhancedPp).packing,
-            pivot_core::config::Packing::Auto
-        );
+        // Default auto (spelled out or not), "off", explicit slot counts.
+        for text in ["[params]", "[params]\npacking = \"auto\""] {
+            let s = parse_toml(text).unwrap();
+            assert_eq!(s.params.packing, Packing::Auto);
+            assert_eq!(s.pivot_params(Algo::PivotEnhancedPp).packing, Packing::Auto);
+            assert_eq!(
+                s.to_json().path("params.packing").unwrap().as_str(),
+                Some("auto")
+            );
+        }
+        let s = parse_toml("[params]\npacking = \"off\"").unwrap();
+        assert_eq!(s.params.packing, Packing::Off);
+        assert_eq!(s.pivot_params(Algo::PivotBasic).packing, Packing::Off);
         assert_eq!(
             s.to_json().path("params.packing").unwrap().as_str(),
-            Some("auto")
+            Some("off")
         );
         let s = parse_toml("[params]\npacking = 4").unwrap();
-        assert_eq!(s.params.packing, PackingSpec::Slots(4));
+        assert_eq!(s.params.packing, Packing::Slots(4));
         assert_eq!(
             s.to_json().path("params.packing").unwrap().as_u64(),
             Some(4)
@@ -1691,35 +1647,45 @@ mod tests {
 
     #[test]
     fn comparison_bits_knob_parses_and_applies() {
-        let s = parse_toml("[data]\nkind = \"synthetic-classification\"").unwrap();
-        assert_eq!(s.params.comparison_bits, ComparisonBitsSpec::Full);
+        // Default auto, spelled out or not.
+        for text in [
+            "[params]\ndealer_pool = 64",
+            "[params]\ncomparison_bits = \"auto\"\ndealer_pool = 64",
+        ] {
+            let s = parse_toml(text).unwrap();
+            assert_eq!(s.params.comparison_bits, CompareBits::Auto);
+            assert_eq!(s.params.dealer_pool, 64);
+            let p = s.pivot_params(Algo::PivotEnhancedPp);
+            assert_eq!(p.comparison_bits, CompareBits::Auto);
+            assert_eq!(p.dealer_pool, 64);
+            assert_eq!(
+                s.to_json().path("params.comparison_bits").unwrap().as_str(),
+                Some("auto")
+            );
+            assert_eq!(
+                s.to_json().path("params.dealer_pool").unwrap().as_u64(),
+                Some(64)
+            );
+        }
+        let s = parse_toml("[params]\ncomparison_bits = 24").unwrap();
+        assert_eq!(s.params.comparison_bits, CompareBits::Floor(24));
         assert_eq!(
             s.pivot_params(Algo::PivotBasic).comparison_bits,
-            CompareBits::Full
+            CompareBits::Floor(24)
         );
-        let s = parse_toml("[params]\ncomparison_bits = \"auto\"\ndealer_pool = 64").unwrap();
-        assert_eq!(s.params.comparison_bits, ComparisonBitsSpec::Auto);
-        assert_eq!(s.params.dealer_pool, 64);
-        let p = s.pivot_params(Algo::PivotEnhancedPp);
-        assert_eq!(p.comparison_bits, CompareBits::Auto);
-        assert_eq!(p.dealer_pool, 64);
-        assert_eq!(
-            s.to_json().path("params.comparison_bits").unwrap().as_str(),
-            Some("auto")
-        );
-        assert_eq!(
-            s.to_json().path("params.dealer_pool").unwrap().as_u64(),
-            Some(64)
-        );
-        let s = parse_toml("[params]\ncomparison_bits = 24").unwrap();
-        assert_eq!(s.params.comparison_bits, ComparisonBitsSpec::Floor(24));
         assert_eq!(
             s.to_json().path("params.comparison_bits").unwrap().as_u64(),
             Some(24)
         );
-        // Typos and reserved sweep values are hard errors, and floors
-        // beyond the fixed-point int_bits (45) are rejected at parse
-        // time rather than panicking downstream.
+        // Removed spellings name their removal: the "full" mode, and the
+        // sweep axis whose value 0 meant "full".
+        let err = parse_toml("[params]\ncomparison_bits = \"full\"").unwrap_err();
+        assert!(err.contains("was removed"), "{err}");
+        let err = parse_toml("[sweep]\nvary = \"comparison_bits\"\nvalues = [0, 1]").unwrap_err();
+        assert!(err.contains("was removed"), "{err}");
+        // Typos and sub-2 floors are hard errors, and floors beyond the
+        // fixed-point int_bits (45) are rejected at parse time rather
+        // than panicking downstream.
         assert!(parse_toml("[params]\ncomparison_bits = \"fast\"").is_err());
         assert!(parse_toml("[params]\ncomparison_bits = 0").is_err());
         assert!(parse_toml("[params]\ncomparison_bits = 1").is_err());
@@ -1729,37 +1695,11 @@ mod tests {
     }
 
     #[test]
-    fn comparison_bits_axis_is_sweepable() {
-        let s = parse_toml("[sweep]\nvary = \"comparison_bits\"\nvalues = [0, 1, 16]").unwrap();
-        assert_eq!(
-            s.with_axis("comparison_bits", 0).params.comparison_bits,
-            ComparisonBitsSpec::Full
-        );
-        assert_eq!(
-            s.with_axis("comparison_bits", 1).params.comparison_bits,
-            ComparisonBitsSpec::Auto
-        );
-        assert_eq!(
-            s.with_axis("comparison_bits", 16).params.comparison_bits,
-            ComparisonBitsSpec::Floor(16)
-        );
-        // Out-of-range sweep points fail per-point validation cleanly
-        // (no mid-sweep panic), like parties = 0.
-        let bad = s.with_axis("comparison_bits", 46);
-        let err = bad.validate().unwrap_err();
-        assert!(err.contains("int_bits"), "{err}");
-        assert!(s.with_axis("comparison_bits", 45).validate().is_ok());
-    }
-
-    #[test]
     fn packing_axis_is_sweepable() {
         let s = parse_toml("[sweep]\nvary = \"packing\"\nvalues = [0, 1, 3]").unwrap();
-        assert_eq!(s.with_axis("packing", 0).params.packing, PackingSpec::Off);
-        assert_eq!(s.with_axis("packing", 1).params.packing, PackingSpec::Auto);
-        assert_eq!(
-            s.with_axis("packing", 3).params.packing,
-            PackingSpec::Slots(3)
-        );
+        assert_eq!(s.with_axis("packing", 0).params.packing, Packing::Off);
+        assert_eq!(s.with_axis("packing", 1).params.packing, Packing::Auto);
+        assert_eq!(s.with_axis("packing", 3).params.packing, Packing::Slots(3));
     }
 
     #[test]
@@ -1849,20 +1789,21 @@ mod tests {
             Algo::NpdDt,
         ] {
             let cli = s.pivot_params(algo);
-            let bench = pivot_bench::algo_params(
-                algo,
-                TreeParams {
-                    max_depth: s.params.max_depth,
-                    min_samples: s.params.min_samples,
-                    max_splits: s.params.max_splits,
-                    stop_when_pure: false,
-                },
-                s.params.keysize,
-                s.seed,
-            );
+            let bench = pivot_bench::BenchConfig {
+                b: s.params.max_splits,
+                h: s.params.max_depth,
+                keysize: s.params.keysize,
+                crypto_threads: s.params.crypto_threads,
+                seed: s.seed,
+                ..Default::default()
+            }
+            .params(algo);
             assert_eq!(cli.keysize, bench.keysize, "{algo:?}");
-            assert_eq!(cli.parallel_decrypt, bench.parallel_decrypt, "{algo:?}");
+            assert_eq!(cli.crypto_threads, bench.crypto_threads, "{algo:?}");
+            assert_eq!(cli.randomness_pool, bench.randomness_pool, "{algo:?}");
+            assert_eq!(cli.dealer_pool, bench.dealer_pool, "{algo:?}");
             assert_eq!(cli.protocol, bench.protocol, "{algo:?}");
+            assert_eq!(cli.tree.stop_when_pure, bench.tree.stop_when_pure);
             assert_eq!(cli.dealer_seed, bench.dealer_seed, "{algo:?}");
         }
     }
@@ -2105,9 +2046,19 @@ mod tests {
         let err = parse_toml("algorithm = \"pivot-enhanced\"\n[params]\nverification = \"full\"")
             .unwrap_err();
         assert!(err.contains("carries no proofs"), "{err}");
-        // Neither does the packed statistics pipeline.
-        let err = parse_toml("[params]\nverification = \"full\"\npacking = \"auto\"").unwrap_err();
+        // Neither does the packed statistics pipeline: an explicit slot
+        // count is rejected, while auto packing (spelled out or not)
+        // validates and trains unpacked.
+        let err = parse_toml("[params]\nverification = \"full\"\npacking = 4").unwrap_err();
         assert!(err.contains("packing"), "{err}");
+        for text in [
+            "[params]\nverification = \"full\"",
+            "[params]\nverification = \"full\"\npacking = \"auto\"",
+        ] {
+            let p = parse_toml(text).unwrap().pivot_params(Algo::PivotBasic);
+            p.assert_valid_for(60, 3);
+            assert!(p.slot_plan(3, 60, false).is_none());
+        }
     }
 
     #[test]

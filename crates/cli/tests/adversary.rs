@@ -87,6 +87,48 @@ fn honest_spot_checked_run_matches_verification_off() {
     std::fs::remove_file(&off_path).ok();
 }
 
+/// The packed statistics pipeline carries no proofs, so the default
+/// `packing = "auto"` trains unpacked under verification — the same
+/// split-statistics ciphertexts as an explicit `packing = "off"` — and an
+/// explicit slot count is rejected.
+#[test]
+fn verified_run_with_default_packing_trains_unpacked() {
+    let full_path = variant("unpacked-full", "full", None);
+    let text = std::fs::read_to_string(&full_path).unwrap();
+    let with_packing = |name: &str, value: &str| {
+        let path = temp_path(&format!("{name}.toml"));
+        std::fs::write(&path, format!("{text}\npacking = {value}\n")).unwrap();
+        let loaded = Scenario::load(&path);
+        std::fs::remove_file(&path).ok();
+        loaded
+    };
+    let default = execute(
+        &Scenario::load(&full_path).unwrap(),
+        Algo::PivotBasic,
+        false,
+    )
+    .unwrap();
+    let off = execute(
+        &with_packing("unpacked-off", "\"off\"").unwrap(),
+        Algo::PivotBasic,
+        false,
+    )
+    .unwrap();
+    for (d, o) in default.parties.iter().zip(&off.parties) {
+        assert_eq!(
+            d.packed,
+            (0, 0, 0),
+            "party {} packed under verification",
+            d.party
+        );
+        assert_eq!(d.split_stat_ciphertexts, o.split_stat_ciphertexts);
+        assert!(d.verification.proofs_verified > 0);
+    }
+    let err = with_packing("unpacked-slots", "4").unwrap_err();
+    assert!(err.contains("packing"), "{err}");
+    std::fs::remove_file(&full_path).ok();
+}
+
 #[test]
 fn threaded_runner_names_the_tampering_party() {
     let path = variant(

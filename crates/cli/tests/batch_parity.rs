@@ -1,8 +1,9 @@
-//! The batched-crypto determinism contract, end to end: a `-PP` run
-//! (shared worker pool, 4 threads, warm offline randomness pool) must
-//! reproduce the serial run **bit for bit** — same trained model, same
-//! test metric and predictions, same per-party byte counts — under the
-//! same scenario seed, for both protocols with m = 3 parties.
+//! The batched-crypto determinism contract, end to end: a `-pp` run
+//! (shared worker pool, 4 threads, warm offline randomness and dealer
+//! pools) must reproduce the non-`-pp` run (1 thread, no pools, through
+//! the same batch API) **bit for bit** — same trained model, same test
+//! metric and predictions, same per-party byte counts — under the same
+//! scenario seed, for both protocols with m = 3 parties.
 //!
 //! This is what lets the paper's Figure-4/5 `-PP` curves be read as pure
 //! wall-clock effects: the protocol transcript is unchanged.
@@ -82,7 +83,7 @@ fn basic_pp_is_bit_identical_to_serial() {
          [data]\nkind = \"synthetic-classification\"\nsamples = 48\n\
          features_per_party = 2\nclasses = 2\n\
          [params]\nmax_depth = 2\nmax_splits = 3\nkeysize = 128\n\
-         crypto_threads = 4\nrandomness_pool = 64\n",
+         crypto_threads = 4\nrandomness_pool = 64\ndealer_pool = 128\n",
     );
     let serial = execute(&s, Algo::PivotBasic, false).unwrap();
     let parallel = execute(&s, Algo::PivotBasicPp, false).unwrap();
@@ -90,15 +91,23 @@ fn basic_pp_is_bit_identical_to_serial() {
     // The parallel run actually exercised the batched path.
     assert!(serial.parties[0].threshold_decryptions > 0);
     assert_eq!(serial.parties[0].pool.target, 0, "serial pool disabled");
+    assert_eq!(serial.parties[0].dealer_pool.target, 0);
     assert_eq!(
         parallel.parties[0].pool.target, 64,
         "pool enabled under -PP"
     );
+    assert_eq!(parallel.parties[0].dealer_pool.target, 128);
     let pool = &parallel.parties[0].pool;
     assert!(
         pool.hits + pool.misses > 0,
         "-PP run drew nonces through the pool"
     );
+    // Both runs draw their preprocessing from the same derived streams,
+    // pooled or inline.
+    for run in [&serial, &parallel] {
+        let d = &run.parties[0].dealer_pool;
+        assert!(d.triple_hits + d.triple_misses > 0 && d.masked_hits + d.masked_misses > 0);
+    }
 }
 
 #[test]

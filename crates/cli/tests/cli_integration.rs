@@ -256,13 +256,23 @@ fn bad_inputs_fail_with_nonzero_exit() {
     assert!(String::from_utf8_lossy(&r.stderr).contains("quantum"));
     std::fs::remove_file(&scenario).ok();
 
-    // Typo'd key.
-    let scenario = temp_path("bad-key.toml");
-    std::fs::write(&scenario, "[params]\nmax_dept = 3").unwrap();
-    let r = run_pivot(&["train", "--scenario", scenario.to_str().unwrap()]);
-    assert!(!r.status.success());
-    assert!(String::from_utf8_lossy(&r.stderr).contains("max_dept"));
-    std::fs::remove_file(&scenario).ok();
+    // Typo'd key, and the removed `parallel_decrypt` (the `-pp`
+    // algorithms are the one way to ask for threads and pools).
+    for (line, key) in [
+        ("max_dept = 3", "max_dept"),
+        ("parallel_decrypt = true", "parallel_decrypt"),
+    ] {
+        let scenario = temp_path("bad-key.toml");
+        std::fs::write(&scenario, format!("[params]\n{line}")).unwrap();
+        let r = run_pivot(&["train", "--scenario", scenario.to_str().unwrap()]);
+        assert!(!r.status.success());
+        let stderr = String::from_utf8_lossy(&r.stderr);
+        assert!(
+            stderr.contains(&format!("unknown key params.{key}")),
+            "{stderr}"
+        );
+        std::fs::remove_file(&scenario).ok();
+    }
 
     // bench without a sweep.
     let scenario = temp_path("no-sweep.toml");

@@ -1,13 +1,9 @@
-//! End-to-end bounded-vs-full comparison parity: `comparison_bits =
-//! "auto"` must release the same model, predictions, and metric as
-//! `"full"` (comparisons stay exact, so every argmax is range-invariant)
-//! while opening measurably fewer field elements in measurably fewer
-//! comparison rounds — the PR-5 acceptance shape, for both protocols.
-//!
-//! `comparison_bits = "full"` itself is the PR-3/PR-4 path: the legacy
-//! BitLT, the legacy single-stream dealer, and full-width masks are only
-//! reachable through it, and `batch_parity.rs` / `packing_parity.rs` keep
-//! asserting that path's transcript invariants.
+//! End-to-end bounded-vs-full-width comparison parity: the default
+//! `comparison_bits = "auto"` must release exactly the model, predictions,
+//! and metric of a run whose width floor is `int_bits` (45: every
+//! comparison at full width) — comparisons are exact at any proven width,
+//! so every argmax is range-invariant — while opening measurably fewer
+//! field elements in fewer comparison rounds, for both protocols.
 
 use pivot_bench::Algo;
 use pivot_cli::runner::{execute, Execution};
@@ -25,8 +21,8 @@ fn scenario(tag: &str, body: &str) -> Scenario {
 }
 
 /// The bounded run must release the same model and metric; the comparison
-/// transcript must shrink by the acceptance margins (opened ≥2×, rounds
-/// ≥3×) with fewer total bytes on the wire.
+/// transcript must shrink (opened ≥2×, masked bits ≥2×, fewer rounds) with
+/// fewer total bytes on the wire.
 fn assert_parity_and_reduction(full: &Execution, auto: &Execution) {
     assert_eq!(full.metric, auto.metric, "test metric");
     for (f, a) in full.parties.iter().zip(&auto.parties) {
@@ -52,8 +48,8 @@ fn assert_parity_and_reduction(full: &Execution, auto: &Execution) {
         a.opened_elements
     );
     assert!(
-        f.online_rounds >= 3 * a.online_rounds,
-        "comparison rounds must drop >=3x: full {} vs auto {}",
+        f.online_rounds > a.online_rounds,
+        "comparison rounds must drop: full {} vs auto {}",
         f.online_rounds,
         a.online_rounds
     );
@@ -94,64 +90,24 @@ fn assert_parity_and_reduction(full: &Execution, auto: &Execution) {
     );
 }
 
+/// `(full-width, auto)`: the base scenario with the width floor at
+/// `int_bits`, and as is (`"auto"` is the default).
 fn run_pair(base: &str, tag: &str, algo: Algo) -> (Execution, Execution) {
     let full = execute(
         &scenario(
             &format!("{tag}-full"),
-            &format!("{base}comparison_bits = \"full\"\n"),
+            &format!("{base}comparison_bits = 45\n"),
         ),
         algo,
         false,
     )
     .unwrap();
-    let auto = execute(
-        &scenario(
-            &format!("{tag}-auto"),
-            &format!("{base}comparison_bits = \"auto\"\n"),
-        ),
-        algo,
-        false,
-    )
-    .unwrap();
+    let auto = execute(&scenario(&format!("{tag}-auto"), base), algo, false).unwrap();
     (full, auto)
-}
-
-/// `comparison_bits = "full"` IS the pre-PR-5 path: a run with the
-/// explicit knob must be byte-for-byte the run without it (model, metric,
-/// predictions, per-party traffic, comparison transcript). Together with
-/// `batch_parity.rs` / `packing_parity.rs` — which exercise that default —
-/// this pins the PR-3/PR-4 transcript reproduction.
-#[test]
-fn explicit_full_is_bit_identical_to_default() {
-    let base = "seed = 4242\nparties = 3\n\
-         [data]\nkind = \"synthetic-classification\"\nsamples = 36\n\
-         features_per_party = 2\nclasses = 2\nflip_y = 0.05\n\
-         [params]\nmax_depth = 2\nmax_splits = 3\nkeysize = 128\n";
-    let default = execute(&scenario("default", base), Algo::PivotBasic, false).unwrap();
-    let full = execute(
-        &scenario(
-            "explicit-full",
-            &format!("{base}comparison_bits = \"full\"\n"),
-        ),
-        Algo::PivotBasic,
-        false,
-    )
-    .unwrap();
-    assert_eq!(default.metric, full.metric);
-    for (d, f) in default.parties.iter().zip(&full.parties) {
-        assert_eq!(d.predictions, f.predictions, "party {}", d.party);
-        assert_eq!(d.internal_nodes, f.internal_nodes);
-        assert_eq!(d.train_bytes_sent, f.train_bytes_sent, "party {}", d.party);
-        assert_eq!(d.train_messages_sent, f.train_messages_sent);
-        assert_eq!(d.predict_bytes_sent, f.predict_bytes_sent);
-        assert_eq!(d.comparison, f.comparison, "comparison transcript");
-    }
 }
 
 #[test]
 fn basic_bounded_comparisons_match_full() {
-    // flip_y keeps internal nodes impure so every argmax has a margin far
-    // above the ±1-ulp truncation realignment between the two dealers.
     let base = "seed = 4242\nparties = 3\n\
          [data]\nkind = \"synthetic-classification\"\nsamples = 36\n\
          features_per_party = 2\nclasses = 2\nflip_y = 0.05\n\
@@ -169,20 +125,17 @@ fn enhanced_bounded_comparisons_match_full() {
          [data]\nkind = \"synthetic-classification\"\nsamples = 30\n\
          features_per_party = 2\nclasses = 2\nflip_y = 0.05\n\
          [params]\nmax_depth = 2\nmax_splits = 3\nkeysize = 256\n\
-         crypto_threads = 4\nrandomness_pool = 64\ndealer_pool = 128\n\
-         parallel_decrypt = true\n";
-    let (full, auto) = run_pair(base, "enhanced", Algo::PivotEnhanced);
+         crypto_threads = 4\nrandomness_pool = 64\ndealer_pool = 128\n";
+    let (full, auto) = run_pair(base, "enhanced", Algo::PivotEnhancedPp);
     assert_parity_and_reduction(&full, &auto);
-    // Full mode never touches the pool; the bounded -PP run must have
-    // served at least part of its preprocessing from precompute.
-    let f = &full.parties[0].dealer_pool;
-    let a = &auto.parties[0].dealer_pool;
-    assert_eq!(f.target, 0, "full mode keeps the legacy dealer: {f:?}");
-    assert_eq!(a.target, 128);
-    assert!(
-        a.triple_hits + a.triple_misses > 0 && a.masked_hits + a.masked_misses > 0,
-        "bounded mode draws from the split streams: {a:?}"
-    );
+    for run in [&full, &auto] {
+        let d = &run.parties[0].dealer_pool;
+        assert_eq!(d.target, 128);
+        assert!(
+            d.triple_hits + d.triple_misses > 0 && d.masked_hits + d.masked_misses > 0,
+            "preprocessing draws from the pooled streams: {d:?}"
+        );
+    }
 }
 
 #[test]
@@ -219,30 +172,17 @@ fn width_floor_sits_between_full_and_auto() {
 }
 
 /// Range-invariance proof on a *near-tie* scenario: at depth 4 with thin
-/// nodes this seed's gains carry sub-ulp margins, so the split-stream
-/// dealer's ±1-ulp truncation realignment may legitimately resolve an
-/// argmax differently from `"full"` (the PR-4 packing caveat). The widths
-/// themselves never change a comparison: a width floor of `int_bits`
-/// (full-width comparisons on the bounded machinery) must reproduce the
-/// `"auto"` run — model, metric, and predictions — exactly.
+/// nodes this seed's gains carry sub-ulp margins, where any change to a
+/// comparison's outcome would flip an argmax. The widths never change a
+/// comparison: a width floor of `int_bits` (full-width comparisons) must
+/// reproduce the `"auto"` run — model, metric, and predictions — exactly.
 #[test]
 fn widths_never_flip_a_comparison_even_on_near_ties() {
     let base = "seed = 0xBE7C4\nparties = 3\n\
          [data]\nkind = \"synthetic-classification\"\nsamples = 120\n\
          features_per_party = 2\nclasses = 2\n\
          [params]\nmax_depth = 4\nmax_splits = 4\nkeysize = 256\n";
-    let auto = execute(
-        &scenario("ties-auto", &format!("{base}comparison_bits = \"auto\"\n")),
-        Algo::PivotBasic,
-        false,
-    )
-    .unwrap();
-    let floored = execute(
-        &scenario("ties-floor45", &format!("{base}comparison_bits = 45\n")),
-        Algo::PivotBasic,
-        false,
-    )
-    .unwrap();
+    let (floored, auto) = run_pair(base, "ties", Algo::PivotBasic);
     assert_eq!(auto.metric, floored.metric);
     for (a, f) in auto.parties.iter().zip(&floored.parties) {
         assert_eq!(a.predictions, f.predictions, "party {}", a.party);
@@ -258,8 +198,8 @@ fn widths_never_flip_a_comparison_even_on_near_ties() {
 
 /// GBDT residual trees train on residuals that can exceed the ±1
 /// normalized-label contract, so their gain argmax must keep the full
-/// fixed-point width even under `"auto"` (`gain_width`'s `task_override`
-/// gate) — while the count-based comparisons stay bounded.
+/// fixed-point width under `"auto"` (`gain_width`'s `task_override` gate)
+/// — while the count-based comparisons stay bounded.
 #[test]
 fn gbdt_residual_gain_argmax_keeps_full_width() {
     let base = "seed = 13\nparties = 2\n\
@@ -270,12 +210,7 @@ fn gbdt_residual_gain_argmax_keeps_full_width() {
     let (full, auto) = run_pair(base, "gbdt", Algo::PivotBasic);
     for (f, a) in full.parties.iter().zip(&auto.parties) {
         assert_eq!(f.internal_nodes, a.internal_nodes, "model shape");
-        for (x, y) in f.predictions.iter().zip(&a.predictions) {
-            assert!(
-                (x - y).abs() < 1e-3,
-                "gbdt predictions diverged: {x} vs {y}"
-            );
-        }
+        assert_eq!(f.predictions, a.predictions, "party {}", f.party);
     }
     let widths = &auto.parties[0].comparison.widths;
     let at_full: u64 = widths
@@ -305,8 +240,9 @@ fn gbdt_residual_gain_argmax_keeps_full_width() {
 #[test]
 fn bounded_regression_gbdt_leaves_match_within_ulp() {
     // Regression exercises recip_vec_int's Goldschmidt tail and the
-    // fixed-point leaf means; leaves may shift by the documented ±1-ulp
-    // truncation realignment, so compare predictions with a tolerance.
+    // fixed-point leaf means. Truncation masks come from the dealer's
+    // call-order stream, which no comparison advances, so the leaves are
+    // not merely within an ulp of the full-width run's but equal.
     let base = "seed = 11\nparties = 2\n\
          [data]\nkind = \"synthetic-regression\"\nsamples = 40\n\
          features_per_party = 2\n\
@@ -314,12 +250,7 @@ fn bounded_regression_gbdt_leaves_match_within_ulp() {
     let (full, auto) = run_pair(base, "regression", Algo::PivotBasic);
     for (f, a) in full.parties.iter().zip(&auto.parties) {
         assert_eq!(f.internal_nodes, a.internal_nodes, "model shape");
-        for (x, y) in f.predictions.iter().zip(&a.predictions) {
-            assert!(
-                (x - y).abs() < 1e-4,
-                "regression predictions diverged: {x} vs {y}"
-            );
-        }
+        assert_eq!(f.predictions, a.predictions, "party {}", f.party);
     }
     let f = &full.parties[0].comparison;
     let a = &auto.parties[0].comparison;

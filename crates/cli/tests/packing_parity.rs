@@ -2,9 +2,6 @@
 //! train the same tree (argmax parity) and produce the same test metric as
 //! `packing = "off"` — while pooling measurably fewer split-statistics
 //! ciphertexts — for both protocols at m = 3.
-//!
-//! `packing = "off"` itself is covered by `batch_parity.rs`: it stays
-//! bit-identical to the pre-packing transcript.
 
 use pivot_bench::Algo;
 use pivot_cli::runner::{execute, Execution};
@@ -65,15 +62,8 @@ fn run_pair(base: &str, tag: &str, algo: Algo) -> (Execution, Execution) {
         false,
     )
     .unwrap();
-    let auto = execute(
-        &scenario(
-            &format!("{tag}-auto"),
-            &format!("{base}packing = \"auto\"\n"),
-        ),
-        algo,
-        false,
-    )
-    .unwrap();
+    // "auto" is the default: the base scenario as is.
+    let auto = execute(&scenario(&format!("{tag}-auto"), base), algo, false).unwrap();
     (off, auto)
 }
 
@@ -99,8 +89,8 @@ fn enhanced_packed_training_matches_unpacked() {
          [data]\nkind = \"synthetic-classification\"\nsamples = 30\n\
          features_per_party = 2\nclasses = 2\nflip_y = 0.05\n\
          [params]\nmax_depth = 2\nmax_splits = 3\nkeysize = 256\n\
-         crypto_threads = 4\nrandomness_pool = 64\nparallel_decrypt = true\n";
-    let (off, auto) = run_pair(base, "enhanced", Algo::PivotEnhanced);
+         crypto_threads = 4\nrandomness_pool = 64\n";
+    let (off, auto) = run_pair(base, "enhanced", Algo::PivotEnhancedPp);
     assert_model_parity(&off, &auto);
 }
 

@@ -97,7 +97,7 @@ const GBDT: Case = Case {
 
 /// Tree shape and crypto configuration shared by every case.
 const PARAMS: &str = "[params]\nmax_depth = 2\nmax_splits = 3\nkeysize = 256\n\
-     crypto_threads = 2\npacking = \"auto\"\ncomparison_bits = \"auto\"\n";
+     crypto_threads = 2\n";
 
 fn temp_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!(

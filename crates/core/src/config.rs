@@ -19,11 +19,12 @@ pub enum Protocol {
 /// style, see `pivot_paillier::packing`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Packing {
-    /// No packing: every statistic is its own ciphertext — bit-identical
-    /// to the pre-packing (PR-3) transcript.
+    /// No packing: every statistic is its own ciphertext.
     Off,
     /// Pack with as many slots as the keysize admits under the slot-width
-    /// audit ([`PivotParams::slot_plan`]).
+    /// audit ([`PivotParams::slot_plan`]); unpacked where packing cannot
+    /// apply (under `verification`, whose proofs cover the unpacked
+    /// statistics only).
     Auto,
     /// Pack with exactly this many slots (must not exceed the audited
     /// maximum; rejected by [`PivotParams::assert_valid`] otherwise).
@@ -148,41 +149,35 @@ pub struct PivotParams {
     pub tree: TreeParams,
     /// Protocol variant.
     pub protocol: Protocol,
-    /// Paillier modulus bits (the paper's "keysize": 1024 default,
-    /// 512 for accuracy runs; tests use 128–256).
+    /// Paillier modulus bits (the paper's "keysize": 1024 in §8, 512 for
+    /// its accuracy runs; `Default` gives 256, tests use 128–256).
     pub keysize: u32,
     /// MPC fixed-point layout.
     pub fixed: FixedConfig,
-    /// Parallelize the homomorphic bulk operations (the paper's `-PP`
-    /// variants — §8.3 parallelizes threshold decryption with 6 cores;
-    /// this reproduction batches *every* bulk crypto operation through the
-    /// shared worker pool and enables the offline randomness pool).
-    /// Off or on, the trained model and per-party traffic are
-    /// bit-identical: batches are order-preserving and encryption nonces
-    /// come from the same seeded stream in the same order.
-    pub parallel_decrypt: bool,
-    /// Worker threads for batched crypto operations (paper: 6).
+    /// Worker threads for the batched crypto operations (every bulk
+    /// homomorphic operation goes through the shared worker pool). The
+    /// paper's `-PP` variants (§8.3: threshold decryption on 6 cores) are
+    /// this knob above 1; at any value the trained model and per-party
+    /// traffic are bit-identical: batches are order-preserving and
+    /// encryption nonces come from the same seeded stream in the same
+    /// order.
     pub crypto_threads: usize,
     /// Offline randomness-pool size: how many `r^N mod N²` nonce powers
     /// background workers keep precomputed (0 disables precomputation).
-    /// Only active under `parallel_decrypt`; has no effect on outputs.
+    /// Has no effect on outputs.
     pub randomness_pool: usize,
-    /// Ciphertext packing for split statistics. `Off` keeps the exact
-    /// pre-packing transcript; `Auto`/`Slots(_)` train the *same tree*
-    /// (argmax parity) over packed statistics and level-wise batched
-    /// conversions.
+    /// Ciphertext packing for split statistics. `Auto`/`Slots(_)` train
+    /// the *same tree* as `Off` (argmax parity) over packed statistics
+    /// and level-wise batched conversions.
     pub packing: Packing,
-    /// Secure-comparison width policy. `Full` pins every comparison to
-    /// `fixed.int_bits` on the legacy linear BitLT — bit-for-bit the
-    /// PR-3/PR-4 transcript. `Auto` lets every call site pay only for its
-    /// proven value range on the log-depth BitLT ladder (same released
-    /// models: comparisons stay exact, so every argmax is unchanged).
-    /// `Floor(n)` is `Auto` with a minimum width — a conservative dial.
+    /// Secure-comparison width policy. `Auto` lets every call site pay
+    /// only for its proven value range (comparisons stay exact at any
+    /// width, so every argmax is unchanged). `Floor(n)` is `Auto` with a
+    /// minimum width — a conservative dial.
     pub comparison_bits: CompareBits,
     /// Offline dealer-pool size: how many Beaver triples / masked-bit
     /// rows per stream background workers keep precomputed (0 disables
-    /// precomputation). Only active under `parallel_decrypt` and a
-    /// bounded `comparison_bits` policy; has no effect on outputs.
+    /// precomputation). Has no effect on outputs.
     pub dealer_pool: usize,
     /// Common seed for the simulated MPC offline phase.
     pub dealer_seed: u64,
@@ -190,9 +185,9 @@ pub struct PivotParams {
     /// and checks nothing — bit-identical transcript. `Spot(p)`/`Full`
     /// attach Σ-protocol proofs to every ciphertext commit and verify a
     /// deterministic fraction; a rejected proof raises
-    /// `ProtocolError::ProofRejected` naming the prover. Requires
-    /// `packing = Off` (the packed statistics pipeline carries no
-    /// proofs).
+    /// `ProtocolError::ProofRejected` naming the prover. The packed
+    /// statistics pipeline carries no proofs: `Packing::Auto` trains
+    /// unpacked under verification and `Packing::Slots(_)` is rejected.
     pub verification: Verification,
     /// Deterministic malicious-party injection for CI/testing; only
     /// meaningful with `verification` on.
@@ -212,11 +207,10 @@ impl Default for PivotParams {
             protocol: Protocol::Basic,
             keysize: 256,
             fixed: FixedConfig::default(),
-            parallel_decrypt: false,
             crypto_threads: 6,
             randomness_pool: 256,
-            packing: Packing::Off,
-            comparison_bits: CompareBits::Full,
+            packing: Packing::Auto,
+            comparison_bits: CompareBits::Auto,
             dealer_pool: 256,
             dealer_seed: 0x9162_07,
             verification: Verification::Off,
@@ -239,37 +233,6 @@ impl PivotParams {
         p
     }
 
-    /// Worker threads the batched crypto operations may use:
-    /// `crypto_threads` under the `-PP` knob, else 1 (the serial path).
-    pub fn effective_crypto_threads(&self) -> usize {
-        if self.parallel_decrypt {
-            self.crypto_threads.max(1)
-        } else {
-            1
-        }
-    }
-
-    /// Offline randomness-pool target: 0 (no background precomputation)
-    /// on the serial path.
-    pub fn effective_randomness_pool(&self) -> usize {
-        if self.parallel_decrypt {
-            self.randomness_pool
-        } else {
-            0
-        }
-    }
-
-    /// Offline dealer-pool target: background precomputation needs the
-    /// worker pool (`parallel_decrypt`) and the split preprocessing
-    /// streams of a bounded comparison policy; 0 everywhere else.
-    pub fn effective_dealer_pool(&self) -> usize {
-        if self.parallel_decrypt && self.comparison_bits != CompareBits::Full {
-            self.dealer_pool
-        } else {
-            0
-        }
-    }
-
     /// The slot-width audit (ROADMAP: "slot-width audit against the gain
     /// pipeline's `n²·2^f` bound"): how wide a packed slot must be so that
     /// over a packed statistic's whole life no slot sum ever carries into
@@ -279,17 +242,21 @@ impl PivotParams {
     /// signedness offset) `+ m·(p−1)` (every party's conversion mask),
     ///
     /// and the audited width is `bits(worst_case)`. Returns the width and
-    /// how many such slots the keysize admits (`None` under
-    /// [`Packing::Off`]).
+    /// how many such slots the keysize admits (`None` when the run is
+    /// unpacked: [`Packing::Off`], or [`Packing::Auto`] under
+    /// verification).
     pub fn slot_plan(
         &self,
         parties: usize,
         n_samples: usize,
         regression: bool,
     ) -> Option<SlotPlan> {
-        if self.packing == Packing::Off {
-            return None;
-        }
+        let explicit_slots = match self.packing {
+            Packing::Off => return None,
+            Packing::Auto if self.verification.is_on() => return None,
+            Packing::Auto => None,
+            Packing::Slots(n) => Some(n),
+        };
         let n = (n_samples as u128).max(4);
         let m = parties as u128;
         // Widest label multiplier per sample: class indicators are 0/1;
@@ -317,11 +284,7 @@ impl PivotParams {
         let worst = stat_bound + offset + mask_bound;
         let slot_bits = 128 - worst.leading_zeros();
         let max_slots = SlotCodec::max_slots(self.keysize, slot_bits);
-        let slots = match self.packing {
-            Packing::Off => unreachable!("handled above"),
-            Packing::Auto => max_slots,
-            Packing::Slots(n) => n,
-        };
+        let slots = explicit_slots.unwrap_or(max_slots);
         Some(SlotPlan { slot_bits, slots })
     }
 
@@ -360,9 +323,9 @@ impl PivotParams {
         }
         if self.verification.is_on() {
             assert!(
-                self.packing == Packing::Off,
-                "verification requires packing = off (the packed statistics \
-                 pipeline carries no proofs)"
+                !matches!(self.packing, Packing::Slots(_)),
+                "verification cannot run an explicit packing slot count (the \
+                 packed statistics pipeline carries no proofs)"
             );
         }
         if let Some(adv) = &self.adversary {
@@ -419,7 +382,11 @@ mod tests {
 
     #[test]
     fn defaults_validate() {
-        PivotParams::default().assert_valid(10_000);
+        let p = PivotParams::default();
+        p.assert_valid(10_000);
+        // The defaults are the fast configuration.
+        assert_eq!(p.packing, Packing::Auto);
+        assert_eq!(p.comparison_bits, CompareBits::Auto);
     }
 
     #[test]
@@ -462,8 +429,11 @@ mod tests {
         assert!((p.verification.probability() - 0.25).abs() < 1e-12);
         assert_eq!(Verification::Full.probability(), 1.0);
         assert!(!Verification::Off.is_on());
-        // Packing and verification are mutually exclusive.
-        p.packing = Packing::Auto;
+        // The packed pipeline carries no proofs: auto packing resolves to
+        // unpacked, an explicit slot count is rejected.
+        assert_eq!(p.packing, Packing::Auto);
+        assert!(p.slot_plan(3, 100, false).is_none());
+        p.packing = Packing::Slots(2);
         assert!(std::panic::catch_unwind(|| p.assert_valid_for(100, 3)).is_err());
         // Spot probability outside [0,1] is rejected.
         let bad = PivotParams {
@@ -485,7 +455,10 @@ mod tests {
 
     #[test]
     fn slot_plan_audits_width_against_masks_and_stats() {
-        let mut p = PivotParams::default();
+        let mut p = PivotParams {
+            packing: Packing::Off,
+            ..Default::default()
+        };
         assert!(p.slot_plan(3, 100, false).is_none(), "off means no plan");
         p.packing = Packing::Auto;
         let plan = p.slot_plan(3, 100, false).expect("auto plan");
@@ -506,7 +479,6 @@ mod tests {
         // The enhanced protocol's Eqn-10 alpha slack multiplies the
         // statistics bound by m·p: n = 100, m = 3 → 300·2^61 ≈ 2^69.2.
         let mut p = PivotParams::enhanced();
-        p.packing = Packing::Auto;
         p.keysize = 512;
         let classification = p.slot_plan(3, 100, false).unwrap();
         assert_eq!(classification.slot_bits, 70);
@@ -517,7 +489,6 @@ mod tests {
         assert_eq!(regression.slots, 5);
         // The basic protocol at the same shape stays mask-dominated.
         let basic = PivotParams {
-            packing: Packing::Auto,
             keysize: 512,
             ..Default::default()
         };

@@ -37,8 +37,8 @@ pub struct PartyContext<'a> {
     pub rng: StdRng,
     /// The party's Paillier nonce stream plus the offline randomness pool
     /// precomputing `r^N mod N²` powers during idle phases. All protocol
-    /// encryptions draw from this stream in a defined order, so the
-    /// batched/pooled path is bit-identical to the serial path.
+    /// encryptions draw from this stream in a defined order, so outputs
+    /// are bit-identical at any thread count and pool size.
     pub nonces: Arc<NoncePool>,
     /// Task override for subprotocols (GBDT trains *regression* trees on
     /// residuals even when the outer task is classification).
@@ -103,7 +103,7 @@ impl<'a> PartyContext<'a> {
         );
 
         let mut engine = MpcEngine::new(ep, params.dealer_seed, params.fixed);
-        engine.configure_comparisons(params.comparison_bits, params.effective_dealer_pool());
+        engine.configure_comparisons(params.comparison_bits, params.dealer_pool);
         // Key generation / view exchange is an idle phase: start the
         // offline dealer precompute alongside the nonce prefill below.
         engine.dealer_refill();
@@ -113,11 +113,7 @@ impl<'a> PartyContext<'a> {
         // so kick off the first background prefill right here.
         let nonce_seed =
             params.dealer_seed ^ 0x0FF1_CE_9A11 ^ ((ep.id() as u64 + 1).rotate_left(40));
-        let nonces = NoncePool::new(
-            keys.pk.clone(),
-            nonce_seed,
-            params.effective_randomness_pool(),
-        );
+        let nonces = NoncePool::new(keys.pk.clone(), nonce_seed, params.randomness_pool);
         nonces.refill();
         // Verification needs the encryption nonces as proof witnesses:
         // turn on retention before the first protocol encryption.
@@ -190,13 +186,12 @@ impl<'a> PartyContext<'a> {
         }
     }
 
-    /// Worker threads available to this party's batched crypto operations
-    /// (1 on the serial path).
+    /// Worker threads available to this party's batched crypto operations.
     pub fn crypto_threads(&self) -> usize {
-        self.params.effective_crypto_threads()
+        self.params.crypto_threads.max(1)
     }
 
-    /// The packing codec for this run, when `params.packing` is enabled:
+    /// The packing codec for this run, when `params.packing` applies:
     /// slot width audited against this run's `m`, `n`, task and protocol
     /// (see [`PivotParams::slot_plan`]).
     pub fn packing_codec(&self) -> Option<pivot_paillier::SlotCodec> {

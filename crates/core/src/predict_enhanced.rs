@@ -11,7 +11,7 @@ use crate::party::PartyContext;
 use crate::train_enhanced::threshold_offset_bits;
 use pivot_bignum::BigUint;
 use pivot_data::Task;
-use pivot_mpc::{CompareBits, Fp, Share};
+use pivot_mpc::{Fp, Share};
 use std::collections::{BTreeMap, HashMap};
 
 /// Jointly predict one sample on a concealed tree.
@@ -117,11 +117,7 @@ pub fn predict_batch(
                 diffs.push(*t - node_feature_shares[pos][s]);
             }
         }
-        let rights = if ctx.params.comparison_bits == CompareBits::Full {
-            ctx.engine.ltz_vec(&diffs)
-        } else {
-            bounded_node_comparisons(ctx, &internals, local_samples, &diffs, n_samples)
-        };
+        let rights = bounded_node_comparisons(ctx, &internals, local_samples, &diffs, n_samples);
         let party = ctx.id();
         let one = Share::from_public(party, Fp::ONE);
 

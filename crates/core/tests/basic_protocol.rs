@@ -323,10 +323,11 @@ fn packed_training_builds_the_same_tree() {
         max_splits: 3,
         ..Default::default()
     };
-    let unpacked = pivot_train(&data, 3, &small_params(tree_params.clone()));
-    let mut packed_params = small_params(tree_params);
-    packed_params.packing = pivot_core::config::Packing::Auto;
-    let packed = pivot_train(&data, 3, &packed_params);
+    let mut unpacked_params = small_params(tree_params.clone());
+    unpacked_params.packing = pivot_core::config::Packing::Off;
+    let unpacked = pivot_train(&data, 3, &unpacked_params);
+    // Auto packing is the default.
+    let packed = pivot_train(&data, 3, &small_params(tree_params));
     assert_eq!(packed[0], unpacked[0], "packed tree must match unpacked");
     for tree in &packed[1..] {
         assert_eq!(tree, &packed[0], "all parties agree");
@@ -349,7 +350,9 @@ fn packed_regression_matches_unpacked() {
         max_splits: 3,
         ..Default::default()
     };
-    let unpacked = pivot_train(&data, 2, &small_params(tree_params.clone()));
+    let mut unpacked_params = small_params(tree_params.clone());
+    unpacked_params.packing = pivot_core::config::Packing::Off;
+    let unpacked = pivot_train(&data, 2, &unpacked_params);
     let mut packed_params = small_params(tree_params);
     packed_params.packing = pivot_core::config::Packing::Slots(2);
     let packed = pivot_train(&data, 2, &packed_params);

@@ -258,10 +258,11 @@ fn packed_enhanced_predicts_like_unpacked() {
             (tree, preds, ctx.metrics.split_stat_ciphertexts())
         })
     };
-    let unpacked = run(enhanced_params(tree_params.clone()));
-    let mut packed_params = enhanced_params(tree_params);
-    packed_params.packing = pivot_core::config::Packing::Auto;
-    let packed = run(packed_params);
+    let mut unpacked_params = enhanced_params(tree_params.clone());
+    unpacked_params.packing = pivot_core::config::Packing::Off;
+    let unpacked = run(unpacked_params);
+    // Auto packing is the default.
+    let packed = run(enhanced_params(tree_params));
 
     let (u_tree, u_preds, u_stats) = &unpacked[0];
     let (p_tree, p_preds, p_stats) = &packed[0];
@@ -306,10 +307,10 @@ fn packed_enhanced_predicts_like_unpacked() {
 
 #[test]
 fn bounded_prediction_comparisons_match_full_width() {
-    // Under a bounded comparison policy the per-feature range contract
-    // drives `ltz_vec_bounded` at prediction time; the predictions must
-    // be identical to the full-width path while the predict-phase
-    // comparison widths stay below `int_bits`.
+    // The per-feature range contract drives `ltz_vec_bounded` at
+    // prediction time; the predictions must be identical to a run whose
+    // width floor pins every comparison to `int_bits`, while the
+    // predict-phase comparison widths stay below `int_bits`.
     let data = crisp_dataset();
     let m = 2;
     let tree_params = TreeParams {
@@ -347,12 +348,12 @@ fn bounded_prediction_comparisons_match_full_width() {
         })
     };
 
-    let full = run(enhanced_params(tree_params.clone()));
-    let mut bounded_params = enhanced_params(tree_params);
-    bounded_params.comparison_bits = pivot_core::CompareBits::Auto;
-    let bounded = run(bounded_params);
-
     let int_bits = enhanced_params(TreeParams::default()).fixed.int_bits;
+    let mut full_params = enhanced_params(tree_params.clone());
+    full_params.comparison_bits = pivot_core::CompareBits::Floor(int_bits);
+    let full = run(full_params);
+    let bounded = run(enhanced_params(tree_params));
+
     for ((f_preds, f_widths), (b_preds, b_widths)) in full.iter().zip(&bounded) {
         assert_eq!(
             f_preds, b_preds,

@@ -6,8 +6,9 @@
 //! appliances energy) and on sklearn-generated synthetic data. The UCI
 //! files are not redistributable here, so [`synth`] provides generators
 //! that mimic `sklearn.datasets.make_classification` / `make_regression`
-//! and presets with the exact shapes of the three real datasets (see
-//! DESIGN.md §3 for why that preserves Table 3's claim).
+//! and presets with the exact shapes of the three real datasets. That
+//! preserves Table 3's claim, which is about the *gap* between Pivot and
+//! the non-private baselines on the same data, not the absolute accuracy.
 
 mod csv;
 mod dataset;

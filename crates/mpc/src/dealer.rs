@@ -13,28 +13,22 @@
 //! online protocols built on top are the real ones; swapping in genuine
 //! OT/HE-based preprocessing would not change any online message.
 //!
-//! Two stream layouts coexist:
-//!
-//! * **Legacy single stream** (`comparison_bits = "full"`): every draw —
-//!   triples, masks, truncation pairs — advances one PRG in protocol call
-//!   order, reproducing the PR-3/PR-4 transcripts bit for bit. Nothing can
-//!   be precomputed ahead of time without perturbing later draws.
-//! * **Split streams** (bounded comparison modes): Beaver triples and
-//!   masked-bit rows move to *dedicated derived streams*, one per material
-//!   kind (and per mask width). Each stream is consumed FIFO, so a
-//!   [`DealerPool`] can precompute rows on background workers during idle
-//!   phases without changing a single value — the same determinism contract
-//!   as the PR-3 `NoncePool`. Order-sensitive material (probabilistic
-//!   truncation pairs, DP unit fractions, random bits/shares) stays on the
-//!   legacy stream: its values feed ±1-ulp rounding and DP draws, so
-//!   reordering would change results, not just transcripts.
+//! Stream layout: Beaver triples and masked-bit rows come from *dedicated
+//! derived streams*, one per material kind (and per mask width). Each
+//! stream is consumed FIFO, so a [`DealerPool`] can precompute rows on
+//! background workers during idle phases without changing a single value
+//! — the same determinism contract as the `NoncePool`. Order-sensitive
+//! material (probabilistic truncation pairs, DP unit fractions, random
+//! bits/shares) advances the client's own PRG in protocol call order: its
+//! values feed ±1-ulp rounding and DP draws, so reordering would change
+//! results, not just transcripts.
 
 use crate::field::{Fp, MODULUS};
 use crate::fixed::FixedConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A Beaver multiplication triple share: `(⟨a⟩, ⟨b⟩, ⟨ab⟩)`.
@@ -94,7 +88,7 @@ fn draw_triple(rng: &mut StdRng, party: usize, m: usize) -> TripleShare {
 
 /// One masked-bit row: `t` bit-decomposed low bits plus a uniform
 /// `high_bits`-bit high part. The caller fixes `high_bits = k + κ − t`
-/// for the audited comparison width `k` (legacy callers: `k = int_bits`).
+/// for the audited comparison width `k`.
 fn draw_masked_row(
     rng: &mut StdRng,
     party: usize,
@@ -209,16 +203,16 @@ impl<T> Stream<T> {
     }
 }
 
-/// Per-party offline pool for the split-stream dealer layout: Beaver
-/// triples and masked-bit rows precomputed on the `pivot-runtime`
-/// background queue during idle phases (mirroring the PR-3 `NoncePool`).
+/// Per-party offline pool: the derived Beaver-triple and masked-bit-row
+/// streams, precomputed on the `pivot-runtime` background queue during
+/// idle phases (mirroring the `NoncePool`).
 pub struct DealerPool {
     party: usize,
     m: usize,
     seed: u64,
     /// Refill target per stream; 0 disables background precomputation
     /// (everything generates inline, still from the derived streams).
-    target: usize,
+    target: AtomicUsize,
     triples: Mutex<Stream<TripleShare>>,
     /// Masked-bit streams keyed by `(t, high_bits)` — each width draws
     /// from its own derived seed, so widths never perturb each other.
@@ -232,12 +226,13 @@ pub struct DealerPool {
 }
 
 impl DealerPool {
-    pub fn new(seed: u64, party: usize, m: usize, target: usize) -> Arc<DealerPool> {
+    /// A pool with refill target 0 (see [`Self::set_target`]).
+    fn new(seed: u64, party: usize, m: usize) -> Arc<DealerPool> {
         Arc::new(DealerPool {
             party,
             m,
             seed,
-            target,
+            target: AtomicUsize::new(0),
             triples: Mutex::new(Stream::new(derived_seed(seed, TRIPLE_TAG))),
             masked: Mutex::new(HashMap::new()),
             refill_pending: AtomicBool::new(false),
@@ -247,6 +242,16 @@ impl DealerPool {
             masked_misses: AtomicU64::new(0),
             produced: AtomicU64::new(0),
         })
+    }
+
+    /// Set the refill target per stream. Values are FIFO per stream, so
+    /// changing the target at any point never changes a drawn value.
+    pub fn set_target(&self, target: usize) {
+        self.target.store(target, Ordering::Relaxed);
+    }
+
+    fn target(&self) -> usize {
+        self.target.load(Ordering::Relaxed)
     }
 
     /// Take `n` triples: precomputed rows first (FIFO), inline generation
@@ -323,7 +328,8 @@ impl DealerPool {
     /// bursty consumers without changing a single drawn value (rows are
     /// FIFO; values depend only on draw order).
     pub fn refill(self: &Arc<Self>) {
-        if self.target == 0 || self.refill_pending.swap(true, Ordering::AcqRel) {
+        let target = self.target();
+        if target == 0 || self.refill_pending.swap(true, Ordering::AcqRel) {
             return;
         }
         let pool = Arc::clone(self);
@@ -335,7 +341,7 @@ impl DealerPool {
             let triple_goal = {
                 let mut s = pool.triples.lock().expect("dealer pool poisoned");
                 s.burst = s.burst.max(std::mem::take(&mut s.demand));
-                pool.target.max(s.burst.max(s.level_burst) as usize)
+                target.max(s.burst.max(s.level_burst) as usize)
             };
             loop {
                 let mut s = pool.triples.lock().expect("dealer pool poisoned");
@@ -358,7 +364,7 @@ impl DealerPool {
                     let mut map = pool.masked.lock().expect("dealer pool poisoned");
                     let s = map.get_mut(&key).expect("known key");
                     s.burst = s.burst.max(std::mem::take(&mut s.demand));
-                    pool.target.max(s.burst.max(s.level_burst) as usize)
+                    target.max(s.burst.max(s.level_burst) as usize)
                 };
                 loop {
                     let mut map = pool.masked.lock().expect("dealer pool poisoned");
@@ -387,7 +393,8 @@ impl DealerPool {
     /// generation instead of the online takes. Values are unchanged
     /// either way (FIFO streams).
     pub fn refill_blocking(&self, grow_num: usize, grow_den: usize) {
-        if self.target == 0 {
+        let target = self.target();
+        if target == 0 {
             return;
         }
         let scaled = |burst: u64| -> usize {
@@ -398,7 +405,7 @@ impl DealerPool {
             let mut s = self.triples.lock().expect("dealer pool poisoned");
             s.burst = s.burst.max(std::mem::take(&mut s.demand));
             s.level_burst = s.level_burst.max(std::mem::take(&mut s.level_demand));
-            let goal = self.target.max(scaled(s.level_burst));
+            let goal = target.max(scaled(s.level_burst));
             let mut made = 0u64;
             while s.queue.len() < goal {
                 let t = draw_triple(&mut s.rng, self.party, self.m);
@@ -416,7 +423,7 @@ impl DealerPool {
             let s = map.get_mut(&key).expect("known key");
             s.burst = s.burst.max(std::mem::take(&mut s.demand));
             s.level_burst = s.level_burst.max(std::mem::take(&mut s.level_demand));
-            let goal = self.target.max(scaled(s.level_burst));
+            let goal = target.max(scaled(s.level_burst));
             let mut made = 0u64;
             while s.queue.len() < goal {
                 let row = draw_masked_row(&mut s.rng, self.party, self.m, key.0, key.1);
@@ -429,7 +436,7 @@ impl DealerPool {
 
     pub fn stats(&self) -> DealerPoolStats {
         DealerPoolStats {
-            target: self.target as u64,
+            target: self.target() as u64,
             triple_hits: self.triple_hits.load(Ordering::Relaxed),
             triple_misses: self.triple_misses.load(Ordering::Relaxed),
             masked_hits: self.masked_hits.load(Ordering::Relaxed),
@@ -443,13 +450,12 @@ impl DealerPool {
 /// the same `seed` and call the same sequence of methods; each call advances
 /// an identical PRG stream and returns this party's component.
 pub struct DealerClient {
+    /// Call-order stream for the order-sensitive material.
     rng: StdRng,
     party: usize,
     m: usize,
-    seed: u64,
-    /// Set in bounded comparison modes: triples and masked rows come from
-    /// the pool's derived streams instead of the legacy single stream.
-    pool: Option<Arc<DealerPool>>,
+    /// The derived FIFO streams serving triples and masked-bit rows.
+    pool: Arc<DealerPool>,
 }
 
 impl DealerClient {
@@ -460,8 +466,7 @@ impl DealerClient {
             rng: StdRng::seed_from_u64(seed),
             party,
             m,
-            seed,
-            pool: None,
+            pool: DealerPool::new(seed, party, m),
         }
     }
 
@@ -470,24 +475,9 @@ impl DealerClient {
         self.m
     }
 
-    /// Switch triples and masked-bit rows onto dedicated derived streams
-    /// (bounded comparison modes) with `target` precomputed rows per
-    /// stream (0 = inline generation, still poolable semantics).
-    ///
-    /// Must be called before the first draw; the legacy stream keeps
-    /// serving the order-sensitive material either way.
-    pub fn enable_split_streams(&mut self, target: usize) {
-        self.pool = Some(DealerPool::new(self.seed, self.party, self.m, target));
-    }
-
-    /// The offline pool, when split streams are enabled.
-    pub fn pool(&self) -> Option<&Arc<DealerPool>> {
-        self.pool.as_ref()
-    }
-
-    /// Pool behavior counters (zeros under the legacy single stream).
-    pub fn pool_stats(&self) -> DealerPoolStats {
-        self.pool.as_ref().map(|p| p.stats()).unwrap_or_default()
+    /// The offline pool behind the triple and masked-row streams.
+    pub fn pool(&self) -> &Arc<DealerPool> {
+        &self.pool
     }
 
     fn uniform(&mut self) -> Fp {
@@ -505,12 +495,7 @@ impl DealerClient {
 
     /// A batch of Beaver triples.
     pub fn triples(&mut self, n: usize) -> Vec<TripleShare> {
-        match &self.pool {
-            Some(pool) => pool.take_triples(n),
-            None => (0..n)
-                .map(|_| draw_triple(&mut self.rng, self.party, self.m))
-                .collect(),
-        }
+        self.pool.take_triples(n)
     }
 
     /// Share of a uniformly random field element (unknown to all parties).
@@ -526,17 +511,10 @@ impl DealerClient {
     }
 
     /// Masked-truncation material for `Mod2m` with `t` low bits: the low
-    /// part is bit-decomposed, the high part is uniform in
-    /// `[0, 2^(int_bits + κ - t))` per `cfg` (legacy full-width call).
-    pub fn masked_bits(&mut self, t: u32, cfg: &FixedConfig) -> MaskedBitsShare {
-        self.masked_rows(t, cfg.int_bits, 1, cfg).remove(0)
-    }
-
-    /// Width-aware masked-bit rows: the comparison operates on values in
+    /// part is bit-decomposed. The comparison operates on values in
     /// `[0, 2^k)`, so the high part only needs `k + κ − t` bits — the
     /// statistical-headroom audit scales with the *proven* range instead
-    /// of the global `int_bits`. With `k = cfg.int_bits` and the legacy
-    /// stream this is draw-for-draw identical to the PR-3/PR-4 dealer.
+    /// of the global `int_bits`.
     pub fn masked_rows(
         &mut self,
         t: u32,
@@ -552,19 +530,14 @@ impl DealerClient {
             k + cfg.kappa
         );
         let high_bits = k + cfg.kappa - t;
-        match &self.pool {
-            Some(pool) => pool.take_masked(t, high_bits, n),
-            None => (0..n)
-                .map(|_| draw_masked_row(&mut self.rng, self.party, self.m, t, high_bits))
-                .collect(),
-        }
+        self.pool.take_masked(t, high_bits, n)
     }
 
     /// Probabilistic-truncation mask: `(⟨r⟩, ⟨r_high⟩)` with
     /// `r = r_high·2^t + r_low`, `r_low` uniform in `[0, 2^t)` (bits not
     /// needed for the probabilistic variant).
     ///
-    /// Always drawn from the legacy stream: the mask value decides the
+    /// Always drawn from the call-order stream: the mask value decides the
     /// ±1-ulp rounding of every probabilistic truncation, so reordering
     /// draws would change *results*, not just transcripts.
     pub fn trunc_pair(&mut self, t: u32, cfg: &FixedConfig) -> (Fp, Fp) {
@@ -577,7 +550,7 @@ impl DealerClient {
 
     /// Shares of a uniform fixed-point value in `[0, 1)` (that is, a random
     /// `f`-bit integer at scale `2^-f`) — used by the DP samplers (Alg. 5/6).
-    /// Legacy stream: the draw *is* the DP randomness.
+    /// Call-order stream: the draw *is* the DP randomness.
     pub fn random_unit_fraction(&mut self, cfg: &FixedConfig) -> Fp {
         let v = self.rng.gen_range(0..(1u64 << cfg.frac_bits));
         self.split(Fp::new(v))
@@ -627,7 +600,10 @@ mod tests {
         let cfg = FixedConfig::default();
         let mut cs = clients(2);
         for _ in 0..10 {
-            let ms: Vec<MaskedBitsShare> = cs.iter_mut().map(|c| c.masked_bits(16, &cfg)).collect();
+            let ms: Vec<MaskedBitsShare> = cs
+                .iter_mut()
+                .map(|c| c.masked_rows(16, cfg.int_bits, 1, &cfg).remove(0))
+                .collect();
             let r = reconstruct(ms.iter().map(|m| m.r)).value();
             let r_high = reconstruct(ms.iter().map(|m| m.r_high)).value();
             let mut low = 0u64;
@@ -707,9 +683,10 @@ mod tests {
 
     #[test]
     fn split_streams_match_inline_generation() {
-        // Pooled (precomputed) and unpooled (inline) split-stream dealers
-        // must produce identical values in identical order — the
-        // determinism contract behind background precomputation.
+        // A fresh, unconfigured client (inline generation) and a pooled
+        // client with a warm queue must produce identical values in
+        // identical order — the determinism contract behind background
+        // precomputation.
         let cfg = FixedConfig::default();
         let drain = |c: &mut DealerClient| {
             let mut out: Vec<Fp> = Vec::new();
@@ -726,21 +703,19 @@ mod tests {
             }
             out
         };
-        let mut inline = DealerClient::new(77, 0, 2);
-        inline.enable_split_streams(0);
-        let baseline = drain(&mut inline);
+        let baseline = drain(&mut DealerClient::new(77, 0, 2));
 
         let mut pooled = DealerClient::new(77, 0, 2);
-        pooled.enable_split_streams(64);
+        pooled.pool().set_target(64);
         // Force a full precompute round and wait for it to land.
-        pooled.pool().unwrap().refill();
+        pooled.pool().refill();
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while pooled.pool().unwrap().stats().produced < 64 {
+        while pooled.pool().stats().produced < 64 {
             assert!(std::time::Instant::now() < deadline, "refill never ran");
             std::thread::yield_now();
         }
         assert_eq!(drain(&mut pooled), baseline);
-        let stats = pooled.pool().unwrap().stats();
+        let stats = pooled.pool().stats();
         assert!(
             stats.triple_hits > 0,
             "precomputed triples unused: {stats:?}"
@@ -753,12 +728,10 @@ mod tests {
         // Draw order across widths must not perturb the per-width values.
         let cfg = FixedConfig::default();
         let mut a = DealerClient::new(5, 0, 2);
-        a.enable_split_streams(0);
         let narrow_first: Vec<Fp> = a.masked_rows(5, 6, 3, &cfg).iter().map(|r| r.r).collect();
         let _wide = a.masked_rows(20, 30, 3, &cfg);
 
         let mut b = DealerClient::new(5, 0, 2);
-        b.enable_split_streams(0);
         let _wide = b.masked_rows(20, 30, 3, &cfg);
         let narrow_second: Vec<Fp> = b.masked_rows(5, 6, 3, &cfg).iter().map(|r| r.r).collect();
         assert_eq!(narrow_first, narrow_second);

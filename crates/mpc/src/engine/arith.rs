@@ -55,15 +55,9 @@ impl MpcEngine<'_> {
         if n == 0 {
             return Vec::new();
         }
-        let f = self.cfg.frac_bits;
-        let fixed: Vec<Share> = d.iter().map(|&x| x.scale(Fp::pow2(f))).collect();
-        if self.legacy_comparisons() {
-            // Full-width policy: take exactly the fixed-point comparison
-            // path, reproducing the PR-3/PR-4 transcript bit for bit.
-            return self.recip_vec(&fixed, bound);
-        }
         assert!(bound >= 1.0, "bound must cover the input range");
         let s = (bound.log2().ceil() as u32).max(1);
+        let f = self.cfg.frac_bits;
         assert!(
             s + 1 + f < self.cfg.int_bits,
             "reciprocal bound 2^{s} too large for the fixed-point layout"
@@ -76,6 +70,7 @@ impl MpcEngine<'_> {
             }
         }
         let bits = self.ltz_vec_bounded(&batch, s + 2);
+        let fixed: Vec<Share> = d.iter().map(|&x| x.scale(Fp::pow2(f))).collect();
         self.recip_tail(&fixed, &bits, s)
     }
 

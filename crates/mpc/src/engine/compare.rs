@@ -12,16 +12,14 @@
 //! the caller's *proven* value range `k` (signed values of magnitude below
 //! `2^(k−1)`), so a comparison pays `O(k)` masked bits and Beaver openings
 //! instead of the global `O(int_bits)`. The policy knob
-//! ([`super::CompareBits`]) resolves requested widths: `Full` pins every
-//! width to `int_bits` *and* keeps the legacy linear BitLT, reproducing
-//! the PR-3/PR-4 transcript bit for bit; `Auto`/`Floor` run the bounded
-//! widths through the log-depth BitLT ladder below.
+//! ([`super::CompareBits`]) resolves requested widths: `Auto` takes them
+//! as given, `Floor(n)` raises them to at least `n`.
 //!
-//! **Log-depth BitLT.** The bounded path replaces the linear MSB-down
-//! prefix-OR (`t − 1` rounds) with a Brent–Kung style ladder:
-//! `2⌈log₂ t⌉ − 1` multiplication rounds and ≈`2t` OR gates. The final
+//! **Log-depth BitLT.** The suffix ORs come from a Brent–Kung style
+//! ladder (`2⌈log₂ t⌉ − 1` multiplication rounds and ≈`2t` OR gates)
+//! instead of a linear MSB-down prefix-OR (`t − 1` rounds). The final
 //! "select the shared bit at the most significant differing position" sum
-//! is free on this path: at that position `b_i = ¬a_i` with `a` public, so
+//! is free: at that position `b_i = ¬a_i` with `a` public, so
 //! `1[a < b] = Σ_{i : a_i = 0} g_i` is a local linear combination.
 
 use super::MpcEngine;
@@ -63,11 +61,7 @@ impl MpcEngine<'_> {
         let low_mask = (1u64 << t) - 1;
         let c_lows: Vec<u64> = opened.iter().map(|c| c.value() & low_mask).collect();
         let bit_rows: Vec<&[Fp]> = masks.iter().map(|m| m.bits.as_slice()).collect();
-        let wraps = if self.legacy_comparisons() {
-            self.bitlt_pub(&c_lows, &bit_rows, t)
-        } else {
-            self.bitlt_pub_log(&c_lows, &bit_rows, t)
-        };
+        let wraps = self.bitlt_pub_log(&c_lows, &bit_rows, t);
 
         let out = c_lows
             .iter()
@@ -87,73 +81,12 @@ impl MpcEngine<'_> {
         out
     }
 
-    /// Batched `BitLT`: for each row, the shared bit `1[a < b]` where `a` is
-    /// public (`t` bits) and `b` is given by shared bits (LSB first).
-    ///
-    /// Legacy linear ladder: `O(t)` rounds for the entire batch. Kept
-    /// verbatim for `CompareBits::Full` transcript parity.
-    fn bitlt_pub(&mut self, pub_vals: &[u64], shared_bits: &[&[Fp]], t: u32) -> Vec<Share> {
-        let n = pub_vals.len();
-        let t = t as usize;
-        // d_i = a_i XOR b_i, linear because a_i is public.
-        // Row-major layout: d[row][bit].
-        let mut d = vec![vec![Share::ZERO; t]; n];
-        for (row, (&a, bits)) in pub_vals.iter().zip(shared_bits).enumerate() {
-            assert_eq!(bits.len(), t);
-            for i in 0..t {
-                let b = Share(bits[i]);
-                d[row][i] = if (a >> i) & 1 == 1 {
-                    // 1 ⊕ b = 1 − b
-                    Share::from_public(self.party(), Fp::ONE) - b
-                } else {
-                    b
-                };
-            }
-        }
-        // Prefix OR from the MSB down: p_i = p_{i+1} ∨ d_i.
-        // p[row][i] = OR of d[row][i..t); computed in t−1 batched rounds.
-        let mut p = vec![vec![Share::ZERO; t]; n];
-        for row in 0..n {
-            p[row][t - 1] = d[row][t - 1];
-        }
-        for i in (0..t - 1).rev() {
-            // x ∨ y = x + y − x·y, batched across rows.
-            let xs: Vec<Share> = (0..n).map(|r| p[r][i + 1]).collect();
-            let ys: Vec<Share> = (0..n).map(|r| d[r][i]).collect();
-            let prods = self.mul_vec(&xs, &ys);
-            for row in 0..n {
-                p[row][i] = xs[row] + ys[row] - prods[row];
-            }
-        }
-        // g_i = p_i − p_{i+1} marks the most significant differing bit;
-        // result = Σ g_i·b_i (at that bit a≠b, so b_i = 1 ⟺ a < b).
-        let mut gs = Vec::with_capacity(n * t);
-        let mut bs = Vec::with_capacity(n * t);
-        for (row, bits) in shared_bits.iter().enumerate() {
-            for i in 0..t {
-                let g = if i == t - 1 {
-                    p[row][i]
-                } else {
-                    p[row][i] - p[row][i + 1]
-                };
-                gs.push(g);
-                bs.push(Share(bits[i]));
-            }
-        }
-        let prods = self.mul_vec(&gs, &bs);
-        (0..n)
-            .map(|row| {
-                prods[row * t..(row + 1) * t]
-                    .iter()
-                    .fold(Share::ZERO, |acc, &x| acc + x)
-            })
-            .collect()
-    }
-
-    /// Log-depth `BitLT`: same contract as [`Self::bitlt_pub`], but the
-    /// suffix ORs come from a Brent–Kung ladder (`2⌈log₂ t⌉ − 1` rounds,
-    /// ≈`2t` gates) and the final bit-select is a local sum over the
-    /// public zero positions of `a` — no closing multiplication round.
+    /// Batched log-depth `BitLT`: for each row, the shared bit `1[a < b]`
+    /// where `a` is public (`t` bits) and `b` is given by shared bits (LSB
+    /// first). The suffix ORs come from a Brent–Kung ladder
+    /// (`2⌈log₂ t⌉ − 1` rounds, ≈`2t` gates) and the final bit-select is a
+    /// local sum over the public zero positions of `a` — no closing
+    /// multiplication round.
     fn bitlt_pub_log(&mut self, pub_vals: &[u64], shared_bits: &[&[Fp]], t: u32) -> Vec<Share> {
         let n = pub_vals.len();
         let t = t as usize;
@@ -285,8 +218,8 @@ impl MpcEngine<'_> {
     }
 
     /// Exact sign test with a proven range: `1[x < 0]` for signed `x` with
-    /// `|x| < 2^(k−1)`. Pays `O(k)` bits instead of `O(int_bits)` under
-    /// the bounded width policies; `O(log k)` rounds for the whole batch.
+    /// `|x| < 2^(k−1)`. Pays `O(k)` bits instead of `O(int_bits)`;
+    /// `O(log k)` rounds for the whole batch.
     pub fn ltz_vec_bounded(&mut self, x: &[Share], k: u32) -> Vec<Share> {
         let n = x.len();
         if n == 0 {
@@ -326,15 +259,6 @@ impl MpcEngine<'_> {
         let n = u.len();
         if n == 0 {
             return (Vec::new(), Vec::new());
-        }
-        if self.legacy_comparisons() {
-            // Transcript-parity path: one concatenated 2n LTZ batch,
-            // exactly the shape the call sites used pre-bounding.
-            let mut batch = u.to_vec();
-            batch.extend(u.iter().map(|&v| -v));
-            let mut signs = self.ltz_vec(&batch);
-            let pos = signs.split_off(n);
-            return (signs, pos);
         }
         self.bump_comparisons(2 * n as u64);
         let k = self.effective_bits(k);

@@ -23,16 +23,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Comparison width policy: how many bits a secure comparison pays for.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CompareBits {
-    /// Every comparison uses the global `int_bits` width and the legacy
-    /// linear BitLT — bit-for-bit the PR-3/PR-4 transcript.
-    #[default]
-    Full,
     /// Comparisons use the caller's proven value range (clamped to
-    /// `int_bits`) and the log-depth BitLT ladder.
+    /// `int_bits`).
+    #[default]
     Auto,
     /// Like `Auto`, but derived widths never drop below the floor — a
-    /// conservative dial between `Auto` and `Full` (the floor only ever
-    /// *raises* a width, so correctness is unaffected).
+    /// conservative dial up to `Floor(int_bits)`, which compares at full
+    /// width everywhere (the floor only ever *raises* a width, so
+    /// correctness is unaffected).
     Floor(u32),
 }
 
@@ -105,8 +103,8 @@ impl OpCounters {
 /// and preprocessing material, with a per-width histogram.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ComparisonCounters {
-    /// Secure comparisons performed (vector elements — same count as the
-    /// legacy `comparisons` counter).
+    /// Secure comparisons performed (vector elements — same count as
+    /// [`OpCounters::comparisons`]).
     pub count: u64,
     /// Communication rounds spent inside comparison protocols.
     pub online_rounds: u64,
@@ -184,20 +182,17 @@ impl<'a> MpcEngine<'a> {
             cfg,
             counters: OpCounters::default(),
             rng,
-            cmp_bits: CompareBits::Full,
+            cmp_bits: CompareBits::default(),
             in_comparison: false,
             deferred_shares: Vec::new(),
             deferred_spans: Vec::new(),
         }
     }
 
-    /// Set the comparison width policy and, for bounded modes, switch the
-    /// dealer onto split preprocessing streams with `dealer_pool` rows of
-    /// background precompute per stream (0 = inline generation).
-    ///
-    /// Must be called before the first collective operation and with
-    /// identical arguments on every party. `Full` keeps the legacy
-    /// single-stream dealer and the PR-3/PR-4 transcript bit for bit.
+    /// Set the comparison width policy and the dealer's background
+    /// precompute target: `dealer_pool` rows per preprocessing stream
+    /// (0 = inline generation). The policy must be identical on every
+    /// party; the pool target never changes a drawn value.
     pub fn configure_comparisons(&mut self, mode: CompareBits, dealer_pool: usize) {
         if let CompareBits::Floor(n) = mode {
             assert!(
@@ -207,25 +202,12 @@ impl<'a> MpcEngine<'a> {
             );
         }
         self.cmp_bits = mode;
-        if mode != CompareBits::Full {
-            self.dealer.enable_split_streams(dealer_pool);
-        }
-    }
-
-    /// The active comparison width policy.
-    pub fn compare_bits(&self) -> CompareBits {
-        self.cmp_bits
-    }
-
-    /// Whether comparisons run on the legacy full-width path.
-    pub(crate) fn legacy_comparisons(&self) -> bool {
-        self.cmp_bits == CompareBits::Full
+        self.dealer.pool().set_target(dealer_pool);
     }
 
     /// Resolve a requested comparison width under the active policy.
     pub(crate) fn effective_bits(&self, requested: u32) -> u32 {
         let k = match self.cmp_bits {
-            CompareBits::Full => self.cfg.int_bits,
             CompareBits::Auto => requested,
             CompareBits::Floor(n) => requested.max(n),
         };
@@ -233,12 +215,10 @@ impl<'a> MpcEngine<'a> {
     }
 
     /// Kick a background refill of the dealer's offline pool (no-op under
-    /// the legacy stream or a zero pool target). Call from protocol idle
-    /// phases, mirroring `NoncePool::refill`.
+    /// a zero pool target). Call from protocol idle phases, mirroring
+    /// `NoncePool::refill`.
     pub fn dealer_refill(&self) {
-        if let Some(pool) = self.dealer.pool() {
-            pool.refill();
-        }
+        self.dealer.pool().refill();
     }
 
     /// Blocking dealer-pool top-up sized to the observed level burst,
@@ -246,14 +226,12 @@ impl<'a> MpcEngine<'a> {
     /// pipelined scheduler's level barriers, where the whole next
     /// level's preprocessing demand lands at once.
     pub fn dealer_refill_blocking(&self, next_nodes: usize, level_nodes: usize) {
-        if let Some(pool) = self.dealer.pool() {
-            pool.refill_blocking(next_nodes, level_nodes);
-        }
+        self.dealer.pool().refill_blocking(next_nodes, level_nodes);
     }
 
-    /// Offline dealer-pool behavior (zeros under the legacy stream).
+    /// Offline dealer-pool behavior.
     pub fn dealer_pool_stats(&self) -> DealerPoolStats {
-        self.dealer.pool_stats()
+        self.dealer.pool().stats()
     }
 
     /// Snapshot the comparison-pipeline telemetry.

@@ -297,11 +297,8 @@ fn softmax_sums_to_one() {
 #[test]
 fn clamped_softmax_matches_full_width_and_narrows_comparisons() {
     let logits = [1.0f64, 2.0, 0.5, -1.0, -0.25, 1.5, 0.0, 0.75];
-    // |logit| ≤ 2: the clamp runs at the width that bound justifies. The
-    // narrowing only engages under a bounded-width policy — the Full
-    // policy pins every comparison to `int_bits`.
+    // |logit| ≤ 2: the clamp runs at the width that bound justifies.
     let results = mpc(2, |e| {
-        e.configure_comparisons(pivot_mpc::CompareBits::Auto, 64);
         let shares: Vec<Share> = logits.iter().map(|&v| e.constant_f64(v)).collect();
         let bits = |e: &pivot_mpc::MpcEngine<'_>| -> u64 {
             e.comparison_snapshot()
