@@ -8,14 +8,17 @@
 //! * [`BigUint`] — unsigned magnitudes (little-endian `u64` limbs) with
 //!   schoolbook + Karatsuba multiplication and Knuth Algorithm D division.
 //! * [`BigInt`] — signed integers for extended-gcd style computations.
-//! * [`Montgomery`] — CIOS Montgomery multiplication and windowed modular
-//!   exponentiation for odd moduli (the hot path of Paillier).
+//! * [`Montgomery`] — Montgomery multiplication, squaring and sliding-window
+//!   exponentiation for odd moduli (the hot path of Paillier): in-place
+//!   kernels over caller-owned buffers and ladders that allocate nothing
+//!   per step (see the module docs of `montgomery.rs`).
 //! * [`prime`] — Miller–Rabin testing plus (safe-)prime generation.
 //! * [`rng`] — uniform random sampling of big integers.
 //!
-//! Everything is written for clarity-first correctness, then the hot paths
-//! (Montgomery multiplication, exponentiation) are kept allocation-light per
-//! the Rust performance guidance this project follows.
+//! Everything is written for clarity-first correctness and in safe Rust; the
+//! Montgomery layer alone is written for speed, because every homomorphic
+//! operation, partial decryption, proof and primality test above it is a
+//! count of its multiplications and squarings.
 
 mod int;
 mod modular;

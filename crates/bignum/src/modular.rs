@@ -40,27 +40,33 @@ pub fn lcm(a: &BigUint, b: &BigUint) -> BigUint {
     &(a / &g) * b
 }
 
+/// Extended Euclid on the first cofactor only: `(g, x)` with
+/// `a*x ≡ g = gcd(a, b) (mod b)`. The one Euclidean loop of this module —
+/// a modular inverse never needs the cofactor of the modulus.
+fn half_egcd(a: &BigUint, b: &BigUint) -> (BigUint, BigInt) {
+    let (mut r0, mut r1) = (a.clone(), b.clone());
+    let (mut x0, mut x1) = (BigInt::one(), BigInt::zero());
+    while !r1.is_zero() {
+        let (q, r2) = r0.div_rem(&r1);
+        let x2 = &x0 - &(&BigInt::from(q) * &x1);
+        (r0, r1) = (r1, r2);
+        (x0, x1) = (x1, x2);
+    }
+    (r0, x0)
+}
+
 /// Extended Euclid: returns `(g, x, y)` with `a*x + b*y = g = gcd(a, b)`.
 pub fn egcd(a: &BigUint, b: &BigUint) -> (BigUint, BigInt, BigInt) {
-    let mut r0 = BigInt::from(a.clone());
-    let mut r1 = BigInt::from(b.clone());
-    let (mut x0, mut x1) = (BigInt::one(), BigInt::zero());
-    let (mut y0, mut y1) = (BigInt::zero(), BigInt::one());
-    while !r1.is_zero() {
-        let q = BigInt::from(r0.magnitude().div_rem(r1.magnitude()).0);
-        // r0, r1 stay non-negative throughout so quotient from magnitudes is fine.
-        let r2 = &r0 - &(&q * &r1);
-        let x2 = &x0 - &(&q * &x1);
-        let y2 = &y0 - &(&q * &y1);
-        r0 = r1;
-        r1 = r2;
-        x0 = x1;
-        x1 = x2;
-        y0 = y1;
-        y1 = y2;
+    let (g, x) = half_egcd(a, b);
+    if b.is_zero() {
+        return (g, x, BigInt::zero());
     }
-    let g = r0.to_biguint().expect("gcd is non-negative");
-    (g, x0, y0)
+    // y is fixed by g and x: (g − a·x) / b, an exact division.
+    let rest = &BigInt::from(g.clone()) - &(&BigInt::from(a.clone()) * &x);
+    let (y, r) = rest.magnitude().div_rem(b);
+    debug_assert!(r.is_zero());
+    let y = BigInt::from_parts(rest.sign(), y);
+    (g, x, y)
 }
 
 /// Modular inverse of `a` modulo `m`, if `gcd(a, m) == 1`.
@@ -72,7 +78,7 @@ pub fn mod_inverse(a: &BigUint, m: &BigUint) -> Option<BigUint> {
     if a.is_zero() {
         return None;
     }
-    let (g, x, _) = egcd(&a, m);
+    let (g, x) = half_egcd(&a, m);
     if !g.is_one() {
         return None;
     }

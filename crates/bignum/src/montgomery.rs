@@ -1,16 +1,33 @@
-//! Montgomery modular arithmetic (CIOS) — the hot path of every Paillier
+//! Montgomery modular arithmetic — the hot path of every Paillier
 //! operation. A [`Montgomery`] context precomputes everything needed for an
-//! odd modulus and then performs multiplication/exponentiation without any
-//! divisions.
+//! odd modulus and then multiplies and exponentiates without any division.
+//!
+//! Three kernels do all the work, each over caller-owned buffers:
+//!
+//! * `mul_into` — multiply and reduce fused into one pass per limb of `a`
+//!   (finely integrated operand scanning): the row `aᵢ·b` and the row `m·n`
+//!   that cancels its low limb are added in the same inner loop, on two
+//!   carry chains that do not wait for each other. `2s²` limb products.
+//! * `sqr_into` — a real squaring: the cross products `aᵢ·aⱼ, i < j` once,
+//!   doubled, plus the diagonal `aᵢ²`, then one reduction pass. `1.5s²`.
+//! * `redc_into` — the reduction pass alone (`s²`), which is also all that
+//!   leaving Montgomery form costs.
+//!
+//! Every exponentiation runs on one [`Accumulator`] that owns its ping-pong
+//! buffers and the squaring scratch, replaying an [`ExponentSchedule`]: a
+//! ladder allocates its table of odd powers and nothing per step.
+//! Results are fully reduced, so they do not depend on the window width or
+//! on which kernel produced them.
 
 use crate::{BigUint, Limb};
+use std::borrow::Cow;
 
 /// Precomputed Montgomery context for an odd modulus `n`.
 ///
 /// Values in *Montgomery form* are stored as plain limb vectors of exactly
 /// `limbs` words, representing `x·R mod n` with `R = 2^(64·limbs)`.
 pub struct Montgomery {
-    n: Vec<Limb>,
+    n: BigUint,
     /// `-n^{-1} mod 2^64`
     n0_inv: Limb,
     /// `R^2 mod n` (used to convert into Montgomery form).
@@ -42,219 +59,259 @@ impl Montgomery {
         let r2 = (&r1 * &r1).rem_of(n);
 
         Montgomery {
-            n: n.limbs().to_vec(),
+            n: n.clone(),
             n0_inv,
-            r2: Self::pad(&r2, limbs),
-            r1: Self::pad(&r1, limbs),
+            r2: pad(&r2, limbs),
+            r1: pad(&r1, limbs),
             limbs,
         }
     }
 
     /// The modulus.
     pub fn modulus(&self) -> BigUint {
-        BigUint::from_limbs(self.n.clone())
+        self.n.clone()
     }
 
-    fn pad(v: &BigUint, limbs: usize) -> Vec<Limb> {
-        let mut out = v.limbs().to_vec();
-        out.resize(limbs, 0);
-        out
+    /// `x mod n` as exactly `limbs` words, borrowed when `x` already is.
+    fn residue<'a>(&self, x: &'a BigUint) -> Cow<'a, [Limb]> {
+        if *x >= self.n {
+            Cow::Owned(pad(&x.rem_of(&self.n), self.limbs))
+        } else if x.limbs().len() == self.limbs {
+            Cow::Borrowed(x.limbs())
+        } else {
+            Cow::Owned(pad(x, self.limbs))
+        }
     }
 
     /// Convert into Montgomery form (`x → x·R mod n`).
     pub fn to_mont(&self, x: &BigUint) -> Vec<Limb> {
-        let reduced = if x.bits() as usize > 64 * self.limbs {
-            x.rem_of(&self.modulus())
-        } else {
-            x.clone()
-        };
-        let x_pad = Self::pad(&reduced, self.limbs);
-        self.mont_mul(&x_pad, &self.r2)
+        self.mont_mul(&self.residue(x), &self.r2)
     }
 
-    /// Convert out of Montgomery form (`x·R → x mod n`).
+    /// Convert out of Montgomery form (`x·R → x mod n`): one reduction pass
+    /// over `x` extended with zero high limbs.
     pub fn from_mont(&self, x: &[Limb]) -> BigUint {
-        let one = {
-            let mut v = vec![0 as Limb; self.limbs];
-            v[0] = 1;
-            v
-        };
-        BigUint::from_limbs(self.mont_mul(x, &one))
+        let s = self.limbs;
+        let mut wide = vec![0 as Limb; 2 * s];
+        wide[..s].copy_from_slice(x);
+        let mut out = vec![0 as Limb; s];
+        self.redc_into(&mut out, &mut wide);
+        BigUint::from_limbs(out)
     }
 
-    /// CIOS Montgomery multiplication: returns `a·b·R^{-1} mod n`.
+    /// Montgomery multiplication into `out`: `a·b·R^{-1} mod n`.
+    ///
+    /// All three slices are `limbs` words long; `a` and `b` are reduced
+    /// modulo `n`. Row `i` adds `aᵢ·b + m·n` to the running sum and drops
+    /// its (now zero) low limb, so the sum never outgrows `out` plus the one
+    /// bit kept in `hi`: it stays below `2n`.
+    pub(crate) fn mul_into(&self, out: &mut [Limb], a: &[Limb], b: &[Limb]) {
+        let s = self.limbs;
+        assert_eq!(a.len(), s);
+        // Equal lengths up front let the inner loop index without checks.
+        let (out, b, n) = (&mut out[..s], &b[..s], &self.n.limbs()[..s]);
+        out.fill(0);
+        let mut hi: Limb = 0;
+        for &ai in a {
+            // m is chosen so that limb 0 of the row sum vanishes.
+            let p = ai as u128 * b[0] as u128 + out[0] as u128;
+            let m = (p as Limb).wrapping_mul(self.n0_inv);
+            let q = m as u128 * n[0] as u128 + (p as Limb) as u128;
+            debug_assert_eq!(q as Limb, 0);
+            // One carry per product row; neither waits for the other.
+            let (mut carry_ab, mut carry_mn) = ((p >> 64) as Limb, (q >> 64) as Limb);
+            for j in 1..s {
+                let p = ai as u128 * b[j] as u128 + out[j] as u128 + carry_ab as u128;
+                let q = m as u128 * n[j] as u128 + (p as Limb) as u128 + carry_mn as u128;
+                out[j - 1] = q as Limb;
+                carry_ab = (p >> 64) as Limb;
+                carry_mn = (q >> 64) as Limb;
+            }
+            let top = hi as u128 + carry_ab as u128 + carry_mn as u128;
+            out[s - 1] = top as Limb;
+            hi = (top >> 64) as Limb;
+        }
+        if hi != 0 || ge(out, n) {
+            sub_in_place(out, n);
+        }
+    }
+
+    /// Montgomery squaring into `out`: `a²·R^{-1} mod n`, with `wide` (at
+    /// least `2·limbs` words) as scratch for the double-width square.
+    pub(crate) fn sqr_into(&self, out: &mut [Limb], a: &[Limb], wide: &mut [Limb]) {
+        let s = self.limbs;
+        assert_eq!(a.len(), s);
+        let wide = &mut wide[..2 * s];
+        wide.fill(0);
+        // Cross products aᵢ·aⱼ for i < j, each computed once. Row i covers
+        // limbs 2i+1 ..= i+s-1 and its carry lands on limb i+s, which no
+        // earlier row has touched.
+        for i in 0..s {
+            let ai = a[i];
+            let mut carry: Limb = 0;
+            for (w, &aj) in wide[2 * i + 1..i + s].iter_mut().zip(&a[i + 1..]) {
+                let p = ai as u128 * aj as u128 + *w as u128 + carry as u128;
+                *w = p as Limb;
+                carry = (p >> 64) as Limb;
+            }
+            wide[i + s] = carry;
+        }
+        // Double them and add the diagonal aᵢ² (limbs 2i, 2i+1) in one pass.
+        let mut shifted_out: Limb = 0;
+        let mut carry: Limb = 0;
+        for (pair, &ai) in wide.chunks_exact_mut(2).zip(a) {
+            let sq = ai as u128 * ai as u128;
+            let (lo, hi) = (pair[0], pair[1]);
+            let lo2 = (lo << 1) | shifted_out;
+            let hi2 = (hi << 1) | (lo >> 63);
+            shifted_out = hi >> 63;
+            let t = lo2 as u128 + (sq as Limb) as u128 + carry as u128;
+            pair[0] = t as Limb;
+            let t = hi2 as u128 + (sq >> 64) + (t >> 64);
+            pair[1] = t as Limb;
+            carry = (t >> 64) as Limb;
+        }
+        debug_assert_eq!((shifted_out, carry), (0, 0));
+        self.redc_into(out, wide);
+    }
+
+    /// Montgomery reduction: `out = wide·R^{-1} mod n` for a `2·limbs`-word
+    /// `wide < n·R`, which is consumed. Row `i` adds `m·n·2^{64i}` to clear
+    /// limb `i`. Rows go two at a time — `m₀·n` and `m₁·n` one limb apart in
+    /// the same inner loop, on their own carry chains, as in `mul_into` —
+    /// with a single row left over when `limbs` is odd. The carry out of a
+    /// row's top limb is the single bit `hi`, picked up by the next row.
+    fn redc_into(&self, out: &mut [Limb], wide: &mut [Limb]) {
+        let s = self.limbs;
+        let n = &self.n.limbs()[..s];
+        let wide = &mut wide[..2 * s];
+        let mut hi: Limb = 0;
+        let mut i = 0;
+        while i + 1 < s {
+            let w = &mut wide[i..i + s + 2];
+            let m0 = w[0].wrapping_mul(self.n0_inv);
+            let p = m0 as u128 * n[0] as u128 + w[0] as u128;
+            let p = m0 as u128 * n[1] as u128 + w[1] as u128 + (p >> 64);
+            // Limb 1 as row 0 leaves it decides row 1's multiplier.
+            let m1 = (p as Limb).wrapping_mul(self.n0_inv);
+            let q = m1 as u128 * n[0] as u128 + (p as Limb) as u128;
+            let (mut carry0, mut carry1) = ((p >> 64) as Limb, (q >> 64) as Limb);
+            for j in 2..s {
+                let p = m0 as u128 * n[j] as u128 + w[j] as u128 + carry0 as u128;
+                let q = m1 as u128 * n[j - 1] as u128 + (p as Limb) as u128 + carry1 as u128;
+                w[j] = q as Limb;
+                carry0 = (p >> 64) as Limb;
+                carry1 = (q >> 64) as Limb;
+            }
+            let p = w[s] as u128 + carry0 as u128 + hi as u128;
+            let q = m1 as u128 * n[s - 1] as u128 + (p as Limb) as u128 + carry1 as u128;
+            w[s] = q as Limb;
+            let top = w[s + 1] as u128 + (q >> 64) + (p >> 64);
+            w[s + 1] = top as Limb;
+            hi = (top >> 64) as Limb;
+            i += 2;
+        }
+        if i < s {
+            let m = wide[i].wrapping_mul(self.n0_inv);
+            let mut carry: Limb = 0;
+            for (w, &nj) in wide[i..i + s].iter_mut().zip(n) {
+                let p = m as u128 * nj as u128 + *w as u128 + carry as u128;
+                *w = p as Limb;
+                carry = (p >> 64) as Limb;
+            }
+            let top = wide[i + s] as u128 + carry as u128 + hi as u128;
+            wide[i + s] = top as Limb;
+            hi = (top >> 64) as Limb;
+        }
+        let out = &mut out[..s];
+        out.copy_from_slice(&wide[s..]);
+        if hi != 0 || ge(out, n) {
+            sub_in_place(out, n);
+        }
+    }
+
+    /// Allocating form of the multiplication kernel: returns
+    /// `a·b·R^{-1} mod n`.
     ///
     /// Inputs must be `limbs` words long and reduced modulo `n`.
     pub fn mont_mul(&self, a: &[Limb], b: &[Limb]) -> Vec<Limb> {
-        let s = self.limbs;
-        debug_assert_eq!(a.len(), s);
-        debug_assert_eq!(b.len(), s);
-        let n = &self.n;
-        // t holds s+2 limbs of running state.
-        let mut t = vec![0 as Limb; s + 2];
-        for &ai in a.iter() {
-            // t += ai * b
-            let mut carry: Limb = 0;
-            for j in 0..s {
-                let sum = t[j] as u128 + ai as u128 * b[j] as u128 + carry as u128;
-                t[j] = sum as Limb;
-                carry = (sum >> 64) as Limb;
-            }
-            let sum = t[s] as u128 + carry as u128;
-            t[s] = sum as Limb;
-            t[s + 1] = (sum >> 64) as Limb;
-
-            // m chosen so (t + m·n) ≡ 0 mod 2^64; then shift one limb.
-            let m = t[0].wrapping_mul(self.n0_inv);
-            let first = t[0] as u128 + m as u128 * n[0] as u128;
-            let mut carry = (first >> 64) as Limb;
-            debug_assert_eq!(first as Limb, 0);
-            for j in 1..s {
-                let sum = t[j] as u128 + m as u128 * n[j] as u128 + carry as u128;
-                t[j - 1] = sum as Limb;
-                carry = (sum >> 64) as Limb;
-            }
-            let sum = t[s] as u128 + carry as u128;
-            t[s - 1] = sum as Limb;
-            t[s] = t[s + 1].wrapping_add((sum >> 64) as Limb);
-            t[s + 1] = 0;
-        }
-        // Conditional final subtraction to bring the result below n.
-        let needs_sub = t[s] != 0 || ge(&t[..s], n);
-        let mut out = t;
-        out.truncate(s + 1);
-        if needs_sub {
-            sub_in_place(&mut out, n);
-        }
-        out.truncate(s);
+        let mut out = vec![0 as Limb; self.limbs];
+        self.mul_into(&mut out, a, b);
         out
     }
 
-    /// Montgomery squaring (alias of `mont_mul(a, a)`).
+    /// Allocating form of the squaring kernel: returns `a²·R^{-1} mod n`.
     pub fn mont_sqr(&self, a: &[Limb]) -> Vec<Limb> {
-        self.mont_mul(a, a)
+        let mut out = vec![0 as Limb; self.limbs];
+        self.sqr_into(&mut out, a, &mut vec![0 as Limb; 2 * self.limbs]);
+        out
     }
 
-    /// `base^exp mod n` using 4-bit sliding windows over Montgomery form.
+    /// `base^exp mod n` by sliding windows over Montgomery form.
     pub fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
-        if exp.is_zero() {
-            return BigUint::one().rem_of(&self.modulus());
-        }
-        let base_m = self.to_mont(base);
-        let result_m = self.pow_mont(&base_m, exp);
-        self.from_mont(&result_m)
+        self.pow_scheduled(base, &ExponentSchedule::recode(exp))
     }
 
     /// Exponentiation where the base is already in Montgomery form; result
-    /// is in Montgomery form too.
-    ///
-    /// 4-bit *sliding* windows: only the 8 odd powers `base^1, base^3, …,
-    /// base^15` are tabulated (half the precomputation of a fixed-window
-    /// table), runs of zero exponent bits cost one squaring each with no
-    /// multiplication, and every window is anchored on a set low bit so
-    /// the table multiply count matches the number of windows actually
-    /// containing ones. On Paillier-sized random exponents this saves
-    /// ~7 table-building multiplications and turns the expected
-    /// 15/16-per-window multiply rate of the fixed scheme into one per
-    /// *occupied* window — the hot path under every encrypt/`mul_plain`.
+    /// is in Montgomery form too. Recodes `exp` and replays it — callers
+    /// that reuse an exponent keep the [`ExponentSchedule`] instead.
     pub fn pow_mont(&self, base_m: &[Limb], exp: &BigUint) -> Vec<Limb> {
-        if exp.is_zero() {
-            return self.r1.clone();
-        }
-        // Odd powers base^(2k+1), k = 0..8, in Montgomery form.
-        let base_sq = self.mont_sqr(base_m);
-        let mut odd_pow = Vec::with_capacity(8);
-        odd_pow.push(base_m.to_vec());
-        for i in 1..8 {
-            odd_pow.push(self.mont_mul(&odd_pow[i - 1], &base_sq));
-        }
-
-        let bits = exp.bits();
-        let mut acc: Option<Vec<Limb>> = None;
-        let mut i = bits as i64 - 1;
-        while i >= 0 {
-            if !exp.bit(i as u32) {
-                // Zero bit outside a window: a single squaring. (acc is
-                // always Some here — the scan starts at the set MSB.)
-                let a = acc.as_mut().expect("leading bit of exp is set");
-                *a = self.mont_sqr(a);
-                i -= 1;
-                continue;
-            }
-            // Window of up to 4 bits, anchored on a set low bit j so the
-            // digit is odd and lives in the table.
-            let mut j = (i - 3).max(0);
-            while !exp.bit(j as u32) {
-                j += 1;
-            }
-            let width = (i - j + 1) as u32;
-            let mut digit = 0usize;
-            for b in (j..=i).rev() {
-                digit = (digit << 1) | usize::from(exp.bit(b as u32));
-            }
-            debug_assert!(digit % 2 == 1 && digit < 16);
-            acc = Some(match acc {
-                None => odd_pow[digit >> 1].clone(),
-                Some(mut a) => {
-                    for _ in 0..width {
-                        a = self.mont_sqr(&a);
-                    }
-                    self.mont_mul(&a, &odd_pow[digit >> 1])
-                }
-            });
-            i = j - 1;
-        }
-        acc.expect("exp is nonzero")
+        self.pow_mont_scheduled(base_m, &ExponentSchedule::recode(exp))
     }
 
     /// Exponentiation by a *pre-recoded* exponent (see
-    /// [`ExponentSchedule::recode`]): the window scan of [`Montgomery::pow_mont`]
-    /// is done once and replayed here, so a fixed exponent shared by a whole
-    /// batch — threshold decryption's `2Δsᵢ` — pays the bit-scan once and
-    /// only tabulates the odd powers its digits actually reference. The
-    /// operation sequence is identical to `pow_mont`'s, so the result is
-    /// bit-for-bit the same.
+    /// [`ExponentSchedule::recode`]), the one ladder of this crate.
+    ///
+    /// *Sliding* windows: only the odd powers `base^1, base^3, …` up to the
+    /// largest digit the schedule references are tabulated, runs of zero
+    /// exponent bits cost one squaring each with no multiplication, and
+    /// every window is anchored on a set low bit, so there is one table
+    /// multiplication per *occupied* window.
     pub fn pow_mont_scheduled(&self, base_m: &[Limb], sched: &ExponentSchedule) -> Vec<Limb> {
-        if sched.zero {
+        let Some(first) = sched.first else {
             return self.r1.clone();
-        }
-        // Odd powers base^(2k+1) up to the largest digit the schedule uses.
-        let mut odd_pow = Vec::with_capacity(sched.max_index + 1);
-        odd_pow.push(base_m.to_vec());
+        };
+        let s = self.limbs;
+        let mut acc = Accumulator::new(self);
+        // Odd powers base^(2k+1), k = 0..=max_index, laid out back to back.
+        let mut odd_pow = vec![0 as Limb; (sched.max_index + 1) * s];
+        odd_pow[..s].copy_from_slice(base_m);
         if sched.max_index > 0 {
-            let base_sq = self.mont_sqr(base_m);
-            for i in 1..=sched.max_index {
-                let next = self.mont_mul(&odd_pow[i - 1], &base_sq);
-                odd_pow.push(next);
+            acc.set(base_m);
+            acc.sqr();
+            for k in 1..=sched.max_index {
+                let (done, rest) = odd_pow.split_at_mut(k * s);
+                self.mul_into(&mut rest[..s], &done[(k - 1) * s..], acc.value());
             }
         }
-        let mut acc = odd_pow[sched.first].clone();
+        let entry = |index: usize| &odd_pow[index * s..(index + 1) * s];
+        acc.set(entry(first));
         for &(squarings, index) in &sched.steps {
             for _ in 0..squarings {
-                acc = self.mont_sqr(&acc);
+                acc.sqr();
             }
-            acc = self.mont_mul(&acc, &odd_pow[index]);
+            acc.mul(entry(index));
         }
         for _ in 0..sched.tail {
-            acc = self.mont_sqr(&acc);
+            acc.sqr();
         }
-        acc
+        acc.into_value()
     }
 
     /// `base^exp mod n` through a precomputed [`ExponentSchedule`].
     pub fn pow_scheduled(&self, base: &BigUint, sched: &ExponentSchedule) -> BigUint {
-        if sched.zero {
-            return BigUint::one().rem_of(&self.modulus());
-        }
         let base_m = self.to_mont(base);
         self.from_mont(&self.pow_mont_scheduled(&base_m, sched))
     }
 
-    /// Modular multiplication convenience: `a·b mod n` on plain values.
+    /// Modular multiplication convenience: `a·b mod n` on plain values,
+    /// reduced or not.
+    ///
+    /// Two kernel calls: `a·b·R^{-1}`, then times `R²` to cancel the `R^{-1}`
+    /// of both.
     pub fn mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        let am = self.to_mont(a);
-        let bm = self.to_mont(b);
-        self.from_mont(&self.mont_mul(&am, &bm))
+        let ab = self.mont_mul(&self.residue(a), &self.residue(b));
+        BigUint::from_limbs(self.mont_mul(&ab, &self.r2))
     }
 
     /// Simultaneous multi-exponentiation: `Π baseᵢ^expᵢ mod n` via
@@ -270,19 +327,14 @@ impl Montgomery {
     /// with plaintext weights.
     pub fn multi_pow(&self, pairs: &[(&BigUint, &BigUint)]) -> BigUint {
         // Drop exp = 0 terms (base^0 = 1 contributes nothing).
-        let active: Vec<(Vec<Limb>, &BigUint)> = pairs
+        let active: Vec<(&BigUint, &BigUint)> = pairs
             .iter()
             .filter(|(_, e)| !e.is_zero())
-            .map(|&(b, e)| (self.to_mont(b), e))
+            .copied()
             .collect();
-        if active.is_empty() {
-            return BigUint::one().rem_of(&self.modulus());
-        }
-        let max_bits = active
-            .iter()
-            .map(|(_, e)| e.bits())
-            .max()
-            .expect("nonempty");
+        let Some(max_bits) = active.iter().map(|(_, e)| e.bits()).max() else {
+            return BigUint::one();
+        };
         // Window width by exponent size: the 2^w − 2 table multiplications
         // per base must amortize over ⌈bits/w⌉ windows.
         let w: u32 = match max_bits {
@@ -291,26 +343,25 @@ impl Montgomery {
             129..=384 => 3,
             _ => 4,
         };
-        // Per-base tables of powers base^1 .. base^(2^w − 1), Montgomery form.
-        let tables: Vec<Vec<Vec<Limb>>> = active
-            .iter()
-            .map(|(bm, _)| {
-                let mut t = Vec::with_capacity((1usize << w) - 1);
-                t.push(bm.clone());
-                for d in 2..(1usize << w) {
-                    let next = self.mont_mul(&t[d - 2], bm);
-                    t.push(next);
-                }
-                t
-            })
-            .collect();
+        // Per-base powers base^1 .. base^(2^w − 1) in Montgomery form, all
+        // tables back to back in one buffer.
+        let s = self.limbs;
+        let per_base = (1usize << w) - 1;
+        let mut tables = vec![0 as Limb; active.len() * per_base * s];
+        for (table, (base, _)) in tables.chunks_exact_mut(per_base * s).zip(&active) {
+            self.mul_into(&mut table[..s], &self.residue(base), &self.r2);
+            for d in 1..per_base {
+                let (done, rest) = table.split_at_mut(d * s);
+                self.mul_into(&mut rest[..s], &done[(d - 1) * s..], &done[..s]);
+            }
+        }
 
-        let windows = max_bits.div_ceil(w);
-        let mut acc: Option<Vec<Limb>> = None;
-        for wi in (0..windows).rev() {
-            if let Some(a) = acc.as_mut() {
+        let mut acc = Accumulator::new(self);
+        let mut started = false;
+        for wi in (0..max_bits.div_ceil(w)).rev() {
+            if started {
                 for _ in 0..w {
-                    *a = self.mont_sqr(a);
+                    acc.sqr();
                 }
             }
             for (i, (_, e)) in active.iter().enumerate() {
@@ -319,32 +370,85 @@ impl Montgomery {
                     digit = (digit << 1) | usize::from(b < e.bits() && e.bit(b));
                 }
                 if digit != 0 {
-                    let term = &tables[i][digit - 1];
-                    acc = Some(match acc.take() {
-                        None => term.clone(),
-                        Some(a) => self.mont_mul(&a, term),
-                    });
+                    let at = (i * per_base + digit - 1) * s;
+                    let term = &tables[at..at + s];
+                    if started {
+                        acc.mul(term);
+                    } else {
+                        acc.set(term);
+                        started = true;
+                    }
                 }
             }
         }
-        self.from_mont(&acc.expect("at least one nonzero exponent digit"))
+        // The top window holds the leading bit of the longest exponent.
+        debug_assert!(started);
+        self.from_mont(acc.value())
     }
 }
 
-/// A fixed exponent recoded once into the 4-bit sliding-window operation
-/// sequence of [`Montgomery::pow_mont`], shareable across every
-/// exponentiation with that exponent (the fixed-base-style precomputation
-/// of threshold decryption: the exponent `2Δsᵢ` never changes, only the
-/// ciphertext base does).
+/// The running value of a ladder together with every buffer a step needs:
+/// each kernel call writes into `spare` and the two are swapped, so a whole
+/// exponentiation allocates these three vectors once.
+struct Accumulator<'a> {
+    ctx: &'a Montgomery,
+    value: Vec<Limb>,
+    spare: Vec<Limb>,
+    /// Double-width scratch of the squaring kernel.
+    wide: Vec<Limb>,
+}
+
+impl<'a> Accumulator<'a> {
+    fn new(ctx: &'a Montgomery) -> Self {
+        let s = ctx.limbs;
+        Accumulator {
+            ctx,
+            value: vec![0; s],
+            spare: vec![0; s],
+            wide: vec![0; 2 * s],
+        }
+    }
+
+    fn set(&mut self, x: &[Limb]) {
+        self.value.copy_from_slice(x);
+    }
+
+    fn sqr(&mut self) {
+        self.ctx
+            .sqr_into(&mut self.spare, &self.value, &mut self.wide);
+        std::mem::swap(&mut self.value, &mut self.spare);
+    }
+
+    fn mul(&mut self, x: &[Limb]) {
+        self.ctx.mul_into(&mut self.spare, &self.value, x);
+        std::mem::swap(&mut self.value, &mut self.spare);
+    }
+
+    fn value(&self) -> &[Limb] {
+        &self.value
+    }
+
+    fn into_value(self) -> Vec<Limb> {
+        self.value
+    }
+}
+
+/// Widest sliding window [`ExponentSchedule::recode`] picks: 32 odd powers,
+/// 8 KiB of table at a 2048-bit modulus.
+pub(crate) const MAX_WINDOW: u32 = 6;
+
+/// A fixed exponent recoded once into a sliding-window operation sequence,
+/// shareable across every exponentiation with that exponent (the
+/// fixed-base-style precomputation of threshold decryption: the exponent
+/// `2Δsᵢ` never changes, only the ciphertext base does).
 #[derive(Clone, Debug)]
 pub struct ExponentSchedule {
-    /// Exponent was zero (result is always 1).
-    zero: bool,
-    /// Odd-power table index of the leading window (`digit >> 1`).
-    first: usize,
+    /// Odd-power table index of the leading window (`digit >> 1`); `None`
+    /// for the exponent zero, whose result is always 1.
+    first: Option<usize>,
     /// Then, in order: square `squarings` times, multiply by table entry.
-    /// Zero-run squarings are folded into the following window's count —
-    /// the same squaring sequence `pow_mont` performs step by step.
+    /// Squarings for a run of zero bits are folded into the following
+    /// window's count.
     steps: Vec<(u32, usize)>,
     /// Trailing squarings after the last multiply.
     tail: u32,
@@ -353,32 +457,38 @@ pub struct ExponentSchedule {
 }
 
 impl ExponentSchedule {
-    /// Recode an exponent with the exact window decomposition of
-    /// [`Montgomery::pow_mont`] (4-bit sliding windows anchored on set low
-    /// bits).
+    /// Recode an exponent into sliding windows anchored on set low bits.
+    ///
+    /// The window width is the one that minimises the expected number of
+    /// multiplications for an exponent of this length — `2^(w−1)` to build
+    /// the odd-power table plus one per `w + 1` bits: 3 bits for a 61-bit
+    /// `mul_plain` factor, 5 at 512 bits, 6 for a 1024-bit `N` or the
+    /// ≈ 2048-bit `2Δsᵢ`.
     pub fn recode(exp: &BigUint) -> ExponentSchedule {
-        if exp.is_zero() {
-            return ExponentSchedule {
-                zero: true,
-                first: 0,
-                steps: Vec::new(),
-                tail: 0,
-                max_index: 0,
-            };
-        }
         let bits = exp.bits();
+        let window = (1..=MAX_WINDOW)
+            .min_by_key(|w| (1u32 << (w - 1)) + bits / (w + 1))
+            .expect("nonempty range");
+        Self::recode_with_window(exp, window)
+    }
+
+    /// [`ExponentSchedule::recode`] at a given window width.
+    pub(crate) fn recode_with_window(exp: &BigUint, window: u32) -> ExponentSchedule {
+        assert!((1..=MAX_WINDOW).contains(&window));
         let mut first: Option<usize> = None;
         let mut steps = Vec::new();
         let mut pending_sq: u32 = 0;
         let mut max_index = 0usize;
-        let mut i = bits as i64 - 1;
+        let mut i = exp.bits() as i64 - 1;
         while i >= 0 {
             if !exp.bit(i as u32) {
                 pending_sq += 1;
                 i -= 1;
                 continue;
             }
-            let mut j = (i - 3).max(0);
+            // Window of up to `window` bits, anchored on a set low bit j so
+            // the digit is odd and lives in the table.
+            let mut j = (i - (window as i64 - 1)).max(0);
             while !exp.bit(j as u32) {
                 j += 1;
             }
@@ -387,7 +497,7 @@ impl ExponentSchedule {
             for b in (j..=i).rev() {
                 digit = (digit << 1) | usize::from(exp.bit(b as u32));
             }
-            debug_assert!(digit % 2 == 1 && digit < 16);
+            debug_assert!(digit % 2 == 1 && digit < 1 << window);
             let index = digit >> 1;
             max_index = max_index.max(index);
             match first {
@@ -402,13 +512,19 @@ impl ExponentSchedule {
             i = j - 1;
         }
         ExponentSchedule {
-            zero: false,
-            first: first.expect("nonzero exponent has a leading window"),
+            first,
             steps,
             tail: pending_sq,
             max_index,
         }
     }
+}
+
+/// `v` as exactly `limbs` little-endian words.
+pub(crate) fn pad(v: &BigUint, limbs: usize) -> Vec<Limb> {
+    let mut out = v.limbs().to_vec();
+    out.resize(limbs, 0);
+    out
 }
 
 /// `a >= b` over equal-length limb slices (little-endian).
@@ -422,16 +538,16 @@ fn ge(a: &[Limb], b: &[Limb]) -> bool {
     true
 }
 
-/// `a -= b` where `a` may have one extra high limb.
+/// `a -= b` over equal-length limb slices, wrapping modulo `2^(64·len)` —
+/// which is the true difference when the minuend's dropped high bit is set.
 fn sub_in_place(a: &mut [Limb], b: &[Limb]) {
-    let mut borrow = 0u64;
-    for i in 0..b.len() {
-        let diff = a[i] as i128 - b[i] as i128 - borrow as i128;
-        borrow = u64::from(diff < 0);
-        a[i] = diff as Limb;
-    }
-    if a.len() > b.len() {
-        a[b.len()] = a[b.len()].wrapping_sub(borrow);
+    debug_assert_eq!(a.len(), b.len());
+    let mut borrow = false;
+    for (x, &y) in a.iter_mut().zip(b) {
+        let (d, b1) = x.overflowing_sub(y);
+        let (d, b2) = d.overflowing_sub(borrow as Limb);
+        *x = d;
+        borrow = b1 | b2;
     }
 }
 
@@ -439,6 +555,7 @@ fn sub_in_place(a: &mut [Limb], b: &[Limb]) {
 mod tests {
     use super::*;
     use crate::mod_pow;
+    use crate::proptests::naive_pow;
 
     fn big(v: u128) -> BigUint {
         BigUint::from_u128(v)
@@ -483,15 +600,7 @@ mod tests {
         let ctx = Montgomery::new(&n);
         let base = BigUint::from_hex("deadbeefcafebabe0123456789").unwrap();
         let exp = BigUint::from_hex("10001").unwrap();
-        // Reference: square-and-multiply with explicit division.
-        let mut reference = BigUint::one();
-        let mut acc = base.rem_of(&n);
-        for i in 0..exp.bits() {
-            if exp.bit(i) {
-                reference = (&reference * &acc).rem_of(&n);
-            }
-            acc = (&acc * &acc).rem_of(&n);
-        }
+        let reference = naive_pow(&base, &exp, &n);
         assert_eq!(ctx.pow(&base, &exp), reference);
         assert_eq!(mod_pow(&base, &exp, &n), reference);
     }
@@ -513,15 +622,11 @@ mod tests {
         ] {
             let exp = big(exp);
             let base = big(123_456_789);
-            let mut expect = BigUint::one();
-            let mut acc = base.clone();
-            for i in 0..exp.bits() {
-                if exp.bit(i) {
-                    expect = (&expect * &acc).rem_of(&n);
-                }
-                acc = (&acc * &acc).rem_of(&n);
-            }
-            assert_eq!(ctx.pow(&base, &exp), expect, "exp {exp:?}");
+            assert_eq!(
+                ctx.pow(&base, &exp),
+                naive_pow(&base, &exp, &n),
+                "exp {exp:?}"
+            );
         }
     }
 
@@ -562,7 +667,7 @@ mod tests {
             let sched = ExponentSchedule::recode(&exp);
             assert_eq!(
                 ctx.pow_scheduled(&base, &sched),
-                ctx.pow(&base, &exp),
+                naive_pow(&base, &exp, &n),
                 "exp {exp:?}"
             );
         }
@@ -575,7 +680,10 @@ mod tests {
         let exp = big(0xdead_beef_1234);
         let sched = ExponentSchedule::recode(&exp);
         for b in [2u128, 3, 12345, 999_999_999] {
-            assert_eq!(ctx.pow_scheduled(&big(b), &sched), ctx.pow(&big(b), &exp));
+            assert_eq!(
+                ctx.pow_scheduled(&big(b), &sched),
+                naive_pow(&big(b), &exp, &n)
+            );
         }
     }
 

@@ -216,7 +216,6 @@ impl Combiner {
             "duplicate party index in partial decryptions"
         );
 
-        let n2 = self.pk.n_squared();
         // Split `Π cᵢ^{2λᵢ}` by coefficient sign into two simultaneous
         // multi-exponentiations (shared squaring chain, Shamir's trick)
         // and pay a single modular inversion for the whole negative part
@@ -240,12 +239,24 @@ impl Combiner {
         let mut c_prime = self.pk.mont().multi_pow(&pos);
         if !neg.is_empty() {
             let neg_prod = self.pk.mont().multi_pow(&neg);
-            let inv = mod_inverse(&neg_prod, n2).expect("partial decryptions are units mod N²");
+            let inv =
+                inverse_mod_n2(&self.pk, &neg_prod).expect("partial decryptions are units mod N²");
             c_prime = self.pk.mont().mul(&c_prime, &inv);
         }
         let l = l_function(&c_prime, self.pk.n());
         (&l * &self.inv_4d2_theta).rem_of(self.pk.n())
     }
+}
+
+/// Inverse of a unit modulo `N²`: invert modulo `N`, at half the width, and
+/// lift with one Newton–Hensel step `y·(2 − a·y) mod N²`. An inverse modulo
+/// `N²` is unique, so this is the value `mod_inverse(a, N²)` returns, at
+/// well under half its cost.
+fn inverse_mod_n2(pk: &PublicKey, a: &BigUint) -> Option<BigUint> {
+    let y = mod_inverse(&a.rem_of(pk.n()), pk.n())?;
+    let ay = pk.mont().mul(a, &y);
+    let two_minus_ay = &(pk.n_squared() + &BigUint::from_u64(2)) - &ay;
+    Some(pk.mont().mul(&y, &two_minus_ay))
 }
 
 /// `Δ · Π_{j∈S, j≠i} j / (j - i)` as an exact integer.
@@ -282,6 +293,7 @@ fn two_lambda_abs(lambda: &BigInt) -> BigUint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pivot_bignum::mod_pow;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -380,6 +392,61 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `combine` the long way: each `cᵢ^{2λᵢ}` on its own, a negative `λᵢ`
+    /// through a full-width inverse modulo `N²`.
+    fn combine_full_width(c: &Combiner, subset: &[PartialDecryption]) -> BigUint {
+        let n2 = c.pk.n_squared();
+        let indices: Vec<i128> = subset.iter().map(|p| p.index as i128).collect();
+        let mut c_prime = BigUint::one();
+        for part in subset {
+            let lambda = lagrange_at_zero(&c.delta, part.index as i128, &indices);
+            let mut term = mod_pow(&part.value, &two_lambda_abs(&lambda), n2);
+            if lambda.is_negative() {
+                term = mod_inverse(&term, n2).expect("unit");
+            }
+            c_prime = (&c_prime * &term).rem_of(n2);
+        }
+        (&l_function(&c_prime, c.pk.n()) * &c.inv_4d2_theta).rem_of(c.pk.n())
+    }
+
+    #[test]
+    fn lifted_inverse_combines_like_the_full_width_one() {
+        let mut r = rng();
+        // 3-of-3 (λ = 18, −18, 6) and 2-of-3 (λ = 12, −6 on parties 1, 2;
+        // −3, 9 on parties 3, 1): every subset has a negative coefficient.
+        for (t, picks) in [
+            (3, vec![vec![1usize, 2, 3]]),
+            (2, vec![vec![1, 2], vec![3, 1]]),
+        ] {
+            let kp = small_threshold_keys(3, t);
+            for x in [0u64, 1, 424_242, u64::MAX] {
+                let x = BigUint::from_u64(x);
+                let c = kp.pk.encrypt(&x, &mut r);
+                for pick in &picks {
+                    let partials: Vec<_> = pick
+                        .iter()
+                        .map(|&i| kp.shares[i - 1].partial_decrypt(&c))
+                        .collect();
+                    assert_eq!(kp.combiner.combine(&partials), x);
+                    assert_eq!(combine_full_width(&kp.combiner, &partials), x);
+                    for part in &partials {
+                        assert_eq!(
+                            inverse_mod_n2(&kp.pk, &part.value),
+                            mod_inverse(&part.value, kp.pk.n_squared()),
+                        );
+                    }
+                }
+            }
+        }
+        // Not a unit: no inverse either way.
+        let kp = small_threshold_keys(3, 3);
+        assert_eq!(inverse_mod_n2(&kp.pk, kp.pk.n()), None);
+        assert_eq!(
+            inverse_mod_n2(&kp.pk, &BigUint::one()),
+            Some(BigUint::one())
+        );
     }
 
     #[test]
