@@ -25,7 +25,7 @@
 //!   round/byte/wall table of a traced run (`params.trace != "off"`), or
 //!   validate a Chrome-trace export with `--check`.
 
-pub mod baseline;
+pub mod algo;
 pub mod checkpoint;
 pub mod json;
 pub mod party;

@@ -10,8 +10,7 @@ const USAGE: &str = "\
 pivot — privacy preserving vertical federated learning for tree-based models
 
 USAGE:
-    pivot <train|predict> --scenario <FILE> [--out <FILE>] [--quiet]
-    pivot bench --scenario <FILE> [--out <FILE>] [--baseline <FILE>] [--quiet]
+    pivot <train|predict|bench> --scenario <FILE> [--out <FILE>] [--quiet]
     pivot party --scenario <FILE> --id <N> --peers <ADDR0,ADDR1,...>
                 [--listen <ADDR>] [--out <FILE>] [--quiet]
                 [--resume] [--supervise]
@@ -27,11 +26,7 @@ SUBCOMMANDS:
                time, prediction-phase traffic)
     bench      Run the scenario's [sweep] axis across its algorithms
                (a Figure-4-style sweep) and report every point; network
-               axes (latency_us, bandwidth_mbps) sweep within one process.
-               With --baseline, write a machine-readable perf record
-               (per-stage wall clock, batched-crypto ops/sec, randomness-
-               pool hit rate) instead of sweeping: each algorithm runs
-               once at the base point and [sweep] must be absent
+               axes (latency_us, bandwidth_mbps) sweep within one process
     party      Run ONE party of the scenario over TCP — one process per
                client, the paper's deployment shape. Start m processes
                with ids 0..m-1 and the same --peers list; each writes a
@@ -47,8 +42,8 @@ SUBCOMMANDS:
                accused party), or 13 (checkpoint state unreadable,
                corrupt, mismatched, or unwritable)
     trace      Inspect tracing output: point it at a run report (train /
-               predict / bench / party / --baseline JSON) to print the
-               embedded per-phase round/byte/wall tables, or at a
+               predict / bench / party JSON) to print the embedded
+               per-phase round/byte/wall tables, or at a
                *-trace.json Chrome-trace export to reconstruct and print
                the phase table plus the top round-serializing spans.
                Traces exist when the scenario sets params.trace =
@@ -58,8 +53,6 @@ OPTIONS:
     --scenario <FILE>   TOML or JSON scenario (see examples/scenarios/)
     --out <FILE>        Report path (default: <scenario-stem>-report.json,
                         or <scenario-stem>-party<N>-report.json for party)
-    --baseline <FILE>   bench only: also write a perf-baseline JSON record
-                        (see BENCH_PR3.json for the committed trajectory)
     --quiet             Suppress the human-readable summary on stdout
     --id <N>            party only: this process's party id in 0..m
     --peers <LIST>      party only: comma-separated addresses of all m
@@ -90,7 +83,6 @@ struct Args {
     command: String,
     scenario: PathBuf,
     out: Option<PathBuf>,
-    baseline: Option<PathBuf>,
     quiet: bool,
 }
 
@@ -204,7 +196,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut command = None;
     let mut scenario = None;
     let mut out = None;
-    let mut baseline = None;
     let mut quiet = false;
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
@@ -220,10 +211,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 let v = it.next().ok_or("--out needs a file path")?;
                 out = Some(PathBuf::from(v));
             }
-            "--baseline" => {
-                let v = it.next().ok_or("--baseline needs a file path")?;
-                baseline = Some(PathBuf::from(v));
-            }
             "--quiet" => quiet = true,
             other => {
                 return Err(format!("unexpected argument {other:?} (see pivot --help)"));
@@ -232,14 +219,10 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     }
     let command = command.ok_or("missing subcommand (train, predict, or bench)")?;
     let scenario = scenario.ok_or("missing --scenario <FILE>")?;
-    if baseline.is_some() && command != "bench" {
-        return Err("--baseline only applies to the bench subcommand".into());
-    }
     Ok(Args {
         command,
         scenario,
         out,
-        baseline,
         quiet,
     })
 }
@@ -295,32 +278,14 @@ fn run(args: &Args) -> Result<(), String> {
             }
         }
         "bench" => {
-            if scenario.sweep.is_none() && args.baseline.is_none() {
-                return Err("bench needs a [sweep] section (vary + values), \
-                            or --baseline for a single-point perf record"
-                    .into());
-            }
-            // A baseline is a single-point record: mixing it with a sweep
-            // would repeat algorithms across points with no axis tag and
-            // make the derived speedups meaningless.
-            if scenario.sweep.is_some() && args.baseline.is_some() {
-                return Err("--baseline records a single configuration; remove the \
-                            [sweep] section (run the sweep separately)"
-                    .into());
-            }
-            // Without a sweep (--baseline mode) every algorithm runs once
-            // at the base point, reported under a degenerate axis.
-            let (axis, points): (String, Vec<usize>) = match &scenario.sweep {
-                Some(sweep) => (sweep.vary.clone(), sweep.values.clone()),
-                None => ("point".into(), vec![0]),
-            };
+            let sweep = scenario
+                .sweep
+                .as_ref()
+                .ok_or("bench needs a [sweep] section (vary + values)")?;
+            let axis = &sweep.vary;
             let mut results = Vec::new();
-            for &value in &points {
-                let point = if scenario.sweep.is_some() {
-                    scenario.with_axis(&axis, value)
-                } else {
-                    scenario.clone()
-                };
+            for &value in &sweep.values {
+                let point = scenario.with_axis(axis, value);
                 // A sweep value can make an otherwise-valid scenario
                 // invalid (e.g. parties = 0); check per point.
                 point
@@ -339,16 +304,7 @@ fn run(args: &Args) -> Result<(), String> {
                     results.push((value, exec));
                 }
             }
-            if let Some(baseline_path) = &args.baseline {
-                let execs: Vec<_> = results.iter().map(|(_, e)| e.clone()).collect();
-                let record = pivot_cli::baseline::baseline_report(&scenario, &execs);
-                std::fs::write(baseline_path, record.to_pretty())
-                    .map_err(|e| format!("cannot write {}: {e}", baseline_path.display()))?;
-                if !args.quiet {
-                    println!("perf baseline written to {}", baseline_path.display());
-                }
-            }
-            report::bench_report(&scenario, &axis, &results)
+            report::bench_report(&scenario, axis, &results)
         }
         other => return Err(format!("unknown subcommand {other:?}")),
     };

@@ -589,8 +589,8 @@ pub fn bench_report(scenario: &Scenario, axis: &str, results: &[(usize, Executio
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algo::Algo;
     use crate::runner::PartyOutcome;
-    use pivot_bench::Algo;
     use pivot_data::Task;
 
     fn fake_exec() -> Execution {
@@ -671,8 +671,15 @@ mod tests {
     }
 
     fn scenario() -> Scenario {
-        let tmp =
-            std::env::temp_dir().join(format!("pivot-report-test-{}.toml", std::process::id()));
+        // Tests run on parallel threads of one process: a per-call file
+        // name keeps one test from removing the file another is loading.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static CALLS: AtomicUsize = AtomicUsize::new(0);
+        let call = CALLS.fetch_add(1, Ordering::Relaxed);
+        let tmp = std::env::temp_dir().join(format!(
+            "pivot-report-test-{}-{call}.toml",
+            std::process::id()
+        ));
         std::fs::write(&tmp, "name = \"report test\"\nparties = 2").unwrap();
         let s = Scenario::load(&tmp).unwrap();
         std::fs::remove_file(&tmp).ok();

@@ -1,8 +1,8 @@
 //! Scenario execution: SPMD protocol runs with per-stage timing and
 //! per-party traffic accounting.
 
+use crate::algo::Algo;
 use crate::scenario::{ModelKind, ModelSpec, Scenario};
-use pivot_bench::Algo;
 use pivot_core::baselines::{npd_dt, spdz_dt};
 use pivot_core::config::PivotParams;
 use pivot_core::ensemble::{

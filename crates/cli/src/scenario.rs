@@ -12,9 +12,9 @@
 //! Unknown sections or keys are hard errors: a typo like `max_dept = 5`
 //! must not silently benchmark the wrong configuration.
 
+use crate::algo::{algo_params, parse_algo, Algo};
 use crate::json::Json;
 use crate::toml::{TomlDoc, TomlValue};
-use pivot_bench::Algo;
 use pivot_core::config::{Packing, PivotParams};
 use pivot_core::{AdversarySpec, CompareBits, TraceLevel, Verification};
 use pivot_data::{synth, Dataset, Task};
@@ -370,7 +370,8 @@ pub struct AdversaryCliSpec {
 #[derive(Clone, Debug)]
 pub struct SweepSpec {
     /// Which knob varies: parties | samples | features_per_party |
-    /// max_splits | max_depth (the paper's Figure 4 axes).
+    /// max_splits | max_depth (the paper's Figure 4 axes), latency_us |
+    /// bandwidth_mbps (the `[network]` simulation), or packing.
     pub vary: String,
     pub values: Vec<usize>,
 }
@@ -390,21 +391,6 @@ pub struct Scenario {
     pub faults: FaultsSpec,
     pub adversary: AdversaryCliSpec,
     pub sweep: Option<SweepSpec>,
-}
-
-pub fn parse_algo(s: &str) -> Result<Algo, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "pivot-basic" => Ok(Algo::PivotBasic),
-        "pivot-basic-pp" => Ok(Algo::PivotBasicPp),
-        "pivot-enhanced" => Ok(Algo::PivotEnhanced),
-        "pivot-enhanced-pp" => Ok(Algo::PivotEnhancedPp),
-        "spdz-dt" => Ok(Algo::SpdzDt),
-        "npd-dt" => Ok(Algo::NpdDt),
-        other => Err(format!(
-            "unknown algorithm {other:?} (expected pivot-basic, pivot-basic-pp, \
-             pivot-enhanced, pivot-enhanced-pp, spdz-dt, or npd-dt)"
-        )),
-    }
 }
 
 /// Typed accessor shim so TOML and JSON scenarios share one extraction
@@ -975,7 +961,6 @@ impl Scenario {
                     "latency_us",
                     "bandwidth_mbps",
                     "packing",
-                    "checkpoint_every_levels",
                 ];
                 if vary == "comparison_bits" {
                     return Err("sweep.vary = \"comparison_bits\" was removed with the \
@@ -1112,13 +1097,6 @@ impl Scenario {
             }
             if ckpt.dir.is_empty() {
                 return Err("checkpoint.dir must not be empty".into());
-            }
-        }
-        if let Some(sweep) = &self.sweep {
-            if sweep.vary == "checkpoint_every_levels" && self.checkpoint.is_none() {
-                return Err("sweep.vary = \"checkpoint_every_levels\" needs a \
-                     [checkpoint] section to supply the directory"
-                    .into());
             }
         }
         if self.params.verification.is_on() {
@@ -1315,9 +1293,8 @@ impl Scenario {
 
     /// [`PivotParams`] for one algorithm under this scenario: the
     /// scenario's knobs under the algorithm-to-parameter policy (enhanced
-    /// keysize floor, serial crypto for non-`-pp` algorithms), which lives
-    /// in [`pivot_bench::algo_params`] so CLI runs and the bench binaries
-    /// can never diverge.
+    /// keysize floor, serial crypto for non-`-pp` algorithms) of
+    /// [`algo_params`].
     pub fn pivot_params(&self, algo: Algo) -> PivotParams {
         let base = PivotParams {
             tree: TreeParams {
@@ -1340,7 +1317,7 @@ impl Scenario {
             adversary: self.adversary_spec().expect("validated adversary spec"),
             ..Default::default()
         };
-        pivot_bench::algo_params(algo, base)
+        algo_params(algo, base)
     }
 
     /// Echo of the effective configuration, embedded in every report so
@@ -1503,17 +1480,6 @@ impl Scenario {
                     n => Packing::Slots(n),
                 }
             }
-            // Checkpoint-cadence axis: 0 = checkpointing off, n >= 1 =
-            // every n barriers (keeping the scenario's dir) — the
-            // durability-overhead A/B BENCH_PR10.json records.
-            "checkpoint_every_levels" => match (value, &mut s.checkpoint) {
-                (0, ckpt) => *ckpt = None,
-                (n, Some(ckpt)) => ckpt.every_levels = n as u64,
-                (_, None) => panic!(
-                    "sweep over checkpoint_every_levels needs a [checkpoint] section \
-                     to supply the directory"
-                ),
-            },
             other => panic!("unvalidated sweep axis {other:?}"),
         }
         s
@@ -1773,39 +1739,6 @@ mod tests {
         let err = bad.validate().unwrap_err();
         assert!(err.contains("parties"), "{err}");
         assert!(s.with_axis("parties", 2).validate().is_ok());
-    }
-
-    #[test]
-    fn cli_params_match_bench_params() {
-        // The CLI must produce byte-identical policy to the bench harness
-        // for every algorithm (shared helper, but lock the equivalence).
-        let s = parse_toml("seed = 99\n[params]\nkeysize = 128\nmin_samples = 2").unwrap();
-        for algo in [
-            Algo::PivotBasic,
-            Algo::PivotBasicPp,
-            Algo::PivotEnhanced,
-            Algo::PivotEnhancedPp,
-            Algo::SpdzDt,
-            Algo::NpdDt,
-        ] {
-            let cli = s.pivot_params(algo);
-            let bench = pivot_bench::BenchConfig {
-                b: s.params.max_splits,
-                h: s.params.max_depth,
-                keysize: s.params.keysize,
-                crypto_threads: s.params.crypto_threads,
-                seed: s.seed,
-                ..Default::default()
-            }
-            .params(algo);
-            assert_eq!(cli.keysize, bench.keysize, "{algo:?}");
-            assert_eq!(cli.crypto_threads, bench.crypto_threads, "{algo:?}");
-            assert_eq!(cli.randomness_pool, bench.randomness_pool, "{algo:?}");
-            assert_eq!(cli.dealer_pool, bench.dealer_pool, "{algo:?}");
-            assert_eq!(cli.protocol, bench.protocol, "{algo:?}");
-            assert_eq!(cli.tree.stop_when_pure, bench.tree.stop_when_pure);
-            assert_eq!(cli.dealer_seed, bench.dealer_seed, "{algo:?}");
-        }
     }
 
     #[test]

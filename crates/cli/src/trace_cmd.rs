@@ -1,12 +1,11 @@
 //! `pivot trace`: inspect a run's tracing output.
 //!
-//! Accepts either a run report (`*-report.json`, bench report, or
-//! `--baseline` record) carrying embedded phase tables, or a raw
-//! Chrome-trace export (`*-trace.json`). For a Chrome trace it first
-//! re-derives the spans from the `B`/`E` stream — which doubles as a
-//! structural validation (`--check`): every track's events must balance,
-//! timestamps must be monotonic per track, and every span must name a
-//! known phase.
+//! Accepts either a run report (`*-report.json` or bench report)
+//! carrying embedded phase tables, or a raw Chrome-trace export
+//! (`*-trace.json`). For a Chrome trace it first re-derives the spans
+//! from the `B`/`E` stream — which doubles as a structural validation
+//! (`--check`): every track's events must balance, timestamps must be
+//! monotonic per track, and every span must name a known phase.
 
 use crate::json::Json;
 use std::collections::HashMap;
@@ -261,21 +260,18 @@ fn run_report(doc: &Json) -> Result<(), String> {
             printed = true;
         }
     }
-    // bench reports (`results[*].phases`) and baseline records
-    // (`algorithms[*].phases`).
-    for (section, label_key) in [("results", "algorithm"), ("algorithms", "algorithm")] {
-        if let Some(entries) = doc.get(section).and_then(|v| v.as_array()) {
-            for e in entries {
-                if let Some(rows) = e.get("phases").and_then(|v| v.as_array()) {
-                    let label = e
-                        .get(label_key)
-                        .and_then(|v| v.as_str())
-                        .unwrap_or("?")
-                        .to_string();
-                    println!("{label} (party 0)");
-                    print_rows(rows);
-                    printed = true;
-                }
+    // bench reports (`results[*].phases`).
+    if let Some(entries) = doc.get("results").and_then(|v| v.as_array()) {
+        for e in entries {
+            if let Some(rows) = e.get("phases").and_then(|v| v.as_array()) {
+                let label = e
+                    .get("algorithm")
+                    .and_then(|v| v.as_str())
+                    .unwrap_or("?")
+                    .to_string();
+                println!("{label} (party 0)");
+                print_rows(rows);
+                printed = true;
             }
         }
     }
@@ -297,8 +293,8 @@ struct PhaseAgg {
 }
 
 /// Extract a `phase → (rounds, sent bytes, wait_s)` table from a run
-/// report (party-0 trace section, or the first traced bench / baseline
-/// entry) or a Chrome-trace export (aggregated over all tracks).
+/// report (party-0 trace section, or the first traced bench entry) or a
+/// Chrome-trace export (aggregated over all tracks).
 fn phase_table_of(doc: &Json) -> Result<Vec<(String, PhaseAgg)>, String> {
     if doc.get("traceEvents").is_some() {
         let spans = parse_chrome(doc)?;
@@ -318,25 +314,24 @@ fn phase_table_of(doc: &Json) -> Result<Vec<(String, PhaseAgg)>, String> {
         }
         return Ok(out);
     }
-    let mut rows = doc
+    let rows = doc
         .path("trace.per_party")
         .and_then(|v| v.as_array())
         .and_then(|tables| tables.first())
         .and_then(|t| t.get("phases"))
-        .and_then(|v| v.as_array());
-    for section in ["results", "algorithms"] {
-        if rows.is_some() {
-            break;
-        }
-        rows = doc.get(section).and_then(|v| v.as_array()).and_then(|es| {
-            es.iter()
-                .find_map(|e| e.get("phases").and_then(|v| v.as_array()))
-        });
-    }
-    let rows = rows.ok_or(
-        "no phase tables in this file — run the scenario with \
-         params.trace = \"phases\" or \"full\"",
-    )?;
+        .and_then(|v| v.as_array())
+        .or_else(|| {
+            doc.get("results")
+                .and_then(|v| v.as_array())
+                .and_then(|es| {
+                    es.iter()
+                        .find_map(|e| e.get("phases").and_then(|v| v.as_array()))
+                })
+        })
+        .ok_or(
+            "no phase tables in this file — run the scenario with \
+             params.trace = \"phases\" or \"full\"",
+        )?;
     Ok(rows
         .iter()
         .map(|row| {

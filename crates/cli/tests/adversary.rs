@@ -15,7 +15,7 @@
 //!    naming the accused cheater (not the observer that happened to
 //!    catch it).
 
-use pivot_bench::Algo;
+use pivot_cli::algo::Algo;
 use pivot_cli::json::Json;
 use pivot_cli::runner::execute;
 use pivot_cli::scenario::Scenario;

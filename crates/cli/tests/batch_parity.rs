@@ -8,7 +8,7 @@
 //! This is what lets the paper's Figure-4/5 `-PP` curves be read as pure
 //! wall-clock effects: the protocol transcript is unchanged.
 
-use pivot_bench::Algo;
+use pivot_cli::algo::Algo;
 use pivot_cli::runner::{execute, Execution};
 use pivot_cli::scenario::Scenario;
 

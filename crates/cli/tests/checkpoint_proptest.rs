@@ -5,7 +5,7 @@
 //! the same round-trip on *real* checkpoint files written by all three
 //! trainers (basic, enhanced-PP, and the GBDT ensemble).
 
-use pivot_bench::Algo;
+use pivot_cli::algo::Algo;
 use pivot_cli::checkpoint::{
     decode_checkpoint, encode_checkpoint, fnv1a64, CheckpointError, CheckpointFile, CKPT_VERSION,
 };

@@ -193,7 +193,7 @@ fn bench_sweep_reports_every_point() {
         r#"
 name = "integration sweep"
 seed = 29
-algorithms = ["npd-dt"]
+algorithms = ["pivot-basic", "spdz-dt", "npd-dt"]
 
 [data]
 kind = "synthetic-classification"
@@ -229,12 +229,34 @@ values = [2, 3]
     let report = Json::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
     assert_eq!(report.get("vary").unwrap().as_str(), Some("parties"));
     let entries = report.get("results").unwrap().as_array().unwrap();
-    assert_eq!(entries.len(), 2);
-    assert_eq!(entries[0].get("parties").unwrap().as_u64(), Some(2));
-    assert_eq!(entries[1].get("parties").unwrap().as_u64(), Some(3));
-    for e in entries {
+    // One entry per (point, algorithm), points outermost.
+    let expected = [
+        (2, "Pivot-Basic"),
+        (2, "SPDZ-DT"),
+        (2, "NPD-DT"),
+        (3, "Pivot-Basic"),
+        (3, "SPDZ-DT"),
+        (3, "NPD-DT"),
+    ];
+    assert_eq!(entries.len(), expected.len());
+    for (e, (parties, algorithm)) in entries.iter().zip(expected) {
+        assert_eq!(e.get("parties").unwrap().as_u64(), Some(parties));
+        assert_eq!(e.get("algorithm").unwrap().as_str(), Some(algorithm));
         assert!(e.get("train_wall_s").unwrap().as_f64().unwrap() >= 0.0);
         assert!(e.get("bytes_sent_party0").unwrap().as_u64().unwrap() > 0);
+        // The paper's Table 2 (Ce, Cd, Cs, Cc) is read off every point.
+        for counter in [
+            "encryptions",
+            "threshold_decryptions",
+            "secure_mults",
+            "secure_comparisons",
+        ] {
+            let path = format!("counters.{counter}");
+            assert!(
+                e.path(&path).and_then(Json::as_u64).is_some(),
+                "{algorithm} at parties={parties} lacks {path}"
+            );
+        }
     }
 
     std::fs::remove_file(&scenario).ok();
@@ -279,8 +301,19 @@ fn bad_inputs_fail_with_nonzero_exit() {
     std::fs::write(&scenario, "[data]\nkind = \"synthetic-classification\"").unwrap();
     let r = run_pivot(&["bench", "--scenario", scenario.to_str().unwrap()]);
     assert!(!r.status.success());
-    assert!(String::from_utf8_lossy(&r.stderr).contains("sweep"));
+    let stderr = String::from_utf8_lossy(&r.stderr);
+    assert!(stderr.contains("sweep"), "{stderr}");
+    assert!(!stderr.contains("--baseline"), "{stderr}");
     std::fs::remove_file(&scenario).ok();
+
+    // The removed perf-record flag is an argument like any other.
+    let r = run_pivot(&["bench", "--baseline", "x.json"]);
+    assert!(!r.status.success());
+    let stderr = String::from_utf8_lossy(&r.stderr);
+    assert!(
+        stderr.contains("unexpected argument \"--baseline\""),
+        "{stderr}"
+    );
 
     // Unknown flag.
     let r = run_pivot(&["train", "--scenari", "x.toml"]);

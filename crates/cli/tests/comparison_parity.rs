@@ -5,7 +5,7 @@
 //! so every argmax is range-invariant — while opening measurably fewer
 //! field elements in fewer comparison rounds, for both protocols.
 
-use pivot_bench::Algo;
+use pivot_cli::algo::Algo;
 use pivot_cli::runner::{execute, Execution};
 use pivot_cli::scenario::Scenario;
 

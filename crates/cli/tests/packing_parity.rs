@@ -3,7 +3,7 @@
 //! `packing = "off"` — while pooling measurably fewer split-statistics
 //! ciphertexts — for both protocols at m = 3.
 
-use pivot_bench::Algo;
+use pivot_cli::algo::Algo;
 use pivot_cli::runner::{execute, Execution};
 use pivot_cli::scenario::Scenario;
 

@@ -10,7 +10,7 @@
 //!    `mpc_rounds` and the byte columns sum to the train + predict
 //!    NetStats totals — no round or byte escapes attribution.
 
-use pivot_bench::Algo;
+use pivot_cli::algo::Algo;
 use pivot_cli::runner::{execute, Execution};
 use pivot_cli::scenario::Scenario;
 use std::sync::{Mutex, PoisonError};

@@ -402,7 +402,7 @@ impl MpcEngine<'_> {
             let a_vals: Vec<Share> = (0..pairs).map(|i| cur[2 * i]).collect();
             let b_vals: Vec<Share> = (0..pairs).map(|i| cur[2 * i + 1]).collect();
             // sel = 1[a < b] → winner is b; ties keep the earlier element
-            // `a`, matching the plaintext argmax and the sequential scan.
+            // `a`, matching the plaintext argmax.
             let sel = self.lt_vec_bounded(&a_vals, &b_vals, k);
             // Batch value- and index-selection into one multiplication round.
             let mut conds = Vec::with_capacity(2 * pairs);
@@ -611,24 +611,5 @@ impl MpcEngine<'_> {
             out.push((idx, val));
         }
         out
-    }
-
-    /// Paper-faithful sequential secure maximum (§4.1): scans splits one by
-    /// one, updating `⟨gain_max⟩` and the identifier with secure selects.
-    /// `O(n)` comparison rounds — kept for the ablation benchmarks.
-    pub fn argmax_sequential(&mut self, vals: &[Share]) -> (Share, Share) {
-        assert!(!vals.is_empty(), "argmax of empty vector");
-        let party = self.party();
-        // Initialize with ⟨−1⟩ like Algorithm 3's description.
-        let mut best_val = Share::from_public(party, Fp::from_i64(-1));
-        let mut best_idx = Share::from_public(party, Fp::from_i64(-1));
-        for (j, &v) in vals.iter().enumerate() {
-            let sign = self.lt_vec(&[best_val], &[v])[0]; // 1 if v is better
-            let j_share = Share::from_public(party, Fp::new(j as u64));
-            let chosen = self.select_vec(&[sign, sign], &[v, j_share], &[best_val, best_idx]);
-            best_val = chosen[0];
-            best_idx = chosen[1];
-        }
-        (best_idx, best_val)
     }
 }

@@ -164,25 +164,17 @@ fn mod2m_extracts_low_bits() {
 }
 
 #[test]
-fn argmax_tournament_and_sequential_agree() {
+fn argmax_tournament_matches_plaintext() {
     let vals = [3.0f64, -1.0, 7.5, 7.25, 0.0, 2.0];
     let results = mpc(3, |e| {
         let shares: Vec<Share> = vals.iter().map(|&v| e.constant_f64(v)).collect();
-        let (idx_t, max_t) = e.argmax(&shares);
-        let (idx_s, max_s) = e.argmax_sequential(&shares);
-        let opened = e.open_vec(&[idx_t, max_t, idx_s, max_s]);
-        (
-            opened[0].value(),
-            e.cfg.decode(opened[1]),
-            opened[2].value(),
-            e.cfg.decode(opened[3]),
-        )
+        let (idx, max) = e.argmax(&shares);
+        let opened = e.open_vec(&[idx, max]);
+        (opened[0].value(), e.cfg.decode(opened[1]))
     });
-    for (it, mt, is, ms) in results {
-        assert_eq!(it, 2);
-        assert_eq!(is, 2);
-        assert!((mt - 7.5).abs() < 1e-4);
-        assert!((ms - 7.5).abs() < 1e-4);
+    for (idx, max) in results {
+        assert_eq!(idx, 2);
+        assert!((max - 7.5).abs() < 1e-4);
     }
 }
 
