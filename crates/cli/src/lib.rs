@@ -1,13 +1,13 @@
 //! `pivot-cli`: the scenario-driven operational layer of the Pivot
 //! reproduction.
 //!
-//! A *scenario file* (TOML or JSON, see [`scenario`]) declares one run —
-//! dataset or synthesis parameters, party count, protocol parameters,
-//! algorithm, LAN-simulation knobs — and the `pivot` binary executes it
-//! and emits a machine-readable JSON [`report`]: per-stage wall-clock,
-//! bytes sent/received per party, operation counts, and the test metric,
-//! together with an echo of the scenario and seed so runs recorded months
-//! apart stay comparable.
+//! A *scenario file* (TOML, or JSON read through the same schema — see
+//! [`scenario`]) declares one run — dataset or synthesis parameters, party
+//! count, protocol parameters, algorithm, LAN-simulation knobs — and the
+//! `pivot` binary executes it and emits a machine-readable JSON
+//! [`report`]: per-stage wall-clock, bytes sent/received per party,
+//! operation counts, and the test metric, together with an echo of the
+//! scenario and seed so runs recorded months apart stay comparable.
 //!
 //! Subcommands:
 //! - `pivot train --scenario <file>` — train + evaluate, full report

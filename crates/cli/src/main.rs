@@ -50,7 +50,9 @@ SUBCOMMANDS:
                \"phases\" or \"full\"
 
 OPTIONS:
-    --scenario <FILE>   TOML or JSON scenario (see examples/scenarios/)
+    --scenario <FILE>   TOML scenario, or JSON (by extension) read through
+                        the same schema: same sections, keys and ranges
+                        (see examples/scenarios/; README, Scenario keys)
     --out <FILE>        Report path (default: <scenario-stem>-report.json,
                         or <scenario-stem>-party<N>-report.json for party)
     --quiet             Suppress the human-readable summary on stdout

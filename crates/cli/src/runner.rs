@@ -315,14 +315,10 @@ pub fn prepare(
     let (train_set, test_set) = dataset.train_test_split(scenario.data.test_fraction);
     let params = scenario.pivot_params(algo);
     // Surface invalid parameter combinations as errors, not thread panics.
-    let n = train_set.num_samples();
-    let validation = std::panic::catch_unwind(|| params.assert_valid(n));
-    if validation.is_err() {
-        return Err(format!(
-            "invalid parameters for n={n} (keysize {}, depth {}): see message above",
-            params.keysize, params.tree.max_depth
-        ));
-    }
+    let regression = train_set.task() == Task::Regression;
+    params
+        .validate(train_set.num_samples(), m, regression)
+        .map_err(|e| format!("invalid parameters: {e}"))?;
     Ok((train_set, test_set, params))
 }
 

@@ -1,8 +1,10 @@
 //! Scenario files: the declarative description of one `pivot` run.
 //!
 //! A scenario is TOML (see [`crate::toml`] for the supported subset) or
-//! JSON with the same structure, selected by file extension. Every knob
-//! has a default, so a minimal classification scenario is just:
+//! JSON with the same structure, selected by file extension; a JSON file
+//! is lowered into the TOML document tree at load, so both formats go
+//! through the same schema. Every knob has a default, so a minimal
+//! classification scenario is just:
 //!
 //! ```toml
 //! [data]
@@ -11,6 +13,39 @@
 //!
 //! Unknown sections or keys are hard errors: a typo like `max_dept = 5`
 //! must not silently benchmark the wrong configuration.
+//!
+//! # One table
+//!
+//! Every key is declared once, as a row of `SCHEMA`. A row names the key's
+//! section, its admissible values (type and range), one line of
+//! documentation, the typed [`Scenario`] field it is read back from and
+//! stored into, how the report echoes it, and whether `[sweep]` may vary
+//! it. One engine walks the rows to reject unknown sections and keys, read
+//! a document, re-check ranges in [`Scenario::validate`], write the echo
+//! ([`Scenario::to_json`] — row order is echo order), apply a sweep point
+//! ([`Scenario::with_axis`]) and render the key reference in README.md.
+//! What stays as code is what no single row can state: the structural
+//! rules of the reader (`algorithm` xor `algorithms`, `[checkpoint]` needs
+//! `dir`, `vary` with `values`) and the cross-field rules of `validate`.
+//! The typed structs stay the interface of everything downstream, and
+//! their `Default` impls the one source of defaults.
+//!
+//! Adding a knob is one struct field (with its default) and one row:
+//!
+//! ```diff
+//!  pub struct CheckpointSpec {
+//! +    /// Bytes one party's checkpoints may hold (0 = unbounded).
+//! +    pub budget_bytes: u64,
+//!  ...
+//!  static SCHEMA: &[Key] = &[
+//! +    key!(checkpoint?.budget_bytes: Int(0, INT_MAX),
+//! +        "Bytes one party's checkpoints may hold (0 = unbounded)."),
+//! ```
+//!
+//! after which the `readme_key_reference_matches_schema` test fails with
+//! the regenerated README table, ready to paste. A field of a new type —
+//! an enumeration, a mode-or-number — also states its scenario syntax
+//! once, as a `Load` impl and an `Into<Json>`.
 
 use crate::algo::{algo_params, parse_algo, Algo};
 use crate::json::Json;
@@ -18,7 +53,7 @@ use crate::toml::{TomlDoc, TomlValue};
 use pivot_core::config::{Packing, PivotParams};
 use pivot_core::{AdversarySpec, CompareBits, TraceLevel, Verification};
 use pivot_data::{synth, Dataset, Task};
-use pivot_transport::NetConfig;
+use pivot_transport::{NetConfig, MAX_RECV_TIMEOUT_SECS};
 use pivot_trees::TreeParams;
 use std::path::Path;
 
@@ -32,35 +67,6 @@ pub enum DataKind {
     BankMarketLike,
     EnergyLike,
     Csv,
-}
-
-impl DataKind {
-    fn parse(s: &str) -> Result<DataKind, String> {
-        match s {
-            "synthetic-classification" => Ok(DataKind::SyntheticClassification),
-            "synthetic-regression" => Ok(DataKind::SyntheticRegression),
-            "credit-card-like" => Ok(DataKind::CreditCardLike),
-            "bank-market-like" => Ok(DataKind::BankMarketLike),
-            "energy-like" => Ok(DataKind::EnergyLike),
-            "csv" => Ok(DataKind::Csv),
-            other => Err(format!(
-                "unknown data.kind {other:?} (expected synthetic-classification, \
-                 synthetic-regression, credit-card-like, bank-market-like, \
-                 energy-like, or csv)"
-            )),
-        }
-    }
-
-    fn label(&self) -> &'static str {
-        match self {
-            DataKind::SyntheticClassification => "synthetic-classification",
-            DataKind::SyntheticRegression => "synthetic-regression",
-            DataKind::CreditCardLike => "credit-card-like",
-            DataKind::BankMarketLike => "bank-market-like",
-            DataKind::EnergyLike => "energy-like",
-            DataKind::Csv => "csv",
-        }
-    }
 }
 
 /// `[data]` section.
@@ -110,27 +116,6 @@ pub enum ModelKind {
     RandomForest,
 }
 
-impl ModelKind {
-    fn parse(s: &str) -> Result<ModelKind, String> {
-        match s {
-            "decision-tree" => Ok(ModelKind::DecisionTree),
-            "gbdt" => Ok(ModelKind::Gbdt),
-            "random-forest" => Ok(ModelKind::RandomForest),
-            other => Err(format!(
-                "unknown model.kind {other:?} (expected decision-tree, gbdt, or random-forest)"
-            )),
-        }
-    }
-
-    fn label(&self) -> &'static str {
-        match self {
-            ModelKind::DecisionTree => "decision-tree",
-            ModelKind::Gbdt => "gbdt",
-            ModelKind::RandomForest => "random-forest",
-        }
-    }
-}
-
 #[derive(Clone, Debug)]
 pub struct ModelSpec {
     pub kind: ModelKind,
@@ -151,98 +136,6 @@ impl Default for ModelSpec {
             trees: 4,
             sample_fraction: 1.0,
         }
-    }
-}
-
-/// Echo of `params.packing`: `"off"`, `"auto"`, or the slot count.
-fn echo_packing(packing: Packing) -> Json {
-    match packing {
-        Packing::Off => Json::Str("off".into()),
-        Packing::Auto => Json::Str("auto".into()),
-        Packing::Slots(n) => Json::Num(n as f64),
-    }
-}
-
-/// Echo of `params.comparison_bits`: `"auto"` or the width floor.
-fn echo_comparison_bits(bits: CompareBits) -> Json {
-    match bits {
-        CompareBits::Auto => Json::Str("auto".into()),
-        CompareBits::Floor(n) => Json::Num(f64::from(n)),
-    }
-}
-
-/// `params.verification`: `"off"`, `"spot(p)"`, or `"full"`.
-#[derive(Clone, Copy, Debug, PartialEq, Default)]
-pub enum VerificationSpec {
-    #[default]
-    Off,
-    Spot(f64),
-    Full,
-}
-
-impl VerificationSpec {
-    fn parse(s: &str) -> Result<VerificationSpec, String> {
-        match s {
-            "off" => Ok(VerificationSpec::Off),
-            "full" => Ok(VerificationSpec::Full),
-            other => {
-                let p = other
-                    .strip_prefix("spot(")
-                    .and_then(|rest| rest.strip_suffix(')'))
-                    .and_then(|p| p.trim().parse::<f64>().ok())
-                    .filter(|p| (0.0..=1.0).contains(p));
-                match p {
-                    Some(p) => Ok(VerificationSpec::Spot(p)),
-                    None => Err(format!(
-                        "params.verification: unknown mode {other:?} (expected \
-                         \"off\", \"full\", or \"spot(p)\" with p in [0, 1])"
-                    )),
-                }
-            }
-        }
-    }
-
-    fn to_core(self) -> Verification {
-        match self {
-            VerificationSpec::Off => Verification::Off,
-            VerificationSpec::Spot(p) => Verification::Spot(p),
-            VerificationSpec::Full => Verification::Full,
-        }
-    }
-
-    fn is_on(self) -> bool {
-        self != VerificationSpec::Off
-    }
-
-    fn echo(self) -> Json {
-        match self {
-            VerificationSpec::Off => Json::Str("off".into()),
-            VerificationSpec::Spot(p) => Json::Str(format!("spot({p})")),
-            VerificationSpec::Full => Json::Str("full".into()),
-        }
-    }
-}
-
-/// `params.trace`: `"off"`, `"phases"`, or `"full"`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum TraceSpec {
-    #[default]
-    Off,
-    Phases,
-    Full,
-}
-
-impl TraceSpec {
-    fn to_core(self) -> TraceLevel {
-        match self {
-            TraceSpec::Off => TraceLevel::Off,
-            TraceSpec::Phases => TraceLevel::Phases,
-            TraceSpec::Full => TraceLevel::Full,
-        }
-    }
-
-    fn echo(self) -> Json {
-        Json::Str(self.to_core().as_str().into())
     }
 }
 
@@ -273,11 +166,11 @@ pub struct ParamSpec {
     /// Protocol tracing: `"off"` (default, bit-identical transcript),
     /// `"phases"` (phase timelines + round/byte attribution), `"full"`
     /// (adds per-round and per-node spans).
-    pub trace: TraceSpec,
+    pub trace: TraceLevel,
     /// Malicious-model verification: `"off"` (default, bit-identical
     /// transcript), `"spot(p)"` (proofs on every commit, a seeded
     /// p-fraction verified), `"full"` (every proof verified).
-    pub verification: VerificationSpec,
+    pub verification: Verification,
 }
 
 impl Default for ParamSpec {
@@ -293,8 +186,8 @@ impl Default for ParamSpec {
             packing: core.packing,
             comparison_bits: core.comparison_bits,
             dealer_pool: 256,
-            trace: TraceSpec::Off,
-            verification: VerificationSpec::Off,
+            trace: core.trace,
+            verification: core.verification,
         }
     }
 }
@@ -338,6 +231,17 @@ pub struct CheckpointSpec {
     pub dir: String,
 }
 
+impl Default for CheckpointSpec {
+    /// What a `[checkpoint]` section starts from; the reader requires
+    /// `dir`, so the empty directory is never run.
+    fn default() -> Self {
+        CheckpointSpec {
+            every_levels: 1,
+            dir: String::new(),
+        }
+    }
+}
+
 /// `[faults]` section: a deterministic chaos plan for robustness runs.
 ///
 /// `plan` entries use the [`pivot_transport::FaultSpec`] grammar
@@ -367,11 +271,10 @@ pub struct AdversaryCliSpec {
 }
 
 /// `[sweep]` section (the `bench` subcommand).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SweepSpec {
-    /// Which knob varies: parties | samples | features_per_party |
-    /// max_splits | max_depth (the paper's Figure 4 axes), latency_us |
-    /// bandwidth_mbps (the `[network]` simulation), or packing.
+    /// Which knob varies: any key the schema marks sweepable — the
+    /// paper's Figure 4 axes, the `[network]` simulation, or packing.
     pub vary: String,
     pub values: Vec<usize>,
 }
@@ -393,271 +296,540 @@ pub struct Scenario {
     pub sweep: Option<SweepSpec>,
 }
 
-/// Typed accessor shim so TOML and JSON scenarios share one extraction
-/// path.
-struct Doc {
-    toml: Option<TomlDoc>,
-    json: Option<Json>,
-}
-
-impl Doc {
-    fn get_str(&self, section: &str, key: &str) -> Result<Option<String>, String> {
-        match self.raw_kind(section, key)? {
-            None => Ok(None),
-            Some(RawValue::Str(s)) => Ok(Some(s)),
-            Some(_) => Err(format!("{}: expected a string", loc(section, key))),
+impl Default for Scenario {
+    /// What an empty scenario file runs; the reader starts from it and
+    /// the rows of the keys a document sets overwrite it.
+    fn default() -> Self {
+        Scenario {
+            name: "unnamed scenario".into(),
+            seed: 0xBE7C4,
+            parties: 3,
+            algorithms: vec![Algo::PivotBasic],
+            data: DataSpec::default(),
+            params: ParamSpec::default(),
+            model: ModelSpec::default(),
+            network: NetworkSpec::default(),
+            checkpoint: None,
+            faults: FaultsSpec::default(),
+            adversary: AdversaryCliSpec::default(),
+            sweep: None,
         }
-    }
-
-    /// Integers must stay below 2^53 on both backends: JSON scenario
-    /// values at or above that may already have arrived rounded (2^53 + 1
-    /// parses to exactly 2^53, indistinguishable from a legitimate 2^53),
-    /// and even exact TOML values could not be echoed faithfully in the
-    /// JSON report. Rejecting beats silently running or reporting a
-    /// different value, so the bound is exclusive.
-    const INT_LIMIT: i64 = 1 << 53;
-
-    fn get_u64(&self, section: &str, key: &str) -> Result<Option<u64>, String> {
-        match self.raw_kind(section, key)? {
-            None => Ok(None),
-            Some(RawValue::Int(v)) if (0..Self::INT_LIMIT).contains(&v) => Ok(Some(v as u64)),
-            Some(RawValue::Num(v))
-                if v >= 0.0 && v.fract() == 0.0 && v < Self::INT_LIMIT as f64 =>
-            {
-                Ok(Some(v as u64))
-            }
-            Some(_) => Err(format!(
-                "{}: expected a non-negative integer below 2^53 (larger values \
-                 cannot round-trip through JSON reports)",
-                loc(section, key)
-            )),
-        }
-    }
-
-    fn get_usize(&self, section: &str, key: &str) -> Result<Option<usize>, String> {
-        Ok(self.get_u64(section, key)?.map(|v| v as usize))
-    }
-
-    fn get_f64(&self, section: &str, key: &str) -> Result<Option<f64>, String> {
-        match self.raw_kind(section, key)? {
-            None => Ok(None),
-            Some(RawValue::Num(v)) => Ok(Some(v)),
-            Some(RawValue::Int(v)) => Ok(Some(v as f64)),
-            Some(_) => Err(format!("{}: expected a number", loc(section, key))),
-        }
-    }
-
-    fn get_str_array(&self, section: &str, key: &str) -> Result<Option<Vec<String>>, String> {
-        match self.raw_kind(section, key)? {
-            None => Ok(None),
-            Some(RawValue::StrArr(v)) => Ok(Some(v)),
-            Some(_) => Err(format!(
-                "{}: expected an array of strings",
-                loc(section, key)
-            )),
-        }
-    }
-
-    fn get_usize_array(&self, section: &str, key: &str) -> Result<Option<Vec<usize>>, String> {
-        match self.raw_kind(section, key)? {
-            None => Ok(None),
-            Some(RawValue::NumArr(v)) => v
-                .iter()
-                .map(|&x| {
-                    if x >= 0.0 && x.fract() == 0.0 {
-                        Ok(x as usize)
-                    } else {
-                        Err(format!(
-                            "{}: expected non-negative integers",
-                            loc(section, key)
-                        ))
-                    }
-                })
-                .collect::<Result<Vec<_>, _>>()
-                .map(Some),
-            Some(_) => Err(format!(
-                "{}: expected an array of integers",
-                loc(section, key)
-            )),
-        }
-    }
-
-    fn raw_kind(&self, section: &str, key: &str) -> Result<Option<RawValue>, String> {
-        if let Some(t) = &self.toml {
-            return Ok(t.get(section, key).map(RawValue::from_toml));
-        }
-        let j = self.json.as_ref().expect("doc has one backend");
-        let holder = if section.is_empty() {
-            Some(j)
-        } else {
-            j.get(section)
-        };
-        Ok(holder.and_then(|h| h.get(key)).map(RawValue::from_json))
-    }
-
-    fn keys(&self, section: &str) -> Vec<String> {
-        if let Some(t) = &self.toml {
-            return t
-                .section_keys(section)
-                .into_iter()
-                .map(str::to_string)
-                .collect();
-        }
-        let j = self.json.as_ref().expect("doc has one backend");
-        let holder = if section.is_empty() {
-            Some(j)
-        } else {
-            j.get(section)
-        };
-        holder
-            .map(|h| {
-                h.keys()
-                    .into_iter()
-                    // Top-level objects are sections, not root keys.
-                    .filter(|k| !(section.is_empty() && matches!(h.get(k), Some(Json::Obj(_)))))
-                    .map(str::to_string)
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
-    fn sections(&self) -> Vec<String> {
-        if let Some(t) = &self.toml {
-            return t.section_names().into_iter().map(str::to_string).collect();
-        }
-        let j = self.json.as_ref().expect("doc has one backend");
-        j.keys()
-            .into_iter()
-            .filter(|k| matches!(j.get(k), Some(Json::Obj(_))))
-            .map(str::to_string)
-            .collect()
     }
 }
 
-enum RawValue {
-    Str(String),
-    /// TOML integer, kept exact (f64 would round above 2^53).
-    Int(i64),
-    Num(f64),
-    StrArr(Vec<String>),
-    NumArr(Vec<f64>),
-    Other,
+/// A typed scenario field out of a document value: `None` when the value
+/// is not one of the type's. (The other direction is `Into<Json>`.) A
+/// field type that is not plain — an enumeration, a mode-or-number —
+/// carries its scenario syntax here, once, for every key of that type.
+trait Load: Sized {
+    fn load(v: &TomlValue) -> Option<Self>;
 }
 
-impl RawValue {
-    fn from_toml(v: &TomlValue) -> RawValue {
-        match v {
-            TomlValue::Str(s) => RawValue::Str(s.clone()),
-            TomlValue::Int(i) => RawValue::Int(*i),
-            TomlValue::Float(f) => RawValue::Num(*f),
-            TomlValue::Bool(_) => RawValue::Other,
-            TomlValue::Arr(items) => {
-                if items.iter().all(|i| i.as_str().is_some()) {
-                    RawValue::StrArr(
-                        items
-                            .iter()
-                            .map(|i| i.as_str().unwrap().to_string())
-                            .collect(),
-                    )
-                } else if items.iter().all(|i| i.as_f64().is_some()) {
-                    RawValue::NumArr(items.iter().map(|i| i.as_f64().unwrap()).collect())
-                } else {
-                    RawValue::Other
-                }
+macro_rules! load_integers {
+    ($($int:ty),*) => {$(
+        impl Load for $int {
+            fn load(v: &TomlValue) -> Option<$int> {
+                <$int>::try_from(v.as_i64()?).ok()
             }
+        }
+    )*};
+}
+load_integers!(u64, usize, u32);
+
+impl Load for f64 {
+    fn load(v: &TomlValue) -> Option<f64> {
+        v.as_f64()
+    }
+}
+
+impl Load for String {
+    fn load(v: &TomlValue) -> Option<String> {
+        v.as_str().map(str::to_string)
+    }
+}
+
+impl<T: Load> Load for Option<T> {
+    fn load(v: &TomlValue) -> Option<Option<T>> {
+        T::load(v).map(Some)
+    }
+}
+
+impl<T: Load> Load for Vec<T> {
+    fn load(v: &TomlValue) -> Option<Vec<T>> {
+        v.as_array()?.iter().map(T::load).collect()
+    }
+}
+
+/// Enumerated values: one `(spelling, variant)` list per type, shared by
+/// the reader, the echo and the key reference.
+type Spellings<T> = &'static [(&'static str, T)];
+
+const DATA_KINDS: Spellings<DataKind> = &[
+    (
+        "synthetic-classification",
+        DataKind::SyntheticClassification,
+    ),
+    ("synthetic-regression", DataKind::SyntheticRegression),
+    ("credit-card-like", DataKind::CreditCardLike),
+    ("bank-market-like", DataKind::BankMarketLike),
+    ("energy-like", DataKind::EnergyLike),
+    ("csv", DataKind::Csv),
+];
+const MODEL_KINDS: Spellings<ModelKind> = &[
+    ("decision-tree", ModelKind::DecisionTree),
+    ("gbdt", ModelKind::Gbdt),
+    ("random-forest", ModelKind::RandomForest),
+];
+const TRACE_LEVELS: Spellings<TraceLevel> = &[
+    ("off", TraceLevel::Off),
+    ("phases", TraceLevel::Phases),
+    ("full", TraceLevel::Full),
+];
+
+fn spellings<T>(list: Spellings<T>) -> Vec<&'static str> {
+    list.iter().map(|(spelling, _)| *spelling).collect()
+}
+
+fn spelling<T: PartialEq>(list: Spellings<T>, variant: &T) -> &'static str {
+    let found = list.iter().find(|(_, v)| v == variant);
+    found.expect("every variant is listed").0
+}
+
+macro_rules! load_spelled {
+    ($($kind:ty: $list:ident),*) => {$(
+        impl Load for $kind {
+            fn load(v: &TomlValue) -> Option<$kind> {
+                let found = $list.iter().find(|(s, _)| v.as_str() == Some(*s));
+                found.map(|(_, variant)| variant.clone())
+            }
+        }
+        impl From<$kind> for Json {
+            fn from(variant: $kind) -> Json {
+                spelling($list, &variant).into()
+            }
+        }
+    )*};
+}
+load_spelled!(DataKind: DATA_KINDS, ModelKind: MODEL_KINDS, TraceLevel: TRACE_LEVELS);
+
+/// `"off"`, `"auto"`, or the slot count.
+impl Load for Packing {
+    fn load(v: &TomlValue) -> Option<Packing> {
+        match v.as_str() {
+            Some("off") => Some(Packing::Off),
+            Some("auto") => Some(Packing::Auto),
+            Some(_) => None,
+            // A 1-slot layout packs nothing, and the sweep axis uses the
+            // literal 1 to mean "auto" — the ambiguous value is not admitted.
+            None => usize::load(v).filter(|n| *n >= 2).map(Packing::Slots),
+        }
+    }
+}
+
+impl From<Packing> for Json {
+    fn from(packing: Packing) -> Json {
+        match packing {
+            Packing::Off => "off".into(),
+            Packing::Auto => "auto".into(),
+            Packing::Slots(n) => n.into(),
+        }
+    }
+}
+
+/// `"auto"` or the width floor. Floors above the fixed-point layout would
+/// only ever fail downstream (the CLI always runs the default layout), and
+/// floors below 2 are meaningless.
+impl Load for CompareBits {
+    fn load(v: &TomlValue) -> Option<CompareBits> {
+        if v.as_str() == Some("auto") {
+            return Some(CompareBits::Auto);
+        }
+        let floors = 2..=PivotParams::default().fixed.int_bits;
+        u32::load(v)
+            .filter(|n| floors.contains(n))
+            .map(CompareBits::Floor)
+    }
+}
+
+impl From<CompareBits> for Json {
+    fn from(bits: CompareBits) -> Json {
+        match bits {
+            CompareBits::Auto => "auto".into(),
+            CompareBits::Floor(n) => n.into(),
+        }
+    }
+}
+
+/// `"off"`, `"spot(p)"`, or `"full"`.
+impl Load for Verification {
+    fn load(v: &TomlValue) -> Option<Verification> {
+        match v.as_str()? {
+            "off" => Some(Verification::Off),
+            "full" => Some(Verification::Full),
+            spot => {
+                let p = spot.strip_prefix("spot(")?.strip_suffix(')')?;
+                let p = p.trim().parse::<f64>().ok()?;
+                (0.0..=1.0).contains(&p).then_some(Verification::Spot(p))
+            }
+        }
+    }
+}
+
+impl From<Verification> for Json {
+    fn from(verification: Verification) -> Json {
+        match verification {
+            Verification::Off => "off".into(),
+            Verification::Spot(p) => format!("spot({p})").into(),
+            Verification::Full => "full".into(),
+        }
+    }
+}
+
+/// Integers must stay below 2^53 in both formats: JSON scenario values at
+/// or above that may already have arrived rounded (2^53 + 1 parses to
+/// exactly 2^53, indistinguishable from a legitimate 2^53), and even exact
+/// TOML values could not be echoed faithfully in the JSON report.
+/// Rejecting beats silently running or reporting a different value.
+const INT_MAX: u64 = (1 << 53) - 1;
+
+/// A key's admissible values: what the reader and [`Scenario::validate`]
+/// enforce on top of the field's [`Load`], and what errors and the key
+/// reference print.
+enum Type {
+    /// An integer in `min..=max`, `max` being what the typed field holds
+    /// (at most [`INT_MAX`]).
+    Int(u64, u64),
+    /// A number (an integer is one) that passes the test, which the text
+    /// words.
+    Num(&'static str, fn(f64) -> bool),
+    /// One of the listed spellings.
+    OneOf(fn() -> Vec<&'static str>),
+    /// Whatever the field's [`Load`] (or the row's own `set`) reads,
+    /// worded here.
+    Syntax(&'static str),
+    /// The same, but not the empty string or array.
+    NonEmpty(&'static str),
+}
+use Type::{Int, NonEmpty, Num, OneOf, Syntax};
+
+const TEXT: Type = Syntax("a string");
+/// NaN and the infinities included: everything the format can spell.
+const ANY_NUMBER: Type = Syntax("a number");
+const SECONDS: Type = Num("a number in (0, 1e9]", |x| {
+    x > 0.0 && x <= MAX_RECV_TIMEOUT_SECS
+});
+
+impl Type {
+    fn admits(&self, v: &TomlValue) -> bool {
+        match self {
+            Int(min, max) => u64::load(v).is_some_and(|i| (*min..=*max).contains(&i)),
+            Num(_, admits) => v.as_f64().is_some_and(admits),
+            OneOf(names) => v.as_str().is_some_and(|s| names().contains(&s)),
+            Syntax(_) => true,
+            NonEmpty(_) => v.as_str() != Some("") && v.as_array() != Some(&[]),
         }
     }
 
-    fn from_json(v: &Json) -> RawValue {
-        match v {
-            Json::Str(s) => RawValue::Str(s.clone()),
-            Json::Num(n) => RawValue::Num(*n),
-            Json::Arr(items) => {
-                if items.iter().all(|i| i.as_str().is_some()) {
-                    RawValue::StrArr(
-                        items
-                            .iter()
-                            .map(|i| i.as_str().unwrap().to_string())
-                            .collect(),
-                    )
-                } else if items.iter().all(|i| i.as_f64().is_some()) {
-                    RawValue::NumArr(items.iter().map(|i| i.as_f64().unwrap()).collect())
-                } else {
-                    RawValue::Other
-                }
-            }
-            _ => RawValue::Other,
+    fn describe(&self) -> String {
+        match self {
+            Int(min, INT_MAX) => format!("an integer in {min}..2^53"),
+            Int(min, max) => format!("an integer in {min}..={max}"),
+            OneOf(names) => format!("one of {}", names().join(", ")),
+            Num(words, _) | Syntax(words) | NonEmpty(words) => (*words).into(),
         }
     }
+}
+
+/// One scenario key. See the module docs for what walks these.
+struct Key {
+    /// `""` for the root table.
+    section: &'static str,
+    name: &'static str,
+    ty: Type,
+    /// One line for the key reference, which a test renders.
+    #[cfg_attr(not(test), allow(dead_code))]
+    doc: &'static str,
+    /// The typed field as a document value (`Json::Null` when unset), for
+    /// the range re-check of [`Scenario::validate`] and the echo.
+    get: fn(&Scenario) -> Json,
+    /// Store a value the row's [`Type`] admits into the typed field.
+    /// `Ok(false)`: not a value of the field's type (the engine words
+    /// that error like a range violation); `Err`: a value with its own
+    /// explanation, such as an unknown algorithm.
+    set: fn(&mut Scenario, &TomlValue) -> Result<bool, String>,
+    /// The report echo where it is not simply what `get` reads: a key
+    /// that only some `kind` uses, or one echoed as its effective value.
+    /// Returning `None` leaves the key out of the report.
+    echo: Option<fn(&Scenario) -> Option<Json>>,
+    /// How a `[sweep]` value maps onto the key, for the keys it may vary.
+    sweep: Option<fn(&mut Scenario, usize)>,
+    /// A spelling that was removed with the mode it selected, and the
+    /// error that says what to write instead.
+    removed: Option<(&'static str, &'static str)>,
+}
+
+impl Key {
+    const fn new(
+        (section, name): (&'static str, &'static str),
+        ty: Type,
+        doc: &'static str,
+        get: fn(&Scenario) -> Json,
+        set: fn(&mut Scenario, &TomlValue) -> Result<bool, String>,
+    ) -> Key {
+        Key {
+            section,
+            name,
+            ty,
+            doc,
+            get,
+            set,
+            echo: None,
+            sweep: None,
+            removed: None,
+        }
+    }
+
+    const fn echo(mut self, echo: fn(&Scenario) -> Option<Json>) -> Key {
+        self.echo = Some(echo);
+        self
+    }
+
+    const fn sweep(mut self, apply: fn(&mut Scenario, usize)) -> Key {
+        self.sweep = Some(apply);
+        self
+    }
+
+    const fn removed(mut self, spelling: &'static str, error: &'static str) -> Key {
+        self.removed = Some((spelling, error));
+        self
+    }
+
+    fn check(&self, admitted: bool) -> Result<(), String> {
+        if admitted {
+            return Ok(());
+        }
+        let at = loc(self.section, self.name);
+        Err(format!("{at}: expected {}", self.ty.describe()))
+    }
+}
+
+/// The row of a key that is the typed field of the same name:
+/// `key!(data.samples: ty, doc)` is key `samples` of section `data`, read
+/// from and stored into `scenario.data.samples`. `key!(sweep?.vary: ..)`
+/// is the same over a section the scenario holds as an `Option`, which
+/// the first of its keys to be set creates from the section's default.
+macro_rules! key {
+    ($section:ident.$name:ident: $ty:expr, $doc:expr) => {
+        key!(stringify!($section), $name, $ty, $doc, $section.$name)
+    };
+    ($name:ident: $ty:expr, $doc:expr) => {
+        key!("", $name, $ty, $doc, $name)
+    };
+    ($section:ident?.$name:ident: $ty:expr, $doc:expr) => {
+        Key::new(
+            (stringify!($section), stringify!($name)),
+            $ty,
+            $doc,
+            |s| s.$section.as_ref().map(|section| section.$name.clone()).into(),
+            |s, v| put(&mut s.$section.get_or_insert_with(Default::default).$name, v),
+        )
+    };
+    ($section:expr, $name:ident, $ty:expr, $doc:expr, $($field:tt)+) => {
+        Key::new(
+            ($section, stringify!($name)),
+            $ty,
+            $doc,
+            |s| s.$($field)+.clone().into(),
+            |s, v| put(&mut s.$($field)+, v),
+        )
+    };
+}
+
+/// The `set` of a row over a typed field.
+fn put<T: Load>(field: &mut T, v: &TomlValue) -> Result<bool, String> {
+    Ok(T::load(v).map(|value| *field = value).is_some())
 }
 
 fn loc(section: &str, key: &str) -> String {
-    if section.is_empty() {
-        key.to_string()
-    } else {
-        format!("{section}.{key}")
-    }
+    let at = format!("{section}.{key}");
+    at.trim_start_matches('.').to_string()
 }
 
-const ROOT_KEYS: &[&str] = &["name", "seed", "parties", "algorithm", "algorithms"];
-const DATA_KEYS: &[&str] = &[
-    "kind",
-    "samples",
-    "features_per_party",
-    "classes",
-    "class_sep",
-    "flip_y",
-    "noise",
-    "informative",
-    "test_fraction",
-    "path",
-    "task",
-];
-const PARAM_KEYS: &[&str] = &[
-    "max_depth",
-    "max_splits",
-    "min_samples",
-    "keysize",
-    "crypto_threads",
-    "randomness_pool",
-    "packing",
-    "comparison_bits",
-    "dealer_pool",
-    "trace",
+/// The keys `[sweep]` may vary, named without their section.
+fn sweep_axes() -> Vec<&'static str> {
+    let sweepable = SCHEMA.iter().filter(|k| k.sweep.is_some());
+    sweepable.map(|k| k.name).collect()
+}
+
+/// `algorithms = [..]`, and `algorithm = ".."` as its one-element form.
+fn set_algorithms(s: &mut Scenario, v: &TomlValue) -> Result<bool, String> {
+    let mut algorithms = Vec::new();
+    for name in v.as_array().unwrap_or(std::slice::from_ref(v)) {
+        match name.as_str() {
+            Some(name) => algorithms.push(parse_algo(name)?),
+            None => return Ok(false),
+        }
+    }
+    // An empty list keeps the default algorithm.
+    if !algorithms.is_empty() {
+        s.algorithms = algorithms;
+    }
+    Ok(true)
+}
+
+/// Every scenario key, once. Row order is echo order and the order of the
+/// key reference; sections are contiguous, the root table first.
+static SCHEMA: &[Key] = &[
+    key!(name: TEXT, "Label of the run, echoed in every report."),
+    key!(seed: Int(0, INT_MAX), "Seeds data, dealer streams and retry jitter: same seed, same run"),
+    key!(parties: Int(2, INT_MAX), "Number of clients m; party 0 holds the labels.")
+        .sweep(|s, v| s.parties = v),
+    Key::new(
+        ("", "algorithm"),
+        Syntax("an algorithm name"),
+        "pivot-basic (the default), pivot-basic-pp, pivot-enhanced, pivot-enhanced-pp, spdz-dt \
+         or npd-dt.",
+        |_| Json::Null,
+        |s, v| Ok(v.as_str().is_some() && set_algorithms(s, v)?),
+    ),
+    Key::new(
+        ("", "algorithms"),
+        Syntax("an array of algorithm names"),
+        "In place of `algorithm`: the algorithms `bench` runs at every sweep point.",
+        |s| s.algorithms.iter().map(Algo::label).collect::<Vec<_>>().into(),
+        |s, v| Ok(v.as_array().is_some() && set_algorithms(s, v)?),
+    ),
+    key!(data.kind: OneOf(|| spellings(DATA_KINDS)),
+        "A generator, a stand-in shaped like one of the paper's Table 3 datasets, or a file."),
+    key!(data.test_fraction: Num("a number in [0, 1)", |x| (0.0..1.0).contains(&x)),
+        "Share of the samples held out for evaluation."),
+    key!(data.path: TEXT, "csv: the file (label in the last column), relative to the scenario.")
+        .echo(|s| (s.data.kind == DataKind::Csv).then(|| s.data.path.clone().into())),
+    key!(data.task: OneOf(|| vec!["classification", "regression"]),
+        "csv: what the label column is (default classification, with `classes`).")
+        .echo(|s| (s.data.kind == DataKind::Csv).then(|| s.data.task.clone().into())),
+    key!(data.samples: Int(10, INT_MAX), "Generated samples n, before the train/test split.")
+        .echo(|s| (s.data.kind != DataKind::Csv).then(|| s.data.samples.into()))
+        .sweep(|s, v| s.data.samples = v),
+    key!(data.features_per_party: Int(1, INT_MAX),
+        "Features per client d̄ of the synthetic-* generators (the stand-ins fix their width).")
+        .echo(|s| (s.data.kind != DataKind::Csv).then(|| s.data.features_per_party.into()))
+        .sweep(|s, v| s.data.features_per_party = v),
+    key!(data.classes: Int(2, INT_MAX),
+        "Classes c of synthetic-classification (at most 2^informative) and of a csv task.")
+        .echo(|s| s.is_synthetic_classification().then(|| s.data.classes.into())),
+    key!(data.class_sep: ANY_NUMBER, "synthetic-classification: distance between class centroids.")
+        .echo(|s| s.is_synthetic_classification().then(|| s.data.class_sep.into())),
+    key!(data.flip_y: ANY_NUMBER, "synthetic-classification: share of labels reassigned at random.")
+        .echo(|s| s.is_synthetic_classification().then(|| s.data.flip_y.into())),
+    key!(data.noise: ANY_NUMBER, "synthetic-regression: standard deviation of the label noise.")
+        .echo(|s| (s.data.kind == DataKind::SyntheticRegression).then(|| s.data.noise.into())),
+    // Echoed as the *effective* value so reports are self-contained.
+    key!(data.informative: Int(1, INT_MAX),
+        "synthetic-*: features carrying signal (default and echo: half of all, rounded up).")
+        .echo(|s| s.is_synthetic().then(|| s.effective_informative().into())),
+    key!(params.max_depth: Int(1, INT_MAX), "Maximum tree depth h.")
+        .sweep(|s, v| s.params.max_depth = v),
+    key!(params.max_splits: Int(1, INT_MAX), "Candidate split thresholds per feature b.")
+        .sweep(|s, v| s.params.max_splits = v),
+    key!(params.min_samples: Int(0, INT_MAX), "A node with fewer samples becomes a leaf."),
+    key!(params.keysize: Int(0, u32::MAX as u64),
+        "Paillier modulus bits (the paper: 1024); at least 128, enhanced algorithms run >= 192."),
+    key!(params.crypto_threads: Int(0, INT_MAX),
+        "`-pp` algorithms: worker threads of the batched crypto runtime (the others use 1)."),
+    key!(params.randomness_pool: Int(0, INT_MAX),
+        "`-pp` algorithms: precomputed `r^N mod N²` nonce powers kept ready (0 disables)."),
+    key!(params.packing: Syntax("\"off\", \"auto\" or a slot count >= 2"),
+        "Ciphertext packing of split statistics; as a sweep axis 0 is off, 1 auto, n n slots.")
+        // The off-vs-auto A/B the packing baseline records.
+        .sweep(|s, v| {
+            s.params.packing = match v {
+                0 => Packing::Off,
+                1 => Packing::Auto,
+                n => Packing::Slots(n),
+            }
+        }),
+    key!(params.comparison_bits: Syntax("\"auto\" or a width floor in 2..=45 (the int_bits)"),
+        "Secure-comparison width: each call site's proven range, or at least the floor.")
+        .removed("full", "params.comparison_bits: the \"full\" mode was removed — every \
+            comparison runs the range-bounded ladder; delete the key, or set the width floor 45 \
+            for full-width comparisons"),
+    key!(params.dealer_pool: Int(0, INT_MAX),
+        "`-pp` algorithms: precomputed Beaver triples / masked-bit rows per stream (0 disables)."),
+    key!(params.trace: OneOf(|| spellings(TRACE_LEVELS)),
+        "Phase timelines with round/byte attribution; `full` adds per-round and per-node spans."),
     // Accepted with its one remaining value so scenario files written
     // when there was a choice keep loading.
-    "scheduling",
-    "verification",
-];
-const MODEL_KEYS: &[&str] = &[
-    "kind",
-    "rounds",
-    "learning_rate",
-    "trees",
-    "sample_fraction",
-];
-const NETWORK_KEYS: &[&str] = &[
-    "latency_us",
-    "bandwidth_mbps",
-    "recv_timeout_s",
-    "connect_timeout_s",
-    "heartbeat_s",
-    "rejoin_deadline_s",
-];
-const CHECKPOINT_KEYS: &[&str] = &["every_levels", "dir"];
-const FAULTS_KEYS: &[&str] = &["plan", "seed"];
-const ADVERSARY_KEYS: &[&str] = &["tamper"];
-const SWEEP_KEYS: &[&str] = &["vary", "values"];
-const SECTIONS: &[(&str, &[&str])] = &[
-    ("", ROOT_KEYS),
-    ("data", DATA_KEYS),
-    ("params", PARAM_KEYS),
-    ("model", MODEL_KEYS),
-    ("network", NETWORK_KEYS),
-    ("checkpoint", CHECKPOINT_KEYS),
-    ("faults", FAULTS_KEYS),
-    ("adversary", ADVERSARY_KEYS),
-    ("sweep", SWEEP_KEYS),
+    Key::new(
+        ("params", "scheduling"),
+        OneOf(|| vec!["pipelined"]),
+        "The one training schedule; the key can be deleted.",
+        |_| "pipelined".into(),
+        |_, _| Ok(true),
+    )
+    .removed("sequential", "params.scheduling: the \"sequential\" mode was removed — training \
+        is always level-wise and pipelined; delete the key"),
+    key!(params.verification: Syntax("\"off\", \"full\" or \"spot(p)\" with p in [0, 1]"),
+        "Proofs on every commit of the basic protocol; `spot(p)` verifies a seeded p-fraction."),
+    key!(model.kind: OneOf(|| spellings(MODEL_KINDS)),
+        "What is trained on top of the protocol; the ensembles run the basic protocol (§7)."),
+    key!(model.rounds: Int(1, INT_MAX), "gbdt: boosting rounds W.")
+        .echo(|s| (s.model.kind == ModelKind::Gbdt).then(|| s.model.rounds.into())),
+    key!(model.learning_rate: Num("a finite number", f64::is_finite),
+        "gbdt: shrinkage applied to every round's tree.")
+        .echo(|s| (s.model.kind == ModelKind::Gbdt).then(|| s.model.learning_rate.into())),
+    key!(model.trees: Int(1, INT_MAX), "random-forest: trees W.")
+        .echo(|s| (s.model.kind == ModelKind::RandomForest).then(|| s.model.trees.into())),
+    key!(model.sample_fraction: ANY_NUMBER,
+        "random-forest: bootstrap draws per tree, as a share of the training samples.")
+        .echo(|s| {
+            (s.model.kind == ModelKind::RandomForest).then(|| s.model.sample_fraction.into())
+        }),
+    // The network keys echo their *effective* settings (explicit keys
+    // merged over the transport defaults) so reports are self-contained.
+    key!(network.latency_us: Int(0, INT_MAX), "Simulated latency in µs, charged to every send.")
+        .echo(|s| Some((s.net_config().latency.as_micros() as u64).into()))
+        .sweep(|s, v| s.network.latency_us = Some(v as u64)),
+    key!(network.bandwidth_mbps: Num("a finite number >= 0", |x| x >= 0.0 && x.is_finite()),
+        "Simulated link bandwidth in Mbit/s; 0 means unlimited and is echoed as null.")
+        .echo(|s| {
+            let net = s.net_config();
+            let limited = net.secs_per_byte() > 0.0;
+            Some(limited.then_some(net.bandwidth_mbps).into())
+        })
+        .sweep(|s, v| s.network.bandwidth_mbps = Some(v as f64)),
+    key!(network.recv_timeout_s: SECONDS,
+        "Seconds a blocking receive waits before the peer counts as wedged (default 120).")
+        .echo(|s| Some(s.net_config().recv_timeout.as_secs_f64().into())),
+    key!(network.connect_timeout_s: SECONDS,
+        "Dial budget: rendezvous retries, and redial backoff after a connection loss.")
+        .echo(|s| Some(s.net_config().connect_timeout.as_secs_f64().into())),
+    // Liveness knobs are echoed only when armed, so reports from
+    // heartbeat-free runs keep their PR-9 shape.
+    key!(network.heartbeat_s: SECONDS,
+        "Heartbeat period per TCP link; a link silent for 3 periods is broken. Off when unset.")
+        .echo(|s| s.net_config().heartbeat.map(|d| d.as_secs_f64().into())),
+    key!(network.rejoin_deadline_s: SECONDS,
+        "How long survivors wait for a lost peer to rejoin before `PeerLost`. Off when unset.")
+        .echo(|s| s.net_config().rejoin_deadline.map(|d| d.as_secs_f64().into())),
+    key!(checkpoint?.every_levels: Int(1, INT_MAX),
+        "Write a checkpoint at every N-th level/tree barrier (default 1)."),
+    key!(checkpoint?.dir: NonEmpty("a non-empty string"),
+        "Required: where checkpoints are written and resumed from, relative to the scenario."),
+    key!(faults.plan: Syntax("an array of fault entries"),
+        "`drop_link a-b`, `delay_spike a-b ms=M`, `crash_party p` (each `at_round=N` or \
+         `at_bytes=N`) or `kill_party p at_level=L restart_after_ms=M`.")
+        .echo(|s| (!s.faults.plan.is_empty()).then(|| s.faults.plan.clone().into())),
+    key!(faults.seed: Int(0, INT_MAX), "Seeds reconnect backoff jitter (0 when unset).")
+        .echo(|s| (!s.faults.plan.is_empty()).then(|| s.faults.seed.unwrap_or(0).into())),
+    key!(adversary.tamper: Syntax("`party <id> phase=<name> index=<k>`"),
+        "That party corrupts the k-th ciphertext its phase commits; needs `verification` on."),
+    key!(sweep?.vary: OneOf(sweep_axes),
+        "The key `bench` varies, named without its section; needs `values`.")
+        .removed("comparison_bits", "sweep.vary = \"comparison_bits\" was removed with the \
+            \"full\" mode it compared against; set params.comparison_bits per scenario"),
+    key!(sweep?.values: NonEmpty("a non-empty array of non-negative integers"),
+        "The values it takes, one sweep point each; needs `vary`."),
 ];
 
 impl Scenario {
@@ -667,449 +839,142 @@ impl Scenario {
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         let is_json = path
             .extension()
-            .map(|e| e.eq_ignore_ascii_case("json"))
-            .unwrap_or(false);
+            .is_some_and(|e| e.eq_ignore_ascii_case("json"));
         let doc = if is_json {
-            Doc {
-                toml: None,
-                json: Some(Json::parse(&text)?),
-            }
+            TomlDoc::from_json(&Json::parse(&text)?)?
         } else {
-            Doc {
-                toml: Some(TomlDoc::parse(&text)?),
-                json: None,
-            }
+            TomlDoc::parse(&text)?
         };
         let mut scenario = Scenario::from_doc(&doc)?;
-        // Resolve a relative CSV path against the scenario's directory.
-        if let Some(csv) = &scenario.data.path {
-            let csv_path = Path::new(csv);
-            if csv_path.is_relative() {
-                if let Some(dir) = path.parent() {
-                    scenario.data.path = Some(dir.join(csv_path).to_string_lossy().into_owned());
-                }
+        // Relative paths resolve against the scenario's directory: every
+        // party of the run must resolve `data.path` and `checkpoint.dir`
+        // identically regardless of its own working directory.
+        let resolve = |file: &mut String| {
+            if let (true, Some(dir)) = (Path::new(file).is_relative(), path.parent()) {
+                *file = dir.join(&file).to_string_lossy().into_owned();
             }
-        }
-        // Same for the checkpoint directory: every party of the run must
-        // resolve `dir` identically regardless of its own working
-        // directory.
-        if let Some(ckpt) = &mut scenario.checkpoint {
-            let ckpt_dir = Path::new(&ckpt.dir);
-            if ckpt_dir.is_relative() {
-                if let Some(dir) = path.parent() {
-                    ckpt.dir = dir.join(ckpt_dir).to_string_lossy().into_owned();
-                }
-            }
-        }
+        };
+        scenario.data.path.iter_mut().for_each(resolve);
+        scenario
+            .checkpoint
+            .iter_mut()
+            .for_each(|c| resolve(&mut c.dir));
         Ok(scenario)
     }
 
-    fn from_doc(doc: &Doc) -> Result<Scenario, String> {
+    fn from_doc(doc: &TomlDoc) -> Result<Scenario, String> {
         // Reject unknown sections/keys before reading anything.
-        let known_sections: Vec<&str> = SECTIONS
-            .iter()
-            .map(|(s, _)| *s)
-            .filter(|s| !s.is_empty())
-            .collect();
-        for s in doc.sections() {
-            if !known_sections.contains(&s.as_str()) {
+        for section in std::iter::once("").chain(doc.section_names()) {
+            let rows = SCHEMA.iter().filter(|k| k.section == section);
+            let known: Vec<&str> = rows.map(|k| k.name).collect();
+            if known.is_empty() {
+                let mut sections: Vec<&str> = SCHEMA.iter().map(|k| k.section).collect();
+                sections.dedup();
                 return Err(format!(
-                    "unknown section [{s}] (expected one of: {})",
-                    known_sections.join(", ")
+                    "unknown section [{section}] (expected one of: {})",
+                    sections[1..].join(", ")
+                ));
+            }
+            let keys = doc.section_keys(section);
+            if let Some(k) = keys.iter().find(|k| !known.contains(k)) {
+                return Err(format!(
+                    "unknown key {} (known keys: {})",
+                    loc(section, k),
+                    known.join(", ")
                 ));
             }
         }
-        for (section, keys) in SECTIONS {
-            for k in doc.keys(section) {
-                if !keys.contains(&k.as_str()) {
-                    return Err(format!(
-                        "unknown key {} (known keys: {})",
-                        loc(section, &k),
-                        keys.join(", ")
-                    ));
-                }
-            }
+        // The structural rules no single row can state.
+        if doc.get("", "algorithm").is_some() && doc.get("", "algorithms").is_some() {
+            return Err("give either `algorithm` or `algorithms`, not both".into());
         }
-
-        let mut algorithms = Vec::new();
-        if let Some(one) = doc.get_str("", "algorithm")? {
-            algorithms.push(parse_algo(&one)?);
-        }
-        if let Some(many) = doc.get_str_array("", "algorithms")? {
-            if !algorithms.is_empty() {
-                return Err("give either `algorithm` or `algorithms`, not both".into());
-            }
-            for a in many {
-                algorithms.push(parse_algo(&a)?);
-            }
-        }
-        if algorithms.is_empty() {
-            algorithms.push(Algo::PivotBasic);
-        }
-
-        let data_defaults = DataSpec::default();
-        let data = DataSpec {
-            kind: match doc.get_str("data", "kind")? {
-                Some(k) => DataKind::parse(&k)?,
-                None => data_defaults.kind,
-            },
-            samples: doc
-                .get_usize("data", "samples")?
-                .unwrap_or(data_defaults.samples),
-            features_per_party: doc
-                .get_usize("data", "features_per_party")?
-                .unwrap_or(data_defaults.features_per_party),
-            classes: doc
-                .get_usize("data", "classes")?
-                .unwrap_or(data_defaults.classes),
-            class_sep: doc
-                .get_f64("data", "class_sep")?
-                .unwrap_or(data_defaults.class_sep),
-            flip_y: doc
-                .get_f64("data", "flip_y")?
-                .unwrap_or(data_defaults.flip_y),
-            noise: doc.get_f64("data", "noise")?.unwrap_or(data_defaults.noise),
-            informative: doc.get_usize("data", "informative")?,
-            test_fraction: doc
-                .get_f64("data", "test_fraction")?
-                .unwrap_or(data_defaults.test_fraction),
-            path: doc.get_str("data", "path")?,
-            task: doc.get_str("data", "task")?,
-        };
-
-        let pd = ParamSpec::default();
-        let packing = match doc.raw_kind("params", "packing")? {
-            None => pd.packing,
-            Some(RawValue::Str(s)) => match s.as_str() {
-                "off" => Packing::Off,
-                "auto" => Packing::Auto,
-                other => {
-                    return Err(format!(
-                        "params.packing: unknown mode {other:?} (expected \"off\", \
-                         \"auto\", or a slot count)"
-                    ))
-                }
-            },
-            // A 1-slot layout packs nothing, and the sweep axis uses the
-            // literal 1 to mean "auto" — reject the ambiguous value here.
-            Some(RawValue::Int(v)) if v >= 2 => Packing::Slots(v as usize),
-            Some(RawValue::Num(v)) if v >= 2.0 && v.fract() == 0.0 => Packing::Slots(v as usize),
-            Some(_) => {
-                return Err(
-                    "params.packing: expected \"off\", \"auto\", or a slot count >= 2 \
-                     (a 1-slot layout packs nothing)"
-                        .into(),
-                )
-            }
-        };
-        // Width floors above the fixed-point layout would only ever
-        // panic downstream (the CLI always runs the default layout), so
-        // reject them here like every other comparison_bits mistake.
-        let max_floor = i64::from(PivotParams::default().fixed.int_bits);
-        let comparison_bits = match doc.raw_kind("params", "comparison_bits")? {
-            None => pd.comparison_bits,
-            Some(RawValue::Str(s)) => match s.as_str() {
-                "auto" => CompareBits::Auto,
-                "full" => {
-                    return Err(format!(
-                        "params.comparison_bits: the \"full\" mode was removed — \
-                         every comparison runs the range-bounded ladder; delete the \
-                         key, or set the width floor {max_floor} for full-width \
-                         comparisons"
-                    ))
-                }
-                other => {
-                    return Err(format!(
-                        "params.comparison_bits: unknown mode {other:?} (expected \
-                         \"auto\" or a width floor)"
-                    ))
-                }
-            },
-            // Width floors below 2 are meaningless.
-            Some(RawValue::Int(v)) if (2..=max_floor).contains(&v) => CompareBits::Floor(v as u32),
-            Some(RawValue::Num(v)) if v.fract() == 0.0 && (2.0..=max_floor as f64).contains(&v) => {
-                CompareBits::Floor(v as u32)
-            }
-            Some(_) => {
-                return Err(format!(
-                    "params.comparison_bits: expected \"auto\" or a width floor in \
-                     2..={max_floor} (the fixed-point int_bits)"
-                ))
-            }
-        };
-        let trace = match doc.get_str("params", "trace")?.as_deref() {
-            None => pd.trace,
-            Some("off") => TraceSpec::Off,
-            Some("phases") => TraceSpec::Phases,
-            Some("full") => TraceSpec::Full,
-            Some(other) => {
-                return Err(format!(
-                    "params.trace: unknown level {other:?} (expected \"off\", \
-                     \"phases\", or \"full\")"
-                ))
-            }
-        };
-        match doc.get_str("params", "scheduling")?.as_deref() {
-            None | Some("pipelined") => {}
-            Some("sequential") => {
-                return Err("params.scheduling: the \"sequential\" mode was removed — \
-                     training is always level-wise and pipelined; delete the key"
-                    .into())
-            }
-            Some(other) => {
-                return Err(format!(
-                    "params.scheduling: unknown mode {other:?} (the only schedule \
-                     is \"pipelined\"; the key can be deleted)"
-                ))
-            }
-        }
-        let verification = match doc.get_str("params", "verification")? {
-            None => pd.verification,
-            Some(s) => VerificationSpec::parse(&s)?,
-        };
-        let params = ParamSpec {
-            max_depth: doc
-                .get_usize("params", "max_depth")?
-                .unwrap_or(pd.max_depth),
-            max_splits: doc
-                .get_usize("params", "max_splits")?
-                .unwrap_or(pd.max_splits),
-            min_samples: doc
-                .get_usize("params", "min_samples")?
-                .unwrap_or(pd.min_samples),
-            keysize: doc
-                .get_u64("params", "keysize")?
-                .map(|v| v as u32)
-                .unwrap_or(pd.keysize),
-            crypto_threads: doc
-                .get_usize("params", "crypto_threads")?
-                .unwrap_or(pd.crypto_threads),
-            randomness_pool: doc
-                .get_usize("params", "randomness_pool")?
-                .unwrap_or(pd.randomness_pool),
-            packing,
-            comparison_bits,
-            dealer_pool: doc
-                .get_usize("params", "dealer_pool")?
-                .unwrap_or(pd.dealer_pool),
-            trace,
-            verification,
-        };
-
-        let md = ModelSpec::default();
-        let model = ModelSpec {
-            kind: match doc.get_str("model", "kind")? {
-                Some(k) => ModelKind::parse(&k)?,
-                None => md.kind,
-            },
-            rounds: doc.get_usize("model", "rounds")?.unwrap_or(md.rounds),
-            learning_rate: doc
-                .get_f64("model", "learning_rate")?
-                .unwrap_or(md.learning_rate),
-            trees: doc.get_usize("model", "trees")?.unwrap_or(md.trees),
-            sample_fraction: doc
-                .get_f64("model", "sample_fraction")?
-                .unwrap_or(md.sample_fraction),
-        };
-
-        let network = NetworkSpec {
-            latency_us: doc.get_u64("network", "latency_us")?,
-            bandwidth_mbps: doc.get_f64("network", "bandwidth_mbps")?,
-            recv_timeout_s: doc.get_f64("network", "recv_timeout_s")?,
-            connect_timeout_s: doc.get_f64("network", "connect_timeout_s")?,
-            heartbeat_s: doc.get_f64("network", "heartbeat_s")?,
-            rejoin_deadline_s: doc.get_f64("network", "rejoin_deadline_s")?,
-        };
-
-        let checkpoint = if doc.sections().iter().any(|s| s == "checkpoint") {
-            let dir = doc.get_str("checkpoint", "dir")?.ok_or(
+        if doc.has_section("checkpoint") && doc.get("checkpoint", "dir").is_none() {
+            return Err(
                 "checkpoint.dir is required (the directory checkpoint files \
-                     are written to and resumed from)",
-            )?;
-            let every_levels = doc.get_u64("checkpoint", "every_levels")?.unwrap_or(1);
-            if every_levels == 0 {
-                return Err("checkpoint.every_levels must be >= 1".into());
+                 are written to and resumed from)"
+                    .into(),
+            );
+        }
+        match (doc.get("sweep", "vary"), doc.get("sweep", "values")) {
+            (Some(_), None) => return Err("sweep.vary given without sweep.values".into()),
+            (None, Some(_)) => return Err("sweep.values given without sweep.vary".into()),
+            _ => {}
+        }
+
+        let mut scenario = Scenario::default();
+        for key in SCHEMA {
+            let Some(v) = doc.get(key.section, key.name) else {
+                continue;
+            };
+            if let Some((_, error)) = key.removed.filter(|(old, _)| v.as_str() == Some(old)) {
+                return Err(error.to_string());
             }
-            Some(CheckpointSpec { every_levels, dir })
-        } else {
-            None
-        };
-
-        let faults = FaultsSpec {
-            plan: doc.get_str_array("faults", "plan")?.unwrap_or_default(),
-            seed: doc.get_u64("faults", "seed")?,
-        };
-
-        let adversary = AdversaryCliSpec {
-            tamper: doc.get_str("adversary", "tamper")?,
-        };
-
-        let sweep = match doc.get_str("sweep", "vary")? {
-            None => {
-                if doc.get_usize_array("sweep", "values")?.is_some() {
-                    return Err("sweep.values given without sweep.vary".into());
-                }
-                None
-            }
-            Some(vary) => {
-                const AXES: &[&str] = &[
-                    "parties",
-                    "samples",
-                    "features_per_party",
-                    "max_splits",
-                    "max_depth",
-                    "latency_us",
-                    "bandwidth_mbps",
-                    "packing",
-                ];
-                if vary == "comparison_bits" {
-                    return Err("sweep.vary = \"comparison_bits\" was removed with the \
-                         \"full\" mode it compared against; set params.comparison_bits \
-                         per scenario"
-                        .into());
-                }
-                if !AXES.contains(&vary.as_str()) {
-                    return Err(format!(
-                        "unknown sweep.vary {vary:?} (expected one of: {})",
-                        AXES.join(", ")
-                    ));
-                }
-                let values = doc
-                    .get_usize_array("sweep", "values")?
-                    .ok_or("sweep.vary given without sweep.values")?;
-                if values.is_empty() {
-                    return Err("sweep.values must not be empty".into());
-                }
-                Some(SweepSpec { vary, values })
-            }
-        };
-
-        let scenario = Scenario {
-            name: doc
-                .get_str("", "name")?
-                .unwrap_or_else(|| "unnamed scenario".into()),
-            seed: doc.get_u64("", "seed")?.unwrap_or(0xBE7C4),
-            parties: doc.get_usize("", "parties")?.unwrap_or(3),
-            algorithms,
-            data,
-            params,
-            model,
-            network,
-            checkpoint,
-            faults,
-            adversary,
-            sweep,
-        };
+            let admitted = key.ty.admits(v) && (key.set)(&mut scenario, v)?;
+            key.check(admitted)?;
+        }
         scenario.validate()?;
         Ok(scenario)
     }
 
-    /// Cross-field checks. Public because sweep points built by
-    /// [`Scenario::with_axis`] must be re-validated before execution (a
-    /// sweep value like `parties = 0` is only detectable per point).
+    /// Range and cross-field checks. Public because sweep points built by
+    /// [`Scenario::with_axis`] never pass through the reader and must be
+    /// re-validated before execution (a sweep value like `parties = 0` is
+    /// only detectable per point): the rows' range checks run again on the
+    /// typed values, then the rules that span keys.
     pub fn validate(&self) -> Result<(), String> {
-        if self.parties < 2 {
-            return Err("parties must be >= 2 (vertical FL needs multiple clients)".into());
+        for key in SCHEMA {
+            if let Some(v) = TomlValue::from_json(&(key.get)(self)) {
+                key.check(key.ty.admits(&v))?;
+            }
         }
         if self.data.kind == DataKind::Csv && self.data.path.is_none() {
             return Err("data.kind = \"csv\" requires data.path".into());
         }
-        if self.data.kind != DataKind::Csv && self.data.features_per_party == 0 {
-            return Err("data.features_per_party must be >= 1".into());
-        }
         if let Some(informative) = self.data.informative {
-            if !matches!(
-                self.data.kind,
-                DataKind::SyntheticClassification | DataKind::SyntheticRegression
-            ) {
+            if !self.is_synthetic() {
                 return Err("data.informative only applies to the synthetic-* generators".into());
             }
-            let total_features = self.parties * self.data.features_per_party;
-            if informative == 0 || informative > total_features {
+            let total_features = self.total_features();
+            if informative > total_features {
                 return Err(format!(
                     "data.informative must be in 1..={total_features} \
                      (parties x features_per_party)"
                 ));
             }
         }
-        if !(0.0..1.0).contains(&self.data.test_fraction) {
-            return Err("data.test_fraction must be in [0, 1)".into());
-        }
-        if self.data.kind != DataKind::Csv && self.data.samples < 10 {
-            return Err("data.samples must be >= 10".into());
-        }
-        if self.model.kind != ModelKind::DecisionTree {
-            for algo in &self.algorithms {
-                if !matches!(algo, Algo::PivotBasic | Algo::PivotBasicPp) {
-                    return Err(format!(
-                        "model.kind = \"{}\" trains via the basic protocol (§7's \
-                         plaintext-ensemble setting) and does not support baseline or \
-                         enhanced algorithm {}",
-                        self.model.kind.label(),
-                        algo.label()
-                    ));
-                }
-            }
-        }
-        if self.params.max_depth == 0 || self.params.max_splits == 0 {
-            return Err("params.max_depth and params.max_splits must be >= 1".into());
-        }
-        if let Some(secs) = self.network.recv_timeout_s {
-            if !secs.is_finite() || secs <= 0.0 || secs > pivot_transport::MAX_RECV_TIMEOUT_SECS {
+        if self.is_synthetic_classification() {
+            // One class per vertex of the informative hypercube.
+            let informative = self.effective_informative();
+            if self.data.classes > 1 << informative.min(20) {
                 return Err(format!(
-                    "network.recv_timeout_s must be a positive number of seconds \
-                     (at most {:e})",
-                    pivot_transport::MAX_RECV_TIMEOUT_SECS
+                    "data.classes must be at most 2^min(informative, 20) = {} (the \
+                     generator puts one class on each hypercube vertex of the \
+                     {informative} informative features)",
+                    1usize << informative.min(20)
                 ));
             }
         }
-        if let Some(mbps) = self.network.bandwidth_mbps {
-            if !mbps.is_finite() || mbps < 0.0 {
-                return Err("network.bandwidth_mbps must be >= 0 (0 means unlimited)".into());
-            }
-        }
-        if let Some(secs) = self.network.connect_timeout_s {
-            if !secs.is_finite() || secs <= 0.0 || secs > pivot_transport::MAX_RECV_TIMEOUT_SECS {
-                return Err(format!(
-                    "network.connect_timeout_s must be a positive number of seconds \
-                     (at most {:e})",
-                    pivot_transport::MAX_RECV_TIMEOUT_SECS
-                ));
-            }
-        }
-        for (value, key) in [
-            (self.network.heartbeat_s, "network.heartbeat_s"),
-            (self.network.rejoin_deadline_s, "network.rejoin_deadline_s"),
-        ] {
-            if let Some(secs) = value {
-                if !secs.is_finite() || secs <= 0.0 || secs > pivot_transport::MAX_RECV_TIMEOUT_SECS
-                {
-                    return Err(format!(
-                        "{key} must be a positive number of seconds (at most {:e})",
-                        pivot_transport::MAX_RECV_TIMEOUT_SECS
-                    ));
-                }
-            }
-        }
-        if let Some(ckpt) = &self.checkpoint {
-            if ckpt.every_levels == 0 {
-                return Err("checkpoint.every_levels must be >= 1".into());
-            }
-            if ckpt.dir.is_empty() {
-                return Err("checkpoint.dir must not be empty".into());
-            }
+        // The ensembles and the proof plane exist for the basic protocol only.
+        let basic = |algo: &&Algo| matches!(algo, Algo::PivotBasic | Algo::PivotBasicPp);
+        let other = self.algorithms.iter().find(|algo| !basic(algo));
+        if let (true, Some(algo)) = (self.model.kind != ModelKind::DecisionTree, other) {
+            return Err(format!(
+                "model.kind = \"{}\" trains via the basic protocol (§7's \
+                 plaintext-ensemble setting) and does not support baseline or \
+                 enhanced algorithm {}",
+                spelling(MODEL_KINDS, &self.model.kind),
+                algo.label()
+            ));
         }
         if self.params.verification.is_on() {
-            for algo in &self.algorithms {
-                if !matches!(algo, Algo::PivotBasic | Algo::PivotBasicPp) {
-                    return Err(format!(
-                        "params.verification covers the basic protocol's commit \
-                         points (§4 + Algorithm 4); algorithm {} carries no proofs \
-                         — run pivot-basic or pivot-basic-pp, or set \
-                         verification = \"off\"",
-                        algo.label()
-                    ));
-                }
+            if let Some(algo) = other {
+                return Err(format!(
+                    "params.verification covers the basic protocol's commit \
+                     points (§4 + Algorithm 4); algorithm {} carries no proofs \
+                     — run pivot-basic or pivot-basic-pp, or set \
+                     verification = \"off\"",
+                    algo.label()
+                ));
             }
             if let Packing::Slots(_) = self.params.packing {
                 return Err("params.verification cannot run an explicit packing slot \
@@ -1216,13 +1081,30 @@ impl Scenario {
         }
     }
 
+    fn is_synthetic_classification(&self) -> bool {
+        self.data.kind == DataKind::SyntheticClassification
+    }
+
+    /// Whether `data.kind` is one of the two `synthetic-*` generators.
+    fn is_synthetic(&self) -> bool {
+        self.is_synthetic_classification() || self.data.kind == DataKind::SyntheticRegression
+    }
+
+    /// Width of the generated dataset (saturating: an absurd product is
+    /// still absurd, and must not wrap into a plausible one).
+    fn total_features(&self) -> usize {
+        self.parties.saturating_mul(self.data.features_per_party)
+    }
+
+    fn effective_informative(&self) -> usize {
+        let default = self.total_features().div_ceil(2);
+        self.data.informative.unwrap_or(default)
+    }
+
     /// Build (or load) the dataset this scenario describes.
     pub fn build_dataset(&self) -> Result<Dataset, String> {
-        let features = self.parties * self.data.features_per_party;
-        let informative = self
-            .data
-            .informative
-            .unwrap_or_else(|| features.div_ceil(2));
+        let features = self.total_features();
+        let informative = self.effective_informative();
         Ok(match self.data.kind {
             DataKind::SyntheticClassification => {
                 synth::make_classification(&synth::ClassificationSpec {
@@ -1310,8 +1192,8 @@ impl Scenario {
             comparison_bits: self.params.comparison_bits,
             dealer_pool: self.params.dealer_pool,
             dealer_seed: self.seed,
-            trace: self.params.trace.to_core(),
-            verification: self.params.verification.to_core(),
+            trace: self.params.trace,
+            verification: self.params.verification,
             // The scenario is validated before execution, so a malformed
             // tamper spec never reaches this unwrap.
             adversary: self.adversary_spec().expect("validated adversary spec"),
@@ -1321,137 +1203,27 @@ impl Scenario {
     }
 
     /// Echo of the effective configuration, embedded in every report so
-    /// runs stay interpretable months later.
+    /// runs stay interpretable months later: every row that echoes, in
+    /// table order, grouped under its section.
     pub fn to_json(&self) -> Json {
-        let mut data = Json::obj()
-            .with("kind", self.data.kind.label())
-            .with("test_fraction", self.data.test_fraction);
-        if self.data.kind == DataKind::Csv {
-            data.set("path", self.data.path.clone());
-            data.set("task", self.data.task.clone());
-        } else {
-            data.set("samples", self.data.samples);
-            data.set("features_per_party", self.data.features_per_party);
-        }
-        if matches!(self.data.kind, DataKind::SyntheticClassification) {
-            data.set("classes", self.data.classes);
-            data.set("class_sep", self.data.class_sep);
-            data.set("flip_y", self.data.flip_y);
-        }
-        if matches!(self.data.kind, DataKind::SyntheticRegression) {
-            data.set("noise", self.data.noise);
-        }
-        if matches!(
-            self.data.kind,
-            DataKind::SyntheticClassification | DataKind::SyntheticRegression
-        ) {
-            // Echo the *effective* value so reports are self-contained.
-            let features = self.parties * self.data.features_per_party;
-            data.set(
-                "informative",
-                self.data
-                    .informative
-                    .unwrap_or_else(|| features.div_ceil(2)),
-            );
-        }
-
-        let mut model = Json::obj().with("kind", self.model.kind.label());
-        match self.model.kind {
-            ModelKind::Gbdt => {
-                model.set("rounds", self.model.rounds);
-                model.set("learning_rate", self.model.learning_rate);
-            }
-            ModelKind::RandomForest => {
-                model.set("trees", self.model.trees);
-                model.set("sample_fraction", self.model.sample_fraction);
-            }
-            ModelKind::DecisionTree => {}
-        }
-
-        let mut root = Json::obj()
-            .with("name", self.name.clone())
-            .with("seed", self.seed)
-            .with("parties", self.parties)
-            .with(
-                "algorithms",
-                self.algorithms
-                    .iter()
-                    .map(|a| a.label())
-                    .collect::<Vec<_>>(),
-            )
-            .with("data", data)
-            .with(
-                "params",
-                Json::obj()
-                    .with("max_depth", self.params.max_depth)
-                    .with("max_splits", self.params.max_splits)
-                    .with("min_samples", self.params.min_samples)
-                    .with("keysize", u64::from(self.params.keysize))
-                    .with("crypto_threads", self.params.crypto_threads)
-                    .with("randomness_pool", self.params.randomness_pool)
-                    .with("packing", echo_packing(self.params.packing))
-                    .with(
-                        "comparison_bits",
-                        echo_comparison_bits(self.params.comparison_bits),
-                    )
-                    .with("dealer_pool", self.params.dealer_pool)
-                    .with("trace", self.params.trace.echo())
-                    .with("scheduling", "pipelined")
-                    .with("verification", self.params.verification.echo()),
-            )
-            .with("model", model)
-            .with("network", {
-                // Echo the *effective* settings (explicit keys merged over
-                // the defaults) so reports are self-contained.
-                let net = self.net_config();
-                let mut echo = Json::obj()
-                    .with("latency_us", net.latency.as_micros() as u64)
-                    .with(
-                        "bandwidth_mbps",
-                        if net.secs_per_byte() > 0.0 {
-                            Json::Num(net.bandwidth_mbps)
-                        } else {
-                            Json::Null
-                        },
-                    )
-                    .with("recv_timeout_s", net.recv_timeout.as_secs_f64())
-                    .with("connect_timeout_s", net.connect_timeout.as_secs_f64());
-                // Liveness knobs are echoed only when armed, so reports
-                // from heartbeat-free runs keep their PR-9 shape.
-                if let Some(d) = net.heartbeat {
-                    echo.set("heartbeat_s", d.as_secs_f64());
+        let mut root = Json::obj();
+        for rows in SCHEMA.chunk_by(|a, b| a.section == b.section) {
+            let mut echo = Json::obj();
+            for key in rows {
+                let value = match key.echo {
+                    Some(echo) => echo(self),
+                    None => Some((key.get)(self)).filter(|v| *v != Json::Null),
+                };
+                if let Some(value) = value {
+                    echo.set(key.name, value);
                 }
-                if let Some(d) = net.rejoin_deadline {
-                    echo.set("rejoin_deadline_s", d.as_secs_f64());
-                }
-                echo
-            });
-        if let Some(ckpt) = &self.checkpoint {
-            root.set(
-                "checkpoint",
-                Json::obj()
-                    .with("every_levels", ckpt.every_levels)
-                    .with("dir", ckpt.dir.clone()),
-            );
-        }
-        if !self.faults.plan.is_empty() {
-            root.set(
-                "faults",
-                Json::obj()
-                    .with("plan", self.faults.plan.clone())
-                    .with("seed", self.faults.seed.unwrap_or(0)),
-            );
-        }
-        if let Some(tamper) = &self.adversary.tamper {
-            root.set("adversary", Json::obj().with("tamper", tamper.clone()));
-        }
-        if let Some(sweep) = &self.sweep {
-            root.set(
-                "sweep",
-                Json::obj()
-                    .with("vary", sweep.vary.clone())
-                    .with("values", sweep.values.clone()),
-            );
+            }
+            let section = rows[0].section;
+            if section.is_empty() {
+                root = echo;
+            } else if !echo.keys().is_empty() {
+                root.set(section, echo);
+            }
         }
         root
     }
@@ -1461,42 +1233,26 @@ impl Scenario {
     pub fn with_axis(&self, axis: &str, value: usize) -> Scenario {
         let mut s = self.clone();
         s.sweep = None;
-        match axis {
-            "parties" => s.parties = value,
-            "samples" => s.data.samples = value,
-            "features_per_party" => s.data.features_per_party = value,
-            "max_splits" => s.params.max_splits = value,
-            "max_depth" => s.params.max_depth = value,
-            // Network axes: per-endpoint NetConfig makes these sweepable
-            // within one process (the old env-var latch could not).
-            "latency_us" => s.network.latency_us = Some(value as u64),
-            "bandwidth_mbps" => s.network.bandwidth_mbps = Some(value as f64),
-            // Packing axis: 0 = off, 1 = auto, n ≥ 2 = exactly n slots —
-            // the off-vs-auto A/B the packing baseline records.
-            "packing" => {
-                s.params.packing = match value {
-                    0 => Packing::Off,
-                    1 => Packing::Auto,
-                    n => Packing::Slots(n),
-                }
-            }
-            other => panic!("unvalidated sweep axis {other:?}"),
-        }
+        let apply = SCHEMA
+            .iter()
+            .filter(|k| k.name == axis)
+            .find_map(|k| k.sweep)
+            .unwrap_or_else(|| panic!("unvalidated sweep axis {axis:?}"));
+        apply(&mut s, value);
         s
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pivot_core::config::Protocol;
 
     fn parse_toml(text: &str) -> Result<Scenario, String> {
-        let doc = Doc {
-            toml: Some(TomlDoc::parse(text).unwrap()),
-            json: None,
-        };
-        Scenario::from_doc(&doc)
+        Scenario::from_doc(&TomlDoc::parse(text).unwrap())
+    }
+
+    fn parse_json(text: &str) -> Result<Scenario, String> {
+        Scenario::from_doc(&TomlDoc::from_json(&Json::parse(text).unwrap())?)
     }
 
     #[test]
@@ -1719,11 +1475,7 @@ mod tests {
             "{\"seed\": 9007199254740992}",
             "{\"seed\": 9007199254740993}",
         ] {
-            let doc = Doc {
-                toml: None,
-                json: Some(Json::parse(json_text).unwrap()),
-            };
-            let err = Scenario::from_doc(&doc).unwrap_err();
+            let err = parse_json(json_text).unwrap_err();
             assert!(err.contains("seed"), "{err}");
         }
     }
@@ -1785,14 +1537,14 @@ mod tests {
     #[test]
     fn trace_levels_parse_and_echo() {
         let d = parse_toml("[data]\nkind = \"synthetic-classification\"").unwrap();
-        assert_eq!(d.params.trace, TraceSpec::Off);
-        for (text, spec, level) in [
-            ("off", TraceSpec::Off, TraceLevel::Off),
-            ("phases", TraceSpec::Phases, TraceLevel::Phases),
-            ("full", TraceSpec::Full, TraceLevel::Full),
+        assert_eq!(d.params.trace, TraceLevel::Off);
+        for (text, level) in [
+            ("off", TraceLevel::Off),
+            ("phases", TraceLevel::Phases),
+            ("full", TraceLevel::Full),
         ] {
             let s = parse_toml(&format!("[params]\ntrace = \"{text}\"")).unwrap();
-            assert_eq!(s.params.trace, spec);
+            assert_eq!(s.params.trace, level);
             assert_eq!(s.pivot_params(s.algorithms[0]).trace, level);
             assert_eq!(
                 s.to_json().path("params.trace").unwrap().as_str(),
@@ -1920,22 +1672,16 @@ mod tests {
 
     #[test]
     fn json_scenarios_parse_identically() {
-        let doc = Doc {
-            toml: None,
-            json: Some(
-                Json::parse(
-                    r#"{
-                        "name": "from json",
-                        "parties": 2,
-                        "algorithm": "pivot-basic",
-                        "data": {"kind": "synthetic-classification", "samples": 40},
-                        "params": {"max_depth": 2}
-                    }"#,
-                )
-                .unwrap(),
-            ),
-        };
-        let s = Scenario::from_doc(&doc).unwrap();
+        let s = parse_json(
+            r#"{
+                "name": "from json",
+                "parties": 2,
+                "algorithm": "pivot-basic",
+                "data": {"kind": "synthetic-classification", "samples": 40},
+                "params": {"max_depth": 2}
+            }"#,
+        )
+        .unwrap();
         assert_eq!(s.name, "from json");
         assert_eq!(s.parties, 2);
         assert_eq!(s.data.samples, 40);
@@ -1946,13 +1692,13 @@ mod tests {
     fn verification_knob_parses_and_applies() {
         // Default off: the honest-but-curious transcript is untouched.
         let s = parse_toml("[data]\nkind = \"synthetic-classification\"").unwrap();
-        assert_eq!(s.params.verification, VerificationSpec::Off);
+        assert_eq!(s.params.verification, Verification::Off);
         assert_eq!(
             s.pivot_params(Algo::PivotBasic).verification,
             pivot_core::Verification::Off
         );
         let s = parse_toml("[params]\nverification = \"full\"").unwrap();
-        assert_eq!(s.params.verification, VerificationSpec::Full);
+        assert_eq!(s.params.verification, Verification::Full);
         assert_eq!(
             s.pivot_params(Algo::PivotBasic).verification,
             pivot_core::Verification::Full
@@ -1962,7 +1708,7 @@ mod tests {
             Some("full")
         );
         let s = parse_toml("[params]\nverification = \"spot(0.25)\"").unwrap();
-        assert_eq!(s.params.verification, VerificationSpec::Spot(0.25));
+        assert_eq!(s.params.verification, Verification::Spot(0.25));
         assert_eq!(
             s.to_json().path("params.verification").unwrap().as_str(),
             Some("spot(0.25)")
@@ -2024,5 +1770,511 @@ mod tests {
             "[params]\nverification = \"full\"\n[adversary]\ntamper = \"phase=stats\"",
         )
         .is_err());
+    }
+
+    /// One scenario that sets every section, against the echo the parent
+    /// of the schema table printed for it: row order is echo order, and
+    /// the conditional keys (`samples` but no `path`, `trees` but no
+    /// `rounds`, the armed heartbeat) come and go as they did. The echo
+    /// feeds `checkpoint::scenario_fingerprint`, so a drift here strands
+    /// every checkpoint written before it.
+    #[test]
+    fn echo_is_pinned() {
+        let s = parse_toml(EVERY_SECTION).unwrap();
+        assert_eq!(s.to_json().to_pretty(), EVERY_SECTION_ECHO);
+    }
+
+    const EVERY_SECTION: &str = r#"name = "every section"
+seed = 4242
+parties = 3
+algorithms = ["pivot-basic", "pivot-basic-pp"]
+
+[data]
+kind = "synthetic-classification"
+samples = 48
+features_per_party = 2
+classes = 3
+class_sep = 1.25
+flip_y = 0.02
+informative = 4
+test_fraction = 0.25
+
+[params]
+max_depth = 3
+max_splits = 5
+min_samples = 3
+keysize = 192
+crypto_threads = 2
+randomness_pool = 32
+packing = "off"
+comparison_bits = 24
+dealer_pool = 16
+trace = "phases"
+scheduling = "pipelined"
+verification = "spot(0.5)"
+
+[model]
+kind = "random-forest"
+trees = 3
+sample_fraction = 0.8
+
+[network]
+latency_us = 150
+bandwidth_mbps = 250.5
+recv_timeout_s = 30
+connect_timeout_s = 7.5
+heartbeat_s = 0.3
+rejoin_deadline_s = 45
+
+[checkpoint]
+every_levels = 2
+dir = "/tmp/pivot-echo-pin"
+
+[faults]
+plan = ["drop_link 0-1 at_round=4", "delay_spike 0-2 at_bytes=4096 ms=25"]
+seed = 99
+
+[adversary]
+tamper = "party 1 phase=stats index=2"
+
+[sweep]
+vary = "max_depth"
+values = [2, 3]
+"#;
+
+    const EVERY_SECTION_ECHO: &str = r#"{
+  "name": "every section",
+  "seed": 4242,
+  "parties": 3,
+  "algorithms": [
+    "Pivot-Basic",
+    "Pivot-Basic-PP"
+  ],
+  "data": {
+    "kind": "synthetic-classification",
+    "test_fraction": 0.25,
+    "samples": 48,
+    "features_per_party": 2,
+    "classes": 3,
+    "class_sep": 1.25,
+    "flip_y": 0.02,
+    "informative": 4
+  },
+  "params": {
+    "max_depth": 3,
+    "max_splits": 5,
+    "min_samples": 3,
+    "keysize": 192,
+    "crypto_threads": 2,
+    "randomness_pool": 32,
+    "packing": "off",
+    "comparison_bits": 24,
+    "dealer_pool": 16,
+    "trace": "phases",
+    "scheduling": "pipelined",
+    "verification": "spot(0.5)"
+  },
+  "model": {
+    "kind": "random-forest",
+    "trees": 3,
+    "sample_fraction": 0.8
+  },
+  "network": {
+    "latency_us": 150,
+    "bandwidth_mbps": 250.5,
+    "recv_timeout_s": 30,
+    "connect_timeout_s": 7.5,
+    "heartbeat_s": 0.3,
+    "rejoin_deadline_s": 45
+  },
+  "checkpoint": {
+    "every_levels": 2,
+    "dir": "/tmp/pivot-echo-pin"
+  },
+  "faults": {
+    "plan": [
+      "drop_link 0-1 at_round=4",
+      "delay_spike 0-2 at_bytes=4096 ms=25"
+    ],
+    "seed": 99
+  },
+  "adversary": {
+    "tamper": "party 1 phase=stats index=2"
+  },
+  "sweep": {
+    "vary": "max_depth",
+    "values": [
+      2,
+      3
+    ]
+  }
+}
+"#;
+
+    #[test]
+    fn range_holes_are_closed_at_load() {
+        // Each of these used to load and then panic (or train another
+        // configuration) further down; the error names the key.
+        for (text, key) in [
+            ("[data]\nclasses = 1", "data.classes"),
+            (
+                "[model]\nkind = \"random-forest\"\ntrees = 0",
+                "model.trees",
+            ),
+            ("[model]\nkind = \"gbdt\"\nrounds = 0", "model.rounds"),
+            (
+                "[model]\nkind = \"gbdt\"\nlearning_rate = nan",
+                "model.learning_rate",
+            ),
+            ("[params]\nkeysize = 4294967552", "params.keysize"),
+            (
+                "parties = 2\n[data]\nfeatures_per_party = 1\nclasses = 4",
+                "data.classes",
+            ),
+            ("[data]\nclasses = 4\ninformative = 1", "data.classes"),
+            ("[data]\nsamples = 40.5", "data.samples"),
+        ] {
+            let err = parse_toml(text).unwrap_err();
+            assert!(err.starts_with(key), "{text:?}: {err}");
+        }
+        // An integer key takes the field's whole range, and no more.
+        let s = parse_toml("[params]\nkeysize = 4294967295").unwrap();
+        assert_eq!(s.params.keysize, u32::MAX);
+        // A width no machine holds is a (saturated) width, not an overflow
+        // (debug builds panicked on the product, release builds wrapped it).
+        exercise(
+            &parse_toml(
+                "parties = 9007199254740991\n[data]\nfeatures_per_party = 9007199254740991",
+            )
+            .unwrap(),
+        );
+        // Values that merely train a useless model stay admissible.
+        parse_toml("[data]\nclass_sep = inf\nflip_y = nan").unwrap();
+        // The wording of the seconds range is the transport's limit.
+        assert_eq!(format!("{MAX_RECV_TIMEOUT_SECS:e}"), "1e9");
+        assert!(SECONDS.describe().ends_with("1e9]"));
+    }
+
+    #[test]
+    fn json_and_toml_read_through_the_same_rows() {
+        // An echo is itself a scenario: read back as JSON, through the
+        // same rows, it echoes the same bytes.
+        let json = parse_json(EVERY_SECTION_ECHO).unwrap();
+        assert_eq!(json.to_json().to_pretty(), EVERY_SECTION_ECHO);
+        // JSON spells whole numbers either way; a fraction is not an
+        // integer in either format, and null is no value at all.
+        assert_eq!(parse_json(r#"{"parties": 4.0}"#).unwrap().parties, 4);
+        let err = parse_json(r#"{"parties": 2.5}"#).unwrap_err();
+        assert!(err.starts_with("parties: expected an integer"), "{err}");
+        let err = parse_json(r#"{"data": {"samples": null}}"#).unwrap_err();
+        assert!(err.contains("samples"), "{err}");
+        let err = parse_json(r#"{"paramz": {"max_depth": 2}}"#).unwrap_err();
+        assert!(err.contains("unknown section [paramz]"), "{err}");
+    }
+
+    /// `value` on one line, as TOML and JSON both spell it.
+    fn compact(value: &Json) -> String {
+        match value {
+            Json::Arr(items) => {
+                let items: Vec<String> = items.iter().map(compact).collect();
+                format!("[{}]", items.join(", "))
+            }
+            scalar => scalar.to_pretty().trim().to_string(),
+        }
+    }
+
+    /// The key reference README.md carries between its `scenario-keys`
+    /// markers: the rows, rendered.
+    fn key_reference() -> String {
+        let defaults = Scenario::default();
+        let mut out = String::from(
+            "| section | key | type and range | default | sweep | meaning |\n|---|---|---|---|---|---|\n",
+        );
+        for key in SCHEMA {
+            let default = Some((key.get)(&defaults))
+                .filter(|v| *v != Json::Null)
+                .or_else(|| key.echo.and_then(|echo| echo(&defaults)))
+                .map_or("—".to_string(), |v| format!("`{}`", compact(&v)));
+            assert!(
+                !key.doc.contains('|') && !key.doc.contains('\n'),
+                "{}",
+                key.name
+            );
+            out.push_str(&format!(
+                "| {} | `{}` | {} | {default} | {} | {} |\n",
+                if key.section.is_empty() {
+                    "(root)"
+                } else {
+                    key.section
+                },
+                key.name,
+                key.ty.describe(),
+                if key.sweep.is_some() { "yes" } else { "" },
+                key.doc,
+            ));
+        }
+        out
+    }
+
+    #[test]
+    fn readme_key_reference_matches_schema() {
+        let readme = concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md");
+        let readme = std::fs::read_to_string(readme).unwrap();
+        let expected = format!(
+            "<!-- scenario-keys:begin -->\n{}<!-- scenario-keys:end -->",
+            key_reference()
+        );
+        assert!(
+            readme.contains(&expected),
+            "README.md is out of date with the scenario schema; replace the block between \
+             its scenario-keys markers with:\n\n{expected}\n"
+        );
+    }
+
+    #[test]
+    fn every_key_is_one_row() {
+        let mut seen = std::collections::BTreeSet::new();
+        for key in SCHEMA {
+            assert!(seen.insert((key.section, key.name)), "{} twice", key.name);
+        }
+        // Sections are contiguous (the echo groups by runs of rows), and
+        // a sweep axis, named without its section, is unambiguous.
+        let mut sections: Vec<&str> = SCHEMA.iter().map(|k| k.section).collect();
+        sections.dedup();
+        let distinct: std::collections::BTreeSet<_> = sections.iter().collect();
+        assert_eq!(sections.len(), distinct.len());
+        assert_eq!(sections[0], "");
+        let axes = sweep_axes();
+        let distinct: std::collections::BTreeSet<_> = axes.iter().collect();
+        assert_eq!(axes.len(), distinct.len());
+        // The reference states defaults: every spec default is admissible.
+        Scenario::default().validate().unwrap();
+    }
+
+    /// Candidate values for the property test below, as `(TOML, JSON)`
+    /// spellings: every shape a document can hold, tame and hostile.
+    const MIXED: &[(&str, &str)] = &[
+        ("\"\"", "\"\""),
+        ("\"auto\"", "\"auto\""),
+        ("\"off\"", "\"off\""),
+        ("\"full\"", "\"full\""),
+        ("\"spot(0.5)\"", "\"spot(0.5)\""),
+        ("\"spot(7)\"", "\"spot(7)\""),
+        ("\"pivot-basic-pp\"", "\"pivot-basic-pp\""),
+        ("\"regression\"", "\"regression\""),
+        ("\"no such thing\"", "\"no such thing\""),
+        (
+            "\"party 1 phase=stats index=2\"",
+            "\"party 1 phase=stats index=2\"",
+        ),
+        ("\"party 9 phase=setup\"", "\"party 9 phase=setup\""),
+        (
+            "\"/tmp/pivot-scenario-proptest\"",
+            "\"/tmp/pivot-scenario-proptest\"",
+        ),
+        ("true", "true"),
+        ("[]", "[]"),
+        (
+            "[\"npd-dt\", \"pivot-enhanced\"]",
+            "[\"npd-dt\", \"pivot-enhanced\"]",
+        ),
+        (
+            "[\"crash_party 1 at_round=3\"]",
+            "[\"crash_party 1 at_round=3\"]",
+        ),
+        (
+            "[\"kill_party 7 at_level=1 restart_after_ms=5\"]",
+            "[\"kill_party 7 at_level=1 restart_after_ms=5\"]",
+        ),
+        ("[\"meteor_strike\"]", "[\"meteor_strike\"]"),
+        ("[0, 1, 3, 1000000]", "[0, 1, 3, 1000000]"),
+        ("[2, -1]", "[2, -1]"),
+        ("[1.5]", "[[1]]"),
+        ("7", "{\"nested\": 1}"),
+    ];
+    const INTEGERS: &[(&str, &str)] = &[
+        ("0", "0"),
+        ("1", "1"),
+        ("2", "2.0"),
+        ("3", "3"),
+        ("12", "12"),
+        ("40", "40"),
+        ("150", "150"),
+        ("256", "256"),
+        ("100000", "1e5"),
+        ("-1", "-1"),
+        ("4294967296", "4294967296"),
+        ("9007199254740991", "9007199254740991"),
+        ("9007199254740992", "9007199254740992"),
+        ("9223372036854775807", "9223372036854775807"),
+        ("-9223372036854775808", "-1e19"),
+    ];
+    const NUMBERS: &[(&str, &str)] = &[
+        ("0.0", "0.0"),
+        ("0.25", "0.25"),
+        ("0.999", "0.999"),
+        ("1", "1"),
+        ("1.5", "1.5"),
+        ("60", "60"),
+        ("-0.5", "-0.5"),
+        ("1e-12", "1e-12"),
+        ("1e30", "1e30"),
+        ("-1e300", "-1e300"),
+        ("nan", "null"),
+        ("inf", "1e999"),
+        ("-inf", "-1e999"),
+    ];
+
+    type Candidates = Vec<(String, String)>;
+
+    /// Per row: the candidates the row reads (first its default, when it
+    /// has one) and the candidates it rejects.
+    fn candidates() -> &'static Vec<(Candidates, Candidates)> {
+        static POOLS: std::sync::OnceLock<Vec<(Candidates, Candidates)>> =
+            std::sync::OnceLock::new();
+        POOLS.get_or_init(|| {
+            let owned = |pool: &[(&str, &str)]| -> Candidates {
+                let pairs = pool.iter().map(|(t, j)| (t.to_string(), j.to_string()));
+                pairs.collect()
+            };
+            let rows = SCHEMA.iter().map(|key| {
+                let default = compact(&(key.get)(&Scenario::default()));
+                let mut typed = match key.ty {
+                    Int(..) => owned(INTEGERS),
+                    Num(..) => owned(NUMBERS),
+                    OneOf(names) => {
+                        let names = names().into_iter().map(|n| format!("{n:?}"));
+                        names.map(|n| (n.clone(), n)).collect()
+                    }
+                    Syntax(_) | NonEmpty(_) => owned(&[MIXED, NUMBERS].concat()),
+                };
+                if default != "null" {
+                    typed.insert(0, (default.clone(), default));
+                }
+                typed.into_iter().partition(|(t, _)| {
+                    let doc = TomlDoc::parse(&format!("k = {t}")).unwrap();
+                    let v = doc.get("", "k").unwrap();
+                    key.ty.admits(v) && (key.set)(&mut Scenario::default(), v) == Ok(true)
+                })
+            });
+            rows.collect()
+        })
+    }
+
+    /// One generated document. Every row, in table order, is absent (most
+    /// of the time, so that a fair share of documents load), set to its
+    /// default or to a candidate the row reads, set to a candidate the
+    /// row rejects, or set to a candidate of any shape at all.
+    fn generated_documents(words: &[u64]) -> (String, String) {
+        let all = [MIXED, INTEGERS, NUMBERS].concat();
+        // Per section, in table order: its name, TOML lines, JSON members.
+        let mut sections: Vec<(&str, Vec<String>, Vec<String>)> = Vec::new();
+        for (row, key) in SCHEMA.iter().enumerate() {
+            if sections.last().map(|s| s.0) != Some(key.section) {
+                sections.push((key.section, Vec::new(), Vec::new()));
+            }
+            // The keys of these two sections need each other, so they
+            // come and go together.
+            let together = matches!(key.section, "checkpoint" | "sweep");
+            let word = if together {
+                words[sections.len()]
+            } else {
+                words[16 + row]
+            } % 128;
+            let pick = (words[16 + row] >> 8) as usize;
+            let (admitted, rejected) = &candidates()[row];
+            let (t, j) = match word {
+                0..=7 => &admitted[0],
+                8..=15 => &admitted[pick % admitted.len()],
+                16..=17 if !rejected.is_empty() => &rejected[pick % rejected.len()],
+                18 => &owned_pair(all[pick % all.len()]),
+                _ => continue,
+            };
+            let (_, lines, members) = sections.last_mut().unwrap();
+            lines.push(format!("{} = {t}\n", key.name));
+            members.push(format!("{:?}: {j}", key.name));
+        }
+        let (mut toml, mut json) = (String::new(), Vec::new());
+        for (at, (section, lines, members)) in sections.into_iter().enumerate() {
+            if section.is_empty() {
+                toml.extend(lines);
+                json.extend(members);
+            } else if !lines.is_empty() || words[at] % 64 == 0 {
+                toml.push_str(&format!("[{section}]\n{}", lines.concat()));
+                json.push(format!("{section:?}: {{{}}}", members.join(", ")));
+            }
+        }
+        (toml, format!("{{{}}}", json.join(", ")))
+    }
+
+    fn owned_pair((t, j): (&str, &str)) -> (String, String) {
+        (t.to_string(), j.to_string())
+    }
+
+    /// Everything a caller does with a loaded scenario before it spawns
+    /// a party: none of it may panic, whatever the document said.
+    fn exercise(s: &Scenario) {
+        s.validate().unwrap();
+        s.to_json().to_pretty();
+        s.net_config();
+        s.fault_plan().unwrap();
+        s.adversary_spec().unwrap();
+        let _ = s.sole_algorithm();
+        let regression = s.task().is_ok_and(|t| t == Task::Regression);
+        for &algo in &s.algorithms {
+            let _ = s
+                .pivot_params(algo)
+                .validate(s.data.samples, s.parties, regression);
+        }
+        for axis in sweep_axes() {
+            for value in [0, 1, 2, 3, 100, usize::MAX] {
+                let point = s.with_axis(axis, value);
+                if point.validate().is_ok() {
+                    point.to_json();
+                    point.net_config();
+                }
+            }
+        }
+        // Datasets small enough to build in a test (size is a cost, not a
+        // scenario-layer failure).
+        if s.data.kind != DataKind::Csv && s.data.samples <= 200 && s.total_features() <= 64 {
+            s.build_dataset().unwrap();
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1500))]
+
+        /// Documents assembled from the table load to `Ok` or `Err` in
+        /// both formats, and what loads can be used.
+        #[test]
+        fn no_document_panics(
+            words in proptest::collection::vec(proptest::prelude::any::<u64>(), 64..65),
+        ) {
+            let (toml, json) = generated_documents(&words);
+            let doc = TomlDoc::parse(&toml).expect("generated TOML is well-formed");
+            if let Ok(s) = Scenario::from_doc(&doc) {
+                exercise(&s);
+            }
+            let doc = Json::parse(&json).expect("generated JSON is well-formed");
+            if let Ok(s) = TomlDoc::from_json(&doc).and_then(|doc| Scenario::from_doc(&doc)) {
+                exercise(&s);
+            }
+        }
+    }
+
+    /// The generator above must reach past the reader: a property that
+    /// only ever sees `Err` proves nothing about what runs after a load.
+    #[test]
+    fn generated_documents_load_often_enough() {
+        let mut rng = proptest::test_runner::TestRng::deterministic("load rate");
+        let loads = (0..400)
+            .filter(|_| {
+                let words: Vec<u64> = (0..64).map(|_| rng.next_u64()).collect();
+                let (toml, _) = generated_documents(&words);
+                Scenario::from_doc(&TomlDoc::parse(&toml).unwrap()).is_ok()
+            })
+            .count();
+        assert!(loads >= 60, "only {loads} of 400 generated documents load");
     }
 }

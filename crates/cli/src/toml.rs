@@ -7,7 +7,12 @@
 //! supported: nested tables/dotted keys, arrays of tables, multi-line
 //! strings, and datetimes — the parser reports those as errors rather than
 //! silently misreading them.
+//!
+//! The [`TomlDoc`] tree is also the one document shape the scenario schema
+//! reads: a `.json` scenario is lowered into it once at load
+//! ([`TomlDoc::from_json`]), so both formats go through the same rows.
 
+use crate::json::Json;
 use std::collections::BTreeMap;
 
 /// A scalar or array value.
@@ -58,6 +63,28 @@ impl TomlValue {
             _ => None,
         }
     }
+
+    /// Lower a JSON scalar or array (`None` for null and objects, which no
+    /// scenario key takes). Whole numbers below 2^53 become `Int` and
+    /// everything else `Float`, so an integer key rejects exactly the
+    /// values JSON may already have rounded.
+    pub fn from_json(value: &Json) -> Option<TomlValue> {
+        Some(match value {
+            Json::Str(s) => TomlValue::Str(s.clone()),
+            Json::Bool(b) => TomlValue::Bool(*b),
+            Json::Num(v) if v.fract() == 0.0 && v.abs() < (1u64 << 53) as f64 => {
+                TomlValue::Int(*v as i64)
+            }
+            Json::Num(v) => TomlValue::Float(*v),
+            Json::Arr(items) => TomlValue::Arr(
+                items
+                    .iter()
+                    .map(TomlValue::from_json)
+                    .collect::<Option<_>>()?,
+            ),
+            Json::Null | Json::Obj(_) => return None,
+        })
+    }
 }
 
 /// A parsed document: the root table plus one level of named sections.
@@ -106,6 +133,28 @@ impl TomlDoc {
             let table = doc.sections.entry(current.clone()).or_default();
             if table.insert(key.to_string(), value).is_some() {
                 return Err(format!("line {lineno}: duplicate key {key:?}"));
+            }
+        }
+        Ok(doc)
+    }
+
+    /// Lower a JSON scenario into the same tree: top-level objects are
+    /// the sections, every other top-level member is a root key.
+    pub fn from_json(root: &Json) -> Result<TomlDoc, String> {
+        let mut doc = TomlDoc::default();
+        let Json::Obj(members) = root else {
+            return Ok(doc);
+        };
+        for member in members {
+            let (section, entries) = match member {
+                (name, Json::Obj(entries)) => (name.as_str(), entries.as_slice()),
+                root_key => ("", std::slice::from_ref(root_key)),
+            };
+            let table = doc.sections.entry(section.to_string()).or_default();
+            for (key, value) in entries {
+                let value = TomlValue::from_json(value)
+                    .ok_or(format!("{key}: null and objects are not scenario values"))?;
+                table.insert(key.clone(), value);
             }
         }
         Ok(doc)

@@ -318,6 +318,112 @@ fn bad_inputs_fail_with_nonzero_exit() {
     // Unknown flag.
     let r = run_pivot(&["train", "--scenari", "x.toml"]);
     assert!(!r.status.success());
+
+    // Values that used to get past the reader and panic in a party
+    // thread (exit 101), or train another configuration (exit 0): each
+    // is one `error:` line naming the key, exit 1.
+    for (body, names) in [
+        ("[data]\nclasses = 1", "data.classes"),
+        (
+            "[model]\nkind = \"random-forest\"\ntrees = 0",
+            "model.trees",
+        ),
+        ("[model]\nkind = \"gbdt\"\nrounds = 0", "model.rounds"),
+        (
+            "[model]\nkind = \"gbdt\"\nlearning_rate = nan",
+            "model.learning_rate",
+        ),
+        ("[params]\nkeysize = 4294967552", "params.keysize"),
+        (
+            "[data]\nsamples = 40\nfeatures_per_party = 2\n[params]\nkeysize = 64",
+            "keysize 64",
+        ),
+        (
+            "parties = 8\n[data]\nsamples = 40\nfeatures_per_party = 2\n\
+             [params]\nkeysize = 256\npacking = 4",
+            "exceeds the audited capacity of 3 65-bit slots",
+        ),
+        ("[data]\nclasses = 4\ninformative = 1", "data.classes"),
+    ] {
+        let scenario = temp_path("range-hole.toml");
+        std::fs::write(&scenario, body).unwrap();
+        let r = run_pivot(&["train", "--scenario", scenario.to_str().unwrap(), "--quiet"]);
+        std::fs::remove_file(&scenario).ok();
+        let stderr = String::from_utf8_lossy(&r.stderr);
+        assert_eq!(r.status.code(), Some(1), "{body:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{body:?}: {stderr}");
+        assert_eq!(stderr.trim_end().lines().count(), 1, "{body:?}: {stderr}");
+        assert!(stderr.contains(names), "{body:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{body:?}: {stderr}");
+    }
+}
+
+#[test]
+fn random_forest_trains_end_to_end() {
+    let scenario = temp_path("rf.toml");
+    let out = temp_path("rf-report.json");
+    std::fs::write(
+        &scenario,
+        r#"
+name = "integration random forest"
+seed = 31
+parties = 2
+algorithm = "pivot-basic"
+
+[data]
+kind = "synthetic-classification"
+samples = 40
+features_per_party = 2
+classes = 2
+test_fraction = 0.25
+
+[params]
+max_depth = 2
+max_splits = 3
+keysize = 128
+
+[model]
+kind = "random-forest"
+trees = 2
+sample_fraction = 0.75
+"#,
+    )
+    .unwrap();
+
+    let result = run_pivot(&[
+        "train",
+        "--scenario",
+        scenario.to_str().unwrap(),
+        "--out",
+        out.to_str().unwrap(),
+        "--quiet",
+    ]);
+    assert!(
+        result.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&result.stderr)
+    );
+    let report = Json::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
+    // The echo carries the forest's keys and none of the booster's.
+    let model = report.path("scenario.model").unwrap();
+    assert_eq!(model.get("kind").unwrap().as_str(), Some("random-forest"));
+    assert_eq!(model.get("trees").unwrap().as_u64(), Some(2));
+    assert_eq!(model.get("sample_fraction").unwrap().as_f64(), Some(0.75));
+    assert_eq!(model.keys(), vec!["kind", "trees", "sample_fraction"]);
+    assert!(
+        report
+            .path("model.internal_nodes")
+            .unwrap()
+            .as_u64()
+            .unwrap()
+            > 0
+    );
+    // Two well-separated classes: above chance on the held-out split.
+    let accuracy = report.path("evaluation.value").unwrap().as_f64().unwrap();
+    assert!(accuracy > 0.5, "accuracy {accuracy}");
+
+    std::fs::remove_file(&scenario).ok();
+    std::fs::remove_file(&out).ok();
 }
 
 #[test]

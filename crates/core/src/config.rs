@@ -27,7 +27,7 @@ pub enum Packing {
     /// statistics only).
     Auto,
     /// Pack with exactly this many slots (must not exceed the audited
-    /// maximum; rejected by [`PivotParams::assert_valid`] otherwise).
+    /// maximum; rejected by [`PivotParams::validate`] otherwise).
     Slots(usize),
 }
 
@@ -288,91 +288,101 @@ impl PivotParams {
         Some(SlotPlan { slot_bits, slots })
     }
 
-    /// Validate cross-parameter invariants before running a protocol.
-    /// `assert_valid_for` additionally audits the packing plan against the
-    /// party count (the mask term of the slot-width bound grows with `m`).
-    pub fn assert_valid(&self, n_samples: usize) {
-        self.assert_valid_for(n_samples, 2);
-    }
-
-    /// Full validation for a concrete party count.
-    pub fn assert_valid_for(&self, n_samples: usize, parties: usize) {
+    /// Check every cross-parameter invariant a run over `n_samples`
+    /// samples split across `parties` clients needs, before any protocol
+    /// byte moves. `regression` selects the task's slot-width bound for
+    /// the packing audit (regression moments widen the slots). The error
+    /// names the offending parameter; callers holding outside input (the
+    /// CLI) surface it, callers holding a broken invariant panic with it.
+    pub fn validate(
+        &self,
+        n_samples: usize,
+        parties: usize,
+        regression: bool,
+    ) -> Result<(), String> {
         self.fixed.assert_valid();
         // Gain-pipeline overflow bound: n²·2^f < p/2 (`crate::gain`, "Scale
         // discipline").
-        let n_bits = (usize::BITS - n_samples.leading_zeros()) as u64;
-        assert!(
-            2 * n_bits as u32 + self.fixed.frac_bits + 1 < 61,
-            "{n_samples} samples overflow the fixed-point gain pipeline"
-        );
-        // Conversion (Algorithm 2) requires N ≫ masked values.
-        assert!(
-            self.keysize >= 128,
-            "keysize too small for share conversion"
-        );
-        assert!(self.tree.max_depth >= 1, "trees need at least one level");
-        assert!(
-            self.tree.max_splits >= 1,
-            "need at least one candidate split"
-        );
-        if let Verification::Spot(p) = self.verification {
-            assert!(
-                (0.0..=1.0).contains(&p),
-                "verification spot probability {p} outside [0, 1]"
-            );
+        let n_bits = usize::BITS - n_samples.leading_zeros();
+        if 2 * n_bits + self.fixed.frac_bits + 1 >= 61 {
+            return Err(format!(
+                "{n_samples} samples overflow the fixed-point gain pipeline"
+            ));
         }
-        if self.verification.is_on() {
-            assert!(
-                !matches!(self.packing, Packing::Slots(_)),
+        // Conversion (Algorithm 2) requires N ≫ masked values.
+        if self.keysize < 128 {
+            return Err(format!(
+                "keysize {} is too small for share conversion (need >= 128)",
+                self.keysize
+            ));
+        }
+        if self.tree.max_depth == 0 {
+            return Err("max_depth 0: trees need at least one level".into());
+        }
+        if self.tree.max_splits == 0 {
+            return Err("max_splits 0: need at least one candidate split".into());
+        }
+        if let Verification::Spot(p) = self.verification {
+            if !(0.0..=1.0).contains(&p) {
+                return Err(format!("verification spot probability {p} outside [0, 1]"));
+            }
+        }
+        if self.verification.is_on() && matches!(self.packing, Packing::Slots(_)) {
+            return Err(
                 "verification cannot run an explicit packing slot count (the \
                  packed statistics pipeline carries no proofs)"
+                    .into(),
             );
         }
         if let Some(adv) = &self.adversary {
-            assert!(
-                self.verification.is_on(),
-                "an [adversary] injection needs verification on to be observable"
-            );
-            assert!(
-                adv.party < parties,
-                "adversary party {} out of range for {parties} parties",
-                adv.party
-            );
+            if !self.verification.is_on() {
+                return Err(
+                    "an [adversary] injection needs verification on to be observable".into(),
+                );
+            }
+            if adv.party >= parties {
+                return Err(format!(
+                    "adversary party {} out of range for {parties} parties",
+                    adv.party
+                ));
+            }
         }
         if let CompareBits::Floor(n) = self.comparison_bits {
-            assert!(
-                (2..=self.fixed.int_bits).contains(&n),
-                "comparison_bits floor {n} outside 2..={}",
-                self.fixed.int_bits
-            );
+            if !(2..=self.fixed.int_bits).contains(&n) {
+                return Err(format!(
+                    "comparison_bits floor {n} outside 2..={}",
+                    self.fixed.int_bits
+                ));
+            }
         }
-        // Structural packing audit with the narrower classification
-        // bound; [`PivotParams::assert_packing`] re-audits with the real
-        // task once the data view is known (PartyContext::setup).
-        self.assert_packing(parties, n_samples, false);
-    }
-
-    /// Task-aware packing audit: the configured slot count must fit the
-    /// audited slot width for this task/party-count/sample-count.
-    pub fn assert_packing(&self, parties: usize, n_samples: usize, regression: bool) {
+        // Packing audit: the configured slot count must fit the audited
+        // slot width for this task, party count and sample count.
         if let Some(plan) = self.slot_plan(parties, n_samples, regression) {
             let max_slots = SlotCodec::max_slots(self.keysize, plan.slot_bits);
-            assert!(
-                max_slots >= 1,
-                "packing needs a larger keysize than {} for the audited {}-bit \
-                 slots (m = {parties}, n = {n_samples})",
-                self.keysize,
-                plan.slot_bits
-            );
-            assert!(
-                plan.slots >= 1 && plan.slots <= max_slots,
-                "packing = {} slots exceeds the audited capacity of {max_slots} \
-                 {}-bit slots for keysize {}",
-                plan.slots,
-                plan.slot_bits,
-                self.keysize
-            );
+            if max_slots == 0 {
+                return Err(format!(
+                    "packing needs a larger keysize than {} for the audited {}-bit \
+                     slots (m = {parties}, n = {n_samples})",
+                    self.keysize, plan.slot_bits
+                ));
+            }
+            if plan.slots == 0 || plan.slots > max_slots {
+                return Err(format!(
+                    "packing = {} slots exceeds the audited capacity of {max_slots} \
+                     {}-bit slots for keysize {}",
+                    plan.slots, plan.slot_bits, self.keysize
+                ));
+            }
         }
+        Ok(())
+    }
+
+    /// [`PivotParams::validate`] for callers whose parameters are already
+    /// an internal invariant (classification slot bound): panics with the
+    /// message.
+    pub fn assert_valid_for(&self, n_samples: usize, parties: usize) {
+        self.validate(n_samples, parties, false)
+            .unwrap_or_else(|e| panic!("{e}"));
     }
 }
 
@@ -383,7 +393,7 @@ mod tests {
     #[test]
     fn defaults_validate() {
         let p = PivotParams::default();
-        p.assert_valid(10_000);
+        p.assert_valid_for(10_000, 2);
         // The defaults are the fast configuration.
         assert_eq!(p.packing, Packing::Auto);
         assert_eq!(p.comparison_bits, CompareBits::Auto);
@@ -399,7 +409,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "overflow")]
     fn too_many_samples_rejected() {
-        PivotParams::default().assert_valid(1 << 25);
+        PivotParams::default().assert_valid_for(1 << 25, 2);
     }
 
     #[test]
@@ -434,23 +444,27 @@ mod tests {
         assert_eq!(p.packing, Packing::Auto);
         assert!(p.slot_plan(3, 100, false).is_none());
         p.packing = Packing::Slots(2);
-        assert!(std::panic::catch_unwind(|| p.assert_valid_for(100, 3)).is_err());
+        let err = p.validate(100, 3, false).unwrap_err();
+        assert!(err.contains("explicit packing slot count"), "{err}");
         // Spot probability outside [0,1] is rejected.
         let bad = PivotParams {
             verification: Verification::Spot(1.5),
             ..Default::default()
         };
-        assert!(std::panic::catch_unwind(|| bad.assert_valid_for(100, 3)).is_err());
+        let err = bad.validate(100, 3, false).unwrap_err();
+        assert!(err.contains("spot probability 1.5"), "{err}");
         // Adversary needs verification on and an in-range party.
         let adv = AdversarySpec::parse("party 2 phase=stats").unwrap();
         let mut p = PivotParams {
             adversary: Some(adv),
             ..Default::default()
         };
-        assert!(std::panic::catch_unwind(|| p.assert_valid_for(100, 3)).is_err());
+        let err = p.validate(100, 3, false).unwrap_err();
+        assert!(err.contains("needs verification on"), "{err}");
         p.verification = Verification::Full;
         p.assert_valid_for(100, 3);
-        assert!(std::panic::catch_unwind(|| p.assert_valid_for(100, 2)).is_err());
+        let err = p.validate(100, 2, false).unwrap_err();
+        assert!(err.contains("party 2 out of range"), "{err}");
     }
 
     #[test]
@@ -503,8 +517,24 @@ mod tests {
         };
         p.assert_valid_for(100, 3);
         p.packing = Packing::Slots(5);
-        let err = std::panic::catch_unwind(|| p.assert_valid_for(100, 3));
-        assert!(err.is_err(), "5 slots exceed the keysize-256 capacity");
+        let err = p.validate(100, 3, false).unwrap_err();
+        assert!(
+            err.contains("exceeds the audited capacity of 4 63-bit slots"),
+            "{err}"
+        );
+        // The audit sees the real party count and task: eight parties
+        // widen the slot to 65 bits, regression moments under the
+        // enhanced protocol widen it further.
+        p.packing = Packing::Slots(4);
+        let err = p.validate(100, 8, false).unwrap_err();
+        assert!(
+            err.contains("exceeds the audited capacity of 3 65-bit slots"),
+            "{err}"
+        );
+        let mut p = PivotParams::enhanced();
+        p.packing = Packing::Slots(3);
+        p.validate(100, 3, false).unwrap();
+        assert!(p.validate(100, 3, true).is_err());
     }
 
     #[test]

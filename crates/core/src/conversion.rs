@@ -73,7 +73,7 @@ pub fn ciphers_to_shares(ctx: &mut PartyContext<'_>, cts: &[Ciphertext]) -> Vec<
         .add_ciphertext_ops((n * (ctx.parties() + 1)) as u64);
 
     // Joint decryption (line 5) — integer e = x + 2^(k-1) + Σ rᵢ, no mod-N
-    // wrap because N ≫ m·p + 2^k (checked in PivotParams::assert_valid).
+    // wrap because N ≫ m·p + 2^k (checked in PivotParams::validate).
     let opened = joint_decrypt_vec(ctx, &masked);
 
     // Shares (lines 6–8): party 0 keeps e − r₀ − 2^(k-1); others keep −rᵢ.

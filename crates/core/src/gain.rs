@@ -20,7 +20,7 @@
 //! * **Counts stay integers, ratios are fixed-point.** Class counts and
 //!   node sizes are *integer-valued* shares; reciprocals and label sums
 //!   are fixed-point at scale `2^f`. The gain is arranged so no
-//!   intermediate exceeds `n²·2^f < p/2` (`PivotParams::assert_valid_for`
+//!   intermediate exceeds `n²·2^f < p/2` (`PivotParams::validate`
 //!   rejects sample counts beyond that):
 //!   classification `gain_side = Σ_k (g_k · recip) · g_k`, regression
 //!   `gain_side = ((γ₁·recip)²) · n_side`. Both equal the paper's gain up

@@ -68,12 +68,13 @@ impl<'a> PartyContext<'a> {
         // one envelope per flush. All parties switch here, before the
         // first protocol byte, so both ends of every link agree.
         ep.set_coalescing(true);
-        params.assert_valid_for(view.num_samples(), ep.parties());
-        // assert_valid_for audits packing with the classification bound;
-        // regression widens the slots, so re-audit with the real task.
-        if matches!(view.task, pivot_data::Task::Regression) {
-            params.assert_packing(ep.parties(), view.num_samples(), true);
-        }
+        // Callers validate outside input before spawning parties
+        // (`pivot-cli`'s `runner::prepare`), so a failure here is a broken
+        // invariant of this process.
+        let regression = matches!(view.task, pivot_data::Task::Regression);
+        params
+            .validate(view.num_samples(), ep.parties(), regression)
+            .unwrap_or_else(|e| panic!("{e}"));
         let m = ep.parties();
         let keys = fixtures::threshold_keys(m, params.keysize);
         let key_share = keys.shares[ep.id()].clone();
