@@ -37,9 +37,13 @@ const BASE: &str = "seed = 31337\nparties = 3\n\
      [params]\nmax_depth = 2\nmax_splits = 3\nkeysize = 128\n";
 
 fn run_with(tag: &str, trace_line: &str, algo: Algo) -> Execution {
+    run(tag, &format!("{BASE}{trace_line}"), algo, false)
+}
+
+fn run(tag: &str, body: &str, algo: Algo, skip_prediction: bool) -> Execution {
     // A failed assertion in another test poisons the lock; it guards no data.
     let _one_run = ONE_RUN.lock().unwrap_or_else(PoisonError::into_inner);
-    execute(&scenario(tag, &format!("{BASE}{trace_line}")), algo, false).unwrap()
+    execute(&scenario(tag, body), algo, skip_prediction).unwrap()
 }
 
 /// Everything deterministic a run exposes — traffic, op counts, model,
@@ -212,5 +216,63 @@ fn phase_table_accounts_for_every_round_and_byte() {
         })
         .unwrap();
         std::fs::remove_file(&path).ok();
+    }
+}
+
+#[test]
+fn a_stump_pays_for_one_statistics_pass_and_nothing_per_sample_after_it() {
+    // `max_depth = 1`: one split whose children are depth-forced leaves.
+    // The children's totals are the winning column of the root's
+    // statistics and nothing reads their masks, so after the root's pass
+    // no O(n) ciphertext vector exists: no mask update, no leaf label
+    // masks. Asserted as absence, so that reintroducing either fails a
+    // test and not only a benchmark.
+    const KEYSIZE: u64 = 256;
+    const MAX_SPLITS: u64 = 3;
+    let body = format!(
+        "seed = 31337\nparties = 3\n\
+         [data]\nkind = \"synthetic-classification\"\nsamples = 40\n\
+         features_per_party = 2\nclasses = 2\nflip_y = 0.05\n\
+         [params]\nmax_depth = 1\nmax_splits = {MAX_SPLITS}\nkeysize = {KEYSIZE}\n\
+         trace = \"phases\"\n"
+    );
+    // What a party encrypts besides its Algorithm-2 masks: nothing under
+    // the basic protocol; the `[λ]` of the one winning block and the two
+    // leaf labels under the enhanced one.
+    for (algo, tag, concealed) in [
+        (Algo::PivotBasic, "basic", 0),
+        (Algo::PivotEnhancedPp, "epp", MAX_SPLITS + 2),
+    ] {
+        let exec = run(&format!("stump-{tag}"), &body, algo, true);
+        let n = exec.train_samples as u64;
+        for p in &exec.parties {
+            assert_eq!(p.internal_nodes, 1, "{tag}: a stump");
+            // One Algorithm-2 mask per packed ciphertext of the root's
+            // pass; the super client also encrypted the root's `[α]`.
+            let (pass, _, _) = p.packed;
+            let root_mask = if p.party == 0 { n } else { 0 };
+            assert_eq!(
+                p.encryptions,
+                root_mask + pass + concealed,
+                "{tag}: party {} encryptions",
+                p.party
+            );
+            let rows = pivot_trace::phase_table(p.trace.as_ref().expect("traced run"));
+            let sent = |phase: &str| {
+                rows.iter()
+                    .find(|row| row.phase == phase)
+                    .map_or(0, |row| row.sent_bytes)
+            };
+            assert_eq!(sent("update"), 0, "{tag}: party {} update bytes", p.party);
+            // The leaf phase still opens argmax lanes (and, concealed,
+            // exchanges two label ciphertexts): a cost in `K`, not in `n`
+            // — less than ONE encrypted vector over the samples.
+            assert!(
+                sent("leaf") < n * KEYSIZE / 4,
+                "{tag}: party {} sent {} leaf bytes for {n} samples",
+                p.party,
+                sent("leaf")
+            );
+        }
     }
 }

@@ -1,6 +1,6 @@
-//! The two contracts the single level-wise trainer is held to (ROADMAP
-//! item 2), for basic-PP, enhanced-PP and GBDT at m = 3 with packing and
-//! bounded comparisons on:
+//! The two contracts the single level-wise trainer is held to, for
+//! basic-PP, enhanced-PP and GBDT at m = 3 with packing and bounded
+//! comparisons on:
 //!
 //! (a) **Oracle equality.** The released model equals the `pivot-trees`
 //!     plaintext oracle trained on the joined data: same splits and leaf
@@ -9,9 +9,23 @@
 //! (b) **Golden counters.** Rounds, secure multiplications and
 //!     comparisons, threshold decryptions, training bytes and messages of
 //!     every party, and the prediction vector, equal constants recorded
-//!     from the `scheduling = "pipelined"` run of the commit that still
-//!     had the recursive and per-node trainers — so a refactor of the
-//!     loop that moves any protocol operation fails here.
+//!     when the level step became "a child is its parent's winning split"
+//!     (`pivot_core`'s trainer module: ciphertext-free leaves, masks only
+//!     where they are read, right-sibling statistics by share
+//!     subtraction) — so a change that moves any protocol operation fails
+//!     here. Rounds, multiplications and comparisons of the basic and
+//!     GBDT rows are the ones the node-by-node trainers before it had;
+//!     the enhanced rows carry one more round per split level and
+//!     `(1 + K)·b` more multiplications per split for the concealed
+//!     column pick.
+//!
+//! Every protocol runs at three depths, because the mask rule differs at
+//! each: `max_depth = 1` (no mask update at all), `2` (left masks only —
+//! the depth of every benchmark workload) and `3` (right masks wanted at
+//! the root, siblings that part ways). The depth-1 and depth-3 cases
+//! share noisier data with `min_samples = 10`: without a purity stop
+//! (scenarios have none) a small pure node ties every split, and which
+//! tie wins is not the oracle's business.
 //!
 //! The counters are checked in-process and as three `pivot party`
 //! processes over loopback TCP, whose reports must also equal the
@@ -36,68 +50,202 @@ type Counters = [u64; 6];
 
 struct Case {
     tag: &'static str,
-    /// Scenario text: seed, algorithm, data, model and tree shape.
+    /// Scenario text: seed, algorithm, data and model.
     body: &'static str,
+    /// The `[params]` lines that shape the tree.
+    tree: &'static str,
     golden: [Counters; 3],
     predictions: &'static [f64],
 }
 
-const BASIC: Case = Case {
-    tag: "basic",
-    body: "seed = 4242\nalgorithm = \"pivot-basic-pp\"\n\
-         [data]\nkind = \"synthetic-classification\"\nsamples = 36\n\
-         features_per_party = 2\nclasses = 2\nflip_y = 0.05\ntest_fraction = 0.2\n",
-    golden: [
-        [132, 29684, 1114, 76, 1074676, 318],
-        [132, 29684, 1114, 76, 1024206, 294],
-        [132, 29684, 1114, 76, 1024206, 294],
-    ],
-    predictions: &[0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0],
-};
+const BASIC_BODY: &str = "seed = 4242\nalgorithm = \"pivot-basic-pp\"\n\
+     [data]\nkind = \"synthetic-classification\"\nsamples = 36\n\
+     features_per_party = 2\nclasses = 2\nflip_y = 0.05\ntest_fraction = 0.2\n";
+const ENHANCED_BODY: &str = "seed = 31337\nalgorithm = \"pivot-enhanced-pp\"\n\
+     [data]\nkind = \"synthetic-classification\"\nsamples = 40\n\
+     features_per_party = 2\nclasses = 2\nflip_y = 0.05\ntest_fraction = 0.3\n";
+const GBDT_BODY: &str = "seed = 7\nalgorithm = \"pivot-basic-pp\"\n\
+     [data]\nkind = \"synthetic-regression\"\nsamples = 40\n\
+     features_per_party = 2\nnoise = 0.05\ntest_fraction = 0.25\n\
+     [model]\nkind = \"gbdt\"\nrounds = 2\nlearning_rate = 0.5\n";
 
-const ENHANCED: Case = Case {
-    tag: "enhanced",
-    body: "seed = 31337\nalgorithm = \"pivot-enhanced-pp\"\n\
-         [data]\nkind = \"synthetic-classification\"\nsamples = 40\n\
-         features_per_party = 2\nclasses = 2\nflip_y = 0.05\ntest_fraction = 0.3\n",
-    golden: [
-        [163, 31497, 1186, 208, 1147312, 383],
-        [163, 31497, 1186, 208, 1090826, 350],
-        [163, 31497, 1186, 208, 1081342, 341],
-    ],
-    predictions: &[
-        1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0,
-    ],
-};
+/// The data of the depth-1 and depth-3 cases.
+const BASIC_NOISY: &str = "seed = 10\nalgorithm = \"pivot-basic-pp\"\n\
+     [data]\nkind = \"synthetic-classification\"\nsamples = 60\n\
+     features_per_party = 2\nclasses = 2\nflip_y = 0.15\ntest_fraction = 0.2\n";
+const ENHANCED_NOISY: &str = "seed = 10\nalgorithm = \"pivot-enhanced-pp\"\n\
+     [data]\nkind = \"synthetic-classification\"\nsamples = 60\n\
+     features_per_party = 2\nclasses = 2\nflip_y = 0.15\ntest_fraction = 0.3\n";
+const GBDT_NOISY: &str = "seed = 10\nalgorithm = \"pivot-basic-pp\"\n\
+     [data]\nkind = \"synthetic-regression\"\nsamples = 60\n\
+     features_per_party = 2\nnoise = 0.05\ntest_fraction = 0.25\n\
+     [model]\nkind = \"gbdt\"\nrounds = 2\nlearning_rate = 0.5\n";
 
-const GBDT: Case = Case {
-    tag: "gbdt",
-    body: "seed = 7\nalgorithm = \"pivot-basic-pp\"\n\
-         [data]\nkind = \"synthetic-regression\"\nsamples = 40\n\
-         features_per_party = 2\nnoise = 0.05\ntest_fraction = 0.25\n\
-         [model]\nkind = \"gbdt\"\nrounds = 2\nlearning_rate = 0.5\n",
-    golden: [
-        [341, 91694, 2260, 436, 3345150, 932],
-        [341, 91694, 2260, 436, 3213815, 796],
-        [341, 91694, 2260, 436, 3239987, 810],
-    ],
-    predictions: &[
-        0.1257009506225586,
-        0.2709846496582031,
-        -0.0650186538696289,
-        0.2709846496582031,
-        0.3996105194091797,
-        -0.20336341857910156,
-        -0.2263345718383789,
-        0.3996105194091797,
-        -0.36467933654785156,
-        0.1257009506225586,
-    ],
-};
+const DEPTH_1: &str = "max_depth = 1\nmin_samples = 10\n";
+const DEPTH_2: &str = "max_depth = 2\n";
+const DEPTH_3: &str = "max_depth = 3\nmin_samples = 10\n";
 
-/// Tree shape and crypto configuration shared by every case.
-const PARAMS: &str = "[params]\nmax_depth = 2\nmax_splits = 3\nkeysize = 256\n\
-     crypto_threads = 2\n";
+const BASIC: [Case; 3] = [
+    Case {
+        tag: "basic-h1",
+        body: BASIC_NOISY,
+        tree: DEPTH_1,
+        golden: [
+            [70, 11003, 408, 31, 388736, 158],
+            [70, 11003, 408, 31, 374800, 152],
+            [70, 11003, 408, 31, 374802, 152],
+        ],
+        predictions: &[1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0],
+    },
+    Case {
+        tag: "basic-h2",
+        body: BASIC_BODY,
+        tree: DEPTH_2,
+        golden: [
+            [132, 29684, 1114, 45, 1022160, 292],
+            [132, 29684, 1114, 45, 1005346, 284],
+            [132, 29684, 1114, 45, 1005328, 284],
+        ],
+        predictions: &[0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0],
+    },
+    Case {
+        tag: "basic-h3",
+        body: BASIC_NOISY,
+        tree: DEPTH_3,
+        golden: [
+            [201, 65966, 2444, 88, 2270486, 444],
+            [201, 65966, 2444, 88, 2235838, 436],
+            [201, 65966, 2444, 88, 2221984, 434],
+        ],
+        predictions: &[1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0],
+    },
+];
+
+const ENHANCED: [Case; 3] = [
+    Case {
+        tag: "enhanced-h1",
+        body: ENHANCED_NOISY,
+        tree: DEPTH_1,
+        golden: [
+            [92, 11953, 439, 21, 389536, 180],
+            [92, 11953, 439, 21, 377762, 172],
+            [92, 11953, 439, 21, 377762, 172],
+        ],
+        predictions: &[
+            0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0,
+            0.0, 0.0, 0.0,
+        ],
+    },
+    Case {
+        tag: "enhanced-h2",
+        body: ENHANCED_BODY,
+        tree: DEPTH_2,
+        golden: [
+            [165, 31524, 1186, 96, 1052194, 350],
+            [165, 31524, 1186, 96, 1035681, 337],
+            [165, 31524, 1186, 96, 1035495, 333],
+        ],
+        predictions: &[
+            1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0,
+        ],
+    },
+    Case {
+        tag: "enhanced-h3",
+        body: ENHANCED_NOISY,
+        tree: DEPTH_3,
+        golden: [
+            [255, 59573, 2193, 321, 2014178, 536],
+            [255, 59573, 2193, 321, 1978450, 524],
+            [255, 59573, 2193, 321, 1978234, 520],
+        ],
+        predictions: &[
+            0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0,
+            0.0, 0.0, 0.0,
+        ],
+    },
+];
+
+const GBDT: [Case; 3] = [
+    Case {
+        tag: "gbdt-h1",
+        body: GBDT_NOISY,
+        tree: DEPTH_1,
+        golden: [
+            [207, 32378, 836, 219, 1199134, 634],
+            [207, 32378, 836, 219, 1185278, 534],
+            [207, 32378, 836, 219, 1185275, 534],
+        ],
+        predictions: &[
+            -0.27554798126220703,
+            -0.2755470275878906,
+            -0.2755470275878906,
+            0.3787965774536133,
+            0.3787965774536133,
+            -0.2755470275878906,
+            -0.2755470275878906,
+            0.1149148941040039,
+            -0.27554798126220703,
+            0.1149148941040039,
+            0.1149148941040039,
+            0.3787965774536133,
+            0.1149148941040039,
+            0.1149148941040039,
+            -0.27554798126220703,
+        ],
+    },
+    Case {
+        tag: "gbdt-h2",
+        body: GBDT_BODY,
+        tree: DEPTH_2,
+        golden: [
+            [341, 91694, 2260, 298, 3193300, 872],
+            [341, 91694, 2260, 298, 3166389, 784],
+            [341, 91694, 2260, 298, 3166458, 786],
+        ],
+        predictions: &[
+            0.1257009506225586,
+            0.2709846496582031,
+            -0.0650186538696289,
+            0.2709846496582031,
+            0.3996105194091797,
+            -0.20336341857910156,
+            -0.2263345718383789,
+            0.3996105194091797,
+            -0.36467933654785156,
+            0.1257009506225586,
+        ],
+    },
+    Case {
+        tag: "gbdt-h3",
+        body: GBDT_NOISY,
+        tree: DEPTH_3,
+        golden: [
+            [475, 225194, 5780, 561, 7823616, 1258],
+            [475, 225194, 5780, 561, 7692179, 1104],
+            [475, 225194, 5780, 561, 7692201, 1104],
+        ],
+        predictions: &[
+            -0.4095935821533203,
+            -0.5541133880615234,
+            -0.4095935821533203,
+            0.34868335723876953,
+            0.34868335723876953,
+            -0.11623668670654297,
+            -0.03405952453613281,
+            0.11658668518066406,
+            -0.4095935821533203,
+            0.10561180114746094,
+            0.1789102554321289,
+            0.3486824035644531,
+            0.11658668518066406,
+            0.04328727722167969,
+            -0.4095935821533203,
+        ],
+    },
+];
+
+/// Candidate splits and crypto configuration shared by every case.
+const PARAMS: &str = "max_splits = 3\nkeysize = 256\ncrypto_threads = 2\n";
 
 fn temp_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -218,7 +366,8 @@ fn u64_at(report: &Json, path: &str) -> u64 {
 /// payload bytes of both phases in both directions.
 fn run_both_backends(case: &Case) -> (Scenario, Execution) {
     let path = temp_path(&format!("{}.toml", case.tag));
-    std::fs::write(&path, format!("parties = 3\n{}{PARAMS}", case.body)).unwrap();
+    let text = format!("parties = 3\n{}[params]\n{}{PARAMS}", case.body, case.tree);
+    std::fs::write(&path, text).unwrap();
     let scenario = Scenario::load(&path).unwrap();
     let exec = execute(&scenario, scenario.sole_algorithm().unwrap(), false).unwrap();
     for p in &exec.parties {
@@ -293,60 +442,67 @@ fn run_both_backends(case: &Case) -> (Scenario, Execution) {
 
 #[test]
 fn basic_pp_equals_the_cart_oracle_and_the_golden_counters() {
-    let (scenario, _) = run_both_backends(&BASIC);
-    let (train_set, trees) = train_federated(&scenario, train_basic::train);
-    let oracle = train_tree(&train_set, &tree_params(&scenario));
-    for (party, tree) in trees.iter().enumerate() {
-        assert_same_tree(tree, &oracle, &format!("basic party {party}"));
+    for case in &BASIC {
+        let (scenario, _) = run_both_backends(case);
+        let (train_set, trees) = train_federated(&scenario, train_basic::train);
+        let oracle = train_tree(&train_set, &tree_params(&scenario));
+        for (party, tree) in trees.iter().enumerate() {
+            assert_same_tree(tree, &oracle, &format!("{} party {party}", case.tag));
+        }
     }
 }
 
 #[test]
 fn enhanced_pp_predicts_like_the_cart_oracle_and_matches_the_golden_counters() {
-    let (scenario, exec) = run_both_backends(&ENHANCED);
-    let (train_set, test_set, _) = prepare(&scenario, exec.algo).unwrap();
-    let oracle = train_tree(&train_set, &tree_params(&scenario));
-    let samples: Vec<Vec<f64>> = (0..test_set.num_samples())
-        .map(|i| test_set.sample(i).to_vec())
-        .collect();
-    assert_eq!(
-        exec.parties[0].predictions,
-        oracle.predict_batch(&samples),
-        "enhanced: opened predictions vs oracle"
-    );
+    for case in &ENHANCED {
+        let (scenario, exec) = run_both_backends(case);
+        let (train_set, test_set, _) = prepare(&scenario, exec.algo).unwrap();
+        let oracle = train_tree(&train_set, &tree_params(&scenario));
+        let samples: Vec<Vec<f64>> = (0..test_set.num_samples())
+            .map(|i| test_set.sample(i).to_vec())
+            .collect();
+        assert_eq!(
+            exec.parties[0].predictions,
+            oracle.predict_batch(&samples),
+            "{}: opened predictions vs oracle",
+            case.tag
+        );
+    }
 }
 
 #[test]
 fn gbdt_equals_the_boosted_cart_oracle_and_the_golden_counters() {
-    let (scenario, _) = run_both_backends(&GBDT);
-    let rounds = scenario.model.rounds;
-    let learning_rate = scenario.model.learning_rate;
-    let (train_set, models) = train_federated(&scenario, |ctx| {
-        train_gbdt(
-            ctx,
-            &GbdtProtocolParams {
-                rounds,
-                learning_rate,
-            },
-        )
-    });
-    // The protocol boosts squared-loss residuals from a zero score (§7.2).
-    let mut scores = vec![0.0; train_set.num_samples()];
-    for round in 0..rounds {
-        let residuals: Vec<f64> = train_set
-            .labels()
-            .iter()
-            .zip(&scores)
-            .map(|(y, s)| y - s)
-            .collect();
-        let stage = train_set.with_labels(residuals, Task::Regression);
-        let oracle = train_tree(&stage, &tree_params(&scenario));
-        for (party, model) in models.iter().enumerate() {
-            let what = format!("gbdt party {party} round {round}");
-            assert_same_tree(&model.forests[0][round], &oracle, &what);
-        }
-        for (i, score) in scores.iter_mut().enumerate() {
-            *score += learning_rate * oracle.predict(train_set.sample(i));
+    for case in &GBDT {
+        let (scenario, _) = run_both_backends(case);
+        let rounds = scenario.model.rounds;
+        let learning_rate = scenario.model.learning_rate;
+        let (train_set, models) = train_federated(&scenario, |ctx| {
+            train_gbdt(
+                ctx,
+                &GbdtProtocolParams {
+                    rounds,
+                    learning_rate,
+                },
+            )
+        });
+        // The protocol boosts squared-loss residuals from a zero score (§7.2).
+        let mut scores = vec![0.0; train_set.num_samples()];
+        for round in 0..rounds {
+            let residuals: Vec<f64> = train_set
+                .labels()
+                .iter()
+                .zip(&scores)
+                .map(|(y, s)| y - s)
+                .collect();
+            let stage = train_set.with_labels(residuals, Task::Regression);
+            let oracle = train_tree(&stage, &tree_params(&scenario));
+            for (party, model) in models.iter().enumerate() {
+                let what = format!("{} party {party} round {round}", case.tag);
+                assert_same_tree(&model.forests[0][round], &oracle, &what);
+            }
+            for (i, score) in scores.iter_mut().enumerate() {
+                *score += learning_rate * oracle.predict(train_set.sample(i));
+            }
         }
     }
 }

@@ -6,7 +6,7 @@
 
 use crate::gain::{
     best_split_batch, leaf_label_shares_batch, prune_decisions_batch, reveal_identifier,
-    split_gains_batch, NodeShares,
+    split_gains_batch, NodeShares, NodeTotals,
 };
 use crate::party::PartyContext;
 use crate::stats::{LocalSplits, SplitLayout};
@@ -160,20 +160,18 @@ fn build_node(
         .collect();
 
     let force_leaf = depth >= ctx.params.tree.max_depth || total_splits == 0;
-    let node_shares_totals = NodeShares {
-        n_l: Vec::new(),
-        g_l: vec![Vec::new(); label_rows.len()],
-        n_total,
-        g_totals: g_totals.clone(),
+    let totals = NodeTotals {
+        n: n_total,
+        g: g_totals,
     };
     if force_leaf {
-        let value = open_leaf(ctx, &node_shares_totals);
+        let value = open_leaf(ctx, &totals);
         nodes.push(Node::Leaf { value });
         return nodes.len() - 1;
     }
     let stop_when_pure = ctx.params.tree.stop_when_pure;
-    if prune_decisions_batch(ctx, &[&node_shares_totals], stop_when_pure)[0] {
-        let value = open_leaf(ctx, &node_shares_totals);
+    if prune_decisions_batch(ctx, &[&totals], stop_when_pure)[0] {
+        let value = open_leaf(ctx, &totals);
         nodes.push(Node::Leaf { value });
         return nodes.len() - 1;
     }
@@ -215,12 +213,7 @@ fn build_node(
         }
     }
 
-    let node_shares = NodeShares {
-        n_l,
-        g_l,
-        n_total: node_shares_totals.n_total,
-        g_totals,
-    };
+    let node_shares = NodeShares { n_l, g_l, totals };
     let gains = split_gains_batch(ctx, &[&node_shares]);
     let (best_idx, _) = best_split_batch(ctx, &gains)[0];
     let (winner, local_feature, split_idx) = reveal_identifier(ctx, layout, best_idx);
@@ -269,8 +262,8 @@ fn build_node(
     nodes.len() - 1
 }
 
-fn open_leaf(ctx: &mut PartyContext<'_>, shares: &NodeShares) -> f64 {
-    let label = leaf_label_shares_batch(ctx, &[shares])[0];
+fn open_leaf(ctx: &mut PartyContext<'_>, totals: &NodeTotals) -> f64 {
+    let label = leaf_label_shares_batch(ctx, &[totals])[0];
     let opened = ctx.engine.open(label);
     match ctx.current_task() {
         Task::Classification { .. } => opened.value() as f64,

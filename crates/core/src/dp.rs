@@ -6,9 +6,9 @@
 
 use crate::config::Protocol;
 use crate::gain::{
-    convert_stats_batch, leaf_label_shares_batch, reveal_identifier, split_gains_batch, NodeShares,
+    convert_stats_batch, leaf_label_shares_batch, reveal_identifier, split_gains_batch, NodeTotals,
 };
-use crate::masks::{compute_label_masks, initial_mask, update_vectors_plain};
+use crate::masks::{compute_label_masks, initial_mask, update_vectors_plain, Sides};
 use crate::party::PartyContext;
 use crate::stats::{pooled_statistics, LocalSplits, SplitLayout};
 use pivot_data::Task;
@@ -66,13 +66,13 @@ fn build_node(
             laplace_sample_vec(&mut ctx.engine, 0.0, 1.0 / dp.epsilon_per_query, 1).remove(0);
         // n̄ is integer-valued; lift to fixed-point before adding the noise.
         let f = ctx.params.fixed.frac_bits;
-        let noisy = shares.n_total.scale(Fp::pow2(f)) + noise;
+        let noisy = shares.totals.n.scale(Fp::pow2(f)) + noise;
         let threshold = ctx.engine.constant_f64(ctx.params.tree.min_samples as f64);
         let below = ctx.engine.lt_vec(&[noisy], &[threshold]);
         ctx.engine.open(below[0]).value() == 1
     };
     if prune {
-        let value = dp_leaf(ctx, dp, &shares);
+        let value = dp_leaf(ctx, dp, &shares.totals);
         nodes.push(Node::Leaf { value });
         return nodes.len() - 1;
     }
@@ -93,10 +93,11 @@ fn build_node(
     };
     let indicator =
         (ctx.id() == winner).then(|| local.indicators[local_feature][split_idx].clone());
-    let vectors = vec![alpha];
-    let (mut lefts, mut rights) = update_vectors_plain(ctx, &vectors, winner, indicator.as_deref());
-    let alpha_l = lefts.remove(0);
-    let alpha_r = rights.remove(0);
+    // This recursion runs a statistics pass at every node, leaves
+    // included, so both children always read their mask.
+    let updated = update_vectors_plain(ctx, &[alpha], winner, indicator.as_deref(), Sides::BOTH);
+    let [alpha_l, alpha_r] =
+        [updated.left, updated.right].map(|side| side.expect("both sides asked for").remove(0));
 
     let left = build_node(ctx, local, layout, dp, alpha_l, depth + 1, nodes);
     let right = build_node(ctx, local, layout, dp, alpha_r, depth + 1, nodes);
@@ -112,7 +113,7 @@ fn build_node(
 /// DP leaf query: noisy class counts (Laplace, Δ = 1, parallel
 /// composition across disjoint classes) before the secure argmax; noisy
 /// mean for regression.
-fn dp_leaf(ctx: &mut PartyContext<'_>, dp: &DpParams, shares: &NodeShares) -> f64 {
+fn dp_leaf(ctx: &mut PartyContext<'_>, dp: &DpParams, totals: &NodeTotals) -> f64 {
     let f = ctx.params.fixed.frac_bits;
     match ctx.current_task() {
         Task::Classification { .. } => {
@@ -120,10 +121,10 @@ fn dp_leaf(ctx: &mut PartyContext<'_>, dp: &DpParams, shares: &NodeShares) -> f6
                 &mut ctx.engine,
                 0.0,
                 1.0 / dp.epsilon_per_query,
-                shares.g_totals.len(),
+                totals.g.len(),
             );
-            let noisy: Vec<Share> = shares
-                .g_totals
+            let noisy: Vec<Share> = totals
+                .g
                 .iter()
                 .zip(noises)
                 .map(|(&g, eta)| g.scale(Fp::pow2(f)) + eta)
@@ -134,7 +135,7 @@ fn dp_leaf(ctx: &mut PartyContext<'_>, dp: &DpParams, shares: &NodeShares) -> f6
         Task::Regression => {
             // Mean with Laplace noise scaled by the public sensitivity
             // bound 2/(min_samples·ε) (labels are normalized to [-1, 1]).
-            let label = leaf_label_shares_batch(ctx, &[shares])[0];
+            let label = leaf_label_shares_batch(ctx, &[totals])[0];
             let sens = 2.0 / (ctx.params.tree.min_samples.max(1) as f64);
             let noise =
                 laplace_sample_vec(&mut ctx.engine, 0.0, sens / dp.epsilon_per_query, 1).remove(0);

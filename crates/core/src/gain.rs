@@ -33,7 +33,7 @@
 //!   vectors are encrypted as `(y+1)` and `(y+1)²` ([`crate::masks`]); a
 //!   negative encoding would wrap mod `N` once multiplied into a
 //!   slack-carrying mask. The offset is removed linearly after conversion
-//!   ([`remove_totals_offset`]).
+//!   (`remove_label_offset`).
 //! * **Share sums carry slack.** A ciphertext built by summing every
 //!   party's encrypted share ([`crate::conversion::shares_to_ciphers`])
 //!   holds the secret plus a multiple of `p` below `m·p ≪ N`. Every
@@ -44,6 +44,7 @@
 //!   the masks first.
 
 use crate::conversion::ciphers_to_shares;
+use crate::masks::Sides;
 use crate::metrics::Stage;
 use crate::party::PartyContext;
 use crate::stats::{EncryptedStats, PackedStats, SplitLayout};
@@ -71,6 +72,26 @@ fn gain_width(ctx: &PartyContext<'_>) -> u32 {
     ctx.params.fixed.frac_bits + count_width(ctx) + 1
 }
 
+/// Share-domain totals of one tree node — all a leaf needs.
+#[derive(Debug)]
+pub struct NodeTotals {
+    /// `⟨n̄⟩` — node size (integer-valued).
+    pub n: Share,
+    /// `⟨Σ γ_k⟩` per label vector.
+    pub g: Vec<Share>,
+}
+
+impl NodeTotals {
+    /// `self − other`, element-wise: a right child's totals from its
+    /// parent's and its left sibling's.
+    pub fn minus(&self, other: &NodeTotals) -> NodeTotals {
+        NodeTotals {
+            n: self.n - other.n,
+            g: minus_row(&self.g, &other.g),
+        }
+    }
+}
+
 /// Share-domain statistics of one tree node.
 pub struct NodeShares {
     /// Per split: `⟨n_l⟩` (integer-valued).
@@ -78,10 +99,51 @@ pub struct NodeShares {
     /// Per label-vector, per split: `⟨g_l⟩` (integer counts for
     /// classification, fixed-point sums for regression).
     pub g_l: Vec<Vec<Share>>,
-    /// `⟨n̄⟩` — node size (integer-valued).
-    pub n_total: Share,
-    /// `⟨Σ γ_k⟩` per label vector.
-    pub g_totals: Vec<Share>,
+    /// What every split's two sides add up to.
+    pub totals: NodeTotals,
+}
+
+impl NodeShares {
+    /// Column `s`: the totals of the left child the split `s` would make.
+    pub fn column(&self, s: usize) -> NodeTotals {
+        NodeTotals {
+            n: self.n_l[s],
+            g: self.g_l.iter().map(|row| row[s]).collect(),
+        }
+    }
+
+    /// The totals of both children of the split whose winning column is
+    /// `left`: the right child holds what the left one does not.
+    pub fn child_totals(&self, left: NodeTotals) -> Sides<NodeTotals> {
+        Sides {
+            right: self.totals.minus(&left),
+            left,
+        }
+    }
+
+    /// Sibling subtraction: the statistics of this node's right child,
+    /// given its left child's. Every sample of the node goes to exactly
+    /// one child, so `stats(left, s) + stats(right, s) = stats(node, s)`
+    /// for every candidate `s` — exactly, in `Z_p`, because Paillier and
+    /// additive shares are both linear (and so is the regression offset
+    /// removal, which both operands have been through).
+    pub fn minus(&self, left: &NodeShares) -> NodeShares {
+        NodeShares {
+            n_l: minus_row(&self.n_l, &left.n_l),
+            g_l: self
+                .g_l
+                .iter()
+                .zip(&left.g_l)
+                .map(|(row, left_row)| minus_row(row, left_row))
+                .collect(),
+            totals: self.totals.minus(&left.totals),
+        }
+    }
+}
+
+fn minus_row(a: &[Share], b: &[Share]) -> Vec<Share> {
+    debug_assert_eq!(a.len(), b.len());
+    a.iter().zip(b).map(|(&x, &y)| x - y).collect()
 }
 
 /// Flatten one node's pooled statistics into the conversion order:
@@ -120,8 +182,10 @@ fn node_shares_from_flat(
     let mut node = NodeShares {
         n_l,
         g_l,
-        n_total: tail[0],
-        g_totals: tail[1..].to_vec(),
+        totals: NodeTotals {
+            n: tail[0],
+            g: tail[1..].to_vec(),
+        },
     };
     if enc.offset_encoded {
         remove_label_offset(ctx, &mut node);
@@ -224,24 +288,15 @@ pub fn node_shares_from_packed(
     let mut node = NodeShares {
         n_l,
         g_l,
-        n_total,
-        g_totals,
+        totals: NodeTotals {
+            n: n_total,
+            g: g_totals,
+        },
     };
     if packed.offset_encoded {
         remove_label_offset(ctx, &mut node);
     }
     node
-}
-
-/// Totals-only offset correction for depth-forced leaves (no per-split
-/// statistics present).
-pub fn remove_totals_offset(ctx: &PartyContext<'_>, node: &mut NodeShares) {
-    let one_fx = ctx.params.fixed.one();
-    let n_fx = node.n_total.scale(one_fx);
-    let g1 = node.g_totals[0] - n_fx;
-    let g2 = node.g_totals[1] - g1.scale(Fp::new(2)) - n_fx;
-    node.g_totals[0] = g1;
-    node.g_totals[1] = g2;
 }
 
 /// Undo the +1 regression-label offset after conversion (linear):
@@ -257,11 +312,11 @@ fn remove_label_offset(ctx: &PartyContext<'_>, node: &mut NodeShares) {
         node.g_l[0][s] = g1;
         node.g_l[1][s] = g2;
     }
-    let n_fx = node.n_total.scale(one_fx);
-    let g1 = node.g_totals[0] - n_fx;
-    let g2 = node.g_totals[1] - g1.scale(Fp::new(2)) - n_fx;
-    node.g_totals[0] = g1;
-    node.g_totals[1] = g2;
+    let n_fx = node.totals.n.scale(one_fx);
+    let g1 = node.totals.g[0] - n_fx;
+    let g2 = node.totals.g[1] - g1.scale(Fp::new(2)) - n_fx;
+    node.totals.g[0] = g1;
+    node.totals.g[1] = g2;
 }
 
 /// Basic protocol: open the winning index and map it to the public
@@ -281,7 +336,7 @@ pub fn reveal_identifier(
 /// tournament sharing the same rounds).
 pub fn prune_decisions_batch(
     ctx: &mut PartyContext<'_>,
-    nodes: &[&NodeShares],
+    nodes: &[&NodeTotals],
     check_purity: bool,
 ) -> Vec<bool> {
     if nodes.is_empty() {
@@ -296,7 +351,7 @@ pub fn prune_decisions_batch(
     ctx.metrics.time(Stage::MpcComputation, || {
         let engine = &mut ctx.engine;
         let maxes = if purity {
-            let rows: Vec<Vec<Share>> = nodes.iter().map(|n| n.g_totals.clone()).collect();
+            let rows: Vec<Vec<Share>> = nodes.iter().map(|t| t.g.clone()).collect();
             engine
                 .argmax_many_bounded(&rows, counts_k)
                 .into_iter()
@@ -309,14 +364,14 @@ pub fn prune_decisions_batch(
         // (pure ⟺ max_k g_k = n̄ ⟺ (n̄ − max) − 1 < 0).
         let mut lanes: Vec<Share> = nodes
             .iter()
-            .map(|n| n.n_total.sub_public(party, Fp::new(min_samples)))
+            .map(|t| t.n.sub_public(party, Fp::new(min_samples)))
             .collect();
         if purity {
             lanes.extend(
                 nodes
                     .iter()
                     .zip(&maxes)
-                    .map(|(n, &max)| (n.n_total - max).sub_public(party, Fp::ONE)),
+                    .map(|(t, &max)| (t.n - max).sub_public(party, Fp::ONE)),
             );
         }
         let bits = engine.ltz_vec_bounded(&lanes, counts_k);
@@ -362,7 +417,7 @@ pub fn split_gains_batch(ctx: &mut PartyContext<'_>, nodes: &[&NodeShares]) -> V
         // Per node: right sides by subtraction, lanes node-major.
         let n_r: Vec<Vec<Share>> = nodes
             .iter()
-            .map(|n| n.n_l.iter().map(|&l| n.n_total - l).collect())
+            .map(|n| n.n_l.iter().map(|&l| n.totals.n - l).collect())
             .collect();
         let g_r: Vec<Vec<Vec<Share>>> = nodes
             .iter()
@@ -370,7 +425,7 @@ pub fn split_gains_batch(ctx: &mut PartyContext<'_>, nodes: &[&NodeShares]) -> V
                 n.g_l
                     .iter()
                     .enumerate()
-                    .map(|(k, row)| row.iter().map(|&l| n.g_totals[k] - l).collect())
+                    .map(|(k, row)| row.iter().map(|&l| n.totals.g[k] - l).collect())
                     .collect()
             })
             .collect();
@@ -515,7 +570,7 @@ pub fn best_split_batch(ctx: &mut PartyContext<'_>, gains: &[Vec<Share>]) -> Vec
 /// Secure leaf labels: argmax class (classification, integer share) or
 /// mean label (regression, fixed-point share) — one lockstep argmax or one
 /// reciprocal/multiply batch for every leaf of a level.
-pub fn leaf_label_shares_batch(ctx: &mut PartyContext<'_>, nodes: &[&NodeShares]) -> Vec<Share> {
+pub fn leaf_label_shares_batch(ctx: &mut PartyContext<'_>, nodes: &[&NodeTotals]) -> Vec<Share> {
     if nodes.is_empty() {
         return Vec::new();
     }
@@ -525,7 +580,7 @@ pub fn leaf_label_shares_batch(ctx: &mut PartyContext<'_>, nodes: &[&NodeShares]
     ctx.metrics.time(Stage::MpcComputation, || match task {
         // Class counts are integers in [0, n]: count-width argmax.
         Task::Classification { .. } => {
-            let rows: Vec<Vec<Share>> = nodes.iter().map(|n| n.g_totals.clone()).collect();
+            let rows: Vec<Vec<Share>> = nodes.iter().map(|t| t.g.clone()).collect();
             ctx.engine
                 .argmax_many_bounded(&rows, counts_k)
                 .into_iter()
@@ -533,9 +588,9 @@ pub fn leaf_label_shares_batch(ctx: &mut PartyContext<'_>, nodes: &[&NodeShares]
                 .collect()
         }
         Task::Regression => {
-            let totals: Vec<Share> = nodes.iter().map(|n| n.n_total).collect();
-            let recips = ctx.engine.recip_vec_int(&totals, n_bound);
-            let g1: Vec<Share> = nodes.iter().map(|n| n.g_totals[0]).collect();
+            let sizes: Vec<Share> = nodes.iter().map(|t| t.n).collect();
+            let recips = ctx.engine.recip_vec_int(&sizes, n_bound);
+            let g1: Vec<Share> = nodes.iter().map(|t| t.g[0]).collect();
             ctx.engine.fixmul_vec(&g1, &recips)
         }
     })
@@ -591,6 +646,48 @@ pub fn reveal_blocks_batch(
             let (client, feature, (start, _)) = blocks[winner];
             let s_star = idx.sub_public(party, Fp::new(start as u64));
             (client, feature, s_star)
+        })
+        .collect()
+}
+
+/// Enhanced protocol: the totals of every winner's left child while `⟨s*⟩`
+/// stays shared — `Σ_t ⟨λ_t⟩ · column(start + t)` over the winning block,
+/// with `⟨λ⟩` the block-local one-hot shares of `s*`. `(1 + K)·b` Beaver
+/// products per winner `(statistics, block start, ⟨λ⟩)`, every winner's in
+/// ONE multiplication round; a one-hot times integer or fixed-point rows
+/// needs no truncation, so the result equals the opened column exactly.
+pub fn concealed_columns_batch(
+    ctx: &mut PartyContext<'_>,
+    winners: &[(&NodeShares, usize, &[Share])],
+) -> Vec<NodeTotals> {
+    if winners.is_empty() {
+        return Vec::new();
+    }
+    let mut selectors = Vec::new();
+    let mut entries = Vec::new();
+    for &(stats, start, lambda) in winners {
+        for row in std::iter::once(&stats.n_l).chain(&stats.g_l) {
+            selectors.extend_from_slice(lambda);
+            entries.extend_from_slice(&row[start..start + lambda.len()]);
+        }
+    }
+    let products = ctx.metrics.time(Stage::MpcComputation, || {
+        ctx.engine.mul_vec(&selectors, &entries)
+    });
+    let mut rest = products.as_slice();
+    winners
+        .iter()
+        .map(|&(stats, _, lambda)| {
+            let mut sums = (0..1 + stats.g_l.len()).map(|_| {
+                let (picked, tail) = rest.split_at(lambda.len());
+                rest = tail;
+                picked.iter().fold(Share::ZERO, |acc, &x| acc + x)
+            });
+            let n = sums.next().expect("the count row comes first");
+            NodeTotals {
+                n,
+                g: sums.collect(),
+            }
         })
         .collect()
 }

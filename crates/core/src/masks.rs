@@ -28,6 +28,58 @@ pub struct LabelMasks<'a> {
     pub offset_encoded: bool,
 }
 
+/// One value per child of a split, left before right.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Sides<T> {
+    pub left: T,
+    pub right: T,
+}
+
+impl<T> Sides<T> {
+    pub fn map<U>(self, mut f: impl FnMut(T) -> U) -> Sides<U> {
+        Sides {
+            left: f(self.left),
+            right: f(self.right),
+        }
+    }
+}
+
+impl Sides<bool> {
+    pub const BOTH: Sides<bool> = Sides {
+        left: true,
+        right: true,
+    };
+
+    pub fn any(self) -> bool {
+        self.left || self.right
+    }
+
+    /// Per wanted side, left before right: whether it takes the
+    /// complement of the split's left indicator.
+    pub fn complements(self) -> impl Iterator<Item = bool> {
+        [(self.left, false), (self.right, true)]
+            .into_iter()
+            .filter_map(|(want, complement)| want.then_some(complement))
+    }
+
+    /// Hand `produced` — one item per wanted side, left before right — to
+    /// the sides that asked.
+    pub fn fill<T>(self, produced: impl IntoIterator<Item = T>) -> Sides<Option<T>> {
+        let mut produced = produced.into_iter();
+        Sides {
+            left: self.left.then(|| produced.next()).flatten(),
+            right: self.right.then(|| produced.next()).flatten(),
+        }
+    }
+}
+
+impl<T> Sides<Option<T>> {
+    /// The sides that hold a value, left before right.
+    pub fn present(&self) -> impl Iterator<Item = &T> {
+        self.left.iter().chain(&self.right)
+    }
+}
+
 /// Fresh root mask: `[α] = ([1], …, [1])` — all samples on the root
 /// (encrypted 0/1 per the given plaintext mask for ensemble bootstraps).
 ///
@@ -69,7 +121,11 @@ pub fn compute_label_masks(
         Task::Regression => 2,
     };
     if ctx.is_super_client() {
-        let labels = ctx.view.labels.clone().expect("super client holds labels");
+        let labels = ctx
+            .view
+            .labels
+            .as_deref()
+            .expect("super client holds labels");
         let mut gammas = Vec::with_capacity(class_vectors);
         let mut bundles = Vec::with_capacity(class_vectors);
         match task {
@@ -294,58 +350,59 @@ fn label_slot_value(ctx: &PartyContext<'_>, task: Task, y: f64, t: usize) -> Big
 
 /// Basic-protocol model update (§4.1, generalized per §7.2): the winning
 /// client masks `[α]` *and* any encrypted label vectors (`[γ₁]`, `[γ₂]` for
-/// GBDT) with its plaintext split indicator, broadcasting the left/right
-/// versions of each.
+/// GBDT) with its plaintext split indicator and broadcasts the `wanted`
+/// sides of each — a child's vectors are produced only where something
+/// reads them (see `crate::trainer`).
 pub fn update_vectors_plain(
     ctx: &mut PartyContext<'_>,
     vectors: &[Vec<Ciphertext>],
     winner: usize,
     left_indicator: Option<&[bool]>,
-) -> (Vec<Vec<Ciphertext>>, Vec<Vec<Ciphertext>>) {
-    let (lefts, rights, bundles) = if ctx.id() == winner {
-        let v_l = left_indicator.expect("winner knows its split indicator");
-        let v_r: Vec<bool> = v_l.iter().map(|&b| !b).collect();
-        let xs_l: Vec<BigUint> = v_l
-            .iter()
-            .map(|&b| BigUint::from_u64(u64::from(b)))
-            .collect();
-        let xs_r: Vec<BigUint> = v_r
-            .iter()
-            .map(|&b| BigUint::from_u64(u64::from(b)))
-            .collect();
-        let mut lefts = Vec::with_capacity(vectors.len());
-        let mut rights = Vec::with_capacity(vectors.len());
-        let mut bundles = Vec::with_capacity(2 * vectors.len());
-        let threads = ctx.crypto_threads();
-        for vec in vectors {
-            verify::scrub_witnesses(ctx);
-            let mut l = batch::mask_binary_batch(&ctx.pk, vec, v_l, &ctx.nonces, threads);
-            bundles.push(verify::prove_popcm(ctx, "update", vec, &mut l, &xs_l));
-            verify::scrub_witnesses(ctx);
-            let mut r = batch::mask_binary_batch(&ctx.pk, vec, &v_r, &ctx.nonces, threads);
-            bundles.push(verify::prove_popcm(ctx, "update", vec, &mut r, &xs_r));
-            ctx.metrics.add_encryptions(2 * vec.len() as u64);
-            ctx.ep.broadcast(&l);
-            ctx.ep.broadcast(&r);
-            lefts.push(l);
-            rights.push(r);
+    wanted: Sides<bool>,
+) -> Sides<Option<Vec<Vec<Ciphertext>>>> {
+    // Per wanted side: the winner's plaintext indicator and its proof
+    // witnesses; `None` at the clients that receive the side.
+    let indicators: Vec<Option<(Vec<bool>, Vec<BigUint>)>> = wanted
+        .complements()
+        .map(|complement| {
+            (ctx.id() == winner).then(|| {
+                let v_l = left_indicator.expect("winner knows its split indicator");
+                let v: Vec<bool> = v_l.iter().map(|&b| b != complement).collect();
+                let xs = v.iter().map(|&b| BigUint::from_u64(u64::from(b))).collect();
+                (v, xs)
+            })
+        })
+        .collect();
+    // `masked[side][vector]`; on the wire, vector-major like the proofs.
+    let mut masked = vec![Vec::with_capacity(vectors.len()); indicators.len()];
+    let mut bundles = Vec::with_capacity(indicators.len() * vectors.len());
+    let threads = ctx.crypto_threads();
+    for vec in vectors {
+        for (side, indicator) in masked.iter_mut().zip(&indicators) {
+            side.push(match indicator {
+                Some((v, xs)) => {
+                    verify::scrub_witnesses(ctx);
+                    let mut out = batch::mask_binary_batch(&ctx.pk, vec, v, &ctx.nonces, threads);
+                    bundles.push(verify::prove_popcm(ctx, "update", vec, &mut out, xs));
+                    ctx.metrics.add_encryptions(vec.len() as u64);
+                    ctx.ep.broadcast(&out);
+                    out
+                }
+                None => {
+                    bundles.push(None);
+                    ctx.ep.recv::<Vec<Ciphertext>>(winner)
+                }
+            });
         }
-        (lefts, rights, bundles)
-    } else {
-        let mut lefts = Vec::with_capacity(vectors.len());
-        let mut rights = Vec::with_capacity(vectors.len());
-        for _ in vectors {
-            lefts.push(ctx.ep.recv::<Vec<Ciphertext>>(winner));
-            rights.push(ctx.ep.recv::<Vec<Ciphertext>>(winner));
-        }
-        (lefts, rights, vec![None; 2 * vectors.len()])
-    };
-    let mut bundles = bundles.into_iter();
-    for (vec, (l, r)) in vectors.iter().zip(lefts.iter().zip(&rights)) {
-        verify::check_popcm(ctx, "update", winner, vec, l, bundles.next().unwrap());
-        verify::check_popcm(ctx, "update", winner, vec, r, bundles.next().unwrap());
     }
-    (lefts, rights)
+    let mut bundles = bundles.into_iter();
+    for (i, vec) in vectors.iter().enumerate() {
+        for side in &masked {
+            let bundle = bundles.next().expect("one slot per produced vector");
+            verify::check_popcm(ctx, "update", winner, vec, &side[i], bundle);
+        }
+    }
+    wanted.fill(masked)
 }
 
 /// Encode a signed real as a Paillier plaintext (upper half = negative).

@@ -14,11 +14,14 @@
 //! The level-wise loop itself is `crate::trainer`; this file is the
 //! basic protocol's side of its disclosure hooks.
 
-use crate::masks::{initial_mask, update_vectors_plain};
+use crate::masks::{initial_mask, update_vectors_plain, Sides};
 use crate::metrics::Stage;
 use crate::party::PartyContext;
 use crate::stats::{LocalSplits, SplitLayout};
-use crate::trainer::{allocate_children, grow_tree, Arena, ArenaNode, Disclosure, FrontierNode};
+use crate::trainer::{
+    allocate_children, children, grow_tree, Arena, ArenaNode, Disclosure, FrontierNode, NodeMask,
+    Survivor,
+};
 use pivot_data::Task;
 use pivot_mpc::{Fp, Share};
 use pivot_paillier::Ciphertext;
@@ -72,15 +75,11 @@ pub fn train_with_labels(
         purity_check: ctx.params.tree.stop_when_pure && root_gammas.is_none(),
         pending_leaves: Vec::new(),
     };
-    let (nodes, root) = grow_tree(
-        ctx,
-        &mut reveal,
-        &local,
-        &layout,
-        root_alpha,
-        root_gammas,
-        codec.as_ref(),
-    );
+    let root = NodeMask {
+        alpha: root_alpha,
+        gammas: root_gammas,
+    };
+    let (nodes, root) = grow_tree(ctx, &mut reveal, &local, &layout, root, codec.as_ref());
     DecisionTree::new(nodes, root, ctx.current_task())
 }
 
@@ -160,13 +159,13 @@ impl Disclosure for Reveal {
         ctx: &mut PartyContext<'_>,
         local: &LocalSplits,
         layout: &SplitLayout,
-        best: Vec<Share>,
-        live: Vec<FrontierNode>,
+        survivors: Vec<Survivor<'_>>,
+        wanted: Sides<bool>,
         arena: &mut Arena<Node>,
     ) -> Vec<FrontierNode> {
-        let tickets: Vec<usize> = best
+        let tickets: Vec<usize> = survivors
             .iter()
-            .map(|&idx| ctx.engine.open_deferred(&[idx]))
+            .map(|s| ctx.engine.open_deferred(&[s.best]))
             .collect();
         let opened = {
             let _reveal = pivot_trace::phase_span("split_reveal");
@@ -175,16 +174,16 @@ impl Disclosure for Reveal {
 
         // Winner announcements and mask updates; the per-node frames of
         // this stage coalesce at the transport layer.
-        let mut next = Vec::with_capacity(2 * live.len());
-        for (node, ticket) in live.into_iter().zip(tickets) {
+        let mut next = Vec::with_capacity(2 * survivors.len());
+        for (Survivor { node, stats, .. }, ticket) in survivors.into_iter().zip(tickets) {
             // The identifier (i*, j*, s*) is public (§4.1 model update
             // step); the winner announces the global feature id and
             // plaintext threshold, both part of the released model.
-            let (winner, local_feature, split_idx, feature, threshold) = {
+            let global = opened[ticket][0].value() as usize;
+            let (winner, local_feature, split_idx) = layout.locate(global);
+            let (feature, threshold) = {
                 let _reveal = pivot_trace::phase_span("split_reveal");
-                let global = opened[ticket][0].value() as usize;
-                let (winner, local_feature, split_idx) = layout.locate(global);
-                let (feature, threshold) = ctx.metrics.time(Stage::ModelUpdate, || {
+                ctx.metrics.time(Stage::ModelUpdate, || {
                     if ctx.id() == winner {
                         let feature = ctx.view.feature_indices[local_feature];
                         let threshold = local.candidates[local_feature].thresholds[split_idx];
@@ -193,39 +192,46 @@ impl Disclosure for Reveal {
                     } else {
                         ctx.ep.recv::<(usize, f64)>(winner)
                     }
-                });
-                (winner, local_feature, split_idx, feature, threshold)
+                })
             };
-            let indicator =
-                (ctx.id() == winner).then(|| local.indicators[local_feature][split_idx].as_slice());
+            // The children's totals are the opened column of the
+            // parent's statistics and its complement: local indexing.
+            let totals = stats.child_totals(stats.column(global));
 
             // Mask [α] — and, in GBDT mode, the encrypted label vectors —
-            // with the winning indicator.
-            let has_gammas = node.gammas.is_some();
-            let mut vectors = vec![node.alpha];
-            vectors.extend(node.gammas.into_iter().flatten());
-            let started = std::time::Instant::now();
-            let (lefts, rights) = {
-                let _update = pivot_trace::phase_span("update");
-                update_vectors_plain(ctx, &vectors, winner, indicator)
+            // with the winning indicator, on the sides that are read.
+            let masks = if wanted.any() {
+                let mask = node
+                    .mask
+                    .expect("a node whose children read a mask holds one");
+                let has_gammas = mask.gammas.is_some();
+                let mut vectors = vec![mask.alpha];
+                vectors.extend(mask.gammas.into_iter().flatten());
+                let indicator = (ctx.id() == winner)
+                    .then(|| local.indicators[local_feature][split_idx].as_slice());
+                let started = std::time::Instant::now();
+                let updated = {
+                    let _update = pivot_trace::phase_span("update");
+                    update_vectors_plain(ctx, &vectors, winner, indicator, wanted)
+                };
+                ctx.metrics.add_time(Stage::ModelUpdate, started.elapsed());
+                let child_mask = |mut vectors: Vec<Vec<Ciphertext>>| NodeMask {
+                    alpha: vectors.remove(0),
+                    gammas: has_gammas.then_some(vectors),
+                };
+                updated.map(|side| side.map(child_mask))
+            } else {
+                Sides::default()
             };
-            ctx.metrics.add_time(Stage::ModelUpdate, started.elapsed());
 
-            let (left, right) = allocate_children(arena);
+            let slots = allocate_children(arena);
             arena[node.slot] = Some(Node::Internal {
                 feature,
                 threshold,
-                left,
-                right,
+                left: slots.0,
+                right: slots.1,
             });
-            for (slot, mut vectors) in [(left, lefts), (right, rights)] {
-                let alpha = vectors.remove(0);
-                next.push(FrontierNode {
-                    slot,
-                    alpha,
-                    gammas: has_gammas.then_some(vectors),
-                });
-            }
+            next.extend(children(slots, totals, masks));
         }
         next
     }

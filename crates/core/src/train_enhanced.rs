@@ -19,13 +19,17 @@
 
 use crate::config::Protocol;
 use crate::conversion::{ciphers_to_shares, packed_share_conversion, shares_to_ciphers};
-use crate::gain::reveal_blocks_batch;
-use crate::masks::initial_mask;
+use crate::gain::{concealed_columns_batch, reveal_blocks_batch};
+use crate::gain::{NodeShares, NodeTotals};
+use crate::masks::{initial_mask, Sides};
 use crate::metrics::Stage;
 use crate::model::{ConcealedNode, ConcealedTree};
 use crate::party::PartyContext;
 use crate::stats::{LocalSplits, SplitLayout};
-use crate::trainer::{allocate_children, grow_tree, Arena, ArenaNode, Disclosure, FrontierNode};
+use crate::trainer::{
+    allocate_children, children, grow_tree, Arena, ArenaNode, Disclosure, FrontierNode, NodeMask,
+    Survivor,
+};
 use pivot_bignum::BigUint;
 use pivot_mpc::Share;
 use pivot_paillier::{batch, vector, Ciphertext};
@@ -77,15 +81,11 @@ pub fn train(ctx: &mut PartyContext<'_>) -> ConcealedTree {
     };
     let alpha = initial_mask(ctx, &mask);
     let codec = ctx.packing_codec();
-    let (nodes, root) = grow_tree(
-        ctx,
-        &mut Conceal,
-        &local,
-        &layout,
+    let root = NodeMask {
         alpha,
-        None,
-        codec.as_ref(),
-    );
+        gammas: None,
+    };
+    let (nodes, root) = grow_tree(ctx, &mut Conceal, &local, &layout, root, codec.as_ref());
     ConcealedTree {
         nodes,
         root,
@@ -129,20 +129,22 @@ impl Disclosure for Conceal {
     /// slack-carrying PIR ciphertexts reach ~m²·b·p² — the reason for the
     /// enhanced keysize floor). The slot-width audit budgets only the
     /// linear `m·p` bound, so packed levels first linearize the slack: one
-    /// batched share round-trip re-encrypts every frontier mask as a plain
-    /// share sum. Values are untouched mod p, so the trained tree is
-    /// unaffected; the scalar conversion needs no refresh.
-    fn refresh_masks(&mut self, ctx: &mut PartyContext<'_>, frontier: &mut [FrontierNode]) {
+    /// batched share round-trip re-encrypts every mask the packed pass
+    /// reads as a plain share sum. Values are untouched mod p, so the
+    /// trained tree is unaffected; the scalar conversion needs no refresh,
+    /// and neither does a mask only the next Eqn-10 update reads (its
+    /// conversion budgets the quadratic bound).
+    fn refresh_masks(&mut self, ctx: &mut PartyContext<'_>, masks: &mut [&mut NodeMask]) {
         let _conv = pivot_trace::phase_span("conversion");
-        let lens: Vec<usize> = frontier.iter().map(|node| node.alpha.len()).collect();
-        let flat: Vec<Ciphertext> = frontier
+        let lens: Vec<usize> = masks.iter().map(|mask| mask.alpha.len()).collect();
+        let flat: Vec<Ciphertext> = masks
             .iter_mut()
-            .flat_map(|node| node.alpha.drain(..))
+            .flat_map(|mask| mask.alpha.drain(..))
             .collect();
         let shares = ciphers_to_shares(ctx, &flat);
         let fresh = split_lengths(shares_to_ciphers(ctx, &shares), lens);
-        for (node, alpha) in frontier.iter_mut().zip(fresh) {
-            node.alpha = alpha;
+        for (mask, alpha) in masks.iter_mut().zip(fresh) {
+            mask.alpha = alpha;
         }
     }
 
@@ -169,14 +171,17 @@ impl Disclosure for Conceal {
         ctx: &mut PartyContext<'_>,
         local: &LocalSplits,
         layout: &SplitLayout,
-        best: Vec<Share>,
-        live: Vec<FrontierNode>,
+        survivors: Vec<Survivor<'_>>,
+        wanted: Sides<bool>,
         arena: &mut Arena<ConcealedNode>,
     ) -> Vec<FrontierNode> {
         // Batched block reveal + one-hot expansion + ONE [λ] re-encryption
-        // (§5.2 private split selection).
-        let (blocks, lambda_encs) = {
+        // (§5.2 private split selection). The children's totals are the
+        // winning column of the parent's statistics and its complement;
+        // `s*` stays shared, so the column is picked by `⟨λ⟩`.
+        let (blocks, lambda_encs, totals) = {
             let _reveal = pivot_trace::phase_span("split_reveal");
+            let best: Vec<Share> = survivors.iter().map(|s| s.best).collect();
             let blocks = reveal_blocks_batch(ctx, layout, &best);
             let items: Vec<(Share, usize)> = blocks
                 .iter()
@@ -185,102 +190,131 @@ impl Disclosure for Conceal {
             let lambdas = ctx
                 .metrics
                 .time(Stage::MpcComputation, || ctx.engine.onehot_many(&items));
+            let winners: Vec<(&NodeShares, usize, &[Share])> = survivors
+                .iter()
+                .zip(&blocks)
+                .zip(&lambdas)
+                .map(|((s, &(w, f, _)), lambda)| (s.stats, layout.block(w, f).0, lambda.as_slice()))
+                .collect();
+            let totals: Vec<Sides<NodeTotals>> = concealed_columns_batch(ctx, &winners)
+                .into_iter()
+                .zip(&survivors)
+                .map(|(left, s)| s.stats.child_totals(left))
+                .collect();
             let lens: Vec<usize> = lambdas.iter().map(Vec::len).collect();
             let flat: Vec<Share> = lambdas.into_iter().flatten().collect();
             let lambda_encs = split_lengths(shares_to_ciphers(ctx, &flat), lens);
-            (blocks, lambda_encs)
+            (blocks, lambda_encs, totals)
         };
 
         // Per-winner PIR selection (coalesced broadcast frames).
-        let headers: Vec<(Vec<Ciphertext>, Vec<Ciphertext>, Ciphertext, usize)> = {
+        let (selections, released): (Vec<Selected>, Vec<(Ciphertext, usize)>) = {
             let _reveal = pivot_trace::phase_span("split_reveal");
             blocks
                 .iter()
                 .zip(&lambda_encs)
                 .map(|(&(winner, local_feature, _), lambda_enc)| {
-                    let n_splits = layout.counts[winner][local_feature];
-                    pir_select(ctx, local, winner, local_feature, n_splits, lambda_enc)
+                    let (selected, enc_threshold, feature_global) =
+                        pir_select(ctx, local, winner, local_feature, lambda_enc, wanted);
+                    (selected, (enc_threshold, feature_global))
                 })
-                .collect()
+                .unzip()
         };
 
-        // Eqn-10: ONE share conversion for every survivor's mask, then
-        // per-node masked products (both sides share one gather round).
+        // Eqn-10, where a child's mask is read: ONE share conversion for
+        // every survivor's mask, then per-node masked products (the sides
+        // wanted share one gather round).
         let _update = pivot_trace::phase_span("update");
-        let mut slots = Vec::with_capacity(live.len());
-        let mut lens = Vec::with_capacity(live.len());
-        let mut flat: Vec<Ciphertext> = Vec::new();
-        for node in live {
-            slots.push(node.slot);
-            lens.push(node.alpha.len());
-            flat.extend(node.alpha);
-        }
-        let all_shares = if flat.is_empty() {
-            Vec::new()
-        } else {
+        let (slots, masks): (Vec<usize>, Vec<Option<NodeMask>>) = survivors
+            .into_iter()
+            .map(|s| (s.node.slot, s.node.mask))
+            .unzip();
+        let child_alphas: Vec<Selected> = if wanted.any() {
+            let mut lens = Vec::with_capacity(masks.len());
+            let mut flat: Vec<Ciphertext> = Vec::new();
+            for mask in masks {
+                let mask = mask.expect("a node whose children read a mask holds one");
+                lens.push(mask.alpha.len());
+                flat.extend(mask.alpha);
+            }
             // Packed under the Eqn-10 slack bound: only pays off at large
             // keysizes (the quadratic slack needs ~2·61-bit slots), and
             // degrades to the scalar conversion otherwise.
-            packed_share_conversion(ctx, &flat, eqn10_alpha_bound_bits(ctx, layout))
+            let shares = packed_share_conversion(ctx, &flat, eqn10_alpha_bound_bits(ctx, layout));
+            split_lengths(shares, lens)
+                .iter()
+                .zip(&selections)
+                .zip(&blocks)
+                .map(|((alpha_shares, selected), &(winner, _, _))| {
+                    masked_products(ctx, alpha_shares, selected, winner)
+                })
+                .collect()
+        } else {
+            // The last split level: no column was selected, no mask is made.
+            selections
         };
+
         let mut next = Vec::with_capacity(2 * slots.len());
-        let mut rest = all_shares.as_slice();
-        for (((slot, len), (winner, _, _)), header) in
-            slots.into_iter().zip(lens).zip(blocks).zip(headers)
+        for ((((slot, alphas), (winner, _, _)), (enc_threshold, feature_global)), totals) in slots
+            .into_iter()
+            .zip(child_alphas)
+            .zip(blocks)
+            .zip(released)
+            .zip(totals)
         {
-            let (alpha_shares, tail) = rest.split_at(len);
-            rest = tail;
-            let (v_l, v_r, enc_threshold, feature_global) = header;
-            let (alpha_l, alpha_r) = masked_product_pair(ctx, alpha_shares, &v_l, &v_r, winner);
-            let (left, right) = allocate_children(arena);
+            let child_slots = allocate_children(arena);
             arena[slot] = Some(ConcealedNode::Internal {
                 client: winner,
                 feature_global,
                 enc_threshold,
-                left,
-                right,
+                left: child_slots.0,
+                right: child_slots.1,
             });
-            for (slot, alpha) in [(left, alpha_l), (right, alpha_r)] {
-                next.push(FrontierNode {
-                    slot,
+            let masks = alphas.map(|alpha| {
+                alpha.map(|alpha| NodeMask {
                     alpha,
                     gammas: None,
-                });
-            }
+                })
+            });
+            next.extend(children(child_slots, totals, masks));
         }
         next
     }
 }
 
+/// The PIR-selected indicator columns `[v_l]`, `[v_r]` of one winner, on
+/// the sides whose mask is wanted.
+type Selected = Sides<Option<Vec<Ciphertext>>>;
+
 /// §5.2 private split selection at the winner: Theorem-2 PIR selection of
-/// the split-indicator columns `[v_l]`, `[v_r]` and the encrypted
-/// threshold, broadcast to everyone.
+/// the `wanted` split-indicator columns and the encrypted threshold,
+/// broadcast to everyone.
 fn pir_select(
     ctx: &mut PartyContext<'_>,
     local: &LocalSplits,
     winner: usize,
     local_feature: usize,
-    n_splits: usize,
     lambda_enc: &[Ciphertext],
-) -> (Vec<Ciphertext>, Vec<Ciphertext>, Ciphertext, usize) {
+    wanted: Sides<bool>,
+) -> (Selected, Ciphertext, usize) {
     ctx.metrics.time(Stage::ModelUpdate, || {
         if ctx.id() == winner {
             let inds = &local.indicators[local_feature];
             let n = ctx.view.num_samples();
-            // Theorem-2 PIR selection per sample: independent dot
-            // products, batched over the worker pool.
+            // Theorem-2 PIR selection per sample and side: independent
+            // dot products, batched over the worker pool.
             let samples: Vec<usize> = (0..n).collect();
-            let pairs: Vec<(Ciphertext, Ciphertext)> =
-                pivot_runtime::global().map(ctx.crypto_threads(), &samples, |&j| {
-                    let row: Vec<bool> = (0..n_splits).map(|t| inds[t][j]).collect();
-                    let comp: Vec<bool> = row.iter().map(|&b| !b).collect();
-                    (
-                        vector::dot_binary(&ctx.pk, lambda_enc, &row),
-                        vector::dot_binary(&ctx.pk, lambda_enc, &comp),
-                    )
-                });
-            let (v_l, v_r): (Vec<Ciphertext>, Vec<Ciphertext>) = pairs.into_iter().unzip();
-            ctx.metrics.add_ciphertext_ops((2 * n * n_splits) as u64);
+            let columns: Vec<Vec<Ciphertext>> = wanted
+                .complements()
+                .map(|complement| {
+                    pivot_runtime::global().map(ctx.crypto_threads(), &samples, |&j| {
+                        let row: Vec<bool> = inds.iter().map(|ind| ind[j] != complement).collect();
+                        vector::dot_binary(&ctx.pk, lambda_enc, &row)
+                    })
+                })
+                .collect();
+            ctx.metrics
+                .add_ciphertext_ops((columns.len() * n * lambda_enc.len()) as u64);
             let enc_vals: Vec<BigUint> = local.candidates[local_feature]
                 .thresholds
                 .iter()
@@ -288,32 +322,35 @@ fn pir_select(
                 .collect();
             let enc_threshold = vector::dot_plain(&ctx.pk, lambda_enc, &enc_vals);
             let feature_global = ctx.view.feature_indices[local_feature];
-            ctx.ep.broadcast(&v_l);
-            ctx.ep.broadcast(&v_r);
+            for column in &columns {
+                ctx.ep.broadcast(column);
+            }
             ctx.ep.broadcast(&enc_threshold);
             ctx.ep.broadcast(&feature_global);
-            (v_l, v_r, enc_threshold, feature_global)
+            (wanted.fill(columns), enc_threshold, feature_global)
         } else {
-            let v_l: Vec<Ciphertext> = ctx.ep.recv(winner);
-            let v_r: Vec<Ciphertext> = ctx.ep.recv(winner);
+            let selected = wanted.fill(wanted.complements().map(|_| ctx.ep.recv(winner)));
             let enc_threshold: Ciphertext = ctx.ep.recv(winner);
             let feature_global: usize = ctx.ep.recv(winner);
-            (v_l, v_r, enc_threshold, feature_global)
+            (selected, enc_threshold, feature_global)
         }
     })
 }
 
 /// Eqn (10), `[α'_j] = Σᵢ [⟨α_j⟩ᵢ · v_j]`: every client scales the encrypted
 /// split indicator by its own share of `α`; the winner aggregates and
-/// broadcasts. Both children of one node share a single gather round — the
-/// left and right indicator vectors concatenate.
-fn masked_product_pair(
+/// broadcasts. The children of one node share a single gather round — the
+/// selected indicator vectors concatenate.
+fn masked_products(
     ctx: &mut PartyContext<'_>,
     alpha_shares: &[Share],
-    v_l: &[Ciphertext],
-    v_r: &[Ciphertext],
+    selected: &Selected,
     winner: usize,
-) -> (Vec<Ciphertext>, Vec<Ciphertext>) {
+) -> Selected {
+    let wanted = Sides {
+        left: selected.left.is_some(),
+        right: selected.right.is_some(),
+    };
     ctx.metrics.time(Stage::ModelUpdate, || {
         let threads = ctx.crypto_threads();
         let n = alpha_shares.len();
@@ -321,13 +358,12 @@ fn masked_product_pair(
             .iter()
             .map(|s| BigUint::from_u64(s.0.value()))
             .collect();
-        let v: Vec<Ciphertext> = v_l.iter().chain(v_r.iter()).cloned().collect();
-        let doubled: Vec<BigUint> = share_values
-            .iter()
-            .chain(share_values.iter())
-            .cloned()
+        let v: Vec<Ciphertext> = selected.present().flatten().cloned().collect();
+        let repeated: Vec<BigUint> = selected
+            .present()
+            .flat_map(|_| share_values.iter().cloned())
             .collect();
-        let my_terms = batch::mul_plain_batch(&ctx.pk, &v, &doubled, threads);
+        let my_terms = batch::mul_plain_batch(&ctx.pk, &v, &repeated, threads);
         ctx.metrics.add_ciphertext_ops(my_terms.len() as u64);
         // The gather wait is CPU-idle: top up the offline pools.
         ctx.nonces.refill();
@@ -335,7 +371,7 @@ fn masked_product_pair(
         let gathered = ctx.ep.gather(winner, &my_terms);
         let sums = if ctx.id() == winner {
             let parts = gathered.expect("winner gathers");
-            let indices: Vec<usize> = (0..2 * n).collect();
+            let indices: Vec<usize> = (0..v.len()).collect();
             let sums: Vec<Ciphertext> = pivot_runtime::global().map(threads, &indices, |&j| {
                 let mut acc = parts[0][j].clone();
                 for part in parts.iter().skip(1) {
@@ -344,14 +380,13 @@ fn masked_product_pair(
                 acc
             });
             ctx.metrics
-                .add_ciphertext_ops((2 * n * ctx.parties()) as u64);
+                .add_ciphertext_ops((v.len() * ctx.parties()) as u64);
             ctx.ep.broadcast(&sums);
             sums
         } else {
             ctx.ep.recv(winner)
         };
-        let (l, r) = sums.split_at(n);
-        (l.to_vec(), r.to_vec())
+        wanted.fill(sums.chunks(n).map(<[Ciphertext]>::to_vec))
     })
 }
 

@@ -9,19 +9,72 @@
 //! exact, so the trained tree is the one a node-by-node recursion builds;
 //! batching only cuts rounds.
 //!
+//! # A child is its parent's winning split
+//!
+//! Algorithm 3 treats every node as a fresh problem: a new `[α]`, a new
+//! `[L] = β ⊙ [α]`, a new encrypted statistics pass. But a node's children
+//! are determined by the statistics the parent has already converted.
+//! Every sample of a node goes to exactly one child, so for every
+//! candidate split `s`
+//!
+//! ```text
+//! stats(left, s) + stats(right, s) = stats(parent, s)
+//! totals(left) = stats(parent, s*)        (column s* of the parent)
+//! ```
+//!
+//! exactly, in `Z_p`, because Paillier and additive shares are both
+//! linear (SecureBoost+'s histogram subtraction, moved onto shares). The
+//! level step is built on that identity:
+//!
+//! 1. **Leaves need no ciphertext.** When a node splits, each child is
+//!    handed its totals `(⟨n̄⟩, ⟨Σγ_k⟩)`: left = column `s*` of the
+//!    parent's [`NodeShares`], right = the parent's totals minus it
+//!    ([`NodeShares::child_totals`]). A depth-forced leaf settles its
+//!    label from them — no label-mask broadcast, no totals conversion.
+//! 2. **A mask exists only where something reads it.** `[α]` (and GBDT's
+//!    `[γ]`) of a node is read by exactly two things: its own statistics
+//!    pass and the mask update of its children. With `h = max_depth`:
+//!
+//!    | child | own pass? | mask? |
+//!    |---|---|---|
+//!    | left, depth `d < h` | yes | yes |
+//!    | right, depth `d < h − 1` | no (parent − left) | yes — its children's update reads it |
+//!    | right, depth `d = h − 1` | no (parent − left) | no |
+//!    | either, depth `d = h` (forced leaf) | no | no |
+//!
+//!    So the last split level produces no mask at all, the level above it
+//!    left masks only, and absence is a type ([`FrontierNode::mask`]).
+//! 3. **The right sibling's statistics are parent − left, on shares.**
+//!    Below the root only left children run label masks → dot products →
+//!    pooling → Algorithm 2; the previous level's survivors keep their
+//!    [`NodeShares`] for one level and `right = parent.minus(&left)` is
+//!    local. The left pass runs whenever the pair exists — also when the
+//!    left child is then pruned, because its sibling's statistics come
+//!    from it.
+//!
+//! For a full tree with `K` label vectors: statistics passes
+//! `2^h − 1 → 2^(h−1)`; mask vectors produced
+//! `2(2^h − 1) → 3·2^(h−2) − 2` (`h ≥ 2`; 0 at `h = 1`); leaf-level
+//! label-mask ciphertexts `2^h·K·n → 0`. At the paper's `h = 4`: 15 → 8
+//! passes, 30 → 10 mask vectors, `32n → 0`. The set of opened values and
+//! the released model are those of the node-by-node recursion.
+//!
+//! # Disclosure
+//!
 //! The two protocols differ in what they disclose, and only there — the
 //! hooks of [`Disclosure`]: whether a mask refresh precedes packed
 //! statistics, whether purity may be tested, how a leaf label is settled
-//! (opened vs re-encrypted), and how a winning split is settled and the
-//! masks updated (announced vs concealed).
+//! (opened vs re-encrypted), and how a winning split is settled — the
+//! winning column picked and the masks updated (announced vs concealed).
 
-use crate::conversion::{ciphers_to_shares, packed_ciphers_to_shares};
+use crate::conversion::packed_ciphers_to_shares;
 use crate::gain::{
     best_split_batch, convert_stats_batch, leaf_label_shares_batch, node_shares_from_packed,
-    prune_decisions_batch, remove_totals_offset, split_gains_batch, NodeShares,
+    prune_decisions_batch, split_gains_batch, NodeShares, NodeTotals,
 };
 use crate::masks::{
     compute_label_masks, compute_packed_label_masks, plan_packed_labels, LabelMasks,
+    PackedLabelPlan, Sides,
 };
 use crate::metrics::Stage;
 use crate::party::PartyContext;
@@ -30,19 +83,37 @@ use crate::stats::{
     PackedStats, SplitLayout,
 };
 use pivot_mpc::Share;
-use pivot_paillier::{vector, Ciphertext, SlotCodec};
+use pivot_paillier::{Ciphertext, SlotCodec};
 use std::borrow::Cow;
 
-/// One unresolved node of the current level.
-pub(crate) struct FrontierNode {
-    /// Its slot in the breadth-first arena.
-    pub slot: usize,
+/// The encrypted vectors of a node.
+pub(crate) struct NodeMask {
     /// The encrypted sample mask `[α]`.
     pub alpha: Vec<Ciphertext>,
     /// §7.2: the node-masked encrypted label vectors `[γ]` of a GBDT
     /// residual tree; `None` when the super client derives `[γ]` from its
     /// plaintext labels at every node.
     pub gammas: Option<Vec<Vec<Ciphertext>>>,
+}
+
+/// One unresolved node of the current level.
+pub(crate) struct FrontierNode {
+    /// Its slot in the breadth-first arena.
+    pub slot: usize,
+    /// `(⟨n̄⟩, ⟨Σγ_k⟩)`, handed down by the parent's winning split; `None`
+    /// for the root only, which learns them from its own statistics pass.
+    pub totals: Option<NodeTotals>,
+    /// `None` where nothing reads a mask (see the module's mask rule).
+    pub mask: Option<NodeMask>,
+}
+
+/// A node that splits at this level, with what settling the split reads.
+pub(crate) struct Survivor<'a> {
+    pub node: FrontierNode,
+    /// Its converted statistics: column `s*` is its left child's totals.
+    pub stats: &'a NodeShares,
+    /// `⟨s*⟩`, the shared global index of its winning split.
+    pub best: Share,
 }
 
 /// The breadth-first node arena: a slot is allocated when its parent
@@ -60,10 +131,10 @@ pub(crate) trait ArenaNode {
 pub(crate) trait Disclosure {
     type Node: ArenaNode;
 
-    /// Called on the frontier of every packed level below the root, before
-    /// its statistics. Masks that carry more slack than the slot-width
+    /// Called below the root on the masks a packed statistics pass is
+    /// about to read. Masks that carry more slack than the slot-width
     /// audit budgets are linearized here.
-    fn refresh_masks(&mut self, _ctx: &mut PartyContext<'_>, _frontier: &mut [FrontierNode]) {}
+    fn refresh_masks(&mut self, _ctx: &mut PartyContext<'_>, _masks: &mut [&mut NodeMask]) {}
 
     /// Whether the prune test may include "the node is pure" — one bit
     /// about the labels.
@@ -83,17 +154,18 @@ pub(crate) trait Disclosure {
     /// pending on a later split settlement, at a level that has none.
     fn flush_leaves(&mut self, _ctx: &mut PartyContext<'_>, _arena: &mut Arena<Self::Node>) {}
 
-    /// Settle the winning splits (`best[t]` is the shared global split
-    /// index of `live[t]`): write the internal nodes, allocate their
-    /// children and return them with their updated masks, left before
-    /// right.
+    /// Settle the winning splits: write the internal nodes, allocate
+    /// their children and return them, left before right, each with its
+    /// totals (the winning column of the parent's statistics, and the
+    /// parent's totals minus it) and — on the `wanted` sides — its
+    /// updated mask.
     fn settle_splits(
         &mut self,
         ctx: &mut PartyContext<'_>,
         local: &LocalSplits,
         layout: &SplitLayout,
-        best: Vec<Share>,
-        live: Vec<FrontierNode>,
+        survivors: Vec<Survivor<'_>>,
+        wanted: Sides<bool>,
         arena: &mut Arena<Self::Node>,
     ) -> Vec<FrontierNode>;
 }
@@ -106,8 +178,25 @@ pub(crate) fn allocate_children<N>(arena: &mut Arena<N>) -> (usize, usize) {
     (left, left + 1)
 }
 
-/// Grow one tree from `root_alpha` and return its nodes in post-order
-/// (left subtree, right subtree, node) with the root's index.
+/// The two children of a split, left before right.
+pub(crate) fn children(
+    slots: (usize, usize),
+    totals: Sides<NodeTotals>,
+    masks: Sides<Option<NodeMask>>,
+) -> [FrontierNode; 2] {
+    [
+        (slots.0, totals.left, masks.left),
+        (slots.1, totals.right, masks.right),
+    ]
+    .map(|(slot, totals, mask)| FrontierNode {
+        slot,
+        totals: Some(totals),
+        mask,
+    })
+}
+
+/// Grow one tree from the `root` vectors and return its nodes in
+/// post-order (left subtree, right subtree, node) with the root's index.
 ///
 /// `codec` selects packed statistics; GBDT residual vectors carry mod-`p`
 /// slack no slot-width audit covers, so callers pass `None` with them.
@@ -116,119 +205,126 @@ pub(crate) fn grow_tree<D: Disclosure>(
     protocol: &mut D,
     local: &LocalSplits,
     layout: &SplitLayout,
-    root_alpha: Vec<Ciphertext>,
-    root_gammas: Option<Vec<Vec<Ciphertext>>>,
+    root: NodeMask,
     codec: Option<&SlotCodec>,
 ) -> (Vec<D::Node>, usize) {
     // The packed label multipliers depend only on labels/task/codec —
     // built once here, reused by every node at every level.
     let label_plan = codec.map(|c| (c, plan_packed_labels(ctx, c)));
+    let max_depth = ctx.params.tree.max_depth;
     let mut arena: Arena<D::Node> = vec![None];
     let mut frontier = vec![FrontierNode {
         slot: 0,
-        alpha: root_alpha,
-        gammas: root_gammas,
+        totals: None,
+        mask: Some(root),
     }];
+    // The statistics of the previous level's survivors, kept for one
+    // level: `frontier[2t]` and `frontier[2t + 1]` are the children of
+    // `parents[t]`.
+    let mut parents: Vec<NodeShares> = Vec::new();
     let mut depth = 0;
     while !frontier.is_empty() {
-        // Depth pruning is public; the remaining conditions are secure.
-        if depth >= ctx.params.tree.max_depth || layout.total() == 0 {
-            forced_leaves(ctx, protocol, &mut arena, &frontier);
+        // Depth pruning is public, and a forced leaf needs nothing but
+        // the totals it was handed: no ciphertext, one label batch.
+        if depth >= max_depth {
+            let _leaf = pivot_trace::phase_span("leaf");
+            let (slots, totals): (Vec<usize>, Vec<&NodeTotals>) = frontier
+                .iter()
+                .map(|node| {
+                    let totals = node.totals.as_ref();
+                    (node.slot, totals.expect("max_depth ≥ 1: not the root"))
+                })
+                .unzip();
+            let labels = leaf_label_shares_batch(ctx, &totals);
+            protocol.settle_leaves(ctx, slots, labels, &mut arena);
+            protocol.flush_leaves(ctx, &mut arena);
             break;
         }
         let _level = pivot_trace::span_fn(|| format!("level {depth}"));
         let stats_start = ctx.ep.stats().bytes_sent();
 
-        if codec.is_some() && depth > 0 {
-            protocol.refresh_masks(ctx, &mut frontier);
-        }
-
-        // Statistics and ONE Algorithm-2 conversion for the level.
-        let node_shares: Vec<NodeShares> = if let Some((codec, plan)) = &label_plan {
-            let per_node: Vec<PackedStats> = {
-                let _stats = pivot_trace::phase_span("stats");
-                let labels: Vec<_> = frontier
+        // Statistics and ONE Algorithm-2 conversion for the level: the
+        // root's own pass, below it the left children's — a right child's
+        // statistics are its parent's minus its left sibling's.
+        let node_shares: Vec<NodeShares> = {
+            let mut passing: Vec<&mut NodeMask> = frontier
+                .iter_mut()
+                .step_by(if depth == 0 { 1 } else { 2 })
+                .map(|node| node.mask.as_mut().expect("a pass reads its node's mask"))
+                .collect();
+            if codec.is_some() && depth > 0 {
+                protocol.refresh_masks(ctx, &mut passing);
+            }
+            let passed = level_statistics(ctx, local, layout, label_plan.as_ref(), &passing);
+            if depth == 0 {
+                passed
+            } else {
+                parents
                     .iter()
-                    .map(|node| compute_packed_label_masks(ctx, &node.alpha, plan))
-                    .collect();
-                labels
-                    .iter()
-                    .map(|packed| packed_pooled_statistics(ctx, layout, local, packed, codec))
-                    .collect()
-            };
-            let _conv = pivot_trace::phase_span("conversion");
-            let (cts, used, spans) = conversion_batch(&per_node);
-            let started = std::time::Instant::now();
-            let slot_shares = packed_ciphers_to_shares(ctx, codec, &cts, &used);
-            ctx.metrics
-                .add_time(Stage::MpcComputation, started.elapsed());
-            per_node
-                .iter()
-                .zip(spans)
-                .map(|(ps, at)| {
-                    let span = &slot_shares[at..at + ps.conversion_len()];
-                    node_shares_from_packed(ctx, layout, ps, span)
-                })
-                .collect()
-        } else {
-            let encs: Vec<EncryptedStats> = {
-                let _stats = pivot_trace::phase_span("stats");
-                frontier
-                    .iter()
-                    .map(|node| {
-                        let masks = label_masks(ctx, node);
-                        pooled_statistics(ctx, layout, local, &node.alpha, &masks)
+                    .zip(passed)
+                    .flat_map(|(parent, left)| {
+                        let right = parent.minus(&left);
+                        [left, right]
                     })
                     .collect()
-            };
-            let _conv = pivot_trace::phase_span("conversion");
-            let refs: Vec<&EncryptedStats> = encs.iter().collect();
-            convert_stats_batch(ctx, layout, &refs)
+            }
         };
         ctx.metrics
             .add_stats_bytes(ctx.ep.stats().bytes_sent() - stats_start);
 
-        // One prune unit for the frontier.
-        let pruned = {
+        // One prune unit for the frontier — unless no client has any
+        // candidate split (public), which forces the root.
+        let pruned = if layout.total() == 0 {
+            vec![true; frontier.len()]
+        } else {
             let _gain = pivot_trace::phase_span("gain");
-            let refs: Vec<&NodeShares> = node_shares.iter().collect();
-            prune_decisions_batch(ctx, &refs, protocol.purity_check())
+            let totals: Vec<&NodeTotals> = node_shares.iter().map(|s| &s.totals).collect();
+            prune_decisions_batch(ctx, &totals, protocol.purity_check())
         };
 
         // Pruned nodes: leaf labels in one batch.
         {
             let _leaf = pivot_trace::phase_span("leaf");
-            let (slots, stopped): (Vec<usize>, Vec<&NodeShares>) = frontier
+            let (slots, stopped): (Vec<usize>, Vec<&NodeTotals>) = frontier
                 .iter()
                 .zip(&node_shares)
                 .zip(&pruned)
-                .filter_map(|((node, shares), &stop)| stop.then_some((node.slot, shares)))
+                .filter_map(|((node, shares), &stop)| stop.then_some((node.slot, &shares.totals)))
                 .unzip();
             let labels = leaf_label_shares_batch(ctx, &stopped);
             protocol.settle_leaves(ctx, slots, labels, &mut arena);
         }
 
         // Survivors: gains and one lockstep argmax.
+        let (live, stats): (Vec<FrontierNode>, Vec<NodeShares>) = frontier
+            .into_iter()
+            .zip(node_shares)
+            .zip(&pruned)
+            .filter_map(|(survivor, &stop)| (!stop).then_some(survivor))
+            .unzip();
         let best: Vec<Share> = {
             let _gain = pivot_trace::phase_span("gain");
-            let survivors: Vec<&NodeShares> = node_shares
-                .iter()
-                .zip(&pruned)
-                .filter_map(|(shares, &stop)| (!stop).then_some(shares))
-                .collect();
-            let gains = split_gains_batch(ctx, &survivors);
+            let refs: Vec<&NodeShares> = stats.iter().collect();
+            let gains = split_gains_batch(ctx, &refs);
             best_split_batch(ctx, &gains)
                 .into_iter()
                 .map(|(idx, _)| idx)
                 .collect()
         };
-        let live: Vec<FrontierNode> = frontier
+        let survivors: Vec<Survivor<'_>> = live
             .into_iter()
-            .zip(&pruned)
-            .filter_map(|(node, &stop)| (!stop).then_some(node))
+            .zip(&stats)
+            .zip(best)
+            .map(|((node, stats), best)| Survivor { node, stats, best })
             .collect();
-        let live_count = live.len();
-        frontier = protocol.settle_splits(ctx, local, layout, best, live, &mut arena);
+        // The mask rule: a child's mask is produced only if its own
+        // statistics pass or its children's mask update will read it.
+        let wanted = Sides {
+            left: depth + 1 < max_depth,
+            right: depth + 2 < max_depth,
+        };
+        frontier = protocol.settle_splits(ctx, local, layout, survivors, wanted, &mut arena);
+        parents = stats;
         depth += 1;
         // Latency-hiding refill window: the dealer pool and decryption
         // nonce pool top up between levels while no protocol round is in
@@ -237,7 +333,7 @@ pub(crate) fn grow_tree<D: Disclosure>(
         // drains its whole preprocessing demand at once.
         if !frontier.is_empty() {
             ctx.engine
-                .dealer_refill_blocking(frontier.len(), live_count.max(1));
+                .dealer_refill_blocking(frontier.len(), parents.len().max(1));
             ctx.nonces.refill();
         }
         // Level barrier: every party reaches this point with identical
@@ -248,11 +344,63 @@ pub(crate) fn grow_tree<D: Disclosure>(
     renumber_postorder(arena)
 }
 
+/// One statistics pass — label masks, encrypted dot products, pooling —
+/// and ONE Algorithm-2 conversion over the nodes that hold `masks`.
+fn level_statistics(
+    ctx: &mut PartyContext<'_>,
+    local: &LocalSplits,
+    layout: &SplitLayout,
+    label_plan: Option<&(&SlotCodec, PackedLabelPlan)>,
+    masks: &[&mut NodeMask],
+) -> Vec<NodeShares> {
+    if let Some((codec, plan)) = label_plan {
+        let per_node: Vec<PackedStats> = {
+            let _stats = pivot_trace::phase_span("stats");
+            let labels: Vec<_> = masks
+                .iter()
+                .map(|mask| compute_packed_label_masks(ctx, &mask.alpha, plan))
+                .collect();
+            labels
+                .iter()
+                .map(|packed| packed_pooled_statistics(ctx, layout, local, packed, codec))
+                .collect()
+        };
+        let _conv = pivot_trace::phase_span("conversion");
+        let (cts, used, spans) = conversion_batch(&per_node);
+        let started = std::time::Instant::now();
+        let slot_shares = packed_ciphers_to_shares(ctx, codec, &cts, &used);
+        ctx.metrics
+            .add_time(Stage::MpcComputation, started.elapsed());
+        per_node
+            .iter()
+            .zip(spans)
+            .map(|(ps, at)| {
+                let span = &slot_shares[at..at + ps.conversion_len()];
+                node_shares_from_packed(ctx, layout, ps, span)
+            })
+            .collect()
+    } else {
+        let encs: Vec<EncryptedStats> = {
+            let _stats = pivot_trace::phase_span("stats");
+            masks
+                .iter()
+                .map(|mask| {
+                    let labels = label_masks(ctx, mask);
+                    pooled_statistics(ctx, layout, local, &mask.alpha, &labels)
+                })
+                .collect()
+        };
+        let _conv = pivot_trace::phase_span("conversion");
+        let refs: Vec<&EncryptedStats> = encs.iter().collect();
+        convert_stats_batch(ctx, layout, &refs)
+    }
+}
+
 /// A node's label vectors `[L]`: the GBDT residual vectors it carries, or
 /// the super client's `β ⊙ [α]` broadcast.
-fn label_masks<'a>(ctx: &mut PartyContext<'_>, node: &'a FrontierNode) -> LabelMasks<'a> {
-    match &node.gammas {
-        None => compute_label_masks(ctx, &node.alpha, true),
+fn label_masks<'a>(ctx: &mut PartyContext<'_>, mask: &'a NodeMask) -> LabelMasks<'a> {
+    match &mask.gammas {
+        None => compute_label_masks(ctx, &mask.alpha, true),
         // GBDT residual vectors are slack-positive share sums; they carry
         // no +1 offset (see ensemble::gbdt).
         Some(gammas) => LabelMasks {
@@ -260,63 +408,6 @@ fn label_masks<'a>(ctx: &mut PartyContext<'_>, node: &'a FrontierNode) -> LabelM
             offset_encoded: false,
         },
     }
-}
-
-/// Depth-forced leaf level: only the node totals are needed — a handful
-/// of values per node, where packing has nothing to amortize. Every
-/// node's totals convert in one Algorithm-2 batch and every leaf label
-/// settles in one round.
-fn forced_leaves<D: Disclosure>(
-    ctx: &mut PartyContext<'_>,
-    protocol: &mut D,
-    arena: &mut Arena<D::Node>,
-    frontier: &[FrontierNode],
-) {
-    let _leaf = pivot_trace::phase_span("leaf");
-    let stats_start = ctx.ep.stats().bytes_sent();
-    let mut flat: Vec<Ciphertext> = Vec::new();
-    // Per node: how many totals it contributed, and whether they carry
-    // the regression offset.
-    let mut shapes: Vec<(usize, bool)> = Vec::with_capacity(frontier.len());
-    for node in frontier {
-        let masks = label_masks(ctx, node);
-        let all = vec![true; node.alpha.len()];
-        flat.push(vector::dot_binary(&ctx.pk, &node.alpha, &all));
-        for gamma in masks.gammas.iter() {
-            flat.push(vector::dot_binary(&ctx.pk, gamma, &all));
-        }
-        let totals = 1 + masks.gammas.len();
-        ctx.metrics
-            .add_ciphertext_ops((node.alpha.len() * totals) as u64);
-        shapes.push((totals, masks.offset_encoded));
-    }
-    let shares = ciphers_to_shares(ctx, &flat);
-    ctx.metrics
-        .add_stats_bytes(ctx.ep.stats().bytes_sent() - stats_start);
-
-    let mut rest = shares.as_slice();
-    let totals: Vec<NodeShares> = shapes
-        .into_iter()
-        .map(|(len, offset_encoded)| {
-            let (chunk, tail) = rest.split_at(len);
-            rest = tail;
-            let mut node = NodeShares {
-                n_l: Vec::new(),
-                g_l: vec![Vec::new(); len - 1],
-                n_total: chunk[0],
-                g_totals: chunk[1..].to_vec(),
-            };
-            if offset_encoded {
-                remove_totals_offset(ctx, &mut node);
-            }
-            node
-        })
-        .collect();
-    let refs: Vec<&NodeShares> = totals.iter().collect();
-    let labels = leaf_label_shares_batch(ctx, &refs);
-    let slots = frontier.iter().map(|node| node.slot).collect();
-    protocol.settle_leaves(ctx, slots, labels, arena);
-    protocol.flush_leaves(ctx, arena);
 }
 
 /// Rewrite the breadth-first arena into post-order (left subtree, right

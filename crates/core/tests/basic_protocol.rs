@@ -390,3 +390,90 @@ fn packed_regression_matches_unpacked() {
         }
     }
 }
+
+/// Noisy data on which CART at `max_depth = 3`, `min_samples = 10` grows a
+/// lopsided tree — checked by [`assert_siblings_part_ways`].
+fn lopsided_dataset() -> Dataset {
+    synth::make_classification(&synth::ClassificationSpec {
+        samples: 60,
+        features: 6,
+        informative: 4,
+        classes: 2,
+        class_sep: 1.0,
+        flip_y: 0.15,
+        seed: 33,
+    })
+}
+
+/// Above the depth limit, some pair's left child stops while its right
+/// sibling splits, and some pair's the other way round.
+fn assert_siblings_part_ways(tree: &DecisionTree) {
+    let is_leaf = |id: usize| matches!(tree.nodes()[id], pivot_trees::Node::Leaf { .. });
+    let pairs: Vec<(bool, bool)> = tree
+        .nodes()
+        .iter()
+        .filter_map(|node| match node {
+            pivot_trees::Node::Internal { left, right, .. } => {
+                Some((is_leaf(*left), is_leaf(*right)))
+            }
+            pivot_trees::Node::Leaf { .. } => None,
+        })
+        .collect();
+    assert!(
+        pairs.contains(&(true, false)),
+        "no stopped left beside a splitting right"
+    );
+    assert!(
+        pairs.contains(&(false, true)),
+        "no splitting left beside a stopped right"
+    );
+}
+
+#[test]
+fn siblings_that_part_ways_match_plaintext_cart() {
+    // Depth 3 is the first depth at which right masks exist (wanted at
+    // the root only) and a right child splits on statistics derived from
+    // its parent's and its left sibling's — here also from a left sibling
+    // that was pruned right after its pass.
+    let data = lopsided_dataset();
+    let tree_params = TreeParams {
+        max_depth: 3,
+        min_samples: 10,
+        max_splits: 4,
+        ..Default::default()
+    };
+    let reference = train_tree(&data, &tree_params);
+    assert_eq!(reference.depth(), 3);
+    assert_siblings_part_ways(&reference);
+    let mut unpacked_params = small_params(tree_params.clone());
+    unpacked_params.packing = pivot_core::config::Packing::Off;
+    for params in [small_params(tree_params), unpacked_params] {
+        for tree in pivot_train(&data, 3, &params) {
+            assert_eq!(tree, reference, "packing {:?}", params.packing);
+        }
+    }
+}
+
+#[test]
+fn a_root_without_candidate_splits_is_the_majority_leaf() {
+    // Constant features have no candidate split, so the layout is empty
+    // and the root is forced (publicly) to a leaf — through the same
+    // statistics pass as any root, with zero splits in it.
+    let features = vec![vec![1.0, 2.0, 3.0]; 12];
+    let labels: Vec<f64> = (0..12).map(|i| f64::from(i % 3 == 0)).collect();
+    let data = Dataset::new(features, labels, Task::Classification { classes: 2 });
+    let tree_params = TreeParams {
+        max_depth: 2,
+        max_splits: 4,
+        ..Default::default()
+    };
+    let reference = train_tree(&data, &tree_params);
+    assert_eq!(reference, DecisionTree::leaf(0.0, data.task()));
+    let mut unpacked_params = small_params(tree_params.clone());
+    unpacked_params.packing = pivot_core::config::Packing::Off;
+    for params in [small_params(tree_params), unpacked_params] {
+        for tree in pivot_train(&data, 3, &params) {
+            assert_eq!(tree, reference, "packing {:?}", params.packing);
+        }
+    }
+}

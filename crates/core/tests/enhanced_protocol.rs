@@ -369,3 +369,121 @@ fn bounded_prediction_comparisons_match_full_width() {
         );
     }
 }
+
+/// Train + predict the training samples under the enhanced protocol;
+/// per party `(public shape, predictions)`, where the shape lists, in
+/// arena order, `Some(client)` for an internal node and `None` for a leaf.
+fn enhanced_shape_and_predictions(
+    data: &Dataset,
+    m: usize,
+    params: &PivotParams,
+) -> Vec<(Vec<Option<usize>>, Vec<f64>)> {
+    let partition = partition_vertically(data, m, 0);
+    run_parties(m, |ep| {
+        let view = partition.views[ep.id()].clone();
+        let mut ctx = PartyContext::setup(&ep, view.clone(), params.clone());
+        let tree = train_enhanced::train(&mut ctx);
+        let shape = tree
+            .nodes
+            .iter()
+            .map(|node| match node {
+                ConcealedNode::Internal { client, .. } => Some(*client),
+                ConcealedNode::Leaf { .. } => None,
+            })
+            .collect();
+        let preds = predict_enhanced::predict_batch(&mut ctx, &tree, &view.features);
+        (shape, preds)
+    })
+}
+
+#[test]
+fn siblings_that_part_ways_agree_with_basic() {
+    // The first enhanced run deeper than 2: Eqn-10 with only the left side
+    // (level 1) and with both (the root), a mask refresh over a frontier
+    // whose right children hold no mask (level 2), and — on this data, see
+    // the twin test in `basic_protocol.rs` — a right child that splits on
+    // statistics derived from a left sibling pruned right after its pass,
+    // next to a pair that parts the other way.
+    let data = synth::make_classification(&synth::ClassificationSpec {
+        samples: 60,
+        features: 6,
+        informative: 4,
+        classes: 2,
+        class_sep: 1.0,
+        flip_y: 0.15,
+        seed: 33,
+    });
+    let m = 3;
+    let tree_params = TreeParams {
+        max_depth: 3,
+        min_samples: 10,
+        max_splits: 4,
+        stop_when_pure: false,
+    };
+    let partition = partition_vertically(&data, m, 0);
+    let basic_params = PivotParams {
+        tree: tree_params.clone(),
+        keysize: 128,
+        ..Default::default()
+    };
+    let basic = run_parties(m, |ep| {
+        let view = partition.views[ep.id()].clone();
+        let mut ctx = PartyContext::setup(&ep, view, basic_params.clone());
+        train_basic::train(&mut ctx)
+    })
+    .remove(0);
+    let is_leaf = |id: usize| matches!(basic.nodes()[id], pivot_trees::Node::Leaf { .. });
+    let pairs: Vec<(bool, bool)> = basic
+        .nodes()
+        .iter()
+        .filter_map(|node| match node {
+            pivot_trees::Node::Internal { left, right, .. } => {
+                Some((is_leaf(*left), is_leaf(*right)))
+            }
+            pivot_trees::Node::Leaf { .. } => None,
+        })
+        .collect();
+    assert_eq!(basic.depth(), 3);
+    assert!(pairs.contains(&(true, false)) && pairs.contains(&(false, true)));
+    let samples: Vec<Vec<f64>> = (0..data.num_samples())
+        .map(|i| data.sample(i).to_vec())
+        .collect();
+    let basic_preds = basic.predict_batch(&samples);
+    let basic_shape: Vec<bool> = (0..basic.nodes().len()).map(is_leaf).collect();
+
+    let mut unpacked_params = enhanced_params(tree_params.clone());
+    unpacked_params.packing = pivot_core::config::Packing::Off;
+    for params in [enhanced_params(tree_params), unpacked_params] {
+        let results = enhanced_shape_and_predictions(&data, m, &params);
+        let (shape, preds) = &results[0];
+        let leaves: Vec<bool> = shape.iter().map(Option::is_none).collect();
+        assert_eq!(leaves, basic_shape, "packing {:?}: shape", params.packing);
+        assert_eq!(preds, &basic_preds, "packing {:?}", params.packing);
+        for other in &results[1..] {
+            assert_eq!(other, &results[0], "all parties agree");
+        }
+    }
+}
+
+#[test]
+fn a_root_without_candidate_splits_is_one_concealed_leaf() {
+    // Constant features: no candidate split anywhere, so the root is
+    // forced (publicly) to a leaf whose label is the majority class.
+    let features = vec![vec![1.0, 2.0, 3.0]; 12];
+    let labels: Vec<f64> = (0..12).map(|i| f64::from(i % 3 != 0)).collect();
+    let data = Dataset::new(features, labels, Task::Classification { classes: 2 });
+    let tree_params = TreeParams {
+        max_depth: 2,
+        max_splits: 4,
+        stop_when_pure: false,
+        ..Default::default()
+    };
+    let mut unpacked_params = enhanced_params(tree_params.clone());
+    unpacked_params.packing = pivot_core::config::Packing::Off;
+    for params in [enhanced_params(tree_params), unpacked_params] {
+        for (shape, preds) in enhanced_shape_and_predictions(&data, 3, &params) {
+            assert_eq!(shape, vec![None], "packing {:?}", params.packing);
+            assert_eq!(preds, vec![1.0; 12], "packing {:?}", params.packing);
+        }
+    }
+}

@@ -184,3 +184,58 @@ fn gbdt_classification_one_vs_rest() {
     let acc = metrics::accuracy(&results[0], data.labels());
     assert!(acc >= 0.9, "gbdt classification accuracy {acc}");
 }
+
+#[test]
+fn gbdt_depth_three_first_stage_is_the_cart_regression_tree() {
+    // Depth 3 is where a GBDT node hands *three* encrypted vectors
+    // (`[α]`, `[γ₁]`, `[γ₂]`) to each child that reads them — both sides
+    // at the root, the left side only one level down, none at the last
+    // split level. The first stage's residuals are the labels themselves,
+    // so its tree is the plaintext CART regression tree.
+    let data = synth::make_regression(&synth::RegressionSpec {
+        samples: 48,
+        features: 6,
+        informative: 4,
+        noise: 0.05,
+        seed: 5,
+    });
+    let m = 3;
+    let tree_params = TreeParams {
+        max_depth: 3,
+        min_samples: 6,
+        max_splits: 3,
+        stop_when_pure: false,
+    };
+    let reference = pivot_trees::train_tree(&data, &tree_params);
+    assert_eq!(
+        reference.internal_count(),
+        7,
+        "a full tree: every mask rule row"
+    );
+    let p = params(tree_params);
+    let g = GbdtProtocolParams {
+        rounds: 1,
+        learning_rate: 0.5,
+    };
+    let partition = partition_vertically(&data, m, 0);
+    let models = run_parties(m, |ep| {
+        let view = partition.views[ep.id()].clone();
+        let mut ctx = PartyContext::setup(&ep, view, p.clone());
+        train_gbdt(&mut ctx, &g)
+    });
+    for model in &models {
+        let tree = &model.forests[0][0];
+        assert_eq!(tree.root(), reference.root());
+        assert_eq!(tree.nodes().len(), reference.nodes().len());
+        for (node, expect) in tree.nodes().iter().zip(reference.nodes()) {
+            use pivot_trees::Node::{Internal, Leaf};
+            match (node, expect) {
+                (Internal { .. }, Internal { .. }) => assert_eq!(node, expect),
+                (Leaf { value }, Leaf { value: ev }) => {
+                    assert!((value - ev).abs() < 1e-3, "leaf {value} vs {ev}")
+                }
+                _ => panic!("structure mismatch: {node:?} vs {expect:?}"),
+            }
+        }
+    }
+}
