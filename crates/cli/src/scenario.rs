@@ -1725,9 +1725,9 @@ mod tests {
         let err = parse_toml("algorithm = \"pivot-enhanced\"\n[params]\nverification = \"full\"")
             .unwrap_err();
         assert!(err.contains("carries no proofs"), "{err}");
-        // Neither does the packed statistics pipeline: an explicit slot
-        // count is rejected, while auto packing (spelled out or not)
-        // validates and trains unpacked.
+        // Neither do multi-slot statistics: an explicit slot count is
+        // rejected, while auto packing (spelled out or not) validates and
+        // trains on the one-slot layout.
         let err = parse_toml("[params]\nverification = \"full\"\npacking = 4").unwrap_err();
         assert!(err.contains("packing"), "{err}");
         for text in [
@@ -1736,7 +1736,7 @@ mod tests {
         ] {
             let p = parse_toml(text).unwrap().pivot_params(Algo::PivotBasic);
             p.assert_valid_for(60, 3);
-            assert!(p.slot_plan(3, 60, false).is_none());
+            assert_eq!(p.slot_plan(3, 60, false).slots, 1);
         }
     }
 

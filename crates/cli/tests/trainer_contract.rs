@@ -17,7 +17,21 @@
 //!     GBDT rows are the ones the node-by-node trainers before it had;
 //!     the enhanced rows carry one more round per split level and
 //!     `(1 + K)·b` more multiplications per split for the concealed
-//!     column pick.
+//!     column pick. The *bytes* of four rows were re-recorded when the
+//!     statistics pipeline and Algorithm 2 became one path whose one-slot
+//!     layout GBDT trees run; every other pinned number, and every
+//!     prediction, is as recorded before. Per party: `gbdt-h1`
+//!     +94 / +98 / +94, `gbdt-h2` +192 / +192 / +188, `gbdt-h3`
+//!     +378 / +384 / +382 (≤ 0.008 %: the pooled statistics cross the
+//!     wire as one vector per statistic of the stride instead of one flat
+//!     vector — three more 8-byte length prefixes per peer and pass, 96
+//!     bytes per party at `h1`'s two passes — and the conversion masks
+//!     land on the same values in chunk-major order, so a few opened
+//!     bigints encode a byte longer or shorter);
+//!     `enhanced-h3` +2 / −2 / +2 (keysize 256 admits one slot for the
+//!     Eqn-10 conversion, now a one-slot group with the group's own
+//!     offset `2^bound` instead of `2^(k−1)`: the opened sums differ in
+//!     encoded length by a byte here and there).
 //!
 //! Every protocol runs at three depths, because the mask rule differs at
 //! each: `max_depth = 1` (no mask update at all), `2` (left masks only —
@@ -154,9 +168,9 @@ const ENHANCED: [Case; 3] = [
         body: ENHANCED_NOISY,
         tree: DEPTH_3,
         golden: [
-            [255, 59573, 2193, 321, 2014178, 536],
-            [255, 59573, 2193, 321, 1978450, 524],
-            [255, 59573, 2193, 321, 1978234, 520],
+            [255, 59573, 2193, 321, 2014180, 536],
+            [255, 59573, 2193, 321, 1978448, 524],
+            [255, 59573, 2193, 321, 1978236, 520],
         ],
         predictions: &[
             0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0,
@@ -171,9 +185,9 @@ const GBDT: [Case; 3] = [
         body: GBDT_NOISY,
         tree: DEPTH_1,
         golden: [
-            [207, 32378, 836, 219, 1199134, 634],
-            [207, 32378, 836, 219, 1185278, 534],
-            [207, 32378, 836, 219, 1185275, 534],
+            [207, 32378, 836, 219, 1199228, 634],
+            [207, 32378, 836, 219, 1185376, 534],
+            [207, 32378, 836, 219, 1185369, 534],
         ],
         predictions: &[
             -0.27554798126220703,
@@ -198,9 +212,9 @@ const GBDT: [Case; 3] = [
         body: GBDT_BODY,
         tree: DEPTH_2,
         golden: [
-            [341, 91694, 2260, 298, 3193300, 872],
-            [341, 91694, 2260, 298, 3166389, 784],
-            [341, 91694, 2260, 298, 3166458, 786],
+            [341, 91694, 2260, 298, 3193492, 872],
+            [341, 91694, 2260, 298, 3166581, 784],
+            [341, 91694, 2260, 298, 3166646, 786],
         ],
         predictions: &[
             0.1257009506225586,
@@ -220,9 +234,9 @@ const GBDT: [Case; 3] = [
         body: GBDT_NOISY,
         tree: DEPTH_3,
         golden: [
-            [475, 225194, 5780, 561, 7823616, 1258],
-            [475, 225194, 5780, 561, 7692179, 1104],
-            [475, 225194, 5780, 561, 7692201, 1104],
+            [475, 225194, 5780, 561, 7823994, 1258],
+            [475, 225194, 5780, 561, 7692563, 1104],
+            [475, 225194, 5780, 561, 7692583, 1104],
         ],
         predictions: &[
             -0.4095935821533203,

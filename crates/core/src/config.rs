@@ -15,19 +15,21 @@ pub enum Protocol {
     Enhanced,
 }
 
-/// Ciphertext packing for the split-statistics pipeline (SecureBoost+
-/// style, see `pivot_paillier::packing`).
+/// The slot layout of the split-statistics pipeline (SecureBoost+ style,
+/// see `pivot_paillier::packing`). There is one pipeline; these are the
+/// layouts it can be given ([`PivotParams::slot_plan`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Packing {
-    /// No packing: every statistic is its own ciphertext.
+    /// One slot that is the whole plaintext: every statistic is its own
+    /// ciphertext.
     Off,
-    /// Pack with as many slots as the keysize admits under the slot-width
-    /// audit ([`PivotParams::slot_plan`]); unpacked where packing cannot
-    /// apply (under `verification`, whose proofs cover the unpacked
-    /// statistics only).
+    /// As many slots as the keysize admits under the slot-width audit;
+    /// the one-slot layout where fewer than two fit and under
+    /// `verification`, whose proofs cover one statistic per ciphertext.
     Auto,
-    /// Pack with exactly this many slots (must not exceed the audited
-    /// maximum; rejected by [`PivotParams::validate`] otherwise).
+    /// Exactly this many slots (must not exceed the audited maximum;
+    /// rejected by [`PivotParams::validate`] otherwise). One slot is
+    /// [`Packing::Off`].
     Slots(usize),
 }
 
@@ -134,9 +136,18 @@ pub struct SlotPlan {
 }
 
 impl SlotPlan {
-    /// Materialize the codec for this plan. The signedness offset is the
-    /// Algorithm-2 offset `2^(int_bits−1)` — exactly the constant the
-    /// scalar conversion adds before joint decryption.
+    /// The one-slot layout: a slot wider than the modulus, so packing and
+    /// unpacking are the identity, no neighbour exists to carry into, and
+    /// a plaintext may hold any mod-`p` slack below `N`.
+    pub fn whole_plaintext(keysize: u32) -> SlotPlan {
+        SlotPlan {
+            slot_bits: keysize + 1,
+            slots: 1,
+        }
+    }
+
+    /// Materialize the codec for this plan. The signedness offset is
+    /// Algorithm 2's `2^(int_bits−1)`.
     pub fn codec(&self, fixed: &FixedConfig) -> SlotCodec {
         SlotCodec::with_offset(self.slot_bits, self.slots, fixed.int_bits - 1)
     }
@@ -166,9 +177,9 @@ pub struct PivotParams {
     /// background workers keep precomputed (0 disables precomputation).
     /// Has no effect on outputs.
     pub randomness_pool: usize,
-    /// Ciphertext packing for split statistics. `Auto`/`Slots(_)` train
-    /// the *same tree* as `Off` (argmax parity) over packed statistics
-    /// and level-wise batched conversions.
+    /// Slot layout of the split statistics. Every layout trains the
+    /// *same tree* (argmax parity): the slots only divide the ciphertext
+    /// count.
     pub packing: Packing,
     /// Secure-comparison width policy. `Auto` lets every call site pay
     /// only for its proven value range (comparisons stay exact at any
@@ -185,9 +196,9 @@ pub struct PivotParams {
     /// and checks nothing — bit-identical transcript. `Spot(p)`/`Full`
     /// attach Σ-protocol proofs to every ciphertext commit and verify a
     /// deterministic fraction; a rejected proof raises
-    /// `ProtocolError::ProofRejected` naming the prover. The packed
-    /// statistics pipeline carries no proofs: `Packing::Auto` trains
-    /// unpacked under verification and `Packing::Slots(_)` is rejected.
+    /// `ProtocolError::ProofRejected` naming the prover. The proofs
+    /// cover one statistic per ciphertext: `Packing::Auto` is the one-slot
+    /// layout under verification and `Packing::Slots(_)` is rejected.
     pub verification: Verification,
     /// Deterministic malicious-party injection for CI/testing; only
     /// meaningful with `verification` on.
@@ -241,22 +252,8 @@ impl PivotParams {
     /// `n²·2^f` (statistic bound) `+ 2^(int_bits−1)` (Algorithm-2
     /// signedness offset) `+ m·(p−1)` (every party's conversion mask),
     ///
-    /// and the audited width is `bits(worst_case)`. Returns the width and
-    /// how many such slots the keysize admits (`None` when the run is
-    /// unpacked: [`Packing::Off`], or [`Packing::Auto`] under
-    /// verification).
-    pub fn slot_plan(
-        &self,
-        parties: usize,
-        n_samples: usize,
-        regression: bool,
-    ) -> Option<SlotPlan> {
-        let explicit_slots = match self.packing {
-            Packing::Off => return None,
-            Packing::Auto if self.verification.is_on() => return None,
-            Packing::Auto => None,
-            Packing::Slots(n) => Some(n),
-        };
+    /// and the audited width is `bits(worst_case)`.
+    fn audited_slot_bits(&self, parties: usize, n_samples: usize, regression: bool) -> u32 {
         let n = (n_samples as u128).max(4);
         let m = parties as u128;
         // Widest label multiplier per sample: class indicators are 0/1;
@@ -282,10 +279,34 @@ impl PivotParams {
         let offset = 1u128 << (self.fixed.int_bits - 1);
         let mask_bound = m * (MODULUS as u128 - 1);
         let worst = stat_bound + offset + mask_bound;
-        let slot_bits = 128 - worst.leading_zeros();
-        let max_slots = SlotCodec::max_slots(self.keysize, slot_bits);
-        let slots = explicit_slots.unwrap_or(max_slots);
-        Some(SlotPlan { slot_bits, slots })
+        128 - worst.leading_zeros()
+    }
+
+    /// The slot layout of this run's statistics: audited-width slots
+    /// (`audited_slot_bits`) where two or more are asked
+    /// for and fit, the whole plaintext otherwise — [`Packing::Off`],
+    /// [`Packing::Auto`] under verification or at a keysize that admits a
+    /// single audited slot, and `Packing::Slots(1)`. One slot always means
+    /// the whole plaintext: the enhanced protocol refreshes its masks only
+    /// for a layout that has a neighbour slot to protect.
+    pub fn slot_plan(&self, parties: usize, n_samples: usize, regression: bool) -> SlotPlan {
+        let slot_bits = self.audited_slot_bits(parties, n_samples, regression);
+        let slots = match self.packing {
+            Packing::Off => 1,
+            Packing::Auto if self.verification.is_on() => 1,
+            Packing::Auto => SlotCodec::max_slots(self.keysize, slot_bits),
+            Packing::Slots(n) => n,
+        };
+        if slots < 2 {
+            SlotPlan::whole_plaintext(self.keysize)
+        } else {
+            SlotPlan { slot_bits, slots }
+        }
+    }
+
+    /// The codec of the one-slot layout ([`SlotPlan::whole_plaintext`]).
+    pub fn one_slot_codec(&self) -> SlotCodec {
+        SlotPlan::whole_plaintext(self.keysize).codec(&self.fixed)
     }
 
     /// Check every cross-parameter invariant a run over `n_samples`
@@ -355,22 +376,16 @@ impl PivotParams {
                 ));
             }
         }
-        // Packing audit: the configured slot count must fit the audited
-        // slot width for this task, party count and sample count.
-        if let Some(plan) = self.slot_plan(parties, n_samples, regression) {
-            let max_slots = SlotCodec::max_slots(self.keysize, plan.slot_bits);
-            if max_slots == 0 {
+        // Packing audit: an explicit slot count must fit the audited slot
+        // width for this task, party count and sample count.
+        if let Packing::Slots(slots) = self.packing {
+            let slot_bits = self.audited_slot_bits(parties, n_samples, regression);
+            let max_slots = SlotCodec::max_slots(self.keysize, slot_bits);
+            if slots == 0 || slots > max_slots {
                 return Err(format!(
-                    "packing needs a larger keysize than {} for the audited {}-bit \
-                     slots (m = {parties}, n = {n_samples})",
-                    self.keysize, plan.slot_bits
-                ));
-            }
-            if plan.slots == 0 || plan.slots > max_slots {
-                return Err(format!(
-                    "packing = {} slots exceeds the audited capacity of {max_slots} \
-                     {}-bit slots for keysize {}",
-                    plan.slots, plan.slot_bits, self.keysize
+                    "packing = {slots} slots exceeds the audited capacity of {max_slots} \
+                     {slot_bits}-bit slots for keysize {}",
+                    self.keysize
                 ));
             }
         }
@@ -439,10 +454,14 @@ mod tests {
         assert!((p.verification.probability() - 0.25).abs() < 1e-12);
         assert_eq!(Verification::Full.probability(), 1.0);
         assert!(!Verification::Off.is_on());
-        // The packed pipeline carries no proofs: auto packing resolves to
-        // unpacked, an explicit slot count is rejected.
+        // The proofs cover one statistic per ciphertext: auto packing
+        // resolves to the one-slot layout, an explicit slot count is
+        // rejected.
         assert_eq!(p.packing, Packing::Auto);
-        assert!(p.slot_plan(3, 100, false).is_none());
+        assert_eq!(
+            p.slot_plan(3, 100, false),
+            SlotPlan::whole_plaintext(p.keysize)
+        );
         p.packing = Packing::Slots(2);
         let err = p.validate(100, 3, false).unwrap_err();
         assert!(err.contains("explicit packing slot count"), "{err}");
@@ -473,19 +492,47 @@ mod tests {
             packing: Packing::Off,
             ..Default::default()
         };
-        assert!(p.slot_plan(3, 100, false).is_none(), "off means no plan");
+        let off = p.slot_plan(3, 100, false);
+        assert_eq!(off, SlotPlan::whole_plaintext(256), "off is one slot");
         p.packing = Packing::Auto;
-        let plan = p.slot_plan(3, 100, false).expect("auto plan");
+        let plan = p.slot_plan(3, 100, false);
         // m = 3 masks dominate: 3·(2^61 − 2) + 2^44 + 10⁴·2^20 < 2^63.
         assert_eq!(plan.slot_bits, 63);
         // keysize 256 → ⌊255/63⌋ = 4 slots.
         assert_eq!(plan.slots, 4);
         p.assert_valid_for(100, 3);
         // More parties widen the slot: m = 8 → 8·2^61 + offsets ≳ 2^64.
-        assert_eq!(p.slot_plan(8, 100, false).unwrap().slot_bits, 65);
+        assert_eq!(p.slot_plan(8, 100, false).slot_bits, 65);
         // The statistics term matters at large n·2^f: n = 2^15, f = 20
         // gives n²·2^f = 2^50 — still below the mask term, same width.
-        assert_eq!(p.slot_plan(3, 1 << 15, false).unwrap().slot_bits, 63);
+        assert_eq!(p.slot_plan(3, 1 << 15, false).slot_bits, 63);
+    }
+
+    #[test]
+    fn one_slot_is_always_the_whole_plaintext() {
+        // An audited-width slot with no neighbour would skip the enhanced
+        // protocol's mask refresh while still truncating at 63–70 bits:
+        // `Slots(1)`, and `Auto` where a single audited slot fits, resolve
+        // to the layout of `Off`.
+        let mut p = PivotParams::enhanced();
+        let whole = SlotPlan::whole_plaintext(p.keysize);
+        p.packing = Packing::Slots(1);
+        p.validate(100, 3, false).unwrap();
+        assert_eq!(p.slot_plan(3, 100, false), whole);
+        // keysize 128 admits one 70-bit slot.
+        p.packing = Packing::Auto;
+        p.keysize = 128;
+        assert_eq!(p.slot_plan(3, 100, false), SlotPlan::whole_plaintext(128));
+        // The codec is the identity on anything below N.
+        let codec = p.one_slot_codec();
+        let big = pivot_bignum::BigUint::pow2(127);
+        assert_eq!(codec.slots(), 1);
+        assert_eq!(codec.pack(std::slice::from_ref(&big)), big);
+        assert_eq!(codec.unpack(&big, 1), vec![big]);
+        assert_eq!(
+            codec.offset(),
+            pivot_bignum::BigUint::pow2(p.fixed.int_bits - 1)
+        );
     }
 
     #[test]
@@ -494,11 +541,11 @@ mod tests {
         // statistics bound by m·p: n = 100, m = 3 → 300·2^61 ≈ 2^69.2.
         let mut p = PivotParams::enhanced();
         p.keysize = 512;
-        let classification = p.slot_plan(3, 100, false).unwrap();
+        let classification = p.slot_plan(3, 100, false);
         assert_eq!(classification.slot_bits, 70);
         assert_eq!(classification.slots, 7);
         // Regression moments add f + 2 = 22 bits on top.
-        let regression = p.slot_plan(3, 100, true).unwrap();
+        let regression = p.slot_plan(3, 100, true);
         assert_eq!(regression.slot_bits, 92);
         assert_eq!(regression.slots, 5);
         // The basic protocol at the same shape stays mask-dominated.
@@ -506,7 +553,7 @@ mod tests {
             keysize: 512,
             ..Default::default()
         };
-        assert_eq!(basic.slot_plan(3, 100, true).unwrap().slot_bits, 63);
+        assert_eq!(basic.slot_plan(3, 100, true).slot_bits, 63);
     }
 
     #[test]

@@ -1,10 +1,18 @@
 //! TPHE ↔ MPC conversions — the glue of the hybrid framework.
 //!
-//! * [`ciphers_to_shares`] is the paper's **Algorithm 2**: mask an
-//!   encrypted value with every client's random term, threshold-decrypt the
-//!   sum, and let each client keep the negation of its mask as its share.
-//!   Extended here with a public offset so signed fixed-point plaintexts
-//!   convert correctly.
+//! * **Algorithm 2**, ciphertexts → shares, exists once
+//!   (`masked_shares`): mask an encrypted value with every client's
+//!   random term, threshold-decrypt the sum, and let each client keep the
+//!   negation of its mask as its share. A ciphertext is a row of slots
+//!   (`pivot_paillier::SlotCodec`); every occupied slot is masked and
+//!   becomes one share, so one joint decryption yields as many shares as
+//!   the ciphertext has values. The paper's conversion is the one-slot
+//!   case — a slot that is the whole plaintext — and the three entry
+//!   points differ only in how the public signedness offset gets into the
+//!   slots before the masks do: [`ciphers_to_shares`] (one slot),
+//!   [`packed_ciphers_to_shares`] (ciphertexts already packed by the
+//!   statistics pass), [`packed_share_conversion_groups`] (scalars
+//!   shift-added under a per-group audited width).
 //! * [`shares_to_ciphers`] is the reverse direction used by the enhanced
 //!   protocol (§5.2): every client encrypts its own share and the
 //!   ciphertexts are summed homomorphically. The result's plaintext may
@@ -12,6 +20,7 @@
 //!   every consumer reduces modulo `p` on the next conversion, so the slack
 //!   is harmless — see [`crate::gain`], "Scale discipline".
 
+use crate::config::SlotPlan;
 use crate::decrypt::joint_decrypt_vec;
 use crate::party::PartyContext;
 use pivot_bignum::BigUint;
@@ -19,88 +28,106 @@ use pivot_mpc::{Fp, Share, MODULUS};
 use pivot_paillier::{batch, vector, Ciphertext, SlotCodec};
 use rand::Rng;
 
-/// Reduce a decrypted plaintext into the share field, interpreting the
-/// upper half of `Z_N` as negative (signed Paillier encoding).
-pub fn plaintext_to_field(pk: &pivot_paillier::PublicKey, v: &BigUint) -> Fp {
-    let p = BigUint::from_u64(MODULUS);
-    if v > pk.half_n() {
-        // negative: v = N - |x|  ⇒  x ≡ -(N - v) (mod p)
-        let mag = pk.n() - v;
-        -Fp::new(mag.rem_of(&p).to_u64().expect("reduced below p"))
-    } else {
-        Fp::new(v.rem_of(&p).to_u64().expect("reduced below p"))
-    }
-}
-
-/// Algorithm 2 (batched): convert encrypted values into additive shares.
+/// The tail of Algorithm 2, shared by every entry point. `cts[i]` holds
+/// `layouts[i].1` occupied slots of `layouts[i].0`, each slot a value plus
+/// that codec's offset (so it is non-negative) plus any multiple of `p`,
+/// and wide enough that `m` masks below `p` on top never carry. Returns
+/// the shares of every slot's value, per ciphertext.
 ///
-/// Plaintexts must be *signed integers of magnitude below `2^(int_bits-1)`*
-/// modulo any slack multiple of the share modulus (see module docs). Each
-/// client pays one encryption per value; the batch pays one joint
-/// decryption per value — exactly the paper's `O(·) Cd` accounting.
-pub fn ciphers_to_shares(ctx: &mut PartyContext<'_>, cts: &[Ciphertext]) -> Vec<Share> {
+/// Each client pays one encryption and the batch one joint decryption per
+/// *ciphertext* — the paper's `O(·) Cd` accounting divided by the
+/// occupancy.
+fn masked_shares(
+    ctx: &mut PartyContext<'_>,
+    cts: &[Ciphertext],
+    layouts: &[(&SlotCodec, usize)],
+) -> Vec<Vec<Share>> {
+    assert_eq!(cts.len(), layouts.len(), "one layout per ciphertext");
     if cts.is_empty() {
         return Vec::new();
     }
-    let n = cts.len();
-    let k = ctx.params.fixed.int_bits;
-    let offset = BigUint::pow2(k - 1);
-
-    // Every client draws rᵢ uniform in [0, p) and encrypts it (line 2).
-    let my_masks: Vec<u64> = (0..n).map(|_| ctx.rng.gen_range(0..MODULUS)).collect();
-    let mask_values: Vec<BigUint> = my_masks.iter().map(|&r| BigUint::from_u64(r)).collect();
+    // Every client draws one uniform rᵢ ∈ [0, p) per occupied slot, flat
+    // order; the masks of one ciphertext ride one encryption (line 2).
+    let my_masks: Vec<Vec<u64>> = layouts
+        .iter()
+        .map(|&(_, used)| (0..used).map(|_| ctx.rng.gen_range(0..MODULUS)).collect())
+        .collect();
+    let mask_plaintexts: Vec<BigUint> = my_masks
+        .iter()
+        .zip(layouts)
+        .map(|(row, (codec, _))| {
+            let vals: Vec<BigUint> = row.iter().map(|&r| BigUint::from_u64(r)).collect();
+            codec.pack(&vals)
+        })
+        .collect();
     let threads = ctx.crypto_threads();
-    let my_enc_masks = batch::encrypt_batch(&ctx.pk, &mask_values, &ctx.nonces, threads);
-    ctx.metrics.add_encryptions(n as u64);
+    let my_enc_masks = batch::encrypt_batch(&ctx.pk, &mask_plaintexts, &ctx.nonces, threads);
+    ctx.metrics.add_encryptions(cts.len() as u64);
 
-    // Exchange encrypted masks; everyone assembles [e] = [x + 2^(k-1) + Σ rᵢ]
-    // (line 4, plus the signedness offset). The offset ciphertext is the
-    // same public constant for every value — encode it once.
-    // The exchange wait is CPU-idle: top up both offline pools.
+    // Exchange the encrypted masks; everyone assembles [e] = [x + offset +
+    // Σ rᵢ] per slot (line 4). The wait is CPU-idle: top up both offline
+    // pools.
     ctx.nonces.refill();
     ctx.engine.dealer_refill();
     let all_masks: Vec<Vec<Ciphertext>> = ctx.ep.exchange_all(&my_enc_masks);
-    let enc_offset = ctx.pk.encrypt_trivial(&offset);
-    let indices: Vec<usize> = (0..n).collect();
+    let indices: Vec<usize> = (0..cts.len()).collect();
     let masked: Vec<Ciphertext> = pivot_runtime::global().map(threads, &indices, |&j| {
-        let mut acc = ctx.pk.add(&cts[j], &enc_offset);
+        let mut acc = cts[j].clone();
         for party_masks in &all_masks {
             acc = ctx.pk.add(&acc, &party_masks[j]);
         }
         acc
     });
     ctx.metrics
-        .add_ciphertext_ops((n * (ctx.parties() + 1)) as u64);
+        .add_ciphertext_ops((cts.len() * ctx.parties()) as u64);
 
-    // Joint decryption (line 5) — integer e = x + 2^(k-1) + Σ rᵢ, no mod-N
-    // wrap because N ≫ m·p + 2^k (checked in PivotParams::validate).
+    // Joint decryption (line 5) — an integer per slot, no mod-N wrap
+    // because N ≫ m·p + offset (checked in PivotParams::validate).
     let opened = joint_decrypt_vec(ctx, &masked);
 
-    // Shares (lines 6–8): party 0 keeps e − r₀ − 2^(k-1); others keep −rᵢ.
+    // Shares (lines 6–8): party 0 keeps e − r₀ − offset mod p, the others
+    // keep −rᵢ; slack reduces away.
     let p = BigUint::from_u64(MODULUS);
+    let reduce = |v: &BigUint| Fp::new(v.rem_of(&p).to_u64().expect("reduced below p"));
     opened
         .iter()
         .zip(&my_masks)
-        .map(|(e, &r)| {
-            let mine = if ctx.id() == 0 {
-                let e_mod = Fp::new(e.rem_of(&p).to_u64().expect("reduced"));
-                e_mod - Fp::new(r) - Fp::pow2(k - 1)
-            } else {
-                -Fp::new(r)
-            };
-            Share(mine)
+        .zip(layouts)
+        .map(|((e, masks), (codec, _))| {
+            let offset = reduce(&codec.offset());
+            codec
+                .unpack(e, masks.len())
+                .iter()
+                .zip(masks)
+                .map(|(slot, &r)| {
+                    Share(if ctx.id() == 0 {
+                        reduce(slot) - Fp::new(r) - offset
+                    } else {
+                        -Fp::new(r)
+                    })
+                })
+                .collect()
         })
         .collect()
 }
 
-/// Algorithm 2 over **packed** ciphertexts: one threshold decryption
-/// yields `used[i]` shares from ciphertext `i` (the packed-to-shares
-/// unpack step). Every party masks every occupied slot with its own
-/// uniform `r ∈ [0, p)` — the masks of one ciphertext are packed into a
-/// single encryption, so the per-value mask-encryption and decryption
-/// costs drop by the packing factor. The per-slot signedness offset
-/// `2^(int_bits−1)` is added through one public packed constant, exactly
-/// mirroring the scalar path.
+/// Algorithm 2 (batched) as the paper states it: one value per ciphertext.
+///
+/// Plaintexts must be *signed integers of magnitude below `2^(int_bits-1)`*
+/// modulo any slack multiple of the share modulus (see module docs).
+pub fn ciphers_to_shares(ctx: &mut PartyContext<'_>, cts: &[Ciphertext]) -> Vec<Share> {
+    let codec = ctx.params.one_slot_codec();
+    let cts: Vec<&Ciphertext> = cts.iter().collect();
+    packed_ciphers_to_shares(ctx, &codec, &cts, &vec![1; cts.len()])
+        .into_iter()
+        .flatten()
+        .collect()
+}
+
+/// Algorithm 2 over ciphertexts the statistics pass packed: ciphertext `i`
+/// yields `used[i]` shares. The codec's per-slot signedness offset
+/// (`2^(int_bits−1)` for every statistics layout) is added through one
+/// public packed constant.
 ///
 /// The slot-width audit (`PivotParams::slot_plan`) guarantees
 /// `value + offset + m·(p−1) < 2^slot_bits`, so slot sums never carry.
@@ -111,79 +138,22 @@ pub fn packed_ciphers_to_shares(
     used: &[usize],
 ) -> Vec<Vec<Share>> {
     assert_eq!(cts.len(), used.len(), "one slot count per ciphertext");
-    if cts.is_empty() {
-        return Vec::new();
-    }
-    let n = cts.len();
-    let k = ctx.params.fixed.int_bits;
-    let offset = BigUint::pow2(k - 1);
-
-    // Per-ciphertext packed masks: `used[i]` uniform draws, flat order.
-    let my_masks: Vec<Vec<u64>> = used
-        .iter()
-        .map(|&u| (0..u).map(|_| ctx.rng.gen_range(0..MODULUS)).collect())
-        .collect();
-    let mask_plaintexts: Vec<BigUint> = my_masks
-        .iter()
-        .map(|row| {
-            let vals: Vec<BigUint> = row.iter().map(|&r| BigUint::from_u64(r)).collect();
-            codec.pack(&vals)
-        })
-        .collect();
-    let threads = ctx.crypto_threads();
-    let my_enc_masks = batch::encrypt_batch(&ctx.pk, &mask_plaintexts, &ctx.nonces, threads);
-    ctx.metrics.add_encryptions(n as u64);
-
-    // Exchange the packed masks; assemble [e] = [x + offsets + Σ rᵢ].
-    ctx.nonces.refill();
-    let all_masks: Vec<Vec<Ciphertext>> = ctx.ep.exchange_all(&my_enc_masks);
     // One public offset ciphertext per distinct occupancy.
     let max_used = used.iter().copied().max().unwrap_or(0);
     let enc_offsets: Vec<Ciphertext> = (0..=max_used)
         .map(|u| {
             ctx.pk
-                .encrypt_trivial(&codec.pack(&vec![offset.clone(); u]))
+                .encrypt_trivial(&codec.pack(&vec![codec.offset(); u]))
         })
         .collect();
-    let indices: Vec<usize> = (0..n).collect();
-    let masked: Vec<Ciphertext> = pivot_runtime::global().map(threads, &indices, |&j| {
-        let mut acc = ctx.pk.add(cts[j], &enc_offsets[used[j]]);
-        for party_masks in &all_masks {
-            acc = ctx.pk.add(&acc, &party_masks[j]);
-        }
-        acc
-    });
-    ctx.metrics
-        .add_ciphertext_ops((n * (ctx.parties() + 1)) as u64);
-
-    // One joint decryption per *packed* ciphertext.
-    let opened = joint_decrypt_vec(ctx, &masked);
-
-    // Unpack: slot s of ciphertext i opens to xᵢₛ + 2^(k−1) + Σ r; party 0
-    // keeps e − r₀ − 2^(k−1) mod p, the others keep −r.
-    let p = BigUint::from_u64(MODULUS);
-    let offset_mod_p = Fp::pow2(k - 1);
-    opened
-        .iter()
-        .zip(&my_masks)
-        .zip(used)
-        .map(|((e, masks), &u)| {
-            let slots = codec.unpack(e, u);
-            slots
-                .into_iter()
-                .zip(masks)
-                .map(|(slot, &r)| {
-                    let mine = if ctx.id() == 0 {
-                        let e_mod = Fp::new(slot.rem_of(&p).to_u64().expect("reduced below p"));
-                        e_mod - Fp::new(r) - offset_mod_p
-                    } else {
-                        -Fp::new(r)
-                    };
-                    Share(mine)
-                })
-                .collect()
-        })
-        .collect()
+    let jobs: Vec<(&Ciphertext, usize)> = cts.iter().copied().zip(used.iter().copied()).collect();
+    let offset_cts: Vec<Ciphertext> =
+        pivot_runtime::global().map(ctx.crypto_threads(), &jobs, |&(ct, u)| {
+            ctx.pk.add(ct, &enc_offsets[u])
+        });
+    ctx.metrics.add_ciphertext_ops(cts.len() as u64);
+    let layouts: Vec<(&SlotCodec, usize)> = used.iter().map(|&u| (codec, u)).collect();
+    masked_shares(ctx, &offset_cts, &layouts)
 }
 
 /// Algorithm 2 over **dynamically packed** scalar ciphertexts, with one
@@ -192,37 +162,37 @@ pub fn packed_ciphers_to_shares(
 /// Each group supplies a bound `2^bound_bits` on its plaintexts' signed
 /// magnitude — *including* any mod-p slack the ciphertexts carry (§5.2
 /// sums, Eqn-10 products). The conversion shift-adds as many scalars as
-/// the audited width admits into each packed ciphertext before the usual
-/// mask → threshold-decrypt → share dance, so one joint decryption yields
-/// up to `slots` shares instead of one. All groups settle in a single
+/// the audited width admits into each packed ciphertext, so one joint
+/// decryption yields up to `slots` shares instead of one; a width the
+/// keysize admits once is a one-slot group. All groups settle in a single
 /// exchange and a single decryption round.
 ///
 /// Slot audit: a slot accumulates `x + 2^bound_bits` (the signedness
 /// offset is applied homomorphically *before* the shift-add, so negative
 /// encodings `N − |x|` never borrow from a neighbour slot) plus every
 /// party's conversion mask `< m·(p−1)`; the slot width is the bit length
-/// of that worst case. Share semantics are identical to
-/// [`ciphers_to_shares`]: values are recovered mod p, slack reduces away.
+/// of that worst case. Values are recovered mod p, slack reduces away.
 pub fn packed_share_conversion_groups(
     ctx: &mut PartyContext<'_>,
     groups: &[(&[Ciphertext], u32)],
 ) -> Vec<Vec<Share>> {
     let total: usize = groups.iter().map(|(cts, _)| cts.len()).sum();
-    if total == 0 {
-        return groups.iter().map(|_| Vec::new()).collect();
-    }
     let threads = ctx.crypto_threads();
     let mask_bound = &BigUint::from_u64(ctx.parties() as u64) * &BigUint::from_u64(MODULUS - 1);
 
     // Audited codec per group, then the flat chunk list (group-major, so
-    // unpacking below walks the same order).
+    // regrouping below walks the same order).
     let codecs: Vec<SlotCodec> = groups
         .iter()
         .map(|&(_, bound_bits)| {
             let worst = &BigUint::pow2(bound_bits + 1) + &mask_bound;
             let slot_bits = worst.bits();
-            let slots = SlotCodec::max_slots(ctx.params.keysize, slot_bits).max(1);
-            SlotCodec::with_offset(slot_bits, slots, bound_bits)
+            let plan = match SlotCodec::max_slots(ctx.params.keysize, slot_bits) {
+                // One slot is the whole plaintext.
+                0 | 1 => SlotPlan::whole_plaintext(ctx.params.keysize),
+                slots => SlotPlan { slot_bits, slots },
+            };
+            SlotCodec::with_offset(plan.slot_bits, plan.slots, bound_bits)
         })
         .collect();
     let jobs: Vec<(usize, &[Ciphertext])> = groups
@@ -242,80 +212,27 @@ pub fn packed_share_conversion_groups(
     });
     ctx.metrics.add_ciphertext_ops(2 * total as u64);
 
-    // Per-chunk packed masks, one encryption per packed ciphertext.
-    let my_masks: Vec<Vec<u64>> = jobs
+    let layouts: Vec<(&SlotCodec, usize)> = jobs
         .iter()
-        .map(|(_, chunk)| {
-            (0..chunk.len())
-                .map(|_| ctx.rng.gen_range(0..MODULUS))
-                .collect()
-        })
+        .map(|&(g, chunk)| (&codecs[g], chunk.len()))
         .collect();
-    let mask_plaintexts: Vec<BigUint> = my_masks
-        .iter()
-        .zip(&jobs)
-        .map(|(row, &(g, _))| {
-            let vals: Vec<BigUint> = row.iter().map(|&r| BigUint::from_u64(r)).collect();
-            codecs[g].pack(&vals)
-        })
-        .collect();
-    let my_enc_masks = batch::encrypt_batch(&ctx.pk, &mask_plaintexts, &ctx.nonces, threads);
-    ctx.metrics.add_encryptions(packed.len() as u64);
-
-    // Exchange the packed masks; the wait is CPU-idle, top up the pools.
-    ctx.nonces.refill();
-    ctx.engine.dealer_refill();
-    let all_masks: Vec<Vec<Ciphertext>> = ctx.ep.exchange_all(&my_enc_masks);
-    let indices: Vec<usize> = (0..packed.len()).collect();
-    let masked: Vec<Ciphertext> = pivot_runtime::global().map(threads, &indices, |&j| {
-        let mut acc = packed[j].clone();
-        for party_masks in &all_masks {
-            acc = ctx.pk.add(&acc, &party_masks[j]);
-        }
-        acc
-    });
-    ctx.metrics
-        .add_ciphertext_ops((packed.len() * ctx.parties()) as u64);
-
-    // One joint decryption per *packed* ciphertext.
-    let opened = joint_decrypt_vec(ctx, &masked);
-
-    // Decode: slot ≡ x + 2^b + Σ r (mod p); party 0 subtracts its own
-    // mask and the offset, the rest keep their mask negations.
-    let p = BigUint::from_u64(MODULUS);
     let mut out: Vec<Vec<Share>> = groups
         .iter()
         .map(|(cts, _)| Vec::with_capacity(cts.len()))
         .collect();
-    for ((e, masks), &(g, _)) in opened.iter().zip(&my_masks).zip(&jobs) {
-        let codec = &codecs[g];
-        let offset_mod_p = Fp::new(codec.offset().rem_of(&p).to_u64().expect("reduced below p"));
-        for (slot, &r) in codec.unpack(e, masks.len()).into_iter().zip(masks) {
-            let mine = if ctx.id() == 0 {
-                let e_mod = Fp::new(slot.rem_of(&p).to_u64().expect("reduced below p"));
-                e_mod - Fp::new(r) - offset_mod_p
-            } else {
-                -Fp::new(r)
-            };
-            out[g].push(Share(mine));
-        }
+    for (shares, &(g, _)) in masked_shares(ctx, &packed, &layouts).into_iter().zip(&jobs) {
+        out[g].extend(shares);
     }
     out
 }
 
 /// Single-group [`packed_share_conversion_groups`]: pack `cts` under one
-/// magnitude bound. Falls back to the scalar conversion when the audited
-/// width admits fewer than two slots (packing would only add work).
+/// magnitude bound.
 pub fn packed_share_conversion(
     ctx: &mut PartyContext<'_>,
     cts: &[Ciphertext],
     bound_bits: u32,
 ) -> Vec<Share> {
-    let mask_bound = &BigUint::from_u64(ctx.parties() as u64) * &BigUint::from_u64(MODULUS - 1);
-    let worst = &BigUint::pow2(bound_bits + 1) + &mask_bound;
-    if SlotCodec::max_slots(ctx.params.keysize, worst.bits()) < 2 {
-        return ciphers_to_shares(ctx, cts);
-    }
     packed_share_conversion_groups(ctx, &[(cts, bound_bits)])
         .pop()
         .expect("one group in, one group out")

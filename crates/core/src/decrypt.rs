@@ -6,10 +6,9 @@
 //! ciphertexts with 6 cores").
 //!
 //! Both phases run through the batched crypto runtime
-//! ([`pivot_paillier::batch`]) on the shared worker pool; the former
-//! spawn-per-batch `parallel_map` is gone. The network exchange between
-//! them is an idle phase for this party's CPU, so the offline randomness
-//! pool is topped up right before blocking on it.
+//! ([`pivot_paillier::batch`]) on the shared worker pool. The network
+//! exchange between them is an idle phase for this party's CPU, so the
+//! offline randomness pool is topped up right before blocking on it.
 
 use crate::party::PartyContext;
 use pivot_bignum::BigUint;

@@ -5,15 +5,17 @@
 //! noise; the released model is `B`-DP with `B = 2(h+1)·ε` (paper §9.2).
 
 use crate::config::Protocol;
-use crate::gain::{
-    convert_stats_batch, leaf_label_shares_batch, reveal_identifier, split_gains_batch, NodeTotals,
+use crate::gain::{leaf_label_shares_batch, reveal_identifier, split_gains_batch, NodeTotals};
+use crate::masks::{
+    initial_mask, plan_packed_labels, update_vectors_plain, PackedLabelPlan, Sides,
 };
-use crate::masks::{compute_label_masks, initial_mask, update_vectors_plain, Sides};
 use crate::party::PartyContext;
-use crate::stats::{pooled_statistics, LocalSplits, SplitLayout};
+use crate::stats::{LocalSplits, SplitLayout};
+use crate::trainer::{level_statistics, NodeMask};
 use pivot_data::Task;
 use pivot_mpc::dp::{exponential_mechanism, laplace_sample_vec};
 use pivot_mpc::{Fp, Share};
+use pivot_paillier::{Ciphertext, SlotCodec};
 use pivot_trees::{DecisionTree, Node};
 
 /// Differential-privacy parameters.
@@ -41,23 +43,48 @@ pub fn train_dp(ctx: &mut PartyContext<'_>, dp: &DpParams) -> DecisionTree {
     let local = LocalSplits::precompute(ctx);
     let layout = SplitLayout::build(ctx.ep, &local.counts());
     let alpha = initial_mask(ctx, &vec![true; ctx.num_samples()]);
+    let codec = ctx.packing_codec();
+    let run = DpRun {
+        local: &local,
+        layout: &layout,
+        dp,
+        label_plan: &plan_packed_labels(ctx, &codec, false),
+        codec: &codec,
+    };
     let mut nodes = Vec::new();
-    let root = build_node(ctx, &local, &layout, dp, alpha, 0, &mut nodes);
+    let root = build_node(ctx, &run, alpha, 0, &mut nodes);
     DecisionTree::new(nodes, root, ctx.current_task())
+}
+
+/// What every node of one DP tree reads.
+struct DpRun<'a> {
+    local: &'a LocalSplits,
+    layout: &'a SplitLayout,
+    dp: &'a DpParams,
+    codec: &'a SlotCodec,
+    label_plan: &'a PackedLabelPlan,
 }
 
 fn build_node(
     ctx: &mut PartyContext<'_>,
-    local: &LocalSplits,
-    layout: &SplitLayout,
-    dp: &DpParams,
-    alpha: Vec<pivot_paillier::Ciphertext>,
+    run: &DpRun<'_>,
+    alpha: Vec<Ciphertext>,
     depth: usize,
     nodes: &mut Vec<Node>,
 ) -> usize {
-    let masks = compute_label_masks(ctx, &alpha, true);
-    let enc = pooled_statistics(ctx, layout, local, &alpha, &masks);
-    let shares = convert_stats_batch(ctx, layout, &[&enc]).remove(0);
+    let DpRun {
+        local,
+        layout,
+        dp,
+        codec,
+        label_plan,
+    } = *run;
+    let mut mask = NodeMask {
+        alpha,
+        gammas: None,
+    };
+    let shares = level_statistics(ctx, local, layout, codec, label_plan, &[&mut mask]).remove(0);
+    let alpha = mask.alpha;
 
     // DP pruning-condition query: Lap(Δ/ε) with Δ = 1 on the node count.
     let force = depth >= ctx.params.tree.max_depth || layout.total() == 0;
@@ -99,8 +126,8 @@ fn build_node(
     let [alpha_l, alpha_r] =
         [updated.left, updated.right].map(|side| side.expect("both sides asked for").remove(0));
 
-    let left = build_node(ctx, local, layout, dp, alpha_l, depth + 1, nodes);
-    let right = build_node(ctx, local, layout, dp, alpha_r, depth + 1, nodes);
+    let left = build_node(ctx, run, alpha_l, depth + 1, nodes);
+    let right = build_node(ctx, run, alpha_r, depth + 1, nodes);
     nodes.push(Node::Internal {
         feature: feature_global,
         threshold,

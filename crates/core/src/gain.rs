@@ -40,14 +40,13 @@
 //!   consumer reduces mod `p` at its next conversion, so the slack is
 //!   harmless as long as it never reaches `N`. The enhanced protocol's
 //!   Eqn-10 masks multiply two slack-carrying values (up to `m²·b·p²`),
-//!   which is why it needs keysize ≥ 192 and why packed levels refresh
-//!   the masks first.
+//!   which is why it needs keysize ≥ 192 and why a level whose layout
+//!   has more than one slot refreshes the masks first.
 
-use crate::conversion::ciphers_to_shares;
 use crate::masks::Sides;
 use crate::metrics::Stage;
 use crate::party::PartyContext;
-use crate::stats::{EncryptedStats, PackedStats, SplitLayout};
+use crate::stats::{PackedStats, SplitLayout};
 use pivot_data::Task;
 use pivot_mpc::{width_for_magnitude, Fp, Share};
 
@@ -146,89 +145,10 @@ fn minus_row(a: &[Share], b: &[Share]) -> Vec<Share> {
     a.iter().zip(b).map(|(&x, &y)| x - y).collect()
 }
 
-/// Flatten one node's pooled statistics into the conversion order:
-/// per-split stride chunks, then the totals tail.
-fn stats_flat(enc: &EncryptedStats, layout: &SplitLayout) -> Vec<pivot_paillier::Ciphertext> {
-    let stride = enc.gamma_totals.len() + 1;
-    let mut flat = Vec::with_capacity(layout.total() * stride + stride);
-    for split in &enc.per_split {
-        flat.extend(split.iter().cloned());
-    }
-    flat.push(enc.node_total.clone());
-    flat.extend(enc.gamma_totals.iter().cloned());
-    flat
-}
-
-/// Reassemble one node's [`NodeShares`] from the flat conversion shares
-/// (inverse of [`stats_flat`]'s ordering) and undo the regression offset.
-fn node_shares_from_flat(
-    ctx: &PartyContext<'_>,
-    layout: &SplitLayout,
-    enc: &EncryptedStats,
-    shares: &[Share],
-) -> NodeShares {
-    let stride = enc.gamma_totals.len() + 1;
-    let gammas = stride - 1;
-    let mut n_l = Vec::with_capacity(layout.total());
-    let mut g_l: Vec<Vec<Share>> = vec![Vec::with_capacity(layout.total()); gammas];
-    for (s, chunk) in shares[..layout.total() * stride].chunks(stride).enumerate() {
-        debug_assert_eq!(s < layout.total(), true);
-        n_l.push(chunk[0]);
-        for (k, row) in g_l.iter_mut().enumerate() {
-            row.push(chunk[1 + k]);
-        }
-    }
-    let tail = &shares[layout.total() * stride..];
-    let mut node = NodeShares {
-        n_l,
-        g_l,
-        totals: NodeTotals {
-            n: tail[0],
-            g: tail[1..].to_vec(),
-        },
-    };
-    if enc.offset_encoded {
-        remove_label_offset(ctx, &mut node);
-    }
-    node
-}
-
-/// Convert every frontier node's pooled statistics in **one** Algorithm-2
-/// invocation (the scalar counterpart of the packed level-wise
-/// `conversion_batch`): all flats concatenate, a single
-/// [`ciphers_to_shares`] covers the level, and each node's span
-/// reassembles into its [`NodeShares`].
-pub fn convert_stats_batch(
-    ctx: &mut PartyContext<'_>,
-    layout: &SplitLayout,
-    encs: &[&EncryptedStats],
-) -> Vec<NodeShares> {
-    let flats: Vec<Vec<pivot_paillier::Ciphertext>> =
-        encs.iter().map(|enc| stats_flat(enc, layout)).collect();
-    let all: Vec<pivot_paillier::Ciphertext> = flats.iter().flatten().cloned().collect();
-    let started = std::time::Instant::now();
-    let shares = ciphers_to_shares(ctx, &all);
-    ctx.metrics
-        .add_time(Stage::MpcComputation, started.elapsed());
-    let mut out = Vec::with_capacity(encs.len());
-    let mut at = 0;
-    for (enc, flat) in encs.iter().zip(&flats) {
-        out.push(node_shares_from_flat(
-            ctx,
-            layout,
-            enc,
-            &shares[at..at + flat.len()],
-        ));
-        at += flat.len();
-    }
-    out
-}
-
-/// Reassemble one node's [`NodeShares`] from the slot shares of its packed
+/// Reassemble one node's [`NodeShares`] from the slot shares of its
 /// conversion ciphertexts (`shares[i]` aligned with the node's
-/// `stats::conversion_batch` order: chunk-major groups, then
-/// per-chunk totals). Applies the regression offset correction like
-/// [`convert_stats_batch`].
+/// `stats::conversion_batch` order: chunk-major groups, then per-chunk
+/// totals) and undo the regression offset.
 pub fn node_shares_from_packed(
     ctx: &PartyContext<'_>,
     layout: &SplitLayout,
@@ -236,61 +156,46 @@ pub fn node_shares_from_packed(
     shares: &[Vec<Share>],
 ) -> NodeShares {
     let chunking = &packed.chunking;
-    let gammas = chunking.stride - 1;
     let total = layout.total();
-    let mut n_l = vec![Share::ZERO; total];
-    let mut g_l: Vec<Vec<Share>> = vec![vec![Share::ZERO; total]; gammas];
-    let mut n_total = Share::ZERO;
-    let mut g_totals = vec![Share::ZERO; gammas];
-
-    let mut idx = 0;
-    for (c, chunk_groups) in packed.groups.iter().enumerate() {
-        let width = chunking.widths[c];
-        let base = c * chunking.chunk_width;
-        let mut split_base = 0usize;
-        for (g, _) in chunk_groups.iter().enumerate() {
-            let slot_shares = &shares[idx];
-            idx += 1;
-            let size = packed.group_sizes[g];
+    // `rows[k][s]`: statistic `k` of the stride at split `s`; column
+    // `total` holds the node's own totals.
+    let mut rows = vec![vec![Share::ZERO; total + 1]; chunking.stride];
+    let mut place = |chunk: usize, column: usize, slots: &[Share]| {
+        assert_eq!(slots.len(), chunking.widths[chunk], "packed share shape");
+        let base = chunk * chunking.chunk_width;
+        for (row, &share) in rows[base..].iter_mut().zip(slots) {
+            row[column] = share;
+        }
+    };
+    let mut shares = shares.iter();
+    let mut next = || shares.next().expect("one share row per ciphertext");
+    for (chunk, &width) in chunking.widths.iter().enumerate() {
+        let mut split = 0;
+        for &size in &packed.group_sizes {
+            let slot_shares = next();
             assert_eq!(slot_shares.len(), size * width, "packed share shape");
-            for t in 0..size {
-                let split = split_base + t;
-                for off in 0..width {
-                    let stride_idx = base + off;
-                    let share = slot_shares[t * width + off];
-                    if stride_idx == 0 {
-                        n_l[split] = share;
-                    } else {
-                        g_l[stride_idx - 1][split] = share;
-                    }
-                }
-            }
-            split_base += size;
-        }
-        assert_eq!(split_base, total, "groups cover every split");
-    }
-    for (c, _) in packed.totals.iter().enumerate() {
-        let width = chunking.widths[c];
-        let base = c * chunking.chunk_width;
-        let slot_shares = &shares[idx];
-        idx += 1;
-        for off in 0..width {
-            let stride_idx = base + off;
-            if stride_idx == 0 {
-                n_total = slot_shares[off];
-            } else {
-                g_totals[stride_idx - 1] = slot_shares[off];
+            for member in slot_shares.chunks(width) {
+                place(chunk, split, member);
+                split += 1;
             }
         }
+        assert_eq!(split, total, "groups cover every split");
     }
-    assert_eq!(idx, shares.len(), "consumed every conversion ciphertext");
+    for chunk in 0..chunking.chunks() {
+        place(chunk, total, next());
+    }
+    assert!(shares.next().is_none(), "consumed every ciphertext");
 
+    let (mut totals, mut rows): (Vec<Share>, Vec<Vec<Share>>) = rows
+        .into_iter()
+        .map(|mut row| (row.pop().expect("the totals column"), row))
+        .unzip();
     let mut node = NodeShares {
-        n_l,
-        g_l,
+        n_l: rows.remove(0),
+        g_l: rows,
         totals: NodeTotals {
-            n: n_total,
-            g: g_totals,
+            n: totals.remove(0),
+            g: totals,
         },
     };
     if packed.offset_encoded {

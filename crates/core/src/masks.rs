@@ -1,5 +1,22 @@
-//! Encrypted indicator vectors: the node mask `[α]` and the super client's
-//! label-mask vectors `[γ]` (§4.1, §4.2).
+//! Encrypted indicator vectors: the node mask `[α]` and the label vectors
+//! `[L] = {[γ_k]}` (§4.1, §4.2).
+//!
+//! Every statistics pass reads one type, [`PackedLabels`]: per sample, the
+//! stride `(α_j, γ_1(j), …)` laid out in the slots of the run's
+//! `SlotCodec`, cut into chunks of at most `slots` values. There is one
+//! builder, [`compute_packed_label_masks`]. With one slot — the whole
+//! plaintext — every chunk is one vector of the stride and chunk 0 *is*
+//! `[α]`, which every party already holds; a GBDT node lends the `[γ]` it
+//! carries the same way.
+//!
+//! Classification: one vector per class `k` with `γ_k = β_k ⊙ α`.
+//! Regression: `γ_1 = (y+1) ⊙ α` and `γ_2 = (y+1)² ⊙ α` — labels are
+//! normalized into `[-1, 1]` and **offset by +1** so every plaintext the
+//! homomorphic pipeline touches is non-negative. Negative encodings would
+//! wrap mod `N` when multiplied into the enhanced protocol's
+//! slack-carrying masks and break the mod-`p` conversion ([`crate::gain`],
+//! "Scale discipline"); the offset is removed linearly after share
+//! conversion ([`crate::gain::node_shares_from_packed`]).
 
 use crate::metrics::Stage;
 use crate::party::PartyContext;
@@ -9,24 +26,6 @@ use pivot_bignum::BigUint;
 use pivot_data::Task;
 use pivot_paillier::{batch, Ciphertext, SlotCodec};
 use std::borrow::Cow;
-
-/// The encrypted per-class / per-moment label vectors `[L] = {[γ_k]}`.
-///
-/// Classification: one vector per class `k` with `γ_k = β_k ⊙ α`.
-/// Regression: `γ_1 = (y+1) ⊙ α` and `γ_2 = (y+1)² ⊙ α` — labels are
-/// normalized into `[-1, 1]` and **offset by +1** so every plaintext the
-/// homomorphic pipeline touches is non-negative. Negative encodings would
-/// wrap mod `N` when multiplied into the enhanced protocol's
-/// slack-carrying masks and break the mod-`p` conversion ([`crate::gain`],
-/// "Scale discipline"); the offset is removed linearly after share
-/// conversion ([`crate::gain::convert_stats_batch`]).
-pub struct LabelMasks<'a> {
-    /// Owned when the super client just derived them from `[α]`, borrowed
-    /// when the node carries them (GBDT residual vectors).
-    pub gammas: Cow<'a, [Vec<Ciphertext>]>,
-    /// True when regression labels carry the +1 offset encoding.
-    pub offset_encoded: bool,
-}
 
 /// One value per child of a split, left before right.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -108,126 +107,15 @@ pub fn initial_mask(ctx: &mut PartyContext<'_>, included: &[bool]) -> Vec<Cipher
     cts
 }
 
-/// Super client: compute `[L]` for the current node and broadcast it; the
-/// other clients receive it (§4.1 local computation step, first half).
-pub fn compute_label_masks(
-    ctx: &mut PartyContext<'_>,
-    alpha: &[Ciphertext],
-    fixed_scale: bool,
-) -> LabelMasks<'static> {
-    let task = ctx.current_task();
-    let class_vectors = match task {
-        Task::Classification { classes } => classes,
-        Task::Regression => 2,
-    };
-    if ctx.is_super_client() {
-        let labels = ctx
-            .view
-            .labels
-            .as_deref()
-            .expect("super client holds labels");
-        let mut gammas = Vec::with_capacity(class_vectors);
-        let mut bundles = Vec::with_capacity(class_vectors);
-        match task {
-            Task::Classification { classes } => {
-                for k in 0..classes {
-                    let beta: Vec<bool> = labels.iter().map(|&y| y as usize == k).collect();
-                    verify::scrub_witnesses(ctx);
-                    let mut gamma = batch::mask_binary_batch(
-                        &ctx.pk,
-                        alpha,
-                        &beta,
-                        &ctx.nonces,
-                        ctx.crypto_threads(),
-                    );
-                    ctx.metrics.add_encryptions(alpha.len() as u64);
-                    let xs: Vec<BigUint> = beta
-                        .iter()
-                        .map(|&b| BigUint::from_u64(u64::from(b)))
-                        .collect();
-                    bundles.push(verify::prove_popcm(
-                        ctx,
-                        "label_masks",
-                        alpha,
-                        &mut gamma,
-                        &xs,
-                    ));
-                    gammas.push(gamma);
-                }
-            }
-            Task::Regression => {
-                // β₁ = (y+1), β₂ = (y+1)² in fixed-point (offset keeps the
-                // plaintexts non-negative); γ = β ⊗ [α] element-wise.
-                let scale = if fixed_scale {
-                    (1u64 << ctx.params.fixed.frac_bits) as f64
-                } else {
-                    1.0
-                };
-                for moment in 1..=2 {
-                    let encodings: Vec<BigUint> = labels
-                        .iter()
-                        .map(|&y| {
-                            assert!(
-                                y.abs() <= 1.0 + 1e-9,
-                                "regression labels must be normalized into [-1, 1]"
-                            );
-                            let shifted = y + 1.0;
-                            let v = if moment == 1 {
-                                shifted
-                            } else {
-                                shifted * shifted
-                            };
-                            encode_signed(ctx, v * scale)
-                        })
-                        .collect();
-                    let threads = ctx.crypto_threads();
-                    verify::scrub_witnesses(ctx);
-                    let scaled = batch::mul_plain_batch(&ctx.pk, alpha, &encodings, threads);
-                    let mut gamma =
-                        batch::rerandomize_batch(&ctx.pk, &scaled, &ctx.nonces, threads);
-                    ctx.metrics.add_ciphertext_ops(2 * alpha.len() as u64);
-                    bundles.push(verify::prove_popcm(
-                        ctx,
-                        "label_masks",
-                        alpha,
-                        &mut gamma,
-                        &encodings,
-                    ));
-                    gammas.push(gamma);
-                }
-            }
-        }
-        for gamma in &gammas {
-            ctx.ep.broadcast(gamma);
-        }
-        for (gamma, bundle) in gammas.iter().zip(bundles) {
-            verify::check_popcm(ctx, "label_masks", ctx.super_client, alpha, gamma, bundle);
-        }
-        LabelMasks {
-            gammas: Cow::Owned(gammas),
-            offset_encoded: matches!(task, Task::Regression),
-        }
-    } else {
-        let gammas: Vec<Vec<Ciphertext>> = (0..class_vectors)
-            .map(|_| ctx.ep.recv::<Vec<Ciphertext>>(ctx.super_client))
-            .collect();
-        for gamma in &gammas {
-            verify::check_popcm(ctx, "label_masks", ctx.super_client, alpha, gamma, None);
-        }
-        LabelMasks {
-            gammas: Cow::Owned(gammas),
-            offset_encoded: matches!(task, Task::Regression),
-        }
-    }
-}
-
-/// The packed label vectors: per chunk of the stride, one ciphertext per
-/// sample holding `(α_j, γ_1(j), …)` in consecutive slots. Dot products
+/// The label vectors of one node: per chunk of the stride, one ciphertext
+/// per sample holding `(α_j, γ_1(j), …)` in consecutive slots. Dot products
 /// against these produce whole packed statistics at once (the SecureBoost+
 /// move: the packing factor divides the per-split ciphertext work).
-pub struct PackedLabels {
+pub struct PackedLabels<'a> {
     /// `chunks[c][sample]` — slots `c·chunk_width …` of the stride.
-    pub chunks: Vec<Vec<Ciphertext>>,
+    /// Borrowed where the node already holds the vector (one-slot layout:
+    /// `[α]`, and the `[γ]` a GBDT node carries).
+    pub chunks: Vec<Cow<'a, [Ciphertext]>>,
     pub chunking: PackedChunking,
     pub samples: usize,
     /// True when regression labels carry the +1 offset encoding.
@@ -241,20 +129,35 @@ pub struct PackedLabels {
 /// receive the broadcast ciphertexts.
 pub struct PackedLabelPlan {
     pub chunking: PackedChunking,
-    /// `multipliers[chunk][sample]`, super client only.
+    /// `multipliers[chunk][sample]`, at the super client of a tree whose
+    /// label vectors it derives.
     multipliers: Option<Vec<Vec<BigUint>>>,
     offset_encoded: bool,
 }
 
-/// Precompute the packed label-multiplier table for this run.
-pub fn plan_packed_labels(ctx: &PartyContext<'_>, codec: &SlotCodec) -> PackedLabelPlan {
+impl PackedLabelPlan {
+    /// One slot per ciphertext: chunk 0 is the α slot alone, its
+    /// multiplier identically 1 — the chunk is `[α]` itself.
+    fn lends_alpha(&self) -> bool {
+        self.chunking.chunk_width == 1
+    }
+}
+
+/// Precompute the packed label-multiplier table for this run. A tree whose
+/// nodes carry their own `[γ]` (`carried`, §7.2) never reads a multiplier —
+/// the labels the super client holds are not what it trains on.
+pub fn plan_packed_labels(
+    ctx: &PartyContext<'_>,
+    codec: &SlotCodec,
+    carried: bool,
+) -> PackedLabelPlan {
     let task = ctx.current_task();
     let stride = 1 + match task {
         Task::Classification { classes } => classes,
         Task::Regression => 2,
     };
     let chunking = PackedChunking::new(stride, codec.slots());
-    let multipliers = ctx.is_super_client().then(|| {
+    let multipliers = (ctx.is_super_client() && !carried).then(|| {
         let labels = ctx.view.labels.as_ref().expect("super client holds labels");
         (0..chunking.chunks())
             .map(|c| {
@@ -279,42 +182,74 @@ pub fn plan_packed_labels(ctx: &PartyContext<'_>, codec: &SlotCodec) -> PackedLa
     }
 }
 
-/// Super client: build and broadcast the packed label vectors for the
-/// current node. Slot `0` carries `α_j` itself; slot `1+k` carries
+/// The label vectors of the node masked by `alpha` (§4.1 local computation
+/// step, first half).
+///
+/// A node that carries its own `[γ]` (`carried`, §7.2) lends `[α], [γ_1],
+/// …` as one-slot chunks: no copy, nothing sent, and `plan` is not read.
+/// Otherwise the super client builds every chunk from `plan` and
+/// broadcasts it. Slot `0` carries `α_j` itself; slot `1+k` carries
 /// `γ_k(j) = β_k(j)·α_j`. Because the super client knows the plaintext
-/// multipliers `β_k(j)` (precomputed in the plan), the packed vector is
-/// one `mul_plain` of `[α_j]` by the public packed multiplier plus a
-/// re-randomization — no extra encryptions.
-pub fn compute_packed_label_masks(
+/// multipliers `β_k(j)`, a chunk is one `mul_plain` of `[α_j]` by the
+/// packed multiplier plus a re-randomization (one nonce per element, chunk
+/// order) — no extra encryptions, and under verification one popcm per
+/// element.
+pub fn compute_packed_label_masks<'a>(
     ctx: &mut PartyContext<'_>,
-    alpha: &[Ciphertext],
+    alpha: &'a [Ciphertext],
+    carried: Option<&'a [Vec<Ciphertext>]>,
     plan: &PackedLabelPlan,
-) -> PackedLabels {
-    let chunking = plan.chunking.clone();
+) -> PackedLabels<'a> {
     let n = alpha.len();
+    if let Some(gammas) = carried {
+        // GBDT residual vectors are slack-positive share sums; they carry
+        // no +1 offset (see ensemble::gbdt).
+        return PackedLabels {
+            chunks: std::iter::once(alpha)
+                .chain(gammas.iter().map(Vec::as_slice))
+                .map(Cow::Borrowed)
+                .collect(),
+            chunking: PackedChunking::new(1 + gammas.len(), 1),
+            samples: n,
+            offset_encoded: false,
+        };
+    }
     let started = std::time::Instant::now();
-    let chunks = if let Some(multipliers) = &plan.multipliers {
-        let threads = ctx.crypto_threads();
-        let mut chunks = Vec::with_capacity(chunking.chunks());
-        for chunk_multipliers in multipliers {
-            assert_eq!(chunk_multipliers.len(), n);
-            let scaled = batch::mul_plain_batch(&ctx.pk, alpha, chunk_multipliers, threads);
-            let packed = batch::rerandomize_batch(&ctx.pk, &scaled, &ctx.nonces, threads);
+    let threads = ctx.crypto_threads();
+    let lent = usize::from(plan.lends_alpha());
+    // The super client's proof of each chunk; `None` at the receivers.
+    let mut bundles = Vec::with_capacity(plan.chunking.chunks() - lent);
+    let built: Vec<Vec<Ciphertext>> = (lent..plan.chunking.chunks())
+        .map(|c| {
+            let Some(multipliers) = &plan.multipliers else {
+                bundles.push(None);
+                return ctx.ep.recv(ctx.super_client);
+            };
+            assert_eq!(multipliers[c].len(), n);
+            verify::scrub_witnesses(ctx);
+            let scaled = batch::mul_plain_batch(&ctx.pk, alpha, &multipliers[c], threads);
+            let mut packed = batch::rerandomize_batch(&ctx.pk, &scaled, &ctx.nonces, threads);
             ctx.metrics.add_ciphertext_ops(2 * n as u64);
+            let proof =
+                verify::prove_popcm(ctx, "label_masks", alpha, &mut packed, &multipliers[c]);
+            bundles.push(proof);
             ctx.ep.broadcast(&packed);
-            chunks.push(packed);
-        }
-        chunks
-    } else {
-        (0..chunking.chunks())
-            .map(|_| ctx.ep.recv::<Vec<Ciphertext>>(ctx.super_client))
-            .collect()
-    };
+            packed
+        })
+        .collect();
+    for (chunk, bundle) in built.iter().zip(bundles) {
+        verify::check_popcm(ctx, "label_masks", ctx.super_client, alpha, chunk, bundle);
+    }
     ctx.metrics
         .add_time(Stage::LocalComputation, started.elapsed());
     PackedLabels {
-        chunks,
-        chunking,
+        chunks: plan
+            .lends_alpha()
+            .then_some(Cow::Borrowed(alpha))
+            .into_iter()
+            .chain(built.into_iter().map(Cow::Owned))
+            .collect(),
+        chunking: plan.chunking.clone(),
         samples: n,
         offset_encoded: plan.offset_encoded,
     }

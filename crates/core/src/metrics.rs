@@ -176,7 +176,7 @@ impl ProtocolMetrics {
         self.inner.borrow().stage_time[stage_slot(stage)]
     }
 
-    /// One-line summary (used by the bench harnesses).
+    /// One-line summary (printed by `examples/quickstart.rs`).
     pub fn summary(&self) -> String {
         let i = self.inner.borrow();
         format!(

@@ -192,14 +192,14 @@ impl<'a> PartyContext<'a> {
         self.params.crypto_threads.max(1)
     }
 
-    /// The packing codec for this run, when `params.packing` applies:
-    /// slot width audited against this run's `m`, `n`, task and protocol
-    /// (see [`PivotParams::slot_plan`]).
-    pub fn packing_codec(&self) -> Option<pivot_paillier::SlotCodec> {
+    /// The slot layout of this run's statistics: `params.packing` resolved
+    /// against this run's `m`, `n`, task and protocol (see
+    /// [`PivotParams::slot_plan`]).
+    pub fn packing_codec(&self) -> pivot_paillier::SlotCodec {
         let regression = matches!(self.current_task(), pivot_data::Task::Regression);
         self.params
             .slot_plan(self.parties(), self.num_samples(), regression)
-            .map(|plan| plan.codec(&self.params.fixed))
+            .codec(&self.params.fixed)
     }
 
     /// The task the *current* (sub)protocol trains for.

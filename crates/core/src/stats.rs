@@ -1,22 +1,22 @@
-//! The local computation step (§4.1/§4.2): every client derives encrypted
-//! split statistics from `[L]` and its plaintext feature columns, then the
-//! encrypted statistics are pooled for the MPC step.
+//! The local computation step (§4.1/§4.2, Eqn 7): every client derives
+//! encrypted split statistics from `[L]` and its plaintext feature columns,
+//! then the encrypted statistics are pooled for the MPC step.
 //!
-//! Two pipelines produce the pooled statistics:
+//! There is one pipeline, [`packed_pooled_statistics`], over the slots of
+//! the run's [`pivot_paillier::SlotCodec`]. The stride of a split — its
+//! `K+1` statistics — is cut into *chunks* of at most `slots` values, each
+//! chunk its own ciphertext stream, and `G = ⌊slots/chunk width⌋`
+//! neighbouring splits merge into a single ciphertext via homomorphic slot
+//! shifts: each client emits `chunks · Σᵢ ⌈cᵢ/G⌉` ciphertexts.
 //!
-//! * **Unpacked** ([`pooled_statistics`]): one ciphertext per statistic —
-//!   `stride = K+1` ciphertexts per candidate split. This is the paper's
-//!   layout and stays bit-identical across PRs.
-//! * **Packed** ([`packed_pooled_statistics`]): the whole stride of a
-//!   split rides *one* ciphertext (slots of a
-//!   [`pivot_paillier::SlotCodec`]), and `G = ⌊slots/stride⌋` neighbouring
-//!   splits merge into a single ciphertext via homomorphic slot shifts —
-//!   each client emits `Σᵢ ⌈cᵢ/G⌉` ciphertexts instead of `Σᵢ cᵢ·stride`.
-//!   When the stride exceeds the slot capacity the stride is cut into
-//!   *chunks* of at most `slots` values and every chunk forms its own
-//!   ciphertext stream.
+//! The paper's layout is the one-slot case — a slot that is the whole
+//! plaintext (`Packing::Off`, every verified run, every GBDT residual
+//! tree): `stride` chunks of width 1, one split per ciphertext,
+//! `Σᵢ cᵢ·stride` ciphertexts, nothing to shift. Two things read the slot
+//! count, and both ask "is there a neighbour slot?": the packing counters
+//! below, and the enhanced protocol's mask refresh (`crate::trainer`).
 
-use crate::masks::{LabelMasks, PackedLabels};
+use crate::masks::PackedLabels;
 use crate::metrics::Stage;
 use crate::party::PartyContext;
 use crate::verify;
@@ -139,95 +139,6 @@ impl LocalSplits {
     }
 }
 
-/// Encrypted statistics for every global split, plus node totals.
-/// Layout: `per_split[global_split] = [n_l, g_l(γ₀), g_l(γ₁), …]`.
-pub struct EncryptedStats {
-    pub per_split: Vec<Vec<Ciphertext>>,
-    /// `[n̄]` — encrypted node size.
-    pub node_total: Ciphertext,
-    /// `[Σ γ_k]` per label vector (class counts / label moments).
-    pub gamma_totals: Vec<Ciphertext>,
-    /// Whether regression labels carry the +1 offset (see `LabelMasks`).
-    pub offset_encoded: bool,
-}
-
-/// Compute local encrypted statistics (Eqn 7 / Eqn 9) and pool them across
-/// clients so every party holds the full list.
-pub fn pooled_statistics(
-    ctx: &mut PartyContext<'_>,
-    layout: &SplitLayout,
-    local: &LocalSplits,
-    alpha: &[Ciphertext],
-    masks: &LabelMasks<'_>,
-) -> EncryptedStats {
-    let stride = 1 + masks.gammas.len();
-    let splits: Vec<&Vec<bool>> = local.indicators.iter().flatten().collect();
-    // Local stats, flattened in local split order. Every split's dot
-    // products are independent, so the batch runs on the shared worker
-    // pool (order-preserving: the flattened layout is identical to the
-    // serial loop's).
-    let mut mine: Vec<Ciphertext> = ctx.metrics.time(Stage::LocalComputation, || {
-        let per_split: Vec<Vec<Ciphertext>> =
-            pivot_runtime::global().map(ctx.crypto_threads(), &splits, |v_l| {
-                let mut stats = Vec::with_capacity(stride);
-                stats.push(vector::dot_binary(&ctx.pk, alpha, v_l));
-                for gamma in masks.gammas.iter() {
-                    stats.push(vector::dot_binary(&ctx.pk, gamma, v_l));
-                }
-                stats
-            });
-        let flat: Vec<Ciphertext> = per_split.into_iter().flatten().collect();
-        ctx.metrics
-            .add_ciphertext_ops((alpha.len() * flat.len().max(1)) as u64);
-        flat
-    });
-    // Verification: commit the indicator bits and prove every pooled dot
-    // product against those commitments (pohdp, Eqn 7).
-    let sets: Vec<&[Ciphertext]> = std::iter::once(alpha)
-        .chain(masks.gammas.iter().map(Vec::as_slice))
-        .collect();
-    let mut bundle = verify::prove_pohdp(ctx, "stats", &sets, &splits, &mut mine);
-
-    // Node totals (every client can compute them from [α] and [L]).
-    let all_true = vec![true; alpha.len()];
-    let node_total = vector::dot_binary(&ctx.pk, alpha, &all_true);
-    let gamma_totals: Vec<Ciphertext> = masks
-        .gammas
-        .iter()
-        .map(|g| vector::dot_binary(&ctx.pk, g, &all_true))
-        .collect();
-
-    // Pool everyone's statistics (ciphertexts are safe to publish).
-    let all: Vec<Vec<Ciphertext>> = ctx.ep.exchange_all(&mine);
-    // Every party proves its own pooled statistics and spot-checks every
-    // prover's (its own included) in client order.
-    for (prover, client_stats) in all.iter().enumerate() {
-        let own = (prover == ctx.id()).then(|| bundle.take()).flatten();
-        verify::check_pohdp(ctx, "stats", prover, &sets, client_stats, own);
-    }
-    let mut per_split = Vec::with_capacity(layout.total());
-    for (client, client_stats) in all.iter().enumerate() {
-        let expected: usize = layout.counts[client].iter().sum::<usize>() * stride;
-        assert_eq!(
-            client_stats.len(),
-            expected,
-            "stat shape from client {client}"
-        );
-        for split_stats in client_stats.chunks(stride) {
-            per_split.push(split_stats.to_vec());
-        }
-    }
-    assert_eq!(per_split.len(), layout.total());
-    ctx.metrics
-        .add_split_stat_ciphertexts((layout.total() * stride) as u64);
-    EncryptedStats {
-        per_split,
-        node_total,
-        gamma_totals,
-        offset_encoded: masks.offset_encoded,
-    }
-}
-
 /// How a stride of `K+1` statistics maps onto packed slots: the stride is
 /// cut into chunks of at most `slots` values, and within each chunk
 /// `group` whole splits share one ciphertext.
@@ -266,20 +177,15 @@ impl PackedChunking {
 
     /// Per-client group sizes for `splits` local candidate splits.
     pub fn group_sizes(&self, splits: usize) -> Vec<usize> {
-        let mut out = Vec::with_capacity(splits.div_ceil(self.group));
-        let mut rest = splits;
-        while rest > 0 {
-            let g = rest.min(self.group);
-            out.push(g);
-            rest -= g;
-        }
-        out
+        (0..splits)
+            .step_by(self.group)
+            .map(|start| self.group.min(splits - start))
+            .collect()
     }
 }
 
-/// Pooled **packed** statistics of one node: per chunk, the merged
-/// group ciphertexts in global (client-major) split order, plus the packed
-/// node totals.
+/// Pooled statistics of one node: per chunk, the merged group ciphertexts
+/// in global (client-major) split order, plus the packed node totals.
 pub struct PackedStats {
     /// `groups[chunk][g]` — group `g` of the global order.
     pub groups: Vec<Vec<Ciphertext>>,
@@ -291,59 +197,78 @@ pub struct PackedStats {
     pub offset_encoded: bool,
 }
 
-/// Packed local computation + pooling: dot products run against the packed
-/// label vectors (one per chunk), neighbouring splits merge via slot
+/// One client's one-slot statistics (`chunks[k][split]`) as the commit
+/// stream the proofs address: statistic `k` of split `s` at `s·stride + k`.
+fn split_major(chunks: &[Vec<Ciphertext>]) -> Vec<Ciphertext> {
+    let splits = chunks.first().map_or(0, Vec::len);
+    (0..splits)
+        .flat_map(|s| chunks.iter().map(move |chunk| chunk[s].clone()))
+        .collect()
+}
+
+/// Local computation + pooling (Eqn 7 / Eqn 9): dot products run against
+/// the label vectors (one per chunk), neighbouring splits merge via slot
 /// shifts, and only the merged ciphertexts cross the network.
 pub fn packed_pooled_statistics(
     ctx: &mut PartyContext<'_>,
     layout: &SplitLayout,
     local: &LocalSplits,
-    labels: &PackedLabels,
+    labels: &PackedLabels<'_>,
     codec: &SlotCodec,
 ) -> PackedStats {
     let chunking = labels.chunking.clone();
     let n_samples = labels.samples;
     let threads = ctx.crypto_threads();
+    let splits: Vec<&Vec<bool>> = local.indicators.iter().flatten().collect();
 
-    let mine: Vec<Vec<Ciphertext>> = ctx.metrics.time(Stage::LocalComputation, || {
-        let splits: Vec<&Vec<bool>> = local.indicators.iter().flatten().collect();
+    let mut mine: Vec<Vec<Ciphertext>> = ctx.metrics.time(Stage::LocalComputation, || {
         let mut per_chunk = Vec::with_capacity(chunking.chunks());
         for (c, chunk_labels) in labels.chunks.iter().enumerate() {
             let width = chunking.widths[c];
-            // One packed dot product per split (the whole chunk of the
-            // stride at once), then groups merge via slot shifts.
+            // One dot product per split (the whole chunk of the stride at
+            // once), then groups merge via slot shifts.
             let per_split: Vec<Ciphertext> = pivot_runtime::global().map(threads, &splits, |v_l| {
                 vector::dot_binary(&ctx.pk, chunk_labels, v_l)
             });
-            let sizes = chunking.group_sizes(splits.len());
-            let bounds: Vec<(usize, usize)> = {
-                let mut start = 0;
-                sizes
-                    .iter()
-                    .map(|&g| {
-                        let b = (start, start + g);
-                        start += g;
-                        b
-                    })
-                    .collect()
-            };
+            let groups: Vec<&[Ciphertext]> = per_split.chunks(chunking.group).collect();
             let merged: Vec<Ciphertext> =
-                pivot_runtime::global().map(threads, &bounds, |&(start, end)| {
-                    let mut acc = per_split[start].clone();
-                    for (t, member) in per_split[start + 1..end].iter().enumerate() {
+                pivot_runtime::global().map(threads, &groups, |members| {
+                    let mut acc = members[0].clone();
+                    for (t, member) in members[1..].iter().enumerate() {
                         let shift = codec.shift_factor((t + 1) * width);
                         acc = ctx.pk.add(&acc, &ctx.pk.mul_plain(member, &shift));
                     }
                     acc
                 });
-            ctx.metrics
-                .add_ciphertext_ops((n_samples * splits.len() + splits.len()) as u64);
+            // The dot products, plus one shift per split merged into its
+            // group's first.
+            ctx.metrics.add_ciphertext_ops(
+                (n_samples * splits.len() + splits.len() - merged.len()) as u64,
+            );
             per_chunk.push(merged);
         }
         per_chunk
     });
 
-    // Packed node totals: the all-true dot product per chunk.
+    // Verification: commit the indicator bits and prove every pooled dot
+    // product against those commitments (pohdp, Eqn 7). The proofs cover
+    // one statistic per ciphertext — the only layout a verified run is
+    // given (`PivotParams::slot_plan`).
+    let sets: Vec<&[Ciphertext]> = labels.chunks.iter().map(|chunk| &chunk[..]).collect();
+    let mut bundle = None;
+    if ctx.verify.is_some() {
+        assert_eq!(codec.slots(), 1, "the statistics proofs cover one slot");
+        let mut commits = split_major(&mine);
+        bundle = verify::prove_pohdp(ctx, "stats", &sets, &splits, &mut commits);
+        // An `[adversary]` injection lands in the published ciphertexts.
+        let stride = mine.len();
+        for (i, ct) in commits.into_iter().enumerate() {
+            mine[i % stride][i / stride] = ct;
+        }
+    }
+
+    // Packed node totals: the all-true dot product per chunk (every client
+    // can compute them from the label vectors).
     let all_true = vec![true; n_samples];
     let totals: Vec<Ciphertext> = labels
         .chunks
@@ -351,8 +276,9 @@ pub fn packed_pooled_statistics(
         .map(|chunk_labels| vector::dot_binary(&ctx.pk, chunk_labels, &all_true))
         .collect();
 
-    // Pool the merged ciphertexts; group sizes are public (derived from
-    // the public layout), so every party reassembles identically.
+    // Pool the merged ciphertexts (safe to publish); group sizes are public
+    // (derived from the public layout), so every party reassembles
+    // identically.
     let all: Vec<Vec<Vec<Ciphertext>>> = ctx.ep.exchange_all(&mine);
     let mut group_sizes = Vec::new();
     let mut groups: Vec<Vec<Ciphertext>> = vec![Vec::new(); chunking.chunks()];
@@ -360,12 +286,21 @@ pub fn packed_pooled_statistics(
         let client_splits: usize = layout.counts[client].iter().sum();
         let sizes = chunking.group_sizes(client_splits);
         assert_eq!(client_chunks.len(), chunking.chunks());
-        for (c, chunk_groups) in client_chunks.iter().enumerate() {
+        for chunk_groups in client_chunks {
             assert_eq!(
                 chunk_groups.len(),
                 sizes.len(),
                 "packed stat shape from client {client}"
             );
+        }
+        // Every party proves its own pooled statistics and spot-checks
+        // every prover's (its own included) in client order.
+        if ctx.verify.is_some() {
+            let own = (client == ctx.id()).then(|| bundle.take()).flatten();
+            let commits = split_major(client_chunks);
+            verify::check_pohdp(ctx, "stats", client, &sets, &commits, own);
+        }
+        for (c, chunk_groups) in client_chunks.iter().enumerate() {
             groups[c].extend(chunk_groups.iter().cloned());
         }
         group_sizes.extend(sizes);
@@ -373,11 +308,14 @@ pub fn packed_pooled_statistics(
 
     let pooled_cts: usize = groups.iter().map(Vec::len).sum();
     ctx.metrics.add_split_stat_ciphertexts(pooled_cts as u64);
-    ctx.metrics.add_packed(
-        (pooled_cts + totals.len()) as u64,
-        (layout.total() * chunking.stride + chunking.stride) as u64,
-        codec.slots() as u64,
-    );
+    // Packing is booked where it happens: a lone slot packs nothing.
+    if codec.slots() > 1 {
+        ctx.metrics.add_packed(
+            (pooled_cts + totals.len()) as u64,
+            (layout.total() * chunking.stride + chunking.stride) as u64,
+            codec.slots() as u64,
+        );
+    }
 
     PackedStats {
         groups,
@@ -389,42 +327,30 @@ pub fn packed_pooled_statistics(
 }
 
 impl PackedStats {
-    /// Append this node's ciphertexts in the canonical conversion order
-    /// (chunk-major groups, then per-chunk totals) with their occupied
-    /// slot counts. Borrows — the conversion only reads the batch.
-    fn append_conversion<'a>(&'a self, cts: &mut Vec<&'a Ciphertext>, used: &mut Vec<usize>) {
-        for (c, chunk_groups) in self.groups.iter().enumerate() {
-            let width = self.chunking.widths[c];
-            for (g, ct) in chunk_groups.iter().enumerate() {
-                cts.push(ct);
-                used.push(self.group_sizes[g] * width);
-            }
-        }
-        for (c, ct) in self.totals.iter().enumerate() {
-            cts.push(ct);
-            used.push(self.chunking.widths[c]);
-        }
-    }
-
     /// Ciphertexts this node contributes to a conversion batch.
     pub fn conversion_len(&self) -> usize {
         self.groups.iter().map(Vec::len).sum::<usize>() + self.totals.len()
     }
 }
 
-/// Flatten a whole frontier's packed statistics into one Algorithm-2
-/// batch: `(cts, used, spans)` where `spans[i]` is the offset of node
-/// `i`'s range (length [`PackedStats::conversion_len`]). Ciphertexts are
-/// borrowed, not cloned — the conversion only reads them.
-pub fn conversion_batch(per_node: &[PackedStats]) -> (Vec<&Ciphertext>, Vec<usize>, Vec<usize>) {
+/// Flatten a whole frontier's statistics into one Algorithm-2 batch
+/// `(cts, used)`: node after node ([`PackedStats::conversion_len`] each),
+/// within a node chunk-major groups, then per-chunk totals, each with its
+/// occupied slot count. Ciphertexts are borrowed, not cloned — the
+/// conversion only reads them.
+pub fn conversion_batch(per_node: &[PackedStats]) -> (Vec<&Ciphertext>, Vec<usize>) {
     let mut cts = Vec::new();
     let mut used = Vec::new();
-    let mut spans = Vec::with_capacity(per_node.len());
     for ps in per_node {
-        spans.push(cts.len());
-        ps.append_conversion(&mut cts, &mut used);
+        let widths = &ps.chunking.widths;
+        for (chunk_groups, &width) in ps.groups.iter().zip(widths) {
+            cts.extend(chunk_groups);
+            used.extend(ps.group_sizes.iter().map(|size| size * width));
+        }
+        cts.extend(&ps.totals);
+        used.extend(widths);
     }
-    (cts, used, spans)
+    (cts, used)
 }
 
 #[cfg(test)]

@@ -63,13 +63,13 @@ pub fn train_with_labels(
         let layout = SplitLayout::build(ctx.ep, &local.counts());
         (local, layout)
     };
-    // Packed mode needs the super client's plaintext labels to build the
-    // packed label vectors, and GBDT residual vectors carry unbounded
-    // mod-p slack that no slot-width audit can cover — so packing applies
-    // to the SuperClient label source only and GBDT keeps the scalar path.
+    // More than one slot needs the super client's plaintext labels to
+    // build the packed label vectors, and GBDT residual vectors are share
+    // sums whose mod-p slack no slot-width audit covers — they get the slot
+    // that is the whole plaintext.
     let (codec, root_gammas) = match labels {
         NodeLabels::SuperClient => (ctx.packing_codec(), None),
-        NodeLabels::Encrypted(gammas) => (None, Some(gammas)),
+        NodeLabels::Encrypted(gammas) => (ctx.params.one_slot_codec(), Some(gammas)),
     };
     let mut reveal = Reveal {
         purity_check: ctx.params.tree.stop_when_pure && root_gammas.is_none(),
@@ -79,7 +79,7 @@ pub fn train_with_labels(
         alpha: root_alpha,
         gammas: root_gammas,
     };
-    let (nodes, root) = grow_tree(ctx, &mut reveal, &local, &layout, root, codec.as_ref());
+    let (nodes, root) = grow_tree(ctx, &mut reveal, &local, &layout, root, &codec);
     DecisionTree::new(nodes, root, ctx.current_task())
 }
 

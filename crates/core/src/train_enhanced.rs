@@ -85,7 +85,7 @@ pub fn train(ctx: &mut PartyContext<'_>) -> ConcealedTree {
         alpha,
         gammas: None,
     };
-    let (nodes, root) = grow_tree(ctx, &mut Conceal, &local, &layout, root, codec.as_ref());
+    let (nodes, root) = grow_tree(ctx, &mut Conceal, &local, &layout, root, &codec);
     ConcealedTree {
         nodes,
         root,
@@ -128,12 +128,12 @@ impl Disclosure for Conceal {
     /// Eqn-10 masks carry *quadratic* mod-p slack (shares scaled by
     /// slack-carrying PIR ciphertexts reach ~m²·b·p² — the reason for the
     /// enhanced keysize floor). The slot-width audit budgets only the
-    /// linear `m·p` bound, so packed levels first linearize the slack: one
-    /// batched share round-trip re-encrypts every mask the packed pass
-    /// reads as a plain share sum. Values are untouched mod p, so the
-    /// trained tree is unaffected; the scalar conversion needs no refresh,
-    /// and neither does a mask only the next Eqn-10 update reads (its
-    /// conversion budgets the quadratic bound).
+    /// linear `m·p` bound, so multi-slot levels first linearize the slack:
+    /// one batched share round-trip re-encrypts every mask the pass reads
+    /// as a plain share sum. Values are untouched mod p, so the trained
+    /// tree is unaffected; a slot that is the whole plaintext needs no
+    /// refresh, and neither does a mask only the next Eqn-10 update reads
+    /// (its conversion budgets the quadratic bound).
     fn refresh_masks(&mut self, ctx: &mut PartyContext<'_>, masks: &mut [&mut NodeMask]) {
         let _conv = pivot_trace::phase_span("conversion");
         let lens: Vec<usize> = masks.iter().map(|mask| mask.alpha.len()).collect();
@@ -238,8 +238,8 @@ impl Disclosure for Conceal {
                 flat.extend(mask.alpha);
             }
             // Packed under the Eqn-10 slack bound: only pays off at large
-            // keysizes (the quadratic slack needs ~2·61-bit slots), and
-            // degrades to the scalar conversion otherwise.
+            // keysizes (the quadratic slack needs ~2·61-bit slots); below
+            // them it is a one-slot group.
             let shares = packed_share_conversion(ctx, &flat, eqn10_alpha_bound_bits(ctx, layout));
             split_lengths(shares, lens)
                 .iter()

@@ -9,6 +9,15 @@
 //! exact, so the trained tree is the one a node-by-node recursion builds;
 //! batching only cuts rounds.
 //!
+//! The statistics step ([`level_statistics`]) is one pipeline for every
+//! trainer — label vectors, dot products, pooling, Algorithm 2, all over
+//! the slots of the run's `SlotCodec`. The paper's one-ciphertext-per-
+//! statistic layout is its one-slot case (`PivotParams::slot_plan`), not a
+//! second route, and nothing here asks which layout it was given except
+//! where a neighbour slot matters: the mask refresh below the root runs
+//! iff `codec.slots() > 1` (a lone slot has nothing to carry into), and
+//! `crate::stats` books packing counters under the same condition.
+//!
 //! # A child is its parent's winning split
 //!
 //! Algorithm 3 treats every node as a fresh problem: a new `[α]`, a new
@@ -62,29 +71,26 @@
 //! # Disclosure
 //!
 //! The two protocols differ in what they disclose, and only there — the
-//! hooks of [`Disclosure`]: whether a mask refresh precedes packed
+//! hooks of [`Disclosure`]: whether a mask refresh precedes multi-slot
 //! statistics, whether purity may be tested, how a leaf label is settled
 //! (opened vs re-encrypted), and how a winning split is settled — the
 //! winning column picked and the masks updated (announced vs concealed).
 
 use crate::conversion::packed_ciphers_to_shares;
 use crate::gain::{
-    best_split_batch, convert_stats_batch, leaf_label_shares_batch, node_shares_from_packed,
-    prune_decisions_batch, split_gains_batch, NodeShares, NodeTotals,
+    best_split_batch, leaf_label_shares_batch, node_shares_from_packed, prune_decisions_batch,
+    split_gains_batch, NodeShares, NodeTotals,
 };
 use crate::masks::{
-    compute_label_masks, compute_packed_label_masks, plan_packed_labels, LabelMasks,
-    PackedLabelPlan, Sides,
+    compute_packed_label_masks, plan_packed_labels, PackedLabelPlan, PackedLabels, Sides,
 };
 use crate::metrics::Stage;
 use crate::party::PartyContext;
 use crate::stats::{
-    conversion_batch, packed_pooled_statistics, pooled_statistics, EncryptedStats, LocalSplits,
-    PackedStats, SplitLayout,
+    conversion_batch, packed_pooled_statistics, LocalSplits, PackedStats, SplitLayout,
 };
 use pivot_mpc::Share;
 use pivot_paillier::{Ciphertext, SlotCodec};
-use std::borrow::Cow;
 
 /// The encrypted vectors of a node.
 pub(crate) struct NodeMask {
@@ -131,7 +137,7 @@ pub(crate) trait ArenaNode {
 pub(crate) trait Disclosure {
     type Node: ArenaNode;
 
-    /// Called below the root on the masks a packed statistics pass is
+    /// Called below the root on the masks a multi-slot statistics pass is
     /// about to read. Masks that carry more slack than the slot-width
     /// audit budgets are linearized here.
     fn refresh_masks(&mut self, _ctx: &mut PartyContext<'_>, _masks: &mut [&mut NodeMask]) {}
@@ -198,19 +204,20 @@ pub(crate) fn children(
 /// Grow one tree from the `root` vectors and return its nodes in
 /// post-order (left subtree, right subtree, node) with the root's index.
 ///
-/// `codec` selects packed statistics; GBDT residual vectors carry mod-`p`
-/// slack no slot-width audit covers, so callers pass `None` with them.
+/// `codec` is the slot layout of the statistics. GBDT residual vectors
+/// carry mod-`p` slack no slot-width audit covers, so callers pass the
+/// one-slot codec with them.
 pub(crate) fn grow_tree<D: Disclosure>(
     ctx: &mut PartyContext<'_>,
     protocol: &mut D,
     local: &LocalSplits,
     layout: &SplitLayout,
     root: NodeMask,
-    codec: Option<&SlotCodec>,
+    codec: &SlotCodec,
 ) -> (Vec<D::Node>, usize) {
-    // The packed label multipliers depend only on labels/task/codec —
-    // built once here, reused by every node at every level.
-    let label_plan = codec.map(|c| (c, plan_packed_labels(ctx, c)));
+    // The label multipliers depend only on labels/task/codec — built once
+    // here, reused by every node at every level.
+    let label_plan = plan_packed_labels(ctx, codec, root.gammas.is_some());
     let max_depth = ctx.params.tree.max_depth;
     let mut arena: Arena<D::Node> = vec![None];
     let mut frontier = vec![FrontierNode {
@@ -252,10 +259,10 @@ pub(crate) fn grow_tree<D: Disclosure>(
                 .step_by(if depth == 0 { 1 } else { 2 })
                 .map(|node| node.mask.as_mut().expect("a pass reads its node's mask"))
                 .collect();
-            if codec.is_some() && depth > 0 {
+            if codec.slots() > 1 && depth > 0 {
                 protocol.refresh_masks(ctx, &mut passing);
             }
-            let passed = level_statistics(ctx, local, layout, label_plan.as_ref(), &passing);
+            let passed = level_statistics(ctx, local, layout, codec, &label_plan, &passing);
             if depth == 0 {
                 passed
             } else {
@@ -344,70 +351,44 @@ pub(crate) fn grow_tree<D: Disclosure>(
     renumber_postorder(arena)
 }
 
-/// One statistics pass — label masks, encrypted dot products, pooling —
+/// One statistics pass — label vectors, encrypted dot products, pooling —
 /// and ONE Algorithm-2 conversion over the nodes that hold `masks`.
-fn level_statistics(
+pub(crate) fn level_statistics(
     ctx: &mut PartyContext<'_>,
     local: &LocalSplits,
     layout: &SplitLayout,
-    label_plan: Option<&(&SlotCodec, PackedLabelPlan)>,
+    codec: &SlotCodec,
+    label_plan: &PackedLabelPlan,
     masks: &[&mut NodeMask],
 ) -> Vec<NodeShares> {
-    if let Some((codec, plan)) = label_plan {
-        let per_node: Vec<PackedStats> = {
-            let _stats = pivot_trace::phase_span("stats");
-            let labels: Vec<_> = masks
-                .iter()
-                .map(|mask| compute_packed_label_masks(ctx, &mask.alpha, plan))
-                .collect();
-            labels
-                .iter()
-                .map(|packed| packed_pooled_statistics(ctx, layout, local, packed, codec))
-                .collect()
-        };
-        let _conv = pivot_trace::phase_span("conversion");
-        let (cts, used, spans) = conversion_batch(&per_node);
-        let started = std::time::Instant::now();
-        let slot_shares = packed_ciphers_to_shares(ctx, codec, &cts, &used);
-        ctx.metrics
-            .add_time(Stage::MpcComputation, started.elapsed());
-        per_node
+    let per_node: Vec<PackedStats> = {
+        let _stats = pivot_trace::phase_span("stats");
+        let labels: Vec<PackedLabels<'_>> = masks
             .iter()
-            .zip(spans)
-            .map(|(ps, at)| {
-                let span = &slot_shares[at..at + ps.conversion_len()];
-                node_shares_from_packed(ctx, layout, ps, span)
+            .map(|mask| {
+                compute_packed_label_masks(ctx, &mask.alpha, mask.gammas.as_deref(), label_plan)
             })
+            .collect();
+        labels
+            .iter()
+            .map(|packed| packed_pooled_statistics(ctx, layout, local, packed, codec))
             .collect()
-    } else {
-        let encs: Vec<EncryptedStats> = {
-            let _stats = pivot_trace::phase_span("stats");
-            masks
-                .iter()
-                .map(|mask| {
-                    let labels = label_masks(ctx, mask);
-                    pooled_statistics(ctx, layout, local, &mask.alpha, &labels)
-                })
-                .collect()
-        };
-        let _conv = pivot_trace::phase_span("conversion");
-        let refs: Vec<&EncryptedStats> = encs.iter().collect();
-        convert_stats_batch(ctx, layout, &refs)
-    }
-}
-
-/// A node's label vectors `[L]`: the GBDT residual vectors it carries, or
-/// the super client's `β ⊙ [α]` broadcast.
-fn label_masks<'a>(ctx: &mut PartyContext<'_>, mask: &'a NodeMask) -> LabelMasks<'a> {
-    match &mask.gammas {
-        None => compute_label_masks(ctx, &mask.alpha, true),
-        // GBDT residual vectors are slack-positive share sums; they carry
-        // no +1 offset (see ensemble::gbdt).
-        Some(gammas) => LabelMasks {
-            gammas: Cow::Borrowed(gammas),
-            offset_encoded: false,
-        },
-    }
+    };
+    let _conv = pivot_trace::phase_span("conversion");
+    let (cts, used) = conversion_batch(&per_node);
+    let started = std::time::Instant::now();
+    let slot_shares = packed_ciphers_to_shares(ctx, codec, &cts, &used);
+    ctx.metrics
+        .add_time(Stage::MpcComputation, started.elapsed());
+    let mut rest = slot_shares.as_slice();
+    per_node
+        .iter()
+        .map(|ps| {
+            let (span, tail) = rest.split_at(ps.conversion_len());
+            rest = tail;
+            node_shares_from_packed(ctx, layout, ps, span)
+        })
+        .collect()
 }
 
 /// Rewrite the breadth-first arena into post-order (left subtree, right

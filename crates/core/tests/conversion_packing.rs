@@ -47,8 +47,7 @@ fn open(per_party: &[Vec<Share>], idx: usize) -> Fp {
 #[test]
 fn packed_conversion_recovers_values_mod_p() {
     // keysize 512 with a 100-bit bound: slot audit gives ~102-bit slots,
-    // so the conversion genuinely packs (4 slots) rather than falling
-    // back to the scalar path.
+    // so the conversion packs 4 scalars per ciphertext.
     let params = PivotParams {
         keysize: 512,
         ..Default::default()
@@ -112,9 +111,10 @@ fn grouped_conversion_audits_each_width_separately() {
 }
 
 #[test]
-fn scalar_fallback_when_slots_too_narrow() {
-    // keysize 128 cannot fit two ~102-bit slots: the single-group entry
-    // point must fall back to the scalar conversion and stay correct.
+fn one_slot_group_when_slots_too_narrow() {
+    // keysize 128 cannot fit two ~102-bit slots: the group holds one
+    // scalar per ciphertext — Algorithm 2 as the paper states it — and
+    // stays correct.
     let params = PivotParams {
         keysize: 128,
         ..Default::default()
@@ -125,9 +125,63 @@ fn scalar_fallback_when_slots_too_narrow() {
         let view = toy_view(ep.id(), m);
         let mut ctx = PartyContext::setup(&ep, view, params.clone());
         let cts: Vec<_> = values.iter().map(|&v| trivial_signed(&ctx, v)).collect();
-        packed_share_conversion(&mut ctx, &cts, 100)
+        let shares = packed_share_conversion(&mut ctx, &cts, 100);
+        assert_eq!(ctx.metrics.threshold_decryptions(), 2, "one per scalar");
+        shares
     });
     for (i, &v) in values.iter().enumerate() {
         assert_eq!(open(&results, i), expected_share(v), "value {i}");
+    }
+}
+
+#[test]
+fn whole_plaintext_and_audited_groups_share_one_round() {
+    // One batch, three layouts: a group whose bound admits a single slot
+    // — the whole plaintext, here carrying 2^200·p of mod-p slack — next
+    // to a 126-bit and a 63-bit audited group (3 and 7 slots at keysize
+    // 512). One mask exchange and one decryption exchange settle all of
+    // them, and every value opens mod p.
+    let params = PivotParams {
+        keysize: 512,
+        ..Default::default()
+    };
+    let m = 2;
+    let slack = &BigUint::pow2(200) * &BigUint::from_u64(MODULUS);
+    let whole: Vec<u64> = vec![1234, 0];
+    let wide: Vec<i128> = vec![(1i128 << 125) + 3, -(1i128 << 124), 7, 8];
+    let narrow: Vec<i128> = vec![MODULUS as i128 + 17, -99, 123_456];
+    let results = run_parties(m, |ep| {
+        let view = toy_view(ep.id(), m);
+        let mut ctx = PartyContext::setup(&ep, view, params.clone());
+        let whole_cts: Vec<_> = whole
+            .iter()
+            .map(|&v| ctx.pk.encrypt_trivial(&(&slack + &BigUint::from_u64(v))))
+            .collect();
+        let wide_cts: Vec<_> = wide.iter().map(|&v| trivial_signed(&ctx, v)).collect();
+        let narrow_cts: Vec<_> = narrow.iter().map(|&v| trivial_signed(&ctx, v)).collect();
+        let messages = ep.stats().messages_sent();
+        let shares = packed_share_conversion_groups(
+            &mut ctx,
+            &[(&whole_cts, 300), (&wide_cts, 126), (&narrow_cts, 63)],
+        );
+        // 2 one-slot ciphertexts + ⌈4/3⌉ + ⌈3/7⌉ packed ones.
+        assert_eq!(ctx.metrics.threshold_decryptions(), 2 + 2 + 1);
+        assert_eq!(ep.stats().messages_sent() - messages, 2, "two exchanges");
+        shares
+    });
+    let open_group = |g: usize, i: usize| {
+        results
+            .iter()
+            .map(|groups| groups[g][i].0)
+            .fold(Fp::ZERO, |a, x| a + x)
+    };
+    for (i, &v) in whole.iter().enumerate() {
+        assert_eq!(open_group(0, i), Fp::new(v), "whole-plaintext value {i}");
+    }
+    for (i, &v) in wide.iter().enumerate() {
+        assert_eq!(open_group(1, i), expected_share(v), "wide value {i}");
+    }
+    for (i, &v) in narrow.iter().enumerate() {
+        assert_eq!(open_group(2, i), expected_share(v), "narrow value {i}");
     }
 }

@@ -466,6 +466,49 @@ fn siblings_that_part_ways_agree_with_basic() {
 }
 
 #[test]
+fn one_explicit_slot_is_packing_off() {
+    // `Slots(1)` must not run as an audited-width slot: with no neighbour
+    // slot the mask refresh is skipped, and a 70-bit slot would truncate
+    // the Eqn-10 slack the level-1 statistics carry. It is the layout of
+    // `Off` — same transcript, byte for byte.
+    let data = crisp_dataset();
+    let m = 3;
+    let run = |packing| {
+        let mut params = enhanced_params(TreeParams {
+            max_depth: 2,
+            max_splits: 4,
+            stop_when_pure: false,
+            ..Default::default()
+        });
+        params.packing = packing;
+        let partition = partition_vertically(&data, m, 0);
+        run_parties(m, |ep| {
+            let view = partition.views[ep.id()].clone();
+            let mut ctx = PartyContext::setup(&ep, view.clone(), params.clone());
+            let tree = train_enhanced::train(&mut ctx);
+            let preds = predict_enhanced::predict_batch(&mut ctx, &tree, &view.features);
+            let traffic = (ep.stats().bytes_sent(), ep.stats().messages_sent());
+            (
+                preds,
+                ctx.metrics.threshold_decryptions(),
+                ctx.metrics.packed(),
+                traffic,
+            )
+        })
+    };
+    let off = run(pivot_core::config::Packing::Off);
+    assert_eq!(run(pivot_core::config::Packing::Slots(1)), off);
+    assert_eq!(off[0].2, (0, 0, 0), "one slot packs nothing");
+    let correct = off[0]
+        .0
+        .iter()
+        .zip(data.labels())
+        .filter(|(p, t)| (**p - **t).abs() < 0.5)
+        .count();
+    assert!(correct >= 22, "classified only {correct}/24 samples");
+}
+
+#[test]
 fn a_root_without_candidate_splits_is_one_concealed_leaf() {
     // Constant features: no candidate split anywhere, so the root is
     // forced (publicly) to a leaf whose label is the majority class.

@@ -67,9 +67,22 @@ fn honest_run(
     })
 }
 
+/// Labels in `[-1, 1]`: the label masks are `[α]` scaled by fixed-point
+/// moments `(y+1)·2^f`, `(y+1)²·2^f` — a popcm over a multiplier that is
+/// not a bit.
+fn regression_dataset() -> Dataset {
+    synth::make_regression(&synth::RegressionSpec {
+        samples: 24,
+        features: 4,
+        informative: 3,
+        noise: 0.05,
+        seed: 21,
+    })
+}
+
 #[test]
 fn honest_runs_release_the_same_model_under_every_knob() {
-    let data = synth::make_classification(&synth::ClassificationSpec {
+    let classification = synth::make_classification(&synth::ClassificationSpec {
         samples: 24,
         features: 4,
         informative: 3,
@@ -78,10 +91,16 @@ fn honest_runs_release_the_same_model_under_every_knob() {
         flip_y: 0.0,
         seed: 21,
     });
+    for data in [classification, regression_dataset()] {
+        honest_runs_release_the_same_model(&data);
+    }
+}
+
+fn honest_runs_release_the_same_model(data: &Dataset) {
     let m = 3;
-    let off = honest_run(&data, m, &params_with(Verification::Off, None));
-    let spot = honest_run(&data, m, &params_with(Verification::Spot(0.25), None));
-    let full = honest_run(&data, m, &params_with(Verification::Full, None));
+    let off = honest_run(data, m, &params_with(Verification::Off, None));
+    let spot = honest_run(data, m, &params_with(Verification::Spot(0.25), None));
+    let full = honest_run(data, m, &params_with(Verification::Full, None));
 
     // Off generates nothing and the counters stay zero.
     for (_, _, counters) in &off {
@@ -160,12 +179,12 @@ fn tampered_setup_commit_is_caught_and_attributed() {
 
 #[test]
 fn tampered_label_mask_is_caught_and_attributed() {
-    assert_detected(
-        &crisp_dataset(),
-        2,
-        "party 0 phase=label_masks index=17",
-        "popcm",
-    );
+    // Index 17 lands in the root's label vectors: a class indicator
+    // times `[α]` (16 samples: the second vector), or the first
+    // regression moment times `[α]` (24 samples).
+    for data in [crisp_dataset(), regression_dataset()] {
+        assert_detected(&data, 2, "party 0 phase=label_masks index=17", "popcm");
+    }
 }
 
 #[test]
