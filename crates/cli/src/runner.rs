@@ -315,9 +315,9 @@ pub fn prepare(
     let (train_set, test_set) = dataset.train_test_split(scenario.data.test_fraction);
     let params = scenario.pivot_params(algo);
     // Surface invalid parameter combinations as errors, not thread panics.
-    let regression = train_set.task() == Task::Regression;
+    let labels = scenario.label_source(train_set.task());
     params
-        .validate(train_set.num_samples(), m, regression)
+        .validate(train_set.num_samples(), m, labels)
         .map_err(|e| format!("invalid parameters: {e}"))?;
     Ok((train_set, test_set, params))
 }

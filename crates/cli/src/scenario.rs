@@ -50,7 +50,7 @@
 use crate::algo::{algo_params, parse_algo, Algo};
 use crate::json::Json;
 use crate::toml::{TomlDoc, TomlValue};
-use pivot_core::config::{Packing, PivotParams};
+use pivot_core::config::{LabelSource, Packing, PivotParams};
 use pivot_core::{AdversarySpec, CompareBits, TraceLevel, Verification};
 use pivot_data::{synth, Dataset, Task};
 use pivot_transport::{NetConfig, MAX_RECV_TIMEOUT_SECS};
@@ -154,7 +154,8 @@ pub struct ParamSpec {
     /// Ciphertext packing for the split-statistics pipeline: `"auto"`
     /// (default) packs as many audited slots as the keysize admits and
     /// runs unpacked under `verification`, `"off"` never packs, an
-    /// integer forces the slot count.
+    /// integer forces the slot count (within the audited capacity for the
+    /// trees' labels: `Scenario::label_source`).
     pub packing: Packing,
     /// Secure-comparison width policy: `"auto"` (default) pays only for
     /// each call site's proven range, an integer sets a minimum width
@@ -740,7 +741,8 @@ static SCHEMA: &[Key] = &[
     key!(params.randomness_pool: Int(0, INT_MAX),
         "`-pp` algorithms: precomputed `r^N mod N²` nonce powers kept ready (0 disables)."),
     key!(params.packing: Syntax("\"off\", \"auto\" or a slot count >= 2"),
-        "Ciphertext packing of split statistics; as a sweep axis 0 is off, 1 auto, n n slots.")
+        "Ciphertext packing of split statistics; as a sweep axis 0 is off, 1 auto, n n slots. A \
+            count beyond the audited capacity (gbdt: that of share sums) is rejected.")
         // The off-vs-auto A/B the packing baseline records.
         .sweep(|s, v| {
             s.params.packing = match v {
@@ -1071,6 +1073,16 @@ impl Scenario {
                 }
             },
         })
+    }
+
+    /// What the trees' label vectors are built from, for the packing audit:
+    /// GBDT trains every tree on encrypted residuals, everything else on
+    /// the super client's labels for `task`.
+    pub fn label_source(&self, task: Task) -> LabelSource {
+        match self.model.kind {
+            ModelKind::Gbdt => LabelSource::ShareSums,
+            _ => LabelSource::of_task(task),
+        }
     }
 
     fn effective_classes(&self) -> usize {
@@ -1735,8 +1747,8 @@ mod tests {
             "[params]\nverification = \"full\"\npacking = \"auto\"",
         ] {
             let p = parse_toml(text).unwrap().pivot_params(Algo::PivotBasic);
-            p.assert_valid_for(60, 3);
-            assert_eq!(p.slot_plan(3, 60, false).slots, 1);
+            p.assert_valid_for(60, 3, LabelSource::ClassIndicators);
+            assert_eq!(p.slot_plan(3, 60, LabelSource::ClassIndicators).slots, 1);
         }
     }
 
@@ -2220,11 +2232,13 @@ values = [2, 3]
         s.fault_plan().unwrap();
         s.adversary_spec().unwrap();
         let _ = s.sole_algorithm();
-        let regression = s.task().is_ok_and(|t| t == Task::Regression);
+        let labels = s
+            .task()
+            .map_or(LabelSource::ClassIndicators, |task| s.label_source(task));
         for &algo in &s.algorithms {
             let _ = s
                 .pivot_params(algo)
-                .validate(s.data.samples, s.parties, regression);
+                .validate(s.data.samples, s.parties, labels);
         }
         for axis in sweep_axes() {
             for value in [0, 1, 2, 3, 100, usize::MAX] {

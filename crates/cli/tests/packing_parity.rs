@@ -1,7 +1,7 @@
 //! End-to-end packed-vs-unpacked training parity: `packing = "auto"` must
 //! train the same tree (argmax parity) and produce the same test metric as
 //! `packing = "off"` — while pooling measurably fewer split-statistics
-//! ciphertexts — for both protocols at m = 3.
+//! ciphertexts — for both protocols and a GBDT ensemble at m = 3.
 
 use pivot_cli::algo::Algo;
 use pivot_cli::runner::{execute, Execution};
@@ -92,6 +92,32 @@ fn enhanced_packed_training_matches_unpacked() {
          crypto_threads = 4\nrandomness_pool = 64\n";
     let (off, auto) = run_pair(base, "enhanced", Algo::PivotEnhancedPp);
     assert_model_parity(&off, &auto);
+}
+
+#[test]
+fn gbdt_packed_training_matches_unpacked() {
+    // GBDT at keysize 256: three 68-bit share-sum slots (n = 30, m = 3), so
+    // a node carries its stride (α, γ₁, γ₂) in one packed vector instead of
+    // three and a split pools one ciphertext instead of three.
+    let base = "seed = 7\nparties = 3\n\
+         [data]\nkind = \"synthetic-regression\"\nsamples = 40\n\
+         features_per_party = 2\nnoise = 0.05\n\
+         [model]\nkind = \"gbdt\"\nrounds = 2\nlearning_rate = 0.5\n\
+         [params]\nmax_depth = 2\nmax_splits = 3\nkeysize = 256\n";
+    let (off, auto) = run_pair(base, "gbdt", Algo::PivotBasic);
+    assert_model_parity(&off, &auto);
+    assert_eq!(
+        off.parties[0].split_stat_ciphertexts,
+        3 * auto.parties[0].split_stat_ciphertexts
+    );
+    // The audit is the share-sum one: four slots fit the labels a super
+    // client holds at this keysize, but not the residual vectors.
+    let s = scenario("gbdt-four", &format!("{base}packing = 4\n"));
+    let err = execute(&s, Algo::PivotBasic, false).unwrap_err();
+    assert!(
+        err.contains("exceeds the audited capacity of 3 68-bit slots"),
+        "{err}"
+    );
 }
 
 #[test]

@@ -33,6 +33,40 @@
 //!     offset `2^bound` instead of `2^(k−1)`: the opened sums differ in
 //!     encoded length by a byte here and there).
 //!
+//!     The three GBDT rows were re-recorded once more when a GBDT node
+//!     began to carry its stride `(α, γ₁, γ₂)` in the slots of the run's
+//!     codec (keysize 256, m = 3: three 68-bit share-sum slots, one
+//!     packed vector for three, `G = 1`), the two one-value conversions
+//!     of the GBDT path became packed ones (four 63-bit slots), and the
+//!     last round stopped folding its tree into scores nobody reads.
+//!     `secure_mults` and `secure_comparisons` did not move. Per row,
+//!     with 18 candidate splits, `n` training and `t` test samples:
+//!
+//!     | row | rounds | decryptions | bytes sent, per party | messages, per party |
+//!     |---|---|---|---|---|
+//!     | `gbdt-h1` (n 45, t 15) | 207 → 206 | 219 → 54 | −71 456 / −71 467 / −71 456 | −100 / −55 / −55 |
+//!     | `gbdt-h2` (n 30, t 10) | 341 → 340 | 298 → 87 | −100 618 / −87 536 / −87 536 | −78 / −40 / −40 |
+//!     | `gbdt-h3` (n 45, t 15) | 475 → 474 | 561 → 168 | −255 508 / −170 755 / −170 758 | −132 / −55 / −55 |
+//!
+//!     *Rounds* −1: the skipped accumulate's `fixscale_vec` (one
+//!     regression forest, so one final tree). *Decryptions*: a
+//!     statistics pass converts `1·18 + 1 = 19` ciphertexts instead of
+//!     `3·18 + 3 = 57` (2 / 4 / 8 passes at `h` = 1 / 2 / 3), one
+//!     accumulate instead of two converts `⌈n/4⌉` instead of `n`, and
+//!     prediction `⌈t/4⌉` instead of `t`: 114 + 90 + 15 → 38 + 12 + 4,
+//!     228 + 60 + 10 → 76 + 8 + 3, 456 + 90 + 15 → 152 + 12 + 4.
+//!     *Bytes and messages*: those conversions' masks and partial
+//!     decryptions; per tree, one exchange of `n` packed rows per client
+//!     for the root instead of two of `n` share encryptions; per mask
+//!     update, one broadcast vector per side instead of three; a pass
+//!     pools one ciphertext per split instead of three; and the last
+//!     tree's Algorithm-4 ring pass over the training samples is gone.
+//!     The dealer stream is one truncation batch shorter when prediction
+//!     starts, so `fixscale_vec` draws other pairs there and some pinned
+//!     GBDT predictions moved by one ulp (2⁻²⁰ ≈ 9.5e−7): three of 15 at
+//!     `h1`, two of 10 at `h2`, five of 15 at `h3`; the trees are the
+//!     oracle's as before.
+//!
 //! Every protocol runs at three depths, because the mask rule differs at
 //! each: `max_depth = 1` (no mask update at all), `2` (left masks only —
 //! the depth of every benchmark workload) and `3` (right masks wanted at
@@ -185,13 +219,13 @@ const GBDT: [Case; 3] = [
         body: GBDT_NOISY,
         tree: DEPTH_1,
         golden: [
-            [207, 32378, 836, 219, 1199228, 634],
-            [207, 32378, 836, 219, 1185376, 534],
-            [207, 32378, 836, 219, 1185369, 534],
+            [206, 32378, 836, 54, 1127772, 534],
+            [206, 32378, 836, 54, 1113909, 479],
+            [206, 32378, 836, 54, 1113913, 479],
         ],
         predictions: &[
-            -0.27554798126220703,
             -0.2755470275878906,
+            -0.27554798126220703,
             -0.2755470275878906,
             0.3787965774536133,
             0.3787965774536133,
@@ -204,7 +238,7 @@ const GBDT: [Case; 3] = [
             0.3787965774536133,
             0.1149148941040039,
             0.1149148941040039,
-            -0.27554798126220703,
+            -0.2755470275878906,
         ],
     },
     Case {
@@ -212,19 +246,19 @@ const GBDT: [Case; 3] = [
         body: GBDT_BODY,
         tree: DEPTH_2,
         golden: [
-            [341, 91694, 2260, 298, 3193492, 872],
-            [341, 91694, 2260, 298, 3166581, 784],
-            [341, 91694, 2260, 298, 3166646, 786],
+            [340, 91694, 2260, 87, 3092874, 794],
+            [340, 91694, 2260, 87, 3079045, 744],
+            [340, 91694, 2260, 87, 3079110, 746],
         ],
         predictions: &[
             0.1257009506225586,
             0.2709846496582031,
             -0.0650186538696289,
             0.2709846496582031,
-            0.3996105194091797,
+            0.3996114730834961,
             -0.20336341857910156,
             -0.2263345718383789,
-            0.3996105194091797,
+            0.3996114730834961,
             -0.36467933654785156,
             0.1257009506225586,
         ],
@@ -234,25 +268,25 @@ const GBDT: [Case; 3] = [
         body: GBDT_NOISY,
         tree: DEPTH_3,
         golden: [
-            [475, 225194, 5780, 561, 7823994, 1258],
-            [475, 225194, 5780, 561, 7692563, 1104],
-            [475, 225194, 5780, 561, 7692583, 1104],
+            [474, 225194, 5780, 168, 7568486, 1126],
+            [474, 225194, 5780, 168, 7521808, 1049],
+            [474, 225194, 5780, 168, 7521825, 1049],
         ],
         predictions: &[
             -0.4095935821533203,
             -0.5541133880615234,
             -0.4095935821533203,
+            0.3486824035644531,
             0.34868335723876953,
-            0.34868335723876953,
-            -0.11623668670654297,
+            -0.11623764038085938,
             -0.03405952453613281,
             0.11658668518066406,
             -0.4095935821533203,
             0.10561180114746094,
-            0.1789102554321289,
-            0.3486824035644531,
+            0.1789112091064453,
+            0.34868335723876953,
             0.11658668518066406,
-            0.04328727722167969,
+            0.043288230895996094,
             -0.4095935821533203,
         ],
     },

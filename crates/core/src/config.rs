@@ -1,6 +1,7 @@
 //! Protocol configuration (paper Table 4 parameters plus implementation
 //! knobs).
 
+use pivot_data::Task;
 use pivot_mpc::{CompareBits, FixedConfig, MODULUS};
 use pivot_paillier::SlotCodec;
 use pivot_trace::TraceLevel;
@@ -31,6 +32,33 @@ pub enum Packing {
     /// rejected by [`PivotParams::validate`] otherwise). One slot is
     /// [`Packing::Off`].
     Slots(usize),
+}
+
+/// Where a tree's label vectors come from, and with it the widest plaintext
+/// one element of them can hold — the term the slot-width audit scales by
+/// `n`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LabelSource {
+    /// Classification on the super client's labels: `γ_k = β_k·α` with
+    /// `β_k ∈ {0, 1}`.
+    ClassIndicators,
+    /// Regression on the super client's labels: the offset moments
+    /// `(y+1)·2^f` and `(y+1)²·2^f ≤ 4·2^f` times `α`.
+    OffsetMoments,
+    /// §7.2 GBDT residual trees: every element the node carries is the sum
+    /// of the `m` clients' encrypted shares — below `m·p` — and the split
+    /// owner only ever multiplies it by a 0/1 indicator.
+    ShareSums,
+}
+
+impl LabelSource {
+    /// The label source of a tree trained on the super client's labels.
+    pub fn of_task(task: Task) -> LabelSource {
+        match task {
+            Task::Classification { .. } => LabelSource::ClassIndicators,
+            Task::Regression => LabelSource::OffsetMoments,
+        }
+    }
 }
 
 /// Malicious-model verification policy (§9.1): whether parties attach and
@@ -249,33 +277,39 @@ impl PivotParams {
     /// over a packed statistic's whole life no slot sum ever carries into
     /// its neighbour. The worst case per slot is
     ///
-    /// `n²·2^f` (statistic bound) `+ 2^(int_bits−1)` (Algorithm-2
-    /// signedness offset) `+ m·(p−1)` (every party's conversion mask),
+    /// `max(n·element, n²·2^f)` (statistic bound) `+ 2^(int_bits−1)`
+    /// (Algorithm-2 signedness offset) `+ m·(p−1)` (every party's
+    /// conversion mask),
     ///
-    /// and the audited width is `bits(worst_case)`.
-    fn audited_slot_bits(&self, parties: usize, n_samples: usize, regression: bool) -> u32 {
+    /// where `element` bounds one label-vector plaintext of one sample
+    /// (see [`LabelSource`]), and the audited width is `bits(worst_case)`.
+    fn audited_slot_bits(&self, parties: usize, n_samples: usize, labels: LabelSource) -> u32 {
         let n = (n_samples as u128).max(4);
         let m = parties as u128;
-        // Widest label multiplier per sample: class indicators are 0/1;
-        // offset regression moments reach (y+1)² · 2^f ≤ 4·2^f.
-        let label_bound: u128 = if regression {
-            1u128 << (self.fixed.frac_bits + 2)
-        } else {
-            1
-        };
+        // A sum of m encrypted shares: the secret plus a mod-p slack
+        // multiple, below m·p.
+        let share_sum = m * (MODULUS as u128);
         // Per-sample mask plaintext: the basic protocol's [α] is an exact
         // 0/1 bit, but the enhanced Eqn-10 update rebuilds [α] as a sum of
-        // m share terms, so its plaintext carries a mod-p slack multiple
-        // bounded by m·p at *every* level (the per-level conversion
-        // re-reduces, so slack never compounds across depths).
+        // m share terms, so its plaintext carries slack at *every* level
+        // (the per-level conversion re-reduces, so slack never compounds
+        // across depths).
         let alpha_bound: u128 = match self.protocol {
             Protocol::Basic => 1,
-            Protocol::Enhanced => m * (MODULUS as u128),
+            Protocol::Enhanced => share_sum,
+        };
+        let element_bound: u128 = match labels {
+            LabelSource::ClassIndicators => alpha_bound,
+            LabelSource::OffsetMoments => alpha_bound << (self.fixed.frac_bits + 2),
+            // Carried vectors are updated by the winner's plaintext
+            // indicator (never Eqn 10), so the element keeps the bound it
+            // was encrypted with at every depth.
+            LabelSource::ShareSums => share_sum,
         };
         // `max(n,4)²·2^f` keeps the documented gain-pipeline discipline as
         // the floor even when the direct product bound is smaller.
         let floor = (n * n) << self.fixed.frac_bits;
-        let stat_bound = (n * alpha_bound * label_bound).max(floor);
+        let stat_bound = (n * element_bound).max(floor);
         let offset = 1u128 << (self.fixed.int_bits - 1);
         let mask_bound = m * (MODULUS as u128 - 1);
         let worst = stat_bound + offset + mask_bound;
@@ -289,8 +323,8 @@ impl PivotParams {
     /// single audited slot, and `Packing::Slots(1)`. One slot always means
     /// the whole plaintext: the enhanced protocol refreshes its masks only
     /// for a layout that has a neighbour slot to protect.
-    pub fn slot_plan(&self, parties: usize, n_samples: usize, regression: bool) -> SlotPlan {
-        let slot_bits = self.audited_slot_bits(parties, n_samples, regression);
+    pub fn slot_plan(&self, parties: usize, n_samples: usize, labels: LabelSource) -> SlotPlan {
+        let slot_bits = self.audited_slot_bits(parties, n_samples, labels);
         let slots = match self.packing {
             Packing::Off => 1,
             Packing::Auto if self.verification.is_on() => 1,
@@ -311,15 +345,16 @@ impl PivotParams {
 
     /// Check every cross-parameter invariant a run over `n_samples`
     /// samples split across `parties` clients needs, before any protocol
-    /// byte moves. `regression` selects the task's slot-width bound for
-    /// the packing audit (regression moments widen the slots). The error
-    /// names the offending parameter; callers holding outside input (the
-    /// CLI) surface it, callers holding a broken invariant panic with it.
+    /// byte moves. `labels` selects the slot-width bound of the packing
+    /// audit (regression moments and share sums widen the slots). The
+    /// error names the offending parameter; callers holding outside input
+    /// (the CLI) surface it, callers holding a broken invariant panic with
+    /// it.
     pub fn validate(
         &self,
         n_samples: usize,
         parties: usize,
-        regression: bool,
+        labels: LabelSource,
     ) -> Result<(), String> {
         self.fixed.assert_valid();
         // Gain-pipeline overflow bound: n²·2^f < p/2 (`crate::gain`, "Scale
@@ -377,9 +412,9 @@ impl PivotParams {
             }
         }
         // Packing audit: an explicit slot count must fit the audited slot
-        // width for this task, party count and sample count.
+        // width for this label source, party count and sample count.
         if let Packing::Slots(slots) = self.packing {
-            let slot_bits = self.audited_slot_bits(parties, n_samples, regression);
+            let slot_bits = self.audited_slot_bits(parties, n_samples, labels);
             let max_slots = SlotCodec::max_slots(self.keysize, slot_bits);
             if slots == 0 || slots > max_slots {
                 return Err(format!(
@@ -393,10 +428,9 @@ impl PivotParams {
     }
 
     /// [`PivotParams::validate`] for callers whose parameters are already
-    /// an internal invariant (classification slot bound): panics with the
-    /// message.
-    pub fn assert_valid_for(&self, n_samples: usize, parties: usize) {
-        self.validate(n_samples, parties, false)
+    /// an internal invariant: panics with the message.
+    pub fn assert_valid_for(&self, n_samples: usize, parties: usize, labels: LabelSource) {
+        self.validate(n_samples, parties, labels)
             .unwrap_or_else(|e| panic!("{e}"));
     }
 }
@@ -404,11 +438,12 @@ impl PivotParams {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use LabelSource::{ClassIndicators, OffsetMoments, ShareSums};
 
     #[test]
     fn defaults_validate() {
         let p = PivotParams::default();
-        p.assert_valid_for(10_000, 2);
+        p.assert_valid_for(10_000, 2, ClassIndicators);
         // The defaults are the fast configuration.
         assert_eq!(p.packing, Packing::Auto);
         assert_eq!(p.comparison_bits, CompareBits::Auto);
@@ -424,7 +459,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "overflow")]
     fn too_many_samples_rejected() {
-        PivotParams::default().assert_valid_for(1 << 25, 2);
+        PivotParams::default().assert_valid_for(1 << 25, 2, ClassIndicators);
     }
 
     #[test]
@@ -449,7 +484,7 @@ mod tests {
             verification: Verification::Spot(0.25),
             ..Default::default()
         };
-        p.assert_valid_for(100, 3);
+        p.assert_valid_for(100, 3, ClassIndicators);
         assert!(p.verification.is_on());
         assert!((p.verification.probability() - 0.25).abs() < 1e-12);
         assert_eq!(Verification::Full.probability(), 1.0);
@@ -459,18 +494,18 @@ mod tests {
         // rejected.
         assert_eq!(p.packing, Packing::Auto);
         assert_eq!(
-            p.slot_plan(3, 100, false),
+            p.slot_plan(3, 100, ClassIndicators),
             SlotPlan::whole_plaintext(p.keysize)
         );
         p.packing = Packing::Slots(2);
-        let err = p.validate(100, 3, false).unwrap_err();
+        let err = p.validate(100, 3, ClassIndicators).unwrap_err();
         assert!(err.contains("explicit packing slot count"), "{err}");
         // Spot probability outside [0,1] is rejected.
         let bad = PivotParams {
             verification: Verification::Spot(1.5),
             ..Default::default()
         };
-        let err = bad.validate(100, 3, false).unwrap_err();
+        let err = bad.validate(100, 3, ClassIndicators).unwrap_err();
         assert!(err.contains("spot probability 1.5"), "{err}");
         // Adversary needs verification on and an in-range party.
         let adv = AdversarySpec::parse("party 2 phase=stats").unwrap();
@@ -478,11 +513,11 @@ mod tests {
             adversary: Some(adv),
             ..Default::default()
         };
-        let err = p.validate(100, 3, false).unwrap_err();
+        let err = p.validate(100, 3, ClassIndicators).unwrap_err();
         assert!(err.contains("needs verification on"), "{err}");
         p.verification = Verification::Full;
-        p.assert_valid_for(100, 3);
-        let err = p.validate(100, 2, false).unwrap_err();
+        p.assert_valid_for(100, 3, ClassIndicators);
+        let err = p.validate(100, 2, ClassIndicators).unwrap_err();
         assert!(err.contains("party 2 out of range"), "{err}");
     }
 
@@ -492,20 +527,20 @@ mod tests {
             packing: Packing::Off,
             ..Default::default()
         };
-        let off = p.slot_plan(3, 100, false);
+        let off = p.slot_plan(3, 100, ClassIndicators);
         assert_eq!(off, SlotPlan::whole_plaintext(256), "off is one slot");
         p.packing = Packing::Auto;
-        let plan = p.slot_plan(3, 100, false);
+        let plan = p.slot_plan(3, 100, ClassIndicators);
         // m = 3 masks dominate: 3·(2^61 − 2) + 2^44 + 10⁴·2^20 < 2^63.
         assert_eq!(plan.slot_bits, 63);
         // keysize 256 → ⌊255/63⌋ = 4 slots.
         assert_eq!(plan.slots, 4);
-        p.assert_valid_for(100, 3);
+        p.assert_valid_for(100, 3, ClassIndicators);
         // More parties widen the slot: m = 8 → 8·2^61 + offsets ≳ 2^64.
-        assert_eq!(p.slot_plan(8, 100, false).slot_bits, 65);
+        assert_eq!(p.slot_plan(8, 100, ClassIndicators).slot_bits, 65);
         // The statistics term matters at large n·2^f: n = 2^15, f = 20
         // gives n²·2^f = 2^50 — still below the mask term, same width.
-        assert_eq!(p.slot_plan(3, 1 << 15, false).slot_bits, 63);
+        assert_eq!(p.slot_plan(3, 1 << 15, ClassIndicators).slot_bits, 63);
     }
 
     #[test]
@@ -517,12 +552,15 @@ mod tests {
         let mut p = PivotParams::enhanced();
         let whole = SlotPlan::whole_plaintext(p.keysize);
         p.packing = Packing::Slots(1);
-        p.validate(100, 3, false).unwrap();
-        assert_eq!(p.slot_plan(3, 100, false), whole);
+        p.validate(100, 3, ClassIndicators).unwrap();
+        assert_eq!(p.slot_plan(3, 100, ClassIndicators), whole);
         // keysize 128 admits one 70-bit slot.
         p.packing = Packing::Auto;
         p.keysize = 128;
-        assert_eq!(p.slot_plan(3, 100, false), SlotPlan::whole_plaintext(128));
+        assert_eq!(
+            p.slot_plan(3, 100, ClassIndicators),
+            SlotPlan::whole_plaintext(128)
+        );
         // The codec is the identity on anything below N.
         let codec = p.one_slot_codec();
         let big = pivot_bignum::BigUint::pow2(127);
@@ -541,11 +579,11 @@ mod tests {
         // statistics bound by m·p: n = 100, m = 3 → 300·2^61 ≈ 2^69.2.
         let mut p = PivotParams::enhanced();
         p.keysize = 512;
-        let classification = p.slot_plan(3, 100, false);
+        let classification = p.slot_plan(3, 100, ClassIndicators);
         assert_eq!(classification.slot_bits, 70);
         assert_eq!(classification.slots, 7);
         // Regression moments add f + 2 = 22 bits on top.
-        let regression = p.slot_plan(3, 100, true);
+        let regression = p.slot_plan(3, 100, OffsetMoments);
         assert_eq!(regression.slot_bits, 92);
         assert_eq!(regression.slots, 5);
         // The basic protocol at the same shape stays mask-dominated.
@@ -553,7 +591,56 @@ mod tests {
             keysize: 512,
             ..Default::default()
         };
-        assert_eq!(basic.slot_plan(3, 100, true).slot_bits, 63);
+        assert_eq!(basic.slot_plan(3, 100, OffsetMoments).slot_bits, 63);
+    }
+
+    #[test]
+    fn share_sums_get_their_own_audit() {
+        // A GBDT node statistic sums n share sums below m·p under 0/1
+        // indicators: n = 120, m = 3 → 360·p, plus the Algorithm-2 offset
+        // and three conversion masks, is 363·2^61 ≈ 2^69.5 — on the basic
+        // protocol's parameters, which bound the other two label sources
+        // at 63 bits.
+        let mut p = PivotParams::default();
+        for (keysize, slots) in [(512, 7), (256, 3), (192, 2)] {
+            p.keysize = keysize;
+            let plan = p.slot_plan(3, 120, ShareSums);
+            assert_eq!(
+                (plan.slot_bits, plan.slots),
+                (70, slots),
+                "keysize {keysize}"
+            );
+        }
+        assert_eq!(p.slot_plan(3, 120, OffsetMoments).slot_bits, 63);
+        // One 70-bit slot is no packing at all; neither is verification.
+        p.keysize = 128;
+        assert_eq!(
+            p.slot_plan(3, 120, ShareSums),
+            SlotPlan::whole_plaintext(128)
+        );
+        p.keysize = 512;
+        p.verification = Verification::Full;
+        assert_eq!(
+            p.slot_plan(3, 120, ShareSums),
+            SlotPlan::whole_plaintext(512)
+        );
+        // Carried vectors never pass through Eqn 10: the enhanced
+        // protocol's parameters do not widen them.
+        let mut e = PivotParams::enhanced();
+        e.keysize = 512;
+        assert_eq!(e.slot_plan(3, 120, ShareSums).slot_bits, 70);
+        // An explicit slot count is held to the share-sum capacity, which
+        // is below the capacity of the labels the super client holds.
+        let p = PivotParams {
+            packing: Packing::Slots(4),
+            ..Default::default()
+        };
+        p.validate(120, 3, OffsetMoments).unwrap();
+        let err = p.validate(120, 3, ShareSums).unwrap_err();
+        assert!(
+            err.contains("exceeds the audited capacity of 3 70-bit slots"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -562,9 +649,9 @@ mod tests {
             packing: Packing::Slots(2),
             ..Default::default()
         };
-        p.assert_valid_for(100, 3);
+        p.assert_valid_for(100, 3, ClassIndicators);
         p.packing = Packing::Slots(5);
-        let err = p.validate(100, 3, false).unwrap_err();
+        let err = p.validate(100, 3, ClassIndicators).unwrap_err();
         assert!(
             err.contains("exceeds the audited capacity of 4 63-bit slots"),
             "{err}"
@@ -573,15 +660,15 @@ mod tests {
         // widen the slot to 65 bits, regression moments under the
         // enhanced protocol widen it further.
         p.packing = Packing::Slots(4);
-        let err = p.validate(100, 8, false).unwrap_err();
+        let err = p.validate(100, 8, ClassIndicators).unwrap_err();
         assert!(
             err.contains("exceeds the audited capacity of 3 65-bit slots"),
             "{err}"
         );
         let mut p = PivotParams::enhanced();
         p.packing = Packing::Slots(3);
-        p.validate(100, 3, false).unwrap();
-        assert!(p.validate(100, 3, true).is_err());
+        p.validate(100, 3, ClassIndicators).unwrap();
+        assert!(p.validate(100, 3, OffsetMoments).is_err());
     }
 
     #[test]
@@ -591,6 +678,6 @@ mod tests {
             packing: Packing::Slots(0),
             ..Default::default()
         };
-        p.assert_valid_for(100, 3);
+        p.assert_valid_for(100, 3, ClassIndicators);
     }
 }

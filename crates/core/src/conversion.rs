@@ -18,7 +18,9 @@
 //!   ciphertexts are summed homomorphically. The result's plaintext may
 //!   carry an additive multiple of the share modulus `p` (share sums wrap);
 //!   every consumer reduces modulo `p` on the next conversion, so the slack
-//!   is harmless — see [`crate::gain`], "Scale discipline".
+//!   is harmless — see [`crate::gain`], "Scale discipline". It too is the
+//!   one-slot case of a conversion over slots, [`share_rows_to_ciphers`],
+//!   which GBDT's residual vectors take (§7.2).
 
 use crate::config::SlotPlan;
 use crate::decrypt::joint_decrypt_vec;
@@ -242,21 +244,35 @@ pub fn packed_share_conversion(
 /// ciphertexts are homomorphically summed. The plaintext equals the secret
 /// plus a slack multiple of `p` below `m·p ≪ N`.
 pub fn shares_to_ciphers(ctx: &mut PartyContext<'_>, shares: &[Share]) -> Vec<Ciphertext> {
-    if shares.is_empty() {
+    let codec = ctx.params.one_slot_codec();
+    let rows: Vec<Vec<Share>> = shares.iter().map(|&s| vec![s]).collect();
+    share_rows_to_ciphers(ctx, &codec, &rows)
+}
+
+/// The reverse conversion over the slots of `codec`: ciphertext `i` holds
+/// the secrets of `rows[i]`, one per slot, each plus its own slack multiple
+/// of `p` below `m·p` — the slot width must cover that (the share-sum case
+/// of `PivotParams::slot_plan`). Each client pays one encryption per *row*.
+pub fn share_rows_to_ciphers(
+    ctx: &mut PartyContext<'_>,
+    codec: &SlotCodec,
+    rows: &[Vec<Share>],
+) -> Vec<Ciphertext> {
+    if rows.is_empty() {
         return Vec::new();
     }
-    let share_values: Vec<BigUint> = shares
+    let share_values: Vec<Vec<BigUint>> = rows
         .iter()
-        .map(|s| BigUint::from_u64(s.0.value()))
+        .map(|row| row.iter().map(|s| BigUint::from_u64(s.0.value())).collect())
         .collect();
     let threads = ctx.crypto_threads();
-    let my_encs = batch::encrypt_batch(&ctx.pk, &share_values, &ctx.nonces, threads);
-    ctx.metrics.add_encryptions(shares.len() as u64);
+    let my_encs = codec.encrypt_rows(&ctx.pk, &share_values, &ctx.nonces, threads);
+    ctx.metrics.add_encryptions(rows.len() as u64);
     ctx.nonces.refill();
     let all: Vec<Vec<Ciphertext>> = ctx.ep.exchange_all(&my_encs);
     ctx.metrics
-        .add_ciphertext_ops((shares.len() * ctx.parties()) as u64);
-    let indices: Vec<usize> = (0..shares.len()).collect();
+        .add_ciphertext_ops((rows.len() * ctx.parties()) as u64);
+    let indices: Vec<usize> = (0..rows.len()).collect();
     pivot_runtime::global().map(threads, &indices, |&j| {
         let mut acc = all[0][j].clone();
         for party in all.iter().skip(1) {

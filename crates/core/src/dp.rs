@@ -4,7 +4,7 @@
 //! exponential mechanism (Algorithm 6). No client ever sees plaintext
 //! noise; the released model is `B`-DP with `B = 2(h+1)·ε` (paper §9.2).
 
-use crate::config::Protocol;
+use crate::config::{LabelSource, Protocol};
 use crate::gain::{leaf_label_shares_batch, reveal_identifier, split_gains_batch, NodeTotals};
 use crate::masks::{
     initial_mask, plan_packed_labels, update_vectors_plain, PackedLabelPlan, Sides,
@@ -43,7 +43,7 @@ pub fn train_dp(ctx: &mut PartyContext<'_>, dp: &DpParams) -> DecisionTree {
     let local = LocalSplits::precompute(ctx);
     let layout = SplitLayout::build(ctx.ep, &local.counts());
     let alpha = initial_mask(ctx, &vec![true; ctx.num_samples()]);
-    let codec = ctx.packing_codec();
+    let codec = ctx.packing_codec(LabelSource::of_task(ctx.current_task()));
     let run = DpRun {
         local: &local,
         layout: &layout,
@@ -79,12 +79,9 @@ fn build_node(
         codec,
         label_plan,
     } = *run;
-    let mut mask = NodeMask {
-        alpha,
-        gammas: None,
-    };
+    let mut mask = NodeMask::Alpha(alpha);
     let shares = level_statistics(ctx, local, layout, codec, label_plan, &[&mut mask]).remove(0);
-    let alpha = mask.alpha;
+    let alpha = mask.into_alpha();
 
     // DP pruning-condition query: Lap(Δ/ε) with Δ = 1 on the node count.
     let force = depth >= ctx.params.tree.max_depth || layout.total() == 0;

@@ -38,10 +38,12 @@
 //!   party's encrypted share ([`crate::conversion::shares_to_ciphers`])
 //!   holds the secret plus a multiple of `p` below `m·p ≪ N`. Every
 //!   consumer reduces mod `p` at its next conversion, so the slack is
-//!   harmless as long as it never reaches `N`. The enhanced protocol's
-//!   Eqn-10 masks multiply two slack-carrying values (up to `m²·b·p²`),
-//!   which is why it needs keysize ≥ 192 and why a level whose layout
-//!   has more than one slot refreshes the masks first.
+//!   harmless as long as it never reaches `N` — or, in a layout with more
+//!   than one slot, the next slot: the slot-width audit budgets `n·m·p`
+//!   for statistics over such sums (GBDT's residual vectors, §7.2). The
+//!   enhanced protocol's Eqn-10 masks multiply two slack-carrying values
+//!   (up to `m²·b·p²`), which is why it needs keysize ≥ 192 and why a
+//!   level whose layout has more than one slot refreshes the masks first.
 
 use crate::masks::Sides;
 use crate::metrics::Stage;
@@ -62,8 +64,9 @@ fn count_width(ctx: &PartyContext<'_>) -> u32 {
 /// The `(n + 1)·2^f` gain bound rests on the ±1 normalized-label
 /// contract. GBDT residual trees (`task_override` set) train on
 /// residuals that can exceed it (up to `(1 + lr)^round`), so their gain
-/// argmax keeps the full fixed-point width — the same conservative gate
-/// PR-4 applies to packing residual labels.
+/// argmax keeps the full fixed-point width. (Packing their statistics
+/// needs no such contract: a slot is budgeted for the share sums the
+/// residuals are encrypted as, whatever value they share.)
 fn gain_width(ctx: &PartyContext<'_>) -> u32 {
     if ctx.task_override.is_some() {
         return ctx.params.fixed.int_bits;

@@ -6,8 +6,10 @@
 //! `SlotCodec`, cut into chunks of at most `slots` values. There is one
 //! builder, [`compute_packed_label_masks`]. With one slot — the whole
 //! plaintext — every chunk is one vector of the stride and chunk 0 *is*
-//! `[α]`, which every party already holds; a GBDT node lends the `[γ]` it
-//! carries the same way.
+//! `[α]`, which every party already holds. A GBDT node carries its whole
+//! stride in that layout already (`NodeMask::Carried`) and lends every
+//! chunk: its elements are share sums below `m·p`, which the slot-width
+//! audit budgets as their own label source (`LabelSource::ShareSums`).
 //!
 //! Classification: one vector per class `k` with `γ_k = β_k ⊙ α`.
 //! Regression: `γ_1 = (y+1) ⊙ α` and `γ_2 = (y+1)² ⊙ α` — labels are
@@ -21,6 +23,7 @@
 use crate::metrics::Stage;
 use crate::party::PartyContext;
 use crate::stats::PackedChunking;
+use crate::trainer::NodeMask;
 use crate::verify;
 use pivot_bignum::BigUint;
 use pivot_data::Task;
@@ -113,8 +116,8 @@ pub fn initial_mask(ctx: &mut PartyContext<'_>, included: &[bool]) -> Vec<Cipher
 /// move: the packing factor divides the per-split ciphertext work).
 pub struct PackedLabels<'a> {
     /// `chunks[c][sample]` — slots `c·chunk_width …` of the stride.
-    /// Borrowed where the node already holds the vector (one-slot layout:
-    /// `[α]`, and the `[γ]` a GBDT node carries).
+    /// Borrowed where the node already holds the vector (`[α]` in the
+    /// one-slot layout; every chunk of the stride a GBDT node carries).
     pub chunks: Vec<Cow<'a, [Ciphertext]>>,
     pub chunking: PackedChunking,
     pub samples: usize,
@@ -135,17 +138,10 @@ pub struct PackedLabelPlan {
     offset_encoded: bool,
 }
 
-impl PackedLabelPlan {
-    /// One slot per ciphertext: chunk 0 is the α slot alone, its
-    /// multiplier identically 1 — the chunk is `[α]` itself.
-    fn lends_alpha(&self) -> bool {
-        self.chunking.chunk_width == 1
-    }
-}
-
 /// Precompute the packed label-multiplier table for this run. A tree whose
-/// nodes carry their own `[γ]` (`carried`, §7.2) never reads a multiplier —
-/// the labels the super client holds are not what it trains on.
+/// nodes carry their stride (`carried`, §7.2) is cut by the same chunking
+/// but never reads a multiplier — the labels the super client holds are
+/// not what it trains on.
 pub fn plan_packed_labels(
     ctx: &PartyContext<'_>,
     codec: &SlotCodec,
@@ -161,12 +157,11 @@ pub fn plan_packed_labels(
         let labels = ctx.view.labels.as_ref().expect("super client holds labels");
         (0..chunking.chunks())
             .map(|c| {
-                let lo = c * chunking.chunk_width;
-                let hi = lo + chunking.widths[c];
                 labels
                     .iter()
                     .map(|&y| {
-                        let slot_vals: Vec<BigUint> = (lo..hi)
+                        let slot_vals: Vec<BigUint> = chunking
+                            .stride_range(c)
                             .map(|t| label_slot_value(ctx, task, y, t))
                             .collect();
                         codec.pack(&slot_vals)
@@ -182,41 +177,40 @@ pub fn plan_packed_labels(
     }
 }
 
-/// The label vectors of the node masked by `alpha` (§4.1 local computation
+/// The label vectors of the node that holds `mask` (§4.1 local computation
 /// step, first half).
 ///
-/// A node that carries its own `[γ]` (`carried`, §7.2) lends `[α], [γ_1],
-/// …` as one-slot chunks: no copy, nothing sent, and `plan` is not read.
-/// Otherwise the super client builds every chunk from `plan` and
-/// broadcasts it. Slot `0` carries `α_j` itself; slot `1+k` carries
-/// `γ_k(j) = β_k(j)·α_j`. Because the super client knows the plaintext
-/// multipliers `β_k(j)`, a chunk is one `mul_plain` of `[α_j]` by the
-/// packed multiplier plus a re-randomization (one nonce per element, chunk
-/// order) — no extra encryptions, and under verification one popcm per
-/// element.
-pub fn compute_packed_label_masks<'a>(
+/// A node that carries its stride (§7.2) lends its chunks as they are: no
+/// copy, nothing sent, no multiplier read. Otherwise the super client
+/// builds every chunk from `plan` and broadcasts it. Slot `0` carries `α_j`
+/// itself; slot `1+k` carries `γ_k(j) = β_k(j)·α_j`. Because the super
+/// client knows the plaintext multipliers `β_k(j)`, a chunk is one
+/// `mul_plain` of `[α_j]` by the packed multiplier plus a re-randomization
+/// (one nonce per element, chunk order) — no extra encryptions, and under
+/// verification one popcm per element.
+pub(crate) fn compute_packed_label_masks<'a>(
     ctx: &mut PartyContext<'_>,
-    alpha: &'a [Ciphertext],
-    carried: Option<&'a [Vec<Ciphertext>]>,
+    mask: &'a NodeMask,
     plan: &PackedLabelPlan,
 ) -> PackedLabels<'a> {
+    let alpha = match mask {
+        NodeMask::Alpha(alpha) => alpha.as_slice(),
+        NodeMask::Carried(chunks) => {
+            assert_eq!(chunks.len(), plan.chunking.chunks(), "carried stride shape");
+            // Residual vectors are slack-positive share sums; they carry
+            // no +1 offset (see ensemble::gbdt).
+            return PackedLabels {
+                chunks: chunks.iter().map(|c| Cow::Borrowed(c.as_slice())).collect(),
+                chunking: plan.chunking.clone(),
+                samples: chunks[0].len(),
+                offset_encoded: false,
+            };
+        }
+    };
     let n = alpha.len();
-    if let Some(gammas) = carried {
-        // GBDT residual vectors are slack-positive share sums; they carry
-        // no +1 offset (see ensemble::gbdt).
-        return PackedLabels {
-            chunks: std::iter::once(alpha)
-                .chain(gammas.iter().map(Vec::as_slice))
-                .map(Cow::Borrowed)
-                .collect(),
-            chunking: PackedChunking::new(1 + gammas.len(), 1),
-            samples: n,
-            offset_encoded: false,
-        };
-    }
     let started = std::time::Instant::now();
     let threads = ctx.crypto_threads();
-    let lent = usize::from(plan.lends_alpha());
+    let lent = usize::from(plan.chunking.alpha_alone());
     // The super client's proof of each chunk; `None` at the receivers.
     let mut bundles = Vec::with_capacity(plan.chunking.chunks() - lent);
     let built: Vec<Vec<Ciphertext>> = (lent..plan.chunking.chunks())
@@ -244,7 +238,8 @@ pub fn compute_packed_label_masks<'a>(
         .add_time(Stage::LocalComputation, started.elapsed());
     PackedLabels {
         chunks: plan
-            .lends_alpha()
+            .chunking
+            .alpha_alone()
             .then_some(Cow::Borrowed(alpha))
             .into_iter()
             .chain(built.into_iter().map(Cow::Owned))
@@ -284,10 +279,11 @@ fn label_slot_value(ctx: &PartyContext<'_>, task: Task, y: f64, t: usize) -> Big
 }
 
 /// Basic-protocol model update (§4.1, generalized per §7.2): the winning
-/// client masks `[α]` *and* any encrypted label vectors (`[γ₁]`, `[γ₂]` for
-/// GBDT) with its plaintext split indicator and broadcasts the `wanted`
-/// sides of each — a child's vectors are produced only where something
-/// reads them (see `crate::trainer`).
+/// client masks every vector the node holds — `[α]`, or the chunks of the
+/// stride `(α, γ₁, γ₂)` a GBDT node carries, a 0/1 multiplier masking every
+/// slot of a packed element alike — with its plaintext split indicator and
+/// broadcasts the `wanted` sides of each. A child's vectors are produced
+/// only where something reads them (see `crate::trainer`).
 pub fn update_vectors_plain(
     ctx: &mut PartyContext<'_>,
     vectors: &[Vec<Ciphertext>],

@@ -1,6 +1,6 @@
 //! Per-client protocol context: keys, data view, transport, MPC engine.
 
-use crate::config::PivotParams;
+use crate::config::{LabelSource, PivotParams};
 use crate::metrics::ProtocolMetrics;
 use pivot_data::VerticalView;
 use pivot_mpc::MpcEngine;
@@ -71,10 +71,11 @@ impl<'a> PartyContext<'a> {
         // Callers validate outside input before spawning parties
         // (`pivot-cli`'s `runner::prepare`), so a failure here is a broken
         // invariant of this process.
-        let regression = matches!(view.task, pivot_data::Task::Regression);
-        params
-            .validate(view.num_samples(), ep.parties(), regression)
-            .unwrap_or_else(|e| panic!("{e}"));
+        params.assert_valid_for(
+            view.num_samples(),
+            ep.parties(),
+            LabelSource::of_task(view.task),
+        );
         let m = ep.parties();
         let keys = fixtures::threshold_keys(m, params.keysize);
         let key_share = keys.shares[ep.id()].clone();
@@ -193,12 +194,11 @@ impl<'a> PartyContext<'a> {
     }
 
     /// The slot layout of this run's statistics: `params.packing` resolved
-    /// against this run's `m`, `n`, task and protocol (see
-    /// [`PivotParams::slot_plan`]).
-    pub fn packing_codec(&self) -> pivot_paillier::SlotCodec {
-        let regression = matches!(self.current_task(), pivot_data::Task::Regression);
+    /// against this run's `m`, `n`, protocol and the source of the trees'
+    /// label vectors (see [`PivotParams::slot_plan`]).
+    pub fn packing_codec(&self, labels: LabelSource) -> pivot_paillier::SlotCodec {
         self.params
-            .slot_plan(self.parties(), self.num_samples(), regression)
+            .slot_plan(self.parties(), self.num_samples(), labels)
             .codec(&self.params.fixed)
     }
 

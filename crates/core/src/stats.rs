@@ -10,11 +10,18 @@
 //! shifts: each client emits `chunks · Σᵢ ⌈cᵢ/G⌉` ciphertexts.
 //!
 //! The paper's layout is the one-slot case — a slot that is the whole
-//! plaintext (`Packing::Off`, every verified run, every GBDT residual
-//! tree): `stride` chunks of width 1, one split per ciphertext,
-//! `Σᵢ cᵢ·stride` ciphertexts, nothing to shift. Two things read the slot
-//! count, and both ask "is there a neighbour slot?": the packing counters
-//! below, and the enhanced protocol's mask refresh (`crate::trainer`).
+//! plaintext (`Packing::Off`, every verified run, a keysize that admits a
+//! single audited slot): `stride` chunks of width 1, one split per
+//! ciphertext, `Σᵢ cᵢ·stride` ciphertexts, nothing to shift. Two things
+//! read the slot count, and both ask "is there a neighbour slot?": the
+//! packing counters below, and the enhanced protocol's mask refresh
+//! (`crate::trainer`).
+//!
+//! Where the label vectors come from is not this pass's business: the
+//! super client's per-node broadcast and the stride a GBDT node carries
+//! (§7.2) arrive as the same [`PackedLabels`], cut by the same
+//! [`PackedChunking`], and differ only in the width the slots were audited
+//! to (`LabelSource`).
 
 use crate::masks::PackedLabels;
 use crate::metrics::Stage;
@@ -173,6 +180,18 @@ impl PackedChunking {
     /// Number of chunks the stride occupies.
     pub fn chunks(&self) -> usize {
         self.widths.len()
+    }
+
+    /// The positions of the stride that chunk `c` holds.
+    pub fn stride_range(&self, c: usize) -> std::ops::Range<usize> {
+        let lo = c * self.chunk_width;
+        lo..lo + self.widths[c]
+    }
+
+    /// One slot per ciphertext: chunk 0 is the α slot alone — `[α]` itself,
+    /// which every party already holds.
+    pub fn alpha_alone(&self) -> bool {
+        self.chunk_width == 1
     }
 
     /// Per-client group sizes for `splits` local candidate splits.

@@ -6,14 +6,16 @@
 //! split selection happens on shares, and only the agreed outputs (split
 //! identifier + threshold per node, leaf labels) are opened.
 //!
-//! [`train_with_labels`] additionally supports the GBDT mode of §7.2 where
-//! the label vectors are *pre-encrypted residuals*: the winning client then
-//! updates `[γ₁]`, `[γ₂]` alongside `[α]` with the same split indicator
-//! (the paper's optimization avoiding per-node ciphertext multiplications).
+//! [`train_from_root`] additionally supports the GBDT mode of §7.2 where
+//! the label vectors are *pre-encrypted residuals* the root carries
+//! (`NodeMask::Carried`): the winning client then updates `[γ₁]`, `[γ₂]`
+//! alongside `[α]` with the same split indicator (the paper's optimization
+//! avoiding per-node ciphertext multiplications).
 //!
 //! The level-wise loop itself is `crate::trainer`; this file is the
 //! basic protocol's side of its disclosure hooks.
 
+use crate::config::LabelSource;
 use crate::masks::{initial_mask, update_vectors_plain, Sides};
 use crate::metrics::Stage;
 use crate::party::PartyContext;
@@ -24,18 +26,8 @@ use crate::trainer::{
 };
 use pivot_data::Task;
 use pivot_mpc::{Fp, Share};
-use pivot_paillier::Ciphertext;
+use pivot_paillier::{Ciphertext, SlotCodec};
 use pivot_trees::{DecisionTree, Node};
-
-/// Where a node's label vectors `[L]` come from.
-pub enum NodeLabels {
-    /// §4: the super client recomputes `[γ] = β ⊙ [α]` at every node from
-    /// its plaintext labels.
-    SuperClient,
-    /// §7.2: node-masked encrypted label vectors, updated by the winning
-    /// client along with `[α]`.
-    Encrypted(Vec<Vec<Ciphertext>>),
-}
 
 /// Train a single decision tree on all samples (basic protocol).
 pub fn train(ctx: &mut PartyContext<'_>) -> DecisionTree {
@@ -48,14 +40,16 @@ pub fn train(ctx: &mut PartyContext<'_>) -> DecisionTree {
 pub fn train_with_mask(ctx: &mut PartyContext<'_>, included: &[bool]) -> DecisionTree {
     assert_eq!(included.len(), ctx.num_samples());
     let alpha = initial_mask(ctx, included);
-    train_with_labels(ctx, alpha, NodeLabels::SuperClient)
+    let codec = ctx.packing_codec(LabelSource::of_task(ctx.current_task()));
+    train_from_root(ctx, NodeMask::Alpha(alpha), &codec)
 }
 
-/// Train with an explicit root mask and label source (GBDT entry point).
-pub fn train_with_labels(
+/// Train from explicit root vectors laid out in the slots of `codec` (the
+/// GBDT entry point: its root carries the residual label vectors).
+pub(crate) fn train_from_root(
     ctx: &mut PartyContext<'_>,
-    root_alpha: Vec<Ciphertext>,
-    labels: NodeLabels,
+    root: NodeMask,
+    codec: &SlotCodec,
 ) -> DecisionTree {
     let (local, layout) = {
         let _setup = pivot_trace::phase_span("setup");
@@ -63,23 +57,11 @@ pub fn train_with_labels(
         let layout = SplitLayout::build(ctx.ep, &local.counts());
         (local, layout)
     };
-    // More than one slot needs the super client's plaintext labels to
-    // build the packed label vectors, and GBDT residual vectors are share
-    // sums whose mod-p slack no slot-width audit covers — they get the slot
-    // that is the whole plaintext.
-    let (codec, root_gammas) = match labels {
-        NodeLabels::SuperClient => (ctx.packing_codec(), None),
-        NodeLabels::Encrypted(gammas) => (ctx.params.one_slot_codec(), Some(gammas)),
-    };
     let mut reveal = Reveal {
-        purity_check: ctx.params.tree.stop_when_pure && root_gammas.is_none(),
+        purity_check: ctx.params.tree.stop_when_pure && matches!(root, NodeMask::Alpha(_)),
         pending_leaves: Vec::new(),
     };
-    let root = NodeMask {
-        alpha: root_alpha,
-        gammas: root_gammas,
-    };
-    let (nodes, root) = grow_tree(ctx, &mut reveal, &local, &layout, root, &codec);
+    let (nodes, root) = grow_tree(ctx, &mut reveal, &local, &layout, root, codec);
     DecisionTree::new(nodes, root, ctx.current_task())
 }
 
@@ -198,15 +180,17 @@ impl Disclosure for Reveal {
             // parent's statistics and its complement: local indexing.
             let totals = stats.child_totals(stats.column(global));
 
-            // Mask [α] — and, in GBDT mode, the encrypted label vectors —
-            // with the winning indicator, on the sides that are read.
+            // Mask every vector the node holds — [α], or the stride a GBDT
+            // node carries — with the winning indicator, on the sides that
+            // are read.
             let masks = if wanted.any() {
                 let mask = node
                     .mask
                     .expect("a node whose children read a mask holds one");
-                let has_gammas = mask.gammas.is_some();
-                let mut vectors = vec![mask.alpha];
-                vectors.extend(mask.gammas.into_iter().flatten());
+                let (vectors, carried) = match mask {
+                    NodeMask::Alpha(alpha) => (vec![alpha], false),
+                    NodeMask::Carried(chunks) => (chunks, true),
+                };
                 let indicator = (ctx.id() == winner)
                     .then(|| local.indicators[local_feature][split_idx].as_slice());
                 let started = std::time::Instant::now();
@@ -215,9 +199,12 @@ impl Disclosure for Reveal {
                     update_vectors_plain(ctx, &vectors, winner, indicator, wanted)
                 };
                 ctx.metrics.add_time(Stage::ModelUpdate, started.elapsed());
-                let child_mask = |mut vectors: Vec<Vec<Ciphertext>>| NodeMask {
-                    alpha: vectors.remove(0),
-                    gammas: has_gammas.then_some(vectors),
+                let child_mask = |mut vectors: Vec<Vec<Ciphertext>>| {
+                    if carried {
+                        NodeMask::Carried(vectors)
+                    } else {
+                        NodeMask::Alpha(vectors.remove(0))
+                    }
                 };
                 updated.map(|side| side.map(child_mask))
             } else {

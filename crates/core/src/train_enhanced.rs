@@ -17,7 +17,7 @@
 //! Everything else is the shared level-wise loop of `crate::trainer`;
 //! this file is the enhanced protocol's side of its disclosure hooks.
 
-use crate::config::Protocol;
+use crate::config::{LabelSource, Protocol};
 use crate::conversion::{ciphers_to_shares, packed_share_conversion, shares_to_ciphers};
 use crate::gain::{concealed_columns_batch, reveal_blocks_batch};
 use crate::gain::{NodeShares, NodeTotals};
@@ -80,11 +80,8 @@ pub fn train(ctx: &mut PartyContext<'_>) -> ConcealedTree {
         (local, layout)
     };
     let alpha = initial_mask(ctx, &mask);
-    let codec = ctx.packing_codec();
-    let root = NodeMask {
-        alpha,
-        gammas: None,
-    };
+    let codec = ctx.packing_codec(LabelSource::of_task(ctx.current_task()));
+    let root = NodeMask::Alpha(alpha);
     let (nodes, root) = grow_tree(ctx, &mut Conceal, &local, &layout, root, &codec);
     ConcealedTree {
         nodes,
@@ -136,15 +133,18 @@ impl Disclosure for Conceal {
     /// (its conversion budgets the quadratic bound).
     fn refresh_masks(&mut self, ctx: &mut PartyContext<'_>, masks: &mut [&mut NodeMask]) {
         let _conv = pivot_trace::phase_span("conversion");
-        let lens: Vec<usize> = masks.iter().map(|mask| mask.alpha.len()).collect();
+        let lens: Vec<usize> = masks
+            .iter_mut()
+            .map(|mask| mask.alpha_mut().len())
+            .collect();
         let flat: Vec<Ciphertext> = masks
             .iter_mut()
-            .flat_map(|mask| mask.alpha.drain(..))
+            .flat_map(|mask| mask.alpha_mut().drain(..))
             .collect();
         let shares = ciphers_to_shares(ctx, &flat);
         let fresh = split_lengths(shares_to_ciphers(ctx, &shares), lens);
         for (mask, alpha) in masks.iter_mut().zip(fresh) {
-            mask.alpha = alpha;
+            *mask.alpha_mut() = alpha;
         }
     }
 
@@ -234,8 +234,9 @@ impl Disclosure for Conceal {
             let mut flat: Vec<Ciphertext> = Vec::new();
             for mask in masks {
                 let mask = mask.expect("a node whose children read a mask holds one");
-                lens.push(mask.alpha.len());
-                flat.extend(mask.alpha);
+                let alpha = mask.into_alpha();
+                lens.push(alpha.len());
+                flat.extend(alpha);
             }
             // Packed under the Eqn-10 slack bound: only pays off at large
             // keysizes (the quadratic slack needs ~2·61-bit slots); below
@@ -270,12 +271,7 @@ impl Disclosure for Conceal {
                 left: child_slots.0,
                 right: child_slots.1,
             });
-            let masks = alphas.map(|alpha| {
-                alpha.map(|alpha| NodeMask {
-                    alpha,
-                    gammas: None,
-                })
-            });
+            let masks = alphas.map(|alpha| alpha.map(NodeMask::Alpha));
             next.extend(children(child_slots, totals, masks));
         }
         next

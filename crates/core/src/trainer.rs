@@ -40,9 +40,10 @@
 //!    parent's [`NodeShares`], right = the parent's totals minus it
 //!    ([`NodeShares::child_totals`]). A depth-forced leaf settles its
 //!    label from them — no label-mask broadcast, no totals conversion.
-//! 2. **A mask exists only where something reads it.** `[α]` (and GBDT's
-//!    `[γ]`) of a node is read by exactly two things: its own statistics
-//!    pass and the mask update of its children. With `h = max_depth`:
+//! 2. **A mask exists only where something reads it.** `[α]` (or the
+//!    stride a GBDT node carries) of a node is read by exactly two things:
+//!    its own statistics pass and the mask update of its children. With
+//!    `h = max_depth`:
 //!
 //!    | child | own pass? | mask? |
 //!    |---|---|---|
@@ -93,13 +94,32 @@ use pivot_mpc::Share;
 use pivot_paillier::{Ciphertext, SlotCodec};
 
 /// The encrypted vectors of a node.
-pub(crate) struct NodeMask {
-    /// The encrypted sample mask `[α]`.
-    pub alpha: Vec<Ciphertext>,
-    /// §7.2: the node-masked encrypted label vectors `[γ]` of a GBDT
-    /// residual tree; `None` when the super client derives `[γ]` from its
-    /// plaintext labels at every node.
-    pub gammas: Option<Vec<Vec<Ciphertext>>>,
+pub(crate) enum NodeMask {
+    /// The sample mask `[α]`: the super client derives the label vectors
+    /// from its plaintext labels at every node.
+    Alpha(Vec<Ciphertext>),
+    /// §7.2: a GBDT residual tree's node carries its label vectors. Per
+    /// sample, the stride `(α, γ₁, γ₂)` lies in the slots of the run's
+    /// codec, cut by `PackedChunking::new(3, slots)` like any other label
+    /// stride — `chunks` vectors of `n` ciphertexts: one from three slots
+    /// up, `[α]`, `[γ₁]`, `[γ₂]` themselves at one.
+    Carried(Vec<Vec<Ciphertext>>),
+}
+
+impl NodeMask {
+    /// `[α]` of a node that carries nothing else — the only kind the
+    /// enhanced protocol and the DP trainer grow.
+    pub fn alpha_mut(&mut self) -> &mut Vec<Ciphertext> {
+        match self {
+            NodeMask::Alpha(alpha) => alpha,
+            NodeMask::Carried(_) => panic!("a carried stride has no [α] of its own"),
+        }
+    }
+
+    /// [`NodeMask::alpha_mut`], by value.
+    pub fn into_alpha(mut self) -> Vec<Ciphertext> {
+        std::mem::take(self.alpha_mut())
+    }
 }
 
 /// One unresolved node of the current level.
@@ -204,9 +224,9 @@ pub(crate) fn children(
 /// Grow one tree from the `root` vectors and return its nodes in
 /// post-order (left subtree, right subtree, node) with the root's index.
 ///
-/// `codec` is the slot layout of the statistics. GBDT residual vectors
-/// carry mod-`p` slack no slot-width audit covers, so callers pass the
-/// one-slot codec with them.
+/// `codec` is the slot layout of the statistics, audited for the source of
+/// the root's label vectors (`PartyContext::packing_codec`): the root of a
+/// GBDT residual tree already lies in its slots.
 pub(crate) fn grow_tree<D: Disclosure>(
     ctx: &mut PartyContext<'_>,
     protocol: &mut D,
@@ -217,7 +237,7 @@ pub(crate) fn grow_tree<D: Disclosure>(
 ) -> (Vec<D::Node>, usize) {
     // The label multipliers depend only on labels/task/codec — built once
     // here, reused by every node at every level.
-    let label_plan = plan_packed_labels(ctx, codec, root.gammas.is_some());
+    let label_plan = plan_packed_labels(ctx, codec, matches!(root, NodeMask::Carried(_)));
     let max_depth = ctx.params.tree.max_depth;
     let mut arena: Arena<D::Node> = vec![None];
     let mut frontier = vec![FrontierNode {
@@ -365,9 +385,7 @@ pub(crate) fn level_statistics(
         let _stats = pivot_trace::phase_span("stats");
         let labels: Vec<PackedLabels<'_>> = masks
             .iter()
-            .map(|mask| {
-                compute_packed_label_masks(ctx, &mask.alpha, mask.gammas.as_deref(), label_plan)
-            })
+            .map(|mask| compute_packed_label_masks(ctx, mask, label_plan))
             .collect();
         labels
             .iter()

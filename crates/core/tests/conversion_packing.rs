@@ -5,8 +5,11 @@
 //! carry.
 
 use pivot_bignum::BigUint;
-use pivot_core::conversion::{packed_share_conversion, packed_share_conversion_groups};
-use pivot_core::{config::PivotParams, party::PartyContext};
+use pivot_core::config::{LabelSource, PivotParams};
+use pivot_core::conversion::{
+    packed_ciphers_to_shares, packed_share_conversion, packed_share_conversion_groups,
+};
+use pivot_core::party::PartyContext;
 use pivot_data::{Dataset, Task, VerticalView};
 use pivot_mpc::{Fp, Share, MODULUS};
 use pivot_transport::run_parties;
@@ -183,5 +186,52 @@ fn whole_plaintext_and_audited_groups_share_one_round() {
     }
     for (i, &v) in narrow.iter().enumerate() {
         assert_eq!(open_group(2, i), expected_share(v), "narrow value {i}");
+    }
+}
+
+#[test]
+fn share_sum_statistics_convert_at_the_audited_bound() {
+    // The no-carry budget of GBDT's carried vectors, at its bound: every
+    // client's share is p − 1 (a carried element is m·(p − 1), the most a
+    // share sum can hold), every indicator is 1, and n = 169 is the largest
+    // sample count the 70-bit slot is audited for at m = 3 — the statistic
+    // 169·3·(p − 1) plus the Algorithm-2 offset plus three conversion masks
+    // is 510·p + 2^44 − 510 < 512·2^61 = 2^70, and one more sample needs a
+    // 71st bit. Seven slots at keysize 512: stride 3, G = 2 splits merged,
+    // six occupied slots in one decryption.
+    let params = PivotParams {
+        keysize: 512,
+        ..Default::default()
+    };
+    let (m, n) = (3, 169);
+    let plan = params.slot_plan(m, n, LabelSource::ShareSums);
+    assert_eq!((plan.slot_bits, plan.slots), (70, 7));
+    assert_eq!(
+        params.slot_plan(m, n + 1, LabelSource::ShareSums).slot_bits,
+        71
+    );
+    let codec = plan.codec(&params.fixed);
+    let share_sum = m as u64 as u128 * (MODULUS as u128 - 1);
+    let results = run_parties(m, |ep| {
+        let view = toy_view(ep.id(), m);
+        let mut ctx = PartyContext::setup(&ep, view, params.clone());
+        // Per sample (α, γ₁, γ₂) = (1, m·(p−1), m·(p−1)); the statistics
+        // pass sums the samples an indicator keeps — all of them — and
+        // shifts the neighbouring split up by the chunk width.
+        let element = ctx.pk.encrypt_trivial(&codec.pack(&[
+            BigUint::one(),
+            BigUint::from_u128(share_sum),
+            BigUint::from_u128(share_sum),
+        ]));
+        let split = pivot_paillier::vector::dot_binary(&ctx.pk, &vec![element; n], &vec![true; n]);
+        let shifted = ctx.pk.mul_plain(&split, &codec.shift_factor(3));
+        let merged = ctx.pk.add(&split, &shifted);
+        packed_ciphers_to_shares(&mut ctx, &codec, &[&merged], &[6]).remove(0)
+    });
+    // Mod p the slack reduces away: p − 1 ≡ −1, so a label sum is −n·m.
+    let label_sum = expected_share(-((n * m) as i128));
+    let expect = [Fp::new(n as u64), label_sum, label_sum];
+    for slot in 0..6 {
+        assert_eq!(open(&results, slot), expect[slot % 3], "slot {slot}");
     }
 }

@@ -1,14 +1,16 @@
 //! End-to-end tests for the ensemble extensions (§7): random forest and
 //! GBDT with encrypted residual labels.
 
+use pivot_core::config::{LabelSource, Packing, PivotParams};
 use pivot_core::ensemble::{
     gbdt::predict_gbdt_batch, rf::predict_rf_batch, train_gbdt, train_rf, GbdtProtocolParams,
     RfProtocolParams,
 };
-use pivot_core::{config::PivotParams, party::PartyContext};
-use pivot_data::{metrics, partition_vertically, synth, Dataset, Task};
+use pivot_core::party::PartyContext;
+use pivot_data::{candidate_splits, metrics, partition_vertically, synth, Dataset, Task};
+use pivot_paillier::SlotCodec;
 use pivot_transport::run_parties;
-use pivot_trees::TreeParams;
+use pivot_trees::{DecisionTree, TreeParams};
 
 fn params(tree: TreeParams) -> PivotParams {
     PivotParams {
@@ -149,9 +151,8 @@ fn gbdt_regression_learns() {
     assert!(mse < base_mse, "gbdt mse {mse} vs baseline {base_mse}");
 }
 
-#[test]
-fn gbdt_classification_one_vs_rest() {
-    // Crisp two-feature data so 2 rounds suffice.
+/// Crisp two-feature data so 2 rounds suffice.
+fn crisp_two_class() -> Dataset {
     let mut features = Vec::new();
     let mut labels = Vec::new();
     for i in 0..30 {
@@ -159,7 +160,12 @@ fn gbdt_classification_one_vs_rest() {
         features.push(vec![x0 + (i % 3) as f64 * 0.1, (i % 5) as f64]);
         labels.push(f64::from(i % 2 == 1));
     }
-    let data = Dataset::new(features, labels, Task::Classification { classes: 2 });
+    Dataset::new(features, labels, Task::Classification { classes: 2 })
+}
+
+#[test]
+fn gbdt_classification_one_vs_rest() {
+    let data = crisp_two_class();
     let m = 2;
     let p = params(TreeParams {
         max_depth: 2,
@@ -187,11 +193,12 @@ fn gbdt_classification_one_vs_rest() {
 
 #[test]
 fn gbdt_depth_three_first_stage_is_the_cart_regression_tree() {
-    // Depth 3 is where a GBDT node hands *three* encrypted vectors
-    // (`[α]`, `[γ₁]`, `[γ₂]`) to each child that reads them — both sides
-    // at the root, the left side only one level down, none at the last
-    // split level. The first stage's residuals are the labels themselves,
-    // so its tree is the plaintext CART regression tree.
+    // Depth 3 is where a GBDT node hands its encrypted vectors (at this
+    // keysize's one slot *three*: `[α]`, `[γ₁]`, `[γ₂]`) to each child that
+    // reads them — both sides at the root, the left side only one level
+    // down, none at the last split level. The first stage's residuals are
+    // the labels themselves, so its tree is the plaintext CART regression
+    // tree.
     let data = synth::make_regression(&synth::RegressionSpec {
         samples: 48,
         features: 6,
@@ -235,6 +242,124 @@ fn gbdt_depth_three_first_stage_is_the_cart_regression_tree() {
                     assert!((value - ev).abs() < 1e-3, "leaf {value} vs {ev}")
                 }
                 _ => panic!("structure mismatch: {node:?} vs {expect:?}"),
+            }
+        }
+    }
+}
+
+/// What one party saw of a GBDT run.
+struct GbdtRun {
+    forests: Vec<Vec<DecisionTree>>,
+    /// Candidate splits this party pooled per pass (`cᵢ`).
+    own_splits: usize,
+    train_decryptions: u64,
+    predictions: Vec<f64>,
+    /// MPC rounds of predicting the first sample alone, and the first 8.
+    predict_rounds: [u64; 2],
+}
+
+fn run_gbdt(data: &Dataset, m: usize, p: &PivotParams, g: &GbdtProtocolParams) -> Vec<GbdtRun> {
+    let partition = partition_vertically(data, m, 0);
+    run_parties(m, |ep| {
+        let view = partition.views[ep.id()].clone();
+        let own_splits = (0..view.num_local_features())
+            .map(|j| candidate_splits(&view.column(j), p.tree.max_splits).len())
+            .sum();
+        let local: Vec<Vec<f64>> = (0..view.num_samples())
+            .map(|i| view.features[i].clone())
+            .collect();
+        let mut ctx = PartyContext::setup(&ep, view, p.clone());
+        let model = train_gbdt(&mut ctx, g);
+        let train_decryptions = ctx.metrics.threshold_decryptions();
+        let predictions = predict_gbdt_batch(&mut ctx, &model, &local);
+        let predict_rounds = [1, 8].map(|rows| {
+            let before = ctx.engine.counters().snapshot().0;
+            predict_gbdt_batch(&mut ctx, &model, &local[..rows]);
+            ctx.engine.counters().snapshot().0 - before
+        });
+        GbdtRun {
+            forests: model.forests,
+            own_splits,
+            train_decryptions,
+            predictions,
+            predict_rounds,
+        }
+    })
+}
+
+#[test]
+fn gbdt_packed_trees_are_the_unpacked_trees_at_the_closed_form_cost() {
+    // A GBDT node carries its stride (α, γ₁, γ₂) in `chunks` packed vectors
+    // — one from three share-sum slots up (keysize 256: 3 slots, G = 1;
+    // 512: 7 slots, G = 2), two at two, three under `Packing::Off` — and
+    // every value is exact mod p in every layout: same trees, same
+    // predictions. A statistics pass decrypts `chunks·Σᵢ⌈cᵢ/G⌉ + chunks`
+    // ciphertexts and a tree of depth ≤ 2 makes one pass at the root plus
+    // one for its left child; every tree but the last round's then converts
+    // its n encrypted training predictions, packed under the 44-bit leaf
+    // bound (63-bit slots at m = 2, whatever `packing` says).
+    let regression = synth::make_regression(&synth::RegressionSpec {
+        samples: 40,
+        features: 4,
+        informative: 3,
+        noise: 0.02,
+        seed: 21,
+    });
+    let (m, rounds) = (2, 2);
+    let g = GbdtProtocolParams {
+        rounds,
+        learning_rate: 0.5,
+    };
+    // Two slots cut the stride in two chunks, (α, γ₁) and (γ₂).
+    let layouts = [(192, 2), (256, 3), (512, 7)];
+    for (data, layouts) in [
+        (regression, &layouts[..]),
+        (crisp_two_class(), &layouts[1..]),
+    ] {
+        let n = data.num_samples();
+        for &(keysize, auto_slots) in layouts {
+            let params = |packing| PivotParams {
+                keysize,
+                packing,
+                ..params(TreeParams {
+                    max_depth: 2,
+                    max_splits: 3,
+                    stop_when_pure: false,
+                    ..Default::default()
+                })
+            };
+            let [off, auto] = [Packing::Off, Packing::Auto].map(|packing| {
+                let p = params(packing);
+                let runs = run_gbdt(&data, m, &p, &g);
+                let slots = p.slot_plan(m, n, LabelSource::ShareSums).slots;
+                assert_eq!(slots, [auto_slots, 1][usize::from(packing == Packing::Off)]);
+                let width = slots.min(3);
+                let (chunks, group) = (3usize.div_ceil(width), (slots / width).max(1));
+                let per_pass = chunks
+                    * runs
+                        .iter()
+                        .map(|run| run.own_splits.div_ceil(group))
+                        .sum::<usize>()
+                    + chunks;
+                let trees: Vec<&DecisionTree> = runs[0].forests.iter().flatten().collect();
+                let passes: usize = trees.iter().map(|t| 1 + t.internal_count().min(1)).sum();
+                let accumulated = trees.len() - runs[0].forests.len();
+                let per_accumulate = n.div_ceil(SlotCodec::max_slots(keysize, 63));
+                for run in &runs {
+                    assert_eq!(
+                        run.train_decryptions as usize,
+                        passes * per_pass + accumulated * per_accumulate,
+                        "keysize {keysize} {packing:?}: {passes} passes of {per_pass}"
+                    );
+                    assert_eq!(run.forests, runs[0].forests, "parties agree");
+                    // One lockstep argmax and one opening, however many rows.
+                    assert_eq!(run.predict_rounds[0], run.predict_rounds[1]);
+                }
+                runs
+            });
+            assert_eq!(off[0].forests, auto[0].forests, "keysize {keysize}");
+            for (a, b) in off[0].predictions.iter().zip(&auto[0].predictions) {
+                assert!((a - b).abs() <= 1.0 / (1u64 << 20) as f64, "{a} vs {b}");
             }
         }
     }

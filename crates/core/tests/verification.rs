@@ -228,3 +228,53 @@ fn tampered_final_prediction_is_caught_by_recompute() {
         "recompute",
     );
 }
+
+#[test]
+fn gbdt_under_verification_keeps_the_one_slot_layout_and_its_proofs() {
+    use pivot_core::config::Packing;
+    use pivot_core::ensemble::{train_gbdt, GbdtProtocolParams};
+    // keysize 256 admits three share-sum slots: unverified, a node carries
+    // its stride (α, γ₁, γ₂) in ONE packed vector; verified, in the three
+    // one-slot vectors the popk / popcm / pohdp hooks address — the layout
+    // of `Packing::Off`, commit for commit. (Against the trainer that ran
+    // every GBDT tree one-slot, the counts fell by the final round's dead
+    // `accumulate_predictions` alone: n·leaves = 96 predict commits per
+    // prover, 432 / 240 → 336 / 144 generated here.)
+    let data = regression_dataset();
+    let m = 2;
+    let run = |verification: Verification, packing: Packing| {
+        let params = PivotParams {
+            keysize: 256,
+            packing,
+            ..params_with(verification, None)
+        };
+        let partition = partition_vertically(&data, m, 0);
+        run_parties(m, |ep| {
+            let view = partition.views[ep.id()].clone();
+            let mut ctx = PartyContext::setup(&ep, view, params.clone());
+            let gbdt = GbdtProtocolParams {
+                rounds: 2,
+                learning_rate: 0.5,
+            };
+            let model = train_gbdt(&mut ctx, &gbdt);
+            let counters = VerificationCounters {
+                wall: Default::default(),
+                ..ctx.metrics.verification()
+            };
+            let pooled = ctx.metrics.split_stat_ciphertexts();
+            (model.forests, counters, pooled)
+        })
+    };
+    let packed = run(Verification::Off, Packing::Auto);
+    let verified = run(Verification::Full, Packing::Auto);
+    let verified_off = run(Verification::Full, Packing::Off);
+    for party in 0..m {
+        let (forests, counters, pooled) = &verified[party];
+        assert_eq!(forests, &packed[party].0, "party {party} model");
+        assert_eq!(3 * packed[party].2, *pooled, "one chunk for three");
+        assert_eq!(&verified_off[party], &verified[party], "party {party}");
+        assert_eq!(counters.proofs_rejected, 0);
+        assert_eq!(counters.proofs_skipped, 0);
+        assert_eq!(counters.proofs_generated, [336, 144][party]);
+    }
+}
