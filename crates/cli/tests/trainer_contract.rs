@@ -1,6 +1,6 @@
 //! The two contracts the single level-wise trainer is held to, for
-//! basic-PP, enhanced-PP and GBDT at m = 3 with packing and bounded
-//! comparisons on:
+//! basic-PP, enhanced-PP, GBDT and the random forest at m = 3 with packing
+//! and bounded comparisons on:
 //!
 //! (a) **Oracle equality.** The released model equals the `pivot-trees`
 //!     plaintext oracle trained on the joined data: same splits and leaf
@@ -67,6 +67,43 @@
 //!     `h1`, two of 10 at `h2`, five of 15 at `h3`; the trees are the
 //!     oracle's as before.
 //!
+//!     **The ensemble rows** (`rf-w1`, `rf-w4`, `gbdt-k3`; `h = 2`, n 60,
+//!     t 15, 18 candidate splits) were recorded when a forest became the
+//!     `W` roots of one frontier and its prediction one Algorithm-4 pass
+//!     over its concatenated leaves. The work is the parent commit's —
+//!     party 0's training `[encryptions, decryptions, mults, comparisons]`
+//!     with prediction skipped equal what the parent's binary reports for
+//!     the same scenario (`parent_training`), the trees are the oracle's on
+//!     both — and only the rounds, the messages and the framing moved.
+//!     Party 0, whole run, parent → here:
+//!
+//!     | row | rounds (training) | mults | comparisons | decryptions | train bytes | train messages |
+//!     |---|---|---|---|---|---|---|
+//!     | `rf-w1` | 192 (132) → 135 (132) | 33 015 → 33 045 | 1 297 → 1 237 | 53 → 46 | 1 147 420, same | 294, same |
+//!     | `rf-w4` | 678 (528) → 138 (132) | 132 015 → 132 045 | 5 143 → 4 903 | 212 → 160 | 4 589 268 → 4 569 452 | 1 160 → 338 |
+//!     | `gbdt-k3` | 1 200 (1 182) → 524 (508) | 349 305, same | 8 697, same | 285, same | 11 750 130 → 11 716 302 | 2 882 → 1 478 |
+//!
+//!     *Training rounds*: four trees, or the three class trees of each of
+//!     two boosting rounds, share the levels of one (132 = 132; 508 is
+//!     two frontiers, two softmaxes and one accumulate). *Prediction*: the
+//!     parent converted each tree's encrypted label of each test sample
+//!     alone (`t·W` decryptions), expanded it to a one-hot vote
+//!     (`2·K` comparisons each) and ran one argmax per sample, four rounds
+//!     a sample; here the `K·t` encrypted tallies convert packed
+//!     (`⌈K·t/4⌉ = 8` decryptions whatever `W`), and one lockstep argmax
+//!     (`t` comparisons at `width_for_magnitude(W)`, `4t` multiplications:
+//!     its all-pairs finish weighs index and value of both candidates,
+//!     where the tournament selected them with `2t`) and one opening
+//!     serve the batch: 3 rounds at
+//!     `W = 1`, 6 at `W = 4` — the bounded ladder is deeper at 4 bits than
+//!     at 2, the number of samples does not enter. *Bytes and messages*:
+//!     `rf-w1` is the one-root case, bit for bit the parent's training;
+//!     with four roots every per-level exchange is one message instead of
+//!     four (−0.4 % bytes: the length prefixes and batch headers that
+//!     went). `gbdt-k3`'s counters are all the parent's: the K trees of a
+//!     round were already the same work, and its prediction was already
+//!     one packed conversion per class — now one exchange for the three.
+//!
 //! Every protocol runs at three depths, because the mask rule differs at
 //! each: `max_depth = 1` (no mask update at all), `2` (left masks only —
 //! the depth of every benchmark workload) and `3` (right masks wanted at
@@ -82,12 +119,14 @@
 use pivot_cli::json::Json;
 use pivot_cli::runner::{execute, prepare, Execution};
 use pivot_cli::scenario::Scenario;
-use pivot_core::ensemble::{train_gbdt, GbdtProtocolParams};
+use pivot_core::ensemble::{
+    bootstrap_masks, train_gbdt, train_rf, GbdtProtocolParams, RfProtocolParams,
+};
 use pivot_core::{train_basic, PartyContext};
 use pivot_data::{partition_vertically, Dataset, Task};
 use pivot_transport::run_parties_with;
 use pivot_transport::tcp::loopback_peers;
-use pivot_trees::{train_tree, DecisionTree, Node, TreeParams};
+use pivot_trees::{train_tree, CartTrainer, DecisionTree, Node, TreeParams};
 use std::path::PathBuf;
 use std::process::{Child, Command};
 
@@ -291,6 +330,88 @@ const GBDT: [Case; 3] = [
         ],
     },
 ];
+
+/// The ensemble rows: a forest of `trees` bootstrap trees and one-vs-rest
+/// GBDT over three classes, `h = 2`, on noisy data with the `min_samples`
+/// floor (see the header).
+macro_rules! rf_body {
+    ($trees:literal) => {
+        concat!(
+            "seed = 3\nalgorithm = \"pivot-basic-pp\"\n",
+            "[data]\nkind = \"synthetic-classification\"\nsamples = 75\n",
+            "features_per_party = 2\nclasses = 2\nflip_y = 0.15\ntest_fraction = 0.2\n",
+            "[model]\nkind = \"random-forest\"\ntrees = ",
+            $trees,
+            "\n"
+        )
+    };
+}
+const GBDT_THREE_CLASS: &str = "seed = 7\nalgorithm = \"pivot-basic-pp\"\n\
+     [data]\nkind = \"synthetic-classification\"\nsamples = 75\n\
+     features_per_party = 2\nclasses = 3\ninformative = 4\nflip_y = 0.15\n\
+     test_fraction = 0.2\n\
+     [model]\nkind = \"gbdt\"\nrounds = 2\nlearning_rate = 0.5\n";
+const DEPTH_2_FLOOR: &str = "max_depth = 2\nmin_samples = 10\n";
+
+/// A row of the ensemble table: its golden counters, and party 0's
+/// training-phase `[encryptions, threshold_decryptions, secure_mults,
+/// secure_comparisons]` as the parent commit's binary reports them.
+struct EnsembleCase {
+    case: Case,
+    parent_training: [u64; 4],
+}
+
+const RF: [EnsembleCase; 2] = [
+    EnsembleCase {
+        case: Case {
+            tag: "rf-w1",
+            body: rf_body!(1),
+            tree: DEPTH_2_FLOOR,
+            golden: [
+                [135, 33045, 1237, 46, 1147420, 294],
+                [135, 33045, 1237, 46, 1112706, 284],
+                [135, 33045, 1237, 46, 1112640, 282],
+            ],
+            predictions: &[
+                0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0,
+            ],
+        },
+        parent_training: [158, 38, 32985, 1222],
+    },
+    EnsembleCase {
+        case: Case {
+            tag: "rf-w4",
+            body: rf_body!(4),
+            tree: DEPTH_2_FLOOR,
+            golden: [
+                [138, 132045, 4903, 160, 4569452, 338],
+                [138, 132045, 4903, 160, 4430524, 298],
+                [138, 132045, 4903, 160, 4430606, 302],
+            ],
+            predictions: &[
+                0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0,
+            ],
+        },
+        parent_training: [632, 152, 131940, 4888],
+    },
+];
+
+const GBDT_K3: EnsembleCase = EnsembleCase {
+    case: Case {
+        tag: "gbdt-k3",
+        body: GBDT_THREE_CLASS,
+        tree: DEPTH_2_FLOOR,
+        golden: [
+            [524, 349305, 8697, 285, 11716302, 1478],
+            [524, 349305, 8697, 285, 11632928, 1134],
+            [524, 349305, 8697, 285, 11632847, 1132],
+        ],
+        predictions: &[
+            1.0, 2.0, 1.0, 1.0, 2.0, 1.0, 2.0, 2.0, 1.0, 2.0, 1.0, 1.0, 1.0, 0.0, 1.0,
+        ],
+    },
+    parent_training: [2073, 273, 345480, 8652],
+};
 
 /// Candidate splits and crypto configuration shared by every case.
 const PARAMS: &str = "max_splits = 3\nkeysize = 256\ncrypto_threads = 2\n";
@@ -549,6 +670,96 @@ fn gbdt_equals_the_boosted_cart_oracle_and_the_golden_counters() {
                 assert_same_tree(&model.forests[0][round], &oracle, &what);
             }
             for (i, score) in scores.iter_mut().enumerate() {
+                *score += learning_rate * oracle.predict(train_set.sample(i));
+            }
+        }
+    }
+}
+
+/// Party 0's training-phase `mpc_rounds` with prediction skipped, after
+/// checking that the training work is what the parent commit did.
+fn training_rounds_at_the_parents_work(row: &EnsembleCase, scenario: &Scenario) -> u64 {
+    let exec = execute(scenario, scenario.sole_algorithm().unwrap(), true).unwrap();
+    let p0 = &exec.parties[0];
+    assert_eq!(
+        [
+            p0.encryptions,
+            p0.threshold_decryptions,
+            p0.secure_mults,
+            p0.secure_comparisons
+        ],
+        row.parent_training,
+        "{}: training [encryptions, decryptions, mults, comparisons] vs the parent commit",
+        row.case.tag
+    );
+    p0.mpc_rounds
+}
+
+#[test]
+fn random_forest_is_the_oracle_trees_at_the_rounds_of_one_tree() {
+    let mut rounds = Vec::new();
+    for row in &RF {
+        let (scenario, _) = run_both_backends(&row.case);
+        rounds.push(training_rounds_at_the_parents_work(row, &scenario));
+        let rf = RfProtocolParams {
+            trees: scenario.model.trees,
+            sample_fraction: scenario.model.sample_fraction,
+            bootstrap_seed: scenario.seed,
+        };
+        let (train_set, models) = train_federated(&scenario, |ctx| train_rf(ctx, &rf));
+        // Per tree, the oracle on its bootstrap rows.
+        let masks = bootstrap_masks(train_set.num_samples(), &rf);
+        let oracle = CartTrainer::new(&train_set, tree_params(&scenario));
+        for (party, model) in models.iter().enumerate() {
+            assert_eq!(model.trees.len(), rf.trees);
+            for (w, (tree, mask)) in model.trees.iter().zip(&masks).enumerate() {
+                let what = format!("{} party {party} tree {w}", row.case.tag);
+                assert_same_tree(tree, &oracle.train_masked(mask), &what);
+            }
+        }
+    }
+    assert_eq!(rounds[0], rounds[1], "W trees cost the rounds of one");
+}
+
+#[test]
+fn one_vs_rest_gbdt_equals_the_boosted_softmax_oracle_and_the_golden_counters() {
+    let (scenario, _) = run_both_backends(&GBDT_K3.case);
+    training_rounds_at_the_parents_work(&GBDT_K3, &scenario);
+    let rounds = scenario.model.rounds;
+    let learning_rate = scenario.model.learning_rate;
+    let (train_set, models) = train_federated(&scenario, |ctx| {
+        train_gbdt(
+            ctx,
+            &GbdtProtocolParams {
+                rounds,
+                learning_rate,
+            },
+        )
+    });
+    // One-vs-rest boosting of `1[y = k] − softmax(scores)_k` from zero
+    // scores (§7.2), in the clear.
+    let n = train_set.num_samples();
+    let classes = 3;
+    let mut scores = vec![vec![0.0f64; n]; classes];
+    for round in 0..rounds {
+        let probabilities: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                let exp: Vec<f64> = scores.iter().map(|s| s[i].exp()).collect();
+                let total: f64 = exp.iter().sum();
+                exp.iter().map(|e| e / total).collect()
+            })
+            .collect();
+        for (k, class_scores) in scores.iter_mut().enumerate() {
+            let residuals = (0..n)
+                .map(|i| f64::from(train_set.label(i) as usize == k) - probabilities[i][k])
+                .collect();
+            let stage = train_set.with_labels(residuals, Task::Regression);
+            let oracle = train_tree(&stage, &tree_params(&scenario));
+            for (party, model) in models.iter().enumerate() {
+                let what = format!("gbdt-k3 party {party} class {k} round {round}");
+                assert_same_tree(&model.forests[k][round], &oracle, &what);
+            }
+            for (i, score) in class_scores.iter_mut().enumerate() {
                 *score += learning_rate * oracle.predict(train_set.sample(i));
             }
         }

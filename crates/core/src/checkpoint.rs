@@ -2,11 +2,12 @@
 //!
 //! Training already has natural barriers — the end of every tree level
 //! (where the dealer/nonce pools refill) and the end of every ensemble
-//! round. At each one the context snapshots its deterministic progress
-//! cursors and hands them to an optional [`CheckpointSink`]; the sink (the
-//! CLI layer, in practice) serializes the party's durable state and tells
-//! the transport the barrier is persisted so retransmit retention may roll
-//! forward.
+//! round (a random forest is one round: its trees share one frontier; the
+//! trees of a boosting round share theirs). At each one the context
+//! snapshots its deterministic progress cursors and hands them to an
+//! optional [`CheckpointSink`]; the sink (the CLI layer, in practice)
+//! serializes the party's durable state and tells the transport the
+//! barrier is persisted so retransmit retention may roll forward.
 //!
 //! The protocol itself never branches on the sink: a run with no sink is
 //! bit-identical to one that checkpoints at every level, because the

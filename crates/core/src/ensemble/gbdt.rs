@@ -12,15 +12,24 @@
 //! slot-width audit (`LabelSource::ShareSums`). Classification uses
 //! one-vs-rest with a **secure softmax** over the cumulative scores each
 //! round.
+//!
+//! Boosting rounds are sequential; what a round trains is not. Its `K`
+//! trees (one for regression, one per class for one-vs-rest) are the `K`
+//! roots of one frontier ([`train_residual_trees`]: one `fixmul_vec` for
+//! the squares, one share → ciphertext exchange, the rounds of one tree),
+//! and their `K` accumulates — like the `K` class scores of a prediction —
+//! are `K` outputs of one Algorithm-4 ring pass ([`group_scores`]).
 
+use super::open_argmax;
 use crate::config::LabelSource;
-use crate::conversion::{packed_share_conversion, share_rows_to_ciphers};
+use crate::conversion::{packed_share_conversion_groups, share_rows_to_ciphers};
 use crate::masks::initial_mask;
 use crate::party::PartyContext;
-use crate::predict_basic::predict_batch_encrypted;
+use crate::predict_basic::{leaf_values, predict_batch_encrypted};
 use crate::stats::PackedChunking;
-use crate::train_basic::train_from_root;
+use crate::train_basic::train_from_roots;
 use crate::trainer::NodeMask;
+use pivot_bignum::BigUint;
 use pivot_data::Task;
 use pivot_mpc::{Fp, Share};
 use pivot_paillier::packing::add_packed;
@@ -63,84 +72,63 @@ pub fn train_gbdt(ctx: &mut PartyContext<'_>, gbdt: &GbdtProtocolParams) -> Gbdt
     ctx.params
         .assert_valid_for(ctx.num_samples(), ctx.parties(), labels);
     let codec = ctx.packing_codec(labels);
-    match ctx.view.task {
-        Task::Regression => train_gbdt_regression(ctx, gbdt, &codec),
-        Task::Classification { classes } => train_gbdt_classification(ctx, gbdt, &codec, classes),
-    }
-}
-
-fn train_gbdt_regression(
-    ctx: &mut PartyContext<'_>,
-    gbdt: &GbdtProtocolParams,
-    codec: &SlotCodec,
-) -> GbdtModel {
     let n = ctx.num_samples();
-    // The super client shares the (normalized) labels once.
-    let y = share_labels(ctx, |y| y);
-    let mut cumulative = vec![Share::ZERO; n];
-    let mut trees = Vec::with_capacity(gbdt.rounds);
-    for round in 0..gbdt.rounds {
-        let residuals: Vec<Share> = y.iter().zip(&cumulative).map(|(&t, &f)| t - f).collect();
-        let tree = train_residual_tree(ctx, codec, &residuals);
-        // Only a later round reads the cumulative scores.
-        if round + 1 < gbdt.rounds {
-            accumulate_predictions(ctx, &tree, gbdt.learning_rate, &mut cumulative);
-        }
-        trees.push(tree);
-        ctx.tree_barrier();
-    }
-    GbdtModel {
-        forests: vec![trees],
-        learning_rate: gbdt.learning_rate,
-        task: Task::Regression,
-    }
-}
-
-fn train_gbdt_classification(
-    ctx: &mut PartyContext<'_>,
-    gbdt: &GbdtProtocolParams,
-    codec: &SlotCodec,
-    classes: usize,
-) -> GbdtModel {
-    let n = ctx.num_samples();
-    // One-vs-rest targets, shared by the super client.
-    let targets: Vec<Vec<Share>> = (0..classes)
-        .map(|k| share_labels(ctx, move |y| if y as usize == k { 1.0 } else { 0.0 }))
-        .collect();
+    let task = ctx.view.task;
+    // What each forest fits, shared by the super client once: the
+    // (normalized) labels, or one one-vs-rest indicator per class.
+    let targets: Vec<Vec<Share>> = match task {
+        Task::Regression => vec![share_labels(ctx, |y| y)],
+        Task::Classification { classes } => (0..classes)
+            .map(|k| share_labels(ctx, move |y| if y as usize == k { 1.0 } else { 0.0 }))
+            .collect(),
+    };
+    let classes = targets.len();
     let mut scores: Vec<Vec<Share>> = vec![vec![Share::ZERO; n]; classes];
     let mut forests: Vec<Vec<DecisionTree>> = vec![Vec::new(); classes];
 
     for round in 0..gbdt.rounds {
-        // Secure softmax over the cumulative scores (row per sample).
-        let mut logits = Vec::with_capacity(n * classes);
-        for i in 0..n {
-            for class_scores in scores.iter() {
-                logits.push(class_scores[i]);
+        // What the cumulative scores predict: themselves, or their secure
+        // softmax (row per sample).
+        let fitted: Vec<Vec<Share>> = match task {
+            Task::Regression => scores.clone(),
+            Task::Classification { .. } => {
+                let logits: Vec<Share> = (0..n)
+                    .flat_map(|i| scores.iter().map(move |class_scores| class_scores[i]))
+                    .collect();
+                // Cumulative scores are sums of `rounds` shrunk leaf means;
+                // residual leaves stay in [−1, 1] up to fixed-point noise, so
+                // |logit| ≤ rounds·lr (+1 margin for the truncation noise).
+                let bound = gbdt.rounds as f64 * gbdt.learning_rate + 1.0;
+                let probs = ctx.engine.softmax_rows_clamped(&logits, classes, bound);
+                (0..classes)
+                    .map(|k| probs.iter().skip(k).step_by(classes).copied().collect())
+                    .collect()
+            }
+        };
+        let residuals: Vec<Vec<Share>> = targets
+            .iter()
+            .zip(&fitted)
+            .map(|(target, fit)| target.iter().zip(fit).map(|(&t, &f)| t - f).collect())
+            .collect();
+        let trees = train_residual_trees(ctx, &codec, &residuals);
+        // Only a later round reads the cumulative scores.
+        if round + 1 < gbdt.rounds {
+            let stage: Vec<&[DecisionTree]> = trees.iter().map(std::slice::from_ref).collect();
+            let local_samples = ctx.view.features.clone();
+            let predicted = group_scores(ctx, &stage, gbdt.learning_rate, &local_samples);
+            for (acc, s) in scores.iter_mut().flatten().zip(predicted) {
+                *acc = *acc + s;
             }
         }
-        // Cumulative scores are sums of `rounds` shrunk leaf means;
-        // residual leaves stay in [−1, 1] up to fixed-point noise, so
-        // |logit| ≤ rounds·lr (+1 margin for the truncation noise).
-        let bound = gbdt.rounds as f64 * gbdt.learning_rate + 1.0;
-        let probs = ctx.engine.softmax_rows_clamped(&logits, classes, bound);
-
-        for (k, forest) in forests.iter_mut().enumerate() {
-            let residuals: Vec<Share> = (0..n)
-                .map(|i| targets[k][i] - probs[i * classes + k])
-                .collect();
-            let tree = train_residual_tree(ctx, codec, &residuals);
-            // Only a later round's softmax reads the scores.
-            if round + 1 < gbdt.rounds {
-                accumulate_predictions(ctx, &tree, gbdt.learning_rate, &mut scores[k]);
-            }
+        for (forest, tree) in forests.iter_mut().zip(trees) {
             forest.push(tree);
-            ctx.tree_barrier();
         }
+        ctx.tree_barrier();
     }
     GbdtModel {
         forests,
         learning_rate: gbdt.learning_rate,
-        task: Task::Classification { classes },
+        task,
     }
 }
 
@@ -159,45 +147,55 @@ fn share_labels(ctx: &mut PartyContext<'_>, f: impl Fn(f64) -> f64) -> Vec<Share
     ctx.engine.share_input(ctx.super_client, values.as_deref())
 }
 
-/// One boosting stage: encrypt the residual moments and train a regression
-/// tree on them with the basic protocol.
-fn train_residual_tree(
+/// One boosting stage: encrypt the residual moments of every tree of the
+/// round and train the regression trees on them with the basic protocol,
+/// in one frontier.
+fn train_residual_trees(
     ctx: &mut PartyContext<'_>,
     codec: &SlotCodec,
-    residuals: &[Share],
-) -> DecisionTree {
-    let n = residuals.len();
+    residuals: &[Vec<Share>],
+) -> Vec<DecisionTree> {
+    let n = ctx.num_samples();
     // [γ₁] = [R], [γ₂] = [R²] — encrypted once per round (§7.2): per sample
     // and chunk of the stride (α, γ₁, γ₂), every client encrypts ONE packed
     // row of its shares, the α slot left empty. With one slot chunk 0 is
     // the α slot alone — `[α]` itself, nothing to encrypt.
-    let squares = ctx.engine.fixmul_vec(residuals, residuals);
+    let flat = residuals.concat();
+    let squares = ctx.engine.fixmul_vec(&flat, &flat);
     let chunking = PackedChunking::new(3, codec.slots());
-    let rows: Vec<Vec<Share>> = (usize::from(chunking.alpha_alone())..chunking.chunks())
-        .flat_map(|c| {
+    let encrypted = usize::from(chunking.alpha_alone())..chunking.chunks();
+    // Tree-major, then chunk-major, then one row per sample.
+    let mut rows: Vec<Vec<Share>> = Vec::with_capacity(flat.len() * encrypted.len());
+    for (r, r2) in flat.chunks(n).zip(squares.chunks(n)) {
+        for c in encrypted.clone() {
             let range = chunking.stride_range(c);
-            residuals
-                .iter()
-                .zip(&squares)
-                .map(move |(&r, &r2)| [Share::ZERO, r, r2][range.clone()].to_vec())
+            let stride = r.iter().zip(r2).map(|(&r, &r2)| [Share::ZERO, r, r2]);
+            rows.extend(stride.map(|stride| stride[range.clone()].to_vec()));
+        }
+    }
+    let mut sums = share_rows_to_ciphers(ctx, codec, &rows).into_iter();
+    let roots = residuals
+        .iter()
+        .map(|_| {
+            let alpha = initial_mask(ctx, &vec![true; n]);
+            let mut chunks: Vec<Vec<Ciphertext>> = encrypted
+                .clone()
+                .map(|_| sums.by_ref().take(n).collect())
+                .collect();
+            if chunking.alpha_alone() {
+                chunks.insert(0, alpha);
+            } else {
+                // Un-shifted, `[α]` lands in slot 0.
+                chunks[0] = add_packed(&ctx.pk, &chunks[0], &alpha);
+                ctx.metrics.add_ciphertext_ops(n as u64);
+            }
+            NodeMask::Carried(chunks)
         })
         .collect();
-    let mut sums = share_rows_to_ciphers(ctx, codec, &rows).into_iter();
-    let alpha = initial_mask(ctx, &vec![true; n]);
-    let mut chunks: Vec<Vec<Ciphertext>> = (0..rows.len() / n)
-        .map(|_| sums.by_ref().take(n).collect())
-        .collect();
-    if chunking.alpha_alone() {
-        chunks.insert(0, alpha);
-    } else {
-        // Un-shifted, `[α]` lands in slot 0.
-        chunks[0] = add_packed(&ctx.pk, &chunks[0], &alpha);
-        ctx.metrics.add_ciphertext_ops(n as u64);
-    }
     ctx.task_override = Some(Task::Regression);
-    let tree = train_from_root(ctx, NodeMask::Carried(chunks), codec);
+    let trees = train_from_roots(ctx, roots, codec);
     ctx.task_override = None;
-    tree
+    trees
 }
 
 /// Magnitude bound, in bits, on one tree's encrypted prediction: a signed
@@ -206,86 +204,64 @@ fn prediction_bound_bits(ctx: &PartyContext<'_>) -> u32 {
     ctx.params.fixed.int_bits - 1
 }
 
-/// Predict all training samples with the new tree (Algorithm 4, encrypted
-/// outputs), convert to shares, and fold into the cumulative scores.
-fn accumulate_predictions(
+/// Algorithm 4 over every tree of `groups` in ONE ring pass, one output
+/// per group — the sum of its trees' predictions, zero-weighted over the
+/// other groups' leaves — converted to shares in one exchange and shrunk by
+/// `learning_rate`. Class-major: element `g·n + i` is group `g`'s score of
+/// sample `i`.
+fn group_scores(
     ctx: &mut PartyContext<'_>,
-    tree: &DecisionTree,
+    groups: &[&[DecisionTree]],
     learning_rate: f64,
-    cumulative: &mut [Share],
-) {
-    let local_samples: Vec<Vec<f64>> = (0..ctx.num_samples())
-        .map(|i| ctx.view.features[i].clone())
+    local_samples: &[Vec<f64>],
+) -> Vec<Share> {
+    let trees: Vec<&DecisionTree> = groups.iter().flat_map(|group| group.iter()).collect();
+    let values = leaf_values(ctx, &trees, Task::Regression);
+    let mut next_leaf = 0;
+    let outputs: Vec<Vec<BigUint>> = groups
+        .iter()
+        .map(|group| {
+            let own =
+                next_leaf..next_leaf + group.iter().map(DecisionTree::leaf_count).sum::<usize>();
+            next_leaf = own.end;
+            let mut z = vec![BigUint::zero(); values.len()];
+            z[own.clone()].clone_from_slice(&values[own]);
+            z
+        })
         .collect();
-    ctx.task_override = Some(Task::Regression);
-    let enc_preds = predict_batch_encrypted(ctx, tree, &local_samples);
-    ctx.task_override = None;
-    let pred_shares = packed_share_conversion(ctx, &enc_preds, prediction_bound_bits(ctx));
-    let scaled = ctx.engine.fixscale_vec(&pred_shares, learning_rate);
-    for (acc, s) in cumulative.iter_mut().zip(scaled) {
-        *acc = *acc + s;
-    }
+    let sums = predict_batch_encrypted(ctx, &trees, &outputs, local_samples);
+    // A sum of W predictions: ⌈log₂ W⌉ bits above one of them.
+    let bounded: Vec<(&[Ciphertext], u32)> = sums
+        .iter()
+        .zip(groups)
+        .map(|(cts, group)| {
+            let carry = group.len().next_power_of_two().trailing_zeros();
+            (cts.as_slice(), prediction_bound_bits(ctx) + carry)
+        })
+        .collect();
+    let shares = packed_share_conversion_groups(ctx, &bounded).concat();
+    ctx.engine.fixscale_vec(&shares, learning_rate)
 }
 
-/// Joint GBDT prediction (§7.2): per-tree Algorithm 4, homomorphic
-/// aggregation; classification picks the secure argmax over class scores.
-pub fn predict_gbdt(ctx: &mut PartyContext<'_>, model: &GbdtModel, local_sample: &[f64]) -> f64 {
-    predict_gbdt_batch(ctx, model, std::slice::from_ref(&local_sample.to_vec()))[0]
-}
-
-/// Batched GBDT prediction.
+/// Batched joint GBDT prediction (§7.2): every tree of every forest in one
+/// Algorithm-4 pass, a class score per forest; classification picks the
+/// secure argmax over them.
 pub fn predict_gbdt_batch(
     ctx: &mut PartyContext<'_>,
     model: &GbdtModel,
     local_samples: &[Vec<f64>],
 ) -> Vec<f64> {
-    let n = local_samples.len();
-    // Per class: homomorphic sum of the encrypted tree predictions.
-    let mut class_scores: Vec<Vec<Share>> = Vec::with_capacity(model.forests.len());
-    for forest in &model.forests {
-        let mut acc: Option<Vec<_>> = None;
-        ctx.task_override = Some(Task::Regression);
-        for tree in forest {
-            let preds = predict_batch_encrypted(ctx, tree, local_samples);
-            acc = Some(match acc {
-                None => preds,
-                Some(prev) => prev
-                    .iter()
-                    .zip(&preds)
-                    .map(|(a, b)| ctx.pk.add(a, b))
-                    .collect(),
-            });
-        }
-        ctx.task_override = None;
-        let summed = acc.expect("at least one tree");
-        // A sum of W predictions: ⌈log₂ W⌉ bits above one of them.
-        let bound_bits =
-            prediction_bound_bits(ctx) + forest.len().next_power_of_two().trailing_zeros();
-        let shares = packed_share_conversion(ctx, &summed, bound_bits);
-        let scaled = ctx.engine.fixscale_vec(&shares, model.learning_rate);
-        class_scores.push(scaled);
-    }
-
+    let forests: Vec<&[DecisionTree]> = model.forests.iter().map(Vec::as_slice).collect();
+    let scores = group_scores(ctx, &forests, model.learning_rate, local_samples);
     match model.task {
         Task::Regression => {
-            let opened = ctx.engine.open_vec(&class_scores[0]);
+            let opened = ctx.engine.open_vec(&scores);
             opened.iter().map(|&v| ctx.params.fixed.decode(v)).collect()
         }
+        // Softmax is monotone, so the argmax over the scores is the
+        // paper's §7.2 decision.
         Task::Classification { .. } => {
-            // Secure argmax over the class scores of every sample in
-            // lockstep (softmax is monotone, so the argmax matches the
-            // paper's §7.2 decision) and ONE opening round.
-            let rows: Vec<Vec<Share>> = (0..n)
-                .map(|i| class_scores.iter().map(|scores| scores[i]).collect())
-                .collect();
-            let winners: Vec<Share> = ctx
-                .engine
-                .argmax_many_bounded(&rows, ctx.params.fixed.int_bits)
-                .into_iter()
-                .map(|(idx, _)| idx)
-                .collect();
-            let opened = ctx.engine.open_vec(&winners);
-            opened.iter().map(|idx| idx.value() as f64).collect()
+            open_argmax(ctx, &scores, local_samples.len(), ctx.params.fixed.int_bits)
         }
     }
 }

@@ -1,14 +1,18 @@
-//! Random forest extension (§7.1): independently trained basic-protocol
-//! trees over public bootstrap masks; secure aggregation at prediction —
-//! majority vote via secure maximum for classification, homomorphic mean
-//! for regression.
+//! Random forest extension (§7.1): `W` basic-protocol trees over public
+//! bootstrap masks, grown as the `W` roots of ONE frontier — the rounds of
+//! a single tree, its bytes and ciphertext work times `W` (Fig 4f).
+//! Prediction is one Algorithm-4 ring pass over the forest's concatenated
+//! leaves (`crate::predict_basic`) and secure aggregation: the homomorphic
+//! mean for regression, for classification the majority vote — one vote
+//! tally per class, then a secure maximum.
 
-use crate::decrypt::joint_decrypt_vec;
+use super::open_argmax;
+use crate::conversion::packed_share_conversion;
 use crate::party::PartyContext;
-use crate::predict_basic::{decode_prediction, predict_batch_encrypted};
-use crate::train_basic::train_with_mask;
+use crate::predict_basic::{leaf_values, predict_batch_encrypted, predict_sum_batch};
+use crate::train_basic::train_with_masks;
+use pivot_bignum::BigUint;
 use pivot_data::Task;
-use pivot_mpc::Share;
 use pivot_trees::DecisionTree;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -40,101 +44,60 @@ pub struct RfModel {
     pub trees: Vec<DecisionTree>,
 }
 
-/// Train `W` independent trees (each a full basic-protocol training run)
-/// over public bootstrap masks derived from a common seed.
-pub fn train_rf(ctx: &mut PartyContext<'_>, rf: &RfProtocolParams) -> RfModel {
-    assert!(rf.trees >= 1);
-    let n = ctx.num_samples();
+/// The `W` public bootstrap masks: every client derives the identical
+/// draws (with replacement) from the common seed.
+pub fn bootstrap_masks(n: usize, rf: &RfProtocolParams) -> Vec<Vec<bool>> {
     let draws = ((n as f64) * rf.sample_fraction).round().max(1.0) as usize;
-    let trees = (0..rf.trees)
+    (0..rf.trees)
         .map(|w| {
-            // Public bootstrap: every client derives the identical mask.
             let mut rng = StdRng::seed_from_u64(rf.bootstrap_seed ^ (w as u64) << 16);
             let mut mask = vec![false; n];
             for _ in 0..draws {
                 mask[rng.gen_range(0..n)] = true;
             }
-            let tree = train_with_mask(ctx, &mask);
-            ctx.tree_barrier();
-            tree
+            mask
         })
-        .collect();
+        .collect()
+}
+
+/// Train `W` trees over the public bootstrap masks, all in one frontier.
+pub fn train_rf(ctx: &mut PartyContext<'_>, rf: &RfProtocolParams) -> RfModel {
+    assert!(rf.trees >= 1);
+    let masks = bootstrap_masks(ctx.num_samples(), rf);
+    let trees = train_with_masks(ctx, &masks);
+    ctx.tree_barrier();
     RfModel { trees }
 }
 
-/// Joint RF prediction on one sample (§7.1): each tree runs Algorithm 4 to
-/// an *encrypted* prediction; aggregation is secure.
-pub fn predict_rf(ctx: &mut PartyContext<'_>, model: &RfModel, local_sample: &[f64]) -> f64 {
-    let sample = vec![local_sample.to_vec()];
-    let per_tree: Vec<_> = model
-        .trees
-        .iter()
-        .map(|tree| predict_batch_encrypted(ctx, tree, &sample).remove(0))
-        .collect();
-
-    match ctx.current_task() {
-        Task::Regression => {
-            // Homomorphic mean: sum the encrypted predictions, decrypt,
-            // divide by W in public.
-            let mut acc = per_tree[0].clone();
-            for ct in &per_tree[1..] {
-                acc = ctx.pk.add(&acc, ct);
-            }
-            ctx.metrics.add_ciphertext_ops(per_tree.len() as u64);
-            let opened = joint_decrypt_vec(ctx, &[acc]).remove(0);
-            decode_prediction(ctx, &opened, Task::Regression) / model.trees.len() as f64
-        }
-        Task::Classification { classes } => {
-            // Convert each tree's encrypted label to shares, expand to
-            // one-hot votes, tally, and take the secure maximum.
-            let label_shares = crate::conversion::ciphers_to_shares(ctx, &per_tree);
-            let mut tallies = vec![Share::ZERO; classes];
-            for &label in &label_shares {
-                let onehot = ctx.engine.onehot_vec(label, classes);
-                for (k, vote) in onehot.into_iter().enumerate() {
-                    tallies[k] = tallies[k] + vote;
-                }
-            }
-            // Vote tallies are integers bounded by the tree count.
-            let width = pivot_mpc::width_for_magnitude(model.trees.len() as u64);
-            let (winner, _) = ctx.engine.argmax_bounded(&tallies, width);
-            ctx.engine.open(winner).value() as f64
-        }
-    }
-}
-
-/// Batch RF prediction (loops [`predict_rf`] per sample for classification;
-/// regression is aggregated in one homomorphic pass).
+/// Joint RF prediction (§7.1): one ring pass over the forest's leaves to
+/// *encrypted* aggregates; only the aggregated prediction is opened.
 pub fn predict_rf_batch(
     ctx: &mut PartyContext<'_>,
     model: &RfModel,
     local_samples: &[Vec<f64>],
 ) -> Vec<f64> {
+    let trees: Vec<&DecisionTree> = model.trees.iter().collect();
+    let w = trees.len();
     match ctx.current_task() {
+        // Homomorphic mean: open the sum, divide by W in public.
         Task::Regression => {
-            let w = model.trees.len();
-            let mut acc: Option<Vec<_>> = None;
-            for tree in &model.trees {
-                let preds = predict_batch_encrypted(ctx, tree, local_samples);
-                acc = Some(match acc {
-                    None => preds,
-                    Some(prev) => prev
-                        .iter()
-                        .zip(&preds)
-                        .map(|(a, b)| ctx.pk.add(a, b))
-                        .collect(),
-                });
-            }
-            let summed = acc.expect("at least one tree");
-            let opened = joint_decrypt_vec(ctx, &summed);
-            opened
-                .iter()
-                .map(|v| decode_prediction(ctx, v, Task::Regression) / w as f64)
-                .collect()
+            let sums = predict_sum_batch(ctx, &trees, local_samples);
+            sums.iter().map(|sum| sum / w as f64).collect()
         }
-        Task::Classification { .. } => local_samples
-            .iter()
-            .map(|s| predict_rf(ctx, model, s))
-            .collect(),
+        // Majority vote: class k's output weighs a leaf 1 iff its label is
+        // k, and every tree's `η` is one-hot — the dot product is the
+        // number of trees voting k, an integer of ⌈log₂(W + 1)⌉ bits.
+        Task::Classification { classes } => {
+            let labels = leaf_values(ctx, &trees, ctx.current_task());
+            let votes: Vec<Vec<BigUint>> = (0..classes as u64)
+                .map(BigUint::from_u64)
+                .map(|k| labels.iter().map(|l| u64::from(*l == k).into()).collect())
+                .collect();
+            let tallies = predict_batch_encrypted(ctx, &trees, &votes, local_samples).concat();
+            let bound_bits = (w + 1).next_power_of_two().trailing_zeros();
+            let shares = packed_share_conversion(ctx, &tallies, bound_bits);
+            let width = pivot_mpc::width_for_magnitude(w as u64);
+            open_argmax(ctx, &shares, local_samples.len(), width)
+        }
     }
 }

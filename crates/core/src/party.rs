@@ -150,9 +150,10 @@ impl<'a> PartyContext<'a> {
         self.fire_barrier(level);
     }
 
-    /// Fire the barrier hook after one ensemble member (RF tree / GBDT
-    /// round tree) finishes. The "level" reported is the running barrier
-    /// ordinal, since ensemble members have no level of their own.
+    /// Fire the barrier hook at the end of an ensemble round — the one
+    /// frontier of a random forest, or the trees of one boosting round.
+    /// The "level" reported is the running barrier ordinal, since a round
+    /// has no level of its own.
     pub fn tree_barrier(&mut self) {
         self.fire_barrier(self.checkpoint_ordinal + 1);
     }

@@ -3,6 +3,22 @@
 //! `[η]` in a round-robin ring, the first client dot-products it with the
 //! leaf-label vector `z`, and the result is jointly decrypted. Nothing but
 //! the final prediction is revealed — in particular, not the path taken.
+//!
+//! # Leaves concatenate
+//!
+//! Algorithm 4 over a forest is Algorithm 4 over the concatenation of its
+//! leaves: [`predict_batch_encrypted`] takes a list of trees and carries
+//! every tree's `[η]` in ONE ring pass (`m − 1` hops whatever the number of
+//! trees), and what is computed from it is a list of *outputs* — each a
+//! plaintext weight vector `z` over the concatenated leaves
+//! ([`leaf_values`] order), each one `dot_plain` per sample at party 0. A
+//! single tree is one tree and one `z`; a regression forest or a GBDT class
+//! score is one `z` of all leaf values (every tree's `η` is one-hot, so the
+//! dot product is the sum of the trees' predictions); a random forest's
+//! majority vote is one indicator vector per class, whose dot products are
+//! the vote tallies; the K accumulates of a one-vs-rest boosting round are
+//! K outputs, each zero outside its tree. This function is the only place
+//! the ring runs.
 
 use crate::decrypt::joint_decrypt_vec;
 use crate::masks::encode_signed;
@@ -11,7 +27,7 @@ use crate::party::PartyContext;
 use crate::verify;
 use pivot_bignum::BigUint;
 use pivot_data::Task;
-use pivot_paillier::{batch, vector, Ciphertext};
+use pivot_paillier::{batch, vector, Ciphertext, PublicKey};
 use pivot_trees::DecisionTree;
 
 /// Jointly predict one sample. `local_sample` holds this client's local
@@ -26,29 +42,64 @@ pub fn predict_batch(
     tree: &DecisionTree,
     local_samples: &[Vec<f64>],
 ) -> Vec<f64> {
-    let enc = predict_batch_encrypted(ctx, tree, local_samples);
-    let opened = joint_decrypt_vec(ctx, &enc);
+    predict_sum_batch(ctx, &[tree], local_samples)
+}
+
+/// Algorithm 4 in full for the *sum* of the trees' predictions — one ring
+/// pass, one output, one joint decryption. A single tree is the one-tree
+/// sum.
+pub fn predict_sum_batch(
+    ctx: &mut PartyContext<'_>,
+    trees: &[&DecisionTree],
+    local_samples: &[Vec<f64>],
+) -> Vec<f64> {
     let task = ctx.current_task();
+    let z = leaf_values(ctx, trees, task);
+    let enc = predict_batch_encrypted(ctx, trees, &[z], local_samples).remove(0);
+    let opened = joint_decrypt_vec(ctx, &enc);
     opened
         .iter()
         .map(|v| decode_prediction(ctx, v, task))
         .collect()
 }
 
-/// Algorithm 4 up to (but not including) the final decryption — the GBDT
-/// extension consumes the *encrypted* per-sample predictions (§7.2).
+/// The leaf values of `trees`, concatenated in the order the ring carries
+/// their `[η]` and encoded for the dot product (`task` says how): the `z`
+/// whose output is the sum of the trees' predictions.
+pub fn leaf_values(ctx: &PartyContext<'_>, trees: &[&DecisionTree], task: Task) -> Vec<BigUint> {
+    trees
+        .iter()
+        .flat_map(|tree| tree.leaf_paths())
+        .map(|(value, _)| match task {
+            Task::Classification { .. } => BigUint::from_u64(value as u64),
+            Task::Regression => {
+                let scaled = value * (1u64 << ctx.params.fixed.frac_bits) as f64;
+                encode_signed(ctx, scaled)
+            }
+        })
+        .collect()
+}
+
+/// Algorithm 4 up to (but not including) the final decryption, over the
+/// concatenated leaves of `trees`: one ring pass, then `outputs[o] ⊙ [η]`
+/// per output and sample — `result[o][i]` is output `o` of sample `i`, still
+/// encrypted (the ensembles of §7 aggregate before anything is opened).
 pub fn predict_batch_encrypted(
     ctx: &mut PartyContext<'_>,
-    tree: &DecisionTree,
+    trees: &[&DecisionTree],
+    outputs: &[Vec<BigUint>],
     local_samples: &[Vec<f64>],
-) -> Vec<Ciphertext> {
+) -> Vec<Vec<Ciphertext>> {
     let started = std::time::Instant::now();
     let result = {
         let m = ctx.parties();
         let me = ctx.id();
-        let paths = tree.leaf_paths();
+        let paths: Vec<_> = trees.iter().flat_map(|tree| tree.leaf_paths()).collect();
         let n_leaves = paths.len();
         let n_samples = local_samples.len();
+        for z in outputs {
+            assert_eq!(z.len(), n_leaves, "one weight per concatenated leaf");
+        }
 
         // My per-sample, per-leaf consistency bits: a leaf stays possible
         // unless one of MY internal nodes on its path contradicts my value.
@@ -142,30 +193,37 @@ pub fn predict_batch_encrypted(
             out
         };
 
-        let z: Vec<BigUint> = paths
-            .iter()
-            .map(|&(value, _)| encode_leaf(ctx, value))
-            .collect();
-        let outputs: Vec<Ciphertext> = if me > 0 {
+        // Party 0 alone forms the outputs: `z ⊙ [η]`, output-major.
+        let dot_products = |pk: &PublicKey, eta: &[&[Ciphertext]]| -> Vec<Ciphertext> {
+            let jobs: Vec<(&Vec<BigUint>, &[Ciphertext])> = outputs
+                .iter()
+                .flat_map(|z| eta.iter().map(move |&sample_eta| (z, sample_eta)))
+                .collect();
+            pivot_runtime::global().map(threads, &jobs, |&(z, sample_eta)| {
+                vector::dot_plain(pk, sample_eta, z)
+            })
+        };
+        let n_outputs = n_samples * outputs.len();
+        let flat_outputs: Vec<Ciphertext> = if me > 0 {
             for sample_eta in &eta {
                 ctx.ep.send(me - 1, sample_eta);
             }
             // Party 0 broadcasts the final encrypted predictions.
-            (0..n_samples).map(|_| ctx.ep.recv(0)).collect()
+            (0..n_outputs).map(|_| ctx.ep.recv(0)).collect()
         } else {
-            // Party 0: [k̄] = z ⊙ [η] per sample, then broadcast.
-            let mut outputs: Vec<Ciphertext> =
-                pivot_runtime::global().map(threads, &eta, |sample_eta| {
-                    vector::dot_plain(&ctx.pk, sample_eta, &z)
-                });
+            // Party 0: [k̄] = z ⊙ [η] per output and sample, then broadcast.
+            let mut flat_outputs = {
+                let rows: Vec<&[Ciphertext]> = eta.iter().map(Vec::as_slice).collect();
+                dot_products(&ctx.pk, &rows)
+            };
             eta.clear();
-            verify::tamper_outputs(ctx, "predict", &mut outputs);
+            verify::tamper_outputs(ctx, "predict", &mut flat_outputs);
             ctx.metrics
-                .add_ciphertext_ops((n_samples * n_leaves) as u64);
-            for output in &outputs {
+                .add_ciphertext_ops((n_samples * n_leaves * outputs.len()) as u64);
+            for output in &flat_outputs {
                 ctx.ep.broadcast(output);
             }
-            outputs
+            flat_outputs
         };
 
         if verification {
@@ -196,35 +254,24 @@ pub fn predict_batch_encrypted(
                 upstream = flat;
             }
             // Party 0's final dot products are deterministic in its
-            // broadcast η and the public leaf vector: recompute and
+            // broadcast η and the public weight vectors: recompute and
             // compare against what it published.
-            let expected: Vec<Ciphertext> = {
-                let chunks: Vec<&[Ciphertext]> = upstream.chunks(n_leaves.max(1)).collect();
-                pivot_runtime::global().map(threads, &chunks, |sample_eta| {
-                    vector::dot_plain(&ctx.pk, sample_eta, &z)
-                })
-            };
-            verify::check_recompute(ctx, "predict", 0, &expected, &outputs);
+            let rows: Vec<&[Ciphertext]> = upstream.chunks(n_leaves.max(1)).collect();
+            let expected = dot_products(&ctx.pk, &rows);
+            verify::check_recompute(ctx, "predict", 0, &expected, &flat_outputs);
         }
+        let mut flat_outputs = flat_outputs.into_iter();
         outputs
+            .iter()
+            .map(|_| flat_outputs.by_ref().take(n_samples).collect())
+            .collect()
     };
     ctx.metrics.add_time(Stage::Prediction, started.elapsed());
     result
 }
 
-/// Encode a plaintext leaf label for the dot product with `[η]`.
-fn encode_leaf(ctx: &PartyContext<'_>, value: f64) -> BigUint {
-    match ctx.current_task() {
-        Task::Classification { .. } => BigUint::from_u64(value as u64),
-        Task::Regression => {
-            let scaled = value * (1u64 << ctx.params.fixed.frac_bits) as f64;
-            encode_signed(ctx, scaled)
-        }
-    }
-}
-
 /// Decode a decrypted prediction.
-pub fn decode_prediction(ctx: &PartyContext<'_>, v: &BigUint, task: Task) -> f64 {
+fn decode_prediction(ctx: &PartyContext<'_>, v: &BigUint, task: Task) -> f64 {
     match task {
         Task::Classification { .. } => v.to_u64().expect("class index fits u64") as f64,
         Task::Regression => {

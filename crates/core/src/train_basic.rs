@@ -6,14 +6,15 @@
 //! split selection happens on shares, and only the agreed outputs (split
 //! identifier + threshold per node, leaf labels) are opened.
 //!
-//! [`train_from_root`] additionally supports the GBDT mode of §7.2 where
-//! the label vectors are *pre-encrypted residuals* the root carries
+//! [`train_from_roots`] additionally supports the GBDT mode of §7.2 where
+//! the label vectors are *pre-encrypted residuals* the roots carry
 //! (`NodeMask::Carried`): the winning client then updates `[γ₁]`, `[γ₂]`
 //! alongside `[α]` with the same split indicator (the paper's optimization
 //! avoiding per-node ciphertext multiplications).
 //!
 //! The level-wise loop itself is `crate::trainer`; this file is the
-//! basic protocol's side of its disclosure hooks.
+//! basic protocol's side of its disclosure hooks. A single tree is the
+//! one-root case of [`train_with_masks`].
 
 use crate::config::LabelSource;
 use crate::masks::{initial_mask, update_vectors_plain, Sides};
@@ -35,22 +36,36 @@ pub fn train(ctx: &mut PartyContext<'_>) -> DecisionTree {
     train_with_mask(ctx, &mask)
 }
 
-/// Train on a subset of samples (public bootstrap mask — used by the
-/// random-forest extension, §7.1).
+/// Train on a subset of samples (a public mask).
 pub fn train_with_mask(ctx: &mut PartyContext<'_>, included: &[bool]) -> DecisionTree {
-    assert_eq!(included.len(), ctx.num_samples());
-    let alpha = initial_mask(ctx, included);
+    train_with_masks(ctx, &[included]).remove(0)
+}
+
+/// Train one tree per public sample mask, all in one frontier (the
+/// random-forest extension's bootstrap masks, §7.1): the rounds of one
+/// tree, batches as wide as the forest.
+pub fn train_with_masks(
+    ctx: &mut PartyContext<'_>,
+    included: &[impl AsRef<[bool]>],
+) -> Vec<DecisionTree> {
+    let roots = included
+        .iter()
+        .map(|mask| {
+            assert_eq!(mask.as_ref().len(), ctx.num_samples());
+            NodeMask::Alpha(initial_mask(ctx, mask.as_ref()))
+        })
+        .collect();
     let codec = ctx.packing_codec(LabelSource::of_task(ctx.current_task()));
-    train_from_root(ctx, NodeMask::Alpha(alpha), &codec)
+    train_from_roots(ctx, roots, &codec)
 }
 
 /// Train from explicit root vectors laid out in the slots of `codec` (the
-/// GBDT entry point: its root carries the residual label vectors).
-pub(crate) fn train_from_root(
+/// GBDT entry point: its roots carry the residual label vectors).
+pub(crate) fn train_from_roots(
     ctx: &mut PartyContext<'_>,
-    root: NodeMask,
+    roots: Vec<NodeMask>,
     codec: &SlotCodec,
-) -> DecisionTree {
+) -> Vec<DecisionTree> {
     let (local, layout) = {
         let _setup = pivot_trace::phase_span("setup");
         let local = LocalSplits::precompute(ctx);
@@ -58,11 +73,15 @@ pub(crate) fn train_from_root(
         (local, layout)
     };
     let mut reveal = Reveal {
-        purity_check: ctx.params.tree.stop_when_pure && matches!(root, NodeMask::Alpha(_)),
+        purity_check: ctx.params.tree.stop_when_pure
+            && roots.iter().all(|root| matches!(root, NodeMask::Alpha(_))),
         pending_leaves: Vec::new(),
     };
-    let (nodes, root) = grow_tree(ctx, &mut reveal, &local, &layout, root, codec);
-    DecisionTree::new(nodes, root, ctx.current_task())
+    let task = ctx.current_task();
+    grow_tree(ctx, &mut reveal, &local, &layout, roots, codec)
+        .into_iter()
+        .map(|(nodes, root)| DecisionTree::new(nodes, root, task))
+        .collect()
 }
 
 impl ArenaNode for Node {

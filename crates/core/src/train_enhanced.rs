@@ -81,8 +81,8 @@ pub fn train(ctx: &mut PartyContext<'_>) -> ConcealedTree {
     };
     let alpha = initial_mask(ctx, &mask);
     let codec = ctx.packing_codec(LabelSource::of_task(ctx.current_task()));
-    let root = NodeMask::Alpha(alpha);
-    let (nodes, root) = grow_tree(ctx, &mut Conceal, &local, &layout, root, &codec);
+    let roots = vec![NodeMask::Alpha(alpha)];
+    let (nodes, root) = grow_tree(ctx, &mut Conceal, &local, &layout, roots, &codec).remove(0);
     ConcealedTree {
         nodes,
         root,

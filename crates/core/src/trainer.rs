@@ -18,6 +18,23 @@
 //! iff `codec.slots() > 1` (a lone slot has nothing to carry into), and
 //! `crate::stats` books packing counters under the same condition.
 //!
+//! # A forest is W roots
+//!
+//! [`grow_tree`] takes a list of roots and returns one tree per root: the
+//! arena starts with `W` empty root slots, the frontier with `W` root
+//! nodes, and level 0 passes all of them. Nothing else in the level step
+//! knows how many trees it grows, because nothing in it is per tree: a
+//! frontier node is named by its arena slot alone, children follow their
+//! parents in frontier order (`frontier[2t]`, `frontier[2t + 1]` belong to
+//! `parents[t]`, whichever tree that is), and the trees of one frontier
+//! share `max_depth`, the candidate splits, the split layout, the label
+//! plan and the [`Disclosure`] — so there is no tree tag beside the slot
+//! and no per-tree arena; [`renumber_postorder`] walks the shared arena
+//! from each root slot in turn. A single tree is the one-root case; the
+//! random forest of §7.1 (`W` bootstrap masks) and the `K` one-vs-rest
+//! trees of a boosting round (§7.2) are independent trees, so they cost
+//! the rounds of one tree with batches `W`× as wide.
+//!
 //! # A child is its parent's winning split
 //!
 //! Algorithm 3 treats every node as a fresh problem: a new `[α]`, a new
@@ -221,30 +238,44 @@ pub(crate) fn children(
     })
 }
 
-/// Grow one tree from the `root` vectors and return its nodes in
-/// post-order (left subtree, right subtree, node) with the root's index.
+/// Grow one tree per root, all in one frontier, and return each tree's
+/// nodes in post-order (left subtree, right subtree, node) with its root's
+/// index — in the order of `roots`.
 ///
 /// `codec` is the slot layout of the statistics, audited for the source of
-/// the root's label vectors (`PartyContext::packing_codec`): the root of a
+/// the roots' label vectors (`PartyContext::packing_codec`): the root of a
 /// GBDT residual tree already lies in its slots.
 pub(crate) fn grow_tree<D: Disclosure>(
     ctx: &mut PartyContext<'_>,
     protocol: &mut D,
     local: &LocalSplits,
     layout: &SplitLayout,
-    root: NodeMask,
+    roots: Vec<NodeMask>,
     codec: &SlotCodec,
-) -> (Vec<D::Node>, usize) {
+) -> Vec<(Vec<D::Node>, usize)> {
+    let carried = matches!(roots.first(), Some(NodeMask::Carried(_)));
+    assert!(
+        roots
+            .iter()
+            .all(|root| matches!(root, NodeMask::Carried(_)) == carried),
+        "the trees of one frontier share one label plan"
+    );
     // The label multipliers depend only on labels/task/codec — built once
-    // here, reused by every node at every level.
-    let label_plan = plan_packed_labels(ctx, codec, matches!(root, NodeMask::Carried(_)));
+    // here, reused by every node of every tree at every level.
+    let label_plan = plan_packed_labels(ctx, codec, carried);
     let max_depth = ctx.params.tree.max_depth;
-    let mut arena: Arena<D::Node> = vec![None];
-    let mut frontier = vec![FrontierNode {
-        slot: 0,
-        totals: None,
-        mask: Some(root),
-    }];
+    // Root `w` takes arena slot `w`.
+    let trees = roots.len();
+    let mut arena: Arena<D::Node> = roots.iter().map(|_| None).collect();
+    let mut frontier: Vec<FrontierNode> = roots
+        .into_iter()
+        .enumerate()
+        .map(|(slot, root)| FrontierNode {
+            slot,
+            totals: None,
+            mask: Some(root),
+        })
+        .collect();
     // The statistics of the previous level's survivors, kept for one
     // level: `frontier[2t]` and `frontier[2t + 1]` are the children of
     // `parents[t]`.
@@ -259,7 +290,7 @@ pub(crate) fn grow_tree<D: Disclosure>(
                 .iter()
                 .map(|node| {
                     let totals = node.totals.as_ref();
-                    (node.slot, totals.expect("max_depth ≥ 1: not the root"))
+                    (node.slot, totals.expect("max_depth ≥ 1: not a root"))
                 })
                 .unzip();
             let labels = leaf_label_shares_batch(ctx, &totals);
@@ -270,9 +301,9 @@ pub(crate) fn grow_tree<D: Disclosure>(
         let _level = pivot_trace::span_fn(|| format!("level {depth}"));
         let stats_start = ctx.ep.stats().bytes_sent();
 
-        // Statistics and ONE Algorithm-2 conversion for the level: the
-        // root's own pass, below it the left children's — a right child's
-        // statistics are its parent's minus its left sibling's.
+        // Statistics and ONE Algorithm-2 conversion for the level: every
+        // root's own pass, below them the left children's — a right
+        // child's statistics are its parent's minus its left sibling's.
         let node_shares: Vec<NodeShares> = {
             let mut passing: Vec<&mut NodeMask> = frontier
                 .iter_mut()
@@ -300,7 +331,7 @@ pub(crate) fn grow_tree<D: Disclosure>(
             .add_stats_bytes(ctx.ep.stats().bytes_sent() - stats_start);
 
         // One prune unit for the frontier — unless no client has any
-        // candidate split (public), which forces the root.
+        // candidate split (public), which forces the roots.
         let pruned = if layout.total() == 0 {
             vec![true; frontier.len()]
         } else {
@@ -368,7 +399,7 @@ pub(crate) fn grow_tree<D: Disclosure>(
         // snapshots the same ordinal everywhere.
         ctx.level_barrier(depth as u64);
     }
-    renumber_postorder(arena)
+    renumber_postorder(arena, trees)
 }
 
 /// One statistics pass — label vectors, encrypted dot products, pooling —
@@ -410,9 +441,10 @@ pub(crate) fn level_statistics(
 }
 
 /// Rewrite the breadth-first arena into post-order (left subtree, right
-/// subtree, node) — the layout `pivot_trees::train_tree` produces, so a
-/// released tree can be compared with the plaintext oracle node for node.
-fn renumber_postorder<N: ArenaNode>(mut arena: Arena<N>) -> (Vec<N>, usize) {
+/// subtree, node), one tree per root slot `0..trees` — the layout
+/// `pivot_trees::train_tree` produces, so a released tree can be compared
+/// with the plaintext oracle node for node.
+fn renumber_postorder<N: ArenaNode>(mut arena: Arena<N>, trees: usize) -> Vec<(Vec<N>, usize)> {
     fn visit<N: ArenaNode>(arena: &mut Arena<N>, id: usize, out: &mut Vec<N>) -> usize {
         let mut node = arena[id]
             .take()
@@ -425,7 +457,11 @@ fn renumber_postorder<N: ArenaNode>(mut arena: Arena<N>) -> (Vec<N>, usize) {
         out.push(node);
         out.len() - 1
     }
-    let mut out = Vec::with_capacity(arena.len());
-    let root = visit(&mut arena, 0, &mut out);
-    (out, root)
+    (0..trees)
+        .map(|slot| {
+            let mut out = Vec::new();
+            let root = visit(&mut arena, slot, &mut out);
+            (out, root)
+        })
+        .collect()
 }

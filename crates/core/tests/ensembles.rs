@@ -7,10 +7,11 @@ use pivot_core::ensemble::{
     RfProtocolParams,
 };
 use pivot_core::party::PartyContext;
+use pivot_core::train_basic::{train_with_mask, train_with_masks};
 use pivot_data::{candidate_splits, metrics, partition_vertically, synth, Dataset, Task};
 use pivot_paillier::SlotCodec;
 use pivot_transport::run_parties;
-use pivot_trees::{DecisionTree, TreeParams};
+use pivot_trees::{DecisionTree, Node, TreeParams};
 
 fn params(tree: TreeParams) -> PivotParams {
     PivotParams {
@@ -363,4 +364,239 @@ fn gbdt_packed_trees_are_the_unpacked_trees_at_the_closed_form_cost() {
             }
         }
     }
+}
+
+/// Same splits (feature and threshold, exactly) in the same post-order
+/// layout; leaf values within `tolerance`.
+fn assert_same_tree(tree: &DecisionTree, expect: &DecisionTree, tolerance: f64, what: &str) {
+    assert_eq!(tree.root(), expect.root(), "{what}: root");
+    assert_eq!(tree.nodes().len(), expect.nodes().len(), "{what}: nodes");
+    for (node, expect) in tree.nodes().iter().zip(expect.nodes()) {
+        match (node, expect) {
+            (Node::Internal { .. }, Node::Internal { .. }) => assert_eq!(node, expect, "{what}"),
+            (Node::Leaf { value }, Node::Leaf { value: ev }) => {
+                assert!(
+                    (value - ev).abs() <= tolerance,
+                    "{what}: leaf {value} vs {ev}"
+                )
+            }
+            _ => panic!("{what}: structure mismatch, {node:?} vs {expect:?}"),
+        }
+    }
+}
+
+#[test]
+fn a_forest_grown_in_one_frontier_is_its_trees_grown_one_at_a_time() {
+    // Three roots in one frontier at h = 3. The middle root holds fewer
+    // samples than `min_samples`, so it is pruned at level 0 while its
+    // neighbours keep splitting: from level 1 on the frontier pairs
+    // children with parents across a gap, and one tree's leaf opening
+    // rides another's split reveal.
+    let n = 60;
+    let classification = synth::make_classification(&synth::ClassificationSpec {
+        samples: n,
+        features: 6,
+        informative: 4,
+        classes: 2,
+        class_sep: 1.0,
+        flip_y: 0.15,
+        seed: 8,
+    });
+    let regression = synth::make_regression(&synth::RegressionSpec {
+        samples: n,
+        features: 6,
+        informative: 4,
+        noise: 0.05,
+        seed: 8,
+    });
+    let masks: Vec<Vec<bool>> = vec![
+        (0..n).map(|i| i % 4 != 0).collect(),
+        (0..n).map(|i| i < 5).collect(),
+        (0..n).map(|i| i % 5 != 1).collect(),
+    ];
+    let m = 3;
+    for data in [classification, regression] {
+        for packing in [Packing::Off, Packing::Auto] {
+            let p = PivotParams {
+                keysize: 256,
+                packing,
+                ..params(TreeParams {
+                    max_depth: 3,
+                    min_samples: 10,
+                    max_splits: 3,
+                    stop_when_pure: false,
+                })
+            };
+            // Class labels are exact; a mean label carries the truncation
+            // noise of its secure reciprocal, a few fixed-point ulps that
+            // depend on where in the dealer stream the division falls.
+            let ulp = 1.0 / (1u64 << p.fixed.frac_bits) as f64;
+            let tolerance = match data.task() {
+                Task::Classification { .. } => 0.0,
+                Task::Regression => 16.0 * ulp,
+            };
+            let partition = partition_vertically(&data, m, 0);
+            let results = run_parties(m, |ep| {
+                let view = partition.views[ep.id()].clone();
+                let mut ctx = PartyContext::setup(&ep, view, p.clone());
+                let forest = train_with_masks(&mut ctx, &masks);
+                let alone: Vec<DecisionTree> = masks
+                    .iter()
+                    .map(|mask| train_with_mask(&mut ctx, mask))
+                    .collect();
+                (forest, alone)
+            });
+            for (forest, alone) in &results {
+                let splits: Vec<usize> = forest.iter().map(|t| t.internal_count()).collect();
+                assert!(
+                    splits[0] >= 2 && splits[1] == 0 && splits[2] >= 2,
+                    "{packing:?}: a root pruned between two trees that keep splitting, {splits:?}"
+                );
+                for (w, (tree, expect)) in forest.iter().zip(alone).enumerate() {
+                    let what = format!("{:?} {packing:?} tree {w}", data.task());
+                    assert_same_tree(tree, expect, tolerance, &what);
+                }
+                assert_eq!(forest, &results[0].0, "parties agree");
+            }
+        }
+    }
+}
+
+#[test]
+fn random_forest_vote_is_the_first_maximum_plaintext_vote() {
+    // W = 3 over two classes cannot tie; W = 2 over three classes does —
+    // and a tie goes to the first maximum, like `RandomForest::predict`.
+    for (trees, classes, seed) in [(3, 2, 31), (2, 3, 11)] {
+        let data = synth::make_classification(&synth::ClassificationSpec {
+            samples: 48,
+            features: 6,
+            informative: 4,
+            classes,
+            class_sep: 1.0,
+            flip_y: 0.1,
+            seed,
+        });
+        let m = 3;
+        let p = params(TreeParams {
+            max_depth: 2,
+            max_splits: 3,
+            ..Default::default()
+        });
+        let rf = RfProtocolParams {
+            trees,
+            ..Default::default()
+        };
+        let partition = partition_vertically(&data, m, 0);
+        let results = run_parties(m, |ep| {
+            let view = partition.views[ep.id()].clone();
+            let mut ctx = PartyContext::setup(&ep, view.clone(), p.clone());
+            let model = train_rf(&mut ctx, &rf);
+            let predictions = predict_rf_batch(&mut ctx, &model, &view.features);
+            let rounds = [1, 8].map(|rows| {
+                let before = ctx.engine.counters().snapshot().0;
+                predict_rf_batch(&mut ctx, &model, &view.features[..rows]);
+                ctx.engine.counters().snapshot().0 - before
+            });
+            (model.trees, predictions, rounds)
+        });
+        let mut tied = 0;
+        for (forest, predictions, rounds) in &results {
+            assert_eq!(forest.len(), trees);
+            assert_eq!(rounds[0], rounds[1], "one argmax and one opening per batch");
+            for (i, &prediction) in predictions.iter().enumerate() {
+                let mut votes = vec![0usize; classes];
+                for tree in forest {
+                    votes[tree.predict(data.sample(i)) as usize] += 1;
+                }
+                let top = *votes.iter().max().unwrap();
+                let first = votes.iter().position(|&v| v == top).unwrap();
+                assert_eq!(prediction, first as f64, "sample {i}: votes {votes:?}");
+                tied += usize::from(votes.iter().filter(|&&v| v == top).count() > 1);
+            }
+        }
+        assert_eq!(tied > 0, trees == 2, "W = {trees}: {tied} tied votes");
+    }
+}
+
+/// `mpc_rounds` of `train_gbdt` and party 0's model.
+fn gbdt_training_rounds(
+    data: &Dataset,
+    m: usize,
+    p: &PivotParams,
+    g: &GbdtProtocolParams,
+) -> (u64, Vec<Vec<DecisionTree>>) {
+    let partition = partition_vertically(data, m, 0);
+    run_parties(m, |ep| {
+        let view = partition.views[ep.id()].clone();
+        let mut ctx = PartyContext::setup(&ep, view, p.clone());
+        let model = train_gbdt(&mut ctx, g);
+        (ctx.engine.counters().snapshot().0, model.forests)
+    })
+    .remove(0)
+}
+
+#[test]
+fn gbdt_one_vs_rest_round_is_its_class_trees_at_the_rounds_of_one() {
+    // The K class trees of a boosting round share one frontier. From zero
+    // scores the softmax is uniform, so the first round's residuals are
+    // `1[y = k] − 1/K` and class k's tree is the CART regression tree on
+    // them.
+    let classes = 3;
+    let data = synth::make_classification(&synth::ClassificationSpec {
+        samples: 60,
+        features: 6,
+        informative: 4,
+        classes,
+        class_sep: 1.0,
+        flip_y: 0.15,
+        seed: 5,
+    });
+    let m = 3;
+    let tree_params = TreeParams {
+        max_depth: 2,
+        min_samples: 10,
+        max_splits: 3,
+        stop_when_pure: false,
+    };
+    let p = params(tree_params.clone());
+    let g = GbdtProtocolParams {
+        rounds: 2,
+        learning_rate: 0.5,
+    };
+    let (rounds_three, forests) = gbdt_training_rounds(&data, m, &p, &g);
+    assert_eq!(forests.len(), classes);
+    for (k, forest) in forests.iter().enumerate() {
+        assert_eq!(forest.len(), g.rounds);
+        let residuals = data
+            .labels()
+            .iter()
+            .map(|&y| f64::from(y as usize == k) - 1.0 / classes as f64)
+            .collect();
+        let stage = data.with_labels(residuals, Task::Regression);
+        let oracle = pivot_trees::train_tree(&stage, &tree_params);
+        assert!(
+            oracle.internal_count() >= 2,
+            "class {k}: a tree worth comparing"
+        );
+        assert_same_tree(&forest[0], &oracle, 1e-3, &format!("class {k} round 0"));
+    }
+
+    // The same features under two classes, and under numeric labels (one
+    // regression tree per round): a third class adds a wider softmax, not
+    // a tree's worth of rounds.
+    let two_class = data.with_labels(
+        data.labels().iter().map(|&y| f64::from(y >= 1.0)).collect(),
+        Task::Classification { classes: 2 },
+    );
+    let (rounds_two, _) = gbdt_training_rounds(&two_class, m, &p, &g);
+    let numeric = data.with_labels(
+        data.labels().iter().map(|&y| y / 2.0 - 0.5).collect(),
+        Task::Regression,
+    );
+    let one_round = GbdtProtocolParams { rounds: 1, ..g };
+    let (rounds_of_a_tree, _) = gbdt_training_rounds(&numeric, m, &p, &one_round);
+    assert!(
+        rounds_three.saturating_sub(rounds_two) < rounds_of_a_tree,
+        "K = 3: {rounds_three} rounds, K = 2: {rounds_two}, one tree: {rounds_of_a_tree}"
+    );
 }

@@ -338,25 +338,12 @@ impl MpcEngine<'_> {
         gated.into_iter().zip(b).map(|(g, &y)| y + g).collect()
     }
 
-    /// One-hot expansion of a shared index over `0..domain`:
-    /// `eq_j = 1 − 1[idx < j] − 1[j < idx]` (linear after one batched
-    /// two-sided LTZ). The comparisons only need `⌈log₂ domain⌉ + 1` bits,
-    /// and both sides of each `idx − j` share one masked opening.
-    pub fn onehot_vec(&mut self, idx: Share, domain: usize) -> Vec<Share> {
-        let party = self.party();
-        let u: Vec<Share> = (0..domain)
-            .map(|j| idx.sub_public(party, Fp::new(j as u64)))
-            .collect();
-        let k = super::width_for_magnitude(domain.saturating_sub(1) as u64);
-        let (lt, gt) = self.ltz_pair_vec(&u, k);
-        (0..domain)
-            .map(|j| Share::from_public(party, Fp::ONE) - lt[j] - gt[j])
-            .collect()
-    }
-
-    /// Batched [`Self::onehot_vec`]: every row's equality tests share one
-    /// paired-comparison batch, at the widest row's bound (a wider `k`
-    /// still covers every row, so each row matches its scalar expansion).
+    /// One-hot expansion of shared indices, `(⟨idx⟩, domain)` per item:
+    /// `eq_j = 1 − 1[idx < j] − 1[j < idx]` over `0..domain` (linear after
+    /// one batched two-sided LTZ; both sides of each `idx − j` share one
+    /// masked opening). Every item's equality tests share one
+    /// paired-comparison batch at the widest item's bound,
+    /// `⌈log₂ domain⌉ + 1` bits (a wider `k` still covers every item).
     pub fn onehot_many(&mut self, items: &[(Share, usize)]) -> Vec<Vec<Share>> {
         if items.is_empty() {
             return Vec::new();

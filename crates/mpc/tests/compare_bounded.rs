@@ -131,7 +131,7 @@ fn onehot_matches_plaintext_and_halves_masked_rows() {
     let domain = 9usize;
     let (opened, snap) = mpc_mode(2, CompareBits::Auto, |e| {
         let idx = e.constant(Fp::new(4));
-        let hot = e.onehot_vec(idx, domain);
+        let hot = e.onehot_many(&[(idx, domain)]).remove(0);
         let opened: Vec<u64> = e.open_vec(&hot).iter().map(|v| v.value()).collect();
         (opened, e.comparison_snapshot())
     })

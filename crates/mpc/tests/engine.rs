@@ -182,7 +182,7 @@ fn argmax_tournament_matches_plaintext() {
 fn onehot_encodes_index() {
     let results = mpc(2, |e| {
         let idx = e.constant(Fp::new(3));
-        let hot = e.onehot_vec(idx, 6);
+        let hot = e.onehot_many(&[(idx, 6)]).remove(0);
         e.open_vec(&hot)
             .iter()
             .map(|v| v.value())
