@@ -70,7 +70,6 @@ pub fn algo_params(algo: Algo, base: PivotParams) -> PivotParams {
     if !algo.is_pp() {
         p.crypto_threads = 1;
         p.randomness_pool = 0;
-        p.dealer_pool = 0;
     }
     p
 }

@@ -10,7 +10,7 @@ use crate::scenario::Scenario;
 use std::path::{Path, PathBuf};
 use std::time::{SystemTime, UNIX_EPOCH};
 
-pub const SCHEMA_VERSION: u64 = 1;
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// Default report path for a scenario file:
 /// `<scenario-stem><suffix>-report.json` in the current directory (the
@@ -100,10 +100,8 @@ fn counters_json(exec: &Execution) -> Json {
     // report read back with empty groups) contributes zeros instead of
     // erasing the other side's groups.
     let mut comparison_all = pivot_core::ComparisonCounters::default();
-    let mut dealer_all = pivot_core::DealerPoolStats::default();
     for p in &exec.parties {
         comparison_all.merge(&p.comparison);
-        dealer_all.merge(&p.dealer_pool);
     }
     Json::obj()
         .with("encryptions", p0.encryptions)
@@ -118,8 +116,7 @@ fn counters_json(exec: &Execution) -> Json {
             Json::obj()
                 .with("count", comparison_all.count)
                 .with("online_rounds", comparison_all.online_rounds)
-                .with("opened_elements", comparison_all.opened_elements)
-                .with("dealer_precomputed", dealer_all.produced),
+                .with("opened_elements", comparison_all.opened_elements),
         )
         .with("split_stat_ciphertexts", p0.split_stat_ciphertexts)
         .with("packing", packing_json(p0))
@@ -255,15 +252,13 @@ pub fn write_trace_exports(out_path: &Path, exec: &Execution, quiet: bool) -> Re
 
 /// Comparison-pipeline telemetry of one party: what the gain pipeline's
 /// secure comparisons actually paid in rounds, opened field elements, and
-/// preprocessing material, with the per-width histogram and the offline
-/// dealer-pool behavior.
+/// preprocessing material, with the per-width histogram.
 pub(crate) fn comparisons_json(p: &crate::runner::PartyOutcome) -> Json {
     let c = &p.comparison;
     let mut widths = Json::obj();
     for &(k, n) in &c.widths {
         widths.set(&format!("{k}"), n);
     }
-    let dp = &p.dealer_pool;
     Json::obj()
         .with("count", c.count)
         .with("online_rounds", c.online_rounds)
@@ -272,23 +267,6 @@ pub(crate) fn comparisons_json(p: &crate::runner::PartyOutcome) -> Json {
         .with("masked_bit_rows", c.masked_bit_rows)
         .with("masked_bits", c.masked_bits)
         .with("widths", widths)
-        .with(
-            "dealer_pool",
-            Json::obj()
-                .with("target", dp.target)
-                .with("triple_hits", dp.triple_hits)
-                .with("triple_misses", dp.triple_misses)
-                .with("masked_hits", dp.masked_hits)
-                .with("masked_misses", dp.masked_misses)
-                .with("precomputed", dp.produced)
-                .with(
-                    "hit_rate",
-                    match dp.hit_rate() {
-                        Some(r) => Json::Num(r),
-                        None => Json::Null,
-                    },
-                ),
-        )
 }
 
 /// Ciphertext-packing behavior of one party: how many packed ciphertexts
@@ -619,14 +597,6 @@ mod tests {
                 masked_bits: 81,
                 widths: vec![(9, 4), (45, 5)],
             },
-            dealer_pool: pivot_core::DealerPoolStats {
-                target: 64,
-                triple_hits: 100,
-                triple_misses: 20,
-                masked_hits: 8,
-                masked_misses: 1,
-                produced: 128,
-            },
             verification: pivot_core::VerificationCounters {
                 proofs_generated: 20,
                 proofs_verified: 5,
@@ -691,7 +661,7 @@ mod tests {
         let report = train_report(&scenario(), &fake_exec());
         let text = report.to_pretty();
         let parsed = crate::json::Json::parse(&text).unwrap();
-        assert_eq!(parsed.get("schema_version").unwrap().as_u64(), Some(1));
+        assert_eq!(parsed.get("schema_version").unwrap().as_u64(), Some(2));
         assert_eq!(parsed.get("command").unwrap().as_str(), Some("train"));
         assert_eq!(parsed.path("evaluation.value").unwrap().as_f64(), Some(0.5));
         assert!(
@@ -744,13 +714,7 @@ mod tests {
                 .as_u64(),
             Some(5)
         );
-        assert_eq!(
-            parsed
-                .path("counters.comparisons.dealer_pool.triple_hits")
-                .unwrap()
-                .as_u64(),
-            Some(100)
-        );
+        assert!(parsed.path("counters.comparisons.dealer_pool").is_none());
         assert_eq!(
             parsed
                 .path("counters.randomness_pool.hit_rate")
@@ -857,7 +821,6 @@ mod tests {
         // party 0's values in the aggregate.
         let mut exec = fake_exec();
         exec.parties[1].comparison = pivot_core::ComparisonCounters::default();
-        exec.parties[1].dealer_pool = pivot_core::DealerPoolStats::default();
         let report = train_report(&scenario(), &exec);
         let parsed = crate::json::Json::parse(&report.to_pretty()).unwrap();
         assert_eq!(
@@ -866,13 +829,6 @@ mod tests {
                 .unwrap()
                 .as_u64(),
             Some(40)
-        );
-        assert_eq!(
-            parsed
-                .path("counters.comparisons_all_parties.dealer_precomputed")
-                .unwrap()
-                .as_u64(),
-            Some(128)
         );
     }
 

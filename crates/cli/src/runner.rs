@@ -43,9 +43,6 @@ pub struct PartyOutcome {
     /// Comparison-pipeline telemetry: rounds, opened field elements,
     /// consumed preprocessing material, per-width histogram.
     pub comparison: pivot_core::ComparisonCounters,
-    /// Offline dealer-pool behavior (timing-dependent, *not* part of the
-    /// cross-backend parity contract).
-    pub dealer_pool: pivot_core::DealerPoolStats,
     /// Malicious-model verification plane: proofs generated / verified /
     /// skipped / rejected, proof bytes, and verification wall time. All
     /// zeros when `params.verification = "off"`.
@@ -97,8 +94,8 @@ pub struct Execution {
     /// when the scenario holds out no test data or prediction is skipped.
     pub metric: Option<f64>,
     pub metric_name: &'static str,
-    /// Off-party-thread telemetry (worker-pool gauges, background dealer
-    /// refills) drained from the process-global sink after the run.
+    /// Off-party-thread telemetry (worker-pool gauges, reconnect spans)
+    /// drained from the process-global sink after the run.
     pub runtime_trace: Option<pivot_trace::RuntimeTrace>,
 }
 
@@ -249,7 +246,6 @@ pub fn run_party_protocol(
     let (mpc_rounds, secure_mults, secure_comparisons, _openings) =
         ctx.engine.counters().snapshot();
     let comparison = ctx.engine.comparison_snapshot();
-    let dealer_pool = ctx.engine.dealer_pool_stats();
     let pool = ctx.nonces.stats();
     let trace = pivot_trace::finish();
     PartyOutcome {
@@ -276,7 +272,6 @@ pub fn run_party_protocol(
         secure_mults,
         secure_comparisons,
         comparison,
-        dealer_pool,
         verification: ctx.metrics.verification(),
         split_stat_ciphertexts: ctx.metrics.split_stat_ciphertexts(),
         packed: ctx.metrics.packed(),

@@ -161,9 +161,6 @@ pub struct ParamSpec {
     /// each call site's proven range, an integer sets a minimum width
     /// under `"auto"` widths.
     pub comparison_bits: CompareBits,
-    /// Offline dealer-pool size (precomputed Beaver triples / masked-bit
-    /// rows per stream).
-    pub dealer_pool: usize,
     /// Protocol tracing: `"off"` (default, bit-identical transcript),
     /// `"phases"` (phase timelines + round/byte attribution), `"full"`
     /// (adds per-round and per-node spans).
@@ -186,7 +183,6 @@ impl Default for ParamSpec {
             randomness_pool: 256,
             packing: core.packing,
             comparison_bits: core.comparison_bits,
-            dealer_pool: 256,
             trace: core.trace,
             verification: core.verification,
         }
@@ -756,8 +752,15 @@ static SCHEMA: &[Key] = &[
         .removed("full", "params.comparison_bits: the \"full\" mode was removed — every \
             comparison runs the range-bounded ladder; delete the key, or set the width floor 45 \
             for full-width comparisons"),
-    key!(params.dealer_pool: Int(0, INT_MAX),
-        "`-pp` algorithms: precomputed Beaver triples / masked-bit rows per stream (0 disables)."),
+    // Retired with the dealer's precompute service; still range-checked
+    // so that scenario files written when it sized something keep loading.
+    Key::new(
+        ("params", "dealer_pool"),
+        Int(0, INT_MAX),
+        "No effect (the dealer derives every row at the draw); the key can be deleted.",
+        |_| Json::Null,
+        |_, _| Ok(true),
+    ),
     key!(params.trace: OneOf(|| spellings(TRACE_LEVELS)),
         "Phase timelines with round/byte attribution; `full` adds per-round and per-node spans."),
     // Accepted with its one remaining value so scenario files written
@@ -1202,7 +1205,6 @@ impl Scenario {
             randomness_pool: self.params.randomness_pool,
             packing: self.params.packing,
             comparison_bits: self.params.comparison_bits,
-            dealer_pool: self.params.dealer_pool,
             dealer_seed: self.seed,
             trace: self.params.trace,
             verification: self.params.verification,
@@ -1302,24 +1304,15 @@ mod tests {
 
     #[test]
     fn only_pp_variants_get_threads_and_pools() {
-        let s = parse_toml("[params]\ncrypto_threads = 4\nrandomness_pool = 64\ndealer_pool = 32")
-            .unwrap();
+        let s = parse_toml("[params]\ncrypto_threads = 4\nrandomness_pool = 64").unwrap();
         for algo in [Algo::PivotBasicPp, Algo::PivotEnhancedPp] {
             let p = s.pivot_params(algo);
-            assert_eq!(
-                (p.crypto_threads, p.randomness_pool, p.dealer_pool),
-                (4, 64, 32),
-                "{algo:?}"
-            );
+            assert_eq!((p.crypto_threads, p.randomness_pool), (4, 64), "{algo:?}");
         }
         // Every other algorithm runs the same batch API serially.
         for algo in [Algo::PivotBasic, Algo::PivotEnhanced, Algo::SpdzDt] {
             let p = s.pivot_params(algo);
-            assert_eq!(
-                (p.crypto_threads, p.randomness_pool, p.dealer_pool),
-                (1, 0, 0),
-                "{algo:?}"
-            );
+            assert_eq!((p.crypto_threads, p.randomness_pool), (1, 0), "{algo:?}");
         }
     }
 
@@ -1382,23 +1375,14 @@ mod tests {
     #[test]
     fn comparison_bits_knob_parses_and_applies() {
         // Default auto, spelled out or not.
-        for text in [
-            "[params]\ndealer_pool = 64",
-            "[params]\ncomparison_bits = \"auto\"\ndealer_pool = 64",
-        ] {
+        for text in ["", "[params]\ncomparison_bits = \"auto\""] {
             let s = parse_toml(text).unwrap();
             assert_eq!(s.params.comparison_bits, CompareBits::Auto);
-            assert_eq!(s.params.dealer_pool, 64);
             let p = s.pivot_params(Algo::PivotEnhancedPp);
             assert_eq!(p.comparison_bits, CompareBits::Auto);
-            assert_eq!(p.dealer_pool, 64);
             assert_eq!(
                 s.to_json().path("params.comparison_bits").unwrap().as_str(),
                 Some("auto")
-            );
-            assert_eq!(
-                s.to_json().path("params.dealer_pool").unwrap().as_u64(),
-                Some(64)
             );
         }
         let s = parse_toml("[params]\ncomparison_bits = 24").unwrap();
@@ -1544,6 +1528,24 @@ mod tests {
         assert!(parse_toml(&format!("{base}scheduling = \"eager\"\n")).is_err());
         // Checkpointing has no scheduling precondition.
         parse_toml(&format!("{base}[checkpoint]\ndir = \"ckpt\"\n")).unwrap();
+    }
+
+    #[test]
+    fn dealer_pool_key_is_accepted_and_ignored() {
+        let plain = format!("{:?}", parse_toml("").unwrap());
+        for rows in [0u64, 512, 1 << 40] {
+            let s = parse_toml(&format!("[params]\ndealer_pool = {rows}")).unwrap();
+            assert_eq!(
+                format!("{s:?}"),
+                plain,
+                "dealer_pool = {rows} stored something"
+            );
+            assert!(s.to_json().path("params.dealer_pool").is_none());
+        }
+        for bad in ["\"512\"", "-1", "0.5"] {
+            let err = parse_toml(&format!("[params]\ndealer_pool = {bad}")).unwrap_err();
+            assert!(err.contains("params.dealer_pool"), "{err}");
+        }
     }
 
     #[test]
@@ -1881,7 +1883,6 @@ values = [2, 3]
     "randomness_pool": 32,
     "packing": "off",
     "comparison_bits": 24,
-    "dealer_pool": 16,
     "trace": "phases",
     "scheduling": "pipelined",
     "verification": "spot(0.5)"

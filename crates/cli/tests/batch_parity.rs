@@ -1,7 +1,7 @@
 //! The batched-crypto determinism contract, end to end: a `-pp` run
-//! (shared worker pool, 4 threads, warm offline randomness and dealer
-//! pools) must reproduce the non-`-pp` run (1 thread, no pools, through
-//! the same batch API) **bit for bit** — same trained model, same test
+//! (shared worker pool, 4 threads, warm offline randomness pool) must
+//! reproduce the non-`-pp` run (1 thread, no pool, through the same batch
+//! API) **bit for bit** — same trained model, same test
 //! metric and predictions, same per-party byte counts — under the same
 //! scenario seed, for both protocols with m = 3 parties.
 //!
@@ -91,23 +91,26 @@ fn basic_pp_is_bit_identical_to_serial() {
     // The parallel run actually exercised the batched path.
     assert!(serial.parties[0].threshold_decryptions > 0);
     assert_eq!(serial.parties[0].pool.target, 0, "serial pool disabled");
-    assert_eq!(serial.parties[0].dealer_pool.target, 0);
     assert_eq!(
         parallel.parties[0].pool.target, 64,
         "pool enabled under -PP"
     );
-    assert_eq!(parallel.parties[0].dealer_pool.target, 128);
     let pool = &parallel.parties[0].pool;
     assert!(
         pool.hits + pool.misses > 0,
         "-PP run drew nonces through the pool"
     );
-    // Both runs draw their preprocessing from the same derived streams,
-    // pooled or inline.
-    for run in [&serial, &parallel] {
-        let d = &run.parties[0].dealer_pool;
-        assert!(d.triple_hits + d.triple_misses > 0 && d.masked_hits + d.masked_misses > 0);
-    }
+    // Both runs drew the same preprocessing from the dealer (the scenario
+    // sets the retired `dealer_pool` key, which must size nothing).
+    let (s, p) = (
+        &serial.parties[0].comparison,
+        &parallel.parties[0].comparison,
+    );
+    assert!(s.beaver_triples > 0 && s.masked_bit_rows > 0);
+    assert_eq!(
+        (s.beaver_triples, s.masked_bit_rows),
+        (p.beaver_triples, p.masked_bit_rows)
+    );
 }
 
 #[test]

@@ -146,6 +146,37 @@ fn train_writes_parseable_report_with_timings_and_netstats() {
 }
 
 #[test]
+fn training_without_a_test_split_reports_no_evaluation() {
+    let scenario = temp_path("no-test.toml");
+    let out = temp_path("no-test-report.json");
+    let text = TINY_TRAIN.replace("test_fraction = 0.2", "test_fraction = 0");
+    std::fs::write(&scenario, text).unwrap();
+
+    let result = run_pivot(&[
+        "train",
+        "--scenario",
+        scenario.to_str().unwrap(),
+        "--out",
+        out.to_str().unwrap(),
+        "--quiet",
+    ]);
+    assert!(
+        result.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&result.stderr)
+    );
+    let report = Json::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
+    let samples = |path: &str| report.path(path).unwrap().as_u64();
+    assert_eq!(samples("dataset.train_samples"), Some(45));
+    assert_eq!(samples("dataset.test_samples"), Some(0));
+    assert_eq!(report.path("evaluation.value"), Some(&Json::Null));
+    assert!(samples("model.internal_nodes").unwrap() > 0);
+
+    std::fs::remove_file(&scenario).ok();
+    std::fs::remove_file(&out).ok();
+}
+
+#[test]
 fn json_scenarios_are_accepted() {
     let scenario = temp_path("train.json");
     let out = temp_path("json-report.json");

@@ -119,8 +119,8 @@ fn basic_bounded_comparisons_match_full() {
 #[test]
 fn enhanced_bounded_comparisons_match_full() {
     // Enhanced adds the one-hot/PIR comparisons (shared-mask pairs) and
-    // the block-only reveal to the bounded surface; run under -PP so the
-    // offline dealer pool is exercised end to end.
+    // the block-only reveal to the bounded surface; run under -PP, with
+    // the retired `dealer_pool` key set.
     let base = "seed = 99\nparties = 3\n\
          [data]\nkind = \"synthetic-classification\"\nsamples = 30\n\
          features_per_party = 2\nclasses = 2\nflip_y = 0.05\n\
@@ -129,11 +129,10 @@ fn enhanced_bounded_comparisons_match_full() {
     let (full, auto) = run_pair(base, "enhanced", Algo::PivotEnhancedPp);
     assert_parity_and_reduction(&full, &auto);
     for run in [&full, &auto] {
-        let d = &run.parties[0].dealer_pool;
-        assert_eq!(d.target, 128);
+        let c = &run.parties[0].comparison;
         assert!(
-            d.triple_hits + d.triple_misses > 0 && d.masked_hits + d.masked_misses > 0,
-            "preprocessing draws from the pooled streams: {d:?}"
+            c.beaver_triples > 0 && c.masked_bit_rows > 0,
+            "the comparisons drew preprocessing: {c:?}"
         );
     }
 }

@@ -1,7 +1,7 @@
 //! Level-barrier checkpoint hooks: the protocol side of crash recovery.
 //!
 //! Training already has natural barriers — the end of every tree level
-//! (where the dealer/nonce pools refill) and the end of every ensemble
+//! (where the nonce pool refills) and the end of every ensemble
 //! round (a random forest is one round: its trees share one frontier; the
 //! trees of a boosting round share theirs). At each one the context
 //! snapshots its deterministic progress cursors and hands them to an
@@ -31,7 +31,8 @@ pub struct StateCursors {
     /// Paillier nonces drawn from the party's nonce stream (hits + misses
     /// — precomputation never changes the count, only who computed it).
     pub nonces_drawn: u64,
-    /// Dealer preprocessing rows consumed from the split streams.
+    /// Beaver triples plus masked-bit rows drawn from the dealer's derived
+    /// streams.
     pub dealer_rows: u64,
     /// Bytes this party has put on the wire.
     pub bytes_sent: u64,

@@ -214,10 +214,6 @@ pub struct PivotParams {
     /// width, so every argmax is unchanged). `Floor(n)` is `Auto` with a
     /// minimum width — a conservative dial.
     pub comparison_bits: CompareBits,
-    /// Offline dealer-pool size: how many Beaver triples / masked-bit
-    /// rows per stream background workers keep precomputed (0 disables
-    /// precomputation). Has no effect on outputs.
-    pub dealer_pool: usize,
     /// Common seed for the simulated MPC offline phase.
     pub dealer_seed: u64,
     /// Malicious-model verification policy. `Off` (default) generates
@@ -250,7 +246,6 @@ impl Default for PivotParams {
             randomness_pool: 256,
             packing: Packing::Auto,
             comparison_bits: CompareBits::Auto,
-            dealer_pool: 256,
             dealer_seed: 0x9162_07,
             verification: Verification::Off,
             adversary: None,

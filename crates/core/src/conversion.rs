@@ -67,10 +67,9 @@ fn masked_shares(
     ctx.metrics.add_encryptions(cts.len() as u64);
 
     // Exchange the encrypted masks; everyone assembles [e] = [x + offset +
-    // Σ rᵢ] per slot (line 4). The wait is CPU-idle: top up both offline
-    // pools.
+    // Σ rᵢ] per slot (line 4). The wait is CPU-idle: top up the nonce
+    // pool.
     ctx.nonces.refill();
-    ctx.engine.dealer_refill();
     let all_masks: Vec<Vec<Ciphertext>> = ctx.ep.exchange_all(&my_enc_masks);
     let indices: Vec<usize> = (0..cts.len()).collect();
     let masked: Vec<Ciphertext> = pivot_runtime::global().map(threads, &indices, |&j| {

@@ -48,5 +48,5 @@ pub use model::{ConcealedNode, ConcealedTree};
 pub use party::PartyContext;
 // Re-exported so report-layer consumers (CLI, bench) can name the
 // comparison policy and its telemetry without a direct pivot-mpc edge.
-pub use pivot_mpc::{CompareBits, ComparisonCounters, DealerPoolStats};
+pub use pivot_mpc::{CompareBits, ComparisonCounters};
 pub use pivot_trace::TraceLevel;

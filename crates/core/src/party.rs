@@ -105,10 +105,7 @@ impl<'a> PartyContext<'a> {
         );
 
         let mut engine = MpcEngine::new(ep, params.dealer_seed, params.fixed);
-        engine.configure_comparisons(params.comparison_bits, params.dealer_pool);
-        // Key generation / view exchange is an idle phase: start the
-        // offline dealer precompute alongside the nonce prefill below.
-        engine.dealer_refill();
+        engine.configure_comparisons(params.comparison_bits, 0);
         let rng =
             StdRng::seed_from_u64(params.dealer_seed ^ 0xACE0_FBA5E ^ ((ep.id() as u64 + 1) << 32));
         // Dedicated per-party nonce stream; keygen/setup is an idle phase,
@@ -165,16 +162,12 @@ impl<'a> PartyContext<'a> {
         let _phase = pivot_trace::phase_span("checkpoint");
         let (mpc_rounds, secure_mults, secure_comparisons, _) = self.engine.counters().snapshot();
         let nonce = self.nonces.stats();
-        let dealer = self.engine.dealer_pool_stats();
         let cursors = crate::checkpoint::StateCursors {
             mpc_rounds,
             secure_mults,
             secure_comparisons,
             nonces_drawn: nonce.hits + nonce.misses,
-            dealer_rows: dealer.triple_hits
-                + dealer.triple_misses
-                + dealer.masked_hits
-                + dealer.masked_misses,
+            dealer_rows: self.engine.dealer_mut().rows_drawn(),
             bytes_sent: self.ep.stats().bytes_sent(),
         };
         self.checkpoint_ordinal += 1;

@@ -4,8 +4,8 @@
 //! The whole tree frontier advances one depth at a time through batched
 //! stages: one statistics pass and one Algorithm-2 conversion, one prune
 //! comparison unit, one leaf-label batch, one gain pipeline and one
-//! lockstep argmax per level, then a dealer/nonce refill and the
-//! checkpoint barrier. Statistics, comparisons and Beaver products are
+//! lockstep argmax per level, then a nonce refill and the checkpoint
+//! barrier. Statistics, comparisons and Beaver products are
 //! exact, so the trained tree is the one a node-by-node recursion builds;
 //! batching only cuts rounds.
 //!
@@ -384,14 +384,10 @@ pub(crate) fn grow_tree<D: Disclosure>(
         frontier = protocol.settle_splits(ctx, local, layout, survivors, wanted, &mut arena);
         parents = stats;
         depth += 1;
-        // Latency-hiding refill window: the dealer pool and decryption
-        // nonce pool top up between levels while no protocol round is in
-        // flight, so the next level's comparisons hit warm pools. The
-        // dealer top-up is blocking and burst-sized — the next level
-        // drains its whole preprocessing demand at once.
+        // Latency-hiding refill window: the nonce pool tops up between
+        // levels while no protocol round is in flight, so the next level's
+        // encryptions hit a warm pool.
         if !frontier.is_empty() {
-            ctx.engine
-                .dealer_refill_blocking(frontier.len(), parents.len().max(1));
             ctx.nonces.refill();
         }
         // Level barrier: every party reaches this point with identical

@@ -63,8 +63,17 @@ impl Dataset {
     }
 
     /// Attach human-readable feature names (for examples and model dumps).
+    /// A dataset without samples takes its width from the names, so an
+    /// empty split or subset is as wide as the dataset it came from.
     pub fn with_feature_names(mut self, names: Vec<String>) -> Self {
-        assert_eq!(names.len(), self.num_features());
+        // `new` made every row as wide as the first.
+        assert!(
+            self.features
+                .first()
+                .is_none_or(|row| row.len() == names.len()),
+            "{} names for samples of another width",
+            names.len()
+        );
         self.feature_names = names;
         self
     }
@@ -76,7 +85,7 @@ impl Dataset {
 
     /// Number of features `d`.
     pub fn num_features(&self) -> usize {
-        self.features.first().map_or(0, |row| row.len())
+        self.feature_names.len()
     }
 
     /// The task.
@@ -217,6 +226,16 @@ mod tests {
         assert_eq!(d.value(1, 0), 3.0);
         assert_eq!(d.class(1), 1);
         assert_eq!(d.feature_column(1), vec![2.0, 4.0, 6.0, 8.0]);
+    }
+
+    #[test]
+    fn empty_split_keeps_width_and_names() {
+        let d = toy().with_feature_names(vec!["age".into(), "income".into()]);
+        let (train, test) = d.train_test_split(0.0);
+        assert_eq!((train.num_samples(), test.num_samples()), (4, 0));
+        assert_eq!(test.num_features(), 2);
+        assert_eq!(test.feature_names(), d.feature_names());
+        assert_eq!(d.subset(&[]).num_features(), 2);
     }
 
     #[test]

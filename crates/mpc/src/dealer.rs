@@ -14,22 +14,29 @@
 //! OT/HE-based preprocessing would not change any online message.
 //!
 //! Stream layout: Beaver triples and masked-bit rows come from *dedicated
-//! derived streams*, one per material kind (and per mask width). Each
-//! stream is consumed FIFO, so a [`DealerPool`] can precompute rows on
-//! background workers during idle phases without changing a single value
-//! — the same determinism contract as the `NoncePool`. Order-sensitive
-//! material (probabilistic truncation pairs, DP unit fractions, random
-//! bits/shares) advances the client's own PRG in protocol call order: its
-//! values feed ±1-ulp rounding and DP draws, so reordering would change
-//! results, not just transcripts.
+//! derived streams*, one per material kind (and per mask width), each a
+//! PRG seeded from the dealer seed and a tag — so a drawn value is a
+//! function of `(seed, party, draw index)` and of nothing else, and widths
+//! never perturb each other. Order-sensitive material (probabilistic
+//! truncation pairs, DP unit fractions, random bits) advances the
+//! client's own PRG in protocol call order: its values feed ±1-ulp rounding
+//! and DP draws, so reordering would change results, not just transcripts.
+//!
+//! Why there is no pool: a triple costs 23 ns and a width-11 masked row
+//! 137 ns to derive (`mpc.dealer_triples_per_s` 4.3 × 10⁷,
+//! `mpc.dealer_masked_rows_k11_per_s` 7.3 × 10⁶ on the benchmark ladder),
+//! and a party of the benchmark's training workloads draws 1.2–3.0 × 10⁵
+//! triples and 5.7–11.4 × 10³ rows in a whole run: 3–9 ms of derivation
+//! against 0.9–4.7 s of training. Measured, a background precompute pool
+//! produced 1.5–2× what was consumed, on the queue the `NoncePool` needs,
+//! and was not resolvably faster on any workload — so every draw is made
+//! inline, on the party thread, at the take.
 
 use crate::field::{Fp, MODULUS};
 use crate::fixed::FixedConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::collections::HashMap;
 
 /// A Beaver multiplication triple share: `(⟨a⟩, ⟨b⟩, ⟨ab⟩)`.
 #[derive(Clone, Copy, Debug)]
@@ -126,336 +133,21 @@ fn derived_seed(seed: u64, tag: u64) -> u64 {
 const TRIPLE_TAG: u64 = 0x7219_7213_BEAF_E201;
 const MASKED_TAG: u64 = 0x0A5C_ED81_7500_13D7;
 
-/// Hit/miss behavior of one party's [`DealerPool`] (timing-dependent —
-/// *not* part of the cross-backend parity contract; the values drawn are).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DealerPoolStats {
-    /// Refill target per stream (0 = inline generation only).
-    pub target: u64,
-    /// Beaver triples served from the precomputed queue.
-    pub triple_hits: u64,
-    /// Beaver triples generated inline on demand.
-    pub triple_misses: u64,
-    /// Masked-bit rows served from the precomputed queues.
-    pub masked_hits: u64,
-    /// Masked-bit rows generated inline on demand.
-    pub masked_misses: u64,
-    /// Items precomputed by background workers.
-    pub produced: u64,
-}
-
-impl DealerPoolStats {
-    /// Field-wise accumulation; `target` keeps the maximum so a
-    /// default-initialized side (mixed-version reports) never zeroes a
-    /// configured one.
-    pub fn merge(&mut self, other: &DealerPoolStats) {
-        self.target = self.target.max(other.target);
-        self.triple_hits += other.triple_hits;
-        self.triple_misses += other.triple_misses;
-        self.masked_hits += other.masked_hits;
-        self.masked_misses += other.masked_misses;
-        self.produced += other.produced;
-    }
-
-    /// Fraction of takes served from the precomputed queues (`None` when
-    /// nothing was taken).
-    pub fn hit_rate(&self) -> Option<f64> {
-        let hits = self.triple_hits + self.masked_hits;
-        let total = hits + self.triple_misses + self.masked_misses;
-        if total == 0 {
-            None
-        } else {
-            Some(hits as f64 / total as f64)
-        }
-    }
-}
-
-/// FIFO stream of one preprocessing material kind: a dedicated seeded PRG
-/// plus a queue of precomputed items. Values depend only on how many items
-/// were drawn so far, never on *when* they were generated — the property
-/// that makes background precomputation transcript-neutral.
-struct Stream<T> {
-    rng: StdRng,
-    queue: VecDeque<T>,
-    /// Items drawn since the last background refill sized this stream
-    /// (the trickle window the async worker adapts to).
-    demand: u64,
-    /// Largest inter-refill window drain observed.
-    burst: u64,
-    /// Items drawn since the last *barrier* refill — accumulates across
-    /// background refills so the level barrier sees the whole level's
-    /// demand even when async triggers split the window.
-    level_demand: u64,
-    /// Largest full-level drain observed at a barrier.
-    level_burst: u64,
-}
-
-impl<T> Stream<T> {
-    fn new(seed: u64) -> Self {
-        Stream {
-            rng: StdRng::seed_from_u64(seed),
-            queue: VecDeque::new(),
-            demand: 0,
-            burst: 0,
-            level_demand: 0,
-            level_burst: 0,
-        }
-    }
-}
-
-/// Per-party offline pool: the derived Beaver-triple and masked-bit-row
-/// streams, precomputed on the `pivot-runtime` background queue during
-/// idle phases (mirroring the `NoncePool`).
-pub struct DealerPool {
-    party: usize,
-    m: usize,
-    seed: u64,
-    /// Refill target per stream; 0 disables background precomputation
-    /// (everything generates inline, still from the derived streams).
-    target: AtomicUsize,
-    triples: Mutex<Stream<TripleShare>>,
-    /// Masked-bit streams keyed by `(t, high_bits)` — each width draws
-    /// from its own derived seed, so widths never perturb each other.
-    masked: Mutex<HashMap<(u32, u32), Stream<MaskedBitsShare>>>,
-    refill_pending: AtomicBool,
-    triple_hits: AtomicU64,
-    triple_misses: AtomicU64,
-    masked_hits: AtomicU64,
-    masked_misses: AtomicU64,
-    produced: AtomicU64,
-}
-
-impl DealerPool {
-    /// A pool with refill target 0 (see [`Self::set_target`]).
-    fn new(seed: u64, party: usize, m: usize) -> Arc<DealerPool> {
-        Arc::new(DealerPool {
-            party,
-            m,
-            seed,
-            target: AtomicUsize::new(0),
-            triples: Mutex::new(Stream::new(derived_seed(seed, TRIPLE_TAG))),
-            masked: Mutex::new(HashMap::new()),
-            refill_pending: AtomicBool::new(false),
-            triple_hits: AtomicU64::new(0),
-            triple_misses: AtomicU64::new(0),
-            masked_hits: AtomicU64::new(0),
-            masked_misses: AtomicU64::new(0),
-            produced: AtomicU64::new(0),
-        })
-    }
-
-    /// Set the refill target per stream. Values are FIFO per stream, so
-    /// changing the target at any point never changes a drawn value.
-    pub fn set_target(&self, target: usize) {
-        self.target.store(target, Ordering::Relaxed);
-    }
-
-    fn target(&self) -> usize {
-        self.target.load(Ordering::Relaxed)
-    }
-
-    /// Take `n` triples: precomputed rows first (FIFO), inline generation
-    /// for the rest — the values are identical either way.
-    fn take_triples(&self, n: usize) -> Vec<TripleShare> {
-        let mut s = self.triples.lock().expect("dealer pool poisoned");
-        s.demand += n as u64;
-        s.level_demand += n as u64;
-        let mut out = Vec::with_capacity(n);
-        let hits = n.min(s.queue.len());
-        for _ in 0..hits {
-            out.push(s.queue.pop_front().expect("counted"));
-        }
-        for _ in hits..n {
-            out.push(draw_triple(&mut s.rng, self.party, self.m));
-        }
-        self.triple_hits.fetch_add(hits as u64, Ordering::Relaxed);
-        self.triple_misses
-            .fetch_add((n - hits) as u64, Ordering::Relaxed);
-        if pivot_trace::enabled() {
-            let h = self.triple_hits.load(Ordering::Relaxed);
-            let miss = self.triple_misses.load(Ordering::Relaxed);
-            pivot_trace::gauge(
-                "dealer_triple_hit_rate",
-                h as f64 / (h + miss).max(1) as f64,
-            );
-        }
-        out
-    }
-
-    /// Take `n` masked-bit rows of shape `(t, high_bits)`.
-    fn take_masked(&self, t: u32, high_bits: u32, n: usize) -> Vec<MaskedBitsShare> {
-        let mut map = self.masked.lock().expect("dealer pool poisoned");
-        let s = map.entry((t, high_bits)).or_insert_with(|| {
-            Stream::new(derived_seed(
-                self.seed,
-                MASKED_TAG ^ ((t as u64) << 32 | high_bits as u64),
-            ))
-        });
-        s.demand += n as u64;
-        s.level_demand += n as u64;
-        let mut out = Vec::with_capacity(n);
-        let hits = n.min(s.queue.len());
-        for _ in 0..hits {
-            out.push(s.queue.pop_front().expect("counted"));
-        }
-        for _ in hits..n {
-            out.push(draw_masked_row(
-                &mut s.rng, self.party, self.m, t, high_bits,
-            ));
-        }
-        self.masked_hits.fetch_add(hits as u64, Ordering::Relaxed);
-        self.masked_misses
-            .fetch_add((n - hits) as u64, Ordering::Relaxed);
-        if pivot_trace::enabled() {
-            let h = self.masked_hits.load(Ordering::Relaxed);
-            let miss = self.masked_misses.load(Ordering::Relaxed);
-            pivot_trace::gauge(
-                "dealer_masked_hit_rate",
-                h as f64 / (h + miss).max(1) as f64,
-            );
-        }
-        out
-    }
-
-    /// Top up every stream on the shared background queue. Cheap no-op
-    /// when a refill is already pending or the target is 0; call from
-    /// protocol idle phases (setup, conversion waits, level barriers).
-    ///
-    /// Each stream fills to `max(target, demand since its last refill)`:
-    /// the pipelined scheduler drains whole level-bursts at once, far
-    /// past any fixed floor, and the next level's burst has the same
-    /// shape — so sizing to the observed drain keeps the pool ahead of
-    /// bursty consumers without changing a single drawn value (rows are
-    /// FIFO; values depend only on draw order).
-    pub fn refill(self: &Arc<Self>) {
-        let target = self.target();
-        if target == 0 || self.refill_pending.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        let pool = Arc::clone(self);
-        pivot_runtime::global().spawn(move || {
-            let _span = pivot_trace::runtime_span("dealer_refill");
-            // Generate in small chunks so online takes never wait long on
-            // the stream lock.
-            const CHUNK: usize = 16;
-            let triple_goal = {
-                let mut s = pool.triples.lock().expect("dealer pool poisoned");
-                s.burst = s.burst.max(std::mem::take(&mut s.demand));
-                target.max(s.burst.max(s.level_burst) as usize)
-            };
-            loop {
-                let mut s = pool.triples.lock().expect("dealer pool poisoned");
-                if s.queue.len() >= triple_goal {
-                    break;
-                }
-                for _ in 0..CHUNK {
-                    let t = draw_triple(&mut s.rng, pool.party, pool.m);
-                    s.queue.push_back(t);
-                }
-                pool.produced.fetch_add(CHUNK as u64, Ordering::Relaxed);
-            }
-            // Refill every width the protocol has requested so far.
-            let keys: Vec<(u32, u32)> = {
-                let map = pool.masked.lock().expect("dealer pool poisoned");
-                map.keys().copied().collect()
-            };
-            for key in keys {
-                let goal = {
-                    let mut map = pool.masked.lock().expect("dealer pool poisoned");
-                    let s = map.get_mut(&key).expect("known key");
-                    s.burst = s.burst.max(std::mem::take(&mut s.demand));
-                    target.max(s.burst.max(s.level_burst) as usize)
-                };
-                loop {
-                    let mut map = pool.masked.lock().expect("dealer pool poisoned");
-                    let s = map.get_mut(&key).expect("known key");
-                    if s.queue.len() >= goal {
-                        break;
-                    }
-                    for _ in 0..CHUNK {
-                        let row = draw_masked_row(&mut s.rng, pool.party, pool.m, key.0, key.1);
-                        s.queue.push_back(row);
-                    }
-                    pool.produced.fetch_add(CHUNK as u64, Ordering::Relaxed);
-                }
-            }
-            pool.refill_pending.store(false, Ordering::Release);
-        });
-    }
-
-    /// Synchronously top up every stream to its burst-informed goal on
-    /// the caller's thread. The pipelined scheduler calls this at level
-    /// barriers: the next level replays this level's burst shape scaled
-    /// by the frontier growth `grow_num / grow_den` (next-level node
-    /// count over this level's demanding node count), far past what the
-    /// background worker can stage between a trigger and a drain — so
-    /// the barrier, the protocol's designated idle point, absorbs the
-    /// generation instead of the online takes. Values are unchanged
-    /// either way (FIFO streams).
-    pub fn refill_blocking(&self, grow_num: usize, grow_den: usize) {
-        let target = self.target();
-        if target == 0 {
-            return;
-        }
-        let scaled = |burst: u64| -> usize {
-            let num = burst as u128 * grow_num.max(1) as u128;
-            num.div_ceil(grow_den.max(1) as u128) as usize
-        };
-        {
-            let mut s = self.triples.lock().expect("dealer pool poisoned");
-            s.burst = s.burst.max(std::mem::take(&mut s.demand));
-            s.level_burst = s.level_burst.max(std::mem::take(&mut s.level_demand));
-            let goal = target.max(scaled(s.level_burst));
-            let mut made = 0u64;
-            while s.queue.len() < goal {
-                let t = draw_triple(&mut s.rng, self.party, self.m);
-                s.queue.push_back(t);
-                made += 1;
-            }
-            self.produced.fetch_add(made, Ordering::Relaxed);
-        }
-        let keys: Vec<(u32, u32)> = {
-            let map = self.masked.lock().expect("dealer pool poisoned");
-            map.keys().copied().collect()
-        };
-        for key in keys {
-            let mut map = self.masked.lock().expect("dealer pool poisoned");
-            let s = map.get_mut(&key).expect("known key");
-            s.burst = s.burst.max(std::mem::take(&mut s.demand));
-            s.level_burst = s.level_burst.max(std::mem::take(&mut s.level_demand));
-            let goal = target.max(scaled(s.level_burst));
-            let mut made = 0u64;
-            while s.queue.len() < goal {
-                let row = draw_masked_row(&mut s.rng, self.party, self.m, key.0, key.1);
-                s.queue.push_back(row);
-                made += 1;
-            }
-            self.produced.fetch_add(made, Ordering::Relaxed);
-        }
-    }
-
-    pub fn stats(&self) -> DealerPoolStats {
-        DealerPoolStats {
-            target: self.target() as u64,
-            triple_hits: self.triple_hits.load(Ordering::Relaxed),
-            triple_misses: self.triple_misses.load(Ordering::Relaxed),
-            masked_hits: self.masked_hits.load(Ordering::Relaxed),
-            masked_misses: self.masked_misses.load(Ordering::Relaxed),
-            produced: self.produced.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// Per-party client of the simulated dealer. All parties construct it with
 /// the same `seed` and call the same sequence of methods; each call advances
 /// an identical PRG stream and returns this party's component.
 pub struct DealerClient {
-    /// Call-order stream for the order-sensitive material.
-    rng: StdRng,
+    seed: u64,
     party: usize,
     m: usize,
-    /// The derived FIFO streams serving triples and masked-bit rows.
-    pool: Arc<DealerPool>,
+    /// Call-order stream for the order-sensitive material.
+    rng: StdRng,
+    /// Derived stream of Beaver triples.
+    triples: StdRng,
+    /// Derived masked-bit streams keyed by `(t, high_bits)`, seeded at
+    /// first use.
+    masked: HashMap<(u32, u32), StdRng>,
+    rows_drawn: u64,
 }
 
 impl DealerClient {
@@ -463,25 +155,20 @@ impl DealerClient {
     pub fn new(seed: u64, party: usize, m: usize) -> Self {
         assert!(party < m);
         DealerClient {
-            rng: StdRng::seed_from_u64(seed),
+            seed,
             party,
             m,
-            pool: DealerPool::new(seed, party, m),
+            rng: StdRng::seed_from_u64(seed),
+            triples: StdRng::seed_from_u64(derived_seed(seed, TRIPLE_TAG)),
+            masked: HashMap::new(),
+            rows_drawn: 0,
         }
     }
 
-    /// Number of parties.
-    pub fn parties(&self) -> usize {
-        self.m
-    }
-
-    /// The offline pool behind the triple and masked-row streams.
-    pub fn pool(&self) -> &Arc<DealerPool> {
-        &self.pool
-    }
-
-    fn uniform(&mut self) -> Fp {
-        draw_uniform(&mut self.rng)
+    /// Triples plus masked-bit rows drawn so far: the derived streams'
+    /// position, which a checkpoint records to detect a diverged replay.
+    pub fn rows_drawn(&self) -> u64 {
+        self.rows_drawn
     }
 
     fn split(&mut self, value: Fp) -> Fp {
@@ -495,13 +182,10 @@ impl DealerClient {
 
     /// A batch of Beaver triples.
     pub fn triples(&mut self, n: usize) -> Vec<TripleShare> {
-        self.pool.take_triples(n)
-    }
-
-    /// Share of a uniformly random field element (unknown to all parties).
-    pub fn random_share(&mut self) -> Fp {
-        let v = self.uniform();
-        self.split(v)
+        self.rows_drawn += n as u64;
+        (0..n)
+            .map(|_| draw_triple(&mut self.triples, self.party, self.m))
+            .collect()
     }
 
     /// Share of a uniformly random bit.
@@ -530,7 +214,15 @@ impl DealerClient {
             k + cfg.kappa
         );
         let high_bits = k + cfg.kappa - t;
-        self.pool.take_masked(t, high_bits, n)
+        let seed = self.seed;
+        let rng = self.masked.entry((t, high_bits)).or_insert_with(|| {
+            let tag = MASKED_TAG ^ ((t as u64) << 32 | high_bits as u64);
+            StdRng::seed_from_u64(derived_seed(seed, tag))
+        });
+        self.rows_drawn += n as u64;
+        (0..n)
+            .map(|_| draw_masked_row(rng, self.party, self.m, t, high_bits))
+            .collect()
     }
 
     /// Probabilistic-truncation mask: `(⟨r⟩, ⟨r_high⟩)` with
@@ -681,46 +373,211 @@ mod tests {
         }
     }
 
-    #[test]
-    fn split_streams_match_inline_generation() {
-        // A fresh, unconfigured client (inline generation) and a pooled
-        // client with a warm queue must produce identical values in
-        // identical order — the determinism contract behind background
-        // precomputation.
-        let cfg = FixedConfig::default();
-        let drain = |c: &mut DealerClient| {
-            let mut out: Vec<Fp> = Vec::new();
-            for t in c.triples(40) {
-                out.extend([t.a, t.b, t.c]);
-            }
-            for row in c.masked_rows(9, 10, 8, &cfg) {
-                out.push(row.r);
-                out.push(row.r_high);
-                out.extend(row.bits);
-            }
-            for t in c.triples(3) {
-                out.extend([t.a, t.b, t.c]);
-            }
-            out
-        };
-        let baseline = drain(&mut DealerClient::new(77, 0, 2));
+    /// Party `p`'s shares of the first and last item of each group drawn
+    /// by [`dealer_streams_are_pinned`], in draw-group order: 64 triples
+    /// `(a, b, c)`, 16 rows of `(t, k) = (8, 9)` and 16 of `(29, 30)`
+    /// `(r, r_high, bits[0], bits[t − 1])`, 8 more triples, 4 truncation
+    /// pairs `(r, r_high)`. Recorded from the PR 13 derived-stream layout;
+    /// a change to any literal changes every transcript and trained model.
+    const PINNED: [[u64; 32]; 3] = [
+        [
+            // triples[0]
+            599_289_011_865_830_146,
+            987_817_844_196_807_646,
+            1_913_955_643_479_977_506,
+            // triples[63]
+            925_961_141_736_191_909,
+            901_593_623_992_114_027,
+            1_824_363_309_723_730_811,
+            // (8, 9) rows[0]
+            1_305_189_259_924_017_767,
+            1_699_965_735_959_939_226,
+            1_562_455_718_481_097_898,
+            826_321_484_646_965_245,
+            // (8, 9) rows[15]
+            1_320_251_199_292_350_917,
+            685_935_191_202_722_807,
+            346_833_194_996_849_526,
+            1_514_231_214_968_665_283,
+            // (29, 30) rows[0]
+            2_036_950_680_356_141_287,
+            2_042_882_505_455_204_937,
+            146_757_170_839_794_104,
+            189_151_610_167_220_266,
+            // (29, 30) rows[15]
+            1_614_925_913_372_487_079,
+            1_518_860_824_031_650_879,
+            1_023_698_597_727_370_350,
+            1_931_335_365_117_418_083,
+            // late triples[0]
+            1_063_251_457_681_835_818,
+            196_059_077_620_445_102,
+            469_276_415_722_640_059,
+            // late triples[7]
+            2_231_354_039_338_798_859,
+            355_827_152_682_734_760,
+            43_261_510_841_127_003,
+            // pairs[0]
+            1_720_402_681_957_271_374,
+            814_535_873_437_087_249,
+            // pairs[3]
+            345_227_703_195_888_122,
+            1_064_363_996_957_653_111,
+        ],
+        [
+            // triples[0]
+            117_379_841_136_478_121,
+            890_433_864_325_311_429,
+            417_049_574_588_821_360,
+            // triples[63]
+            1_361_163_301_569_546_160,
+            648_813_861_789_128_717,
+            416_656_274_257_870_838,
+            // (8, 9) rows[0]
+            1_007_685_710_645_254_072,
+            1_196_655_732_300_236_519,
+            1_685_422_532_802_136_305,
+            732_873_710_765_503_991,
+            // (8, 9) rows[15]
+            292_737_099_570_899_642,
+            469_025_187_406_002_318,
+            502_650_293_615_444_240,
+            622_874_680_355_852_724,
+            // (29, 30) rows[0]
+            2_257_813_870_818_188_773,
+            1_165_075_075_379_918_759,
+            1_202_402_903_405_371_859,
+            216_688_951_480_073_461,
+            // (29, 30) rows[15]
+            161_400_004_595_174_429,
+            1_300_421_203_282_838_915,
+            641_775_105_911_204_808,
+            2_007_161_699_626_800_309,
+            // late triples[0]
+            1_448_749_955_083_567_361,
+            1_650_507_512_309_303_151,
+            1_478_099_840_628_260_484,
+            // late triples[7]
+            858_194_214_588_766_514,
+            850_973_789_453_003_729,
+            1_578_475_213_994_778_744,
+            // pairs[0]
+            228_847_532_923_343_734,
+            140_264_188_434_007_699,
+            // pairs[3]
+            648_542_299_454_769_166,
+            1_035_847_528_152_685_683,
+        ],
+        [
+            // triples[0]
+            766_514_757_228_707_524,
+            1_102_630_654_785_549_325,
+            2_178_654_742_118_099_285,
+            // triples[63]
+            1_290_776_119_880_984_448,
+            1_007_526_118_766_608_480,
+            1_898_851_141_979_129_947,
+            // (8, 9) rows[0]
+            2_298_811_047_864_221_995,
+            1_715_064_550_167_236_008,
+            1_363_807_767_144_153_699,
+            746_647_813_801_224_715,
+            // (8, 9) rows[15]
+            692_854_710_352_210_152,
+            1_150_882_630_604_975_727,
+            1_456_359_520_601_400_185,
+            168_737_113_889_175_944,
+            // (29, 30) rows[0]
+            316_931_477_406_913_012,
+            1_403_728_437_592_282_851,
+            956_682_934_968_527_988,
+            1_900_002_447_566_400_224,
+            // (29, 30) rows[15]
+            529_527_804_775_373_232,
+            1_792_403_991_112_918_063,
+            640_369_305_575_118_794,
+            673_188_953_683_169_511,
+            // late triples[0]
+            234_629_855_830_197_764,
+            854_520_058_693_528_500,
+            1_830_521_335_159_159_076,
+            // late triples[7]
+            564_515_962_979_371_280,
+            612_219_298_983_556_670,
+            1_973_580_453_932_556_077,
+            // pairs[0]
+            477_325_270_394_515_463,
+            1_351_044_789_573_984_217,
+            // pairs[3]
+            1_357_758_374_102_560_422,
+            205_632_181_206_741_685,
+        ],
+    ];
 
-        let mut pooled = DealerClient::new(77, 0, 2);
-        pooled.pool().set_target(64);
-        // Force a full precompute round and wait for it to land.
-        pooled.pool().refill();
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while pooled.pool().stats().produced < 64 {
-            assert!(std::time::Instant::now() < deadline, "refill never ran");
-            std::thread::yield_now();
+    #[test]
+    fn dealer_streams_are_pinned() {
+        let cfg = FixedConfig::default();
+        let m = 3;
+        let mut triples = vec![Vec::new(); m];
+        let mut narrow = vec![Vec::new(); m];
+        let mut wide = vec![Vec::new(); m];
+        let mut late = vec![Vec::new(); m];
+        let mut pairs = vec![Vec::new(); m];
+        for p in 0..m {
+            let mut c = DealerClient::new(0x9162_07, p, m);
+            // Interleaved: the three derived streams advance in turn, so a
+            // group's values must not depend on what was drawn between.
+            for _ in 0..4 {
+                triples[p].extend(c.triples(16));
+                narrow[p].extend(c.masked_rows(8, 9, 4, &cfg));
+                wide[p].extend(c.masked_rows(29, 30, 4, &cfg));
+            }
+            late[p] = c.triples(8);
+            pairs[p] = (0..4).map(|_| c.trunc_pair(16, &cfg)).collect();
         }
-        assert_eq!(drain(&mut pooled), baseline);
-        let stats = pooled.pool().stats();
-        assert!(
-            stats.triple_hits > 0,
-            "precomputed triples unused: {stats:?}"
-        );
-        assert!(stats.hit_rate().unwrap() > 0.0);
+
+        let ends = |n: usize| [0, n - 1];
+        let triple = |t: &TripleShare| [t.a, t.b, t.c];
+        let row = |r: &MaskedBitsShare| [r.r, r.r_high, r.bits[0], r.bits[r.bits.len() - 1]];
+        let got: Vec<Vec<u64>> = (0..m)
+            .map(|p| {
+                let mut got: Vec<Fp> = Vec::new();
+                got.extend(ends(64).iter().flat_map(|&i| triple(&triples[p][i])));
+                got.extend(ends(16).iter().flat_map(|&i| row(&narrow[p][i])));
+                got.extend(ends(16).iter().flat_map(|&i| row(&wide[p][i])));
+                got.extend(ends(8).iter().flat_map(|&i| triple(&late[p][i])));
+                got.extend(ends(4).iter().flat_map(|&i| [pairs[p][i].0, pairs[p][i].1]));
+                got.iter().map(|v| v.value()).collect()
+            })
+            .collect();
+        assert_eq!(got, PINNED);
+
+        let sum = |f: &dyn Fn(usize) -> Fp| reconstruct((0..m).map(f));
+        for group in [&triples, &late] {
+            for i in 0..group[0].len() {
+                let (a, b, c) = (
+                    sum(&|p| group[p][i].a),
+                    sum(&|p| group[p][i].b),
+                    sum(&|p| group[p][i].c),
+                );
+                assert_eq!(a * b, c, "triple {i}");
+            }
+        }
+        for (group, t) in [(&narrow, 8usize), (&wide, 29)] {
+            for i in 0..16 {
+                let low = (0..t).fold(0u64, |acc, b| {
+                    let bit = sum(&|p| group[p][i].bits[b]).value();
+                    assert!(bit <= 1, "row {i} bit {b} reconstructs to {bit}");
+                    acc | bit << b
+                });
+                let high = sum(&|p| group[p][i].r_high).value();
+                assert_eq!(sum(&|p| group[p][i].r).value(), (high << t) + low);
+            }
+        }
+        for i in 0..4 {
+            let r = sum(&|p| pairs[p][i].0).value();
+            assert_eq!(r >> 16, sum(&|p| pairs[p][i].1).value());
+        }
     }
 
     #[test]
@@ -735,38 +592,6 @@ mod tests {
         let _wide = b.masked_rows(20, 30, 3, &cfg);
         let narrow_second: Vec<Fp> = b.masked_rows(5, 6, 3, &cfg).iter().map(|r| r.r).collect();
         assert_eq!(narrow_first, narrow_second);
-    }
-
-    #[test]
-    fn pool_stats_merge_is_field_wise() {
-        let a = DealerPoolStats {
-            target: 512,
-            triple_hits: 10,
-            triple_misses: 2,
-            masked_hits: 5,
-            masked_misses: 1,
-            produced: 16,
-        };
-        // Default side in either order leaves the configured side intact.
-        let mut m = a;
-        m.merge(&DealerPoolStats::default());
-        assert_eq!(m, a);
-        let mut m = DealerPoolStats::default();
-        m.merge(&a);
-        assert_eq!(m, a);
-        // Two configured sides add counters and keep the max target.
-        let mut m = a;
-        m.merge(&DealerPoolStats {
-            target: 64,
-            triple_hits: 1,
-            triple_misses: 1,
-            masked_hits: 1,
-            masked_misses: 1,
-            produced: 4,
-        });
-        assert_eq!(m.target, 512);
-        assert_eq!(m.triple_hits, 11);
-        assert_eq!(m.produced, 20);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 mod arith;
 mod compare;
 
-use crate::dealer::{DealerClient, DealerPoolStats};
+use crate::dealer::DealerClient;
 use crate::field::Fp;
 use crate::fixed::FixedConfig;
 use crate::share::Share;
@@ -189,11 +189,10 @@ impl<'a> MpcEngine<'a> {
         }
     }
 
-    /// Set the comparison width policy and the dealer's background
-    /// precompute target: `dealer_pool` rows per preprocessing stream
-    /// (0 = inline generation). The policy must be identical on every
-    /// party; the pool target never changes a drawn value.
-    pub fn configure_comparisons(&mut self, mode: CompareBits, dealer_pool: usize) {
+    /// Set the comparison width policy, which must be identical on every
+    /// party. The second parameter is ignored: it stays until the next
+    /// `benchmark` PR drops the argument from `benchmark/src/micro.rs`.
+    pub fn configure_comparisons(&mut self, mode: CompareBits, _retired: usize) {
         if let CompareBits::Floor(n) = mode {
             assert!(
                 (2..=self.cfg.int_bits).contains(&n),
@@ -202,7 +201,6 @@ impl<'a> MpcEngine<'a> {
             );
         }
         self.cmp_bits = mode;
-        self.dealer.pool().set_target(dealer_pool);
     }
 
     /// Resolve a requested comparison width under the active policy.
@@ -212,26 +210,6 @@ impl<'a> MpcEngine<'a> {
             CompareBits::Floor(n) => requested.max(n),
         };
         k.clamp(2, self.cfg.int_bits)
-    }
-
-    /// Kick a background refill of the dealer's offline pool (no-op under
-    /// a zero pool target). Call from protocol idle phases, mirroring
-    /// `NoncePool::refill`.
-    pub fn dealer_refill(&self) {
-        self.dealer.pool().refill();
-    }
-
-    /// Blocking dealer-pool top-up sized to the observed level burst,
-    /// scaled by `next_nodes / level_nodes` frontier growth — for the
-    /// pipelined scheduler's level barriers, where the whole next
-    /// level's preprocessing demand lands at once.
-    pub fn dealer_refill_blocking(&self, next_nodes: usize, level_nodes: usize) {
-        self.dealer.pool().refill_blocking(next_nodes, level_nodes);
-    }
-
-    /// Offline dealer-pool behavior.
-    pub fn dealer_pool_stats(&self) -> DealerPoolStats {
-        self.dealer.pool().stats()
     }
 
     /// Snapshot the comparison-pipeline telemetry.

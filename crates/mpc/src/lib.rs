@@ -27,7 +27,7 @@ mod field;
 mod fixed;
 mod share;
 
-pub use dealer::{DealerClient, DealerPool, DealerPoolStats};
+pub use dealer::DealerClient;
 pub use engine::{width_for_magnitude, CompareBits, ComparisonCounters, MpcEngine, OpCounters};
 pub use field::{Fp, MODULUS};
 pub use fixed::FixedConfig;

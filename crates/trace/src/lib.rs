@@ -18,8 +18,8 @@
 //!   installed by the runner for the lifetime of one protocol run
 //!   ([`install`]/[`finish`]);
 //! * the **runtime sink** — one process-global buffer for events that
-//!   happen off the party threads (worker-pool queue depth, background
-//!   dealer refills), drained once per run ([`take_runtime`]).
+//!   happen off the party threads (worker-pool queue depth, transport
+//!   reconnects), drained once per run ([`take_runtime`]).
 //!
 //! Exports: Chrome-trace/Perfetto JSON ([`chrome_trace_json`]), a
 //! Prometheus-style text snapshot ([`prometheus_snapshot`]), and the
@@ -131,8 +131,8 @@ pub struct RuntimeSpan {
     pub end_ns: u64,
 }
 
-/// Events from the process-global runtime sink (worker pool, background
-/// refills). Drained once per run with [`take_runtime`].
+/// Events from the process-global runtime sink (worker pool, transport
+/// reconnects). Drained once per run with [`take_runtime`].
 #[derive(Clone, Debug, Default)]
 pub struct RuntimeTrace {
     pub spans: Vec<RuntimeSpan>,
@@ -478,7 +478,7 @@ impl Drop for RuntimeSpanGuard {
     }
 }
 
-/// Open a background span (dealer-pool refill chunks etc.) on whatever
+/// Open a background span (a transport reconnect etc.) on whatever
 /// thread is running the work. Inert while tracing is off.
 pub fn runtime_span(name: &'static str) -> RuntimeSpanGuard {
     let active = enabled();
@@ -995,11 +995,11 @@ mod tests {
         on_thread(|| {
             install(0, TraceLevel::Phases);
             {
-                let _s = runtime_span("dealer_refill");
+                let _s = runtime_span("reconnect");
                 runtime_gauge("queue_depth", 4.0);
             }
             let rt = take_runtime();
-            assert!(rt.spans.iter().any(|s| s.name == "dealer_refill"));
+            assert!(rt.spans.iter().any(|s| s.name == "reconnect"));
             assert!(rt
                 .gauges
                 .iter()
@@ -1020,15 +1020,15 @@ mod tests {
                 add_sent(100);
                 add_rounds(3);
             }
-            gauge("dealer_triple_hit_rate", 0.25);
-            gauge("dealer_triple_hit_rate", 0.75);
+            gauge("nonce_pool_hit_rate", 0.25);
+            gauge("nonce_pool_hit_rate", 0.75);
             finish().unwrap()
         });
         let text = prometheus_snapshot(&[trace], None);
         assert!(text.contains("pivot_phase_sent_bytes_total{party=\"1\",phase=\"update\"} 100"));
         assert!(text.contains("pivot_phase_rounds_total{party=\"1\",phase=\"update\"} 3"));
         // Gauges report the last value.
-        assert!(text.contains("pivot_gauge{party=\"1\",series=\"dealer_triple_hit_rate\"} 0.75"));
+        assert!(text.contains("pivot_gauge{party=\"1\",series=\"nonce_pool_hit_rate\"} 0.75"));
     }
 
     #[test]
