@@ -59,7 +59,7 @@ pub fn parse_algo(s: &str) -> Result<Algo, String> {
 /// purity stop (see `PivotParams::enhanced`) at a keysize floor of 192 bits
 /// (the share-conversion mask needs headroom — `pivot_core::gain`, "Scale
 /// discipline"), and every non-`-PP` variant runs the same batch API
-/// serially: one crypto thread, no background precomputation.
+/// serially: one crypto thread.
 pub fn algo_params(algo: Algo, base: PivotParams) -> PivotParams {
     let mut p = base;
     if matches!(algo, Algo::PivotEnhanced | Algo::PivotEnhancedPp) {
@@ -69,7 +69,6 @@ pub fn algo_params(algo: Algo, base: PivotParams) -> PivotParams {
     }
     if !algo.is_pp() {
         p.crypto_threads = 1;
-        p.randomness_pool = 0;
     }
     p
 }

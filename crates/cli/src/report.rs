@@ -10,7 +10,7 @@ use crate::scenario::Scenario;
 use std::path::{Path, PathBuf};
 use std::time::{SystemTime, UNIX_EPOCH};
 
-pub const SCHEMA_VERSION: u64 = 2;
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// Default report path for a scenario file:
 /// `<scenario-stem><suffix>-report.json` in the current directory (the
@@ -120,7 +120,6 @@ fn counters_json(exec: &Execution) -> Json {
         )
         .with("split_stat_ciphertexts", p0.split_stat_ciphertexts)
         .with("packing", packing_json(p0))
-        .with("randomness_pool", pool_json(&p0.pool))
         .with("verification", verification_json(&p0.verification))
         .with(
             "checkpoint",
@@ -287,23 +286,6 @@ fn packing_json(p: &crate::runner::PartyOutcome) -> Json {
             },
         )
         .with("stats_bytes_sent", p.stats_bytes_sent)
-}
-
-/// Offline randomness-pool behavior of one party (hit rate is null when
-/// the pool never served a take — e.g. a pure-MPC baseline run).
-pub(crate) fn pool_json(stats: &pivot_paillier::NonceStats) -> Json {
-    Json::obj()
-        .with("target", stats.target)
-        .with("hits", stats.hits)
-        .with("misses", stats.misses)
-        .with("precomputed", stats.produced)
-        .with(
-            "hit_rate",
-            match stats.hit_rate() {
-                Some(r) => Json::Num(r),
-                None => Json::Null,
-            },
-        )
 }
 
 fn dataset_json(exec: &Execution) -> Json {
@@ -608,12 +590,6 @@ mod tests {
             split_stat_ciphertexts: 54,
             packed: (9, 57, 63),
             stats_bytes_sent: 640,
-            pool: pivot_paillier::NonceStats {
-                hits: 6,
-                misses: 2,
-                produced: 8,
-                target: 16,
-            },
             connect_retries: 1,
             reconnects: 2,
             replayed_frames: 3,
@@ -661,7 +637,7 @@ mod tests {
         let report = train_report(&scenario(), &fake_exec());
         let text = report.to_pretty();
         let parsed = crate::json::Json::parse(&text).unwrap();
-        assert_eq!(parsed.get("schema_version").unwrap().as_u64(), Some(2));
+        assert_eq!(parsed.get("schema_version").unwrap().as_u64(), Some(3));
         assert_eq!(parsed.get("command").unwrap().as_str(), Some("train"));
         assert_eq!(parsed.path("evaluation.value").unwrap().as_f64(), Some(0.5));
         assert!(
@@ -695,13 +671,6 @@ mod tests {
         );
         assert_eq!(
             parsed
-                .path("counters.randomness_pool.hits")
-                .unwrap()
-                .as_u64(),
-            Some(6)
-        );
-        assert_eq!(
-            parsed
                 .path("counters.comparisons.opened_elements")
                 .unwrap()
                 .as_u64(),
@@ -715,13 +684,7 @@ mod tests {
             Some(5)
         );
         assert!(parsed.path("counters.comparisons.dealer_pool").is_none());
-        assert_eq!(
-            parsed
-                .path("counters.randomness_pool.hit_rate")
-                .unwrap()
-                .as_f64(),
-            Some(0.75)
-        );
+        assert!(parsed.path("counters.randomness_pool").is_none());
         assert_eq!(
             parsed
                 .path("counters.verification.proofs_generated")

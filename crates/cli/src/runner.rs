@@ -53,9 +53,6 @@ pub struct PartyOutcome {
     pub packed: (u64, u64, u64),
     /// Bytes this party sent inside the split-statistics pipeline.
     pub stats_bytes_sent: u64,
-    /// Offline randomness-pool behavior (timing-dependent, *not* part of
-    /// the cross-backend parity contract).
-    pub pool: pivot_paillier::NonceStats,
     /// Session-layer health over the whole run (these survive the
     /// between-phase stats reset): dial attempts beyond the first,
     /// sessions resumed after a connection loss, frames retransmitted
@@ -246,7 +243,6 @@ pub fn run_party_protocol(
     let (mpc_rounds, secure_mults, secure_comparisons, _openings) =
         ctx.engine.counters().snapshot();
     let comparison = ctx.engine.comparison_snapshot();
-    let pool = ctx.nonces.stats();
     let trace = pivot_trace::finish();
     PartyOutcome {
         party: ctx.id(),
@@ -276,7 +272,6 @@ pub fn run_party_protocol(
         split_stat_ciphertexts: ctx.metrics.split_stat_ciphertexts(),
         packed: ctx.metrics.packed(),
         stats_bytes_sent: ctx.metrics.stats_bytes_sent(),
-        pool,
         connect_retries: stats.connect_retries(),
         reconnects: stats.reconnects(),
         replayed_frames: stats.replayed_frames(),
@@ -397,8 +392,8 @@ pub fn execute(
     }
     let outcomes: Vec<PartyOutcome> = results.into_iter().map(|r| r.unwrap()).collect();
 
-    // Drain the process-global runtime sink (worker gauges, background
-    // refill spans). Empty when tracing is off.
+    // Drain the process-global runtime sink (worker gauges, reconnect
+    // spans). Empty when tracing is off.
     let runtime = pivot_trace::take_runtime();
     let runtime_trace = (!runtime.is_empty()).then_some(runtime);
 

@@ -147,10 +147,8 @@ pub struct ParamSpec {
     pub min_samples: usize,
     pub keysize: u32,
     /// Worker threads for the batched crypto runtime under a `-pp`
-    /// algorithm (the others run it on one thread, without the pools).
+    /// algorithm (the others run it on one thread).
     pub crypto_threads: usize,
-    /// Offline randomness-pool size (precomputed `r^N` nonce powers).
-    pub randomness_pool: usize,
     /// Ciphertext packing for the split-statistics pipeline: `"auto"`
     /// (default) packs as many audited slots as the keysize admits and
     /// runs unpacked under `verification`, `"off"` never packs, an
@@ -180,7 +178,6 @@ impl Default for ParamSpec {
             min_samples: 2,
             keysize: 256,
             crypto_threads: 6,
-            randomness_pool: 256,
             packing: core.packing,
             comparison_bits: core.comparison_bits,
             trace: core.trace,
@@ -734,8 +731,15 @@ static SCHEMA: &[Key] = &[
         "Paillier modulus bits (the paper: 1024); at least 128, enhanced algorithms run >= 192."),
     key!(params.crypto_threads: Int(0, INT_MAX),
         "`-pp` algorithms: worker threads of the batched crypto runtime (the others use 1)."),
-    key!(params.randomness_pool: Int(0, INT_MAX),
-        "`-pp` algorithms: precomputed `r^N mod N²` nonce powers kept ready (0 disables)."),
+    // Retired with the nonce pool's background fill; still range-checked
+    // so that scenario files written when it sized something keep loading.
+    Key::new(
+        ("params", "randomness_pool"),
+        Int(0, INT_MAX),
+        "No effect (a nonce power is computed when it is drawn); the key can be deleted.",
+        |_| Json::Null,
+        |_, _| Ok(true),
+    ),
     key!(params.packing: Syntax("\"off\", \"auto\" or a slot count >= 2"),
         "Ciphertext packing of split statistics; as a sweep axis 0 is off, 1 auto, n n slots. A \
             count beyond the audited capacity (gbdt: that of share sums) is rejected.")
@@ -1202,7 +1206,6 @@ impl Scenario {
             },
             keysize: self.params.keysize,
             crypto_threads: self.params.crypto_threads,
-            randomness_pool: self.params.randomness_pool,
             packing: self.params.packing,
             comparison_bits: self.params.comparison_bits,
             dealer_seed: self.seed,
@@ -1303,27 +1306,22 @@ mod tests {
     }
 
     #[test]
-    fn only_pp_variants_get_threads_and_pools() {
-        let s = parse_toml("[params]\ncrypto_threads = 4\nrandomness_pool = 64").unwrap();
+    fn only_pp_variants_get_threads() {
+        let s = parse_toml("[params]\ncrypto_threads = 4").unwrap();
         for algo in [Algo::PivotBasicPp, Algo::PivotEnhancedPp] {
-            let p = s.pivot_params(algo);
-            assert_eq!((p.crypto_threads, p.randomness_pool), (4, 64), "{algo:?}");
+            assert_eq!(s.pivot_params(algo).crypto_threads, 4, "{algo:?}");
         }
         // Every other algorithm runs the same batch API serially.
         for algo in [Algo::PivotBasic, Algo::PivotEnhanced, Algo::SpdzDt] {
-            let p = s.pivot_params(algo);
-            assert_eq!((p.crypto_threads, p.randomness_pool), (1, 0), "{algo:?}");
+            assert_eq!(s.pivot_params(algo).crypto_threads, 1, "{algo:?}");
         }
     }
 
     #[test]
     fn crypto_threads_and_deprecated_alias() {
-        let s = parse_toml("[params]\ncrypto_threads = 4\nrandomness_pool = 64").unwrap();
+        let s = parse_toml("[params]\ncrypto_threads = 4").unwrap();
         assert_eq!(s.params.crypto_threads, 4);
-        assert_eq!(s.params.randomness_pool, 64);
-        let p = s.pivot_params(Algo::PivotBasicPp);
-        assert_eq!(p.crypto_threads, 4);
-        assert_eq!(p.randomness_pool, 64);
+        assert_eq!(s.pivot_params(Algo::PivotBasicPp).crypto_threads, 4);
         // The PR-2 alias is gone: it is an unknown key like any other.
         let err = parse_toml("[params]\ndecrypt_threads = 8").unwrap_err();
         assert!(err.contains("decrypt_threads"), "{err}");
@@ -1332,10 +1330,6 @@ mod tests {
         assert_eq!(
             echo.path("params.crypto_threads").unwrap().as_u64(),
             Some(4)
-        );
-        assert_eq!(
-            echo.path("params.randomness_pool").unwrap().as_u64(),
-            Some(64)
         );
     }
 
@@ -1531,20 +1525,18 @@ mod tests {
     }
 
     #[test]
-    fn dealer_pool_key_is_accepted_and_ignored() {
+    fn retired_keys_are_accepted_and_ignored() {
         let plain = format!("{:?}", parse_toml("").unwrap());
-        for rows in [0u64, 512, 1 << 40] {
-            let s = parse_toml(&format!("[params]\ndealer_pool = {rows}")).unwrap();
-            assert_eq!(
-                format!("{s:?}"),
-                plain,
-                "dealer_pool = {rows} stored something"
-            );
-            assert!(s.to_json().path("params.dealer_pool").is_none());
-        }
-        for bad in ["\"512\"", "-1", "0.5"] {
-            let err = parse_toml(&format!("[params]\ndealer_pool = {bad}")).unwrap_err();
-            assert!(err.contains("params.dealer_pool"), "{err}");
+        for key in ["dealer_pool", "randomness_pool"] {
+            for size in [0u64, 1024, 1 << 40] {
+                let s = parse_toml(&format!("[params]\n{key} = {size}")).unwrap();
+                assert_eq!(format!("{s:?}"), plain, "{key} = {size} stored something");
+                assert!(s.to_json().path(&format!("params.{key}")).is_none());
+            }
+            for bad in ["\"512\"", "-1", "0.5"] {
+                let err = parse_toml(&format!("[params]\n{key} = {bad}")).unwrap_err();
+                assert!(err.contains(&format!("params.{key}")), "{err}");
+            }
         }
     }
 
@@ -1880,7 +1872,6 @@ values = [2, 3]
     "min_samples": 3,
     "keysize": 192,
     "crypto_threads": 2,
-    "randomness_pool": 32,
     "packing": "off",
     "comparison_bits": 24,
     "trace": "phases",

@@ -483,7 +483,7 @@ mod tests {
                 },
             ],
             gauges: vec![pivot_trace::GaugeSample {
-                name: "nonce_pool_hit_rate",
+                name: "sample_gauge",
                 ts_ns: 300,
                 value: 0.75,
             }],

@@ -1,16 +1,17 @@
 //! The batched-crypto determinism contract, end to end: a `-pp` run
-//! (shared worker pool, 4 threads, warm offline randomness pool) must
-//! reproduce the non-`-pp` run (1 thread, no pool, through the same batch
-//! API) **bit for bit** — same trained model, same test
-//! metric and predictions, same per-party byte counts — under the same
+//! (shared worker pool, 4 threads, nonce powers computed on them) must
+//! reproduce the non-`-pp` run (1 thread, through the same batch API)
+//! **bit for bit** — same trained model, same test metric and
+//! predictions, same per-party byte and operation counts — under the same
 //! scenario seed, for both protocols with m = 3 parties.
 //!
 //! This is what lets the paper's Figure-4/5 `-PP` curves be read as pure
 //! wall-clock effects: the protocol transcript is unchanged.
 
 use pivot_cli::algo::Algo;
-use pivot_cli::runner::{execute, Execution};
+use pivot_cli::runner::{execute, Execution, PartyOutcome};
 use pivot_cli::scenario::Scenario;
+use std::time::Duration;
 
 fn scenario(tag: &str, body: &str) -> Scenario {
     let path = std::env::temp_dir().join(format!(
@@ -23,56 +24,25 @@ fn scenario(tag: &str, body: &str) -> Scenario {
     s
 }
 
-/// Assert two executions are transcript-identical (everything except wall
-/// clocks and the timing-dependent pool counters).
+/// Every field of a party's outcome except its wall clocks.
+fn transcript(p: &PartyOutcome) -> String {
+    let mut p = p.clone();
+    p.stage_s = [0.0; 4];
+    p.train_wall_s = 0.0;
+    p.predict_wall_s = 0.0;
+    p.verification.wall = Duration::ZERO;
+    format!("{p:#?}")
+}
+
+/// Assert two executions are transcript-identical: the metric and every
+/// `PartyOutcome` field except wall clocks.
 fn assert_transcript_identical(serial: &Execution, parallel: &Execution) {
     assert_eq!(serial.parties.len(), parallel.parties.len());
     assert_eq!(serial.metric, parallel.metric, "test metric");
     for (s, p) in serial.parties.iter().zip(&parallel.parties) {
-        assert_eq!(
-            s.predictions, p.predictions,
-            "party {} predictions",
-            s.party
-        );
-        assert_eq!(
-            s.internal_nodes, p.internal_nodes,
-            "party {} model",
-            s.party
-        );
-        assert_eq!(s.tree_depth, p.tree_depth, "party {} depth", s.party);
-        assert_eq!(
-            (
-                s.train_bytes_sent,
-                s.train_bytes_received,
-                s.train_messages_sent
-            ),
-            (
-                p.train_bytes_sent,
-                p.train_bytes_received,
-                p.train_messages_sent
-            ),
-            "party {} training traffic",
-            s.party
-        );
-        assert_eq!(
-            (s.predict_bytes_sent, s.predict_bytes_received),
-            (p.predict_bytes_sent, p.predict_bytes_received),
-            "party {} prediction traffic",
-            s.party
-        );
-        assert_eq!(
-            (s.encryptions, s.ciphertext_ops, s.threshold_decryptions),
-            (p.encryptions, p.ciphertext_ops, p.threshold_decryptions),
-            "party {} crypto op counts",
-            s.party
-        );
-        assert_eq!(
-            (s.mpc_rounds, s.secure_mults, s.secure_comparisons),
-            (p.mpc_rounds, p.secure_mults, p.secure_comparisons),
-            "party {} MPC op counts",
-            s.party
-        );
+        assert_eq!(transcript(s), transcript(p), "party {}", s.party);
     }
+    assert!(serial.parties[0].encryptions > 0, "no encryption ran");
 }
 
 #[test]
@@ -90,18 +60,9 @@ fn basic_pp_is_bit_identical_to_serial() {
     assert_transcript_identical(&serial, &parallel);
     // The parallel run actually exercised the batched path.
     assert!(serial.parties[0].threshold_decryptions > 0);
-    assert_eq!(serial.parties[0].pool.target, 0, "serial pool disabled");
-    assert_eq!(
-        parallel.parties[0].pool.target, 64,
-        "pool enabled under -PP"
-    );
-    let pool = &parallel.parties[0].pool;
-    assert!(
-        pool.hits + pool.misses > 0,
-        "-PP run drew nonces through the pool"
-    );
     // Both runs drew the same preprocessing from the dealer (the scenario
-    // sets the retired `dealer_pool` key, which must size nothing).
+    // sets the retired `dealer_pool` and `randomness_pool` keys, which
+    // must size nothing).
     let (s, p) = (
         &serial.parties[0].comparison,
         &parallel.parties[0].comparison,

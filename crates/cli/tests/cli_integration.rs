@@ -177,6 +177,48 @@ fn training_without_a_test_split_reports_no_evaluation() {
 }
 
 #[test]
+fn an_oversized_randomness_pool_does_not_stall_setup() {
+    // The key is retired: the largest value the schema admits must train
+    // like any other instead of precomputing nonce powers before setup ends.
+    let scenario = temp_path("huge-pool.toml");
+    let out = temp_path("huge-pool-report.json");
+    std::fs::write(
+        &scenario,
+        "seed = 5\nparties = 3\nalgorithm = \"pivot-basic-pp\"\n\
+         [data]\nkind = \"synthetic-classification\"\nsamples = 60\n\
+         features_per_party = 2\nclasses = 2\n\
+         [params]\nmax_depth = 2\nmax_splits = 3\nkeysize = 128\n\
+         crypto_threads = 2\nrandomness_pool = 9007199254740991\n",
+    )
+    .unwrap();
+
+    let mut child = Command::new(pivot_bin())
+        .args(["train", "--scenario", scenario.to_str().unwrap()])
+        .args(["--out", out.to_str().unwrap(), "--quiet"])
+        .spawn()
+        .expect("spawn pivot binary");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if std::time::Instant::now() > deadline {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("pivot train still running after 60 s");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(50));
+    };
+    assert!(status.success(), "pivot train exited with {status}");
+    let report = Json::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
+    let encryptions = report.path("counters.encryptions").and_then(Json::as_u64);
+    assert!(encryptions.unwrap() > 0, "no encryption ran");
+
+    std::fs::remove_file(&scenario).ok();
+    std::fs::remove_file(&out).ok();
+}
+
+#[test]
 fn json_scenarios_are_accepted() {
     let scenario = temp_path("train.json");
     let out = temp_path("json-report.json");

@@ -16,8 +16,9 @@ use pivot_cli::scenario::Scenario;
 use std::sync::{Mutex, PoisonError};
 
 /// `pivot_trace::enabled()` and the runtime sink are process-global: a
-/// traced run in one test thread would make the background refills of an
-/// untraced run in another record spans. One run at a time in this binary.
+/// traced run in one test thread would make the worker-pool batches of an
+/// untraced run in another record queue-depth gauges. One run at a time in
+/// this binary.
 static ONE_RUN: Mutex<()> = Mutex::new(());
 
 fn scenario(tag: &str, body: &str) -> Scenario {
@@ -47,8 +48,8 @@ fn run(tag: &str, body: &str, algo: Algo, skip_prediction: bool) -> Execution {
 }
 
 /// Everything deterministic a run exposes — traffic, op counts, model,
-/// predictions. Wall clocks and pool hit rates are timing-dependent and
-/// deliberately excluded.
+/// predictions. Wall clocks are timing-dependent and deliberately
+/// excluded.
 fn assert_transcript_identical(a: &Execution, b: &Execution, what: &str) {
     assert_eq!(a.metric, b.metric, "{what}: metric");
     for (x, y) in a.parties.iter().zip(&b.parties) {

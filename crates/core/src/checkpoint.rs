@@ -1,13 +1,13 @@
 //! Level-barrier checkpoint hooks: the protocol side of crash recovery.
 //!
 //! Training already has natural barriers — the end of every tree level
-//! (where the nonce pool refills) and the end of every ensemble
-//! round (a random forest is one round: its trees share one frontier; the
-//! trees of a boosting round share theirs). At each one the context
-//! snapshots its deterministic progress cursors and hands them to an
-//! optional [`CheckpointSink`]; the sink (the CLI layer, in practice)
-//! serializes the party's durable state and tells the transport the
-//! barrier is persisted so retransmit retention may roll forward.
+//! and the end of every ensemble round (a random forest is one round: its
+//! trees share one frontier; the trees of a boosting round share theirs).
+//! At each one the context snapshots its deterministic progress cursors
+//! and hands them to an optional [`CheckpointSink`]; the sink (the CLI
+//! layer, in practice) serializes the party's durable state and tells the
+//! transport the barrier is persisted so retransmit retention may roll
+//! forward.
 //!
 //! The protocol itself never branches on the sink: a run with no sink is
 //! bit-identical to one that checkpoints at every level, because the
@@ -28,8 +28,8 @@ pub struct StateCursors {
     pub secure_mults: u64,
     /// Secure comparisons performed.
     pub secure_comparisons: u64,
-    /// Paillier nonces drawn from the party's nonce stream (hits + misses
-    /// — precomputation never changes the count, only who computed it).
+    /// Paillier nonces handed out by the party's nonce stream
+    /// (`NoncePool::drawn`).
     pub nonces_drawn: u64,
     /// Beaver triples plus masked-bit rows drawn from the dealer's derived
     /// streams.

@@ -194,17 +194,14 @@ pub struct PivotParams {
     /// MPC fixed-point layout.
     pub fixed: FixedConfig,
     /// Worker threads for the batched crypto operations (every bulk
-    /// homomorphic operation goes through the shared worker pool). The
-    /// paper's `-PP` variants (§8.3: threshold decryption on 6 cores) are
-    /// this knob above 1; at any value the trained model and per-party
+    /// homomorphic operation, nonce powers included, goes through the
+    /// shared worker pool), and so the bound on a party's crypto cores.
+    /// The paper's `-PP` variants (§8.3: threshold decryption on 6 cores)
+    /// are this knob above 1; at any value the trained model and per-party
     /// traffic are bit-identical: batches are order-preserving and
     /// encryption nonces come from the same seeded stream in the same
     /// order.
     pub crypto_threads: usize,
-    /// Offline randomness-pool size: how many `r^N mod N²` nonce powers
-    /// background workers keep precomputed (0 disables precomputation).
-    /// Has no effect on outputs.
-    pub randomness_pool: usize,
     /// Slot layout of the split statistics. Every layout trains the
     /// *same tree* (argmax parity): the slots only divide the ciphertext
     /// count.
@@ -243,7 +240,6 @@ impl Default for PivotParams {
             keysize: 256,
             fixed: FixedConfig::default(),
             crypto_threads: 6,
-            randomness_pool: 256,
             packing: Packing::Auto,
             comparison_bits: CompareBits::Auto,
             dealer_seed: 0x9162_07,

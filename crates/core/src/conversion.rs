@@ -67,9 +67,7 @@ fn masked_shares(
     ctx.metrics.add_encryptions(cts.len() as u64);
 
     // Exchange the encrypted masks; everyone assembles [e] = [x + offset +
-    // Σ rᵢ] per slot (line 4). The wait is CPU-idle: top up the nonce
-    // pool.
-    ctx.nonces.refill();
+    // Σ rᵢ] per slot (line 4).
     let all_masks: Vec<Vec<Ciphertext>> = ctx.ep.exchange_all(&my_enc_masks);
     let indices: Vec<usize> = (0..cts.len()).collect();
     let masked: Vec<Ciphertext> = pivot_runtime::global().map(threads, &indices, |&j| {
@@ -267,7 +265,6 @@ pub fn share_rows_to_ciphers(
     let threads = ctx.crypto_threads();
     let my_encs = codec.encrypt_rows(&ctx.pk, &share_values, &ctx.nonces, threads);
     ctx.metrics.add_encryptions(rows.len() as u64);
-    ctx.nonces.refill();
     let all: Vec<Vec<Ciphertext>> = ctx.ep.exchange_all(&my_encs);
     ctx.metrics
         .add_ciphertext_ops((rows.len() * ctx.parties()) as u64);

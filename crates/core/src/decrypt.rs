@@ -6,9 +6,8 @@
 //! ciphertexts with 6 cores").
 //!
 //! Both phases run through the batched crypto runtime
-//! ([`pivot_paillier::batch`]) on the shared worker pool. The network
-//! exchange between them is an idle phase for this party's CPU, so the
-//! offline randomness pool is topped up right before blocking on it.
+//! ([`pivot_paillier::batch`]) on the shared worker pool, with one network
+//! exchange between them.
 
 use crate::party::PartyContext;
 use pivot_bignum::BigUint;
@@ -27,9 +26,7 @@ pub fn joint_decrypt_vec(ctx: &mut PartyContext<'_>, cts: &[Ciphertext]) -> Vec<
     // Partial decryptions (the `-PP` knob: parallel across ciphertexts).
     let partials = batch::partial_decrypt_batch(&ctx.key_share, cts, threads);
 
-    // One all-to-all exchange of the whole batch. The wait is idle time —
-    // let the background workers refill the randomness pool meanwhile.
-    ctx.nonces.refill();
+    // One all-to-all exchange of the whole batch.
     let all: Vec<Vec<PartialDecryption>> = ctx.ep.exchange_all(&partials);
 
     // Combine locally, batched across ciphertexts.

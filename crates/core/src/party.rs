@@ -35,10 +35,10 @@ pub struct PartyContext<'a> {
     /// non-encryption draws). Paillier encryption nonces live in the
     /// dedicated [`NoncePool`] stream below.
     pub rng: StdRng,
-    /// The party's Paillier nonce stream plus the offline randomness pool
-    /// precomputing `r^N mod N²` powers during idle phases. All protocol
-    /// encryptions draw from this stream in a defined order, so outputs
-    /// are bit-identical at any thread count and pool size.
+    /// The party's Paillier nonce stream. All protocol encryptions draw
+    /// from it in a defined order and compute each batch's `r^N mod N²`
+    /// powers on `crypto_threads` workers, so outputs are bit-identical at
+    /// any thread count.
     pub nonces: Arc<NoncePool>,
     /// Task override for subprotocols (GBDT trains *regression* trees on
     /// residuals even when the outer task is classification).
@@ -108,12 +108,11 @@ impl<'a> PartyContext<'a> {
         engine.configure_comparisons(params.comparison_bits, 0);
         let rng =
             StdRng::seed_from_u64(params.dealer_seed ^ 0xACE0_FBA5E ^ ((ep.id() as u64 + 1) << 32));
-        // Dedicated per-party nonce stream; keygen/setup is an idle phase,
-        // so kick off the first background prefill right here.
+        // Dedicated per-party nonce stream; its powers are computed when
+        // they are drawn.
         let nonce_seed =
             params.dealer_seed ^ 0x0FF1_CE_9A11 ^ ((ep.id() as u64 + 1).rotate_left(40));
-        let nonces = NoncePool::new(keys.pk.clone(), nonce_seed, params.randomness_pool);
-        nonces.refill();
+        let nonces = NoncePool::new(keys.pk.clone(), nonce_seed, 0);
         // Verification needs the encryption nonces as proof witnesses:
         // turn on retention before the first protocol encryption.
         let verify = params.verification.is_on().then(|| {
@@ -141,7 +140,7 @@ impl<'a> PartyContext<'a> {
     }
 
     /// Fire the barrier hook at the end of a tree level. Called by the
-    /// trainer after the inter-level pool refill; a no-op without a
+    /// trainer once the next frontier is settled; a no-op without a
     /// [`crate::checkpoint::CheckpointSink`] installed.
     pub fn level_barrier(&mut self, level: u64) {
         self.fire_barrier(level);
@@ -161,12 +160,11 @@ impl<'a> PartyContext<'a> {
         }
         let _phase = pivot_trace::phase_span("checkpoint");
         let (mpc_rounds, secure_mults, secure_comparisons, _) = self.engine.counters().snapshot();
-        let nonce = self.nonces.stats();
         let cursors = crate::checkpoint::StateCursors {
             mpc_rounds,
             secure_mults,
             secure_comparisons,
-            nonces_drawn: nonce.hits + nonce.misses,
+            nonces_drawn: self.nonces.drawn(),
             dealer_rows: self.engine.dealer_mut().rows_drawn(),
             bytes_sent: self.ep.stats().bytes_sent(),
         };

@@ -361,8 +361,6 @@ fn masked_products(
             .collect();
         let my_terms = batch::mul_plain_batch(&ctx.pk, &v, &repeated, threads);
         ctx.metrics.add_ciphertext_ops(my_terms.len() as u64);
-        // The gather wait is CPU-idle: top up the nonce pool.
-        ctx.nonces.refill();
         let gathered = ctx.ep.gather(winner, &my_terms);
         let sums = if ctx.id() == winner {
             let parts = gathered.expect("winner gathers");

@@ -4,8 +4,7 @@
 //! The whole tree frontier advances one depth at a time through batched
 //! stages: one statistics pass and one Algorithm-2 conversion, one prune
 //! comparison unit, one leaf-label batch, one gain pipeline and one
-//! lockstep argmax per level, then a nonce refill and the checkpoint
-//! barrier. Statistics, comparisons and Beaver products are
+//! lockstep argmax per level, then the checkpoint barrier. Statistics, comparisons and Beaver products are
 //! exact, so the trained tree is the one a node-by-node recursion builds;
 //! batching only cuts rounds.
 //!
@@ -384,12 +383,6 @@ pub(crate) fn grow_tree<D: Disclosure>(
         frontier = protocol.settle_splits(ctx, local, layout, survivors, wanted, &mut arena);
         parents = stats;
         depth += 1;
-        // Latency-hiding refill window: the nonce pool tops up between
-        // levels while no protocol round is in flight, so the next level's
-        // encryptions hit a warm pool.
-        if !frontier.is_empty() {
-            ctx.nonces.refill();
-        }
         // Level barrier: every party reaches this point with identical
         // depth/frontier state, so the checkpoint sink (when installed)
         // snapshots the same ordinal everywhere.

@@ -5,9 +5,11 @@
 //! combination — is embarrassingly parallel across ciphertexts. These
 //! entry points run them on the process-wide [`pivot_runtime`] worker pool
 //! with a caller-supplied thread budget (`crypto_threads`; pass 1 for the
-//! serial path) and draw encryption nonces from a party's [`NoncePool`] in
-//! stream order, so the parallel output is **bit-identical** to the serial
-//! output under the same seed.
+//! serial path). An encrypting batch first takes one nonce power per
+//! element from the party's [`NoncePool`], which draws the nonces in
+//! stream order and computes their powers on the same thread budget, so
+//! the parallel output is **bit-identical** to the serial output under the
+//! same seed and `threads` bounds the cores a batch uses.
 
 use crate::nonce::NoncePool;
 use crate::threshold::{Combiner, PartialDecryption, SecretKeyShare};
@@ -15,16 +17,15 @@ use crate::{Ciphertext, PublicKey};
 use pivot_bignum::BigUint;
 use std::sync::Arc;
 
-/// Encrypt a batch of plaintexts. Nonce powers come from the pool (one
-/// per value, stream order), so the online cost per ciphertext is one
-/// modular multiplication.
+/// Encrypt a batch of plaintexts, one pool nonce power per value in
+/// stream order.
 pub fn encrypt_batch(
     pk: &PublicKey,
     values: &[BigUint],
     nonces: &Arc<NoncePool>,
     threads: usize,
 ) -> Vec<Ciphertext> {
-    let rns = nonces.take_many(values.len());
+    let rns = nonces.take_many(values.len(), threads);
     let items: Vec<(&BigUint, BigUint)> = values.iter().zip(rns).collect();
     pivot_runtime::global().map(threads, &items, |(x, rn)| pk.encrypt_with_rn(x, rn))
 }
@@ -36,7 +37,7 @@ pub fn rerandomize_batch(
     nonces: &Arc<NoncePool>,
     threads: usize,
 ) -> Vec<Ciphertext> {
-    let rns = nonces.take_many(cts.len());
+    let rns = nonces.take_many(cts.len(), threads);
     let items: Vec<(&Ciphertext, BigUint)> = cts.iter().zip(rns).collect();
     pivot_runtime::global().map(threads, &items, |(c, rn)| pk.rerandomize_with_rn(c, rn))
 }
@@ -53,7 +54,7 @@ pub fn mask_binary_batch(
     threads: usize,
 ) -> Vec<Ciphertext> {
     assert_eq!(cts.len(), mask.len(), "dimension mismatch in mask");
-    let rns = nonces.take_many(cts.len());
+    let rns = nonces.take_many(cts.len(), threads);
     let items: Vec<(&Ciphertext, bool, BigUint)> = cts
         .iter()
         .zip(mask)
@@ -138,8 +139,7 @@ mod tests {
                 .collect();
 
             // Batched path: pool seeded identically, same draw order.
-            let pool = NoncePool::new(kp.pk.clone(), 2024, if threads > 1 { 8 } else { 0 });
-            pool.refill();
+            let pool = NoncePool::new(kp.pk.clone(), 2024, 0);
             let batch_enc = encrypt_batch(&kp.pk, &values, &pool, threads);
             let batch_masked = mask_binary_batch(&kp.pk, &batch_enc, &mask, &pool, threads);
             let batch_rerand = rerandomize_batch(&kp.pk, &batch_enc, &pool, threads);

@@ -1,300 +1,171 @@
-//! Offline randomness pool: precomputed Paillier nonce powers.
+//! A party's Paillier nonce stream: `r^N mod N²` powers, computed when
+//! they are drawn.
 //!
-//! Every online Paillier encryption pays one full `r^N mod N²`
-//! exponentiation — by far its dominant cost. Those powers are *input
-//! independent*: they can be precomputed during idle phases (keygen/setup,
-//! the network waits between threshold-decryption rounds) by background
-//! workers, turning an online `encrypt` into one modular multiplication
-//! plus a binomial add.
+//! Every Paillier encryption or re-randomisation pays one `r^N mod N²`
+//! exponentiation, by far its dominant cost. A batch of `k` encryptions
+//! draws its `k` nonces `r` from the stream under one lock, then computes
+//! their powers with one order-preserving [`pivot_runtime`] `map` on the
+//! caller's `crypto_threads`, so that thread count bounds a party's
+//! crypto cores exactly.
 //!
 //! # Determinism contract
 //!
-//! The pool owns a seeded RNG — the party's dedicated *nonce stream* — and
-//! draws `r` values from it **in a single defined order** under one lock:
-//! refills draw in FIFO order and consumers pop in FIFO order, so the i-th
-//! nonce handed out is always the i-th draw of the stream, whether it was
-//! precomputed by a background worker or computed inline on a miss. A run
-//! with the pool disabled (`target = 0`) therefore produces bit-identical
-//! ciphertexts to a run with any pool size, and the parallel `-PP` path
-//! stays byte-identical to the serial path.
+//! The pool owns a seeded RNG, the party's dedicated *nonce stream*. The
+//! i-th nonce handed out is the i-th draw of that stream, because draws
+//! happen in take order under the stream lock, and `map` returns its
+//! outputs in input order whichever worker computed them. A run's
+//! ciphertexts are therefore bit-identical at any thread count, and a
+//! `-PP` run is bit-identical to the serial one.
+//!
+//! # Why there is no background fill
+//!
+//! The pool used to precompute powers speculatively on a low-priority
+//! runtime queue during idle phases (setup, network waits, the level
+//! barrier). Sized on the benchmark ladder against a build that computes
+//! each batch's powers on demand, as here (2-vCPU host, five alternating
+//! pairs per workload at 24 s, every run correct; medians, with fill →
+//! on demand, and in how many pairs on demand was faster):
+//!
+//! | workload         | `train_s`             | `setup_s`     | `peak_rss_mb` |
+//! |------------------|-----------------------|---------------|---------------|
+//! | `train_basic`    | 1.215 → 1.014 s (5/5) | lower in 5/5  | 13.2 → 12.1   |
+//! | `train_enhanced` | 2.467 → 1.946 s (5/5) | lower in 5/5  | 13.4 → 12.1   |
+//! | `train_gbdt`     | 0.848 → 0.849 s (1/5) | 0.033 → 0.017 | 14.2 → 13.4   |
+//! | `train_wan_tcp3` | 4.704 → 4.668 s (2/5) | lower in 5/5  | 11.2 → 10.7   |
+//!
+//! The fill was better on no workload. On `train_gbdt` it precomputed
+//! 1 285 powers for 1 655 takes and served 1 158 of them, work the
+//! on-demand `map` does on the same cores without a second queue. Its
+//! size was also a hazard: a fill target allocated one slot per unit
+//! under the stream lock before training started, so a large target
+//! stalled setup for as long as memory lasted.
+//!
+//! [`NoncePool::refill`] survives as a synchronous prefetch for a
+//! microbenchmark that times encryption with the power already computed.
 
 use crate::PublicKey;
 use pivot_bignum::{rng as brng, BigUint};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Counters describing how the pool behaved during a run.
+/// What the pooled-encryption microbenchmark reads off a pool.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NonceStats {
-    /// Takes served by an already-computed precomputed power.
+    /// Takes served by a power [`NoncePool::refill`] computed ahead.
     pub hits: u64,
-    /// Takes that had to compute (or wait for) the power online.
-    pub misses: u64,
-    /// Powers precomputed by background workers.
-    pub produced: u64,
-    /// Configured pool size (0 = offline precomputation disabled).
-    pub target: u64,
 }
 
-impl NonceStats {
-    /// Hit rate in `[0, 1]`, or `None` when nothing was taken.
-    pub fn hit_rate(&self) -> Option<f64> {
-        let total = self.hits + self.misses;
-        (total > 0).then(|| self.hits as f64 / total as f64)
-    }
-}
-
-/// One queued nonce power, filled asynchronously by a worker — or
-/// *stolen* by the consumer: if the background job has not started when
-/// the slot is taken, the consumer grabs the drawn `r` and computes
-/// `r^N` inline rather than waiting behind the worker queue (a take must
-/// never cost more than one exponentiation).
-enum SlotState {
-    /// `r` drawn, background job not started yet (stealable).
-    Pending(BigUint),
-    /// A thread is computing `r^N` right now.
-    Computing,
-    /// Ready for pickup: the power and the raw nonce it was derived from
-    /// (kept so witness retention can hand `r` to ZKP provers).
-    Done(BigUint, BigUint),
-}
-
-struct Slot {
-    state: Mutex<SlotState>,
-    done: Condvar,
-}
-
-struct PoolState {
-    /// The party's nonce stream; every `r` is drawn from here under the
-    /// state lock, in refill/inline order.
+struct Stream {
+    /// The party's nonce stream; every `r` is drawn here, in take order.
     rng: StdRng,
-    /// Precomputed (or in-flight) nonce powers in draw order.
-    queue: VecDeque<Arc<Slot>>,
+    /// `(r, r^N)` pairs [`NoncePool::refill`] computed ahead, in draw order.
+    prefetched: VecDeque<(BigUint, BigUint)>,
+    drawn: u64,
+    hits: u64,
+    /// While set, every take appends its raw nonces `r` to `witnesses`
+    /// (take order) so ZKP provers can open the ciphertexts built from
+    /// them. Retention never changes the drawn values.
+    retain: bool,
+    witnesses: Vec<BigUint>,
 }
 
-/// Per-party pool of precomputed Paillier nonce powers `r^N mod N²`.
+/// Per-party Paillier nonce stream handing out powers `r^N mod N²`.
 pub struct NoncePool {
     pk: PublicKey,
-    state: Mutex<PoolState>,
-    /// Desired number of precomputed powers; 0 disables background work
-    /// entirely (every take computes inline from the same stream).
-    target: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    produced: AtomicU64,
-    /// When set, every take also appends the *raw* nonce `r` to the
-    /// witness log (in take order) so ZKP provers can open the
-    /// ciphertexts built from this stream. Retention never changes the
-    /// drawn values — the determinism contract is untouched.
-    retain: std::sync::atomic::AtomicBool,
-    witnesses: Mutex<Vec<BigUint>>,
+    stream: Mutex<Stream>,
+    /// How many powers [`Self::refill`] computes ahead; the protocols pass 0.
+    prefetch: usize,
 }
 
 impl NoncePool {
     /// Create a pool over `pk` with its own seeded nonce stream.
-    pub fn new(pk: PublicKey, seed: u64, target: usize) -> Arc<NoncePool> {
+    pub fn new(pk: PublicKey, seed: u64, prefetch: usize) -> Arc<NoncePool> {
         Arc::new(NoncePool {
             pk,
-            state: Mutex::new(PoolState {
+            stream: Mutex::new(Stream {
                 rng: StdRng::seed_from_u64(seed),
-                queue: VecDeque::new(),
+                prefetched: VecDeque::new(),
+                drawn: 0,
+                hits: 0,
+                retain: false,
+                witnesses: Vec::new(),
             }),
-            target,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            produced: AtomicU64::new(0),
-            retain: std::sync::atomic::AtomicBool::new(false),
-            witnesses: Mutex::new(Vec::new()),
+            prefetch,
         })
     }
 
-    /// Toggle witness retention: while on, [`Self::take`] logs each raw
-    /// nonce `r` (take order) for [`Self::drain_witnesses`].
+    fn stream(&self) -> MutexGuard<'_, Stream> {
+        self.stream.lock().expect("nonce pool poisoned")
+    }
+
+    /// Toggle witness retention: while on, every take logs its raw nonces
+    /// `r` (take order) for [`Self::drain_witnesses`].
     pub fn retain_witnesses(&self, on: bool) {
-        self.retain.store(on, Ordering::Relaxed);
+        self.stream().retain = on;
     }
 
     /// Drain the retained raw nonces logged since the previous drain, in
     /// take order.
     pub fn drain_witnesses(&self) -> Vec<BigUint> {
-        std::mem::take(&mut *self.witnesses.lock().expect("nonce pool poisoned"))
+        std::mem::take(&mut self.stream().witnesses)
     }
 
-    fn log_witness(&self, r: &BigUint) {
-        if self.retain.load(Ordering::Relaxed) {
-            self.witnesses
-                .lock()
-                .expect("nonce pool poisoned")
-                .push(r.clone());
-        }
+    /// Nonces handed out so far: the stream position a checkpoint records.
+    pub fn drawn(&self) -> u64 {
+        self.stream().drawn
     }
 
-    /// Configured pool size.
-    pub fn target(&self) -> usize {
-        self.target
-    }
-
-    /// Counters snapshot.
+    /// Counters snapshot (read by the pooled-encryption microbenchmark).
     pub fn stats(&self) -> NonceStats {
         NonceStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            produced: self.produced.load(Ordering::Relaxed),
-            target: self.target as u64,
+            hits: self.stream().hits,
         }
     }
 
-    /// Top the pool back up to `target` using background workers. Cheap to
-    /// call opportunistically (no-ops when the pool is full or disabled);
-    /// call it during idle phases — after setup, before a blocking
-    /// network exchange — so the exponentiations overlap the wait.
-    pub fn refill(self: &Arc<Self>) {
-        if self.target == 0 {
-            return;
+    /// Take the next `k` nonce powers in stream order: prefetched ones
+    /// first, the rest drawn under the lock and computed with one `map`
+    /// on at most `threads` workers.
+    pub fn take_many(&self, k: usize, threads: usize) -> Vec<BigUint> {
+        let mut st = self.stream();
+        let ready = k.min(st.prefetched.len());
+        let (mut rs, mut powers): (Vec<BigUint>, Vec<BigUint>) =
+            st.prefetched.drain(..ready).unzip();
+        let fresh: Vec<BigUint> = (ready..k)
+            .map(|_| brng::gen_coprime(&mut st.rng, self.pk.n()))
+            .collect();
+        powers.extend(pivot_runtime::global().map(threads, &fresh, |r| self.pk.pow_n(r)));
+        st.drawn += k as u64;
+        st.hits += ready as u64;
+        if st.retain {
+            rs.extend(fresh);
+            st.witnesses.extend(rs);
         }
-        // Draw the r values under the state lock so the stream order is
-        // defined, then farm the exponentiations out. Jobs hold only a
-        // Weak pool reference: dropping the pool (end of a party run)
-        // turns any still-queued backlog into no-ops instead of letting
-        // it burn workers under the next timed run.
-        let mut work: Vec<Arc<Slot>> = Vec::new();
-        {
-            let mut st = self.state.lock().expect("nonce pool poisoned");
-            while st.queue.len() < self.target {
-                let r = brng::gen_coprime(&mut st.rng, self.pk.n());
-                let slot = Arc::new(Slot {
-                    state: Mutex::new(SlotState::Pending(r)),
-                    done: Condvar::new(),
-                });
-                st.queue.push_back(Arc::clone(&slot));
-                work.push(slot);
-            }
-        }
-        for slot in work {
-            let weak = Arc::downgrade(self);
-            pivot_runtime::global().spawn(move || {
-                let Some(pool) = weak.upgrade() else { return };
-                let r = {
-                    let mut state = slot.state.lock().expect("slot poisoned");
-                    match std::mem::replace(&mut *state, SlotState::Computing) {
-                        SlotState::Pending(r) => r,
-                        // Stolen by the consumer (or already finished):
-                        // nothing left to do; restore what we displaced.
-                        other => {
-                            *state = other;
-                            return;
-                        }
-                    }
-                };
-                let rn = pool.pk.pow_n(&r);
-                *slot.state.lock().expect("slot poisoned") = SlotState::Done(rn, r);
-                slot.done.notify_all();
-                pool.produced.fetch_add(1, Ordering::Relaxed);
-            });
+        powers
+    }
+
+    /// Take the next nonce power (kept for the pooled-encryption
+    /// microbenchmark; the protocols take batches).
+    pub fn take(&self) -> BigUint {
+        self.take_many(1, 1).remove(0)
+    }
+
+    /// Synchronously compute powers ahead until `prefetch` are ready,
+    /// holding the stream lock throughout (a microbenchmark seam; no
+    /// protocol calls it).
+    pub fn refill(&self) {
+        let mut st = self.stream();
+        while st.prefetched.len() < self.prefetch {
+            let r = brng::gen_coprime(&mut st.rng, self.pk.n());
+            let rn = self.pk.pow_n(&r);
+            st.prefetched.push_back((r, rn));
         }
     }
 
-    /// Take the next nonce power `r^N mod N²` from the stream.
-    pub fn take(self: &Arc<Self>) -> BigUint {
-        let out = self.take_inner();
-        // Periodic hit-rate gauge for the trace timeline (the counters
-        // themselves are wall-clock dependent and never part of the
-        // determinism contract — only the drawn values are).
-        if pivot_trace::enabled() {
-            let total = self.hits.load(Ordering::Relaxed) + self.misses.load(Ordering::Relaxed);
-            if total % 64 == 1 {
-                if let Some(rate) = self.stats().hit_rate() {
-                    pivot_trace::gauge("nonce_pool_hit_rate", rate);
-                }
-            }
-        }
-        out
-    }
-
-    fn take_inner(self: &Arc<Self>) -> BigUint {
-        let slot = {
-            let mut st = self.state.lock().expect("nonce pool poisoned");
-            match st.queue.pop_front() {
-                Some(slot) => Ok(slot),
-                // Queue empty: draw the next r inline, same stream order.
-                None => Err(brng::gen_coprime(&mut st.rng, self.pk.n())),
-            }
-        };
-        match slot {
-            Ok(slot) => {
-                let mut state = slot.state.lock().expect("slot poisoned");
-                match std::mem::replace(&mut *state, SlotState::Computing) {
-                    SlotState::Done(rn, r) => {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        self.log_witness(&r);
-                        rn
-                    }
-                    SlotState::Pending(r) => {
-                        // Background job hasn't started: steal it and
-                        // compute inline (the job will see `Computing`
-                        // and bail). Bounds the miss cost to one pow —
-                        // no waiting behind the worker queue.
-                        drop(state);
-                        self.misses.fetch_add(1, Ordering::Relaxed);
-                        self.log_witness(&r);
-                        self.pk.pow_n(&r)
-                    }
-                    SlotState::Computing => {
-                        // A worker is mid-exponentiation: wait for it.
-                        self.misses.fetch_add(1, Ordering::Relaxed);
-                        loop {
-                            match std::mem::replace(&mut *state, SlotState::Computing) {
-                                SlotState::Done(rn, r) => {
-                                    self.log_witness(&r);
-                                    break rn;
-                                }
-                                _ => {
-                                    state = slot.done.wait(state).expect("slot poisoned");
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            Err(r) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.log_witness(&r);
-                self.pk.pow_n(&r)
-            }
-        }
-    }
-
-    /// Block until every currently queued precomputation has finished —
-    /// a benchmarking helper separating the offline fill cost from the
-    /// online (one-multiplication) encryption cost. Consumes nothing.
-    pub fn wait_ready(&self) {
-        let slots: Vec<Arc<Slot>> = {
-            let st = self.state.lock().expect("nonce pool poisoned");
-            st.queue.iter().map(Arc::clone).collect()
-        };
-        for slot in slots {
-            let mut state = slot.state.lock().expect("slot poisoned");
-            while !matches!(*state, SlotState::Done(..)) {
-                state = slot.done.wait(state).expect("slot poisoned");
-            }
-        }
-    }
-
-    /// Take `k` nonce powers in stream order, then schedule a background
-    /// top-up so the next batch finds the pool warm.
-    pub fn take_many(self: &Arc<Self>, k: usize) -> Vec<BigUint> {
-        let out = (0..k).map(|_| self.take()).collect();
-        self.refill();
-        out
-    }
-
-    /// The public key this pool serves.
-    pub fn public_key(&self) -> &PublicKey {
-        &self.pk
-    }
+    /// A no-op: [`Self::refill`] returns with its powers computed (kept
+    /// for the microbenchmark that used to wait for a background fill).
+    pub fn wait_ready(&self) {}
 }
 
 #[cfg(test)]
@@ -308,7 +179,7 @@ mod tests {
 
     #[test]
     fn pooled_and_inline_streams_are_identical() {
-        // Same seed, pool on vs off: identical nonce-power sequences —
+        // Same seed, prefetch on vs off: identical nonce-power sequences —
         // the determinism contract behind serial/parallel parity.
         let inline = NoncePool::new(pk(), 42, 0);
         let pooled = NoncePool::new(pk(), 42, 8);
@@ -316,42 +187,32 @@ mod tests {
         for _ in 0..20 {
             assert_eq!(inline.take(), pooled.take());
         }
-        let stats = pooled.stats();
-        assert!(stats.hits + stats.misses == 20);
+        assert_eq!(pooled.drawn(), 20);
+        assert_eq!(pooled.stats().hits, 8);
         assert_eq!(inline.stats().hits, 0);
     }
 
     #[test]
     fn take_many_matches_repeated_take() {
-        let a = NoncePool::new(pk(), 7, 4);
-        let b = NoncePool::new(pk(), 7, 4);
-        let many = a.take_many(6);
-        let singles: Vec<BigUint> = (0..6).map(|_| b.take()).collect();
-        assert_eq!(many, singles);
-    }
-
-    #[test]
-    fn disabled_pool_reports_only_misses() {
-        let p = NoncePool::new(pk(), 1, 0);
-        p.refill(); // no-op
-        let _ = p.take();
-        let stats = p.stats();
-        assert_eq!(stats.hits, 0);
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.produced, 0);
-        assert_eq!(stats.hit_rate(), Some(0.0));
+        for threads in [1, 2] {
+            let a = NoncePool::new(pk(), 7, 0);
+            let b = NoncePool::new(pk(), 7, 0);
+            let many = a.take_many(6, threads);
+            let singles: Vec<BigUint> = (0..6).map(|_| b.take()).collect();
+            assert_eq!(many, singles, "threads={threads}");
+        }
     }
 
     #[test]
     fn retained_witnesses_open_the_delivered_powers() {
         // With retention on, the i-th drained witness r must satisfy
-        // r^N = the i-th delivered power — across hit, steal and inline
-        // paths — and retention must not perturb the stream.
+        // r^N = the i-th delivered power — across prefetched and
+        // on-demand powers — and retention must not perturb the stream.
         let key = pk();
         let plain = NoncePool::new(key.clone(), 5, 4);
         let retaining = NoncePool::new(key.clone(), 5, 4);
         retaining.retain_witnesses(true);
-        retaining.refill(); // mix of worker-filled and inline takes
+        retaining.refill(); // four prefetched takes, then two on demand
         let mut powers = Vec::new();
         for _ in 0..6 {
             let rn = retaining.take();
@@ -389,5 +250,64 @@ mod tests {
             let via_pool = key.encrypt_with_rn(&x, &pool.take());
             assert_eq!(direct, via_pool, "nonce {i}");
         }
+    }
+
+    /// The first and last power of every group below, as hex.
+    const PINNED: [[&str; 2]; 4] = [
+        [
+            "1088faadb19aafabb82b8bc2c90cb5da499255c227a2871a42c4a1e4b5cc8f0c",
+            "6d91add401f7d1bf9bddd9cdbdc2c51c287d4ad4e4b7b8b257e9ad1950a6bccd",
+        ],
+        [
+            "27ba21e282fc2ebc28d9bb620b0fcc12c885a1e338198e04d6be31f3c80f0a60",
+            "3ecf216885dde8a6afc83d925200f3de9435285a19ea92c0e0192af82356d6c6",
+        ],
+        [
+            "532d25ddb7b070b5deae578cd55b54b7ca07e238cadc4c1652801b21a39c3996",
+            "68902de39ce7298f595d2433ad0bf2169994d8073996691e93e133d21a9681f0",
+        ],
+        [
+            "3f72d3f398c981ba7e953c025130bfa0a63fcc876d8821d5d7d24cfe39d4405e",
+            "7cd26ca940fb51272021ffd8fc305382d84221e3147747a51a94de8e7bf07805",
+        ],
+    ];
+
+    #[test]
+    fn nonce_stream_is_pinned() {
+        // Powers pass through the batch API as encryptions of zero, whose
+        // ciphertext is the nonce power itself.
+        let key = pk();
+        let batch = |pool: &Arc<NoncePool>, k: usize, threads: usize| -> Vec<BigUint> {
+            let zeros = vec![BigUint::zero(); k];
+            crate::batch::encrypt_batch(&key, &zeros, pool, threads)
+                .iter()
+                .map(|c| c.raw().clone())
+                .collect()
+        };
+        let pool = NoncePool::new(key.clone(), 0x5EED_0A7E, 4);
+        let mut singles = vec![pool.take()];
+        let five = batch(&pool, 5, 1);
+        singles.push(pool.take());
+        let seven = batch(&pool, 7, 2);
+        singles.push(pool.take());
+        // Four powers computed ahead, two on demand, nonces retained.
+        pool.retain_witnesses(true);
+        pool.refill();
+        let mixed = batch(&pool, 6, 2);
+        pool.retain_witnesses(false);
+
+        let groups = [&singles, &five, &seven, &mixed];
+        let got: Vec<[String; 2]> = groups
+            .iter()
+            .map(|g| [g[0].to_hex(), g[g.len() - 1].to_hex()])
+            .collect();
+        assert_eq!(got, PINNED.map(|pair| pair.map(String::from)));
+
+        let witnesses = pool.drain_witnesses();
+        assert_eq!(witnesses.len(), mixed.len());
+        for (r, rn) in witnesses.iter().zip(&mixed) {
+            assert_eq!(&key.pow_n(r), rn);
+        }
+        assert_eq!(pool.drawn(), 3 + 5 + 7 + 6);
     }
 }

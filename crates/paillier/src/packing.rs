@@ -173,7 +173,7 @@ impl SlotCodec {
     }
 
     /// Encrypt packed rows in one batch on the shared worker pool (nonce
-    /// powers from the party's offline pool, stream order).
+    /// powers from the party's nonce stream, stream order).
     pub fn encrypt_rows(
         &self,
         pk: &PublicKey,

@@ -106,9 +106,9 @@ impl PublicKey {
         self.encrypt_with_rn(x, &rn)
     }
 
-    /// Encrypt with a *precomputed* nonce power `rn = r^N mod N²` (the
-    /// offline-randomness fast path): one modular multiplication plus the
-    /// binomial add — no online exponentiation.
+    /// Encrypt with an already computed nonce power `rn = r^N mod N²` (the
+    /// batch path, whose powers come from a `NoncePool`): one modular
+    /// multiplication plus the binomial add.
     pub fn encrypt_with_rn(&self, x: &BigUint, rn: &BigUint) -> Ciphertext {
         let x = x.rem_of(self.n());
         if x.is_zero() {

@@ -6,13 +6,12 @@
 //! creation and teardown, and nothing but partial decryption could use it.
 //! This crate replaces that with one process-wide pool of long-lived
 //! workers shared by every party thread and every batched operation
-//! (`encrypt_batch`, `mul_plain_batch`, partial decryption, combination,
-//! randomness precomputation).
+//! (nonce powers, `encrypt_batch`, `mul_plain_batch`, partial decryption,
+//! combination).
 //!
-//! Queue order: the queue has two priorities. Online batches
-//! ([`WorkerPool::map`]) always preempt detached background work
-//! ([`WorkerPool::spawn`], used by the offline randomness pool) — a deep
-//! precompute backlog must never stall the protocol's critical path.
+//! The pool has one FIFO queue and one entry point, [`WorkerPool::map`]:
+//! every job is a chunk of a batch some caller is blocked on, so there is
+//! no background work to rank below it.
 //!
 //! Determinism contract: [`WorkerPool::map`] is *order-preserving* — the
 //! output vector is indexed exactly like the input regardless of which
@@ -38,22 +37,19 @@ pub const MAX_WORKERS: usize = 64;
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 #[derive(Default)]
-struct Queues {
-    /// Online batch chunks (protocol critical path).
-    high: VecDeque<Job>,
-    /// Detached background work (randomness precomputation).
-    low: VecDeque<Job>,
+struct Queue {
+    /// Batch chunks, in submission order.
+    jobs: VecDeque<Job>,
     /// Set when the owning pool is dropped; parked workers exit.
     closed: bool,
 }
 
 struct Shared {
-    queues: Mutex<Queues>,
+    queue: Mutex<Queue>,
     available: Condvar,
 }
 
-/// A pool of long-lived worker threads fed from one shared two-priority
-/// queue.
+/// A pool of long-lived worker threads fed from one shared FIFO queue.
 ///
 /// Workers are spawned lazily up to the largest parallelism any caller has
 /// requested (capped at [`MAX_WORKERS`]), then live for the life of the
@@ -71,7 +67,7 @@ impl Default for WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        let mut q = self.shared.queues.lock().expect("pool lock poisoned");
+        let mut q = self.shared.queue.lock().expect("pool lock poisoned");
         q.closed = true;
         drop(q);
         self.shared.available.notify_all();
@@ -83,7 +79,7 @@ impl WorkerPool {
     pub fn new() -> WorkerPool {
         WorkerPool {
             shared: Arc::new(Shared {
-                queues: Mutex::new(Queues::default()),
+                queue: Mutex::new(Queue::default()),
                 available: Condvar::new(),
             }),
             spawned: Mutex::new(0),
@@ -106,9 +102,9 @@ impl WorkerPool {
                 .name(format!("pivot-crypto-{id}"))
                 .spawn(move || loop {
                     let job = {
-                        let mut q = shared.queues.lock().expect("pool lock poisoned");
+                        let mut q = shared.queue.lock().expect("pool lock poisoned");
                         loop {
-                            if let Some(job) = q.high.pop_front().or_else(|| q.low.pop_front()) {
+                            if let Some(job) = q.jobs.pop_front() {
                                 break Some(job);
                             }
                             if q.closed {
@@ -129,14 +125,10 @@ impl WorkerPool {
         }
     }
 
-    fn submit(&self, job: Job, high_priority: bool) {
-        let mut q = self.shared.queues.lock().expect("pool lock poisoned");
-        if high_priority {
-            q.high.push_back(job);
-        } else {
-            q.low.push_back(job);
-        }
-        let depth = q.high.len() + q.low.len();
+    fn submit(&self, job: Job) {
+        let mut q = self.shared.queue.lock().expect("pool lock poisoned");
+        q.jobs.push_back(job);
+        let depth = q.jobs.len();
         drop(q);
         // Occupancy tick for the trace timeline (no-op unless a trace
         // collector is live somewhere in the process).
@@ -144,14 +136,6 @@ impl WorkerPool {
             pivot_trace::runtime_gauge("worker_queue_depth", depth as f64);
         }
         self.shared.available.notify_one();
-    }
-
-    /// Run a detached background job at *low* priority (used for offline
-    /// randomness-pool refills). The job must be self-contained
-    /// (`'static`) and never outranks an online batch.
-    pub fn spawn(&self, job: impl FnOnce() + Send + 'static) {
-        self.ensure_workers(1);
-        self.submit(Box::new(job), false);
     }
 
     /// Order-preserving parallel map: apply `f` to every item using at
@@ -204,7 +188,7 @@ impl WorkerPool {
                         Box<dyn FnOnce() + Send + 'static>,
                     >(job)
                 };
-                self.submit(job, true);
+                self.submit(job);
             }
         }
 
@@ -234,7 +218,6 @@ pub fn global() -> &'static WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn map_preserves_order() {
@@ -279,48 +262,6 @@ mod tests {
             pool.map(4, &items, |&x| x + 1);
         }
         assert!(pool.workers() <= 4, "spawned {} workers", pool.workers());
-    }
-
-    #[test]
-    fn spawn_runs_detached_jobs() {
-        let pool = WorkerPool::new();
-        static HITS: AtomicUsize = AtomicUsize::new(0);
-        let (tx, rx) = unbounded();
-        for _ in 0..8 {
-            let tx = tx.clone();
-            pool.spawn(move || {
-                HITS.fetch_add(1, Ordering::SeqCst);
-                tx.send(()).unwrap();
-            });
-        }
-        for _ in 0..8 {
-            rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap();
-        }
-        assert_eq!(HITS.load(Ordering::SeqCst), 8);
-    }
-
-    #[test]
-    fn map_preempts_background_backlog() {
-        // A deep low-priority backlog must not delay an online batch: the
-        // map chunks jump the queue. With one worker, strict FIFO would
-        // need ~100 × 5 ms before the map's first chunk; assert the map
-        // comes back well before the backlog can have drained.
-        let pool = WorkerPool::new();
-        pool.map(1, &[0u64], |&x| x); // pin worker count at 1 via lazy spawn
-        static DRAINED: AtomicUsize = AtomicUsize::new(0);
-        for _ in 0..100 {
-            pool.spawn(|| {
-                std::thread::sleep(std::time::Duration::from_millis(5));
-                DRAINED.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        let items: Vec<u64> = (0..8).collect();
-        let out = pool.map(2, &items, |&x| x + 1);
-        assert_eq!(out[7], 8);
-        assert!(
-            DRAINED.load(Ordering::SeqCst) < 100,
-            "map waited for the whole background backlog"
-        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Span-based protocol tracing with round/byte attribution.
 //!
-//! The protocol layers (`pivot-transport`, `pivot-mpc`, the pools, the
-//! trainers) call into this crate at well-known points; when tracing is
+//! The protocol layers (`pivot-transport`, `pivot-mpc`, the worker pool,
+//! the trainers) call into this crate at well-known points; when tracing is
 //! off — the default — every hook is a single relaxed atomic load and an
 //! early return, with no allocation and no timestamp taken, so the traced
 //! build's `trace = "off"` transcript is bit-identical to a build without
@@ -36,7 +36,7 @@ pub enum TraceLevel {
     /// No collector installed; every hook is a no-op (the default).
     #[default]
     Off,
-    /// Phase spans, attribution, and pool/queue gauges.
+    /// Phase spans, attribution, and gauges.
     Phases,
     /// Everything in `Phases` plus fine-grained spans (per level/node,
     /// per MPC open/multiply).
@@ -418,8 +418,8 @@ accrue!(
     "Attribute MPC communication rounds to the innermost open span."
 );
 
-/// Record a gauge sample on the current party thread's track (pool hit
-/// rates and the like). No-op without an installed collector.
+/// Record a gauge sample on the current party thread's track. No-op
+/// without an installed collector.
 pub fn gauge(name: &'static str, value: f64) {
     if !enabled() {
         return;
@@ -962,7 +962,7 @@ mod tests {
                 let _f = span("open");
                 add_sent(8);
             }
-            gauge("nonce_pool_hit_rate", 0.5);
+            gauge("sample_gauge", 0.5);
             finish().unwrap()
         });
         let json = chrome_trace_json(&[trace], None);
@@ -1020,15 +1020,15 @@ mod tests {
                 add_sent(100);
                 add_rounds(3);
             }
-            gauge("nonce_pool_hit_rate", 0.25);
-            gauge("nonce_pool_hit_rate", 0.75);
+            gauge("sample_gauge", 0.25);
+            gauge("sample_gauge", 0.75);
             finish().unwrap()
         });
         let text = prometheus_snapshot(&[trace], None);
         assert!(text.contains("pivot_phase_sent_bytes_total{party=\"1\",phase=\"update\"} 100"));
         assert!(text.contains("pivot_phase_rounds_total{party=\"1\",phase=\"update\"} 3"));
         // Gauges report the last value.
-        assert!(text.contains("pivot_gauge{party=\"1\",series=\"nonce_pool_hit_rate\"} 0.75"));
+        assert!(text.contains("pivot_gauge{party=\"1\",series=\"sample_gauge\"} 0.75"));
     }
 
     #[test]
