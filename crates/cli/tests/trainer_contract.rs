@@ -104,6 +104,24 @@
 //!     round were already the same work, and its prediction was already
 //!     one packed conversion per class — now one exchange for the three.
 //!
+//!     **Every row's rounds, mults, bytes and messages** (and the ensemble
+//!     rows' `parent_training` mults) were re-recorded when a comparison
+//!     became one opening plus a carry-out tree. Comparisons, decryptions
+//!     and predictions did not move. At width `k` (`t = k − 1` low bits) a
+//!     comparison unit costs `1 + ⌈log₂ t⌉` rounds instead of
+//!     `2⌈log₂ t⌉`, and a BitLT row `⌊t/2⌋ + Σ_levels (2·pairs − 1)`
+//!     products instead of the suffix-OR ladder's ≈ `2t` (5 for 8 at
+//!     `t = 6`, 35 for 49 at `t = 27`). A reciprocal builds `2^z` as a
+//!     linear form of its thermometer bits: `⌈log₂ s⌉` rounds and `s − 1`
+//!     products per element fewer. The gain's validity test rides the
+//!     reciprocal's batch as lane `1[n_side < 2^0]`, so its own unit goes.
+//!     `basic-h1` (n = 48, `s = 6`, one split level and one leaf level):
+//!     70 → 51 rounds = −2 for the reciprocal's unit at `k = 8`, −3 for its
+//!     product tree, −6 for the validity unit at `k = 7`, −4 for the gain
+//!     argmax at `k = 28`, −2 each for the prune test and the leaf argmax at
+//!     `k = 7`. Messages fall by two per round, one per peer.
+//!     `rounds(W = 4) = rounds(W = 1)` holds.
+//!
 //! Every protocol runs at three depths, because the mask rule differs at
 //! each: `max_depth = 1` (no mask update at all), `2` (left masks only —
 //! the depth of every benchmark workload) and `3` (right masks wanted at
@@ -178,9 +196,9 @@ const BASIC: [Case; 3] = [
         body: BASIC_NOISY,
         tree: DEPTH_1,
         golden: [
-            [70, 11003, 408, 31, 388736, 158],
-            [70, 11003, 408, 31, 374800, 152],
-            [70, 11003, 408, 31, 374802, 152],
+            [51, 7988, 408, 31, 291344, 120],
+            [51, 7988, 408, 31, 277408, 114],
+            [51, 7988, 408, 31, 277410, 114],
         ],
         predictions: &[1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0],
     },
@@ -189,9 +207,9 @@ const BASIC: [Case; 3] = [
         body: BASIC_BODY,
         tree: DEPTH_2,
         golden: [
-            [132, 29684, 1114, 45, 1022160, 292],
-            [132, 29684, 1114, 45, 1005346, 284],
-            [132, 29684, 1114, 45, 1005328, 284],
+            [96, 20969, 1114, 45, 741552, 220],
+            [96, 20969, 1114, 45, 724738, 212],
+            [96, 20969, 1114, 45, 724720, 212],
         ],
         predictions: &[0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0],
     },
@@ -200,9 +218,9 @@ const BASIC: [Case; 3] = [
         body: BASIC_NOISY,
         tree: DEPTH_3,
         golden: [
-            [201, 65966, 2444, 88, 2270486, 444],
-            [201, 65966, 2444, 88, 2235838, 436],
-            [201, 65966, 2444, 88, 2221984, 434],
+            [146, 47888, 2444, 88, 1689350, 334],
+            [146, 47888, 2444, 88, 1654702, 326],
+            [146, 47888, 2444, 88, 1640848, 324],
         ],
         predictions: &[1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0],
     },
@@ -214,9 +232,9 @@ const ENHANCED: [Case; 3] = [
         body: ENHANCED_NOISY,
         tree: DEPTH_1,
         golden: [
-            [92, 11953, 439, 21, 389536, 180],
-            [92, 11953, 439, 21, 377762, 172],
-            [92, 11953, 439, 21, 377762, 172],
+            [67, 8683, 439, 21, 291568, 138],
+            [67, 8683, 439, 21, 279794, 130],
+            [67, 8683, 439, 21, 279794, 130],
         ],
         predictions: &[
             0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0,
@@ -228,9 +246,9 @@ const ENHANCED: [Case; 3] = [
         body: ENHANCED_BODY,
         tree: DEPTH_2,
         golden: [
-            [165, 31524, 1186, 96, 1052194, 350],
-            [165, 31524, 1186, 96, 1035681, 337],
-            [165, 31524, 1186, 96, 1035495, 333],
+            [121, 22296, 1186, 96, 769966, 270],
+            [121, 22296, 1186, 96, 753439, 257],
+            [121, 22296, 1186, 96, 753251, 253],
         ],
         predictions: &[
             1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0,
@@ -241,9 +259,9 @@ const ENHANCED: [Case; 3] = [
         body: ENHANCED_NOISY,
         tree: DEPTH_3,
         golden: [
-            [255, 59573, 2193, 321, 2014180, 536],
-            [255, 59573, 2193, 321, 1978448, 524],
-            [255, 59573, 2193, 321, 1978236, 520],
+            [186, 43229, 2193, 321, 1526644, 414],
+            [186, 43229, 2193, 321, 1490913, 402],
+            [186, 43229, 2193, 321, 1490700, 398],
         ],
         predictions: &[
             0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0,
@@ -258,9 +276,9 @@ const GBDT: [Case; 3] = [
         body: GBDT_NOISY,
         tree: DEPTH_1,
         golden: [
-            [206, 32378, 836, 54, 1127772, 534],
-            [206, 32378, 836, 54, 1113909, 479],
-            [206, 32378, 836, 54, 1113913, 479],
+            [160, 23514, 836, 54, 841916, 442],
+            [160, 23514, 836, 54, 828053, 387],
+            [160, 23514, 836, 54, 828057, 387],
         ],
         predictions: &[
             -0.2755470275878906,
@@ -285,9 +303,9 @@ const GBDT: [Case; 3] = [
         body: GBDT_BODY,
         tree: DEPTH_2,
         golden: [
-            [340, 91694, 2260, 87, 3092874, 794],
-            [340, 91694, 2260, 87, 3079045, 744],
-            [340, 91694, 2260, 87, 3079110, 746],
+            [258, 65874, 2260, 87, 2262698, 630],
+            [258, 65874, 2260, 87, 2248869, 580],
+            [258, 65874, 2260, 87, 2248934, 582],
         ],
         predictions: &[
             0.1257009506225586,
@@ -307,9 +325,9 @@ const GBDT: [Case; 3] = [
         body: GBDT_NOISY,
         tree: DEPTH_3,
         golden: [
-            [474, 225194, 5780, 168, 7568486, 1126],
-            [474, 225194, 5780, 168, 7521808, 1049],
-            [474, 225194, 5780, 168, 7521825, 1049],
+            [356, 163422, 5780, 168, 5586118, 890],
+            [356, 163422, 5780, 168, 5539440, 813],
+            [356, 163422, 5780, 168, 5539457, 813],
         ],
         predictions: &[
             -0.4095935821533203,
@@ -355,7 +373,8 @@ const DEPTH_2_FLOOR: &str = "max_depth = 2\nmin_samples = 10\n";
 
 /// A row of the ensemble table: its golden counters, and party 0's
 /// training-phase `[encryptions, threshold_decryptions, secure_mults,
-/// secure_comparisons]` as the parent commit's binary reports them.
+/// secure_comparisons]` as the binary before the shared frontier reported
+/// them (mults since re-recorded for the carry-out comparison).
 struct EnsembleCase {
     case: Case,
     parent_training: [u64; 4],
@@ -368,15 +387,15 @@ const RF: [EnsembleCase; 2] = [
             body: rf_body!(1),
             tree: DEPTH_2_FLOOR,
             golden: [
-                [135, 33045, 1237, 46, 1147420, 294],
-                [135, 33045, 1237, 46, 1112706, 284],
-                [135, 33045, 1237, 46, 1112640, 282],
+                [99, 24006, 1237, 46, 856444, 222],
+                [99, 24006, 1237, 46, 821730, 212],
+                [99, 24006, 1237, 46, 821664, 210],
             ],
             predictions: &[
                 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0,
             ],
         },
-        parent_training: [158, 38, 32985, 1222],
+        parent_training: [158, 38, 23946, 1222],
     },
     EnsembleCase {
         case: Case {
@@ -384,15 +403,15 @@ const RF: [EnsembleCase; 2] = [
             body: rf_body!(4),
             tree: DEPTH_2_FLOOR,
             golden: [
-                [138, 132045, 4903, 160, 4569452, 338],
-                [138, 132045, 4903, 160, 4430524, 298],
-                [138, 132045, 4903, 160, 4430606, 302],
+                [101, 95874, 4903, 160, 3410732, 266],
+                [101, 95874, 4903, 160, 3271804, 226],
+                [101, 95874, 4903, 160, 3271886, 230],
             ],
             predictions: &[
                 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0,
             ],
         },
-        parent_training: [632, 152, 131940, 4888],
+        parent_training: [632, 152, 95784, 4888],
     },
 ];
 
@@ -402,15 +421,15 @@ const GBDT_K3: EnsembleCase = EnsembleCase {
         body: GBDT_THREE_CLASS,
         tree: DEPTH_2_FLOOR,
         golden: [
-            [524, 349305, 8697, 285, 11716302, 1478],
-            [524, 349305, 8697, 285, 11632928, 1134],
-            [524, 349305, 8697, 285, 11632847, 1132],
+            [403, 254250, 8697, 285, 8702094, 1246],
+            [403, 254250, 8697, 285, 8618720, 902],
+            [403, 254250, 8697, 285, 8618639, 900],
         ],
         predictions: &[
             1.0, 2.0, 1.0, 1.0, 2.0, 1.0, 2.0, 2.0, 1.0, 2.0, 1.0, 1.0, 1.0, 0.0, 1.0,
         ],
     },
-    parent_training: [2073, 273, 345480, 8652],
+    parent_training: [2073, 273, 251460, 8652],
 };
 
 /// Candidate splits and crypto configuration shared by every case.

@@ -316,7 +316,6 @@ pub fn split_gains_batch(ctx: &mut PartyContext<'_>, nodes: &[&NodeShares]) -> V
     let task = ctx.current_task();
     let party = ctx.id();
     let one_fx = ctx.params.fixed.one();
-    let counts_k = count_width(ctx);
     let splits_per_node: Vec<usize> = nodes.iter().map(|n| n.n_l.len()).collect();
     let lanes: usize = splits_per_node.iter().sum();
 
@@ -341,13 +340,13 @@ pub fn split_gains_batch(ctx: &mut PartyContext<'_>, nodes: &[&NodeShares]) -> V
         // One reciprocal pipeline over every side of every node. The sides
         // are integer-valued counts, so the normalization comparisons run
         // in the integer domain (`⌈log₂ n⌉`-bit widths instead of
-        // `f + ⌈log₂ n⌉`).
+        // `f + ⌈log₂ n⌉`), and the same batch yields `1[n_side = 0]`.
         let mut sides_int: Vec<Share> = Vec::with_capacity(2 * lanes);
         for (node, rights) in nodes.iter().zip(&n_r) {
             sides_int.extend(node.n_l.iter().copied());
             sides_int.extend(rights.iter().copied());
         }
-        let recips = engine.recip_vec_int(&sides_int, n_bound);
+        let (recips, zero_flags) = engine.recip_vec_int_with_zeros(&sides_int, n_bound);
 
         let mut gains_raw: Vec<Vec<Share>> = Vec::with_capacity(nodes.len());
         match task {
@@ -419,17 +418,9 @@ pub fn split_gains_batch(ctx: &mut PartyContext<'_>, nodes: &[&NodeShares]) -> V
             }
         }
 
-        // Validity: both sides non-empty. a = 1[n_l = 0], b = 1[n_r = 0];
-        // they cannot both be 1 (the node is non-empty), so
-        // valid = 1 − a − b is linear. Side counts are integers in [0, n]:
-        // the zero tests only need count-width comparisons, not the full
-        // fixed-point layout. Every node's lanes share one batch.
-        let mut sides = Vec::with_capacity(2 * lanes);
-        for (node, rights) in nodes.iter().zip(&n_r) {
-            sides.extend(node.n_l.iter().map(|s| s.sub_public(party, Fp::ONE)));
-            sides.extend(rights.iter().map(|s| s.sub_public(party, Fp::ONE)));
-        }
-        let zero_flags = engine.ltz_vec_bounded(&sides, counts_k);
+        // Validity: both sides non-empty. a = 1[n_l = 0], b = 1[n_r = 0]
+        // came out of the reciprocal's comparison batch; they cannot both
+        // be 1 (the node is non-empty), so valid = 1 − a − b is linear.
         let mut shifted = Vec::with_capacity(lanes);
         let mut valid = Vec::with_capacity(lanes);
         let mut at = 0;

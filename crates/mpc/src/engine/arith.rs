@@ -51,9 +51,32 @@ impl MpcEngine<'_> {
     /// instead of `f + ⌈log₂ bound⌉ + 2`), then the Goldschmidt tail is
     /// shared with [`Self::recip_vec`]. Returns `⟨1/d⟩` at scale `2^f`.
     pub fn recip_vec_int(&mut self, d: &[Share], bound: f64) -> Vec<Share> {
+        self.recip_int_lanes(d, bound, false).0
+    }
+
+    /// [`Self::recip_vec_int`] for integer `d ∈ [0, bound]`, also returning
+    /// `⟨1[d = 0]⟩` per element (the reciprocal of a zero is garbage). The
+    /// flag is `1[d < 2^0]`, one more lane of the normalization batch.
+    pub fn recip_vec_int_with_zeros(
+        &mut self,
+        d: &[Share],
+        bound: f64,
+    ) -> (Vec<Share>, Vec<Share>) {
+        self.recip_int_lanes(d, bound, true)
+    }
+
+    /// Lanes `1[d < 2^j]` for `j` in `1..=s` (or `0..=s` with `zeros`) in
+    /// one comparison batch at width `s + 2`, which covers
+    /// `|d − 2^j| ≤ 2^s` for every `d ∈ [0, 2^s]`.
+    fn recip_int_lanes(
+        &mut self,
+        d: &[Share],
+        bound: f64,
+        zeros: bool,
+    ) -> (Vec<Share>, Vec<Share>) {
         let n = d.len();
         if n == 0 {
-            return Vec::new();
+            return (Vec::new(), Vec::new());
         }
         assert!(bound >= 1.0, "bound must cover the input range");
         let s = (bound.log2().ceil() as u32).max(1);
@@ -63,54 +86,44 @@ impl MpcEngine<'_> {
             "reciprocal bound 2^{s} too large for the fixed-point layout"
         );
         let party = self.party();
-        let mut batch = Vec::with_capacity(n * s as usize);
+        let first = u32::from(!zeros);
+        let mut batch = Vec::with_capacity(n * (s + 1 - first) as usize);
         for &x in d {
-            for j in 1..=s {
+            for j in first..=s {
                 batch.push(x.sub_public(party, Fp::pow2(j)));
             }
         }
         let bits = self.ltz_vec_bounded(&batch, s + 2);
+        let zero_flags = if zeros {
+            bits.iter().step_by(s as usize + 1).copied().collect()
+        } else {
+            Vec::new()
+        };
         let fixed: Vec<Share> = d.iter().map(|&x| x.scale(Fp::pow2(f))).collect();
-        self.recip_tail(&fixed, &bits, s)
+        (self.recip_tail(&fixed, &bits, s), zero_flags)
     }
 
     /// Shared Goldschmidt tail: normalization bits → oblivious scaling →
     /// iterated refinement → denormalization. `d` is fixed-point at scale
-    /// `2^f`; `bits[i·s + j]` is `1[d_i < 2^(f+j+1)]`.
+    /// `2^f`; `bits` holds one equal-length row per element whose last `s`
+    /// lanes are `b_j = 1[d_i < 2^(f+j+1)]`, `j = 0..s`.
     fn recip_tail(&mut self, d: &[Share], bits: &[Share], s: u32) -> Vec<Share> {
-        let n = d.len();
         let party = self.party();
 
-        // v = 2^z = Π (1 + b_j), a log-depth product tree (integer share).
-        let one = Share::from_public(party, Fp::ONE);
-        let mut factors: Vec<Vec<Share>> = (0..n)
-            .map(|i| {
-                (0..s as usize)
-                    .map(|j| one + bits[i * s as usize + j])
-                    .collect()
+        // v = 2^z with z = Σ_j b_j. The b_j are monotone in j (a
+        // thermometer code), so v = Σ_j (b_j − b_{j−1})·2^(s−j) +
+        // (1 − b_{s−1}) = 1 + Σ_j b_j·2^(s−1−j): a local linear form.
+        let lanes = bits.len() / d.len();
+        let v: Vec<Share> = bits
+            .chunks(lanes)
+            .map(|row| {
+                (0..s)
+                    .zip(&row[lanes - s as usize..])
+                    .fold(Share::from_public(party, Fp::ONE), |acc, (j, &b)| {
+                        acc + b.scale(Fp::pow2(s - 1 - j))
+                    })
             })
             .collect();
-        while factors[0].len() > 1 {
-            let half = factors[0].len() / 2;
-            let odd = factors[0].len() % 2 == 1;
-            let mut lhs = Vec::with_capacity(n * half);
-            let mut rhs = Vec::with_capacity(n * half);
-            for row in &factors {
-                for i in 0..half {
-                    lhs.push(row[2 * i]);
-                    rhs.push(row[2 * i + 1]);
-                }
-            }
-            let prods = self.mul_vec(&lhs, &rhs);
-            for (r, row) in factors.iter_mut().enumerate() {
-                let mut next: Vec<Share> = prods[r * half..(r + 1) * half].to_vec();
-                if odd {
-                    next.push(*row.last().expect("odd element"));
-                }
-                *row = next;
-            }
-        }
-        let v: Vec<Share> = factors.iter().map(|row| row[0]).collect();
 
         // d_norm = d · 2^z / 2^(s+1) ∈ [1/2, 1).
         let dv = self.mul_vec(d, &v);

@@ -302,7 +302,8 @@ fn recip_vec_int_matches_fixed_point_path() {
 }
 
 /// A narrow batch must cut opened elements, comparison rounds and masked
-/// bits against the same batch at full width.
+/// bits against the same batch at full width. Rounds are one opening plus
+/// `⌈log₂(k − 1)⌉`: 7 at `k = 45`, 4 at `k = 6`.
 #[test]
 fn bounded_widths_cut_opened_elements_and_rounds() {
     let vals: Vec<i64> = (0..64).map(|i| (i % 13) - 6).collect();
@@ -323,12 +324,8 @@ fn bounded_widths_cut_opened_elements_and_rounds() {
         full.opened_elements,
         auto.opened_elements
     );
-    assert!(
-        full.online_rounds >= 2 * auto.online_rounds,
-        "rounds: full {} vs auto {}",
-        full.online_rounds,
-        auto.online_rounds
-    );
+    assert_eq!(full.online_rounds, 7);
+    assert_eq!(auto.online_rounds, 4);
     assert!(
         full.masked_bits >= 4 * auto.masked_bits,
         "masked bits: full {} vs auto {}",
@@ -380,6 +377,189 @@ fn dp_samplers_agree_across_policies() {
     );
 }
 
+/// Beaver products of one `t`-bit BitLT row: one per bit pair at the
+/// leaves; above them, per level, two per combine except the one holding
+/// bit 0, which needs one.
+fn products(t: u32) -> u64 {
+    let mut total = u64::from(t / 2);
+    let mut blocks = u64::from(t.div_ceil(2));
+    while blocks > 1 {
+        total += 2 * (blocks / 2) - 1;
+        blocks = blocks.div_ceil(2);
+    }
+    total
+}
+
+/// Rounds of one comparison at width `k`: the masked opening plus the
+/// `⌈log₂(k − 1)⌉` levels of the carry tree.
+fn rounds(k: u32) -> u64 {
+    1 + u64::from((k - 1).next_power_of_two().trailing_zeros())
+}
+
+/// `(online_rounds, beaver_triples)` spent between two snapshots.
+fn spent(before: &ComparisonCounters, after: &ComparisonCounters) -> (u64, u64) {
+    (
+        after.online_rounds - before.online_rounds,
+        after.beaver_triples - before.beaver_triples,
+    )
+}
+
+/// Runs `vals` (all `|v| < 2^(k−1)`) through `ltz_vec_bounded`,
+/// `ltz_pair_vec` and `mod2m_vec_bounded` (of `v + 2^(k−1)`) and checks
+/// every output against plaintext and every call's exact cost.
+fn check_comparisons(k: u32, vals: &[i64]) {
+    let n = vals.len() as u64;
+    let (outputs, costs) = mpc_mode(2, CompareBits::Auto, |e| {
+        let x: Vec<Share> = vals.iter().map(|&v| e.constant(Fp::from_i64(v))).collect();
+        let y: Vec<Share> = vals
+            .iter()
+            .map(|&v| e.constant(Fp::from_i64(v + (1 << (k - 1)))))
+            .collect();
+        let mut costs = Vec::new();
+        let mut snap = e.comparison_snapshot();
+        let mut cost = |e: &MpcEngine<'_>| {
+            let now = e.comparison_snapshot();
+            costs.push(spent(&snap, &now));
+            snap = now;
+        };
+        let neg = e.ltz_vec_bounded(&x, k);
+        cost(e);
+        let (lt, gt) = e.ltz_pair_vec(&x, k);
+        cost(e);
+        let low = e.mod2m_vec_bounded(&y, k - 1, k);
+        cost(e);
+        let outputs: Vec<Vec<u64>> = [neg, lt, gt, low]
+            .iter()
+            .map(|v| e.open_vec(v).iter().map(|v| v.value()).collect())
+            .collect();
+        (outputs, costs)
+    })
+    .remove(0);
+    let low_mask = (1u64 << (k - 1)) - 1;
+    let want: [Vec<u64>; 4] = [
+        vals.iter().map(|&v| u64::from(v < 0)).collect(),
+        vals.iter().map(|&v| u64::from(v < 0)).collect(),
+        vals.iter().map(|&v| u64::from(v > 0)).collect(),
+        vals.iter()
+            .map(|&v| (v + (1 << (k - 1))) as u64 & low_mask)
+            .collect(),
+    ];
+    assert_eq!(outputs, want, "width {k}");
+    let per_row = products(k - 1);
+    assert_eq!(
+        costs,
+        [
+            (rounds(k), n * per_row),
+            (rounds(k), 2 * n * per_row),
+            (rounds(k), n * per_row),
+        ],
+        "width {k}: (rounds, triples) of ltz, ltz_pair, mod2m"
+    );
+}
+
+/// The helper against hand counts of the tree.
+#[test]
+fn carry_tree_product_counts() {
+    let got: Vec<u64> = (1..=9).map(products).collect();
+    assert_eq!(got, [0, 1, 2, 3, 4, 5, 7, 8, 9]);
+    assert_eq!(products(29), 38);
+}
+
+#[test]
+fn exhaustive_comparisons_pay_exact_costs() {
+    for k in 2u32..=12 {
+        let edge = (1i64 << (k - 1)) - 1;
+        let vals: Vec<i64> = (-edge..=edge).collect();
+        check_comparisons(k, &vals);
+    }
+}
+
+/// Every opened output of [`comparison_outputs_are_pinned`], one row per
+/// call in call order. Comparison outputs are exact bits and Beaver
+/// triples only re-randomise shares, so these values move only if a
+/// result moves or a probabilistic truncation is added, removed or
+/// reordered: the reciprocals and the softmax round by ±1 ulp according
+/// to the call-order truncation stream.
+const PINNED: [&[u64]; 7] = [
+    // recip_vec_int, scale 2^20
+    &[
+        1048577, 524288, 349526, 209715, 131072, 80659, 8256, 8192, 6595, 6554,
+    ],
+    // recip_vec
+    &[1398101, 1048576, 699050, 381300, 149796, 33555, 10486, 8198],
+    // div_vec
+    &[
+        2097156,
+        2305843009213038591,
+        1497970,
+        1310,
+        2305843009210985125,
+    ],
+    // argmax_many_bounded, (index, max) per row
+    &[18, 11, 0, 5, 0, 2305843009213693947, 0, 7],
+    // ltz_pair_vec, negative side then positive side
+    &[1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1],
+    // onehot_many
+    &[0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0],
+    // softmax_rows_clamped
+    &[184859, 31600, 832118, 524120, 524120, 335],
+];
+
+#[test]
+fn comparison_outputs_are_pinned() {
+    let got = mpc_mode(3, CompareBits::Auto, |e| {
+        let ints = |e: &MpcEngine<'_>, vals: &[i64]| -> Vec<Share> {
+            vals.iter().map(|&v| e.constant(Fp::from_i64(v))).collect()
+        };
+        let fixed = |e: &MpcEngine<'_>, vals: &[f64]| -> Vec<Share> {
+            vals.iter().map(|&v| e.constant_f64(v)).collect()
+        };
+        let mut opened: Vec<Vec<u64>> = Vec::new();
+        let mut open = |e: &mut MpcEngine<'_>, shares: &[Share]| {
+            opened.push(e.open_vec(shares).iter().map(|v| v.value()).collect());
+        };
+
+        let d = ints(e, &[1, 2, 3, 5, 8, 13, 127, 128, 159, 160]);
+        let r = e.recip_vec_int(&d, 160.0);
+        open(e, &r);
+        let d = fixed(e, &[0.75, 1.0, 1.5, 2.75, 7.0, 31.25, 100.0, 127.9]);
+        let r = e.recip_vec(&d, 128.0);
+        open(e, &r);
+        let a = fixed(e, &[3.0, -2.5, 10.0, 0.125, -7.75]);
+        let b = fixed(e, &[1.5, 4.0, 7.0, 100.0, 3.0]);
+        let q = e.div_vec(&a, &b, 128.0);
+        open(e, &q);
+        let rows: Vec<Vec<Share>> = [
+            (0..40).map(|i| (i * 37) % 23 - 11).collect::<Vec<i64>>(),
+            vec![5, 3, 5, 5, -2],
+            vec![-4, -4],
+            vec![7],
+        ]
+        .iter()
+        .map(|row| ints(e, row))
+        .collect();
+        let flat: Vec<Share> = e
+            .argmax_many_bounded(&rows, 8)
+            .into_iter()
+            .flat_map(|(i, v)| [i, v])
+            .collect();
+        open(e, &flat);
+        let u = ints(e, &[-15, -7, -1, 0, 1, 6, 15]);
+        let (neg, pos) = e.ltz_pair_vec(&u, 5);
+        open(e, &[neg, pos].concat());
+        let items = [(e.constant(Fp::new(4)), 9), (e.constant(Fp::new(0)), 3)];
+        let hot = e.onehot_many(&items).concat();
+        open(e, &hot);
+        let logits = fixed(e, &[0.5, -1.25, 2.0, 3.5, 3.5, -3.75]);
+        let p = e.softmax_rows_clamped(&logits, 3, 4.0);
+        open(e, &p);
+        opened
+    });
+    for (party, opened) in got.iter().enumerate() {
+        assert_eq!(opened, &PINNED, "party {party}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -417,6 +597,15 @@ proptest! {
         let want_pos: Vec<u64> = vals.iter().map(|&v| u64::from(v > 0)).collect();
         prop_assert_eq!(&got[0].0, &want_neg);
         prop_assert_eq!(&got[0].1, &want_pos);
+    }
+
+    /// Random values at every width up to the full 45 bits: plaintext
+    /// results and exact costs, as in the exhaustive sweep.
+    #[test]
+    fn comparisons_pay_exact_costs(k in 2u32..=45, raw in proptest::collection::vec(any::<i64>(), 1..8)) {
+        let edge = (1i64 << (k - 1)) - 1;
+        let vals: Vec<i64> = raw.iter().map(|v| v.rem_euclid(2 * edge + 1) - edge).collect();
+        check_comparisons(k, &vals);
     }
 
     /// Bounded mod2m agrees with plaintext on random inputs.
