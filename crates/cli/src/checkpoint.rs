@@ -1,20 +1,22 @@
 //! Durable crash-recovery checkpoints (`PVCK` files) and the barrier sink.
 //!
 //! At every level/tree barrier the trainer reaches with a sink installed,
-//! [`CliCheckpointSink`] serializes the party's *inbound transcript* — every
-//! frame consumed from every peer since genesis — plus the protocol state
-//! cursors into a versioned, checksummed file. Recovery replays the
-//! transcript through the deterministic protocol: the restarted party
-//! recomputes every round from genesis, consuming recorded frames instead
-//! of the network until it catches up, so no protocol object ever needs to
-//! be serialized directly and the resumed run is bit-identical.
+//! [`CliCheckpointSink`] writes the barrier's identity (party, mesh size,
+//! ordinal, level, scenario fingerprint) and the protocol state cursors
+//! into a versioned, checksummed, fixed-size file. No protocol state and
+//! no frame is stored: the protocol is a deterministic SPMD program, so a
+//! restarted party re-executes from genesis while its peers replay their
+//! retransmit rings from seq 1 (see `pivot_transport::tcp`). `--resume`
+//! validates the newest file (version, fingerprint, party) and, when
+//! re-execution reaches that ordinal, cross-checks the recomputed
+//! cursors; a mismatch is [`CheckpointError::ResumeDiverged`].
 //!
-//! File layout (all little-endian):
+//! File layout (all little-endian, [`CKPT_FILE_BYTES`] in total):
 //!
 //! ```text
-//! magic    b"PVCK"                     4 bytes
-//! version  u32                         4 bytes
-//! body     Wire(CheckpointFile)        variable
+//! magic    b"PVCK"                        4 bytes
+//! version  u32                            4 bytes
+//! body     11 × u64 (Wire(CheckpointFile)) 88 bytes
 //! checksum FNV-1a-64(magic‖version‖body)  8 bytes
 //! ```
 //!
@@ -23,7 +25,7 @@
 //! file never loses recoverability.
 
 use pivot_core::checkpoint::{BarrierMeta, CheckpointSink, StateCursors};
-use pivot_transport::{Endpoint, Wire, WireError};
+use pivot_transport::{Wire, WireError};
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
@@ -33,8 +35,11 @@ use std::sync::{Arc, Mutex};
 
 /// Magic prefix of every checkpoint file.
 pub const CKPT_MAGIC: [u8; 4] = *b"PVCK";
-/// Current checkpoint format version.
-pub const CKPT_VERSION: u32 = 1;
+/// Current checkpoint format version; any other version loads as
+/// [`CheckpointError::VersionSkew`].
+pub const CKPT_VERSION: u32 = 2;
+/// Size of every checkpoint file: header, eleven `u64`s, checksum.
+pub const CKPT_FILE_BYTES: u64 = 4 + 4 + 11 * 8 + 8;
 /// Checkpoints retained per party (newest-first).
 const KEEP_LAST: usize = 2;
 
@@ -70,6 +75,9 @@ pub enum CheckpointError {
     ScenarioMismatch { found: u64, expected: u64 },
     /// The checkpoint belongs to a different party id or mesh size.
     PartyMismatch { found: u64, expected: u64 },
+    /// Under `--resume`, re-execution reached the checkpointed barrier
+    /// with different state cursors than the checkpoint recorded.
+    ResumeDiverged { ordinal: u64 },
 }
 
 impl fmt::Display for CheckpointError {
@@ -91,6 +99,11 @@ impl fmt::Display for CheckpointError {
                 f,
                 "checkpoint belongs to party {found}, not party {expected}"
             ),
+            CheckpointError::ResumeDiverged { ordinal } => write!(
+                f,
+                "resumed run diverged from the checkpoint at barrier {ordinal}: \
+                 recomputed state cursors differ"
+            ),
         }
     }
 }
@@ -103,8 +116,7 @@ impl From<WireError> for CheckpointError {
     }
 }
 
-/// One durable checkpoint: identity, position, state cursors, and the full
-/// inbound transcript (per peer, every consumed frame since genesis).
+/// One durable checkpoint: the barrier's identity and state cursors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointFile {
     /// Writing party's id.
@@ -117,11 +129,8 @@ pub struct CheckpointFile {
     pub level: u64,
     /// [`scenario_fingerprint`] of the run's configuration.
     pub fingerprint: u64,
-    /// Protocol state cursors at the barrier (resume sanity check).
+    /// Protocol state cursors at the barrier (resume cross-check).
     pub cursors: StateCursors,
-    /// `(peer_id, frames)` — inbound frames consumed from each peer since
-    /// genesis, in consumption order.
-    pub peers: Vec<(u64, Vec<Vec<u8>>)>,
 }
 
 impl Wire for CheckpointFile {
@@ -137,7 +146,6 @@ impl Wire for CheckpointFile {
         self.cursors.nonces_drawn.encode(buf);
         self.cursors.dealer_rows.encode(buf);
         self.cursors.bytes_sent.encode(buf);
-        self.peers.encode(buf);
     }
 
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
@@ -155,14 +163,13 @@ impl Wire for CheckpointFile {
                 dealer_rows: u64::decode(buf)?,
                 bytes_sent: u64::decode(buf)?,
             },
-            peers: Vec::<(u64, Vec<Vec<u8>>)>::decode(buf)?,
         })
     }
 }
 
 /// Serialize a checkpoint to its on-disk byte layout.
 pub fn encode_checkpoint(file: &CheckpointFile) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(64);
+    let mut bytes = Vec::with_capacity(CKPT_FILE_BYTES as usize);
     bytes.extend_from_slice(&CKPT_MAGIC);
     bytes.extend_from_slice(&CKPT_VERSION.to_le_bytes());
     file.encode(&mut bytes);
@@ -320,7 +327,7 @@ pub fn load_latest(
 }
 
 /// Shared handles into a [`CliCheckpointSink`]: counters for the party
-/// report plus the first write error (checked after the protocol run and
+/// report plus the first failure (checked after the protocol run and
 /// mapped to exit code 13).
 #[derive(Clone, Default)]
 pub struct CheckpointHandle {
@@ -340,14 +347,15 @@ impl CheckpointHandle {
         self.bytes.load(Ordering::Relaxed)
     }
 
-    /// First write failure, if any (writes stop after the first failure).
+    /// First failure, if any: a failed write or a diverged resume
+    /// (checkpointing stops after the first failure).
     pub fn take_error(&self) -> Option<CheckpointError> {
         self.error.lock().expect("checkpoint error slot").take()
     }
 }
 
-/// The production [`CheckpointSink`]: applies the `every_levels` cadence,
-/// snapshots the endpoint transcript, and writes `PVCK` files.
+/// The production [`CheckpointSink`]: applies the `every_levels` cadence
+/// and writes `PVCK` files.
 pub struct CliCheckpointSink {
     dir: PathBuf,
     every: u64,
@@ -356,15 +364,16 @@ pub struct CliCheckpointSink {
     fingerprint: u64,
     handle: CheckpointHandle,
     /// On `--resume`: the loaded checkpoint's (ordinal, cursors). When the
-    /// replayed run reaches the same barrier, the freshly computed cursors
-    /// must match exactly — divergence means non-deterministic replay and
-    /// is unrecoverable, so it aborts loudly.
+    /// re-executed run reaches the same barrier, the freshly computed
+    /// cursors must match exactly — divergence means the run is not the
+    /// checkpointed one, which is recorded as
+    /// [`CheckpointError::ResumeDiverged`] (exit code 13).
     resume_verify: Option<(u64, StateCursors)>,
     failed: bool,
 }
 
 impl CliCheckpointSink {
-    pub fn new(dir: PathBuf, every: u64, party: u64, parties: u64, fingerprint: u64) -> Self {
+    fn new(dir: PathBuf, every: u64, party: u64, parties: u64, fingerprint: u64) -> Self {
         assert!(every >= 1, "checkpoint cadence must be >= 1");
         CliCheckpointSink {
             dir,
@@ -378,6 +387,19 @@ impl CliCheckpointSink {
         }
     }
 
+    /// The sink for one party of `scenario`; `None` without a
+    /// `[checkpoint]` section.
+    pub fn for_party(scenario: &crate::scenario::Scenario, party: usize) -> Option<Self> {
+        let spec = scenario.checkpoint.as_ref()?;
+        Some(CliCheckpointSink::new(
+            PathBuf::from(&spec.dir),
+            spec.every_levels,
+            party as u64,
+            scenario.parties as u64,
+            scenario_fingerprint(scenario),
+        ))
+    }
+
     /// Handles shared with the report/exit plumbing.
     pub fn handle(&self) -> CheckpointHandle {
         self.handle.clone()
@@ -388,28 +410,31 @@ impl CliCheckpointSink {
         self.resume_verify = Some((ordinal, cursors));
         self
     }
+
+    /// Record the first checkpoint failure and stop checkpointing; the
+    /// run finishes, then `pivot party` exits 13.
+    fn fail(&mut self, err: CheckpointError) {
+        self.failed = true;
+        *self.handle.error.lock().expect("checkpoint error slot") = Some(err);
+    }
 }
 
 impl CheckpointSink for CliCheckpointSink {
-    fn at_barrier(&mut self, ep: &Endpoint, meta: &BarrierMeta) {
-        if let Some((ordinal, expected)) = self.resume_verify {
-            if meta.ordinal == ordinal {
-                self.resume_verify = None;
-                assert_eq!(
-                    meta.cursors, expected,
-                    "resume replay diverged from checkpoint at barrier {ordinal}: \
-                     recomputed cursors {:?} != checkpointed {expected:?}",
-                    meta.cursors
-                );
-            }
-        }
-        if self.failed || meta.ordinal % self.every != 0 {
+    fn at_barrier(&mut self, meta: &BarrierMeta) {
+        if self.failed {
             return;
         }
-        let peers = (0..self.parties)
-            .filter(|&p| p != self.party)
-            .map(|p| (p, ep.transcript_frames(p as usize)))
-            .collect();
+        let verify = self
+            .resume_verify
+            .take_if(|(ordinal, _)| *ordinal == meta.ordinal);
+        if let Some((ordinal, expected)) = verify {
+            if meta.cursors != expected {
+                return self.fail(CheckpointError::ResumeDiverged { ordinal });
+            }
+        }
+        if meta.ordinal % self.every != 0 {
+            return;
+        }
         let file = CheckpointFile {
             party: self.party,
             parties: self.parties,
@@ -417,22 +442,13 @@ impl CheckpointSink for CliCheckpointSink {
             level: meta.level,
             fingerprint: self.fingerprint,
             cursors: meta.cursors,
-            peers,
         };
         match write_checkpoint(&self.dir, &file) {
             Ok(bytes) => {
                 self.handle.written.fetch_add(1, Ordering::Relaxed);
                 self.handle.bytes.fetch_add(bytes, Ordering::Relaxed);
-                // Tell every session the transcript up to here is durable:
-                // retransmit rings may release frames behind the previous
-                // checkpoint's cursor.
-                ep.checkpoint_mark_all();
             }
-            Err(e) => {
-                // Stop checkpointing; the run finishes, then exits 13.
-                self.failed = true;
-                *self.handle.error.lock().expect("checkpoint error slot") = Some(e);
-            }
+            Err(e) => self.fail(e),
         }
     }
 }
@@ -456,7 +472,6 @@ mod tests {
                 dealer_rows: 1234,
                 bytes_sent: 1 << 20,
             },
-            peers: vec![(0, vec![vec![1, 2, 3], vec![]]), (2, vec![vec![0xFF; 17]])],
         }
     }
 
@@ -464,7 +479,50 @@ mod tests {
     fn roundtrip() {
         let f = sample(4);
         let bytes = encode_checkpoint(&f);
+        assert_eq!(bytes.len() as u64, CKPT_FILE_BYTES);
         assert_eq!(decode_checkpoint(&bytes).expect("decode"), f);
+    }
+
+    #[test]
+    fn v1_file_is_version_skew_through_load_latest() {
+        let dir = std::env::temp_dir().join(format!("pivot-ckpt-v1-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).expect("dir");
+        let mut bytes = encode_checkpoint(&sample(1));
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        fs::write(dir.join(ckpt_name(1, 1, 1)), &bytes).expect("write");
+        assert_eq!(
+            load_latest(&dir, 1, 3, 0xF00D),
+            Err(CheckpointError::VersionSkew {
+                found: 1,
+                expected: 2
+            })
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn diverged_resume_is_a_typed_error_not_a_panic() {
+        let dir = std::env::temp_dir().join(format!("pivot-ckpt-diverge-{}", std::process::id()));
+        let checkpointed = sample(2).cursors;
+        let mut sink = CliCheckpointSink::new(dir.clone(), 1, 1, 3, 0xF00D)
+            .with_resume_verify(2, checkpointed);
+        let handle = sink.handle();
+        let recomputed = StateCursors {
+            mpc_rounds: checkpointed.mpc_rounds + 1,
+            ..checkpointed
+        };
+        sink.at_barrier(&BarrierMeta {
+            ordinal: 2,
+            level: 2,
+            cursors: recomputed,
+        });
+        assert_eq!(
+            handle.take_error(),
+            Some(CheckpointError::ResumeDiverged { ordinal: 2 })
+        );
+        assert_eq!(handle.written(), 0, "a diverged barrier is not persisted");
+        assert!(!dir.exists());
     }
 
     #[test]

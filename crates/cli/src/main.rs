@@ -33,14 +33,14 @@ SUBCOMMANDS:
                per-party report matching the in-process run bit-for-bit.
                Lost connections are resumed transparently (replayed from
                a retransmit ring); with a [checkpoint] section each
-               party also writes durable checkpoints it can restart
-               from. Unrecoverable failures write a structured error
+               party also writes durable checkpoints a restart is
+               checked against. Unrecoverable failures write a structured error
                report and exit 10 (transport failure, incl. a peer lost
                past the rejoin deadline or an unreplayable resume gap),
                11 (this party's own [faults] crash_party fired), 12 (a
                zero-knowledge proof was rejected — the report names the
                accused party), or 13 (checkpoint state unreadable,
-               corrupt, mismatched, or unwritable)
+               corrupt, mismatched, diverged from, or unwritable)
     trace      Inspect tracing output: point it at a run report (train /
                predict / bench / party JSON) to print the embedded
                per-phase round/byte/wall tables, or at a
@@ -61,10 +61,11 @@ OPTIONS:
                         parties in id order (same list for every process)
     --listen <ADDR>     party only: local bind address (default: the
                         --peers entry for --id)
-    --resume            party only: restart from the newest checkpoint in
-                        the scenario's checkpoint.dir (fresh start when
-                        none exists yet); peers splice the restarted
-                        party back in and replay what it missed
+    --resume            party only: restart a killed party: re-execute
+                        from genesis while peers replay their rings from
+                        seq 1, cross-checked against the newest checkpoint
+                        in the scenario's checkpoint.dir (none yet: no
+                        cross-check)
     --supervise         party only: wrap the party in a supervisor child
                         process to drive a [faults] kill_party entry —
                         really SIGKILLs the child at the configured

@@ -14,17 +14,18 @@
 //! its own `--peers` entry), dials lower ids, and accepts higher ids.
 //!
 //! Crash recovery: with a `[checkpoint]` section, `--resume` restarts a
-//! killed party from its newest durable checkpoint (replaying the
-//! recorded inbound transcript through the deterministic protocol), and
-//! `--supervise` wraps the party in a small supervisor that drives the
-//! `kill_party` chaos fault — really SIGKILLing the child at the
-//! configured level and relaunching it with `--resume`.
+//! killed party: it validates the newest durable checkpoint, re-executes
+//! the deterministic protocol from genesis while its peers replay their
+//! retransmit rings from seq 1, and cross-checks the checkpoint's state
+//! cursors when re-execution reaches that barrier. `--supervise` wraps
+//! the party in a small supervisor that drives the `kill_party` chaos
+//! fault — really SIGKILLing the child at the configured level and
+//! relaunching it with `--resume`.
 
 use crate::checkpoint::{load_latest, scenario_fingerprint, CheckpointError, CliCheckpointSink};
+use crate::json::Json;
 use crate::report;
-use crate::runner::{
-    compute_metric, metric_name_for, prepare, run_party_protocol, CheckpointInstall, Execution,
-};
+use crate::runner::{compute_metric, metric_name_for, prepare, run_party_protocol, Execution};
 use crate::scenario::Scenario;
 use pivot_data::partition_vertically;
 use pivot_transport::tcp::{connect_mesh_restart, connect_mesh_with};
@@ -176,13 +177,22 @@ pub fn run(args: &PartyArgs) -> Result<(), PartyError> {
         report::default_report_path(&args.scenario, &format!("-party{}", args.id))
     });
     let start = Instant::now();
+    // Write a structured error report in place of the result report and
+    // return the typed failure.
+    let fail = |report: Json, err: PartyError| -> Result<(), PartyError> {
+        std::fs::write(&out_path, report.to_pretty())
+            .map_err(|e| format!("cannot write {}: {e}", out_path.display()))?;
+        if !args.quiet {
+            eprintln!("party {} failed: {err}", args.id);
+            eprintln!("error report written to {}", out_path.display());
+        }
+        Err(err)
+    };
 
-    // `--resume`: load the newest durable checkpoint (if any) before
-    // dialing, so the restart handshake can present per-peer delivery
-    // cursors and the recorded transcript can be replayed.
-    let mut delivered = vec![0u64; m];
-    let mut preload: Vec<(usize, Vec<Vec<u8>>)> = Vec::new();
-    let mut resume_verify = None;
+    // `--resume`: validate the newest durable checkpoint (if any) before
+    // dialing. Its cursors are cross-checked when re-execution from
+    // genesis reaches its barrier; the frames come from the peers' rings.
+    let mut checkpoint = CliCheckpointSink::for_party(&scenario, args.id);
     if args.resume {
         let spec = scenario.checkpoint.as_ref().expect("checked above");
         let fingerprint = scenario_fingerprint(&scenario);
@@ -190,22 +200,14 @@ pub fn run(args: &PartyArgs) -> Result<(), PartyError> {
             Ok(Some(file)) => {
                 if !args.quiet {
                     println!(
-                        "party {} resuming from checkpoint ordinal {} (level {}, \
-                         {} recorded peer frames)",
-                        args.id,
-                        file.ordinal,
-                        file.level,
-                        file.peers.iter().map(|(_, f)| f.len()).sum::<usize>(),
+                        "party {} resuming: re-executing from genesis, peers replay from \
+                         seq 1; checkpoint ordinal {} (level {}) is cross-checked",
+                        args.id, file.ordinal, file.level,
                     );
                 }
-                resume_verify = Some((file.ordinal, file.cursors));
-                for (peer, frames) in file.peers {
-                    delivered[peer as usize] = frames.len() as u64;
-                    preload.push((peer as usize, frames));
-                }
+                checkpoint = checkpoint.map(|c| c.with_resume_verify(file.ordinal, file.cursors));
             }
-            // Killed before the first barrier: a fresh start is the
-            // correct resume (peers roll back to cursor 0 and replay).
+            // Killed before the first barrier: nothing to cross-check.
             Ok(None) => {
                 if !args.quiet {
                     println!(
@@ -218,13 +220,7 @@ pub fn run(args: &PartyArgs) -> Result<(), PartyError> {
                 let wall_s = start.elapsed().as_secs_f64();
                 let report =
                     report::party_checkpoint_error_report(&scenario, args.id, &err, wall_s);
-                std::fs::write(&out_path, report.to_pretty())
-                    .map_err(|e| format!("cannot write {}: {e}", out_path.display()))?;
-                if !args.quiet {
-                    eprintln!("party {} failed: {err}", args.id);
-                    eprintln!("error report written to {}", out_path.display());
-                }
-                return Err(PartyError::Checkpoint(Box::new(err)));
+                return fail(report, PartyError::Checkpoint(Box::new(err)));
             }
         }
     }
@@ -236,7 +232,6 @@ pub fn run(args: &PartyArgs) -> Result<(), PartyError> {
             &args.peers,
             scenario.net_config(),
             injector,
-            &delivered,
         )
     } else {
         connect_mesh_with(
@@ -247,7 +242,7 @@ pub fn run(args: &PartyArgs) -> Result<(), PartyError> {
             injector,
         )
     };
-    let mut checkpoint_handle = None;
+    let checkpoint_handle = checkpoint.as_ref().map(CliCheckpointSink::handle);
     let result = connect
         .map_err(|e| {
             // Rendezvous failures are transport failures too: same
@@ -262,32 +257,6 @@ pub fn run(args: &PartyArgs) -> Result<(), PartyError> {
             RunFailure::Transport(err)
         })
         .and_then(|ep| {
-            let checkpoint = if let Some((ordinal, cursors)) = resume_verify {
-                // Replay frames must be queued before the first protocol
-                // receive; the sink then cross-checks the recomputed
-                // cursors against the checkpoint when replay catches up.
-                ep.enable_transcript();
-                for (peer, frames) in preload.drain(..) {
-                    ep.preload_replay(peer, frames);
-                }
-                let spec = scenario.checkpoint.as_ref().expect("checked above");
-                let sink = CliCheckpointSink::new(
-                    PathBuf::from(&spec.dir),
-                    spec.every_levels,
-                    args.id as u64,
-                    m as u64,
-                    scenario_fingerprint(&scenario),
-                )
-                .with_resume_verify(ordinal, cursors);
-                let handle = sink.handle();
-                Some(CheckpointInstall {
-                    sink: Box::new(sink),
-                    handle,
-                })
-            } else {
-                CheckpointInstall::for_party(&scenario, args.id)
-            };
-            checkpoint_handle = checkpoint.as_ref().map(|c| c.handle.clone());
             catch_failures(|| {
                 run_party_protocol(
                     &ep,
@@ -303,41 +272,25 @@ pub fn run(args: &PartyArgs) -> Result<(), PartyError> {
         });
     let wall_s = start.elapsed().as_secs_f64();
 
+    // A checkpoint failure wins over the run's own outcome: a resume that
+    // diverged from its checkpoint usually desynchronises the protocol
+    // too, and a run that could not persist its checkpoints is not a
+    // durable run. Either way the exit code is 13.
+    if let Some(err) = checkpoint_handle.and_then(|h| h.take_error()) {
+        let report = report::party_checkpoint_error_report(&scenario, args.id, &err, wall_s);
+        return fail(report, PartyError::Checkpoint(Box::new(err)));
+    }
     let outcome = match result {
         Ok(outcome) => outcome,
-        Err(failure) => {
-            let (report, party_err) = match failure {
-                RunFailure::Transport(err) => (
-                    report::party_error_report(&scenario, args.id, &err, wall_s),
-                    PartyError::Transport(Box::new(err)),
-                ),
-                RunFailure::Protocol(err) => (
-                    report::party_protocol_error_report(&scenario, args.id, &err, wall_s),
-                    PartyError::Protocol(Box::new(err)),
-                ),
-            };
-            std::fs::write(&out_path, report.to_pretty())
-                .map_err(|e| format!("cannot write {}: {e}", out_path.display()))?;
-            if !args.quiet {
-                eprintln!("party {} failed: {party_err}", args.id);
-                eprintln!("error report written to {}", out_path.display());
-            }
-            return Err(party_err);
+        Err(RunFailure::Transport(err)) => {
+            let report = report::party_error_report(&scenario, args.id, &err, wall_s);
+            return fail(report, PartyError::Transport(Box::new(err)));
+        }
+        Err(RunFailure::Protocol(err)) => {
+            let report = report::party_protocol_error_report(&scenario, args.id, &err, wall_s);
+            return fail(report, PartyError::Protocol(Box::new(err)));
         }
     };
-
-    // A run that finished but could not persist its checkpoints is not a
-    // durable run: surface the first write failure as exit code 13.
-    if let Some(err) = checkpoint_handle.as_ref().and_then(|h| h.take_error()) {
-        let report = report::party_checkpoint_error_report(&scenario, args.id, &err, wall_s);
-        std::fs::write(&out_path, report.to_pretty())
-            .map_err(|e| format!("cannot write {}: {e}", out_path.display()))?;
-        if !args.quiet {
-            eprintln!("party {} failed: {err}", args.id);
-            eprintln!("error report written to {}", out_path.display());
-        }
-        return Err(PartyError::Checkpoint(Box::new(err)));
-    }
 
     // This process hosts exactly one party, so the process-global runtime
     // sink holds only this party's background telemetry.

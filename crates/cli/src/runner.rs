@@ -2,8 +2,10 @@
 //! per-party traffic accounting.
 
 use crate::algo::Algo;
+use crate::checkpoint::CliCheckpointSink;
 use crate::scenario::{ModelKind, ModelSpec, Scenario};
 use pivot_core::baselines::{npd_dt, spdz_dt};
+use pivot_core::checkpoint::CheckpointSink;
 use pivot_core::config::PivotParams;
 use pivot_core::ensemble::{
     predict_gbdt_batch, predict_rf_batch, train_gbdt, train_rf, GbdtProtocolParams,
@@ -96,33 +98,6 @@ pub struct Execution {
     pub runtime_trace: Option<pivot_trace::RuntimeTrace>,
 }
 
-/// A checkpoint sink ready to install on a party, paired with the shared
-/// handle the report plumbing reads counters (and the first write error)
-/// from after the run.
-pub struct CheckpointInstall {
-    pub sink: Box<dyn pivot_core::checkpoint::CheckpointSink>,
-    pub handle: crate::checkpoint::CheckpointHandle,
-}
-
-impl CheckpointInstall {
-    /// The production sink for one party of `scenario`.
-    pub fn for_party(scenario: &Scenario, party: usize) -> Option<CheckpointInstall> {
-        let spec = scenario.checkpoint.as_ref()?;
-        let sink = crate::checkpoint::CliCheckpointSink::new(
-            std::path::PathBuf::from(&spec.dir),
-            spec.every_levels,
-            party as u64,
-            scenario.parties as u64,
-            crate::checkpoint::scenario_fingerprint(scenario),
-        );
-        let handle = sink.handle();
-        Some(CheckpointInstall {
-            sink: Box::new(sink),
-            handle,
-        })
-    }
-}
-
 enum Trained {
     Plain(DecisionTree),
     Concealed(ConcealedTree),
@@ -170,20 +145,14 @@ pub fn run_party_protocol(
     model_spec: &ModelSpec,
     algo: Algo,
     skip_prediction: bool,
-    checkpoint: Option<CheckpointInstall>,
+    checkpoint: Option<CliCheckpointSink>,
 ) -> PartyOutcome {
     // A no-op at the default `TraceLevel::Off`; otherwise this thread
     // records spans until the matching `finish()` below.
     pivot_trace::install(ep.id(), params.trace);
-    // Checkpoints snapshot the *inbound transcript*, so recording must
-    // start before the first setup exchange ever touches the endpoint
-    // (idempotent when `--resume` already enabled it to preload replay).
-    let checkpoint_handle = checkpoint.as_ref().map(|c| c.handle.clone());
-    if checkpoint.is_some() {
-        ep.enable_transcript();
-    }
+    let checkpoint_handle = checkpoint.as_ref().map(CliCheckpointSink::handle);
     let mut ctx = PartyContext::setup(ep, view, params.clone());
-    ctx.checkpoint = checkpoint.map(|c| c.sink);
+    ctx.checkpoint = checkpoint.map(|sink| Box::new(sink) as Box<dyn CheckpointSink>);
 
     let train_start = Instant::now();
     let model = match (&model_spec.kind, algo) {
@@ -364,7 +333,7 @@ pub fn execute(
     let results = try_run_parties_on(endpoints, |ep| {
         let view = train_part.views[ep.id()].clone();
         let test_view = &test_part.views[ep.id()];
-        let checkpoint = CheckpointInstall::for_party(scenario, ep.id());
+        let checkpoint = CliCheckpointSink::for_party(scenario, ep.id());
         run_party_protocol(
             &ep,
             view,

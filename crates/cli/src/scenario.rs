@@ -1185,9 +1185,9 @@ impl Scenario {
         // Deterministic retry/backoff schedules: derived per link from the
         // scenario seed and the party ids (timing only — never bytes).
         net.seed = self.seed;
-        // Checkpointed runs pin retransmit-ring retention to the barrier
-        // cursor instead of the pure LRU caps, so a restarted party can
-        // always be replayed forward from its last durable checkpoint.
+        // Checkpointed runs keep every frame ringed (no ack pruning, no
+        // caps), so a restarted party can be replayed its peers' whole
+        // streams from seq 1.
         net.durable_sessions = self.checkpoint.is_some();
         net
     }

@@ -7,7 +7,8 @@
 
 use pivot_cli::algo::Algo;
 use pivot_cli::checkpoint::{
-    decode_checkpoint, encode_checkpoint, fnv1a64, CheckpointError, CheckpointFile, CKPT_VERSION,
+    decode_checkpoint, encode_checkpoint, fnv1a64, CheckpointError, CheckpointFile,
+    CKPT_FILE_BYTES, CKPT_VERSION,
 };
 use pivot_cli::runner::execute;
 use pivot_cli::scenario::Scenario;
@@ -18,17 +19,17 @@ use proptest::prelude::*;
 /// offline proptest shim has no tuple strategies).
 fn build_file(
     party: u64,
+    parties: u64,
     ordinal: u64,
     level: u64,
     fingerprint: u64,
     cursors: [u64; 6],
-    peer_frames: Vec<Vec<Vec<u8>>>,
 ) -> CheckpointFile {
     let [mpc_rounds, secure_mults, secure_comparisons, nonces_drawn, dealer_rows, bytes_sent] =
         cursors;
     CheckpointFile {
         party,
-        parties: peer_frames.len() as u64 + 1,
+        parties,
         ordinal,
         level,
         fingerprint,
@@ -40,11 +41,6 @@ fn build_file(
             dealer_rows,
             bytes_sent,
         },
-        peers: peer_frames
-            .into_iter()
-            .enumerate()
-            .map(|(i, frames)| (i as u64, frames))
-            .collect(),
     }
 }
 
@@ -56,29 +52,23 @@ fn arb_cursors() -> impl Strategy<Value = [u64; 6]> {
     })
 }
 
-fn arb_peer_frames() -> impl Strategy<Value = Vec<Vec<Vec<u8>>>> {
-    proptest::collection::vec(
-        proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..48), 0..6),
-        0..4,
-    )
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Every well-formed checkpoint file round-trips bit for bit: the
-    /// decoded struct re-encodes to the identical byte string.
+    /// decoded struct re-encodes to the identical, fixed-size byte string.
     #[test]
     fn checkpoint_files_round_trip(
         party in 0u64..4,
+        parties in 1u64..8,
         ordinal in 1u64..64,
         level in 0u64..16,
         fingerprint in any::<u64>(),
         cursors in arb_cursors(),
-        peer_frames in arb_peer_frames(),
     ) {
-        let file = build_file(party, ordinal, level, fingerprint, cursors, peer_frames);
+        let file = build_file(party, parties, ordinal, level, fingerprint, cursors);
         let bytes = encode_checkpoint(&file);
+        prop_assert_eq!(bytes.len() as u64, CKPT_FILE_BYTES);
         let back = decode_checkpoint(&bytes).expect("valid file decodes");
         prop_assert_eq!(&back, &file);
         prop_assert_eq!(encode_checkpoint(&back), bytes);
@@ -99,10 +89,9 @@ proptest! {
     #[test]
     fn truncated_checkpoints_are_rejected(
         cursors in arb_cursors(),
-        peer_frames in arb_peer_frames(),
         cut in any::<u16>(),
     ) {
-        let file = build_file(1, 3, 2, 77, cursors, peer_frames);
+        let file = build_file(1, 3, 3, 2, 77, cursors);
         let bytes = encode_checkpoint(&file);
         let cut = cut as usize % bytes.len();
         prop_assert!(decode_checkpoint(&bytes[..cut]).is_err());
@@ -114,11 +103,10 @@ proptest! {
     #[test]
     fn corrupted_checkpoints_are_rejected(
         cursors in arb_cursors(),
-        peer_frames in arb_peer_frames(),
         flip_at in any::<u16>(),
         xor in 1u8..=255,
     ) {
-        let file = build_file(0, 5, 1, 123, cursors, peer_frames);
+        let file = build_file(0, 3, 5, 1, 123, cursors);
         let mut bytes = encode_checkpoint(&file);
         let i = flip_at as usize % bytes.len();
         bytes[i] ^= xor;
@@ -132,10 +120,9 @@ proptest! {
     #[test]
     fn version_skew_is_typed(
         cursors in arb_cursors(),
-        peer_frames in arb_peer_frames(),
         skew in 1u32..1000,
     ) {
-        let file = build_file(2, 9, 4, 55, cursors, peer_frames);
+        let file = build_file(2, 3, 9, 4, 55, cursors);
         let mut bytes = encode_checkpoint(&file);
         let found = CKPT_VERSION.wrapping_add(skew);
         bytes[4..8].copy_from_slice(&found.to_le_bytes());
@@ -154,7 +141,8 @@ proptest! {
 }
 
 /// Real checkpoint files from all three trainers round-trip bit for bit
-/// through the codec and carry non-trivial state cursors.
+/// through the codec, are fixed-size records (identity and cursors, no
+/// frames), and carry state cursors that advance with the barrier.
 #[test]
 fn trainer_checkpoints_round_trip() {
     let trainers: [(&str, Algo, &str); 3] = [
@@ -196,21 +184,51 @@ fn trainer_checkpoints_round_trip() {
 
         execute(&scenario, algo, true).unwrap_or_else(|e| panic!("{tag} run failed: {e}"));
 
-        let mut saw = 0;
+        let mut files = Vec::new();
         for entry in std::fs::read_dir(&dir).unwrap_or_else(|e| panic!("{tag} dir: {e}")) {
             let p = entry.unwrap().path();
             let bytes = std::fs::read(&p).unwrap();
+            assert_eq!(
+                bytes.len(),
+                104,
+                "{tag} {} is a fixed-size record",
+                p.display()
+            );
             let file = decode_checkpoint(&bytes)
                 .unwrap_or_else(|e| panic!("{tag} {} undecodable: {e}", p.display()));
             assert_eq!(encode_checkpoint(&file), bytes, "{tag} round-trip");
             assert!(file.cursors.mpc_rounds > 0, "{tag} cursors are live");
-            assert!(
-                file.peers.iter().any(|(_, frames)| !frames.is_empty()),
-                "{tag} transcript captured"
-            );
-            saw += 1;
+            files.push(file);
         }
-        assert!(saw >= 2, "{tag} wrote checkpoints for both parties: {saw}");
+        assert!(files.len() >= 2, "{tag} wrote checkpoints for both parties");
+        // Keep-last-2 leaves each party its two newest barriers: the later
+        // one's cursors never fall behind, and its MPC rounds advance.
+        files.sort_by_key(|f| (f.party, f.ordinal));
+        let pairs: Vec<_> = files
+            .windows(2)
+            .filter(|w| w[0].party == w[1].party)
+            .collect();
+        assert_eq!(pairs.len(), 2, "{tag} kept two barriers per party");
+        for pair in pairs {
+            let (a, b) = (&pair[0].cursors, &pair[1].cursors);
+            let fields = |c: &StateCursors| {
+                [
+                    c.mpc_rounds,
+                    c.secure_mults,
+                    c.secure_comparisons,
+                    c.nonces_drawn,
+                    c.dealer_rows,
+                    c.bytes_sent,
+                ]
+            };
+            let (fa, fb) = (fields(a), fields(b));
+            assert!(
+                fa.iter().zip(&fb).all(|(x, y)| x <= y),
+                "{tag} party {} cursors decreased: {a:?} then {b:?}",
+                pair[0].party
+            );
+            assert!(b.mpc_rounds > a.mpc_rounds, "{tag} mpc_rounds grows");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -7,8 +7,9 @@
 //! 1. **Durable resume** — with a `[checkpoint]` section, the supervisor
 //!    (`--supervise`) kills party 1 once its level-2 checkpoint lands on
 //!    disk, waits `restart_after_ms`, and relaunches it with `--resume`.
-//!    The relaunched process replays its recorded inbound transcript
-//!    through the deterministic protocol and rejoins the live mesh; the
+//!    The relaunched process rejoins the live mesh, re-executes the
+//!    deterministic protocol from genesis while the survivors replay
+//!    their retransmit rings from seq 1, and the
 //!    final model, metric, predictions, and payload byte counts match a
 //!    fault-free in-process run exactly. Survivors park at the barrier
 //!    (liveness watchdog) and record `session.rejoins >= 1`.
@@ -166,9 +167,9 @@ fn sigkill_at_level_barrier_resumes_bit_identically() {
         let report = Json::parse(&std::fs::read_to_string(out).unwrap())
             .unwrap_or_else(|e| panic!("party {i} report unparseable: {e}"));
         // Model, metric, and traffic: bit-identical to the fault-free
-        // run. The restarted party recomputes from genesis against its
-        // recorded transcript, so even its byte counters land exactly on
-        // the fault-free totals.
+        // run. The restarted party recomputes from genesis against the
+        // frames its peers replay, so even its byte counters land exactly
+        // on the fault-free totals.
         assert_eq!(
             report.path("evaluation.value").unwrap().as_f64(),
             baseline.path("evaluation.value").unwrap().as_f64(),

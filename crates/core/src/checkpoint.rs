@@ -5,21 +5,21 @@
 //! trees share one frontier; the trees of a boosting round share theirs).
 //! At each one the context snapshots its deterministic progress cursors
 //! and hands them to an optional [`CheckpointSink`]; the sink (the CLI
-//! layer, in practice) serializes the party's durable state and tells the
-//! transport the barrier is persisted so retransmit retention may roll
-//! forward.
+//! layer, in practice) persists the barrier's identity and cursors.
 //!
-//! The protocol itself never branches on the sink: a run with no sink is
-//! bit-identical to one that checkpoints at every level, because the
-//! cursors are read-only snapshots and the sink writes only to disk and the
-//! transport's retention plane (acks/marks are uncounted control frames).
+//! A restarted party does not load protocol state: it re-executes from
+//! genesis while its peers replay their retransmit rings, and the sink
+//! cross-checks the recomputed cursors when re-execution reaches the
+//! checkpointed barrier. The protocol itself never branches on the sink:
+//! a run with no sink is bit-identical to one that checkpoints at every
+//! level, because the cursors are read-only snapshots and the sink writes
+//! only to disk.
 
-use pivot_transport::Endpoint;
-
-/// Deterministic progress counters snapshotted at a barrier. On resume the
-/// re-executed run must reproduce these exactly at the same ordinal — any
-/// mismatch means the scenario or code diverged from the checkpointed run,
-/// so replaying the recorded transcript would desynchronize the protocol.
+/// Deterministic progress counters snapshotted at a barrier. A resumed
+/// party re-executes from genesis and must reproduce these exactly at the
+/// same ordinal — any mismatch means the scenario or code diverged from
+/// the checkpointed run, so the peers' replayed frames no longer match
+/// what this party computes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StateCursors {
     /// MPC communication rounds completed.
@@ -57,9 +57,8 @@ pub struct BarrierMeta {
 /// to call [`CheckpointSink::at_barrier`] at every barrier, in the same
 /// order on every party.
 pub trait CheckpointSink: Send {
-    /// Called at each barrier with the endpoint (for transcript snapshots
-    /// and retention marks) and the barrier's identity.
-    fn at_barrier(&mut self, ep: &Endpoint, meta: &BarrierMeta);
+    /// Called at each barrier with the barrier's identity.
+    fn at_barrier(&mut self, meta: &BarrierMeta);
 }
 
 #[cfg(test)]

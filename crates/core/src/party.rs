@@ -155,9 +155,9 @@ impl<'a> PartyContext<'a> {
     }
 
     fn fire_barrier(&mut self, level: u64) {
-        if self.checkpoint.is_none() {
+        let Some(sink) = self.checkpoint.as_mut() else {
             return;
-        }
+        };
         let _phase = pivot_trace::phase_span("checkpoint");
         let (mpc_rounds, secure_mults, secure_comparisons, _) = self.engine.counters().snapshot();
         let cursors = crate::checkpoint::StateCursors {
@@ -174,10 +174,7 @@ impl<'a> PartyContext<'a> {
             level,
             cursors,
         };
-        let ep = self.ep;
-        if let Some(sink) = self.checkpoint.as_mut() {
-            sink.at_barrier(ep, &meta);
-        }
+        sink.at_barrier(&meta);
     }
 
     /// Worker threads available to this party's batched crypto operations.

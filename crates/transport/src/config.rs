@@ -47,11 +47,11 @@ pub struct NetConfig {
     /// so chaos-run retry schedules are reproducible across hosts; `0`
     /// keeps the legacy fixed-constant seeding.
     pub seed: u64,
-    /// Durable-session mode: retransmit rings keep frames past their ack
-    /// up to the peer's announced checkpoint cursor (barrier-aligned
-    /// retention), so a peer restarting from its last durable checkpoint
-    /// can be replayed forward. Set when the scenario has a
-    /// `[checkpoint]` section; off by default.
+    /// Durable-session mode: retransmit rings never prune — neither acks
+    /// nor the 8192-frame / 64 MiB caps release a frame — so a restarted
+    /// peer, which re-executes from genesis, can be replayed its whole
+    /// stream from seq 1. Set when the scenario has a `[checkpoint]`
+    /// section; off by default, since the rings then grow with the run.
     pub durable_sessions: bool,
 }
 

@@ -6,6 +6,11 @@
 //! over a vector of boxed [`Link`]s. Which backend the links use
 //! (in-process channels, TCP sockets) is invisible above this layer, so
 //! byte counts and protocol behaviour are identical across deployments.
+//!
+//! The endpoint keeps no inbound history: a receive reads its link and
+//! nothing else. A party restarted from a checkpoint re-executes from
+//! genesis and is fed again by its peers' retransmit rings (the restart
+//! splice in [`crate::tcp`]), so no frame is recorded here.
 
 use crate::config::NetConfig;
 use crate::error::{
@@ -67,24 +72,6 @@ pub struct Endpoint {
     /// Scenario fault plan hook ([`Endpoint::set_fault_injector`]);
     /// `note_round` feeds it the deterministic round trigger.
     fault: OnceLock<Arc<FaultInjector>>,
-    /// Checkpoint plane ([`Endpoint::enable_transcript`]): per-peer logs
-    /// of every raw inbound link frame since genesis, plus replay queues
-    /// preloaded from a checkpoint on `--resume`. `None` (the default)
-    /// costs nothing and leaves the transcript byte-identical to builds
-    /// that predate checkpointing.
-    transcript: OnceLock<Vec<Mutex<PeerTranscript>>>,
-}
-
-/// One peer's inbound frame history for the checkpoint plane.
-#[derive(Default)]
-struct PeerTranscript {
-    /// Every raw link frame consumed from this peer, in order, since
-    /// genesis. Checkpoints serialize this log; its length is the durable
-    /// delivery cursor presented in the restart handshake.
-    log: Vec<Vec<u8>>,
-    /// Frames loaded from a checkpoint, served before the live link so a
-    /// restarted party re-executes deterministically up to the barrier.
-    replay: VecDeque<Vec<u8>>,
 }
 
 impl Network {
@@ -147,91 +134,6 @@ impl Endpoint {
             staged: (0..m).map(|_| Mutex::new(Vec::new())).collect(),
             inbox: (0..m).map(|_| Mutex::new(VecDeque::new())).collect(),
             fault: OnceLock::new(),
-            transcript: OnceLock::new(),
-        }
-    }
-
-    /// Switch on the checkpoint plane: from now on every raw inbound
-    /// link frame is logged per peer (protocol state is a deterministic
-    /// function of the seed and this inbound transcript, which is what
-    /// makes checkpoint/restart bit-identical). Must be enabled before
-    /// the first receive; idempotent.
-    pub fn enable_transcript(&self) {
-        let _ = self.transcript.set(
-            (0..self.m)
-                .map(|_| Mutex::new(PeerTranscript::default()))
-                .collect(),
-        );
-    }
-
-    /// Whether [`Endpoint::enable_transcript`] has been called.
-    pub fn transcript_enabled(&self) -> bool {
-        self.transcript.get().is_some()
-    }
-
-    /// Queue checkpointed frames from `from` to be served before the live
-    /// link (restart resume). Requires the transcript plane enabled.
-    pub fn preload_replay(&self, from: usize, frames: Vec<Vec<u8>>) {
-        let t = self.transcript.get().expect("transcript not enabled");
-        t[from]
-            .lock()
-            .expect("transcript poisoned")
-            .replay
-            .extend(frames);
-    }
-
-    /// Durable delivery cursor for `from`: how many raw link frames of
-    /// that peer's stream this endpoint has consumed since genesis.
-    /// Zero when the transcript plane is off.
-    pub fn transcript_consumed(&self, from: usize) -> u64 {
-        self.transcript
-            .get()
-            .map(|t| t[from].lock().expect("transcript poisoned").log.len() as u64)
-            .unwrap_or(0)
-    }
-
-    /// Snapshot the full inbound frame log for `from` (checkpoint
-    /// serialization). Empty when the transcript plane is off.
-    pub fn transcript_frames(&self, from: usize) -> Vec<Vec<u8>> {
-        self.transcript
-            .get()
-            .map(|t| t[from].lock().expect("transcript poisoned").log.clone())
-            .unwrap_or_default()
-    }
-
-    /// Announce the just-written durable checkpoint to every peer (each
-    /// link learns this endpoint's logged-consumed cursor for it), so
-    /// barrier-aligned ring retention can roll forward. Best-effort.
-    pub fn checkpoint_mark_all(&self) {
-        for peer in 0..self.m {
-            if peer == self.id {
-                continue;
-            }
-            self.link(peer)
-                .checkpoint_mark(self.transcript_consumed(peer));
-        }
-    }
-
-    /// Pop the next replayed inbound frame for `from`, if any.
-    fn replay_frame(&self, from: usize) -> Option<Vec<u8>> {
-        let t = self.transcript.get()?;
-        t[from]
-            .lock()
-            .expect("transcript poisoned")
-            .replay
-            .pop_front()
-    }
-
-    /// Append one consumed raw link frame to `from`'s transcript log.
-    /// Replayed frames re-enter the log too, so a checkpoint taken after
-    /// a resume still covers the stream from genesis.
-    fn log_frame(&self, from: usize, bytes: &[u8]) {
-        if let Some(t) = self.transcript.get() {
-            t[from]
-                .lock()
-                .expect("transcript poisoned")
-                .log
-                .push(bytes.to_vec());
         }
     }
 
@@ -402,14 +304,10 @@ impl Endpoint {
             }
         }
         let start = std::time::Instant::now();
-        let bytes = match self.replay_frame(from) {
-            Some(bytes) => bytes,
-            None => match self.link(from).recv_bytes(self.net.recv_timeout) {
-                Ok(bytes) => bytes,
-                Err(e) => self.raise_link_error(from, Direction::Recv, e, start.elapsed()),
-            },
+        let bytes = match self.link(from).recv_bytes(self.net.recv_timeout) {
+            Ok(bytes) => bytes,
+            Err(e) => self.raise_link_error(from, Direction::Recv, e, start.elapsed()),
         };
-        self.log_frame(from, &bytes);
         if pivot_trace::enabled() {
             pivot_trace::add_wait_ns(start.elapsed().as_nanos() as u64);
         }

@@ -54,7 +54,7 @@ pub enum TransportErrorKind {
     PeerLost,
     /// A session resume/restart needed a frame the retransmit ring no
     /// longer holds (eviction outran the peer, or the peer restarted
-    /// from a checkpoint older than the retention floor). The first
+    /// while rings were ack-pruned, i.e. without durable sessions). The first
     /// missing sequence number is in
     /// [`TransportError::missing_seq`].
     ResumeGap,

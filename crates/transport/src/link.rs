@@ -82,14 +82,6 @@ pub trait Link: Send {
     /// once from `Endpoint::from_links`; backends with nothing to report
     /// keep the default no-op.
     fn attach_stats(&self, _stats: &Arc<NetStats>) {}
-
-    /// Announce a durable checkpoint to the peer: the endpoint has
-    /// durably recorded the first `_delivered` frames of the peer's
-    /// stream, so retransmit retention may roll forward. Best-effort and
-    /// transport-internal — backends without barrier-aligned retention
-    /// (in-process channels) keep the default no-op, and a lost
-    /// announcement merely makes the peer retain frames longer.
-    fn checkpoint_mark(&self, _delivered: u64) {}
 }
 
 /// In-process backend: a pair of unbounded channels per peer.

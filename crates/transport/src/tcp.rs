@@ -30,21 +30,21 @@
 //!
 //! # Crash recovery (restart splice)
 //!
-//! A session also survives a full process restart of the peer. The
-//! restarted process dials *every* peer (its own listen port may still be
-//! pinned by the dead incarnation's sockets) with a `HELLO_RESTART`
-//! presenting the durable delivery cursor from its checkpoint. The live
-//! side rolls its retransmit ring back to that barrier and replays
-//! forward; the restarted side re-executes the protocol from scratch and
-//! re-sends its whole outbound stream from seq 1, which the live side
-//! silently dedups by sequence number. Durable-session mode
-//! ([`NetConfig::durable_sessions`]) keeps rings retained past their acks
-//! up to the peer's last-but-one announced checkpoint (`TAG_CKPT`), so
-//! the rollback never hits an evicted frame; if it does anyway, the
-//! session dies loudly with a typed [`LinkError::ResumeGap`]. An optional
-//! per-link heartbeat ([`NetConfig::heartbeat`]) detects silent peers,
-//! and [`NetConfig::rejoin_deadline`] bounds how long survivors park at
-//! the barrier before raising [`LinkError::PeerLost`].
+//! A session also survives a full process restart of the peer, and a
+//! restart is a socket resume from delivery cursor 0. The restarted
+//! process dials *every* peer (its own listen port may still be pinned by
+//! the dead incarnation's sockets) with a `HELLO_RESTART` presenting
+//! cursor 0. The live side rolls its ack horizon back and replays its
+//! ring from seq 1; the restarted side re-executes the protocol from
+//! genesis and re-sends its whole outbound stream from seq 1, which the
+//! live side silently dedups by sequence number. Durable-session mode
+//! ([`NetConfig::durable_sessions`]) never prunes a ring — neither acks
+//! nor the frame/byte caps release a frame — so the replay never hits an
+//! evicted frame; without it, a restart after the first ack dies loudly
+//! with a typed [`LinkError::ResumeGap`]. An optional per-link heartbeat
+//! ([`NetConfig::heartbeat`]) detects silent peers, and
+//! [`NetConfig::rejoin_deadline`] bounds how long survivors park at the
+//! barrier before raising [`LinkError::PeerLost`].
 
 use crate::config::NetConfig;
 use crate::endpoint::{join_parties, Endpoint};
@@ -67,23 +67,19 @@ const MAGIC: [u8; 4] = *b"PVT2";
 const HELLO_LEN: usize = 21;
 const HELLO_INITIAL: u8 = 0;
 const HELLO_RESUME: u8 = 1;
-/// Process-restart splice: the dialer presents its checkpoint's durable
-/// delivery cursor; the live peer rolls its ring back to that barrier
-/// and replays forward, while the dialer's own stream restarts at seq 1
-/// (the peer dedups by sequence number).
+/// Process-restart splice: the dialer presents delivery cursor 0; the
+/// live peer rolls its ack horizon back and replays its ring from seq 1,
+/// while the dialer's own stream restarts at seq 1 (the peer dedups by
+/// sequence number).
 const HELLO_RESTART: u8 = 2;
-/// Stream frame tags.
+/// Stream frame tags. Tag 2 is unassigned and reads as malformed.
 const TAG_DATA: u8 = 0;
 const TAG_ACK: u8 = 1;
-/// Checkpoint announcement: out-of-band like an ack, carrying the
-/// sender's durable delivery cursor for this link. Drives barrier-aligned
-/// ring retention on the receiver (durable-session mode only).
-const TAG_CKPT: u8 = 2;
 /// Liveness heartbeat; carries no state, just resets the staleness clock.
 const TAG_HEARTBEAT: u8 = 3;
 /// Data frame header: tag(1) + seq u64 + len u64.
 const DATA_HEADER: usize = 17;
-/// Control frame (ack / checkpoint / heartbeat): tag(1) + value u64.
+/// Control frame (ack / heartbeat): tag(1) + value u64.
 const ACK_FRAME: usize = 9;
 /// A peer silent for this many heartbeat periods is treated as broken.
 const HEARTBEAT_STALE_FACTOR: u32 = 3;
@@ -212,22 +208,26 @@ struct SessionState {
     delivered: u64,
     /// Last `delivered` value we acked to the peer.
     acked_out: u64,
-    /// Highest outbound sequence the peer has acked (ring is pruned to it).
+    /// Highest outbound sequence the peer has acked (outside durable
+    /// mode the ring is pruned to it).
     peer_acked: u64,
-    /// Unacked outbound frames, for replay on resume.
+    /// Unacked outbound frames, for replay on resume — every frame since
+    /// seq 1 in durable-session mode, for replay on a peer restart.
     ring: VecDeque<(u64, Arc<Vec<u8>>)>,
     ring_bytes: usize,
-    /// Barrier-aligned retention floor (durable-session mode): frames
-    /// with `seq <= retain_floor` may be pruned, everything above must
-    /// stay ringed for a possible peer restart. Lags one checkpoint
-    /// behind `pending_floor` because the peer keeps its last *two*
-    /// checkpoints and may fall back to the older one.
-    retain_floor: u64,
-    /// The peer's most recent `TAG_CKPT` cursor; promoted to
-    /// `retain_floor` when the next announcement arrives.
-    pending_floor: u64,
     /// Last time any bytes arrived from the peer (heartbeat staleness).
     last_heard: Instant,
+}
+
+impl SessionState {
+    /// Release every ringed frame with `seq <= through`.
+    fn prune_ring(&mut self, through: u64) {
+        while self.ring.front().is_some_and(|(seq, _)| *seq <= through) {
+            if let Some((_, old)) = self.ring.pop_front() {
+                self.ring_bytes -= old.len();
+            }
+        }
+    }
 }
 
 struct SessionShared {
@@ -298,7 +298,7 @@ fn write_data_frame(stream: &mut TcpStream, seq: u64, payload: &[u8]) -> io::Res
     stream.write_all(payload)
 }
 
-/// Write one 9-byte control frame (ack / checkpoint / heartbeat).
+/// Write one 9-byte control frame (ack / heartbeat).
 fn write_ctrl_frame(stream: &mut TcpStream, tag: u8, value: u64) -> io::Result<()> {
     let mut buf = [0u8; ACK_FRAME];
     buf[0] = tag;
@@ -334,21 +334,12 @@ fn writer_loop(shared: &Arc<SessionShared>, rx: Receiver<OutJob>) {
             st.next_seq += 1;
             st.ring_bytes += payload.len();
             st.ring.push_back((seq, Arc::clone(&payload)));
-            while st.ring.len() > 1
+            // Durable sessions keep every frame for a peer restarting
+            // from genesis: the caps never evict there.
+            while !shared.net.durable_sessions
+                && st.ring.len() > 1
                 && (st.ring.len() > RING_MAX_FRAMES || st.ring_bytes > RING_MAX_BYTES)
             {
-                // Durable sessions: frames above the retention floor may
-                // still be needed by a peer restarting from its durable
-                // checkpoint — the caps go soft rather than create a
-                // future resume gap.
-                if shared.net.durable_sessions
-                    && st
-                        .ring
-                        .front()
-                        .is_some_and(|(seq, _)| *seq > st.retain_floor)
-                {
-                    break;
-                }
                 if let Some((_, old)) = st.ring.pop_front() {
                     st.ring_bytes -= old.len();
                 }
@@ -465,39 +456,8 @@ fn drain_frames(
                 if delivered > st.peer_acked {
                     st.peer_acked = delivered;
                 }
-                let prune_to = if shared.net.durable_sessions {
-                    delivered.min(st.retain_floor)
-                } else {
-                    delivered
-                };
-                while st.ring.front().is_some_and(|(seq, _)| *seq <= prune_to) {
-                    if let Some((_, old)) = st.ring.pop_front() {
-                        st.ring_bytes -= old.len();
-                    }
-                }
-            }
-            TAG_CKPT => {
-                if buf.len() < ACK_FRAME {
-                    break;
-                }
-                let cursor = u64::from_le_bytes(buf[1..9].try_into().unwrap());
-                consumed += ACK_FRAME;
-                let mut st = shared.state.lock().unwrap();
-                // The peer keeps its last two checkpoints: retention must
-                // cover the *previous* one, so the floor lags one
-                // announcement behind the newest cursor.
-                let released = st.pending_floor;
-                if released > st.retain_floor {
-                    st.retain_floor = released;
-                }
-                if cursor > st.pending_floor {
-                    st.pending_floor = cursor;
-                }
-                let prune_to = st.peer_acked.min(st.retain_floor);
-                while st.ring.front().is_some_and(|(seq, _)| *seq <= prune_to) {
-                    if let Some((_, old)) = st.ring.pop_front() {
-                        st.ring_bytes -= old.len();
-                    }
+                if !shared.net.durable_sessions {
+                    st.prune_ring(delivered);
                 }
             }
             TAG_HEARTBEAT => {
@@ -655,8 +615,8 @@ fn redial(shared: &Arc<SessionShared>) {
         ^ (((shared.local as u64) << 32) | shared.peer as u64);
     let mut rng = XorShift::new(seed);
     // A configured rejoin deadline widens the redial budget to cover a
-    // full process restart of the peer (checkpoint load + re-execution
-    // up to the barrier), anchored at the moment the socket broke.
+    // full process restart of the peer (relaunch and restart dial),
+    // anchored at the moment the socket broke.
     let budget = shared
         .net
         .rejoin_deadline
@@ -748,9 +708,9 @@ fn finish_resume(
     splice_session(shared, stream, peer_delivered, false)
 }
 
-/// Splice a fresh socket into the session after the peer restarted from
-/// a durable checkpoint: the ack horizon rolls *back* to the checkpoint
-/// cursor and everything past it is replayed.
+/// Splice a fresh socket into the session after the peer restarted: the
+/// ack horizon rolls *back* to the presented cursor (0) and everything
+/// past it is replayed.
 fn finish_restart(
     shared: &Arc<SessionShared>,
     stream: TcpStream,
@@ -778,22 +738,14 @@ fn splice_session(
     if let Some(old) = st.stream.take() {
         let _ = old.shutdown(Shutdown::Both);
     }
-    // In durable mode the peer may later restart from a checkpoint older
-    // than its live delivery cursor, so pruning stays bounded by the
-    // retention floor even when the cursor is ahead of it.
-    let prune_to = if shared.net.durable_sessions {
-        peer_delivered.min(st.retain_floor)
-    } else {
-        peer_delivered
-    };
-    while st.ring.front().is_some_and(|(seq, _)| *seq <= prune_to) {
-        if let Some((_, old)) = st.ring.pop_front() {
-            st.ring_bytes -= old.len();
-        }
+    // In durable mode the peer may later restart from genesis, so the
+    // ring keeps even what this peer has already delivered.
+    if !shared.net.durable_sessions {
+        st.prune_ring(peer_delivered);
     }
     if restart {
-        // The peer restarted from its checkpoint: roll the ack horizon
-        // back so its re-sent cumulative acks grow monotonically again.
+        // The peer restarted from genesis: roll the ack horizon back so
+        // its re-sent cumulative acks grow monotonically again.
         st.peer_acked = peer_delivered;
     } else if st.peer_acked < peer_delivered {
         st.peer_acked = peer_delivered;
@@ -818,7 +770,7 @@ fn splice_session(
     let mut replayed = 0u64;
     for (seq, payload) in st.ring.iter() {
         if *seq <= peer_delivered {
-            continue; // retained only for older checkpoints
+            continue; // retained only for a later restart
         }
         write_data_frame(&mut stream, *seq, payload)?;
         replayed += 1;
@@ -857,10 +809,8 @@ pub struct SessionLink {
 }
 
 impl SessionLink {
-    /// `resume_from` is the inbound delivery cursor this session starts
-    /// at: `0` for a fresh rendezvous, the checkpoint's per-peer cursor
-    /// when rebuilding a mesh after a process restart (the peer replays
-    /// its stream from `resume_from + 1`).
+    /// A session on a freshly handshaken socket; both directions start
+    /// at seq 1.
     fn new(
         local: usize,
         peer: usize,
@@ -868,7 +818,6 @@ impl SessionLink {
         redial_addr: Option<String>,
         net: NetConfig,
         injector: Option<Arc<FaultInjector>>,
-        resume_from: u64,
     ) -> io::Result<SessionLink> {
         stream.set_nodelay(true)?;
         stream.set_write_timeout(Some(WRITE_STALL_TIMEOUT))?;
@@ -886,13 +835,11 @@ impl SessionLink {
                 closing: false,
                 dead: None,
                 next_seq: 1,
-                delivered: resume_from,
-                acked_out: resume_from,
+                delivered: 0,
+                acked_out: 0,
                 peer_acked: 0,
                 ring: VecDeque::new(),
                 ring_bytes: 0,
-                retain_floor: 0,
-                pending_floor: 0,
                 last_heard: Instant::now(),
             }),
             cond: Condvar::new(),
@@ -1013,8 +960,8 @@ impl Link for SessionLink {
     fn recv_bytes(&self, timeout: Duration) -> Result<Vec<u8>, LinkError> {
         // Poll in short chunks instead of one blocking wait: a broken
         // session with a rejoin budget must outlast `recv_timeout` while
-        // the peer restarts from its checkpoint, and the wait surfaces as
-        // a `waiting_for_rejoin` gauge so survivors are observable.
+        // the peer restarts, and the wait surfaces as a
+        // `waiting_for_rejoin` gauge so survivors are observable.
         let deadline = Instant::now() + timeout;
         let mut waiting_rejoin = false;
         loop {
@@ -1064,22 +1011,6 @@ impl Link for SessionLink {
 
     fn attach_stats(&self, stats: &Arc<NetStats>) {
         let _ = self.shared.stats.set(Arc::clone(stats));
-    }
-
-    fn checkpoint_mark(&self, delivered: u64) {
-        // Best-effort out-of-band announcement, like an ack: a lost mark
-        // only means the peer retains ringed frames a little longer.
-        let stream = {
-            let st = self.shared.state.lock().unwrap();
-            if st.broken || st.dead.is_some() {
-                return;
-            }
-            st.stream.as_ref().and_then(|s| s.try_clone().ok())
-        };
-        if let Some(mut stream) = stream {
-            let _w = self.shared.write_lock.lock().unwrap();
-            let _ = write_ctrl_frame(&mut stream, TAG_CKPT, delivered);
-        }
     }
 }
 
@@ -1280,7 +1211,7 @@ pub fn connect_mesh_with(
                 ),
             ));
         }
-        let link = SessionLink::new(id, peer, stream, None, net.clone(), injector.clone(), 0)?;
+        let link = SessionLink::new(id, peer, stream, None, net.clone(), injector.clone())?;
         registry.push((peer, Arc::downgrade(&link.shared)));
         links[peer] = Some(Box::new(link));
     }
@@ -1321,7 +1252,6 @@ pub fn connect_mesh_with(
             Some(peers[peer].clone()),
             net.clone(),
             injector.clone(),
-            0,
         )?;
         // Higher-id peers never send a plain RESUME to us (we redial
         // them), but after a full process restart they dial everyone with
@@ -1355,24 +1285,23 @@ pub fn connect_mesh_with(
 /// The restarted process holds no live sockets and its own listen port
 /// may still be pinned by the dead incarnation's connections, so it
 /// always plays the dialer: every peer's rendezvous address is dialed
-/// with a `HELLO_RESTART` presenting `delivered[peer]` — how many frames
-/// of that peer's stream this party had durably consumed at its
-/// checkpoint. Live peers roll their retransmit rings back to that
-/// cursor and replay forward; this side starts each session with the
-/// cursor preloaded and its own outbound stream restarting at seq 1
-/// (peers dedup re-sent frames by sequence number, so deterministic
-/// re-execution converges on the fault-free transcript).
+/// with a `HELLO_RESTART` presenting delivery cursor 0. Live peers roll
+/// their ack horizon back and replay their retransmit rings from seq 1;
+/// this side's own outbound stream restarts at seq 1 too (peers dedup
+/// re-sent frames by sequence number, so deterministic re-execution from
+/// genesis converges on the fault-free transcript). The peers' rings
+/// hold every frame only in durable-session mode
+/// ([`NetConfig::durable_sessions`]); otherwise the splice fails with a
+/// typed [`LinkError::ResumeGap`].
 pub fn connect_mesh_restart(
     id: usize,
     listen: &str,
     peers: &[String],
     net: NetConfig,
     injector: Option<Arc<FaultInjector>>,
-    delivered: &[u64],
 ) -> io::Result<Endpoint> {
     let m = peers.len();
     assert!(id < m, "party id {id} out of range for {m} peers");
-    assert_eq!(delivered.len(), m, "one delivery cursor per party");
     let deadline = Instant::now() + net.connect_timeout;
     let mut links: Vec<Option<Box<dyn Link>>> = (0..m).map(|_| None).collect();
     let mut registry: ResumeRegistry = Vec::new();
@@ -1389,7 +1318,7 @@ pub fn connect_mesh_restart(
         }
         let seed = seed_base ^ (((id as u64) << 32) | peer as u64);
         let mut stream = connect_with_retry(&peers[peer], deadline, &mut dial_retries, seed)?;
-        send_hello(&mut stream, id, HELLO_RESTART, delivered[peer])?;
+        send_hello(&mut stream, id, HELLO_RESTART, 0)?;
         let hello = read_hello(&mut stream, INBOUND_HANDSHAKE_TIMEOUT)?;
         if hello.peer as usize != peer || hello.kind != HELLO_RESTART {
             return Err(io::Error::new(
@@ -1403,15 +1332,7 @@ pub fn connect_mesh_restart(
         // Normal redial rule resumes after the splice: the lower id
         // redials on future breaks.
         let redial_addr = (peer > id).then(|| peers[peer].clone());
-        let link = SessionLink::new(
-            id,
-            peer,
-            stream,
-            redial_addr,
-            net.clone(),
-            injector.clone(),
-            delivered[peer],
-        )?;
+        let link = SessionLink::new(id, peer, stream, redial_addr, net.clone(), injector.clone())?;
         registry.push((peer, Arc::downgrade(&link.shared)));
         links[peer] = Some(Box::new(link));
     }
@@ -1602,7 +1523,7 @@ mod tests {
         send_hello(&mut stream, 0, HELLO_INITIAL, 0).unwrap();
         let hello = read_hello(&mut stream, Duration::from_secs(5)).unwrap();
         assert_eq!(hello.peer, 1);
-        let link = SessionLink::new(0, 1, stream, None, NetConfig::default(), None, 0).unwrap();
+        let link = SessionLink::new(0, 1, stream, None, NetConfig::default(), None).unwrap();
         let err = link.recv_bytes(Duration::from_secs(5)).unwrap_err();
         assert!(
             matches!(err, LinkError::Malformed(_)),
@@ -1633,7 +1554,7 @@ mod tests {
         .unwrap();
         send_hello(&mut stream, 0, HELLO_INITIAL, 0).unwrap();
         read_hello(&mut stream, Duration::from_secs(5)).unwrap();
-        let link = SessionLink::new(0, 1, stream, None, NetConfig::default(), None, 0).unwrap();
+        let link = SessionLink::new(0, 1, stream, None, NetConfig::default(), None).unwrap();
         let err = link.recv_bytes(Duration::from_secs(5)).unwrap_err();
         assert!(matches!(err, LinkError::Malformed(_)), "{err:?}");
         server.join().unwrap();
@@ -1689,14 +1610,23 @@ mod tests {
         assert_eq!(err.peer, Some(1));
     }
 
-    #[test]
-    fn process_restart_splices_with_replay_from_cursor() {
-        // Party 1 consumes 30 frames, "crashes" (drops its endpoint),
-        // then rebuilds the mesh via the restart handshake presenting
-        // cursor 30. Party 0 must roll back and replay 31..=100, and both
-        // sides must count the rejoin.
-        let base = ports(4);
-        let peers = loopback_peers_at(2, base);
+    /// What a durable two-party restart run observed: party 0's echoed
+    /// sum (or its typed failure), its `replayed_frames` and `rejoins`,
+    /// and party 1's second-incarnation sum and `rejoins`.
+    struct RestartRun {
+        echoed: Result<u64, crate::error::TransportError>,
+        replayed0: u64,
+        rejoins0: u64,
+        sum1: u64,
+        rejoins1: u64,
+    }
+
+    /// Party 0 sends `0..frames` to party 1 in durable-session mode.
+    /// Party 1 consumes `consumed` of them, "crashes" (drops its
+    /// endpoint), rebuilds the mesh via the restart handshake, consumes
+    /// the whole stream again from genesis and echoes its sum.
+    fn durable_restart(frames: u64, consumed: u64) -> RestartRun {
+        let peers = loopback_peers_at(2, ports(4));
         let net = NetConfig {
             durable_sessions: true,
             recv_timeout: Duration::from_secs(20),
@@ -1707,33 +1637,61 @@ mod tests {
         let net0 = net.clone();
         let p0 = thread::spawn(move || {
             let ep = connect_mesh(0, &peers0[0], &peers0, net0).expect("party 0 mesh");
-            for i in 0..100u64 {
+            for i in 0..frames {
                 ep.send(1, &i);
             }
-            let sum: u64 = ep.recv(1);
-            (sum, ep.stats().rejoins())
+            let echoed = catch_transport(|| ep.recv::<u64>(1));
+            (echoed, ep.stats().replayed_frames(), ep.stats().rejoins())
         });
         let p1 = thread::spawn(move || {
             let ep = connect_mesh(1, &peers[1], &peers, net.clone()).expect("party 1 mesh");
-            let mut sum = 0u64;
-            for _ in 0..30 {
-                sum += ep.recv::<u64>(0);
+            for _ in 0..consumed {
+                ep.recv::<u64>(0);
             }
-            drop(ep); // simulated crash after durably consuming 30 frames
-            let ep = connect_mesh_restart(1, &peers[1], &peers, net, None, &[30, 0])
+            drop(ep); // simulated crash
+            let ep = connect_mesh_restart(1, &peers[1], &peers, net, None)
                 .expect("party 1 restart mesh");
-            for _ in 0..70 {
-                sum += ep.recv::<u64>(0);
-            }
+            let sum: u64 = (0..frames).map(|_| ep.recv::<u64>(0)).sum();
             ep.send(0, &sum);
             (sum, ep.stats().rejoins())
         });
-        let (echoed, rejoins0) = p0.join().unwrap();
-        let (sum, rejoins1) = p1.join().unwrap();
-        assert_eq!(sum, 4950, "restart must not lose or duplicate frames");
-        assert_eq!(echoed, 4950);
-        assert!(rejoins0 >= 1, "survivor should count the rejoin");
-        assert_eq!(rejoins1, 1, "restarted party counts one spliced session");
+        let (echoed, replayed0, rejoins0) = p0.join().unwrap();
+        let (sum1, rejoins1) = p1.join().unwrap();
+        RestartRun {
+            echoed,
+            replayed0,
+            rejoins0,
+            sum1,
+            rejoins1,
+        }
+    }
+
+    #[test]
+    fn restart_replays_the_survivors_ring_from_seq_1() {
+        // The second incarnation presents cursor 0: party 0 must replay
+        // all 100 frames, not just the 70 the first one never consumed.
+        let run = durable_restart(100, 30);
+        assert_eq!(run.sum1, 4950, "restart must not lose or duplicate frames");
+        assert_eq!(run.echoed, Ok(4950));
+        assert!(run.replayed0 >= 100, "replayed {}", run.replayed0);
+        assert!(run.rejoins0 >= 1, "survivor should count the rejoin");
+        assert_eq!(
+            run.rejoins1, 1,
+            "restarted party counts one spliced session"
+        );
+    }
+
+    #[test]
+    fn durable_ring_outlives_the_caps() {
+        // More frames than `RING_MAX_FRAMES`, all consumed and acked
+        // before the restart: a durable ring still holds seq 1.
+        let frames = 10_000u64;
+        assert!(frames as usize > RING_MAX_FRAMES);
+        let run = durable_restart(frames, frames);
+        let expected = frames * (frames - 1) / 2;
+        assert_eq!(run.echoed, Ok(expected), "no resume gap");
+        assert_eq!(run.sum1, expected);
+        assert!(run.replayed0 >= frames, "replayed {}", run.replayed0);
     }
 
     #[test]
@@ -1764,7 +1722,7 @@ mod tests {
             drop(ep);
             // Cursor 0 despite 200 delivered: the ring was ack-pruned, so
             // the survivor must refuse with a typed gap, not replay junk.
-            let ep = connect_mesh_restart(1, &peers[1], &peers, net, None, &[0, 0])
+            let ep = connect_mesh_restart(1, &peers[1], &peers, net, None)
                 .expect("restart dial itself succeeds");
             catch_transport(|| ep.recv::<u64>(0))
         });
@@ -1811,7 +1769,7 @@ mod tests {
         };
         // Acceptor side (no redial_addr): parks at the barrier, then
         // raises PeerLost once the rejoin budget is spent.
-        let link = SessionLink::new(0, 1, stream, None, net, None, 0).unwrap();
+        let link = SessionLink::new(0, 1, stream, None, net, None).unwrap();
         let start = Instant::now();
         let err = link.recv_bytes(Duration::from_secs(8)).unwrap_err();
         assert!(
