@@ -28,7 +28,7 @@ pub fn train(ctx: &mut PartyContext<'_>) -> DecisionTree {
 
     let mask = vec![true; ctx.num_samples()];
     let mut nodes = Vec::new();
-    let root = build_node(ctx, &local, &layout, &labels, mask, 0, &mut nodes);
+    let root = build_subtree(ctx, &local, &layout, &labels, mask, 0, &mut nodes);
     DecisionTree::new(nodes, root, ctx.current_task())
 }
 
@@ -42,7 +42,7 @@ fn label_rows(task: Task, labels: &[f64]) -> Vec<Vec<f64>> {
     }
 }
 
-fn build_node(
+fn build_subtree(
     ctx: &mut PartyContext<'_>,
     local: &LocalSplits,
     layout: &SplitLayout,
@@ -177,8 +177,8 @@ fn build_node(
         .map(|(&m, &l)| m && !l)
         .collect();
 
-    let left = build_node(ctx, local, layout, labels, left_mask, depth + 1, nodes);
-    let right = build_node(ctx, local, layout, labels, right_mask, depth + 1, nodes);
+    let left = build_subtree(ctx, local, layout, labels, left_mask, depth + 1, nodes);
+    let right = build_subtree(ctx, local, layout, labels, right_mask, depth + 1, nodes);
     nodes.push(Node::Internal {
         feature: feature_global,
         threshold,

@@ -5,8 +5,8 @@
 //! same plaintext tree Pivot-Basic produces.
 
 use crate::gain::{
-    best_split_batch, leaf_label_shares_batch, prune_decisions_batch, reveal_identifier,
-    split_gains_batch, NodeShares, NodeTotals,
+    best_split_batch, leaf_label_shares_batch, prune_decisions_batch, split_gains_batch,
+    NodeShares, NodeTotals,
 };
 use crate::party::PartyContext;
 use crate::stats::{LocalSplits, SplitLayout};
@@ -74,7 +74,7 @@ pub fn train(ctx: &mut PartyContext<'_>) -> DecisionTree {
     // 3. Recursive CART with a shared node mask.
     let root_mask: Vec<Share> = (0..n).map(|_| Share::from_public(party, Fp::ONE)).collect();
     let mut nodes = Vec::new();
-    let root = build_node(
+    let root = build_subtree(
         ctx,
         &local,
         &layout,
@@ -127,7 +127,7 @@ fn share_label_rows(ctx: &mut PartyContext<'_>) -> Vec<Vec<Share>> {
 }
 
 #[allow(clippy::too_many_arguments)]
-fn build_node(
+fn build_subtree(
     ctx: &mut PartyContext<'_>,
     local: &LocalSplits,
     layout: &SplitLayout,
@@ -215,8 +215,9 @@ fn build_node(
 
     let node_shares = NodeShares { n_l, g_l, totals };
     let gains = split_gains_batch(ctx, &[&node_shares]);
-    let (best_idx, _) = best_split_batch(ctx, &gains)[0];
-    let (winner, local_feature, split_idx) = reveal_identifier(ctx, layout, best_idx);
+    let best_idx = best_split_batch(ctx, &gains)[0];
+    let opened = ctx.engine.open(best_idx).value() as usize;
+    let (winner, local_feature, split_idx) = layout.locate(opened);
     let global = layout.global_index(winner, local_feature, split_idx);
 
     // The winner reveals the plaintext threshold (the model is public).
@@ -233,7 +234,7 @@ fn build_node(
     let left_mask = ctx.engine.mul_vec(&mask, &indicators[global]);
     let right_mask: Vec<Share> = mask.iter().zip(&left_mask).map(|(&a, &l)| a - l).collect();
 
-    let left = build_node(
+    let left = build_subtree(
         ctx,
         local,
         layout,
@@ -243,7 +244,7 @@ fn build_node(
         depth + 1,
         nodes,
     );
-    let right = build_node(
+    let right = build_subtree(
         ctx,
         local,
         layout,

@@ -193,7 +193,7 @@ fn train_residual_trees(
         })
         .collect();
     ctx.task_override = Some(Task::Regression);
-    let trees = train_from_roots(ctx, roots, codec);
+    let trees = train_from_roots(ctx, roots, codec, None);
     ctx.task_override = None;
     trees
 }

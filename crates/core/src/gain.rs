@@ -227,17 +227,6 @@ fn remove_label_offset(ctx: &PartyContext<'_>, node: &mut NodeShares) {
     node.totals.g[1] = g2;
 }
 
-/// Basic protocol: open the winning index and map it to the public
-/// identifier `(i*, j*, s*)`.
-pub fn reveal_identifier(
-    ctx: &mut PartyContext<'_>,
-    layout: &SplitLayout,
-    idx: Share,
-) -> (usize, usize, usize) {
-    let opened = ctx.engine.open(idx).value() as usize;
-    layout.locate(opened)
-}
-
 /// Secure pruning decisions (opened bits): per node, too small or — when
 /// `check_purity` — pure. One comparison unit and one opening round for the
 /// entire frontier (small tests, and purity maxima in a lockstep
@@ -453,16 +442,17 @@ pub fn split_gains_batch(ctx: &mut PartyContext<'_>, nodes: &[&NodeShares]) -> V
     })
 }
 
-/// Secure argmax over each node's gains; returns `(⟨global split index⟩,
-/// ⟨gain⟩)` per node. Every frontier node's argmax ladder runs in lockstep
-/// (shared comparison rounds, all-pairs tail).
-pub fn best_split_batch(ctx: &mut PartyContext<'_>, gains: &[Vec<Share>]) -> Vec<(Share, Share)> {
+/// Secure argmax over each node's gains; returns `⟨global split index⟩`
+/// per node. Every frontier node's argmax ladder runs in lockstep (shared
+/// comparison rounds, all-pairs tail).
+pub fn best_split_batch(ctx: &mut PartyContext<'_>, gains: &[Vec<Share>]) -> Vec<Share> {
     if gains.is_empty() {
         return Vec::new();
     }
     let k = gain_width(ctx);
     ctx.metrics.time(Stage::MpcComputation, || {
-        ctx.engine.argmax_many_bounded(gains, k)
+        let best = ctx.engine.argmax_many_bounded(gains, k);
+        best.into_iter().map(|(idx, _)| idx).collect()
     })
 }
 

@@ -47,11 +47,6 @@ impl<T> Sides<T> {
 }
 
 impl Sides<bool> {
-    pub const BOTH: Sides<bool> = Sides {
-        left: true,
-        right: true,
-    };
-
     pub fn any(self) -> bool {
         self.left || self.right
     }

@@ -17,6 +17,8 @@
 //! one-root case of [`train_with_masks`].
 
 use crate::config::LabelSource;
+use crate::dp::DpParams;
+use crate::gain::{best_split_batch, leaf_label_shares_batch, prune_decisions_batch, NodeTotals};
 use crate::masks::{initial_mask, update_vectors_plain, Sides};
 use crate::metrics::Stage;
 use crate::party::PartyContext;
@@ -56,15 +58,18 @@ pub fn train_with_masks(
         })
         .collect();
     let codec = ctx.packing_codec(LabelSource::of_task(ctx.current_task()));
-    train_from_roots(ctx, roots, &codec)
+    train_from_roots(ctx, roots, &codec, None)
 }
 
 /// Train from explicit root vectors laid out in the slots of `codec` (the
-/// GBDT entry point: its roots carry the residual label vectors).
+/// GBDT entry point: its roots carry the residual label vectors). With
+/// `noise`, the prune, leaf and split queries are §9.2's DP mechanisms
+/// (`crate::dp`).
 pub(crate) fn train_from_roots(
     ctx: &mut PartyContext<'_>,
     roots: Vec<NodeMask>,
     codec: &SlotCodec,
+    noise: Option<DpParams>,
 ) -> Vec<DecisionTree> {
     let (local, layout) = {
         let _setup = pivot_trace::phase_span("setup");
@@ -75,6 +80,7 @@ pub(crate) fn train_from_roots(
     let mut reveal = Reveal {
         purity_check: ctx.params.tree.stop_when_pure
             && roots.iter().all(|root| matches!(root, NodeMask::Alpha(_))),
+        noise,
         pending_leaves: Vec::new(),
     };
     let task = ctx.current_task();
@@ -102,10 +108,14 @@ impl ArenaNode for Node {
 /// §4 disclosure: leaf labels and winning split identifiers are opened —
 /// both through the engine's deferred queue, so one round per level
 /// settles every leaf label and every winner index — and the winner
-/// announces its feature and plaintext threshold.
+/// announces its feature and plaintext threshold. With `noise` set, what
+/// is opened are the answers of §9.2's DP queries.
 struct Reveal {
-    /// `tree.stop_when_pure`, for trees on the super client's own labels.
+    /// `tree.stop_when_pure`, for exact trees on the super client's own
+    /// labels.
     purity_check: bool,
+    /// The DP trainer's budget: its queries replace the exact ones.
+    noise: Option<DpParams>,
     /// `(arena slot, deferred-open ticket)` of leaf labels queued since
     /// the last opening round.
     pending_leaves: Vec<(usize, usize)>,
@@ -134,8 +144,25 @@ impl Reveal {
 impl Disclosure for Reveal {
     type Node = Node;
 
-    fn purity_check(&self) -> bool {
-        self.purity_check
+    fn prune(&self, ctx: &mut PartyContext<'_>, nodes: &[&NodeTotals]) -> Vec<bool> {
+        match &self.noise {
+            Some(dp) => dp.prune(ctx, nodes),
+            None => prune_decisions_batch(ctx, nodes, self.purity_check),
+        }
+    }
+
+    fn leaf_labels(&self, ctx: &mut PartyContext<'_>, nodes: &[&NodeTotals]) -> Vec<Share> {
+        match &self.noise {
+            Some(dp) => dp.leaf_labels(ctx, nodes),
+            None => leaf_label_shares_batch(ctx, nodes),
+        }
+    }
+
+    fn best_splits(&self, ctx: &mut PartyContext<'_>, gains: &[Vec<Share>]) -> Vec<Share> {
+        match &self.noise {
+            Some(dp) => dp.best_splits(ctx, gains),
+            None => best_split_batch(ctx, gains),
+        }
     }
 
     fn settle_leaves(

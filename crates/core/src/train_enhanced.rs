@@ -148,11 +148,6 @@ impl Disclosure for Conceal {
         }
     }
 
-    /// No purity check: it would leak a bit about the concealed labels.
-    fn purity_check(&self) -> bool {
-        false
-    }
-
     /// ONE share→ciphertext conversion for every leaf of the level.
     fn settle_leaves(
         &mut self,

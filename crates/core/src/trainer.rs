@@ -1,5 +1,5 @@
 //! Algorithm 3 as one level-wise loop, shared by the basic (§4) and
-//! enhanced (§5.2) protocols.
+//! enhanced (§5.2) protocols and the DP trees of §9.2.
 //!
 //! The whole tree frontier advances one depth at a time through batched
 //! stages: one statistics pass and one Algorithm-2 conversion, one prune
@@ -87,11 +87,15 @@
 //!
 //! # Disclosure
 //!
-//! The two protocols differ in what they disclose, and only there — the
-//! hooks of [`Disclosure`]: whether a mask refresh precedes multi-slot
-//! statistics, whether purity may be tested, how a leaf label is settled
-//! (opened vs re-encrypted), and how a winning split is settled — the
-//! winning column picked and the masks updated (announced vs concealed).
+//! The trainers differ in what they disclose, and only there — the hooks
+//! of [`Disclosure`]: whether a mask refresh precedes multi-slot
+//! statistics; the three per-node queries, each one batch per level —
+//! prune, leaf label and best split; how a leaf label is settled (opened
+//! vs re-encrypted); and how a winning split is settled (announced vs
+//! concealed). The third disclosure is the DP tree of §9.2 (`crate::dp`):
+//! the basic protocol with noisy queries. A depth-forced leaf is asked the
+//! leaf query, a pruned node prune then leaf, a split node prune then
+//! split — what a node-by-node recursion asks each node.
 
 use crate::conversion::packed_ciphers_to_shares;
 use crate::gain::{
@@ -124,7 +128,7 @@ pub(crate) enum NodeMask {
 
 impl NodeMask {
     /// `[α]` of a node that carries nothing else — the only kind the
-    /// enhanced protocol and the DP trainer grow.
+    /// enhanced protocol grows.
     pub fn alpha_mut(&mut self) -> &mut Vec<Ciphertext> {
         match self {
             NodeMask::Alpha(alpha) => alpha,
@@ -178,9 +182,21 @@ pub(crate) trait Disclosure {
     /// audit budgets are linearized here.
     fn refresh_masks(&mut self, _ctx: &mut PartyContext<'_>, _masks: &mut [&mut NodeMask]) {}
 
-    /// Whether the prune test may include "the node is pure" — one bit
-    /// about the labels.
-    fn purity_check(&self) -> bool;
+    /// The prune query: per frontier node, whether it has too few samples
+    /// (or, where the protocol may leak that bit, is pure).
+    fn prune(&self, ctx: &mut PartyContext<'_>, nodes: &[&NodeTotals]) -> Vec<bool> {
+        prune_decisions_batch(ctx, nodes, false)
+    }
+
+    /// The leaf query: the label share of every node that stops.
+    fn leaf_labels(&self, ctx: &mut PartyContext<'_>, nodes: &[&NodeTotals]) -> Vec<Share> {
+        leaf_label_shares_batch(ctx, nodes)
+    }
+
+    /// The split query: per surviving node, `⟨s*⟩` from its gains.
+    fn best_splits(&self, ctx: &mut PartyContext<'_>, gains: &[Vec<Share>]) -> Vec<Share> {
+        best_split_batch(ctx, gains)
+    }
 
     /// Settle the leaf labels (shares, aligned with `slots`) of the nodes
     /// that stop at this level.
@@ -292,7 +308,7 @@ pub(crate) fn grow_tree<D: Disclosure>(
                     (node.slot, totals.expect("max_depth ≥ 1: not a root"))
                 })
                 .unzip();
-            let labels = leaf_label_shares_batch(ctx, &totals);
+            let labels = protocol.leaf_labels(ctx, &totals);
             protocol.settle_leaves(ctx, slots, labels, &mut arena);
             protocol.flush_leaves(ctx, &mut arena);
             break;
@@ -336,7 +352,7 @@ pub(crate) fn grow_tree<D: Disclosure>(
         } else {
             let _gain = pivot_trace::phase_span("gain");
             let totals: Vec<&NodeTotals> = node_shares.iter().map(|s| &s.totals).collect();
-            prune_decisions_batch(ctx, &totals, protocol.purity_check())
+            protocol.prune(ctx, &totals)
         };
 
         // Pruned nodes: leaf labels in one batch.
@@ -348,7 +364,7 @@ pub(crate) fn grow_tree<D: Disclosure>(
                 .zip(&pruned)
                 .filter_map(|((node, shares), &stop)| stop.then_some((node.slot, &shares.totals)))
                 .unzip();
-            let labels = leaf_label_shares_batch(ctx, &stopped);
+            let labels = protocol.leaf_labels(ctx, &stopped);
             protocol.settle_leaves(ctx, slots, labels, &mut arena);
         }
 
@@ -363,10 +379,7 @@ pub(crate) fn grow_tree<D: Disclosure>(
             let _gain = pivot_trace::phase_span("gain");
             let refs: Vec<&NodeShares> = stats.iter().collect();
             let gains = split_gains_batch(ctx, &refs);
-            best_split_batch(ctx, &gains)
-                .into_iter()
-                .map(|(idx, _)| idx)
-                .collect()
+            protocol.best_splits(ctx, &gains)
         };
         let survivors: Vec<Survivor<'_>> = live
             .into_iter()
@@ -393,7 +406,7 @@ pub(crate) fn grow_tree<D: Disclosure>(
 
 /// One statistics pass — label vectors, encrypted dot products, pooling —
 /// and ONE Algorithm-2 conversion over the nodes that hold `masks`.
-pub(crate) fn level_statistics(
+fn level_statistics(
     ctx: &mut PartyContext<'_>,
     local: &LocalSplits,
     layout: &SplitLayout,

@@ -240,3 +240,87 @@ fn dp_noise_actually_randomizes_small_budget() {
         "tiny ε must randomize the root split; got {distinct:?}"
     );
 }
+
+#[test]
+fn dp_trees_pay_the_level_steps_costs() {
+    // A DP tree is grown by the basic protocol's level step: at a full
+    // tree it converts exactly the statistics the exact trainer converts
+    // (root and left children only, no pass at a leaf).
+    let data = crisp_dataset();
+    let tree_params = TreeParams {
+        max_depth: 2,
+        max_splits: 4,
+        stop_when_pure: false,
+        ..Default::default()
+    };
+    let partition = partition_vertically(&data, 2, 0);
+    let p = params(tree_params);
+    let dp = DpParams {
+        epsilon_per_query: 8.0,
+    };
+    let run = |private: bool| {
+        run_parties(2, |ep| {
+            let view = partition.views[ep.id()].clone();
+            let mut ctx = PartyContext::setup(&ep, view, p.clone());
+            let tree = if private {
+                train_dp(&mut ctx, &dp)
+            } else {
+                pivot_core::train_basic::train(&mut ctx)
+            };
+            (tree, ctx.metrics.threshold_decryptions())
+        })
+        .remove(0)
+    };
+    let (exact, exact_decryptions) = run(false);
+    let (private, private_decryptions) = run(true);
+    assert_eq!(exact.nodes().len(), 7, "the exact tree is full");
+    assert_eq!(private.nodes().len(), 7, "the DP tree is full");
+    assert_eq!(private_decryptions, exact_decryptions);
+}
+
+#[test]
+fn dp_regression_leaves_are_noisy_means() {
+    let data = synth::make_regression(&synth::RegressionSpec {
+        samples: 30,
+        features: 4,
+        informative: 2,
+        noise: 0.01,
+        seed: 3,
+    });
+    let tree_params = TreeParams {
+        max_depth: 2,
+        max_splits: 3,
+        stop_when_pure: false,
+        ..Default::default()
+    };
+    let partition = partition_vertically(&data, 2, 0);
+    let p = params(tree_params);
+    let dp = DpParams {
+        epsilon_per_query: 8.0,
+    };
+    let trees = run_parties(2, |ep| {
+        let view = partition.views[ep.id()].clone();
+        let mut ctx = PartyContext::setup(&ep, view, p.clone());
+        train_dp(&mut ctx, &dp)
+    });
+    assert_eq!(trees[0], trees[1]);
+    for node in trees[0].nodes() {
+        if let pivot_trees::Node::Leaf { value } = node {
+            assert!(value.is_finite(), "leaf {value}");
+        }
+    }
+    // A constant predictor's MSE (the labels' variance) bounds the MSE of
+    // any partition's leaf means; the leaf noise (scale 2/(2·8)) is far
+    // below the labels' spread.
+    let labels = data.labels();
+    let mean = labels.iter().sum::<f64>() / labels.len() as f64;
+    let variance = labels.iter().map(|y| (y - mean).powi(2)).sum::<f64>() / labels.len() as f64;
+    let mse = (0..data.num_samples())
+        .map(|i| (trees[0].predict(data.sample(i)) - labels[i]).powi(2))
+        .sum::<f64>()
+        / labels.len() as f64;
+    assert!(
+        mse < variance,
+        "training MSE {mse} vs label variance {variance}"
+    );
+}

@@ -6,16 +6,12 @@ use crate::engine::MpcEngine;
 use crate::field::Fp;
 use crate::share::Share;
 
-/// Algorithm 5: sample `⟨X⟩ ~ Laplace(mu, b)` in secret-shared form.
+/// Algorithm 5, vectorized: `count` independent samples
+/// `⟨X⟩ ~ Laplace(mu, b)` in secret-shared form.
 ///
 /// Follows the paper exactly: draw uniform `⟨U⟩ ∈ (−1/2, 1/2)`, extract the
 /// sign and magnitude with secure comparison/selection, and apply the
 /// inverse CDF `X = µ − b · sgn(U) · ln(1 − 2|U|)`.
-pub fn laplace_sample(engine: &mut MpcEngine<'_>, mu: f64, b: f64) -> Share {
-    laplace_sample_vec(engine, mu, b, 1)[0]
-}
-
-/// Vectorized Algorithm 5: `count` independent Laplace samples.
 pub fn laplace_sample_vec(engine: &mut MpcEngine<'_>, mu: f64, b: f64, count: usize) -> Vec<Share> {
     let party = engine.party();
     let cfg = engine.cfg;
@@ -57,56 +53,51 @@ pub fn laplace_sample_vec(engine: &mut MpcEngine<'_>, mu: f64, b: f64, count: us
         .collect()
 }
 
-/// Algorithm 6: select a secretly shared index from `scores` with the
-/// exponential mechanism (`Pr[r] ∝ exp(ε·score_r / 2Δ)`).
+/// Algorithm 6 per row of `rows` (one width): a secretly shared index
+/// drawn with the exponential mechanism (`Pr[r] ∝ exp(ε·score_r / 2Δ)`).
 ///
-/// Returns `⟨index⟩`. Uses the max-shift form of the softmax so the
-/// normalizing sum stays in `[1, R]` for the secure reciprocal.
+/// Returns `⟨index⟩` per row. Uses the max-shift form of the softmax so
+/// every normalizing sum stays in `[1, R]` for the secure reciprocal; all
+/// rows share one scaling, one softmax and one interval test.
 pub fn exponential_mechanism(
     engine: &mut MpcEngine<'_>,
-    scores: &[Share],
+    rows: &[Vec<Share>],
     epsilon: f64,
     sensitivity: f64,
-) -> Share {
-    let r = scores.len();
-    assert!(r >= 1, "need at least one candidate");
+) -> Vec<Share> {
+    let Some(r) = rows.first().map(Vec::len) else {
+        return Vec::new();
+    };
+    assert!(
+        r >= 1 && rows.iter().all(|row| row.len() == r),
+        "rows share one non-zero width"
+    );
     let party = engine.party();
 
     // Scaled scores ε·s/(2Δ) (public scaling), then probabilities via the
     // shifted secure softmax (lines 1–2 of Algorithm 6, with the standard
     // max-shift so the sum is at least 1).
-    let scale = epsilon / (2.0 * sensitivity);
-    let scaled = engine.fixscale_vec(scores, scale);
+    let scaled = engine.fixscale_vec(&rows.concat(), epsilon / (2.0 * sensitivity));
     let probs = engine.softmax_rows(&scaled, r);
 
-    // Cumulative distribution F_r (line 5–7; linear, no communication).
-    let mut cums = Vec::with_capacity(r);
-    let mut acc = Share::ZERO;
-    for &p in &probs {
-        acc = acc + p;
-        cums.push(acc);
-    }
-
-    // Uniform ⟨U⟩ ∈ [0, 1) and the interval test (lines 8–14).
+    // Per row, a uniform ⟨U⟩ ∈ [0, 1) against the cumulative distribution
+    // F_j (lines 5–14; the prefix sums are linear, no communication).
     let cfg = engine.cfg;
-    let u = Share(engine.dealer_mut().random_unit_fraction(&cfg));
-    // b_j = 1[U < F_j]; the selected index is Σ_j j·(b_j − b_{j−1}), which
-    // is linear in the b_j: Σ_j j·b_j − Σ_j j·b_{j-1} = Σ_j (j)·b_j − (j+1)·b_j + (R−1)·b_{R−1}…
-    // equivalently index = (R−1) − Σ_{j<R−1} b_j  …because b is a step
-    // function: b_j = 1 exactly for j ≥ selected index.
-    let diffs: Vec<Share> = cums.iter().map(|&f| u - f).collect();
-    // U ∈ [0, 1) and F_j ∈ (0, 1 + ulp]: the interval tests compare
-    // bounded uniform draws, so f + 3 bits suffice.
-    let bs = engine.ltz_vec_bounded(&diffs, cfg.frac_bits + 3); // b_j = 1[U < F_j]
-    let mut index = Share::from_public(party, Fp::new(r as u64 - 1));
-    for b in bs.iter().take(r - 1) {
-        index = index - *b;
+    let mut diffs = Vec::with_capacity(probs.len());
+    for row in probs.chunks(r) {
+        let u = Share(engine.dealer_mut().random_unit_fraction(&cfg));
+        let mut cum = Share::ZERO;
+        for &p in row {
+            cum = cum + p;
+            diffs.push(u - cum);
+        }
     }
-    index
-}
-
-#[cfg(test)]
-mod tests {
-    // End-to-end DP tests need multiple parties; they live in the crate's
-    // integration tests (tests/engine.rs) where a party harness exists.
+    // b_j = 1[U < F_j] is a step function, 1 exactly for j ≥ the selected
+    // index, so index = (R − 1) − Σ_{j<R−1} b_j. U ∈ [0, 1) and
+    // F_j ∈ (0, 1 + ulp]: the tests compare bounded uniform draws, so
+    // f + 3 bits suffice.
+    let bs = engine.ltz_vec_bounded(&diffs, cfg.frac_bits + 3);
+    let last = Share::from_public(party, Fp::new(r as u64 - 1));
+    let index = |b: &[Share]| b[..r - 1].iter().fold(last, |index, &b| index - b);
+    bs.chunks(r).map(index).collect()
 }

@@ -44,17 +44,21 @@ impl FixedConfig {
         );
     }
 
+    /// Whether [`Self::encode`] accepts `x`.
+    pub fn encodable(&self, x: f64) -> bool {
+        let scaled = (x * (1u64 << self.frac_bits) as f64).round();
+        x.is_finite() && scaled.abs() < (1i64 << (self.int_bits - 1)) as f64
+    }
+
     /// Encode a real as a field element.
     pub fn encode(&self, x: f64) -> Fp {
         assert!(x.is_finite(), "cannot encode NaN/inf");
-        let scaled = (x * (1u64 << self.frac_bits) as f64).round();
-        let bound = (1i64 << (self.int_bits - 1)) as f64;
         assert!(
-            scaled.abs() < bound,
+            self.encodable(x),
             "value {x} overflows the {}-bit fixed-point range",
             self.int_bits
         );
-        Fp::from_i64(scaled as i64)
+        Fp::from_i64((x * (1u64 << self.frac_bits) as f64).round() as i64)
     }
 
     /// Decode a field element at scale level 1.

@@ -358,12 +358,12 @@ fn dp_samplers_agree_across_policies() {
         mpc_mode(2, mode, |e| {
             let samples = dp::laplace_sample_vec(e, 0.0, 1.0, 16);
             let opened = e.open_vec(&samples);
-            let scores = [
+            let scores = vec![
                 e.constant_f64(0.1),
                 e.constant_f64(6.0),
                 e.constant_f64(0.2),
             ];
-            let idx = dp::exponential_mechanism(e, &scores, 4.0, 1.0);
+            let idx = dp::exponential_mechanism(e, &[scores], 4.0, 1.0)[0];
             let idx = e.open(idx).value();
             (
                 opened.iter().map(|&v| e.cfg.decode(v)).collect::<Vec<_>>(),

@@ -365,12 +365,12 @@ fn exponential_mechanism_prefers_high_scores() {
     // One candidate has a much higher score; with ε=4, Δ=1 it should win
     // almost always.
     let results = mpc(2, |e| {
-        let scores = [
+        let scores = vec![
             e.constant_f64(0.1),
             e.constant_f64(6.0),
             e.constant_f64(0.2),
         ];
-        let idx = dp::exponential_mechanism(e, &scores, 4.0, 1.0);
+        let idx = dp::exponential_mechanism(e, &[scores], 4.0, 1.0)[0];
         e.open(idx).value()
     });
     // All parties agree on the opened index; it is overwhelmingly 1.
