@@ -11,9 +11,8 @@
 //!
 //! Subcommands:
 //! - `pivot train --scenario <file>` — train + evaluate, full report
-//!   (all parties as threads of this process);
-//! - `pivot predict --scenario <file>` — same run, prediction-latency
-//!   focus (per-sample time, prediction-phase traffic);
+//!   (all parties as threads of this process), per-sample prediction
+//!   latency included;
 //! - `pivot bench --scenario <file>` — a Figure-4-style sweep over one
 //!   axis (`[sweep]` section, including `[network]` latency/bandwidth)
 //!   × the listed algorithms;
@@ -21,9 +20,11 @@
 //!   ONE party of the scenario over TCP, one process per client (the
 //!   paper's deployment shape); reports match the threaded run
 //!   bit-for-bit;
-//! - `pivot trace <report-or-trace.json>` — print the per-phase
-//!   round/byte/wall table of a traced run (`params.trace != "off"`), or
-//!   validate a Chrome-trace export with `--check`.
+//! - `pivot trace <report-or-trace.json>` — print the per-party
+//!   round/byte/wall phase tables of a traced run (`params.trace !=
+//!   "off"`) — the same `pivot_trace::PhaseRow`s from a report or its
+//!   Chrome-trace export — compare two runs with `--diff`, or validate an
+//!   export with `--check`.
 
 pub mod algo;
 pub mod checkpoint;

@@ -1,4 +1,5 @@
-//! The `pivot` binary: scenario-driven train / predict / bench runs.
+//! The `pivot` binary: scenario-driven train / bench / party runs and trace
+//! inspection.
 
 use pivot_cli::report;
 use pivot_cli::runner::execute;
@@ -10,7 +11,7 @@ const USAGE: &str = "\
 pivot — privacy preserving vertical federated learning for tree-based models
 
 USAGE:
-    pivot <train|predict|bench> --scenario <FILE> [--out <FILE>] [--quiet]
+    pivot <train|bench> --scenario <FILE> [--out <FILE>] [--quiet]
     pivot party --scenario <FILE> --id <N> --peers <ADDR0,ADDR1,...>
                 [--listen <ADDR>] [--out <FILE>] [--quiet]
                 [--resume] [--supervise]
@@ -21,9 +22,8 @@ USAGE:
 SUBCOMMANDS:
     train      Train on the scenario's dataset, evaluate the held-out
                split, and write a full JSON report (all parties run as
-               threads of this process)
-    predict    Same run, reported around prediction latency (per-sample
-               time, prediction-phase traffic)
+               threads of this process), prediction latency included
+               (timing.predict_per_sample_s)
     bench      Run the scenario's [sweep] axis across its algorithms
                (a Figure-4-style sweep) and report every point; network
                axes (latency_us, bandwidth_mbps) sweep within one process
@@ -41,13 +41,13 @@ SUBCOMMANDS:
                zero-knowledge proof was rejected — the report names the
                accused party), or 13 (checkpoint state unreadable,
                corrupt, mismatched, diverged from, or unwritable)
-    trace      Inspect tracing output: point it at a run report (train /
-               predict / bench / party JSON) to print the embedded
-               per-phase round/byte/wall tables, or at a
-               *-trace.json Chrome-trace export to reconstruct and print
-               the phase table plus the top round-serializing spans.
-               Traces exist when the scenario sets params.trace =
-               \"phases\" or \"full\"
+    trace      Inspect tracing output: print the per-party phase tables
+               (round/byte/wall per phase, merged across parties when
+               there are several) of a run report (train / bench / party
+               JSON) or of its *-trace.json Chrome-trace export — the
+               same tables either way; an export also lists the top
+               round-serializing spans. Traces exist when the scenario
+               sets params.trace = \"phases\" or \"full\"
 
 OPTIONS:
     --scenario <FILE>   TOML scenario, or JSON (by extension) read through
@@ -75,9 +75,10 @@ OPTIONS:
                         known phase names) and exit non-zero on violation
     --diff              trace only: take two report / trace files and
                         print their per-phase rounds, sent bytes, and
-                        wait_s side by side with signed deltas (B − A)
-                        and the total round ratio — e.g. the same
-                        scenario before and after a change
+                        wait_s (every party merged; a bench report's
+                        first traced entry) side by side with signed
+                        deltas (B − A) and the total round ratio — e.g.
+                        the same scenario before and after a change
     -h, --help          Show this help
     -V, --version       Show the version
 ";
@@ -203,8 +204,13 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "train" | "predict" | "bench" if command.is_none() => {
+            "train" | "bench" if command.is_none() => {
                 command = Some(arg.clone());
+            }
+            "predict" if command.is_none() => {
+                return Err("`pivot predict` was removed: `pivot train` runs the same \
+                     protocol and reports `timing.predict_per_sample_s`"
+                    .into());
             }
             "--scenario" => {
                 let v = it.next().ok_or("--scenario needs a file path")?;
@@ -220,7 +226,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             }
         }
     }
-    let command = command.ok_or("missing subcommand (train, predict, or bench)")?;
+    let command = command.ok_or("missing subcommand (train or bench)")?;
     let scenario = scenario.ok_or("missing --scenario <FILE>")?;
     Ok(Args {
         command,
@@ -248,7 +254,7 @@ fn run(args: &Args) -> Result<(), String> {
         .unwrap_or_else(|| report::default_report_path(&args.scenario, ""));
 
     let report = match args.command.as_str() {
-        "train" | "predict" => {
+        "train" => {
             let algo = scenario.sole_algorithm()?;
             let exec = execute(&scenario, algo, false)?;
             if !args.quiet {
@@ -274,11 +280,7 @@ fn run(args: &Args) -> Result<(), String> {
             // Traced runs also get side-car Perfetto/Prometheus exports
             // next to the report.
             report::write_trace_exports(&out_path, &exec, args.quiet)?;
-            if args.command == "train" {
-                report::train_report(&scenario, &exec)
-            } else {
-                report::predict_report(&scenario, &exec)
-            }
+            report::train_report(&scenario, &exec)
         }
         "bench" => {
             let sweep = scenario

@@ -182,6 +182,31 @@ pub(crate) fn phase_rows_json(rows: &[pivot_trace::PhaseRow]) -> Json {
     )
 }
 
+/// Read back the rows [`phase_rows_json`] wrote; a missing counter reads
+/// as zero.
+pub(crate) fn phase_rows_from_json(rows: &[Json]) -> Vec<pivot_trace::PhaseRow> {
+    rows.iter()
+        .map(|row| {
+            let count = |k: &str| row.get(k).and_then(Json::as_u64).unwrap_or(0);
+            let ns =
+                |k: &str| (row.get(k).and_then(Json::as_f64).unwrap_or(0.0) * 1e9).round() as u64;
+            pivot_trace::PhaseRow {
+                phase: row
+                    .get("phase")
+                    .and_then(Json::as_str)
+                    .unwrap_or("?")
+                    .to_string(),
+                span_count: count("spans"),
+                wall_ns: ns("wall_s"),
+                wait_ns: ns("wait_s"),
+                rounds: count("rounds"),
+                sent_bytes: count("bytes_sent"),
+                recv_bytes: count("bytes_received"),
+            }
+        })
+        .collect()
+}
+
 /// The `trace` report section: per-party phase tables (present only when
 /// the scenario ran with `params.trace != "off"`).
 pub(crate) fn trace_json(exec: &Execution) -> Option<Json> {
@@ -325,6 +350,13 @@ fn totals_json(exec: &Execution) -> Json {
 /// Report for `pivot train`.
 pub fn train_report(scenario: &Scenario, exec: &Execution) -> Json {
     let p0 = &exec.parties[0];
+    // Figures 4g–h: prediction latency per test sample (null without a
+    // test split).
+    let per_sample_s = if exec.test_samples > 0 {
+        Json::Num(p0.predict_wall_s / exec.test_samples as f64)
+    } else {
+        Json::Null
+    };
     let mut report = header("train", scenario)
         .with("algorithm", exec.algo.label())
         .with("dataset", dataset_json(exec))
@@ -334,41 +366,8 @@ pub fn train_report(scenario: &Scenario, exec: &Execution) -> Json {
                 .with("wall_total_s", exec.wall_s)
                 .with("train_s", p0.train_wall_s)
                 .with("predict_s", p0.predict_wall_s)
+                .with("predict_per_sample_s", per_sample_s)
                 .with("stages_s", stages_json(&p0.stage_s)),
-        )
-        .with(
-            "network",
-            Json::obj()
-                .with("per_party", party_json(exec))
-                .with("totals", totals_json(exec)),
-        )
-        .with("counters", counters_json(exec))
-        .with("model", model_json(exec))
-        .with("evaluation", evaluation_json(exec));
-    if let Some(trace) = trace_json(exec) {
-        report.set("trace", trace);
-    }
-    report
-}
-
-/// Report for `pivot predict` (same run shape, prediction-centric fields).
-pub fn predict_report(scenario: &Scenario, exec: &Execution) -> Json {
-    let p0 = &exec.parties[0];
-    let per_sample_s = if exec.test_samples > 0 {
-        Json::Num(p0.predict_wall_s / exec.test_samples as f64)
-    } else {
-        Json::Null
-    };
-    let mut report = header("predict", scenario)
-        .with("algorithm", exec.algo.label())
-        .with("dataset", dataset_json(exec))
-        .with(
-            "timing",
-            Json::obj()
-                .with("wall_total_s", exec.wall_s)
-                .with("train_s", p0.train_wall_s)
-                .with("predict_s", p0.predict_wall_s)
-                .with("predict_per_sample_s", per_sample_s),
         )
         .with(
             "network",
@@ -796,8 +795,8 @@ mod tests {
     }
 
     #[test]
-    fn predict_report_has_per_sample_latency() {
-        let report = predict_report(&scenario(), &fake_exec());
+    fn train_report_has_per_sample_latency() {
+        let report = train_report(&scenario(), &fake_exec());
         let v = report
             .path("timing.predict_per_sample_s")
             .unwrap()

@@ -1048,7 +1048,7 @@ impl Scenario {
             .transpose()
     }
 
-    /// The single algorithm of a train/predict scenario.
+    /// The single algorithm of a train or party scenario.
     pub fn sole_algorithm(&self) -> Result<Algo, String> {
         match self.algorithms.as_slice() {
             [one] => Ok(*one),

@@ -93,6 +93,14 @@ fn train_writes_parseable_report_with_timings_and_netstats() {
             .unwrap()
             > 0.0
     );
+    // Figures 4g–h: prediction latency per held-out sample.
+    let timing = |key: &str| report.path(&format!("timing.{key}")).unwrap().as_f64();
+    let test_samples = report.path("dataset.test_samples").unwrap().as_f64();
+    let per_sample = timing("predict_per_sample_s").unwrap();
+    assert!(
+        (per_sample - timing("predict_s").unwrap() / test_samples.unwrap()).abs() < 1e-12,
+        "predict_per_sample_s {per_sample}"
+    );
 
     // NetStats per party: 3 entries, each with nonzero training traffic.
     let per_party = report
@@ -170,6 +178,10 @@ fn training_without_a_test_split_reports_no_evaluation() {
     assert_eq!(samples("dataset.train_samples"), Some(45));
     assert_eq!(samples("dataset.test_samples"), Some(0));
     assert_eq!(report.path("evaluation.value"), Some(&Json::Null));
+    assert_eq!(
+        report.path("timing.predict_per_sample_s"),
+        Some(&Json::Null)
+    );
     assert!(samples("model.internal_nodes").unwrap() > 0);
 
     std::fs::remove_file(&scenario).ok();
@@ -392,6 +404,13 @@ fn bad_inputs_fail_with_nonzero_exit() {
     let r = run_pivot(&["train", "--scenari", "x.toml"]);
     assert!(!r.status.success());
 
+    // The removed subcommand: `pivot train` reports the same run.
+    let r = run_pivot(&["predict", "--scenario", "x.toml"]);
+    let stderr = String::from_utf8_lossy(&r.stderr);
+    assert_eq!(r.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("was removed"), "{stderr}");
+    assert!(stderr.contains("`pivot train`"), "{stderr}");
+
     // Values that used to get past the reader and panic in a party
     // thread (exit 101), or train another configuration (exit 0): each
     // is one `error:` line naming the key, exit 1.
@@ -428,6 +447,74 @@ fn bad_inputs_fail_with_nonzero_exit() {
         assert_eq!(stderr.trim_end().lines().count(), 1, "{body:?}: {stderr}");
         assert!(stderr.contains(names), "{body:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{body:?}: {stderr}");
+    }
+}
+
+#[test]
+fn a_report_and_its_trace_export_print_the_same_phase_tables() {
+    let scenario = temp_path("traced.toml");
+    let out = temp_path("traced-report.json");
+    let export = temp_path("traced-report-trace.json");
+    std::fs::write(
+        &scenario,
+        TINY_TRAIN.replace("[params]", "[params]\ntrace = \"phases\""),
+    )
+    .unwrap();
+    let (report, export_str) = (out.to_str().unwrap(), export.to_str().unwrap());
+    let trained = run_pivot(&[
+        "train",
+        "--scenario",
+        scenario.to_str().unwrap(),
+        "--out",
+        report,
+        "--quiet",
+    ]);
+    assert!(
+        trained.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&trained.stderr)
+    );
+    let stdout = |args: &[&str]| {
+        let r = run_pivot(args);
+        let text = String::from_utf8(r.stdout).unwrap();
+        assert!(r.status.success(), "{args:?}: {text}");
+        text
+    };
+    // Table rows are indented; headings and the export's span list are not.
+    let rows = |text: &str| -> Vec<String> {
+        text.lines()
+            .filter(|l| l.starts_with("  "))
+            .map(str::to_string)
+            .collect()
+    };
+    let from_report = stdout(&["trace", report]);
+    let from_export = stdout(&["trace", export_str]);
+    assert_eq!(rows(&from_report), rows(&from_export));
+    // Three parties and their merge.
+    let tables = rows(&from_report)
+        .iter()
+        .filter(|l| l.trim_start().starts_with("phase "))
+        .count();
+    assert_eq!(tables, 4, "{from_report}");
+
+    let diff = stdout(&["trace", report, "--diff", export_str]);
+    let deltas: Vec<&str> = diff
+        .lines()
+        .skip(2)
+        .take_while(|l| !l.starts_with("round ratio"))
+        .collect();
+    assert!(deltas.iter().any(|l| l.starts_with("total ")), "{diff}");
+    for line in deltas {
+        let cols: Vec<&str> = line.split_whitespace().collect();
+        for delta in [cols[3], cols[6], cols[9]] {
+            assert!(delta.starts_with("+0"), "{line}");
+            assert_eq!(delta.parse::<f64>(), Ok(0.0), "{line}");
+        }
+    }
+    assert!(diff.contains("round ratio A/B = 1.00×"), "{diff}");
+
+    for path in [scenario, out, export, temp_path("traced-report-trace.prom")] {
+        std::fs::remove_file(path).ok();
     }
 }
 
