@@ -28,7 +28,7 @@ use crate::report;
 use crate::runner::{compute_metric, metric_name_for, prepare, run_party_protocol, Execution};
 use crate::scenario::Scenario;
 use pivot_data::partition_vertically;
-use pivot_transport::tcp::{connect_mesh_restart, connect_mesh_with};
+use pivot_transport::tcp::{connect_mesh, connect_mesh_restart};
 use pivot_transport::{
     catch_failures, FaultInjector, ProtocolError, RunFailure, TransportError, TransportErrorKind,
 };
@@ -226,21 +226,9 @@ pub fn run(args: &PartyArgs) -> Result<(), PartyError> {
     }
 
     let connect = if args.resume {
-        connect_mesh_restart(
-            args.id,
-            &listen,
-            &args.peers,
-            scenario.net_config(),
-            injector,
-        )
+        connect_mesh_restart(args.id, &listen, &args.peers, scenario.net_config())
     } else {
-        connect_mesh_with(
-            args.id,
-            &listen,
-            &args.peers,
-            scenario.net_config(),
-            injector,
-        )
+        connect_mesh(args.id, &listen, &args.peers, scenario.net_config())
     };
     let checkpoint_handle = checkpoint.as_ref().map(CliCheckpointSink::handle);
     let result = connect
@@ -257,6 +245,9 @@ pub fn run(args: &PartyArgs) -> Result<(), PartyError> {
             RunFailure::Transport(err)
         })
         .and_then(|ep| {
+            if let Some(injector) = injector {
+                ep.set_fault_injector(injector);
+            }
             catch_failures(|| {
                 run_party_protocol(
                     &ep,

@@ -16,7 +16,7 @@ use pivot_core::model::ConcealedTree;
 use pivot_core::party::PartyContext;
 use pivot_core::{predict_basic, predict_enhanced, train_basic, train_enhanced};
 use pivot_data::{metrics, partition_vertically, Task, VerticalView};
-use pivot_transport::{faulty_network, try_run_parties_on, Endpoint, Network};
+use pivot_transport::{try_run_parties_on, Endpoint, FaultInjector, Network};
 use pivot_trees::DecisionTree;
 use std::time::Instant;
 
@@ -323,11 +323,12 @@ pub fn execute(
         );
     }
     let net = scenario.net_config();
-    let endpoints = if plan.is_empty() {
-        Network::with_config(m, net).into_endpoints()
-    } else {
-        faulty_network(m, net, &plan)
-    };
+    let endpoints = Network::with_config(m, net).into_endpoints();
+    if !plan.is_empty() {
+        for ep in &endpoints {
+            ep.set_fault_injector(FaultInjector::new(ep.id(), m, &plan));
+        }
+    }
 
     let start = Instant::now();
     let results = try_run_parties_on(endpoints, |ep| {

@@ -241,15 +241,13 @@ impl Default for CheckpointSpec {
 /// `plan` entries use the [`pivot_transport::FaultSpec`] grammar
 /// (`drop_link 0-1 at_round=8`, `delay_spike 0-2 at_bytes=4096 ms=250`,
 /// `crash_party 1 at_round=10`,
-/// `kill_party 1 at_level=2 restart_after_ms=500`); `seed` derandomizes
-/// reconnect backoff jitter so chaos runs are repeatable. `kill_party` is
+/// `kill_party 1 at_level=2 restart_after_ms=500`). `kill_party` is
 /// special: it is never armed in-process — `pivot party --supervise`
 /// drives it by really SIGKILLing and relaunching the child process, and
 /// it requires a `[checkpoint]` section for the relaunch to resume from.
 #[derive(Clone, Debug, Default)]
 pub struct FaultsSpec {
     pub plan: Vec<String>,
-    pub seed: Option<u64>,
 }
 
 /// `[adversary]` section: a deterministic malicious-party injection for
@@ -829,8 +827,15 @@ static SCHEMA: &[Key] = &[
         "`drop_link a-b`, `delay_spike a-b ms=M`, `crash_party p` (each `at_round=N` or \
          `at_bytes=N`) or `kill_party p at_level=L restart_after_ms=M`.")
         .echo(|s| (!s.faults.plan.is_empty()).then(|| s.faults.plan.clone().into())),
-    key!(faults.seed: Int(0, INT_MAX), "Seeds reconnect backoff jitter (0 when unset).")
-        .echo(|s| (!s.faults.plan.is_empty()).then(|| s.faults.seed.unwrap_or(0).into())),
+    // Retired when the plan stopped seeding backoff jitter (the scenario
+    // `seed` does); still range-checked so chaos scenarios keep loading.
+    Key::new(
+        ("faults", "seed"),
+        Int(0, INT_MAX),
+        "No effect (the scenario `seed` seeds retry jitter); the key can be deleted.",
+        |_| Json::Null,
+        |_, _| Ok(true),
+    ),
     key!(adversary.tamper: Syntax("`party <id> phase=<name> index=<k>`"),
         "That party corrupts the k-th ciphertext its phase commits; needs `verification` on."),
     key!(sweep?.vary: OneOf(sweep_axes),
@@ -1035,7 +1040,7 @@ impl Scenario {
 
     /// The parsed `[faults]` plan (empty when the section is absent).
     pub fn fault_plan(&self) -> Result<pivot_transport::FaultPlan, String> {
-        pivot_transport::FaultPlan::parse(&self.faults.plan, self.faults.seed.unwrap_or(0))
+        pivot_transport::FaultPlan::parse(&self.faults.plan)
     }
 
     /// The parsed `[adversary]` injection (`None` when the section is
@@ -1527,15 +1532,19 @@ mod tests {
     #[test]
     fn retired_keys_are_accepted_and_ignored() {
         let plain = format!("{:?}", parse_toml("").unwrap());
-        for key in ["dealer_pool", "randomness_pool"] {
+        for (section, key) in [
+            ("params", "dealer_pool"),
+            ("params", "randomness_pool"),
+            ("faults", "seed"),
+        ] {
             for size in [0u64, 1024, 1 << 40] {
-                let s = parse_toml(&format!("[params]\n{key} = {size}")).unwrap();
+                let s = parse_toml(&format!("[{section}]\n{key} = {size}")).unwrap();
                 assert_eq!(format!("{s:?}"), plain, "{key} = {size} stored something");
-                assert!(s.to_json().path(&format!("params.{key}")).is_none());
+                assert!(s.to_json().path(&format!("{section}.{key}")).is_none());
             }
             for bad in ["\"512\"", "-1", "0.5"] {
-                let err = parse_toml(&format!("[params]\n{key} = {bad}")).unwrap_err();
-                assert!(err.contains(&format!("params.{key}")), "{err}");
+                let err = parse_toml(&format!("[{section}]\n{key} = {bad}")).unwrap_err();
+                assert!(err.contains(&format!("{section}.{key}")), "{err}");
             }
         }
     }
@@ -1616,9 +1625,10 @@ mod tests {
         .unwrap();
         let plan = s.fault_plan().unwrap();
         assert_eq!(plan.specs.len(), 2);
-        assert_eq!(plan.seed, 9);
         let echo = s.to_json();
-        assert_eq!(echo.path("faults.seed").unwrap().as_u64(), Some(9));
+        assert!(echo.path("faults.plan").is_some());
+        // The retired seed loads but is not echoed.
+        assert!(echo.path("faults.seed").is_none());
         // No [faults] section: empty plan, no echo.
         let s = parse_toml("").unwrap();
         assert!(s.fault_plan().unwrap().is_empty());
@@ -1899,8 +1909,7 @@ values = [2, 3]
     "plan": [
       "drop_link 0-1 at_round=4",
       "delay_spike 0-2 at_bytes=4096 ms=25"
-    ],
-    "seed": 99
+    ]
   },
   "adversary": {
     "tamper": "party 1 phase=stats index=2"

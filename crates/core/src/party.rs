@@ -64,10 +64,6 @@ impl<'a> PartyContext<'a> {
     /// original implementation gets from libhcs.
     pub fn setup(ep: &'a Endpoint, view: VerticalView, params: PivotParams) -> Self {
         let _phase = pivot_trace::phase_span("setup");
-        // Every protocol stages its per-peer messages and sends them as
-        // one envelope per flush. All parties switch here, before the
-        // first protocol byte, so both ends of every link agree.
-        ep.set_coalescing(true);
         // Callers validate outside input before spawning parties
         // (`pivot-cli`'s `runner::prepare`), so a failure here is a broken
         // invariant of this process.

@@ -6,6 +6,9 @@
 //! over a vector of boxed [`Link`]s. Which backend the links use
 //! (in-process channels, TCP sockets) is invisible above this layer, so
 //! byte counts and protocol behaviour are identical across deployments.
+//! The endpoint frames every send as an envelope and is the one place a
+//! `[faults]` plan fires ([`Endpoint::set_fault_injector`]), so a plan
+//! has one outcome on every backend.
 //!
 //! The endpoint keeps no inbound history: a receive reads its link and
 //! nothing else. A party restarted from a checkpoint re-executes from
@@ -21,7 +24,6 @@ use crate::link::{ChannelLink, Link, LinkError};
 use crate::stats::NetStats;
 use crate::wire::{decode_envelope, encode_envelope, Wire};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// A fully connected `m`-party in-process network. Construct once, then
@@ -33,28 +35,22 @@ pub struct Network {
 /// One party's connection to all peers: `m - 1` links plus traffic
 /// accounting and the per-endpoint [`NetConfig`].
 ///
-/// # Frame coalescing
+/// # Envelope framing
 ///
-/// With [`Endpoint::set_coalescing`] on, sends are *staged* per peer
-/// instead of hitting the link immediately, and every staged batch
-/// travels as one envelope frame ([`crate::wire::encode_envelope`]) — so
-/// the k independent messages a protocol step queues for the same peer
-/// cost one link round-trip (and one simulated-latency charge) instead
-/// of k. Three rules keep this transparent to the SPMD protocols:
+/// Sends are *staged* per peer instead of hitting the link immediately,
+/// and every staged batch travels as one envelope frame
+/// ([`crate::wire::encode_envelope`]) — so the k independent messages a
+/// protocol step queues for the same peer cost one link round-trip (and
+/// one simulated-latency charge) instead of k. Two rules keep this
+/// transparent to the SPMD protocols:
 ///
 /// 1. **Flush before blocking.** Every receive first flushes all staged
 ///    frames to all peers. Any cross-party wait chain passes through a
 ///    receive, so no dependency cycle can form on staged data.
 /// 2. **Exact member accounting.** Each staged message is counted in
 ///    [`NetStats`] (and attributed to the *calling* trace span) at stage
-///    time, byte-for-byte as the non-coalesced path would; envelope
-///    framing is accounted separately as overhead bytes with no message
-///    count.
-/// 3. **Symmetry.** Both sides of a link must agree on the mode before
-///    protocol bytes flow: the receiver demuxes envelopes, a raw frame
-///    would be misparsed. Callers flip the knob at the same protocol
-///    point on every party (in practice: from shared run parameters,
-///    before the first message).
+///    time; envelope framing is accounted separately as overhead bytes
+///    with no message count.
 pub struct Endpoint {
     id: usize,
     m: usize,
@@ -62,15 +58,14 @@ pub struct Endpoint {
     links: Vec<Option<Box<dyn Link>>>,
     stats: Arc<NetStats>,
     net: NetConfig,
-    /// Whether sends are staged and framed as envelopes.
-    coalescing: AtomicBool,
     /// Outbound staging buffers, one per peer (unused slot `id`).
     staged: Vec<Mutex<Vec<Vec<u8>>>>,
     /// Inbound demux queues: member messages of already-received
     /// envelopes waiting for their `recv` call, one queue per peer.
     inbox: Vec<Mutex<VecDeque<Vec<u8>>>>,
-    /// Scenario fault plan hook ([`Endpoint::set_fault_injector`]);
-    /// `note_round` feeds it the deterministic round trigger.
+    /// Scenario fault plan ([`Endpoint::set_fault_injector`]): fired
+    /// at every envelope `flush_staged` hands to a link, and fed the
+    /// deterministic round trigger by `note_round`.
     fault: OnceLock<Arc<FaultInjector>>,
 }
 
@@ -130,17 +125,16 @@ impl Endpoint {
             links,
             stats,
             net,
-            coalescing: AtomicBool::new(false),
             staged: (0..m).map(|_| Mutex::new(Vec::new())).collect(),
             inbox: (0..m).map(|_| Mutex::new(VecDeque::new())).collect(),
             fault: OnceLock::new(),
         }
     }
 
-    /// Attach a scenario fault injector. Links carrying their own
-    /// injector hook (TCP sessions, [`crate::fault::FaultyLink`]) handle
-    /// link faults; the endpoint only drives the round trigger and
-    /// `crash_party at_round` firings via [`Endpoint::note_round`].
+    /// Attach a scenario fault injector. The endpoint applies it on
+    /// every backend: link faults and byte-triggered crashes fire where
+    /// an envelope goes to its link, round-triggered crashes in
+    /// [`Endpoint::note_round`].
     pub fn set_fault_injector(&self, injector: Arc<FaultInjector>) {
         let _ = self.fault.set(injector);
     }
@@ -214,24 +208,9 @@ impl Endpoint {
         self.links[to].as_deref().expect("validated in from_links")
     }
 
-    /// Whether frame coalescing is active.
-    pub fn coalescing(&self) -> bool {
-        self.coalescing.load(Ordering::Relaxed)
-    }
-
-    /// Switch frame coalescing on or off. Must be flipped at the same
-    /// protocol point on every party (see the type-level docs); turning
-    /// it off flushes anything still staged.
-    pub fn set_coalescing(&self, on: bool) {
-        if !on && self.coalescing() {
-            self.flush();
-        }
-        self.coalescing.store(on, Ordering::Relaxed);
-    }
-
     /// Push every staged frame onto its link, one envelope per peer.
     /// Called automatically before any blocking receive (rule 1 of the
-    /// coalescing contract) and from `Drop`; call sites may also flush
+    /// framing contract) and from `Drop`; call sites may also flush
     /// explicitly at phase boundaries, e.g. before reading [`NetStats`]
     /// snapshots.
     pub fn flush(&self) {
@@ -239,9 +218,6 @@ impl Endpoint {
     }
 
     fn flush_staged(&self, best_effort: bool) {
-        if !self.coalescing() {
-            return;
-        }
         for to in 0..self.m {
             if to == self.id {
                 continue;
@@ -255,9 +231,9 @@ impl Endpoint {
             self.stats.record_send_overhead(overhead);
             pivot_trace::add_sent(overhead as u64);
             // One latency charge for the whole envelope — this is the
-            // round-trip the coalescing saves over per-message sends.
+            // round-trip the framing saves over per-message sends.
             self.net.charge_send(frame.len());
-            match self.link(to).send_bytes(frame) {
+            match self.send_frame(to, frame) {
                 Ok(()) => {}
                 Err(_) if best_effort => {}
                 Err(e) => self.raise_link_error(to, Direction::Send, e, std::time::Duration::ZERO),
@@ -265,24 +241,51 @@ impl Endpoint {
         }
     }
 
-    /// Account + simulate + hand one encoded message to a link — or, in
-    /// coalescing mode, stage it for the next flush. Stats and trace
-    /// bytes are attributed here either way, so the message is charged
-    /// to the protocol span that produced it, not to the flush site.
+    /// Hand one envelope to its link — the only place the endpoint
+    /// sends, so the only place a `[faults]` plan fires. The injector
+    /// decides on the protocol thread, so a plan fires at the same frame
+    /// on every backend and every run.
+    fn send_frame(&self, to: usize, frame: Vec<u8>) -> Result<(), LinkError> {
+        let link = self.link(to);
+        let Some(injector) = self.fault.get() else {
+            return link.send_bytes(frame);
+        };
+        let fault = injector.on_send(to, frame.len());
+        if let Some(reason) = fault.crash {
+            self.stats.record_fault_injected();
+            TransportError::new(TransportErrorKind::InjectedCrash, self.id, reason).raise();
+        }
+        if let Some(delay) = fault.delay {
+            self.stats.record_fault_injected();
+            std::thread::sleep(delay);
+        }
+        if !fault.drop_link {
+            return link.send_bytes(frame);
+        }
+        self.stats.record_fault_injected();
+        if !link.send_severed(frame)? {
+            // A link with no connection to sever delivered the frame:
+            // record the reconnect and replay a real session would, and
+            // the outage window it would spend redialing.
+            self.stats.record_reconnect();
+            self.stats.record_replayed_frames(1);
+            let _span = pivot_trace::phase_span("reconnect");
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        Ok(())
+    }
+
+    /// Account one encoded message and stage it for the next flush.
+    /// Stats and trace bytes are attributed here, so the message is
+    /// charged to the protocol span that produced it, not to the flush
+    /// site.
     fn push(&self, to: usize, bytes: Vec<u8>) {
         self.stats.record_send(bytes.len());
         pivot_trace::add_sent(bytes.len() as u64);
-        if self.coalescing() {
-            self.staged[to]
-                .lock()
-                .expect("staging poisoned")
-                .push(bytes);
-            return;
-        }
-        self.net.charge_send(bytes.len());
-        if let Err(e) = self.link(to).send_bytes(bytes) {
-            self.raise_link_error(to, Direction::Send, e, std::time::Duration::ZERO);
-        }
+        self.staged[to]
+            .lock()
+            .expect("staging poisoned")
+            .push(bytes);
     }
 
     /// Send a message to party `to`.
@@ -290,18 +293,16 @@ impl Endpoint {
         self.push(to, msg.to_wire());
     }
 
-    /// Receive the next raw payload from `from`, demuxing envelopes in
-    /// coalescing mode. The blocking wait (if any) is what trace
-    /// `wait_ns` measures — messages already demuxed into the inbox are
-    /// free, which is exactly the latency hiding coalescing buys.
+    /// Receive the next member payload from `from`, demuxing envelopes.
+    /// The blocking wait (if any) is what trace `wait_ns` measures —
+    /// messages already demuxed into the inbox are free, which is exactly
+    /// the latency hiding envelopes buy.
     fn recv_raw(&self, from: usize) -> Vec<u8> {
-        if self.coalescing() {
-            // Never block while holding our own unsent messages: a peer
-            // may need them before it can produce what we wait for.
-            self.flush_staged(false);
-            if let Some(msg) = self.inbox[from].lock().expect("inbox poisoned").pop_front() {
-                return msg;
-            }
+        // Never block while holding our own unsent messages: a peer may
+        // need them before it can produce what we wait for.
+        self.flush_staged(false);
+        if let Some(msg) = self.inbox[from].lock().expect("inbox poisoned").pop_front() {
+            return msg;
         }
         let start = std::time::Instant::now();
         let bytes = match self.link(from).recv_bytes(self.net.recv_timeout) {
@@ -310,9 +311,6 @@ impl Endpoint {
         };
         if pivot_trace::enabled() {
             pivot_trace::add_wait_ns(start.elapsed().as_nanos() as u64);
-        }
-        if !self.coalescing() {
-            return bytes;
         }
         let mut msgs = match decode_envelope(&bytes) {
             Ok(msgs) if !msgs.is_empty() => msgs,
@@ -325,9 +323,7 @@ impl Endpoint {
             Err(e) => self.raise_link_error(
                 from,
                 Direction::Recv,
-                LinkError::Malformed(format!(
-                    "{e} (coalescing must be enabled symmetrically on all parties)"
-                )),
+                LinkError::Malformed(e.to_string()),
                 start.elapsed(),
             ),
         };
@@ -497,8 +493,8 @@ where
     try_run_parties_on(Network::with_config(m, net).into_endpoints(), f)
 }
 
-/// [`try_run_parties_with`] over pre-built endpoints (e.g. a faulty
-/// network from [`crate::fault`]).
+/// [`try_run_parties_with`] over pre-built endpoints (e.g. ones carrying
+/// a [`FaultInjector`]).
 pub fn try_run_parties_on<T, F>(endpoints: Vec<Endpoint>, f: F) -> Vec<Result<T, RunFailure>>
 where
     T: Send,
@@ -642,8 +638,10 @@ mod tests {
                 ep.stats().bytes_received()
             }
         });
-        // 8 (length) + 3*8 (elements) = 32 bytes.
-        assert_eq!(results, vec![32, 32]);
+        // 8 (length) + 3*8 (elements) = 32 bytes, staged on the send side;
+        // the receive side also reads the one-member envelope's framing.
+        let framed = 32 + crate::wire::envelope_overhead(1) as u64;
+        assert_eq!(results, vec![32, framed]);
     }
 
     #[test]
@@ -663,8 +661,8 @@ mod tests {
 
     #[test]
     fn per_endpoint_latency_is_charged() {
-        // 20 sends × 2 ms latency ⇒ at least 40 ms of simulated wire time,
-        // configured per run rather than via process-global env vars.
+        // 20 envelopes × 2 ms latency ⇒ at least 40 ms of simulated wire
+        // time, configured per run rather than via process-global env vars.
         let net = NetConfig {
             latency: Duration::from_millis(2),
             ..NetConfig::default()
@@ -674,6 +672,7 @@ mod tests {
             if ep.id() == 0 {
                 for i in 0..20u64 {
                     ep.send(1, &i);
+                    ep.flush();
                 }
             } else {
                 for _ in 0..20 {
@@ -698,6 +697,7 @@ mod tests {
                 if ep.id() == 0 {
                     for i in 0..10u64 {
                         ep.send(1, &i);
+                        ep.flush();
                     }
                 } else {
                     for _ in 0..10 {
@@ -744,7 +744,11 @@ mod tests {
         drop(endpoints); // party 0's endpoint (and its channel halves) gone
         let err = catch_transport(|| ep1.recv::<u64>(0)).expect_err("recv must fail");
         assert_eq!(err.kind, TransportErrorKind::Disconnected);
-        let err = catch_transport(|| ep1.send(0, &1u64)).expect_err("send must fail");
+        let err = catch_transport(|| {
+            ep1.send(0, &1u64);
+            ep1.flush();
+        })
+        .expect_err("send must fail");
         assert_eq!(err.kind, TransportErrorKind::Disconnected);
         assert_eq!(err.direction, Some(Direction::Send));
     }
@@ -754,6 +758,7 @@ mod tests {
         let endpoints = Network::with_config(2, NetConfig::default()).into_endpoints();
         let ep1 = &endpoints[1];
         endpoints[0].send(1, &7u8); // one byte: not a valid u64
+        endpoints[0].flush();
         let err = catch_transport(|| ep1.recv::<u64>(0)).expect_err("decode must fail");
         assert_eq!(err.kind, TransportErrorKind::Malformed);
         assert_eq!(err.peer, Some(0));
@@ -800,37 +805,9 @@ mod tests {
         }
     }
 
-    /// Coalescing mode must be protocol-transparent: same results, same
-    /// member byte/message counts, envelope overhead accounted on top.
-    #[test]
-    fn coalescing_preserves_results_and_member_accounting() {
-        let run = |coalesce: bool| {
-            run_parties(3, move |ep| {
-                ep.set_coalescing(coalesce);
-                // Several independent exchanges back-to-back, like the
-                // opening bursts a batched protocol step issues.
-                let a = ep.exchange_all(&(ep.id() as u64));
-                let b = ep.exchange_all(&vec![ep.id() as u64; 4]);
-                let sent = ep.stats().messages_sent();
-                let recvd = ep.stats().messages_received();
-                (a, b, sent, recvd)
-            })
-        };
-        let plain = run(false);
-        let coalesced = run(true);
-        for (p, c) in plain.iter().zip(&coalesced) {
-            assert_eq!(p.0, c.0);
-            assert_eq!(p.1, c.1);
-            // Member message counts identical across modes.
-            assert_eq!(p.2, c.2);
-            assert_eq!(p.3, c.3);
-        }
-    }
-
     #[test]
     fn coalescing_accounts_envelope_overhead_as_bytes_only() {
         let results = run_parties(2, |ep| {
-            ep.set_coalescing(true);
             if ep.id() == 0 {
                 ep.send(1, &1u64);
                 ep.send(1, &2u64);
@@ -859,7 +836,6 @@ mod tests {
         };
         let start = std::time::Instant::now();
         run_parties_with(2, net, |ep| {
-            ep.set_coalescing(true);
             if ep.id() == 0 {
                 for i in 0..10u64 {
                     ep.send(1, &i);
@@ -882,7 +858,6 @@ mod tests {
         // Root blocks on contributions that peers have only staged; the
         // flush-before-recv rule must release them.
         let results = run_parties(3, |ep| {
-            ep.set_coalescing(true);
             let gathered = ep.gather(0, &(ep.id() as u64 + 1));
             let vals = gathered.map(|v| v.iter().map(|x| x * 10).collect::<Vec<u64>>());
             ep.scatter(0, vals.as_deref())

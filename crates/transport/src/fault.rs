@@ -1,34 +1,34 @@
 //! Deterministic fault injection driven by a scenario `[faults]` plan.
 //!
-//! A plan is a seeded list of [`FaultSpec`]s parsed from strings like
+//! A plan is a list of [`FaultSpec`]s parsed from strings like
 //! `drop_link 0-1 at_round=8` — each names a fault kind, a target (a
 //! link pair or a party), and a deterministic trigger (`at_round=N`,
 //! counted by MPC engine round bumps, or `at_bytes=N`, counted over
-//! payload bytes sent on the target link). Every spec fires at most
+//! envelope bytes sent on the target link). Every spec fires at most
 //! once.
 //!
-//! Injection points sit on the *protocol thread*, so the decision is a
-//! pure function of protocol progress, not of writer-thread timing:
+//! A party's [`FaultInjector`] is attached to its endpoint
+//! (`Endpoint::set_fault_injector`), which applies it on every backend
+//! at the one place it sends: where an envelope goes to its link, on
+//! the protocol thread, so the decision is a pure function of protocol
+//! progress, not of writer-thread timing:
 //!
-//! - `drop_link`: the lower-id side of the pair tags its next frame on
-//!   that link; the TCP session layer ring-buffers the frame *without
-//!   writing it* and severs the socket — guaranteeing the resume
-//!   handshake replays at least that frame. The in-process
-//!   [`FaultyLink`] simulates the same observable outcome (outage span,
-//!   reconnect/replay counters, then delivery).
+//! - `drop_link`: the lower-id side of the pair sends its next envelope
+//!   on that link through `Link::send_severed`. A TCP session rings the
+//!   frame *without writing it* and severs the socket — guaranteeing the
+//!   resume handshake replays at least that frame. An in-process channel
+//!   cannot sever: it delivers the frame, and the endpoint records the
+//!   observable outcome of a real reconnect (outage span,
+//!   reconnect/replay counters).
 //! - `delay_spike`: the lower-id sender sleeps `ms` before the frame.
 //! - `crash_party`: the target party raises a typed
-//!   [`TransportError`] with [`TransportErrorKind::InjectedCrash`] at
+//!   [`TransportError`](crate::TransportError) with
+//!   [`TransportErrorKind::InjectedCrash`](crate::TransportErrorKind) at
 //!   the trigger point; peers observe a dead link and fail with their
 //!   own typed errors within the recv-timeout + backoff budget.
 
-use crate::config::NetConfig;
-use crate::endpoint::Endpoint;
-use crate::error::{TransportError, TransportErrorKind};
-use crate::link::{ChannelLink, Link, LinkError};
-use crate::stats::NetStats;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// What a fault does when it fires.
@@ -64,6 +64,9 @@ pub enum FaultTrigger {
     AtLevel(u64),
 }
 
+/// The `key=value` options a fault spec may carry.
+const OPTION_KEYS: [&str; 5] = ["at_round", "at_bytes", "at_level", "ms", "restart_after_ms"];
+
 /// One parsed fault: kind + trigger.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultSpec {
@@ -88,41 +91,33 @@ impl FaultSpec {
         let target = tokens
             .next()
             .ok_or_else(|| format!("fault `{s}`: missing target"))?;
-        let mut trigger = None;
-        let mut ms = None;
-        let mut restart_after = None;
+        // `key=value` options, each at most once; the three `at_*`
+        // triggers count as one option.
+        let mut options: Vec<(&str, &str, u64)> = Vec::new();
         for tok in tokens {
-            if let Some(v) = tok.strip_prefix("at_round=") {
-                let n = v
-                    .parse::<u64>()
-                    .map_err(|_| format!("fault `{s}`: bad at_round value `{v}`"))?;
-                trigger = Some(FaultTrigger::AtRound(n));
-            } else if let Some(v) = tok.strip_prefix("at_bytes=") {
-                let n = v
-                    .parse::<u64>()
-                    .map_err(|_| format!("fault `{s}`: bad at_bytes value `{v}`"))?;
-                trigger = Some(FaultTrigger::AtBytes(n));
-            } else if let Some(v) = tok.strip_prefix("at_level=") {
-                let n = v
-                    .parse::<u64>()
-                    .map_err(|_| format!("fault `{s}`: bad at_level value `{v}`"))?;
-                trigger = Some(FaultTrigger::AtLevel(n));
-            } else if let Some(v) = tok.strip_prefix("restart_after_ms=") {
-                let n = v
-                    .parse::<u64>()
-                    .map_err(|_| format!("fault `{s}`: bad restart_after_ms value `{v}`"))?;
-                restart_after = Some(Duration::from_millis(n));
-            } else if let Some(v) = tok.strip_prefix("ms=") {
-                let n = v
-                    .parse::<u64>()
-                    .map_err(|_| format!("fault `{s}`: bad ms value `{v}`"))?;
-                ms = Some(Duration::from_millis(n));
-            } else {
-                return Err(format!("fault `{s}`: unknown token `{tok}`"));
+            let (key, v) = tok
+                .split_once('=')
+                .filter(|(key, _)| OPTION_KEYS.contains(key))
+                .ok_or_else(|| format!("fault `{s}`: unknown token `{tok}`"))?;
+            let n = v
+                .parse::<u64>()
+                .map_err(|_| format!("fault `{s}`: bad {key} value `{v}`"))?;
+            let is_trigger = |k: &str| k.starts_with("at_");
+            let same = |k: &str| k == key || (is_trigger(k) && is_trigger(key));
+            if let Some((_, earlier, _)) = options.iter().find(|(k, ..)| same(k)) {
+                return Err(format!("fault `{s}`: `{tok}` repeats `{earlier}`"));
             }
+            options.push((key, tok, n));
         }
-        let trigger =
-            trigger.ok_or_else(|| format!("fault `{s}`: needs at_round=N or at_bytes=N"))?;
+        let option = |key: &str| options.iter().find(|(k, ..)| *k == key).map(|o| o.2);
+        let ms = option("ms").map(Duration::from_millis);
+        let restart_after = option("restart_after_ms").map(Duration::from_millis);
+        let trigger = options.iter().find_map(|&(key, _, n)| match key {
+            "at_round" => Some(FaultTrigger::AtRound(n)),
+            "at_bytes" => Some(FaultTrigger::AtBytes(n)),
+            "at_level" => Some(FaultTrigger::AtLevel(n)),
+            _ => None,
+        });
         let parse_pair = |t: &str| -> Result<(usize, usize), String> {
             let (a, b) = t
                 .split_once('-')
@@ -175,36 +170,35 @@ impl FaultSpec {
                 "fault `{s}`: restart_after_ms= only applies to kill_party"
             ));
         }
-        match (&kind, trigger) {
-            (FaultKind::KillParty { .. }, FaultTrigger::AtLevel(_)) => {}
+        let trigger = match (&kind, trigger) {
+            (FaultKind::KillParty { .. }, Some(level @ FaultTrigger::AtLevel(_))) => level,
             (FaultKind::KillParty { .. }, _) => {
                 return Err(format!("fault `{s}`: kill_party needs at_level=L"));
             }
-            (_, FaultTrigger::AtLevel(_)) => {
+            (_, None) => return Err(format!("fault `{s}`: needs at_round=N or at_bytes=N")),
+            (_, Some(FaultTrigger::AtLevel(_))) => {
                 return Err(format!("fault `{s}`: at_level= only applies to kill_party"));
             }
-            _ => {}
-        }
+            (_, Some(trigger)) => trigger,
+        };
         Ok(FaultSpec { kind, trigger })
     }
 }
 
-/// A parsed `[faults]` section: the specs plus the plan seed (used to
-/// derandomize reconnect backoff jitter so chaos runs are repeatable).
+/// A parsed `[faults]` section.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultPlan {
     pub specs: Vec<FaultSpec>,
-    pub seed: u64,
 }
 
 impl FaultPlan {
-    /// Parse every plan entry; `seed` defaults to 0.
-    pub fn parse(entries: &[String], seed: u64) -> Result<FaultPlan, String> {
+    /// Parse every plan entry.
+    pub fn parse(entries: &[String]) -> Result<FaultPlan, String> {
         let specs = entries
             .iter()
             .map(|e| FaultSpec::parse(e))
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(FaultPlan { specs, seed })
+        Ok(FaultPlan { specs })
     }
 
     /// Whether the plan does anything.
@@ -267,8 +261,6 @@ impl Armed {
 /// *lower-id* side of the pair — the same side that owns reconnection —
 /// so exactly one party acts per fault.
 pub struct FaultInjector {
-    party: usize,
-    seed: u64,
     round: AtomicU64,
     sent_to: Vec<AtomicU64>,
     armed: Vec<Armed>,
@@ -295,22 +287,10 @@ impl FaultInjector {
             })
             .collect();
         Arc::new(FaultInjector {
-            party,
-            seed: plan.seed,
             round: AtomicU64::new(0),
             sent_to: (0..m).map(|_| AtomicU64::new(0)).collect(),
             armed,
         })
-    }
-
-    /// The plan seed (jitter derandomization).
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The party this injector acts for.
-    pub fn party(&self) -> usize {
-        self.party
     }
 
     /// Called by the MPC engine at every communication-round bump.
@@ -332,8 +312,8 @@ impl FaultInjector {
         None
     }
 
-    /// Called on the protocol thread for every frame about to go to
-    /// `peer` (`len` payload bytes). Accumulates the deterministic byte
+    /// Called by the endpoint, on the protocol thread, for every envelope
+    /// about to go to `peer` (`len` frame bytes). Accumulates the deterministic byte
     /// trigger state and returns the actions of any fault firing now.
     pub fn on_send(&self, peer: usize, len: usize) -> SendFault {
         let total = self.sent_to[peer].fetch_add(len as u64, Ordering::Relaxed) + len as u64;
@@ -377,117 +357,20 @@ impl FaultInjector {
     }
 }
 
-/// In-process fault wrapper around a [`Link`]. Crash and delay faults
-/// behave exactly as over TCP; a `drop_link` is *simulated* — channels
-/// cannot actually sever — by recording the same observable outcome the
-/// TCP session layer produces (a `reconnect` trace span, `reconnects`
-/// and `replayed_frames` counters) and then delivering the frame, which
-/// is precisely what a transparent reconnect+replay delivers.
-pub struct FaultyLink {
-    inner: Box<dyn Link>,
-    injector: Arc<FaultInjector>,
-    stats: OnceLock<Arc<NetStats>>,
-}
-
-impl FaultyLink {
-    /// Wrap `inner` with `injector`'s plan.
-    pub fn new(inner: Box<dyn Link>, injector: Arc<FaultInjector>) -> FaultyLink {
-        FaultyLink {
-            inner,
-            injector,
-            stats: OnceLock::new(),
-        }
-    }
-
-    fn record(&self, f: impl Fn(&NetStats)) {
-        if let Some(stats) = self.stats.get() {
-            f(stats);
-        }
-    }
-}
-
-impl Link for FaultyLink {
-    fn peer(&self) -> usize {
-        self.inner.peer()
-    }
-
-    fn send_bytes(&self, bytes: Vec<u8>) -> Result<(), LinkError> {
-        let fault = self.injector.on_send(self.peer(), bytes.len());
-        if let Some(reason) = fault.crash {
-            self.record(|s| s.record_fault_injected());
-            TransportError::new(
-                TransportErrorKind::InjectedCrash,
-                self.injector.party(),
-                reason,
-            )
-            .raise();
-        }
-        if let Some(delay) = fault.delay {
-            self.record(|s| s.record_fault_injected());
-            std::thread::sleep(delay);
-        }
-        if fault.drop_link {
-            self.record(|s| {
-                s.record_fault_injected();
-                s.record_reconnect();
-                s.record_replayed_frames(1);
-            });
-            // The outage window the TCP session layer would spend
-            // redialing, visible as a reconnect span on this party.
-            let _span = pivot_trace::phase_span("reconnect");
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        self.inner.send_bytes(bytes)
-    }
-
-    fn recv_bytes(&self, timeout: Duration) -> Result<Vec<u8>, LinkError> {
-        self.inner.recv_bytes(timeout)
-    }
-
-    fn attach_stats(&self, stats: &Arc<NetStats>) {
-        let _ = self.stats.set(Arc::clone(stats));
-        self.inner.attach_stats(stats);
-    }
-}
-
-/// Build an in-process `m`-party network with `plan` injected on every
-/// link: the fault-plan equivalent of `Network::with_config(m,
-/// net).into_endpoints()`. Each party gets its own [`FaultInjector`]
-/// (wired into its links *and* its endpoint, so `at_round` triggers
-/// fire), and every [`ChannelLink`] is wrapped in a [`FaultyLink`].
-pub fn faulty_network(m: usize, net: NetConfig, plan: &FaultPlan) -> Vec<Endpoint> {
-    let injectors: Vec<Arc<FaultInjector>> =
-        (0..m).map(|p| FaultInjector::new(p, m, plan)).collect();
-    let mut slots: Vec<Vec<Option<Box<dyn Link>>>> =
-        (0..m).map(|_| (0..m).map(|_| None).collect()).collect();
-    for a in 0..m {
-        for b in (a + 1)..m {
-            let (at_a, at_b) = ChannelLink::pair(a, b);
-            slots[a][b] = Some(Box::new(FaultyLink::new(
-                Box::new(at_a),
-                Arc::clone(&injectors[a]),
-            )));
-            slots[b][a] = Some(Box::new(FaultyLink::new(
-                Box::new(at_b),
-                Arc::clone(&injectors[b]),
-            )));
-        }
-    }
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(id, links)| {
-            let ep = Endpoint::from_links(id, links, net.clone());
-            ep.set_fault_injector(Arc::clone(&injectors[id]));
-            ep
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::endpoint::try_run_parties_on;
+    use crate::{Endpoint, NetConfig, Network, TransportErrorKind};
+
+    /// An in-process network whose endpoints carry `plan`.
+    fn faulted(m: usize, net: NetConfig, plan: &FaultPlan) -> Vec<Endpoint> {
+        let eps = Network::with_config(m, net).into_endpoints();
+        for ep in &eps {
+            ep.set_fault_injector(FaultInjector::new(ep.id(), m, plan));
+        }
+        eps
+    }
 
     #[test]
     fn parses_every_fault_kind() {
@@ -540,7 +423,7 @@ mod tests {
             assert!(FaultSpec::parse(bad).is_err(), "accepted `{bad}`");
         }
         let plan =
-            FaultPlan::parse(&["kill_party 1 at_level=2 restart_after_ms=500".into()], 0).unwrap();
+            FaultPlan::parse(&["kill_party 1 at_level=2 restart_after_ms=500".into()]).unwrap();
         assert!(plan.has_kill());
         assert_eq!(plan.kill_spec(1), Some((2, Duration::from_millis(500))));
         assert_eq!(plan.kill_spec(0), None);
@@ -561,14 +444,39 @@ mod tests {
             "crash_party 1 at_round=1 ms=5",
             "meteor_strike 0-1 at_round=1",
             "drop_link 0-1 at_round=1 whenever",
+            "drop_link 0-1 at_round=1 =5",
         ] {
             assert!(FaultSpec::parse(bad).is_err(), "accepted `{bad}`");
+        }
+        // A repeated trigger or option is named, not silently overwritten;
+        // a missing trigger names the one the kind needs.
+        for (bad, named) in [
+            (
+                "drop_link 0-1 at_round=3 at_bytes=9",
+                "`at_bytes=9` repeats `at_round=3`",
+            ),
+            (
+                "drop_link 0-1 at_round=3 at_round=3",
+                "`at_round=3` repeats",
+            ),
+            (
+                "delay_spike 0-1 at_round=1 ms=5 ms=50",
+                "`ms=50` repeats `ms=5`",
+            ),
+            (
+                "kill_party 1 at_level=2 restart_after_ms=5 restart_after_ms=9",
+                "`restart_after_ms=9` repeats",
+            ),
+            ("kill_party 1 restart_after_ms=5", "needs at_level=L"),
+        ] {
+            let err = FaultSpec::parse(bad).expect_err(bad);
+            assert!(err.contains(named), "`{bad}`: {err}");
         }
     }
 
     #[test]
     fn link_faults_arm_only_on_the_lower_id_side() {
-        let plan = FaultPlan::parse(&["drop_link 1-2 at_round=3".into()], 0).unwrap();
+        let plan = FaultPlan::parse(&["drop_link 1-2 at_round=3".into()]).unwrap();
         let at_0 = FaultInjector::new(0, 3, &plan);
         let at_1 = FaultInjector::new(1, 3, &plan);
         let at_2 = FaultInjector::new(2, 3, &plan);
@@ -579,7 +487,7 @@ mod tests {
 
     #[test]
     fn round_trigger_fires_once_at_threshold() {
-        let plan = FaultPlan::parse(&["drop_link 0-1 at_round=2".into()], 0).unwrap();
+        let plan = FaultPlan::parse(&["drop_link 0-1 at_round=2".into()]).unwrap();
         let inj = FaultInjector::new(0, 2, &plan);
         assert_eq!(inj.on_send(1, 100), SendFault::default());
         assert!(inj.note_round().is_none());
@@ -593,7 +501,7 @@ mod tests {
 
     #[test]
     fn byte_trigger_counts_per_link() {
-        let plan = FaultPlan::parse(&["delay_spike 0-2 at_bytes=300 ms=1".into()], 0).unwrap();
+        let plan = FaultPlan::parse(&["delay_spike 0-2 at_bytes=300 ms=1".into()]).unwrap();
         let inj = FaultInjector::new(0, 3, &plan);
         // Traffic to peer 1 never triggers the 0-2 fault.
         assert_eq!(inj.on_send(1, 1000), SendFault::default());
@@ -604,19 +512,18 @@ mod tests {
 
     #[test]
     fn crash_fires_at_round_boundary() {
-        let plan = FaultPlan::parse(&["crash_party 1 at_round=2".into()], 7).unwrap();
+        let plan = FaultPlan::parse(&["crash_party 1 at_round=2".into()]).unwrap();
         let inj = FaultInjector::new(1, 2, &plan);
         assert!(inj.note_round().is_none());
         let fired = inj.note_round().expect("crash at round 2");
         assert!(fired.contains("crash_party 1"), "{fired}");
         assert!(inj.note_round().is_none(), "fires once");
-        assert_eq!(inj.seed(), 7);
     }
 
     #[test]
     fn in_process_drop_is_transparent_and_counted() {
-        let plan = FaultPlan::parse(&["drop_link 0-1 at_bytes=1".into()], 3).unwrap();
-        let eps = faulty_network(2, NetConfig::default(), &plan);
+        let plan = FaultPlan::parse(&["drop_link 0-1 at_bytes=1".into()]).unwrap();
+        let eps = faulted(2, NetConfig::default(), &plan);
         let results = try_run_parties_on(eps, |ep| {
             if ep.id() == 0 {
                 for i in 0..10u64 {
@@ -648,14 +555,14 @@ mod tests {
 
     #[test]
     fn crash_party_surfaces_typed_errors_everywhere() {
-        let plan = FaultPlan::parse(&["crash_party 0 at_bytes=1".into()], 0).unwrap();
+        let plan = FaultPlan::parse(&["crash_party 0 at_bytes=1".into()]).unwrap();
         // Short wedge timeout so the surviving party fails fast once the
         // crasher is gone.
         let net = NetConfig {
             recv_timeout: Duration::from_millis(300),
             ..NetConfig::default()
         };
-        let eps = faulty_network(2, net, &plan);
+        let eps = faulted(2, net, &plan);
         let results = try_run_parties_on(eps, |ep| {
             if ep.id() == 0 {
                 ep.send(1, &1u64); // crashes here
@@ -683,8 +590,8 @@ mod tests {
 
     #[test]
     fn note_round_crash_raises_on_endpoint() {
-        let plan = FaultPlan::parse(&["crash_party 1 at_round=1".into()], 0).unwrap();
-        let eps = faulty_network(2, NetConfig::default(), &plan);
+        let plan = FaultPlan::parse(&["crash_party 1 at_round=1".into()]).unwrap();
+        let eps = faulted(2, NetConfig::default(), &plan);
         let results = try_run_parties_on(eps, |ep| {
             ep.note_round();
             ep.id()

@@ -3,9 +3,10 @@
 //! The original Pivot evaluation runs one process per client on a LAN
 //! cluster, wired together with `libscapi`. This crate reproduces that
 //! topology behind a backend-agnostic [`Endpoint`]: all collectives
-//! (send/recv/broadcast/gather/scatter/exchange), traffic accounting
-//! ([`NetStats`]), and LAN simulation ([`NetConfig`]) are implemented once
-//! over byte-level [`Link`]s, with two shipped backends:
+//! (send/recv/broadcast/gather/scatter/exchange), envelope framing,
+//! traffic accounting ([`NetStats`]), LAN simulation ([`NetConfig`]) and
+//! `[faults]` injection ([`FaultInjector`]) are implemented once over
+//! byte-level [`Link`]s, with two shipped backends:
 //!
 //! - **in-process channels** ([`Network`], [`run_parties`]): each client
 //!   is an OS thread; links are crossbeam channel pairs;
@@ -37,9 +38,7 @@ pub use error::{
     catch_failures, catch_transport, panic_message, Direction, ProtocolError, RunFailure,
     TransportError, TransportErrorKind,
 };
-pub use fault::{
-    faulty_network, FaultInjector, FaultKind, FaultPlan, FaultSpec, FaultTrigger, FaultyLink,
-};
+pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultSpec, FaultTrigger};
 pub use link::{ChannelLink, Link, LinkError};
 pub use stats::NetStats;
 pub use wire::{Wire, WireError};

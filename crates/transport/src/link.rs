@@ -75,12 +75,21 @@ pub trait Link: Send {
     /// Block until the next message from the peer arrives, up to `timeout`.
     fn recv_bytes(&self, timeout: Duration) -> Result<Vec<u8>, LinkError>;
 
+    /// Send `bytes` as the frame a `[faults]` `drop_link` severs.
+    /// Returns `Ok(true)` when the link really severed its connection and
+    /// its own reconnect records the recovery. The default has no
+    /// connection to sever: it delivers the frame and returns `Ok(false)`,
+    /// and the endpoint records the reconnect a real link would have.
+    fn send_severed(&self, bytes: Vec<u8>) -> Result<bool, LinkError> {
+        self.send_bytes(bytes).map(|()| false)
+    }
+
     /// Hand the owning endpoint's traffic counters to the link, so
-    /// backends with internal machinery (reconnect sessions, fault
-    /// wrappers) can record session-health events (`reconnects`,
-    /// `replayed_frames`, …) against the party's [`NetStats`]. Called
-    /// once from `Endpoint::from_links`; backends with nothing to report
-    /// keep the default no-op.
+    /// backends with internal machinery (reconnect sessions) can record
+    /// session-health events (`reconnects`, `replayed_frames`, …)
+    /// against the party's [`NetStats`]. Called once from
+    /// `Endpoint::from_links`; backends with nothing to report keep the
+    /// default no-op.
     fn attach_stats(&self, _stats: &Arc<NetStats>) {}
 }
 

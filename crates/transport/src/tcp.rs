@@ -16,7 +16,8 @@
 //! session survives:
 //!
 //! - the **lower-id** party redials the peer's rendezvous address with
-//!   jittered exponential backoff (bounded by `connect_timeout`);
+//!   exponential backoff (bounded by `connect_timeout`), jittered from
+//!   the scenario seed ([`NetConfig::seed`]);
 //! - the **higher-id** party keeps its rendezvous listener alive in a
 //!   background acceptor thread and waits for the resume;
 //! - the resume handshake exchanges each side's last-delivered sequence
@@ -32,23 +33,25 @@
 //!
 //! A session also survives a full process restart of the peer, and a
 //! restart is a socket resume from delivery cursor 0. The restarted
-//! process dials *every* peer (its own listen port may still be pinned by
-//! the dead incarnation's sockets) with a `HELLO_RESTART` presenting
-//! cursor 0. The live side rolls its ack horizon back and replays its
-//! ring from seq 1; the restarted side re-executes the protocol from
-//! genesis and re-sends its whole outbound stream from seq 1, which the
-//! live side silently dedups by sequence number. Durable-session mode
-//! ([`NetConfig::durable_sessions`]) never prunes a ring — neither acks
-//! nor the frame/byte caps release a frame — so the replay never hits an
-//! evicted frame; without it, a restart after the first ack dies loudly
-//! with a typed [`LinkError::ResumeGap`]. An optional per-link heartbeat
-//! ([`NetConfig::heartbeat`]) detects silent peers, and
+//! process rebuilds its mesh with [`connect_mesh_restart`], the same
+//! mesh body as a first join ([`connect_mesh`]) except that it dials
+//! *every* peer (its own listen port may still be pinned by the dead
+//! incarnation's sockets) with a `HELLO_RESTART` presenting cursor 0.
+//! The live side splices the socket in like any resume, but rolls its
+//! ack horizon back and replays its ring from seq 1; the restarted side
+//! re-executes the protocol from genesis and re-sends its whole outbound
+//! stream from seq 1, which the live side silently dedups by sequence
+//! number. Durable-session mode ([`NetConfig::durable_sessions`]) never
+//! prunes a ring — neither acks nor the frame/byte caps release a frame
+//! — so the replay never hits an evicted frame; without it, a restart
+//! after the first ack dies loudly with a typed [`LinkError::ResumeGap`].
+//! An optional per-link heartbeat ([`NetConfig::heartbeat`]) detects
+//! silent peers, and
 //! [`NetConfig::rejoin_deadline`] bounds how long survivors park at the
 //! barrier before raising [`LinkError::PeerLost`].
 
 use crate::config::NetConfig;
 use crate::endpoint::{join_parties, Endpoint};
-use crate::fault::FaultInjector;
 use crate::link::{Link, LinkError};
 use crate::stats::NetStats;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -241,13 +244,12 @@ struct SessionShared {
     cond: Condvar,
     /// Serializes all socket writes (writer data frames, reader acks,
     /// resume replay). Lock order where both are held: `write_lock`
-    /// before `state` (only `finish_resume` takes both).
+    /// before `state` (only `splice_session` takes both).
     write_lock: Mutex<()>,
     /// Interruptible sleep for redial backoff, so `Drop` never waits out
     /// a pending backoff.
     gate: IdleGate,
     stats: OnceLock<Arc<NetStats>>,
-    injector: Option<Arc<FaultInjector>>,
 }
 
 impl SessionShared {
@@ -311,9 +313,9 @@ fn write_ctrl_frame(stream: &mut TcpStream, tag: u8, value: u64) -> io::Result<(
 // ---------------------------------------------------------------------------
 
 /// Outbound job: the payload plus a fault-injection tag. `sever == true`
-/// means "ring this frame but break the socket instead of writing it" —
-/// the frame is then replayed on resume, which is what guarantees
-/// `replayed_frames >= 1` for an injected drop.
+/// ([`Link::send_severed`]) means "ring this frame but break the socket
+/// instead of writing it" — the frame is then replayed on resume, which
+/// is what guarantees `replayed_frames >= 1` for an injected drop.
 type OutJob = (Vec<u8>, bool);
 
 fn writer_loop(shared: &Arc<SessionShared>, rx: Receiver<OutJob>) {
@@ -361,7 +363,7 @@ fn writer_loop(shared: &Arc<SessionShared>, rx: Receiver<OutJob>) {
             continue;
         }
         if broken {
-            // Socket already down; `finish_resume` will replay the ring.
+            // Socket already down; `splice_session` will replay the ring.
             continue;
         }
         let Some((cached_epoch, stream)) = cached.as_mut() else {
@@ -606,13 +608,8 @@ fn reader_loop(shared: &Arc<SessionShared>, in_tx: Sender<Vec<u8>>) {
 fn redial(shared: &Arc<SessionShared>) {
     let _span = pivot_trace::runtime_span("reconnect");
     let addr = shared.redial_addr.as_ref().expect("redial without addr");
-    let seed = shared.net.seed
-        ^ shared
-            .injector
-            .as_ref()
-            .map(|i| i.seed())
-            .unwrap_or(0x9e3779b97f4a7c15)
-        ^ (((shared.local as u64) << 32) | shared.peer as u64);
+    let seed =
+        shared.net.seed ^ 0x9e3779b97f4a7c15 ^ (((shared.local as u64) << 32) | shared.peer as u64);
     let mut rng = XorShift::new(seed);
     // A configured rejoin deadline widens the redial budget to cover a
     // full process restart of the peer (relaunch and restart dial),
@@ -671,20 +668,7 @@ fn try_resume(shared: &Arc<SessionShared>, addr: &str, deadline: Instant) -> io:
     if budget.is_zero() {
         return Err(io::Error::new(ErrorKind::TimedOut, "redial budget spent"));
     }
-    let mut last: Option<io::Error> = None;
-    let mut stream: Option<TcpStream> = None;
-    for sock_addr in addr.to_socket_addrs()? {
-        match TcpStream::connect_timeout(&sock_addr, budget) {
-            Ok(s) => {
-                stream = Some(s);
-                break;
-            }
-            Err(e) => last = Some(e),
-        }
-    }
-    let mut stream = stream.ok_or_else(|| {
-        last.unwrap_or_else(|| io::Error::new(ErrorKind::AddrNotAvailable, "no addresses"))
-    })?;
+    let mut stream = dial_once(addr, budget)?;
     stream.set_nodelay(true)?;
     stream.set_write_timeout(Some(WRITE_STALL_TIMEOUT))?;
     let delivered = shared.state.lock().unwrap().delivered;
@@ -696,32 +680,14 @@ fn try_resume(shared: &Arc<SessionShared>, addr: &str, deadline: Instant) -> io:
             format!("resume answered by unexpected party {}", hello.peer),
         ));
     }
-    finish_resume(shared, stream, hello.delivered)
-}
-
-/// Splice a fresh socket into the session after a plain socket resume.
-fn finish_resume(
-    shared: &Arc<SessionShared>,
-    stream: TcpStream,
-    peer_delivered: u64,
-) -> io::Result<()> {
-    splice_session(shared, stream, peer_delivered, false)
-}
-
-/// Splice a fresh socket into the session after the peer restarted: the
-/// ack horizon rolls *back* to the presented cursor (0) and everything
-/// past it is replayed.
-fn finish_restart(
-    shared: &Arc<SessionShared>,
-    stream: TcpStream,
-    peer_delivered: u64,
-) -> io::Result<()> {
-    splice_session(shared, stream, peer_delivered, true)
+    splice_session(shared, stream, hello.delivered, false)
 }
 
 /// Splice a fresh socket into the session (both sides): prune the ring
 /// to what the peer can never ask for again, replay everything past the
-/// peer's delivery horizon, and flip the session back to healthy.
+/// peer's delivery horizon, and flip the session back to healthy. After
+/// a peer `restart` the ack horizon rolls *back* to the presented cursor
+/// (0), so everything past it is replayed.
 fn splice_session(
     shared: &Arc<SessionShared>,
     mut stream: TcpStream,
@@ -817,7 +783,6 @@ impl SessionLink {
         stream: TcpStream,
         redial_addr: Option<String>,
         net: NetConfig,
-        injector: Option<Arc<FaultInjector>>,
     ) -> io::Result<SessionLink> {
         stream.set_nodelay(true)?;
         stream.set_write_timeout(Some(WRITE_STALL_TIMEOUT))?;
@@ -846,7 +811,6 @@ impl SessionLink {
             write_lock: Mutex::new(()),
             gate: IdleGate::new(),
             stats: OnceLock::new(),
-            injector,
         });
         let (out_tx, out_rx) = unbounded::<OutJob>();
         let (in_tx, in_rx) = unbounded::<Vec<u8>>();
@@ -877,6 +841,19 @@ impl SessionLink {
             reader: Some(reader),
             heartbeat,
         })
+    }
+
+    /// Queue one frame for the writer thread; `sever` rings it without
+    /// writing it and breaks the socket.
+    fn enqueue(&self, bytes: Vec<u8>, sever: bool) -> Result<(), LinkError> {
+        match &self.out_tx {
+            Some(tx) => tx.send((bytes, sever)).map_err(|_| {
+                self.shared
+                    .dead_reason()
+                    .unwrap_or_else(|| LinkError::Disconnected("writer thread exited".into()))
+            }),
+            None => Err(LinkError::Disconnected("link closed".into())),
+        }
     }
 }
 
@@ -924,37 +901,13 @@ impl Link for SessionLink {
     }
 
     fn send_bytes(&self, bytes: Vec<u8>) -> Result<(), LinkError> {
-        // Fault decisions happen here, on the protocol thread, so a
-        // seeded plan fires at a deterministic point in the transcript.
-        let mut sever = false;
-        if let Some(inj) = &self.shared.injector {
-            let fault = inj.on_send(self.shared.peer, bytes.len());
-            if let Some(reason) = fault.crash {
-                self.shared.with_stats(|s| s.record_fault_injected());
-                crate::error::TransportError::new(
-                    crate::error::TransportErrorKind::InjectedCrash,
-                    self.shared.local,
-                    reason,
-                )
-                .raise();
-            }
-            if let Some(delay) = fault.delay {
-                self.shared.with_stats(|s| s.record_fault_injected());
-                thread::sleep(delay);
-            }
-            if fault.drop_link {
-                self.shared.with_stats(|s| s.record_fault_injected());
-                sever = true;
-            }
-        }
-        match &self.out_tx {
-            Some(tx) => tx.send((bytes, sever)).map_err(|_| {
-                self.shared
-                    .dead_reason()
-                    .unwrap_or_else(|| LinkError::Disconnected("writer thread exited".into()))
-            }),
-            None => Err(LinkError::Disconnected("link closed".into())),
-        }
+        self.enqueue(bytes, false)
+    }
+
+    /// The frame stays ringed and unwritten while the socket breaks; the
+    /// reconnect replays it and `splice_session` records the recovery.
+    fn send_severed(&self, bytes: Vec<u8>) -> Result<bool, LinkError> {
+        self.enqueue(bytes, true).map(|()| true)
     }
 
     fn recv_bytes(&self, timeout: Duration) -> Result<Vec<u8>, LinkError> {
@@ -1048,8 +1001,8 @@ impl Drop for SessionLink {
 
 /// Dial `addr` until it answers or the deadline passes, with jittered
 /// exponential backoff between attempts. Each failed attempt increments
-/// `retries`. Used both for initial rendezvous (peers start in arbitrary
-/// order) and for session resume.
+/// `retries`. Used for rendezvous (peers start in arbitrary order); a
+/// session resume redials through the same single attempt, `dial_once`.
 pub fn connect_with_retry(
     addr: &str,
     deadline: Instant,
@@ -1068,33 +1021,37 @@ pub fn connect_with_retry(
                 format!("gave up dialing {addr} (connect budget spent)"),
             ));
         }
-        let mut last: Option<io::Error> = None;
-        let mut resolved = false;
-        for sock_addr in addr.to_socket_addrs()? {
-            resolved = true;
-            match TcpStream::connect_timeout(&sock_addr, budget) {
-                Ok(s) => return Ok(s),
-                Err(e) => last = Some(e),
-            }
-        }
+        let err = match dial_once(addr, budget) {
+            Ok(stream) => return Ok(stream),
+            // A malformed address never starts answering.
+            Err(e) if e.kind() == ErrorKind::InvalidInput => return Err(e),
+            Err(e) => e,
+        };
         *retries += 1;
         let remaining = deadline.saturating_duration_since(Instant::now());
         if remaining.is_zero() {
             return Err(io::Error::new(
                 ErrorKind::TimedOut,
-                format!(
-                    "gave up dialing {addr}: {}",
-                    last.map(|e| e.to_string()).unwrap_or_else(|| if resolved {
-                        "connect failed".into()
-                    } else {
-                        "no resolvable addresses".into()
-                    })
-                ),
+                format!("gave up dialing {addr}: {err}"),
             ));
         }
         thread::sleep(jittered(&mut rng, delay).min(remaining));
         delay = (delay * 2).min(BACKOFF_MAX);
     }
+}
+
+/// One dial attempt: try every address `addr` resolves to, each for at
+/// most `budget`.
+fn dial_once(addr: &str, budget: Duration) -> io::Result<TcpStream> {
+    let mut last = None;
+    for sock_addr in addr.to_socket_addrs()? {
+        match TcpStream::connect_timeout(&sock_addr, budget) {
+            Ok(stream) => return Ok(stream),
+            Err(e) => last = Some(e),
+        }
+    }
+    Err(last
+        .unwrap_or_else(|| io::Error::new(ErrorKind::AddrNotAvailable, "no resolvable addresses")))
 }
 
 /// Registry entry for the background acceptor: sessions it may resume.
@@ -1149,11 +1106,12 @@ fn handle_inbound(mut stream: TcpStream, registry: &ResumeRegistry) {
     if send_hello(&mut stream, shared.local, hello.kind, delivered).is_err() {
         return;
     }
-    if hello.kind == HELLO_RESTART {
-        let _ = finish_restart(&shared, stream, hello.delivered);
-    } else {
-        let _ = finish_resume(&shared, stream, hello.delivered);
-    }
+    let _ = splice_session(
+        &shared,
+        stream,
+        hello.delivered,
+        hello.kind == HELLO_RESTART,
+    );
 }
 
 /// Establish the full mesh for party `id`: bind `listen`, dial every
@@ -1168,115 +1126,7 @@ pub fn connect_mesh(
     peers: &[String],
     net: NetConfig,
 ) -> io::Result<Endpoint> {
-    connect_mesh_with(id, listen, peers, net, None)
-}
-
-/// [`connect_mesh`] with an optional deterministic fault injector wired
-/// into every link (and the endpoint, for round-boundary crash faults).
-pub fn connect_mesh_with(
-    id: usize,
-    listen: &str,
-    peers: &[String],
-    net: NetConfig,
-    injector: Option<Arc<FaultInjector>>,
-) -> io::Result<Endpoint> {
-    let m = peers.len();
-    assert!(id < m, "party id {id} out of range for {m} peers");
-    let deadline = Instant::now() + net.connect_timeout;
-    let listener = TcpListener::bind(listen)?;
-    let mut links: Vec<Option<Box<dyn Link>>> = (0..m).map(|_| None).collect();
-    let mut registry: ResumeRegistry = Vec::new();
-    let mut dial_retries = 0u64;
-    let seed_base = net.seed
-        ^ injector
-            .as_ref()
-            .map(|i| i.seed())
-            .unwrap_or(0x5851f42d4c957f2d);
-
-    // Dial every lower id (their listeners are up or will be shortly;
-    // retry with backoff either way). We are the higher id on these
-    // links, so the peer redials *us* on breakage: register the session
-    // with our background acceptor.
-    for peer in 0..id {
-        let seed = seed_base ^ (((id as u64) << 32) | peer as u64);
-        let mut stream = connect_with_retry(&peers[peer], deadline, &mut dial_retries, seed)?;
-        send_hello(&mut stream, id, HELLO_INITIAL, 0)?;
-        let hello = read_hello(&mut stream, INBOUND_HANDSHAKE_TIMEOUT)?;
-        if hello.peer as usize != peer || hello.kind != HELLO_INITIAL {
-            return Err(io::Error::new(
-                ErrorKind::InvalidData,
-                format!(
-                    "dialed party {peer} but party {} answered the handshake",
-                    hello.peer
-                ),
-            ));
-        }
-        let link = SessionLink::new(id, peer, stream, None, net.clone(), injector.clone())?;
-        registry.push((peer, Arc::downgrade(&link.shared)));
-        links[peer] = Some(Box::new(link));
-    }
-
-    // Accept every higher id. We are the lower id on these links, so we
-    // redial the peer's rendezvous address on breakage.
-    let mut pending = m - 1 - id;
-    while pending > 0 {
-        if Instant::now() >= deadline {
-            return Err(io::Error::new(
-                ErrorKind::TimedOut,
-                format!("party {id}: timed out waiting for {pending} peer(s) to connect"),
-            ));
-        }
-        listener.set_nonblocking(true)?;
-        let accepted = match listener.accept() {
-            Ok((stream, _)) => Some(stream),
-            Err(e) if e.kind() == ErrorKind::WouldBlock => None,
-            Err(e) => return Err(e),
-        };
-        listener.set_nonblocking(false)?;
-        let Some(mut stream) = accepted else {
-            thread::sleep(ACCEPT_POLL);
-            continue;
-        };
-        let Ok(hello) = read_hello(&mut stream, INBOUND_HANDSHAKE_TIMEOUT) else {
-            continue; // not a peer; ignore the socket
-        };
-        let peer = hello.peer as usize;
-        if hello.kind != HELLO_INITIAL || peer <= id || peer >= m || links[peer].is_some() {
-            continue;
-        }
-        send_hello(&mut stream, id, HELLO_INITIAL, 0)?;
-        let link = SessionLink::new(
-            id,
-            peer,
-            stream,
-            Some(peers[peer].clone()),
-            net.clone(),
-            injector.clone(),
-        )?;
-        // Higher-id peers never send a plain RESUME to us (we redial
-        // them), but after a full process restart they dial everyone with
-        // a RESTART hello — so these sessions register with the acceptor
-        // too.
-        registry.push((peer, Arc::downgrade(&link.shared)));
-        links[peer] = Some(Box::new(link));
-        pending -= 1;
-    }
-
-    // Keep the listener alive for resumes if any peer may redial us.
-    if !registry.is_empty() {
-        thread::Builder::new()
-            .name(format!("pvt-accept-{id}"))
-            .spawn(move || acceptor_loop(listener, registry))?;
-    }
-
-    let ep = Endpoint::from_links(id, links, net);
-    for _ in 0..dial_retries {
-        ep.stats().record_connect_retry();
-    }
-    if let Some(inj) = injector {
-        ep.set_fault_injector(inj);
-    }
-    Ok(ep)
+    build_mesh(id, listen, peers, net, false)
 }
 
 /// Re-establish the full mesh after a process restart (`pivot party
@@ -1298,80 +1148,142 @@ pub fn connect_mesh_restart(
     listen: &str,
     peers: &[String],
     net: NetConfig,
-    injector: Option<Arc<FaultInjector>>,
+) -> io::Result<Endpoint> {
+    build_mesh(id, listen, peers, net, true)
+}
+
+/// The one mesh body behind [`connect_mesh`] and
+/// [`connect_mesh_restart`]. They differ in whom they dial (lower ids
+/// with `HELLO_INITIAL`, or every peer with `HELLO_RESTART`), in whether
+/// they accept (higher ids, on a first join only), and in the listener
+/// (bound up front, or rebound in the background once the mesh has
+/// healed).
+fn build_mesh(
+    id: usize,
+    listen: &str,
+    peers: &[String],
+    net: NetConfig,
+    restart: bool,
 ) -> io::Result<Endpoint> {
     let m = peers.len();
     assert!(id < m, "party id {id} out of range for {m} peers");
     let deadline = Instant::now() + net.connect_timeout;
+    let listener = if restart {
+        None
+    } else {
+        Some(TcpListener::bind(listen)?)
+    };
+    let (hello_kind, dialed) = if restart {
+        (HELLO_RESTART, m)
+    } else {
+        (HELLO_INITIAL, id)
+    };
     let mut links: Vec<Option<Box<dyn Link>>> = (0..m).map(|_| None).collect();
+    // Every session registers with the background acceptor: a lower-id
+    // peer redials us on breakage, and a peer restarted after a full
+    // process crash dials everyone with a RESTART hello.
     let mut registry: ResumeRegistry = Vec::new();
     let mut dial_retries = 0u64;
-    let seed_base = net.seed
-        ^ injector
-            .as_ref()
-            .map(|i| i.seed())
-            .unwrap_or(0x5851f42d4c957f2d);
 
-    for peer in 0..m {
-        if peer == id {
-            continue;
-        }
-        let seed = seed_base ^ (((id as u64) << 32) | peer as u64);
+    // Dial (their listeners are up or will be shortly; retry with backoff
+    // either way). On every link the lower id redials on breakage.
+    for peer in (0..dialed).filter(|&peer| peer != id) {
+        let seed = net.seed ^ 0x5851f42d4c957f2d ^ (((id as u64) << 32) | peer as u64);
         let mut stream = connect_with_retry(&peers[peer], deadline, &mut dial_retries, seed)?;
-        send_hello(&mut stream, id, HELLO_RESTART, 0)?;
+        send_hello(&mut stream, id, hello_kind, 0)?;
         let hello = read_hello(&mut stream, INBOUND_HANDSHAKE_TIMEOUT)?;
-        if hello.peer as usize != peer || hello.kind != HELLO_RESTART {
+        if hello.peer as usize != peer || hello.kind != hello_kind {
             return Err(io::Error::new(
                 ErrorKind::InvalidData,
                 format!(
-                    "restart dial to party {peer} was answered by party {} (kind {})",
+                    "dialed party {peer} but party {} answered the handshake (kind {})",
                     hello.peer, hello.kind
                 ),
             ));
         }
-        // Normal redial rule resumes after the splice: the lower id
-        // redials on future breaks.
         let redial_addr = (peer > id).then(|| peers[peer].clone());
-        let link = SessionLink::new(id, peer, stream, redial_addr, net.clone(), injector.clone())?;
+        let link = SessionLink::new(id, peer, stream, redial_addr, net.clone())?;
         registry.push((peer, Arc::downgrade(&link.shared)));
         links[peer] = Some(Box::new(link));
     }
 
-    // Best-effort listener re-bind in the background: the mesh is
-    // already healed, so the listener only matters if another socket
-    // breaks later with this party on the accepting side. The dead
-    // incarnation's sockets can pin the port (TIME_WAIT) for a while;
-    // retry quietly and give up without failing the resume.
-    let listen_addr = listen.to_string();
-    let rebind_registry = registry;
-    let rebind_deadline = Instant::now() + net.connect_timeout;
-    thread::Builder::new()
-        .name(format!("pvt-rebind-{id}"))
-        .spawn(move || {
-            let listener = loop {
-                if !rebind_registry.iter().any(|(_, w)| w.strong_count() > 0) {
-                    return;
-                }
-                match TcpListener::bind(&listen_addr) {
-                    Ok(l) => break l,
-                    Err(_) if Instant::now() < rebind_deadline => thread::sleep(ACCEPT_POLL * 4),
-                    Err(_) => return,
-                }
+    // A first join accepts every higher id; we redial those on breakage.
+    if let Some(listener) = &listener {
+        let mut pending = m - 1 - id;
+        while pending > 0 {
+            if Instant::now() >= deadline {
+                return Err(io::Error::new(
+                    ErrorKind::TimedOut,
+                    format!("party {id}: timed out waiting for {pending} peer(s) to connect"),
+                ));
+            }
+            listener.set_nonblocking(true)?;
+            let accepted = match listener.accept() {
+                Ok((stream, _)) => Some(stream),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => None,
+                Err(e) => return Err(e),
             };
-            acceptor_loop(listener, rebind_registry);
-        })?;
+            listener.set_nonblocking(false)?;
+            let Some(mut stream) = accepted else {
+                thread::sleep(ACCEPT_POLL);
+                continue;
+            };
+            let Ok(hello) = read_hello(&mut stream, INBOUND_HANDSHAKE_TIMEOUT) else {
+                continue; // not a peer; ignore the socket
+            };
+            let peer = hello.peer as usize;
+            if hello.kind != HELLO_INITIAL || peer <= id || peer >= m || links[peer].is_some() {
+                continue;
+            }
+            send_hello(&mut stream, id, HELLO_INITIAL, 0)?;
+            let link = SessionLink::new(id, peer, stream, Some(peers[peer].clone()), net.clone())?;
+            registry.push((peer, Arc::downgrade(&link.shared)));
+            links[peer] = Some(Box::new(link));
+            pending -= 1;
+        }
+    }
+
+    // Keep a listener alive for resumes and restarts. A restarted party
+    // rebinds best-effort: the mesh is already healed, so the listener
+    // only matters if another socket breaks later with this party on the
+    // accepting side. The dead incarnation's sockets can pin the port
+    // (TIME_WAIT) for a while; retry quietly and give up without failing
+    // the resume.
+    if !registry.is_empty() {
+        let listen = listen.to_string();
+        let rebind_deadline = Instant::now() + net.connect_timeout;
+        thread::Builder::new()
+            .name(format!("pvt-accept-{id}"))
+            .spawn(move || {
+                let listener = match listener {
+                    Some(listener) => listener,
+                    None => loop {
+                        if !registry.iter().any(|(_, w)| w.strong_count() > 0) {
+                            return;
+                        }
+                        match TcpListener::bind(&listen) {
+                            Ok(listener) => break listener,
+                            Err(_) if Instant::now() < rebind_deadline => {
+                                thread::sleep(ACCEPT_POLL * 4)
+                            }
+                            Err(_) => return,
+                        }
+                    },
+                };
+                acceptor_loop(listener, registry);
+            })?;
+    }
 
     let ep = Endpoint::from_links(id, links, net);
     for _ in 0..dial_retries {
         ep.stats().record_connect_retry();
     }
-    // Each dialed splice is one session re-joined across the restart;
-    // survivors count the mirror image in `finish_restart`.
-    for _ in 0..m - 1 {
-        ep.stats().record_rejoin();
-    }
-    if let Some(inj) = injector {
-        ep.set_fault_injector(inj);
+    if restart {
+        // Each dialed splice is one session re-joined across the restart;
+        // survivors count the mirror image in `splice_session`.
+        for _ in 0..m - 1 {
+            ep.stats().record_rejoin();
+        }
     }
     Ok(ep)
 }
@@ -1417,7 +1329,7 @@ where
 mod tests {
     use super::*;
     use crate::error::catch_transport;
-    use crate::fault::FaultPlan;
+    use crate::fault::{FaultInjector, FaultPlan};
 
     fn ports(n: u16) -> u16 {
         reserve_ports(n)
@@ -1450,14 +1362,15 @@ mod tests {
     fn injected_drop_recovers_transparently_with_replay() {
         let base = ports(8);
         let peers = loopback_peers_at(2, base);
-        let plan = FaultPlan::parse(&["drop_link 0-1 at_bytes=1".into()], 7).unwrap();
+        let plan = FaultPlan::parse(&["drop_link 0-1 at_bytes=1".into()]).unwrap();
         let peers0 = peers.clone();
         let p0 = thread::spawn(move || {
-            let inj = FaultInjector::new(0, 2, &plan);
-            let ep = connect_mesh_with(0, &peers0[0], &peers0, NetConfig::default(), Some(inj))
-                .expect("party 0 mesh");
+            let ep =
+                connect_mesh(0, &peers0[0], &peers0, NetConfig::default()).expect("party 0 mesh");
+            ep.set_fault_injector(FaultInjector::new(0, 2, &plan));
             for i in 0..50u64 {
                 ep.send(1, &i);
+                ep.flush();
             }
             let sum: u64 = ep.recv(1);
             let stats = ep.stats();
@@ -1523,7 +1436,7 @@ mod tests {
         send_hello(&mut stream, 0, HELLO_INITIAL, 0).unwrap();
         let hello = read_hello(&mut stream, Duration::from_secs(5)).unwrap();
         assert_eq!(hello.peer, 1);
-        let link = SessionLink::new(0, 1, stream, None, NetConfig::default(), None).unwrap();
+        let link = SessionLink::new(0, 1, stream, None, NetConfig::default()).unwrap();
         let err = link.recv_bytes(Duration::from_secs(5)).unwrap_err();
         assert!(
             matches!(err, LinkError::Malformed(_)),
@@ -1554,7 +1467,7 @@ mod tests {
         .unwrap();
         send_hello(&mut stream, 0, HELLO_INITIAL, 0).unwrap();
         read_hello(&mut stream, Duration::from_secs(5)).unwrap();
-        let link = SessionLink::new(0, 1, stream, None, NetConfig::default(), None).unwrap();
+        let link = SessionLink::new(0, 1, stream, None, NetConfig::default()).unwrap();
         let err = link.recv_bytes(Duration::from_secs(5)).unwrap_err();
         assert!(matches!(err, LinkError::Malformed(_)), "{err:?}");
         server.join().unwrap();
@@ -1639,6 +1552,7 @@ mod tests {
             let ep = connect_mesh(0, &peers0[0], &peers0, net0).expect("party 0 mesh");
             for i in 0..frames {
                 ep.send(1, &i);
+                ep.flush();
             }
             let echoed = catch_transport(|| ep.recv::<u64>(1));
             (echoed, ep.stats().replayed_frames(), ep.stats().rejoins())
@@ -1649,8 +1563,7 @@ mod tests {
                 ep.recv::<u64>(0);
             }
             drop(ep); // simulated crash
-            let ep = connect_mesh_restart(1, &peers[1], &peers, net, None)
-                .expect("party 1 restart mesh");
+            let ep = connect_mesh_restart(1, &peers[1], &peers, net).expect("party 1 restart mesh");
             let sum: u64 = (0..frames).map(|_| ep.recv::<u64>(0)).sum();
             ep.send(0, &sum);
             (sum, ep.stats().rejoins())
@@ -1711,6 +1624,7 @@ mod tests {
             let ep = connect_mesh(0, &peers0[0], &peers0, net0).expect("party 0 mesh");
             for i in 0..200u64 {
                 ep.send(1, &i);
+                ep.flush();
             }
             catch_transport(|| ep.recv::<u64>(1))
         });
@@ -1722,7 +1636,7 @@ mod tests {
             drop(ep);
             // Cursor 0 despite 200 delivered: the ring was ack-pruned, so
             // the survivor must refuse with a typed gap, not replay junk.
-            let ep = connect_mesh_restart(1, &peers[1], &peers, net, None)
+            let ep = connect_mesh_restart(1, &peers[1], &peers, net)
                 .expect("restart dial itself succeeds");
             catch_transport(|| ep.recv::<u64>(0))
         });
@@ -1769,7 +1683,7 @@ mod tests {
         };
         // Acceptor side (no redial_addr): parks at the barrier, then
         // raises PeerLost once the rejoin budget is spent.
-        let link = SessionLink::new(0, 1, stream, None, net, None).unwrap();
+        let link = SessionLink::new(0, 1, stream, None, net).unwrap();
         let start = Instant::now();
         let err = link.recv_bytes(Duration::from_secs(8)).unwrap_err();
         assert!(
@@ -1791,6 +1705,7 @@ mod tests {
             if ep.id() == 0 {
                 for i in 0..200u64 {
                     ep.send(1, &i);
+                    ep.flush();
                 }
                 ep.recv::<u64>(1)
             } else {

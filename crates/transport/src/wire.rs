@@ -198,13 +198,12 @@ impl Wire for BigUint {
 
 /// Coalesced-frame envelope: `[u64 count][u64 len, payload]…`.
 ///
-/// When an endpoint runs in coalescing mode, every link frame is one
+/// Envelopes are the endpoint's only framing: every link frame is one
 /// envelope holding the independent protocol messages staged for that
-/// peer since the last flush. The member payloads are byte-identical to
-/// what the non-coalesced path would have sent as separate frames, so
-/// [`crate::NetStats`] can account members and envelope overhead
-/// separately and the per-message byte totals stay comparable across
-/// scheduling modes.
+/// peer since the last flush. Each member is one message's [`Wire`]
+/// encoding, so [`crate::NetStats`] accounts members and envelope
+/// overhead separately and the per-message byte totals do not depend on
+/// how messages were batched.
 pub fn encode_envelope(msgs: &[Vec<u8>]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(
         envelope_overhead(msgs.len()) + msgs.iter().map(Vec::len).sum::<usize>(),

@@ -2,7 +2,7 @@
 //! the in-process tests exercise, plus cross-backend byte-count parity.
 
 use pivot_transport::tcp::run_parties_tcp;
-use pivot_transport::{run_parties_with, NetConfig};
+use pivot_transport::{run_parties_with, Endpoint, FaultInjector, FaultPlan, NetConfig};
 
 #[test]
 fn tcp_point_to_point_and_broadcast() {
@@ -88,4 +88,56 @@ fn tcp_mesh_scales_to_five_parties() {
         ep.exchange_all(&(ep.id() as u64)).iter().sum::<u64>()
     });
     assert_eq!(results, vec![10; 5]);
+}
+
+#[test]
+fn one_fault_plan_has_one_outcome_on_both_backends() {
+    // Each round's envelope carries one 136-byte member plus 16 bytes of
+    // framing: the drop fires on party 0's second envelope to party 1,
+    // the delay on party 1's third envelope to party 2.
+    let plan = FaultPlan::parse(&[
+        "drop_link 0-1 at_bytes=300".into(),
+        "delay_spike 1-2 at_bytes=400 ms=20".into(),
+    ])
+    .unwrap();
+    let protocol = |ep: Endpoint| {
+        ep.set_fault_injector(FaultInjector::new(ep.id(), 3, &plan));
+        let sums: Vec<u64> = (0..8u64)
+            .map(|round| {
+                let all = ep.exchange_all(&vec![ep.id() as u64 * 100 + round; 16]);
+                all.iter().flatten().sum()
+            })
+            .collect();
+        let stats = ep.stats();
+        (
+            sums,
+            stats.bytes_sent(),
+            stats.bytes_received(),
+            stats.faults_injected(),
+            stats.reconnects(),
+            stats.replayed_frames(),
+        )
+    };
+    let in_process = run_parties_with(3, NetConfig::default(), protocol);
+    let over_tcp = run_parties_tcp(3, NetConfig::default(), protocol);
+    for (party, (a, b)) in in_process.iter().zip(&over_tcp).enumerate() {
+        assert_eq!(
+            (&a.0, a.1, a.2),
+            (&b.0, b.1, b.2),
+            "party {party} results and bytes"
+        );
+        assert_eq!(a.3, b.3, "party {party} faults_injected");
+    }
+    assert_eq!(
+        in_process.iter().map(|r| r.3).collect::<Vec<_>>(),
+        vec![1, 1, 0]
+    );
+    for (backend, runs) in [("in-process", &in_process), ("tcp", &over_tcp)] {
+        let (reconnects, replayed) = (runs[0].4, runs[0].5);
+        assert!(
+            reconnects >= 1,
+            "{backend}: party 0 reconnects {reconnects}"
+        );
+        assert!(replayed >= 1, "{backend}: party 0 replayed {replayed}");
+    }
 }
