@@ -9,16 +9,21 @@
 //!   schoolbook + Karatsuba multiplication and Knuth Algorithm D division.
 //! * [`BigInt`] — signed integers for extended-gcd style computations.
 //! * [`Montgomery`] — Montgomery multiplication, squaring and sliding-window
-//!   exponentiation for odd moduli (the hot path of Paillier): in-place
-//!   kernels over caller-owned buffers and ladders that allocate nothing
-//!   per step (see the module docs of `montgomery.rs`).
+//!   exponentiation for odd moduli (the hot path of Paillier): a portable
+//!   64-bit kernel, a radix-2^52 AVX-512 IFMA kernel that exponentiations
+//!   run on where the CPU has it, and one set of ladders over both that
+//!   allocates nothing per step (see the module docs of `montgomery.rs`).
 //! * [`prime`] — Miller–Rabin testing plus (safe-)prime generation.
 //! * [`rng`] — uniform random sampling of big integers.
 //!
 //! Everything is written for clarity-first correctness and in safe Rust; the
 //! Montgomery layer alone is written for speed, because every homomorphic
 //! operation, partial decryption, proof and primality test above it is a
-//! count of its multiplications and squarings.
+//! count of its multiplications and squarings. Its IFMA kernel
+//! (`montgomery/ifma.rs`, x86_64 only) is the one module with `unsafe`:
+//! unaligned vector loads and stores, and calls into
+//! `#[target_feature(enable = "avx512f,avx512ifma")]` code made only after
+//! `is_x86_feature_detected!` reported both features.
 
 mod int;
 mod modular;

@@ -2,25 +2,96 @@
 //! operation. A [`Montgomery`] context precomputes everything needed for an
 //! odd modulus and then multiplies and exponentiates without any division.
 //!
-//! Three kernels do all the work, each over caller-owned buffers:
+//! # Two kernels
+//!
+//! The portable kernel works on 64-bit limbs, `R = 2^(64·limbs)`, and is
+//! the public Montgomery form (`to_mont`, `from_mont`, `mont_mul`,
+//! `mont_sqr`). Three routines do its work, each over caller-owned buffers:
 //!
 //! * `mul_into` — multiply and reduce fused into one pass per limb of `a`
-//!   (finely integrated operand scanning): the row `aᵢ·b` and the row `m·n`
-//!   that cancels its low limb are added in the same inner loop, on two
-//!   carry chains that do not wait for each other. `2s²` limb products.
+//!   (finely integrated operand scanning): the row `aᵢ·b` and the row
+//!   `m·n` that cancels its low limb are added in the same inner loop, on
+//!   two carry chains that do not wait for each other. `2s²` limb products.
 //! * `sqr_into` — a real squaring: the cross products `aᵢ·aⱼ, i < j` once,
 //!   doubled, plus the diagonal `aᵢ²`, then one reduction pass. `1.5s²`.
 //! * `redc_into` — the reduction pass alone (`s²`), which is also all that
 //!   leaving Montgomery form costs.
 //!
-//! Every exponentiation runs on one [`Accumulator`] that owns its ping-pong
-//! buffers and the squaring scratch, replaying an [`ExponentSchedule`]: a
-//! ladder allocates its table of odd powers and nothing per step.
-//! Results are fully reduced, so they do not depend on the window width or
-//! on which kernel produced them.
+//! The second kernel (`montgomery/ifma.rs`) works on 52-bit digits with
+//! AVX-512 IFMA, eight digit products per instruction, in a form of its own
+//! that never leaves this module. [`Montgomery::new`] adds it when the CPU
+//! reports `avx512f` and `avx512ifma` and the modulus has at least
+//! `ifma::MIN_BITS` = 448 bits; those two facts are the whole rule, and
+//! [`Montgomery::kernel_name`] reports it. The crossover was measured with
+//! the `kernel_crossover` test (three runs on a 2-vCPU Sapphire Rapids VM,
+//! fastest of five rounds each; ranges over the runs): the ladder is
+//! `pow_scheduled` with an exponent of half the modulus width (the nonce
+//! power `r^N` modulo `N²`), and "new + pow" builds a context and raises to
+//! a full-width exponent, as prime search does once per candidate.
+//!
+//! | modulus bits | portable ladder µs | IFMA ladder µs | ladder speed-up | new + pow speed-up |
+//! |---|---|---|---|---|
+//! | 256  | 8.3–12.2      | 8.6–9.6     | 0.97–1.27× | 0.91–0.94× |
+//! | 320  | 13.5–24.8     | 13.6–15.1   | 0.99–1.64× | 0.97–1.35× |
+//! | 384  | 20.7–22.4     | 17.9–18.3   | 1.15–1.23× | 1.11–1.67× |
+//! | 448  | 32.1–55.0     | 25.1–26.6   | 1.23–2.20× | 1.21–1.94× |
+//! | 512  | 52.4–76.6     | 31.1–32.1   | 1.68–2.41× | 1.42–2.27× |
+//! | 1024 | 268–494       | 117–121     | 2.30–4.13× | 2.33–3.93× |
+//! | 2048 | 1 971–2 294   | 521–563     | 3.65–4.14× | 3.92–4.63× |
+//! | 4096 | 16 777–19 023 | 2 728–3 035 | 6.15–6.31× | 6.28–6.78× |
+//!
+//! From 448 bits up the IFMA kernel won every run in both columns by at
+//! least 1.2×; at 256 and 320 bits it lost or tied once its context's
+//! construction counted. Below the crossover `new` builds the portable
+//! kernel alone and computes nothing extra.
+//!
+//! # One ladder
+//!
+//! Every exponentiation — [`Montgomery::pow_mont_scheduled`] and, on top
+//! of it, `pow`, `pow_mont`, `pow_scheduled`, and [`Montgomery::multi_pow`]
+//! — is written once over the [`Kernel`] interface and replayed on the
+//! selected kernel: the base enters the kernel's form once, and the result
+//! leaves it fully reduced, so results do not depend on the window width or
+//! on which kernel produced them. Each ladder runs on one [`Accumulator`]
+//! that owns its ping-pong buffers and the kernel's scratch, replaying an
+//! [`ExponentSchedule`]: a ladder allocates its table of odd powers and
+//! nothing per step.
 
 use crate::{BigUint, Limb};
 use std::borrow::Cow;
+
+#[cfg(target_arch = "x86_64")]
+mod ifma;
+
+/// `$body` with `$k` bound to the kernel context `$ctx` selected: its
+/// radix-2^52 kernel if it has one, else the context itself.
+macro_rules! on_kernel {
+    ($ctx:expr, |$k:ident| $body:expr) => {{
+        #[cfg(target_arch = "x86_64")]
+        let ifma = $ctx.ifma.as_deref();
+        #[cfg(not(target_arch = "x86_64"))]
+        let ifma: Option<&Montgomery> = None;
+        match ifma {
+            Some($k) => $body,
+            None => {
+                let $k = $ctx;
+                $body
+            }
+        }
+    }};
+}
+
+/// The selection rule of [`Montgomery::new`]: only the CPU's feature bits
+/// and the modulus width decide.
+#[cfg(target_arch = "x86_64")]
+fn selects_ifma(bits: u32) -> bool {
+    (ifma::MIN_BITS..=ifma::MAX_BITS).contains(&bits) && ifma::cpu_supported()
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn selects_ifma(_bits: u32) -> bool {
+    false
+}
 
 /// Precomputed Montgomery context for an odd modulus `n`.
 ///
@@ -35,11 +106,37 @@ pub struct Montgomery {
     /// `R mod n` — the Montgomery form of 1.
     r1: Vec<Limb>,
     limbs: usize,
+    /// The radix-2^52 kernel every exponentiation replays on, when
+    /// [`Montgomery::kernel_name`] selects it.
+    #[cfg(target_arch = "x86_64")]
+    ifma: Option<Box<ifma::Ifma52>>,
 }
 
 impl Montgomery {
     /// Build a context for an odd modulus. Panics if `n` is even or < 2.
     pub fn new(n: &BigUint) -> Montgomery {
+        let ctx = Self::portable(n);
+        #[cfg(target_arch = "x86_64")]
+        if selects_ifma(n.bits()) {
+            return ctx.with_ifma();
+        }
+        ctx
+    }
+
+    /// The kernel exponentiations modulo a `bits`-bit modulus run on in
+    /// this process: `"ifma52"`, the radix-2^52 AVX-512 IFMA kernel, when
+    /// the CPU reports `avx512f` and `avx512ifma` and the modulus has at
+    /// least the crossover width, else `"cios64"`, the portable one.
+    pub fn kernel_name(bits: u32) -> &'static str {
+        if selects_ifma(bits) {
+            "ifma52"
+        } else {
+            "cios64"
+        }
+    }
+
+    /// The context on the portable kernel alone, whatever the CPU.
+    pub(crate) fn portable(n: &BigUint) -> Montgomery {
         assert!(n.is_odd(), "Montgomery requires an odd modulus");
         assert!(!n.is_one(), "modulus must be > 1");
         let limbs = n.limbs().len();
@@ -64,7 +161,36 @@ impl Montgomery {
             r2: pad(&r2, limbs),
             r1: pad(&r1, limbs),
             limbs,
+            #[cfg(target_arch = "x86_64")]
+            ifma: None,
         }
+    }
+
+    /// This context with the radix-2^52 kernel added, where the CPU has it.
+    #[cfg(target_arch = "x86_64")]
+    fn with_ifma(self) -> Montgomery {
+        let ifma = ifma::Ifma52::new(&self).map(Box::new);
+        Montgomery { ifma, ..self }
+    }
+
+    /// The context on the radix-2^52 kernel at any width it serves, or
+    /// `None` where the CPU lacks AVX-512 IFMA.
+    #[cfg(test)]
+    pub(crate) fn ifma(n: &BigUint) -> Option<Montgomery> {
+        let ctx = Self::portable(n);
+        #[cfg(target_arch = "x86_64")]
+        let ctx = ctx.with_ifma();
+        Some(ctx).filter(|ctx| ctx.kernel() == "ifma52")
+    }
+
+    /// The kernel this context's exponentiations run on.
+    #[cfg(test)]
+    pub(crate) fn kernel(&self) -> &'static str {
+        #[cfg(target_arch = "x86_64")]
+        if self.ifma.is_some() {
+            return "ifma52";
+        }
+        "cios64"
     }
 
     /// The modulus.
@@ -91,12 +217,7 @@ impl Montgomery {
     /// Convert out of Montgomery form (`x·R → x mod n`): one reduction pass
     /// over `x` extended with zero high limbs.
     pub fn from_mont(&self, x: &[Limb]) -> BigUint {
-        let s = self.limbs;
-        let mut wide = vec![0 as Limb; 2 * s];
-        wide[..s].copy_from_slice(x);
-        let mut out = vec![0 as Limb; s];
-        self.redc_into(&mut out, &mut wide);
-        BigUint::from_limbs(out)
+        BigUint::from_limbs(self.leave(x, Form::Plain))
     }
 
     /// Montgomery multiplication into `out`: `a·b·R^{-1} mod n`.
@@ -260,48 +381,17 @@ impl Montgomery {
     }
 
     /// Exponentiation by a *pre-recoded* exponent (see
-    /// [`ExponentSchedule::recode`]), the one ladder of this crate.
-    ///
-    /// *Sliding* windows: only the odd powers `base^1, base^3, …` up to the
-    /// largest digit the schedule references are tabulated, runs of zero
-    /// exponent bits cost one squaring each with no multiplication, and
-    /// every window is anchored on a set low bit, so there is one table
-    /// multiplication per *occupied* window.
+    /// [`ExponentSchedule::recode`]), with base and result in Montgomery
+    /// form, replayed by `replay` on the selected kernel.
     pub fn pow_mont_scheduled(&self, base_m: &[Limb], sched: &ExponentSchedule) -> Vec<Limb> {
-        let Some(first) = sched.first else {
-            return self.r1.clone();
-        };
-        let s = self.limbs;
-        let mut acc = Accumulator::new(self);
-        // Odd powers base^(2k+1), k = 0..=max_index, laid out back to back.
-        let mut odd_pow = vec![0 as Limb; (sched.max_index + 1) * s];
-        odd_pow[..s].copy_from_slice(base_m);
-        if sched.max_index > 0 {
-            acc.set(base_m);
-            acc.sqr();
-            for k in 1..=sched.max_index {
-                let (done, rest) = odd_pow.split_at_mut(k * s);
-                self.mul_into(&mut rest[..s], &done[(k - 1) * s..], acc.value());
-            }
-        }
-        let entry = |index: usize| &odd_pow[index * s..(index + 1) * s];
-        acc.set(entry(first));
-        for &(squarings, index) in &sched.steps {
-            for _ in 0..squarings {
-                acc.sqr();
-            }
-            acc.mul(entry(index));
-        }
-        for _ in 0..sched.tail {
-            acc.sqr();
-        }
-        acc.into_value()
+        assert_eq!(base_m.len(), self.limbs);
+        on_kernel!(self, |k| replay(k, base_m, Form::Mont, sched))
     }
 
     /// `base^exp mod n` through a precomputed [`ExponentSchedule`].
     pub fn pow_scheduled(&self, base: &BigUint, sched: &ExponentSchedule) -> BigUint {
-        let base_m = self.to_mont(base);
-        self.from_mont(&self.pow_mont_scheduled(&base_m, sched))
+        let base = self.residue(base);
+        BigUint::from_limbs(on_kernel!(self, |k| replay(k, &base, Form::Plain, sched)))
     }
 
     /// Modular multiplication convenience: `a·b mod n` on plain values,
@@ -315,7 +405,8 @@ impl Montgomery {
     }
 
     /// Simultaneous multi-exponentiation: `Π baseᵢ^expᵢ mod n` via
-    /// interleaved k-ary windows (generalized Shamir's trick).
+    /// interleaved k-ary windows (generalized Shamir's trick), on the
+    /// selected kernel.
     ///
     /// One shared squaring chain serves every base — the per-bit squaring
     /// cost of `k` separate [`Montgomery::pow`] calls collapses to a single
@@ -327,109 +418,225 @@ impl Montgomery {
     /// with plaintext weights.
     pub fn multi_pow(&self, pairs: &[(&BigUint, &BigUint)]) -> BigUint {
         // Drop exp = 0 terms (base^0 = 1 contributes nothing).
-        let active: Vec<(&BigUint, &BigUint)> = pairs
+        let active: Vec<(Cow<[Limb]>, &BigUint)> = pairs
             .iter()
             .filter(|(_, e)| !e.is_zero())
-            .copied()
+            .map(|&(b, e)| (self.residue(b), e))
             .collect();
-        let Some(max_bits) = active.iter().map(|(_, e)| e.bits()).max() else {
+        if active.is_empty() {
             return BigUint::one();
-        };
-        // Window width by exponent size: the 2^w − 2 table multiplications
-        // per base must amortize over ⌈bits/w⌉ windows.
-        let w: u32 = match max_bits {
-            0..=32 => 1,
-            33..=128 => 2,
-            129..=384 => 3,
-            _ => 4,
-        };
-        // Per-base powers base^1 .. base^(2^w − 1) in Montgomery form, all
-        // tables back to back in one buffer.
-        let s = self.limbs;
-        let per_base = (1usize << w) - 1;
-        let mut tables = vec![0 as Limb; active.len() * per_base * s];
-        for (table, (base, _)) in tables.chunks_exact_mut(per_base * s).zip(&active) {
-            self.mul_into(&mut table[..s], &self.residue(base), &self.r2);
-            for d in 1..per_base {
-                let (done, rest) = table.split_at_mut(d * s);
-                self.mul_into(&mut rest[..s], &done[(d - 1) * s..], &done[..s]);
-            }
         }
-
-        let mut acc = Accumulator::new(self);
-        let mut started = false;
-        for wi in (0..max_bits.div_ceil(w)).rev() {
-            if started {
-                for _ in 0..w {
-                    acc.sqr();
-                }
-            }
-            for (i, (_, e)) in active.iter().enumerate() {
-                let mut digit = 0usize;
-                for b in (wi * w..(wi + 1) * w).rev() {
-                    digit = (digit << 1) | usize::from(b < e.bits() && e.bit(b));
-                }
-                if digit != 0 {
-                    let at = (i * per_base + digit - 1) * s;
-                    let term = &tables[at..at + s];
-                    if started {
-                        acc.mul(term);
-                    } else {
-                        acc.set(term);
-                        started = true;
-                    }
-                }
-            }
-        }
-        // The top window holds the leading bit of the longest exponent.
-        debug_assert!(started);
-        self.from_mont(acc.value())
+        BigUint::from_limbs(on_kernel!(self, |k| interleave(k, &active)))
     }
+}
+
+/// Which Montgomery form a ladder's input and output are in.
+#[derive(Clone, Copy)]
+enum Form {
+    /// A plain residue below `n`.
+    Plain,
+    /// The public form: `x·2^(64·limbs) mod n`, as the 64-bit kernel keeps it.
+    Mont,
+}
+
+/// What a ladder needs from a Montgomery kernel. An element is
+/// [`Kernel::words`] `u64`s in the kernel's own Montgomery form; values
+/// cross into and out of it only through `enter` and `leave`.
+trait Kernel {
+    /// `u64`s per element.
+    fn words(&self) -> usize;
+    /// Scratch words [`Kernel::sqr`] needs.
+    fn scratch_words(&self) -> usize;
+    /// The form of 1.
+    fn one(&self) -> &[u64];
+    /// `out = a·b`, in the form.
+    fn mul(&self, out: &mut [u64], a: &[u64], b: &[u64]);
+    /// `out = a²`, in the form.
+    fn sqr(&self, out: &mut [u64], a: &[u64], scratch: &mut [u64]);
+    /// `x`, `limbs` words in `form`, into the kernel's form.
+    fn enter(&self, out: &mut [u64], x: &[Limb], form: Form);
+    /// `x` out of the kernel's form into `form`, fully reduced, as `limbs`
+    /// words.
+    fn leave(&self, x: &[u64], form: Form) -> Vec<Limb>;
+}
+
+/// The 64-bit CIOS kernel, whose form is the public one.
+impl Kernel for Montgomery {
+    fn words(&self) -> usize {
+        self.limbs
+    }
+
+    fn scratch_words(&self) -> usize {
+        2 * self.limbs
+    }
+
+    fn one(&self) -> &[u64] {
+        &self.r1
+    }
+
+    fn mul(&self, out: &mut [u64], a: &[u64], b: &[u64]) {
+        self.mul_into(out, a, b);
+    }
+
+    fn sqr(&self, out: &mut [u64], a: &[u64], scratch: &mut [u64]) {
+        self.sqr_into(out, a, scratch);
+    }
+
+    fn enter(&self, out: &mut [u64], x: &[Limb], form: Form) {
+        match form {
+            Form::Plain => self.mul_into(out, x, &self.r2),
+            Form::Mont => out.copy_from_slice(x),
+        }
+    }
+
+    /// Leaving for the plain form is one reduction pass over `x` extended
+    /// with zero high limbs.
+    fn leave(&self, x: &[u64], form: Form) -> Vec<Limb> {
+        let s = self.limbs;
+        match form {
+            Form::Plain => {
+                let mut wide = vec![0 as Limb; 2 * s];
+                wide[..s].copy_from_slice(x);
+                let mut out = vec![0 as Limb; s];
+                self.redc_into(&mut out, &mut wide);
+                out
+            }
+            Form::Mont => x.to_vec(),
+        }
+    }
+}
+
+/// The one sliding-window ladder: `base^exp` for a `base` and result in
+/// `form`, replaying `sched` on kernel `k`.
+///
+/// *Sliding* windows: only the odd powers `base^1, base^3, …` up to the
+/// largest digit the schedule references are tabulated, runs of zero
+/// exponent bits cost one squaring each with no multiplication, and every
+/// window is anchored on a set low bit, so there is one table
+/// multiplication per *occupied* window.
+fn replay<K: Kernel>(k: &K, base: &[Limb], form: Form, sched: &ExponentSchedule) -> Vec<Limb> {
+    let Some(first) = sched.first else {
+        return k.leave(k.one(), form);
+    };
+    let w = k.words();
+    let mut acc = Accumulator::new(k);
+    // Odd powers base^(2i+1), i = 0..=max_index, laid out back to back.
+    let mut odd_pow = vec![0; (sched.max_index + 1) * w];
+    k.enter(&mut odd_pow[..w], base, form);
+    if sched.max_index > 0 {
+        acc.set(&odd_pow[..w]);
+        acc.sqr();
+        for i in 1..=sched.max_index {
+            let (done, rest) = odd_pow.split_at_mut(i * w);
+            k.mul(&mut rest[..w], &done[(i - 1) * w..], acc.value());
+        }
+    }
+    let entry = |index: usize| &odd_pow[index * w..(index + 1) * w];
+    acc.set(entry(first));
+    for &(squarings, index) in &sched.steps {
+        for _ in 0..squarings {
+            acc.sqr();
+        }
+        acc.mul(entry(index));
+    }
+    for _ in 0..sched.tail {
+        acc.sqr();
+    }
+    k.leave(acc.value(), form)
+}
+
+/// The interleaved-window ladder of [`Montgomery::multi_pow`] on kernel
+/// `k`: `Π baseᵢ^expᵢ` over residues and nonzero exponents, plain.
+fn interleave<K: Kernel>(k: &K, active: &[(Cow<[Limb]>, &BigUint)]) -> Vec<Limb> {
+    let max_bits = active.iter().map(|(_, e)| e.bits()).max().unwrap_or(0);
+    // Window width by exponent size: the 2^w − 2 table multiplications
+    // per base must amortize over ⌈bits/w⌉ windows.
+    let w: u32 = match max_bits {
+        0..=32 => 1,
+        33..=128 => 2,
+        129..=384 => 3,
+        _ => 4,
+    };
+    // Per-base powers base^1 .. base^(2^w − 1) in the kernel's form, all
+    // tables back to back in one buffer.
+    let s = k.words();
+    let per_base = (1usize << w) - 1;
+    let mut tables = vec![0; active.len() * per_base * s];
+    for (table, (base, _)) in tables.chunks_exact_mut(per_base * s).zip(active) {
+        k.enter(&mut table[..s], base, Form::Plain);
+        for d in 1..per_base {
+            let (done, rest) = table.split_at_mut(d * s);
+            k.mul(&mut rest[..s], &done[(d - 1) * s..], &done[..s]);
+        }
+    }
+
+    let mut acc = Accumulator::new(k);
+    let mut started = false;
+    for wi in (0..max_bits.div_ceil(w)).rev() {
+        if started {
+            for _ in 0..w {
+                acc.sqr();
+            }
+        }
+        for (i, (_, e)) in active.iter().enumerate() {
+            let mut digit = 0usize;
+            for b in (wi * w..(wi + 1) * w).rev() {
+                digit = (digit << 1) | usize::from(b < e.bits() && e.bit(b));
+            }
+            if digit != 0 {
+                let at = (i * per_base + digit - 1) * s;
+                let term = &tables[at..at + s];
+                if started {
+                    acc.mul(term);
+                } else {
+                    acc.set(term);
+                    started = true;
+                }
+            }
+        }
+    }
+    // The top window holds the leading bit of the longest exponent.
+    debug_assert!(started);
+    k.leave(acc.value(), Form::Plain)
 }
 
 /// The running value of a ladder together with every buffer a step needs:
 /// each kernel call writes into `spare` and the two are swapped, so a whole
 /// exponentiation allocates these three vectors once.
-struct Accumulator<'a> {
-    ctx: &'a Montgomery,
-    value: Vec<Limb>,
-    spare: Vec<Limb>,
-    /// Double-width scratch of the squaring kernel.
-    wide: Vec<Limb>,
+struct Accumulator<'a, K: Kernel> {
+    k: &'a K,
+    value: Vec<u64>,
+    spare: Vec<u64>,
+    /// Scratch of the squaring kernel.
+    scratch: Vec<u64>,
 }
 
-impl<'a> Accumulator<'a> {
-    fn new(ctx: &'a Montgomery) -> Self {
-        let s = ctx.limbs;
+impl<'a, K: Kernel> Accumulator<'a, K> {
+    fn new(k: &'a K) -> Self {
         Accumulator {
-            ctx,
-            value: vec![0; s],
-            spare: vec![0; s],
-            wide: vec![0; 2 * s],
+            k,
+            value: vec![0; k.words()],
+            spare: vec![0; k.words()],
+            scratch: vec![0; k.scratch_words()],
         }
     }
 
-    fn set(&mut self, x: &[Limb]) {
+    fn set(&mut self, x: &[u64]) {
         self.value.copy_from_slice(x);
     }
 
     fn sqr(&mut self) {
-        self.ctx
-            .sqr_into(&mut self.spare, &self.value, &mut self.wide);
+        self.k.sqr(&mut self.spare, &self.value, &mut self.scratch);
         std::mem::swap(&mut self.value, &mut self.spare);
     }
 
-    fn mul(&mut self, x: &[Limb]) {
-        self.ctx.mul_into(&mut self.spare, &self.value, x);
+    fn mul(&mut self, x: &[u64]) {
+        self.k.mul(&mut self.spare, &self.value, x);
         std::mem::swap(&mut self.value, &mut self.spare);
     }
 
-    fn value(&self) -> &[Limb] {
+    fn value(&self) -> &[u64] {
         &self.value
-    }
-
-    fn into_value(self) -> Vec<Limb> {
-        self.value
     }
 }
 

@@ -300,3 +300,141 @@ proptest! {
         prop_assert_eq!(ba.cmp(&bb), a.cmp(&b));
     }
 }
+
+/// The widths the kernel parity test runs at: both sides of the crossover,
+/// digit counts that are and are not multiples of 8 lanes, and 2078 bits,
+/// where the radix-2^52 kernel's `R = 2^2080` is barely above `4m`.
+const PARITY_BITS: [u32; 11] = [
+    256, 447, 448, 1023, 1024, 1536, 2047, 2048, 2078, 3072, 4096,
+];
+
+/// Both kernels replay `pow_scheduled`, `pow_mont_scheduled` and
+/// `multi_pow` on the same inputs and must agree bit for bit; the portable
+/// one is the reference (the tests above check it against division).
+#[test]
+fn kernels_agree_bit_for_bit_on_every_ladder() {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    let mut rng = StdRng::seed_from_u64(52);
+    let exps = [
+        BigUint::zero(),
+        BigUint::one(),
+        BigUint::pow2(100),
+        &BigUint::pow2(80) - &BigUint::one(),
+        crate::rng::gen_exact_bits(&mut rng, 1024),
+        crate::rng::gen_exact_bits(&mut rng, 2050),
+    ];
+    for bits in PARITY_BITS {
+        let n = if bits == 2078 {
+            &BigUint::pow2(bits) - &BigUint::one()
+        } else {
+            odd_modulus(crate::rng::gen_exact_bits(&mut rng, bits))
+        };
+        assert_eq!(n.bits(), bits);
+        let portable = Montgomery::portable(&n);
+        let Some(ifma) = Montgomery::ifma(&n) else {
+            println!("kernel parity at {bits} bits skipped: this CPU lacks avx512ifma");
+            continue;
+        };
+        let bases = [
+            BigUint::zero(),
+            BigUint::one(),
+            &n - &BigUint::one(),
+            &n + &crate::rng::gen_bits(&mut rng, bits),
+            crate::rng::gen_below(&mut rng, &n),
+        ];
+        for exp in &exps {
+            let sched = ExponentSchedule::recode(exp);
+            // 0, 1 and n − 1 stay trivial under a long exponent too.
+            let nontrivial = if exp.bits() > 128 { 3 } else { 0 };
+            for base in &bases[nontrivial..] {
+                let at = format!("{bits}-bit modulus, {}-bit exponent", exp.bits());
+                let expect = portable.pow_scheduled(base, &sched);
+                assert_eq!(
+                    ifma.pow_scheduled(base, &sched),
+                    expect,
+                    "pow_scheduled, {at}"
+                );
+                let base_m = portable.to_mont(base);
+                let expect_m = portable.pow_mont_scheduled(&base_m, &sched);
+                let got_m = ifma.pow_mont_scheduled(&base_m, &sched);
+                assert_eq!(got_m, expect_m, "pow_mont_scheduled, {at}");
+                assert_eq!(ifma.from_mont(&got_m), expect, "pow_mont_scheduled, {at}");
+            }
+        }
+        let pairs: Vec<(&BigUint, &BigUint)> = bases.iter().zip(exps.iter().rev()).collect();
+        assert_eq!(
+            ifma.multi_pow(&pairs),
+            portable.multi_pow(&pairs),
+            "multi_pow, {bits} bits"
+        );
+    }
+}
+
+/// Below the crossover `Montgomery::new` builds the portable kernel alone;
+/// at and above it, the one its public selection rule names.
+#[test]
+fn new_selects_the_kernel_it_names() {
+    for bits in [64, 447, 448, 1024, 2048, 4096] {
+        let n = &BigUint::pow2(bits) - &BigUint::one();
+        let ctx = Montgomery::new(&n);
+        assert_eq!(ctx.kernel(), Montgomery::kernel_name(bits), "{bits} bits");
+        if bits < 448 {
+            assert_eq!(ctx.kernel(), "cios64", "{bits} bits");
+        }
+    }
+}
+
+/// The crossover table of the `montgomery` module docs, both kernels at a
+/// modulus width: `pow_scheduled` with an exponent of half that width (the
+/// nonce power `r^N` modulo `N²`), and a fresh context plus `pow` with an
+/// exponent of the full width (a primality test, which prime search runs
+/// once per candidate). Timing, so run it alone and in release: `cargo
+/// test --release -p pivot-bignum --lib kernel_crossover -- --ignored
+/// --nocapture`.
+#[test]
+#[ignore]
+fn kernel_crossover() {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use std::time::Instant;
+    let mut rng = StdRng::seed_from_u64(1800);
+    println!("bits  ladder: cios64_us ifma52_us speedup  new+pow: cios64_us ifma52_us speedup");
+    for bits in [256u32, 320, 384, 448, 512, 1024, 2048, 4096] {
+        let n = odd_modulus(crate::rng::gen_exact_bits(&mut rng, bits));
+        let half = ExponentSchedule::recode(&crate::rng::gen_exact_bits(&mut rng, bits / 2));
+        let full = crate::rng::gen_exact_bits(&mut rng, bits - 1);
+        let base = crate::rng::gen_below(&mut rng, &n);
+        let (Some(ifma), portable) = (Montgomery::ifma(&n), Montgomery::portable(&n)) else {
+            println!("this CPU lacks avx512ifma");
+            return;
+        };
+        let reps = (1u32 << 24) / (bits * bits / 64);
+        // Fastest of five rounds: interference only adds time.
+        let per_call_us = |call: &dyn Fn() -> BigUint| {
+            (0..5)
+                .map(|_| {
+                    let start = Instant::now();
+                    for _ in 0..reps {
+                        std::hint::black_box(call());
+                    }
+                    start.elapsed().as_secs_f64() * 1e6 / reps as f64
+                })
+                .fold(f64::INFINITY, f64::min)
+        };
+        let ladder = [&portable, &ifma].map(|ctx| per_call_us(&|| ctx.pow_scheduled(&base, &half)));
+        let fresh = [
+            per_call_us(&|| Montgomery::portable(&n).pow(&base, &full)),
+            per_call_us(&|| Montgomery::ifma(&n).unwrap().pow(&base, &full)),
+        ];
+        println!(
+            "{bits:>4}  {:>17.1} {:>9.1} {:>6.2}x  {:>18.1} {:>9.1} {:>6.2}x",
+            ladder[0],
+            ladder[1],
+            ladder[0] / ladder[1],
+            fresh[0],
+            fresh[1],
+            fresh[0] / fresh[1]
+        );
+    }
+}

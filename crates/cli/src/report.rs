@@ -35,6 +35,12 @@ fn header(command: &str, scenario: &Scenario) -> Json {
         .with("unix_time_s", unix_time_s)
         .with("scenario", scenario.to_json())
         .with("seed", scenario.seed)
+        // The kernel of the exponentiations modulo `N²`, by the rule
+        // `Montgomery::new` applies: every Paillier timing depends on it.
+        .with(
+            "montgomery_kernel",
+            pivot_bignum::Montgomery::kernel_name(scenario.params.keysize.saturating_mul(2)),
+        )
 }
 
 /// Training-phase traffic of one party. One definition feeds the
@@ -638,6 +644,12 @@ mod tests {
         let parsed = crate::json::Json::parse(&text).unwrap();
         assert_eq!(parsed.get("schema_version").unwrap().as_u64(), Some(3));
         assert_eq!(parsed.get("command").unwrap().as_str(), Some("train"));
+        // Keysize 256: N² has 512 bits, the kernel named by the same rule
+        // `Montgomery::new` applies.
+        assert_eq!(
+            parsed.get("montgomery_kernel").unwrap().as_str(),
+            Some(pivot_bignum::Montgomery::kernel_name(512))
+        );
         assert_eq!(parsed.path("evaluation.value").unwrap().as_f64(), Some(0.5));
         assert!(
             parsed

@@ -18,20 +18,21 @@ fn prime_cache() -> &'static PrimeCache {
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// A deterministic pair of distinct safe primes with `bits/2` bits each,
-/// cached per process.
+/// A deterministic pair of distinct safe primes with `bits/2` bits each
+/// whose product has exactly `n_bits` bits, cached per process.
 pub fn safe_primes(n_bits: u32) -> Arc<(BigUint, BigUint)> {
     let mut cache = prime_cache().lock().expect("prime cache poisoned");
     Arc::clone(cache.entry(n_bits).or_insert_with(|| {
         let mut rng = StdRng::seed_from_u64(0xC0FFEE ^ n_bits as u64);
-        let p = prime::gen_safe_prime(&mut rng, n_bits / 2);
-        let q = loop {
+        // Both primes are drawn again when the product is short, as in
+        // `threshold_keygen`.
+        loop {
+            let p = prime::gen_safe_prime(&mut rng, n_bits / 2);
             let q = prime::gen_safe_prime(&mut rng, n_bits.div_ceil(2));
-            if q != p {
-                break q;
+            if q != p && (&p * &q).bits() == n_bits {
+                break Arc::new((p, q));
             }
-        };
-        Arc::new((p, q))
+        }
     }))
 }
 
@@ -71,6 +72,15 @@ mod tests {
         let c = kp.pk.encrypt(&x, &mut rng);
         let partials: Vec<_> = kp.shares.iter().map(|s| s.partial_decrypt(&c)).collect();
         assert_eq!(kp.combiner.combine(&partials), x);
+    }
+
+    /// `SlotCodec` sizes packed slots for a modulus of exactly `keysize`
+    /// bits; at 384 the first safe prime drawn for `q` gives 383.
+    #[test]
+    fn fixture_modulus_has_exactly_keysize_bits() {
+        for n_bits in [192, 384] {
+            assert_eq!(threshold_keys(3, n_bits).pk.keysize(), n_bits);
+        }
     }
 
     #[test]

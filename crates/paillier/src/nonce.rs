@@ -2,7 +2,12 @@
 //! they are drawn.
 //!
 //! Every Paillier encryption or re-randomisation pays one `r^N mod N²`
-//! exponentiation, by far its dominant cost. A batch of `k` encryptions
+//! exponentiation, by far its dominant cost. At keysize 1024 that is a
+//! 1024-bit-exponent ladder modulo the 2048-bit `N²`: about 1 200
+//! Montgomery multiplications, 0.52–0.56 ms on the radix-2^52 AVX-512 IFMA
+//! kernel and 2.0–2.3 ms on the portable 64-bit one (2-vCPU Sapphire
+//! Rapids VM, the `pivot_bignum` crossover table; `Montgomery` picks the
+//! kernel by CPU and modulus width). A batch of `k` encryptions
 //! draws its `k` nonces `r` from the stream under one lock, then computes
 //! their powers with one order-preserving [`pivot_runtime`] `map` on the
 //! caller's `crypto_threads`, so that thread count bounds a party's

@@ -81,7 +81,10 @@ pub fn threshold_keygen<R: Rng + ?Sized>(
     loop {
         let p = prime::gen_safe_prime(rng, n_bits / 2);
         let q = prime::gen_safe_prime(rng, n_bits.div_ceil(2));
-        if p == q {
+        // The modulus must have exactly `n_bits` bits, as `keygen`'s does.
+        // A short product draws both primes again: keeping `p` would make
+        // the expected number of draws unbounded as `p` nears 2^(n_bits/2 − 1).
+        if p == q || (&p * &q).bits() != n_bits {
             continue;
         }
         if let Some(kp) = threshold_from_safe_primes(rng, &p, &q, m, t) {
@@ -299,6 +302,14 @@ mod tests {
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(99)
+    }
+
+    #[test]
+    fn dealt_modulus_has_exactly_n_bits() {
+        let mut r = rng();
+        for n_bits in [64, 96, 128] {
+            assert_eq!(threshold_keygen(&mut r, n_bits, 2, 2).pk.keysize(), n_bits);
+        }
     }
 
     fn small_threshold_keys(m: usize, t: usize) -> ThresholdKeyPair {

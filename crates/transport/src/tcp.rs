@@ -1548,12 +1548,16 @@ mod tests {
         };
         let peers0 = peers.clone();
         let net0 = net.clone();
+        // Party 1 crashes only after party 0 has sent every frame, so the
+        // ring to replay holds all of them whatever the thread scheduling.
+        let (all_sent, sent) = std::sync::mpsc::channel();
         let p0 = thread::spawn(move || {
             let ep = connect_mesh(0, &peers0[0], &peers0, net0).expect("party 0 mesh");
             for i in 0..frames {
                 ep.send(1, &i);
                 ep.flush();
             }
+            all_sent.send(()).expect("party 1 waits for the signal");
             let echoed = catch_transport(|| ep.recv::<u64>(1));
             (echoed, ep.stats().replayed_frames(), ep.stats().rejoins())
         });
@@ -1562,6 +1566,7 @@ mod tests {
             for _ in 0..consumed {
                 ep.recv::<u64>(0);
             }
+            sent.recv().expect("party 0 signals after its last send");
             drop(ep); // simulated crash
             let ep = connect_mesh_restart(1, &peers[1], &peers, net).expect("party 1 restart mesh");
             let sum: u64 = (0..frames).map(|_| ep.recv::<u64>(0)).sum();
