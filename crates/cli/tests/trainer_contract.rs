@@ -122,6 +122,59 @@
 //!     `k = 7`. Messages fall by two per round, one per peer.
 //!     `rounds(W = 4) = rounds(W = 1)` holds.
 //!
+//!     **Every row's rounds, mults, bytes and messages** (and the ensemble
+//!     rows' `parent_training` mults) were re-recorded once more when the
+//!     dealer began to deal each masked row's bit-pair products and the
+//!     gain's validity gate folded into its first product round.
+//!     Comparisons, encryptions, decryptions, every tree and every
+//!     prediction did not move: neither lever touches the call-order
+//!     truncation stream, so every opened value is the one recorded before
+//!     (no GBDT prediction moved by an ulp). Two levers:
+//!
+//!     - *Dealt pair products.* The carry tree's leaf product
+//!       `b_{2i}·b_{2i+1}` comes with the masked row, so a comparison unit
+//!       at width `k` (`t = k − 1`) costs `1 + ⌈log₂⌈t/2⌉⌉` rounds instead
+//!       of `1 + ⌈log₂ t⌉` (one fewer wherever `t > 2`, which is every unit
+//!       of these rows) and a BitLT row `⌊t/2⌋` fewer products.
+//!     - *Folded gate.* The gated gain is `Σ p·q + (valid − 1)·2^f` with
+//!       `q = valid·g_k` (classification) or `valid·n_side` (regression)
+//!       multiplied in the round of `g_k·recip` (`γ₁·recip`): one round
+//!       fewer per gain level, `2·K·s − s` more products per node of `s`
+//!       splits (`K` classes; `s` per node for regression).
+//!
+//!     `basic-h1` (n = 48, `s = 6`, 18 splits, one split level and one leaf
+//!     level): 51 → 46 rounds = −1 each for the prune unit at `k = 7`, the
+//!     reciprocal's unit at `k = 8`, the gating round, the gain argmax's
+//!     all-pairs unit at `k = 28` and the leaf argmax at `k = 7`; 7 988 →
+//!     5 288 mults = −756 for the reciprocal's 252 rows (7 → 4 products at
+//!     `t = 7`), −1 989 for the argmax's 153 pairs (35 → 22 at `t = 27`),
+//!     −3 prune, −6 leaf argmax, +54 for the folded gate. Messages fall by
+//!     two per training round, one per peer. Party 0, parent → here:
+//!
+//!     | row | rounds | mults | train bytes | train messages |
+//!     |---|---|---|---|---|
+//!     | `basic-h1` | 51 → 46 | 7 988 → 5 288 | 291 344 → 204 704 | 120 → 110 |
+//!     | `basic-h2` | 96 → 87 | 20 969 → 13 206 | 741 552 → 492 704 | 220 → 202 |
+//!     | `basic-h3` | 146 → 132 | 47 888 → 31 700 | 1 689 350 → 1 170 662 | 334 → 306 |
+//!     | `enhanced-h1` | 67 → 59 | 8 683 → 5 727 | 291 568 → 204 320 | 138 → 124 |
+//!     | `enhanced-h2` | 121 → 107 | 22 296 → 14 056 | 769 966 → 519 390 | 270 → 244 |
+//!     | `enhanced-h3` | 186 → 164 | 43 229 → 28 535 | 1 526 644 → 1 091 318 | 414 → 374 |
+//!     | `gbdt-h1` | 160 → 150 | 23 514 → 15 228 | 841 916 → 576 284 | 442 → 422 |
+//!     | `gbdt-h2` | 258 → 240 | 65 874 → 41 766 | 2 262 698 → 1 490 378 | 630 → 594 |
+//!     | `gbdt-h3` | 356 → 330 | 163 422 → 105 636 | 5 586 118 → 3 735 718 | 890 → 838 |
+//!     | `rf-w1` | 99 → 90 | 24 006 → 15 912 | 856 444 → 597 004 | 222 → 204 |
+//!     | `rf-w4` | 101 → 91 | 95 874 → 63 483 | 3 410 732 → 2 374 268 | 266 → 248 |
+//!     | `gbdt-k3` | 403 → 376 | 254 250 → 164 982 | 8 702 094 → 5 875 950 | 1 246 → 1 194 |
+//!
+//!     `rf-w4` saves one round more than `rf-w1`, in prediction: its vote
+//!     argmax compares at `k = 4`, whose unit now has one carry level, while
+//!     `rf-w1`'s at `k = 2` had none. The other parties' bytes fall by the
+//!     same amounts, to the byte, except the enhanced rows' (±5 bytes: the
+//!     Beaver products come from other triples, so the shares the
+//!     concealed path converts back to ciphertexts are other shares of the
+//!     same values, and a few of their encryptions encode a byte longer or
+//!     shorter).
+//!
 //! Every protocol runs at three depths, because the mask rule differs at
 //! each: `max_depth = 1` (no mask update at all), `2` (left masks only —
 //! the depth of every benchmark workload) and `3` (right masks wanted at
@@ -196,9 +249,9 @@ const BASIC: [Case; 3] = [
         body: BASIC_NOISY,
         tree: DEPTH_1,
         golden: [
-            [51, 7988, 408, 31, 291344, 120],
-            [51, 7988, 408, 31, 277408, 114],
-            [51, 7988, 408, 31, 277410, 114],
+            [46, 5288, 408, 31, 204704, 110],
+            [46, 5288, 408, 31, 190768, 104],
+            [46, 5288, 408, 31, 190770, 104],
         ],
         predictions: &[1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0],
     },
@@ -207,9 +260,9 @@ const BASIC: [Case; 3] = [
         body: BASIC_BODY,
         tree: DEPTH_2,
         golden: [
-            [96, 20969, 1114, 45, 741552, 220],
-            [96, 20969, 1114, 45, 724738, 212],
-            [96, 20969, 1114, 45, 724720, 212],
+            [87, 13206, 1114, 45, 492704, 202],
+            [87, 13206, 1114, 45, 475890, 194],
+            [87, 13206, 1114, 45, 475872, 194],
         ],
         predictions: &[0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0],
     },
@@ -218,9 +271,9 @@ const BASIC: [Case; 3] = [
         body: BASIC_NOISY,
         tree: DEPTH_3,
         golden: [
-            [146, 47888, 2444, 88, 1689350, 334],
-            [146, 47888, 2444, 88, 1654702, 326],
-            [146, 47888, 2444, 88, 1640848, 324],
+            [132, 31700, 2444, 88, 1170662, 306],
+            [132, 31700, 2444, 88, 1136014, 298],
+            [132, 31700, 2444, 88, 1122160, 296],
         ],
         predictions: &[1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0],
     },
@@ -232,9 +285,9 @@ const ENHANCED: [Case; 3] = [
         body: ENHANCED_NOISY,
         tree: DEPTH_1,
         golden: [
-            [67, 8683, 439, 21, 291568, 138],
-            [67, 8683, 439, 21, 279794, 130],
-            [67, 8683, 439, 21, 279794, 130],
+            [59, 5727, 439, 21, 204320, 124],
+            [59, 5727, 439, 21, 192546, 116],
+            [59, 5727, 439, 21, 192546, 116],
         ],
         predictions: &[
             0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0,
@@ -246,9 +299,9 @@ const ENHANCED: [Case; 3] = [
         body: ENHANCED_BODY,
         tree: DEPTH_2,
         golden: [
-            [121, 22296, 1186, 96, 769966, 270],
-            [121, 22296, 1186, 96, 753439, 257],
-            [121, 22296, 1186, 96, 753251, 253],
+            [107, 14056, 1186, 96, 519390, 244],
+            [107, 14056, 1186, 96, 502865, 231],
+            [107, 14056, 1186, 96, 502679, 227],
         ],
         predictions: &[
             1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0,
@@ -259,9 +312,9 @@ const ENHANCED: [Case; 3] = [
         body: ENHANCED_NOISY,
         tree: DEPTH_3,
         golden: [
-            [186, 43229, 2193, 321, 1526644, 414],
-            [186, 43229, 2193, 321, 1490913, 402],
-            [186, 43229, 2193, 321, 1490700, 398],
+            [164, 28535, 2193, 321, 1091318, 374],
+            [164, 28535, 2193, 321, 1055586, 362],
+            [164, 28535, 2193, 321, 1055369, 358],
         ],
         predictions: &[
             0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0,
@@ -276,9 +329,9 @@ const GBDT: [Case; 3] = [
         body: GBDT_NOISY,
         tree: DEPTH_1,
         golden: [
-            [160, 23514, 836, 54, 841916, 442],
-            [160, 23514, 836, 54, 828053, 387],
-            [160, 23514, 836, 54, 828057, 387],
+            [150, 15228, 836, 54, 576284, 422],
+            [150, 15228, 836, 54, 562421, 367],
+            [150, 15228, 836, 54, 562425, 367],
         ],
         predictions: &[
             -0.2755470275878906,
@@ -303,9 +356,9 @@ const GBDT: [Case; 3] = [
         body: GBDT_BODY,
         tree: DEPTH_2,
         golden: [
-            [258, 65874, 2260, 87, 2262698, 630],
-            [258, 65874, 2260, 87, 2248869, 580],
-            [258, 65874, 2260, 87, 2248934, 582],
+            [240, 41766, 2260, 87, 1490378, 594],
+            [240, 41766, 2260, 87, 1476549, 544],
+            [240, 41766, 2260, 87, 1476614, 546],
         ],
         predictions: &[
             0.1257009506225586,
@@ -325,9 +378,9 @@ const GBDT: [Case; 3] = [
         body: GBDT_NOISY,
         tree: DEPTH_3,
         golden: [
-            [356, 163422, 5780, 168, 5586118, 890],
-            [356, 163422, 5780, 168, 5539440, 813],
-            [356, 163422, 5780, 168, 5539457, 813],
+            [330, 105636, 5780, 168, 3735718, 838],
+            [330, 105636, 5780, 168, 3689040, 761],
+            [330, 105636, 5780, 168, 3689057, 761],
         ],
         predictions: &[
             -0.4095935821533203,
@@ -374,7 +427,8 @@ const DEPTH_2_FLOOR: &str = "max_depth = 2\nmin_samples = 10\n";
 /// A row of the ensemble table: its golden counters, and party 0's
 /// training-phase `[encryptions, threshold_decryptions, secure_mults,
 /// secure_comparisons]` as the binary before the shared frontier reported
-/// them (mults since re-recorded for the carry-out comparison).
+/// them (mults since re-recorded for the carry-out comparison, and again
+/// for the dealt bit-pair products and the folded validity gate).
 struct EnsembleCase {
     case: Case,
     parent_training: [u64; 4],
@@ -387,15 +441,15 @@ const RF: [EnsembleCase; 2] = [
             body: rf_body!(1),
             tree: DEPTH_2_FLOOR,
             golden: [
-                [99, 24006, 1237, 46, 856444, 222],
-                [99, 24006, 1237, 46, 821730, 212],
-                [99, 24006, 1237, 46, 821664, 210],
+                [90, 15912, 1237, 46, 597004, 204],
+                [90, 15912, 1237, 46, 562290, 194],
+                [90, 15912, 1237, 46, 562224, 192],
             ],
             predictions: &[
                 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0,
             ],
         },
-        parent_training: [158, 38, 23946, 1222],
+        parent_training: [158, 38, 15852, 1222],
     },
     EnsembleCase {
         case: Case {
@@ -403,15 +457,15 @@ const RF: [EnsembleCase; 2] = [
             body: rf_body!(4),
             tree: DEPTH_2_FLOOR,
             golden: [
-                [101, 95874, 4903, 160, 3410732, 266],
-                [101, 95874, 4903, 160, 3271804, 226],
-                [101, 95874, 4903, 160, 3271886, 230],
+                [91, 63483, 4903, 160, 2374268, 248],
+                [91, 63483, 4903, 160, 2235340, 208],
+                [91, 63483, 4903, 160, 2235422, 212],
             ],
             predictions: &[
                 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0,
             ],
         },
-        parent_training: [632, 152, 95784, 4888],
+        parent_training: [632, 152, 63408, 4888],
     },
 ];
 
@@ -421,15 +475,15 @@ const GBDT_K3: EnsembleCase = EnsembleCase {
         body: GBDT_THREE_CLASS,
         tree: DEPTH_2_FLOOR,
         golden: [
-            [403, 254250, 8697, 285, 8702094, 1246],
-            [403, 254250, 8697, 285, 8618720, 902],
-            [403, 254250, 8697, 285, 8618639, 900],
+            [376, 164982, 8697, 285, 5875950, 1194],
+            [376, 164982, 8697, 285, 5792576, 850],
+            [376, 164982, 8697, 285, 5792495, 848],
         ],
         predictions: &[
             1.0, 2.0, 1.0, 1.0, 2.0, 1.0, 2.0, 2.0, 1.0, 2.0, 1.0, 1.0, 1.0, 0.0, 1.0,
         ],
     },
-    parent_training: [2073, 273, 251460, 8652],
+    parent_training: [2073, 273, 163182, 8652],
 };
 
 /// Candidate splits and crypto configuration shared by every case.

@@ -293,10 +293,11 @@ pub fn prune_decisions_batch(
 }
 
 /// Evaluate the gain of every split of every node (scale `2^f`), with
-/// invalid splits (an empty side) pinned to `-1`. The reciprocal pipeline,
-/// gain multiplications, validity tests, and gating of every frontier node
-/// concatenate into the per-stage batches of one node; lanes are
-/// node-major, and within a node in split order.
+/// invalid splits (an empty side) pinned to `-1`. The reciprocal pipeline
+/// (whose comparison batch also yields the validity tests) and the gated
+/// gain multiplications of every frontier node concatenate into the
+/// per-stage batches of one node; lanes are node-major, and within a node
+/// in split order.
 pub fn split_gains_batch(ctx: &mut PartyContext<'_>, nodes: &[&NodeShares]) -> Vec<Vec<Share>> {
     if nodes.is_empty() {
         return Vec::new();
@@ -305,6 +306,7 @@ pub fn split_gains_batch(ctx: &mut PartyContext<'_>, nodes: &[&NodeShares]) -> V
     let task = ctx.current_task();
     let party = ctx.id();
     let one_fx = ctx.params.fixed.one();
+    let frac_bits = ctx.params.fixed.frac_bits;
     let splits_per_node: Vec<usize> = nodes.iter().map(|n| n.n_l.len()).collect();
     let lanes: usize = splits_per_node.iter().sum();
 
@@ -337,31 +339,54 @@ pub fn split_gains_batch(ctx: &mut PartyContext<'_>, nodes: &[&NodeShares]) -> V
         }
         let (recips, zero_flags) = engine.recip_vec_int_with_zeros(&sides_int, n_bound);
 
+        // Validity: both sides non-empty. a = 1[n_l = 0], b = 1[n_r = 0]
+        // came out of the reciprocal's comparison batch; they cannot both
+        // be 1 (the node is non-empty), so valid = 1 − a − b is linear.
+        // It gates the gain inside the products' first round: every term
+        // takes one factor `q = valid·(count)`, so an invalid split's terms
+        // vanish, and gain = Σ terms + (valid − 1)·2^f pins it to −1.
+        let mut valid: Vec<Vec<Share>> = Vec::with_capacity(nodes.len());
+        let mut at = 0;
+        for &n_splits in &splits_per_node {
+            valid.push(
+                (0..n_splits)
+                    .map(|s| {
+                        Share::from_public(party, Fp::ONE)
+                            - zero_flags[at + s]
+                            - zero_flags[at + n_splits + s]
+                    })
+                    .collect(),
+            );
+            at += 2 * n_splits;
+        }
+
         let mut gains_raw: Vec<Vec<Share>> = Vec::with_capacity(nodes.len());
         match task {
             Task::Classification { .. } => {
-                // p = g·recip (scale f), term = p·g (scale f); both sides
-                // and all classes in two multiplication rounds.
+                // p = g·recip and q = valid·g in one round, term = p·q
+                // (scale f) in the next: both sides and all classes.
                 let mut gs = Vec::new();
                 let mut rs = Vec::new();
+                let mut vs = Vec::new();
                 let mut at = 0;
                 for (i, node) in nodes.iter().enumerate() {
                     let n_splits = splits_per_node[i];
                     let (recip_l, recip_r) = recips[at..at + 2 * n_splits].split_at(n_splits);
                     at += 2 * n_splits;
                     for k in 0..node.g_l.len() {
-                        for s in 0..n_splits {
-                            gs.push(node.g_l[k][s]);
-                            rs.push(recip_l[s]);
-                        }
-                        for s in 0..n_splits {
-                            gs.push(g_r[i][k][s]);
-                            rs.push(recip_r[s]);
-                        }
+                        gs.extend_from_slice(&node.g_l[k]);
+                        gs.extend_from_slice(&g_r[i][k]);
+                        rs.extend_from_slice(recip_l);
+                        rs.extend_from_slice(recip_r);
+                        vs.extend_from_slice(&valid[i]);
+                        vs.extend_from_slice(&valid[i]);
                     }
                 }
-                let ps = engine.mul_vec(&gs, &rs);
-                let terms = engine.mul_vec(&ps, &gs);
+                let lanes_g = gs.len();
+                let lhs: Vec<Share> = gs.iter().chain(&vs).copied().collect();
+                let rhs: Vec<Share> = rs.into_iter().chain(gs).collect();
+                let pq = engine.mul_vec(&lhs, &rhs);
+                let terms = engine.mul_vec(&pq[..lanes_g], &pq[lanes_g..]);
                 let mut base = 0;
                 for (i, node) in nodes.iter().enumerate() {
                     let n_splits = splits_per_node[i];
@@ -378,23 +403,31 @@ pub fn split_gains_batch(ctx: &mut PartyContext<'_>, nodes: &[&NodeShares]) -> V
                 }
             }
             Task::Regression => {
-                // mean = γ₁·recip (fixmul), gain_side = mean²·n_side.
+                // mean = γ₁·recip and q = valid·n_side in one round, then
+                // gain_side = mean²·q.
                 let mut g1 = Vec::with_capacity(2 * lanes);
                 let mut recs = Vec::with_capacity(2 * lanes);
+                let mut vs = Vec::with_capacity(2 * lanes);
                 let mut counts = Vec::with_capacity(2 * lanes);
                 let mut at = 0;
                 for (i, node) in nodes.iter().enumerate() {
                     let n_splits = splits_per_node[i];
-                    g1.extend(node.g_l[0].iter().copied());
-                    g1.extend(g_r[i][0].iter().copied());
+                    g1.extend_from_slice(&node.g_l[0]);
+                    g1.extend_from_slice(&g_r[i][0]);
                     recs.extend_from_slice(&recips[at..at + 2 * n_splits]);
-                    counts.extend(node.n_l.iter().copied());
-                    counts.extend(n_r[i].iter().copied());
+                    vs.extend_from_slice(&valid[i]);
+                    vs.extend_from_slice(&valid[i]);
+                    counts.extend_from_slice(&node.n_l);
+                    counts.extend_from_slice(&n_r[i]);
                     at += 2 * n_splits;
                 }
-                let means = engine.fixmul_vec(&g1, &recs);
+                let lhs: Vec<Share> = g1.into_iter().chain(vs).collect();
+                let rhs: Vec<Share> = recs.into_iter().chain(counts).collect();
+                let mq = engine.mul_vec(&lhs, &rhs);
+                let (mean_raw, qs) = mq.split_at(2 * lanes);
+                let means = engine.trunc_vec(mean_raw, frac_bits);
                 let m2 = engine.fixmul_vec(&means, &means);
-                let terms = engine.mul_vec(&m2, &counts);
+                let terms = engine.mul_vec(&m2, qs);
                 let mut at = 0;
                 for &n_splits in &splits_per_node {
                     gains_raw.push(
@@ -407,38 +440,17 @@ pub fn split_gains_batch(ctx: &mut PartyContext<'_>, nodes: &[&NodeShares]) -> V
             }
         }
 
-        // Validity: both sides non-empty. a = 1[n_l = 0], b = 1[n_r = 0]
-        // came out of the reciprocal's comparison batch; they cannot both
-        // be 1 (the node is non-empty), so valid = 1 − a − b is linear.
-        let mut shifted = Vec::with_capacity(lanes);
-        let mut valid = Vec::with_capacity(lanes);
-        let mut at = 0;
-        for (i, gains) in gains_raw.iter().enumerate() {
-            let n_splits = splits_per_node[i];
-            for (s, &g) in gains.iter().enumerate() {
-                valid.push(
-                    Share::from_public(party, Fp::ONE)
-                        - zero_flags[at + s]
-                        - zero_flags[at + n_splits + s],
-                );
-                shifted.push(g.add_public(party, one_fx));
-            }
-            at += 2 * n_splits;
-        }
-        // gain_final = valid·(gain + 1) − 1 (scale f): invalid ⇒ −1.
-        let gated = engine.mul_vec(&valid, &shifted);
-        let mut out = Vec::with_capacity(nodes.len());
-        let mut at = 0;
-        for &n_splits in &splits_per_node {
-            out.push(
-                gated[at..at + n_splits]
+        gains_raw
+            .iter()
+            .zip(&valid)
+            .map(|(gains, valid)| {
+                gains
                     .iter()
-                    .map(|g| g.sub_public(party, one_fx))
-                    .collect(),
-            );
-            at += n_splits;
-        }
-        out
+                    .zip(valid)
+                    .map(|(&g, &v)| (g + v.scale(one_fx)).sub_public(party, one_fx))
+                    .collect()
+            })
+            .collect()
     })
 }
 

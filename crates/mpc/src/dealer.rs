@@ -22,15 +22,23 @@
 //! client's own PRG in protocol call order: its values feed ±1-ulp rounding
 //! and DP draws, so reordering would change results, not just transcripts.
 //!
+//! A masked row of `t` low bits is `(r, r_high, bits[t], pairs[⌊t/2⌋])`:
+//! besides the bit decomposition, the dealer deals each bit pair's product
+//! `bits_{2i}·bits_{2i+1}`, the leaves of the comparison's carry tree,
+//! which the online phase would otherwise spend a Beaver round on. The
+//! products are dealt exactly as triples are, by a dealer that already
+//! knows every bit, so the trust the simulation asks for is unchanged: one
+//! more kind of material from the same simulated dealer.
+//!
 //! Why there is no pool: a triple costs 23 ns and a width-11 masked row
-//! 137 ns to derive (`mpc.dealer_triples_per_s` 4.3 × 10⁷,
-//! `mpc.dealer_masked_rows_k11_per_s` 7.3 × 10⁶ on the benchmark ladder),
-//! and a party of the benchmark's training workloads draws 1.2–3.0 × 10⁵
-//! triples and 5.7–11.4 × 10³ rows in a whole run: 3–9 ms of derivation
-//! against 0.9–4.7 s of training. Measured, a background precompute pool
-//! produced 1.5–2× what was consumed, on the queue the `NoncePool` needs,
-//! and was not resolvably faster on any workload — so every draw is made
-//! inline, on the party thread, at the take.
+//! (ten bits, five pair products) 215 ns to derive on one core of the
+//! 2-vCPU benchmark host, and a party of the benchmark's training
+//! workloads draws 0.4–1.1 × 10⁵ triples and 5.7–11.4 × 10³ rows in a
+//! whole run: 2–5 ms of derivation against 0.4–2.9 s of training.
+//! Measured, a background precompute pool produced 1.5–2× what was
+//! consumed, on the queue the `NoncePool` needs, and was not resolvably
+//! faster on any workload — so every draw is made inline, on the party
+//! thread, at the take.
 
 use crate::field::{Fp, MODULUS};
 use crate::fixed::FixedConfig;
@@ -47,7 +55,8 @@ pub struct TripleShare {
 }
 
 /// Shares backing one exact-truncation / comparison mask:
-/// `r = r_high · 2^t + Σ bits_i · 2^i`, with the low part bit-decomposed.
+/// `r = r_high · 2^t + Σ bits_i · 2^i`, with the low part bit-decomposed
+/// and each bit pair's product dealt beside it.
 #[derive(Clone, Debug)]
 pub struct MaskedBitsShare {
     /// Share of the full mask `r`.
@@ -56,6 +65,10 @@ pub struct MaskedBitsShare {
     pub r_high: Fp,
     /// Shares of the `t` low bits (LSB first).
     pub bits: Vec<Fp>,
+    /// Shares of the `⌊t/2⌋` bit-pair products `bits_{2i}·bits_{2i+1}`:
+    /// the leaves of the comparison's carry tree, which would otherwise
+    /// cost a Beaver round.
+    pub pairs: Vec<Fp>,
 }
 
 /// Draw a uniform field element from `rng` (same draw on every party).
@@ -94,8 +107,10 @@ fn draw_triple(rng: &mut StdRng, party: usize, m: usize) -> TripleShare {
 }
 
 /// One masked-bit row: `t` bit-decomposed low bits plus a uniform
-/// `high_bits`-bit high part. The caller fixes `high_bits = k + κ − t`
-/// for the audited comparison width `k`.
+/// `high_bits`-bit high part, then the `⌊t/2⌋` bit-pair products. The
+/// caller fixes `high_bits = k + κ − t` for the audited comparison width
+/// `k`. Draw order within the row: each bit and its split, the high part,
+/// the splits of `r` and `r_high`, the splits of the pair products.
 fn draw_masked_row(
     rng: &mut StdRng,
     party: usize,
@@ -113,10 +128,17 @@ fn draw_masked_row(
     }
     let high = rng.gen_range(0..(1u64 << high_bits));
     let r_val = Fp::new(high << t) + Fp::new(low_val);
+    let r = draw_split(rng, party, m, r_val);
+    let r_high = draw_split(rng, party, m, Fp::new(high));
+    let pair = |i: u32| (low_val >> (2 * i)) & (low_val >> (2 * i + 1)) & 1;
+    let pairs = (0..t / 2)
+        .map(|i| draw_split(rng, party, m, Fp::new(pair(i))))
+        .collect();
     MaskedBitsShare {
-        r: draw_split(rng, party, m, r_val),
-        r_high: draw_split(rng, party, m, Fp::new(high)),
+        r,
+        r_high,
         bits: bit_shares,
+        pairs,
     }
 }
 
@@ -376,10 +398,12 @@ mod tests {
     /// Party `p`'s shares of the first and last item of each group drawn
     /// by [`dealer_streams_are_pinned`], in draw-group order: 64 triples
     /// `(a, b, c)`, 16 rows of `(t, k) = (8, 9)` and 16 of `(29, 30)`
-    /// `(r, r_high, bits[0], bits[t − 1])`, 8 more triples, 4 truncation
-    /// pairs `(r, r_high)`. Recorded from the PR 13 derived-stream layout;
-    /// a change to any literal changes every transcript and trained model.
-    const PINNED: [[u64; 32]; 3] = [
+    /// `(r, r_high, bits[0], bits[t − 1], pairs[⌊t/2⌋ − 1])`, 8 more
+    /// triples, 4 truncation pairs `(r, r_high)`. Recorded from the
+    /// derived-stream layout with the bit-pair products drawn last in each
+    /// row; a change to any literal changes every transcript and trained
+    /// model.
+    const PINNED: [[u64; 36]; 3] = [
         [
             // triples[0]
             599_289_011_865_830_146,
@@ -394,21 +418,25 @@ mod tests {
             1_699_965_735_959_939_226,
             1_562_455_718_481_097_898,
             826_321_484_646_965_245,
+            2_144_134_392_713_734_852,
             // (8, 9) rows[15]
-            1_320_251_199_292_350_917,
-            685_935_191_202_722_807,
-            346_833_194_996_849_526,
-            1_514_231_214_968_665_283,
+            1_680_993_757_312_146_196,
+            1_478_852_654_675_183_398,
+            53_326_118_515_039_905,
+            673_914_698_479_725_225,
+            1_604_342_610_806_061_276,
             // (29, 30) rows[0]
             2_036_950_680_356_141_287,
             2_042_882_505_455_204_937,
             146_757_170_839_794_104,
             189_151_610_167_220_266,
+            52_110_564_212_208_190,
             // (29, 30) rows[15]
-            1_614_925_913_372_487_079,
-            1_518_860_824_031_650_879,
-            1_023_698_597_727_370_350,
-            1_931_335_365_117_418_083,
+            1_261_205_674_702_015_990,
+            685_988_552_012_031_157,
+            1_551_571_968_507_051_395,
+            228_732_953_922_788_219,
+            1_547_320_374_433_155_590,
             // late triples[0]
             1_063_251_457_681_835_818,
             196_059_077_620_445_102,
@@ -438,21 +466,25 @@ mod tests {
             1_196_655_732_300_236_519,
             1_685_422_532_802_136_305,
             732_873_710_765_503_991,
+            610_887_977_849_509_677,
             // (8, 9) rows[15]
-            292_737_099_570_899_642,
-            469_025_187_406_002_318,
-            502_650_293_615_444_240,
-            622_874_680_355_852_724,
+            762_104_725_034_841_393,
+            81_444_540_552_267_043,
+            1_332_643_886_683_853_224,
+            1_549_670_876_361_445_281,
+            836_562_768_474_464_102,
             // (29, 30) rows[0]
             2_257_813_870_818_188_773,
             1_165_075_075_379_918_759,
             1_202_402_903_405_371_859,
             216_688_951_480_073_461,
+            1_271_143_931_581_280_364,
             // (29, 30) rows[15]
-            161_400_004_595_174_429,
-            1_300_421_203_282_838_915,
-            641_775_105_911_204_808,
-            2_007_161_699_626_800_309,
+            1_633_523_059_344_735_715,
+            281_483_900_951_982_189,
+            35_570_432_782_224_052,
+            1_534_160_418_491_461_772,
+            949_219_275_274_784_267,
             // late triples[0]
             1_448_749_955_083_567_361,
             1_650_507_512_309_303_151,
@@ -482,21 +514,25 @@ mod tests {
             1_715_064_550_167_236_008,
             1_363_807_767_144_153_699,
             746_647_813_801_224_715,
+            1_856_663_647_864_143_373,
             // (8, 9) rows[15]
-            692_854_710_352_210_152,
-            1_150_882_630_604_975_727,
-            1_456_359_520_601_400_185,
-            168_737_113_889_175_944,
+            2_168_587_536_087_586_123,
+            745_545_813_986_271_579,
+            919_873_004_014_800_822,
+            82_257_434_372_523_446,
+            2_170_780_639_146_862_524,
             // (29, 30) rows[0]
             316_931_477_406_913_012,
             1_403_728_437_592_282_851,
             956_682_934_968_527_988,
             1_900_002_447_566_400_224,
+            982_588_513_420_205_397,
             // (29, 30) rows[15]
-            529_527_804_775_373_232,
-            1_792_403_991_112_918_063,
-            640_369_305_575_118_794,
-            673_188_953_683_169_511,
+            1_716_960_660_229_397_755,
+            1_338_370_556_249_686_893,
+            718_700_607_924_418_504,
+            542_949_636_799_443_960,
+            2_115_146_368_719_448_045,
             // late triples[0]
             234_629_855_830_197_764,
             854_520_058_693_528_500,
@@ -538,7 +574,15 @@ mod tests {
 
         let ends = |n: usize| [0, n - 1];
         let triple = |t: &TripleShare| [t.a, t.b, t.c];
-        let row = |r: &MaskedBitsShare| [r.r, r.r_high, r.bits[0], r.bits[r.bits.len() - 1]];
+        let row = |r: &MaskedBitsShare| {
+            [
+                r.r,
+                r.r_high,
+                r.bits[0],
+                r.bits[r.bits.len() - 1],
+                r.pairs[r.pairs.len() - 1],
+            ]
+        };
         let got: Vec<Vec<u64>> = (0..m)
             .map(|p| {
                 let mut got: Vec<Fp> = Vec::new();
@@ -572,6 +616,10 @@ mod tests {
                 });
                 let high = sum(&|p| group[p][i].r_high).value();
                 assert_eq!(sum(&|p| group[p][i].r).value(), (high << t) + low);
+                for j in 0..t / 2 {
+                    let product = low >> (2 * j) & low >> (2 * j + 1) & 1;
+                    assert_eq!(sum(&|p| group[p][i].pairs[j]).value(), product);
+                }
             }
         }
         for i in 0..4 {

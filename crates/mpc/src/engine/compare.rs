@@ -21,13 +21,16 @@
 //! both affine in `b_i`; neighbouring blocks combine as
 //! `(hi, lo) → (g_hi + p_hi·g_lo, p_hi·p_lo)` and the root's `g` is the
 //! answer. At the leaves both outputs of a bit pair are affine in `b_lo`,
-//! `b_hi` and the one product `b_lo·b_hi`; above them a combine costs two
-//! products, or one where `lo` holds bit 0 (its `p` is never read). So a
-//! `t`-bit row costs `⌈log₂ t⌉` multiplication rounds and
-//! `⌊t/2⌋ + Σ_levels (2·pairs − 1)` products (9 at `t = 9`, 38 at
-//! `t = 29`), and a comparison one masked opening plus those rounds.
+//! `b_hi` and the one product `b_lo·b_hi`, which the dealer deals with the
+//! masked row (`MaskedBitsShare::pairs`), so the leaves cost no round.
+//! Above them a combine costs two products, or one where `lo` holds bit 0
+//! (its `p` is never read). So a `t`-bit row costs `⌈log₂⌈t/2⌉⌉`
+//! multiplication rounds and `Σ_levels (2·pairs − 1)` products over the
+//! `⌈t/2⌉` pair blocks (5 at `t = 9`, 24 at `t = 29`), and a comparison
+//! one masked opening plus those rounds: `1 + ⌈log₂⌈t/2⌉⌉`.
 
 use super::MpcEngine;
+use crate::dealer::MaskedBitsShare;
 use crate::field::Fp;
 use crate::share::Share;
 
@@ -65,8 +68,8 @@ impl MpcEngine<'_> {
         // Public low parts and the BitLT against the shared bits of r_low.
         let low_mask = (1u64 << t) - 1;
         let c_lows: Vec<u64> = opened.iter().map(|c| c.value() & low_mask).collect();
-        let bit_rows: Vec<&[Fp]> = masks.iter().map(|m| m.bits.as_slice()).collect();
-        let wraps = self.bitlt_pub_log(&c_lows, &bit_rows, t);
+        let rows: Vec<&MaskedBitsShare> = masks.iter().collect();
+        let wraps = self.bitlt_pub_log(&c_lows, &rows, t);
 
         let out = c_lows
             .iter()
@@ -87,30 +90,26 @@ impl MpcEngine<'_> {
     }
 
     /// Batched log-depth `BitLT`: for each row, the shared bit `1[a < b]`
-    /// where `a` is public (`t` bits) and `b` is given by shared bits (LSB
-    /// first), as the carry-out of a `(g, p)` tree over the bits
-    /// (`⌈log₂ t⌉` rounds; see the module docs).
-    fn bitlt_pub_log(&mut self, pub_vals: &[u64], shared_bits: &[&[Fp]], t: u32) -> Vec<Share> {
+    /// where `a` is public (`t` bits) and `b` is given by a masked row's
+    /// shared bits (LSB first), as the carry-out of a `(g, p)` tree over
+    /// the bits (`⌈log₂⌈t/2⌉⌉` rounds; see the module docs).
+    fn bitlt_pub_log(
+        &mut self,
+        pub_vals: &[u64],
+        masks: &[&MaskedBitsShare],
+        t: u32,
+    ) -> Vec<Share> {
         let t = t as usize;
         let one = Share::from_public(self.party(), Fp::ONE);
-        // Leaf level: one product b_lo·b_hi per bit pair, of which both
-        // outputs of the pair are affine (a is public).
+        // Leaf level: both outputs of a bit pair are affine in its bits and
+        // their dealt product (a is public).
         let pairs = t / 2;
-        let mut xs = Vec::with_capacity(pub_vals.len() * pairs);
-        let mut ys = Vec::with_capacity(pub_vals.len() * pairs);
-        for bits in shared_bits {
-            assert_eq!(bits.len(), t);
-            for i in 0..pairs {
-                xs.push(Share(bits[2 * i]));
-                ys.push(Share(bits[2 * i + 1]));
-            }
-        }
-        let both = self.mul_vec(&xs, &ys);
         let mut rows: Vec<Vec<(Share, Share)>> = pub_vals
             .iter()
-            .zip(shared_bits)
-            .enumerate()
-            .map(|(r, (&a, bits))| {
+            .zip(masks)
+            .map(|(&a, mask)| {
+                let bits = &mask.bits;
+                assert_eq!((bits.len(), mask.pairs.len()), (t, pairs));
                 let a_bit = |i: usize| (a >> i) & 1 == 1;
                 // (g, p) of bit i: (1[a_i < b_i], 1[a_i = b_i]).
                 let leaf = |i: usize| {
@@ -126,7 +125,7 @@ impl MpcEngine<'_> {
                         let (lo, hi) = (2 * i, 2 * i + 1);
                         let (g_hi, p_hi) = leaf(hi);
                         // p_hi·b_lo, affine in b_lo, b_hi and b_lo·b_hi.
-                        let u = both[r * pairs + i];
+                        let u = Share(mask.pairs[i]);
                         let p_hi_b_lo = if a_bit(hi) { u } else { Share(bits[lo]) - u };
                         if a_bit(lo) {
                             (g_hi, p_hi_b_lo)
@@ -259,9 +258,8 @@ impl MpcEngine<'_> {
             .collect();
         let mut pub_vals = c_lows.clone();
         pub_vals.extend(cc_lows.iter().map(|&c| low_mask - c));
-        let mut bit_rows: Vec<&[Fp]> = masks.iter().map(|m| m.bits.as_slice()).collect();
-        bit_rows.extend(masks.iter().map(|m| m.bits.as_slice()));
-        let wraps = self.bitlt_pub_log(&pub_vals, &bit_rows, t);
+        let rows: Vec<&MaskedBitsShare> = masks.iter().chain(&masks).collect();
+        let wraps = self.bitlt_pub_log(&pub_vals, &rows, t);
 
         let inv = Fp::inv_pow2(t);
         let one = Share::from_public(party, Fp::ONE);

@@ -303,7 +303,7 @@ fn recip_vec_int_matches_fixed_point_path() {
 
 /// A narrow batch must cut opened elements, comparison rounds and masked
 /// bits against the same batch at full width. Rounds are one opening plus
-/// `⌈log₂(k − 1)⌉`: 7 at `k = 45`, 4 at `k = 6`.
+/// `⌈log₂⌈(k − 1)/2⌉⌉`: 6 at `k = 45`, 3 at `k = 6`.
 #[test]
 fn bounded_widths_cut_opened_elements_and_rounds() {
     let vals: Vec<i64> = (0..64).map(|i| (i % 13) - 6).collect();
@@ -324,8 +324,8 @@ fn bounded_widths_cut_opened_elements_and_rounds() {
         full.opened_elements,
         auto.opened_elements
     );
-    assert_eq!(full.online_rounds, 7);
-    assert_eq!(auto.online_rounds, 4);
+    assert_eq!(full.online_rounds, 6);
+    assert_eq!(auto.online_rounds, 3);
     assert!(
         full.masked_bits >= 4 * auto.masked_bits,
         "masked bits: full {} vs auto {}",
@@ -377,11 +377,11 @@ fn dp_samplers_agree_across_policies() {
     );
 }
 
-/// Beaver products of one `t`-bit BitLT row: one per bit pair at the
-/// leaves; above them, per level, two per combine except the one holding
-/// bit 0, which needs one.
+/// Beaver products of one `t`-bit BitLT row. The leaves' bit-pair
+/// products come with the masked row; above the `⌈t/2⌉` pair blocks, per
+/// level, two per combine except the one holding bit 0, which needs one.
 fn products(t: u32) -> u64 {
-    let mut total = u64::from(t / 2);
+    let mut total = 0;
     let mut blocks = u64::from(t.div_ceil(2));
     while blocks > 1 {
         total += 2 * (blocks / 2) - 1;
@@ -391,9 +391,9 @@ fn products(t: u32) -> u64 {
 }
 
 /// Rounds of one comparison at width `k`: the masked opening plus the
-/// `⌈log₂(k − 1)⌉` levels of the carry tree.
+/// `⌈log₂⌈(k − 1)/2⌉⌉` levels of the carry tree above its pair blocks.
 fn rounds(k: u32) -> u64 {
-    1 + u64::from((k - 1).next_power_of_two().trailing_zeros())
+    1 + u64::from((k - 1).div_ceil(2).next_power_of_two().trailing_zeros())
 }
 
 /// `(online_rounds, beaver_triples)` spent between two snapshots.
@@ -461,8 +461,10 @@ fn check_comparisons(k: u32, vals: &[i64]) {
 #[test]
 fn carry_tree_product_counts() {
     let got: Vec<u64> = (1..=9).map(products).collect();
-    assert_eq!(got, [0, 1, 2, 3, 4, 5, 7, 8, 9]);
-    assert_eq!(products(29), 38);
+    assert_eq!(got, [0, 0, 1, 1, 2, 2, 4, 4, 5]);
+    assert_eq!(products(29), 24);
+    let got: Vec<u64> = [2, 3, 4, 5, 6, 10, 11, 31, 45].map(rounds).to_vec();
+    assert_eq!(got, [1, 1, 2, 2, 3, 4, 4, 5, 6]);
 }
 
 #[test]
@@ -471,6 +473,49 @@ fn exhaustive_comparisons_pay_exact_costs() {
         let edge = (1i64 << (k - 1)) - 1;
         let vals: Vec<i64> = (-edge..=edge).collect();
         check_comparisons(k, &vals);
+    }
+}
+
+/// `recip_vec_int_with_zeros` over every `d ∈ [0, 2^s]` for `s = 1..=9`:
+/// exact zero flags, every reciprocal within 2 ulp of `2^f/d` (the worst
+/// case over every outcome of its ±1-ulp truncations; an integer's
+/// normalizing truncation is exact), and the exact cost of a call — one
+/// comparison unit over `s + 1` lanes at width `s + 2`, then the tail's
+/// 20 rounds and 10 products per element (one to normalize, two per
+/// Newton step, one to denormalize).
+#[test]
+fn recip_vec_int_is_within_two_ulp_at_exact_cost() {
+    for s in 1u32..=9 {
+        let top = 1u64 << s;
+        let n = top + 1;
+        let (flags, recips, rounds_spent, triples) = mpc_mode(3, CompareBits::Auto, |e| {
+            let d: Vec<Share> = (0..=top).map(|v| e.constant(Fp::new(v))).collect();
+            let (before_rounds, before_mults, ..) = e.counters().snapshot();
+            let (r, z) = e.recip_vec_int_with_zeros(&d, top as f64);
+            let (after_rounds, after_mults, ..) = e.counters().snapshot();
+            let flags: Vec<u64> = e.open_vec(&z).iter().map(|v| v.value()).collect();
+            let recips: Vec<i64> = e.open_vec(&r).iter().map(|v| v.to_i64()).collect();
+            (
+                flags,
+                recips,
+                after_rounds - before_rounds,
+                after_mults - before_mults,
+            )
+        })
+        .remove(0);
+        let want_flags: Vec<u64> = (0..=top).map(|d| u64::from(d == 0)).collect();
+        assert_eq!(flags, want_flags, "s = {s}: zero flags");
+        let one = f64::from(1u32 << FixedConfig::default().frac_bits);
+        for (d, &got) in recips.iter().enumerate().skip(1) {
+            let err = (got as f64 - one / d as f64).abs();
+            assert!(err <= 2.0, "s = {s}, d = {d}: {got} is {err} ulp off");
+        }
+        assert_eq!(rounds_spent, rounds(s + 2) + 20, "s = {s}: rounds");
+        assert_eq!(
+            triples,
+            n * u64::from(s + 1) * products(s + 1) + 10 * n,
+            "s = {s}: Beaver products"
+        );
     }
 }
 

@@ -253,6 +253,12 @@ impl Endpoint {
         let fault = injector.on_send(to, frame.len());
         if let Some(reason) = fault.crash {
             self.stats.record_fault_injected();
+            // A party already unwinding (the flush in `Drop`) is failing
+            // with its own error; a second panic would abort the process.
+            // The crash withholds the frame instead.
+            if std::thread::panicking() {
+                return Err(LinkError::Disconnected(reason));
+            }
             TransportError::new(TransportErrorKind::InjectedCrash, self.id, reason).raise();
         }
         if let Some(delay) = fault.delay {
@@ -439,7 +445,8 @@ impl Drop for Endpoint {
     fn drop(&mut self) {
         // End-of-run safety net: a party whose final protocol act is a
         // send (e.g. the last gather contribution) would otherwise strand
-        // it in staging. Best-effort — peers may already be gone.
+        // it in staging. Best-effort — peers may already be gone — and it
+        // never raises while the party unwinds (`send_frame`).
         self.flush_staged(true);
     }
 }

@@ -589,6 +589,37 @@ mod tests {
     }
 
     #[test]
+    fn crash_on_the_drop_flush_of_an_unwinding_party_is_not_an_abort() {
+        // Party 0 stages a frame, then fails with a typed error; the crash
+        // fires on the frame its endpoint's `Drop` flushes during that
+        // unwind. A second panic there would abort the test process.
+        let plan = FaultPlan::parse(&["crash_party 0 at_bytes=1".into()]).unwrap();
+        let net = NetConfig {
+            recv_timeout: Duration::from_millis(300),
+            ..NetConfig::default()
+        };
+        let eps = faulted(2, net, &plan);
+        let results = try_run_parties_on(eps, |ep| {
+            if ep.id() == 0 {
+                ep.send(1, &1u64);
+                crate::TransportError::new(TransportErrorKind::Timeout, 0, "failing").raise();
+            }
+            ep.recv::<u64>(0)
+        });
+        let crate::RunFailure::Transport(first) = results[0].as_ref().expect_err("party 0 fails")
+        else {
+            panic!("expected transport failure");
+        };
+        assert_eq!((first.kind, first.party), (TransportErrorKind::Timeout, 0));
+        let crate::RunFailure::Transport(survivor) =
+            results[1].as_ref().expect_err("party 1 loses its peer")
+        else {
+            panic!("expected transport failure");
+        };
+        assert_eq!((survivor.party, survivor.peer), (1, Some(0)));
+    }
+
+    #[test]
     fn note_round_crash_raises_on_endpoint() {
         let plan = FaultPlan::parse(&["crash_party 1 at_round=1".into()]).unwrap();
         let eps = faulted(2, NetConfig::default(), &plan);
