@@ -278,6 +278,12 @@ pub fn prepare(
     params
         .validate(train_set.num_samples(), m, labels)
         .map_err(|e| format!("invalid parameters: {e}"))?;
+    if algo == Algo::SpdzDt {
+        for feature in 0..train_set.num_features() {
+            let column = train_set.feature_column(feature);
+            spdz_dt::check_feature_range(feature, &column, &params.fixed)?;
+        }
+    }
     Ok((train_set, test_set, params))
 }
 
@@ -426,6 +432,37 @@ mod tests {
         assert_eq!(p0.tree_depth, Some(p0.tree_depth.unwrap().min(2)));
         // All parties agree on the predictions.
         assert_eq!(exec.parties[0].predictions, exec.parties[1].predictions);
+    }
+
+    #[test]
+    fn spdz_dt_rejects_a_feature_its_comparisons_cannot_hold() {
+        // Feature 0 spans 1e8 (> 2^24 at f = 20, k = 45): SPDZ-DT's
+        // comparisons would wrap; every other algorithm trains on it.
+        let csv = std::env::temp_dir().join(format!("pivot-cli-wide-{}.csv", std::process::id()));
+        let rows: String = (0..24)
+            .map(|i| {
+                format!(
+                    "{},{},{}\n",
+                    if i < 16 { 1e8 } else { 0.0 },
+                    i % 2,
+                    i % 3 % 2
+                )
+            })
+            .collect();
+        std::fs::write(&csv, rows).unwrap();
+        let scenario =
+            std::env::temp_dir().join(format!("pivot-cli-wide-{}.toml", std::process::id()));
+        let text = format!(
+            "parties = 2\n[data]\nkind = \"csv\"\npath = {:?}\n[params]\nkeysize = 128\n",
+            csv.display().to_string()
+        );
+        std::fs::write(&scenario, text).unwrap();
+        let s = Scenario::load(&scenario).unwrap();
+        let err = prepare(&s, Algo::SpdzDt).unwrap_err();
+        assert!(err.contains("spdz-dt: feature 0 spans 100000000"), "{err}");
+        assert!(prepare(&s, Algo::PivotBasic).is_ok());
+        std::fs::remove_file(&csv).ok();
+        std::fs::remove_file(&scenario).ok();
     }
 
     #[test]

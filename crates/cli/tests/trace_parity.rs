@@ -277,3 +277,65 @@ fn a_stump_pays_for_one_statistics_pass_and_nothing_per_sample_after_it() {
         }
     }
 }
+
+/// Figure 5's comparison at `max_splits = 4`, in a LAN: the three
+/// algorithms release one tree (7 internal nodes at `max_depth = 3`).
+const FIG5: &str = "seed = 7\nparties = 3\n\
+     [data]\nkind = \"synthetic-classification\"\nsamples = 60\n\
+     features_per_party = 2\nclasses = 2\n\
+     [params]\nmax_depth = 3\nmax_splits = 4\nkeysize = 128\ntrace = \"phases\"\n";
+
+fn phase_rounds(p: &pivot_cli::runner::PartyOutcome, phase: &str) -> u64 {
+    let rows = pivot_trace::phase_table(p.trace.as_ref().expect("traced run"));
+    rows.iter()
+        .find(|row| row.phase == phase)
+        .map_or(0, |row| row.rounds)
+}
+
+#[test]
+fn spdz_dt_pays_pivot_basics_rounds_for_what_it_opens() {
+    // SPDZ-DT grows on Pivot's level step with Pivot-Basic's disclosure:
+    // the prune, gain, argmax, leaf and opening batches are Pivot-Basic's.
+    // What it pays besides is named: input sharing and indicator
+    // comparisons under `setup`, Beaver products under `stats` (and the
+    // mask divisions under `update`) — nothing is left to `other`.
+    let basic = run("fig5-basic", FIG5, Algo::PivotBasic, false);
+    let spdz = run("fig5-spdz", FIG5, Algo::SpdzDt, false);
+    assert_eq!(spdz.metric, basic.metric);
+    for (b, s) in basic.parties.iter().zip(&spdz.parties) {
+        let party = s.party;
+        assert_eq!(s.internal_nodes, 7, "party {party}: a full tree");
+        assert_eq!(s.internal_nodes, b.internal_nodes, "party {party} model");
+        assert_eq!(s.predictions, b.predictions, "party {party} predictions");
+        for phase in ["gain", "leaf", "split_reveal"] {
+            assert_eq!(
+                phase_rounds(s, phase),
+                phase_rounds(b, phase),
+                "party {party}: {phase} rounds"
+            );
+        }
+        for phase in ["setup", "stats", "update"] {
+            assert!(phase_rounds(s, phase) > 0, "party {party}: {phase} rounds");
+        }
+        assert_eq!(phase_rounds(s, "other"), 0, "party {party}: other rounds");
+    }
+}
+
+#[test]
+fn npd_dt_sends_one_message_per_peer_and_level() {
+    // Labels once, then one exchange of split proposals per level: with
+    // the context setup's two exchanges, party 0 sends (m − 1)(3 + h)
+    // messages, within (m − 1)(1 + 2h) for h ≥ 2.
+    let (m, h) = (3, 3);
+    let basic = run("fig5-basic-npd", FIG5, Algo::PivotBasic, false);
+    let npd = run("fig5-npd", FIG5, Algo::NpdDt, false);
+    assert_eq!(npd.metric, basic.metric);
+    assert_eq!(
+        npd.parties[0].internal_nodes,
+        basic.parties[0].internal_nodes
+    );
+    assert_eq!(npd.parties[0].predictions, basic.parties[0].predictions);
+    let sent = npd.parties[0].train_messages_sent;
+    assert!(sent <= (m - 1) * (1 + 2 * h), "party 0 sent {sent}");
+    assert_eq!(sent, (m - 1) * (3 + h));
+}

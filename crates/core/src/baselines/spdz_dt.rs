@@ -3,271 +3,258 @@
 //! secret-shared; split indicators are computed with secure comparisons;
 //! node statistics with secure multiplications. The released model is the
 //! same plaintext tree Pivot-Basic produces.
+//!
+//! The tree grows on Pivot's level step (`crate::trainer`) with Pivot-Basic's
+//! disclosure (`crate::train_basic::Reveal`): per level one prune unit, one
+//! gain pipeline with one lockstep argmax, one leaf-label batch and one
+//! opening round for the winners and leaf labels — the rounds Pivot-Basic
+//! pays on the same data — and a right child's statistics are its
+//! parent's minus its left sibling's. What differs is the pass
+//! ([`SharedPass`]): where Pivot encrypts, SPDZ-DT multiplies shares. Per
+//! level with `P` passing nodes, `c` label rows and `S` candidate splits it
+//! pays two Beaver rounds of `P·n·(c + S·(1 + c))` products (`stats`), and
+//! one of `n` products per node whose children read a mask (`update`). Once
+//! per tree it shares every feature column and threshold and compares all
+//! `n·S` (sample, split) pairs (`setup`).
 
-use crate::gain::{
-    best_split_batch, leaf_label_shares_batch, prune_decisions_batch, split_gains_batch,
-    NodeShares, NodeTotals,
-};
+use crate::gain::{NodeShares, NodeTotals};
+use crate::masks::Sides;
 use crate::party::PartyContext;
 use crate::stats::{LocalSplits, SplitLayout};
+use crate::train_basic::Reveal;
+use crate::trainer::{grow_tree, LevelPass};
 use pivot_data::Task;
-use pivot_mpc::{Fp, Share};
-use pivot_trees::{DecisionTree, Node};
+use pivot_mpc::{FixedConfig, Fp, Share};
+use pivot_trees::DecisionTree;
 
 /// Train a decision tree with the pure-MPC baseline.
 pub fn train(ctx: &mut PartyContext<'_>) -> DecisionTree {
-    let n = ctx.num_samples();
-    let local = LocalSplits::precompute(ctx);
-    let layout = SplitLayout::build(ctx.ep, &local.counts());
-    let total_splits = layout.total();
-    let party = ctx.id();
-    let f = ctx.params.fixed.frac_bits;
-
-    // 1. Share all feature columns and thresholds, then evaluate every
-    //    (split, sample) indicator with one batched secure comparison —
-    //    the O(n·d·b) comparison bill Pivot avoids.
-    let mut indicator_cols: Vec<Vec<Share>> = Vec::with_capacity(total_splits);
-    {
-        // Owners provide, per local split, the feature column followed by
-        // the threshold (broadcast threshold minus value ≥ 0 ⇒ left).
-        let mut diffs: Vec<Share> = Vec::with_capacity(total_splits * n);
-        for owner in 0..ctx.parties() {
-            let n_owner_splits: usize = layout.counts[owner].iter().sum();
-            if n_owner_splits == 0 {
-                continue;
-            }
-            let values: Option<Vec<Fp>> = (ctx.id() == owner).then(|| {
-                let mut vals = Vec::with_capacity(n_owner_splits * (n + 1));
-                for (feat, cand) in local.candidates.iter().enumerate() {
-                    let column = ctx.view.column(feat);
-                    for &threshold in &cand.thresholds {
-                        for &x in &column {
-                            vals.push(encode_fx(x, f));
-                        }
-                        vals.push(encode_fx(threshold, f));
-                    }
-                }
-                vals
-            });
-            let shared = ctx.engine.share_input(owner, values.as_deref());
-            for split in 0..n_owner_splits {
-                let base = split * (n + 1);
-                let threshold = shared[base + n];
-                for i in 0..n {
-                    diffs.push(threshold - shared[base + i]);
-                }
-            }
-        }
-        // ind = 1[x ≤ τ] = 1 − 1[τ − x < 0].
-        let neg = ctx.engine.ltz_vec(&diffs);
-        for split in 0..total_splits {
-            let col: Vec<Share> = (0..n)
-                .map(|i| Share::from_public(party, Fp::ONE) - neg[split * n + i])
-                .collect();
-            indicator_cols.push(col);
-        }
+    // Reject a column the comparisons cannot hold before any traffic.
+    for (local, &feature) in ctx.view.feature_indices.iter().enumerate() {
+        check_feature_range(feature, &ctx.view.column(local), &ctx.params.fixed)
+            .unwrap_or_else(|e| panic!("{e}"));
     }
-
-    // 2. Share the label structure: one-hot per class, or (y, y²) moments.
-    let label_rows: Vec<Vec<Share>> = share_label_rows(ctx);
-
-    // 3. Recursive CART with a shared node mask.
-    let root_mask: Vec<Share> = (0..n).map(|_| Share::from_public(party, Fp::ONE)).collect();
-    let mut nodes = Vec::new();
-    let root = build_subtree(
-        ctx,
-        &local,
-        &layout,
-        &indicator_cols,
-        &label_rows,
-        root_mask,
-        0,
-        &mut nodes,
-    );
+    let (local, layout, mut pass) = {
+        let _setup = pivot_trace::phase_span("setup");
+        let local = LocalSplits::precompute(ctx);
+        let layout = SplitLayout::build(ctx.ep, &local.counts());
+        let indicators = share_indicators(ctx, &local, &layout);
+        let label_rows = share_label_rows(ctx);
+        let pass = SharedPass {
+            indicators,
+            label_rows,
+        };
+        (local, layout, pass)
+    };
+    let mut reveal = Reveal::new(ctx.params.tree.stop_when_pure, None);
+    let root = vec![Share::from_public(ctx.id(), Fp::ONE); ctx.num_samples()];
+    let (nodes, root) =
+        grow_tree(ctx, &mut pass, &mut reveal, &local, &layout, vec![root]).remove(0);
     DecisionTree::new(nodes, root, ctx.current_task())
 }
 
-fn encode_fx(x: f64, f: u32) -> Fp {
-    Fp::from_i64((x * (1u64 << f) as f64).round() as i64)
+/// SPDZ-DT compares `τ − x` inside the fixed-point range, so a column
+/// whose values span more than that range would wrap the comparison and
+/// silently grow another tree: reject it, naming the (global) feature.
+pub fn check_feature_range(
+    feature: usize,
+    column: &[f64],
+    fixed: &FixedConfig,
+) -> Result<(), String> {
+    let (min, max) = column
+        .iter()
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &x| {
+            (lo.min(x), hi.max(x))
+        });
+    if fixed.encodable(max - min) {
+        return Ok(());
+    }
+    Err(format!(
+        "spdz-dt: feature {feature} spans {} (max − min), but its secure comparisons \
+         hold a span below 2^{} ({}-bit fixed point, {} fractional bits)",
+        max - min,
+        fixed.int_bits - 1 - fixed.frac_bits,
+        fixed.int_bits,
+        fixed.frac_bits
+    ))
+}
+
+/// Share every owner's feature columns and candidate thresholds, and
+/// evaluate every `(split, sample)` indicator `1[x ≤ τ] = 1 − 1[τ − x < 0]`
+/// with one batched secure comparison — the `O(n·d·b)` comparison bill
+/// Pivot avoids. One column per global split, in global split order.
+fn share_indicators(
+    ctx: &mut PartyContext<'_>,
+    local: &LocalSplits,
+    layout: &SplitLayout,
+) -> Vec<Vec<Share>> {
+    let n = ctx.num_samples();
+    let fixed = ctx.params.fixed;
+    let mut diffs: Vec<Share> = Vec::with_capacity(layout.total() * n);
+    for owner in 0..ctx.parties() {
+        // Per feature with candidates: its column, then its thresholds,
+        // both shifted by the column's minimum — the comparison reads
+        // only their differences, which `check_feature_range` bounds.
+        let counts = &layout.counts[owner];
+        if counts.iter().all(|&c| c == 0) {
+            continue;
+        }
+        let values: Option<Vec<Fp>> = (ctx.id() == owner).then(|| {
+            let mut values = Vec::new();
+            for (feature, candidates) in local.candidates.iter().enumerate() {
+                if candidates.thresholds.is_empty() {
+                    continue;
+                }
+                let column = ctx.view.column(feature);
+                let min = column.iter().copied().fold(f64::INFINITY, f64::min);
+                let shifted = column.iter().chain(&candidates.thresholds);
+                values.extend(shifted.map(|&x| fixed.encode(x - min)));
+            }
+            values
+        });
+        let shared = ctx.engine.share_input(owner, values.as_deref());
+        let mut rest = shared.as_slice();
+        for &splits in counts.iter().filter(|&&c| c > 0) {
+            let (column, tail) = rest.split_at(n);
+            let (thresholds, tail) = tail.split_at(splits);
+            rest = tail;
+            for &threshold in thresholds {
+                diffs.extend(column.iter().map(|&x| threshold - x));
+            }
+        }
+    }
+    let party = ctx.id();
+    let negative = ctx.engine.ltz_vec(&diffs);
+    negative
+        .chunks(n)
+        .map(|lt| {
+            lt.iter()
+                .map(|&b| Share::from_public(party, Fp::ONE) - b)
+                .collect()
+        })
+        .collect()
 }
 
 /// Super client shares per-label-vector rows: classification one-hot
 /// indicators (integer-valued), regression `y`/`y²` (fixed-point).
 fn share_label_rows(ctx: &mut PartyContext<'_>) -> Vec<Vec<Share>> {
     let n = ctx.num_samples();
-    let rows = match ctx.current_task() {
-        Task::Classification { classes } => classes,
-        Task::Regression => 2,
-    };
     let values: Option<Vec<Fp>> = ctx.is_super_client().then(|| {
         let labels = ctx.view.labels.as_ref().expect("super client labels");
-        let mut vals = Vec::with_capacity(rows * n);
         match ctx.view.task {
-            Task::Classification { classes } => {
-                for k in 0..classes {
-                    for &y in labels {
-                        vals.push(Fp::new(u64::from(y as usize == k)));
-                    }
-                }
-            }
+            Task::Classification { classes } => (0..classes)
+                .flat_map(|k| {
+                    labels
+                        .iter()
+                        .map(move |&y| Fp::new(u64::from(y as usize == k)))
+                })
+                .collect(),
             Task::Regression => {
                 let cfg = ctx.params.fixed;
-                for &y in labels {
-                    vals.push(cfg.encode(y));
-                }
-                for &y in labels {
-                    vals.push(cfg.encode(y * y));
-                }
+                let moments = labels.iter().map(|&y| cfg.encode(y));
+                moments
+                    .chain(labels.iter().map(|&y| cfg.encode(y * y)))
+                    .collect()
             }
         }
-        vals
     });
     let flat = ctx.engine.share_input(ctx.super_client, values.as_deref());
-    flat.chunks(n).map(|c| c.to_vec()).collect()
+    flat.chunks(n).map(<[Share]>::to_vec).collect()
 }
 
-#[allow(clippy::too_many_arguments)]
-fn build_subtree(
-    ctx: &mut PartyContext<'_>,
-    local: &LocalSplits,
-    layout: &SplitLayout,
-    indicators: &[Vec<Share>],
-    label_rows: &[Vec<Share>],
-    mask: Vec<Share>,
-    depth: usize,
-    nodes: &mut Vec<Node>,
-) -> usize {
-    let n = mask.len();
-    let total_splits = layout.total();
+/// SPDZ-DT's statistics pass: a node's mask `⟨α⟩` is a shared 0/1 vector,
+/// and its statistics are sums of Beaver products against the shared
+/// label rows and indicator columns.
+struct SharedPass {
+    /// `indicators[s][i]`: `⟨1[x_i ≤ τ_s]⟩` of global split `s`.
+    indicators: Vec<Vec<Share>>,
+    /// `label_rows[k][i]`: `⟨β_k(i)⟩`.
+    label_rows: Vec<Vec<Share>>,
+}
 
-    // Node totals: n̄ = Σ α, g_k = Σ α·β_k (one multiplication batch).
-    let n_total = mask.iter().fold(Share::ZERO, |acc, &x| acc + x);
-    let mut lhs = Vec::with_capacity(label_rows.len() * n);
-    let mut rhs = Vec::with_capacity(label_rows.len() * n);
-    for row in label_rows {
-        for i in 0..n {
-            lhs.push(mask[i]);
-            rhs.push(row[i]);
-        }
-    }
-    let masked_labels = ctx.engine.mul_vec(&lhs, &rhs);
-    let g_totals: Vec<Share> = (0..label_rows.len())
-        .map(|k| {
-            masked_labels[k * n..(k + 1) * n]
-                .iter()
-                .fold(Share::ZERO, |acc, &x| acc + x)
-        })
-        .collect();
+impl LevelPass for SharedPass {
+    type Mask = Vec<Share>;
 
-    let force_leaf = depth >= ctx.params.tree.max_depth || total_splits == 0;
-    let totals = NodeTotals {
-        n: n_total,
-        g: g_totals,
-    };
-    if force_leaf {
-        let value = open_leaf(ctx, &totals);
-        nodes.push(Node::Leaf { value });
-        return nodes.len() - 1;
-    }
-    let stop_when_pure = ctx.params.tree.stop_when_pure;
-    if prune_decisions_batch(ctx, &[&totals], stop_when_pure)[0] {
-        let value = open_leaf(ctx, &totals);
-        nodes.push(Node::Leaf { value });
-        return nodes.len() - 1;
-    }
-
-    // Per-split left statistics: n_l = Σ α·ind, g_lk = Σ (α·β_k)·ind —
-    // the O(n·S·(c+1)) multiplication bill.
-    let mut lhs = Vec::with_capacity(total_splits * (1 + label_rows.len()) * n);
-    let mut rhs = Vec::with_capacity(lhs.capacity());
-    for ind in indicators {
-        for i in 0..n {
-            lhs.push(mask[i]);
-            rhs.push(ind[i]);
-        }
-        for k in 0..label_rows.len() {
-            for i in 0..n {
-                lhs.push(masked_labels[k * n + i]);
-                rhs.push(ind[i]);
-            }
-        }
-    }
-    let products = ctx.engine.mul_vec(&lhs, &rhs);
-    let stride = (1 + label_rows.len()) * n;
-    let mut n_l = Vec::with_capacity(total_splits);
-    let mut g_l: Vec<Vec<Share>> = vec![Vec::with_capacity(total_splits); label_rows.len()];
-    for split in 0..total_splits {
-        let base = split * stride;
-        n_l.push(
-            products[base..base + n]
-                .iter()
-                .fold(Share::ZERO, |acc, &x| acc + x),
-        );
-        for (k, row) in g_l.iter_mut().enumerate() {
-            let start = base + (k + 1) * n;
-            row.push(
-                products[start..start + n]
+    /// Two Beaver rounds for the level: `α·β_k` (the node totals), then
+    /// every split's `α·ind` and `(α·β_k)·ind`.
+    fn statistics(
+        &mut self,
+        ctx: &mut PartyContext<'_>,
+        _local: &LocalSplits,
+        _layout: &SplitLayout,
+        _depth: usize,
+        masks: &mut [&mut Vec<Share>],
+    ) -> Vec<NodeShares> {
+        let _stats = pivot_trace::phase_span("stats");
+        let n = ctx.num_samples();
+        let rows = self.label_rows.len();
+        let (lhs, rhs): (Vec<Share>, Vec<Share>) = masks
+            .iter()
+            .flat_map(|alpha| self.label_rows.iter().flat_map(|row| alpha.iter().zip(row)))
+            .unzip();
+        let masked = ctx.engine.mul_vec(&lhs, &rhs);
+        // Per node the rows `α, α·β_1, …, α·β_c`.
+        let weighted: Vec<Vec<&[Share]>> = masks
+            .iter()
+            .zip(masked.chunks(rows * n))
+            .map(|(alpha, masked)| {
+                std::iter::once(&alpha[..])
+                    .chain(masked.chunks(n))
+                    .collect()
+            })
+            .collect();
+        let (lhs, rhs): (Vec<Share>, Vec<Share>) = weighted
+            .iter()
+            .flat_map(|node| {
+                self.indicators
                     .iter()
-                    .fold(Share::ZERO, |acc, &x| acc + x),
-            );
+                    .flat_map(move |ind| node.iter().flat_map(move |row| row.iter().zip(ind)))
+            })
+            .unzip();
+        let products = ctx.engine.mul_vec(&lhs, &rhs);
+        // Node-major, then split, then row.
+        let mut sums = products.chunks(n).map(sum);
+        weighted
+            .iter()
+            .map(|node| {
+                let splits: Vec<Vec<Share>> = (0..self.indicators.len())
+                    .map(|_| sums.by_ref().take(1 + rows).collect())
+                    .collect();
+                NodeShares {
+                    n_l: splits.iter().map(|s| s[0]).collect(),
+                    g_l: (1..=rows)
+                        .map(|k| splits.iter().map(|s| s[k]).collect())
+                        .collect(),
+                    totals: NodeTotals {
+                        n: sum(node[0]),
+                        g: node[1..].iter().map(|row| sum(row)).collect(),
+                    },
+                }
+            })
+            .collect()
+    }
+
+    /// One Beaver round: `α_l = α·ind_{s*}`, `α_r = α − α_l`.
+    fn divide(
+        &mut self,
+        ctx: &mut PartyContext<'_>,
+        _local: &LocalSplits,
+        _layout: &SplitLayout,
+        alpha: Vec<Share>,
+        global: usize,
+        wanted: Sides<bool>,
+    ) -> Sides<Option<Vec<Share>>> {
+        let left = ctx.engine.mul_vec(&alpha, &self.indicators[global]);
+        let right = wanted
+            .right
+            .then(|| alpha.iter().zip(&left).map(|(&a, &l)| a - l).collect());
+        Sides {
+            left: wanted.left.then_some(left),
+            right,
         }
     }
-
-    let node_shares = NodeShares { n_l, g_l, totals };
-    let gains = split_gains_batch(ctx, &[&node_shares]);
-    let best_idx = best_split_batch(ctx, &gains)[0];
-    let opened = ctx.engine.open(best_idx).value() as usize;
-    let (winner, local_feature, split_idx) = layout.locate(opened);
-    let global = layout.global_index(winner, local_feature, split_idx);
-
-    // The winner reveals the plaintext threshold (the model is public).
-    let (feature_global, threshold) = if ctx.id() == winner {
-        let feature_global = ctx.view.feature_indices[local_feature];
-        let threshold = local.candidates[local_feature].thresholds[split_idx];
-        ctx.ep.broadcast(&(feature_global, threshold));
-        (feature_global, threshold)
-    } else {
-        ctx.ep.recv::<(usize, f64)>(winner)
-    };
-
-    // Mask update in MPC: α_l = α·ind_best, α_r = α − α_l.
-    let left_mask = ctx.engine.mul_vec(&mask, &indicators[global]);
-    let right_mask: Vec<Share> = mask.iter().zip(&left_mask).map(|(&a, &l)| a - l).collect();
-
-    let left = build_subtree(
-        ctx,
-        local,
-        layout,
-        indicators,
-        label_rows,
-        left_mask,
-        depth + 1,
-        nodes,
-    );
-    let right = build_subtree(
-        ctx,
-        local,
-        layout,
-        indicators,
-        label_rows,
-        right_mask,
-        depth + 1,
-        nodes,
-    );
-    nodes.push(Node::Internal {
-        feature: feature_global,
-        threshold,
-        left,
-        right,
-    });
-    nodes.len() - 1
 }
 
-fn open_leaf(ctx: &mut PartyContext<'_>, totals: &NodeTotals) -> f64 {
-    let label = leaf_label_shares_batch(ctx, &[totals])[0];
-    let opened = ctx.engine.open(label);
-    match ctx.current_task() {
-        Task::Classification { .. } => opened.value() as f64,
-        Task::Regression => ctx.params.fixed.decode(opened),
-    }
+fn sum(shares: &[Share]) -> Share {
+    shares.iter().fold(Share::ZERO, |acc, &x| acc + x)
 }

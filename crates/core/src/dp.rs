@@ -17,7 +17,7 @@ use crate::gain::{leaf_label_shares_batch, NodeTotals};
 use crate::masks::initial_mask;
 use crate::party::PartyContext;
 use crate::train_basic::train_from_roots;
-use crate::trainer::NodeMask;
+use crate::train_basic::NodeMask;
 use pivot_data::Task;
 use pivot_mpc::dp::{exponential_mechanism, laplace_sample_vec};
 use pivot_mpc::Share;

@@ -28,7 +28,7 @@ use crate::party::PartyContext;
 use crate::predict_basic::{leaf_values, predict_batch_encrypted};
 use crate::stats::PackedChunking;
 use crate::train_basic::train_from_roots;
-use crate::trainer::NodeMask;
+use crate::train_basic::NodeMask;
 use pivot_bignum::BigUint;
 use pivot_data::Task;
 use pivot_mpc::{Fp, Share};

@@ -6,9 +6,7 @@
 //! in the rounds of a single node: the lanes of every node concatenate
 //! into one comparison/multiplication batch. Comparisons and Beaver
 //! multiplications are exact regardless of batching, so every argmax and
-//! prune bit is the one a node-by-node evaluation computes; callers with
-//! one node (the DP trainer, the SPDZ-DT baseline) pass one-element
-//! slices.
+//! prune bit is the one a node-by-node evaluation computes.
 //!
 //! # Scale discipline
 //!

@@ -23,7 +23,7 @@
 use crate::metrics::Stage;
 use crate::party::PartyContext;
 use crate::stats::PackedChunking;
-use crate::trainer::NodeMask;
+use crate::train_basic::NodeMask;
 use crate::verify;
 use pivot_bignum::BigUint;
 use pivot_data::Task;

@@ -15,7 +15,7 @@
 //! ciphertext, `Σᵢ cᵢ·stride` ciphertexts, nothing to shift. Two things
 //! read the slot count, and both ask "is there a neighbour slot?": the
 //! packing counters below, and the enhanced protocol's mask refresh
-//! (`crate::trainer`).
+//! (`crate::train_basic::PaillierPass`).
 //!
 //! Where the label vectors come from is not this pass's business: the
 //! super client's per-node broadcast and the stride a GBDT node carries

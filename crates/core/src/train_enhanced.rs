@@ -14,8 +14,10 @@
 //!   separates Pivot-Enhanced from Pivot-Basic in Figures 4–5;
 //! * leaf labels are converted share→ciphertext instead of being opened.
 //!
-//! Everything else is the shared level-wise loop of `crate::trainer`;
-//! this file is the enhanced protocol's side of its disclosure hooks.
+//! Everything else is the shared level-wise loop of `crate::trainer` over
+//! the basic protocol's Paillier statistics pass; this file is the
+//! enhanced protocol's side of its disclosure hooks, and the mask refresh
+//! its pass runs before a multi-slot level.
 
 use crate::config::{LabelSource, Protocol};
 use crate::conversion::{ciphers_to_shares, packed_share_conversion, shares_to_ciphers};
@@ -26,9 +28,9 @@ use crate::metrics::Stage;
 use crate::model::{ConcealedNode, ConcealedTree};
 use crate::party::PartyContext;
 use crate::stats::{LocalSplits, SplitLayout};
+use crate::train_basic::{NodeMask, PaillierPass};
 use crate::trainer::{
-    allocate_children, children, grow_tree, Arena, ArenaNode, Disclosure, FrontierNode, NodeMask,
-    Survivor,
+    allocate_children, children, grow_tree, Arena, ArenaNode, Disclosure, FrontierNode, Survivor,
 };
 use pivot_bignum::BigUint;
 use pivot_mpc::Share;
@@ -82,7 +84,8 @@ pub fn train(ctx: &mut PartyContext<'_>) -> ConcealedTree {
     let alpha = initial_mask(ctx, &mask);
     let codec = ctx.packing_codec(LabelSource::of_task(ctx.current_task()));
     let roots = vec![NodeMask::Alpha(alpha)];
-    let (nodes, root) = grow_tree(ctx, &mut Conceal, &local, &layout, roots, &codec).remove(0);
+    let mut pass = PaillierPass::new(ctx, &codec, &roots, true);
+    let (nodes, root) = grow_tree(ctx, &mut pass, &mut Conceal, &local, &layout, roots).remove(0);
     ConcealedTree {
         nodes,
         root,
@@ -113,40 +116,40 @@ fn split_lengths<T>(flat: Vec<T>, lens: impl IntoIterator<Item = usize>) -> Vec<
         .collect()
 }
 
+/// Eqn-10 masks carry *quadratic* mod-p slack (shares scaled by
+/// slack-carrying PIR ciphertexts reach ~m²·b·p² — the reason for the
+/// enhanced keysize floor). The slot-width audit budgets only the linear
+/// `m·p` bound, so the Paillier pass linearizes the slack of the masks a
+/// multi-slot level reads below the root: one batched share round-trip
+/// re-encrypts them as plain share sums. Values are untouched mod p, so
+/// the trained tree is unaffected; a slot that is the whole plaintext
+/// needs no refresh, and neither does a mask only the next Eqn-10 update
+/// reads (its conversion budgets the quadratic bound).
+pub(crate) fn refresh_masks(ctx: &mut PartyContext<'_>, masks: &mut [&mut NodeMask]) {
+    let _conv = pivot_trace::phase_span("conversion");
+    let lens: Vec<usize> = masks
+        .iter_mut()
+        .map(|mask| mask.alpha_mut().len())
+        .collect();
+    let flat: Vec<Ciphertext> = masks
+        .iter_mut()
+        .flat_map(|mask| mask.alpha_mut().drain(..))
+        .collect();
+    let shares = ciphers_to_shares(ctx, &flat);
+    let fresh = split_lengths(shares_to_ciphers(ctx, &shares), lens);
+    for (mask, alpha) in masks.iter_mut().zip(fresh) {
+        *mask.alpha_mut() = alpha;
+    }
+}
+
 /// §5.2 disclosure: leaf labels are re-encrypted instead of opened, and of
 /// a winning split only the `(i*, j*)` block becomes public — the split
 /// index stays shared, the threshold encrypted, and the mask update runs
 /// on ciphertexts and shares (Eqn 10).
 struct Conceal;
 
-impl Disclosure for Conceal {
+impl Disclosure<PaillierPass> for Conceal {
     type Node = ConcealedNode;
-
-    /// Eqn-10 masks carry *quadratic* mod-p slack (shares scaled by
-    /// slack-carrying PIR ciphertexts reach ~m²·b·p² — the reason for the
-    /// enhanced keysize floor). The slot-width audit budgets only the
-    /// linear `m·p` bound, so multi-slot levels first linearize the slack:
-    /// one batched share round-trip re-encrypts every mask the pass reads
-    /// as a plain share sum. Values are untouched mod p, so the trained
-    /// tree is unaffected; a slot that is the whole plaintext needs no
-    /// refresh, and neither does a mask only the next Eqn-10 update reads
-    /// (its conversion budgets the quadratic bound).
-    fn refresh_masks(&mut self, ctx: &mut PartyContext<'_>, masks: &mut [&mut NodeMask]) {
-        let _conv = pivot_trace::phase_span("conversion");
-        let lens: Vec<usize> = masks
-            .iter_mut()
-            .map(|mask| mask.alpha_mut().len())
-            .collect();
-        let flat: Vec<Ciphertext> = masks
-            .iter_mut()
-            .flat_map(|mask| mask.alpha_mut().drain(..))
-            .collect();
-        let shares = ciphers_to_shares(ctx, &flat);
-        let fresh = split_lengths(shares_to_ciphers(ctx, &shares), lens);
-        for (mask, alpha) in masks.iter_mut().zip(fresh) {
-            *mask.alpha_mut() = alpha;
-        }
-    }
 
     /// ONE share→ciphertext conversion for every leaf of the level.
     fn settle_leaves(
@@ -164,12 +167,13 @@ impl Disclosure for Conceal {
     fn settle_splits(
         &mut self,
         ctx: &mut PartyContext<'_>,
+        _pass: &mut PaillierPass,
         local: &LocalSplits,
         layout: &SplitLayout,
-        survivors: Vec<Survivor<'_>>,
+        survivors: Vec<Survivor<'_, NodeMask>>,
         wanted: Sides<bool>,
         arena: &mut Arena<ConcealedNode>,
-    ) -> Vec<FrontierNode> {
+    ) -> Vec<FrontierNode<NodeMask>> {
         // Batched block reveal + one-hot expansion + ONE [λ] re-encryption
         // (§5.2 private split selection). The children's totals are the
         // winning column of the parent's statistics and its complement;

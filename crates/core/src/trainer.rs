@@ -1,21 +1,23 @@
 //! Algorithm 3 as one level-wise loop, shared by the basic (§4) and
-//! enhanced (§5.2) protocols and the DP trees of §9.2.
+//! enhanced (§5.2) protocols, the DP trees of §9.2 and the SPDZ-DT
+//! baseline of §8.1.
 //!
 //! The whole tree frontier advances one depth at a time through batched
-//! stages: one statistics pass and one Algorithm-2 conversion, one prune
-//! comparison unit, one leaf-label batch, one gain pipeline and one
-//! lockstep argmax per level, then the checkpoint barrier. Statistics, comparisons and Beaver products are
+//! stages: one statistics pass, one prune comparison unit, one leaf-label
+//! batch, one gain pipeline and one lockstep argmax per level, then the
+//! checkpoint barrier. Statistics, comparisons and Beaver products are
 //! exact, so the trained tree is the one a node-by-node recursion builds;
 //! batching only cuts rounds.
 //!
-//! The statistics step ([`level_statistics`]) is one pipeline for every
-//! trainer — label vectors, dot products, pooling, Algorithm 2, all over
-//! the slots of the run's `SlotCodec`. The paper's one-ciphertext-per-
-//! statistic layout is its one-slot case (`PivotParams::slot_plan`), not a
-//! second route, and nothing here asks which layout it was given except
-//! where a neighbour slot matters: the mask refresh below the root runs
-//! iff `codec.slots() > 1` (a lone slot has nothing to carry into), and
-//! `crate::stats` books packing counters under the same condition.
+//! The caller supplies the statistics pass ([`LevelPass`]): how a level's
+//! statistics are computed from the nodes' masks, and how a node's mask is
+//! divided by a public winning split. The Pivot trainers supply the
+//! Paillier pass (`crate::train_basic::PaillierPass`: label vectors,
+//! encrypted dot products, pooling and one Algorithm-2 conversion over the
+//! slots of the run's `SlotCodec`; the winner masks the vectors with its
+//! plaintext indicator). SPDZ-DT supplies Beaver products against
+//! secret-shared indicator columns (`crate::baselines::spdz_dt`). Nothing
+//! below names a ciphertext or a slot layout.
 //!
 //! # A forest is W roots
 //!
@@ -26,11 +28,11 @@
 //! frontier node is named by its arena slot alone, children follow their
 //! parents in frontier order (`frontier[2t]`, `frontier[2t + 1]` belong to
 //! `parents[t]`, whichever tree that is), and the trees of one frontier
-//! share `max_depth`, the candidate splits, the split layout, the label
-//! plan and the [`Disclosure`] — so there is no tree tag beside the slot
-//! and no per-tree arena; [`renumber_postorder`] walks the shared arena
-//! from each root slot in turn. A single tree is the one-root case; the
-//! random forest of §7.1 (`W` bootstrap masks) and the `K` one-vs-rest
+//! share `max_depth`, the candidate splits, the split layout, the
+//! [`LevelPass`] and the [`Disclosure`] — so there is no tree tag beside
+//! the slot and no per-tree arena; [`renumber_postorder`] walks the shared
+//! arena from each root slot in turn. A single tree is the one-root case;
+//! the random forest of §7.1 (`W` bootstrap masks) and the `K` one-vs-rest
 //! trees of a boosting round (§7.2) are independent trees, so they cost
 //! the rounds of one tree with batches `W`× as wide.
 //!
@@ -58,25 +60,24 @@
 //!    label from them — no label-mask broadcast, no totals conversion.
 //! 2. **A mask exists only where something reads it.** `[α]` (or the
 //!    stride a GBDT node carries) of a node is read by exactly two things:
-//!    its own statistics pass and the mask update of its children. With
-//!    `h = max_depth`:
+//!    its own statistics pass and its division by the node's winning
+//!    split. With `h = max_depth`:
 //!
 //!    | child | own pass? | mask? |
 //!    |---|---|---|
 //!    | left, depth `d < h` | yes | yes |
-//!    | right, depth `d < h − 1` | no (parent − left) | yes — its children's update reads it |
+//!    | right, depth `d < h − 1` | no (parent − left) | yes — its own division reads it |
 //!    | right, depth `d = h − 1` | no (parent − left) | no |
 //!    | either, depth `d = h` (forced leaf) | no | no |
 //!
 //!    So the last split level produces no mask at all, the level above it
 //!    left masks only, and absence is a type ([`FrontierNode::mask`]).
 //! 3. **The right sibling's statistics are parent − left, on shares.**
-//!    Below the root only left children run label masks → dot products →
-//!    pooling → Algorithm 2; the previous level's survivors keep their
-//!    [`NodeShares`] for one level and `right = parent.minus(&left)` is
-//!    local. The left pass runs whenever the pair exists — also when the
-//!    left child is then pruned, because its sibling's statistics come
-//!    from it.
+//!    Below the root only left children run a statistics pass; the
+//!    previous level's survivors keep their [`NodeShares`] for one level
+//!    and `right = parent.minus(&left)` is local. The left pass runs
+//!    whenever the pair exists — also when the left child is then pruned,
+//!    because its sibling's statistics come from it.
 //!
 //! For a full tree with `K` label vectors: statistics passes
 //! `2^h − 1 → 2^(h−1)`; mask vectors produced
@@ -88,75 +89,71 @@
 //! # Disclosure
 //!
 //! The trainers differ in what they disclose, and only there — the hooks
-//! of [`Disclosure`]: whether a mask refresh precedes multi-slot
-//! statistics; the three per-node queries, each one batch per level —
-//! prune, leaf label and best split; how a leaf label is settled (opened
-//! vs re-encrypted); and how a winning split is settled (announced vs
-//! concealed). The third disclosure is the DP tree of §9.2 (`crate::dp`):
-//! the basic protocol with noisy queries. A depth-forced leaf is asked the
+//! of [`Disclosure`]: the three per-node queries, each one batch per
+//! level — prune, leaf label and best split; how a leaf label is settled
+//! (opened vs re-encrypted); and how a winning split is settled (announced
+//! vs concealed). The DP tree of §9.2 (`crate::dp`) is the basic protocol's
+//! disclosure with noisy queries, and SPDZ-DT is the basic protocol's
+//! disclosure over its own pass. A depth-forced leaf is asked the
 //! leaf query, a pruned node prune then leaf, a split node prune then
 //! split — what a node-by-node recursion asks each node.
 
-use crate::conversion::packed_ciphers_to_shares;
 use crate::gain::{
-    best_split_batch, leaf_label_shares_batch, node_shares_from_packed, prune_decisions_batch,
-    split_gains_batch, NodeShares, NodeTotals,
+    best_split_batch, leaf_label_shares_batch, prune_decisions_batch, split_gains_batch,
+    NodeShares, NodeTotals,
 };
-use crate::masks::{
-    compute_packed_label_masks, plan_packed_labels, PackedLabelPlan, PackedLabels, Sides,
-};
-use crate::metrics::Stage;
+use crate::masks::Sides;
 use crate::party::PartyContext;
-use crate::stats::{
-    conversion_batch, packed_pooled_statistics, LocalSplits, PackedStats, SplitLayout,
-};
+use crate::stats::{LocalSplits, SplitLayout};
 use pivot_mpc::Share;
-use pivot_paillier::{Ciphertext, SlotCodec};
 
-/// The encrypted vectors of a node.
-pub(crate) enum NodeMask {
-    /// The sample mask `[α]`: the super client derives the label vectors
-    /// from its plaintext labels at every node.
-    Alpha(Vec<Ciphertext>),
-    /// §7.2: a GBDT residual tree's node carries its label vectors. Per
-    /// sample, the stride `(α, γ₁, γ₂)` lies in the slots of the run's
-    /// codec, cut by `PackedChunking::new(3, slots)` like any other label
-    /// stride — `chunks` vectors of `n` ciphertexts: one from three slots
-    /// up, `[α]`, `[γ₁]`, `[γ₂]` themselves at one.
-    Carried(Vec<Vec<Ciphertext>>),
-}
+/// How a level's statistics are computed from the nodes' masks, and how a
+/// node's mask is divided by a public winning split — the two places the
+/// protocols grown here differ in what they compute rather than in what
+/// they disclose.
+pub(crate) trait LevelPass {
+    /// What a node holds for its own statistics pass and its children's.
+    type Mask;
 
-impl NodeMask {
-    /// `[α]` of a node that carries nothing else — the only kind the
-    /// enhanced protocol grows.
-    pub fn alpha_mut(&mut self) -> &mut Vec<Ciphertext> {
-        match self {
-            NodeMask::Alpha(alpha) => alpha,
-            NodeMask::Carried(_) => panic!("a carried stride has no [α] of its own"),
-        }
-    }
+    /// The statistics of the nodes holding `masks` (the roots at depth 0,
+    /// below them the left children), in order.
+    fn statistics(
+        &mut self,
+        ctx: &mut PartyContext<'_>,
+        local: &LocalSplits,
+        layout: &SplitLayout,
+        depth: usize,
+        masks: &mut [&mut Self::Mask],
+    ) -> Vec<NodeShares>;
 
-    /// [`NodeMask::alpha_mut`], by value.
-    pub fn into_alpha(mut self) -> Vec<Ciphertext> {
-        std::mem::take(self.alpha_mut())
-    }
+    /// The masks of the `wanted` children of a node that splits on the
+    /// public global split index `global`.
+    fn divide(
+        &mut self,
+        ctx: &mut PartyContext<'_>,
+        local: &LocalSplits,
+        layout: &SplitLayout,
+        mask: Self::Mask,
+        global: usize,
+        wanted: Sides<bool>,
+    ) -> Sides<Option<Self::Mask>>;
 }
 
 /// One unresolved node of the current level.
-pub(crate) struct FrontierNode {
+pub(crate) struct FrontierNode<M> {
     /// Its slot in the breadth-first arena.
     pub slot: usize,
     /// `(⟨n̄⟩, ⟨Σγ_k⟩)`, handed down by the parent's winning split; `None`
     /// for the root only, which learns them from its own statistics pass.
     pub totals: Option<NodeTotals>,
     /// `None` where nothing reads a mask (see the module's mask rule).
-    pub mask: Option<NodeMask>,
+    pub mask: Option<M>,
 }
 
 /// A node that splits at this level, with what settling the split reads.
-pub(crate) struct Survivor<'a> {
-    pub node: FrontierNode,
-    /// Its converted statistics: column `s*` is its left child's totals.
+pub(crate) struct Survivor<'a, M> {
+    pub node: FrontierNode<M>,
+    /// Its statistics: column `s*` is its left child's totals.
     pub stats: &'a NodeShares,
     /// `⟨s*⟩`, the shared global index of its winning split.
     pub best: Share,
@@ -173,14 +170,10 @@ pub(crate) trait ArenaNode {
     fn set_children(&mut self, left: usize, right: usize);
 }
 
-/// The points where a protocol decides what becomes public.
-pub(crate) trait Disclosure {
+/// The points where a protocol decides what becomes public, over the
+/// statistics pass `P`.
+pub(crate) trait Disclosure<P: LevelPass> {
     type Node: ArenaNode;
-
-    /// Called below the root on the masks a multi-slot statistics pass is
-    /// about to read. Masks that carry more slack than the slot-width
-    /// audit budgets are linearized here.
-    fn refresh_masks(&mut self, _ctx: &mut PartyContext<'_>, _masks: &mut [&mut NodeMask]) {}
 
     /// The prune query: per frontier node, whether it has too few samples
     /// (or, where the protocol may leak that bit, is pure).
@@ -216,16 +209,18 @@ pub(crate) trait Disclosure {
     /// their children and return them, left before right, each with its
     /// totals (the winning column of the parent's statistics, and the
     /// parent's totals minus it) and — on the `wanted` sides — its
-    /// updated mask.
+    /// mask.
+    #[allow(clippy::too_many_arguments)]
     fn settle_splits(
         &mut self,
         ctx: &mut PartyContext<'_>,
+        pass: &mut P,
         local: &LocalSplits,
         layout: &SplitLayout,
-        survivors: Vec<Survivor<'_>>,
+        survivors: Vec<Survivor<'_, P::Mask>>,
         wanted: Sides<bool>,
         arena: &mut Arena<Self::Node>,
-    ) -> Vec<FrontierNode>;
+    ) -> Vec<FrontierNode<P::Mask>>;
 }
 
 /// Allocate the two child slots of a node that splits.
@@ -237,11 +232,11 @@ pub(crate) fn allocate_children<N>(arena: &mut Arena<N>) -> (usize, usize) {
 }
 
 /// The two children of a split, left before right.
-pub(crate) fn children(
+pub(crate) fn children<M>(
     slots: (usize, usize),
     totals: Sides<NodeTotals>,
-    masks: Sides<Option<NodeMask>>,
-) -> [FrontierNode; 2] {
+    masks: Sides<Option<M>>,
+) -> [FrontierNode<M>; 2] {
     [
         (slots.0, totals.left, masks.left),
         (slots.1, totals.right, masks.right),
@@ -256,33 +251,19 @@ pub(crate) fn children(
 /// Grow one tree per root, all in one frontier, and return each tree's
 /// nodes in post-order (left subtree, right subtree, node) with its root's
 /// index — in the order of `roots`.
-///
-/// `codec` is the slot layout of the statistics, audited for the source of
-/// the roots' label vectors (`PartyContext::packing_codec`): the root of a
-/// GBDT residual tree already lies in its slots.
-pub(crate) fn grow_tree<D: Disclosure>(
+pub(crate) fn grow_tree<P: LevelPass, D: Disclosure<P>>(
     ctx: &mut PartyContext<'_>,
+    pass: &mut P,
     protocol: &mut D,
     local: &LocalSplits,
     layout: &SplitLayout,
-    roots: Vec<NodeMask>,
-    codec: &SlotCodec,
+    roots: Vec<P::Mask>,
 ) -> Vec<(Vec<D::Node>, usize)> {
-    let carried = matches!(roots.first(), Some(NodeMask::Carried(_)));
-    assert!(
-        roots
-            .iter()
-            .all(|root| matches!(root, NodeMask::Carried(_)) == carried),
-        "the trees of one frontier share one label plan"
-    );
-    // The label multipliers depend only on labels/task/codec — built once
-    // here, reused by every node of every tree at every level.
-    let label_plan = plan_packed_labels(ctx, codec, carried);
     let max_depth = ctx.params.tree.max_depth;
     // Root `w` takes arena slot `w`.
     let trees = roots.len();
     let mut arena: Arena<D::Node> = roots.iter().map(|_| None).collect();
-    let mut frontier: Vec<FrontierNode> = roots
+    let mut frontier: Vec<FrontierNode<P::Mask>> = roots
         .into_iter()
         .enumerate()
         .map(|(slot, root)| FrontierNode {
@@ -298,7 +279,7 @@ pub(crate) fn grow_tree<D: Disclosure>(
     let mut depth = 0;
     while !frontier.is_empty() {
         // Depth pruning is public, and a forced leaf needs nothing but
-        // the totals it was handed: no ciphertext, one label batch.
+        // the totals it was handed: no statistics, one label batch.
         if depth >= max_depth {
             let _leaf = pivot_trace::phase_span("leaf");
             let (slots, totals): (Vec<usize>, Vec<&NodeTotals>) = frontier
@@ -316,19 +297,16 @@ pub(crate) fn grow_tree<D: Disclosure>(
         let _level = pivot_trace::span_fn(|| format!("level {depth}"));
         let stats_start = ctx.ep.stats().bytes_sent();
 
-        // Statistics and ONE Algorithm-2 conversion for the level: every
-        // root's own pass, below them the left children's — a right
-        // child's statistics are its parent's minus its left sibling's.
+        // ONE statistics pass for the level: every root's own, below them
+        // the left children's — a right child's statistics are its
+        // parent's minus its left sibling's.
         let node_shares: Vec<NodeShares> = {
-            let mut passing: Vec<&mut NodeMask> = frontier
+            let mut passing: Vec<&mut P::Mask> = frontier
                 .iter_mut()
                 .step_by(if depth == 0 { 1 } else { 2 })
                 .map(|node| node.mask.as_mut().expect("a pass reads its node's mask"))
                 .collect();
-            if codec.slots() > 1 && depth > 0 {
-                protocol.refresh_masks(ctx, &mut passing);
-            }
-            let passed = level_statistics(ctx, local, layout, codec, &label_plan, &passing);
+            let passed = pass.statistics(ctx, local, layout, depth, &mut passing);
             if depth == 0 {
                 passed
             } else {
@@ -369,7 +347,7 @@ pub(crate) fn grow_tree<D: Disclosure>(
         }
 
         // Survivors: gains and one lockstep argmax.
-        let (live, stats): (Vec<FrontierNode>, Vec<NodeShares>) = frontier
+        let (live, stats): (Vec<FrontierNode<P::Mask>>, Vec<NodeShares>) = frontier
             .into_iter()
             .zip(node_shares)
             .zip(&pruned)
@@ -381,19 +359,19 @@ pub(crate) fn grow_tree<D: Disclosure>(
             let gains = split_gains_batch(ctx, &refs);
             protocol.best_splits(ctx, &gains)
         };
-        let survivors: Vec<Survivor<'_>> = live
+        let survivors: Vec<Survivor<'_, P::Mask>> = live
             .into_iter()
             .zip(&stats)
             .zip(best)
             .map(|((node, stats), best)| Survivor { node, stats, best })
             .collect();
         // The mask rule: a child's mask is produced only if its own
-        // statistics pass or its children's mask update will read it.
+        // statistics pass or its children's mask division will read it.
         let wanted = Sides {
             left: depth + 1 < max_depth,
             right: depth + 2 < max_depth,
         };
-        frontier = protocol.settle_splits(ctx, local, layout, survivors, wanted, &mut arena);
+        frontier = protocol.settle_splits(ctx, pass, local, layout, survivors, wanted, &mut arena);
         parents = stats;
         depth += 1;
         // Level barrier: every party reaches this point with identical
@@ -404,49 +382,14 @@ pub(crate) fn grow_tree<D: Disclosure>(
     renumber_postorder(arena, trees)
 }
 
-/// One statistics pass — label vectors, encrypted dot products, pooling —
-/// and ONE Algorithm-2 conversion over the nodes that hold `masks`.
-fn level_statistics(
-    ctx: &mut PartyContext<'_>,
-    local: &LocalSplits,
-    layout: &SplitLayout,
-    codec: &SlotCodec,
-    label_plan: &PackedLabelPlan,
-    masks: &[&mut NodeMask],
-) -> Vec<NodeShares> {
-    let per_node: Vec<PackedStats> = {
-        let _stats = pivot_trace::phase_span("stats");
-        let labels: Vec<PackedLabels<'_>> = masks
-            .iter()
-            .map(|mask| compute_packed_label_masks(ctx, mask, label_plan))
-            .collect();
-        labels
-            .iter()
-            .map(|packed| packed_pooled_statistics(ctx, layout, local, packed, codec))
-            .collect()
-    };
-    let _conv = pivot_trace::phase_span("conversion");
-    let (cts, used) = conversion_batch(&per_node);
-    let started = std::time::Instant::now();
-    let slot_shares = packed_ciphers_to_shares(ctx, codec, &cts, &used);
-    ctx.metrics
-        .add_time(Stage::MpcComputation, started.elapsed());
-    let mut rest = slot_shares.as_slice();
-    per_node
-        .iter()
-        .map(|ps| {
-            let (span, tail) = rest.split_at(ps.conversion_len());
-            rest = tail;
-            node_shares_from_packed(ctx, layout, ps, span)
-        })
-        .collect()
-}
-
 /// Rewrite the breadth-first arena into post-order (left subtree, right
 /// subtree, node), one tree per root slot `0..trees` — the layout
 /// `pivot_trees::train_tree` produces, so a released tree can be compared
 /// with the plaintext oracle node for node.
-fn renumber_postorder<N: ArenaNode>(mut arena: Arena<N>, trees: usize) -> Vec<(Vec<N>, usize)> {
+pub(crate) fn renumber_postorder<N: ArenaNode>(
+    mut arena: Arena<N>,
+    trees: usize,
+) -> Vec<(Vec<N>, usize)> {
     fn visit<N: ArenaNode>(arena: &mut Arena<N>, id: usize, out: &mut Vec<N>) -> usize {
         let mut node = arena[id]
             .take()

@@ -324,3 +324,57 @@ fn dp_regression_leaves_are_noisy_means() {
         "training MSE {mse} vs label variance {variance}"
     );
 }
+
+#[test]
+fn spdz_dt_rejects_a_feature_wider_than_its_comparisons() {
+    // Feature 0 at 0 / 1e8: `τ − x` spans more than the 2^24 a 45-bit
+    // fixed-point comparison with 20 fractional bits holds. Pivot and the
+    // oracle split on it at 5e7; an unchecked SPDZ-DT comparison wraps and
+    // silently grows another tree, so SPDZ-DT must refuse the column at
+    // its owner, naming it.
+    let crisp = crisp_dataset();
+    let features: Vec<Vec<f64>> = (0..crisp.num_samples())
+        .map(|i| {
+            let mut row = crisp.sample(i).to_vec();
+            row[0] *= 1e7;
+            row
+        })
+        .collect();
+    let data = Dataset::new(features, crisp.labels().to_vec(), crisp.task());
+    let tree_params = TreeParams {
+        max_depth: 2,
+        max_splits: 4,
+        ..Default::default()
+    };
+    let reference = train_tree(&data, &tree_params);
+    assert!(matches!(
+        reference.nodes()[reference.root()],
+        pivot_trees::Node::Internal { feature: 0, threshold, .. } if threshold == 5e7
+    ));
+    let partition = partition_vertically(&data, 2, 0);
+    let p = params(tree_params);
+    let pivot = run_parties(2, |ep| {
+        let view = partition.views[ep.id()].clone();
+        let mut ctx = PartyContext::setup(&ep, view, p.clone());
+        pivot_core::train_basic::train(&mut ctx)
+    });
+    assert_eq!(pivot[0], reference);
+    let spdz = std::panic::catch_unwind(|| {
+        run_parties(2, |ep| {
+            let view = partition.views[ep.id()].clone();
+            let mut ctx = PartyContext::setup(&ep, view, p.clone());
+            spdz_dt::train(&mut ctx)
+        })
+    });
+    let err = match spdz {
+        Ok(trees) => panic!("SPDZ-DT trained {:?}", trees[0]),
+        Err(payload) => payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default(),
+    };
+    assert!(
+        err.contains("party 0 panicked: spdz-dt: feature 0 spans 100000000"),
+        "{err}"
+    );
+}

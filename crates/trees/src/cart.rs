@@ -75,12 +75,17 @@ impl<'a> CartTrainer<'a> {
         DecisionTree::new(nodes, root, self.data.task())
     }
 
-    fn build(&self, mask: &[bool], depth: usize, nodes: &mut Vec<Node>) -> NodeId {
+    /// Algorithm 1's pruning conditions: whether the node at `depth`
+    /// holding `mask` is a leaf before any split is scored.
+    pub fn stops(&self, mask: &[bool], depth: usize) -> bool {
         let n: usize = mask.iter().filter(|&&b| b).count();
-        let prune = depth >= self.params.max_depth
+        depth >= self.params.max_depth
             || n < self.params.min_samples
-            || (self.params.stop_when_pure && self.is_pure(mask));
-        if prune {
+            || (self.params.stop_when_pure && self.is_pure(mask))
+    }
+
+    fn build(&self, mask: &[bool], depth: usize, nodes: &mut Vec<Node>) -> NodeId {
+        if self.stops(mask, depth) {
             let value = self.leaf_value(mask);
             nodes.push(Node::Leaf { value });
             return nodes.len() - 1;
