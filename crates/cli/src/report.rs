@@ -41,6 +41,14 @@ fn header(command: &str, scenario: &Scenario) -> Json {
             "montgomery_kernel",
             pivot_bignum::Montgomery::kernel_name(scenario.params.keysize.saturating_mul(2)),
         )
+        // The top 64 bits of the fixture `N` the scenario's (first)
+        // algorithm deals, which names the key every party used.
+        .with(
+            "key_fingerprint",
+            pivot_paillier::fixtures::key_fingerprint(
+                scenario.pivot_params(scenario.algorithms[0]).keysize,
+            ),
+        )
 }
 
 /// Training-phase traffic of one party. One definition feeds the
@@ -370,6 +378,7 @@ pub fn train_report(scenario: &Scenario, exec: &Execution) -> Json {
             "timing",
             Json::obj()
                 .with("wall_total_s", exec.wall_s)
+                .with("setup_s", p0.setup_wall_s)
                 .with("train_s", p0.train_wall_s)
                 .with("predict_s", p0.predict_wall_s)
                 .with("predict_per_sample_s", per_sample_s)
@@ -407,6 +416,7 @@ pub fn party_report(scenario: &Scenario, party: usize, exec: &Execution) -> Json
             "timing",
             Json::obj()
                 .with("wall_total_s", exec.wall_s)
+                .with("setup_s", p.setup_wall_s)
                 .with("train_s", p.train_wall_s)
                 .with("predict_s", p.predict_wall_s)
                 .with("stages_s", stages_json(&p.stage_s)),
@@ -567,6 +577,7 @@ mod tests {
             predict_bytes_sent: 50,
             predict_bytes_received: 40,
             stage_s: [0.1, 0.2, 0.3, 0.05],
+            setup_wall_s: 0.2,
             train_wall_s: 0.6,
             predict_wall_s: 0.1,
             encryptions: 12,
@@ -650,6 +661,11 @@ mod tests {
             parsed.get("montgomery_kernel").unwrap().as_str(),
             Some(pivot_bignum::Montgomery::kernel_name(512))
         );
+        assert_eq!(
+            parsed.get("key_fingerprint").unwrap().as_str(),
+            Some("df9e531bd85a6d42")
+        );
+        assert_eq!(parsed.path("timing.setup_s").unwrap().as_f64(), Some(0.2));
         assert_eq!(parsed.path("evaluation.value").unwrap().as_f64(), Some(0.5));
         assert!(
             parsed

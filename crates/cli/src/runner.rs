@@ -33,6 +33,9 @@ pub struct PartyOutcome {
     pub predict_bytes_received: u64,
     /// Stage timers, in seconds: local, MPC, model update, prediction.
     pub stage_s: [f64; 4],
+    /// Wall time of `PartyContext::setup`: key dealing, super-client
+    /// discovery and the feature schema.
+    pub setup_wall_s: f64,
     pub train_wall_s: f64,
     pub predict_wall_s: f64,
     /// Paillier / MPC operation counts (the paper's Ce, Cd, Cs, Cc).
@@ -151,7 +154,9 @@ pub fn run_party_protocol(
     // records spans until the matching `finish()` below.
     pivot_trace::install(ep.id(), params.trace);
     let checkpoint_handle = checkpoint.as_ref().map(CliCheckpointSink::handle);
+    let setup_start = Instant::now();
     let mut ctx = PartyContext::setup(ep, view, params.clone());
+    let setup_wall_s = setup_start.elapsed().as_secs_f64();
     ctx.checkpoint = checkpoint.map(|sink| Box::new(sink) as Box<dyn CheckpointSink>);
 
     let train_start = Instant::now();
@@ -228,6 +233,7 @@ pub fn run_party_protocol(
             ctx.metrics.stage_time(Stage::ModelUpdate).as_secs_f64(),
             ctx.metrics.stage_time(Stage::Prediction).as_secs_f64(),
         ],
+        setup_wall_s,
         train_wall_s,
         predict_wall_s,
         encryptions: ctx.metrics.encryptions(),

@@ -28,6 +28,7 @@ fn scenario(tag: &str, body: &str) -> Scenario {
 fn transcript(p: &PartyOutcome) -> String {
     let mut p = p.clone();
     p.stage_s = [0.0; 4];
+    p.setup_wall_s = 0.0;
     p.train_wall_s = 0.0;
     p.predict_wall_s = 0.0;
     p.verification.wall = Duration::ZERO;

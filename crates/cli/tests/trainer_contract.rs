@@ -175,6 +175,14 @@
 //!     same values, and a few of their encryptions encode a byte longer or
 //!     shorter).
 //!
+//!     The byte column alone was re-recorded once more when the key
+//!     fixture's safe primes began to come from a sieved incremental
+//!     search: the keysize-256 `N` changed, and a `BigUint` crosses the
+//!     wire without its leading zero bytes, so a few ciphertexts and
+//!     opened values encode a byte longer or shorter. Per party, −11 to
+//!     +10 bytes (≤ 0.002 %); 30 of the 36 entries moved, no other number
+//!     and no prediction did.
+//!
 //! Every protocol runs at three depths, because the mask rule differs at
 //! each: `max_depth = 1` (no mask update at all), `2` (left masks only —
 //! the depth of every benchmark workload) and `3` (right masks wanted at
@@ -249,8 +257,8 @@ const BASIC: [Case; 3] = [
         body: BASIC_NOISY,
         tree: DEPTH_1,
         golden: [
-            [46, 5288, 408, 31, 204704, 110],
-            [46, 5288, 408, 31, 190768, 104],
+            [46, 5288, 408, 31, 204706, 110],
+            [46, 5288, 408, 31, 190770, 104],
             [46, 5288, 408, 31, 190770, 104],
         ],
         predictions: &[1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0],
@@ -260,9 +268,9 @@ const BASIC: [Case; 3] = [
         body: BASIC_BODY,
         tree: DEPTH_2,
         golden: [
-            [87, 13206, 1114, 45, 492704, 202],
+            [87, 13206, 1114, 45, 492702, 202],
             [87, 13206, 1114, 45, 475890, 194],
-            [87, 13206, 1114, 45, 475872, 194],
+            [87, 13206, 1114, 45, 475874, 194],
         ],
         predictions: &[0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0],
     },
@@ -271,9 +279,9 @@ const BASIC: [Case; 3] = [
         body: BASIC_NOISY,
         tree: DEPTH_3,
         golden: [
-            [132, 31700, 2444, 88, 1170662, 306],
-            [132, 31700, 2444, 88, 1136014, 298],
-            [132, 31700, 2444, 88, 1122160, 296],
+            [132, 31700, 2444, 88, 1170668, 306],
+            [132, 31700, 2444, 88, 1136018, 298],
+            [132, 31700, 2444, 88, 1122162, 296],
         ],
         predictions: &[1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0],
     },
@@ -285,9 +293,9 @@ const ENHANCED: [Case; 3] = [
         body: ENHANCED_NOISY,
         tree: DEPTH_1,
         golden: [
-            [59, 5727, 439, 21, 204320, 124],
+            [59, 5727, 439, 21, 204322, 124],
             [59, 5727, 439, 21, 192546, 116],
-            [59, 5727, 439, 21, 192546, 116],
+            [59, 5727, 439, 21, 192544, 116],
         ],
         predictions: &[
             0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0,
@@ -300,8 +308,8 @@ const ENHANCED: [Case; 3] = [
         tree: DEPTH_2,
         golden: [
             [107, 14056, 1186, 96, 519390, 244],
-            [107, 14056, 1186, 96, 502865, 231],
-            [107, 14056, 1186, 96, 502679, 227],
+            [107, 14056, 1186, 96, 502871, 231],
+            [107, 14056, 1186, 96, 502677, 227],
         ],
         predictions: &[
             1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0,
@@ -312,9 +320,9 @@ const ENHANCED: [Case; 3] = [
         body: ENHANCED_NOISY,
         tree: DEPTH_3,
         golden: [
-            [164, 28535, 2193, 321, 1091318, 374],
-            [164, 28535, 2193, 321, 1055586, 362],
-            [164, 28535, 2193, 321, 1055369, 358],
+            [164, 28535, 2193, 321, 1091326, 374],
+            [164, 28535, 2193, 321, 1055588, 362],
+            [164, 28535, 2193, 321, 1055370, 358],
         ],
         predictions: &[
             0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0,
@@ -329,9 +337,9 @@ const GBDT: [Case; 3] = [
         body: GBDT_NOISY,
         tree: DEPTH_1,
         golden: [
-            [150, 15228, 836, 54, 576284, 422],
-            [150, 15228, 836, 54, 562421, 367],
-            [150, 15228, 836, 54, 562425, 367],
+            [150, 15228, 836, 54, 576288, 422],
+            [150, 15228, 836, 54, 562426, 367],
+            [150, 15228, 836, 54, 562426, 367],
         ],
         predictions: &[
             -0.2755470275878906,
@@ -356,9 +364,9 @@ const GBDT: [Case; 3] = [
         body: GBDT_BODY,
         tree: DEPTH_2,
         golden: [
-            [240, 41766, 2260, 87, 1490378, 594],
-            [240, 41766, 2260, 87, 1476549, 544],
-            [240, 41766, 2260, 87, 1476614, 546],
+            [240, 41766, 2260, 87, 1490382, 594],
+            [240, 41766, 2260, 87, 1476545, 544],
+            [240, 41766, 2260, 87, 1476617, 546],
         ],
         predictions: &[
             0.1257009506225586,
@@ -378,9 +386,9 @@ const GBDT: [Case; 3] = [
         body: GBDT_NOISY,
         tree: DEPTH_3,
         golden: [
-            [330, 105636, 5780, 168, 3735718, 838],
-            [330, 105636, 5780, 168, 3689040, 761],
-            [330, 105636, 5780, 168, 3689057, 761],
+            [330, 105636, 5780, 168, 3735726, 838],
+            [330, 105636, 5780, 168, 3689041, 761],
+            [330, 105636, 5780, 168, 3689061, 761],
         ],
         predictions: &[
             -0.4095935821533203,
@@ -443,7 +451,7 @@ const RF: [EnsembleCase; 2] = [
             golden: [
                 [90, 15912, 1237, 46, 597004, 204],
                 [90, 15912, 1237, 46, 562290, 194],
-                [90, 15912, 1237, 46, 562224, 192],
+                [90, 15912, 1237, 46, 562226, 192],
             ],
             predictions: &[
                 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0,
@@ -457,9 +465,9 @@ const RF: [EnsembleCase; 2] = [
             body: rf_body!(4),
             tree: DEPTH_2_FLOOR,
             golden: [
-                [91, 63483, 4903, 160, 2374268, 248],
-                [91, 63483, 4903, 160, 2235340, 208],
-                [91, 63483, 4903, 160, 2235422, 212],
+                [91, 63483, 4903, 160, 2374278, 248],
+                [91, 63483, 4903, 160, 2235344, 208],
+                [91, 63483, 4903, 160, 2235424, 212],
             ],
             predictions: &[
                 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0,
@@ -475,9 +483,9 @@ const GBDT_K3: EnsembleCase = EnsembleCase {
         body: GBDT_THREE_CLASS,
         tree: DEPTH_2_FLOOR,
         golden: [
-            [376, 164982, 8697, 285, 5875950, 1194],
-            [376, 164982, 8697, 285, 5792576, 850],
-            [376, 164982, 8697, 285, 5792495, 848],
+            [376, 164982, 8697, 285, 5875956, 1194],
+            [376, 164982, 8697, 285, 5792566, 850],
+            [376, 164982, 8697, 285, 5792484, 848],
         ],
         predictions: &[
             1.0, 2.0, 1.0, 1.0, 2.0, 1.0, 2.0, 2.0, 1.0, 2.0, 1.0, 1.0, 1.0, 0.0, 1.0,

@@ -1,8 +1,18 @@
 //! Deterministic key fixtures for tests and benchmarks.
 //!
 //! Safe-prime generation dominates threshold keygen cost, so tests share a
-//! process-wide cache of safe primes per bit width (seeded deterministically
-//! for reproducibility) and derive fresh threshold shares from them cheaply.
+//! process-wide cache of safe primes per modulus width (seeded
+//! deterministically for reproducibility) and derive fresh threshold
+//! shares from them cheaply.
+//!
+//! The primes come from [`prime::gen_prime_pair`]: each is the first safe
+//! prime of a window of 4096 candidates `q0 + 2j` up from a random start,
+//! sieved by the odd primes below 2^16 before any Fermat test (see
+//! `pivot_bignum::prime`). On a 2-vCPU Sapphire Rapids host (AVX-512 IFMA)
+//! the pair costs ≈ 0.1 s at keysize 1024 and ≈ 15 ms at 512. The primes
+//! are a function of that search order, so the tests below pin the top 64
+//! bits of `N` ([`key_fingerprint`]): a change to the search fails a pin
+//! instead of silently changing every fixture key.
 
 use crate::threshold::{threshold_from_safe_primes, ThresholdKeyPair};
 use pivot_bignum::{prime, BigUint};
@@ -18,22 +28,27 @@ fn prime_cache() -> &'static PrimeCache {
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// A deterministic pair of distinct safe primes with `bits/2` bits each
-/// whose product has exactly `n_bits` bits, cached per process.
+/// A deterministic pair of safe primes whose product has exactly `n_bits`
+/// bits, cached per process.
 pub fn safe_primes(n_bits: u32) -> Arc<(BigUint, BigUint)> {
     let mut cache = prime_cache().lock().expect("prime cache poisoned");
     Arc::clone(cache.entry(n_bits).or_insert_with(|| {
         let mut rng = StdRng::seed_from_u64(0xC0FFEE ^ n_bits as u64);
-        // Both primes are drawn again when the product is short, as in
-        // `threshold_keygen`.
-        loop {
-            let p = prime::gen_safe_prime(&mut rng, n_bits / 2);
-            let q = prime::gen_safe_prime(&mut rng, n_bits.div_ceil(2));
-            if q != p && (&p * &q).bits() == n_bits {
-                break Arc::new((p, q));
-            }
-        }
+        Arc::new(prime::gen_prime_pair(
+            &mut rng,
+            n_bits,
+            prime::gen_safe_prime,
+        ))
     }))
+}
+
+/// The top 64 bits of the fixture modulus at `n_bits` (all of it below 64
+/// bits), as 16 hex digits: names the key every run at that keysize deals.
+pub fn key_fingerprint(n_bits: u32) -> String {
+    let primes = safe_primes(n_bits);
+    let n = &primes.0 * &primes.1;
+    let top = n.shr_bits(n_bits.saturating_sub(64));
+    format!("{:016x}", top.to_u64().expect("at most 64 bits"))
 }
 
 /// Deterministic full-threshold key material for `m` parties with an
@@ -46,11 +61,8 @@ pub fn threshold_keys(m: usize, n_bits: u32) -> ThresholdKeyPair {
 pub fn threshold_keys_with_threshold(m: usize, t: usize, n_bits: u32) -> ThresholdKeyPair {
     let primes = safe_primes(n_bits);
     let mut rng = StdRng::seed_from_u64(0xBEEF ^ (m as u64) << 8 ^ t as u64);
-    loop {
-        if let Some(kp) = threshold_from_safe_primes(&mut rng, &primes.0, &primes.1, m, t) {
-            return kp;
-        }
-    }
+    threshold_from_safe_primes(&mut rng, &primes.0, &primes.1, m, t)
+        .expect("the pair makes θ a unit mod N")
 }
 
 #[cfg(test)]
@@ -74,11 +86,16 @@ mod tests {
         assert_eq!(kp.combiner.combine(&partials), x);
     }
 
-    /// `SlotCodec` sizes packed slots for a modulus of exactly `keysize`
-    /// bits; at 384 the first safe prime drawn for `q` gives 383.
+    /// The fixture keys are a function of the prime search's order: any
+    /// change to it must fail here, not silently move every key.
     #[test]
-    fn fixture_modulus_has_exactly_keysize_bits() {
-        for n_bits in [192, 384] {
+    fn fixture_keys_are_pinned() {
+        for (n_bits, top) in [
+            (128, "d56d9720157507d0"),
+            (256, "df9e531bd85a6d42"),
+            (512, "b92ad2ff4f68694b"),
+        ] {
+            assert_eq!(key_fingerprint(n_bits), top, "keysize {n_bits}");
             assert_eq!(threshold_keys(3, n_bits).pk.keysize(), n_bits);
         }
     }

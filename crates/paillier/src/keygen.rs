@@ -24,32 +24,8 @@ pub struct KeyPair {
 /// Generate a Paillier key pair with an `n_bits`-bit modulus.
 pub fn keygen<R: Rng + ?Sized>(rng: &mut R, n_bits: u32) -> KeyPair {
     assert!(n_bits >= 16, "modulus too small to be meaningful");
-    loop {
-        let p = prime::gen_prime(rng, n_bits / 2);
-        let q = prime::gen_prime(rng, n_bits.div_ceil(2));
-        if p == q {
-            continue;
-        }
-        let n = &p * &q;
-        if n.bits() != n_bits {
-            continue;
-        }
-        let one = BigUint::one();
-        let lambda = lcm(&(&p - &one), &(&q - &one));
-        // g = N+1 ⇒ L(g^λ mod N²) = λ mod N, so μ = λ^{-1} mod N.
-        let Some(mu) = mod_inverse(&lambda, &n) else {
-            continue; // gcd(λ, N) ≠ 1 is astronomically unlikely; retry
-        };
-        let pk = PublicKey::from_n(n);
-        return KeyPair {
-            sk: PrivateKey {
-                pk: pk.clone(),
-                lambda,
-                mu,
-            },
-            pk,
-        };
-    }
+    let (p, q) = prime::gen_prime_pair(rng, n_bits, prime::gen_prime);
+    keypair_from_primes(&p, &q)
 }
 
 /// Build a key pair from known primes (used by fixtures and the dealer).
@@ -57,6 +33,7 @@ pub fn keypair_from_primes(p: &BigUint, q: &BigUint) -> KeyPair {
     let n = p * q;
     let one = BigUint::one();
     let lambda = lcm(&(p - &one), &(q - &one));
+    // g = N+1 ⇒ L(g^λ mod N²) = λ mod N, so μ = λ^{-1} mod N.
     let mu = mod_inverse(&lambda, &n).expect("gcd(λ, N) = 1 for valid primes");
     let pk = PublicKey::from_n(n);
     KeyPair {

@@ -260,20 +260,20 @@ mod tests {
     /// The first and last power of every group below, as hex.
     const PINNED: [[&str; 2]; 4] = [
         [
-            "1088faadb19aafabb82b8bc2c90cb5da499255c227a2871a42c4a1e4b5cc8f0c",
-            "6d91add401f7d1bf9bddd9cdbdc2c51c287d4ad4e4b7b8b257e9ad1950a6bccd",
+            "30bd9d105aa5fb64eea7e2bc96916ef66a35bf874b253f56d734dff9ffb8c1e0",
+            "a34fac5e41171320e89d8fbf6574aabc981451c198300a128a1521c2438447f5",
         ],
         [
-            "27ba21e282fc2ebc28d9bb620b0fcc12c885a1e338198e04d6be31f3c80f0a60",
-            "3ecf216885dde8a6afc83d925200f3de9435285a19ea92c0e0192af82356d6c6",
+            "904f7888318b76b92831ba88ddd34e0bbf2226edc66c7c0d998b75af11ffe4fe",
+            "99e50a993d3df82d665c2fb83a55e6d9e84a0ce803dac7e57ce4360e7e2e7fe7",
         ],
         [
-            "532d25ddb7b070b5deae578cd55b54b7ca07e238cadc4c1652801b21a39c3996",
-            "68902de39ce7298f595d2433ad0bf2169994d8073996691e93e133d21a9681f0",
+            "3bd2f0a40dddf934162687790265f48c05be029e3f42c99f3ec84cd4cc72dfb6",
+            "f0d0648740fed2b3b253a560f02d75639dfa80cf731d9b314252b9a569d535c",
         ],
         [
-            "3f72d3f398c981ba7e953c025130bfa0a63fcc876d8821d5d7d24cfe39d4405e",
-            "7cd26ca940fb51272021ffd8fc305382d84221e3147747a51a94de8e7bf07805",
+            "2cfc92d6f08b3d6c959e588bfe0392118638b256c50ef2eaddacd403e0fec834",
+            "8bd149a90c86e64e69bf09a327ea6d6d2eef94c6beadf1c7d11c189b2b307570",
         ],
     ];
 

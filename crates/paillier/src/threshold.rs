@@ -78,24 +78,16 @@ pub fn threshold_keygen<R: Rng + ?Sized>(
 ) -> ThresholdKeyPair {
     assert!(m >= 2, "need at least two parties");
     assert!((1..=m).contains(&t), "threshold must be in 1..=m");
-    loop {
-        let p = prime::gen_safe_prime(rng, n_bits / 2);
-        let q = prime::gen_safe_prime(rng, n_bits.div_ceil(2));
-        // The modulus must have exactly `n_bits` bits, as `keygen`'s does.
-        // A short product draws both primes again: keeping `p` would make
-        // the expected number of draws unbounded as `p` nears 2^(n_bits/2 − 1).
-        if p == q || (&p * &q).bits() != n_bits {
-            continue;
-        }
-        if let Some(kp) = threshold_from_safe_primes(rng, &p, &q, m, t) {
-            return kp;
-        }
-    }
+    assert!(n_bits >= 17, "a safe-prime modulus needs at least 17 bits");
+    let (p, q) = prime::gen_prime_pair(rng, n_bits, prime::gen_safe_prime);
+    threshold_from_safe_primes(rng, &p, &q, m, t).expect("the pair makes θ a unit mod N")
 }
 
 /// Threshold keygen from pre-generated safe primes (used by fixtures).
-/// Returns `None` when the random β happens to share a factor with `N`
-/// (retry with fresh randomness).
+/// Returns `None` when `4Δ²θ` is not a unit mod `N`. β is a unit, so that
+/// never happens for a pair from [`prime::gen_prime_pair`] (neither prime
+/// divides the other minus one, so `gcd(M, N) = 1`) with both primes
+/// above `m`.
 pub fn threshold_from_safe_primes<R: Rng + ?Sized>(
     rng: &mut R,
     p: &BigUint,
@@ -315,13 +307,7 @@ mod tests {
     fn small_threshold_keys(m: usize, t: usize) -> ThresholdKeyPair {
         let mut r = rng();
         // 64-bit safe primes keep unit tests fast.
-        let p = prime::gen_safe_prime(&mut r, 64);
-        let q = loop {
-            let q = prime::gen_safe_prime(&mut r, 64);
-            if q != p {
-                break q;
-            }
-        };
+        let (p, q) = prime::gen_prime_pair(&mut r, 128, prime::gen_safe_prime);
         threshold_from_safe_primes(&mut r, &p, &q, m, t).expect("keygen")
     }
 

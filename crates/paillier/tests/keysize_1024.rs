@@ -3,39 +3,31 @@
 //! kernel `Montgomery::new` selects at that width, which the smaller
 //! fixture keys of the other tests do not reach.
 //!
-//! The key is dealt from two hard-coded 512-bit safe primes, checked with
-//! `prime::is_prime`, so the test does no safe-prime search.
+//! The key is the fixture's, `fixtures::threshold_keys(3, 1024)`, pinned
+//! by the top 64 bits of `N`: the fixture's primes are a function of the
+//! prime search's order, and a change to it must fail here.
 
-use pivot_bignum::{prime, BigUint};
+use pivot_bignum::BigUint;
 use pivot_paillier::batch::{encrypt_batch, partial_decrypt_batch, rerandomize_batch};
-use pivot_paillier::threshold::threshold_from_safe_primes;
-use pivot_paillier::{vector, Ciphertext, NoncePool, PartialDecryption, ThresholdKeyPair};
+use pivot_paillier::{
+    fixtures, vector, Ciphertext, NoncePool, PartialDecryption, ThresholdKeyPair,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::OnceLock;
 
-const P: &str = "d6828ca09ffbea679c44952a2a320b6c683349079305db9d64b4b47777b0bade\
-                 0115e1468b29495096de144f945c6fcfcfe5114c9c783a5e6a0f0476d4e479ab";
-const Q: &str = "fdf4f42145288946e64741f5dd9c5f0b28c1e652d54343377cd4716d936d7b84\
-                 b7f7423aa5526d623a5338faf421876257d980b13ec983ab1e4b54b8a16e9c53";
-
 /// Three-party, full-threshold keys with a 1024-bit `N`.
 fn keys() -> &'static ThresholdKeyPair {
     static KEYS: OnceLock<ThresholdKeyPair> = OnceLock::new();
-    KEYS.get_or_init(|| {
-        let mut rng = StdRng::seed_from_u64(1024);
-        let (p, q) = (BigUint::from_hex(P).unwrap(), BigUint::from_hex(Q).unwrap());
-        for x in [&p, &q] {
-            assert_eq!(x.bits(), 512);
-            let half = (x - &BigUint::one()).shr_bits(1);
-            assert!(prime::is_prime(x, &mut rng) && prime::is_prime(&half, &mut rng));
-        }
-        let kp = (0..)
-            .find_map(|_| threshold_from_safe_primes(&mut rng, &p, &q, 3, 3))
-            .unwrap();
-        assert_eq!(kp.pk.keysize(), 1024);
-        kp
-    })
+    KEYS.get_or_init(|| fixtures::threshold_keys(3, 1024))
+}
+
+#[test]
+fn the_fixture_key_is_pinned() {
+    let n = keys().pk.n();
+    assert_eq!(n.bits(), 1024);
+    assert_eq!(n.shr_bits(1024 - 64).to_hex(), "f9f25b53e6179395");
+    assert_eq!(fixtures::key_fingerprint(1024), "f9f25b53e6179395");
 }
 
 fn decrypt(kp: &ThresholdKeyPair, c: &Ciphertext) -> BigUint {
