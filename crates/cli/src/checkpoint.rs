@@ -25,12 +25,12 @@
 //! file never loses recoverability.
 
 use pivot_core::checkpoint::{BarrierMeta, CheckpointSink, StateCursors};
+use pivot_core::{Counter, Counters};
 use pivot_transport::{Wire, WireError};
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Magic prefix of every checkpoint file.
@@ -326,27 +326,14 @@ pub fn load_latest(
     }
 }
 
-/// Shared handles into a [`CliCheckpointSink`]: counters for the party
-/// report plus the first failure (checked after the protocol run and
-/// mapped to exit code 13).
+/// Shared handle into a [`CliCheckpointSink`]: the first failure
+/// (checked after the protocol run and mapped to exit code 13).
 #[derive(Clone, Default)]
 pub struct CheckpointHandle {
-    written: Arc<AtomicU64>,
-    bytes: Arc<AtomicU64>,
     error: Arc<Mutex<Option<CheckpointError>>>,
 }
 
 impl CheckpointHandle {
-    /// Checkpoints durably written so far.
-    pub fn written(&self) -> u64 {
-        self.written.load(Ordering::Relaxed)
-    }
-
-    /// Total encoded checkpoint bytes written.
-    pub fn bytes(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
-    }
-
     /// First failure, if any: a failed write or a diverged resume
     /// (checkpointing stops after the first failure).
     pub fn take_error(&self) -> Option<CheckpointError> {
@@ -400,7 +387,7 @@ impl CliCheckpointSink {
         ))
     }
 
-    /// Handles shared with the report/exit plumbing.
+    /// The handle shared with the exit plumbing.
     pub fn handle(&self) -> CheckpointHandle {
         self.handle.clone()
     }
@@ -420,7 +407,7 @@ impl CliCheckpointSink {
 }
 
 impl CheckpointSink for CliCheckpointSink {
-    fn at_barrier(&mut self, meta: &BarrierMeta) {
+    fn at_barrier(&mut self, meta: &BarrierMeta, counters: &Counters) {
         if self.failed {
             return;
         }
@@ -445,8 +432,8 @@ impl CheckpointSink for CliCheckpointSink {
         };
         match write_checkpoint(&self.dir, &file) {
             Ok(bytes) => {
-                self.handle.written.fetch_add(1, Ordering::Relaxed);
-                self.handle.bytes.fetch_add(bytes, Ordering::Relaxed);
+                counters.add(Counter::CheckpointsWritten, 1);
+                counters.add(Counter::CheckpointBytes, bytes);
             }
             Err(e) => self.fail(e),
         }
@@ -512,16 +499,24 @@ mod tests {
             mpc_rounds: checkpointed.mpc_rounds + 1,
             ..checkpointed
         };
-        sink.at_barrier(&BarrierMeta {
-            ordinal: 2,
-            level: 2,
-            cursors: recomputed,
-        });
+        let counters = Counters::new();
+        sink.at_barrier(
+            &BarrierMeta {
+                ordinal: 2,
+                level: 2,
+                cursors: recomputed,
+            },
+            &counters,
+        );
         assert_eq!(
             handle.take_error(),
             Some(CheckpointError::ResumeDiverged { ordinal: 2 })
         );
-        assert_eq!(handle.written(), 0, "a diverged barrier is not persisted");
+        assert_eq!(
+            counters.get(Counter::CheckpointsWritten),
+            0,
+            "a diverged barrier is not persisted"
+        );
         assert!(!dir.exists());
     }
 

@@ -37,6 +37,26 @@ impl Json {
         self
     }
 
+    /// [`Json::set`] at a dotted path, creating the objects on the way
+    /// (panics where the path crosses a non-object).
+    pub fn set_path(&mut self, dotted: &str, value: impl Into<Json>) -> &mut Self {
+        let Some((head, rest)) = dotted.split_once('.') else {
+            return self.set(dotted, value);
+        };
+        if self.get(head).is_none() {
+            self.set(head, Json::obj());
+        }
+        let Json::Obj(entries) = self else {
+            unreachable!("set() checked the object")
+        };
+        let (_, child) = entries
+            .iter_mut()
+            .find(|(k, _)| k == head)
+            .expect("the key was just set");
+        child.set_path(rest, value);
+        self
+    }
+
     /// Builder-style [`Json::set`].
     pub fn with(mut self, key: &str, value: impl Into<Json>) -> Self {
         self.set(key, value);

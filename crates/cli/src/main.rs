@@ -4,6 +4,7 @@
 use pivot_cli::report;
 use pivot_cli::runner::execute;
 use pivot_cli::scenario::Scenario;
+use pivot_core::Counter;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -269,7 +270,7 @@ fn run(args: &Args) -> Result<(), String> {
                     exec.features,
                     p0.internal_nodes,
                     p0.train_wall_s,
-                    human_bytes(p0.train_bytes_sent),
+                    human_bytes(p0.train[Counter::BytesSent]),
                     exec.test_samples,
                     p0.predict_wall_s,
                 );
@@ -303,7 +304,7 @@ fn run(args: &Args) -> Result<(), String> {
                             "{axis}={value} {}: train {:.2}s, {} sent by party 0",
                             algo.label(),
                             exec.parties[0].train_wall_s,
-                            human_bytes(exec.parties[0].train_bytes_sent),
+                            human_bytes(exec.parties[0].train[Counter::BytesSent]),
                         );
                     }
                     results.push((value, exec));

@@ -27,6 +27,7 @@ use crate::json::Json;
 use crate::report;
 use crate::runner::{compute_metric, metric_name_for, prepare, run_party_protocol, Execution};
 use crate::scenario::Scenario;
+use pivot_core::Counter;
 use pivot_data::partition_vertically;
 use pivot_transport::tcp::{connect_mesh, connect_mesh_restart};
 use pivot_transport::{
@@ -318,7 +319,7 @@ pub fn run(args: &PartyArgs) -> Result<(), PartyError> {
             args.id,
             p.internal_nodes,
             p.train_wall_s,
-            p.train_bytes_sent,
+            p.train[Counter::BytesSent],
             exec.test_samples,
             p.predict_wall_s,
         );

@@ -5,8 +5,9 @@
 //! comparable (`schema_version` bumps on any incompatible shape change).
 
 use crate::json::Json;
-use crate::runner::Execution;
+use crate::runner::{Execution, PartyOutcome};
 use crate::scenario::Scenario;
+use pivot_trace::{Counter, Row, Snapshot, Unit};
 use std::path::{Path, PathBuf};
 use std::time::{SystemTime, UNIX_EPOCH};
 
@@ -51,44 +52,81 @@ fn header(command: &str, scenario: &Scenario) -> Json {
         )
 }
 
-/// Training-phase traffic of one party. One definition feeds the
-/// per-party array of train/predict reports *and* the `pivot party`
-/// report, so the cross-backend parity contract (distributed reports
-/// comparable field-for-field with in-process ones) holds mechanically.
-fn train_traffic_json(p: &crate::runner::PartyOutcome) -> Json {
-    Json::obj()
-        .with("bytes_sent", p.train_bytes_sent)
-        .with("bytes_received", p.train_bytes_received)
-        .with("messages_sent", p.train_messages_sent)
+/// Report sections whose counters sum over every party: each party's
+/// registry, added cell by cell. Every other `counters` path shows party
+/// 0 (a party report's only party).
+const ALL_PARTIES: [&str; 2] = ["counters.comparisons_all_parties.", "counters.checkpoint."];
+
+/// One registry row's value in `snap`, in the row's unit.
+fn row_json(row: &Row, snap: &Snapshot) -> Json {
+    let c = row.counter;
+    match row.unit {
+        Unit::Count | Unit::Bytes => snap[c].into(),
+        Unit::Nanos => Json::Num(snap[c] as f64 / 1e9),
+        Unit::Widths => {
+            let mut widths = Json::obj();
+            for (k, &n) in snap.cells(c).iter().enumerate() {
+                if n > 0 {
+                    widths.set(&k.to_string(), n);
+                }
+            }
+            widths
+        }
+    }
 }
 
-/// Prediction-phase traffic of one party (same contract as above).
-fn predict_traffic_json(p: &crate::runner::PartyOutcome) -> Json {
-    Json::obj()
-        .with("bytes_sent", p.predict_bytes_sent)
-        .with("bytes_received", p.predict_bytes_received)
+/// Append to `out` every registry row under `section` (a dotted report
+/// path prefix), nested by the rest of its path, in table order. `source`
+/// picks the snapshot each path reads.
+fn rows_json<'a>(mut out: Json, section: &str, source: impl Fn(&str) -> &'a Snapshot) -> Json {
+    for row in pivot_trace::ROWS {
+        for path in row.paths {
+            if let Some(rest) = path.strip_prefix(section).and_then(|r| r.strip_prefix('.')) {
+                out.set_path(rest, row_json(row, source(path)));
+            }
+        }
+    }
+    out
 }
 
-/// Session-layer health of one party: whole-run dial/reconnect/replay
-/// and fault-injection totals. All zeros in an undisturbed run — the
-/// cross-backend parity contract extends to these (a transparently
-/// recovered drop shows up here and *only* here).
-fn session_json(p: &crate::runner::PartyOutcome) -> Json {
-    Json::obj()
-        .with("connect_retries", p.connect_retries)
-        .with("reconnects", p.reconnects)
-        .with("replayed_frames", p.replayed_frames)
-        .with("rejoins", p.rejoins)
-        .with("faults_injected", p.faults_injected)
+/// The snapshot a party's report path reads ([`pivot_trace::Row::paths`]):
+/// the end of training under `network.train`, the prediction phase under
+/// `network.predict`, the end of the run elsewhere.
+fn party_snapshot<'a>(p: &'a PartyOutcome, predict: &'a Snapshot, path: &str) -> &'a Snapshot {
+    if path.starts_with("network.train.") {
+        &p.train
+    } else if path.starts_with("network.predict.") {
+        predict
+    } else {
+        &p.counters
+    }
 }
 
-/// The paper's four protocol stages, in seconds.
-fn stages_json(stage_s: &[f64; 4]) -> Json {
-    Json::obj()
-        .with("local_computation", stage_s[0])
-        .with("mpc_computation", stage_s[1])
-        .with("model_update", stage_s[2])
-        .with("prediction", stage_s[3])
+/// One party's `network` section — train and predict traffic and session
+/// health — appended to `out`. One definition feeds the per-party array
+/// of train and bench reports *and* the `pivot party` report, so a
+/// distributed report compares field for field with the in-process one.
+fn network_json(out: Json, p: &PartyOutcome) -> Json {
+    let predict = p.predict();
+    rows_json(out, "network", |path| party_snapshot(p, &predict, path))
+}
+
+/// A report's `timing` section for party `p`: wall clocks, the
+/// prediction latency per test sample (Figures 4g–h; null without a test
+/// split), then the registry's timers.
+fn timing_json(exec: &Execution, p: &PartyOutcome) -> Json {
+    let per_sample_s = if exec.test_samples > 0 {
+        Json::Num(p.predict_wall_s / exec.test_samples as f64)
+    } else {
+        Json::Null
+    };
+    let timing = Json::obj()
+        .with("wall_total_s", exec.wall_s)
+        .with("setup_s", p.setup_wall_s)
+        .with("train_s", p.train_wall_s)
+        .with("predict_s", p.predict_wall_s)
+        .with("predict_per_sample_s", per_sample_s);
+    rows_json(timing, "timing", |_| &p.counters)
 }
 
 fn party_json(exec: &Execution) -> Json {
@@ -96,89 +134,51 @@ fn party_json(exec: &Execution) -> Json {
         exec.parties
             .iter()
             .map(|p| {
-                Json::obj()
-                    .with("party", p.party)
-                    .with("train", train_traffic_json(p))
-                    .with("predict", predict_traffic_json(p))
-                    .with("session", session_json(p))
-                    .with("stages_s", stages_json(&p.stage_s))
+                network_json(Json::obj().with("party", p.party), p).with(
+                    "stages_s",
+                    rows_json(Json::obj(), "timing.stages_s", |_| &p.counters),
+                )
             })
             .collect(),
     )
 }
 
+/// The `counters` section: party 0's registry, the [`ALL_PARTIES`]
+/// sums, and two ratios derived from them.
 fn counters_json(exec: &Execution) -> Json {
     let p0 = &exec.parties[0];
-    // Field-wise cross-party aggregation: a default-initialized side (a
-    // party that never entered the comparison pipeline, or a pre-PR-5
-    // report read back with empty groups) contributes zeros instead of
-    // erasing the other side's groups.
-    let mut comparison_all = pivot_core::ComparisonCounters::default();
-    for p in &exec.parties {
-        comparison_all.merge(&p.comparison);
-    }
-    Json::obj()
-        .with("encryptions", p0.encryptions)
-        .with("ciphertext_ops", p0.ciphertext_ops)
-        .with("threshold_decryptions", p0.threshold_decryptions)
-        .with("mpc_rounds", p0.mpc_rounds)
-        .with("secure_mults", p0.secure_mults)
-        .with("secure_comparisons", p0.secure_comparisons)
-        .with("comparisons", comparisons_json(p0))
-        .with(
-            "comparisons_all_parties",
-            Json::obj()
-                .with("count", comparison_all.count)
-                .with("online_rounds", comparison_all.online_rounds)
-                .with("opened_elements", comparison_all.opened_elements),
-        )
-        .with("split_stat_ciphertexts", p0.split_stat_ciphertexts)
-        .with("packing", packing_json(p0))
-        .with("verification", verification_json(&p0.verification))
-        .with(
-            "checkpoint",
-            Json::obj()
-                .with(
-                    "written",
-                    exec.parties
-                        .iter()
-                        .map(|p| p.checkpoints_written)
-                        .sum::<u64>(),
-                )
-                .with(
-                    "bytes",
-                    exec.parties.iter().map(|p| p.checkpoint_bytes).sum::<u64>(),
-                ),
-        )
-}
-
-/// Malicious-model verification counters of one party: proof
-/// generation/check volume, spot-check skip ratio, wire bytes the proof
-/// bundles added, and verification wall time. All zeros under
-/// `params.verification = "off"`.
-pub(crate) fn verification_json(v: &pivot_core::VerificationCounters) -> Json {
-    let checked = v.proofs_verified + v.proofs_skipped;
-    Json::obj()
-        .with("proofs_generated", v.proofs_generated)
-        .with("proofs_verified", v.proofs_verified)
-        .with("proofs_skipped", v.proofs_skipped)
-        .with("proofs_rejected", v.proofs_rejected)
-        .with("proof_bytes", v.proof_bytes)
-        .with("wall_s", v.wall.as_secs_f64())
-        .with(
-            "verified_fraction",
-            if checked > 0 {
-                Json::Num(v.proofs_verified as f64 / checked as f64)
-            } else {
-                Json::Null
-            },
-        )
+    let all = exec
+        .parties
+        .iter()
+        .fold(Snapshot::default(), |sum, p| &sum + &p.counters);
+    let mut counters = rows_json(Json::obj(), "counters", |path| {
+        if ALL_PARTIES.iter().any(|s| path.starts_with(s)) {
+            &all
+        } else {
+            &p0.counters
+        }
+    });
+    let c = &p0.counters;
+    // Slot occupancy: values carried / slots emitted (null when nothing
+    // was packed).
+    let capacity = c[Counter::PackedSlotCapacity];
+    counters.set_path(
+        "packing.occupancy",
+        (capacity > 0).then(|| c[Counter::PackedValues] as f64 / capacity as f64),
+    );
+    // The spot check's verified share of the proofs it looked at.
+    let checked = c[Counter::ProofsVerified] + c[Counter::ProofsSkipped];
+    counters.set_path(
+        "verification.verified_fraction",
+        (checked > 0).then(|| c[Counter::ProofsVerified] as f64 / checked as f64),
+    );
+    counters
 }
 
 /// Per-phase aggregate rows of one party's trace: rounds, bytes, wall and
 /// blocking-wait time per protocol phase. The counter columns bucket
 /// *every* attributed byte/round, so their sums equal the party's
-/// `NetStats` / `counters` totals exactly.
+/// registry totals over the traced run exactly.
 pub(crate) fn phase_rows_json(rows: &[pivot_trace::PhaseRow]) -> Json {
     Json::Arr(
         rows.iter()
@@ -288,45 +288,6 @@ pub fn write_trace_exports(out_path: &Path, exec: &Execution, quiet: bool) -> Re
     Ok(())
 }
 
-/// Comparison-pipeline telemetry of one party: what the gain pipeline's
-/// secure comparisons actually paid in rounds, opened field elements, and
-/// preprocessing material, with the per-width histogram.
-pub(crate) fn comparisons_json(p: &crate::runner::PartyOutcome) -> Json {
-    let c = &p.comparison;
-    let mut widths = Json::obj();
-    for &(k, n) in &c.widths {
-        widths.set(&format!("{k}"), n);
-    }
-    Json::obj()
-        .with("count", c.count)
-        .with("online_rounds", c.online_rounds)
-        .with("opened_elements", c.opened_elements)
-        .with("beaver_triples", c.beaver_triples)
-        .with("masked_bit_rows", c.masked_bit_rows)
-        .with("masked_bits", c.masked_bits)
-        .with("widths", widths)
-}
-
-/// Ciphertext-packing behavior of one party: how many packed ciphertexts
-/// were emitted, how many plaintext values they carried, and the slot
-/// occupancy (values / capacity; null when nothing was packed).
-fn packing_json(p: &crate::runner::PartyOutcome) -> Json {
-    let (cts, values, capacity) = p.packed;
-    Json::obj()
-        .with("ciphertexts", cts)
-        .with("values", values)
-        .with("slot_capacity", capacity)
-        .with(
-            "occupancy",
-            if capacity > 0 {
-                Json::Num(values as f64 / capacity as f64)
-            } else {
-                Json::Null
-            },
-        )
-        .with("stats_bytes_sent", p.stats_bytes_sent)
-}
-
 fn dataset_json(exec: &Execution) -> Json {
     Json::obj()
         .with("train_samples", exec.train_samples)
@@ -350,40 +311,24 @@ fn evaluation_json(exec: &Execution) -> Json {
 }
 
 fn totals_json(exec: &Execution) -> Json {
-    let total_sent: u64 = exec
-        .parties
-        .iter()
-        .map(|p| p.train_bytes_sent + p.predict_bytes_sent)
-        .sum();
-    let total_msgs: u64 = exec.parties.iter().map(|p| p.train_messages_sent).sum();
+    let total = |f: fn(&PartyOutcome) -> u64| exec.parties.iter().map(f).sum::<u64>();
     Json::obj()
-        .with("bytes_sent_all_parties", total_sent)
-        .with("train_messages_all_parties", total_msgs)
+        .with(
+            "bytes_sent_all_parties",
+            total(|p| p.counters[Counter::BytesSent]),
+        )
+        .with(
+            "train_messages_all_parties",
+            total(|p| p.train[Counter::MessagesSent]),
+        )
 }
 
 /// Report for `pivot train`.
 pub fn train_report(scenario: &Scenario, exec: &Execution) -> Json {
-    let p0 = &exec.parties[0];
-    // Figures 4g–h: prediction latency per test sample (null without a
-    // test split).
-    let per_sample_s = if exec.test_samples > 0 {
-        Json::Num(p0.predict_wall_s / exec.test_samples as f64)
-    } else {
-        Json::Null
-    };
     let mut report = header("train", scenario)
         .with("algorithm", exec.algo.label())
         .with("dataset", dataset_json(exec))
-        .with(
-            "timing",
-            Json::obj()
-                .with("wall_total_s", exec.wall_s)
-                .with("setup_s", p0.setup_wall_s)
-                .with("train_s", p0.train_wall_s)
-                .with("predict_s", p0.predict_wall_s)
-                .with("predict_per_sample_s", per_sample_s)
-                .with("stages_s", stages_json(&p0.stage_s)),
-        )
+        .with("timing", timing_json(exec, &exec.parties[0]))
         .with(
             "network",
             Json::obj()
@@ -401,33 +346,19 @@ pub fn train_report(scenario: &Scenario, exec: &Execution) -> Json {
 
 /// Report for `pivot party`: one party's view of a distributed TCP run.
 ///
-/// Carries the same `network`/`counters`/`model`/`evaluation` shapes as
-/// the train report (so tooling can diff a distributed run against the
-/// in-process run party by party) plus the raw prediction vector, which
-/// lets a harness assert that all `m` processes agree on the jointly
-/// computed model output bit for bit.
+/// Carries the same `timing`/`network`/`counters`/`model`/`evaluation`
+/// shapes as the train report (so tooling can diff a distributed run
+/// against the in-process run party by party) plus the raw prediction
+/// vector, which lets a harness assert that all `m` processes agree on
+/// the jointly computed model output bit for bit.
 pub fn party_report(scenario: &Scenario, party: usize, exec: &Execution) -> Json {
     let p = &exec.parties[0];
     let mut report = header("party", scenario)
         .with("algorithm", exec.algo.label())
         .with("party", party)
         .with("dataset", dataset_json(exec))
-        .with(
-            "timing",
-            Json::obj()
-                .with("wall_total_s", exec.wall_s)
-                .with("setup_s", p.setup_wall_s)
-                .with("train_s", p.train_wall_s)
-                .with("predict_s", p.predict_wall_s)
-                .with("stages_s", stages_json(&p.stage_s)),
-        )
-        .with(
-            "network",
-            Json::obj()
-                .with("train", train_traffic_json(p))
-                .with("predict", predict_traffic_json(p))
-                .with("session", session_json(p)),
-        )
+        .with("timing", timing_json(exec, p))
+        .with("network", network_json(Json::obj(), p))
         .with("counters", counters_json(exec))
         .with("model", model_json(exec))
         .with("evaluation", evaluation_json(exec))
@@ -542,11 +473,17 @@ pub fn bench_report(scenario: &Scenario, axis: &str, results: &[(usize, Executio
                 .with(axis, *value)
                 .with("algorithm", exec.algo.label())
                 .with("train_wall_s", p0.train_wall_s)
-                .with("bytes_sent_party0", p0.train_bytes_sent)
-                .with("stats_bytes_sent_party0", p0.stats_bytes_sent)
+                .with("bytes_sent_party0", p0.train[Counter::BytesSent])
+                .with(
+                    "stats_bytes_sent_party0",
+                    p0.counters[Counter::StatsBytesSent],
+                )
                 .with(
                     "bytes_sent_all_parties",
-                    exec.parties.iter().map(|p| p.train_bytes_sent).sum::<u64>(),
+                    exec.parties
+                        .iter()
+                        .map(|p| p.train[Counter::BytesSent])
+                        .sum::<u64>(),
                 )
                 .with("internal_nodes", p0.internal_nodes)
                 .with("counters", counters_json(exec));
@@ -565,58 +502,74 @@ pub fn bench_report(scenario: &Scenario, axis: &str, results: &[(usize, Executio
 mod tests {
     use super::*;
     use crate::algo::Algo;
-    use crate::runner::PartyOutcome;
     use pivot_data::Task;
 
     fn fake_exec() -> Execution {
-        let party = |id: usize| PartyOutcome {
-            party: id,
-            train_bytes_sent: 1000 + id as u64,
-            train_bytes_received: 900,
-            train_messages_sent: 10,
-            predict_bytes_sent: 50,
-            predict_bytes_received: 40,
-            stage_s: [0.1, 0.2, 0.3, 0.05],
-            setup_wall_s: 0.2,
-            train_wall_s: 0.6,
-            predict_wall_s: 0.1,
-            encryptions: 12,
-            ciphertext_ops: 34,
-            threshold_decryptions: 5,
-            mpc_rounds: 7,
-            secure_mults: 8,
-            secure_comparisons: 9,
-            comparison: pivot_core::ComparisonCounters {
-                count: 9,
-                online_rounds: 40,
-                opened_elements: 300,
-                beaver_triples: 120,
-                masked_bit_rows: 9,
-                masked_bits: 81,
-                widths: vec![(9, 4), (45, 5)],
-            },
-            verification: pivot_core::VerificationCounters {
-                proofs_generated: 20,
-                proofs_verified: 5,
-                proofs_skipped: 15,
-                proofs_rejected: 0,
-                proof_bytes: 4096,
-                wall: std::time::Duration::from_millis(12),
-            },
-            split_stat_ciphertexts: 54,
-            packed: (9, 57, 63),
-            stats_bytes_sent: 640,
-            connect_retries: 1,
-            reconnects: 2,
-            replayed_frames: 3,
-            rejoins: 1,
-            faults_injected: 1,
-            checkpoints_written: 2,
-            checkpoint_bytes: 2048,
-            internal_nodes: 3,
-            tree_depth: Some(2),
-            predictions: vec![0.0, 1.0],
-            trace: None,
+        let party = |id: usize| {
+            let c = pivot_trace::Counters::new();
+            c.add(Counter::BytesSent, 1000 + id as u64);
+            c.add(Counter::BytesReceived, 900);
+            c.add(Counter::MessagesSent, 10);
+            let train = c.snapshot();
+            c.add(Counter::BytesSent, 50);
+            c.add(Counter::BytesReceived, 40);
+            for (stage, ms) in [
+                (Counter::StageLocalNs, 100),
+                (Counter::StageMpcNs, 200),
+                (Counter::StageUpdateNs, 300),
+                (Counter::StagePredictNs, 50),
+            ] {
+                c.add_duration(stage, std::time::Duration::from_millis(ms));
+            }
+            for (counter, n) in [
+                (Counter::Encryptions, 12),
+                (Counter::CiphertextOps, 34),
+                (Counter::ThresholdDecryptions, 5),
+                (Counter::Rounds, 7),
+                (Counter::SecureMults, 8),
+                (Counter::SecureComparisons, 9),
+                (Counter::CmpRounds, 40),
+                (Counter::CmpOpened, 300),
+                (Counter::CmpTriples, 120),
+                (Counter::CmpMaskedRows, 9),
+                (Counter::CmpMaskedBits, 81),
+                (Counter::ProofsGenerated, 20),
+                (Counter::ProofsVerified, 5),
+                (Counter::ProofsSkipped, 15),
+                (Counter::ProofBytes, 4096),
+                (Counter::SplitStatCiphertexts, 54),
+                (Counter::PackedCiphertexts, 9),
+                (Counter::PackedValues, 57),
+                (Counter::PackedSlotCapacity, 63),
+                (Counter::StatsBytesSent, 640),
+                (Counter::ConnectRetries, 1),
+                (Counter::Reconnects, 2),
+                (Counter::ReplayedFrames, 3),
+                (Counter::Rejoins, 1),
+                (Counter::FaultsInjected, 1),
+                (Counter::CheckpointsWritten, 2),
+                (Counter::CheckpointBytes, 2048),
+            ] {
+                c.add(counter, n);
+            }
+            c.add_cell(Counter::CmpWidths, 9, 4);
+            c.add_cell(Counter::CmpWidths, 45, 5);
+            c.add_duration(
+                Counter::VerificationNs,
+                std::time::Duration::from_millis(12),
+            );
+            PartyOutcome {
+                party: id,
+                setup_wall_s: 0.2,
+                train_wall_s: 0.6,
+                predict_wall_s: 0.1,
+                train,
+                counters: c.snapshot(),
+                internal_nodes: 3,
+                tree_depth: Some(2),
+                predictions: vec![0.0, 1.0],
+                trace: None,
+            }
         };
         Execution {
             algo: Algo::PivotBasic,
@@ -728,6 +681,61 @@ mod tests {
         );
     }
 
+    /// The counter reference README.md carries between its
+    /// `report-counters` markers: the registry table, rendered.
+    fn counter_reference() -> String {
+        let mut out = String::from(
+            "| counter | report path | unit | what increments it |\n|---|---|---|---|\n",
+        );
+        for row in pivot_trace::ROWS {
+            let paths: Vec<String> = row.paths.iter().map(|p| format!("`{p}`")).collect();
+            assert!(!row.what.contains('|'), "{:?}", row.counter);
+            out.push_str(&format!(
+                "| `{:?}` | {} | {} | {} |\n",
+                row.counter,
+                paths.join(", "),
+                row.unit.as_str(),
+                row.what
+            ));
+        }
+        out
+    }
+
+    #[test]
+    fn readme_counter_reference_matches_registry() {
+        let readme = concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md");
+        let readme = std::fs::read_to_string(readme).unwrap();
+        let expected = format!(
+            "<!-- report-counters:begin -->\n{}<!-- report-counters:end -->",
+            counter_reference()
+        );
+        assert!(
+            readme.contains(&expected),
+            "README.md is out of date with the counter registry; replace the block between \
+             its report-counters markers with:\n\n{expected}\n"
+        );
+    }
+
+    #[test]
+    fn every_registry_path_renders_in_the_reports() {
+        // A row whose path no report section walks would be declared and
+        // never shown.
+        let exec = fake_exec();
+        let train = train_report(&scenario(), &exec);
+        let party0 = &train.path("network.per_party").unwrap().as_array().unwrap()[0];
+        let party = party_report(&scenario(), 0, &exec);
+        for row in pivot_trace::ROWS {
+            for path in row.paths {
+                assert!(party.path(path).is_some(), "party report lacks {path}");
+                let in_train = match path.strip_prefix("network.") {
+                    Some(rest) => party0.path(rest),
+                    None => train.path(path),
+                };
+                assert!(in_train.is_some(), "train report lacks {path}");
+            }
+        }
+    }
+
     #[test]
     fn protocol_error_report_names_the_accused() {
         let err = pivot_transport::ProtocolError::ProofRejected {
@@ -810,7 +818,8 @@ mod tests {
         // Party 1 reporting default-initialized groups must not erase
         // party 0's values in the aggregate.
         let mut exec = fake_exec();
-        exec.parties[1].comparison = pivot_core::ComparisonCounters::default();
+        exec.parties[1].train = Snapshot::default();
+        exec.parties[1].counters = Snapshot::default();
         let report = train_report(&scenario(), &exec);
         let parsed = crate::json::Json::parse(&report.to_pretty()).unwrap();
         assert_eq!(
@@ -820,16 +829,28 @@ mod tests {
                 .as_u64(),
             Some(40)
         );
+        // Checkpoints sum over the parties too.
+        let report = train_report(&scenario(), &fake_exec());
+        assert_eq!(
+            report.path("counters.checkpoint.bytes").unwrap().as_u64(),
+            Some(4096)
+        );
     }
 
     #[test]
     fn train_report_has_per_sample_latency() {
-        let report = train_report(&scenario(), &fake_exec());
-        let v = report
-            .path("timing.predict_per_sample_s")
-            .unwrap()
-            .as_f64()
-            .unwrap();
-        assert!((v - 0.05).abs() < 1e-12);
+        // The party report's timing is the train report's.
+        let exec = fake_exec();
+        for report in [
+            train_report(&scenario(), &exec),
+            party_report(&scenario(), 0, &exec),
+        ] {
+            let v = report
+                .path("timing.predict_per_sample_s")
+                .unwrap()
+                .as_f64()
+                .unwrap();
+            assert!((v - 0.05).abs() < 1e-12);
+        }
     }
 }

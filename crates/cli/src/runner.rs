@@ -11,10 +11,9 @@ use pivot_core::ensemble::{
     predict_gbdt_batch, predict_rf_batch, train_gbdt, train_rf, GbdtProtocolParams,
     RfProtocolParams,
 };
-use pivot_core::metrics::Stage;
 use pivot_core::model::ConcealedTree;
 use pivot_core::party::PartyContext;
-use pivot_core::{predict_basic, predict_enhanced, train_basic, train_enhanced};
+use pivot_core::{predict_basic, predict_enhanced, train_basic, train_enhanced, Snapshot};
 use pivot_data::{metrics, partition_vertically, Task, VerticalView};
 use pivot_transport::{try_run_parties_on, Endpoint, FaultInjector, Network};
 use pivot_trees::DecisionTree;
@@ -24,54 +23,16 @@ use std::time::Instant;
 #[derive(Clone, Debug)]
 pub struct PartyOutcome {
     pub party: usize,
-    /// Training-phase traffic.
-    pub train_bytes_sent: u64,
-    pub train_bytes_received: u64,
-    pub train_messages_sent: u64,
-    /// Prediction-phase traffic (zero when no test samples).
-    pub predict_bytes_sent: u64,
-    pub predict_bytes_received: u64,
-    /// Stage timers, in seconds: local, MPC, model update, prediction.
-    pub stage_s: [f64; 4],
     /// Wall time of `PartyContext::setup`: key dealing, super-client
     /// discovery and the feature schema.
     pub setup_wall_s: f64,
     pub train_wall_s: f64,
     pub predict_wall_s: f64,
-    /// Paillier / MPC operation counts (the paper's Ce, Cd, Cs, Cc).
-    pub encryptions: u64,
-    pub ciphertext_ops: u64,
-    pub threshold_decryptions: u64,
-    pub mpc_rounds: u64,
-    pub secure_mults: u64,
-    pub secure_comparisons: u64,
-    /// Comparison-pipeline telemetry: rounds, opened field elements,
-    /// consumed preprocessing material, per-width histogram.
-    pub comparison: pivot_core::ComparisonCounters,
-    /// Malicious-model verification plane: proofs generated / verified /
-    /// skipped / rejected, proof bytes, and verification wall time. All
-    /// zeros when `params.verification = "off"`.
-    pub verification: pivot_core::VerificationCounters,
-    /// Pooled split-statistics ciphertexts (what packing divides).
-    pub split_stat_ciphertexts: u64,
-    /// Packed emissions: `(ciphertexts, values carried, slot capacity)`.
-    pub packed: (u64, u64, u64),
-    /// Bytes this party sent inside the split-statistics pipeline.
-    pub stats_bytes_sent: u64,
-    /// Session-layer health over the whole run (these survive the
-    /// between-phase stats reset): dial attempts beyond the first,
-    /// sessions resumed after a connection loss, frames retransmitted
-    /// from the ring during resumes, peers spliced back in after a full
-    /// process restart, and scenario faults fired here.
-    pub connect_retries: u64,
-    pub reconnects: u64,
-    pub replayed_frames: u64,
-    pub rejoins: u64,
-    pub faults_injected: u64,
-    /// Crash-recovery checkpoints durably written by this party and their
-    /// total encoded size (zero without a `[checkpoint]` section).
-    pub checkpoints_written: u64,
-    pub checkpoint_bytes: u64,
+    /// The party's counter registry when training ended, staged frames
+    /// settled.
+    pub train: Snapshot,
+    /// The party's counter registry at the end of the run.
+    pub counters: Snapshot,
     /// Trained-model shape.
     pub internal_nodes: usize,
     pub tree_depth: Option<usize>,
@@ -80,6 +41,14 @@ pub struct PartyOutcome {
     /// Span timeline + gauges when `params.trace` is on (`None` when
     /// tracing is off — the default).
     pub trace: Option<pivot_trace::PartyTrace>,
+}
+
+impl PartyOutcome {
+    /// What the prediction phase counted: the end of the run less the
+    /// end of training.
+    pub fn predict(&self) -> Snapshot {
+        &self.counters - &self.train
+    }
 }
 
 /// One full scenario execution.
@@ -152,8 +121,7 @@ pub fn run_party_protocol(
 ) -> PartyOutcome {
     // A no-op at the default `TraceLevel::Off`; otherwise this thread
     // records spans until the matching `finish()` below.
-    pivot_trace::install(ep.id(), params.trace);
-    let checkpoint_handle = checkpoint.as_ref().map(CliCheckpointSink::handle);
+    pivot_trace::install(ep.id(), params.trace, ep.counters());
     let setup_start = Instant::now();
     let mut ctx = PartyContext::setup(ep, view, params.clone());
     let setup_wall_s = setup_start.elapsed().as_secs_f64();
@@ -187,15 +155,10 @@ pub fn run_party_protocol(
     };
     let train_wall_s = train_start.elapsed().as_secs_f64();
 
-    // Settle any staged frames so training traffic is attributed to the
-    // training counters before the reset below (no-op when the staging
-    // buffers are empty).
+    // Settle any staged frames so their framing counts as training
+    // traffic (no-op when the staging buffers are empty).
     ctx.ep.flush();
-    let stats = ctx.ep.stats();
-    let train_bytes_sent = stats.bytes_sent();
-    let train_bytes_received = stats.bytes_received();
-    let train_messages_sent = stats.messages_sent();
-    stats.reset();
+    let train = ctx.counters.snapshot();
 
     let predict_start = Instant::now();
     let predictions = if skip_prediction || test_view.num_samples() == 0 {
@@ -214,46 +177,15 @@ pub fn run_party_protocol(
     };
     let predict_wall_s = predict_start.elapsed().as_secs_f64();
 
-    let (mpc_rounds, secure_mults, secure_comparisons, _openings) =
-        ctx.engine.counters().snapshot();
-    let comparison = ctx.engine.comparison_snapshot();
+    let counters = ctx.counters.snapshot();
     let trace = pivot_trace::finish();
     PartyOutcome {
         party: ctx.id(),
-        train_bytes_sent,
-        train_bytes_received,
-        train_messages_sent,
-        predict_bytes_sent: stats.bytes_sent(),
-        predict_bytes_received: stats.bytes_received(),
-        stage_s: [
-            ctx.metrics
-                .stage_time(Stage::LocalComputation)
-                .as_secs_f64(),
-            ctx.metrics.stage_time(Stage::MpcComputation).as_secs_f64(),
-            ctx.metrics.stage_time(Stage::ModelUpdate).as_secs_f64(),
-            ctx.metrics.stage_time(Stage::Prediction).as_secs_f64(),
-        ],
         setup_wall_s,
         train_wall_s,
         predict_wall_s,
-        encryptions: ctx.metrics.encryptions(),
-        ciphertext_ops: ctx.metrics.ciphertext_ops(),
-        threshold_decryptions: ctx.metrics.threshold_decryptions(),
-        mpc_rounds,
-        secure_mults,
-        secure_comparisons,
-        comparison,
-        verification: ctx.metrics.verification(),
-        split_stat_ciphertexts: ctx.metrics.split_stat_ciphertexts(),
-        packed: ctx.metrics.packed(),
-        stats_bytes_sent: ctx.metrics.stats_bytes_sent(),
-        connect_retries: stats.connect_retries(),
-        reconnects: stats.reconnects(),
-        replayed_frames: stats.replayed_frames(),
-        rejoins: stats.rejoins(),
-        faults_injected: stats.faults_injected(),
-        checkpoints_written: checkpoint_handle.as_ref().map_or(0, |h| h.written()),
-        checkpoint_bytes: checkpoint_handle.as_ref().map_or(0, |h| h.bytes()),
+        train,
+        counters,
         internal_nodes: model.internal_nodes(),
         tree_depth: model.depth(),
         predictions,
@@ -407,6 +339,7 @@ pub(crate) fn metric_name_for(task: Task) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pivot_core::Counter;
 
     fn tiny_scenario(tag: &str, extra: &str) -> Scenario {
         let text = format!(
@@ -431,9 +364,9 @@ mod tests {
         let m = exec.metric.expect("test split exists");
         assert!((0.0..=1.0).contains(&m), "accuracy {m}");
         let p0 = &exec.parties[0];
-        assert!(p0.train_bytes_sent > 0);
-        assert!(p0.predict_bytes_sent > 0);
-        assert!(p0.threshold_decryptions > 0);
+        assert!(p0.train[Counter::BytesSent] > 0);
+        assert!(p0.predict()[Counter::BytesSent] > 0);
+        assert!(p0.counters[Counter::ThresholdDecryptions] > 0);
         assert!(p0.internal_nodes >= 1);
         assert_eq!(p0.tree_depth, Some(p0.tree_depth.unwrap().min(2)));
         // All parties agree on the predictions.
@@ -476,8 +409,8 @@ mod tests {
         let s = tiny_scenario("benchmode", "");
         let exec = execute(&s, Algo::NpdDt, true).unwrap();
         assert!(exec.metric.is_none());
-        assert_eq!(exec.parties[0].predict_bytes_sent, 0);
-        assert!(exec.parties[0].train_bytes_sent > 0);
+        assert_eq!(exec.parties[0].predict()[Counter::BytesSent], 0);
+        assert!(exec.parties[0].train[Counter::BytesSent] > 0);
     }
 
     #[test]
@@ -497,14 +430,18 @@ mod tests {
         assert_eq!(clean.parties[0].predictions, faulty.parties[0].predictions);
         assert_eq!(clean.metric, faulty.metric);
         assert_eq!(
-            clean.parties[0].train_bytes_sent,
-            faulty.parties[0].train_bytes_sent
+            clean.parties[0].train[Counter::BytesSent],
+            faulty.parties[0].train[Counter::BytesSent]
         );
         // ...but the session-health counters show the recovery happened.
         let p0 = &faulty.parties[0];
-        assert!(p0.faults_injected >= 1, "fault fired");
-        assert!(p0.reconnects >= 1 && p0.replayed_frames >= 1, "recovered");
-        assert_eq!(clean.parties[0].faults_injected, 0);
+        let p0 = &p0.counters;
+        assert!(p0[Counter::FaultsInjected] >= 1, "fault fired");
+        assert!(
+            p0[Counter::Reconnects] >= 1 && p0[Counter::ReplayedFrames] >= 1,
+            "recovered"
+        );
+        assert_eq!(clean.parties[0].counters[Counter::FaultsInjected], 0);
     }
 
     #[test]

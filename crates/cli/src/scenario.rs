@@ -806,7 +806,7 @@ static SCHEMA: &[Key] = &[
         })
         .sweep(|s, v| s.network.bandwidth_mbps = Some(v as f64)),
     key!(network.recv_timeout_s: SECONDS,
-        "Seconds a blocking receive waits before the peer counts as wedged (default 120).")
+        "Seconds a blocking receive waits before the peer counts as wedged (default 120); with a heartbeat, counted from the last frame heard.")
         .echo(|s| Some(s.net_config().recv_timeout.as_secs_f64().into())),
     key!(network.connect_timeout_s: SECONDS,
         "Dial budget: rendezvous retries, and redial backoff after a connection loss.")

@@ -19,6 +19,7 @@ use pivot_cli::algo::Algo;
 use pivot_cli::json::Json;
 use pivot_cli::runner::execute;
 use pivot_cli::scenario::Scenario;
+use pivot_core::Counter;
 use pivot_transport::tcp::loopback_peers;
 use std::path::PathBuf;
 use std::process::{Child, Command};
@@ -66,26 +67,40 @@ fn honest_spot_checked_run_matches_verification_off() {
     assert_eq!(checked.parties[0].predictions, plain.parties[0].predictions);
 
     for (i, p) in checked.parties.iter().enumerate() {
-        let v = &p.verification;
-        assert!(v.proofs_generated > 0, "party {i} generated no proofs");
-        assert_eq!(v.proofs_rejected, 0, "party {i} false positive");
-        assert!(v.proofs_verified > 0, "party {i} checked nothing");
+        let v = &p.counters;
+        let verified = v[Counter::ProofsVerified];
+        assert!(
+            v[Counter::ProofsGenerated] > 0,
+            "party {i} generated no proofs"
+        );
+        assert_eq!(v[Counter::ProofsRejected], 0, "party {i} false positive");
+        assert!(verified > 0, "party {i} checked nothing");
         // Spot(0.25): the seeded selection checks roughly a quarter of
         // the commits every observer sees. Wide tolerance — the sample
         // is small — but 25% must be distinguishable from 0% and 100%.
-        let seen = (v.proofs_verified + v.proofs_skipped) as f64;
-        let frac = v.proofs_verified as f64 / seen;
+        let seen = (verified + v[Counter::ProofsSkipped]) as f64;
+        let frac = verified as f64 / seen;
         assert!(
             (0.05..=0.60).contains(&frac),
             "party {i} verified fraction {frac}"
         );
     }
     // Verification-off runs generate nothing.
-    let v = &plain.parties[0].verification;
-    assert_eq!(v.proofs_generated + v.proofs_verified + v.proofs_skipped, 0);
+    let v = &plain.parties[0].counters;
+    assert_eq!(
+        v[Counter::ProofsGenerated] + v[Counter::ProofsVerified] + v[Counter::ProofsSkipped],
+        0
+    );
 
     std::fs::remove_file(&off_path).ok();
 }
+
+/// The packed-emission rows: ciphertexts, values carried, slots.
+const PACKED: [Counter; 3] = [
+    Counter::PackedCiphertexts,
+    Counter::PackedValues,
+    Counter::PackedSlotCapacity,
+];
 
 /// The packed statistics pipeline carries no proofs, so the default
 /// `packing = "auto"` trains unpacked under verification — the same
@@ -115,14 +130,13 @@ fn verified_run_with_default_packing_trains_unpacked() {
     )
     .unwrap();
     for (d, o) in default.parties.iter().zip(&off.parties) {
+        let (d, o) = (&d.counters, &o.counters);
+        assert_eq!(PACKED.map(|c| d[c]), [0, 0, 0], "packed under verification");
         assert_eq!(
-            d.packed,
-            (0, 0, 0),
-            "party {} packed under verification",
-            d.party
+            d[Counter::SplitStatCiphertexts],
+            o[Counter::SplitStatCiphertexts]
         );
-        assert_eq!(d.split_stat_ciphertexts, o.split_stat_ciphertexts);
-        assert!(d.verification.proofs_verified > 0);
+        assert!(d[Counter::ProofsVerified] > 0);
     }
     let err = with_packing("unpacked-slots", "4").unwrap_err();
     assert!(err.contains("packing"), "{err}");

@@ -11,7 +11,7 @@
 use pivot_cli::algo::Algo;
 use pivot_cli::runner::{execute, Execution, PartyOutcome};
 use pivot_cli::scenario::Scenario;
-use std::time::Duration;
+use pivot_core::Counter;
 
 fn scenario(tag: &str, body: &str) -> Scenario {
     let path = std::env::temp_dir().join(format!(
@@ -27,11 +27,11 @@ fn scenario(tag: &str, body: &str) -> Scenario {
 /// Every field of a party's outcome except its wall clocks.
 fn transcript(p: &PartyOutcome) -> String {
     let mut p = p.clone();
-    p.stage_s = [0.0; 4];
+    p.train = p.train.counts();
+    p.counters = p.counters.counts();
     p.setup_wall_s = 0.0;
     p.train_wall_s = 0.0;
     p.predict_wall_s = 0.0;
-    p.verification.wall = Duration::ZERO;
     format!("{p:#?}")
 }
 
@@ -43,7 +43,10 @@ fn assert_transcript_identical(serial: &Execution, parallel: &Execution) {
     for (s, p) in serial.parties.iter().zip(&parallel.parties) {
         assert_eq!(transcript(s), transcript(p), "party {}", s.party);
     }
-    assert!(serial.parties[0].encryptions > 0, "no encryption ran");
+    assert!(
+        serial.parties[0].counters[Counter::Encryptions] > 0,
+        "no encryption ran"
+    );
 }
 
 #[test]
@@ -60,18 +63,15 @@ fn basic_pp_is_bit_identical_to_serial() {
     let parallel = execute(&s, Algo::PivotBasicPp, false).unwrap();
     assert_transcript_identical(&serial, &parallel);
     // The parallel run actually exercised the batched path.
-    assert!(serial.parties[0].threshold_decryptions > 0);
+    assert!(serial.parties[0].counters[Counter::ThresholdDecryptions] > 0);
     // Both runs drew the same preprocessing from the dealer (the scenario
     // sets the retired `dealer_pool` and `randomness_pool` keys, which
     // must size nothing).
-    let (s, p) = (
-        &serial.parties[0].comparison,
-        &parallel.parties[0].comparison,
-    );
-    assert!(s.beaver_triples > 0 && s.masked_bit_rows > 0);
+    let (s, p) = (&serial.parties[0].counters, &parallel.parties[0].counters);
+    assert!(s[Counter::CmpTriples] > 0 && s[Counter::CmpMaskedRows] > 0);
     assert_eq!(
-        (s.beaver_triples, s.masked_bit_rows),
-        (p.beaver_triples, p.masked_bit_rows)
+        (s[Counter::CmpTriples], s[Counter::CmpMaskedRows]),
+        (p[Counter::CmpTriples], p[Counter::CmpMaskedRows])
     );
 }
 
@@ -88,7 +88,7 @@ fn enhanced_pp_is_bit_identical_to_serial() {
     let serial = execute(&s, Algo::PivotEnhanced, false).unwrap();
     let parallel = execute(&s, Algo::PivotEnhancedPp, false).unwrap();
     assert_transcript_identical(&serial, &parallel);
-    assert!(serial.parties[0].threshold_decryptions > 0);
+    assert!(serial.parties[0].counters[Counter::ThresholdDecryptions] > 0);
 }
 
 #[test]

@@ -102,7 +102,7 @@ fn train_writes_parseable_report_with_timings_and_netstats() {
         "predict_per_sample_s {per_sample}"
     );
 
-    // NetStats per party: 3 entries, each with nonzero training traffic.
+    // Traffic per party: 3 entries, each with nonzero training traffic.
     let per_party = report
         .path("network.per_party")
         .unwrap()

@@ -8,6 +8,7 @@
 use pivot_cli::algo::Algo;
 use pivot_cli::runner::{execute, Execution};
 use pivot_cli::scenario::Scenario;
+use pivot_core::{Counter, Snapshot};
 
 fn scenario(tag: &str, body: &str) -> Scenario {
     let path = std::env::temp_dir().join(format!(
@@ -18,6 +19,16 @@ fn scenario(tag: &str, body: &str) -> Scenario {
     let s = Scenario::load(&path).unwrap();
     std::fs::remove_file(&path).ok();
     s
+}
+
+/// The non-zero cells of a registry's comparison-width histogram, as
+/// `(width, comparisons)`.
+fn widths(s: &Snapshot) -> Vec<(u32, u64)> {
+    (0u32..)
+        .zip(s.cells(Counter::CmpWidths))
+        .filter(|&(_, &n)| n > 0)
+        .map(|(k, &n)| (k, n))
+        .collect()
 }
 
 /// The bounded run must release the same model and metric; the comparison
@@ -38,40 +49,42 @@ fn assert_parity_and_reduction(full: &Execution, auto: &Execution) {
         );
         assert_eq!(f.tree_depth, a.tree_depth, "party {} depth", f.party);
     }
-    let f = &full.parties[0].comparison;
-    let a = &auto.parties[0].comparison;
-    assert_eq!(f.count, a.count, "same number of secure comparisons");
+    let f = &full.parties[0].counters;
+    let a = &auto.parties[0].counters;
+    assert_eq!(
+        f[Counter::SecureComparisons],
+        a[Counter::SecureComparisons],
+        "same number of secure comparisons"
+    );
     assert!(
-        f.opened_elements >= 2 * a.opened_elements,
+        f[Counter::CmpOpened] >= 2 * a[Counter::CmpOpened],
         "comparison openings must drop >=2x: full {} vs auto {}",
-        f.opened_elements,
-        a.opened_elements
+        f[Counter::CmpOpened],
+        a[Counter::CmpOpened]
     );
     assert!(
-        f.online_rounds > a.online_rounds,
+        f[Counter::CmpRounds] > a[Counter::CmpRounds],
         "comparison rounds must drop: full {} vs auto {}",
-        f.online_rounds,
-        a.online_rounds
+        f[Counter::CmpRounds],
+        a[Counter::CmpRounds]
     );
     assert!(
-        f.masked_bits >= 2 * a.masked_bits,
+        f[Counter::CmpMaskedBits] >= 2 * a[Counter::CmpMaskedBits],
         "masked-bit consumption must drop >=2x: full {} vs auto {}",
-        f.masked_bits,
-        a.masked_bits
+        f[Counter::CmpMaskedBits],
+        a[Counter::CmpMaskedBits]
     );
     // The full run compares at exactly int_bits. The auto run derives
     // per-site widths; only comparisons without a provable range (the
     // enhanced prediction's feature-vs-threshold tests) may stay at 45.
-    assert_eq!(f.widths.len(), 1, "full uses one width: {:?}", f.widths);
-    assert_eq!(f.widths[0].0, 45);
-    let bounded: u64 = a
-        .widths
+    assert_eq!(widths(f).len(), 1, "full uses one width: {:?}", widths(f));
+    assert_eq!(widths(f)[0].0, 45);
+    let bounded: u64 = widths(a)
         .iter()
         .filter(|&&(k, _)| k < 45)
         .map(|&(_, n)| n)
         .sum();
-    let unbounded: u64 = a
-        .widths
+    let unbounded: u64 = widths(a)
         .iter()
         .filter(|&&(k, _)| k >= 45)
         .map(|&(_, n)| n)
@@ -79,14 +92,14 @@ fn assert_parity_and_reduction(full: &Execution, auto: &Execution) {
     assert!(
         bounded > 10 * unbounded,
         "bounded widths must dominate: {:?}",
-        a.widths
+        widths(a)
     );
-    assert!(a.widths.len() > 1, "auto derives per-site widths");
+    assert!(widths(a).len() > 1, "auto derives per-site widths");
     assert!(
-        auto.parties[0].train_bytes_sent < full.parties[0].train_bytes_sent,
+        auto.parties[0].train[Counter::BytesSent] < full.parties[0].train[Counter::BytesSent],
         "bounded comparisons must shrink total training traffic ({} vs {})",
-        auto.parties[0].train_bytes_sent,
-        full.parties[0].train_bytes_sent
+        auto.parties[0].train[Counter::BytesSent],
+        full.parties[0].train[Counter::BytesSent]
     );
 }
 
@@ -129,9 +142,9 @@ fn enhanced_bounded_comparisons_match_full() {
     let (full, auto) = run_pair(base, "enhanced", Algo::PivotEnhancedPp);
     assert_parity_and_reduction(&full, &auto);
     for run in [&full, &auto] {
-        let c = &run.parties[0].comparison;
+        let c = &run.parties[0].counters;
         assert!(
-            c.beaver_triples > 0 && c.masked_bit_rows > 0,
+            c[Counter::CmpTriples] > 0 && c[Counter::CmpMaskedRows] > 0,
             "the comparisons drew preprocessing: {c:?}"
         );
     }
@@ -152,21 +165,19 @@ fn width_floor_sits_between_full_and_auto() {
     .unwrap();
     assert_eq!(full.metric, floored.metric);
     assert_eq!(full.parties[0].predictions, floored.parties[0].predictions);
-    let f = full.parties[0].comparison.opened_elements;
-    let m = floored.parties[0].comparison.opened_elements;
-    let a = auto.parties[0].comparison.opened_elements;
+    let f = full.parties[0].counters[Counter::CmpOpened];
+    let m = floored.parties[0].counters[Counter::CmpOpened];
+    let a = auto.parties[0].counters[Counter::CmpOpened];
     assert!(
         a < m && m < f,
         "floor sits between: auto {a} < floor {m} < full {f}"
     );
     assert!(
-        floored.parties[0]
-            .comparison
-            .widths
+        widths(&floored.parties[0].counters)
             .iter()
             .all(|&(k, _)| k >= 30),
         "floor raises every width: {:?}",
-        floored.parties[0].comparison.widths
+        widths(&floored.parties[0].counters)
     );
 }
 
@@ -189,10 +200,10 @@ fn widths_never_flip_a_comparison_even_on_near_ties() {
         assert_eq!(a.tree_depth, f.tree_depth);
     }
     // Same comparisons, narrower transcript.
-    let a = &auto.parties[0].comparison;
-    let f = &floored.parties[0].comparison;
-    assert_eq!(a.count, f.count);
-    assert!(a.opened_elements < f.opened_elements);
+    let a = &auto.parties[0].counters;
+    let f = &floored.parties[0].counters;
+    assert_eq!(a[Counter::SecureComparisons], f[Counter::SecureComparisons]);
+    assert!(a[Counter::CmpOpened] < f[Counter::CmpOpened]);
 }
 
 /// GBDT residual trees train on residuals that can exceed the ±1
@@ -211,7 +222,7 @@ fn gbdt_residual_gain_argmax_keeps_full_width() {
         assert_eq!(f.internal_nodes, a.internal_nodes, "model shape");
         assert_eq!(f.predictions, a.predictions, "party {}", f.party);
     }
-    let widths = &auto.parties[0].comparison.widths;
+    let widths = &widths(&auto.parties[0].counters);
     let at_full: u64 = widths
         .iter()
         .filter(|&&(k, _)| k == 45)
@@ -231,7 +242,7 @@ fn gbdt_residual_gain_argmax_keeps_full_width() {
         "count-based comparisons must stay bounded: {widths:?}"
     );
     assert!(
-        auto.parties[0].comparison.opened_elements < full.parties[0].comparison.opened_elements,
+        auto.parties[0].counters[Counter::CmpOpened] < full.parties[0].counters[Counter::CmpOpened],
         "bounded count comparisons still shrink the transcript"
     );
 }
@@ -251,7 +262,7 @@ fn bounded_regression_gbdt_leaves_match_within_ulp() {
         assert_eq!(f.internal_nodes, a.internal_nodes, "model shape");
         assert_eq!(f.predictions, a.predictions, "party {}", f.party);
     }
-    let f = &full.parties[0].comparison;
-    let a = &auto.parties[0].comparison;
-    assert!(f.opened_elements >= 2 * a.opened_elements);
+    let f = &full.parties[0].counters;
+    let a = &auto.parties[0].counters;
+    assert!(f[Counter::CmpOpened] >= 2 * a[Counter::CmpOpened]);
 }

@@ -6,6 +6,7 @@
 use pivot_cli::algo::Algo;
 use pivot_cli::runner::{execute, Execution};
 use pivot_cli::scenario::Scenario;
+use pivot_core::Counter;
 
 fn scenario(tag: &str, body: &str) -> Scenario {
     let path = std::env::temp_dir().join(format!(
@@ -35,23 +36,33 @@ fn assert_model_parity(off: &Execution, auto: &Execution) {
         );
         assert_eq!(o.tree_depth, a.tree_depth, "party {} depth", o.party);
     }
-    let o = &off.parties[0];
-    let a = &auto.parties[0];
+    let o = &off.parties[0].counters;
+    let a = &auto.parties[0].counters;
+    let pooled = |c: &pivot_core::Snapshot| c[Counter::SplitStatCiphertexts];
     assert!(
-        a.split_stat_ciphertexts < o.split_stat_ciphertexts,
+        pooled(a) < pooled(o),
         "packing must pool fewer split-stat ciphertexts ({} vs {})",
-        a.split_stat_ciphertexts,
-        o.split_stat_ciphertexts
+        pooled(a),
+        pooled(o)
     );
-    assert_eq!(o.packed, (0, 0, 0), "off run emits no packed ciphertexts");
-    let (cts, values, capacity) = a.packed;
+    let packed = |c: &pivot_core::Snapshot| {
+        [
+            Counter::PackedCiphertexts,
+            Counter::PackedValues,
+            Counter::PackedSlotCapacity,
+        ]
+        .map(|p| c[p])
+    };
+    assert_eq!(packed(o), [0, 0, 0], "off run emits no packed ciphertexts");
+    let [cts, values, capacity] = packed(a);
     assert!(cts > 0 && values > cts, "packed counters populated");
     assert!(values <= capacity, "occupancy is a fraction");
+    let stats_bytes = |c: &pivot_core::Snapshot| c[Counter::StatsBytesSent];
     assert!(
-        a.stats_bytes_sent < o.stats_bytes_sent,
+        stats_bytes(a) < stats_bytes(o),
         "packing must shrink split-statistics traffic ({} vs {})",
-        a.stats_bytes_sent,
-        o.stats_bytes_sent
+        stats_bytes(a),
+        stats_bytes(o)
     );
 }
 
@@ -107,8 +118,8 @@ fn gbdt_packed_training_matches_unpacked() {
     let (off, auto) = run_pair(base, "gbdt", Algo::PivotBasic);
     assert_model_parity(&off, &auto);
     assert_eq!(
-        off.parties[0].split_stat_ciphertexts,
-        3 * auto.parties[0].split_stat_ciphertexts
+        off.parties[0].counters[Counter::SplitStatCiphertexts],
+        3 * auto.parties[0].counters[Counter::SplitStatCiphertexts]
     );
     // The audit is the share-sum one: four slots fit the labels a super
     // client holds at this keysize, but not the residual vectors.

@@ -46,6 +46,27 @@ fn run_train(scenario: &str, out: &str) {
     );
 }
 
+/// A report's `counters` section without the cross-party sums
+/// (`comparisons_all_parties`, `checkpoint`) and `verification.wall_s`.
+fn party_counters(report: &Json) -> Json {
+    let Some(Json::Obj(entries)) = report.get("counters").cloned() else {
+        panic!("report has no counters section");
+    };
+    Json::Obj(
+        entries
+            .into_iter()
+            .filter(|(k, _)| k != "comparisons_all_parties" && k != "checkpoint")
+            .map(|(k, v)| match v {
+                Json::Obj(fields) if k == "verification" => (
+                    k,
+                    Json::Obj(fields.into_iter().filter(|(f, _)| f != "wall_s").collect()),
+                ),
+                v => (k, v),
+            })
+            .collect(),
+    )
+}
+
 /// Train `scenario` once in-process and once as `m` TCP processes, then
 /// assert the per-party reports agree with the in-process report.
 fn assert_tcp_matches_in_process(tag: &str, scenario_path: &str, m: usize) {
@@ -92,14 +113,27 @@ fn assert_tcp_matches_in_process(tag: &str, scenario_path: &str, m: usize) {
         // Per-party traffic: byte counts over TCP must equal the
         // in-process backend's, field for field (payload accounting is
         // backend-independent; framing is transport-internal).
-        for phase in ["train", "predict"] {
-            for field in ["bytes_sent", "bytes_received"] {
-                assert_eq!(
-                    report.path(&format!("network.{phase}.{field}")).unwrap(),
-                    per_party[i].path(&format!("{phase}.{field}")).unwrap(),
-                    "party {i} {phase}.{field}"
-                );
-            }
+        for path in [
+            "train.bytes_sent",
+            "train.bytes_received",
+            "train.messages_sent",
+            "predict.bytes_sent",
+            "predict.bytes_received",
+        ] {
+            assert_eq!(
+                report.path(&format!("network.{path}")).unwrap(),
+                per_party[i].path(path).unwrap(),
+                "party {i} {path}"
+            );
+        }
+        // Party 0's counters are the in-process report's, less what
+        // differs by construction: the cross-party sums and a wall clock.
+        if i == 0 {
+            assert_eq!(
+                party_counters(&report),
+                party_counters(&in_process),
+                "party 0 counters"
+            );
         }
         all_predictions.push(report.get("predictions").unwrap().clone());
         std::fs::remove_file(out).ok();

@@ -7,12 +7,13 @@
 //! 2. `trace = "full"` perturbs nothing observable: model, metric, and
 //!    traffic equal the untraced run exactly (only wall clocks may move).
 //! 3. The phase table is *complete*: per party, the rounds column sums to
-//!    `mpc_rounds` and the byte columns sum to the train + predict
-//!    NetStats totals — no round or byte escapes attribution.
+//!    `mpc_rounds` and the byte columns sum to the registry's byte
+//!    totals — no round or byte escapes attribution.
 
 use pivot_cli::algo::Algo;
 use pivot_cli::runner::{execute, Execution};
 use pivot_cli::scenario::Scenario;
+use pivot_core::Counter;
 use std::sync::{Mutex, PoisonError};
 
 /// `pivot_trace::enabled()` and the runtime sink are process-global: a
@@ -47,7 +48,7 @@ fn run(tag: &str, body: &str, algo: Algo, skip_prediction: bool) -> Execution {
     execute(&scenario(tag, body), algo, skip_prediction).unwrap()
 }
 
-/// Everything deterministic a run exposes — traffic, op counts, model,
+/// Everything deterministic a run exposes — every counter, model,
 /// predictions. Wall clocks are timing-dependent and deliberately
 /// excluded.
 fn assert_transcript_identical(a: &Execution, b: &Execution, what: &str) {
@@ -64,44 +65,14 @@ fn assert_transcript_identical(a: &Execution, b: &Execution, what: &str) {
         );
         assert_eq!(x.tree_depth, y.tree_depth, "{what}: party {p} depth");
         assert_eq!(
-            (
-                x.train_bytes_sent,
-                x.train_bytes_received,
-                x.train_messages_sent
-            ),
-            (
-                y.train_bytes_sent,
-                y.train_bytes_received,
-                y.train_messages_sent
-            ),
-            "{what}: party {p} train traffic"
+            x.train.counts(),
+            y.train.counts(),
+            "{what}: party {p} counters at the end of training"
         );
         assert_eq!(
-            (x.predict_bytes_sent, x.predict_bytes_received),
-            (y.predict_bytes_sent, y.predict_bytes_received),
-            "{what}: party {p} predict traffic"
-        );
-        assert_eq!(
-            (x.encryptions, x.threshold_decryptions, x.mpc_rounds),
-            (y.encryptions, y.threshold_decryptions, y.mpc_rounds),
-            "{what}: party {p} op counts"
-        );
-        assert_eq!(
-            (
-                x.secure_mults,
-                x.secure_comparisons,
-                x.split_stat_ciphertexts
-            ),
-            (
-                y.secure_mults,
-                y.secure_comparisons,
-                y.split_stat_ciphertexts
-            ),
-            "{what}: party {p} protocol counters"
-        );
-        assert_eq!(
-            x.stats_bytes_sent, y.stats_bytes_sent,
-            "{what}: party {p} stats traffic"
+            x.counters.counts(),
+            y.counters.counts(),
+            "{what}: party {p} counters at the end of the run"
         );
     }
 }
@@ -159,19 +130,20 @@ fn phase_table_accounts_for_every_round_and_byte() {
             let sent: u64 = rows.iter().map(|r| r.sent_bytes).sum();
             let recv: u64 = rows.iter().map(|r| r.recv_bytes).sum();
             assert_eq!(
-                rounds, p.mpc_rounds,
+                rounds,
+                p.counters[Counter::Rounds],
                 "{tag}: party {} rounds attribution",
                 p.party
             );
             assert_eq!(
                 sent,
-                p.train_bytes_sent + p.predict_bytes_sent,
+                p.counters[Counter::BytesSent],
                 "{tag}: party {} sent-byte attribution",
                 p.party
             );
             assert_eq!(
                 recv,
-                p.train_bytes_received + p.predict_bytes_received,
+                p.counters[Counter::BytesReceived],
                 "{tag}: party {} recv-byte attribution",
                 p.party
             );
@@ -250,10 +222,10 @@ fn a_stump_pays_for_one_statistics_pass_and_nothing_per_sample_after_it() {
             assert_eq!(p.internal_nodes, 1, "{tag}: a stump");
             // One Algorithm-2 mask per packed ciphertext of the root's
             // pass; the super client also encrypted the root's `[α]`.
-            let (pass, _, _) = p.packed;
+            let pass = p.counters[Counter::PackedCiphertexts];
             let root_mask = if p.party == 0 { n } else { 0 };
             assert_eq!(
-                p.encryptions,
+                p.counters[Counter::Encryptions],
                 root_mask + pass + concealed,
                 "{tag}: party {} encryptions",
                 p.party
@@ -335,7 +307,7 @@ fn npd_dt_sends_one_message_per_peer_and_level() {
         basic.parties[0].internal_nodes
     );
     assert_eq!(npd.parties[0].predictions, basic.parties[0].predictions);
-    let sent = npd.parties[0].train_messages_sent;
+    let sent = npd.parties[0].train[Counter::MessagesSent];
     assert!(sent <= (m - 1) * (1 + 2 * h), "party 0 sent {sent}");
     assert_eq!(sent, (m - 1) * (3 + h));
 }

@@ -201,7 +201,7 @@ use pivot_cli::scenario::Scenario;
 use pivot_core::ensemble::{
     bootstrap_masks, train_gbdt, train_rf, GbdtProtocolParams, RfProtocolParams,
 };
-use pivot_core::{train_basic, PartyContext};
+use pivot_core::{train_basic, Counter, PartyContext};
 use pivot_data::{partition_vertically, Dataset, Task};
 use pivot_transport::run_parties_with;
 use pivot_transport::tcp::loopback_peers;
@@ -622,12 +622,12 @@ fn run_both_backends(case: &Case) -> (Scenario, Execution) {
     let exec = execute(&scenario, scenario.sole_algorithm().unwrap(), false).unwrap();
     for p in &exec.parties {
         let counters = [
-            p.mpc_rounds,
-            p.secure_mults,
-            p.secure_comparisons,
-            p.threshold_decryptions,
-            p.train_bytes_sent,
-            p.train_messages_sent,
+            p.counters[Counter::Rounds],
+            p.counters[Counter::SecureMults],
+            p.counters[Counter::SecureComparisons],
+            p.counters[Counter::ThresholdDecryptions],
+            p.train[Counter::BytesSent],
+            p.train[Counter::MessagesSent],
         ];
         assert_golden(case, p.party, counters, &p.predictions, "in-process");
     }
@@ -677,9 +677,9 @@ fn run_both_backends(case: &Case) -> (Scenario, Execution) {
             ),
             (
                 expect.internal_nodes as u64,
-                expect.train_bytes_received,
-                expect.predict_bytes_sent,
-                expect.predict_bytes_received,
+                expect.train[Counter::BytesReceived],
+                expect.predict()[Counter::BytesSent],
+                expect.predict()[Counter::BytesReceived],
             ),
             "{} party {i}: tcp [nodes, train recv, predict sent, predict recv] vs in-process",
             case.tag
@@ -761,19 +761,19 @@ fn gbdt_equals_the_boosted_cart_oracle_and_the_golden_counters() {
 /// checking that the training work is what the parent commit did.
 fn training_rounds_at_the_parents_work(row: &EnsembleCase, scenario: &Scenario) -> u64 {
     let exec = execute(scenario, scenario.sole_algorithm().unwrap(), true).unwrap();
-    let p0 = &exec.parties[0];
+    let p0 = &exec.parties[0].counters;
     assert_eq!(
         [
-            p0.encryptions,
-            p0.threshold_decryptions,
-            p0.secure_mults,
-            p0.secure_comparisons
+            p0[Counter::Encryptions],
+            p0[Counter::ThresholdDecryptions],
+            p0[Counter::SecureMults],
+            p0[Counter::SecureComparisons],
         ],
         row.parent_training,
         "{}: training [encryptions, decryptions, mults, comparisons] vs the parent commit",
         row.case.tag
     );
-    p0.mpc_rounds
+    p0[Counter::Rounds]
 }
 
 #[test]

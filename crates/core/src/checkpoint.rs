@@ -15,7 +15,8 @@
 //! level, because the cursors are read-only snapshots and the sink writes
 //! only to disk.
 
-/// Deterministic progress counters snapshotted at a barrier. A resumed
+/// Deterministic progress counters snapshotted at a barrier, four of them
+/// read from the party's counter registry. A resumed
 /// party re-executes from genesis and must reproduce these exactly at the
 /// same ordinal — any mismatch means the scenario or code diverged from
 /// the checkpointed run, so the peers' replayed frames no longer match
@@ -57,8 +58,9 @@ pub struct BarrierMeta {
 /// to call [`CheckpointSink::at_barrier`] at every barrier, in the same
 /// order on every party.
 pub trait CheckpointSink: Send {
-    /// Called at each barrier with the barrier's identity.
-    fn at_barrier(&mut self, meta: &BarrierMeta);
+    /// Called at each barrier with the barrier's identity and the party's
+    /// counter registry, where the sink records what it wrote.
+    fn at_barrier(&mut self, meta: &BarrierMeta, counters: &pivot_trace::Counters);
 }
 
 #[cfg(test)]

@@ -28,6 +28,7 @@ use crate::party::PartyContext;
 use pivot_bignum::BigUint;
 use pivot_mpc::{Fp, Share, MODULUS};
 use pivot_paillier::{batch, vector, Ciphertext, SlotCodec};
+use pivot_trace::Counter;
 use rand::Rng;
 
 /// The tail of Algorithm 2, shared by every entry point. `cts[i]` holds
@@ -64,7 +65,7 @@ fn masked_shares(
         .collect();
     let threads = ctx.crypto_threads();
     let my_enc_masks = batch::encrypt_batch(&ctx.pk, &mask_plaintexts, &ctx.nonces, threads);
-    ctx.metrics.add_encryptions(cts.len() as u64);
+    ctx.counters.add(Counter::Encryptions, cts.len() as u64);
 
     // Exchange the encrypted masks; everyone assembles [e] = [x + offset +
     // Σ rᵢ] per slot (line 4).
@@ -77,8 +78,8 @@ fn masked_shares(
         }
         acc
     });
-    ctx.metrics
-        .add_ciphertext_ops((cts.len() * ctx.parties()) as u64);
+    ctx.counters
+        .add(Counter::CiphertextOps, (cts.len() * ctx.parties()) as u64);
 
     // Joint decryption (line 5) — an integer per slot, no mod-N wrap
     // because N ≫ m·p + offset (checked in PivotParams::validate).
@@ -150,7 +151,7 @@ pub fn packed_ciphers_to_shares(
         pivot_runtime::global().map(ctx.crypto_threads(), &jobs, |&(ct, u)| {
             ctx.pk.add(ct, &enc_offsets[u])
         });
-    ctx.metrics.add_ciphertext_ops(cts.len() as u64);
+    ctx.counters.add(Counter::CiphertextOps, cts.len() as u64);
     let layouts: Vec<(&SlotCodec, usize)> = used.iter().map(|&u| (codec, u)).collect();
     masked_shares(ctx, &offset_cts, &layouts)
 }
@@ -209,7 +210,7 @@ pub fn packed_share_conversion_groups(
         let weights: Vec<BigUint> = (0..chunk.len()).map(|i| codec.shift_factor(i)).collect();
         vector::dot_plain(&ctx.pk, &shifted, &weights)
     });
-    ctx.metrics.add_ciphertext_ops(2 * total as u64);
+    ctx.counters.add(Counter::CiphertextOps, 2 * total as u64);
 
     let layouts: Vec<(&SlotCodec, usize)> = jobs
         .iter()
@@ -264,10 +265,10 @@ pub fn share_rows_to_ciphers(
         .collect();
     let threads = ctx.crypto_threads();
     let my_encs = codec.encrypt_rows(&ctx.pk, &share_values, &ctx.nonces, threads);
-    ctx.metrics.add_encryptions(rows.len() as u64);
+    ctx.counters.add(Counter::Encryptions, rows.len() as u64);
     let all: Vec<Vec<Ciphertext>> = ctx.ep.exchange_all(&my_encs);
-    ctx.metrics
-        .add_ciphertext_ops((rows.len() * ctx.parties()) as u64);
+    ctx.counters
+        .add(Counter::CiphertextOps, (rows.len() * ctx.parties()) as u64);
     let indices: Vec<usize> = (0..rows.len()).collect();
     pivot_runtime::global().map(threads, &indices, |&j| {
         let mut acc = all[0][j].clone();

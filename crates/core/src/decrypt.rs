@@ -14,13 +14,15 @@ use pivot_bignum::BigUint;
 use pivot_paillier::batch;
 use pivot_paillier::threshold::{Combiner, PartialDecryption, SecretKeyShare};
 use pivot_paillier::Ciphertext;
+use pivot_trace::Counter;
 
 /// Jointly decrypt a batch of ciphertexts; all clients learn the plaintexts.
 pub fn joint_decrypt_vec(ctx: &mut PartyContext<'_>, cts: &[Ciphertext]) -> Vec<BigUint> {
     if cts.is_empty() {
         return Vec::new();
     }
-    ctx.metrics.add_decryptions(cts.len() as u64);
+    ctx.counters
+        .add(Counter::ThresholdDecryptions, cts.len() as u64);
     let threads = ctx.crypto_threads();
 
     // Partial decryptions (the `-PP` knob: parallel across ciphertexts).

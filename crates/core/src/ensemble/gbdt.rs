@@ -34,6 +34,7 @@ use pivot_data::Task;
 use pivot_mpc::{Fp, Share};
 use pivot_paillier::packing::add_packed;
 use pivot_paillier::{Ciphertext, SlotCodec};
+use pivot_trace::Counter;
 use pivot_trees::DecisionTree;
 
 /// GBDT protocol parameters.
@@ -187,7 +188,7 @@ fn train_residual_trees(
             } else {
                 // Un-shifted, `[α]` lands in slot 0.
                 chunks[0] = add_packed(&ctx.pk, &chunks[0], &alpha);
-                ctx.metrics.add_ciphertext_ops(n as u64);
+                ctx.counters.add(Counter::CiphertextOps, n as u64);
             }
             NodeMask::Carried(chunks)
         })

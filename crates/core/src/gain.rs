@@ -44,11 +44,11 @@
 //!   level whose layout has more than one slot refreshes the masks first.
 
 use crate::masks::Sides;
-use crate::metrics::Stage;
 use crate::party::PartyContext;
 use crate::stats::{PackedStats, SplitLayout};
 use pivot_data::Task;
 use pivot_mpc::{width_for_magnitude, Fp, Share};
+use pivot_trace::Counter;
 
 /// Comparison width covering integer node counts (`|v| ≤ n`).
 fn count_width(ctx: &PartyContext<'_>) -> u32 {
@@ -243,7 +243,7 @@ pub fn prune_decisions_batch(
     // All operands are integer counts bounded by max(n, min_samples).
     let counts_k = width_for_magnitude((ctx.num_samples() as u64).max(min_samples));
     let purity = check_purity && is_classification;
-    ctx.metrics.time(Stage::MpcComputation, || {
+    ctx.counters.time(Counter::StageMpcNs, || {
         let engine = &mut ctx.engine;
         let maxes = if purity {
             let rows: Vec<Vec<Share>> = nodes.iter().map(|t| t.g.clone()).collect();
@@ -308,7 +308,7 @@ pub fn split_gains_batch(ctx: &mut PartyContext<'_>, nodes: &[&NodeShares]) -> V
     let splits_per_node: Vec<usize> = nodes.iter().map(|n| n.n_l.len()).collect();
     let lanes: usize = splits_per_node.iter().sum();
 
-    ctx.metrics.time(Stage::MpcComputation, || {
+    ctx.counters.time(Counter::StageMpcNs, || {
         let engine = &mut ctx.engine;
         // Per node: right sides by subtraction, lanes node-major.
         let n_r: Vec<Vec<Share>> = nodes
@@ -460,7 +460,7 @@ pub fn best_split_batch(ctx: &mut PartyContext<'_>, gains: &[Vec<Share>]) -> Vec
         return Vec::new();
     }
     let k = gain_width(ctx);
-    ctx.metrics.time(Stage::MpcComputation, || {
+    ctx.counters.time(Counter::StageMpcNs, || {
         let best = ctx.engine.argmax_many_bounded(gains, k);
         best.into_iter().map(|(idx, _)| idx).collect()
     })
@@ -476,7 +476,7 @@ pub fn leaf_label_shares_batch(ctx: &mut PartyContext<'_>, nodes: &[&NodeTotals]
     let n_bound = ctx.num_samples() as f64;
     let task = ctx.current_task();
     let counts_k = count_width(ctx);
-    ctx.metrics.time(Stage::MpcComputation, || match task {
+    ctx.counters.time(Counter::StageMpcNs, || match task {
         // Class counts are integers in [0, n]: count-width argmax.
         Task::Classification { .. } => {
             let rows: Vec<Vec<Share>> = nodes.iter().map(|t| t.g.clone()).collect();
@@ -570,7 +570,7 @@ pub fn concealed_columns_batch(
             entries.extend_from_slice(&row[start..start + lambda.len()]);
         }
     }
-    let products = ctx.metrics.time(Stage::MpcComputation, || {
+    let products = ctx.counters.time(Counter::StageMpcNs, || {
         ctx.engine.mul_vec(&selectors, &entries)
     });
     let mut rest = products.as_slice();

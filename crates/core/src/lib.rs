@@ -30,7 +30,6 @@ pub mod dp;
 pub mod ensemble;
 pub mod gain;
 pub mod masks;
-pub mod metrics;
 pub mod model;
 pub mod party;
 pub mod predict_basic;
@@ -43,10 +42,10 @@ pub mod verify;
 
 pub use checkpoint::{BarrierMeta, CheckpointSink, StateCursors};
 pub use config::{AdversarySpec, PivotParams, Protocol, Verification};
-pub use metrics::{ProtocolMetrics, VerificationCounters};
 pub use model::{ConcealedNode, ConcealedTree};
 pub use party::PartyContext;
 // Re-exported so report-layer consumers (CLI, bench) can name the
-// comparison policy and its telemetry without a direct pivot-mpc edge.
-pub use pivot_mpc::{CompareBits, ComparisonCounters};
-pub use pivot_trace::TraceLevel;
+// comparison policy and the counter registry without a direct edge to
+// `pivot-mpc` or `pivot-trace`.
+pub use pivot_mpc::CompareBits;
+pub use pivot_trace::{Counter, Counters, Snapshot, TraceLevel};

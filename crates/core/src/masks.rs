@@ -20,7 +20,6 @@
 //! "Scale discipline"); the offset is removed linearly after share
 //! conversion ([`crate::gain::node_shares_from_packed`]).
 
-use crate::metrics::Stage;
 use crate::party::PartyContext;
 use crate::stats::PackedChunking;
 use crate::train_basic::NodeMask;
@@ -28,6 +27,7 @@ use crate::verify;
 use pivot_bignum::BigUint;
 use pivot_data::Task;
 use pivot_paillier::{batch, Ciphertext, SlotCodec};
+use pivot_trace::Counter;
 use std::borrow::Cow;
 
 /// One value per child of a split, left before right.
@@ -92,7 +92,8 @@ pub fn initial_mask(ctx: &mut PartyContext<'_>, included: &[bool]) -> Vec<Cipher
             .collect();
         verify::scrub_witnesses(ctx);
         let mut cts = batch::encrypt_batch(&ctx.pk, &values, &ctx.nonces, ctx.crypto_threads());
-        ctx.metrics.add_encryptions(included.len() as u64);
+        ctx.counters
+            .add(Counter::Encryptions, included.len() as u64);
         let bundle = verify::prove_popk(ctx, "setup", &mut cts, &values);
         ctx.ep.broadcast(&cts);
         (cts, bundle)
@@ -100,8 +101,8 @@ pub fn initial_mask(ctx: &mut PartyContext<'_>, included: &[bool]) -> Vec<Cipher
         (ctx.ep.recv(ctx.super_client), None)
     };
     verify::check_popk(ctx, "setup", ctx.super_client, &cts, bundle);
-    ctx.metrics
-        .add_time(Stage::LocalComputation, started.elapsed());
+    ctx.counters
+        .add_duration(Counter::StageLocalNs, started.elapsed());
     cts
 }
 
@@ -218,7 +219,7 @@ pub(crate) fn compute_packed_label_masks<'a>(
             verify::scrub_witnesses(ctx);
             let scaled = batch::mul_plain_batch(&ctx.pk, alpha, &multipliers[c], threads);
             let mut packed = batch::rerandomize_batch(&ctx.pk, &scaled, &ctx.nonces, threads);
-            ctx.metrics.add_ciphertext_ops(2 * n as u64);
+            ctx.counters.add(Counter::CiphertextOps, 2 * n as u64);
             let proof =
                 verify::prove_popcm(ctx, "label_masks", alpha, &mut packed, &multipliers[c]);
             bundles.push(proof);
@@ -229,8 +230,8 @@ pub(crate) fn compute_packed_label_masks<'a>(
     for (chunk, bundle) in built.iter().zip(bundles) {
         verify::check_popcm(ctx, "label_masks", ctx.super_client, alpha, chunk, bundle);
     }
-    ctx.metrics
-        .add_time(Stage::LocalComputation, started.elapsed());
+    ctx.counters
+        .add_duration(Counter::StageLocalNs, started.elapsed());
     PackedLabels {
         chunks: plan
             .chunking
@@ -310,7 +311,7 @@ pub fn update_vectors_plain(
                     verify::scrub_witnesses(ctx);
                     let mut out = batch::mask_binary_batch(&ctx.pk, vec, v, &ctx.nonces, threads);
                     bundles.push(verify::prove_popcm(ctx, "update", vec, &mut out, xs));
-                    ctx.metrics.add_encryptions(vec.len() as u64);
+                    ctx.counters.add(Counter::Encryptions, vec.len() as u64);
                     ctx.ep.broadcast(&out);
                     out
                 }

@@ -1,11 +1,11 @@
 //! Per-client protocol context: keys, data view, transport, MPC engine.
 
 use crate::config::{LabelSource, PivotParams};
-use crate::metrics::ProtocolMetrics;
 use pivot_data::VerticalView;
 use pivot_mpc::MpcEngine;
 use pivot_paillier::threshold::{Combiner, SecretKeyShare};
 use pivot_paillier::{fixtures, NoncePool, PublicKey};
+use pivot_trace::{Counter, Counters};
 use pivot_transport::Endpoint;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -30,7 +30,9 @@ pub struct PartyContext<'a> {
     pub feature_owners: Vec<usize>,
     pub engine: MpcEngine<'a>,
     pub params: PivotParams,
-    pub metrics: ProtocolMetrics,
+    /// The endpoint's counter registry ([`Endpoint::counters`]), where the
+    /// protocols record the paper's Table 2 costs and stage timers.
+    pub counters: Arc<Counters>,
     /// Private per-party randomness (conversion masks and other
     /// non-encryption draws). Paillier encryption nonces live in the
     /// dedicated [`NoncePool`] stream below.
@@ -125,7 +127,7 @@ impl<'a> PartyContext<'a> {
             feature_owners,
             engine,
             params,
-            metrics: ProtocolMetrics::new(),
+            counters: Arc::clone(ep.counters()),
             rng,
             nonces,
             task_override: None,
@@ -155,14 +157,14 @@ impl<'a> PartyContext<'a> {
             return;
         };
         let _phase = pivot_trace::phase_span("checkpoint");
-        let (mpc_rounds, secure_mults, secure_comparisons, _) = self.engine.counters().snapshot();
+        let c = &self.counters;
         let cursors = crate::checkpoint::StateCursors {
-            mpc_rounds,
-            secure_mults,
-            secure_comparisons,
+            mpc_rounds: c.get(Counter::Rounds),
+            secure_mults: c.get(Counter::SecureMults),
+            secure_comparisons: c.get(Counter::SecureComparisons),
             nonces_drawn: self.nonces.drawn(),
             dealer_rows: self.engine.dealer_mut().rows_drawn(),
-            bytes_sent: self.ep.stats().bytes_sent(),
+            bytes_sent: c.get(Counter::BytesSent),
         };
         self.checkpoint_ordinal += 1;
         let meta = crate::checkpoint::BarrierMeta {
@@ -170,7 +172,7 @@ impl<'a> PartyContext<'a> {
             level,
             cursors,
         };
-        sink.at_barrier(&meta);
+        sink.at_barrier(&meta, &self.counters);
     }
 
     /// Worker threads available to this party's batched crypto operations.

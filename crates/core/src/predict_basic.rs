@@ -22,12 +22,12 @@
 
 use crate::decrypt::joint_decrypt_vec;
 use crate::masks::encode_signed;
-use crate::metrics::Stage;
 use crate::party::PartyContext;
 use crate::verify;
 use pivot_bignum::BigUint;
 use pivot_data::Task;
 use pivot_paillier::{batch, vector, Ciphertext, PublicKey};
+use pivot_trace::Counter;
 use pivot_trees::DecisionTree;
 
 /// Jointly predict one sample. `local_sample` holds this client's local
@@ -149,7 +149,8 @@ pub fn predict_batch_encrypted(
             verify::scrub_witnesses(ctx);
             let mut flat = batch::encrypt_batch(&ctx.pk, &values, &ctx.nonces, threads);
             popk_bundle = verify::prove_popk(ctx, "predict", &mut flat, &values);
-            ctx.metrics.add_encryptions((n_samples * n_leaves) as u64);
+            ctx.counters
+                .add(Counter::Encryptions, (n_samples * n_leaves) as u64);
             let out = flat
                 .chunks(n_leaves.max(1))
                 .map(<[Ciphertext]>::to_vec)
@@ -173,7 +174,8 @@ pub fn predict_batch_encrypted(
                     threads,
                 ));
             }
-            ctx.metrics.add_encryptions((n_samples * n_leaves) as u64);
+            ctx.counters
+                .add(Counter::Encryptions, (n_samples * n_leaves) as u64);
             if verification {
                 received_flat = received.into_iter().flatten().collect();
                 let xs: Vec<BigUint> = my_bits
@@ -218,8 +220,10 @@ pub fn predict_batch_encrypted(
             };
             eta.clear();
             verify::tamper_outputs(ctx, "predict", &mut flat_outputs);
-            ctx.metrics
-                .add_ciphertext_ops((n_samples * n_leaves * outputs.len()) as u64);
+            ctx.counters.add(
+                Counter::CiphertextOps,
+                (n_samples * n_leaves * outputs.len()) as u64,
+            );
             for output in &flat_outputs {
                 ctx.ep.broadcast(output);
             }
@@ -266,7 +270,8 @@ pub fn predict_batch_encrypted(
             .map(|_| flat_outputs.by_ref().take(n_samples).collect())
             .collect()
     };
-    ctx.metrics.add_time(Stage::Prediction, started.elapsed());
+    ctx.counters
+        .add_duration(Counter::StagePredictNs, started.elapsed());
     result
 }
 

@@ -5,13 +5,13 @@
 //! are combined multiplicatively so only the final output is opened.
 
 use crate::conversion::packed_share_conversion_groups;
-use crate::metrics::Stage;
 use crate::model::{ConcealedNode, ConcealedTree};
 use crate::party::PartyContext;
 use crate::train_enhanced::threshold_offset_bits;
 use pivot_bignum::BigUint;
 use pivot_data::Task;
 use pivot_mpc::{Fp, Share};
+use pivot_trace::Counter;
 use std::collections::{BTreeMap, HashMap};
 
 /// Jointly predict one sample on a concealed tree.
@@ -67,7 +67,8 @@ pub fn predict_batch(
         let leaves = shares[internals.len()..].to_vec();
         (thresholds, leaves)
     };
-    ctx.metrics.add_time(Stage::Prediction, started.elapsed());
+    ctx.counters
+        .add_duration(Counter::StagePredictNs, started.elapsed());
 
     // Owners share their feature values for every (internal node, sample).
     // node_feature_shares[node_pos][sample]
@@ -196,7 +197,8 @@ pub fn predict_batch(
             })
             .collect()
     };
-    ctx.metrics.add_time(Stage::Prediction, started.elapsed());
+    ctx.counters
+        .add_duration(Counter::StagePredictNs, started.elapsed());
     result
 }
 

@@ -24,11 +24,11 @@
 //! to (`LabelSource`).
 
 use crate::masks::PackedLabels;
-use crate::metrics::Stage;
 use crate::party::PartyContext;
 use crate::verify;
 use pivot_data::{candidate_splits, SplitCandidates};
 use pivot_paillier::{vector, Ciphertext, SlotCodec};
+use pivot_trace::Counter;
 use pivot_transport::Endpoint;
 
 /// Public split-candidate layout: how many candidate splits every client
@@ -240,7 +240,7 @@ pub fn packed_pooled_statistics(
     let threads = ctx.crypto_threads();
     let splits: Vec<&Vec<bool>> = local.indicators.iter().flatten().collect();
 
-    let mut mine: Vec<Vec<Ciphertext>> = ctx.metrics.time(Stage::LocalComputation, || {
+    let mut mine: Vec<Vec<Ciphertext>> = ctx.counters.time(Counter::StageLocalNs, || {
         let mut per_chunk = Vec::with_capacity(chunking.chunks());
         for (c, chunk_labels) in labels.chunks.iter().enumerate() {
             let width = chunking.widths[c];
@@ -261,7 +261,8 @@ pub fn packed_pooled_statistics(
                 });
             // The dot products, plus one shift per split merged into its
             // group's first.
-            ctx.metrics.add_ciphertext_ops(
+            ctx.counters.add(
+                Counter::CiphertextOps,
                 (n_samples * splits.len() + splits.len() - merged.len()) as u64,
             );
             per_chunk.push(merged);
@@ -326,14 +327,18 @@ pub fn packed_pooled_statistics(
     }
 
     let pooled_cts: usize = groups.iter().map(Vec::len).sum();
-    ctx.metrics.add_split_stat_ciphertexts(pooled_cts as u64);
+    ctx.counters
+        .add(Counter::SplitStatCiphertexts, pooled_cts as u64);
     // Packing is booked where it happens: a lone slot packs nothing.
     if codec.slots() > 1 {
-        ctx.metrics.add_packed(
-            (pooled_cts + totals.len()) as u64,
+        let cts = (pooled_cts + totals.len()) as u64;
+        ctx.counters.add(Counter::PackedCiphertexts, cts);
+        ctx.counters.add(
+            Counter::PackedValues,
             (layout.total() * chunking.stride + chunking.stride) as u64,
-            codec.slots() as u64,
         );
+        ctx.counters
+            .add(Counter::PackedSlotCapacity, cts * codec.slots() as u64);
     }
 
     PackedStats {

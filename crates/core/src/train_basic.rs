@@ -29,7 +29,6 @@ use crate::masks::{
     compute_packed_label_masks, initial_mask, plan_packed_labels, update_vectors_plain,
     PackedLabelPlan, PackedLabels, Sides,
 };
-use crate::metrics::Stage;
 use crate::party::PartyContext;
 use crate::stats::{
     conversion_batch, packed_pooled_statistics, LocalSplits, PackedStats, SplitLayout,
@@ -41,6 +40,7 @@ use crate::trainer::{
 use pivot_data::Task;
 use pivot_mpc::{Fp, Share};
 use pivot_paillier::{Ciphertext, SlotCodec};
+use pivot_trace::Counter;
 use pivot_trees::{DecisionTree, Node};
 
 /// The encrypted vectors of a node.
@@ -147,8 +147,8 @@ impl LevelPass for PaillierPass {
         let (cts, used) = conversion_batch(&per_node);
         let started = std::time::Instant::now();
         let slot_shares = packed_ciphers_to_shares(ctx, &self.codec, &cts, &used);
-        ctx.metrics
-            .add_time(Stage::MpcComputation, started.elapsed());
+        ctx.counters
+            .add_duration(Counter::StageMpcNs, started.elapsed());
         let mut rest = slot_shares.as_slice();
         per_node
             .iter()
@@ -293,8 +293,8 @@ impl Reveal {
     /// and returns every ticket's opened values.
     fn open_queued(&mut self, ctx: &mut PartyContext<'_>, arena: &mut Arena<Node>) -> Vec<Vec<Fp>> {
         let opened = ctx
-            .metrics
-            .time(Stage::MpcComputation, || ctx.engine.resolve());
+            .counters
+            .time(Counter::StageMpcNs, || ctx.engine.resolve());
         let task = ctx.current_task();
         for (slot, ticket) in self.pending_leaves.drain(..) {
             let label = opened[ticket][0];
@@ -379,7 +379,7 @@ impl<P: LevelPass> Disclosure<P> for Reveal {
             let (winner, local_feature, split_idx) = layout.locate(global);
             let (feature, threshold) = {
                 let _reveal = pivot_trace::phase_span("split_reveal");
-                ctx.metrics.time(Stage::ModelUpdate, || {
+                ctx.counters.time(Counter::StageUpdateNs, || {
                     if ctx.id() == winner {
                         let feature = ctx.view.feature_indices[local_feature];
                         let threshold = local.candidates[local_feature].thresholds[split_idx];
@@ -403,7 +403,8 @@ impl<P: LevelPass> Disclosure<P> for Reveal {
                     let _update = pivot_trace::phase_span("update");
                     pass.divide(ctx, local, layout, mask, global, wanted)
                 };
-                ctx.metrics.add_time(Stage::ModelUpdate, started.elapsed());
+                ctx.counters
+                    .add_duration(Counter::StageUpdateNs, started.elapsed());
                 masks
             } else {
                 Sides::default()

@@ -24,7 +24,6 @@ use crate::conversion::{ciphers_to_shares, packed_share_conversion, shares_to_ci
 use crate::gain::{concealed_columns_batch, reveal_blocks_batch};
 use crate::gain::{NodeShares, NodeTotals};
 use crate::masks::{initial_mask, Sides};
-use crate::metrics::Stage;
 use crate::model::{ConcealedNode, ConcealedTree};
 use crate::party::PartyContext;
 use crate::stats::{LocalSplits, SplitLayout};
@@ -35,6 +34,7 @@ use crate::trainer::{
 use pivot_bignum::BigUint;
 use pivot_mpc::Share;
 use pivot_paillier::{batch, vector, Ciphertext};
+use pivot_trace::Counter;
 
 /// Public offset added to fixed-point thresholds before encryption so the
 /// PIR dot product only ever sees non-negative plaintexts (negative
@@ -187,8 +187,8 @@ impl Disclosure<PaillierPass> for Conceal {
                 .map(|&(w, f, s)| (s, layout.counts[w][f]))
                 .collect();
             let lambdas = ctx
-                .metrics
-                .time(Stage::MpcComputation, || ctx.engine.onehot_many(&items));
+                .counters
+                .time(Counter::StageMpcNs, || ctx.engine.onehot_many(&items));
             let winners: Vec<(&NodeShares, usize, &[Share])> = survivors
                 .iter()
                 .zip(&blocks)
@@ -292,7 +292,7 @@ fn pir_select(
     lambda_enc: &[Ciphertext],
     wanted: Sides<bool>,
 ) -> (Selected, Ciphertext, usize) {
-    ctx.metrics.time(Stage::ModelUpdate, || {
+    ctx.counters.time(Counter::StageUpdateNs, || {
         if ctx.id() == winner {
             let inds = &local.indicators[local_feature];
             let n = ctx.view.num_samples();
@@ -308,8 +308,10 @@ fn pir_select(
                     })
                 })
                 .collect();
-            ctx.metrics
-                .add_ciphertext_ops((columns.len() * n * lambda_enc.len()) as u64);
+            ctx.counters.add(
+                Counter::CiphertextOps,
+                (columns.len() * n * lambda_enc.len()) as u64,
+            );
             let enc_vals: Vec<BigUint> = local.candidates[local_feature]
                 .thresholds
                 .iter()
@@ -346,7 +348,7 @@ fn masked_products(
         left: selected.left.is_some(),
         right: selected.right.is_some(),
     };
-    ctx.metrics.time(Stage::ModelUpdate, || {
+    ctx.counters.time(Counter::StageUpdateNs, || {
         let threads = ctx.crypto_threads();
         let n = alpha_shares.len();
         let share_values: Vec<BigUint> = alpha_shares
@@ -359,7 +361,8 @@ fn masked_products(
             .flat_map(|_| share_values.iter().cloned())
             .collect();
         let my_terms = batch::mul_plain_batch(&ctx.pk, &v, &repeated, threads);
-        ctx.metrics.add_ciphertext_ops(my_terms.len() as u64);
+        ctx.counters
+            .add(Counter::CiphertextOps, my_terms.len() as u64);
         let gathered = ctx.ep.gather(winner, &my_terms);
         let sums = if ctx.id() == winner {
             let parts = gathered.expect("winner gathers");
@@ -371,8 +374,8 @@ fn masked_products(
                 }
                 acc
             });
-            ctx.metrics
-                .add_ciphertext_ops((v.len() * ctx.parties()) as u64);
+            ctx.counters
+                .add(Counter::CiphertextOps, (v.len() * ctx.parties()) as u64);
             ctx.ep.broadcast(&sums);
             sums
         } else {

@@ -106,6 +106,7 @@ use crate::masks::Sides;
 use crate::party::PartyContext;
 use crate::stats::{LocalSplits, SplitLayout};
 use pivot_mpc::Share;
+use pivot_trace::Counter;
 
 /// How a level's statistics are computed from the nodes' masks, and how a
 /// node's mask is divided by a public winning split — the two places the
@@ -295,7 +296,7 @@ pub(crate) fn grow_tree<P: LevelPass, D: Disclosure<P>>(
             break;
         }
         let _level = pivot_trace::span_fn(|| format!("level {depth}"));
-        let stats_start = ctx.ep.stats().bytes_sent();
+        let stats_start = ctx.counters.get(Counter::BytesSent);
 
         // ONE statistics pass for the level: every root's own, below them
         // the left children's — a right child's statistics are its
@@ -320,8 +321,8 @@ pub(crate) fn grow_tree<P: LevelPass, D: Disclosure<P>>(
                     .collect()
             }
         };
-        ctx.metrics
-            .add_stats_bytes(ctx.ep.stats().bytes_sent() - stats_start);
+        let stats_bytes = ctx.counters.get(Counter::BytesSent) - stats_start;
+        ctx.counters.add(Counter::StatsBytesSent, stats_bytes);
 
         // One prune unit for the frontier — unless no client has any
         // candidate split (public), which forces the roots.

@@ -35,6 +35,7 @@
 use crate::party::PartyContext;
 use pivot_bignum::{rng as brng, BigUint};
 use pivot_paillier::Ciphertext;
+use pivot_trace::Counter;
 use pivot_transport::{ProtocolError, Wire};
 use pivot_zkp::{DotProductProof, MultiplicationProof, PlaintextProof};
 use rand::rngs::StdRng;
@@ -181,9 +182,13 @@ fn conclude(
     started: Instant,
 ) {
     let rejected = verdicts.iter().filter(|&&ok| !ok).count() as u64;
-    ctx.metrics
-        .add_proofs_checked(picked.len() as u64, (total - picked.len()) as u64, rejected);
-    ctx.metrics.add_verification_time(started.elapsed());
+    ctx.counters
+        .add(Counter::ProofsVerified, picked.len() as u64);
+    ctx.counters
+        .add(Counter::ProofsSkipped, (total - picked.len()) as u64);
+    ctx.counters.add(Counter::ProofsRejected, rejected);
+    ctx.counters
+        .add_duration(Counter::VerificationNs, started.elapsed());
     if let Some(pos) = verdicts.iter().position(|&ok| !ok) {
         reject(
             ctx,
@@ -230,7 +235,8 @@ pub(crate) fn prove_popk(
         });
     let base = VerifyPlane::advance(&plane.prove_counts, phase, ctx.id(), cts.len() as u64);
     plane.tamper(ctx, phase, base, cts);
-    ctx.metrics.add_verification_time(started.elapsed());
+    ctx.counters
+        .add_duration(Counter::VerificationNs, started.elapsed());
     Some(msgs)
 }
 
@@ -249,8 +255,9 @@ pub(crate) fn check_popk(
     };
     let msgs: Vec<PopkMsg> = if ctx.id() == prover {
         let msgs = bundle.expect("prover supplies its own proof bundle");
-        ctx.metrics
-            .add_proofs_generated(msgs.len() as u64, wire_len(&msgs));
+        ctx.counters
+            .add(Counter::ProofsGenerated, msgs.len() as u64);
+        ctx.counters.add(Counter::ProofBytes, wire_len(&msgs));
         ctx.ep.broadcast(&msgs);
         msgs
     } else {
@@ -259,7 +266,7 @@ pub(crate) fn check_popk(
     let started = Instant::now();
     let base = VerifyPlane::advance(&plane.check_counts, phase, prover, cts.len() as u64);
     if msgs.len() != cts.len() {
-        ctx.metrics.add_proofs_checked(0, 0, 1);
+        ctx.counters.add(Counter::ProofsRejected, 1);
         reject(
             ctx,
             prover,
@@ -331,7 +338,8 @@ pub(crate) fn prove_popcm(
         });
     let base = VerifyPlane::advance(&plane.prove_counts, phase, ctx.id(), outputs.len() as u64);
     plane.tamper(ctx, phase, base, outputs);
-    ctx.metrics.add_verification_time(started.elapsed());
+    ctx.counters
+        .add_duration(Counter::VerificationNs, started.elapsed());
     Some(msgs)
 }
 
@@ -350,8 +358,9 @@ pub(crate) fn check_popcm(
     };
     let msgs: Vec<PopcmMsg> = if ctx.id() == prover {
         let msgs = bundle.expect("prover supplies its own proof bundle");
-        ctx.metrics
-            .add_proofs_generated(msgs.len() as u64, wire_len(&msgs));
+        ctx.counters
+            .add(Counter::ProofsGenerated, msgs.len() as u64);
+        ctx.counters.add(Counter::ProofBytes, wire_len(&msgs));
         ctx.ep.broadcast(&msgs);
         msgs
     } else {
@@ -360,7 +369,7 @@ pub(crate) fn check_popcm(
     let started = Instant::now();
     let base = VerifyPlane::advance(&plane.check_counts, phase, prover, outputs.len() as u64);
     if msgs.len() != outputs.len() || inputs.len() != outputs.len() {
-        ctx.metrics.add_proofs_checked(0, 0, 1);
+        ctx.counters.add(Counter::ProofsRejected, 1);
         reject(
             ctx,
             prover,
@@ -465,7 +474,8 @@ pub(crate) fn prove_pohdp(
         });
     let base = VerifyPlane::advance(&plane.prove_counts, phase, ctx.id(), outputs.len() as u64);
     plane.tamper(ctx, phase, base, outputs);
-    ctx.metrics.add_verification_time(started.elapsed());
+    ctx.counters
+        .add_duration(Counter::VerificationNs, started.elapsed());
     Some(msgs)
 }
 
@@ -484,8 +494,9 @@ pub(crate) fn check_pohdp(
     };
     let msgs: Vec<PohdpSplitMsg> = if ctx.id() == prover {
         let msgs = bundle.expect("prover supplies its own proof bundle");
-        ctx.metrics
-            .add_proofs_generated(outputs.len() as u64, wire_len(&msgs));
+        ctx.counters
+            .add(Counter::ProofsGenerated, outputs.len() as u64);
+        ctx.counters.add(Counter::ProofBytes, wire_len(&msgs));
         ctx.ep.broadcast(&msgs);
         msgs
     } else {
@@ -500,7 +511,7 @@ pub(crate) fn check_pohdp(
             .iter()
             .any(|(craws, proofs)| craws.len() != n || proofs.len() != stride);
     if malformed {
-        ctx.metrics.add_proofs_checked(0, 0, 1);
+        ctx.counters.add(Counter::ProofsRejected, 1);
         reject(
             ctx,
             prover,
@@ -611,7 +622,7 @@ pub(crate) fn check_equivocation(
             .zip(broadcast)
             .any(|(d, b)| d.raw() != b.raw());
     if mismatch {
-        ctx.metrics.add_proofs_checked(0, 0, 1);
+        ctx.counters.add(Counter::ProofsRejected, 1);
         reject(
             ctx,
             prover,

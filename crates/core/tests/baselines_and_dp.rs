@@ -3,7 +3,7 @@
 
 use pivot_core::baselines::{npd_dt, spdz_dt};
 use pivot_core::dp::{train_dp, DpParams};
-use pivot_core::{config::PivotParams, party::PartyContext};
+use pivot_core::{config::PivotParams, party::PartyContext, Counter};
 use pivot_data::{partition_vertically, synth, Dataset, Task};
 use pivot_transport::run_parties;
 use pivot_trees::{train_tree, TreeParams};
@@ -153,13 +153,13 @@ fn spdz_dt_costs_more_mpc_than_pivot() {
         let view = partition.views[ep.id()].clone();
         let mut ctx = PartyContext::setup(&ep, view, p.clone());
         let _ = pivot_core::train_basic::train(&mut ctx);
-        ctx.engine.counters().snapshot().1
+        ctx.counters.get(Counter::SecureMults)
     });
     let spdz_ops = run_parties(2, |ep| {
         let view = partition.views[ep.id()].clone();
         let mut ctx = PartyContext::setup(&ep, view, p.clone());
         let _ = spdz_dt::train(&mut ctx);
-        ctx.engine.counters().snapshot().1
+        ctx.counters.get(Counter::SecureMults)
     });
     assert!(
         spdz_ops[0] > 3 * pivot_ops[0],
@@ -267,7 +267,7 @@ fn dp_trees_pay_the_level_steps_costs() {
             } else {
                 pivot_core::train_basic::train(&mut ctx)
             };
-            (tree, ctx.metrics.threshold_decryptions())
+            (tree, ctx.counters.get(Counter::ThresholdDecryptions))
         })
         .remove(0)
     };

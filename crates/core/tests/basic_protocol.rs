@@ -3,7 +3,7 @@
 //! candidate splits, same gain ordering), and distributed prediction must
 //! match centralized prediction on the released model.
 
-use pivot_core::{config::PivotParams, party::PartyContext, predict_basic, train_basic};
+use pivot_core::{config::PivotParams, party::PartyContext, predict_basic, train_basic, Counter};
 use pivot_data::{partition_vertically, synth, Dataset, Task};
 use pivot_transport::run_parties;
 use pivot_trees::{train_tree, DecisionTree, TreeParams};
@@ -290,9 +290,9 @@ fn metrics_are_populated() {
         let mut ctx = PartyContext::setup(&ep, view, params.clone());
         let _ = train_basic::train(&mut ctx);
         (
-            ctx.metrics.encryptions(),
-            ctx.metrics.threshold_decryptions(),
-            ctx.engine.counters().snapshot().1, // multiplications
+            ctx.counters.get(Counter::Encryptions),
+            ctx.counters.get(Counter::ThresholdDecryptions),
+            ctx.counters.get(Counter::SecureMults),
         )
     });
     for (enc, dec, muls) in results {

@@ -10,6 +10,7 @@ use pivot_core::conversion::{
     packed_ciphers_to_shares, packed_share_conversion, packed_share_conversion_groups,
 };
 use pivot_core::party::PartyContext;
+use pivot_core::Counter;
 use pivot_data::{Dataset, Task, VerticalView};
 use pivot_mpc::{Fp, Share, MODULUS};
 use pivot_transport::run_parties;
@@ -129,7 +130,11 @@ fn one_slot_group_when_slots_too_narrow() {
         let mut ctx = PartyContext::setup(&ep, view, params.clone());
         let cts: Vec<_> = values.iter().map(|&v| trivial_signed(&ctx, v)).collect();
         let shares = packed_share_conversion(&mut ctx, &cts, 100);
-        assert_eq!(ctx.metrics.threshold_decryptions(), 2, "one per scalar");
+        assert_eq!(
+            ctx.counters.get(Counter::ThresholdDecryptions),
+            2,
+            "one per scalar"
+        );
         shares
     });
     for (i, &v) in values.iter().enumerate() {
@@ -162,14 +167,18 @@ fn whole_plaintext_and_audited_groups_share_one_round() {
             .collect();
         let wide_cts: Vec<_> = wide.iter().map(|&v| trivial_signed(&ctx, v)).collect();
         let narrow_cts: Vec<_> = narrow.iter().map(|&v| trivial_signed(&ctx, v)).collect();
-        let messages = ep.stats().messages_sent();
+        let messages = ep.counters().get(Counter::MessagesSent);
         let shares = packed_share_conversion_groups(
             &mut ctx,
             &[(&whole_cts, 300), (&wide_cts, 126), (&narrow_cts, 63)],
         );
         // 2 one-slot ciphertexts + ⌈4/3⌉ + ⌈3/7⌉ packed ones.
-        assert_eq!(ctx.metrics.threshold_decryptions(), 2 + 2 + 1);
-        assert_eq!(ep.stats().messages_sent() - messages, 2, "two exchanges");
+        assert_eq!(ctx.counters.get(Counter::ThresholdDecryptions), 2 + 2 + 1);
+        assert_eq!(
+            ep.counters().get(Counter::MessagesSent) - messages,
+            2,
+            "two exchanges"
+        );
         shares
     });
     let open_group = |g: usize, i: usize| {

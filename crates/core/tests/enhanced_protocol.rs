@@ -4,7 +4,7 @@
 
 use pivot_core::{
     config::PivotParams, model::ConcealedNode, party::PartyContext, predict_enhanced, train_basic,
-    train_enhanced,
+    train_enhanced, Counter,
 };
 use pivot_data::{partition_vertically, synth, Dataset, Task};
 use pivot_transport::run_parties;
@@ -255,7 +255,7 @@ fn packed_enhanced_predicts_like_unpacked() {
                 .map(|i| view.features[i].clone())
                 .collect();
             let preds = predict_enhanced::predict_batch(&mut ctx, &tree, &local_samples);
-            (tree, preds, ctx.metrics.split_stat_ciphertexts())
+            (tree, preds, ctx.counters.get(Counter::SplitStatCiphertexts))
         })
     };
     let mut unpacked_params = enhanced_params(tree_params.clone());
@@ -328,21 +328,12 @@ fn bounded_prediction_comparisons_match_full_width() {
             let local_samples: Vec<Vec<f64>> = (0..view.num_samples())
                 .map(|i| view.features[i].clone())
                 .collect();
-            let before = ctx.engine.comparison_snapshot();
+            let before = ctx.counters.snapshot();
             let preds = predict_enhanced::predict_batch(&mut ctx, &tree, &local_samples);
-            let after = ctx.engine.comparison_snapshot();
             // Widths exercised during prediction only.
-            let predict_widths: Vec<u32> = after
-                .widths
-                .iter()
-                .filter_map(|&(w, n)| {
-                    let prior = before
-                        .widths
-                        .iter()
-                        .find(|&&(pw, _)| pw == w)
-                        .map_or(0, |&(_, pn)| pn);
-                    (n > prior).then_some(w)
-                })
+            let predict_widths: Vec<u32> = (0u32..)
+                .zip((&ctx.counters.snapshot() - &before).cells(Counter::CmpWidths))
+                .filter_map(|(w, &n)| (n > 0).then_some(w))
                 .collect();
             (preds, predict_widths)
         })
@@ -487,18 +478,23 @@ fn one_explicit_slot_is_packing_off() {
             let mut ctx = PartyContext::setup(&ep, view.clone(), params.clone());
             let tree = train_enhanced::train(&mut ctx);
             let preds = predict_enhanced::predict_batch(&mut ctx, &tree, &view.features);
-            let traffic = (ep.stats().bytes_sent(), ep.stats().messages_sent());
+            let c = &ctx.counters;
             (
                 preds,
-                ctx.metrics.threshold_decryptions(),
-                ctx.metrics.packed(),
-                traffic,
+                c.get(Counter::ThresholdDecryptions),
+                [
+                    Counter::PackedCiphertexts,
+                    Counter::PackedValues,
+                    Counter::PackedSlotCapacity,
+                ]
+                .map(|p| c.get(p)),
+                (c.get(Counter::BytesSent), c.get(Counter::MessagesSent)),
             )
         })
     };
     let off = run(pivot_core::config::Packing::Off);
     assert_eq!(run(pivot_core::config::Packing::Slots(1)), off);
-    assert_eq!(off[0].2, (0, 0, 0), "one slot packs nothing");
+    assert_eq!(off[0].2, [0, 0, 0], "one slot packs nothing");
     let correct = off[0]
         .0
         .iter()

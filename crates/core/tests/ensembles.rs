@@ -8,6 +8,7 @@ use pivot_core::ensemble::{
 };
 use pivot_core::party::PartyContext;
 use pivot_core::train_basic::{train_with_mask, train_with_masks};
+use pivot_core::Counter;
 use pivot_data::{candidate_splits, metrics, partition_vertically, synth, Dataset, Task};
 use pivot_paillier::SlotCodec;
 use pivot_transport::run_parties;
@@ -271,12 +272,12 @@ fn run_gbdt(data: &Dataset, m: usize, p: &PivotParams, g: &GbdtProtocolParams) -
             .collect();
         let mut ctx = PartyContext::setup(&ep, view, p.clone());
         let model = train_gbdt(&mut ctx, g);
-        let train_decryptions = ctx.metrics.threshold_decryptions();
+        let train_decryptions = ctx.counters.get(Counter::ThresholdDecryptions);
         let predictions = predict_gbdt_batch(&mut ctx, &model, &local);
         let predict_rounds = [1, 8].map(|rows| {
-            let before = ctx.engine.counters().snapshot().0;
+            let before = ctx.counters.get(Counter::Rounds);
             predict_gbdt_batch(&mut ctx, &model, &local[..rows]);
-            ctx.engine.counters().snapshot().0 - before
+            ctx.counters.get(Counter::Rounds) - before
         });
         GbdtRun {
             forests: model.forests,
@@ -493,9 +494,9 @@ fn random_forest_vote_is_the_first_maximum_plaintext_vote() {
             let model = train_rf(&mut ctx, &rf);
             let predictions = predict_rf_batch(&mut ctx, &model, &view.features);
             let rounds = [1, 8].map(|rows| {
-                let before = ctx.engine.counters().snapshot().0;
+                let before = ctx.counters.get(Counter::Rounds);
                 predict_rf_batch(&mut ctx, &model, &view.features[..rows]);
-                ctx.engine.counters().snapshot().0 - before
+                ctx.counters.get(Counter::Rounds) - before
             });
             (model.trees, predictions, rounds)
         });
@@ -530,7 +531,7 @@ fn gbdt_training_rounds(
         let view = partition.views[ep.id()].clone();
         let mut ctx = PartyContext::setup(&ep, view, p.clone());
         let model = train_gbdt(&mut ctx, g);
-        (ctx.engine.counters().snapshot().0, model.forests)
+        (ctx.counters.get(Counter::Rounds), model.forests)
     })
     .remove(0)
 }

@@ -5,8 +5,8 @@
 //! every party in the same round.
 
 use pivot_core::{
-    config::PivotParams, party::PartyContext, predict_basic, train_basic, AdversarySpec,
-    Verification, VerificationCounters,
+    config::PivotParams, party::PartyContext, predict_basic, train_basic, AdversarySpec, Counter,
+    Snapshot, Verification,
 };
 use pivot_data::{partition_vertically, synth, Dataset, Task};
 use pivot_transport::{run_parties, try_run_parties_with, NetConfig, ProtocolError, RunFailure};
@@ -47,13 +47,23 @@ fn params_with(verification: Verification, adversary: Option<AdversarySpec>) -> 
     }
 }
 
+/// The verification plane's counting rows: proofs generated, verified,
+/// skipped and rejected, and proof bytes.
+const PROOF_COUNTS: [Counter; 5] = [
+    Counter::ProofsGenerated,
+    Counter::ProofsVerified,
+    Counter::ProofsSkipped,
+    Counter::ProofsRejected,
+    Counter::ProofBytes,
+];
+
 /// Train + predict one batch; returns per-party (tree, predictions,
-/// verification counters).
+/// counter registry).
 fn honest_run(
     data: &Dataset,
     m: usize,
     params: &PivotParams,
-) -> Vec<(DecisionTree, Vec<f64>, VerificationCounters)> {
+) -> Vec<(DecisionTree, Vec<f64>, Snapshot)> {
     let partition = partition_vertically(data, m, 0);
     run_parties(m, |ep| {
         let view = partition.views[ep.id()].clone();
@@ -63,7 +73,7 @@ fn honest_run(
         let mut ctx = PartyContext::setup(&ep, view, params.clone());
         let tree = train_basic::train(&mut ctx);
         let preds = predict_basic::predict_batch(&mut ctx, &tree, &samples);
-        (tree, preds, ctx.metrics.verification())
+        (tree, preds, ctx.counters.snapshot())
     })
 }
 
@@ -104,30 +114,40 @@ fn honest_runs_release_the_same_model(data: &Dataset) {
 
     // Off generates nothing and the counters stay zero.
     for (_, _, counters) in &off {
-        assert_eq!(counters, &VerificationCounters::default());
+        for c in PROOF_COUNTS.into_iter().chain([Counter::VerificationNs]) {
+            assert_eq!(counters[c], 0, "{c:?}");
+        }
     }
     // The released model and predictions are knob-independent.
     for runs in [&spot, &full] {
         for ((tree, preds, counters), (ref_tree, ref_preds, _)) in runs.iter().zip(&off) {
             assert_eq!(tree, ref_tree, "verification must not perturb the model");
             assert_eq!(preds, ref_preds);
-            assert_eq!(counters.proofs_rejected, 0, "honest run rejected a proof");
-            assert!(counters.proofs_generated > 0 || counters.proofs_verified > 0);
-            assert!(counters.proof_bytes > 0 || counters.proofs_generated == 0);
+            let generated = counters[Counter::ProofsGenerated];
+            assert_eq!(
+                counters[Counter::ProofsRejected],
+                0,
+                "honest run rejected a proof"
+            );
+            assert!(generated > 0 || counters[Counter::ProofsVerified] > 0);
+            assert!(counters[Counter::ProofBytes] > 0 || generated == 0);
         }
     }
     // Spot(0.25) skips most checks; Full skips none.
     for (_, _, counters) in &spot {
+        let (verified, skipped) = (
+            counters[Counter::ProofsVerified],
+            counters[Counter::ProofsSkipped],
+        );
         assert!(
-            counters.proofs_skipped > counters.proofs_verified,
-            "spot(0.25) verified {} of {} commits",
-            counters.proofs_verified,
-            counters.proofs_verified + counters.proofs_skipped
+            skipped > verified,
+            "spot(0.25) verified {verified} of {} commits",
+            verified + skipped
         );
     }
     for (_, _, counters) in &full {
-        assert_eq!(counters.proofs_skipped, 0);
-        assert!(counters.proofs_verified > 0);
+        assert_eq!(counters[Counter::ProofsSkipped], 0);
+        assert!(counters[Counter::ProofsVerified] > 0);
     }
 }
 
@@ -257,11 +277,9 @@ fn gbdt_under_verification_keeps_the_one_slot_layout_and_its_proofs() {
                 learning_rate: 0.5,
             };
             let model = train_gbdt(&mut ctx, &gbdt);
-            let counters = VerificationCounters {
-                wall: Default::default(),
-                ..ctx.metrics.verification()
-            };
-            let pooled = ctx.metrics.split_stat_ciphertexts();
+            let counters = ctx.counters.snapshot();
+            let counters = PROOF_COUNTS.map(|c| counters[c]);
+            let pooled = ctx.counters.get(Counter::SplitStatCiphertexts);
             (model.forests, counters, pooled)
         })
     };
@@ -273,8 +291,9 @@ fn gbdt_under_verification_keeps_the_one_slot_layout_and_its_proofs() {
         assert_eq!(forests, &packed[party].0, "party {party} model");
         assert_eq!(3 * packed[party].2, *pooled, "one chunk for three");
         assert_eq!(&verified_off[party], &verified[party], "party {party}");
-        assert_eq!(counters.proofs_rejected, 0);
-        assert_eq!(counters.proofs_skipped, 0);
-        assert_eq!(counters.proofs_generated, [336, 144][party]);
+        let [generated, _, skipped, rejected, _] = *counters;
+        assert_eq!(rejected, 0);
+        assert_eq!(skipped, 0);
+        assert_eq!(generated, [336, 144][party]);
     }
 }

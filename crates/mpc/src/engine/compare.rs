@@ -61,7 +61,7 @@ impl MpcEngine<'_> {
         let party = self.party();
         let cfg = self.cfg;
         let masks = self.dealer_mut().masked_rows(t, k, n, &cfg);
-        self.bump_cmp_masked(n as u64, t);
+        self.count_masked_rows(n as u64, t);
         let masked: Vec<Share> = y.iter().zip(&masks).map(|(&x, m)| x + Share(m.r)).collect();
         let opened = self.open_vec(&masked);
 
@@ -195,9 +195,8 @@ impl MpcEngine<'_> {
         if n == 0 {
             return Vec::new();
         }
-        self.bump_comparisons(n as u64);
         let k = self.effective_bits(k);
-        self.bump_cmp_width(k, n as u64);
+        self.count_comparisons(k, n as u64);
         let party = self.party();
         // y = x + 2^(k−1) ∈ [0, 2^k); sign(x) = 1 − bit_{k−1}(y).
         let y: Vec<Share> = x
@@ -230,9 +229,8 @@ impl MpcEngine<'_> {
         if n == 0 {
             return (Vec::new(), Vec::new());
         }
-        self.bump_comparisons(2 * n as u64);
         let k = self.effective_bits(k);
-        self.bump_cmp_width(k, 2 * n as u64);
+        self.count_comparisons(k, 2 * n as u64);
         let was = self.enter_comparison();
         let party = self.party();
         let cfg = self.cfg;
@@ -242,7 +240,7 @@ impl MpcEngine<'_> {
             .map(|&v| v.add_public(party, Fp::pow2(t)))
             .collect();
         let masks = self.dealer_mut().masked_rows(t, k, n, &cfg);
-        self.bump_cmp_masked(n as u64, t);
+        self.count_masked_rows(n as u64, t);
         let masked: Vec<Share> = y.iter().zip(&masks).map(|(&x, m)| x + Share(m.r)).collect();
         let opened = self.open_vec(&masked);
 

@@ -15,10 +15,10 @@ use crate::dealer::DealerClient;
 use crate::field::Fp;
 use crate::fixed::FixedConfig;
 use crate::share::Share;
+use pivot_trace::Counter;
 use pivot_transport::Endpoint;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Comparison width policy: how many bits a secure comparison pays for.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -40,118 +40,12 @@ pub fn width_for_magnitude(bound: u64) -> u32 {
     (64 - bound.leading_zeros() + 1).max(2)
 }
 
-/// Operation counters backing the paper's Table 2 cost model
-/// (`Cs` = secure ops, `Cc` = secure comparisons).
-#[derive(Debug)]
-pub struct OpCounters {
-    /// Communication rounds executed.
-    pub rounds: AtomicU64,
-    /// Beaver multiplications (vector elements, not rounds).
-    pub multiplications: AtomicU64,
-    /// Secure comparisons (vector elements).
-    pub comparisons: AtomicU64,
-    /// Values opened.
-    pub openings: AtomicU64,
-    /// Rounds spent inside comparison protocols (mod2m/LTZ/BitLT).
-    cmp_rounds: AtomicU64,
-    /// Field elements opened inside comparison protocols.
-    cmp_opened: AtomicU64,
-    /// Beaver triples consumed inside comparison protocols.
-    cmp_triples: AtomicU64,
-    /// Masked-bit rows consumed (one per mod2m element).
-    cmp_masked_rows: AtomicU64,
-    /// Low-bit count (`t`) totals of the consumed masked rows.
-    cmp_masked_bits: AtomicU64,
-    /// Comparison counts per effective width `k` (index = width).
-    cmp_widths: [AtomicU64; 62],
-}
-
-impl Default for OpCounters {
-    fn default() -> Self {
-        OpCounters {
-            rounds: AtomicU64::new(0),
-            multiplications: AtomicU64::new(0),
-            comparisons: AtomicU64::new(0),
-            openings: AtomicU64::new(0),
-            cmp_rounds: AtomicU64::new(0),
-            cmp_opened: AtomicU64::new(0),
-            cmp_triples: AtomicU64::new(0),
-            cmp_masked_rows: AtomicU64::new(0),
-            cmp_masked_bits: AtomicU64::new(0),
-            cmp_widths: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-impl OpCounters {
-    fn bump(counter: &AtomicU64, by: u64) {
-        counter.fetch_add(by, Ordering::Relaxed);
-    }
-
-    pub fn snapshot(&self) -> (u64, u64, u64, u64) {
-        (
-            self.rounds.load(Ordering::Relaxed),
-            self.multiplications.load(Ordering::Relaxed),
-            self.comparisons.load(Ordering::Relaxed),
-            self.openings.load(Ordering::Relaxed),
-        )
-    }
-}
-
-/// Snapshot of the comparison-pipeline telemetry: what the secure
-/// comparisons of one run actually paid in rounds, opened field elements,
-/// and preprocessing material, with a per-width histogram.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ComparisonCounters {
-    /// Secure comparisons performed (vector elements — same count as
-    /// [`OpCounters::comparisons`]).
-    pub count: u64,
-    /// Communication rounds spent inside comparison protocols.
-    pub online_rounds: u64,
-    /// Field elements opened inside comparison protocols (the dominant
-    /// share of comparison `bytes_sent`: one field element per party per
-    /// opened value).
-    pub opened_elements: u64,
-    /// Beaver triples consumed by comparison multiplications.
-    pub beaver_triples: u64,
-    /// Masked-bit rows consumed (one per mod2m element).
-    pub masked_bit_rows: u64,
-    /// Total bit-decomposed low bits across the consumed rows.
-    pub masked_bits: u64,
-    /// `(width, comparisons)` histogram over effective widths, ascending.
-    pub widths: Vec<(u32, u64)>,
-}
-
-impl ComparisonCounters {
-    /// Field-wise accumulation. Every scalar adds independently and the
-    /// width histograms merge by width key, so a side that is
-    /// default-initialized (e.g. a mixed-version report missing the
-    /// newer counter group) contributes zeros instead of dropping the
-    /// other side's groups.
-    pub fn merge(&mut self, other: &ComparisonCounters) {
-        self.count += other.count;
-        self.online_rounds += other.online_rounds;
-        self.opened_elements += other.opened_elements;
-        self.beaver_triples += other.beaver_triples;
-        self.masked_bit_rows += other.masked_bit_rows;
-        self.masked_bits += other.masked_bits;
-        for &(k, n) in &other.widths {
-            match self.widths.iter_mut().find(|(w, _)| *w == k) {
-                Some((_, slot)) => *slot += n,
-                None => self.widths.push((k, n)),
-            }
-        }
-        self.widths.sort_by_key(|&(k, _)| k);
-    }
-}
-
 /// Per-party online engine.
 pub struct MpcEngine<'a> {
     ep: &'a Endpoint,
     dealer: DealerClient,
     /// Fixed-point layout shared by all parties.
     pub cfg: FixedConfig,
-    counters: OpCounters,
     /// Private randomness (per party, for input sharing).
     rng: StdRng,
     /// Comparison width policy (must match across parties).
@@ -180,7 +74,6 @@ impl<'a> MpcEngine<'a> {
             ep,
             dealer,
             cfg,
-            counters: OpCounters::default(),
             rng,
             cmp_bits: CompareBits::default(),
             in_comparison: false,
@@ -212,29 +105,6 @@ impl<'a> MpcEngine<'a> {
         k.clamp(2, self.cfg.int_bits)
     }
 
-    /// Snapshot the comparison-pipeline telemetry.
-    pub fn comparison_snapshot(&self) -> ComparisonCounters {
-        let c = &self.counters;
-        let widths: Vec<(u32, u64)> = c
-            .cmp_widths
-            .iter()
-            .enumerate()
-            .filter_map(|(k, v)| {
-                let n = v.load(Ordering::Relaxed);
-                (n > 0).then_some((k as u32, n))
-            })
-            .collect();
-        ComparisonCounters {
-            count: c.comparisons.load(Ordering::Relaxed),
-            online_rounds: c.cmp_rounds.load(Ordering::Relaxed),
-            opened_elements: c.cmp_opened.load(Ordering::Relaxed),
-            beaver_triples: c.cmp_triples.load(Ordering::Relaxed),
-            masked_bit_rows: c.cmp_masked_rows.load(Ordering::Relaxed),
-            masked_bits: c.cmp_masked_bits.load(Ordering::Relaxed),
-            widths,
-        }
-    }
-
     /// Enter a comparison scope; returns the previous flag for nesting.
     pub(crate) fn enter_comparison(&mut self) -> bool {
         std::mem::replace(&mut self.in_comparison, true)
@@ -244,15 +114,29 @@ impl<'a> MpcEngine<'a> {
         self.in_comparison = prev;
     }
 
-    pub(crate) fn bump_cmp_masked(&self, rows: u64, t: u32) {
-        OpCounters::bump(&self.counters.cmp_masked_rows, rows);
-        OpCounters::bump(&self.counters.cmp_masked_bits, rows * t as u64);
+    /// Record one round: the party's counter and the fault plan's round
+    /// trigger.
+    fn note_round(&self) {
+        self.count(Counter::Rounds, 1);
+        self.ep.note_round();
     }
 
-    pub(crate) fn bump_cmp_width(&self, k: u32, n: u64) {
-        if let Some(slot) = self.counters.cmp_widths.get(k as usize) {
-            OpCounters::bump(slot, n);
-        }
+    /// Add to one of the party's counters.
+    pub(crate) fn count(&self, counter: Counter, n: u64) {
+        self.ep.counters().add(counter, n);
+    }
+
+    /// Record `n` comparisons of effective width `k`.
+    pub(crate) fn count_comparisons(&self, k: u32, n: u64) {
+        self.count(Counter::SecureComparisons, n);
+        self.ep
+            .counters()
+            .add_cell(Counter::CmpWidths, k as usize, n);
+    }
+
+    pub(crate) fn count_masked_rows(&self, rows: u64, t: u32) {
+        self.count(Counter::CmpMaskedRows, rows);
+        self.count(Counter::CmpMaskedBits, rows * t as u64);
     }
 
     /// This party's id.
@@ -276,9 +160,15 @@ impl<'a> MpcEngine<'a> {
         &mut self.dealer
     }
 
-    /// Operation counters.
-    pub fn counters(&self) -> &OpCounters {
-        &self.counters
+    /// Kept for `benchmark/src/micro.rs` (`eng.counters().snapshot()`);
+    /// deleted by the next `benchmark` PR, which reads the registry.
+    pub fn counters(&self) -> &Self {
+        self
+    }
+
+    /// `(rounds,)` from the party's registry. See [`MpcEngine::counters`].
+    pub fn snapshot(&self) -> (u64,) {
+        (self.ep.counters().get(Counter::Rounds),)
     }
 
     /// Share of a public constant (no communication).
@@ -324,9 +214,7 @@ impl<'a> MpcEngine<'a> {
             assert!(values.is_none(), "non-owner must not supply inputs");
             self.ep.recv(owner)
         };
-        OpCounters::bump(&self.counters.rounds, 1);
-        pivot_trace::add_rounds(1);
-        self.ep.note_round();
+        self.note_round();
         my_shares.into_iter().map(Share).collect()
     }
 
@@ -335,13 +223,10 @@ impl<'a> MpcEngine<'a> {
         let _span = pivot_trace::span("open");
         let mine: Vec<Fp> = shares.iter().map(|s| s.0).collect();
         let all = self.ep.exchange_all(&mine);
-        OpCounters::bump(&self.counters.rounds, 1);
-        pivot_trace::add_rounds(1);
-        self.ep.note_round();
-        OpCounters::bump(&self.counters.openings, shares.len() as u64);
+        self.note_round();
         if self.in_comparison {
-            OpCounters::bump(&self.counters.cmp_rounds, 1);
-            OpCounters::bump(&self.counters.cmp_opened, shares.len() as u64);
+            self.count(Counter::CmpRounds, 1);
+            self.count(Counter::CmpOpened, shares.len() as u64);
         }
         let mut out = vec![Fp::ZERO; shares.len()];
         for party_vec in &all {
@@ -411,7 +296,7 @@ impl<'a> MpcEngine<'a> {
         }
         let triples = self.dealer.triples(n);
         if self.in_comparison {
-            OpCounters::bump(&self.counters.cmp_triples, n as u64);
+            self.count(Counter::CmpTriples, n as u64);
         }
         // e = a - ta, f = b - tb, opened together in one round.
         let mut masked = Vec::with_capacity(2 * n);
@@ -422,7 +307,7 @@ impl<'a> MpcEngine<'a> {
             masked.push(b[i] - Share(triples[i].b));
         }
         let opened = self.open_vec(&masked);
-        OpCounters::bump(&self.counters.multiplications, n as u64);
+        self.count(Counter::SecureMults, n as u64);
         let party = self.party();
         (0..n)
             .map(|i| {
@@ -489,62 +374,5 @@ impl<'a> MpcEngine<'a> {
         let enc = self.cfg.encode(c);
         let scaled: Vec<Share> = a.iter().map(|&x| x.scale(enc)).collect();
         self.trunc_vec(&scaled, self.cfg.frac_bits)
-    }
-
-    pub(crate) fn bump_comparisons(&self, n: u64) {
-        OpCounters::bump(&self.counters.comparisons, n);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample() -> ComparisonCounters {
-        ComparisonCounters {
-            count: 10,
-            online_rounds: 4,
-            opened_elements: 30,
-            beaver_triples: 12,
-            masked_bit_rows: 8,
-            masked_bits: 64,
-            widths: vec![(5, 3), (61, 7)],
-        }
-    }
-
-    #[test]
-    fn merge_is_field_wise_with_default_side_in_both_orders() {
-        // A default-initialized side (mixed-version reports missing the
-        // newer counter group) must contribute zeros, not wipe groups.
-        let mut a = sample();
-        a.merge(&ComparisonCounters::default());
-        assert_eq!(a, sample());
-
-        let mut b = ComparisonCounters::default();
-        b.merge(&sample());
-        assert_eq!(b, sample());
-    }
-
-    #[test]
-    fn merge_adds_scalars_and_unions_width_histograms() {
-        let mut a = sample();
-        let other = ComparisonCounters {
-            count: 1,
-            online_rounds: 2,
-            opened_elements: 3,
-            beaver_triples: 4,
-            masked_bit_rows: 5,
-            masked_bits: 6,
-            widths: vec![(4, 1), (5, 2)],
-        };
-        a.merge(&other);
-        assert_eq!(a.count, 11);
-        assert_eq!(a.online_rounds, 6);
-        assert_eq!(a.opened_elements, 33);
-        assert_eq!(a.beaver_triples, 16);
-        assert_eq!(a.masked_bit_rows, 13);
-        assert_eq!(a.masked_bits, 70);
-        // Histogram merged by width key, sorted ascending.
-        assert_eq!(a.widths, vec![(4, 1), (5, 5), (61, 7)]);
     }
 }

@@ -28,7 +28,7 @@ mod fixed;
 mod share;
 
 pub use dealer::DealerClient;
-pub use engine::{width_for_magnitude, CompareBits, ComparisonCounters, MpcEngine, OpCounters};
+pub use engine::{width_for_magnitude, CompareBits, MpcEngine};
 pub use field::{Fp, MODULUS};
 pub use fixed::FixedConfig;
 pub use share::{add_vec, scale_vec, sub_vec, sum_shares, Share};

@@ -3,7 +3,8 @@
 //! shared-mask LTZ, and the round/byte accounting of narrow vs full-width
 //! (`Floor(int_bits)`) comparisons.
 
-use pivot_mpc::{dp, CompareBits, ComparisonCounters, FixedConfig, Fp, MpcEngine, Share};
+use pivot_mpc::{dp, CompareBits, FixedConfig, Fp, MpcEngine, Share};
+use pivot_trace::{Counter, Snapshot};
 use pivot_transport::run_parties;
 use proptest::prelude::*;
 
@@ -20,6 +21,26 @@ fn mpc_mode<T: Send>(
         engine.configure_comparisons(mode, 0);
         f(&mut engine)
     })
+}
+
+/// This party's counter registry, read through the engine's endpoint.
+fn counters(e: &MpcEngine<'_>) -> Snapshot {
+    e.endpoint().counters().snapshot()
+}
+
+/// Rounds this party has run so far.
+fn rounds_so_far(e: &MpcEngine<'_>) -> u64 {
+    e.endpoint().counters().get(Counter::Rounds)
+}
+
+/// The non-zero cells of the comparison-width histogram, as
+/// `(width, comparisons)`.
+fn widths(s: &Snapshot) -> Vec<(u32, u64)> {
+    (0u32..)
+        .zip(s.cells(Counter::CmpWidths))
+        .filter(|&(_, &n)| n > 0)
+        .map(|(k, &n)| (k, n))
+        .collect()
 }
 
 /// Every comparison at the global `int_bits`: the widest the policy goes.
@@ -104,7 +125,7 @@ fn ltz_pair_shares_one_mask_per_element() {
         let (neg, pos) = e.ltz_pair_vec(&shares, 5);
         let opened_neg = e.open_vec(&neg);
         let opened_pos = e.open_vec(&pos);
-        let snap = e.comparison_snapshot();
+        let snap = counters(e);
         (
             opened_neg.iter().map(|v| v.value()).collect::<Vec<_>>(),
             opened_pos.iter().map(|v| v.value()).collect::<Vec<_>>(),
@@ -121,8 +142,8 @@ fn ltz_pair_shares_one_mask_per_element() {
             vals.iter().map(|&v| u64::from(v > 0)).collect::<Vec<_>>()
         );
         // 2n comparison results, but only n masked rows were consumed.
-        assert_eq!(snap.count, 2 * vals.len() as u64);
-        assert_eq!(snap.masked_bit_rows, vals.len() as u64);
+        assert_eq!(snap[Counter::SecureComparisons], 2 * vals.len() as u64);
+        assert_eq!(snap[Counter::CmpMaskedRows], vals.len() as u64);
     }
 }
 
@@ -133,7 +154,7 @@ fn onehot_matches_plaintext_and_halves_masked_rows() {
         let idx = e.constant(Fp::new(4));
         let hot = e.onehot_many(&[(idx, domain)]).remove(0);
         let opened: Vec<u64> = e.open_vec(&hot).iter().map(|v| v.value()).collect();
-        (opened, e.comparison_snapshot())
+        (opened, counters(e))
     })
     .remove(0);
     let mut want = vec![0u64; domain];
@@ -141,8 +162,8 @@ fn onehot_matches_plaintext_and_halves_masked_rows() {
     assert_eq!(opened, want);
     // 2·domain comparisons (both sides of every idx − j) on half as many
     // masked rows: each pair shares one.
-    assert_eq!(snap.count, 2 * domain as u64);
-    assert_eq!(snap.masked_bit_rows, domain as u64);
+    assert_eq!(snap[Counter::SecureComparisons], 2 * domain as u64);
+    assert_eq!(snap[Counter::CmpMaskedRows], domain as u64);
 }
 
 #[test]
@@ -226,7 +247,7 @@ fn argmax_many_shares_rounds_across_rows() {
                 .iter()
                 .map(|row| row.iter().map(|&v| e.constant(Fp::from_i64(v))).collect())
                 .collect();
-            let before = e.counters().snapshot().0;
+            let before = rounds_so_far(e);
             if lockstep {
                 let _ = e.argmax_many_bounded(&shares, 9);
             } else {
@@ -234,7 +255,7 @@ fn argmax_many_shares_rounds_across_rows() {
                     let _ = e.argmax_bounded(row, 9);
                 }
             }
-            e.counters().snapshot().0 - before
+            rounds_so_far(e) - before
         })
         .remove(0)
     };
@@ -252,12 +273,12 @@ fn deferred_opens_settle_in_one_round() {
     let results = mpc_mode(2, CompareBits::Auto, |e| {
         let a = [e.constant(Fp::from_i64(-3)), e.constant(Fp::new(11))];
         let b = [e.constant(Fp::new(42))];
-        let before = e.counters().snapshot().0;
+        let before = rounds_so_far(e);
         let t_a = e.open_deferred(&a);
         let t_b = e.open_deferred(&b);
         assert_eq!(e.deferred_pending(), 2);
         let opened = e.resolve();
-        let rounds = e.counters().snapshot().0 - before;
+        let rounds = rounds_so_far(e) - before;
         assert_eq!(e.deferred_pending(), 0);
         assert!(e.resolve().is_empty(), "second resolve is a no-op");
         (
@@ -307,34 +328,37 @@ fn recip_vec_int_matches_fixed_point_path() {
 #[test]
 fn bounded_widths_cut_opened_elements_and_rounds() {
     let vals: Vec<i64> = (0..64).map(|i| (i % 13) - 6).collect();
-    let measure = |mode| -> ComparisonCounters {
+    let measure = |mode| -> Snapshot {
         mpc_mode(2, mode, |e| {
             let shares: Vec<Share> = vals.iter().map(|&v| e.constant(Fp::from_i64(v))).collect();
             let _ = e.ltz_vec_bounded(&shares, 6);
-            e.comparison_snapshot()
+            counters(e)
         })
         .remove(0)
     };
     let full = measure(full_width());
     let auto = measure(CompareBits::Auto);
-    assert_eq!(full.count, auto.count);
-    assert!(
-        full.opened_elements >= 2 * auto.opened_elements,
-        "opened: full {} vs auto {}",
-        full.opened_elements,
-        auto.opened_elements
+    assert_eq!(
+        full[Counter::SecureComparisons],
+        auto[Counter::SecureComparisons]
     );
-    assert_eq!(full.online_rounds, 6);
-    assert_eq!(auto.online_rounds, 3);
     assert!(
-        full.masked_bits >= 4 * auto.masked_bits,
+        full[Counter::CmpOpened] >= 2 * auto[Counter::CmpOpened],
+        "opened: full {} vs auto {}",
+        full[Counter::CmpOpened],
+        auto[Counter::CmpOpened]
+    );
+    assert_eq!(full[Counter::CmpRounds], 6);
+    assert_eq!(auto[Counter::CmpRounds], 3);
+    assert!(
+        full[Counter::CmpMaskedBits] >= 4 * auto[Counter::CmpMaskedBits],
         "masked bits: full {} vs auto {}",
-        full.masked_bits,
-        auto.masked_bits
+        full[Counter::CmpMaskedBits],
+        auto[Counter::CmpMaskedBits]
     );
     // The width histogram records the effective widths.
-    assert_eq!(full.widths, vec![(45, vals.len() as u64)]);
-    assert_eq!(auto.widths, vec![(6, vals.len() as u64)]);
+    assert_eq!(widths(&full), vec![(45, vals.len() as u64)]);
+    assert_eq!(widths(&auto), vec![(6, vals.len() as u64)]);
 }
 
 #[test]
@@ -344,7 +368,7 @@ fn floor_policy_raises_narrow_widths_only() {
         let b = e.constant(Fp::from_i64(900));
         let _ = e.ltz_vec_bounded(&[a], 4); // floored up to 12
         let _ = e.ltz_vec_bounded(&[b], 20); // stays 20
-        e.comparison_snapshot().widths
+        widths(&counters(e))
     });
     assert_eq!(results[0], vec![(12, 1), (20, 1)]);
 }
@@ -397,11 +421,9 @@ fn rounds(k: u32) -> u64 {
 }
 
 /// `(online_rounds, beaver_triples)` spent between two snapshots.
-fn spent(before: &ComparisonCounters, after: &ComparisonCounters) -> (u64, u64) {
-    (
-        after.online_rounds - before.online_rounds,
-        after.beaver_triples - before.beaver_triples,
-    )
+fn spent(before: &Snapshot, after: &Snapshot) -> (u64, u64) {
+    let d = after - before;
+    (d[Counter::CmpRounds], d[Counter::CmpTriples])
 }
 
 /// Runs `vals` (all `|v| < 2^(k−1)`) through `ltz_vec_bounded`,
@@ -416,9 +438,9 @@ fn check_comparisons(k: u32, vals: &[i64]) {
             .map(|&v| e.constant(Fp::from_i64(v + (1 << (k - 1)))))
             .collect();
         let mut costs = Vec::new();
-        let mut snap = e.comparison_snapshot();
+        let mut snap = counters(e);
         let mut cost = |e: &MpcEngine<'_>| {
-            let now = e.comparison_snapshot();
+            let now = counters(e);
             costs.push(spent(&snap, &now));
             snap = now;
         };
@@ -490,16 +512,16 @@ fn recip_vec_int_is_within_two_ulp_at_exact_cost() {
         let n = top + 1;
         let (flags, recips, rounds_spent, triples) = mpc_mode(3, CompareBits::Auto, |e| {
             let d: Vec<Share> = (0..=top).map(|v| e.constant(Fp::new(v))).collect();
-            let (before_rounds, before_mults, ..) = e.counters().snapshot();
+            let before = counters(e);
             let (r, z) = e.recip_vec_int_with_zeros(&d, top as f64);
-            let (after_rounds, after_mults, ..) = e.counters().snapshot();
+            let spent = &counters(e) - &before;
             let flags: Vec<u64> = e.open_vec(&z).iter().map(|v| v.value()).collect();
             let recips: Vec<i64> = e.open_vec(&r).iter().map(|v| v.to_i64()).collect();
             (
                 flags,
                 recips,
-                after_rounds - before_rounds,
-                after_mults - before_mults,
+                spent[Counter::Rounds],
+                spent[Counter::SecureMults],
             )
         })
         .remove(0);

@@ -1,16 +1,23 @@
-//! Span-based protocol tracing with round/byte attribution.
+//! Span-based protocol tracing with round/byte attribution, and the
+//! per-party counter registry it attributes from.
 //!
-//! The protocol layers (`pivot-transport`, `pivot-mpc`, the worker pool,
-//! the trainers) call into this crate at well-known points; when tracing is
-//! off — the default — every hook is a single relaxed atomic load and an
-//! early return, with no allocation and no timestamp taken, so the traced
-//! build's `trace = "off"` transcript is bit-identical to a build without
-//! the hooks. When a collector is installed on a party thread, spans form
-//! a per-thread stack and every send/recv/wait/round is attributed to the
-//! *innermost* open span, so each span accrues its own exclusive
-//! sub-totals. An implicit root span (phase `"other"`) catches everything
-//! outside a named phase, which is what makes the per-phase column sums
-//! equal the run's `NetStats`/`OpCounters` totals exactly.
+//! Every count a party keeps lives in one registry ([`Counters`], one row
+//! per [`Counter`] in [`ROWS`]): the transport, the MPC engine, the
+//! protocol context and the checkpoint sink record into it, and reports
+//! render it by walking the table.
+//!
+//! Tracing reads that registry and keeps no tally of its own. When a
+//! collector is installed on a party thread ([`install`], handed the
+//! party's registry), spans form a per-thread stack; each span snapshots
+//! the attributed rows (bytes sent and received, MPC rounds, receive
+//! wait) when it opens and closes, and keeps the difference less what
+//! its child spans took. So every count is attributed to the *innermost*
+//! open span, each span holds its own exclusive sub-totals, and an
+//! implicit root span (phase `"other"`) takes everything outside a named
+//! phase: the per-phase column sums equal the registry's totals over the
+//! traced run by construction. When tracing is off — the default — a
+//! span is one relaxed atomic load and an early return, with no registry
+//! read, allocation or timestamp.
 //!
 //! Two sinks exist:
 //!
@@ -25,9 +32,13 @@
 //! Prometheus-style text snapshot ([`prometheus_snapshot`]), and the
 //! per-phase aggregate table ([`phase_table`]) the reports embed.
 
+mod counters;
+
+pub use counters::{Counter, Counters, Row, Snapshot, Unit, ROWS, WIDTH_CELLS};
+
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// How much the collector records.
@@ -167,21 +178,35 @@ pub fn now_ns() -> u64 {
     epoch().elapsed().as_nanos() as u64
 }
 
+/// The registry rows spans attribute, in [`SpanRecord`] column order:
+/// bytes sent, bytes received, receive wait, rounds.
+const ATTRIBUTED: [Counter; 4] = [
+    Counter::BytesSent,
+    Counter::BytesReceived,
+    Counter::RecvWaitNs,
+    Counter::Rounds,
+];
+
+fn read_attributed(counters: &Counters) -> [u64; 4] {
+    ATTRIBUTED.map(|c| counters.get(c))
+}
+
 struct OpenSpan {
     name: String,
     phase: &'static str,
     depth: usize,
     is_phase_root: bool,
     start_ns: u64,
-    sent_bytes: u64,
-    recv_bytes: u64,
-    wait_ns: u64,
-    rounds: u64,
+    /// The attributed rows when the span opened.
+    opened: [u64; 4],
+    /// What closed child spans took, inclusive of their own children.
+    children: [u64; 4],
 }
 
 struct Collector {
     party: usize,
     level: TraceLevel,
+    counters: Arc<Counters>,
     stack: Vec<OpenSpan>,
     done: Vec<SpanRecord>,
     gauges: Vec<GaugeSample>,
@@ -202,15 +227,22 @@ impl Collector {
             depth: self.stack.len(),
             is_phase_root: phase.is_some(),
             start_ns: now_ns(),
-            sent_bytes: 0,
-            recv_bytes: 0,
-            wait_ns: 0,
-            rounds: 0,
+            opened: read_attributed(&self.counters),
+            children: [0; 4],
         });
     }
 
     fn close(&mut self) {
         let s = self.stack.pop().expect("span close without open");
+        let now = read_attributed(&self.counters);
+        let inclusive: [u64; 4] = std::array::from_fn(|i| now[i] - s.opened[i]);
+        if let Some(parent) = self.stack.last_mut() {
+            for (taken, n) in parent.children.iter_mut().zip(inclusive) {
+                *taken += n;
+            }
+        }
+        let [sent_bytes, recv_bytes, wait_ns, rounds] =
+            std::array::from_fn(|i| inclusive[i] - s.children[i]);
         self.done.push(SpanRecord {
             name: s.name,
             phase: s.phase,
@@ -218,10 +250,10 @@ impl Collector {
             is_phase_root: s.is_phase_root,
             start_ns: s.start_ns,
             end_ns: now_ns(),
-            sent_bytes: s.sent_bytes,
-            recv_bytes: s.recv_bytes,
-            wait_ns: s.wait_ns,
-            rounds: s.rounds,
+            sent_bytes,
+            recv_bytes,
+            wait_ns,
+            rounds,
         });
     }
 }
@@ -241,10 +273,11 @@ pub fn current_phase() -> &'static str {
     PHASE_STACK.with(|s| s.borrow().last().copied().unwrap_or("other"))
 }
 
-/// Install a collector on the current (party) thread and open the
-/// implicit root span. A `TraceLevel::Off` install is a no-op; any
-/// previously installed collector on this thread is discarded.
-pub fn install(party: usize, level: TraceLevel) {
+/// Install a collector on the current (party) thread, attributing from
+/// the party's registry `counters`, and open the implicit root span. A
+/// `TraceLevel::Off` install is a no-op; any previously installed
+/// collector on this thread is discarded.
+pub fn install(party: usize, level: TraceLevel, counters: &Arc<Counters>) {
     if level.is_off() {
         COLLECTOR.with(|c| c.borrow_mut().take());
         return;
@@ -252,6 +285,7 @@ pub fn install(party: usize, level: TraceLevel) {
     let mut col = Collector {
         party,
         level,
+        counters: Arc::clone(counters),
         stack: Vec::with_capacity(8),
         done: Vec::new(),
         gauges: Vec::new(),
@@ -377,46 +411,8 @@ pub fn span_fn(name: impl FnOnce() -> String) -> SpanGuard {
 }
 
 // ---------------------------------------------------------------------------
-// Attribution + gauges
+// Gauges
 // ---------------------------------------------------------------------------
-
-macro_rules! accrue {
-    ($fn_name:ident, $field:ident, $doc:literal) => {
-        #[doc = $doc]
-        #[inline]
-        pub fn $fn_name(n: u64) {
-            if !enabled() {
-                return;
-            }
-            with_collector(|col| {
-                if let Some(top) = col.stack.last_mut() {
-                    top.$field += n;
-                }
-            });
-        }
-    };
-}
-
-accrue!(
-    add_sent,
-    sent_bytes,
-    "Attribute sent bytes to the innermost open span."
-);
-accrue!(
-    add_recv,
-    recv_bytes,
-    "Attribute received bytes to the innermost open span."
-);
-accrue!(
-    add_wait_ns,
-    wait_ns,
-    "Attribute blocking-receive wall time to the innermost open span."
-);
-accrue!(
-    add_rounds,
-    rounds,
-    "Attribute MPC communication rounds to the innermost open span."
-);
 
 /// Record a gauge sample on the current party thread's track. No-op
 /// without an installed collector.
@@ -521,8 +517,8 @@ pub struct PhaseRow {
 
 /// Aggregate a party trace into the per-phase table, ordered as
 /// [`PHASES`] (phases with no activity are omitted). The counter columns
-/// sum exclusive span counters, so their totals equal the run's
-/// `NetStats`/`OpCounters` totals exactly.
+/// sum exclusive span counters, so their totals equal the registry's
+/// totals over the traced run exactly.
 pub fn phase_table(trace: &PartyTrace) -> Vec<PhaseRow> {
     phase_table_of(&trace.spans)
 }
@@ -845,11 +841,19 @@ mod tests {
         std::thread::scope(|s| s.spawn(f).join().expect("test thread"))
     }
 
+    /// A fresh registry with a collector attributing from it installed
+    /// on this thread.
+    fn installed(party: usize, level: TraceLevel) -> Arc<Counters> {
+        let c = Counters::new();
+        install(party, level, &c);
+        c
+    }
+
     #[test]
     fn off_level_records_nothing() {
         on_thread(|| {
-            install(3, TraceLevel::Off);
-            add_sent(100);
+            let c = installed(3, TraceLevel::Off);
+            c.add(Counter::BytesSent, 100);
             let _g = phase_span("setup");
             assert!(finish().is_none());
         });
@@ -858,18 +862,18 @@ mod tests {
     #[test]
     fn attribution_goes_to_innermost_span() {
         let trace = on_thread(|| {
-            install(0, TraceLevel::Full);
-            add_sent(5); // root
+            let c = installed(0, TraceLevel::Full);
+            c.add(Counter::BytesSent, 5); // root
             {
                 let _p = phase_span("stats");
-                add_sent(10);
+                c.add(Counter::BytesSent, 10);
                 {
                     let _f = span("inner");
-                    add_sent(1);
-                    add_recv(2);
-                    add_rounds(1);
+                    c.add(Counter::BytesSent, 1);
+                    c.add(Counter::BytesReceived, 2);
+                    c.add(Counter::Rounds, 1);
                 }
-                add_wait_ns(7);
+                c.add(Counter::RecvWaitNs, 7);
             }
             finish().expect("collector installed")
         });
@@ -896,12 +900,12 @@ mod tests {
     #[test]
     fn phases_level_skips_fine_spans() {
         let trace = on_thread(|| {
-            install(1, TraceLevel::Phases);
+            let c = installed(1, TraceLevel::Phases);
             {
                 let _p = phase_span("gain");
                 let _f = span("fine");
                 let _d = span_fn(|| "dyn".into());
-                add_rounds(2);
+                c.add(Counter::Rounds, 2);
             }
             finish().unwrap()
         });
@@ -913,22 +917,22 @@ mod tests {
     #[test]
     fn phase_table_sums_match_totals_and_other_catches_root() {
         let trace = on_thread(|| {
-            install(0, TraceLevel::Phases);
-            add_sent(3); // outside every phase -> "other"
+            let c = installed(0, TraceLevel::Phases);
+            c.add(Counter::BytesSent, 3); // outside every phase -> "other"
             {
                 let _p = phase_span("stats");
-                add_sent(10);
-                add_recv(20);
-                add_rounds(2);
+                c.add(Counter::BytesSent, 10);
+                c.add(Counter::BytesReceived, 20);
+                c.add(Counter::Rounds, 2);
             }
             {
                 let _p = phase_span("stats");
-                add_sent(1);
+                c.add(Counter::BytesSent, 1);
             }
             {
                 let _p = phase_span("gain");
-                add_rounds(5);
-                add_wait_ns(9);
+                c.add(Counter::Rounds, 5);
+                c.add(Counter::RecvWaitNs, 9);
             }
             finish().unwrap()
         });
@@ -956,11 +960,11 @@ mod tests {
     #[test]
     fn chrome_export_is_balanced_and_monotonic() {
         let trace = on_thread(|| {
-            install(2, TraceLevel::Full);
+            let c = installed(2, TraceLevel::Full);
             {
                 let _p = phase_span("conversion");
                 let _f = span("open");
-                add_sent(8);
+                c.add(Counter::BytesSent, 8);
             }
             gauge("sample_gauge", 0.5);
             finish().unwrap()
@@ -993,7 +997,7 @@ mod tests {
     #[test]
     fn runtime_sink_collects_and_drains() {
         on_thread(|| {
-            install(0, TraceLevel::Phases);
+            let _c = installed(0, TraceLevel::Phases);
             {
                 let _s = runtime_span("reconnect");
                 runtime_gauge("queue_depth", 4.0);
@@ -1014,11 +1018,11 @@ mod tests {
     #[test]
     fn prometheus_snapshot_lists_phases_and_gauges() {
         let trace = on_thread(|| {
-            install(1, TraceLevel::Phases);
+            let c = installed(1, TraceLevel::Phases);
             {
                 let _p = phase_span("update");
-                add_sent(100);
-                add_rounds(3);
+                c.add(Counter::BytesSent, 100);
+                c.add(Counter::Rounds, 3);
             }
             gauge("sample_gauge", 0.25);
             gauge("sample_gauge", 0.75);

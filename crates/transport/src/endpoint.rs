@@ -2,7 +2,8 @@
 //!
 //! [`Endpoint`] implements every collective the protocols use — `send`,
 //! `recv`, `broadcast`, `exchange_all`, `gather`, `scatter`,
-//! `broadcast_from` — plus [`NetStats`] accounting and LAN simulation,
+//! `broadcast_from` — plus traffic accounting into the party's
+//! [`Counters`] registry and LAN simulation,
 //! over a vector of boxed [`Link`]s. Which backend the links use
 //! (in-process channels, TCP sockets) is invisible above this layer, so
 //! byte counts and protocol behaviour are identical across deployments.
@@ -21,8 +22,8 @@ use crate::error::{
 };
 use crate::fault::FaultInjector;
 use crate::link::{ChannelLink, Link, LinkError};
-use crate::stats::NetStats;
 use crate::wire::{decode_envelope, encode_envelope, Wire};
+use pivot_trace::{Counter, Counters};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -32,8 +33,8 @@ pub struct Network {
     endpoints: Vec<Endpoint>,
 }
 
-/// One party's connection to all peers: `m - 1` links plus traffic
-/// accounting and the per-endpoint [`NetConfig`].
+/// One party's connection to all peers: `m - 1` links, the party's
+/// counter registry and the per-endpoint [`NetConfig`].
 ///
 /// # Envelope framing
 ///
@@ -48,15 +49,18 @@ pub struct Network {
 ///    frames to all peers. Any cross-party wait chain passes through a
 ///    receive, so no dependency cycle can form on staged data.
 /// 2. **Exact member accounting.** Each staged message is counted in
-///    [`NetStats`] (and attributed to the *calling* trace span) at stage
-///    time; envelope framing is accounted separately as overhead bytes
-///    with no message count.
+///    the registry (and so attributed to the *calling* trace span) at
+///    stage time; envelope framing is accounted separately as overhead
+///    bytes with no message count.
 pub struct Endpoint {
     id: usize,
     m: usize,
     /// `links[j]` reaches party `j`; entry `id` is `None`.
     links: Vec<Option<Box<dyn Link>>>,
-    stats: Arc<NetStats>,
+    /// The party's counter registry: this endpoint's traffic, its
+    /// links' session health, and everything the protocol layers above
+    /// record.
+    counters: Arc<Counters>,
     net: NetConfig,
     /// Outbound staging buffers, one per peer (unused slot `id`).
     staged: Vec<Mutex<Vec<Vec<u8>>>>,
@@ -115,15 +119,15 @@ impl Endpoint {
                 }
             }
         }
-        let stats = NetStats::new();
+        let counters = Counters::new();
         for link in links.iter().flatten() {
-            link.attach_stats(&stats);
+            link.attach_stats(&counters);
         }
         Endpoint {
             id,
             m,
             links,
-            stats,
+            counters,
             net,
             staged: (0..m).map(|_| Mutex::new(Vec::new())).collect(),
             inbox: (0..m).map(|_| Mutex::new(VecDeque::new())).collect(),
@@ -147,7 +151,7 @@ impl Endpoint {
     pub fn note_round(&self) {
         if let Some(injector) = self.fault.get() {
             if let Some(reason) = injector.note_round() {
-                self.stats.record_fault_injected();
+                self.counters.add(Counter::FaultsInjected, 1);
                 TransportError::new(TransportErrorKind::InjectedCrash, self.id, reason).raise();
             }
         }
@@ -187,9 +191,20 @@ impl Endpoint {
         self.m
     }
 
-    /// Traffic counters for this endpoint.
-    pub fn stats(&self) -> &Arc<NetStats> {
-        &self.stats
+    /// The party's counter registry.
+    pub fn counters(&self) -> &Arc<Counters> {
+        &self.counters
+    }
+
+    /// Kept for `benchmark/src/micro.rs` (`ep.stats().bytes_sent()`);
+    /// deleted by the next `benchmark` PR, which reads the registry.
+    pub fn stats(&self) -> &Self {
+        self
+    }
+
+    /// See [`Endpoint::stats`].
+    pub fn bytes_sent(&self) -> u64 {
+        self.counters.get(Counter::BytesSent)
     }
 
     /// The network settings this endpoint operates under.
@@ -211,8 +226,8 @@ impl Endpoint {
     /// Push every staged frame onto its link, one envelope per peer.
     /// Called automatically before any blocking receive (rule 1 of the
     /// framing contract) and from `Drop`; call sites may also flush
-    /// explicitly at phase boundaries, e.g. before reading [`NetStats`]
-    /// snapshots.
+    /// explicitly at phase boundaries, e.g. before snapshotting the
+    /// registry.
     pub fn flush(&self) {
         self.flush_staged(false);
     }
@@ -228,8 +243,7 @@ impl Endpoint {
             }
             let frame = encode_envelope(&staged);
             let overhead = frame.len() - staged.iter().map(Vec::len).sum::<usize>();
-            self.stats.record_send_overhead(overhead);
-            pivot_trace::add_sent(overhead as u64);
+            self.counters.add(Counter::BytesSent, overhead as u64);
             // One latency charge for the whole envelope — this is the
             // round-trip the framing saves over per-message sends.
             self.net.charge_send(frame.len());
@@ -252,7 +266,7 @@ impl Endpoint {
         };
         let fault = injector.on_send(to, frame.len());
         if let Some(reason) = fault.crash {
-            self.stats.record_fault_injected();
+            self.counters.add(Counter::FaultsInjected, 1);
             // A party already unwinding (the flush in `Drop`) is failing
             // with its own error; a second panic would abort the process.
             // The crash withholds the frame instead.
@@ -262,32 +276,31 @@ impl Endpoint {
             TransportError::new(TransportErrorKind::InjectedCrash, self.id, reason).raise();
         }
         if let Some(delay) = fault.delay {
-            self.stats.record_fault_injected();
+            self.counters.add(Counter::FaultsInjected, 1);
             std::thread::sleep(delay);
         }
         if !fault.drop_link {
             return link.send_bytes(frame);
         }
-        self.stats.record_fault_injected();
+        self.counters.add(Counter::FaultsInjected, 1);
         if !link.send_severed(frame)? {
             // A link with no connection to sever delivered the frame:
             // record the reconnect and replay a real session would, and
             // the outage window it would spend redialing.
-            self.stats.record_reconnect();
-            self.stats.record_replayed_frames(1);
+            self.counters.add(Counter::Reconnects, 1);
+            self.counters.add(Counter::ReplayedFrames, 1);
             let _span = pivot_trace::phase_span("reconnect");
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
         Ok(())
     }
 
-    /// Account one encoded message and stage it for the next flush.
-    /// Stats and trace bytes are attributed here, so the message is
-    /// charged to the protocol span that produced it, not to the flush
-    /// site.
+    /// Account one encoded message and stage it for the next flush. The
+    /// bytes are counted here, so the message is charged to the protocol
+    /// span that produced it, not to the flush site.
     fn push(&self, to: usize, bytes: Vec<u8>) {
-        self.stats.record_send(bytes.len());
-        pivot_trace::add_sent(bytes.len() as u64);
+        self.counters.add(Counter::BytesSent, bytes.len() as u64);
+        self.counters.add(Counter::MessagesSent, 1);
         self.staged[to]
             .lock()
             .expect("staging poisoned")
@@ -300,9 +313,9 @@ impl Endpoint {
     }
 
     /// Receive the next member payload from `from`, demuxing envelopes.
-    /// The blocking wait (if any) is what trace `wait_ns` measures —
-    /// messages already demuxed into the inbox are free, which is exactly
-    /// the latency hiding envelopes buy.
+    /// The blocking wait (if any) is what [`Counter::RecvWaitNs`]
+    /// measures — messages already demuxed into the inbox are free, which
+    /// is exactly the latency hiding envelopes buy.
     fn recv_raw(&self, from: usize) -> Vec<u8> {
         // Never block while holding our own unsent messages: a peer may
         // need them before it can produce what we wait for.
@@ -315,9 +328,8 @@ impl Endpoint {
             Ok(bytes) => bytes,
             Err(e) => self.raise_link_error(from, Direction::Recv, e, start.elapsed()),
         };
-        if pivot_trace::enabled() {
-            pivot_trace::add_wait_ns(start.elapsed().as_nanos() as u64);
-        }
+        self.counters
+            .add_duration(Counter::RecvWaitNs, start.elapsed());
         let mut msgs = match decode_envelope(&bytes) {
             Ok(msgs) if !msgs.is_empty() => msgs,
             Ok(_) => self.raise_link_error(
@@ -334,8 +346,7 @@ impl Endpoint {
             ),
         };
         let overhead = bytes.len() - msgs.iter().map(Vec::len).sum::<usize>();
-        self.stats.record_recv_overhead(overhead);
-        pivot_trace::add_recv(overhead as u64);
+        self.counters.add(Counter::BytesReceived, overhead as u64);
         let first = msgs.remove(0);
         self.inbox[from]
             .lock()
@@ -351,8 +362,8 @@ impl Endpoint {
     /// boundary with [`crate::catch_transport`].
     pub fn recv<T: Wire>(&self, from: usize) -> T {
         let bytes = self.recv_raw(from);
-        self.stats.record_recv(bytes.len());
-        pivot_trace::add_recv(bytes.len() as u64);
+        self.counters
+            .add(Counter::BytesReceived, bytes.len() as u64);
         match T::from_wire(&bytes) {
             Ok(v) => v,
             Err(e) => self.raise_link_error(
@@ -639,10 +650,10 @@ mod tests {
         let results = run_parties(2, |ep| {
             if ep.id() == 0 {
                 ep.send(1, &vec![1u64, 2, 3]);
-                ep.stats().bytes_sent()
+                ep.counters().get(Counter::BytesSent)
             } else {
                 let _: Vec<u64> = ep.recv(0);
-                ep.stats().bytes_received()
+                ep.counters().get(Counter::BytesReceived)
             }
         });
         // 8 (length) + 3*8 (elements) = 32 bytes, staged on the send side;
@@ -819,18 +830,18 @@ mod tests {
                 ep.send(1, &1u64);
                 ep.send(1, &2u64);
                 ep.flush();
-                (ep.stats().bytes_sent(), ep.stats().messages_sent())
+                assert_eq!(ep.counters().get(Counter::MessagesSent), 2);
+                ep.counters().get(Counter::BytesSent)
             } else {
                 let x: u64 = ep.recv(0);
                 let y: u64 = ep.recv(0);
                 assert_eq!((x, y), (1, 2));
-                (ep.stats().bytes_received(), ep.stats().messages_received())
+                ep.counters().get(Counter::BytesReceived)
             }
         });
         // 2 member messages of 8 bytes + envelope header 8 + 2×8 len words.
         let expected_bytes = 16 + crate::wire::envelope_overhead(2) as u64;
-        assert_eq!(results[0], (expected_bytes, 2));
-        assert_eq!(results[1], (expected_bytes, 2));
+        assert_eq!(results, vec![expected_bytes; 2]);
     }
 
     #[test]

@@ -362,6 +362,7 @@ mod tests {
     use super::*;
     use crate::endpoint::try_run_parties_on;
     use crate::{Endpoint, NetConfig, Network, TransportErrorKind};
+    use pivot_trace::Counter;
 
     /// An in-process network whose endpoints carry `plan`.
     fn faulted(m: usize, net: NetConfig, plan: &FaultPlan) -> Vec<Endpoint> {
@@ -530,12 +531,12 @@ mod tests {
                     ep.send(1, &i);
                 }
                 let echoed: u64 = ep.recv(1);
-                let stats = ep.stats();
+                let c = ep.counters();
                 (
                     echoed,
-                    stats.faults_injected(),
-                    stats.reconnects(),
-                    stats.replayed_frames(),
+                    c.get(Counter::FaultsInjected),
+                    c.get(Counter::Reconnects),
+                    c.get(Counter::ReplayedFrames),
                 )
             } else {
                 let mut sum = 0u64;

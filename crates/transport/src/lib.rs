@@ -4,7 +4,8 @@
 //! cluster, wired together with `libscapi`. This crate reproduces that
 //! topology behind a backend-agnostic [`Endpoint`]: all collectives
 //! (send/recv/broadcast/gather/scatter/exchange), envelope framing,
-//! traffic accounting ([`NetStats`]), LAN simulation ([`NetConfig`]) and
+//! traffic accounting (into the party's `pivot_trace::Counters`
+//! registry, [`Endpoint::counters`]), LAN simulation ([`NetConfig`]) and
 //! `[faults]` injection ([`FaultInjector`]) are implemented once over
 //! byte-level [`Link`]s, with two shipped backends:
 //!
@@ -25,7 +26,6 @@ mod endpoint;
 mod error;
 pub mod fault;
 mod link;
-mod stats;
 pub mod tcp;
 pub mod wire;
 
@@ -40,5 +40,4 @@ pub use error::{
 };
 pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultSpec, FaultTrigger};
 pub use link::{ChannelLink, Link, LinkError};
-pub use stats::NetStats;
 pub use wire::{Wire, WireError};

@@ -10,8 +10,8 @@
 //! Shipped backends: [`ChannelLink`] (in-process, crossbeam channels) and
 //! [`crate::tcp::TcpLink`] (one socket per peer, length-prefixed frames).
 
-use crate::stats::NetStats;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use pivot_trace::Counters;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
@@ -84,13 +84,12 @@ pub trait Link: Send {
         self.send_bytes(bytes).map(|()| false)
     }
 
-    /// Hand the owning endpoint's traffic counters to the link, so
+    /// Hand the owning endpoint's counter registry to the link, so
     /// backends with internal machinery (reconnect sessions) can record
-    /// session-health events (`reconnects`, `replayed_frames`, …)
-    /// against the party's [`NetStats`]. Called once from
-    /// `Endpoint::from_links`; backends with nothing to report keep the
-    /// default no-op.
-    fn attach_stats(&self, _stats: &Arc<NetStats>) {}
+    /// session-health events (`reconnects`, `replayed_frames`, …) from
+    /// their own threads. Called once from `Endpoint::from_links`;
+    /// backends with nothing to report keep the default no-op.
+    fn attach_stats(&self, _counters: &Arc<Counters>) {}
 }
 
 /// In-process backend: a pair of unbounded channels per peer.

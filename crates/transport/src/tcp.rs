@@ -3,7 +3,7 @@
 //! This mirrors the paper's deployment (each Pivot client is a separate
 //! machine on a LAN) while staying protocol-compatible with the
 //! in-process backend: the bytes that cross a socket here are exactly the
-//! envelope frames the endpoint stages, so `NetStats` agree bit-for-bit
+//! envelope frames the endpoint stages, so byte counts agree bit-for-bit
 //! across backends — including across a mid-run reconnect, because
 //! replayed frames are transport-internal retransmissions, not new
 //! protocol traffic.
@@ -53,8 +53,8 @@
 use crate::config::NetConfig;
 use crate::endpoint::{join_parties, Endpoint};
 use crate::link::{Link, LinkError};
-use crate::stats::NetStats;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use pivot_trace::{Counter, Counters};
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
@@ -249,13 +249,14 @@ struct SessionShared {
     /// Interruptible sleep for redial backoff, so `Drop` never waits out
     /// a pending backoff.
     gate: IdleGate,
-    stats: OnceLock<Arc<NetStats>>,
+    /// The owning endpoint's registry ([`Link::attach_stats`]).
+    counters: OnceLock<Arc<Counters>>,
 }
 
 impl SessionShared {
-    fn with_stats(&self, f: impl FnOnce(&NetStats)) {
-        if let Some(stats) = self.stats.get() {
-            f(stats);
+    fn count(&self, counter: Counter, n: u64) {
+        if let Some(counters) = self.counters.get() {
+            counters.add(counter, n);
         }
     }
 
@@ -633,7 +634,7 @@ fn redial(shared: &Arc<SessionShared>) {
         match try_resume(shared, addr, deadline) {
             Ok(()) => return,
             Err(_) => {
-                shared.with_stats(|s| s.record_connect_retry());
+                shared.count(Counter::ConnectRetries, 1);
                 if Instant::now() >= deadline {
                     let err = if shared.net.rejoin_deadline.is_some() {
                         LinkError::PeerLost {
@@ -746,15 +747,11 @@ fn splice_session(
     st.broken = false;
     st.broken_since = None;
     st.last_heard = Instant::now();
-    shared.with_stats(|s| {
-        s.record_reconnect();
-        if restart {
-            s.record_rejoin();
-        }
-        if replayed > 0 {
-            s.record_replayed_frames(replayed);
-        }
-    });
+    shared.count(Counter::Reconnects, 1);
+    if restart {
+        shared.count(Counter::Rejoins, 1);
+    }
+    shared.count(Counter::ReplayedFrames, replayed);
     shared.cond.notify_all();
     Ok(())
 }
@@ -810,7 +807,7 @@ impl SessionLink {
             cond: Condvar::new(),
             write_lock: Mutex::new(()),
             gate: IdleGate::new(),
-            stats: OnceLock::new(),
+            counters: OnceLock::new(),
         });
         let (out_tx, out_rx) = unbounded::<OutJob>();
         let (in_tx, in_rx) = unbounded::<Vec<u8>>();
@@ -914,8 +911,11 @@ impl Link for SessionLink {
         // Poll in short chunks instead of one blocking wait: a broken
         // session with a rejoin budget must outlast `recv_timeout` while
         // the peer restarts, and the wait surfaces as a
-        // `waiting_for_rejoin` gauge so survivors are observable.
-        let deadline = Instant::now() + timeout;
+        // `waiting_for_rejoin` gauge so survivors are observable. A peer
+        // whose heartbeats keep arriving is computing, not wedged: with a
+        // heartbeat the wedge deadline runs from the later of the call
+        // and the last frame heard.
+        let called = Instant::now();
         let mut waiting_rejoin = false;
         loop {
             match self.in_rx.recv_timeout(READER_POLL.min(timeout)) {
@@ -929,12 +929,18 @@ impl Link for SessionLink {
                     if let Some(err) = self.shared.dead_reason() {
                         return Err(err);
                     }
-                    let rejoin_until = {
+                    let (rejoin_until, deadline) = {
                         let st = self.shared.state.lock().unwrap();
-                        match (st.broken, st.broken_since, self.shared.net.rejoin_deadline) {
-                            (true, Some(since), Some(budget)) => Some(since + budget),
-                            _ => None,
-                        }
+                        let rejoin_until =
+                            match (st.broken, st.broken_since, self.shared.net.rejoin_deadline) {
+                                (true, Some(since), Some(budget)) => Some(since + budget),
+                                _ => None,
+                            };
+                        let alive_at = match self.shared.net.heartbeat {
+                            Some(_) => called.max(st.last_heard),
+                            None => called,
+                        };
+                        (rejoin_until, alive_at + timeout)
                     };
                     if let Some(until) = rejoin_until {
                         if !waiting_rejoin {
@@ -962,8 +968,8 @@ impl Link for SessionLink {
         }
     }
 
-    fn attach_stats(&self, stats: &Arc<NetStats>) {
-        let _ = self.shared.stats.set(Arc::clone(stats));
+    fn attach_stats(&self, counters: &Arc<Counters>) {
+        let _ = self.shared.counters.set(Arc::clone(counters));
     }
 }
 
@@ -1275,15 +1281,11 @@ fn build_mesh(
     }
 
     let ep = Endpoint::from_links(id, links, net);
-    for _ in 0..dial_retries {
-        ep.stats().record_connect_retry();
-    }
+    ep.counters().add(Counter::ConnectRetries, dial_retries);
     if restart {
         // Each dialed splice is one session re-joined across the restart;
         // survivors count the mirror image in `splice_session`.
-        for _ in 0..m - 1 {
-            ep.stats().record_rejoin();
-        }
+        ep.counters().add(Counter::Rejoins, m as u64 - 1);
     }
     Ok(ep)
 }
@@ -1373,12 +1375,12 @@ mod tests {
                 ep.flush();
             }
             let sum: u64 = ep.recv(1);
-            let stats = ep.stats();
+            let c = ep.counters();
             (
                 sum,
-                stats.faults_injected(),
-                stats.reconnects(),
-                stats.replayed_frames(),
+                c.get(Counter::FaultsInjected),
+                c.get(Counter::Reconnects),
+                c.get(Counter::ReplayedFrames),
             )
         });
         let p1 = thread::spawn(move || {
@@ -1559,7 +1561,12 @@ mod tests {
             }
             all_sent.send(()).expect("party 1 waits for the signal");
             let echoed = catch_transport(|| ep.recv::<u64>(1));
-            (echoed, ep.stats().replayed_frames(), ep.stats().rejoins())
+            let c = ep.counters();
+            (
+                echoed,
+                c.get(Counter::ReplayedFrames),
+                c.get(Counter::Rejoins),
+            )
         });
         let p1 = thread::spawn(move || {
             let ep = connect_mesh(1, &peers[1], &peers, net.clone()).expect("party 1 mesh");
@@ -1571,7 +1578,7 @@ mod tests {
             let ep = connect_mesh_restart(1, &peers[1], &peers, net).expect("party 1 restart mesh");
             let sum: u64 = (0..frames).map(|_| ep.recv::<u64>(0)).sum();
             ep.send(0, &sum);
-            (sum, ep.stats().rejoins())
+            (sum, ep.counters().get(Counter::Rejoins))
         });
         let (echoed, replayed0, rejoins0) = p0.join().unwrap();
         let (sum1, rejoins1) = p1.join().unwrap();
@@ -1701,6 +1708,28 @@ mod tests {
             start.elapsed()
         );
         server.join().unwrap();
+    }
+
+    #[test]
+    fn heartbeating_peer_outlives_the_receive_timeout() {
+        // Party 1 computes for three receive timeouts before it sends;
+        // its heartbeats keep arriving, so party 0 is still delivered.
+        let net = NetConfig {
+            heartbeat: Some(Duration::from_millis(25)),
+            recv_timeout: Duration::from_millis(200),
+            ..NetConfig::default()
+        };
+        let results = run_parties_tcp(2, net, |ep| {
+            if ep.id() == 0 {
+                ep.recv::<u64>(1)
+            } else {
+                thread::sleep(Duration::from_millis(600));
+                ep.send(0, &7u64);
+                ep.flush();
+                7
+            }
+        });
+        assert_eq!(results, vec![7, 7]);
     }
 
     #[test]

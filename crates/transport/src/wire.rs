@@ -2,8 +2,7 @@
 //!
 //! Deliberately simple: little-endian fixed-width integers, `u64`
 //! length-prefixed sequences. Every protocol message implements [`Wire`];
-//! the encoded length is what [`crate::NetStats`] accounts as network
-//! traffic.
+//! the encoded length is what the endpoint counts as network traffic.
 
 use bytes::{Buf, BufMut};
 use pivot_bignum::BigUint;
@@ -201,8 +200,8 @@ impl Wire for BigUint {
 /// Envelopes are the endpoint's only framing: every link frame is one
 /// envelope holding the independent protocol messages staged for that
 /// peer since the last flush. Each member is one message's [`Wire`]
-/// encoding, so [`crate::NetStats`] accounts members and envelope
-/// overhead separately and the per-message byte totals do not depend on
+/// encoding, so the endpoint counts members and envelope overhead
+/// separately and the per-message byte totals do not depend on
 /// how messages were batched.
 pub fn encode_envelope(msgs: &[Vec<u8>]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(

@@ -1,6 +1,7 @@
 //! Loopback integration tests for the TCP backend: the same collectives
 //! the in-process tests exercise, plus cross-backend byte-count parity.
 
+use pivot_trace::Counter;
 use pivot_transport::tcp::run_parties_tcp;
 use pivot_transport::{run_parties_with, Endpoint, FaultInjector, FaultPlan, NetConfig};
 
@@ -47,7 +48,7 @@ fn tcp_collectives_match_in_process_semantics() {
 
 #[test]
 fn tcp_byte_counts_match_in_process_backend() {
-    // Same protocol, both backends: NetStats accounts payload bytes only
+    // Same protocol, both backends: the endpoint counts payload bytes only
     // (framing is transport-internal), so counts must agree bit-for-bit.
     let protocol = |ep: &pivot_transport::Endpoint| {
         let _ = ep.exchange_all(&vec![ep.id() as u64; 5]);
@@ -56,7 +57,8 @@ fn tcp_byte_counts_match_in_process_backend() {
         } else if ep.id() == 1 {
             let _: Vec<u8> = ep.recv(0);
         }
-        (ep.stats().bytes_sent(), ep.stats().bytes_received())
+        let c = ep.counters();
+        (c.get(Counter::BytesSent), c.get(Counter::BytesReceived))
     };
     let in_process = run_parties_with(3, NetConfig::default(), |ep| protocol(&ep));
     let over_tcp = run_parties_tcp(3, NetConfig::default(), |ep| protocol(&ep));
@@ -77,7 +79,7 @@ fn tcp_many_large_frames_both_directions() {
         let b: Vec<u64> = ep.recv(peer);
         assert_eq!(a, vec![peer as u64; 25_000]);
         assert_eq!(b, a);
-        ep.stats().bytes_received()
+        ep.counters().get(Counter::BytesReceived)
     });
     assert_eq!(results[0], results[1]);
 }
@@ -108,14 +110,14 @@ fn one_fault_plan_has_one_outcome_on_both_backends() {
                 all.iter().flatten().sum()
             })
             .collect();
-        let stats = ep.stats();
+        let c = ep.counters();
         (
             sums,
-            stats.bytes_sent(),
-            stats.bytes_received(),
-            stats.faults_injected(),
-            stats.reconnects(),
-            stats.replayed_frames(),
+            c.get(Counter::BytesSent),
+            c.get(Counter::BytesReceived),
+            c.get(Counter::FaultsInjected),
+            c.get(Counter::Reconnects),
+            c.get(Counter::ReplayedFrames),
         )
     };
     let in_process = run_parties_with(3, NetConfig::default(), protocol);

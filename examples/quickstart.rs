@@ -3,7 +3,7 @@
 //!
 //! Run: `cargo run --release --example quickstart`
 
-use pivot::core::{config::PivotParams, party::PartyContext, predict_basic, train_basic};
+use pivot::core::{config::PivotParams, party::PartyContext, predict_basic, train_basic, Counter};
 use pivot::data::{partition_vertically, synth};
 use pivot::transport::run_parties;
 use pivot::trees::TreeParams;
@@ -50,7 +50,16 @@ fn main() {
             .map(|i| test_view.features[i].clone())
             .collect();
         let predictions = predict_basic::predict_batch(&mut ctx, &tree, &local_samples);
-        (tree, predictions, ctx.metrics.summary())
+        let costs = ctx.counters.snapshot();
+        let summary = format!(
+            "Ce(enc)={} Ce(ops)={} Cd={} Cs={} Cc={}",
+            costs[Counter::Encryptions],
+            costs[Counter::CiphertextOps],
+            costs[Counter::ThresholdDecryptions],
+            costs[Counter::SecureMults],
+            costs[Counter::SecureComparisons],
+        );
+        (tree, predictions, summary)
     });
 
     let (tree, predictions, metrics) = &results[0];

@@ -42,7 +42,9 @@ fn all_reexports_resolve() {
     assert_eq!(p.protocol, pivot::core::Protocol::Basic);
     let enhanced = pivot::core::PivotParams::enhanced();
     assert_eq!(enhanced.protocol, pivot::core::Protocol::Enhanced);
-    let _metrics = pivot::core::ProtocolMetrics::new();
+    let counters = pivot::core::Counters::new();
+    counters.add(pivot::core::Counter::Encryptions, 2);
+    assert_eq!(counters.snapshot()[pivot::core::Counter::Encryptions], 2);
 
     // zkp (proof types are exercised end-to-end in tests/malicious_zkp.rs)
     let mut hasher = pivot::zkp::Sha256::new();
