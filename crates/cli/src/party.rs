@@ -23,7 +23,6 @@
 //! relaunching it with `--resume`.
 
 use crate::checkpoint::{load_latest, scenario_fingerprint, CheckpointError, CliCheckpointSink};
-use crate::json::Json;
 use crate::report;
 use crate::runner::{compute_metric, metric_name_for, prepare, run_party_protocol, Execution};
 use crate::scenario::Scenario;
@@ -180,7 +179,9 @@ pub fn run(args: &PartyArgs) -> Result<(), PartyError> {
     let start = Instant::now();
     // Write a structured error report in place of the result report and
     // return the typed failure.
-    let fail = |report: Json, err: PartyError| -> Result<(), PartyError> {
+    let fail = |err: PartyError| -> Result<(), PartyError> {
+        let wall_s = start.elapsed().as_secs_f64();
+        let report = report::party_failure_report(&scenario, args.id, &err, wall_s);
         std::fs::write(&out_path, report.to_pretty())
             .map_err(|e| format!("cannot write {}: {e}", out_path.display()))?;
         if !args.quiet {
@@ -217,12 +218,7 @@ pub fn run(args: &PartyArgs) -> Result<(), PartyError> {
                     );
                 }
             }
-            Err(err) => {
-                let wall_s = start.elapsed().as_secs_f64();
-                let report =
-                    report::party_checkpoint_error_report(&scenario, args.id, &err, wall_s);
-                return fail(report, PartyError::Checkpoint(Box::new(err)));
-            }
+            Err(err) => return fail(PartyError::Checkpoint(Box::new(err))),
         }
     }
 
@@ -249,7 +245,7 @@ pub fn run(args: &PartyArgs) -> Result<(), PartyError> {
             if let Some(injector) = injector {
                 ep.set_fault_injector(injector);
             }
-            catch_failures(|| {
+            let outcome = catch_failures(|| {
                 run_party_protocol(
                     &ep,
                     train_part.views[args.id].clone(),
@@ -260,7 +256,11 @@ pub fn run(args: &PartyArgs) -> Result<(), PartyError> {
                     false,
                     checkpoint,
                 )
-            })
+            })?;
+            // Peers still finishing must not take a finished party's
+            // exit for a break to redial.
+            ep.close();
+            Ok(outcome)
         });
     let wall_s = start.elapsed().as_secs_f64();
 
@@ -269,19 +269,12 @@ pub fn run(args: &PartyArgs) -> Result<(), PartyError> {
     // too, and a run that could not persist its checkpoints is not a
     // durable run. Either way the exit code is 13.
     if let Some(err) = checkpoint_handle.and_then(|h| h.take_error()) {
-        let report = report::party_checkpoint_error_report(&scenario, args.id, &err, wall_s);
-        return fail(report, PartyError::Checkpoint(Box::new(err)));
+        return fail(PartyError::Checkpoint(Box::new(err)));
     }
     let outcome = match result {
         Ok(outcome) => outcome,
-        Err(RunFailure::Transport(err)) => {
-            let report = report::party_error_report(&scenario, args.id, &err, wall_s);
-            return fail(report, PartyError::Transport(Box::new(err)));
-        }
-        Err(RunFailure::Protocol(err)) => {
-            let report = report::party_protocol_error_report(&scenario, args.id, &err, wall_s);
-            return fail(report, PartyError::Protocol(Box::new(err)));
-        }
+        Err(RunFailure::Transport(err)) => return fail(PartyError::Transport(Box::new(err))),
+        Err(RunFailure::Protocol(err)) => return fail(PartyError::Protocol(Box::new(err))),
     };
 
     // This process hosts exactly one party, so the process-global runtime

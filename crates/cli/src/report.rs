@@ -5,6 +5,7 @@
 //! comparable (`schema_version` bumps on any incompatible shape change).
 
 use crate::json::Json;
+use crate::party::PartyError;
 use crate::runner::{Execution, PartyOutcome};
 use crate::scenario::Scenario;
 use pivot_trace::{Counter, Row, Snapshot, Unit};
@@ -373,85 +374,47 @@ pub fn party_report(scenario: &Scenario, party: usize, exec: &Execution) -> Json
 }
 
 /// Failure report for `pivot party`: written in place of the normal
-/// report when the run dies on a transport failure, so a harness can
-/// read *what* failed (kind, peer, direction, protocol phase, elapsed
-/// wait) as data instead of scraping stderr. The scenario echo — which
-/// includes the effective `connect_timeout_s` — rides along as in every
-/// other report.
-pub fn party_error_report(
+/// report when the run fails, so a harness can read *what* failed as data
+/// instead of scraping stderr. A transport failure names its kind, peer,
+/// direction, protocol phase and elapsed wait; a rejected proof names the
+/// accused cheater (`accused`) apart from the party that observed it; a
+/// checkpoint failure (an unreadable, corrupt or mismatched checkpoint
+/// under `--resume`, or a durable write that failed mid-run) its detail.
+/// The scenario echo — which includes the effective `connect_timeout_s` —
+/// rides along as in every other report.
+pub fn party_failure_report(
     scenario: &Scenario,
     party: usize,
-    err: &pivot_transport::TransportError,
+    err: &PartyError,
     wall_s: f64,
 ) -> Json {
-    let mut error = Json::obj()
-        .with("kind", err.kind.as_str())
-        .with("party", err.party as u64)
-        .with("peer", err.peer.map(|p| p as u64))
-        .with("direction", err.direction.map(|d| d.as_str()))
-        .with("phase", err.phase.clone())
-        .with("elapsed_s", err.elapsed.as_secs_f64())
-        .with("detail", err.detail.clone())
-        .with("message", err.to_string());
-    // A resume gap names the first frame the retransmit ring could not
-    // replay, so a harness can see how far eviction outran the peer.
-    if let Some(seq) = err.missing_seq {
-        error.set("missing_seq", seq);
-    }
-    header("party", scenario)
-        .with("party", party)
-        .with("status", "failed")
-        .with("wall_total_s", wall_s)
-        .with("error", error)
-}
-
-/// Failure report for `pivot party` when the crash-recovery plane failed:
-/// an unreadable, corrupt, or mismatched checkpoint under `--resume`, or
-/// a durable write failure mid-run (exit code 13 either way).
-pub fn party_checkpoint_error_report(
-    scenario: &Scenario,
-    party: usize,
-    err: &crate::checkpoint::CheckpointError,
-    wall_s: f64,
-) -> Json {
-    header("party", scenario)
-        .with("party", party)
-        .with("status", "failed")
-        .with("wall_total_s", wall_s)
-        .with(
-            "error",
-            Json::obj()
-                .with("kind", "checkpoint")
-                .with("party", party as u64)
-                .with("detail", format!("{err:?}"))
-                .with("message", err.to_string()),
-        )
-}
-
-/// Failure report for `pivot party` when the run died on a *protocol*
-/// failure — a rejected zero-knowledge proof. Unlike a transport error
-/// it names the accused cheater (`accused`) separately from the party
-/// that observed the rejection, so a harness reads the attribution as
-/// data.
-pub fn party_protocol_error_report(
-    scenario: &Scenario,
-    party: usize,
-    err: &pivot_transport::ProtocolError,
-    wall_s: f64,
-) -> Json {
-    let pivot_transport::ProtocolError::ProofRejected {
-        party: accused,
-        observer,
-        phase,
-        proof_kind,
-        detail,
-    } = err;
-    header("party", scenario)
-        .with("party", party)
-        .with("status", "failed")
-        .with("wall_total_s", wall_s)
-        .with(
-            "error",
+    let error = match err {
+        PartyError::Transport(err) => {
+            let mut error = Json::obj()
+                .with("kind", err.kind.as_str())
+                .with("party", err.party as u64)
+                .with("peer", err.peer.map(|p| p as u64))
+                .with("direction", err.direction.map(|d| d.as_str()))
+                .with("phase", err.phase.clone())
+                .with("elapsed_s", err.elapsed.as_secs_f64())
+                .with("detail", err.detail.clone())
+                .with("message", err.to_string());
+            // A resume gap names the first frame the retransmit ring
+            // could not replay, so a harness can see how far eviction
+            // outran the peer.
+            if let Some(seq) = err.missing_seq {
+                error.set("missing_seq", seq);
+            }
+            error
+        }
+        PartyError::Protocol(err) => {
+            let pivot_transport::ProtocolError::ProofRejected {
+                party: accused,
+                observer,
+                phase,
+                proof_kind,
+                detail,
+            } = err.as_ref();
             Json::obj()
                 .with("kind", "proof_rejected")
                 .with("accused", *accused as u64)
@@ -459,8 +422,22 @@ pub fn party_protocol_error_report(
                 .with("phase", phase.clone())
                 .with("proof_kind", proof_kind.clone())
                 .with("detail", detail.clone())
-                .with("message", err.to_string()),
-        )
+                .with("message", err.to_string())
+        }
+        PartyError::Checkpoint(err) => Json::obj()
+            .with("kind", "checkpoint")
+            .with("party", party as u64)
+            .with("detail", format!("{err:?}"))
+            .with("message", err.to_string()),
+        PartyError::Usage(_) | PartyError::Child { .. } => {
+            Json::obj().with("message", err.to_string())
+        }
+    };
+    header("party", scenario)
+        .with("party", party)
+        .with("status", "failed")
+        .with("wall_total_s", wall_s)
+        .with("error", error)
 }
 
 /// Report for `pivot bench`: one entry per (axis value × algorithm).
@@ -745,7 +722,8 @@ mod tests {
             proof_kind: "pohdp".into(),
             detail: "commit index 3".into(),
         };
-        let report = party_protocol_error_report(&scenario(), 0, &err, 0.5);
+        let report =
+            party_failure_report(&scenario(), 0, &PartyError::Protocol(Box::new(err)), 0.5);
         let parsed = crate::json::Json::parse(&report.to_pretty()).unwrap();
         assert_eq!(parsed.get("status").unwrap().as_str(), Some("failed"));
         assert_eq!(

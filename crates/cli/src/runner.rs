@@ -13,7 +13,9 @@ use pivot_core::ensemble::{
 };
 use pivot_core::model::ConcealedTree;
 use pivot_core::party::PartyContext;
-use pivot_core::{predict_basic, predict_enhanced, train_basic, train_enhanced, Snapshot};
+use pivot_core::{
+    predict_basic, predict_enhanced, train_basic, train_enhanced, FixedConfig, Snapshot,
+};
 use pivot_data::{metrics, partition_vertically, Task, VerticalView};
 use pivot_transport::{try_run_parties_on, Endpoint, FaultInjector, Network};
 use pivot_trees::DecisionTree;
@@ -219,7 +221,7 @@ pub fn prepare(
     if algo == Algo::SpdzDt {
         for feature in 0..train_set.num_features() {
             let column = train_set.feature_column(feature);
-            spdz_dt::check_feature_range(feature, &column, &params.fixed)?;
+            spdz_dt::check_feature_range(feature, &column, &FixedConfig::default())?;
         }
     }
     Ok((train_set, test_set, params))

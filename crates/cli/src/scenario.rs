@@ -51,7 +51,7 @@ use crate::algo::{algo_params, parse_algo, Algo};
 use crate::json::Json;
 use crate::toml::{TomlDoc, TomlValue};
 use pivot_core::config::{LabelSource, Packing, PivotParams};
-use pivot_core::{AdversarySpec, CompareBits, TraceLevel, Verification};
+use pivot_core::{AdversarySpec, TraceLevel, Verification};
 use pivot_data::{synth, Dataset, Task};
 use pivot_transport::{NetConfig, MAX_RECV_TIMEOUT_SECS};
 use pivot_trees::TreeParams;
@@ -155,10 +155,6 @@ pub struct ParamSpec {
     /// integer forces the slot count (within the audited capacity for the
     /// trees' labels: `Scenario::label_source`).
     pub packing: Packing,
-    /// Secure-comparison width policy: `"auto"` (default) pays only for
-    /// each call site's proven range, an integer sets a minimum width
-    /// under `"auto"` widths.
-    pub comparison_bits: CompareBits,
     /// Protocol tracing: `"off"` (default, bit-identical transcript),
     /// `"phases"` (phase timelines + round/byte attribution), `"full"`
     /// (adds per-round and per-node spans).
@@ -179,7 +175,6 @@ impl Default for ParamSpec {
             keysize: 256,
             crypto_threads: 6,
             packing: core.packing,
-            comparison_bits: core.comparison_bits,
             trace: core.trace,
             verification: core.verification,
         }
@@ -424,30 +419,6 @@ impl From<Packing> for Json {
             Packing::Off => "off".into(),
             Packing::Auto => "auto".into(),
             Packing::Slots(n) => n.into(),
-        }
-    }
-}
-
-/// `"auto"` or the width floor. Floors above the fixed-point layout would
-/// only ever fail downstream (the CLI always runs the default layout), and
-/// floors below 2 are meaningless.
-impl Load for CompareBits {
-    fn load(v: &TomlValue) -> Option<CompareBits> {
-        if v.as_str() == Some("auto") {
-            return Some(CompareBits::Auto);
-        }
-        let floors = 2..=PivotParams::default().fixed.int_bits;
-        u32::load(v)
-            .filter(|n| floors.contains(n))
-            .map(CompareBits::Floor)
-    }
-}
-
-impl From<CompareBits> for Json {
-    fn from(bits: CompareBits) -> Json {
-        match bits {
-            CompareBits::Auto => "auto".into(),
-            CompareBits::Floor(n) => n.into(),
         }
     }
 }
@@ -749,11 +720,15 @@ static SCHEMA: &[Key] = &[
                 n => Packing::Slots(n),
             }
         }),
-    key!(params.comparison_bits: Syntax("\"auto\" or a width floor in 2..=45 (the int_bits)"),
-        "Secure-comparison width: each call site's proven range, or at least the floor.")
-        .removed("full", "params.comparison_bits: the \"full\" mode was removed — every \
-            comparison runs the range-bounded ladder; delete the key, or set the width floor 45 \
-            for full-width comparisons"),
+    // Accepted with its one remaining value so scenario files written
+    // when it was a dial keep loading; reports echo it.
+    Key::new(
+        ("params", "comparison_bits"),
+        Syntax("\"auto\" (the width dial was removed)"),
+        "Every secure comparison runs at its call site's proven width; the key can be deleted.",
+        |_| "auto".into(),
+        |_, v| Ok(v.as_str() == Some("auto")),
+    ),
     // Retired with the dealer's precompute service; still range-checked
     // so that scenario files written when it sized something keep loading.
     Key::new(
@@ -841,7 +816,7 @@ static SCHEMA: &[Key] = &[
     key!(sweep?.vary: OneOf(sweep_axes),
         "The key `bench` varies, named without its section; needs `values`.")
         .removed("comparison_bits", "sweep.vary = \"comparison_bits\" was removed with the \
-            \"full\" mode it compared against; set params.comparison_bits per scenario"),
+            comparison width dial it varied"),
     key!(sweep?.values: NonEmpty("a non-empty array of non-negative integers"),
         "The values it takes, one sweep point each; needs `vary`."),
 ];
@@ -1212,7 +1187,6 @@ impl Scenario {
             keysize: self.params.keysize,
             crypto_threads: self.params.crypto_threads,
             packing: self.params.packing,
-            comparison_bits: self.params.comparison_bits,
             dealer_seed: self.seed,
             trace: self.params.trace,
             verification: self.params.verification,
@@ -1372,46 +1346,6 @@ mod tests {
     }
 
     #[test]
-    fn comparison_bits_knob_parses_and_applies() {
-        // Default auto, spelled out or not.
-        for text in ["", "[params]\ncomparison_bits = \"auto\""] {
-            let s = parse_toml(text).unwrap();
-            assert_eq!(s.params.comparison_bits, CompareBits::Auto);
-            let p = s.pivot_params(Algo::PivotEnhancedPp);
-            assert_eq!(p.comparison_bits, CompareBits::Auto);
-            assert_eq!(
-                s.to_json().path("params.comparison_bits").unwrap().as_str(),
-                Some("auto")
-            );
-        }
-        let s = parse_toml("[params]\ncomparison_bits = 24").unwrap();
-        assert_eq!(s.params.comparison_bits, CompareBits::Floor(24));
-        assert_eq!(
-            s.pivot_params(Algo::PivotBasic).comparison_bits,
-            CompareBits::Floor(24)
-        );
-        assert_eq!(
-            s.to_json().path("params.comparison_bits").unwrap().as_u64(),
-            Some(24)
-        );
-        // Removed spellings name their removal: the "full" mode, and the
-        // sweep axis whose value 0 meant "full".
-        let err = parse_toml("[params]\ncomparison_bits = \"full\"").unwrap_err();
-        assert!(err.contains("was removed"), "{err}");
-        let err = parse_toml("[sweep]\nvary = \"comparison_bits\"\nvalues = [0, 1]").unwrap_err();
-        assert!(err.contains("was removed"), "{err}");
-        // Typos and sub-2 floors are hard errors, and floors beyond the
-        // fixed-point int_bits (45) are rejected at parse time rather
-        // than panicking downstream.
-        assert!(parse_toml("[params]\ncomparison_bits = \"fast\"").is_err());
-        assert!(parse_toml("[params]\ncomparison_bits = 0").is_err());
-        assert!(parse_toml("[params]\ncomparison_bits = 1").is_err());
-        let err = parse_toml("[params]\ncomparison_bits = 46").unwrap_err();
-        assert!(err.contains("int_bits"), "{err}");
-        assert!(parse_toml("[params]\ncomparison_bits = 45").is_ok());
-    }
-
-    #[test]
     fn packing_axis_is_sweepable() {
         let s = parse_toml("[sweep]\nvary = \"packing\"\nvalues = [0, 1, 3]").unwrap();
         assert_eq!(s.with_axis("packing", 0).params.packing, Packing::Off);
@@ -1532,6 +1466,22 @@ mod tests {
     #[test]
     fn retired_keys_are_accepted_and_ignored() {
         let plain = format!("{:?}", parse_toml("").unwrap());
+        // The comparison width dial keeps its one value, which reports
+        // echo (spelled out or not); a floor or the old "full" mode names
+        // the removal, as does the sweep axis that varied it.
+        let at = loc("params", "comparison_bits");
+        for text in ["", "[params]\ncomparison_bits = \"auto\""] {
+            let s = parse_toml(text).unwrap();
+            assert_eq!(format!("{s:?}"), plain, "{text:?} stored something");
+            assert_eq!(s.to_json().path(&at).unwrap().as_str(), Some("auto"));
+        }
+        for bad in ["24", "45", "\"full\""] {
+            let err = parse_toml(&format!("[params]\ncomparison_bits = {bad}")).unwrap_err();
+            assert!(err.starts_with(&at), "{err}");
+            assert!(err.contains("was removed"), "{err}");
+        }
+        let err = parse_toml("[sweep]\nvary = \"comparison_bits\"\nvalues = [0, 1]").unwrap_err();
+        assert!(err.contains("was removed"), "{err}");
         for (section, key) in [
             ("params", "dealer_pool"),
             ("params", "randomness_pool"),
@@ -1823,7 +1773,7 @@ keysize = 192
 crypto_threads = 2
 randomness_pool = 32
 packing = "off"
-comparison_bits = 24
+comparison_bits = "auto"
 dealer_pool = 16
 trace = "phases"
 scheduling = "pipelined"
@@ -1883,7 +1833,7 @@ values = [2, 3]
     "keysize": 192,
     "crypto_threads": 2,
     "packing": "off",
-    "comparison_bits": 24,
+    "comparison_bits": "auto",
     "trace": "phases",
     "scheduling": "pipelined",
     "verification": "spot(0.5)"

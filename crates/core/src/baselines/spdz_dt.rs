@@ -31,7 +31,7 @@ use pivot_trees::DecisionTree;
 pub fn train(ctx: &mut PartyContext<'_>) -> DecisionTree {
     // Reject a column the comparisons cannot hold before any traffic.
     for (local, &feature) in ctx.view.feature_indices.iter().enumerate() {
-        check_feature_range(feature, &ctx.view.column(local), &ctx.params.fixed)
+        check_feature_range(feature, &ctx.view.column(local), &ctx.engine.cfg)
             .unwrap_or_else(|e| panic!("{e}"));
     }
     let (local, layout, mut pass) = {
@@ -89,7 +89,7 @@ fn share_indicators(
     layout: &SplitLayout,
 ) -> Vec<Vec<Share>> {
     let n = ctx.num_samples();
-    let fixed = ctx.params.fixed;
+    let fixed = ctx.engine.cfg;
     let mut diffs: Vec<Share> = Vec::with_capacity(layout.total() * n);
     for owner in 0..ctx.parties() {
         // Per feature with candidates: its column, then its thresholds,
@@ -124,7 +124,7 @@ fn share_indicators(
         }
     }
     let party = ctx.id();
-    let negative = ctx.engine.ltz_vec(&diffs);
+    let negative = ctx.engine.ltz_vec_bounded(&diffs, fixed.int_bits);
     negative
         .chunks(n)
         .map(|lt| {
@@ -150,7 +150,7 @@ fn share_label_rows(ctx: &mut PartyContext<'_>) -> Vec<Vec<Share>> {
                 })
                 .collect(),
             Task::Regression => {
-                let cfg = ctx.params.fixed;
+                let cfg = ctx.engine.cfg;
                 let moments = labels.iter().map(|&y| cfg.encode(y));
                 moments
                     .chain(labels.iter().map(|&y| cfg.encode(y * y)))

@@ -2,7 +2,7 @@
 //! knobs).
 
 use pivot_data::Task;
-use pivot_mpc::{CompareBits, FixedConfig, MODULUS};
+use pivot_mpc::{FixedConfig, MODULUS};
 use pivot_paillier::SlotCodec;
 use pivot_trace::TraceLevel;
 use pivot_trees::TreeParams;
@@ -191,8 +191,6 @@ pub struct PivotParams {
     /// Paillier modulus bits (the paper's "keysize": 1024 in §8, 512 for
     /// its accuracy runs; `Default` gives 256, tests use 128–256).
     pub keysize: u32,
-    /// MPC fixed-point layout.
-    pub fixed: FixedConfig,
     /// Worker threads for the batched crypto operations (every bulk
     /// homomorphic operation, nonce powers included, goes through the
     /// shared worker pool), and so the bound on a party's crypto cores.
@@ -206,11 +204,6 @@ pub struct PivotParams {
     /// *same tree* (argmax parity): the slots only divide the ciphertext
     /// count.
     pub packing: Packing,
-    /// Secure-comparison width policy. `Auto` lets every call site pay
-    /// only for its proven value range (comparisons stay exact at any
-    /// width, so every argmax is unchanged). `Floor(n)` is `Auto` with a
-    /// minimum width — a conservative dial.
-    pub comparison_bits: CompareBits,
     /// Common seed for the simulated MPC offline phase.
     pub dealer_seed: u64,
     /// Malicious-model verification policy. `Off` (default) generates
@@ -238,10 +231,8 @@ impl Default for PivotParams {
             tree: TreeParams::default(),
             protocol: Protocol::Basic,
             keysize: 256,
-            fixed: FixedConfig::default(),
             crypto_threads: 6,
             packing: Packing::Auto,
-            comparison_bits: CompareBits::Auto,
             dealer_seed: 0x9162_07,
             verification: Verification::Off,
             adversary: None,
@@ -275,6 +266,7 @@ impl PivotParams {
     /// where `element` bounds one label-vector plaintext of one sample
     /// (see [`LabelSource`]), and the audited width is `bits(worst_case)`.
     fn audited_slot_bits(&self, parties: usize, n_samples: usize, labels: LabelSource) -> u32 {
+        let fixed = FixedConfig::default();
         let n = (n_samples as u128).max(4);
         let m = parties as u128;
         // A sum of m encrypted shares: the secret plus a mod-p slack
@@ -291,7 +283,7 @@ impl PivotParams {
         };
         let element_bound: u128 = match labels {
             LabelSource::ClassIndicators => alpha_bound,
-            LabelSource::OffsetMoments => alpha_bound << (self.fixed.frac_bits + 2),
+            LabelSource::OffsetMoments => alpha_bound << (fixed.frac_bits + 2),
             // Carried vectors are updated by the winner's plaintext
             // indicator (never Eqn 10), so the element keeps the bound it
             // was encrypted with at every depth.
@@ -299,9 +291,9 @@ impl PivotParams {
         };
         // `max(n,4)²·2^f` keeps the documented gain-pipeline discipline as
         // the floor even when the direct product bound is smaller.
-        let floor = (n * n) << self.fixed.frac_bits;
+        let floor = (n * n) << fixed.frac_bits;
         let stat_bound = (n * element_bound).max(floor);
-        let offset = 1u128 << (self.fixed.int_bits - 1);
+        let offset = 1u128 << (fixed.int_bits - 1);
         let mask_bound = m * (MODULUS as u128 - 1);
         let worst = stat_bound + offset + mask_bound;
         128 - worst.leading_zeros()
@@ -331,7 +323,7 @@ impl PivotParams {
 
     /// The codec of the one-slot layout ([`SlotPlan::whole_plaintext`]).
     pub fn one_slot_codec(&self) -> SlotCodec {
-        SlotPlan::whole_plaintext(self.keysize).codec(&self.fixed)
+        SlotPlan::whole_plaintext(self.keysize).codec(&FixedConfig::default())
     }
 
     /// Check every cross-parameter invariant a run over `n_samples`
@@ -347,11 +339,10 @@ impl PivotParams {
         parties: usize,
         labels: LabelSource,
     ) -> Result<(), String> {
-        self.fixed.assert_valid();
         // Gain-pipeline overflow bound: n²·2^f < p/2 (`crate::gain`, "Scale
         // discipline").
         let n_bits = usize::BITS - n_samples.leading_zeros();
-        if 2 * n_bits + self.fixed.frac_bits + 1 >= 61 {
+        if 2 * n_bits + FixedConfig::default().frac_bits + 1 >= 61 {
             return Err(format!(
                 "{n_samples} samples overflow the fixed-point gain pipeline"
             ));
@@ -394,14 +385,6 @@ impl PivotParams {
                 ));
             }
         }
-        if let CompareBits::Floor(n) = self.comparison_bits {
-            if !(2..=self.fixed.int_bits).contains(&n) {
-                return Err(format!(
-                    "comparison_bits floor {n} outside 2..={}",
-                    self.fixed.int_bits
-                ));
-            }
-        }
         // Packing audit: an explicit slot count must fit the audited slot
         // width for this label source, party count and sample count.
         if let Packing::Slots(slots) = self.packing {
@@ -437,7 +420,6 @@ mod tests {
         p.assert_valid_for(10_000, 2, ClassIndicators);
         // The defaults are the fast configuration.
         assert_eq!(p.packing, Packing::Auto);
-        assert_eq!(p.comparison_bits, CompareBits::Auto);
     }
 
     #[test]
@@ -560,7 +542,7 @@ mod tests {
         assert_eq!(codec.unpack(&big, 1), vec![big]);
         assert_eq!(
             codec.offset(),
-            pivot_bignum::BigUint::pow2(p.fixed.int_bits - 1)
+            pivot_bignum::BigUint::pow2(FixedConfig::default().int_bits - 1)
         );
     }
 

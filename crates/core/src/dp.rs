@@ -20,7 +20,7 @@ use crate::train_basic::train_from_roots;
 use crate::train_basic::NodeMask;
 use pivot_data::Task;
 use pivot_mpc::dp::{exponential_mechanism, laplace_sample_vec};
-use pivot_mpc::Share;
+use pivot_mpc::{FixedConfig, Share};
 use pivot_trees::DecisionTree;
 
 /// Sensitivity `Δ` of the split score (2 for Gini gain, per
@@ -41,7 +41,7 @@ impl DpParams {
     }
 
     /// `ε` must be positive and every public scale the queries encode —
-    /// `1/ε`, `ε/(2Δ)` and the regression leaf's — must fit `params.fixed`.
+    /// `1/ε`, `ε/(2Δ)` and the regression leaf's — must fit the fixed-point layout.
     pub fn validate(&self, params: &PivotParams) -> Result<(), String> {
         let eps = self.epsilon_per_query;
         let scales = [
@@ -49,12 +49,13 @@ impl DpParams {
             eps / (2.0 * SPLIT_SENSITIVITY),
             self.mean_scale(params),
         ];
-        if eps > 0.0 && scales.iter().all(|&s| params.fixed.encodable(s)) {
+        let fixed = FixedConfig::default();
+        if eps > 0.0 && scales.iter().all(|&s| fixed.encodable(s)) {
             return Ok(());
         }
         Err(format!(
             "ε per query = {eps} is out of range: it must be positive, and 1/ε, ε/4 and 2/(max(min_samples, 1)·ε) must fit the {}-bit fixed-point range",
-            params.fixed.int_bits
+            fixed.int_bits
         ))
     }
 
@@ -78,11 +79,15 @@ impl DpParams {
     /// the node count), opened.
     pub(crate) fn prune(&self, ctx: &mut PartyContext<'_>, nodes: &[&NodeTotals]) -> Vec<bool> {
         // n̄ is integer-valued; lift to fixed-point before adding the noise.
-        let one = ctx.params.fixed.one();
+        let one = ctx.engine.cfg.one();
         let counts = nodes.iter().map(|t| t.n.scale(one)).collect();
         let noisy = Self::noisy(ctx, counts, 1.0 / self.epsilon_per_query);
         let threshold = ctx.engine.constant_f64(ctx.params.tree.min_samples as f64);
-        let below = ctx.engine.lt_vec(&noisy, &vec![threshold; noisy.len()]);
+        let below = ctx.engine.lt_vec_bounded(
+            &noisy,
+            &vec![threshold; noisy.len()],
+            ctx.engine.cfg.int_bits,
+        );
         let opened = ctx.engine.open_vec(&below);
         opened.iter().map(|b| b.value() == 1).collect()
     }
@@ -102,7 +107,7 @@ impl DpParams {
             let means = leaf_label_shares_batch(ctx, nodes);
             return Self::noisy(ctx, means, self.mean_scale(&ctx.params));
         }
-        let one = ctx.params.fixed.one();
+        let one = ctx.engine.cfg.one();
         let counts = nodes
             .iter()
             .flat_map(|t| &t.g)
@@ -112,7 +117,7 @@ impl DpParams {
         let rows: Vec<Vec<Share>> = noisy.chunks(first.g.len()).map(<[Share]>::to_vec).collect();
         let best = ctx
             .engine
-            .argmax_many_bounded(&rows, ctx.params.fixed.int_bits);
+            .argmax_many_bounded(&rows, ctx.engine.cfg.int_bits);
         best.into_iter().map(|(idx, _)| idx).collect()
     }
 

@@ -136,7 +136,7 @@ pub fn train_gbdt(ctx: &mut PartyContext<'_>, gbdt: &GbdtProtocolParams) -> Gbdt
 /// Share the super client's labels (mapped through `f`) with all parties.
 fn share_labels(ctx: &mut PartyContext<'_>, f: impl Fn(f64) -> f64) -> Vec<Share> {
     let values: Option<Vec<Fp>> = ctx.is_super_client().then(|| {
-        let cfg = ctx.params.fixed;
+        let cfg = ctx.engine.cfg;
         ctx.view
             .labels
             .as_ref()
@@ -202,7 +202,7 @@ fn train_residual_trees(
 /// Magnitude bound, in bits, on one tree's encrypted prediction: a signed
 /// fixed-point leaf value (`ciphers_to_shares` demands the same of it).
 fn prediction_bound_bits(ctx: &PartyContext<'_>) -> u32 {
-    ctx.params.fixed.int_bits - 1
+    ctx.engine.cfg.int_bits - 1
 }
 
 /// Algorithm 4 over every tree of `groups` in ONE ring pass, one output
@@ -257,12 +257,12 @@ pub fn predict_gbdt_batch(
     match model.task {
         Task::Regression => {
             let opened = ctx.engine.open_vec(&scores);
-            opened.iter().map(|&v| ctx.params.fixed.decode(v)).collect()
+            opened.iter().map(|&v| ctx.engine.cfg.decode(v)).collect()
         }
         // Softmax is monotone, so the argmax over the scores is the
         // paper's §7.2 decision.
         Task::Classification { .. } => {
-            open_argmax(ctx, &scores, local_samples.len(), ctx.params.fixed.int_bits)
+            open_argmax(ctx, &scores, local_samples.len(), ctx.engine.cfg.int_bits)
         }
     }
 }

@@ -67,9 +67,9 @@ fn count_width(ctx: &PartyContext<'_>) -> u32 {
 /// residuals are encrypted as, whatever value they share.)
 fn gain_width(ctx: &PartyContext<'_>) -> u32 {
     if ctx.task_override.is_some() {
-        return ctx.params.fixed.int_bits;
+        return ctx.engine.cfg.int_bits;
     }
-    ctx.params.fixed.frac_bits + count_width(ctx) + 1
+    ctx.engine.cfg.frac_bits + count_width(ctx) + 1
 }
 
 /// Share-domain totals of one tree node — all a leaf needs.
@@ -209,7 +209,7 @@ pub fn node_shares_from_packed(
 /// `γ₁ = γ₁' − n·1` and `γ₂ = γ₂' − 2·γ₁ − n·1`, where `1` is the
 /// fixed-point unit `2^f`.
 fn remove_label_offset(ctx: &PartyContext<'_>, node: &mut NodeShares) {
-    let one_fx = ctx.params.fixed.one();
+    let one_fx = ctx.engine.cfg.one();
     debug_assert_eq!(node.g_l.len(), 2, "regression carries two moments");
     for s in 0..node.n_l.len() {
         let n_fx = node.n_l[s].scale(one_fx);
@@ -303,8 +303,8 @@ pub fn split_gains_batch(ctx: &mut PartyContext<'_>, nodes: &[&NodeShares]) -> V
     let n_bound = ctx.num_samples() as f64;
     let task = ctx.current_task();
     let party = ctx.id();
-    let one_fx = ctx.params.fixed.one();
-    let frac_bits = ctx.params.fixed.frac_bits;
+    let one_fx = ctx.engine.cfg.one();
+    let frac_bits = ctx.engine.cfg.frac_bits;
     let splits_per_node: Vec<usize> = nodes.iter().map(|n| n.n_l.len()).collect();
     let lanes: usize = splits_per_node.iter().sum();
 

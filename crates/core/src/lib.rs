@@ -45,7 +45,7 @@ pub use config::{AdversarySpec, PivotParams, Protocol, Verification};
 pub use model::{ConcealedNode, ConcealedTree};
 pub use party::PartyContext;
 // Re-exported so report-layer consumers (CLI, bench) can name the
-// comparison policy and the counter registry without a direct edge to
+// fixed-point layout and the counter registry without a direct edge to
 // `pivot-mpc` or `pivot-trace`.
-pub use pivot_mpc::CompareBits;
+pub use pivot_mpc::FixedConfig;
 pub use pivot_trace::{Counter, Counters, Snapshot, TraceLevel};

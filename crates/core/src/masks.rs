@@ -266,7 +266,7 @@ fn label_slot_value(ctx: &PartyContext<'_>, task: Task, y: f64, t: usize) -> Big
                 y.abs() <= 1.0 + 1e-9,
                 "regression labels must be normalized into [-1, 1]"
             );
-            let scale = (1u64 << ctx.params.fixed.frac_bits) as f64;
+            let scale = (1u64 << ctx.engine.cfg.frac_bits) as f64;
             let shifted = y + 1.0;
             let v = if t == 1 { shifted } else { shifted * shifted };
             BigUint::from_u64((v * scale).round() as u64)

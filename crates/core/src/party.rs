@@ -2,7 +2,7 @@
 
 use crate::config::{LabelSource, PivotParams};
 use pivot_data::VerticalView;
-use pivot_mpc::MpcEngine;
+use pivot_mpc::{FixedConfig, MpcEngine};
 use pivot_paillier::threshold::{Combiner, SecretKeyShare};
 use pivot_paillier::{fixtures, NoncePool, PublicKey};
 use pivot_trace::{Counter, Counters};
@@ -102,8 +102,7 @@ impl<'a> PartyContext<'a> {
             "feature ownership must cover every column"
         );
 
-        let mut engine = MpcEngine::new(ep, params.dealer_seed, params.fixed);
-        engine.configure_comparisons(params.comparison_bits, 0);
+        let engine = MpcEngine::new(ep, params.dealer_seed, FixedConfig::default());
         let rng =
             StdRng::seed_from_u64(params.dealer_seed ^ 0xACE0_FBA5E ^ ((ep.id() as u64 + 1) << 32));
         // Dedicated per-party nonce stream; its powers are computed when
@@ -186,7 +185,7 @@ impl<'a> PartyContext<'a> {
     pub fn packing_codec(&self, labels: LabelSource) -> pivot_paillier::SlotCodec {
         self.params
             .slot_plan(self.parties(), self.num_samples(), labels)
-            .codec(&self.params.fixed)
+            .codec(&self.engine.cfg)
     }
 
     /// The task the *current* (sub)protocol trains for.

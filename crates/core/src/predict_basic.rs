@@ -73,7 +73,7 @@ pub fn leaf_values(ctx: &PartyContext<'_>, trees: &[&DecisionTree], task: Task) 
         .map(|(value, _)| match task {
             Task::Classification { .. } => BigUint::from_u64(value as u64),
             Task::Regression => {
-                let scaled = value * (1u64 << ctx.params.fixed.frac_bits) as f64;
+                let scaled = value * (1u64 << ctx.engine.cfg.frac_bits) as f64;
                 encode_signed(ctx, scaled)
             }
         })
@@ -285,7 +285,7 @@ fn decode_prediction(ctx: &PartyContext<'_>, v: &BigUint, task: Task) -> f64 {
             } else {
                 v.to_u64().expect("bounded") as f64
             };
-            signed / (1u64 << ctx.params.fixed.frac_bits) as f64
+            signed / (1u64 << ctx.engine.cfg.frac_bits) as f64
         }
     }
 }

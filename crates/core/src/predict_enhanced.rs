@@ -72,7 +72,7 @@ pub fn predict_batch(
 
     // Owners share their feature values for every (internal node, sample).
     // node_feature_shares[node_pos][sample]
-    let f = ctx.params.fixed.frac_bits;
+    let f = ctx.engine.cfg.frac_bits;
     let mut node_feature_shares: Vec<Vec<Share>> = vec![Vec::new(); internals.len()];
     for owner in 0..ctx.parties() {
         let owned: Vec<usize> = internals
@@ -193,7 +193,7 @@ pub fn predict_batch(
             .iter()
             .map(|&v| match task {
                 Task::Classification { .. } => v.value() as f64,
-                Task::Regression => ctx.params.fixed.decode(v),
+                Task::Regression => ctx.engine.cfg.decode(v),
             })
             .collect()
     };
@@ -219,7 +219,7 @@ fn bounded_node_comparisons(
     n_samples: usize,
 ) -> Vec<Share> {
     let me = ctx.id();
-    let f = ctx.params.fixed.frac_bits;
+    let f = ctx.engine.cfg.frac_bits;
     let mine: Vec<usize> = internals
         .iter()
         .map(|&(_, owner, feature_global, _)| {

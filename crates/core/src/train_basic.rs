@@ -300,7 +300,7 @@ impl Reveal {
             let label = opened[ticket][0];
             let value = match task {
                 Task::Classification { .. } => label.value() as f64,
-                Task::Regression => ctx.params.fixed.decode(label),
+                Task::Regression => ctx.engine.cfg.decode(label),
             };
             arena[slot] = Some(Node::Leaf { value });
         }

@@ -40,7 +40,7 @@ use pivot_trace::Counter;
 /// PIR dot product only ever sees non-negative plaintexts (negative
 /// encodings would wrap mod `N` and break the mod-`p` slack discipline).
 pub fn threshold_offset_bits(ctx: &PartyContext<'_>) -> u32 {
-    ctx.params.fixed.int_bits - 2
+    ctx.engine.cfg.int_bits - 2
 }
 
 /// Audited magnitude bound (in bits) on an Eqn-10 mask plaintext: after a
@@ -388,7 +388,7 @@ fn masked_products(
 /// Encode a plaintext threshold for PIR selection: fixed-point plus the
 /// public positivity offset.
 fn encode_threshold(ctx: &PartyContext<'_>, threshold: f64) -> BigUint {
-    let f = ctx.params.fixed.frac_bits;
+    let f = ctx.engine.cfg.frac_bits;
     let off_bits = threshold_offset_bits(ctx);
     let scaled = (threshold * (1u64 << f) as f64).round();
     assert!(

@@ -12,7 +12,7 @@ use pivot_core::conversion::{
 use pivot_core::party::PartyContext;
 use pivot_core::Counter;
 use pivot_data::{Dataset, Task, VerticalView};
-use pivot_mpc::{Fp, Share, MODULUS};
+use pivot_mpc::{FixedConfig, Fp, Share, MODULUS};
 use pivot_transport::run_parties;
 
 fn toy_view(client: usize, m: usize) -> VerticalView {
@@ -219,7 +219,7 @@ fn share_sum_statistics_convert_at_the_audited_bound() {
         params.slot_plan(m, n + 1, LabelSource::ShareSums).slot_bits,
         71
     );
-    let codec = plan.codec(&params.fixed);
+    let codec = plan.codec(&FixedConfig::default());
     let share_sum = m as u64 as u128 * (MODULUS as u128 - 1);
     let results = run_parties(m, |ep| {
         let view = toy_view(ep.id(), m);

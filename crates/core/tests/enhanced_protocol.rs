@@ -7,6 +7,7 @@ use pivot_core::{
     train_enhanced, Counter,
 };
 use pivot_data::{partition_vertically, synth, Dataset, Task};
+use pivot_mpc::{CompareBits, FixedConfig};
 use pivot_transport::run_parties;
 use pivot_trees::TreeParams;
 
@@ -320,10 +321,14 @@ fn bounded_prediction_comparisons_match_full_width() {
         ..Default::default()
     };
     let partition = partition_vertically(&data, m, 0);
-    let run = |params: PivotParams| {
+    let params = enhanced_params(tree_params);
+    let run = |floor: Option<u32>| {
         run_parties(m, |ep| {
             let view = partition.views[ep.id()].clone();
             let mut ctx = PartyContext::setup(&ep, view.clone(), params.clone());
+            if let Some(n) = floor {
+                ctx.engine.configure_comparisons(CompareBits::Floor(n), 0);
+            }
             let tree = train_enhanced::train(&mut ctx);
             let local_samples: Vec<Vec<f64>> = (0..view.num_samples())
                 .map(|i| view.features[i].clone())
@@ -339,11 +344,9 @@ fn bounded_prediction_comparisons_match_full_width() {
         })
     };
 
-    let int_bits = enhanced_params(TreeParams::default()).fixed.int_bits;
-    let mut full_params = enhanced_params(tree_params.clone());
-    full_params.comparison_bits = pivot_core::CompareBits::Floor(int_bits);
-    let full = run(full_params);
-    let bounded = run(enhanced_params(tree_params));
+    let int_bits = FixedConfig::default().int_bits;
+    let full = run(Some(int_bits));
+    let bounded = run(None);
 
     for ((f_preds, f_widths), (b_preds, b_widths)) in full.iter().zip(&bounded) {
         assert_eq!(

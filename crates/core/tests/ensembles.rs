@@ -8,7 +8,7 @@ use pivot_core::ensemble::{
 };
 use pivot_core::party::PartyContext;
 use pivot_core::train_basic::{train_with_mask, train_with_masks};
-use pivot_core::Counter;
+use pivot_core::{Counter, FixedConfig};
 use pivot_data::{candidate_splits, metrics, partition_vertically, synth, Dataset, Task};
 use pivot_paillier::SlotCodec;
 use pivot_transport::run_parties;
@@ -431,7 +431,7 @@ fn a_forest_grown_in_one_frontier_is_its_trees_grown_one_at_a_time() {
             // Class labels are exact; a mean label carries the truncation
             // noise of its secure reciprocal, a few fixed-point ulps that
             // depend on where in the dealer stream the division falls.
-            let ulp = 1.0 / (1u64 << p.fixed.frac_bits) as f64;
+            let ulp = 1.0 / (1u64 << FixedConfig::default().frac_bits) as f64;
             let tolerance = match data.task() {
                 Task::Classification { .. } => 0.0,
                 Task::Regression => 16.0 * ulp,

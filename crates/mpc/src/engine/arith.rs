@@ -312,14 +312,9 @@ impl MpcEngine<'_> {
                     b.push(row[2 * i + 1]);
                 }
             }
-            let sel = match bound {
-                // Tournament operands are logits: |a − b| ≤ 2·bound.
-                Some(bd) => {
-                    let k = self.clamp_width(2.0 * bd);
-                    self.lt_vec_bounded(&b, &a, k)
-                }
-                None => self.lt_vec(&b, &a),
-            };
+            // Tournament operands are logits: |a − b| ≤ 2·bound.
+            let k = bound.map_or(self.cfg.int_bits, |bd| self.clamp_width(2.0 * bd));
+            let sel = self.lt_vec_bounded(&b, &a, k);
             let picked = self.select_vec(&sel, &a, &b);
             for (r, row) in cur.iter_mut().enumerate() {
                 let mut next: Vec<Share> = picked[r * half..(r + 1) * half].to_vec();

@@ -4,16 +4,17 @@
 //!
 //! The construction is Catrina–de Hoogh style: open a statistically masked
 //! value, compare the public low bits against dealer-supplied shared bits
-//! (`BitLT`), and correct the wrap. Everything is vectorized: one `ltz_vec`
+//! (`BitLT`), and correct the wrap. Everything is vectorized: one `ltz_vec_bounded`
 //! call performs the whole batch in a bounded number of rounds regardless
 //! of batch size.
 //!
-//! **Range-aware widths.** Every protocol has a `_bounded` variant taking
-//! the caller's *proven* value range `k` (signed values of magnitude below
-//! `2^(k−1)`), so a comparison pays `O(k)` masked bits and Beaver openings
-//! instead of the global `O(int_bits)`. The policy knob
+//! **Range-aware widths.** Every protocol takes the caller's *proven*
+//! value range `k` (signed values of magnitude below `2^(k−1)`), so a
+//! comparison pays `O(k)` masked bits and Beaver openings; a call site
+//! without a tighter proof passes `int_bits`. The engine's policy
 //! ([`super::CompareBits`]) resolves requested widths: `Auto` takes them
-//! as given, `Floor(n)` raises them to at least `n`.
+//! as given, `Floor(n)` (the tests' full-width reference) raises them to
+//! at least `n`.
 //!
 //! **Log-depth BitLT.** `1[a < b]` for public `a` and shared bits `b` is
 //! the carry-out of a tree over the bits (Catrina–de Hoogh's carry
@@ -43,11 +44,6 @@ use crate::share::Share;
 const ALL_PAIRS_TAIL: usize = 24;
 
 impl MpcEngine<'_> {
-    /// Exact `y mod 2^t` for shared `y` guaranteed in `[0, 2^int_bits)`.
-    pub fn mod2m_vec(&mut self, y: &[Share], t: u32) -> Vec<Share> {
-        self.mod2m_vec_bounded(y, t, self.cfg.int_bits)
-    }
-
     /// Exact `y mod 2^t` for shared `y` guaranteed in `[0, 2^k)`: masks
     /// (and their `k + κ − t` statistical headroom) are sized to the
     /// proven range instead of the global `int_bits`.
@@ -182,11 +178,6 @@ impl MpcEngine<'_> {
             .collect()
     }
 
-    /// Exact sign test: `1[x < 0]` for signed `x` with `|x| < 2^(int_bits−1)`.
-    pub fn ltz_vec(&mut self, x: &[Share]) -> Vec<Share> {
-        self.ltz_vec_bounded(x, self.cfg.int_bits)
-    }
-
     /// Exact sign test with a proven range: `1[x < 0]` for signed `x` with
     /// `|x| < 2^(k−1)`. Pays `O(k)` bits instead of `O(int_bits)`;
     /// `O(log k)` rounds for the whole batch.
@@ -284,11 +275,6 @@ impl MpcEngine<'_> {
         (neg, pos)
     }
 
-    /// `1[a < b]` element-wise.
-    pub fn lt_vec(&mut self, a: &[Share], b: &[Share]) -> Vec<Share> {
-        self.lt_vec_bounded(a, b, self.cfg.int_bits)
-    }
-
     /// `1[a < b]` element-wise with `|a − b| < 2^(k−1)` proven.
     pub fn lt_vec_bounded(&mut self, a: &[Share], b: &[Share], k: u32) -> Vec<Share> {
         let diff: Vec<Share> = a.iter().zip(b).map(|(&x, &y)| x - y).collect();
@@ -336,13 +322,8 @@ impl MpcEngine<'_> {
         out
     }
 
-    /// Secure argmax by pairwise tournament: returns `(⟨index⟩, ⟨max⟩)`.
-    /// `O(log n)` comparison batches.
-    pub fn argmax(&mut self, vals: &[Share]) -> (Share, Share) {
-        self.argmax_bounded(vals, self.cfg.int_bits)
-    }
-
-    /// Secure argmax with a proven range: `k` must cover the pairwise
+    /// Secure argmax by pairwise tournament: returns `(⟨index⟩, ⟨max⟩)`
+    /// in `O(log n)` comparison batches. `k` must cover the pairwise
     /// *differences* (`|a − b| < 2^(k−1)` for any two values).
     pub fn argmax_bounded(&mut self, vals: &[Share], k: u32) -> (Share, Share) {
         assert!(!vals.is_empty(), "argmax of empty vector");

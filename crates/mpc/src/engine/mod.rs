@@ -27,10 +27,10 @@ pub enum CompareBits {
     /// `int_bits`).
     #[default]
     Auto,
-    /// Like `Auto`, but derived widths never drop below the floor — a
-    /// conservative dial up to `Floor(int_bits)`, which compares at full
-    /// width everywhere (the floor only ever *raises* a width, so
-    /// correctness is unaffected).
+    /// Like `Auto`, but derived widths never drop below the floor.
+    /// `Floor(int_bits)` compares at full width everywhere: the reference
+    /// the parity tests hold the derived widths against (the floor only
+    /// ever *raises* a width, so correctness is unaffected).
     Floor(u32),
 }
 

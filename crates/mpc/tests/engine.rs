@@ -110,7 +110,7 @@ fn ltz_detects_signs() {
             e.constant(Fp::new(99999)),
             e.constant_f64(-0.001),
         ];
-        let signs = e.ltz_vec(&xs);
+        let signs = e.ltz_vec_bounded(&xs, e.cfg.int_bits);
         let opened = e.open_vec(&signs);
         opened.iter().map(|v| v.value()).collect::<Vec<_>>()
     });
@@ -124,7 +124,7 @@ fn comparison_lt() {
     let results = mpc(2, |e| {
         let a = [e.constant_f64(1.5), e.constant_f64(3.0)];
         let b = [e.constant_f64(2.0), e.constant_f64(-3.0)];
-        let lt = e.lt_vec(&a, &b);
+        let lt = e.lt_vec_bounded(&a, &b, e.cfg.int_bits);
         e.open_vec(&lt)
             .iter()
             .map(|v| v.value())
@@ -156,7 +156,7 @@ fn oblivious_select() {
 fn mod2m_extracts_low_bits() {
     let results = mpc(2, |e| {
         let x = e.constant(Fp::new(0b1011_0110));
-        let low = e.mod2m_vec(&[x], 4);
+        let low = e.mod2m_vec_bounded(&[x], 4, e.cfg.int_bits);
         e.open(low[0]).value()
     });
     for r in results {
@@ -169,7 +169,7 @@ fn argmax_tournament_matches_plaintext() {
     let vals = [3.0f64, -1.0, 7.5, 7.25, 0.0, 2.0];
     let results = mpc(3, |e| {
         let shares: Vec<Share> = vals.iter().map(|&v| e.constant_f64(v)).collect();
-        let (idx, max) = e.argmax(&shares);
+        let (idx, max) = e.argmax_bounded(&shares, e.cfg.int_bits);
         let opened = e.open_vec(&[idx, max]);
         (opened[0].value(), e.cfg.decode(opened[1]))
     });
@@ -384,7 +384,7 @@ fn counters_track_operations() {
         let a = e.constant(Fp::new(3));
         let b = e.constant(Fp::new(4));
         let _ = e.mul(a, b);
-        let _ = e.ltz_vec(&[a]);
+        let _ = e.ltz_vec_bounded(&[a], e.cfg.int_bits);
         let c = e.endpoint().counters();
         (
             c.get(Counter::Rounds),

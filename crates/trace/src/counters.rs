@@ -95,7 +95,7 @@ registry! {
     MessagesSent: Count, ["network.train.messages_sent"],
         "One per message staged for a peer (a broadcast counts once per peer).";
     ConnectRetries: Count, ["network.session.connect_retries"],
-        "Each failed TCP dial, at rendezvous or in a redial's backoff.";
+        "Each failed redial of a broken session (not rendezvous dials, which follow start order).";
     Reconnects: Count, ["network.session.reconnects"],
         "Each session resumed after its socket broke.";
     ReplayedFrames: Count, ["network.session.replayed_frames"],

@@ -223,6 +223,16 @@ impl Endpoint {
         self.links[to].as_deref().expect("validated in from_links")
     }
 
+    /// End the session on purpose once this party's run is complete: the
+    /// staged tail goes out (as on every drop), then every peer learns
+    /// that no resume follows ([`Link::close`]). Dropping an endpoint
+    /// without `close` looks like a crash to its peers.
+    pub fn close(self) {
+        for link in self.links.iter().flatten() {
+            link.close();
+        }
+    }
+
     /// Push every staged frame onto its link, one envelope per peer.
     /// Called automatically before any blocking receive (rule 1 of the
     /// framing contract) and from `Drop`; call sites may also flush
@@ -359,7 +369,7 @@ impl Endpoint {
     /// arrives within the [`NetConfig::recv_timeout`] wedge deadline (or
     /// the bytes do not parse), raises a typed [`TransportError`] naming
     /// the pending peer, direction, and phase — catch it at the protocol
-    /// boundary with [`crate::catch_transport`].
+    /// boundary with [`crate::catch_failures`].
     pub fn recv<T: Wire>(&self, from: usize) -> T {
         let bytes = self.recv_raw(from);
         self.counters
@@ -577,7 +587,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::catch_transport;
     use std::time::Duration;
 
     #[test]
@@ -742,7 +751,9 @@ mod tests {
         };
         let mut endpoints = Network::with_config(2, net).into_endpoints();
         let ep1 = endpoints.remove(1);
-        let err = catch_transport(|| ep1.recv::<u64>(0)).expect_err("recv must fail on wedge");
+        let Err(RunFailure::Transport(err)) = catch_failures(|| ep1.recv::<u64>(0)) else {
+            panic!("recv must fail on wedge");
+        };
         assert_eq!(err.kind, TransportErrorKind::Timeout);
         assert_eq!(err.party, 1);
         assert_eq!(err.peer, Some(0));
@@ -760,13 +771,16 @@ mod tests {
         let mut endpoints = Network::with_config(2, NetConfig::default()).into_endpoints();
         let ep1 = endpoints.remove(1);
         drop(endpoints); // party 0's endpoint (and its channel halves) gone
-        let err = catch_transport(|| ep1.recv::<u64>(0)).expect_err("recv must fail");
+        let Err(RunFailure::Transport(err)) = catch_failures(|| ep1.recv::<u64>(0)) else {
+            panic!("recv must fail");
+        };
         assert_eq!(err.kind, TransportErrorKind::Disconnected);
-        let err = catch_transport(|| {
+        let Err(RunFailure::Transport(err)) = catch_failures(|| {
             ep1.send(0, &1u64);
             ep1.flush();
-        })
-        .expect_err("send must fail");
+        }) else {
+            panic!("send must fail");
+        };
         assert_eq!(err.kind, TransportErrorKind::Disconnected);
         assert_eq!(err.direction, Some(Direction::Send));
     }
@@ -777,7 +791,9 @@ mod tests {
         let ep1 = &endpoints[1];
         endpoints[0].send(1, &7u8); // one byte: not a valid u64
         endpoints[0].flush();
-        let err = catch_transport(|| ep1.recv::<u64>(0)).expect_err("decode must fail");
+        let Err(RunFailure::Transport(err)) = catch_failures(|| ep1.recv::<u64>(0)) else {
+            panic!("decode must fail");
+        };
         assert_eq!(err.kind, TransportErrorKind::Malformed);
         assert_eq!(err.peer, Some(0));
     }

@@ -6,10 +6,10 @@
 //! failure that, once it happens, always ends the run. Instead the
 //! endpoint raises a [`TransportError`] as a *typed unwind*
 //! (`std::panic::panic_any`, never the `panic!` macro with a string) and
-//! the protocol driver wraps the whole run in [`catch_transport`], which
-//! turns the unwind back into `Result<T, TransportError>` at exactly one
-//! place. Anything that is not a `TransportError` keeps unwinding — real
-//! bugs still abort loudly.
+//! a party's whole run is wrapped in [`catch_failures`], which turns the
+//! unwind back into `Result<T, RunFailure>` at exactly one place.
+//! Anything that is neither a `TransportError` nor a `ProtocolError` keeps
+//! unwinding — real bugs still abort loudly.
 
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -163,7 +163,7 @@ impl TransportError {
     }
 
     /// Raise this error as a typed unwind toward the nearest
-    /// [`catch_transport`]. Installs the quiet panic hook first so the
+    /// [`catch_failures`]. Installs the quiet panic hook first so the
     /// controlled unwind does not spray the default "panicked at" report
     /// over stderr.
     pub fn raise(self) -> ! {
@@ -280,23 +280,10 @@ impl From<ProtocolError> for RunFailure {
     }
 }
 
-/// Run `f`, converting a raised [`TransportError`] into `Err`. Any other
-/// unwind (assertion failures, index panics — real bugs) resumes
-/// untouched.
-pub fn catch_transport<T>(f: impl FnOnce() -> T) -> Result<T, TransportError> {
-    install_quiet_hook();
-    match catch_unwind(AssertUnwindSafe(f)) {
-        Ok(v) => Ok(v),
-        Err(payload) => match payload.downcast::<TransportError>() {
-            Ok(err) => Err(*err),
-            Err(payload) => resume_unwind(payload),
-        },
-    }
-}
-
 /// Run `f`, converting a raised [`TransportError`] *or*
-/// [`ProtocolError`] into `Err(RunFailure)`. Any other unwind keeps
-/// unwinding — real bugs still abort loudly.
+/// [`ProtocolError`] into `Err(RunFailure)`. Any other unwind (assertion
+/// failures, index panics — real bugs) keeps unwinding and still aborts
+/// loudly.
 pub fn catch_failures<T>(f: impl FnOnce() -> T) -> Result<T, RunFailure> {
     install_quiet_hook();
     match catch_unwind(AssertUnwindSafe(f)) {
@@ -353,13 +340,14 @@ mod tests {
 
     #[test]
     fn catch_returns_the_raised_error() {
-        let err = catch_transport(|| {
+        let Err(RunFailure::Transport(err)) = catch_failures(|| {
             TransportError::new(TransportErrorKind::Timeout, 1, "no message within 5ms")
                 .on_link(0, Direction::Recv)
                 .after(Duration::from_millis(5))
                 .raise();
-        })
-        .expect_err("raise must surface as Err");
+        }) else {
+            panic!("raise must surface as Err");
+        };
         assert_eq!(err.kind, TransportErrorKind::Timeout);
         assert_eq!(err.party, 1);
         assert_eq!(err.peer, Some(0));
@@ -374,14 +362,7 @@ mod tests {
 
     #[test]
     fn catch_passes_ok_values_through() {
-        assert_eq!(catch_transport(|| 7u32), Ok(7));
-    }
-
-    #[test]
-    fn foreign_panics_keep_unwinding() {
-        let outer = std::panic::catch_unwind(|| catch_transport(|| panic!("real bug")));
-        let payload = outer.expect_err("foreign panic must resume");
-        assert_eq!(panic_message(payload.as_ref()), "real bug");
+        assert_eq!(catch_failures(|| 7u32), Ok(7));
     }
 
     #[test]

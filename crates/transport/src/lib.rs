@@ -35,8 +35,8 @@ pub use endpoint::{
     Endpoint, Network,
 };
 pub use error::{
-    catch_failures, catch_transport, panic_message, Direction, ProtocolError, RunFailure,
-    TransportError, TransportErrorKind,
+    catch_failures, panic_message, Direction, ProtocolError, RunFailure, TransportError,
+    TransportErrorKind,
 };
 pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultSpec, FaultTrigger};
 pub use link::{ChannelLink, Link, LinkError};

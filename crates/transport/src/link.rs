@@ -84,6 +84,13 @@ pub trait Link: Send {
         self.send_bytes(bytes).map(|()| false)
     }
 
+    /// Mark the session as ended on purpose: the party finished its run.
+    /// A backend with a connection then tells the peer when it drops, so
+    /// the peer reads the closing socket as the end of the session rather
+    /// than a break to redial; dropped without `close`, a link looks
+    /// crashed. The default has no peer to tell.
+    fn close(&self) {}
+
     /// Hand the owning endpoint's counter registry to the link, so
     /// backends with internal machinery (reconnect sessions) can record
     /// session-health events (`reconnects`, `replayed_frames`, …) from

@@ -27,7 +27,10 @@
 //!
 //! If a peer never comes back, the blocked party surfaces a typed
 //! [`LinkError::Disconnected`] (never a panic) once the redial budget or
-//! the resume-wait deadline expires.
+//! the resume-wait deadline expires. A peer that finished its run and
+//! closed its endpoint ([`Endpoint::close`]) sends a goodbye frame after
+//! its last data frame: its socket closing is then the end of the
+//! session, not a break, and nobody redials it.
 //!
 //! # Crash recovery (restart splice)
 //!
@@ -80,9 +83,12 @@ const TAG_DATA: u8 = 0;
 const TAG_ACK: u8 = 1;
 /// Liveness heartbeat; carries no state, just resets the staleness clock.
 const TAG_HEARTBEAT: u8 = 3;
+/// Orderly close ([`Link::close`]): the peer finished its run, so the
+/// session ends here and the socket closing next is no break to redial.
+const TAG_BYE: u8 = 4;
 /// Data frame header: tag(1) + seq u64 + len u64.
 const DATA_HEADER: usize = 17;
-/// Control frame (ack / heartbeat): tag(1) + value u64.
+/// Control frame (ack / heartbeat / goodbye): tag(1) + value u64.
 const ACK_FRAME: usize = 9;
 /// A peer silent for this many heartbeat periods is treated as broken.
 const HEARTBEAT_STALE_FACTOR: u32 = 3;
@@ -203,6 +209,8 @@ struct SessionState {
     broken_since: Option<Instant>,
     /// Set by `Drop`: threads must exit instead of reconnecting.
     closing: bool,
+    /// Set by [`Link::close`]: `Drop` tells the peer the session ends.
+    farewell: bool,
     /// Terminal failure; once set the session never recovers.
     dead: Option<LinkError>,
     /// Next outbound sequence number (first frame is 1).
@@ -469,6 +477,15 @@ fn drain_frames(
                 }
                 // Liveness only; receipt already refreshed `last_heard`.
                 consumed += ACK_FRAME;
+            }
+            TAG_BYE => {
+                // Every frame the peer sent precedes its goodbye, so what
+                // is delivered stays readable; a later recv fails at once.
+                let peer = shared.peer;
+                shared.set_dead(LinkError::Disconnected(format!(
+                    "party {peer} closed the session"
+                )));
+                return Ok(false);
             }
             tag => {
                 return Err(LinkError::Malformed(format!("unknown frame tag {tag}")));
@@ -795,6 +812,7 @@ impl SessionLink {
                 broken: false,
                 broken_since: None,
                 closing: false,
+                farewell: false,
                 dead: None,
                 next_seq: 1,
                 delivered: 0,
@@ -901,6 +919,10 @@ impl Link for SessionLink {
         self.enqueue(bytes, false)
     }
 
+    fn close(&self) {
+        self.shared.state.lock().unwrap().farewell = true;
+    }
+
     /// The frame stays ringed and unwritten while the socket breaks; the
     /// reconnect replays it and `splice_session` records the recovery.
     fn send_severed(&self, bytes: Vec<u8>) -> Result<bool, LinkError> {
@@ -987,8 +1009,13 @@ impl Drop for SessionLink {
             let _ = w.join();
         }
         {
+            let _w = self.shared.write_lock.lock().unwrap();
             let mut st = self.shared.state.lock().unwrap();
-            if let Some(s) = st.stream.take() {
+            if let Some(mut s) = st.stream.take() {
+                // After the queue's tail, so the peer reads every frame.
+                if st.farewell {
+                    let _ = write_ctrl_frame(&mut s, TAG_BYE, 0);
+                }
                 let _ = s.shutdown(Shutdown::Both);
             }
         }
@@ -1006,15 +1033,11 @@ impl Drop for SessionLink {
 // ---------------------------------------------------------------------------
 
 /// Dial `addr` until it answers or the deadline passes, with jittered
-/// exponential backoff between attempts. Each failed attempt increments
-/// `retries`. Used for rendezvous (peers start in arbitrary order); a
-/// session resume redials through the same single attempt, `dial_once`.
-pub fn connect_with_retry(
-    addr: &str,
-    deadline: Instant,
-    retries: &mut u64,
-    seed: u64,
-) -> io::Result<TcpStream> {
+/// exponential backoff between attempts. Used for rendezvous (peers start
+/// in arbitrary order, so how often a dial fails measures process start
+/// order, not the run: nothing counts it); a session resume redials
+/// through the same single attempt, `dial_once`.
+pub fn connect_with_retry(addr: &str, deadline: Instant, seed: u64) -> io::Result<TcpStream> {
     let mut rng = XorShift::new(seed);
     let mut delay = BACKOFF_BASE;
     loop {
@@ -1033,7 +1056,6 @@ pub fn connect_with_retry(
             Err(e) if e.kind() == ErrorKind::InvalidInput => return Err(e),
             Err(e) => e,
         };
-        *retries += 1;
         let remaining = deadline.saturating_duration_since(Instant::now());
         if remaining.is_zero() {
             return Err(io::Error::new(
@@ -1189,13 +1211,12 @@ fn build_mesh(
     // peer redials us on breakage, and a peer restarted after a full
     // process crash dials everyone with a RESTART hello.
     let mut registry: ResumeRegistry = Vec::new();
-    let mut dial_retries = 0u64;
 
     // Dial (their listeners are up or will be shortly; retry with backoff
     // either way). On every link the lower id redials on breakage.
     for peer in (0..dialed).filter(|&peer| peer != id) {
         let seed = net.seed ^ 0x5851f42d4c957f2d ^ (((id as u64) << 32) | peer as u64);
-        let mut stream = connect_with_retry(&peers[peer], deadline, &mut dial_retries, seed)?;
+        let mut stream = connect_with_retry(&peers[peer], deadline, seed)?;
         send_hello(&mut stream, id, hello_kind, 0)?;
         let hello = read_hello(&mut stream, INBOUND_HANDSHAKE_TIMEOUT)?;
         if hello.peer as usize != peer || hello.kind != hello_kind {
@@ -1281,7 +1302,6 @@ fn build_mesh(
     }
 
     let ep = Endpoint::from_links(id, links, net);
-    ep.counters().add(Counter::ConnectRetries, dial_retries);
     if restart {
         // Each dialed splice is one session re-joined across the restart;
         // survivors count the mirror image in `splice_session`.
@@ -1330,7 +1350,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::catch_transport;
+    use crate::error::{catch_failures, RunFailure};
     use crate::fault::{FaultInjector, FaultPlan};
 
     fn ports(n: u16) -> u16 {
@@ -1358,6 +1378,53 @@ mod tests {
         assert_eq!(results[0], vec![10, 20]);
         assert_eq!(results[1], vec![1, 21]);
         assert_eq!(results[2], vec![2, 12]);
+    }
+
+    #[test]
+    fn rendezvous_dials_are_not_counted_as_retries() {
+        // Party 2 dials parties 0 and 1 before their listeners are up. Its
+        // failed dials measure process start order, not the run, so a
+        // fault-free run reads no retries on any party.
+        let peers = loopback_peers(3);
+        let retries = join_parties(3, |id| {
+            if id < 2 {
+                thread::sleep(Duration::from_millis(150));
+            }
+            let ep = connect_mesh(id, &peers[id], &peers, NetConfig::default()).expect("mesh");
+            ep.counters().get(Counter::ConnectRetries)
+        });
+        assert_eq!(retries, vec![0, 0, 0]);
+    }
+
+    #[test]
+    fn a_closed_session_is_not_redialed() {
+        // Party 1 finishes first and closes on purpose; party 0, the side
+        // that redials a broken socket, must read the close as the end of
+        // the session: no failed redial counted, and a late recv fails at
+        // once instead of waiting out the timeout.
+        let peers = loopback_peers(2);
+        let results = join_parties(2, |id| {
+            let ep = connect_mesh(id, &peers[id], &peers, NetConfig::default()).expect("mesh");
+            ep.send(1 - id, &(id as u64));
+            let got: u64 = ep.recv(1 - id);
+            if id == 1 {
+                ep.close();
+                return (got, 0, None);
+            }
+            thread::sleep(Duration::from_millis(300));
+            let retries = ep.counters().get(Counter::ConnectRetries);
+            let start = Instant::now();
+            let late = catch_failures(|| ep.recv::<u64>(1)).err();
+            (got, retries, late.map(|err| (err, start.elapsed())))
+        });
+        assert_eq!((results[0].0, results[1].0), (1, 0));
+        assert_eq!(results[0].1, 0, "a closed session was redialed");
+        let Some((RunFailure::Transport(err), waited)) = &results[0].2 else {
+            panic!("a recv from a closed session must fail: {:?}", results[0].2);
+        };
+        assert_eq!(err.kind, crate::error::TransportErrorKind::Disconnected);
+        assert!(err.detail.contains("closed the session"), "{err}");
+        assert!(*waited < Duration::from_secs(1), "waited {waited:?}");
     }
 
     #[test]
@@ -1427,14 +1494,8 @@ mod tests {
             // than seeing EOF first.
             thread::sleep(Duration::from_millis(500));
         });
-        let mut retries = 0;
-        let mut stream = connect_with_retry(
-            &addr,
-            Instant::now() + Duration::from_secs(5),
-            &mut retries,
-            1,
-        )
-        .unwrap();
+        let mut stream =
+            connect_with_retry(&addr, Instant::now() + Duration::from_secs(5), 1).unwrap();
         send_hello(&mut stream, 0, HELLO_INITIAL, 0).unwrap();
         let hello = read_hello(&mut stream, Duration::from_secs(5)).unwrap();
         assert_eq!(hello.peer, 1);
@@ -1459,14 +1520,8 @@ mod tests {
             stream.write_all(&[0xFF, 1, 2, 3]).unwrap();
             thread::sleep(Duration::from_millis(500));
         });
-        let mut retries = 0;
-        let mut stream = connect_with_retry(
-            &addr,
-            Instant::now() + Duration::from_secs(5),
-            &mut retries,
-            1,
-        )
-        .unwrap();
+        let mut stream =
+            connect_with_retry(&addr, Instant::now() + Duration::from_secs(5), 1).unwrap();
         send_hello(&mut stream, 0, HELLO_INITIAL, 0).unwrap();
         read_hello(&mut stream, Duration::from_secs(5)).unwrap();
         let link = SessionLink::new(0, 1, stream, None, NetConfig::default()).unwrap();
@@ -1480,16 +1535,17 @@ mod tests {
         // Port 1 on loopback is essentially guaranteed closed; connects
         // fail fast with ECONNREFUSED, so retries accumulate.
         let start = Instant::now();
-        let mut retries = 0;
         let err = connect_with_retry(
             "127.0.0.1:1",
             Instant::now() + Duration::from_millis(300),
-            &mut retries,
             42,
         )
         .unwrap_err();
         assert_eq!(err.kind(), ErrorKind::TimedOut);
-        assert!(retries > 0, "should have retried at least once");
+        assert!(
+            start.elapsed() >= Duration::from_millis(300),
+            "should have kept redialing until the budget ran out"
+        );
         assert!(
             start.elapsed() < Duration::from_secs(5),
             "gave up too slowly: {:?}",
@@ -1512,15 +1568,16 @@ mod tests {
             let ep = connect_mesh(0, &peers0[0], &peers0, net0).expect("party 0 mesh");
             // Party 1 exits right after the handshake; our recv must
             // surface a typed error, never a panic.
-            catch_transport(|| ep.recv::<u64>(1))
+            catch_failures(|| ep.recv::<u64>(1))
         });
         let p1 = thread::spawn(move || {
             let ep = connect_mesh(1, &peers[1], &peers, net).expect("party 1 mesh");
             drop(ep); // crash-by-exit
         });
         p1.join().unwrap();
-        let res = p0.join().unwrap();
-        let err = res.expect_err("recv from dead peer must fail");
+        let Err(RunFailure::Transport(err)) = p0.join().unwrap() else {
+            panic!("recv from dead peer must fail");
+        };
         assert_eq!(err.party, 0);
         assert_eq!(err.peer, Some(1));
     }
@@ -1529,7 +1586,7 @@ mod tests {
     /// sum (or its typed failure), its `replayed_frames` and `rejoins`,
     /// and party 1's second-incarnation sum and `rejoins`.
     struct RestartRun {
-        echoed: Result<u64, crate::error::TransportError>,
+        echoed: Result<u64, RunFailure>,
         replayed0: u64,
         rejoins0: u64,
         sum1: u64,
@@ -1560,7 +1617,7 @@ mod tests {
                 ep.flush();
             }
             all_sent.send(()).expect("party 1 waits for the signal");
-            let echoed = catch_transport(|| ep.recv::<u64>(1));
+            let echoed = catch_failures(|| ep.recv::<u64>(1));
             let c = ep.counters();
             (
                 echoed,
@@ -1638,7 +1695,7 @@ mod tests {
                 ep.send(1, &i);
                 ep.flush();
             }
-            catch_transport(|| ep.recv::<u64>(1))
+            catch_failures(|| ep.recv::<u64>(1))
         });
         let p1 = thread::spawn(move || {
             let ep = connect_mesh(1, &peers[1], &peers, net.clone()).expect("party 1 mesh");
@@ -1650,11 +1707,13 @@ mod tests {
             // the survivor must refuse with a typed gap, not replay junk.
             let ep = connect_mesh_restart(1, &peers[1], &peers, net)
                 .expect("restart dial itself succeeds");
-            catch_transport(|| ep.recv::<u64>(0))
+            catch_failures(|| ep.recv::<u64>(0))
         });
         let res0 = p0.join().unwrap();
         let _ = p1.join().unwrap(); // restarted side just errors out
-        let err = res0.expect_err("survivor must fail on the gap");
+        let Err(RunFailure::Transport(err)) = res0 else {
+            panic!("survivor must fail on the gap");
+        };
         assert_eq!(err.kind, crate::error::TransportErrorKind::ResumeGap);
         assert_eq!(err.missing_seq, Some(1));
         assert_eq!(err.peer, Some(1));
@@ -1676,14 +1735,8 @@ mod tests {
             // the client sees staleness rather than EOF.
             thread::sleep(Duration::from_secs(3));
         });
-        let mut retries = 0;
-        let mut stream = connect_with_retry(
-            &addr,
-            Instant::now() + Duration::from_secs(5),
-            &mut retries,
-            1,
-        )
-        .unwrap();
+        let mut stream =
+            connect_with_retry(&addr, Instant::now() + Duration::from_secs(5), 1).unwrap();
         send_hello(&mut stream, 0, HELLO_INITIAL, 0).unwrap();
         read_hello(&mut stream, Duration::from_secs(5)).unwrap();
         let net = NetConfig {

@@ -4,7 +4,7 @@
 
 use pivot_transport::wire::{decode_envelope, encode_envelope};
 use pivot_transport::{
-    catch_transport, ChannelLink, Endpoint, Link, NetConfig, TransportErrorKind,
+    catch_failures, ChannelLink, Endpoint, Link, NetConfig, RunFailure, TransportErrorKind,
 };
 use proptest::prelude::*;
 use std::time::Duration;
@@ -96,9 +96,10 @@ proptest! {
         };
         let ep = Endpoint::from_links(0, vec![None, Some(Box::new(at_victim))], net);
         at_attacker.send_bytes(garbage).unwrap();
-        match catch_transport(|| ep.recv::<u64>(1)) {
+        match catch_failures(|| ep.recv::<u64>(1)) {
             Ok(_) => {}
-            Err(err) => {
+            Err(RunFailure::Protocol(err)) => prop_assert!(false, "unexpected {err}"),
+            Err(RunFailure::Transport(err)) => {
                 prop_assert!(
                     matches!(
                         err.kind,
