@@ -91,14 +91,6 @@ impl BigInt {
         self.sign == Sign::Negative
     }
 
-    /// The non-negative value as a `BigUint`, or `None` if negative.
-    pub fn to_biguint(&self) -> Option<BigUint> {
-        match self.sign {
-            Sign::Negative => None,
-            _ => Some(self.mag.clone()),
-        }
-    }
-
     /// Euclidean remainder in `[0, modulus)`.
     pub fn rem_euclid(&self, modulus: &BigUint) -> BigUint {
         let r = self.mag.rem_of(modulus);

@@ -5,7 +5,7 @@
 //! [`scenario`]) declares one run — dataset or synthesis parameters, party
 //! count, protocol parameters, algorithm, LAN-simulation knobs — and the
 //! `pivot` binary executes it and emits a machine-readable JSON
-//! [`report`]: per-stage wall-clock, bytes sent/received per party,
+//! [`report`]: per-phase wall-clock, bytes sent/received per party,
 //! operation counts, and the test metric, together with an echo of the
 //! scenario and seed so runs recorded months apart stay comparable.
 //!

@@ -12,7 +12,7 @@ use pivot_trace::{Counter, Row, Snapshot, Unit};
 use std::path::{Path, PathBuf};
 use std::time::{SystemTime, UNIX_EPOCH};
 
-pub const SCHEMA_VERSION: u64 = 3;
+pub const SCHEMA_VERSION: u64 = 4;
 
 /// Default report path for a scenario file:
 /// `<scenario-stem><suffix>-report.json` in the current directory (the
@@ -72,6 +72,15 @@ fn row_json(row: &Row, snap: &Snapshot) -> Json {
                 }
             }
             widths
+        }
+        Unit::PhaseNanos => {
+            let mut phases = Json::obj();
+            for (phase, &ns) in pivot_trace::PHASES.iter().zip(snap.cells(c)) {
+                if ns > 0 {
+                    phases.set(phase, ns as f64 / 1e9);
+                }
+            }
+            phases
         }
     }
 }
@@ -135,10 +144,8 @@ fn party_json(exec: &Execution) -> Json {
         exec.parties
             .iter()
             .map(|p| {
-                network_json(Json::obj().with("party", p.party), p).with(
-                    "stages_s",
-                    rows_json(Json::obj(), "timing.stages_s", |_| &p.counters),
-                )
+                network_json(Json::obj().with("party", p.party), p)
+                    .with("phases_s", row_json(Counter::PhaseNs.row(), &p.counters))
             })
             .collect(),
     )
@@ -490,13 +497,17 @@ mod tests {
             let train = c.snapshot();
             c.add(Counter::BytesSent, 50);
             c.add(Counter::BytesReceived, 40);
-            for (stage, ms) in [
-                (Counter::StageLocalNs, 100),
-                (Counter::StageMpcNs, 200),
-                (Counter::StageUpdateNs, 300),
-                (Counter::StagePredictNs, 50),
+            for (phase, ms) in [
+                ("stats", 100),
+                ("gain", 200),
+                ("update", 300),
+                ("predict", 50),
             ] {
-                c.add_duration(stage, std::time::Duration::from_millis(ms));
+                let cell = pivot_trace::PHASES
+                    .iter()
+                    .position(|&p| p == phase)
+                    .unwrap();
+                c.add_cell(Counter::PhaseNs, cell, ms * 1_000_000);
             }
             for (counter, n) in [
                 (Counter::Encryptions, 12),
@@ -583,7 +594,7 @@ mod tests {
         let report = train_report(&scenario(), &fake_exec());
         let text = report.to_pretty();
         let parsed = crate::json::Json::parse(&text).unwrap();
-        assert_eq!(parsed.get("schema_version").unwrap().as_u64(), Some(3));
+        assert_eq!(parsed.get("schema_version").unwrap().as_u64(), Some(4));
         assert_eq!(parsed.get("command").unwrap().as_str(), Some("train"));
         // Keysize 256: N² has 512 bits, the kernel named by the same rule
         // `Montgomery::new` applies.
@@ -597,20 +608,22 @@ mod tests {
         );
         assert_eq!(parsed.path("timing.setup_s").unwrap().as_f64(), Some(0.2));
         assert_eq!(parsed.path("evaluation.value").unwrap().as_f64(), Some(0.5));
-        assert!(
-            parsed
-                .path("timing.stages_s.mpc_computation")
-                .unwrap()
-                .as_f64()
-                .unwrap()
-                > 0.0
+        assert_eq!(
+            parsed.path("timing.phases_s.gain").unwrap().as_f64(),
+            Some(0.2)
         );
+        // Phases that did not run are left out.
+        assert!(parsed.path("timing.phases_s.conversion").is_none());
         let per_party = parsed
             .path("network.per_party")
             .unwrap()
             .as_array()
             .unwrap();
         assert_eq!(per_party.len(), 2);
+        assert_eq!(
+            per_party[1].path("phases_s.update").unwrap().as_f64(),
+            Some(0.3)
+        );
         assert_eq!(
             per_party[1].path("train.bytes_sent").unwrap().as_u64(),
             Some(1001)

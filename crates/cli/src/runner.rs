@@ -1,4 +1,4 @@
-//! Scenario execution: SPMD protocol runs with per-stage timing and
+//! Scenario execution: SPMD protocol runs with per-phase timing and
 //! per-party traffic accounting.
 
 use crate::algo::Algo;
@@ -166,7 +166,7 @@ pub fn run_party_protocol(
     let predictions = if skip_prediction || test_view.num_samples() == 0 {
         Vec::new()
     } else {
-        let _predict = pivot_trace::phase_span("predict");
+        let _predict = pivot_trace::phase_span(&ctx.counters, "predict");
         let local: Vec<Vec<f64>> = (0..test_view.num_samples())
             .map(|i| test_view.features[i].clone())
             .collect();

@@ -71,19 +71,14 @@ fn train_writes_parseable_report_with_timings_and_netstats() {
         Some("synthetic-classification")
     );
 
-    // Per-stage wall clock.
-    for stage in [
-        "local_computation",
-        "mpc_computation",
-        "model_update",
-        "prediction",
-    ] {
+    // Per-phase wall clock, for the phases every level runs.
+    for phase in ["stats", "conversion", "gain", "predict"] {
         let v = report
-            .path(&format!("timing.stages_s.{stage}"))
-            .unwrap_or_else(|| panic!("missing stage {stage}"))
+            .path(&format!("timing.phases_s.{phase}"))
+            .unwrap_or_else(|| panic!("missing phase {phase}"))
             .as_f64()
             .unwrap();
-        assert!(v >= 0.0);
+        assert!(v > 0.0, "{phase}");
     }
     assert!(
         report
@@ -597,6 +592,119 @@ fn help_and_version_succeed() {
     let r = run_pivot(&["--version"]);
     assert!(r.status.success());
     assert!(String::from_utf8_lossy(&r.stdout).contains("pivot-cli"));
+}
+
+/// Train the shipped classification scenario with `extra` appended (the
+/// file ends in its `[params]` table) and return the report; `tag` names
+/// the temporary files.
+fn train_classification(tag: &str, extra: &str) -> Json {
+    let shipped = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../examples/scenarios/classification.toml");
+    let scenario = temp_path(&format!("{tag}.toml"));
+    let out = temp_path(&format!("{tag}-report.json"));
+    let body = std::fs::read_to_string(shipped).unwrap();
+    std::fs::write(&scenario, format!("{body}{extra}")).unwrap();
+    let result = run_pivot(&[
+        "train",
+        "--scenario",
+        scenario.to_str().unwrap(),
+        "--out",
+        out.to_str().unwrap(),
+        "--quiet",
+    ]);
+    assert!(
+        result.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&result.stderr)
+    );
+    let report = Json::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
+    std::fs::remove_file(&scenario).ok();
+    let stem = out.with_extension("");
+    for side_car in ["-trace.json", "-trace.prom"] {
+        std::fs::remove_file(format!("{}{side_car}", stem.display())).ok();
+    }
+    std::fs::remove_file(&out).ok();
+    report
+}
+
+/// `party`'s `phases_s` object as `(phase, seconds)` pairs.
+fn phases_s(report: &Json, party: usize) -> Vec<(String, f64)> {
+    let p = &report
+        .path("network.per_party")
+        .unwrap()
+        .as_array()
+        .unwrap()[party];
+    match p.get("phases_s").unwrap() {
+        Json::Obj(fields) => fields
+            .iter()
+            .map(|(k, v)| (k.clone(), v.as_f64().unwrap()))
+            .collect(),
+        other => panic!("phases_s is not an object: {other:?}"),
+    }
+}
+
+#[test]
+fn untraced_train_reports_every_partys_phase_clock() {
+    let report = train_classification("phase-clock", "");
+    assert!(report.get("trace").is_none());
+    let wall = report
+        .path("timing.wall_total_s")
+        .unwrap()
+        .as_f64()
+        .unwrap();
+    for party in 0..3 {
+        let phases = phases_s(&report, party);
+        for want in ["stats", "conversion", "gain", "predict"] {
+            let (_, s) = phases
+                .iter()
+                .find(|(p, _)| p == want)
+                .unwrap_or_else(|| panic!("party {party} lacks {want}"));
+            assert!(*s > 0.0, "party {party} {want}");
+        }
+        // The trainer's phase spans do not nest, so they fit in the run.
+        let sum: f64 = phases.iter().map(|(_, s)| s).sum();
+        assert!(sum <= wall, "party {party}: phases {sum} s > wall {wall} s");
+    }
+    // Party 0's timing section carries the same object.
+    let timing = report.path("timing.phases_s").unwrap();
+    for (phase, s) in phases_s(&report, 0) {
+        assert_eq!(timing.get(&phase).unwrap().as_f64(), Some(s));
+    }
+}
+
+#[test]
+fn traced_phase_clock_matches_the_trace_table() {
+    let report = train_classification("phase-clock-traced", "trace = \"phases\"\n");
+    let tables = report.path("trace.per_party").unwrap().as_array().unwrap();
+    assert_eq!(tables.len(), 3);
+    for (party, table) in tables.iter().enumerate() {
+        let rows = table.get("phases").unwrap().as_array().unwrap();
+        let phases = phases_s(&report, party);
+        for row in rows {
+            let phase = row.get("phase").unwrap().as_str().unwrap();
+            if phase == "other" {
+                // The table's remainder bucket, not a phase span.
+                continue;
+            }
+            let table_s = row.get("wall_s").unwrap().as_f64().unwrap();
+            let clock_s = phases
+                .iter()
+                .find(|(p, _)| p == phase)
+                .map(|&(_, s)| s)
+                .unwrap_or_else(|| panic!("party {party} lacks {phase}"));
+            assert!(
+                (table_s - clock_s).abs() <= 1e-3_f64.max(0.01 * table_s),
+                "party {party} {phase}: table {table_s} s, clock {clock_s} s"
+            );
+        }
+        assert_eq!(
+            rows.iter()
+                .filter(|r| r.get("phase").unwrap().as_str() != Some("other"))
+                .count(),
+            phases.len(),
+            "party {party}: the clock and the table name the same phases"
+        );
+    }
 }
 
 #[test]

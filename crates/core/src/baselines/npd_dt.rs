@@ -34,7 +34,7 @@ type Proposal = (f64, (usize, f64, Vec<bool>));
 pub fn train(ctx: &mut PartyContext<'_>) -> DecisionTree {
     // Labels are broadcast in plaintext — the whole point of the baseline.
     let labels: Vec<f64> = {
-        let _setup = pivot_trace::phase_span("setup");
+        let _setup = pivot_trace::phase_span(&ctx.counters, "setup");
         if ctx.is_super_client() {
             let labels = ctx.view.labels.clone().expect("super client labels");
             ctx.ep.broadcast(&labels);
@@ -63,7 +63,7 @@ pub fn train(ctx: &mut PartyContext<'_>) -> DecisionTree {
         }
         // `proposals[client][node]`.
         let proposals: Vec<Vec<Option<Proposal>>> = {
-            let _stats = pivot_trace::phase_span("stats");
+            let _stats = pivot_trace::phase_span(&ctx.counters, "stats");
             let mine: Vec<Option<Proposal>> = live
                 .iter()
                 .map(|(_, mask)| propose(ctx, &cart, mask))

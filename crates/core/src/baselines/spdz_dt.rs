@@ -35,7 +35,7 @@ pub fn train(ctx: &mut PartyContext<'_>) -> DecisionTree {
             .unwrap_or_else(|e| panic!("{e}"));
     }
     let (local, layout, mut pass) = {
-        let _setup = pivot_trace::phase_span("setup");
+        let _setup = pivot_trace::phase_span(&ctx.counters, "setup");
         let local = LocalSplits::precompute(ctx);
         let layout = SplitLayout::build(ctx.ep, &local.counts());
         let indicators = share_indicators(ctx, &local, &layout);
@@ -185,7 +185,7 @@ impl LevelPass for SharedPass {
         _depth: usize,
         masks: &mut [&mut Vec<Share>],
     ) -> Vec<NodeShares> {
-        let _stats = pivot_trace::phase_span("stats");
+        let _stats = pivot_trace::phase_span(&ctx.counters, "stats");
         let n = ctx.num_samples();
         let rows = self.label_rows.len();
         let (lhs, rhs): (Vec<Share>, Vec<Share>) = masks

@@ -218,10 +218,12 @@ pub struct PivotParams {
     /// meaningful with `verification` on.
     pub adversary: Option<AdversarySpec>,
     /// Protocol tracing level. `Off` (default) installs no collector —
-    /// the transcript is bit-identical to an untraced run and every hook
-    /// is a single atomic load. `Phases`/`Full` record span timelines
-    /// and per-phase round/byte attribution; telemetry never perturbs
-    /// the protocol (models, metrics, and traffic are unchanged).
+    /// the transcript is bit-identical to an untraced run, every fine-span
+    /// hook is a single atomic load, and phase spans only add their wall
+    /// time to the registry's phase clock, as they do at every level.
+    /// `Phases`/`Full` record span timelines and per-phase round/byte
+    /// attribution; telemetry never perturbs the protocol (models,
+    /// metrics, and traffic are unchanged).
     pub trace: TraceLevel,
 }
 
@@ -342,7 +344,8 @@ impl PivotParams {
         // Gain-pipeline overflow bound: n²·2^f < p/2 (`crate::gain`, "Scale
         // discipline").
         let n_bits = usize::BITS - n_samples.leading_zeros();
-        if 2 * n_bits + FixedConfig::default().frac_bits + 1 >= 61 {
+        let field_bits = u64::BITS - MODULUS.leading_zeros();
+        if 2 * n_bits + FixedConfig::default().frac_bits + 1 >= field_bits {
             return Err(format!(
                 "{n_samples} samples overflow the fixed-point gain pipeline"
             ));
@@ -433,6 +436,18 @@ mod tests {
     #[should_panic(expected = "overflow")]
     fn too_many_samples_rejected() {
         PivotParams::default().assert_valid_for(1 << 25, 2, ClassIndicators);
+    }
+
+    #[test]
+    fn gain_bound_follows_the_field_width() {
+        // 2·19 + 20 + 1 < 61 ≤ 2·20 + 20 + 1: 2^19 − 1 samples is the most.
+        let overflows = |n| {
+            PivotParams::default()
+                .validate(n, 2, ClassIndicators)
+                .is_err_and(|e| e.contains("overflow the fixed-point gain pipeline"))
+        };
+        assert!(!overflows((1 << 19) - 1));
+        assert!(overflows(1 << 19));
     }
 
     #[test]

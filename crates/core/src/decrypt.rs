@@ -12,7 +12,7 @@
 use crate::party::PartyContext;
 use pivot_bignum::BigUint;
 use pivot_paillier::batch;
-use pivot_paillier::threshold::{Combiner, PartialDecryption, SecretKeyShare};
+use pivot_paillier::threshold::PartialDecryption;
 use pivot_paillier::Ciphertext;
 use pivot_trace::Counter;
 
@@ -36,19 +36,4 @@ pub fn joint_decrypt_vec(ctx: &mut PartyContext<'_>, cts: &[Ciphertext]) -> Vec<
         .map(|idx| all.iter().map(|per_party| per_party[idx].clone()).collect())
         .collect();
     batch::combine_batch(&ctx.combiner, &per_ct, threads)
-}
-
-/// Decrypt a single ciphertext.
-pub fn joint_decrypt(ctx: &mut PartyContext<'_>, ct: &Ciphertext) -> BigUint {
-    joint_decrypt_vec(ctx, std::slice::from_ref(ct)).remove(0)
-}
-
-/// Stand-alone combiner used by tests that play all parties themselves.
-pub fn combine_partials(
-    combiner: &Combiner,
-    shares: &[SecretKeyShare],
-    ct: &Ciphertext,
-) -> BigUint {
-    let partials: Vec<PartialDecryption> = shares.iter().map(|s| s.partial_decrypt(ct)).collect();
-    combiner.combine(&partials)
 }

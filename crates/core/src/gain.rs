@@ -48,7 +48,6 @@ use crate::party::PartyContext;
 use crate::stats::{PackedStats, SplitLayout};
 use pivot_data::Task;
 use pivot_mpc::{width_for_magnitude, Fp, Share};
-use pivot_trace::Counter;
 
 /// Comparison width covering integer node counts (`|v| ≤ n`).
 fn count_width(ctx: &PartyContext<'_>) -> u32 {
@@ -243,51 +242,49 @@ pub fn prune_decisions_batch(
     // All operands are integer counts bounded by max(n, min_samples).
     let counts_k = width_for_magnitude((ctx.num_samples() as u64).max(min_samples));
     let purity = check_purity && is_classification;
-    ctx.counters.time(Counter::StageMpcNs, || {
-        let engine = &mut ctx.engine;
-        let maxes = if purity {
-            let rows: Vec<Vec<Share>> = nodes.iter().map(|t| t.g.clone()).collect();
-            engine
-                .argmax_many_bounded(&rows, counts_k)
-                .into_iter()
-                .map(|(_, max)| max)
-                .collect()
-        } else {
-            Vec::new()
-        };
-        // One mixed batch: every node's small test, then every purity test
-        // (pure ⟺ max_k g_k = n̄ ⟺ (n̄ − max) − 1 < 0).
-        let mut lanes: Vec<Share> = nodes
-            .iter()
-            .map(|t| t.n.sub_public(party, Fp::new(min_samples)))
-            .collect();
-        if purity {
-            lanes.extend(
-                nodes
-                    .iter()
-                    .zip(&maxes)
-                    .map(|(t, &max)| (t.n - max).sub_public(party, Fp::ONE)),
-            );
-        }
-        let bits = engine.ltz_vec_bounded(&lanes, counts_k);
-        let decisions: Vec<Share> = if purity {
-            // stop = small ∨ pure = small + pure − small·pure, one
-            // multiplication round for the level.
-            let smalls = &bits[..nodes.len()];
-            let pures = &bits[nodes.len()..];
-            let prods = engine.mul_vec(smalls, pures);
-            (0..nodes.len())
-                .map(|i| smalls[i] + pures[i] - prods[i])
-                .collect()
-        } else {
-            bits
-        };
+    let engine = &mut ctx.engine;
+    let maxes = if purity {
+        let rows: Vec<Vec<Share>> = nodes.iter().map(|t| t.g.clone()).collect();
         engine
-            .open_vec(&decisions)
-            .iter()
-            .map(|v| v.value() == 1)
+            .argmax_many_bounded(&rows, counts_k)
+            .into_iter()
+            .map(|(_, max)| max)
             .collect()
-    })
+    } else {
+        Vec::new()
+    };
+    // One mixed batch: every node's small test, then every purity test
+    // (pure ⟺ max_k g_k = n̄ ⟺ (n̄ − max) − 1 < 0).
+    let mut lanes: Vec<Share> = nodes
+        .iter()
+        .map(|t| t.n.sub_public(party, Fp::new(min_samples)))
+        .collect();
+    if purity {
+        lanes.extend(
+            nodes
+                .iter()
+                .zip(&maxes)
+                .map(|(t, &max)| (t.n - max).sub_public(party, Fp::ONE)),
+        );
+    }
+    let bits = engine.ltz_vec_bounded(&lanes, counts_k);
+    let decisions: Vec<Share> = if purity {
+        // stop = small ∨ pure = small + pure − small·pure, one
+        // multiplication round for the level.
+        let smalls = &bits[..nodes.len()];
+        let pures = &bits[nodes.len()..];
+        let prods = engine.mul_vec(smalls, pures);
+        (0..nodes.len())
+            .map(|i| smalls[i] + pures[i] - prods[i])
+            .collect()
+    } else {
+        bits
+    };
+    engine
+        .open_vec(&decisions)
+        .iter()
+        .map(|v| v.value() == 1)
+        .collect()
 }
 
 /// Evaluate the gain of every split of every node (scale `2^f`), with
@@ -308,148 +305,146 @@ pub fn split_gains_batch(ctx: &mut PartyContext<'_>, nodes: &[&NodeShares]) -> V
     let splits_per_node: Vec<usize> = nodes.iter().map(|n| n.n_l.len()).collect();
     let lanes: usize = splits_per_node.iter().sum();
 
-    ctx.counters.time(Counter::StageMpcNs, || {
-        let engine = &mut ctx.engine;
-        // Per node: right sides by subtraction, lanes node-major.
-        let n_r: Vec<Vec<Share>> = nodes
-            .iter()
-            .map(|n| n.n_l.iter().map(|&l| n.totals.n - l).collect())
-            .collect();
-        let g_r: Vec<Vec<Vec<Share>>> = nodes
-            .iter()
-            .map(|n| {
-                n.g_l
-                    .iter()
-                    .enumerate()
-                    .map(|(k, row)| row.iter().map(|&l| n.totals.g[k] - l).collect())
-                    .collect()
-            })
-            .collect();
+    let engine = &mut ctx.engine;
+    // Per node: right sides by subtraction, lanes node-major.
+    let n_r: Vec<Vec<Share>> = nodes
+        .iter()
+        .map(|n| n.n_l.iter().map(|&l| n.totals.n - l).collect())
+        .collect();
+    let g_r: Vec<Vec<Vec<Share>>> = nodes
+        .iter()
+        .map(|n| {
+            n.g_l
+                .iter()
+                .enumerate()
+                .map(|(k, row)| row.iter().map(|&l| n.totals.g[k] - l).collect())
+                .collect()
+        })
+        .collect();
 
-        // One reciprocal pipeline over every side of every node. The sides
-        // are integer-valued counts, so the normalization comparisons run
-        // in the integer domain (`⌈log₂ n⌉`-bit widths instead of
-        // `f + ⌈log₂ n⌉`), and the same batch yields `1[n_side = 0]`.
-        let mut sides_int: Vec<Share> = Vec::with_capacity(2 * lanes);
-        for (node, rights) in nodes.iter().zip(&n_r) {
-            sides_int.extend(node.n_l.iter().copied());
-            sides_int.extend(rights.iter().copied());
-        }
-        let (recips, zero_flags) = engine.recip_vec_int_with_zeros(&sides_int, n_bound);
+    // One reciprocal pipeline over every side of every node. The sides
+    // are integer-valued counts, so the normalization comparisons run
+    // in the integer domain (`⌈log₂ n⌉`-bit widths instead of
+    // `f + ⌈log₂ n⌉`), and the same batch yields `1[n_side = 0]`.
+    let mut sides_int: Vec<Share> = Vec::with_capacity(2 * lanes);
+    for (node, rights) in nodes.iter().zip(&n_r) {
+        sides_int.extend(node.n_l.iter().copied());
+        sides_int.extend(rights.iter().copied());
+    }
+    let (recips, zero_flags) = engine.recip_vec_int_with_zeros(&sides_int, n_bound);
 
-        // Validity: both sides non-empty. a = 1[n_l = 0], b = 1[n_r = 0]
-        // came out of the reciprocal's comparison batch; they cannot both
-        // be 1 (the node is non-empty), so valid = 1 − a − b is linear.
-        // It gates the gain inside the products' first round: every term
-        // takes one factor `q = valid·(count)`, so an invalid split's terms
-        // vanish, and gain = Σ terms + (valid − 1)·2^f pins it to −1.
-        let mut valid: Vec<Vec<Share>> = Vec::with_capacity(nodes.len());
-        let mut at = 0;
-        for &n_splits in &splits_per_node {
-            valid.push(
-                (0..n_splits)
-                    .map(|s| {
-                        Share::from_public(party, Fp::ONE)
-                            - zero_flags[at + s]
-                            - zero_flags[at + n_splits + s]
-                    })
-                    .collect(),
-            );
-            at += 2 * n_splits;
-        }
+    // Validity: both sides non-empty. a = 1[n_l = 0], b = 1[n_r = 0]
+    // came out of the reciprocal's comparison batch; they cannot both
+    // be 1 (the node is non-empty), so valid = 1 − a − b is linear.
+    // It gates the gain inside the products' first round: every term
+    // takes one factor `q = valid·(count)`, so an invalid split's terms
+    // vanish, and gain = Σ terms + (valid − 1)·2^f pins it to −1.
+    let mut valid: Vec<Vec<Share>> = Vec::with_capacity(nodes.len());
+    let mut at = 0;
+    for &n_splits in &splits_per_node {
+        valid.push(
+            (0..n_splits)
+                .map(|s| {
+                    Share::from_public(party, Fp::ONE)
+                        - zero_flags[at + s]
+                        - zero_flags[at + n_splits + s]
+                })
+                .collect(),
+        );
+        at += 2 * n_splits;
+    }
 
-        let mut gains_raw: Vec<Vec<Share>> = Vec::with_capacity(nodes.len());
-        match task {
-            Task::Classification { .. } => {
-                // p = g·recip and q = valid·g in one round, term = p·q
-                // (scale f) in the next: both sides and all classes.
-                let mut gs = Vec::new();
-                let mut rs = Vec::new();
-                let mut vs = Vec::new();
-                let mut at = 0;
-                for (i, node) in nodes.iter().enumerate() {
-                    let n_splits = splits_per_node[i];
-                    let (recip_l, recip_r) = recips[at..at + 2 * n_splits].split_at(n_splits);
-                    at += 2 * n_splits;
-                    for k in 0..node.g_l.len() {
-                        gs.extend_from_slice(&node.g_l[k]);
-                        gs.extend_from_slice(&g_r[i][k]);
-                        rs.extend_from_slice(recip_l);
-                        rs.extend_from_slice(recip_r);
-                        vs.extend_from_slice(&valid[i]);
-                        vs.extend_from_slice(&valid[i]);
-                    }
-                }
-                let lanes_g = gs.len();
-                let lhs: Vec<Share> = gs.iter().chain(&vs).copied().collect();
-                let rhs: Vec<Share> = rs.into_iter().chain(gs).collect();
-                let pq = engine.mul_vec(&lhs, &rhs);
-                let terms = engine.mul_vec(&pq[..lanes_g], &pq[lanes_g..]);
-                let mut base = 0;
-                for (i, node) in nodes.iter().enumerate() {
-                    let n_splits = splits_per_node[i];
-                    let classes = node.g_l.len();
-                    let mut gains = vec![Share::ZERO; n_splits];
-                    for k in 0..classes {
-                        let row = base + 2 * k * n_splits;
-                        for (s, gain) in gains.iter_mut().enumerate() {
-                            *gain = *gain + terms[row + s] + terms[row + n_splits + s];
-                        }
-                    }
-                    base += 2 * classes * n_splits;
-                    gains_raw.push(gains);
-                }
-            }
-            Task::Regression => {
-                // mean = γ₁·recip and q = valid·n_side in one round, then
-                // gain_side = mean²·q.
-                let mut g1 = Vec::with_capacity(2 * lanes);
-                let mut recs = Vec::with_capacity(2 * lanes);
-                let mut vs = Vec::with_capacity(2 * lanes);
-                let mut counts = Vec::with_capacity(2 * lanes);
-                let mut at = 0;
-                for (i, node) in nodes.iter().enumerate() {
-                    let n_splits = splits_per_node[i];
-                    g1.extend_from_slice(&node.g_l[0]);
-                    g1.extend_from_slice(&g_r[i][0]);
-                    recs.extend_from_slice(&recips[at..at + 2 * n_splits]);
+    let mut gains_raw: Vec<Vec<Share>> = Vec::with_capacity(nodes.len());
+    match task {
+        Task::Classification { .. } => {
+            // p = g·recip and q = valid·g in one round, term = p·q
+            // (scale f) in the next: both sides and all classes.
+            let mut gs = Vec::new();
+            let mut rs = Vec::new();
+            let mut vs = Vec::new();
+            let mut at = 0;
+            for (i, node) in nodes.iter().enumerate() {
+                let n_splits = splits_per_node[i];
+                let (recip_l, recip_r) = recips[at..at + 2 * n_splits].split_at(n_splits);
+                at += 2 * n_splits;
+                for k in 0..node.g_l.len() {
+                    gs.extend_from_slice(&node.g_l[k]);
+                    gs.extend_from_slice(&g_r[i][k]);
+                    rs.extend_from_slice(recip_l);
+                    rs.extend_from_slice(recip_r);
                     vs.extend_from_slice(&valid[i]);
                     vs.extend_from_slice(&valid[i]);
-                    counts.extend_from_slice(&node.n_l);
-                    counts.extend_from_slice(&n_r[i]);
-                    at += 2 * n_splits;
-                }
-                let lhs: Vec<Share> = g1.into_iter().chain(vs).collect();
-                let rhs: Vec<Share> = recs.into_iter().chain(counts).collect();
-                let mq = engine.mul_vec(&lhs, &rhs);
-                let (mean_raw, qs) = mq.split_at(2 * lanes);
-                let means = engine.trunc_vec(mean_raw, frac_bits);
-                let m2 = engine.fixmul_vec(&means, &means);
-                let terms = engine.mul_vec(&m2, qs);
-                let mut at = 0;
-                for &n_splits in &splits_per_node {
-                    gains_raw.push(
-                        (0..n_splits)
-                            .map(|s| terms[at + s] + terms[at + n_splits + s])
-                            .collect(),
-                    );
-                    at += 2 * n_splits;
                 }
             }
+            let lanes_g = gs.len();
+            let lhs: Vec<Share> = gs.iter().chain(&vs).copied().collect();
+            let rhs: Vec<Share> = rs.into_iter().chain(gs).collect();
+            let pq = engine.mul_vec(&lhs, &rhs);
+            let terms = engine.mul_vec(&pq[..lanes_g], &pq[lanes_g..]);
+            let mut base = 0;
+            for (i, node) in nodes.iter().enumerate() {
+                let n_splits = splits_per_node[i];
+                let classes = node.g_l.len();
+                let mut gains = vec![Share::ZERO; n_splits];
+                for k in 0..classes {
+                    let row = base + 2 * k * n_splits;
+                    for (s, gain) in gains.iter_mut().enumerate() {
+                        *gain = *gain + terms[row + s] + terms[row + n_splits + s];
+                    }
+                }
+                base += 2 * classes * n_splits;
+                gains_raw.push(gains);
+            }
         }
+        Task::Regression => {
+            // mean = γ₁·recip and q = valid·n_side in one round, then
+            // gain_side = mean²·q.
+            let mut g1 = Vec::with_capacity(2 * lanes);
+            let mut recs = Vec::with_capacity(2 * lanes);
+            let mut vs = Vec::with_capacity(2 * lanes);
+            let mut counts = Vec::with_capacity(2 * lanes);
+            let mut at = 0;
+            for (i, node) in nodes.iter().enumerate() {
+                let n_splits = splits_per_node[i];
+                g1.extend_from_slice(&node.g_l[0]);
+                g1.extend_from_slice(&g_r[i][0]);
+                recs.extend_from_slice(&recips[at..at + 2 * n_splits]);
+                vs.extend_from_slice(&valid[i]);
+                vs.extend_from_slice(&valid[i]);
+                counts.extend_from_slice(&node.n_l);
+                counts.extend_from_slice(&n_r[i]);
+                at += 2 * n_splits;
+            }
+            let lhs: Vec<Share> = g1.into_iter().chain(vs).collect();
+            let rhs: Vec<Share> = recs.into_iter().chain(counts).collect();
+            let mq = engine.mul_vec(&lhs, &rhs);
+            let (mean_raw, qs) = mq.split_at(2 * lanes);
+            let means = engine.trunc_vec(mean_raw, frac_bits);
+            let m2 = engine.fixmul_vec(&means, &means);
+            let terms = engine.mul_vec(&m2, qs);
+            let mut at = 0;
+            for &n_splits in &splits_per_node {
+                gains_raw.push(
+                    (0..n_splits)
+                        .map(|s| terms[at + s] + terms[at + n_splits + s])
+                        .collect(),
+                );
+                at += 2 * n_splits;
+            }
+        }
+    }
 
-        gains_raw
-            .iter()
-            .zip(&valid)
-            .map(|(gains, valid)| {
-                gains
-                    .iter()
-                    .zip(valid)
-                    .map(|(&g, &v)| (g + v.scale(one_fx)).sub_public(party, one_fx))
-                    .collect()
-            })
-            .collect()
-    })
+    gains_raw
+        .iter()
+        .zip(&valid)
+        .map(|(gains, valid)| {
+            gains
+                .iter()
+                .zip(valid)
+                .map(|(&g, &v)| (g + v.scale(one_fx)).sub_public(party, one_fx))
+                .collect()
+        })
+        .collect()
 }
 
 /// Secure argmax over each node's gains; returns `⟨global split index⟩`
@@ -460,10 +455,11 @@ pub fn best_split_batch(ctx: &mut PartyContext<'_>, gains: &[Vec<Share>]) -> Vec
         return Vec::new();
     }
     let k = gain_width(ctx);
-    ctx.counters.time(Counter::StageMpcNs, || {
-        let best = ctx.engine.argmax_many_bounded(gains, k);
-        best.into_iter().map(|(idx, _)| idx).collect()
-    })
+    ctx.engine
+        .argmax_many_bounded(gains, k)
+        .into_iter()
+        .map(|(idx, _)| idx)
+        .collect()
 }
 
 /// Secure leaf labels: argmax class (classification, integer share) or
@@ -476,7 +472,7 @@ pub fn leaf_label_shares_batch(ctx: &mut PartyContext<'_>, nodes: &[&NodeTotals]
     let n_bound = ctx.num_samples() as f64;
     let task = ctx.current_task();
     let counts_k = count_width(ctx);
-    ctx.counters.time(Counter::StageMpcNs, || match task {
+    match task {
         // Class counts are integers in [0, n]: count-width argmax.
         Task::Classification { .. } => {
             let rows: Vec<Vec<Share>> = nodes.iter().map(|t| t.g.clone()).collect();
@@ -492,7 +488,7 @@ pub fn leaf_label_shares_batch(ctx: &mut PartyContext<'_>, nodes: &[&NodeTotals]
             let g1: Vec<Share> = nodes.iter().map(|t| t.g[0]).collect();
             ctx.engine.fixmul_vec(&g1, &recips)
         }
-    })
+    }
 }
 
 /// Enhanced protocol: reveal only the winning `(i*, j*)` block of every
@@ -570,9 +566,7 @@ pub fn concealed_columns_batch(
             entries.extend_from_slice(&row[start..start + lambda.len()]);
         }
     }
-    let products = ctx.counters.time(Counter::StageMpcNs, || {
-        ctx.engine.mul_vec(&selectors, &entries)
-    });
+    let products = ctx.engine.mul_vec(&selectors, &entries);
     let mut rest = products.as_slice();
     winners
         .iter()

@@ -84,7 +84,6 @@ impl<T> Sides<Option<T>> {
 /// identical ciphertexts** — a hard protocol invariant: joint threshold
 /// decryption combines partial decryptions of what must be one ciphertext.
 pub fn initial_mask(ctx: &mut PartyContext<'_>, included: &[bool]) -> Vec<Ciphertext> {
-    let started = std::time::Instant::now();
     let (cts, bundle) = if ctx.is_super_client() {
         let values: Vec<BigUint> = included
             .iter()
@@ -101,8 +100,6 @@ pub fn initial_mask(ctx: &mut PartyContext<'_>, included: &[bool]) -> Vec<Cipher
         (ctx.ep.recv(ctx.super_client), None)
     };
     verify::check_popk(ctx, "setup", ctx.super_client, &cts, bundle);
-    ctx.counters
-        .add_duration(Counter::StageLocalNs, started.elapsed());
     cts
 }
 
@@ -204,7 +201,6 @@ pub(crate) fn compute_packed_label_masks<'a>(
         }
     };
     let n = alpha.len();
-    let started = std::time::Instant::now();
     let threads = ctx.crypto_threads();
     let lent = usize::from(plan.chunking.alpha_alone());
     // The super client's proof of each chunk; `None` at the receivers.
@@ -230,8 +226,6 @@ pub(crate) fn compute_packed_label_masks<'a>(
     for (chunk, bundle) in built.iter().zip(bundles) {
         verify::check_popcm(ctx, "label_masks", ctx.super_client, alpha, chunk, bundle);
     }
-    ctx.counters
-        .add_duration(Counter::StageLocalNs, started.elapsed());
     PackedLabels {
         chunks: plan
             .chunking

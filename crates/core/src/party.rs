@@ -31,7 +31,8 @@ pub struct PartyContext<'a> {
     pub engine: MpcEngine<'a>,
     pub params: PivotParams,
     /// The endpoint's counter registry ([`Endpoint::counters`]), where the
-    /// protocols record the paper's Table 2 costs and stage timers.
+    /// protocols record the paper's Table 2 costs and phase spans their
+    /// wall time.
     pub counters: Arc<Counters>,
     /// Private per-party randomness (conversion masks and other
     /// non-encryption draws). Paillier encryption nonces live in the
@@ -65,7 +66,7 @@ impl<'a> PartyContext<'a> {
     /// ([`pivot_paillier::fixtures`]) — the same trusted-dealer setup the
     /// original implementation gets from libhcs.
     pub fn setup(ep: &'a Endpoint, view: VerticalView, params: PivotParams) -> Self {
-        let _phase = pivot_trace::phase_span("setup");
+        let _phase = pivot_trace::phase_span(ep.counters(), "setup");
         // Callers validate outside input before spawning parties
         // (`pivot-cli`'s `runner::prepare`), so a failure here is a broken
         // invariant of this process.
@@ -155,7 +156,7 @@ impl<'a> PartyContext<'a> {
         let Some(sink) = self.checkpoint.as_mut() else {
             return;
         };
-        let _phase = pivot_trace::phase_span("checkpoint");
+        let _phase = pivot_trace::phase_span(&self.counters, "checkpoint");
         let c = &self.counters;
         let cursors = crate::checkpoint::StateCursors {
             mpc_rounds: c.get(Counter::Rounds),

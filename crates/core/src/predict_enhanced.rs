@@ -11,7 +11,6 @@ use crate::train_enhanced::threshold_offset_bits;
 use pivot_bignum::BigUint;
 use pivot_data::Task;
 use pivot_mpc::{Fp, Share};
-use pivot_trace::Counter;
 use std::collections::{BTreeMap, HashMap};
 
 /// Jointly predict one sample on a concealed tree.
@@ -32,7 +31,6 @@ pub fn predict_batch(
     // Convert the concealed model into shares once per batch.
     let internals = tree.internals();
     let leaf_paths = tree.leaf_paths();
-    let started = std::time::Instant::now();
     let (thresholds, leaf_values) = {
         let mut cts = Vec::with_capacity(internals.len() + leaf_paths.len());
         for (_, _, _, enc_t) in &internals {
@@ -67,8 +65,6 @@ pub fn predict_batch(
         let leaves = shares[internals.len()..].to_vec();
         (thresholds, leaves)
     };
-    ctx.counters
-        .add_duration(Counter::StagePredictNs, started.elapsed());
 
     // Owners share their feature values for every (internal node, sample).
     // node_feature_shares[node_pos][sample]
@@ -107,99 +103,93 @@ pub fn predict_batch(
         }
     }
 
-    let started = std::time::Instant::now();
     let task = ctx.current_task();
-    let result = {
-        // One batched secure comparison evaluates every node × sample:
-        // right = 1[τ < x]; left marker bit = 1 − right.
-        let mut diffs = Vec::with_capacity(internals.len() * n_samples);
-        for (pos, t) in thresholds.iter().enumerate() {
-            for s in 0..n_samples {
-                diffs.push(*t - node_feature_shares[pos][s]);
-            }
+    // One batched secure comparison evaluates every node × sample:
+    // right = 1[τ < x]; left marker bit = 1 − right.
+    let mut diffs = Vec::with_capacity(internals.len() * n_samples);
+    for (pos, t) in thresholds.iter().enumerate() {
+        for s in 0..n_samples {
+            diffs.push(*t - node_feature_shares[pos][s]);
         }
-        let rights = bounded_node_comparisons(ctx, &internals, local_samples, &diffs, n_samples);
-        let party = ctx.id();
-        let one = Share::from_public(party, Fp::ONE);
+    }
+    let rights = bounded_node_comparisons(ctx, &internals, local_samples, &diffs, n_samples);
+    let party = ctx.id();
+    let one = Share::from_public(party, Fp::ONE);
 
-        // Node-id → position in `internals`.
-        let node_pos: HashMap<usize, usize> = internals
-            .iter()
-            .enumerate()
-            .map(|(pos, (id, ..))| (*id, pos))
-            .collect();
+    // Node-id → position in `internals`.
+    let node_pos: HashMap<usize, usize> = internals
+        .iter()
+        .enumerate()
+        .map(|(pos, (id, ..))| (*id, pos))
+        .collect();
 
-        // Walk the tree top-down, one multiplication batch per level:
-        // marker(left) = marker·left_bit, marker(right) = marker − marker(left).
-        let mut markers: HashMap<usize, Vec<Share>> = HashMap::new();
-        markers.insert(tree.root, vec![one; n_samples]);
-        let mut frontier = vec![tree.root];
-        while !frontier.is_empty() {
-            let mut lhs = Vec::new();
-            let mut rhs = Vec::new();
-            let mut meta = Vec::new();
-            let mut next = Vec::new();
-            for &id in &frontier {
-                if let ConcealedNode::Internal { left, right, .. } = &tree.nodes[id] {
-                    let pos = node_pos[&id];
-                    let parent = markers[&id].clone();
-                    for s in 0..n_samples {
-                        lhs.push(parent[s]);
-                        rhs.push(one - rights[pos * n_samples + s]);
-                    }
-                    meta.push((id, *left, *right));
-                    next.push(*left);
-                    next.push(*right);
+    // Walk the tree top-down, one multiplication batch per level:
+    // marker(left) = marker·left_bit, marker(right) = marker − marker(left).
+    let mut markers: HashMap<usize, Vec<Share>> = HashMap::new();
+    markers.insert(tree.root, vec![one; n_samples]);
+    let mut frontier = vec![tree.root];
+    while !frontier.is_empty() {
+        let mut lhs = Vec::new();
+        let mut rhs = Vec::new();
+        let mut meta = Vec::new();
+        let mut next = Vec::new();
+        for &id in &frontier {
+            if let ConcealedNode::Internal { left, right, .. } = &tree.nodes[id] {
+                let pos = node_pos[&id];
+                let parent = markers[&id].clone();
+                for s in 0..n_samples {
+                    lhs.push(parent[s]);
+                    rhs.push(one - rights[pos * n_samples + s]);
                 }
+                meta.push((id, *left, *right));
+                next.push(*left);
+                next.push(*right);
             }
-            if meta.is_empty() {
-                break;
-            }
-            let products = ctx.engine.mul_vec(&lhs, &rhs);
-            for (i, (id, left, right)) in meta.iter().enumerate() {
-                let left_marker: Vec<Share> = products[i * n_samples..(i + 1) * n_samples].to_vec();
-                let parent = markers[id].clone();
-                let right_marker: Vec<Share> = parent
-                    .iter()
-                    .zip(&left_marker)
-                    .map(|(&p, &l)| p - l)
-                    .collect();
-                markers.insert(*left, left_marker);
-                markers.insert(*right, right_marker);
-            }
-            frontier = next;
         }
+        if meta.is_empty() {
+            break;
+        }
+        let products = ctx.engine.mul_vec(&lhs, &rhs);
+        for (i, (id, left, right)) in meta.iter().enumerate() {
+            let left_marker: Vec<Share> = products[i * n_samples..(i + 1) * n_samples].to_vec();
+            let parent = markers[id].clone();
+            let right_marker: Vec<Share> = parent
+                .iter()
+                .zip(&left_marker)
+                .map(|(&p, &l)| p - l)
+                .collect();
+            markers.insert(*left, left_marker);
+            markers.insert(*right, right_marker);
+        }
+        frontier = next;
+    }
 
-        // prediction = Σ_leaf marker·z (one multiplication batch), opened.
-        let mut lhs = Vec::with_capacity(leaf_paths.len() * n_samples);
-        let mut rhs = Vec::with_capacity(leaf_paths.len() * n_samples);
-        for (li, (leaf_id, _)) in leaf_paths.iter().enumerate() {
-            let marker = &markers[leaf_id];
-            for s in 0..n_samples {
-                lhs.push(marker[s]);
-                rhs.push(leaf_values[li]);
-            }
+    // prediction = Σ_leaf marker·z (one multiplication batch), opened.
+    let mut lhs = Vec::with_capacity(leaf_paths.len() * n_samples);
+    let mut rhs = Vec::with_capacity(leaf_paths.len() * n_samples);
+    for (li, (leaf_id, _)) in leaf_paths.iter().enumerate() {
+        let marker = &markers[leaf_id];
+        for s in 0..n_samples {
+            lhs.push(marker[s]);
+            rhs.push(leaf_values[li]);
         }
-        let prods = ctx.engine.mul_vec(&lhs, &rhs);
-        let sums: Vec<Share> = (0..n_samples)
-            .map(|s| {
-                (0..leaf_paths.len())
-                    .map(|li| prods[li * n_samples + s])
-                    .fold(Share::ZERO, |acc, x| acc + x)
-            })
-            .collect();
-        let opened = ctx.engine.open_vec(&sums);
-        opened
-            .iter()
-            .map(|&v| match task {
-                Task::Classification { .. } => v.value() as f64,
-                Task::Regression => ctx.engine.cfg.decode(v),
-            })
-            .collect()
-    };
-    ctx.counters
-        .add_duration(Counter::StagePredictNs, started.elapsed());
-    result
+    }
+    let prods = ctx.engine.mul_vec(&lhs, &rhs);
+    let sums: Vec<Share> = (0..n_samples)
+        .map(|s| {
+            (0..leaf_paths.len())
+                .map(|li| prods[li * n_samples + s])
+                .fold(Share::ZERO, |acc, x| acc + x)
+        })
+        .collect();
+    let opened = ctx.engine.open_vec(&sums);
+    opened
+        .iter()
+        .map(|&v| match task {
+            Task::Classification { .. } => v.value() as f64,
+            Task::Regression => ctx.engine.cfg.decode(v),
+        })
+        .collect()
 }
 
 /// Node comparisons under a public per-feature range contract. Each split

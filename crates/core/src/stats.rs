@@ -240,35 +240,31 @@ pub fn packed_pooled_statistics(
     let threads = ctx.crypto_threads();
     let splits: Vec<&Vec<bool>> = local.indicators.iter().flatten().collect();
 
-    let mut mine: Vec<Vec<Ciphertext>> = ctx.counters.time(Counter::StageLocalNs, || {
-        let mut per_chunk = Vec::with_capacity(chunking.chunks());
-        for (c, chunk_labels) in labels.chunks.iter().enumerate() {
-            let width = chunking.widths[c];
-            // One dot product per split (the whole chunk of the stride at
-            // once), then groups merge via slot shifts.
-            let per_split: Vec<Ciphertext> = pivot_runtime::global().map(threads, &splits, |v_l| {
-                vector::dot_binary(&ctx.pk, chunk_labels, v_l)
-            });
-            let groups: Vec<&[Ciphertext]> = per_split.chunks(chunking.group).collect();
-            let merged: Vec<Ciphertext> =
-                pivot_runtime::global().map(threads, &groups, |members| {
-                    let mut acc = members[0].clone();
-                    for (t, member) in members[1..].iter().enumerate() {
-                        let shift = codec.shift_factor((t + 1) * width);
-                        acc = ctx.pk.add(&acc, &ctx.pk.mul_plain(member, &shift));
-                    }
-                    acc
-                });
-            // The dot products, plus one shift per split merged into its
-            // group's first.
-            ctx.counters.add(
-                Counter::CiphertextOps,
-                (n_samples * splits.len() + splits.len() - merged.len()) as u64,
-            );
-            per_chunk.push(merged);
-        }
-        per_chunk
-    });
+    let mut mine: Vec<Vec<Ciphertext>> = Vec::with_capacity(chunking.chunks());
+    for (c, chunk_labels) in labels.chunks.iter().enumerate() {
+        let width = chunking.widths[c];
+        // One dot product per split (the whole chunk of the stride at
+        // once), then groups merge via slot shifts.
+        let per_split: Vec<Ciphertext> = pivot_runtime::global().map(threads, &splits, |v_l| {
+            vector::dot_binary(&ctx.pk, chunk_labels, v_l)
+        });
+        let groups: Vec<&[Ciphertext]> = per_split.chunks(chunking.group).collect();
+        let merged: Vec<Ciphertext> = pivot_runtime::global().map(threads, &groups, |members| {
+            let mut acc = members[0].clone();
+            for (t, member) in members[1..].iter().enumerate() {
+                let shift = codec.shift_factor((t + 1) * width);
+                acc = ctx.pk.add(&acc, &ctx.pk.mul_plain(member, &shift));
+            }
+            acc
+        });
+        // The dot products, plus one shift per split merged into its
+        // group's first.
+        ctx.counters.add(
+            Counter::CiphertextOps,
+            (n_samples * splits.len() + splits.len() - merged.len()) as u64,
+        );
+        mine.push(merged);
+    }
 
     // Verification: commit the indicator bits and prove every pooled dot
     // product against those commitments (pohdp, Eqn 7). The proofs cover

@@ -40,7 +40,6 @@ use crate::trainer::{
 use pivot_data::Task;
 use pivot_mpc::{Fp, Share};
 use pivot_paillier::{Ciphertext, SlotCodec};
-use pivot_trace::Counter;
 use pivot_trees::{DecisionTree, Node};
 
 /// The encrypted vectors of a node.
@@ -133,7 +132,7 @@ impl LevelPass for PaillierPass {
             crate::train_enhanced::refresh_masks(ctx, masks);
         }
         let per_node: Vec<PackedStats> = {
-            let _stats = pivot_trace::phase_span("stats");
+            let _stats = pivot_trace::phase_span(&ctx.counters, "stats");
             let labels: Vec<PackedLabels<'_>> = masks
                 .iter()
                 .map(|mask| compute_packed_label_masks(ctx, mask, &self.label_plan))
@@ -143,12 +142,9 @@ impl LevelPass for PaillierPass {
                 .map(|packed| packed_pooled_statistics(ctx, layout, local, packed, &self.codec))
                 .collect()
         };
-        let _conv = pivot_trace::phase_span("conversion");
+        let _conv = pivot_trace::phase_span(&ctx.counters, "conversion");
         let (cts, used) = conversion_batch(&per_node);
-        let started = std::time::Instant::now();
         let slot_shares = packed_ciphers_to_shares(ctx, &self.codec, &cts, &used);
-        ctx.counters
-            .add_duration(Counter::StageMpcNs, started.elapsed());
         let mut rest = slot_shares.as_slice();
         per_node
             .iter()
@@ -231,7 +227,7 @@ pub(crate) fn train_from_roots(
     noise: Option<DpParams>,
 ) -> Vec<DecisionTree> {
     let (local, layout) = {
-        let _setup = pivot_trace::phase_span("setup");
+        let _setup = pivot_trace::phase_span(&ctx.counters, "setup");
         let local = LocalSplits::precompute(ctx);
         let layout = SplitLayout::build(ctx.ep, &local.counts());
         (local, layout)
@@ -292,9 +288,7 @@ impl Reveal {
     /// ONE opening round for everything queued; fills the pending leaves
     /// and returns every ticket's opened values.
     fn open_queued(&mut self, ctx: &mut PartyContext<'_>, arena: &mut Arena<Node>) -> Vec<Vec<Fp>> {
-        let opened = ctx
-            .counters
-            .time(Counter::StageMpcNs, || ctx.engine.resolve());
+        let opened = ctx.engine.resolve();
         let task = ctx.current_task();
         for (slot, ticket) in self.pending_leaves.drain(..) {
             let label = opened[ticket][0];
@@ -364,7 +358,7 @@ impl<P: LevelPass> Disclosure<P> for Reveal {
             .map(|s| ctx.engine.open_deferred(&[s.best]))
             .collect();
         let opened = {
-            let _reveal = pivot_trace::phase_span("split_reveal");
+            let _reveal = pivot_trace::phase_span(&ctx.counters, "split_reveal");
             self.open_queued(ctx, arena)
         };
 
@@ -378,17 +372,15 @@ impl<P: LevelPass> Disclosure<P> for Reveal {
             let global = opened[ticket][0].value() as usize;
             let (winner, local_feature, split_idx) = layout.locate(global);
             let (feature, threshold) = {
-                let _reveal = pivot_trace::phase_span("split_reveal");
-                ctx.counters.time(Counter::StageUpdateNs, || {
-                    if ctx.id() == winner {
-                        let feature = ctx.view.feature_indices[local_feature];
-                        let threshold = local.candidates[local_feature].thresholds[split_idx];
-                        ctx.ep.broadcast(&(feature, threshold));
-                        (feature, threshold)
-                    } else {
-                        ctx.ep.recv::<(usize, f64)>(winner)
-                    }
-                })
+                let _reveal = pivot_trace::phase_span(&ctx.counters, "split_reveal");
+                if ctx.id() == winner {
+                    let feature = ctx.view.feature_indices[local_feature];
+                    let threshold = local.candidates[local_feature].thresholds[split_idx];
+                    ctx.ep.broadcast(&(feature, threshold));
+                    (feature, threshold)
+                } else {
+                    ctx.ep.recv::<(usize, f64)>(winner)
+                }
             };
             // The children's totals are the opened column of the
             // parent's statistics and its complement: local indexing.
@@ -398,14 +390,8 @@ impl<P: LevelPass> Disclosure<P> for Reveal {
                 let mask = node
                     .mask
                     .expect("a node whose children read a mask holds one");
-                let started = std::time::Instant::now();
-                let masks = {
-                    let _update = pivot_trace::phase_span("update");
-                    pass.divide(ctx, local, layout, mask, global, wanted)
-                };
-                ctx.counters
-                    .add_duration(Counter::StageUpdateNs, started.elapsed());
-                masks
+                let _update = pivot_trace::phase_span(&ctx.counters, "update");
+                pass.divide(ctx, local, layout, mask, global, wanted)
             } else {
                 Sides::default()
             };

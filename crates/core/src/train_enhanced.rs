@@ -76,7 +76,7 @@ pub fn train(ctx: &mut PartyContext<'_>) -> ConcealedTree {
     );
     let mask = vec![true; ctx.num_samples()];
     let (local, layout) = {
-        let _setup = pivot_trace::phase_span("setup");
+        let _setup = pivot_trace::phase_span(&ctx.counters, "setup");
         let local = LocalSplits::precompute(ctx);
         let layout = SplitLayout::build(ctx.ep, &local.counts());
         (local, layout)
@@ -126,7 +126,7 @@ fn split_lengths<T>(flat: Vec<T>, lens: impl IntoIterator<Item = usize>) -> Vec<
 /// needs no refresh, and neither does a mask only the next Eqn-10 update
 /// reads (its conversion budgets the quadratic bound).
 pub(crate) fn refresh_masks(ctx: &mut PartyContext<'_>, masks: &mut [&mut NodeMask]) {
-    let _conv = pivot_trace::phase_span("conversion");
+    let _conv = pivot_trace::phase_span(&ctx.counters, "conversion");
     let lens: Vec<usize> = masks
         .iter_mut()
         .map(|mask| mask.alpha_mut().len())
@@ -179,16 +179,14 @@ impl Disclosure<PaillierPass> for Conceal {
         // winning column of the parent's statistics and its complement;
         // `s*` stays shared, so the column is picked by `⟨λ⟩`.
         let (blocks, lambda_encs, totals) = {
-            let _reveal = pivot_trace::phase_span("split_reveal");
+            let _reveal = pivot_trace::phase_span(&ctx.counters, "split_reveal");
             let best: Vec<Share> = survivors.iter().map(|s| s.best).collect();
             let blocks = reveal_blocks_batch(ctx, layout, &best);
             let items: Vec<(Share, usize)> = blocks
                 .iter()
                 .map(|&(w, f, s)| (s, layout.counts[w][f]))
                 .collect();
-            let lambdas = ctx
-                .counters
-                .time(Counter::StageMpcNs, || ctx.engine.onehot_many(&items));
+            let lambdas = ctx.engine.onehot_many(&items);
             let winners: Vec<(&NodeShares, usize, &[Share])> = survivors
                 .iter()
                 .zip(&blocks)
@@ -208,7 +206,7 @@ impl Disclosure<PaillierPass> for Conceal {
 
         // Per-winner PIR selection (coalesced broadcast frames).
         let (selections, released): (Vec<Selected>, Vec<(Ciphertext, usize)>) = {
-            let _reveal = pivot_trace::phase_span("split_reveal");
+            let _reveal = pivot_trace::phase_span(&ctx.counters, "split_reveal");
             blocks
                 .iter()
                 .zip(&lambda_encs)
@@ -223,7 +221,7 @@ impl Disclosure<PaillierPass> for Conceal {
         // Eqn-10, where a child's mask is read: ONE share conversion for
         // every survivor's mask, then per-node masked products (the sides
         // wanted share one gather round).
-        let _update = pivot_trace::phase_span("update");
+        let _update = pivot_trace::phase_span(&ctx.counters, "update");
         let (slots, masks): (Vec<usize>, Vec<Option<NodeMask>>) = survivors
             .into_iter()
             .map(|s| (s.node.slot, s.node.mask))
@@ -292,46 +290,44 @@ fn pir_select(
     lambda_enc: &[Ciphertext],
     wanted: Sides<bool>,
 ) -> (Selected, Ciphertext, usize) {
-    ctx.counters.time(Counter::StageUpdateNs, || {
-        if ctx.id() == winner {
-            let inds = &local.indicators[local_feature];
-            let n = ctx.view.num_samples();
-            // Theorem-2 PIR selection per sample and side: independent
-            // dot products, batched over the worker pool.
-            let samples: Vec<usize> = (0..n).collect();
-            let columns: Vec<Vec<Ciphertext>> = wanted
-                .complements()
-                .map(|complement| {
-                    pivot_runtime::global().map(ctx.crypto_threads(), &samples, |&j| {
-                        let row: Vec<bool> = inds.iter().map(|ind| ind[j] != complement).collect();
-                        vector::dot_binary(&ctx.pk, lambda_enc, &row)
-                    })
+    if ctx.id() == winner {
+        let inds = &local.indicators[local_feature];
+        let n = ctx.view.num_samples();
+        // Theorem-2 PIR selection per sample and side: independent
+        // dot products, batched over the worker pool.
+        let samples: Vec<usize> = (0..n).collect();
+        let columns: Vec<Vec<Ciphertext>> = wanted
+            .complements()
+            .map(|complement| {
+                pivot_runtime::global().map(ctx.crypto_threads(), &samples, |&j| {
+                    let row: Vec<bool> = inds.iter().map(|ind| ind[j] != complement).collect();
+                    vector::dot_binary(&ctx.pk, lambda_enc, &row)
                 })
-                .collect();
-            ctx.counters.add(
-                Counter::CiphertextOps,
-                (columns.len() * n * lambda_enc.len()) as u64,
-            );
-            let enc_vals: Vec<BigUint> = local.candidates[local_feature]
-                .thresholds
-                .iter()
-                .map(|&t| encode_threshold(ctx, t))
-                .collect();
-            let enc_threshold = vector::dot_plain(&ctx.pk, lambda_enc, &enc_vals);
-            let feature_global = ctx.view.feature_indices[local_feature];
-            for column in &columns {
-                ctx.ep.broadcast(column);
-            }
-            ctx.ep.broadcast(&enc_threshold);
-            ctx.ep.broadcast(&feature_global);
-            (wanted.fill(columns), enc_threshold, feature_global)
-        } else {
-            let selected = wanted.fill(wanted.complements().map(|_| ctx.ep.recv(winner)));
-            let enc_threshold: Ciphertext = ctx.ep.recv(winner);
-            let feature_global: usize = ctx.ep.recv(winner);
-            (selected, enc_threshold, feature_global)
+            })
+            .collect();
+        ctx.counters.add(
+            Counter::CiphertextOps,
+            (columns.len() * n * lambda_enc.len()) as u64,
+        );
+        let enc_vals: Vec<BigUint> = local.candidates[local_feature]
+            .thresholds
+            .iter()
+            .map(|&t| encode_threshold(ctx, t))
+            .collect();
+        let enc_threshold = vector::dot_plain(&ctx.pk, lambda_enc, &enc_vals);
+        let feature_global = ctx.view.feature_indices[local_feature];
+        for column in &columns {
+            ctx.ep.broadcast(column);
         }
-    })
+        ctx.ep.broadcast(&enc_threshold);
+        ctx.ep.broadcast(&feature_global);
+        (wanted.fill(columns), enc_threshold, feature_global)
+    } else {
+        let selected = wanted.fill(wanted.complements().map(|_| ctx.ep.recv(winner)));
+        let enc_threshold: Ciphertext = ctx.ep.recv(winner);
+        let feature_global: usize = ctx.ep.recv(winner);
+        (selected, enc_threshold, feature_global)
+    }
 }
 
 /// Eqn (10), `[α'_j] = Σᵢ [⟨α_j⟩ᵢ · v_j]`: every client scales the encrypted
@@ -348,41 +344,39 @@ fn masked_products(
         left: selected.left.is_some(),
         right: selected.right.is_some(),
     };
-    ctx.counters.time(Counter::StageUpdateNs, || {
-        let threads = ctx.crypto_threads();
-        let n = alpha_shares.len();
-        let share_values: Vec<BigUint> = alpha_shares
-            .iter()
-            .map(|s| BigUint::from_u64(s.0.value()))
-            .collect();
-        let v: Vec<Ciphertext> = selected.present().flatten().cloned().collect();
-        let repeated: Vec<BigUint> = selected
-            .present()
-            .flat_map(|_| share_values.iter().cloned())
-            .collect();
-        let my_terms = batch::mul_plain_batch(&ctx.pk, &v, &repeated, threads);
+    let threads = ctx.crypto_threads();
+    let n = alpha_shares.len();
+    let share_values: Vec<BigUint> = alpha_shares
+        .iter()
+        .map(|s| BigUint::from_u64(s.0.value()))
+        .collect();
+    let v: Vec<Ciphertext> = selected.present().flatten().cloned().collect();
+    let repeated: Vec<BigUint> = selected
+        .present()
+        .flat_map(|_| share_values.iter().cloned())
+        .collect();
+    let my_terms = batch::mul_plain_batch(&ctx.pk, &v, &repeated, threads);
+    ctx.counters
+        .add(Counter::CiphertextOps, my_terms.len() as u64);
+    let gathered = ctx.ep.gather(winner, &my_terms);
+    let sums = if ctx.id() == winner {
+        let parts = gathered.expect("winner gathers");
+        let indices: Vec<usize> = (0..v.len()).collect();
+        let sums: Vec<Ciphertext> = pivot_runtime::global().map(threads, &indices, |&j| {
+            let mut acc = parts[0][j].clone();
+            for part in parts.iter().skip(1) {
+                acc = ctx.pk.add(&acc, &part[j]);
+            }
+            acc
+        });
         ctx.counters
-            .add(Counter::CiphertextOps, my_terms.len() as u64);
-        let gathered = ctx.ep.gather(winner, &my_terms);
-        let sums = if ctx.id() == winner {
-            let parts = gathered.expect("winner gathers");
-            let indices: Vec<usize> = (0..v.len()).collect();
-            let sums: Vec<Ciphertext> = pivot_runtime::global().map(threads, &indices, |&j| {
-                let mut acc = parts[0][j].clone();
-                for part in parts.iter().skip(1) {
-                    acc = ctx.pk.add(&acc, &part[j]);
-                }
-                acc
-            });
-            ctx.counters
-                .add(Counter::CiphertextOps, (v.len() * ctx.parties()) as u64);
-            ctx.ep.broadcast(&sums);
-            sums
-        } else {
-            ctx.ep.recv(winner)
-        };
-        wanted.fill(sums.chunks(n).map(<[Ciphertext]>::to_vec))
-    })
+            .add(Counter::CiphertextOps, (v.len() * ctx.parties()) as u64);
+        ctx.ep.broadcast(&sums);
+        sums
+    } else {
+        ctx.ep.recv(winner)
+    };
+    wanted.fill(sums.chunks(n).map(<[Ciphertext]>::to_vec))
 }
 
 /// Encode a plaintext threshold for PIR selection: fixed-point plus the

@@ -282,7 +282,7 @@ pub(crate) fn grow_tree<P: LevelPass, D: Disclosure<P>>(
         // Depth pruning is public, and a forced leaf needs nothing but
         // the totals it was handed: no statistics, one label batch.
         if depth >= max_depth {
-            let _leaf = pivot_trace::phase_span("leaf");
+            let _leaf = pivot_trace::phase_span(&ctx.counters, "leaf");
             let (slots, totals): (Vec<usize>, Vec<&NodeTotals>) = frontier
                 .iter()
                 .map(|node| {
@@ -329,14 +329,14 @@ pub(crate) fn grow_tree<P: LevelPass, D: Disclosure<P>>(
         let pruned = if layout.total() == 0 {
             vec![true; frontier.len()]
         } else {
-            let _gain = pivot_trace::phase_span("gain");
+            let _gain = pivot_trace::phase_span(&ctx.counters, "gain");
             let totals: Vec<&NodeTotals> = node_shares.iter().map(|s| &s.totals).collect();
             protocol.prune(ctx, &totals)
         };
 
         // Pruned nodes: leaf labels in one batch.
         {
-            let _leaf = pivot_trace::phase_span("leaf");
+            let _leaf = pivot_trace::phase_span(&ctx.counters, "leaf");
             let (slots, stopped): (Vec<usize>, Vec<&NodeTotals>) = frontier
                 .iter()
                 .zip(&node_shares)
@@ -355,7 +355,7 @@ pub(crate) fn grow_tree<P: LevelPass, D: Disclosure<P>>(
             .filter_map(|(survivor, &stop)| (!stop).then_some(survivor))
             .unzip();
         let best: Vec<Share> = {
-            let _gain = pivot_trace::phase_span("gain");
+            let _gain = pivot_trace::phase_span(&ctx.counters, "gain");
             let refs: Vec<&NodeShares> = stats.iter().collect();
             let gains = split_gains_batch(ctx, &refs);
             protocol.best_splits(ctx, &gains)

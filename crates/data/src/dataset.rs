@@ -11,16 +11,6 @@ pub enum Task {
     Regression,
 }
 
-impl Task {
-    /// Number of classes (1 for regression, used to size per-class buffers).
-    pub fn class_count(&self) -> usize {
-        match self {
-            Task::Classification { classes } => *classes,
-            Task::Regression => 1,
-        }
-    }
-}
-
 /// A dense dataset: `n` samples × `d` features plus labels.
 ///
 /// Features are stored row-major (`features[sample][feature]`); labels are

@@ -66,19 +66,9 @@ impl FixedConfig {
         v.to_i64() as f64 / (1u64 << self.frac_bits) as f64
     }
 
-    /// Encode an integer without fractional scaling (e.g. sample counts).
-    pub fn encode_int(&self, x: i64) -> Fp {
-        Fp::from_i64(x)
-    }
-
     /// The field constant `2^f` (one unit of scale).
     pub fn one(&self) -> Fp {
         Fp::pow2(self.frac_bits)
-    }
-
-    /// The public constant `inv(2^f)` used by exact truncation.
-    pub fn inv_one(&self) -> Fp {
-        Fp::inv_pow2(self.frac_bits)
     }
 }
 

@@ -28,18 +28,6 @@ impl Ciphertext {
     pub fn into_raw(self) -> BigUint {
         self.raw
     }
-
-    /// Serialize as big-endian bytes.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        self.raw.to_bytes_be()
-    }
-
-    /// Deserialize from big-endian bytes.
-    pub fn from_bytes(bytes: &[u8]) -> Self {
-        Ciphertext {
-            raw: BigUint::from_bytes_be(bytes),
-        }
-    }
 }
 
 impl fmt::Debug for Ciphertext {

@@ -12,8 +12,6 @@
 //!   style) used throughout Pivot: a trusted dealer Shamir-shares the secret
 //!   exponent `β·M` so that decryption requires *all* `m` partial
 //!   decryptions ([`threshold`]).
-//! * Signed fixed-point plaintext encoding ([`encoding`]) matching the
-//!   paper's "fixed-point integer representation" of float data.
 //!
 //! Key sizes follow the paper: 1024-bit `N` for efficiency experiments,
 //! 512-bit for accuracy experiments; tests use smaller fixture keys from
@@ -21,7 +19,6 @@
 
 pub mod batch;
 mod ciphertext;
-pub mod encoding;
 pub mod fixtures;
 mod keygen;
 pub mod nonce;

@@ -8,10 +8,11 @@
 //! snapshot difference. A counter added here needs its row and its
 //! increment site, nothing else.
 
+use crate::PHASES;
 use std::ops::{Add, Index, Sub};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// What a row counts, and how reports render it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -26,6 +27,10 @@ pub enum Unit {
     /// `0..WIDTH_CELLS`, rendered as `{"<width>": count}` over the
     /// non-zero cells.
     Widths,
+    /// Wall time per phase: one cell per [`PHASES`] entry, recorded in
+    /// nanoseconds and rendered as `{"<phase>": seconds}` over the
+    /// non-zero cells.
+    PhaseNanos,
 }
 
 /// Cells of a [`Unit::Widths`] row: one per comparison width below the
@@ -36,6 +41,7 @@ impl Unit {
     const fn cells(self) -> usize {
         match self {
             Unit::Widths => WIDTH_CELLS,
+            Unit::PhaseNanos => PHASES.len(),
             _ => 1,
         }
     }
@@ -47,6 +53,7 @@ impl Unit {
             Unit::Bytes => "bytes",
             Unit::Nanos => "s",
             Unit::Widths => "count per width",
+            Unit::PhaseNanos => "s per phase",
         }
     }
 }
@@ -104,14 +111,8 @@ registry! {
         "Each session spliced back across a peer's process restart.";
     FaultsInjected: Count, ["network.session.faults_injected"],
         "Each `[faults]` plan entry that fires on this party.";
-    StageLocalNs: Nanos, ["timing.stages_s.local_computation"],
-        "Local Paillier work: split statistics, the initial mask and the label-mask vectors.";
-    StageMpcNs: Nanos, ["timing.stages_s.mpc_computation"],
-        "Algorithm-2 conversions, secure gain and split selection, batched openings.";
-    StageUpdateNs: Nanos, ["timing.stages_s.model_update"],
-        "The split reveal and the children's mask updates.";
-    StagePredictNs: Nanos, ["timing.stages_s.prediction"],
-        "Joint prediction of the test split.";
+    PhaseNs: PhaseNanos, ["timing.phases_s"],
+        "Each closed phase span's wall time, under its phase (a span nested in another phase's counts toward both).";
     RecvWaitNs: Nanos, ["timing.recv_wait_s"],
         "Wall time a receive blocks on its link (messages already demuxed are free).";
     Encryptions: Count, ["counters.encryptions"],
@@ -183,10 +184,15 @@ const OFFSETS: [usize; ROWS.len()] = {
 const CELLS: usize = OFFSETS[ROWS.len() - 1] + ROWS[ROWS.len() - 1].unit.cells();
 
 impl Counter {
+    /// The counter's declaration.
+    pub fn row(self) -> &'static Row {
+        &ROWS[self as usize]
+    }
+
     /// The counter's cells in a registry.
     fn cells(self) -> std::ops::Range<usize> {
         let start = OFFSETS[self as usize];
-        start..start + ROWS[self as usize].unit.cells()
+        start..start + self.row().unit.cells()
     }
 }
 
@@ -210,7 +216,7 @@ impl Counters {
         self.cells[counter.cells().start].fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Add `n` to cell `cell` of a histogram row; a cell beyond the row
+    /// Add `n` to cell `cell` of a multi-cell row; a cell beyond the row
     /// is dropped.
     pub fn add_cell(&self, counter: Counter, cell: usize, n: u64) {
         if let Some(slot) = self.cells[counter.cells()].get(cell) {
@@ -221,14 +227,6 @@ impl Counters {
     /// Add a duration to a [`Unit::Nanos`] row.
     pub fn add_duration(&self, counter: Counter, d: Duration) {
         self.add(counter, d.as_nanos() as u64);
-    }
-
-    /// Run `f` and add its wall time to a [`Unit::Nanos`] row.
-    pub fn time<T>(&self, counter: Counter, f: impl FnOnce() -> T) -> T {
-        let start = Instant::now();
-        let out = f();
-        self.add_duration(counter, start.elapsed());
-        out
     }
 
     /// The current value of a counter (its first cell).
@@ -258,16 +256,19 @@ impl Default for Snapshot {
 
 impl Snapshot {
     /// Every cell of a counter: one for a scalar row, [`WIDTH_CELLS`]
-    /// for a histogram.
+    /// for a histogram, one per [`PHASES`] entry for the phase clock.
     pub fn cells(&self, counter: Counter) -> &[u64] {
         &self.0[counter.cells()]
     }
 
-    /// The snapshot with every [`Unit::Nanos`] row zeroed: what two runs
-    /// of the same transcript must agree on.
+    /// The snapshot with every wall-time row zeroed: what two runs of the
+    /// same transcript must agree on.
     pub fn counts(&self) -> Snapshot {
         let mut out = self.clone();
-        for row in ROWS.iter().filter(|r| r.unit == Unit::Nanos) {
+        for row in ROWS
+            .iter()
+            .filter(|r| matches!(r.unit, Unit::Nanos | Unit::PhaseNanos))
+        {
             out.0[row.counter.cells()].fill(0);
         }
         out
@@ -337,18 +338,6 @@ mod tests {
         assert_eq!(s[Counter::SplitStatCiphertexts], 4);
     }
 
-    #[test]
-    fn stage_timer_records() {
-        let c = Counters::new();
-        let out = c.time(Counter::StageLocalNs, || {
-            std::thread::sleep(Duration::from_millis(5));
-            42
-        });
-        assert_eq!(out, 42);
-        assert!(c.get(Counter::StageLocalNs) >= 4_000_000);
-        assert_eq!(c.get(Counter::StageMpcNs), 0);
-    }
-
     fn sample(scale: u64) -> Snapshot {
         let c = Counters::new();
         c.add(Counter::SecureComparisons, 10 * scale);
@@ -380,11 +369,14 @@ mod tests {
         let c = Counters::new();
         c.add(Counter::BytesSent, 10);
         c.add_duration(Counter::RecvWaitNs, Duration::from_nanos(7));
+        c.add_cell(Counter::PhaseNs, 2, 9);
         let a = c.snapshot();
         c.add(Counter::BytesSent, 5);
         let b = c.snapshot();
         assert_eq!((&b - &a)[Counter::BytesSent], 5);
         assert_eq!(b.counts()[Counter::RecvWaitNs], 0);
+        assert_eq!(b.cells(Counter::PhaseNs)[2], 9);
+        assert!(b.counts().cells(Counter::PhaseNs).iter().all(|&ns| ns == 0));
         assert_eq!(b.counts()[Counter::BytesSent], 15);
     }
 }

@@ -16,8 +16,15 @@
 //! implicit root span (phase `"other"`) takes everything outside a named
 //! phase: the per-phase column sums equal the registry's totals over the
 //! traced run by construction. When tracing is off — the default — a
-//! span is one relaxed atomic load and an early return, with no registry
-//! read, allocation or timestamp.
+//! fine span ([`span`], [`span_fn`]) is one relaxed atomic load and an
+//! early return, with no registry read, allocation or timestamp.
+//!
+//! Phase spans ([`phase_span`]) are the phase clock, on at every trace
+//! level: each one adds its wall time to its phase's cell of the party's
+//! [`Counter::PhaseNs`] row when it closes, so every report carries
+//! per-phase time. A cell is the inclusive wall time of the spans that
+//! open the phase — the definition of the phase table's wall column, so
+//! in a traced run the two agree.
 //!
 //! Two sinks exist:
 //!
@@ -44,7 +51,8 @@ use std::time::Instant;
 /// How much the collector records.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TraceLevel {
-    /// No collector installed; every hook is a no-op (the default).
+    /// No collector installed; nothing is traced (the default). Phase
+    /// spans still time into the registry.
     #[default]
     Off,
     /// Phase spans, attribution, and gauges.
@@ -331,24 +339,35 @@ fn with_collector(f: impl FnOnce(&mut Collector)) {
 // Spans
 // ---------------------------------------------------------------------------
 
-/// RAII guard that closes the span it opened. A guard returned while
-/// tracing is off (or below the span's level) is inert.
+/// RAII guard that closes the span it opened. A fine span's guard
+/// returned while tracing is off (or below the span's level) is inert.
 #[must_use = "the span closes when the guard drops"]
 pub struct SpanGuard {
     active: bool,
-    /// Whether this guard pushed onto the always-on phase stack.
-    phase_tracked: bool,
+    /// A phase span's clock, which also pushed onto the always-on phase
+    /// stack.
+    clock: Option<PhaseClock>,
+}
+
+/// Where a phase span's wall time goes: its cell of the registry's
+/// [`Counter::PhaseNs`] row.
+struct PhaseClock {
+    counters: Arc<Counters>,
+    cell: usize,
+    start: Instant,
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if self.active {
-            with_collector(|col| col.close());
-        }
-        if self.phase_tracked {
+        if let Some(clock) = &self.clock {
+            let ns = clock.start.elapsed().as_nanos() as u64;
+            clock.counters.add_cell(Counter::PhaseNs, clock.cell, ns);
             PHASE_STACK.with(|s| {
                 s.borrow_mut().pop();
             });
+        }
+        if self.active {
+            with_collector(|col| col.close());
         }
     }
 }
@@ -361,7 +380,7 @@ fn open_span(
     if !enabled() {
         return SpanGuard {
             active: false,
-            phase_tracked: false,
+            clock: None,
         };
     }
     let mut active = false;
@@ -380,20 +399,28 @@ fn open_span(
     });
     SpanGuard {
         active,
-        phase_tracked: false,
+        clock: None,
     }
 }
 
-/// Open a phase span (recorded at `Phases` and `Full`). `phase` must be
-/// one of [`PHASES`]; counters accrued while this span is innermost are
-/// bucketed under it in the phase table, and its wall time counts toward
-/// the phase. The phase name is also pushed onto the always-on
-/// [`current_phase`] stack regardless of trace level.
-pub fn phase_span(phase: &'static str) -> SpanGuard {
-    debug_assert!(PHASES.contains(&phase), "unknown phase {phase:?}");
+/// Open a phase span on the party whose registry is `counters`. `phase`
+/// must be one of [`PHASES`]. At every trace level the span's wall time
+/// is added to the phase's [`Counter::PhaseNs`] cell when it closes, and
+/// the phase is pushed onto the [`current_phase`] stack. At `Phases` and
+/// `Full` the span is also recorded: counters accrued while it is
+/// innermost are bucketed under the phase in the phase table.
+pub fn phase_span(counters: &Arc<Counters>, phase: &'static str) -> SpanGuard {
+    let cell = PHASES
+        .iter()
+        .position(|&p| p == phase)
+        .unwrap_or_else(|| panic!("unknown phase {phase:?}"));
     let mut guard = open_span(TraceLevel::Phases, Some(phase), || phase.to_string());
     PHASE_STACK.with(|s| s.borrow_mut().push(phase));
-    guard.phase_tracked = true;
+    guard.clock = Some(PhaseClock {
+        counters: Arc::clone(counters),
+        cell,
+        start: Instant::now(),
+    });
     guard
 }
 
@@ -854,7 +881,7 @@ mod tests {
         on_thread(|| {
             let c = installed(3, TraceLevel::Off);
             c.add(Counter::BytesSent, 100);
-            let _g = phase_span("setup");
+            let _g = phase_span(&c, "setup");
             assert!(finish().is_none());
         });
     }
@@ -865,7 +892,7 @@ mod tests {
             let c = installed(0, TraceLevel::Full);
             c.add(Counter::BytesSent, 5); // root
             {
-                let _p = phase_span("stats");
+                let _p = phase_span(&c, "stats");
                 c.add(Counter::BytesSent, 10);
                 {
                     let _f = span("inner");
@@ -902,7 +929,7 @@ mod tests {
         let trace = on_thread(|| {
             let c = installed(1, TraceLevel::Phases);
             {
-                let _p = phase_span("gain");
+                let _p = phase_span(&c, "gain");
                 let _f = span("fine");
                 let _d = span_fn(|| "dyn".into());
                 c.add(Counter::Rounds, 2);
@@ -920,17 +947,17 @@ mod tests {
             let c = installed(0, TraceLevel::Phases);
             c.add(Counter::BytesSent, 3); // outside every phase -> "other"
             {
-                let _p = phase_span("stats");
+                let _p = phase_span(&c, "stats");
                 c.add(Counter::BytesSent, 10);
                 c.add(Counter::BytesReceived, 20);
                 c.add(Counter::Rounds, 2);
             }
             {
-                let _p = phase_span("stats");
+                let _p = phase_span(&c, "stats");
                 c.add(Counter::BytesSent, 1);
             }
             {
-                let _p = phase_span("gain");
+                let _p = phase_span(&c, "gain");
                 c.add(Counter::Rounds, 5);
                 c.add(Counter::RecvWaitNs, 9);
             }
@@ -962,7 +989,7 @@ mod tests {
         let trace = on_thread(|| {
             let c = installed(2, TraceLevel::Full);
             {
-                let _p = phase_span("conversion");
+                let _p = phase_span(&c, "conversion");
                 let _f = span("open");
                 c.add(Counter::BytesSent, 8);
             }
@@ -1020,7 +1047,7 @@ mod tests {
         let trace = on_thread(|| {
             let c = installed(1, TraceLevel::Phases);
             {
-                let _p = phase_span("update");
+                let _p = phase_span(&c, "update");
                 c.add(Counter::BytesSent, 100);
                 c.add(Counter::Rounds, 3);
             }
@@ -1068,17 +1095,49 @@ mod tests {
     fn current_phase_tracks_without_a_collector() {
         on_thread(|| {
             // No install: tracing is off, the phase stack still works.
+            let c = Counters::new();
             assert_eq!(current_phase(), "other");
             {
-                let _p = phase_span("gain");
+                let _p = phase_span(&c, "gain");
                 assert_eq!(current_phase(), "gain");
                 {
-                    let _q = phase_span("reconnect");
+                    let _q = phase_span(&c, "reconnect");
                     assert_eq!(current_phase(), "reconnect");
                 }
                 assert_eq!(current_phase(), "gain");
             }
             assert_eq!(current_phase(), "other");
+        });
+    }
+
+    /// The cell of `phase` in a snapshot of the phase clock.
+    fn phase_ns(c: &Counters, phase: &str) -> u64 {
+        let cell = PHASES.iter().position(|&p| p == phase).unwrap();
+        c.snapshot().cells(Counter::PhaseNs)[cell]
+    }
+
+    #[test]
+    fn phase_clock_fills_cells_without_a_collector() {
+        on_thread(|| {
+            let c = Counters::new();
+            let pause = std::time::Duration::from_millis(3);
+            {
+                let _gain = phase_span(&c, "gain");
+                std::thread::sleep(pause);
+                {
+                    let _reconnect = phase_span(&c, "reconnect");
+                    std::thread::sleep(pause);
+                }
+                let _fine = span("fine");
+            }
+            // A phase's cell is the inclusive wall time of the spans that
+            // open it: the nested reconnect counts toward the gain too.
+            assert!(phase_ns(&c, "reconnect") >= pause.as_nanos() as u64);
+            assert!(phase_ns(&c, "gain") >= phase_ns(&c, "reconnect") + pause.as_nanos() as u64);
+            for phase in ["setup", "stats", "other"] {
+                assert_eq!(phase_ns(&c, phase), 0, "{phase}");
+            }
+            assert!(finish().is_none());
         });
     }
 

@@ -299,7 +299,7 @@ impl Endpoint {
             // the outage window it would spend redialing.
             self.counters.add(Counter::Reconnects, 1);
             self.counters.add(Counter::ReplayedFrames, 1);
-            let _span = pivot_trace::phase_span("reconnect");
+            let _span = pivot_trace::phase_span(&self.counters, "reconnect");
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
         Ok(())

@@ -368,7 +368,7 @@ mod tests {
     #[test]
     fn error_stamps_current_phase() {
         let err = {
-            let _g = pivot_trace::phase_span("gain");
+            let _g = pivot_trace::phase_span(&pivot_trace::Counters::new(), "gain");
             TransportError::new(TransportErrorKind::Disconnected, 0, "peer gone")
         };
         assert_eq!(err.phase, "gain");
