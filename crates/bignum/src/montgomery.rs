@@ -27,38 +27,61 @@
 //! fastest of five rounds each; ranges over the runs): the ladder is
 //! `pow_scheduled` with an exponent of half the modulus width (the nonce
 //! power `r^N` modulo `N²`), and "new + pow" builds a context and raises to
-//! a full-width exponent, as prime search does once per candidate.
+//! a full-width exponent, as prime search does once per candidate. The
+//! pair columns come from three later runs of the same test on the same
+//! kind of VM: the IFMA ladder's cost per exponentiation when
+//! `pow_scheduled_batch` runs two bases as one interleaved pair, and its
+//! speed-up over the single IFMA ladder of the same run.
 //!
-//! | modulus bits | portable ladder µs | IFMA ladder µs | ladder speed-up | new + pow speed-up |
-//! |---|---|---|---|---|
-//! | 256  | 8.3–12.2      | 8.6–9.6     | 0.97–1.27× | 0.91–0.94× |
-//! | 320  | 13.5–24.8     | 13.6–15.1   | 0.99–1.64× | 0.97–1.35× |
-//! | 384  | 20.7–22.4     | 17.9–18.3   | 1.15–1.23× | 1.11–1.67× |
-//! | 448  | 32.1–55.0     | 25.1–26.6   | 1.23–2.20× | 1.21–1.94× |
-//! | 512  | 52.4–76.6     | 31.1–32.1   | 1.68–2.41× | 1.42–2.27× |
-//! | 1024 | 268–494       | 117–121     | 2.30–4.13× | 2.33–3.93× |
-//! | 2048 | 1 971–2 294   | 521–563     | 3.65–4.14× | 3.92–4.63× |
-//! | 4096 | 16 777–19 023 | 2 728–3 035 | 6.15–6.31× | 6.28–6.78× |
+//! | modulus bits | portable ladder µs | IFMA ladder µs | ladder speed-up | new + pow speed-up | IFMA pair µs | pair speed-up |
+//! |---|---|---|---|---|---|---|
+//! | 256  | 8.3–12.2      | 8.6–9.6     | 0.97–1.27× | 0.91–0.94× | 4.9–5.3     | 1.58–1.68× |
+//! | 320  | 13.5–24.8     | 13.6–15.1   | 0.99–1.64× | 0.97–1.35× | 7.9–8.9     | 1.56–1.77× |
+//! | 384  | 20.7–22.4     | 17.9–18.3   | 1.15–1.23× | 1.11–1.67× | 10.8–11.1   | 1.62–1.73× |
+//! | 448  | 32.1–55.0     | 25.1–26.6   | 1.23–2.20× | 1.21–1.94× | 13.5–16.1   | 1.59–1.88× |
+//! | 512  | 52.4–76.6     | 31.1–32.1   | 1.68–2.41× | 1.42–2.27× | 17.5–19.4   | 1.61–1.67× |
+//! | 1024 | 268–494       | 117–121     | 2.30–4.13× | 2.33–3.93× | 71–94       | 1.31–1.65× |
+//! | 2048 | 1 971–2 294   | 521–563     | 3.65–4.14× | 3.92–4.63× | 297–368     | 1.33–1.45× |
+//! | 4096 | 16 777–19 023 | 2 728–3 035 | 6.15–6.31× | 6.28–6.78× | 2 468–2 582 | 0.98–1.06× |
 //!
 //! From 448 bits up the IFMA kernel won every run in both columns by at
 //! least 1.2×; at 256 and 320 bits it lost or tied once its context's
 //! construction counted. Below the crossover `new` builds the portable
 //! kernel alone and computes nothing extra.
 //!
-//! # One ladder
+//! # One ladder, run by groups
 //!
 //! Every exponentiation — [`Montgomery::pow_mont_scheduled`] and, on top
-//! of it, `pow`, `pow_mont`, `pow_scheduled`, and [`Montgomery::multi_pow`]
-//! — is written once over the [`Kernel`] interface and replayed on the
-//! selected kernel: the base enters the kernel's form once, and the result
-//! leaves it fully reduced, so results do not depend on the window width or
-//! on which kernel produced them. Each ladder runs on one [`Accumulator`]
-//! that owns its ping-pong buffers and the kernel's scratch, replaying an
-//! [`ExponentSchedule`]: a ladder allocates its table of odd powers and
-//! nothing per step.
+//! of it, `pow`, `pow_mont`, `pow_scheduled`,
+//! [`Montgomery::pow_scheduled_batch`] and [`Montgomery::multi_pow`] — is
+//! written once over the [`Kernel`] interface and replayed on the selected
+//! kernel: the base enters the kernel's form once, and the result leaves
+//! it fully reduced, so results do not depend on the window width, on
+//! which kernel produced them, or on the group they ran in. Each ladder
+//! runs on one [`Accumulator`] that owns its ping-pong buffers and the
+//! kernel's scratch, replaying an [`ExponentSchedule`]: a ladder allocates
+//! its table of odd powers and nothing per step.
+//!
+//! `replay` advances a *group* of bases through one schedule. The group's
+//! members sit back to back in the accumulator and in every entry of the
+//! odd-power table, so a step is one call of the kernel's group multiply
+//! or group square. A single exponentiation is the group of one;
+//! `pow_scheduled_batch`, the nonce powers and partial decryptions of a
+//! Paillier batch, runs groups of two. The portable kernel's group
+//! operations are one call per member, so a pair costs it two single
+//! ladders. The IFMA kernel interleaves a pair's two digit-serial products
+//! in one `amm::<V, 2>`: its ladder is latency-bound, one serial `y` chain
+//! per digit, and the second chain fills issue slots the first leaves idle.
+//! The "pair" columns of the table below time that, per exponentiation.
+//! The gain shrinks with width as the pair's registers spill (two
+//! products need `5V` vector registers of the 32): 1.16× at 3072 bits in
+//! one run, none at 4096. In a scratch prototype groups of three and four
+//! were no faster than pairs, and a naive eight-lane transposed layout
+//! (digit j of eight bases in one register) ran at 0.86–1.11× of single
+//! ladders: its 40 digit accumulators spill out of the 32 registers.
 
 use crate::{BigUint, Limb};
-use std::borrow::Cow;
+use std::borrow::{Borrow, Cow};
 
 #[cfg(target_arch = "x86_64")]
 mod ifma;
@@ -385,13 +408,43 @@ impl Montgomery {
     /// form, replayed by `replay` on the selected kernel.
     pub fn pow_mont_scheduled(&self, base_m: &[Limb], sched: &ExponentSchedule) -> Vec<Limb> {
         assert_eq!(base_m.len(), self.limbs);
-        on_kernel!(self, |k| replay(k, base_m, Form::Mont, sched))
+        let [power] = on_kernel!(self, |k| replay(k, [base_m], Form::Mont, sched));
+        power
     }
 
-    /// `base^exp mod n` through a precomputed [`ExponentSchedule`].
+    /// `base^exp mod n` through a precomputed [`ExponentSchedule`]: the
+    /// group of one of [`Montgomery::pow_scheduled_batch`].
     pub fn pow_scheduled(&self, base: &BigUint, sched: &ExponentSchedule) -> BigUint {
         let base = self.residue(base);
-        BigUint::from_limbs(on_kernel!(self, |k| replay(k, &base, Form::Plain, sched)))
+        let [power] = on_kernel!(self, |k| replay(k, [&base[..]], Form::Plain, sched));
+        BigUint::from_limbs(power)
+    }
+
+    /// `baseᵢ^exp mod n` for every base of a batch through one
+    /// [`ExponentSchedule`], equal to [`Montgomery::pow_scheduled`] per
+    /// base. The bases run in pairs, each pair advancing through the ladder
+    /// together: on the IFMA kernel a step is one interleaved product of
+    /// both members, whose serial digit chains hide each other's latency
+    /// (1.3–1.9× the throughput of single ladders from 256 to 2048 bits,
+    /// the table in the module docs); on the portable kernel it is one
+    /// product per member.
+    pub fn pow_scheduled_batch<B: Borrow<BigUint>>(
+        &self,
+        bases: &[B],
+        sched: &ExponentSchedule,
+    ) -> Vec<BigUint> {
+        let residues: Vec<Cow<[Limb]>> = bases.iter().map(|b| self.residue(b.borrow())).collect();
+        let mut out = Vec::with_capacity(bases.len());
+        let mut pairs = residues.chunks_exact(2);
+        for pair in pairs.by_ref() {
+            let group = [&pair[0][..], &pair[1][..]];
+            out.extend(on_kernel!(self, |k| replay(k, group, Form::Plain, sched)));
+        }
+        if let [last] = pairs.remainder() {
+            let group = [&last[..]];
+            out.extend(on_kernel!(self, |k| replay(k, group, Form::Plain, sched)));
+        }
+        out.into_iter().map(BigUint::from_limbs).collect()
     }
 
     /// Modular multiplication convenience: `a·b mod n` on plain values,
@@ -453,6 +506,29 @@ trait Kernel {
     fn mul(&self, out: &mut [u64], a: &[u64], b: &[u64]);
     /// `out = a²`, in the form.
     fn sqr(&self, out: &mut [u64], a: &[u64], scratch: &mut [u64]);
+    /// The group multiply: `a`, `b` and `out` hold the same number of
+    /// elements back to back, and every member of `out` is the product of
+    /// the members of `a` and `b` at its position. One `mul` per member
+    /// unless the kernel interleaves them.
+    fn mul_group(&self, out: &mut [u64], a: &[u64], b: &[u64]) {
+        let w = self.words();
+        for ((out, a), b) in out
+            .chunks_exact_mut(w)
+            .zip(a.chunks_exact(w))
+            .zip(b.chunks_exact(w))
+        {
+            self.mul(out, a, b);
+        }
+    }
+    /// The group square: every member of `out` is the square of the
+    /// member of `a` at its position. One `sqr` per member unless the
+    /// kernel interleaves them.
+    fn sqr_group(&self, out: &mut [u64], a: &[u64], scratch: &mut [u64]) {
+        let w = self.words();
+        for (out, a) in out.chunks_exact_mut(w).zip(a.chunks_exact(w)) {
+            self.sqr(out, a, scratch);
+        }
+    }
     /// `x`, `limbs` words in `form`, into the kernel's form.
     fn enter(&self, out: &mut [u64], x: &[Limb], form: Form);
     /// `x` out of the kernel's form into `form`, fully reduced, as `limbs`
@@ -506,32 +582,44 @@ impl Kernel for Montgomery {
     }
 }
 
-/// The one sliding-window ladder: `base^exp` for a `base` and result in
-/// `form`, replaying `sched` on kernel `k`.
+/// The one sliding-window ladder: `baseᵍ^exp` for every base of a group
+/// of `G`, bases and results in `form`, replaying `sched` on kernel `k`.
+/// The members advance in lockstep — one group square or group multiply
+/// per step — through one schedule, so a step is one kernel call whatever
+/// `G` is. `pow_scheduled` is the group of one.
 ///
 /// *Sliding* windows: only the odd powers `base^1, base^3, …` up to the
 /// largest digit the schedule references are tabulated, runs of zero
 /// exponent bits cost one squaring each with no multiplication, and every
 /// window is anchored on a set low bit, so there is one table
 /// multiplication per *occupied* window.
-fn replay<K: Kernel>(k: &K, base: &[Limb], form: Form, sched: &ExponentSchedule) -> Vec<Limb> {
+fn replay<K: Kernel, const G: usize>(
+    k: &K,
+    bases: [&[Limb]; G],
+    form: Form,
+    sched: &ExponentSchedule,
+) -> [Vec<Limb>; G] {
     let Some(first) = sched.first else {
-        return k.leave(k.one(), form);
+        return bases.map(|_| k.leave(k.one(), form));
     };
     let w = k.words();
-    let mut acc = Accumulator::new(k);
-    // Odd powers base^(2i+1), i = 0..=max_index, laid out back to back.
-    let mut odd_pow = vec![0; (sched.max_index + 1) * w];
-    k.enter(&mut odd_pow[..w], base, form);
+    let group = G * w;
+    let mut acc = Accumulator::new(k, G);
+    // Odd powers base^(2i+1), i = 0..=max_index, laid out back to back, each
+    // entry the group's members back to back: entry i is one group operand.
+    let mut odd_pow = vec![0; (sched.max_index + 1) * group];
+    for (slot, base) in odd_pow[..group].chunks_exact_mut(w).zip(bases) {
+        k.enter(slot, base, form);
+    }
     if sched.max_index > 0 {
-        acc.set(&odd_pow[..w]);
+        acc.set(&odd_pow[..group]);
         acc.sqr();
         for i in 1..=sched.max_index {
-            let (done, rest) = odd_pow.split_at_mut(i * w);
-            k.mul(&mut rest[..w], &done[(i - 1) * w..], acc.value());
+            let (done, rest) = odd_pow.split_at_mut(i * group);
+            k.mul_group(&mut rest[..group], &done[(i - 1) * group..], acc.value());
         }
     }
-    let entry = |index: usize| &odd_pow[index * w..(index + 1) * w];
+    let entry = |index: usize| &odd_pow[index * group..(index + 1) * group];
     acc.set(entry(first));
     for &(squarings, index) in &sched.steps {
         for _ in 0..squarings {
@@ -542,7 +630,8 @@ fn replay<K: Kernel>(k: &K, base: &[Limb], form: Form, sched: &ExponentSchedule)
     for _ in 0..sched.tail {
         acc.sqr();
     }
-    k.leave(acc.value(), form)
+    let mut members = acc.value().chunks_exact(w);
+    bases.map(|_| k.leave(members.next().expect("G members"), form))
 }
 
 /// The interleaved-window ladder of [`Montgomery::multi_pow`] on kernel
@@ -570,7 +659,7 @@ fn interleave<K: Kernel>(k: &K, active: &[(Cow<[Limb]>, &BigUint)]) -> Vec<Limb>
         }
     }
 
-    let mut acc = Accumulator::new(k);
+    let mut acc = Accumulator::new(k, 1);
     let mut started = false;
     for wi in (0..max_bits.div_ceil(w)).rev() {
         if started {
@@ -600,11 +689,12 @@ fn interleave<K: Kernel>(k: &K, active: &[(Cow<[Limb]>, &BigUint)]) -> Vec<Limb>
     k.leave(acc.value(), Form::Plain)
 }
 
-/// The running value of a ladder together with every buffer a step needs:
-/// each kernel call writes into `spare` and the two are swapped, so a whole
-/// exponentiation allocates these three vectors once.
+/// The running values of a group of ladders together with every buffer a
+/// step needs: each kernel call writes into `spare` and the two are
+/// swapped, so a whole exponentiation allocates these three vectors once.
 struct Accumulator<'a, K: Kernel> {
     k: &'a K,
+    /// The group's members back to back.
     value: Vec<u64>,
     spare: Vec<u64>,
     /// Scratch of the squaring kernel.
@@ -612,11 +702,11 @@ struct Accumulator<'a, K: Kernel> {
 }
 
 impl<'a, K: Kernel> Accumulator<'a, K> {
-    fn new(k: &'a K) -> Self {
+    fn new(k: &'a K, members: usize) -> Self {
         Accumulator {
             k,
-            value: vec![0; k.words()],
-            spare: vec![0; k.words()],
+            value: vec![0; members * k.words()],
+            spare: vec![0; members * k.words()],
             scratch: vec![0; k.scratch_words()],
         }
     }
@@ -626,12 +716,13 @@ impl<'a, K: Kernel> Accumulator<'a, K> {
     }
 
     fn sqr(&mut self) {
-        self.k.sqr(&mut self.spare, &self.value, &mut self.scratch);
+        self.k
+            .sqr_group(&mut self.spare, &self.value, &mut self.scratch);
         std::mem::swap(&mut self.value, &mut self.spare);
     }
 
     fn mul(&mut self, x: &[u64]) {
-        self.k.mul(&mut self.spare, &self.value, x);
+        self.k.mul_group(&mut self.spare, &self.value, x);
         std::mem::swap(&mut self.value, &mut self.spare);
     }
 

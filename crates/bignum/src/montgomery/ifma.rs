@@ -43,12 +43,28 @@ pub(super) fn cpu_supported() -> bool {
     is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512ifma")
 }
 
-/// `out = a·b·R⁻¹ (mod m)`, below `2m`, for `a, b < 2m`.
+/// `out = a·b·R⁻¹ (mod m)`, below `2m`, for `a, b < 2m`, member by member
+/// over a group of one or two elements back to back.
 ///
 /// # Safety
 ///
 /// The CPU must support `avx512f` and `avx512ifma`.
 type MulFn = unsafe fn(&Ifma52, &mut [u64], &[u64], &[u64]);
+
+/// The widest group [`amm`] is instantiated for: two products interleaved
+/// fill most of the idle issue slots one serial digit chain leaves, and
+/// three or four were no faster in a scratch prototype.
+const GROUP: usize = 2;
+
+/// `[amm::<V, 1>, amm::<V, 2>]` for the context's vector count `V`.
+macro_rules! amm_table {
+    ($vectors:expr; $($v:literal)+) => {
+        match $vectors {
+            $($v => [amm::<$v, 1> as MulFn, amm::<$v, 2>],)+
+            _ => unreachable!("MAX_BITS bounds the vector count"),
+        }
+    };
+}
 
 /// A radix-2^52 Montgomery context, built next to the 64-bit one of the
 /// same modulus.
@@ -73,7 +89,8 @@ pub(super) struct Ifma52 {
     to_cios: Vec<u64>,
     /// The digit 1: multiplying by it leaves the form.
     unit: Vec<u64>,
-    mul: MulFn,
+    /// `muls[g − 1]` multiplies a group of `g`.
+    muls: [MulFn; GROUP],
 }
 
 impl Ifma52 {
@@ -86,29 +103,7 @@ impl Ifma52 {
         }
         let digits = (bits as usize + 2).div_ceil(DIGIT_BITS as usize);
         let vectors = digits.div_ceil(LANES);
-        let mul: MulFn = match vectors {
-            1 => amm::<1>,
-            2 => amm::<2>,
-            3 => amm::<3>,
-            4 => amm::<4>,
-            5 => amm::<5>,
-            6 => amm::<6>,
-            7 => amm::<7>,
-            8 => amm::<8>,
-            9 => amm::<9>,
-            10 => amm::<10>,
-            11 => amm::<11>,
-            12 => amm::<12>,
-            13 => amm::<13>,
-            14 => amm::<14>,
-            15 => amm::<15>,
-            16 => amm::<16>,
-            17 => amm::<17>,
-            18 => amm::<18>,
-            19 => amm::<19>,
-            20 => amm::<20>,
-            _ => unreachable!("MAX_BITS bounds the vector count"),
-        };
+        let muls = amm_table!(vectors; 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20);
         let words = vectors * LANES;
         let n = &cios.n;
         let r = BigUint::pow2(DIGIT_BITS * digits as u32).rem_of(n);
@@ -127,7 +122,7 @@ impl Ifma52 {
             to_cios: to_digits(&BigUint::from_limbs(cios.r1.clone())),
             r2: to_digits(&r2),
             unit,
-            mul,
+            muls,
         })
     }
 }
@@ -147,12 +142,29 @@ impl Kernel for Ifma52 {
 
     fn mul(&self, out: &mut [u64], a: &[u64], b: &[u64]) {
         // SAFETY: an `Ifma52` exists only where `new` saw `cpu_supported`,
-        // and `mul` is the instantiation for this context's vector count.
-        unsafe { (self.mul)(self, out, a, b) }
+        // and `muls` holds the instantiations for this context's vector
+        // count.
+        unsafe { (self.muls[0])(self, out, a, b) }
     }
 
     fn sqr(&self, out: &mut [u64], a: &[u64], _scratch: &mut [u64]) {
         self.mul(out, a, a);
+    }
+
+    /// Pairs of members run as one interleaved [`amm`], an odd last
+    /// member alone.
+    fn mul_group(&self, out: &mut [u64], a: &[u64], b: &[u64]) {
+        let span = GROUP * self.words;
+        for ((out, a), b) in out.chunks_mut(span).zip(a.chunks(span)).zip(b.chunks(span)) {
+            let members = out.len() / self.words;
+            // SAFETY: as in `mul`; `muls[members − 1]` takes `members`
+            // elements and every chunk holds that many.
+            unsafe { (self.muls[members - 1])(self, out, a, b) }
+        }
+    }
+
+    fn sqr_group(&self, out: &mut [u64], a: &[u64], _scratch: &mut [u64]) {
+        self.mul_group(out, a, a);
     }
 
     fn enter(&self, out: &mut [u64], x: &[Limb], form: Form) {
@@ -218,85 +230,111 @@ fn sub_digits(a: &mut [u64], b: &[u64]) {
     debug_assert_eq!(borrow, 0);
 }
 
-/// Almost Montgomery multiplication over `V` vectors: `out = a·b·R⁻¹ mod m`
-/// up to one multiple of `m`, so below `2m` for `a, b < 2m`, with normalised
-/// digits.
+/// Almost Montgomery multiplication over `V` vectors, for a group of `G`
+/// independent products: member `g` of `out` is `a_g·b_g·R⁻¹ mod m` up to
+/// one multiple of `m`, so below `2m` for `a_g, b_g < 2m`, with normalised
+/// digits. Member `g` of each operand is the `8V` words from `8V·g`.
 ///
-/// The running sum lives in `V` registers. A lane receives at most four
-/// values below 2^52 per digit of `b` and is shifted out within `8V ≤ 160`
-/// digits, so it stays below 2^62 and the lanes need no carries until
-/// the end.
+/// Each member keeps its own running sum in `V` registers and its own `y`
+/// chain, the one serial dependency from digit to digit (a scalar multiply,
+/// a broadcast, an IFMA and a lane extract: ≈ 27 cycles, against ≈ 10 of
+/// IFMA work at 2048 bits). The members' chains are independent, so with
+/// `G = 2` one member's IFMAs issue while the other's `y` is in flight.
+/// `G = 1` is the single product.
+///
+/// A lane receives at most four values below 2^52 per digit of `b` and is
+/// shifted out within `8V ≤ 160` digits, so it stays below 2^62 and the
+/// lanes need no carries until the end.
 #[target_feature(enable = "avx512f,avx512ifma")]
-fn amm<const V: usize>(k: &Ifma52, out: &mut [u64], a: &[u64], b: &[u64]) {
+fn amm<const V: usize, const G: usize>(k: &Ifma52, out: &mut [u64], a: &[u64], b: &[u64]) {
     let w = V * LANES;
-    let (out, a, b, m) = (&mut out[..w], &a[..w], &b[..k.digits], &k.m[..w]);
-    let (mut av, mut mv) = ([_mm512_setzero_si512(); V], [_mm512_setzero_si512(); V]);
+    let (out, a, b, m) = (&mut out[..G * w], &a[..G * w], &b[..G * w], &k.m[..w]);
+    let zero = _mm512_setzero_si512();
+    let (mut av, mut mv) = ([[zero; V]; G], [zero; V]);
     for v in 0..V {
-        let lanes = v * LANES..(v + 1) * LANES;
         // SAFETY: each slice is exactly 8 `u64`s, one unaligned 512-bit load.
         unsafe {
-            av[v] = _mm512_loadu_si512(a[lanes.clone()].as_ptr().cast());
-            mv[v] = _mm512_loadu_si512(m[lanes].as_ptr().cast());
+            mv[v] = _mm512_loadu_si512(m[v * LANES..(v + 1) * LANES].as_ptr().cast());
+            for g in 0..G {
+                let lanes = g * w + v * LANES..g * w + (v + 1) * LANES;
+                av[g][v] = _mm512_loadu_si512(a[lanes].as_ptr().cast());
+            }
         }
     }
-    let zero = _mm512_setzero_si512();
-    let mut acc = [zero; V];
-    // The lowest digit of the sum lives here, in full, and lane 0 of
-    // `acc[0]` is never read: `y`, the one serial dependency from digit to
-    // digit, is then computed without a round trip through the vector unit.
-    let mut low: u64 = 0;
-    let (a0, m0) = (a[0] as u128, m[0] as u128);
-    for &bi in b {
-        let bv = _mm512_set1_epi64(bi as i64);
-        for v in 0..V {
-            acc[v] = _mm512_madd52lo_epu64(acc[v], av[v], bv);
+    let mut acc = [[zero; V]; G];
+    // The lowest digit of each sum lives here, in full, and lane 0 of
+    // `acc[g][0]` is never read: `y` is then computed without a round trip
+    // through the vector unit.
+    let mut low = [0u64; G];
+    let mut a0 = [0u128; G];
+    for g in 0..G {
+        a0[g] = a[g * w] as u128;
+    }
+    let m0 = m[0] as u128;
+    for i in 0..k.digits {
+        let (mut bi, mut bv) = ([0u64; G], [zero; G]);
+        for g in 0..G {
+            bi[g] = b[g * w + i];
+            bv[g] = _mm512_set1_epi64(bi[g] as i64);
+            for v in 0..V {
+                acc[g][v] = _mm512_madd52lo_epu64(acc[g][v], av[g][v], bv[g]);
+            }
         }
-        // y clears the lowest digit: low + a₀·bᵢ + m₀·y ≡ 0 (mod 2^52).
-        let t = low as u128 + a0 * bi as u128;
-        let y = (t as u64).wrapping_mul(k.k0) & DIGIT_MASK;
-        let yv = _mm512_set1_epi64(y as i64);
-        for v in 0..V {
-            acc[v] = _mm512_madd52lo_epu64(acc[v], mv[v], yv);
+        let mut yv = [zero; G];
+        for g in 0..G {
+            // y clears the lowest digit: low + a₀·bᵢ + m₀·y ≡ 0 (mod 2^52).
+            let t = low[g] as u128 + a0[g] * bi[g] as u128;
+            let y = (t as u64).wrapping_mul(k.k0) & DIGIT_MASK;
+            yv[g] = _mm512_set1_epi64(y as i64);
+            for v in 0..V {
+                acc[g][v] = _mm512_madd52lo_epu64(acc[g][v], mv[v], yv[g]);
+            }
+            // The next lowest digit: lane 1 so far, plus the carry of the
+            // cleared one, which includes the high halves of a₀·bᵢ and m₀·y.
+            let t = t + m0 * y as u128;
+            debug_assert_eq!(t as u64 & DIGIT_MASK, 0);
+            let lane1 = _mm_extract_epi64::<1>(_mm512_castsi512_si128(acc[g][0])) as u64;
+            low[g] = (t >> DIGIT_BITS) as u64 + lane1;
         }
-        // The next lowest digit: lane 1 so far, plus the carry of the
-        // cleared one, which includes the high halves of a₀·bᵢ and m₀·y.
-        let t = t + m0 * y as u128;
-        debug_assert_eq!(t as u64 & DIGIT_MASK, 0);
-        let lane1 = _mm_extract_epi64::<1>(_mm512_castsi512_si128(acc[0])) as u64;
-        low = (t >> DIGIT_BITS) as u64 + lane1;
-        // Drop the cleared digit.
-        for v in 0..V {
-            let above = if v + 1 < V { acc[v + 1] } else { zero };
-            acc[v] = _mm512_alignr_epi64::<1>(above, acc[v]);
-        }
-        // The high halves weigh one digit more, which the shift accounts
-        // for (lane 0 receives those of a₀·bᵢ and m₀·y again, unread).
-        for v in 0..V {
-            acc[v] = _mm512_madd52hi_epu64(acc[v], av[v], bv);
-            acc[v] = _mm512_madd52hi_epu64(acc[v], mv[v], yv);
+        for g in 0..G {
+            // Drop the cleared digit.
+            for v in 0..V {
+                let above = if v + 1 < V { acc[g][v + 1] } else { zero };
+                acc[g][v] = _mm512_alignr_epi64::<1>(above, acc[g][v]);
+            }
+            // The high halves weigh one digit more, which the shift accounts
+            // for (lane 0 receives those of a₀·bᵢ and m₀·y again, unread).
+            for v in 0..V {
+                acc[g][v] = _mm512_madd52hi_epu64(acc[g][v], av[g][v], bv[g]);
+                acc[g][v] = _mm512_madd52hi_epu64(acc[g][v], mv[v], yv[g]);
+            }
         }
     }
-    acc[0] = _mm512_mask_set1_epi64(acc[0], 1, low as i64);
     // Carry every lane's excess into the lane above until all are digits;
     // the second pass is needed only when a digit lands on 2^52 − 1 plus a
     // carry, and a third almost never.
     let mask = _mm512_set1_epi64(DIGIT_MASK as i64);
-    loop {
-        let (mut below, mut over) = (zero, 0u8);
+    for g in 0..G {
+        let acc = &mut acc[g];
+        acc[0] = _mm512_mask_set1_epi64(acc[0], 1, low[g] as i64);
+        loop {
+            let (mut below, mut over) = (zero, 0u8);
+            for v in 0..V {
+                let carry = _mm512_srli_epi64::<52>(acc[v]);
+                let up = _mm512_alignr_epi64::<7>(carry, below);
+                below = carry;
+                acc[v] = _mm512_add_epi64(_mm512_and_si512(acc[v], mask), up);
+                over |= _mm512_cmpgt_epu64_mask(acc[v], mask);
+            }
+            if over == 0 {
+                break;
+            }
+        }
         for v in 0..V {
-            let carry = _mm512_srli_epi64::<52>(acc[v]);
-            let up = _mm512_alignr_epi64::<7>(carry, below);
-            below = carry;
-            acc[v] = _mm512_add_epi64(_mm512_and_si512(acc[v], mask), up);
-            over |= _mm512_cmpgt_epu64_mask(acc[v], mask);
+            let lanes = g * w + v * LANES..g * w + (v + 1) * LANES;
+            // SAFETY: `out` is exactly `8V·G` `u64`s; one unaligned 512-bit
+            // store into lanes `8V·g + 8v..8V·g + 8v + 8`.
+            unsafe { _mm512_storeu_si512(out[lanes].as_mut_ptr().cast(), acc[v]) };
         }
-        if over == 0 {
-            break;
-        }
-    }
-    for v in 0..V {
-        // SAFETY: `out` is exactly `8V` `u64`s; one unaligned 512-bit store
-        // into lanes `8v..8v + 8`.
-        unsafe { _mm512_storeu_si512(out[v * LANES..(v + 1) * LANES].as_mut_ptr().cast(), acc[v]) };
     }
 }

@@ -308,9 +308,11 @@ const PARITY_BITS: [u32; 11] = [
     256, 447, 448, 1023, 1024, 1536, 2047, 2048, 2078, 3072, 4096,
 ];
 
-/// Both kernels replay `pow_scheduled`, `pow_mont_scheduled` and
-/// `multi_pow` on the same inputs and must agree bit for bit; the portable
-/// one is the reference (the tests above check it against division).
+/// Both kernels replay `pow_scheduled`, `pow_mont_scheduled`,
+/// `pow_scheduled_batch` and `multi_pow` on the same inputs and must agree
+/// bit for bit; the portable one is the reference (the tests above check it
+/// against division). The batch runs at every vector count the radix-2^52
+/// kernel is instantiated for, where its pairs interleave two products.
 #[test]
 fn kernels_agree_bit_for_bit_on_every_ladder() {
     use rand::rngs::StdRng;
@@ -368,6 +370,77 @@ fn kernels_agree_bit_for_bit_on_every_ladder() {
             portable.multi_pow(&pairs),
             "multi_pow, {bits} bits"
         );
+        let sched = ExponentSchedule::recode(&exps[3]);
+        let expect: Vec<BigUint> = bases
+            .iter()
+            .map(|b| portable.pow_scheduled(b, &sched))
+            .collect();
+        assert_eq!(
+            ifma.pow_scheduled_batch(&bases, &sched),
+            expect,
+            "batch, {bits} bits"
+        );
+        assert_eq!(
+            portable.pow_scheduled_batch(&bases, &sched),
+            expect,
+            "batch, {bits} bits"
+        );
+    }
+    // Every vector count 1..=20 at its widest modulus, 416·V − 2 bits
+    // (8V digits with R > 4m), where a member's last digit is significant.
+    let exps = [
+        BigUint::zero(),
+        BigUint::one(),
+        crate::rng::gen_exact_bits(&mut rng, 24),
+    ];
+    for vectors in 1..=20u32 {
+        let bits = 416 * vectors - 2;
+        let n = odd_modulus(crate::rng::gen_exact_bits(&mut rng, bits));
+        let portable = Montgomery::portable(&n);
+        let Some(ifma) = Montgomery::ifma(&n) else {
+            println!("batch parity at {vectors} vectors skipped: this CPU lacks avx512ifma");
+            continue;
+        };
+        let bases = [
+            crate::rng::gen_below(&mut rng, &n),
+            &n + &crate::rng::gen_bits(&mut rng, bits),
+            BigUint::zero(),
+            BigUint::one(),
+            &n - &BigUint::one(),
+            &(&n + &n) + &BigUint::one(),
+            crate::rng::gen_below(&mut rng, &n),
+        ];
+        for exp in &exps {
+            let sched = ExponentSchedule::recode(exp);
+            let expect: Vec<BigUint> = bases
+                .iter()
+                .map(|b| portable.pow_scheduled(b, &sched))
+                .collect();
+            for (b, e) in bases.iter().zip(&expect) {
+                assert_eq!(
+                    &ifma.pow_scheduled(b, &sched),
+                    e,
+                    "single, {vectors} vectors"
+                );
+            }
+            for len in [1, 2, 3, 7] {
+                let at = format!(
+                    "{vectors} vectors, batch of {len}, {}-bit exponent",
+                    exp.bits()
+                );
+                let refs: Vec<&BigUint> = bases[..len].iter().collect();
+                assert_eq!(
+                    ifma.pow_scheduled_batch(&refs, &sched),
+                    expect[..len],
+                    "{at}"
+                );
+            }
+            assert_eq!(
+                portable.pow_scheduled_batch(&bases, &sched),
+                expect,
+                "portable batch"
+            );
+        }
     }
 }
 
@@ -389,7 +462,9 @@ fn new_selects_the_kernel_it_names() {
 /// modulus width: `pow_scheduled` with an exponent of half that width (the
 /// nonce power `r^N` modulo `N²`), and a fresh context plus `pow` with an
 /// exponent of the full width (a primality test, which prime search runs
-/// once per candidate). Timing, so run it alone and in release: `cargo
+/// once per candidate). The pair column is the IFMA ladder's cost per
+/// exponentiation when `pow_scheduled_batch` runs two bases as one
+/// interleaved pair. Timing, so run it alone and in release: `cargo
 /// test --release -p pivot-bignum --lib kernel_crossover -- --ignored
 /// --nocapture`.
 #[test]
@@ -399,12 +474,16 @@ fn kernel_crossover() {
     use rand::SeedableRng;
     use std::time::Instant;
     let mut rng = StdRng::seed_from_u64(1800);
-    println!("bits  ladder: cios64_us ifma52_us speedup  new+pow: cios64_us ifma52_us speedup");
+    println!(
+        "bits  ladder: cios64_us ifma52_us speedup  pair: ifma52_us speedup  \
+         new+pow: cios64_us ifma52_us speedup"
+    );
     for bits in [256u32, 320, 384, 448, 512, 1024, 2048, 4096] {
         let n = odd_modulus(crate::rng::gen_exact_bits(&mut rng, bits));
         let half = ExponentSchedule::recode(&crate::rng::gen_exact_bits(&mut rng, bits / 2));
         let full = crate::rng::gen_exact_bits(&mut rng, bits - 1);
         let base = crate::rng::gen_below(&mut rng, &n);
+        let pair = [base.clone(), crate::rng::gen_below(&mut rng, &n)];
         let (Some(ifma), portable) = (Montgomery::ifma(&n), Montgomery::portable(&n)) else {
             println!("this CPU lacks avx512ifma");
             return;
@@ -423,15 +502,18 @@ fn kernel_crossover() {
                 .fold(f64::INFINITY, f64::min)
         };
         let ladder = [&portable, &ifma].map(|ctx| per_call_us(&|| ctx.pow_scheduled(&base, &half)));
+        let paired = per_call_us(&|| ifma.pow_scheduled_batch(&pair, &half).remove(0)) / 2.0;
         let fresh = [
             per_call_us(&|| Montgomery::portable(&n).pow(&base, &full)),
             per_call_us(&|| Montgomery::ifma(&n).unwrap().pow(&base, &full)),
         ];
         println!(
-            "{bits:>4}  {:>17.1} {:>9.1} {:>6.2}x  {:>18.1} {:>9.1} {:>6.2}x",
+            "{bits:>4}  {:>17.1} {:>9.1} {:>6.2}x  {:>15.1} {:>6.2}x  {:>18.1} {:>9.1} {:>6.2}x",
             ladder[0],
             ladder[1],
             ladder[0] / ladder[1],
+            paired,
+            ladder[1] / paired,
             fresh[0],
             fresh[1],
             fresh[0] / fresh[1]

@@ -34,7 +34,7 @@ type Proposal = (f64, (usize, f64, Vec<bool>));
 pub fn train(ctx: &mut PartyContext<'_>) -> DecisionTree {
     // Labels are broadcast in plaintext — the whole point of the baseline.
     let labels: Vec<f64> = {
-        let _setup = pivot_trace::phase_span(&ctx.counters, "setup");
+        let _stats = pivot_trace::phase_span(&ctx.counters, "stats");
         if ctx.is_super_client() {
             let labels = ctx.view.labels.clone().expect("super client labels");
             ctx.ep.broadcast(&labels);

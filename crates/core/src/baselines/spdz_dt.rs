@@ -35,7 +35,7 @@ pub fn train(ctx: &mut PartyContext<'_>) -> DecisionTree {
             .unwrap_or_else(|e| panic!("{e}"));
     }
     let (local, layout, mut pass) = {
-        let _setup = pivot_trace::phase_span(&ctx.counters, "setup");
+        let _stats = pivot_trace::phase_span(&ctx.counters, "stats");
         let local = LocalSplits::precompute(ctx);
         let layout = SplitLayout::build(ctx.ep, &local.counts());
         let indicators = share_indicators(ctx, &local, &layout);

@@ -5,9 +5,11 @@
 //! ciphertexts (§8.3: "parallelism for threshold decryption of multiple
 //! ciphertexts with 6 cores").
 //!
-//! Both phases run through the batched crypto runtime
-//! ([`pivot_paillier::batch`]) on the shared worker pool, with one network
-//! exchange between them.
+//! Both phases run on the shared worker pool ([`pivot_paillier::batch`],
+//! `Combiner::combine_batch`), with one network exchange between them. The
+//! partial decryptions run in pairs, two ciphertexts per interleaved ladder
+//! of the share's exponent; the combination pays one modular inversion for
+//! the whole batch, where a ciphertext on its own would pay one each.
 
 use crate::party::PartyContext;
 use pivot_bignum::BigUint;
@@ -35,5 +37,5 @@ pub fn joint_decrypt_vec(ctx: &mut PartyContext<'_>, cts: &[Ciphertext]) -> Vec<
     let per_ct: Vec<Vec<PartialDecryption>> = (0..cts.len())
         .map(|idx| all.iter().map(|per_party| per_party[idx].clone()).collect())
         .collect();
-    batch::combine_batch(&ctx.combiner, &per_ct, threads)
+    ctx.combiner.combine_batch(&per_ct, threads)
 }

@@ -77,43 +77,53 @@ pub fn train_gbdt(ctx: &mut PartyContext<'_>, gbdt: &GbdtProtocolParams) -> Gbdt
     let task = ctx.view.task;
     // What each forest fits, shared by the super client once: the
     // (normalized) labels, or one one-vs-rest indicator per class.
-    let targets: Vec<Vec<Share>> = match task {
-        Task::Regression => vec![share_labels(ctx, |y| y)],
-        Task::Classification { classes } => (0..classes)
-            .map(|k| share_labels(ctx, move |y| if y as usize == k { 1.0 } else { 0.0 }))
-            .collect(),
+    let targets: Vec<Vec<Share>> = {
+        let _update = pivot_trace::phase_span(&ctx.counters, "update");
+        match task {
+            Task::Regression => vec![share_labels(ctx, |y| y)],
+            Task::Classification { classes } => (0..classes)
+                .map(|k| share_labels(ctx, move |y| if y as usize == k { 1.0 } else { 0.0 }))
+                .collect(),
+        }
     };
     let classes = targets.len();
     let mut scores: Vec<Vec<Share>> = vec![vec![Share::ZERO; n]; classes];
     let mut forests: Vec<Vec<DecisionTree>> = vec![Vec::new(); classes];
 
     for round in 0..gbdt.rounds {
-        // What the cumulative scores predict: themselves, or their secure
-        // softmax (row per sample).
-        let fitted: Vec<Vec<Share>> = match task {
-            Task::Regression => scores.clone(),
-            Task::Classification { .. } => {
-                let logits: Vec<Share> = (0..n)
-                    .flat_map(|i| scores.iter().map(move |class_scores| class_scores[i]))
-                    .collect();
-                // Cumulative scores are sums of `rounds` shrunk leaf means;
-                // residual leaves stay in [−1, 1] up to fixed-point noise, so
-                // |logit| ≤ rounds·lr (+1 margin for the truncation noise).
-                let bound = gbdt.rounds as f64 * gbdt.learning_rate + 1.0;
-                let probs = ctx.engine.softmax_rows_clamped(&logits, classes, bound);
-                (0..classes)
-                    .map(|k| probs.iter().skip(k).step_by(classes).copied().collect())
-                    .collect()
-            }
+        // A round's residuals are its labels, computed under `update` like
+        // every label vector of the round.
+        let residuals: Vec<Vec<Share>> = {
+            let _update = pivot_trace::phase_span(&ctx.counters, "update");
+            // What the cumulative scores predict: themselves, or their
+            // secure softmax (row per sample).
+            let fitted: Vec<Vec<Share>> = match task {
+                Task::Regression => scores.clone(),
+                Task::Classification { .. } => {
+                    let logits: Vec<Share> = (0..n)
+                        .flat_map(|i| scores.iter().map(move |class_scores| class_scores[i]))
+                        .collect();
+                    // Cumulative scores are sums of `rounds` shrunk leaf
+                    // means; residual leaves stay in [−1, 1] up to
+                    // fixed-point noise, so |logit| ≤ rounds·lr (+1 margin
+                    // for the truncation noise).
+                    let bound = gbdt.rounds as f64 * gbdt.learning_rate + 1.0;
+                    let probs = ctx.engine.softmax_rows_clamped(&logits, classes, bound);
+                    (0..classes)
+                        .map(|k| probs.iter().skip(k).step_by(classes).copied().collect())
+                        .collect()
+                }
+            };
+            targets
+                .iter()
+                .zip(&fitted)
+                .map(|(target, fit)| target.iter().zip(fit).map(|(&t, &f)| t - f).collect())
+                .collect()
         };
-        let residuals: Vec<Vec<Share>> = targets
-            .iter()
-            .zip(&fitted)
-            .map(|(target, fit)| target.iter().zip(fit).map(|(&t, &f)| t - f).collect())
-            .collect();
         let trees = train_residual_trees(ctx, &codec, &residuals);
         // Only a later round reads the cumulative scores.
         if round + 1 < gbdt.rounds {
+            let _predict = pivot_trace::phase_span(&ctx.counters, "predict");
             let stage: Vec<&[DecisionTree]> = trees.iter().map(std::slice::from_ref).collect();
             let local_samples = ctx.view.features.clone();
             let predicted = group_scores(ctx, &stage, gbdt.learning_rate, &local_samples);
@@ -157,24 +167,28 @@ fn train_residual_trees(
     residuals: &[Vec<Share>],
 ) -> Vec<DecisionTree> {
     let n = ctx.num_samples();
+    let chunking = PackedChunking::new(3, codec.slots());
+    let encrypted = usize::from(chunking.alpha_alone())..chunking.chunks();
     // [γ₁] = [R], [γ₂] = [R²] — encrypted once per round (§7.2): per sample
     // and chunk of the stride (α, γ₁, γ₂), every client encrypts ONE packed
     // row of its shares, the α slot left empty. With one slot chunk 0 is
     // the α slot alone — `[α]` itself, nothing to encrypt.
-    let flat = residuals.concat();
-    let squares = ctx.engine.fixmul_vec(&flat, &flat);
-    let chunking = PackedChunking::new(3, codec.slots());
-    let encrypted = usize::from(chunking.alpha_alone())..chunking.chunks();
-    // Tree-major, then chunk-major, then one row per sample.
-    let mut rows: Vec<Vec<Share>> = Vec::with_capacity(flat.len() * encrypted.len());
-    for (r, r2) in flat.chunks(n).zip(squares.chunks(n)) {
-        for c in encrypted.clone() {
-            let range = chunking.stride_range(c);
-            let stride = r.iter().zip(r2).map(|(&r, &r2)| [Share::ZERO, r, r2]);
-            rows.extend(stride.map(|stride| stride[range.clone()].to_vec()));
+    let sums = {
+        let _update = pivot_trace::phase_span(&ctx.counters, "update");
+        let flat = residuals.concat();
+        let squares = ctx.engine.fixmul_vec(&flat, &flat);
+        // Tree-major, then chunk-major, then one row per sample.
+        let mut rows: Vec<Vec<Share>> = Vec::with_capacity(flat.len() * encrypted.len());
+        for (r, r2) in flat.chunks(n).zip(squares.chunks(n)) {
+            for c in encrypted.clone() {
+                let range = chunking.stride_range(c);
+                let stride = r.iter().zip(r2).map(|(&r, &r2)| [Share::ZERO, r, r2]);
+                rows.extend(stride.map(|stride| stride[range.clone()].to_vec()));
+            }
         }
-    }
-    let mut sums = share_rows_to_ciphers(ctx, codec, &rows).into_iter();
+        share_rows_to_ciphers(ctx, codec, &rows)
+    };
+    let mut sums = sums.into_iter();
     let roots = residuals
         .iter()
         .map(|_| {

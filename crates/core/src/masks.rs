@@ -83,7 +83,10 @@ impl<T> Sides<Option<T>> {
 /// The super client encrypts and broadcasts so **every party holds the
 /// identical ciphertexts** — a hard protocol invariant: joint threshold
 /// decryption combines partial decryptions of what must be one ciphertext.
+/// Timed as the `update` phase, the mask's first value: callers hold no
+/// phase span.
 pub fn initial_mask(ctx: &mut PartyContext<'_>, included: &[bool]) -> Vec<Ciphertext> {
+    let _update = pivot_trace::phase_span(&ctx.counters, "update");
     let (cts, bundle) = if ctx.is_super_client() {
         let values: Vec<BigUint> = included
             .iter()

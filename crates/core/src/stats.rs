@@ -248,14 +248,16 @@ pub fn packed_pooled_statistics(
         let per_split: Vec<Ciphertext> = pivot_runtime::global().map(threads, &splits, |v_l| {
             vector::dot_binary(&ctx.pk, chunk_labels, v_l)
         });
+        // Member t lands `t·width` slots up: by Horner's rule from the last
+        // member down, every step shifting by one member's width, so a
+        // group of g pays g − 1 shifts of `width` slots each.
         let groups: Vec<&[Ciphertext]> = per_split.chunks(chunking.group).collect();
         let merged: Vec<Ciphertext> = pivot_runtime::global().map(threads, &groups, |members| {
-            let mut acc = members[0].clone();
-            for (t, member) in members[1..].iter().enumerate() {
-                let shift = codec.shift_factor((t + 1) * width);
-                acc = ctx.pk.add(&acc, &ctx.pk.mul_plain(member, &shift));
-            }
-            acc
+            let (last, below) = members.split_last().expect("groups are nonempty");
+            below.iter().rev().fold(last.clone(), |acc, member| {
+                let shifted = ctx.pk.mul_plain(&acc, &codec.shift_factor(width));
+                ctx.pk.add(&shifted, member)
+            })
         });
         // The dot products, plus one shift per split merged into its
         // group's first.

@@ -227,7 +227,7 @@ pub(crate) fn train_from_roots(
     noise: Option<DpParams>,
 ) -> Vec<DecisionTree> {
     let (local, layout) = {
-        let _setup = pivot_trace::phase_span(&ctx.counters, "setup");
+        let _stats = pivot_trace::phase_span(&ctx.counters, "stats");
         let local = LocalSplits::precompute(ctx);
         let layout = SplitLayout::build(ctx.ep, &local.counts());
         (local, layout)

@@ -76,7 +76,7 @@ pub fn train(ctx: &mut PartyContext<'_>) -> ConcealedTree {
     );
     let mask = vec![true; ctx.num_samples()];
     let (local, layout) = {
-        let _setup = pivot_trace::phase_span(&ctx.counters, "setup");
+        let _stats = pivot_trace::phase_span(&ctx.counters, "stats");
         let local = LocalSplits::precompute(ctx);
         let layout = SplitLayout::build(ctx.ep, &local.counts());
         (local, layout)

@@ -10,12 +10,38 @@
 //! stream order and computes their powers on the same thread budget, so
 //! the parallel output is **bit-identical** to the serial output under the
 //! same seed and `threads` bounds the cores a batch uses.
+//!
+//! A batch also shares work that per-element calls repeat. Nonce powers and
+//! partial decryptions raise many bases to one exponent, so the runtime is
+//! handed pairs ([`map_pairs`]) and each pair runs as one interleaved
+//! ladder (`Montgomery::pow_scheduled_batch`). A combination batch inverts
+//! the negative parts of all its ciphertexts with one modular inversion
+//! (`Combiner::combine_batch`, which runs on the same pool).
 
 use crate::nonce::NoncePool;
-use crate::threshold::{Combiner, PartialDecryption, SecretKeyShare};
+use crate::threshold::{PartialDecryption, SecretKeyShare};
 use crate::{Ciphertext, PublicKey};
 use pivot_bignum::BigUint;
 use std::sync::Arc;
+
+/// `f` over `items` in groups of one or two on at most `threads` workers,
+/// the outputs flattened in input order. `f` maps a group to one output per
+/// member. Items pair up only while at least `threads` groups remain, so a
+/// batch smaller than two per worker still spreads over every worker.
+pub(crate) fn map_pairs<T: Sync, U: Send>(
+    items: &[T],
+    threads: usize,
+    f: impl Fn(&[T]) -> Vec<U> + Sync,
+) -> Vec<U> {
+    let groups = items.len().div_ceil(2).max(threads.min(items.len()));
+    let (paired, single) = items.split_at(2 * (items.len() - groups));
+    let groups: Vec<&[T]> = paired.chunks(2).chain(single.chunks(1)).collect();
+    pivot_runtime::global()
+        .map(threads, &groups, |group| f(group))
+        .into_iter()
+        .flatten()
+        .collect()
+}
 
 /// Encrypt a batch of plaintexts, one pool nonce power per value in
 /// stream order.
@@ -82,24 +108,15 @@ pub fn mul_plain_batch(
     pivot_runtime::global().map(threads, &items, |(c, k)| pk.mul_plain(c, k))
 }
 
-/// Batched partial decryption — the paper's `-PP` knob (§8.3).
+/// Batched partial decryption — the paper's `-PP` knob (§8.3) — with the
+/// ciphertexts in pairs, each pair one interleaved ladder of the share's
+/// exponent.
 pub fn partial_decrypt_batch(
     share: &SecretKeyShare,
     cts: &[Ciphertext],
     threads: usize,
 ) -> Vec<PartialDecryption> {
-    pivot_runtime::global().map(threads, cts, |ct| share.partial_decrypt(ct))
-}
-
-/// Batched combination: `partials[i]` holds the partial decryptions of
-/// ciphertext `i` (one per party). Each combination runs the simultaneous
-/// multi-exponentiation path of [`Combiner::combine`].
-pub fn combine_batch(
-    combiner: &Combiner,
-    partials: &[Vec<PartialDecryption>],
-    threads: usize,
-) -> Vec<BigUint> {
-    pivot_runtime::global().map(threads, partials, |parts| combiner.combine(parts))
+    map_pairs(cts, threads, |pair| share.partial_decrypt_many(pair))
 }
 
 #[cfg(test)]
@@ -121,17 +138,22 @@ mod tests {
 
     /// The core parity contract: every batch API at any thread count
     /// produces bit-identical ciphertexts to the serial path under the
-    /// same nonce-stream seed.
+    /// same nonce-stream seed — odd lengths included, whose last nonce
+    /// power runs alone, and lengths below two per thread, which pair
+    /// fewer nonces.
     #[test]
     fn batch_apis_match_serial_bit_for_bit() {
         let kp = keys();
-        let values = nums(&[0, 1, 7, 123, 99999, 5, 0, 42]);
-        let mask: Vec<bool> = values.iter().map(|v| !v.is_zero()).collect();
-
-        for threads in [1usize, 4] {
+        let all = nums(&[0, 1, 7, 123, 99999, 5, 0, 42]);
+        for (len, threads) in [1usize, 3, 7, 8]
+            .into_iter()
+            .flat_map(|len| [1usize, 2, 4].map(|t| (len, t)))
+        {
+            let values = &all[..len];
+            let mask: Vec<bool> = values.iter().map(|v| !v.is_zero()).collect();
             // Serial reference: the plain RNG-driven entry points.
             let mut rng = StdRng::seed_from_u64(2024);
-            let serial_enc = vector::encrypt_vec(&kp.pk, &values, &mut rng);
+            let serial_enc = vector::encrypt_vec(&kp.pk, values, &mut rng);
             let serial_masked = vector::mask_binary(&kp.pk, &serial_enc, &mask, &mut rng);
             let serial_rerand: Vec<Ciphertext> = serial_enc
                 .iter()
@@ -140,13 +162,48 @@ mod tests {
 
             // Batched path: pool seeded identically, same draw order.
             let pool = NoncePool::new(kp.pk.clone(), 2024, 0);
-            let batch_enc = encrypt_batch(&kp.pk, &values, &pool, threads);
+            let batch_enc = encrypt_batch(&kp.pk, values, &pool, threads);
             let batch_masked = mask_binary_batch(&kp.pk, &batch_enc, &mask, &pool, threads);
             let batch_rerand = rerandomize_batch(&kp.pk, &batch_enc, &pool, threads);
 
-            assert_eq!(batch_enc, serial_enc, "encrypt_batch threads={threads}");
-            assert_eq!(batch_masked, serial_masked, "mask_binary threads={threads}");
-            assert_eq!(batch_rerand, serial_rerand, "rerandomize threads={threads}");
+            let at = format!("{len} values, threads={threads}");
+            assert_eq!(batch_enc, serial_enc, "encrypt_batch {at}");
+            assert_eq!(batch_masked, serial_masked, "mask_binary {at}");
+            assert_eq!(batch_rerand, serial_rerand, "rerandomize {at}");
+            let serial_partials: Vec<BigUint> = serial_enc
+                .iter()
+                .map(|c| kp.shares[0].partial_decrypt(c).value)
+                .collect();
+            let batch_partials: Vec<BigUint> =
+                partial_decrypt_batch(&kp.shares[0], &batch_enc, threads)
+                    .into_iter()
+                    .map(|p| p.value)
+                    .collect();
+            assert_eq!(batch_partials, serial_partials, "partial_decrypt {at}");
+        }
+    }
+
+    /// Pairs form only while every worker still gets a group.
+    #[test]
+    fn map_pairs_keeps_order_and_feeds_every_worker() {
+        for (len, threads, pairs) in [
+            (0, 2, 0),
+            (1, 2, 0),
+            (2, 1, 1),
+            (2, 2, 0),
+            (3, 2, 1),
+            (7, 2, 3),
+            (7, 4, 3),
+            (5, 4, 1),
+        ] {
+            let items: Vec<usize> = (0..len).collect();
+            let sizes = map_pairs(&items, threads, |group| vec![group.len(); group.len()]);
+            assert_eq!(
+                sizes.iter().filter(|&&s| s == 2).count(),
+                2 * pairs,
+                "{len} on {threads}"
+            );
+            assert_eq!(map_pairs(&items, threads, |group| group.to_vec()), items);
         }
     }
 
@@ -181,7 +238,7 @@ mod tests {
         let per_ct: Vec<Vec<PartialDecryption>> = (0..cts.len())
             .map(|i| all_partials.iter().map(|p| p[i].clone()).collect())
             .collect();
-        assert_eq!(combine_batch(&kp.combiner, &per_ct, 4), values);
+        assert_eq!(kp.combiner.combine_batch(&per_ct, 4), values);
         // Parallel partials equal serial partials element-wise.
         for (s, batch) in kp.shares.iter().zip(&all_partials) {
             for (ct, part) in cts.iter().zip(batch) {

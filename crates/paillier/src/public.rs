@@ -89,6 +89,14 @@ impl PublicKey {
         self.inner.mont_n2.pow_scheduled(r, &self.inner.n_schedule)
     }
 
+    /// [`Self::pow_n`] for every nonce of a batch, the nonces advancing in
+    /// pairs through one ladder ([`Montgomery::pow_scheduled_batch`]).
+    pub fn pow_n_batch(&self, rs: &[BigUint]) -> Vec<BigUint> {
+        self.inner
+            .mont_n2
+            .pow_scheduled_batch(rs, &self.inner.n_schedule)
+    }
+
     /// Encrypt a plaintext in `[0, N)`.
     ///
     /// `c = (1+N)^x · r^N mod N²`, using the binomial identity

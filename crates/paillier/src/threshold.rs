@@ -13,6 +13,11 @@
 //!
 //! Pivot uses the **full threshold** structure `t = m` (paper §2.1), so all
 //! clients must participate; the implementation supports any `t ≤ m`.
+//!
+//! Some `λᵢ` are negative, so step 2 needs an inverse modulo `N²`. Every
+//! combination goes through [`Combiner::combine_batch`] — `combine` is its
+//! batch of one — which inverts the negative parts of the whole batch with
+//! one modular inversion, the dominant cost of a single combination.
 
 use crate::keygen::l_function;
 use crate::{Ciphertext, PublicKey};
@@ -177,6 +182,22 @@ impl SecretKeyShare {
         }
     }
 
+    /// [`Self::partial_decrypt`] of every ciphertext of `cts`, the bases
+    /// advancing in pairs through the share's schedule
+    /// (`Montgomery::pow_scheduled_batch`).
+    pub fn partial_decrypt_many(&self, cts: &[Ciphertext]) -> Vec<PartialDecryption> {
+        let bases: Vec<&BigUint> = cts.iter().map(Ciphertext::raw).collect();
+        self.pk
+            .mont()
+            .pow_scheduled_batch(&bases, &self.schedule)
+            .into_iter()
+            .map(|value| PartialDecryption {
+                index: self.index,
+                value,
+            })
+            .collect()
+    }
+
     /// The fixed partial-decryption exponent (exposed for parity tests).
     pub fn exponent(&self) -> &BigUint {
         &self.two_delta_s
@@ -194,10 +215,61 @@ impl Combiner {
         &self.theta
     }
 
-    /// Combine `t` (or more) partial decryptions into the plaintext.
+    /// Combine `t` (or more) partial decryptions into the plaintext: the
+    /// batch of one of [`Self::combine_batch`].
     ///
     /// Panics if fewer than `threshold` distinct partials are supplied.
     pub fn combine(&self, partials: &[PartialDecryption]) -> BigUint {
+        self.combine_batch(&[partials], 1).remove(0)
+    }
+
+    /// Combine a batch: `partials[i]` holds `t` (or more) partial
+    /// decryptions of ciphertext `i`, from any subset of parties. Each
+    /// ciphertext's `Π cᵢ^{2λᵢ}` is split by coefficient sign into two
+    /// simultaneous multi-exponentiations (shared squaring chain, Shamir's
+    /// trick) on at most `threads` workers. The negative parts of the whole
+    /// batch are then inverted modulo `N` with one `mod_inverse`
+    /// ([`invert_all`]) and each inverse is lifted to `N²`
+    /// ([`lift_inverse`]). At keysize 1024 a lone combination spends
+    /// ≈ 320 of its ≈ 340 µs in that inversion.
+    ///
+    /// Panics if a ciphertext has fewer than `threshold` distinct partials.
+    pub fn combine_batch<P: AsRef<[PartialDecryption]> + Sync>(
+        &self,
+        partials: &[P],
+        threads: usize,
+    ) -> Vec<BigUint> {
+        let runtime = pivot_runtime::global();
+        let halves = runtime.map(threads, partials, |parts| {
+            self.signed_products(parts.as_ref())
+        });
+        let negative: Vec<&BigUint> = halves.iter().filter_map(|(_, neg)| neg.as_ref()).collect();
+        let mut inverses = invert_all(&negative, self.pk.n())
+            .expect("partial decryptions are units mod N²")
+            .into_iter();
+        let halves: Vec<(BigUint, Option<(BigUint, BigUint)>)> = halves
+            .into_iter()
+            .map(|(pos, neg)| {
+                (
+                    pos,
+                    neg.map(|neg| (neg, inverses.next().expect("one per part"))),
+                )
+            })
+            .collect();
+        runtime.map(threads, &halves, |(pos, neg)| {
+            let c_prime = match neg {
+                Some((neg, y)) => self.pk.mont().mul(pos, &lift_inverse(&self.pk, neg, y)),
+                None => pos.clone(),
+            };
+            let l = l_function(&c_prime, self.pk.n());
+            (&l * &self.inv_4d2_theta).rem_of(self.pk.n())
+        })
+    }
+
+    /// `Π cᵢ^{2λᵢ}` over the first `threshold` partials as the product of
+    /// the positive-coefficient terms and, when there are any, that of the
+    /// negative ones (by `|2λᵢ|`).
+    fn signed_products(&self, partials: &[PartialDecryption]) -> (BigUint, Option<BigUint>) {
         assert!(
             partials.len() >= self.threshold,
             "need at least {} partial decryptions, got {}",
@@ -210,11 +282,6 @@ impl Combiner {
             (1..indices.len()).all(|i| !indices[..i].contains(&indices[i])),
             "duplicate party index in partial decryptions"
         );
-
-        // Split `Π cᵢ^{2λᵢ}` by coefficient sign into two simultaneous
-        // multi-exponentiations (shared squaring chain, Shamir's trick)
-        // and pay a single modular inversion for the whole negative part
-        // instead of one per negative coefficient.
         let mut exps: Vec<(BigUint, Sign)> = Vec::with_capacity(subset.len());
         for part in subset {
             // λᵢ = Δ · Π_{j≠i} j / (j - i)  — an integer thanks to Δ = m!.
@@ -229,29 +296,53 @@ impl Combiner {
                 .map(|(p, (e, _))| (&p.value, e))
                 .collect()
         };
-        let pos = pairs_of(Sign::Positive);
         let neg = pairs_of(Sign::Negative);
-        let mut c_prime = self.pk.mont().multi_pow(&pos);
-        if !neg.is_empty() {
-            let neg_prod = self.pk.mont().multi_pow(&neg);
-            let inv =
-                inverse_mod_n2(&self.pk, &neg_prod).expect("partial decryptions are units mod N²");
-            c_prime = self.pk.mont().mul(&c_prime, &inv);
-        }
-        let l = l_function(&c_prime, self.pk.n());
-        (&l * &self.inv_4d2_theta).rem_of(self.pk.n())
+        let neg = (!neg.is_empty()).then(|| self.pk.mont().multi_pow(&neg));
+        (self.pk.mont().multi_pow(&pairs_of(Sign::Positive)), neg)
     }
 }
 
-/// Inverse of a unit modulo `N²`: invert modulo `N`, at half the width, and
-/// lift with one Newton–Hensel step `y·(2 − a·y) mod N²`. An inverse modulo
-/// `N²` is unique, so this is the value `mod_inverse(a, N²)` returns, at
-/// well under half its cost.
-fn inverse_mod_n2(pk: &PublicKey, a: &BigUint) -> Option<BigUint> {
-    let y = mod_inverse(&a.rem_of(pk.n()), pk.n())?;
-    let ay = pk.mont().mul(a, &y);
+/// The inverses modulo `n` of every value of `values`, with one
+/// `mod_inverse` (Montgomery's simultaneous inversion): the prefix products
+/// `a₀·…·aᵢ`, one inverse of the last, then back-substitution — the inverse
+/// of `aᵢ` is that of `a₀·…·aᵢ` times `a₀·…·aᵢ₋₁`, and multiplying it by
+/// `aᵢ` steps to the inverse of `a₀·…·aᵢ₋₁`. Three multiplications modulo
+/// `n` per value instead of an inversion each. `None` when one value is
+/// not a unit.
+fn invert_all(values: &[&BigUint], n: &BigUint) -> Option<Vec<BigUint>> {
+    let residues: Vec<BigUint> = values.iter().map(|a| a.rem_of(n)).collect();
+    let mut prefix: Vec<BigUint> = Vec::with_capacity(residues.len());
+    for a in &residues {
+        let product = match prefix.last() {
+            Some(before) => (before * a).rem_of(n),
+            None => a.clone(),
+        };
+        prefix.push(product);
+    }
+    let Some(last) = prefix.last() else {
+        return Some(Vec::new());
+    };
+    let mut inv = mod_inverse(last, n)?;
+    let mut out = vec![BigUint::zero(); residues.len()];
+    for i in (0..residues.len()).rev() {
+        // Here `inv` is the inverse of a₀·…·aᵢ.
+        out[i] = match i {
+            0 => inv.clone(),
+            _ => (&inv * &prefix[i - 1]).rem_of(n),
+        };
+        inv = (&inv * &residues[i]).rem_of(n);
+    }
+    Some(out)
+}
+
+/// The inverse modulo `N²` of a unit `a`, from its inverse `y` modulo `N`,
+/// at half the width: one Newton–Hensel step `y·(2 − a·y) mod N²`. An
+/// inverse modulo `N²` is unique, so this is the value `mod_inverse(a, N²)`
+/// returns, at well under half its cost.
+fn lift_inverse(pk: &PublicKey, a: &BigUint, y: &BigUint) -> BigUint {
+    let ay = pk.mont().mul(a, y);
     let two_minus_ay = &(pk.n_squared() + &BigUint::from_u64(2)) - &ay;
-    Some(pk.mont().mul(&y, &two_minus_ay))
+    pk.mont().mul(y, &two_minus_ay)
 }
 
 /// `Δ · Π_{j∈S, j≠i} j / (j - i)` as an exact integer.
@@ -408,6 +499,12 @@ mod tests {
         (&l_function(&c_prime, c.pk.n()) * &c.inv_4d2_theta).rem_of(c.pk.n())
     }
 
+    /// The inverse modulo `N²` through the batch path, as a batch of one.
+    fn inverse_mod_n2(pk: &PublicKey, a: &BigUint) -> Option<BigUint> {
+        let y = invert_all(&[a], pk.n())?;
+        Some(lift_inverse(pk, a, &y[0]))
+    }
+
     #[test]
     fn lifted_inverse_combines_like_the_full_width_one() {
         let mut r = rng();
@@ -444,6 +541,62 @@ mod tests {
             inverse_mod_n2(&kp.pk, &BigUint::one()),
             Some(BigUint::one())
         );
+    }
+
+    #[test]
+    fn simultaneous_inversion_matches_one_inverse_each() {
+        let n = BigUint::from_u64(1_000_000_007 * 998_244_353);
+        let values: Vec<BigUint> = [2u64, 3, 1, 123_456_789_012, 5, n.to_u64().unwrap() - 1]
+            .map(BigUint::from_u64)
+            .into();
+        let refs: Vec<&BigUint> = values.iter().collect();
+        for len in 0..=refs.len() {
+            let expect: Vec<BigUint> = refs[..len]
+                .iter()
+                .map(|a| mod_inverse(a, &n).unwrap())
+                .collect();
+            assert_eq!(invert_all(&refs[..len], &n), Some(expect), "{len} values");
+        }
+        // One value that is not a unit spoils the batch.
+        let shared = BigUint::from_u64(998_244_353 * 4);
+        assert_eq!(invert_all(&[&values[0], &shared, &values[1]], &n), None);
+    }
+
+    /// A batch combines like each ciphertext on its own: mixed coefficient
+    /// signs (3-of-3), a batch with no negative coefficient (1-of-3), and
+    /// 2-of-3 subsets that change from ciphertext to ciphertext, some with a
+    /// negative coefficient and one without the party that has it.
+    #[test]
+    fn combine_batch_matches_combine_per_ciphertext() {
+        let mut r = rng();
+        for (t, picks) in [
+            (3, vec![vec![1usize, 2, 3], vec![3, 1, 2]]),
+            (1, vec![vec![1], vec![2], vec![3]]),
+            (2, vec![vec![1, 2], vec![3, 1], vec![2, 3], vec![3, 2]]),
+        ] {
+            let kp = small_threshold_keys(3, t);
+            let xs = [0u64, 1, 424_242, u64::MAX, 77, 5];
+            let mut batch = Vec::new();
+            for (i, &x) in xs.iter().enumerate() {
+                let c = kp.pk.encrypt(&BigUint::from_u64(x), &mut r);
+                let pick = &picks[i % picks.len()];
+                let partials: Vec<_> = pick
+                    .iter()
+                    .map(|&p| kp.shares[p - 1].partial_decrypt(&c))
+                    .collect();
+                assert_eq!(kp.combiner.combine(&partials), BigUint::from_u64(x));
+                batch.push(partials);
+            }
+            let expect: Vec<BigUint> = xs.iter().map(|&x| BigUint::from_u64(x)).collect();
+            for threads in [1, 2] {
+                assert_eq!(
+                    kp.combiner.combine_batch(&batch, threads),
+                    expect,
+                    "t = {t}"
+                );
+            }
+            assert!(kp.combiner.combine_batch::<Vec<_>>(&[], 2).is_empty());
+        }
     }
 
     #[test]
