@@ -49,30 +49,6 @@ impl BigUint {
         debug_assert_eq!(borrow, 0);
         self.normalize();
     }
-
-    /// Checked subtraction: `self - other`, or `None` on underflow.
-    pub fn checked_sub(&self, other: &BigUint) -> Option<BigUint> {
-        if self < other {
-            None
-        } else {
-            let mut out = self.clone();
-            out.sub_assign_ref(other);
-            Some(out)
-        }
-    }
-
-    /// `|self - other|` — absolute difference, never panics.
-    pub fn abs_diff(&self, other: &BigUint) -> BigUint {
-        if self >= other {
-            let mut out = self.clone();
-            out.sub_assign_ref(other);
-            out
-        } else {
-            let mut out = other.clone();
-            out.sub_assign_ref(self);
-            out
-        }
-    }
 }
 
 impl Add<&BigUint> for &BigUint {
@@ -162,14 +138,6 @@ mod tests {
     #[should_panic(expected = "underflow")]
     fn sub_underflow_panics() {
         let _ = &big(1) - &big(2);
-    }
-
-    #[test]
-    fn checked_sub_and_abs_diff() {
-        assert_eq!(big(3).checked_sub(&big(5)), None);
-        assert_eq!(big(5).checked_sub(&big(3)), Some(big(2)));
-        assert_eq!(big(3).abs_diff(&big(5)), big(2));
-        assert_eq!(big(5).abs_diff(&big(3)), big(2));
     }
 
     #[test]

@@ -20,11 +20,10 @@
 //!   ONE party of the scenario over TCP, one process per client (the
 //!   paper's deployment shape); reports match the threaded run
 //!   bit-for-bit;
-//! - `pivot trace <report-or-trace.json>` — print the per-party
-//!   round/byte/wall phase tables of a traced run (`params.trace !=
-//!   "off"`) — the same `pivot_trace::PhaseRow`s from a report or its
-//!   Chrome-trace export — compare two runs with `--diff`, or validate an
-//!   export with `--check`.
+//! - `pivot trace <report.json>` — print the per-party round/byte/wall
+//!   phase tables of a traced run (`params.trace != "off"`), compare two
+//!   runs with `--diff`, or validate a run's Chrome-trace export (its
+//!   timeline) with `pivot trace <report-trace.json> --check`.
 
 pub mod algo;
 pub mod checkpoint;

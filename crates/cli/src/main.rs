@@ -45,10 +45,10 @@ SUBCOMMANDS:
     trace      Inspect tracing output: print the per-party phase tables
                (round/byte/wall per phase, merged across parties when
                there are several) of a run report (train / bench / party
-               JSON) or of its *-trace.json Chrome-trace export — the
-               same tables either way; an export also lists the top
-               round-serializing spans. Traces exist when the scenario
-               sets params.trace = \"phases\" or \"full\"
+               JSON), or check its *-trace.json Chrome-trace export (the
+               run's timeline; its tables are in the report). Traces
+               exist when the scenario sets params.trace = \"phases\" or
+               \"full\"
 
 OPTIONS:
     --scenario <FILE>   TOML scenario, or JSON (by extension) read through
@@ -74,7 +74,7 @@ OPTIONS:
     --check             trace only: validate a Chrome-trace export
                         (balanced B/E per track, monotonic timestamps,
                         known phase names) and exit non-zero on violation
-    --diff              trace only: take two report / trace files and
+    --diff              trace only: take two report files and
                         print their per-phase rounds, sent bytes, and
                         wait_s (every party merged; a bench report's
                         first traced entry) side by side with signed
@@ -175,7 +175,7 @@ fn parse_trace_args(argv: &[String]) -> Result<pivot_cli::trace_cmd::TraceArgs, 
     }
     if diff {
         if inputs.len() != 2 {
-            return Err("--diff needs exactly two report or trace files".into());
+            return Err("--diff needs exactly two report files".into());
         }
         let b = inputs.pop().expect("two inputs");
         let a = inputs.pop().expect("two inputs");

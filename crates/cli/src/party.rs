@@ -237,9 +237,7 @@ pub fn run(args: &PartyArgs) -> Result<(), PartyError> {
             } else {
                 TransportErrorKind::Disconnected
             };
-            let mut err = TransportError::new(kind, args.id, e.to_string());
-            err.phase = "connect".into();
-            RunFailure::Transport(err)
+            RunFailure::Transport(TransportError::new(kind, args.id, "connect", e.to_string()))
         })
         .and_then(|ep| {
             if let Some(injector) = injector {

@@ -183,10 +183,9 @@ fn counters_json(exec: &Execution) -> Json {
     counters
 }
 
-/// Per-phase aggregate rows of one party's trace: rounds, bytes, wall and
-/// blocking-wait time per protocol phase. The counter columns bucket
-/// *every* attributed byte/round, so their sums equal the party's
-/// registry totals over the traced run exactly.
+/// One party's phase table: rounds, bytes, wall and blocking-wait time
+/// per protocol phase. The counter columns are the registry's per-phase
+/// cells, so their sums equal the party's totals exactly.
 pub(crate) fn phase_rows_json(rows: &[pivot_trace::PhaseRow]) -> Json {
     Json::Arr(
         rows.iter()
@@ -235,12 +234,12 @@ pub(crate) fn trace_json(exec: &Execution) -> Option<Json> {
     let tables: Vec<Json> = exec
         .parties
         .iter()
-        .filter_map(|p| p.trace.as_ref())
-        .map(|t| {
+        .filter_map(|p| Some((p.trace.as_ref()?, p.phase_table()?)))
+        .map(|(t, rows)| {
             Json::obj()
                 .with("party", t.party)
                 .with("level", t.level.as_str())
-                .with("phases", phase_rows_json(&pivot_trace::phase_table(t)))
+                .with("phases", phase_rows_json(&rows))
         })
         .collect();
     if tables.is_empty() {
@@ -258,9 +257,9 @@ pub(crate) fn trace_json(exec: &Execution) -> Option<Json> {
     Some(section)
 }
 
-/// Write the side-car trace exports next to a run's report: a Chrome
-/// trace (`<report-stem>-trace.json`, loadable in Perfetto /
-/// `chrome://tracing`) and a Prometheus text snapshot
+/// Write the side-car trace exports next to a run's report: the timeline
+/// as a Chrome trace (`<report-stem>-trace.json`, loadable in Perfetto /
+/// `chrome://tracing`) and the phase tables as a Prometheus text snapshot
 /// (`<report-stem>-trace.prom`). No-op when the run was untraced.
 pub fn write_trace_exports(out_path: &Path, exec: &Execution, quiet: bool) -> Result<(), String> {
     let traces: Vec<pivot_trace::PartyTrace> = exec
@@ -281,9 +280,14 @@ pub fn write_trace_exports(out_path: &Path, exec: &Execution, quiet: bool) -> Re
         pivot_trace::chrome_trace_json(&traces, runtime),
     )
     .map_err(|e| format!("cannot write {}: {e}", chrome_path.display()))?;
+    let tables: Vec<(usize, Vec<pivot_trace::PhaseRow>)> = exec
+        .parties
+        .iter()
+        .filter_map(|p| Some((p.party, p.phase_table()?)))
+        .collect();
     std::fs::write(
         &prom_path,
-        pivot_trace::prometheus_snapshot(&traces, runtime),
+        pivot_trace::prometheus_snapshot(&tables, runtime),
     )
     .map_err(|e| format!("cannot write {}: {e}", prom_path.display()))?;
     if !quiet {
@@ -471,8 +475,8 @@ pub fn bench_report(scenario: &Scenario, axis: &str, results: &[(usize, Executio
                 )
                 .with("internal_nodes", p0.internal_nodes)
                 .with("counters", counters_json(exec));
-            if let Some(trace) = p0.trace.as_ref() {
-                entry.set("phases", phase_rows_json(&pivot_trace::phase_table(trace)));
+            if let Some(rows) = p0.phase_table() {
+                entry.set("phases", phase_rows_json(&rows));
             }
             entry
         })
@@ -680,8 +684,9 @@ mod tests {
         for row in pivot_trace::ROWS {
             let paths: Vec<String> = row.paths.iter().map(|p| format!("`{p}`")).collect();
             assert!(!row.what.contains('|'), "{:?}", row.counter);
+            let by_phase = if row.by_phase { ", by phase" } else { "" };
             out.push_str(&format!(
-                "| `{:?}` | {} | {} | {} |\n",
+                "| `{:?}` | {} | {}{by_phase} | {} |\n",
                 row.counter,
                 paths.join(", "),
                 row.unit.as_str(),
@@ -776,7 +781,17 @@ mod tests {
         let plain = train_report(&scenario, &fake_exec());
         assert!(plain.get("trace").is_none());
 
+        // The counts come from the party's registry, the span count from
+        // its timeline.
+        let c = pivot_trace::Counters::new();
+        {
+            let _stats = pivot_trace::phase_span(&c, "stats");
+            c.add(Counter::BytesSent, 64);
+            c.add(Counter::Rounds, 2);
+        }
         let mut exec = fake_exec();
+        exec.parties[0].train = Snapshot::default();
+        exec.parties[0].counters = c.snapshot();
         exec.parties[0].trace = Some(pivot_trace::PartyTrace {
             party: 0,
             level: pivot_trace::TraceLevel::Phases,
@@ -787,12 +802,7 @@ mod tests {
                 is_phase_root: true,
                 start_ns: 10,
                 end_ns: 110,
-                sent_bytes: 64,
-                recv_bytes: 32,
-                wait_ns: 5,
-                rounds: 2,
             }],
-            gauges: Vec::new(),
         });
         let traced = train_report(&scenario, &exec);
         let parsed = crate::json::Json::parse(&traced.to_pretty()).unwrap();
@@ -800,8 +810,12 @@ mod tests {
         assert_eq!(tables.len(), 1);
         let rows = tables[0].get("phases").unwrap().as_array().unwrap();
         assert_eq!(rows[0].get("phase").unwrap().as_str(), Some("stats"));
+        assert_eq!(rows[0].get("spans").unwrap().as_u64(), Some(1));
         assert_eq!(rows[0].get("rounds").unwrap().as_u64(), Some(2));
         assert_eq!(rows[0].get("bytes_sent").unwrap().as_u64(), Some(64));
+        // No `other` row: nothing was recorded outside the phase, and this
+        // timeline has no root span.
+        assert_eq!(rows.len(), 1);
     }
 
     #[test]

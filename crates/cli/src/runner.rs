@@ -40,8 +40,8 @@ pub struct PartyOutcome {
     pub tree_depth: Option<usize>,
     /// Test-set predictions (identical across parties by protocol).
     pub predictions: Vec<f64>,
-    /// Span timeline + gauges when `params.trace` is on (`None` when
-    /// tracing is off — the default).
+    /// Span timeline when `params.trace` is on (`None` when tracing is
+    /// off — the default).
     pub trace: Option<pivot_trace::PartyTrace>,
 }
 
@@ -50,6 +50,18 @@ impl PartyOutcome {
     /// end of training.
     pub fn predict(&self) -> Snapshot {
         &self.counters - &self.train
+    }
+
+    /// The party's phase table, read off its registry at the end of the
+    /// run; `None` when the run was untraced.
+    pub fn phase_table(&self) -> Option<Vec<pivot_trace::PhaseRow>> {
+        let run_s = self.setup_wall_s + self.train_wall_s + self.predict_wall_s;
+        let trace = self.trace.as_ref()?;
+        Some(pivot_trace::phase_table(
+            &self.counters,
+            (run_s * 1e9) as u64,
+            trace,
+        ))
     }
 }
 
@@ -123,7 +135,7 @@ pub fn run_party_protocol(
 ) -> PartyOutcome {
     // A no-op at the default `TraceLevel::Off`; otherwise this thread
     // records spans until the matching `finish()` below.
-    pivot_trace::install(ep.id(), params.trace, ep.counters());
+    pivot_trace::install(ep.id(), params.trace);
     let setup_start = Instant::now();
     let mut ctx = PartyContext::setup(ep, view, params.clone());
     let setup_wall_s = setup_start.elapsed().as_secs_f64();

@@ -156,7 +156,7 @@ pub struct ParamSpec {
     /// trees' labels: `Scenario::label_source`).
     pub packing: Packing,
     /// Protocol tracing: `"off"` (default, bit-identical transcript),
-    /// `"phases"` (phase timelines + round/byte attribution), `"full"`
+    /// `"phases"` (phase timelines + the report's phase tables), `"full"`
     /// (adds per-round and per-node spans).
     pub trace: TraceLevel,
     /// Malicious-model verification: `"off"` (default, bit-identical
@@ -739,7 +739,7 @@ static SCHEMA: &[Key] = &[
         |_, _| Ok(true),
     ),
     key!(params.trace: OneOf(|| spellings(TRACE_LEVELS)),
-        "Phase timelines with round/byte attribution; `full` adds per-round and per-node spans."),
+        "Phase timelines, and per-party phase tables in the report; `full` adds per-round and per-node spans."),
     // Accepted with its one remaining value so scenario files written
     // when there was a choice keep loading.
     Key::new(

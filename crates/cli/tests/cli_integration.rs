@@ -446,7 +446,7 @@ fn bad_inputs_fail_with_nonzero_exit() {
 }
 
 #[test]
-fn a_report_and_its_trace_export_print_the_same_phase_tables() {
+fn a_report_diffs_clean_against_itself_and_its_export_is_only_checked() {
     let scenario = temp_path("traced.toml");
     let out = temp_path("traced-report.json");
     let export = temp_path("traced-report-trace.json");
@@ -475,24 +475,15 @@ fn a_report_and_its_trace_export_print_the_same_phase_tables() {
         assert!(r.status.success(), "{args:?}: {text}");
         text
     };
-    // Table rows are indented; headings and the export's span list are not.
-    let rows = |text: &str| -> Vec<String> {
-        text.lines()
-            .filter(|l| l.starts_with("  "))
-            .map(str::to_string)
-            .collect()
-    };
+    // Three parties and their merge; table rows are indented.
     let from_report = stdout(&["trace", report]);
-    let from_export = stdout(&["trace", export_str]);
-    assert_eq!(rows(&from_report), rows(&from_export));
-    // Three parties and their merge.
-    let tables = rows(&from_report)
-        .iter()
-        .filter(|l| l.trim_start().starts_with("phase "))
+    let tables = from_report
+        .lines()
+        .filter(|l| l.starts_with("  ") && l.trim_start().starts_with("phase "))
         .count();
     assert_eq!(tables, 4, "{from_report}");
 
-    let diff = stdout(&["trace", report, "--diff", export_str]);
+    let diff = stdout(&["trace", report, "--diff", report]);
     let deltas: Vec<&str> = diff
         .lines()
         .skip(2)
@@ -507,6 +498,17 @@ fn a_report_and_its_trace_export_print_the_same_phase_tables() {
         }
     }
     assert!(diff.contains("round ratio A/B = 1.00×"), "{diff}");
+
+    // The export is the run's timeline: `--check` validates it, and a
+    // request for its tables points at the report.
+    assert!(stdout(&["trace", export_str, "--check"]).starts_with("trace OK: "));
+    let r = run_pivot(&["trace", export_str]);
+    let stderr = String::from_utf8_lossy(&r.stderr);
+    assert_eq!(r.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("--check") && stderr.contains("run report"),
+        "{stderr}"
+    );
 
     for path in [scenario, out, export, temp_path("traced-report-trace.prom")] {
         std::fs::remove_file(path).ok();

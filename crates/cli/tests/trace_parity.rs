@@ -1,6 +1,6 @@
 //! Trace-overhead guard: tracing is *observability*, never protocol.
 //!
-//! Three contracts, per ISSUE PR 6:
+//! Four contracts:
 //! 1. `trace = "off"` (and the default, which is off) leaves the
 //!    transcript bit-identical — same bytes, messages, op counts, model,
 //!    and predictions as a build that never heard of tracing.
@@ -9,6 +9,8 @@
 //! 3. The phase table is *complete*: per party, the rounds column sums to
 //!    `mpc_rounds` and the byte columns sum to the registry's byte
 //!    totals — no round or byte escapes attribution.
+//! 4. The per-phase counts are the registry's at every trace level: an
+//!    untraced run's per-phase cells are the traced run's table.
 
 use pivot_cli::algo::Algo;
 use pivot_cli::runner::{execute, Execution};
@@ -108,8 +110,8 @@ fn full_tracing_never_perturbs_the_protocol() {
 
 #[test]
 fn phase_table_accounts_for_every_round_and_byte() {
-    // Both granularities must attribute *everything*: fine spans re-bucket
-    // counters inside their enclosing phase, so the column sums are
+    // Both granularities must attribute *everything*: a count recorded in
+    // a fine span belongs to its enclosing phase, so the column sums are
     // invariant across "phases" and "full".
     for (line, tag) in [
         ("trace = \"phases\"\n", "phases"),
@@ -117,8 +119,7 @@ fn phase_table_accounts_for_every_round_and_byte() {
     ] {
         let exec = run_with(&format!("sum-{tag}"), line, Algo::PivotEnhancedPp);
         for p in &exec.parties {
-            let trace = p.trace.as_ref().expect("traced run");
-            let rows = pivot_trace::phase_table(trace);
+            let rows = p.phase_table().expect("traced run");
             for row in &rows {
                 assert!(
                     pivot_trace::PHASES.contains(&row.phase.as_str()),
@@ -193,6 +194,49 @@ fn phase_table_accounts_for_every_round_and_byte() {
 }
 
 #[test]
+fn an_untraced_run_counts_per_phase_what_the_traced_table_shows() {
+    // Phase spans set the registry's phase at every trace level, so the
+    // per-phase rounds and bytes need no collector.
+    const GBDT: &str = "[model]\nkind = \"gbdt\"\nrounds = 2\nlearning_rate = 0.5\n";
+    for (algo, tag, model) in [
+        (Algo::PivotBasic, "basic", ""),
+        (Algo::PivotEnhancedPp, "epp", ""),
+        (Algo::PivotBasic, "gbdt", GBDT),
+    ] {
+        let body = |trace: &str| format!("{BASE}trace = \"{trace}\"\n{model}");
+        let off = run(&format!("cells-off-{tag}"), &body("off"), algo, false);
+        let traced = run(&format!("cells-on-{tag}"), &body("phases"), algo, false);
+        for (u, t) in off.parties.iter().zip(&traced.parties) {
+            let rows = t.phase_table().expect("traced run");
+            assert!(
+                u.phase_table().is_none(),
+                "{tag}: untraced runs render no table"
+            );
+            for (cell, phase) in pivot_trace::PHASES.iter().enumerate() {
+                let row = rows.iter().find(|r| r.phase == *phase);
+                let traced_row = row.map_or((0, 0, 0), |r| (r.rounds, r.sent_bytes, r.recv_bytes));
+                let at = |counter| u.counters.by_phase(counter)[cell];
+                assert_eq!(
+                    (
+                        at(Counter::Rounds),
+                        at(Counter::BytesSent),
+                        at(Counter::BytesReceived)
+                    ),
+                    traced_row,
+                    "{tag}: party {} phase {phase}",
+                    u.party
+                );
+            }
+            assert!(
+                rows.iter().any(|r| r.phase == "gain" && r.rounds > 0),
+                "{tag}: party {} {rows:?}",
+                t.party
+            );
+        }
+    }
+}
+
+#[test]
 fn a_stump_pays_for_one_statistics_pass_and_nothing_per_sample_after_it() {
     // `max_depth = 1`: one split whose children are depth-forced leaves.
     // The children's totals are the winning column of the root's
@@ -230,7 +274,7 @@ fn a_stump_pays_for_one_statistics_pass_and_nothing_per_sample_after_it() {
                 "{tag}: party {} encryptions",
                 p.party
             );
-            let rows = pivot_trace::phase_table(p.trace.as_ref().expect("traced run"));
+            let rows = p.phase_table().expect("traced run");
             let sent = |phase: &str| {
                 rows.iter()
                     .find(|row| row.phase == phase)
@@ -272,7 +316,7 @@ const FIG5: &str = "seed = 7\nparties = 3\n\
      [params]\nmax_depth = 3\nmax_splits = 4\nkeysize = 128\ntrace = \"phases\"\n";
 
 fn phase_rounds(p: &pivot_cli::runner::PartyOutcome, phase: &str) -> u64 {
-    let rows = pivot_trace::phase_table(p.trace.as_ref().expect("traced run"));
+    let rows = p.phase_table().expect("traced run");
     rows.iter()
         .find(|row| row.phase == phase)
         .map_or(0, |row| row.rounds)

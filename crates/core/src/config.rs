@@ -2,7 +2,7 @@
 //! knobs).
 
 use pivot_data::Task;
-use pivot_mpc::{FixedConfig, MODULUS};
+use pivot_mpc::{FixedConfig, Fp};
 use pivot_paillier::SlotCodec;
 use pivot_trace::TraceLevel;
 use pivot_trees::TreeParams;
@@ -220,10 +220,10 @@ pub struct PivotParams {
     /// Protocol tracing level. `Off` (default) installs no collector —
     /// the transcript is bit-identical to an untraced run, every fine-span
     /// hook is a single atomic load, and phase spans only add their wall
-    /// time to the registry's phase clock, as they do at every level.
-    /// `Phases`/`Full` record span timelines and per-phase round/byte
-    /// attribution; telemetry never perturbs the protocol (models,
-    /// metrics, and traffic are unchanged).
+    /// time to the registry's phase clock and set its current phase, as
+    /// they do at every level. `Phases`/`Full` record span timelines, and
+    /// reports carry the per-phase tables; telemetry never perturbs the
+    /// protocol (models, metrics, and traffic are unchanged).
     pub trace: TraceLevel,
 }
 
@@ -273,7 +273,7 @@ impl PivotParams {
         let m = parties as u128;
         // A sum of m encrypted shares: the secret plus a mod-p slack
         // multiple, below m·p.
-        let share_sum = m * (MODULUS as u128);
+        let share_sum = Fp::share_sum_bound(parties);
         // Per-sample mask plaintext: the basic protocol's [α] is an exact
         // 0/1 bit, but the enhanced Eqn-10 update rebuilds [α] as a sum of
         // m share terms, so its plaintext carries slack at *every* level
@@ -296,7 +296,7 @@ impl PivotParams {
         let floor = (n * n) << fixed.frac_bits;
         let stat_bound = (n * element_bound).max(floor);
         let offset = 1u128 << (fixed.int_bits - 1);
-        let mask_bound = m * (MODULUS as u128 - 1);
+        let mask_bound = share_sum - m;
         let worst = stat_bound + offset + mask_bound;
         128 - worst.leading_zeros()
     }
@@ -344,8 +344,7 @@ impl PivotParams {
         // Gain-pipeline overflow bound: n²·2^f < p/2 (`crate::gain`, "Scale
         // discipline").
         let n_bits = usize::BITS - n_samples.leading_zeros();
-        let field_bits = u64::BITS - MODULUS.leading_zeros();
-        if 2 * n_bits + FixedConfig::default().frac_bits + 1 >= field_bits {
+        if 2 * n_bits + FixedConfig::default().frac_bits + 1 >= Fp::BITS {
             return Err(format!(
                 "{n_samples} samples overflow the fixed-point gain pipeline"
             ));

@@ -26,10 +26,9 @@ use crate::config::SlotPlan;
 use crate::decrypt::joint_decrypt_vec;
 use crate::party::PartyContext;
 use pivot_bignum::BigUint;
-use pivot_mpc::{Fp, Share, MODULUS};
+use pivot_mpc::{Fp, Share};
 use pivot_paillier::{batch, vector, Ciphertext, SlotCodec};
 use pivot_trace::Counter;
-use rand::Rng;
 
 /// The tail of Algorithm 2, shared by every entry point. `cts[i]` holds
 /// `layouts[i].1` occupied slots of `layouts[i].0`, each slot a value plus
@@ -51,15 +50,15 @@ fn masked_shares(
     }
     // Every client draws one uniform rᵢ ∈ [0, p) per occupied slot, flat
     // order; the masks of one ciphertext ride one encryption (line 2).
-    let my_masks: Vec<Vec<u64>> = layouts
+    let my_masks: Vec<Vec<Fp>> = layouts
         .iter()
-        .map(|&(_, used)| (0..used).map(|_| ctx.rng.gen_range(0..MODULUS)).collect())
+        .map(|&(_, used)| (0..used).map(|_| Fp::random(&mut ctx.rng)).collect())
         .collect();
     let mask_plaintexts: Vec<BigUint> = my_masks
         .iter()
         .zip(layouts)
         .map(|(row, (codec, _))| {
-            let vals: Vec<BigUint> = row.iter().map(|&r| BigUint::from_u64(r)).collect();
+            let vals: Vec<BigUint> = row.iter().map(|r| BigUint::from_u64(r.value())).collect();
             codec.pack(&vals)
         })
         .collect();
@@ -87,7 +86,7 @@ fn masked_shares(
 
     // Shares (lines 6–8): party 0 keeps e − r₀ − offset mod p, the others
     // keep −rᵢ; slack reduces away.
-    let p = BigUint::from_u64(MODULUS);
+    let p = BigUint::from_u128(Fp::share_sum_bound(1));
     let reduce = |v: &BigUint| Fp::new(v.rem_of(&p).to_u64().expect("reduced below p"));
     opened
         .iter()
@@ -101,9 +100,9 @@ fn masked_shares(
                 .zip(masks)
                 .map(|(slot, &r)| {
                     Share(if ctx.id() == 0 {
-                        reduce(slot) - Fp::new(r) - offset
+                        reduce(slot) - r - offset
                     } else {
-                        -Fp::new(r)
+                        -r
                     })
                 })
                 .collect()
@@ -178,7 +177,8 @@ pub fn packed_share_conversion_groups(
 ) -> Vec<Vec<Share>> {
     let total: usize = groups.iter().map(|(cts, _)| cts.len()).sum();
     let threads = ctx.crypto_threads();
-    let mask_bound = &BigUint::from_u64(ctx.parties() as u64) * &BigUint::from_u64(MODULUS - 1);
+    let m = ctx.parties();
+    let mask_bound = BigUint::from_u128(Fp::share_sum_bound(m) - m as u128);
 
     // Audited codec per group, then the flat chunk list (group-major, so
     // regrouping below walks the same order).

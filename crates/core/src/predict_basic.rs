@@ -30,13 +30,9 @@ use pivot_paillier::{batch, vector, Ciphertext, PublicKey};
 use pivot_trace::Counter;
 use pivot_trees::DecisionTree;
 
-/// Jointly predict one sample. `local_sample` holds this client's local
-/// feature values (in local feature order); returns the plaintext label.
-pub fn predict(ctx: &mut PartyContext<'_>, tree: &DecisionTree, local_sample: &[f64]) -> f64 {
-    predict_batch(ctx, tree, std::slice::from_ref(&local_sample.to_vec()))[0]
-}
-
 /// Batched Algorithm 4: one ring pass carries every sample's `[η]` vector.
+/// A sample holds this client's local feature values (in local feature
+/// order); returns the plaintext labels.
 pub fn predict_batch(
     ctx: &mut PartyContext<'_>,
     tree: &DecisionTree,

@@ -13,11 +13,6 @@ use pivot_data::Task;
 use pivot_mpc::{Fp, Share};
 use std::collections::{BTreeMap, HashMap};
 
-/// Jointly predict one sample on a concealed tree.
-pub fn predict(ctx: &mut PartyContext<'_>, tree: &ConcealedTree, local_sample: &[f64]) -> f64 {
-    predict_batch(ctx, tree, std::slice::from_ref(&local_sample.to_vec()))[0]
-}
-
 /// Batched secret-shared prediction.
 pub fn predict_batch(
     ctx: &mut PartyContext<'_>,
@@ -48,8 +43,7 @@ pub fn predict_batch(
         // `< 2^(off_bits+1)`; leaves are §5.2 share sums `< m·p`. Both
         // groups settle in one decryption round; narrow leaf slots pack
         // several-fold even at the enhanced keysize floor.
-        let p = BigUint::from_u64(pivot_mpc::MODULUS);
-        let m_p = &BigUint::from_u64(ctx.parties() as u64) * &p;
+        let m_p = BigUint::from_u128(Fp::share_sum_bound(ctx.parties()));
         let splits = BigUint::from_u64(ctx.params.tree.max_splits.max(1) as u64);
         let t_bound = &(&m_p * &splits) * &BigUint::pow2(threshold_offset_bits(ctx) + 1);
         let (t_cts, l_cts) = cts.split_at(internals.len());

@@ -82,12 +82,6 @@ impl SplitLayout {
         self.total
     }
 
-    /// Global index of the `s`-th split of `client`'s local `feature`.
-    pub fn global_index(&self, client: usize, feature: usize, split: usize) -> usize {
-        debug_assert!(split < self.counts[client][feature]);
-        self.offsets[client][feature] + split
-    }
-
     /// Map a global split index back to `(client, local_feature, split)`:
     /// binary search for the last block start at or below `global`. Empty
     /// blocks share their start with the *following* block, so the
@@ -384,7 +378,6 @@ mod tests {
         // Fake a 2-client layout directly (no network needed).
         let layout = SplitLayout::from_counts(vec![vec![2, 3], vec![4]]);
         assert_eq!(layout.total(), 9);
-        assert_eq!(layout.global_index(0, 1, 2), 4);
         assert_eq!(layout.locate(4), (0, 1, 2));
         assert_eq!(layout.locate(0), (0, 0, 0));
         assert_eq!(layout.locate(8), (1, 0, 3));

@@ -32,7 +32,7 @@ use crate::trainer::{
     allocate_children, children, grow_tree, Arena, ArenaNode, Disclosure, FrontierNode, Survivor,
 };
 use pivot_bignum::BigUint;
-use pivot_mpc::Share;
+use pivot_mpc::{Fp, Share};
 use pivot_paillier::{batch, vector, Ciphertext};
 use pivot_trace::Counter;
 
@@ -49,8 +49,7 @@ pub fn threshold_offset_bits(ctx: &PartyContext<'_>) -> u32 {
 /// each carrying `< m·p` slack — worst case `m²·b·p²` (the quadratic
 /// slack behind the enhanced keysize floor).
 fn eqn10_alpha_bound_bits(ctx: &PartyContext<'_>, layout: &SplitLayout) -> u32 {
-    let m = BigUint::from_u64(ctx.parties() as u64);
-    let p = BigUint::from_u64(pivot_mpc::MODULUS);
+    let m_p = BigUint::from_u128(Fp::share_sum_bound(ctx.parties()));
     let b = layout
         .counts
         .iter()
@@ -59,7 +58,7 @@ fn eqn10_alpha_bound_bits(ctx: &PartyContext<'_>, layout: &SplitLayout) -> u32 {
         .max()
         .unwrap_or(1)
         .max(1);
-    let worst = &(&(&m * &m) * &BigUint::from_u64(b as u64)) * &(&p * &p);
+    let worst = &(&m_p * &m_p) * &BigUint::from_u64(b as u64);
     worst.bits()
 }
 

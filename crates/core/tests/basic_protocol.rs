@@ -255,7 +255,7 @@ fn regression_prediction_round_trip() {
         let mut ctx = PartyContext::setup(&ep, view.clone(), params.clone());
         let tree = train_basic::train(&mut ctx);
         let sample = view.features[0].clone();
-        let pred = predict_basic::predict(&mut ctx, &tree, &sample);
+        let pred = predict_basic::predict_batch(&mut ctx, &tree, &[sample])[0];
         (tree, pred)
     });
     let (tree, pred) = &results[0];

@@ -24,18 +24,6 @@ pub fn mse(predicted: &[f64], truth: &[f64]) -> f64 {
     sum / predicted.len() as f64
 }
 
-/// Mean absolute error (extra diagnostic, not in the paper's tables).
-pub fn mae(predicted: &[f64], truth: &[f64]) -> f64 {
-    assert_eq!(predicted.len(), truth.len());
-    assert!(!predicted.is_empty(), "empty prediction set");
-    let sum: f64 = predicted
-        .iter()
-        .zip(truth)
-        .map(|(p, t)| (p - t).abs())
-        .sum();
-    sum / predicted.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -50,11 +38,6 @@ mod tests {
     fn mse_squares_errors() {
         assert_eq!(mse(&[0.0, 2.0], &[0.0, 0.0]), 2.0);
         assert_eq!(mse(&[1.0], &[1.0]), 0.0);
-    }
-
-    #[test]
-    fn mae_absolute_errors() {
-        assert_eq!(mae(&[0.0, -2.0], &[0.0, 0.0]), 1.0);
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //! faster on any workload — so every draw is made inline, on the party
 //! thread, at the take.
 
-use crate::field::{Fp, MODULUS};
+use crate::field::Fp;
 use crate::fixed::FixedConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -73,7 +73,7 @@ pub struct MaskedBitsShare {
 
 /// Draw a uniform field element from `rng` (same draw on every party).
 fn draw_uniform(rng: &mut StdRng) -> Fp {
-    Fp::new(rng.gen_range(0..MODULUS))
+    Fp::random(rng)
 }
 
 /// Split `value` into `m` additive shares and keep party `party`'s.
@@ -118,7 +118,11 @@ fn draw_masked_row(
     t: u32,
     high_bits: u32,
 ) -> MaskedBitsShare {
-    debug_assert!(t + high_bits < 61, "mask exceeds the 61-bit field");
+    debug_assert!(
+        t + high_bits < Fp::BITS,
+        "mask exceeds the {}-bit field",
+        Fp::BITS
+    );
     let mut low_val = 0u64;
     let mut bit_shares = Vec::with_capacity(t as usize);
     for i in 0..t {
@@ -210,12 +214,6 @@ impl DealerClient {
             .collect()
     }
 
-    /// Share of a uniformly random bit.
-    pub fn random_bit(&mut self) -> Fp {
-        let b = Fp::new(self.rng.gen_range(0..2u64));
-        self.split(b)
-    }
-
     /// Masked-truncation material for `Mod2m` with `t` low bits: the low
     /// part is bit-decomposed. The comparison operates on values in
     /// `[0, 2^k)`, so the high part only needs `k + κ − t` bits — the
@@ -230,10 +228,11 @@ impl DealerClient {
     ) -> Vec<MaskedBitsShare> {
         assert!(t <= k, "mod 2^{t} needs at least {t} value bits, got {k}");
         assert!(
-            k + cfg.kappa < 61,
-            "comparison width {k} + κ {} = {} exceeds the 61-bit field",
+            k + cfg.kappa < Fp::BITS,
+            "comparison width {k} + κ {} = {} exceeds the {}-bit field",
             cfg.kappa,
-            k + cfg.kappa
+            k + cfg.kappa,
+            Fp::BITS
         );
         let high_bits = k + cfg.kappa - t;
         let seed = self.seed;
@@ -294,19 +293,6 @@ mod tests {
             let c = reconstruct(ts.iter().map(|t| t.c));
             assert_eq!(a * b, c);
         }
-    }
-
-    #[test]
-    fn random_bits_are_bits() {
-        let mut cs = clients(4);
-        let mut seen = [false; 2];
-        for _ in 0..50 {
-            let shares: Vec<Fp> = cs.iter_mut().map(|c| c.random_bit()).collect();
-            let b = reconstruct(shares).value();
-            assert!(b <= 1, "reconstructed {b} is not a bit");
-            seen[b as usize] = true;
-        }
-        assert!(seen[0] && seen[1], "both bit values should occur");
     }
 
     #[test]

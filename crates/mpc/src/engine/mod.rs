@@ -18,7 +18,7 @@ use crate::share::Share;
 use pivot_trace::Counter;
 use pivot_transport::Endpoint;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Comparison width policy: how many bits a secure comparison pays for.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -198,7 +198,7 @@ impl<'a> MpcEngine<'a> {
             for &v in values {
                 let mut acc = Fp::ZERO;
                 for party_shares in per_party.iter_mut().take(m - 1) {
-                    let r = Fp::new(self.rng.gen_range(0..crate::field::MODULUS));
+                    let r = Fp::random(&mut self.rng);
                     party_shares.push(r);
                     acc += r;
                 }

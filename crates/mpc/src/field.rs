@@ -5,6 +5,7 @@
 //! multiplication a single `u128` product with fold-reduction.
 
 use pivot_transport::wire::{Wire, WireError};
+use rand::Rng;
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 
@@ -18,6 +19,19 @@ pub struct Fp(u64);
 impl Fp {
     pub const ZERO: Fp = Fp(0);
     pub const ONE: Fp = Fp(1);
+    /// The bit length of `p`: every element is below `2^BITS`.
+    pub const BITS: u32 = u64::BITS - MODULUS.leading_zeros();
+
+    /// A uniform element: one `gen_range(0..p)` draw from `rng`.
+    pub fn random<R: Rng + ?Sized>(rng: &mut R) -> Fp {
+        Fp::new(rng.gen_range(0..MODULUS))
+    }
+
+    /// `m·p`, which bounds a sum of `m` shares (each below `p`) lifted to
+    /// the integers.
+    pub const fn share_sum_bound(m: usize) -> u128 {
+        m as u128 * MODULUS as u128
+    }
 
     /// Reduce an arbitrary u64.
     pub fn new(v: u64) -> Fp {
@@ -67,9 +81,9 @@ impl Fp {
         acc
     }
 
-    /// `2^k` as a field element (`k < 61`).
+    /// `2^k` as a field element (`k < Fp::BITS`).
     pub fn pow2(k: u32) -> Fp {
-        assert!(k < 61, "2^{k} exceeds the field");
+        assert!(k < Fp::BITS, "2^{k} exceeds the field");
         Fp(1u64 << k)
     }
 

@@ -39,8 +39,9 @@ impl FixedConfig {
     pub fn assert_valid(&self) {
         assert!(self.frac_bits < self.int_bits, "need integer headroom");
         assert!(
-            self.int_bits + self.kappa + 1 < 61,
-            "fixed-point layout exceeds the 61-bit field"
+            self.int_bits + self.kappa + 1 < Fp::BITS,
+            "fixed-point layout exceeds the {}-bit field",
+            Fp::BITS
         );
     }
 

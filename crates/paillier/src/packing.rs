@@ -23,9 +23,9 @@
 //! mod `N`. The offset is deliberately narrower than the slot: homomorphic
 //! sums accumulate one offset *unit* per offset-encoded operand (and
 //! `mul_plain` by `c` scales the unit count by `c`), and the accumulated
-//! `units · 2^offset_bits` must fit the same no-carry budget.
-//! [`SlotCodec::unpack_signed`] takes the final unit count and removes it
-//! after decryption.
+//! `units · 2^offset_bits` must fit the same no-carry budget. The reader of
+//! the decrypted slots removes the final unit count
+//! (`pivot_core::conversion`).
 
 use crate::batch;
 use crate::{Ciphertext, NoncePool, PublicKey};
@@ -131,47 +131,6 @@ impl SlotCodec {
         out
     }
 
-    /// Pack signed values via offset encoding (`x + 2^offset_bits` per
-    /// slot, one offset unit each). Magnitudes must stay below
-    /// `2^offset_bits`.
-    pub fn pack_signed(&self, values: &[i64]) -> BigUint {
-        let offset = self.offset();
-        let encoded: Vec<BigUint> = values
-            .iter()
-            .map(|&v| {
-                let mag = BigUint::from_u64(v.unsigned_abs());
-                assert!(
-                    mag < offset,
-                    "signed value {v} overflows the 2^{} offset range",
-                    self.offset_bits
-                );
-                if v >= 0 {
-                    &offset + &mag
-                } else {
-                    &offset - &mag
-                }
-            })
-            .collect();
-        self.pack(&encoded)
-    }
-
-    /// Unpack `count` offset-encoded slots carrying `offset_units`
-    /// accumulated offsets each (1 after a pack, `k` after summing `k`
-    /// offset-encoded operands, `k·c` after `mul_plain` by scalar `c`).
-    pub fn unpack_signed(&self, packed: &BigUint, count: usize, offset_units: u64) -> Vec<i128> {
-        let offset = &BigUint::from_u64(offset_units) * &self.offset();
-        self.unpack(packed, count)
-            .into_iter()
-            .map(|slot| {
-                if slot >= offset {
-                    (&slot - &offset).to_u128().expect("slot fits u128") as i128
-                } else {
-                    -((&offset - &slot).to_u128().expect("slot fits u128") as i128)
-                }
-            })
-            .collect()
-    }
-
     /// Encrypt packed rows in one batch on the shared worker pool (nonce
     /// powers from the party's nonce stream, stream order).
     pub fn encrypt_rows(
@@ -191,17 +150,6 @@ impl SlotCodec {
 pub fn add_packed(pk: &PublicKey, a: &[Ciphertext], b: &[Ciphertext]) -> Vec<Ciphertext> {
     assert_eq!(a.len(), b.len(), "dimension mismatch in packed add");
     a.iter().zip(b).map(|(x, y)| pk.add(x, y)).collect()
-}
-
-/// Multiply every packed ciphertext by one shared plaintext scalar: every
-/// slot of every element scales by `k` (offset units scale by `k` too).
-pub fn mul_plain_packed(
-    pk: &PublicKey,
-    cts: &[Ciphertext],
-    k: &BigUint,
-    threads: usize,
-) -> Vec<Ciphertext> {
-    pivot_runtime::global().map(threads, cts, |c| pk.mul_plain(c, k))
 }
 
 #[cfg(test)]
@@ -279,7 +227,7 @@ mod tests {
         let ct = kp
             .pk
             .encrypt(&codec.pack(&[5u64, 0, 99].map(BigUint::from_u64)), &mut rng);
-        let scaled = mul_plain_packed(&kp.pk, &[ct], &BigUint::from_u64(1000), 2)[0].clone();
+        let scaled = kp.pk.mul_plain(&ct, &BigUint::from_u64(1000));
         assert_eq!(
             codec.unpack(&decrypt(&kp, &scaled), 3),
             [5000u64, 0, 99_000].map(BigUint::from_u64)
@@ -288,32 +236,6 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
-
-        /// Signed slots through pack → homomorphic add + mul_plain →
-        /// unpack. Budget: payloads |x|, |y| < 2^13 = offset, scalar
-        /// c ≤ 16, so a slot accumulates at most
-        /// 2c·2^13 + |x+y|·c < 2^19 + 2^18 < 2^20 — carry-free in 20-bit
-        /// slots with 6 headroom bits over the offset.
-        #[test]
-        fn signed_slots_survive_homomorphic_linear_ops(
-            xs in proptest::collection::vec(-8191i64..=8191, 1..5),
-            ys in proptest::collection::vec(-8191i64..=8191, 1..5),
-            c in 1u64..=16,
-        ) {
-            let codec = SlotCodec::with_offset(20, 4, 13);
-            let k = xs.len().min(ys.len());
-            let kp = keys();
-            let mut rng = StdRng::seed_from_u64(11);
-            let ca = kp.pk.encrypt(&codec.pack_signed(&xs[..k]), &mut rng);
-            let cb = kp.pk.encrypt(&codec.pack_signed(&ys[..k]), &mut rng);
-            let sum = kp.pk.add(&ca, &cb);
-            let scaled = kp.pk.mul_plain(&sum, &BigUint::from_u64(c));
-            let opened = decrypt(&kp, &scaled);
-            let decoded = codec.unpack_signed(&opened, k, 2 * c);
-            for i in 0..k {
-                prop_assert_eq!(decoded[i], ((xs[i] + ys[i]) as i128) * c as i128);
-            }
-        }
 
         /// Plain (unsigned) pack → unpack round trip at arbitrary widths,
         /// including values exactly at the slot bound.
@@ -324,23 +246,6 @@ mod tests {
             let vals: Vec<BigUint> = raw.iter().map(|&v| BigUint::from_u64(v & mask)).collect();
             let packed = codec.pack(&vals);
             prop_assert_eq!(codec.unpack(&packed, vals.len()), vals);
-        }
-
-        /// Signed pack → unpack round trip with negatives near the bound
-        /// (`±(2^(w−1) − 1)` is reachable and must survive).
-        #[test]
-        fn signed_pack_round_trips(w in 8u32..=63, raw in proptest::collection::vec(any::<i64>(), 1..7)) {
-            let codec = SlotCodec::new(w, 6);
-            let bound = 1i128 << (w - 1);
-            let vals: Vec<i64> = raw
-                .iter()
-                .map(|&v| ((v as i128).rem_euclid(2 * bound - 1) - (bound - 1)) as i64)
-                .collect();
-            let packed = codec.pack_signed(&vals);
-            let back = codec.unpack_signed(&packed, vals.len(), 1);
-            for (a, b) in vals.iter().zip(&back) {
-                prop_assert_eq!(*a as i128, *b);
-            }
         }
     }
 }

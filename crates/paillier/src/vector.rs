@@ -1,5 +1,6 @@
-//! Encrypted-vector helpers: the homomorphic dot products of paper Eqn (3)
-//! and the PIR-style private selection of Theorem 2 (§5.2).
+//! Encrypted-vector helpers: the homomorphic dot products of paper Eqn (3),
+//! which also carry the PIR-style private selection of Theorem 2 (§5.2): a
+//! dot product with an encrypted one-hot vector.
 
 use crate::{Ciphertext, PublicKey};
 use pivot_bignum::BigUint;
@@ -90,30 +91,6 @@ pub fn mask_binary<R: Rng + ?Sized>(
         .collect()
 }
 
-/// Theorem 2 private selection: given the plaintext indicator **matrix**
-/// `V (rows × cols)` and an encrypted one-hot column `[λ]` of length `cols`,
-/// returns `[V·λ]` — the encryption of the selected column, without the
-/// holder of `V` learning which column was taken.
-pub fn matrix_select_binary(
-    pk: &PublicKey,
-    rows: &[Vec<bool>],
-    enc_onehot: &[Ciphertext],
-) -> Vec<Ciphertext> {
-    rows.iter()
-        .map(|row| dot_binary(pk, enc_onehot, row))
-        .collect()
-}
-
-/// Same selection with arbitrary plaintext matrix entries (used to extract
-/// the encrypted split *threshold* from the candidate-value table).
-pub fn select_plain_values(
-    pk: &PublicKey,
-    values: &[BigUint],
-    enc_onehot: &[Ciphertext],
-) -> Ciphertext {
-    dot_plain(pk, enc_onehot, values)
-}
-
 /// Homomorphic sum of an encrypted vector.
 pub fn sum(pk: &PublicKey, enc: &[Ciphertext]) -> Ciphertext {
     // Seed the accumulator from the first element (see `dot_binary`).
@@ -187,18 +164,24 @@ mod tests {
 
     #[test]
     fn theorem2_selects_matrix_column() {
+        // Theorem 2's selection is one binary dot product per row of V
+        // with the encrypted one-hot column.
         let (kp, mut rng) = setup();
         // V is 3×4; one-hot selects column 2.
-        let rows = vec![
-            vec![true, false, true, false],
-            vec![false, false, false, true],
-            vec![false, true, true, true],
+        let rows = [
+            [true, false, true, false],
+            [false, false, false, true],
+            [false, true, true, true],
         ];
         let onehot = encrypt_vec(&kp.pk, &nums(&[0, 0, 1, 0]), &mut rng);
-        let picked = matrix_select_binary(&kp.pk, &rows, &onehot);
-        let dec: Vec<u64> = picked
+        let dec: Vec<u64> = rows
             .iter()
-            .map(|c| kp.sk.decrypt(c).to_u64().unwrap())
+            .map(|row| {
+                kp.sk
+                    .decrypt(&dot_binary(&kp.pk, &onehot, row))
+                    .to_u64()
+                    .unwrap()
+            })
             .collect();
         // Column 2 of V is (1, 0, 1).
         assert_eq!(dec, vec![1, 0, 1]);
@@ -209,7 +192,7 @@ mod tests {
         let (kp, mut rng) = setup();
         let values = nums(&[100, 200, 300]);
         let onehot = encrypt_vec(&kp.pk, &nums(&[0, 1, 0]), &mut rng);
-        let c = select_plain_values(&kp.pk, &values, &onehot);
+        let c = dot_plain(&kp.pk, &onehot, &values);
         assert_eq!(kp.sk.decrypt(&c), BigUint::from_u64(200));
     }
 

@@ -58,11 +58,6 @@ impl IdleGate {
         *self.interrupted.lock().expect("idle gate poisoned") = true;
         self.wake.notify_all();
     }
-
-    /// Whether [`IdleGate::interrupt`] has been called.
-    pub fn is_interrupted(&self) -> bool {
-        *self.interrupted.lock().expect("idle gate poisoned")
-    }
 }
 
 #[cfg(test)]
@@ -100,7 +95,6 @@ mod tests {
     fn interrupt_latches_for_future_waits() {
         let gate = IdleGate::new();
         gate.interrupt();
-        assert!(gate.is_interrupted());
         let start = Instant::now();
         assert!(!gate.wait_for(Duration::from_secs(10)));
         assert!(start.elapsed() < Duration::from_secs(1));

@@ -3,14 +3,20 @@
 //!
 //! One [`Counters`] lives in each party's endpoint. The transport, the
 //! TCP link threads, the MPC engine, the protocol context and the
-//! checkpoint sink add to it; reports render it by walking [`ROWS`]; the
-//! trace collector attributes rounds, bytes and receive wait to spans by
-//! snapshot difference. A counter added here needs its row and its
-//! increment site, nothing else.
+//! checkpoint sink add to it; reports render it by walking [`ROWS`]. A
+//! counter added here needs its row and its increment site, nothing else.
+//!
+//! The registry also knows the party's current phase: [`crate::phase_span`]
+//! sets it and its guard restores the outer one. A row declared
+//! `by_phase` (bytes sent and received, receive wait, rounds) keeps its
+//! total in its first cell and one more cell per [`PHASES`] entry, and
+//! each record also lands in the cell of the innermost phase open when it
+//! is recorded (`"other"` outside every phase). So a party's phase table
+//! is read off its snapshot, and its columns sum to the totals.
 
 use crate::PHASES;
 use std::ops::{Add, Index, Sub};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -62,6 +68,8 @@ impl Unit {
 #[derive(Debug)]
 pub struct Row {
     pub counter: Counter,
+    /// Whether each record also lands in the current phase's cell.
+    pub by_phase: bool,
     /// Dotted report paths the value renders at. A path under
     /// `network.train` reads the snapshot taken when training ends, one
     /// under `network.predict` the difference from there to the end of
@@ -72,8 +80,18 @@ pub struct Row {
     pub what: &'static str,
 }
 
+impl Row {
+    /// The row's cells: its unit's, plus one per [`PHASES`] entry for a
+    /// `by_phase` row.
+    const fn cells(&self) -> usize {
+        self.unit.cells() + if self.by_phase { PHASES.len() } else { 0 }
+    }
+}
+
 macro_rules! registry {
-    ($($name:ident: $unit:ident, [$($path:literal),+], $what:literal;)*) => {
+    (@by_phase) => { false };
+    (@by_phase by_phase) => { true };
+    ($($name:ident: $unit:ident $($by_phase:ident)?, [$($path:literal),+], $what:literal;)*) => {
         /// Every per-party counter, in [`ROWS`] order.
         #[repr(usize)]
         #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -86,6 +104,7 @@ macro_rules! registry {
         pub const ROWS: &[Row] = &[
             $(Row {
                 counter: Counter::$name,
+                by_phase: registry!(@by_phase $($by_phase)?),
                 paths: &[$($path),+],
                 unit: Unit::$unit,
                 what: $what,
@@ -95,9 +114,9 @@ macro_rules! registry {
 }
 
 registry! {
-    BytesSent: Bytes, ["network.train.bytes_sent", "network.predict.bytes_sent"],
+    BytesSent: Bytes by_phase, ["network.train.bytes_sent", "network.predict.bytes_sent"],
         "Every message the endpoint stages for a peer, and each envelope's framing when it flushes.";
-    BytesReceived: Bytes, ["network.train.bytes_received", "network.predict.bytes_received"],
+    BytesReceived: Bytes by_phase, ["network.train.bytes_received", "network.predict.bytes_received"],
         "Every message the endpoint receives, and each envelope's framing.";
     MessagesSent: Count, ["network.train.messages_sent"],
         "One per message staged for a peer (a broadcast counts once per peer).";
@@ -113,7 +132,7 @@ registry! {
         "Each `[faults]` plan entry that fires on this party.";
     PhaseNs: PhaseNanos, ["timing.phases_s"],
         "Each closed phase span's wall time, under its phase (a span nested in another phase's counts toward both).";
-    RecvWaitNs: Nanos, ["timing.recv_wait_s"],
+    RecvWaitNs: Nanos by_phase, ["timing.recv_wait_s"],
         "Wall time a receive blocks on its link (messages already demuxed are free).";
     Encryptions: Count, ["counters.encryptions"],
         "Each fresh Paillier encryption (the paper's Ce).";
@@ -121,7 +140,7 @@ registry! {
         "Each homomorphic ciphertext operation (the paper's Ce).";
     ThresholdDecryptions: Count, ["counters.threshold_decryptions"],
         "Each ciphertext jointly decrypted (the paper's Cd).";
-    Rounds: Count, ["counters.mpc_rounds"],
+    Rounds: Count by_phase, ["counters.mpc_rounds"],
         "Each MPC communication round: an input sharing or an opening.";
     SecureMults: Count, ["counters.secure_mults"],
         "Each Beaver multiplication, per vector element (the paper's Cs).";
@@ -174,14 +193,17 @@ const OFFSETS: [usize; ROWS.len()] = {
     let mut offsets = [0; ROWS.len()];
     let mut i = 1;
     while i < ROWS.len() {
-        offsets[i] = offsets[i - 1] + ROWS[i - 1].unit.cells();
+        offsets[i] = offsets[i - 1] + ROWS[i - 1].cells();
         i += 1;
     }
     offsets
 };
 
 /// Cells across every row.
-const CELLS: usize = OFFSETS[ROWS.len() - 1] + ROWS[ROWS.len() - 1].unit.cells();
+const CELLS: usize = OFFSETS[ROWS.len() - 1] + ROWS[ROWS.len() - 1].cells();
+
+/// The cell of `"other"`, the phase outside every phase span.
+const OTHER: usize = PHASES.len() - 1;
 
 impl Counter {
     /// The counter's declaration.
@@ -192,28 +214,50 @@ impl Counter {
     /// The counter's cells in a registry.
     fn cells(self) -> std::ops::Range<usize> {
         let start = OFFSETS[self as usize];
-        start..start + self.row().unit.cells()
+        start..start + self.row().cells()
     }
 }
 
-/// One party's live registry. Recording is one relaxed atomic add: the
+/// One party's live registry. Recording is one relaxed atomic add (a
+/// `by_phase` row: a load of the current phase and a second add): the
 /// values publish no other data.
 #[derive(Debug)]
 pub struct Counters {
     cells: [AtomicU64; CELLS],
+    /// The [`PHASES`] index of the innermost open phase span.
+    phase: AtomicUsize,
 }
 
 impl Counters {
     pub fn new() -> Arc<Self> {
         Arc::new(Counters {
             cells: std::array::from_fn(|_| AtomicU64::new(0)),
+            phase: AtomicUsize::new(OTHER),
         })
     }
 
-    /// Add `n` to a counter (to its first cell).
+    /// Add `n` to a counter (to its first cell) and, for a `by_phase`
+    /// row, to the current phase's cell.
     #[inline]
     pub fn add(&self, counter: Counter, n: u64) {
-        self.cells[counter.cells().start].fetch_add(n, Ordering::Relaxed);
+        let start = counter.cells().start;
+        self.cells[start].fetch_add(n, Ordering::Relaxed);
+        if counter.row().by_phase {
+            let phase = self.phase.load(Ordering::Relaxed);
+            self.cells[start + 1 + phase].fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
+    /// The innermost phase open on this party (`"other"` outside every
+    /// phase span).
+    pub fn phase(&self) -> &'static str {
+        PHASES[self.phase.load(Ordering::Relaxed)]
+    }
+
+    /// Make `phase` (a [`PHASES`] index) current; returns the phase it
+    /// replaces, for the closing span to restore.
+    pub(crate) fn enter_phase(&self, phase: usize) -> usize {
+        self.phase.swap(phase, Ordering::Relaxed)
     }
 
     /// Add `n` to cell `cell` of a multi-cell row; a cell beyond the row
@@ -243,8 +287,9 @@ impl Counters {
 }
 
 /// A copy of a registry's cells. Snapshots add and subtract cell by cell,
-/// so a phase's counts are the difference of the snapshots around it and
-/// a cross-party total is the sum of the parties' snapshots.
+/// so the counts of a stretch of the run are the difference of the
+/// snapshots around it and a cross-party total is the sum of the parties'
+/// snapshots.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Snapshot([u64; CELLS]);
 
@@ -256,9 +301,17 @@ impl Default for Snapshot {
 
 impl Snapshot {
     /// Every cell of a counter: one for a scalar row, [`WIDTH_CELLS`]
-    /// for a histogram, one per [`PHASES`] entry for the phase clock.
+    /// for a histogram, one per [`PHASES`] entry for the phase clock, the
+    /// total and then one per phase for a `by_phase` row.
     pub fn cells(&self, counter: Counter) -> &[u64] {
         &self.0[counter.cells()]
+    }
+
+    /// A counter's value per [`PHASES`] entry: the phase cells of a
+    /// `by_phase` row, or the phase clock's cells.
+    pub fn by_phase(&self, counter: Counter) -> &[u64] {
+        let cells = self.cells(counter);
+        &cells[cells.len() - PHASES.len()..]
     }
 
     /// The snapshot with every wall-time row zeroed: what two runs of the
@@ -362,6 +415,53 @@ mod tests {
         // total, in either order.
         assert_eq!(&sample(1) + &Snapshot::default(), sample(1));
         assert_eq!(&Snapshot::default() + &sample(1), sample(1));
+    }
+
+    #[test]
+    fn counts_land_in_the_innermost_phase_and_spans_restore_the_outer_one() {
+        let c = Counters::new();
+        let cell = |phase: &str| PHASES.iter().position(|&p| p == phase).unwrap();
+        c.add(Counter::BytesSent, 3);
+        {
+            let _gain = crate::phase_span(&c, "gain");
+            assert_eq!(c.phase(), "gain");
+            c.add(Counter::Rounds, 2);
+            {
+                let _reconnect = crate::phase_span(&c, "reconnect");
+                assert_eq!(c.phase(), "reconnect");
+                c.add(Counter::BytesSent, 5);
+                c.add_duration(Counter::RecvWaitNs, Duration::from_nanos(7));
+            }
+            assert_eq!(c.phase(), "gain");
+            c.add(Counter::BytesReceived, 11);
+            c.add(Counter::Rounds, 1);
+        }
+        assert_eq!(c.phase(), "other");
+        c.add(Counter::Rounds, 4);
+        c.add(Counter::MessagesSent, 1);
+        let s = c.snapshot();
+        let at = |counter: Counter, phase: &str| s.by_phase(counter)[cell(phase)];
+        assert_eq!(
+            (at(Counter::Rounds, "gain"), at(Counter::Rounds, "other")),
+            (3, 4)
+        );
+        assert_eq!(at(Counter::Rounds, "reconnect"), 0);
+        assert_eq!(
+            (
+                at(Counter::BytesSent, "other"),
+                at(Counter::BytesSent, "reconnect")
+            ),
+            (3, 5)
+        );
+        assert_eq!(at(Counter::RecvWaitNs, "reconnect"), 7);
+        assert_eq!(at(Counter::BytesReceived, "gain"), 11);
+        // Each per-phase row's total is the sum of its phase cells; other
+        // rows keep one cell.
+        for row in ROWS.iter().filter(|r| r.by_phase) {
+            let cells: u64 = s.by_phase(row.counter).iter().sum();
+            assert_eq!(s[row.counter], cells, "{:?}", row.counter);
+        }
+        assert_eq!(s.cells(Counter::MessagesSent), &[1]);
     }
 
     #[test]

@@ -1,30 +1,26 @@
-//! Span-based protocol tracing with round/byte attribution, and the
-//! per-party counter registry it attributes from.
+//! Protocol phases, the span timeline, and the per-party counter registry.
 //!
 //! Every count a party keeps lives in one registry ([`Counters`], one row
 //! per [`Counter`] in [`ROWS`]): the transport, the MPC engine, the
 //! protocol context and the checkpoint sink record into it, and reports
 //! render it by walking the table.
 //!
-//! Tracing reads that registry and keeps no tally of its own. When a
-//! collector is installed on a party thread ([`install`], handed the
-//! party's registry), spans form a per-thread stack; each span snapshots
-//! the attributed rows (bytes sent and received, MPC rounds, receive
-//! wait) when it opens and closes, and keeps the difference less what
-//! its child spans took. So every count is attributed to the *innermost*
-//! open span, each span holds its own exclusive sub-totals, and an
-//! implicit root span (phase `"other"`) takes everything outside a named
-//! phase: the per-phase column sums equal the registry's totals over the
-//! traced run by construction. When tracing is off — the default — a
-//! fine span ([`span`], [`span_fn`]) is one relaxed atomic load and an
-//! early return, with no registry read, allocation or timestamp.
+//! Phase spans ([`phase_span`]) are on at every trace level. Each one
+//! makes its phase the registry's current phase while it is open and adds
+//! its wall time to its phase's cell of [`Counter::PhaseNs`] when it
+//! closes. Rounds, bytes and receive wait are `by_phase` rows: a count
+//! belongs to the innermost phase open when it is recorded, and
+//! `"other"` takes what is recorded outside every phase. So a party's
+//! phase table ([`phase_table`]) is read off its registry, its columns
+//! sum to the party's totals by construction, and an untraced run has the
+//! same per-phase counts as a traced one.
 //!
-//! Phase spans ([`phase_span`]) are the phase clock, on at every trace
-//! level: each one adds its wall time to its phase's cell of the party's
-//! [`Counter::PhaseNs`] row when it closes, so every report carries
-//! per-phase time. A cell is the inclusive wall time of the spans that
-//! open the phase — the definition of the phase table's wall column, so
-//! in a traced run the two agree.
+//! Tracing records the timeline only: names, phases, nesting and
+//! timestamps. When a collector is installed on a party thread
+//! ([`install`]), spans form a per-thread stack under an implicit root
+//! span (phase `"other"`). When tracing is off — the default — a fine
+//! span ([`span`], [`span_fn`]) is one relaxed atomic load and an early
+//! return, with no allocation or timestamp.
 //!
 //! Two sinks exist:
 //!
@@ -35,9 +31,9 @@
 //!   happen off the party threads (worker-pool queue depth, transport
 //!   reconnects), drained once per run ([`take_runtime`]).
 //!
-//! Exports: Chrome-trace/Perfetto JSON ([`chrome_trace_json`]), a
-//! Prometheus-style text snapshot ([`prometheus_snapshot`]), and the
-//! per-phase aggregate table ([`phase_table`]) the reports embed.
+//! Exports: the timeline as Chrome-trace/Perfetto JSON
+//! ([`chrome_trace_json`]), and the phase tables as a Prometheus-style
+//! text snapshot ([`prometheus_snapshot`]).
 
 mod counters;
 
@@ -52,10 +48,11 @@ use std::time::Instant;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TraceLevel {
     /// No collector installed; nothing is traced (the default). Phase
-    /// spans still time into the registry.
+    /// spans still set the registry's phase and time into it.
     #[default]
     Off,
-    /// Phase spans, attribution, and gauges.
+    /// Phase spans on the timeline, the runtime track, and the phase
+    /// tables in the report.
     Phases,
     /// Everything in `Phases` plus fine-grained spans (per level/node,
     /// per MPC open/multiply).
@@ -96,40 +93,29 @@ pub const PHASES: &[&str] = &[
     "other",
 ];
 
-/// One closed span with its exclusive (innermost-attribution) counters.
+/// The [`PHASES`] index of `phase`.
+fn phase_cell(phase: &str) -> Option<usize> {
+    PHASES.iter().position(|&p| p == phase)
+}
+
+/// One span of the timeline.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SpanRecord {
     /// Display name (phase name for phase spans, free-form otherwise).
     pub name: String,
-    /// The phase bucket this span's counters belong to. Fine-grained
-    /// spans inherit the enclosing phase at open time.
+    /// The span's phase. Fine-grained spans inherit the enclosing phase
+    /// at open time.
     pub phase: &'static str,
     /// Nesting depth at open time (root = 0).
     pub depth: usize,
-    /// Whether this span *introduced* its phase (its wall time counts
-    /// toward the phase; inherited spans only re-bucket counters).
+    /// Whether this span *introduced* its phase (a phase span or the
+    /// root).
     pub is_phase_root: bool,
     /// Monotonic open/close timestamps, nanoseconds since the process
     /// trace epoch (shared across all party threads).
     pub start_ns: u64,
     /// See `start_ns`.
     pub end_ns: u64,
-    /// Bytes sent while this span was innermost.
-    pub sent_bytes: u64,
-    /// Bytes received while this span was innermost.
-    pub recv_bytes: u64,
-    /// Wall time spent blocked in `recv` while this span was innermost.
-    pub wait_ns: u64,
-    /// MPC communication rounds opened while this span was innermost.
-    pub rounds: u64,
-}
-
-/// One gauge sample: `(series, timestamp, value)`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct GaugeSample {
-    pub name: &'static str,
-    pub ts_ns: u64,
-    pub value: f64,
 }
 
 /// Everything one party thread recorded during a run.
@@ -139,7 +125,6 @@ pub struct PartyTrace {
     pub level: TraceLevel,
     /// Spans in close order (the root span is last).
     pub spans: Vec<SpanRecord>,
-    pub gauges: Vec<GaugeSample>,
 }
 
 /// A span recorded off the party threads (background work).
@@ -150,12 +135,20 @@ pub struct RuntimeSpan {
     pub end_ns: u64,
 }
 
+/// One sample of a runtime gauge series.
+#[derive(Clone, Debug, PartialEq)]
+pub struct RuntimeGauge {
+    pub name: &'static str,
+    pub ts_ns: u64,
+    pub value: f64,
+}
+
 /// Events from the process-global runtime sink (worker pool, transport
 /// reconnects). Drained once per run with [`take_runtime`].
 #[derive(Clone, Debug, Default)]
 pub struct RuntimeTrace {
     pub spans: Vec<RuntimeSpan>,
-    pub gauges: Vec<GaugeSample>,
+    pub gauges: Vec<RuntimeGauge>,
 }
 
 impl RuntimeTrace {
@@ -186,38 +179,12 @@ pub fn now_ns() -> u64 {
     epoch().elapsed().as_nanos() as u64
 }
 
-/// The registry rows spans attribute, in [`SpanRecord`] column order:
-/// bytes sent, bytes received, receive wait, rounds.
-const ATTRIBUTED: [Counter; 4] = [
-    Counter::BytesSent,
-    Counter::BytesReceived,
-    Counter::RecvWaitNs,
-    Counter::Rounds,
-];
-
-fn read_attributed(counters: &Counters) -> [u64; 4] {
-    ATTRIBUTED.map(|c| counters.get(c))
-}
-
-struct OpenSpan {
-    name: String,
-    phase: &'static str,
-    depth: usize,
-    is_phase_root: bool,
-    start_ns: u64,
-    /// The attributed rows when the span opened.
-    opened: [u64; 4],
-    /// What closed child spans took, inclusive of their own children.
-    children: [u64; 4],
-}
-
 struct Collector {
     party: usize,
     level: TraceLevel,
-    counters: Arc<Counters>,
-    stack: Vec<OpenSpan>,
+    /// Open spans, innermost last; their `end_ns` is set on close.
+    stack: Vec<SpanRecord>,
     done: Vec<SpanRecord>,
-    gauges: Vec<GaugeSample>,
 }
 
 impl Drop for Collector {
@@ -229,63 +196,31 @@ impl Drop for Collector {
 impl Collector {
     fn open(&mut self, name: String, phase: Option<&'static str>) {
         let inherited = self.stack.last().map(|s| s.phase).unwrap_or("other");
-        self.stack.push(OpenSpan {
+        self.stack.push(SpanRecord {
             name,
             phase: phase.unwrap_or(inherited),
             depth: self.stack.len(),
             is_phase_root: phase.is_some(),
             start_ns: now_ns(),
-            opened: read_attributed(&self.counters),
-            children: [0; 4],
+            end_ns: 0,
         });
     }
 
     fn close(&mut self) {
-        let s = self.stack.pop().expect("span close without open");
-        let now = read_attributed(&self.counters);
-        let inclusive: [u64; 4] = std::array::from_fn(|i| now[i] - s.opened[i]);
-        if let Some(parent) = self.stack.last_mut() {
-            for (taken, n) in parent.children.iter_mut().zip(inclusive) {
-                *taken += n;
-            }
-        }
-        let [sent_bytes, recv_bytes, wait_ns, rounds] =
-            std::array::from_fn(|i| inclusive[i] - s.children[i]);
-        self.done.push(SpanRecord {
-            name: s.name,
-            phase: s.phase,
-            depth: s.depth,
-            is_phase_root: s.is_phase_root,
-            start_ns: s.start_ns,
-            end_ns: now_ns(),
-            sent_bytes,
-            recv_bytes,
-            wait_ns,
-            rounds,
-        });
+        let mut span = self.stack.pop().expect("span close without open");
+        span.end_ns = now_ns();
+        self.done.push(span);
     }
 }
 
 thread_local! {
     static COLLECTOR: RefCell<Option<Collector>> = const { RefCell::new(None) };
-    /// Phase names currently open on this thread, maintained by
-    /// [`phase_span`] even when no collector is installed — error paths
-    /// (transport failures) read [`current_phase`] to label where a run
-    /// died without requiring tracing to be on.
-    static PHASE_STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
 }
 
-/// The innermost phase open on this thread (`"other"` outside any phase
-/// span). Always tracked, independent of the trace level.
-pub fn current_phase() -> &'static str {
-    PHASE_STACK.with(|s| s.borrow().last().copied().unwrap_or("other"))
-}
-
-/// Install a collector on the current (party) thread, attributing from
-/// the party's registry `counters`, and open the implicit root span. A
-/// `TraceLevel::Off` install is a no-op; any previously installed
-/// collector on this thread is discarded.
-pub fn install(party: usize, level: TraceLevel, counters: &Arc<Counters>) {
+/// Install a collector on the current (party) thread and open the
+/// implicit root span. A `TraceLevel::Off` install is a no-op; any
+/// previously installed collector on this thread is discarded.
+pub fn install(party: usize, level: TraceLevel) {
     if level.is_off() {
         COLLECTOR.with(|c| c.borrow_mut().take());
         return;
@@ -293,10 +228,8 @@ pub fn install(party: usize, level: TraceLevel, counters: &Arc<Counters>) {
     let mut col = Collector {
         party,
         level,
-        counters: Arc::clone(counters),
         stack: Vec::with_capacity(8),
         done: Vec::new(),
-        gauges: Vec::new(),
     };
     col.open(format!("party {party}"), Some("other"));
     ACTIVE.fetch_add(1, Ordering::Relaxed);
@@ -314,7 +247,6 @@ pub fn finish() -> Option<PartyTrace> {
         party: col.party,
         level: col.level,
         spans: std::mem::take(&mut col.done),
-        gauges: std::mem::take(&mut col.gauges),
     })
 }
 
@@ -344,16 +276,17 @@ fn with_collector(f: impl FnOnce(&mut Collector)) {
 #[must_use = "the span closes when the guard drops"]
 pub struct SpanGuard {
     active: bool,
-    /// A phase span's clock, which also pushed onto the always-on phase
-    /// stack.
+    /// A phase span's hold on its party's registry.
     clock: Option<PhaseClock>,
 }
 
-/// Where a phase span's wall time goes: its cell of the registry's
-/// [`Counter::PhaseNs`] row.
+/// A phase span's registry side: the phase it made current, the one it
+/// restores, and where its wall time goes (its cell of
+/// [`Counter::PhaseNs`]).
 struct PhaseClock {
     counters: Arc<Counters>,
     cell: usize,
+    outer: usize,
     start: Instant,
 }
 
@@ -362,9 +295,7 @@ impl Drop for SpanGuard {
         if let Some(clock) = &self.clock {
             let ns = clock.start.elapsed().as_nanos() as u64;
             clock.counters.add_cell(Counter::PhaseNs, clock.cell, ns);
-            PHASE_STACK.with(|s| {
-                s.borrow_mut().pop();
-            });
+            clock.counters.enter_phase(clock.outer);
         }
         if self.active {
             with_collector(|col| col.close());
@@ -404,21 +335,18 @@ fn open_span(
 }
 
 /// Open a phase span on the party whose registry is `counters`. `phase`
-/// must be one of [`PHASES`]. At every trace level the span's wall time
-/// is added to the phase's [`Counter::PhaseNs`] cell when it closes, and
-/// the phase is pushed onto the [`current_phase`] stack. At `Phases` and
-/// `Full` the span is also recorded: counters accrued while it is
-/// innermost are bucketed under the phase in the phase table.
+/// must be one of [`PHASES`]. At every trace level the phase is the
+/// registry's current phase until the span closes — what the party
+/// records meanwhile, outside any nested phase span, counts toward it —
+/// and the span's wall time is added to the phase's [`Counter::PhaseNs`]
+/// cell. At `Phases` and `Full` the span is also put on the timeline.
 pub fn phase_span(counters: &Arc<Counters>, phase: &'static str) -> SpanGuard {
-    let cell = PHASES
-        .iter()
-        .position(|&p| p == phase)
-        .unwrap_or_else(|| panic!("unknown phase {phase:?}"));
+    let cell = phase_cell(phase).unwrap_or_else(|| panic!("unknown phase {phase:?}"));
     let mut guard = open_span(TraceLevel::Phases, Some(phase), || phase.to_string());
-    PHASE_STACK.with(|s| s.borrow_mut().push(phase));
     guard.clock = Some(PhaseClock {
         counters: Arc::clone(counters),
         cell,
+        outer: counters.enter_phase(cell),
         start: Instant::now(),
     });
     guard
@@ -435,22 +363,6 @@ pub fn span(name: &'static str) -> SpanGuard {
 /// an allocation when tracing is off.
 pub fn span_fn(name: impl FnOnce() -> String) -> SpanGuard {
     open_span(TraceLevel::Full, None, name)
-}
-
-// ---------------------------------------------------------------------------
-// Gauges
-// ---------------------------------------------------------------------------
-
-/// Record a gauge sample on the current party thread's track. No-op
-/// without an installed collector.
-pub fn gauge(name: &'static str, value: f64) {
-    if !enabled() {
-        return;
-    }
-    with_collector(|col| {
-        let ts_ns = now_ns();
-        col.gauges.push(GaugeSample { name, ts_ns, value });
-    });
 }
 
 // ---------------------------------------------------------------------------
@@ -473,7 +385,7 @@ pub fn runtime_gauge(name: &'static str, value: f64) {
         .lock()
         .expect("runtime sink poisoned")
         .gauges
-        .push(GaugeSample { name, ts_ns, value });
+        .push(RuntimeGauge { name, ts_ns, value });
 }
 
 /// RAII guard for a background span recorded in the runtime sink.
@@ -522,19 +434,19 @@ pub fn take_runtime() -> RuntimeTrace {
 // Phase table
 // ---------------------------------------------------------------------------
 
-/// One row of the per-phase aggregate table.
+/// One row of a party's phase table.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PhaseRow {
     pub phase: String,
     /// Number of phase spans that introduced this phase.
     pub span_count: u64,
     /// Wall time inside the phase's spans. For `"other"` this is the
-    /// root span's time *outside* every named phase, so rows sum to the
-    /// run's wall clock instead of double-counting.
+    /// run's time *outside* every named phase, so rows sum to the run's
+    /// wall clock instead of double-counting.
     pub wall_ns: u64,
-    /// Blocking-receive wall time attributed to the phase.
+    /// Blocking-receive wall time recorded in the phase.
     pub wait_ns: u64,
-    /// MPC rounds attributed to the phase.
+    /// MPC rounds recorded in the phase.
     pub rounds: u64,
     /// Bytes sent from the phase.
     pub sent_bytes: u64,
@@ -542,50 +454,34 @@ pub struct PhaseRow {
     pub recv_bytes: u64,
 }
 
-/// Aggregate a party trace into the per-phase table, ordered as
-/// [`PHASES`] (phases with no activity are omitted). The counter columns
-/// sum exclusive span counters, so their totals equal the registry's
-/// totals over the traced run exactly.
-pub fn phase_table(trace: &PartyTrace) -> Vec<PhaseRow> {
-    phase_table_of(&trace.spans)
-}
-
-/// [`phase_table`] over raw span records (used when re-aggregating a
-/// parsed export).
-pub fn phase_table_of(spans: &[SpanRecord]) -> Vec<PhaseRow> {
+/// A party's phase table, ordered as [`PHASES`] (phases with no activity
+/// are omitted). Rounds, bytes and receive wait are the `by_phase` cells
+/// of the party's registry snapshot `counters`, wall time its phase
+/// clock, and span counts come from its timeline `trace`. The `"other"`
+/// row's wall is the party's run `run_ns` (setup, training and
+/// prediction) less the named phases' wall.
+pub fn phase_table(counters: &Snapshot, run_ns: u64, trace: &PartyTrace) -> Vec<PhaseRow> {
+    let at = |counter, cell: usize| counters.by_phase(counter)[cell];
     let mut rows: Vec<PhaseRow> = PHASES
         .iter()
-        .map(|&p| PhaseRow {
-            phase: p.to_string(),
-            ..PhaseRow::default()
+        .enumerate()
+        .map(|(cell, phase)| PhaseRow {
+            phase: phase.to_string(),
+            span_count: 0,
+            wall_ns: at(Counter::PhaseNs, cell),
+            wait_ns: at(Counter::RecvWaitNs, cell),
+            rounds: at(Counter::Rounds, cell),
+            sent_bytes: at(Counter::BytesSent, cell),
+            recv_bytes: at(Counter::BytesReceived, cell),
         })
         .collect();
-    let idx = |phase: &str| {
-        PHASES
-            .iter()
-            .position(|&p| p == phase)
-            .unwrap_or(PHASES.len() - 1)
-    };
-    let mut named_phase_wall = 0u64;
-    for s in spans {
-        let row = &mut rows[idx(s.phase)];
-        row.wait_ns += s.wait_ns;
-        row.rounds += s.rounds;
-        row.sent_bytes += s.sent_bytes;
-        row.recv_bytes += s.recv_bytes;
-        if s.is_phase_root && s.depth > 0 {
-            row.span_count += 1;
-            row.wall_ns += s.end_ns - s.start_ns;
-            named_phase_wall += s.end_ns - s.start_ns;
+    for span in trace.spans.iter().filter(|s| s.is_phase_root) {
+        if let Some(cell) = phase_cell(span.phase) {
+            rows[cell].span_count += 1;
         }
     }
-    // The root span (depth 0) is the "other" bucket: its wall is the run
-    // minus every named phase, so the column sums to the run wall clock.
-    if let Some(root) = spans.iter().find(|s| s.depth == 0) {
-        let other = &mut rows[idx("other")];
-        other.span_count += 1;
-        other.wall_ns += (root.end_ns - root.start_ns).saturating_sub(named_phase_wall);
-    }
+    let (other, named) = rows.split_last_mut().expect("PHASES ends with \"other\"");
+    other.wall_ns = run_ns.saturating_sub(named.iter().map(|r| r.wall_ns).sum());
     rows.retain(|r| {
         r.span_count > 0 || r.rounds > 0 || r.sent_bytes > 0 || r.recv_bytes > 0 || r.wait_ns > 0
     });
@@ -648,12 +544,12 @@ fn us(ns: u64) -> String {
 /// The synthetic Chrome-trace thread id for the runtime (off-party) track.
 pub const RUNTIME_TID: usize = 99;
 
-/// Export party traces (plus the optional runtime sink) as Chrome-trace /
-/// Perfetto JSON: one track per party (`pid` 1, `tid` = party id),
-/// balanced `B`/`E` duration events carrying the exclusive counters on
-/// `E`, `C` counter events for every gauge series, and a `tid`-99 track
-/// for background work. Open with `ui.perfetto.dev` or
-/// `chrome://tracing`.
+/// Export party timelines (plus the optional runtime sink) as
+/// Chrome-trace / Perfetto JSON: one track per party (`pid` 1, `tid` =
+/// party id) of balanced `B`/`E` duration events, and a `tid`-99 track for
+/// background work with `C` counter events for every runtime gauge
+/// series. The counts live in the run report's phase tables. Open with
+/// `ui.perfetto.dev` or `chrome://tracing`.
 pub fn chrome_trace_json(parties: &[PartyTrace], runtime: Option<&RuntimeTrace>) -> String {
     // (tid, ts_ns, order, depth_key, json) — sorted so each track's B/E
     // stream nests correctly even at equal timestamps: at a tie, closes
@@ -687,26 +583,8 @@ pub fn chrome_trace_json(parties: &[PartyTrace], runtime: Option<&RuntimeTrace>)
                 0,
                 -(s.depth as i64),
                 format!(
-                    r#"{{"ph":"E","pid":1,"tid":{tid},"ts":{},"args":{{"sent_bytes":{},"recv_bytes":{},"wait_ns":{},"rounds":{}}}}}"#,
-                    us(s.end_ns),
-                    s.sent_bytes,
-                    s.recv_bytes,
-                    s.wait_ns,
-                    s.rounds
-                ),
-            ));
-        }
-        for g in &t.gauges {
-            events.push((
-                tid,
-                g.ts_ns,
-                2,
-                0,
-                format!(
-                    r#"{{"ph":"C","pid":1,"tid":{tid},"ts":{},"name":"{} (party {tid})","args":{{"value":{}}}}}"#,
-                    us(g.ts_ns),
-                    esc(g.name),
-                    finite(g.value)
+                    r#"{{"ph":"E","pid":1,"tid":{tid},"ts":{},"args":{{}}}}"#,
+                    us(s.end_ns)
                 ),
             ));
         }
@@ -783,10 +661,14 @@ fn prom_label(s: &str) -> String {
         .replace('\n', "\\n")
 }
 
-/// Export a Prometheus-style text metrics snapshot: per-party per-phase
-/// counters plus the last value of every gauge series. This is the seam
-/// a future `pivot serve` daemon would expose on `/metrics`.
-pub fn prometheus_snapshot(parties: &[PartyTrace], runtime: Option<&RuntimeTrace>) -> String {
+/// Export a Prometheus-style text metrics snapshot: each party's phase
+/// table (rendered from its registry by [`phase_table`]) plus the last
+/// value of every runtime gauge series. This is the seam a future `pivot
+/// serve` daemon would expose on `/metrics`.
+pub fn prometheus_snapshot(
+    tables: &[(usize, Vec<PhaseRow>)],
+    runtime: Option<&RuntimeTrace>,
+) -> String {
     let mut out = String::new();
     let metrics: [(&str, &str, fn(&PhaseRow) -> f64); 5] = [
         ("pivot_phase_wall_seconds", "gauge", |r| {
@@ -803,11 +685,9 @@ pub fn prometheus_snapshot(parties: &[PartyTrace], runtime: Option<&RuntimeTrace
             r.recv_bytes as f64
         }),
     ];
-    let tables: Vec<(usize, Vec<PhaseRow>)> =
-        parties.iter().map(|t| (t.party, phase_table(t))).collect();
     for (name, kind, get) in metrics {
         out.push_str(&format!("# TYPE {name} {kind}\n"));
-        for (party, table) in &tables {
+        for (party, table) in tables {
             for row in table {
                 out.push_str(&format!(
                     "{name}{{party=\"{party}\",phase=\"{}\"}} {}\n",
@@ -817,25 +697,8 @@ pub fn prometheus_snapshot(parties: &[PartyTrace], runtime: Option<&RuntimeTrace
             }
         }
     }
-    out.push_str("# TYPE pivot_gauge gauge\n");
-    for t in parties {
-        let mut last: Vec<(&str, f64)> = Vec::new();
-        for g in &t.gauges {
-            match last.iter_mut().find(|(n, _)| *n == g.name) {
-                Some(slot) => slot.1 = g.value,
-                None => last.push((g.name, g.value)),
-            }
-        }
-        for (name, value) in last {
-            out.push_str(&format!(
-                "pivot_gauge{{party=\"{}\",series=\"{}\"}} {}\n",
-                t.party,
-                prom_label(name),
-                finite(value)
-            ));
-        }
-    }
     if let Some(rt) = runtime {
+        out.push_str("# TYPE pivot_gauge gauge\n");
         let mut last: Vec<(&str, f64)> = Vec::new();
         for g in &rt.gauges {
             match last.iter_mut().find(|(n, _)| *n == g.name) {
@@ -868,12 +731,17 @@ mod tests {
         std::thread::scope(|s| s.spawn(f).join().expect("test thread"))
     }
 
-    /// A fresh registry with a collector attributing from it installed
-    /// on this thread.
+    /// A fresh registry, with a collector installed on this thread.
     fn installed(party: usize, level: TraceLevel) -> Arc<Counters> {
-        let c = Counters::new();
-        install(party, level, &c);
-        c
+        install(party, level);
+        Counters::new()
+    }
+
+    /// The wall of the root span: the run the timeline covers.
+    fn root_ns(trace: &PartyTrace) -> u64 {
+        let root = trace.spans.last().unwrap();
+        assert_eq!(root.depth, 0);
+        root.end_ns - root.start_ns
     }
 
     #[test]
@@ -888,7 +756,7 @@ mod tests {
 
     #[test]
     fn attribution_goes_to_innermost_span() {
-        let trace = on_thread(|| {
+        let (trace, c) = on_thread(|| {
             let c = installed(0, TraceLevel::Full);
             c.add(Counter::BytesSent, 5); // root
             {
@@ -902,7 +770,7 @@ mod tests {
                 }
                 c.add(Counter::RecvWaitNs, 7);
             }
-            finish().expect("collector installed")
+            (finish().expect("collector installed"), c)
         });
         assert_eq!(trace.party, 0);
         // Close order: inner, stats, root.
@@ -911,17 +779,25 @@ mod tests {
         assert_eq!(inner.name, "inner");
         assert_eq!(inner.phase, "stats"); // inherited
         assert!(!inner.is_phase_root);
-        assert_eq!(
-            (inner.sent_bytes, inner.recv_bytes, inner.rounds),
-            (1, 2, 1)
-        );
         let stats = &trace.spans[1];
-        assert_eq!((stats.sent_bytes, stats.wait_ns), (10, 7));
         assert!(stats.is_phase_root);
         let root = &trace.spans[2];
-        assert_eq!(root.depth, 0);
-        assert_eq!(root.sent_bytes, 5);
+        assert_eq!((root.depth, root.phase), (0, "other"));
         assert!(root.start_ns <= stats.start_ns && stats.end_ns <= root.end_ns);
+        // A fine span's counts belong to its phase.
+        let table = phase_table(&c.snapshot(), root_ns(&trace), &trace);
+        let row = |phase: &str| table.iter().find(|r| r.phase == phase).unwrap();
+        let stats = row("stats");
+        assert_eq!(
+            (
+                stats.sent_bytes,
+                stats.recv_bytes,
+                stats.rounds,
+                stats.wait_ns
+            ),
+            (11, 2, 1, 7)
+        );
+        assert_eq!(row("other").sent_bytes, 5);
     }
 
     #[test]
@@ -938,12 +814,11 @@ mod tests {
         });
         assert_eq!(trace.spans.len(), 2); // gain + root
         assert_eq!(trace.spans[0].name, "gain");
-        assert_eq!(trace.spans[0].rounds, 2);
     }
 
     #[test]
     fn phase_table_sums_match_totals_and_other_catches_root() {
-        let trace = on_thread(|| {
+        let (trace, c) = on_thread(|| {
             let c = installed(0, TraceLevel::Phases);
             c.add(Counter::BytesSent, 3); // outside every phase -> "other"
             {
@@ -961,9 +836,11 @@ mod tests {
                 c.add(Counter::Rounds, 5);
                 c.add(Counter::RecvWaitNs, 9);
             }
-            finish().unwrap()
+            (finish().unwrap(), c)
         });
-        let table = phase_table(&trace);
+        let run_ns = root_ns(&trace);
+        let snap = c.snapshot();
+        let table = phase_table(&snap, run_ns, &trace);
         let stats = table.iter().find(|r| r.phase == "stats").unwrap();
         assert_eq!(stats.span_count, 2);
         assert_eq!(
@@ -973,15 +850,17 @@ mod tests {
         let gain = table.iter().find(|r| r.phase == "gain").unwrap();
         assert_eq!((gain.rounds, gain.wait_ns), (5, 9));
         let other = table.iter().find(|r| r.phase == "other").unwrap();
-        assert_eq!(other.sent_bytes, 3);
+        assert_eq!((other.sent_bytes, other.span_count), (3, 1));
         // Column sums equal everything recorded.
         let sent: u64 = table.iter().map(|r| r.sent_bytes).sum();
         let rounds: u64 = table.iter().map(|r| r.rounds).sum();
         assert_eq!((sent, rounds), (14, 7));
-        // Wall sums to the root's duration (no double counting).
-        let root = trace.spans.last().unwrap();
+        assert_eq!((snap[Counter::BytesSent], snap[Counter::Rounds]), (14, 7));
+        // Wall sums to the run (no double counting), and phases that did
+        // not run are left out.
         let wall: u64 = table.iter().map(|r| r.wall_ns).sum();
-        assert_eq!(wall, root.end_ns - root.start_ns);
+        assert_eq!(wall, run_ns);
+        assert_eq!(table.len(), 3);
     }
 
     #[test]
@@ -993,31 +872,40 @@ mod tests {
                 let _f = span("open");
                 c.add(Counter::BytesSent, 8);
             }
-            gauge("sample_gauge", 0.5);
             finish().unwrap()
         });
-        let json = chrome_trace_json(&[trace], None);
+        let runtime = RuntimeTrace {
+            spans: Vec::new(),
+            gauges: vec![RuntimeGauge {
+                name: "worker_queue_depth",
+                ts_ns: trace.spans[0].start_ns,
+                value: 0.5,
+            }],
+        };
+        let json = chrome_trace_json(&[trace], Some(&runtime));
         let begins = json.matches("\"ph\":\"B\"").count();
         let ends = json.matches("\"ph\":\"E\"").count();
         assert_eq!(begins, ends);
         assert_eq!(begins, 3); // root + conversion + open
+                               // The timeline carries no counts: they are in the report.
+        assert_eq!(json.matches("\"args\":{}").count(), ends);
         assert_eq!(json.matches("\"ph\":\"C\"").count(), 1);
         assert!(json.contains("\"name\":\"thread_name\""));
         assert!(json.contains("party 2"));
-        // Timestamps within the track never decrease in file order.
-        let mut last = f64::MIN;
+        // Timestamps within a track never decrease in file order.
+        let mut last = std::collections::HashMap::new();
         for line in json.lines().filter(|l| l.contains("\"ts\":")) {
-            let ts: f64 = line
-                .split("\"ts\":")
-                .nth(1)
-                .unwrap()
-                .split(',')
-                .next()
-                .unwrap()
-                .parse()
-                .unwrap();
-            assert!(ts >= last, "ts went backwards: {line}");
-            last = ts;
+            let field = |key: &str| {
+                let rest = line.split(&format!("\"{key}\":")).nth(1).unwrap();
+                rest.split([',', '}'])
+                    .next()
+                    .unwrap()
+                    .parse::<f64>()
+                    .unwrap()
+            };
+            let (tid, ts) = (field("tid") as u64, field("ts"));
+            let prev = last.insert(tid, ts).unwrap_or(ts);
+            assert!(ts >= prev, "ts went backwards: {line}");
         }
     }
 
@@ -1044,22 +932,30 @@ mod tests {
 
     #[test]
     fn prometheus_snapshot_lists_phases_and_gauges() {
-        let trace = on_thread(|| {
+        let (trace, c) = on_thread(|| {
             let c = installed(1, TraceLevel::Phases);
             {
                 let _p = phase_span(&c, "update");
                 c.add(Counter::BytesSent, 100);
                 c.add(Counter::Rounds, 3);
             }
-            gauge("sample_gauge", 0.25);
-            gauge("sample_gauge", 0.75);
-            finish().unwrap()
+            (finish().unwrap(), c)
         });
-        let text = prometheus_snapshot(&[trace], None);
+        let table = phase_table(&c.snapshot(), root_ns(&trace), &trace);
+        let gauge = |value| RuntimeGauge {
+            name: "worker_queue_depth",
+            ts_ns: 0,
+            value,
+        };
+        let runtime = RuntimeTrace {
+            spans: Vec::new(),
+            gauges: vec![gauge(0.25), gauge(0.75)],
+        };
+        let text = prometheus_snapshot(&[(1, table)], Some(&runtime));
         assert!(text.contains("pivot_phase_sent_bytes_total{party=\"1\",phase=\"update\"} 100"));
         assert!(text.contains("pivot_phase_rounds_total{party=\"1\",phase=\"update\"} 3"));
         // Gauges report the last value.
-        assert!(text.contains("pivot_gauge{party=\"1\",series=\"sample_gauge\"} 0.75"));
+        assert!(text.contains("pivot_gauge{party=\"runtime\",series=\"worker_queue_depth\"} 0.75"));
     }
 
     #[test]
@@ -1091,29 +987,9 @@ mod tests {
         assert_eq!(merged[1].rounds, 7);
     }
 
-    #[test]
-    fn current_phase_tracks_without_a_collector() {
-        on_thread(|| {
-            // No install: tracing is off, the phase stack still works.
-            let c = Counters::new();
-            assert_eq!(current_phase(), "other");
-            {
-                let _p = phase_span(&c, "gain");
-                assert_eq!(current_phase(), "gain");
-                {
-                    let _q = phase_span(&c, "reconnect");
-                    assert_eq!(current_phase(), "reconnect");
-                }
-                assert_eq!(current_phase(), "gain");
-            }
-            assert_eq!(current_phase(), "other");
-        });
-    }
-
     /// The cell of `phase` in a snapshot of the phase clock.
     fn phase_ns(c: &Counters, phase: &str) -> u64 {
-        let cell = PHASES.iter().position(|&p| p == phase).unwrap();
-        c.snapshot().cells(Counter::PhaseNs)[cell]
+        c.snapshot().by_phase(Counter::PhaseNs)[phase_cell(phase).unwrap()]
     }
 
     #[test]

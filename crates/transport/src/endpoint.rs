@@ -49,8 +49,7 @@ pub struct Network {
 ///    frames to all peers. Any cross-party wait chain passes through a
 ///    receive, so no dependency cycle can form on staged data.
 /// 2. **Exact member accounting.** Each staged message is counted in
-///    the registry (and so attributed to the *calling* trace span) at
-///    stage time; envelope framing is accounted separately as overhead
+///    the registry (and so in the *calling* phase) at stage time; envelope framing is accounted separately as overhead
 ///    bytes with no message count.
 pub struct Endpoint {
     id: usize,
@@ -152,9 +151,15 @@ impl Endpoint {
         if let Some(injector) = self.fault.get() {
             if let Some(reason) = injector.note_round() {
                 self.counters.add(Counter::FaultsInjected, 1);
-                TransportError::new(TransportErrorKind::InjectedCrash, self.id, reason).raise();
+                self.error(TransportErrorKind::InjectedCrash, reason)
+                    .raise();
             }
         }
+    }
+
+    /// A failure this party observes, in the phase its registry has open.
+    fn error(&self, kind: TransportErrorKind, detail: impl Into<String>) -> TransportError {
+        TransportError::new(kind, self.id, self.counters.phase(), detail)
     }
 
     /// Map a failed link operation into a typed raise.
@@ -172,7 +177,8 @@ impl Endpoint {
             LinkError::PeerLost { .. } => TransportErrorKind::PeerLost,
             LinkError::ResumeGap { .. } => TransportErrorKind::ResumeGap,
         };
-        let mut typed = TransportError::new(kind, self.id, err.to_string())
+        let mut typed = self
+            .error(kind, err.to_string())
             .on_link(peer, direction)
             .after(elapsed);
         if let LinkError::ResumeGap { missing_seq, .. } = err {
@@ -283,7 +289,8 @@ impl Endpoint {
             if std::thread::panicking() {
                 return Err(LinkError::Disconnected(reason));
             }
-            TransportError::new(TransportErrorKind::InjectedCrash, self.id, reason).raise();
+            self.error(TransportErrorKind::InjectedCrash, reason)
+                .raise();
         }
         if let Some(delay) = fault.delay {
             self.counters.add(Counter::FaultsInjected, 1);
@@ -307,7 +314,7 @@ impl Endpoint {
 
     /// Account one encoded message and stage it for the next flush. The
     /// bytes are counted here, so the message is charged to the protocol
-    /// span that produced it, not to the flush site.
+    /// phase that produced it, not to the flush site.
     fn push(&self, to: usize, bytes: Vec<u8>) {
         self.counters.add(Counter::BytesSent, bytes.len() as u64);
         self.counters.add(Counter::MessagesSent, 1);

@@ -86,8 +86,9 @@ pub struct TransportError {
     pub peer: Option<usize>,
     /// Whether the send or receive half failed.
     pub direction: Option<Direction>,
-    /// The protocol phase open when the failure surfaced
-    /// ([`pivot_trace::current_phase`], tracked even with tracing off).
+    /// The protocol phase open when the failure surfaced: the phase of
+    /// the observing endpoint's registry ([`pivot_trace::Counters::phase`],
+    /// tracked even with tracing off), or `"connect"` for a rendezvous.
     pub phase: String,
     /// How long the failing operation waited before giving up.
     pub elapsed: Duration,
@@ -124,11 +125,11 @@ impl fmt::Display for TransportError {
 impl std::error::Error for TransportError {}
 
 impl TransportError {
-    /// Build an error observed by `party`, stamping the current protocol
-    /// phase from the trace phase stack.
+    /// Build an error observed by `party` in protocol phase `phase`.
     pub fn new(
         kind: TransportErrorKind,
         party: usize,
+        phase: &str,
         detail: impl Into<String>,
     ) -> TransportError {
         TransportError {
@@ -136,7 +137,7 @@ impl TransportError {
             party,
             peer: None,
             direction: None,
-            phase: pivot_trace::current_phase().to_string(),
+            phase: phase.to_string(),
             elapsed: Duration::ZERO,
             detail: detail.into(),
             missing_seq: None,
@@ -246,17 +247,6 @@ pub enum RunFailure {
     Protocol(ProtocolError),
 }
 
-impl RunFailure {
-    /// The party a report should blame: the observer for transport
-    /// failures, the *accused prover* for protocol failures.
-    pub fn blamed_party(&self) -> usize {
-        match self {
-            RunFailure::Transport(e) => e.party,
-            RunFailure::Protocol(e) => e.party(),
-        }
-    }
-}
-
 impl fmt::Display for RunFailure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -341,10 +331,15 @@ mod tests {
     #[test]
     fn catch_returns_the_raised_error() {
         let Err(RunFailure::Transport(err)) = catch_failures(|| {
-            TransportError::new(TransportErrorKind::Timeout, 1, "no message within 5ms")
-                .on_link(0, Direction::Recv)
-                .after(Duration::from_millis(5))
-                .raise();
+            TransportError::new(
+                TransportErrorKind::Timeout,
+                1,
+                "gain",
+                "no message within 5ms",
+            )
+            .on_link(0, Direction::Recv)
+            .after(Duration::from_millis(5))
+            .raise();
         }) else {
             panic!("raise must surface as Err");
         };
@@ -367,11 +362,25 @@ mod tests {
 
     #[test]
     fn error_stamps_current_phase() {
-        let err = {
-            let _g = pivot_trace::phase_span(&pivot_trace::Counters::new(), "gain");
-            TransportError::new(TransportErrorKind::Disconnected, 0, "peer gone")
+        // An endpoint stamps the phase its registry has open, on the
+        // thread that observes the failure.
+        let net = crate::NetConfig {
+            recv_timeout: Duration::from_millis(50),
+            ..crate::NetConfig::default()
         };
+        let results = crate::try_run_parties_with(2, net, |ep| {
+            if ep.id() == 0 {
+                let _gain = pivot_trace::phase_span(ep.counters(), "gain");
+                let _: u64 = ep.recv(1);
+            }
+            assert_eq!(ep.counters().phase(), "other");
+        });
+        let Err(RunFailure::Transport(err)) = &results[0] else {
+            panic!("party 0 must fail: {:?}", results[0]);
+        };
+        assert_eq!((err.party, err.peer), (0, Some(1)));
         assert_eq!(err.phase, "gain");
+        assert!(err.to_string().contains("in phase gain"), "{err}");
     }
 
     #[test]
@@ -392,17 +401,15 @@ mod tests {
         };
         assert_eq!(p.party(), 2);
         assert_eq!(p.phase(), "stats");
-        assert_eq!(err.blamed_party(), 2);
         let text = err.to_string();
         assert!(text.contains("party 2 proof rejected (pohdp)"), "{text}");
         assert!(text.contains("observed by party 0"), "{text}");
 
         let err = catch_failures(|| {
-            TransportError::new(TransportErrorKind::Timeout, 1, "wedged").raise();
+            TransportError::new(TransportErrorKind::Timeout, 1, "other", "wedged").raise();
         })
         .expect_err("transport raise must surface too");
         assert!(matches!(&err, RunFailure::Transport(t) if t.party == 1));
-        assert_eq!(err.blamed_party(), 1);
     }
 
     #[test]

@@ -603,7 +603,8 @@ mod tests {
         let results = try_run_parties_on(eps, |ep| {
             if ep.id() == 0 {
                 ep.send(1, &1u64);
-                crate::TransportError::new(TransportErrorKind::Timeout, 0, "failing").raise();
+                crate::TransportError::new(TransportErrorKind::Timeout, 0, "other", "failing")
+                    .raise();
             }
             ep.recv::<u64>(0)
         });
