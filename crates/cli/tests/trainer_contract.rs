@@ -183,6 +183,32 @@
 //!     +10 bytes (≤ 0.002 %); 30 of the 36 entries moved, no other number
 //!     and no prediction did.
 //!
+//!     The decryption column of the basic and enhanced rows, and the
+//!     enhanced rows' bytes, were re-recorded when a joint decryption
+//!     began to pay per packed ciphertext at the width its values need.
+//!     Algorithm 4 opens a tree's `t` class indices packed (bound 1: 3-bit
+//!     slots, 85 at keysize 256, so one decryption for every `t` here),
+//!     and the enhanced root's `[α]` — `initial_mask`'s fresh 0/1
+//!     encryption — converts at bound 1 (four 63-bit slots) instead of the
+//!     Eqn-10 bound (one slot at keysize 256), `⌈n/4⌉` decryptions for `n`.
+//!     The enhanced mask refresh converts under the Eqn-10 bound too, still
+//!     one slot at this keysize, so its count did not move. Rounds, mults,
+//!     comparisons, messages, the basic and ensemble rows' bytes, every
+//!     GBDT and ensemble row and every prediction are as recorded before.
+//!     Per party:
+//!
+//!     | row | `n`, `t` | decryptions | train bytes, per party |
+//!     |---|---|---|---|
+//!     | `basic-h1` | 48, 12 | 31 → 20 (`t` → 1) | same |
+//!     | `basic-h2` | 29, 7 | 45 → 39 (`t` → 1) | same |
+//!     | `basic-h3` | 48, 12 | 88 → 77 (`t` → 1) | same |
+//!     | `enhanced-h2` | 27, 13 | 96 → 76 (root 27 → 7) | −6 084 / −6 080 / −6 080 |
+//!     | `enhanced-h3` | 40, 20 | 321 → 291 (root 40 → 10) | −9 132 / −9 123 / −9 116 |
+//!
+//!     The bytes are the mask encryptions and partial decryptions of the
+//!     ciphertexts the root conversion no longer sends; prediction's bytes
+//!     are outside the pinned training column.
+//!
 //! Every protocol runs at three depths, because the mask rule differs at
 //! each: `max_depth = 1` (no mask update at all), `2` (left masks only —
 //! the depth of every benchmark workload) and `3` (right masks wanted at
@@ -257,9 +283,9 @@ const BASIC: [Case; 3] = [
         body: BASIC_NOISY,
         tree: DEPTH_1,
         golden: [
-            [46, 5288, 408, 31, 204706, 110],
-            [46, 5288, 408, 31, 190770, 104],
-            [46, 5288, 408, 31, 190770, 104],
+            [46, 5288, 408, 20, 204706, 110],
+            [46, 5288, 408, 20, 190770, 104],
+            [46, 5288, 408, 20, 190770, 104],
         ],
         predictions: &[1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0],
     },
@@ -268,9 +294,9 @@ const BASIC: [Case; 3] = [
         body: BASIC_BODY,
         tree: DEPTH_2,
         golden: [
-            [87, 13206, 1114, 45, 492702, 202],
-            [87, 13206, 1114, 45, 475890, 194],
-            [87, 13206, 1114, 45, 475874, 194],
+            [87, 13206, 1114, 39, 492702, 202],
+            [87, 13206, 1114, 39, 475890, 194],
+            [87, 13206, 1114, 39, 475874, 194],
         ],
         predictions: &[0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0],
     },
@@ -279,9 +305,9 @@ const BASIC: [Case; 3] = [
         body: BASIC_NOISY,
         tree: DEPTH_3,
         golden: [
-            [132, 31700, 2444, 88, 1170668, 306],
-            [132, 31700, 2444, 88, 1136018, 298],
-            [132, 31700, 2444, 88, 1122162, 296],
+            [132, 31700, 2444, 77, 1170668, 306],
+            [132, 31700, 2444, 77, 1136018, 298],
+            [132, 31700, 2444, 77, 1122162, 296],
         ],
         predictions: &[1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0],
     },
@@ -307,9 +333,9 @@ const ENHANCED: [Case; 3] = [
         body: ENHANCED_BODY,
         tree: DEPTH_2,
         golden: [
-            [107, 14056, 1186, 96, 519390, 244],
-            [107, 14056, 1186, 96, 502871, 231],
-            [107, 14056, 1186, 96, 502677, 227],
+            [107, 14056, 1186, 76, 513306, 244],
+            [107, 14056, 1186, 76, 496791, 231],
+            [107, 14056, 1186, 76, 496597, 227],
         ],
         predictions: &[
             1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0,
@@ -320,9 +346,9 @@ const ENHANCED: [Case; 3] = [
         body: ENHANCED_NOISY,
         tree: DEPTH_3,
         golden: [
-            [164, 28535, 2193, 321, 1091326, 374],
-            [164, 28535, 2193, 321, 1055588, 362],
-            [164, 28535, 2193, 321, 1055370, 358],
+            [164, 28535, 2193, 291, 1082194, 374],
+            [164, 28535, 2193, 291, 1046465, 362],
+            [164, 28535, 2193, 291, 1046254, 358],
         ],
         predictions: &[
             0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0,

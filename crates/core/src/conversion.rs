@@ -7,12 +7,13 @@
 //!   (`pivot_paillier::SlotCodec`); every occupied slot is masked and
 //!   becomes one share, so one joint decryption yields as many shares as
 //!   the ciphertext has values. The paper's conversion is the one-slot
-//!   case — a slot that is the whole plaintext — and the three entry
-//!   points differ only in how the public signedness offset gets into the
-//!   slots before the masks do: [`ciphers_to_shares`] (one slot),
-//!   [`packed_ciphers_to_shares`] (ciphertexts already packed by the
-//!   statistics pass), [`packed_share_conversion_groups`] (scalars
-//!   shift-added under a per-group audited width).
+//!   case — a slot that is the whole plaintext — and the two entry points
+//!   differ only in how the public signedness offset gets into the slots
+//!   before the masks do: [`packed_ciphers_to_shares`] (ciphertexts
+//!   already packed by the statistics pass),
+//!   [`packed_share_conversion_groups`] (scalars shift-added under a
+//!   per-group audited width by `crate::decrypt::pack_scalars`, which
+//!   Algorithm 4's packed opening shares).
 //! * [`shares_to_ciphers`] is the reverse direction used by the enhanced
 //!   protocol (§5.2): every client encrypts its own share and the
 //!   ciphertexts are summed homomorphically. The result's plaintext may
@@ -22,12 +23,11 @@
 //!   one-slot case of a conversion over slots, [`share_rows_to_ciphers`],
 //!   which GBDT's residual vectors take (§7.2).
 
-use crate::config::SlotPlan;
-use crate::decrypt::joint_decrypt_vec;
+use crate::decrypt::{joint_decrypt_vec, pack_scalars};
 use crate::party::PartyContext;
 use pivot_bignum::BigUint;
 use pivot_mpc::{Fp, Share};
-use pivot_paillier::{batch, vector, Ciphertext, SlotCodec};
+use pivot_paillier::{batch, Ciphertext, SlotCodec};
 use pivot_trace::Counter;
 
 /// The tail of Algorithm 2, shared by every entry point. `cts[i]` holds
@@ -110,19 +110,6 @@ fn masked_shares(
         .collect()
 }
 
-/// Algorithm 2 (batched) as the paper states it: one value per ciphertext.
-///
-/// Plaintexts must be *signed integers of magnitude below `2^(int_bits-1)`*
-/// modulo any slack multiple of the share modulus (see module docs).
-pub fn ciphers_to_shares(ctx: &mut PartyContext<'_>, cts: &[Ciphertext]) -> Vec<Share> {
-    let codec = ctx.params.one_slot_codec();
-    let cts: Vec<&Ciphertext> = cts.iter().collect();
-    packed_ciphers_to_shares(ctx, &codec, &cts, &vec![1; cts.len()])
-        .into_iter()
-        .flatten()
-        .collect()
-}
-
 /// Algorithm 2 over ciphertexts the statistics pass packed: ciphertext `i`
 /// yields `used[i]` shares. The codec's per-slot signedness offset
 /// (`2^(int_bits−1)` for every statistics layout) is added through one
@@ -166,61 +153,30 @@ pub fn packed_ciphers_to_shares(
 /// keysize admits once is a one-slot group. All groups settle in a single
 /// exchange and a single decryption round.
 ///
-/// Slot audit: a slot accumulates `x + 2^bound_bits` (the signedness
-/// offset is applied homomorphically *before* the shift-add, so negative
-/// encodings `N − |x|` never borrow from a neighbour slot) plus every
-/// party's conversion mask `< m·(p−1)`; the slot width is the bit length
-/// of that worst case. Values are recovered mod p, slack reduces away.
+/// Slot audit (`crate::decrypt::pack_scalars`): a slot accumulates
+/// `x + 2^bound_bits` plus every party's conversion mask `< m·(p−1)`; the
+/// slot width is the bit length of that worst case. Values are recovered
+/// mod p, slack reduces away.
 pub fn packed_share_conversion_groups(
     ctx: &mut PartyContext<'_>,
     groups: &[(&[Ciphertext], u32)],
 ) -> Vec<Vec<Share>> {
-    let total: usize = groups.iter().map(|(cts, _)| cts.len()).sum();
-    let threads = ctx.crypto_threads();
     let m = ctx.parties();
     let mask_bound = BigUint::from_u128(Fp::share_sum_bound(m) - m as u128);
-
-    // Audited codec per group, then the flat chunk list (group-major, so
-    // regrouping below walks the same order).
-    let codecs: Vec<SlotCodec> = groups
+    let packed = pack_scalars(ctx, groups, &mask_bound);
+    let layouts: Vec<(&SlotCodec, usize)> = packed
+        .layout
         .iter()
-        .map(|&(_, bound_bits)| {
-            let worst = &BigUint::pow2(bound_bits + 1) + &mask_bound;
-            let slot_bits = worst.bits();
-            let plan = match SlotCodec::max_slots(ctx.params.keysize, slot_bits) {
-                // One slot is the whole plaintext.
-                0 | 1 => SlotPlan::whole_plaintext(ctx.params.keysize),
-                slots => SlotPlan { slot_bits, slots },
-            };
-            SlotCodec::with_offset(plan.slot_bits, plan.slots, bound_bits)
-        })
-        .collect();
-    let jobs: Vec<(usize, &[Ciphertext])> = groups
-        .iter()
-        .enumerate()
-        .flat_map(|(g, &(cts, _))| cts.chunks(codecs[g].slots()).map(move |c| (g, c)))
-        .collect();
-
-    // Offset every scalar into non-negative range, then shift-add each
-    // chunk into one packed ciphertext (`Σ (cᵢ + [2^b]) · 2^(w·i)`).
-    let packed: Vec<Ciphertext> = pivot_runtime::global().map(threads, &jobs, |&(g, chunk)| {
-        let codec = &codecs[g];
-        let enc_off = ctx.pk.encrypt_trivial(&codec.offset());
-        let shifted: Vec<Ciphertext> = chunk.iter().map(|c| ctx.pk.add(c, &enc_off)).collect();
-        let weights: Vec<BigUint> = (0..chunk.len()).map(|i| codec.shift_factor(i)).collect();
-        vector::dot_plain(&ctx.pk, &shifted, &weights)
-    });
-    ctx.counters.add(Counter::CiphertextOps, 2 * total as u64);
-
-    let layouts: Vec<(&SlotCodec, usize)> = jobs
-        .iter()
-        .map(|&(g, chunk)| (&codecs[g], chunk.len()))
+        .map(|&(g, used)| (&packed.codecs[g], used))
         .collect();
     let mut out: Vec<Vec<Share>> = groups
         .iter()
         .map(|(cts, _)| Vec::with_capacity(cts.len()))
         .collect();
-    for (shares, &(g, _)) in masked_shares(ctx, &packed, &layouts).into_iter().zip(&jobs) {
+    for (shares, &(g, _)) in masked_shares(ctx, &packed.cts, &layouts)
+        .into_iter()
+        .zip(&packed.layout)
+    {
         out[g].extend(shares);
     }
     out

@@ -10,12 +10,19 @@
 //! partial decryptions run in pairs, two ciphertexts per interleaved ladder
 //! of the share's exponent; the combination pays one modular inversion for
 //! the whole batch, where a ciphertext on its own would pay one each.
+//!
+//! A decryption is paid per *ciphertext*, so scalars whose magnitude is
+//! bounded ride it packed: `pack_scalars` offsets each scalar into
+//! non-negative range and shift-adds as many as an audited slot holds
+//! into one ciphertext. Algorithm 2 packs with its masks' headroom
+//! (`crate::conversion`), Algorithm 4 opens its predictions with none
+//! (`joint_decrypt_signed`): `⌈t/slots⌉` decryptions for `t` values.
 
+use crate::config::SlotPlan;
 use crate::party::PartyContext;
 use pivot_bignum::BigUint;
-use pivot_paillier::batch;
 use pivot_paillier::threshold::PartialDecryption;
-use pivot_paillier::Ciphertext;
+use pivot_paillier::{batch, vector, Ciphertext, SlotCodec};
 use pivot_trace::Counter;
 
 /// Jointly decrypt a batch of ciphertexts; all clients learn the plaintexts.
@@ -38,4 +45,88 @@ pub fn joint_decrypt_vec(ctx: &mut PartyContext<'_>, cts: &[Ciphertext]) -> Vec<
         .map(|idx| all.iter().map(|per_party| per_party[idx].clone()).collect())
         .collect();
     ctx.combiner.combine_batch(&per_ct, threads)
+}
+
+/// Scalar ciphertexts shift-added into packed ones by [`pack_scalars`].
+pub(crate) struct PackedScalars {
+    /// One audited codec per group; its offset is the group's `2^bound`.
+    pub codecs: Vec<SlotCodec>,
+    /// Per packed ciphertext: its group and how many scalars it holds.
+    pub layout: Vec<(usize, usize)>,
+    pub cts: Vec<Ciphertext>,
+}
+
+/// Pack every group's scalar ciphertexts under one audited slot width per
+/// group. Group `(cts, bound_bits)` promises plaintexts of signed
+/// magnitude below `2^bound_bits` (negatives encoded as `N − |x|`,
+/// including any mod-p slack they carry); `headroom` is what the slot must
+/// hold on top of the offset value before it is opened.
+///
+/// Slot audit: a slot accumulates `x + 2^bound_bits` — the signedness
+/// offset is applied homomorphically *before* the shift-add, so a negative
+/// encoding never borrows from a neighbour slot — plus the headroom; the
+/// slot width is the bit length of that worst case. A width the keysize
+/// admits once is a one-slot group whose slot is the whole plaintext.
+/// Chunks are group-major, in order.
+pub(crate) fn pack_scalars(
+    ctx: &mut PartyContext<'_>,
+    groups: &[(&[Ciphertext], u32)],
+    headroom: &BigUint,
+) -> PackedScalars {
+    let codecs: Vec<SlotCodec> = groups
+        .iter()
+        .map(|&(_, bound_bits)| {
+            let worst = &BigUint::pow2(bound_bits + 1) + headroom;
+            let slot_bits = worst.bits();
+            let plan = match SlotCodec::max_slots(ctx.params.keysize, slot_bits) {
+                0 | 1 => SlotPlan::whole_plaintext(ctx.params.keysize),
+                slots => SlotPlan { slot_bits, slots },
+            };
+            SlotCodec::with_offset(plan.slot_bits, plan.slots, bound_bits)
+        })
+        .collect();
+    let jobs: Vec<(usize, &[Ciphertext])> = groups
+        .iter()
+        .enumerate()
+        .flat_map(|(g, &(cts, _))| cts.chunks(codecs[g].slots()).map(move |c| (g, c)))
+        .collect();
+
+    // `Σ (cᵢ + [2^b]) · 2^(w·i)` per chunk.
+    let cts: Vec<Ciphertext> =
+        pivot_runtime::global().map(ctx.crypto_threads(), &jobs, |&(g, chunk)| {
+            let codec = &codecs[g];
+            let enc_off = ctx.pk.encrypt_trivial(&codec.offset());
+            let shifted: Vec<Ciphertext> = chunk.iter().map(|c| ctx.pk.add(c, &enc_off)).collect();
+            let weights: Vec<BigUint> = (0..chunk.len()).map(|i| codec.shift_factor(i)).collect();
+            vector::dot_plain(&ctx.pk, &shifted, &weights)
+        });
+    let total: usize = groups.iter().map(|(cts, _)| cts.len()).sum();
+    ctx.counters.add(Counter::CiphertextOps, 2 * total as u64);
+    PackedScalars {
+        codecs,
+        layout: jobs.iter().map(|&(g, chunk)| (g, chunk.len())).collect(),
+        cts,
+    }
+}
+
+/// Jointly decrypt scalars of signed magnitude below `2^bound_bits`,
+/// packed: one decryption per [`pack_scalars`] ciphertext, with no
+/// headroom (nothing is added before the opening). Returns the signed
+/// values in order; `bound_bits` must stay below 127.
+pub(crate) fn joint_decrypt_signed(
+    ctx: &mut PartyContext<'_>,
+    cts: &[Ciphertext],
+    bound_bits: u32,
+) -> Vec<i128> {
+    assert!(bound_bits < 127, "a {bound_bits}-bit bound exceeds i128");
+    let packed = pack_scalars(ctx, &[(cts, bound_bits)], &BigUint::zero());
+    let codec = &packed.codecs[0];
+    let offset = 1i128 << bound_bits;
+    let opened = joint_decrypt_vec(ctx, &packed.cts);
+    opened
+        .iter()
+        .zip(&packed.layout)
+        .flat_map(|(plaintext, &(_, used))| codec.unpack(plaintext, used))
+        .map(|slot| slot.to_u128().expect("an audited slot fits u128") as i128 - offset)
+        .collect()
 }

@@ -25,7 +25,7 @@ use crate::config::LabelSource;
 use crate::conversion::{packed_share_conversion_groups, share_rows_to_ciphers};
 use crate::masks::initial_mask;
 use crate::party::PartyContext;
-use crate::predict_basic::{leaf_values, predict_batch_encrypted};
+use crate::predict_basic::{leaf_values, predict_batch_encrypted, prediction_bound_bits};
 use crate::stats::PackedChunking;
 use crate::train_basic::train_from_roots;
 use crate::train_basic::NodeMask;
@@ -213,12 +213,6 @@ fn train_residual_trees(
     trees
 }
 
-/// Magnitude bound, in bits, on one tree's encrypted prediction: a signed
-/// fixed-point leaf value (`ciphers_to_shares` demands the same of it).
-fn prediction_bound_bits(ctx: &PartyContext<'_>) -> u32 {
-    ctx.engine.cfg.int_bits - 1
-}
-
 /// Algorithm 4 over every tree of `groups` in ONE ring pass, one output
 /// per group — the sum of its trees' predictions, zero-weighted over the
 /// other groups' leaves — converted to shares in one exchange and shrunk by
@@ -245,13 +239,12 @@ fn group_scores(
         })
         .collect();
     let sums = predict_batch_encrypted(ctx, &trees, &outputs, local_samples);
-    // A sum of W predictions: ⌈log₂ W⌉ bits above one of them.
     let bounded: Vec<(&[Ciphertext], u32)> = sums
         .iter()
         .zip(groups)
         .map(|(cts, group)| {
-            let carry = group.len().next_power_of_two().trailing_zeros();
-            (cts.as_slice(), prediction_bound_bits(ctx) + carry)
+            let bound = prediction_bound_bits(ctx, group.len(), Task::Regression);
+            (cts.as_slice(), bound)
         })
         .collect();
     let shares = packed_share_conversion_groups(ctx, &bounded).concat();

@@ -3,6 +3,9 @@
 //! `[η]` in a round-robin ring, the first client dot-products it with the
 //! leaf-label vector `z`, and the result is jointly decrypted. Nothing but
 //! the final prediction is revealed — in particular, not the path taken.
+//! A prediction is a class index or a fixed-point sum of known magnitude,
+//! so the `t` of a batch open packed (`crate::decrypt::joint_decrypt_signed`):
+//! `⌈t/slots⌉` joint decryptions instead of `t`, the same values.
 //!
 //! # Leaves concatenate
 //!
@@ -20,7 +23,7 @@
 //! K outputs, each zero outside its tree. This function is the only place
 //! the ring runs.
 
-use crate::decrypt::joint_decrypt_vec;
+use crate::decrypt::joint_decrypt_signed;
 use crate::masks::encode_signed;
 use crate::party::PartyContext;
 use crate::verify;
@@ -42,8 +45,8 @@ pub fn predict_batch(
 }
 
 /// Algorithm 4 in full for the *sum* of the trees' predictions — one ring
-/// pass, one output, one joint decryption. A single tree is the one-tree
-/// sum.
+/// pass, one output, one packed joint decryption. A single tree is the
+/// one-tree sum.
 pub fn predict_sum_batch(
     ctx: &mut PartyContext<'_>,
     trees: &[&DecisionTree],
@@ -52,11 +55,26 @@ pub fn predict_sum_batch(
     let task = ctx.current_task();
     let z = leaf_values(ctx, trees, task);
     let enc = predict_batch_encrypted(ctx, trees, &[z], local_samples).remove(0);
-    let opened = joint_decrypt_vec(ctx, &enc);
-    opened
-        .iter()
-        .map(|v| decode_prediction(ctx, v, task))
+    let bound_bits = prediction_bound_bits(ctx, trees.len(), task);
+    let scale = match task {
+        Task::Classification { .. } => 1.0,
+        Task::Regression => (1u64 << ctx.engine.cfg.frac_bits) as f64,
+    };
+    joint_decrypt_signed(ctx, &enc, bound_bits)
+        .into_iter()
+        .map(|v| v as f64 / scale)
         .collect()
+}
+
+/// Magnitude bound, in bits, on the sum of `trees` trees' encrypted
+/// predictions: one prediction is a class index or a signed fixed-point
+/// leaf value, and a sum of `T` of them has `⌈log₂ T⌉` bits more.
+pub(crate) fn prediction_bound_bits(ctx: &PartyContext<'_>, trees: usize, task: Task) -> u32 {
+    let one = match task {
+        Task::Classification { classes } => classes.next_power_of_two().trailing_zeros().max(1),
+        Task::Regression => ctx.engine.cfg.int_bits - 1,
+    };
+    one + trees.next_power_of_two().trailing_zeros()
 }
 
 /// The leaf values of `trees`, concatenated in the order the ring carries
@@ -262,19 +280,4 @@ pub fn predict_batch_encrypted(
         .iter()
         .map(|_| flat_outputs.by_ref().take(n_samples).collect())
         .collect()
-}
-
-/// Decode a decrypted prediction.
-fn decode_prediction(ctx: &PartyContext<'_>, v: &BigUint, task: Task) -> f64 {
-    match task {
-        Task::Classification { .. } => v.to_u64().expect("class index fits u64") as f64,
-        Task::Regression => {
-            let signed = if v > ctx.pk.half_n() {
-                -((ctx.pk.n() - v).to_u64().expect("bounded") as f64)
-            } else {
-                v.to_u64().expect("bounded") as f64
-            };
-            signed / (1u64 << ctx.engine.cfg.frac_bits) as f64
-        }
-    }
 }

@@ -129,7 +129,7 @@ impl LevelPass for PaillierPass {
         // A lone slot is the whole plaintext: no neighbour for the slack
         // to carry into.
         if self.eqn10_masks && depth > 0 && self.codec.slots() > 1 {
-            crate::train_enhanced::refresh_masks(ctx, masks);
+            crate::train_enhanced::refresh_masks(ctx, layout, masks);
         }
         let per_node: Vec<PackedStats> = {
             let _stats = pivot_trace::phase_span(&ctx.counters, "stats");

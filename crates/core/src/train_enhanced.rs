@@ -20,7 +20,9 @@
 //! its pass runs before a multi-slot level.
 
 use crate::config::{LabelSource, Protocol};
-use crate::conversion::{ciphers_to_shares, packed_share_conversion, shares_to_ciphers};
+use crate::conversion::{
+    packed_share_conversion, packed_share_conversion_groups, shares_to_ciphers,
+};
 use crate::gain::{concealed_columns_batch, reveal_blocks_batch};
 use crate::gain::{NodeShares, NodeTotals};
 use crate::masks::{initial_mask, Sides};
@@ -120,11 +122,17 @@ fn split_lengths<T>(flat: Vec<T>, lens: impl IntoIterator<Item = usize>) -> Vec<
 /// enhanced keysize floor). The slot-width audit budgets only the linear
 /// `m·p` bound, so the Paillier pass linearizes the slack of the masks a
 /// multi-slot level reads below the root: one batched share round-trip
-/// re-encrypts them as plain share sums. Values are untouched mod p, so
-/// the trained tree is unaffected; a slot that is the whole plaintext
-/// needs no refresh, and neither does a mask only the next Eqn-10 update
-/// reads (its conversion budgets the quadratic bound).
-pub(crate) fn refresh_masks(ctx: &mut PartyContext<'_>, masks: &mut [&mut NodeMask]) {
+/// re-encrypts them as plain share sums. The conversion packs under the
+/// Eqn-10 bound, as the update's does — `⌈n/s⌉` decryptions and `n`
+/// re-encryptions for `n` samples in `s` slots. Values are untouched mod
+/// p, so the trained tree is unaffected; a slot that is the whole
+/// plaintext needs no refresh, and neither does a mask only the next
+/// Eqn-10 update reads (its conversion budgets the quadratic bound).
+pub(crate) fn refresh_masks(
+    ctx: &mut PartyContext<'_>,
+    layout: &SplitLayout,
+    masks: &mut [&mut NodeMask],
+) {
     let _conv = pivot_trace::phase_span(&ctx.counters, "conversion");
     let lens: Vec<usize> = masks
         .iter_mut()
@@ -134,7 +142,7 @@ pub(crate) fn refresh_masks(ctx: &mut PartyContext<'_>, masks: &mut [&mut NodeMa
         .iter_mut()
         .flat_map(|mask| mask.alpha_mut().drain(..))
         .collect();
-    let shares = ciphers_to_shares(ctx, &flat);
+    let shares = packed_share_conversion(ctx, &flat, eqn10_alpha_bound_bits(ctx, layout));
     let fresh = split_lengths(shares_to_ciphers(ctx, &shares), lens);
     for (mask, alpha) in masks.iter_mut().zip(fresh) {
         *mask.alpha_mut() = alpha;
@@ -221,24 +229,37 @@ impl Disclosure<PaillierPass> for Conceal {
         // every survivor's mask, then per-node masked products (the sides
         // wanted share one gather round).
         let _update = pivot_trace::phase_span(&ctx.counters, "update");
-        let (slots, masks): (Vec<usize>, Vec<Option<NodeMask>>) = survivors
+        let (slots, masks): (Vec<usize>, Vec<(bool, Option<NodeMask>)>) = survivors
             .into_iter()
-            .map(|s| (s.node.slot, s.node.mask))
+            .map(|s| (s.node.slot, (s.node.totals.is_none(), s.node.mask)))
             .unzip();
         let child_alphas: Vec<Selected> = if wanted.any() {
-            let mut lens = Vec::with_capacity(masks.len());
-            let mut flat: Vec<Ciphertext> = Vec::new();
-            for mask in masks {
+            // A root's `[α]` is `initial_mask`'s fresh 0/1 encryption and
+            // converts at bound 1; every other mask is an Eqn-10 product
+            // and converts under its slack bound — which needs ~2·61-bit
+            // slots, so it packs only at large keysizes and is a one-slot
+            // group below them.
+            let mut flat: [Vec<Ciphertext>; 2] = Default::default();
+            let mut nodes = Vec::with_capacity(masks.len());
+            for (root, mask) in masks {
                 let mask = mask.expect("a node whose children read a mask holds one");
                 let alpha = mask.into_alpha();
-                lens.push(alpha.len());
-                flat.extend(alpha);
+                nodes.push((usize::from(root), alpha.len()));
+                flat[usize::from(root)].extend(alpha);
             }
-            // Packed under the Eqn-10 slack bound: only pays off at large
-            // keysizes (the quadratic slack needs ~2·61-bit slots); below
-            // them it is a one-slot group.
-            let shares = packed_share_conversion(ctx, &flat, eqn10_alpha_bound_bits(ctx, layout));
-            split_lengths(shares, lens)
+            let groups = [
+                (flat[0].as_slice(), eqn10_alpha_bound_bits(ctx, layout)),
+                (flat[1].as_slice(), 1),
+            ];
+            let mut converted: Vec<_> = packed_share_conversion_groups(ctx, &groups)
+                .into_iter()
+                .map(Vec::into_iter)
+                .collect();
+            let alpha_shares: Vec<Vec<Share>> = nodes
+                .iter()
+                .map(|&(group, len)| converted[group].by_ref().take(len).collect())
+                .collect();
+            alpha_shares
                 .iter()
                 .zip(&selections)
                 .zip(&blocks)
@@ -390,4 +411,66 @@ fn encode_threshold(ctx: &PartyContext<'_>, threshold: f64) -> BigUint {
     );
     let with_offset = scaled + (1u64 << off_bits) as f64;
     BigUint::from_u64(with_offset as u64)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::PivotParams;
+    use crate::decrypt::joint_decrypt_vec;
+    use pivot_data::{partition_vertically, Dataset, Task};
+    use pivot_transport::run_parties;
+
+    #[test]
+    fn refresh_converts_at_the_eqn10_width() {
+        // m = 3 at keysize 512, b = 8 candidates: the Eqn-10 bound
+        // (m·p)²·b has 129 bits, a slot holds it plus the offset and three
+        // masks in 131, three slots per ciphertext. Every mask plaintext is
+        // α + K·p with the largest K the bound admits.
+        let params = PivotParams {
+            keysize: 512,
+            ..Default::default()
+        };
+        let (m, n) = (3, 10);
+        let layout = SplitLayout::from_counts(vec![vec![8]; m]);
+        let alpha: Vec<u64> = (0..n).map(|j| u64::from(j % 3 == 0)).collect();
+        let data = Dataset::new(
+            vec![vec![0.0; m]; 2],
+            vec![0.0, 1.0],
+            Task::Classification { classes: 2 },
+        );
+        let partition = partition_vertically(&data, m, 0);
+        let p = BigUint::from_u128(Fp::share_sum_bound(1));
+        let results = run_parties(m, |ep| {
+            let mut ctx =
+                PartyContext::setup(&ep, partition.views[ep.id()].clone(), params.clone());
+            let bound = eqn10_alpha_bound_bits(&ctx, &layout);
+            assert_eq!(bound, 129);
+            let cts: Vec<Ciphertext> = alpha
+                .iter()
+                .map(|&a| {
+                    let top = &BigUint::pow2(bound) - &BigUint::from_u64(a + 1);
+                    let k = &top / &p;
+                    let value = &(&k * &p) + &BigUint::from_u64(a);
+                    assert!(value.bits() <= bound && (&value + &p).bits() > bound);
+                    ctx.pk.encrypt_trivial(&value)
+                })
+                .collect();
+            let before = ctx.counters.snapshot();
+            let mut mask = NodeMask::Alpha(cts);
+            refresh_masks(&mut ctx, &layout, &mut [&mut mask]);
+            let after = ctx.counters.snapshot();
+            let paid = |c: Counter| after[c] - before[c];
+            assert_eq!(paid(Counter::ThresholdDecryptions), 4, "⌈10/3⌉ decryptions");
+            assert_eq!(paid(Counter::Encryptions), 4 + 10, "masks, then shares");
+            joint_decrypt_vec(&mut ctx, &mask.into_alpha())
+        });
+        let share_sum = BigUint::from_u128(Fp::share_sum_bound(m));
+        for opened in &results {
+            for (j, (v, &a)) in opened.iter().zip(&alpha).enumerate() {
+                assert!(v < &share_sum, "sample {j}: slack beyond m·p");
+                assert_eq!(v.rem_of(&p), BigUint::from_u64(a), "sample {j}");
+            }
+        }
+    }
 }

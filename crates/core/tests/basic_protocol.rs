@@ -3,10 +3,11 @@
 //! candidate splits, same gain ordering), and distributed prediction must
 //! match centralized prediction on the released model.
 
+use pivot_core::ensemble::{predict_rf_batch, RfModel};
 use pivot_core::{config::PivotParams, party::PartyContext, predict_basic, train_basic, Counter};
 use pivot_data::{partition_vertically, synth, Dataset, Task};
 use pivot_transport::run_parties;
-use pivot_trees::{train_tree, DecisionTree, TreeParams};
+use pivot_trees::{train_tree, DecisionTree, Node, TreeParams};
 
 /// Train with the basic protocol over `m` threads; returns per-party trees.
 fn pivot_train(data: &Dataset, m: usize, params: &PivotParams) -> Vec<DecisionTree> {
@@ -475,5 +476,119 @@ fn a_root_without_candidate_splits_is_the_majority_leaf() {
         for tree in pivot_train(&data, 3, &params) {
             assert_eq!(tree, reference, "packing {:?}", params.packing);
         }
+    }
+}
+
+/// A complete tree in heap order: internal node `i` splits on
+/// `splits[i]` and has children `2i + 1`, `2i + 2`; the leaves follow.
+fn complete_tree(splits: &[(usize, f64)], leaves: &[f64], task: Task) -> DecisionTree {
+    assert_eq!(leaves.len(), splits.len() + 1);
+    let mut nodes: Vec<Node> = splits
+        .iter()
+        .enumerate()
+        .map(|(i, &(feature, threshold))| Node::Internal {
+            feature,
+            threshold,
+            left: 2 * i + 1,
+            right: 2 * i + 2,
+        })
+        .collect();
+    nodes.extend(leaves.iter().map(|&value| Node::Leaf { value }));
+    DecisionTree::new(nodes, 0, task)
+}
+
+/// Algorithm 4 over `t` samples of three features, one per party: every
+/// party's predictions and the joint decryptions `predict` paid.
+fn packed_opening(
+    task: Task,
+    t: usize,
+    predict: impl Fn(&mut PartyContext<'_>, &[Vec<f64>]) -> Vec<f64> + Sync,
+) -> (Vec<Vec<f64>>, Vec<(Vec<f64>, u64)>) {
+    let samples: Vec<Vec<f64>> = (0..t)
+        .map(|i| {
+            vec![
+                (i * 7 % 11) as f64,
+                (i * 5 % 13) as f64 - 6.0,
+                (i % 4) as f64,
+            ]
+        })
+        .collect();
+    let data = Dataset::new(samples.clone(), vec![0.0; t], task);
+    let m = 3;
+    let partition = partition_vertically(&data, m, 0);
+    let results = run_parties(m, |ep| {
+        let view = partition.views[ep.id()].clone();
+        let local = view.features.clone();
+        let mut ctx = PartyContext::setup(&ep, view, small_params(TreeParams::default()));
+        let before = ctx.counters.get(Counter::ThresholdDecryptions);
+        let preds = predict(&mut ctx, &local);
+        let paid = ctx.counters.get(Counter::ThresholdDecryptions) - before;
+        (preds, paid)
+    });
+    (samples, results)
+}
+
+#[test]
+fn predictions_open_packed() {
+    // Keysize 128 and t = 33: a slot holds a value below 2^b plus the
+    // offset 2^b in b + 2 bits, ⌊127/(b + 2)⌋ slots a ciphertext — 31 for
+    // three classes (b = 2), 2 for one regression tree's fixed-point leaf
+    // (b = int_bits − 1 = 44) and for the sum of three (b = 46) — so every
+    // case ends on a partial ciphertext.
+    let t = 33;
+    let splits = [(0, 5.0), (1, 0.0), (2, 1.5)];
+    let classes = Task::Classification { classes: 3 };
+    let classifier = complete_tree(&splits, &[0.0, 2.0, 1.0, 2.0], classes);
+    let (samples, results) = packed_opening(classes, t, |ctx, local| {
+        predict_basic::predict_batch(ctx, &classifier, local)
+    });
+    for (preds, paid) in &results {
+        assert_eq!(preds, &classifier.predict_batch(&samples));
+        assert_eq!(*paid, 2, "⌈33/31⌉");
+    }
+
+    let regressor = complete_tree(&splits, &[-1.2345678, 3.3, -0.75, 1e-3], Task::Regression);
+    let (samples, results) = packed_opening(Task::Regression, t, |ctx, local| {
+        predict_basic::predict_batch(ctx, &regressor, local)
+    });
+    let one_ulp = 1.0 / (1u64 << 20) as f64;
+    for (preds, paid) in &results {
+        let plain = regressor.predict_batch(&samples);
+        assert!(plain.iter().any(|&v| v < 0.0), "negative leaves reached");
+        for (p, q) in preds.iter().zip(&plain) {
+            assert!((p - q).abs() <= one_ulp, "{p} vs {q}");
+        }
+        assert_eq!(*paid, 17, "⌈33/2⌉");
+    }
+
+    let forest = RfModel {
+        trees: vec![
+            regressor.clone(),
+            complete_tree(&[(2, 0.5)], &[-2.5, 1.75], Task::Regression),
+            complete_tree(&[(1, 2.0)], &[0.3, -4.2], Task::Regression),
+        ],
+    };
+    let (samples, results) = packed_opening(Task::Regression, t, |ctx, local| {
+        predict_rf_batch(ctx, &forest, local)
+    });
+    for (preds, paid) in &results {
+        for (i, (p, sample)) in preds.iter().zip(&samples).enumerate() {
+            let mean = forest
+                .trees
+                .iter()
+                .map(|tree| tree.predict(sample))
+                .sum::<f64>()
+                / 3.0;
+            assert!((p - mean).abs() <= one_ulp, "sample {i}: {p} vs {mean}");
+        }
+        assert_eq!(*paid, 17, "⌈33/2⌉");
+    }
+
+    let (_, results) = packed_opening(Task::Regression, t, |ctx, _| {
+        predict_basic::predict_batch(ctx, &regressor, &[])
+    });
+    for (preds, paid) in &results {
+        assert!(preds.is_empty());
+        assert_eq!(*paid, 0);
     }
 }

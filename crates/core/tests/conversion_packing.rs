@@ -244,3 +244,44 @@ fn share_sum_statistics_convert_at_the_audited_bound() {
         assert_eq!(open(&results, slot), expect[slot % 3], "slot {slot}");
     }
 }
+
+#[test]
+fn eqn10_masks_convert_at_the_audited_bound() {
+    // The mask refresh's worst case: an Eqn-10 mask α' = Σ ⟨α⟩ᵢ·[v] with
+    // every share below p and the PIR-selected [v] a b-term sum of λs of
+    // slack below m·p, so α' < (m·p)²·b — 129 bits at m = 3, b = 8. Each
+    // plaintext is α + K·p with the largest K below that bound; a slot
+    // adds the 2^129 offset and three masks below p (131 bits), three
+    // slots at keysize 512, so n = 10 masks pay ⌈10/3⌉ = 4 decryptions.
+    let params = PivotParams {
+        keysize: 512,
+        ..Default::default()
+    };
+    let (m, n, b) = (3, 10, 8u64);
+    let p = BigUint::from_u64(MODULUS);
+    let m_p = BigUint::from_u128(Fp::share_sum_bound(m));
+    let bound = (&(&m_p * &m_p) * &BigUint::from_u64(b)).bits();
+    assert_eq!(bound, 129);
+    let alpha: Vec<u64> = (0..n).map(|j| u64::from(j % 3 == 0)).collect();
+    let values: Vec<BigUint> = alpha
+        .iter()
+        .map(|&a| {
+            let k = &(&BigUint::pow2(bound) - &BigUint::from_u64(a + 1)) / &p;
+            &(&k * &p) + &BigUint::from_u64(a)
+        })
+        .collect();
+    for v in &values {
+        assert!(v.bits() <= bound && (v + &p).bits() > bound, "largest K");
+    }
+    let results = run_parties(m, |ep| {
+        let view = toy_view(ep.id(), m);
+        let mut ctx = PartyContext::setup(&ep, view, params.clone());
+        let cts: Vec<_> = values.iter().map(|v| ctx.pk.encrypt_trivial(v)).collect();
+        let shares = packed_share_conversion(&mut ctx, &cts, bound);
+        assert_eq!(ctx.counters.get(Counter::ThresholdDecryptions), 4);
+        shares
+    });
+    for (j, &a) in alpha.iter().enumerate() {
+        assert_eq!(open(&results, j), Fp::new(a), "mask {j}");
+    }
+}

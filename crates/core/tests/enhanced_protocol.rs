@@ -294,7 +294,8 @@ fn packed_enhanced_predicts_like_unpacked() {
     }
     // Packing cuts the pooled split-statistics ciphertext volume. (Total
     // decryptions are scale-dependent here: the per-level slack refresh
-    // costs 2n conversions per node, which only amortizes once
+    // costs ⌈n/s⌉ decryptions plus n re-encryptions per node, `s` the
+    // Eqn-10 slots a ciphertext holds, which only amortizes once
     // total·stride ≫ n — see the packing baseline scenario.)
     assert!(
         p_stats < u_stats,
