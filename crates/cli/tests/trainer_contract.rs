@@ -209,6 +209,33 @@
 //!     ciphertexts the root conversion no longer sends; prediction's bytes
 //!     are outside the pinned training column.
 //!
+//!     The bytes and messages columns of the basic and random-forest rows
+//!     were re-recorded when every Pivot-Basic tree began to carry its
+//!     label stride from the root, as GBDT trees do. The super client
+//!     encrypts each sample's stride `(α, γ₁, γ₂)` once per tree — one
+//!     packed ciphertext per sample at keysize 256, the `n` encryptions
+//!     the root's `[α]` cost before — and no longer broadcasts `n` label
+//!     ciphertexts (a `mul_plain` and a rerandomisation each) at every
+//!     statistics pass: 1 / 2 / 4 passes at `h` = 1 / 2 / 3, and one per
+//!     tree and pass in a forest. The winner masks that one packed vector
+//!     where it masked `[α]`. Rounds, mults, comparisons, decryptions,
+//!     every enhanced and GBDT row, every prediction and every
+//!     `parent_training` pin (party 0's encryptions among them) are as
+//!     recorded before. Per party:
+//!
+//!     | row | `n` | train bytes, per party | train messages, per party |
+//!     |---|---|---|---|
+//!     | `basic-h1` | 48 | −6 944 / same / same | −2 / same / same |
+//!     | `basic-h2` | 29 | −8 412 / same / same | −4 / same / same |
+//!     | `basic-h3` | 48 | −27 770 / −16 / same | −8 / same / same |
+//!     | `rf-w1` | 60 | −17 342 / same / same | −4 / same / same |
+//!     | `rf-w4` | 60 | −69 370 / same / −4 | −16 / same / same |
+//!
+//!     Party 0 is the super client: two messages per pass fewer, one per
+//!     peer, and the `n` ciphertexts in each. The other parties' few bytes
+//!     are the winner's masked vectors, fresh ciphertexts of the same
+//!     values under other nonces, a few of which encode a byte shorter.
+//!
 //! Every protocol runs at three depths, because the mask rule differs at
 //! each: `max_depth = 1` (no mask update at all), `2` (left masks only —
 //! the depth of every benchmark workload) and `3` (right masks wanted at
@@ -283,7 +310,7 @@ const BASIC: [Case; 3] = [
         body: BASIC_NOISY,
         tree: DEPTH_1,
         golden: [
-            [46, 5288, 408, 20, 204706, 110],
+            [46, 5288, 408, 20, 197762, 108],
             [46, 5288, 408, 20, 190770, 104],
             [46, 5288, 408, 20, 190770, 104],
         ],
@@ -294,7 +321,7 @@ const BASIC: [Case; 3] = [
         body: BASIC_BODY,
         tree: DEPTH_2,
         golden: [
-            [87, 13206, 1114, 39, 492702, 202],
+            [87, 13206, 1114, 39, 484290, 198],
             [87, 13206, 1114, 39, 475890, 194],
             [87, 13206, 1114, 39, 475874, 194],
         ],
@@ -305,8 +332,8 @@ const BASIC: [Case; 3] = [
         body: BASIC_NOISY,
         tree: DEPTH_3,
         golden: [
-            [132, 31700, 2444, 77, 1170668, 306],
-            [132, 31700, 2444, 77, 1136018, 298],
+            [132, 31700, 2444, 77, 1142898, 298],
+            [132, 31700, 2444, 77, 1136002, 298],
             [132, 31700, 2444, 77, 1122162, 296],
         ],
         predictions: &[1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0],
@@ -475,7 +502,7 @@ const RF: [EnsembleCase; 2] = [
             body: rf_body!(1),
             tree: DEPTH_2_FLOOR,
             golden: [
-                [90, 15912, 1237, 46, 597004, 204],
+                [90, 15912, 1237, 46, 579662, 200],
                 [90, 15912, 1237, 46, 562290, 194],
                 [90, 15912, 1237, 46, 562226, 192],
             ],
@@ -491,9 +518,9 @@ const RF: [EnsembleCase; 2] = [
             body: rf_body!(4),
             tree: DEPTH_2_FLOOR,
             golden: [
-                [91, 63483, 4903, 160, 2374278, 248],
+                [91, 63483, 4903, 160, 2304908, 232],
                 [91, 63483, 4903, 160, 2235344, 208],
-                [91, 63483, 4903, 160, 2235424, 212],
+                [91, 63483, 4903, 160, 2235420, 212],
             ],
             predictions: &[
                 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0,

@@ -102,8 +102,8 @@ impl Verification {
 pub struct AdversarySpec {
     /// The tampering party.
     pub party: usize,
-    /// Which verification phase to tamper (`setup`, `label_masks`,
-    /// `stats`, `update`, `predict`).
+    /// Which verification phase to tamper (`setup`, `stats`, `update`,
+    /// `predict`).
     pub phase: String,
     /// Which committed ciphertext of that phase to tamper: a 0-based
     /// index into the party's *cumulative* commit stream for the phase
@@ -139,7 +139,7 @@ impl AdversarySpec {
             }
         }
         let phase = phase.ok_or_else(|| format!("adversary: missing phase= in {spec:?}"))?;
-        const PHASES: [&str; 5] = ["setup", "label_masks", "stats", "update", "predict"];
+        const PHASES: [&str; 4] = ["setup", "stats", "update", "predict"];
         if !PHASES.contains(&phase.as_str()) {
             return Err(format!(
                 "adversary: unknown phase {phase:?} (expected one of {PHASES:?})"
@@ -211,8 +211,9 @@ pub struct PivotParams {
     /// attach Σ-protocol proofs to every ciphertext commit and verify a
     /// deterministic fraction; a rejected proof raises
     /// `ProtocolError::ProofRejected` naming the prover. The proofs
-    /// cover one statistic per ciphertext: `Packing::Auto` is the one-slot
-    /// layout under verification and `Packing::Slots(_)` is rejected.
+    /// cover the basic protocol with one statistic per ciphertext:
+    /// `Packing::Auto` is the one-slot layout under verification, and
+    /// `Packing::Slots(_)` and `Protocol::Enhanced` are rejected.
     pub verification: Verification,
     /// Deterministic malicious-party injection for CI/testing; only
     /// meaningful with `verification` on.
@@ -374,6 +375,13 @@ impl PivotParams {
                     .into(),
             );
         }
+        if self.verification.is_on() && self.protocol == Protocol::Enhanced {
+            return Err(
+                "verification cannot run the enhanced protocol (its label vectors \
+                 and Eqn-10 updates carry no proofs)"
+                    .into(),
+            );
+        }
         if let Some(adv) = &self.adversary {
             if !self.verification.is_on() {
                 return Err(
@@ -506,6 +514,28 @@ mod tests {
         p.assert_valid_for(100, 3, ClassIndicators);
         let err = p.validate(100, 2, ClassIndicators).unwrap_err();
         assert!(err.contains("party 2 out of range"), "{err}");
+    }
+
+    #[test]
+    fn label_vectors_have_no_proof_phase_of_their_own() {
+        // A Basic tree commits its label vectors with the root stride at
+        // `setup`; only the enhanced protocol still builds them, unproved.
+        let err = AdversarySpec::parse("party 0 phase=label_masks index=17").unwrap_err();
+        assert!(err.contains("unknown phase"), "{err}");
+        assert!(AdversarySpec::parse("party 0 phase=setup index=17").is_ok());
+    }
+
+    #[test]
+    fn verification_rejects_the_enhanced_protocol() {
+        // Checked in `validate`, so a library caller that builds its own
+        // parameters cannot switch proofs on over unproved label vectors.
+        let mut p = PivotParams::enhanced();
+        p.assert_valid_for(100, 3, ClassIndicators);
+        for verification in [Verification::Spot(0.25), Verification::Full] {
+            p.verification = verification;
+            let err = p.validate(100, 3, ClassIndicators).unwrap_err();
+            assert!(err.contains("cannot run the enhanced protocol"), "{err}");
+        }
     }
 
     #[test]

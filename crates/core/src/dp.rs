@@ -12,12 +12,10 @@
 //! each query sees the value a pass of its own would give, and the
 //! released model is `B`-DP with `B = 2(h+1)·ε` (paper §9.2).
 
-use crate::config::{LabelSource, PivotParams, Protocol};
+use crate::config::{PivotParams, Protocol};
 use crate::gain::{leaf_label_shares_batch, NodeTotals};
-use crate::masks::initial_mask;
 use crate::party::PartyContext;
-use crate::train_basic::train_from_roots;
-use crate::train_basic::NodeMask;
+use crate::train_basic::train_from_masks;
 use pivot_data::Task;
 use pivot_mpc::dp::{exponential_mechanism, laplace_sample_vec};
 use pivot_mpc::{FixedConfig, Share};
@@ -144,9 +142,7 @@ pub fn train_dp(ctx: &mut PartyContext<'_>, dp: &DpParams) -> DecisionTree {
         "DP extends the basic protocol"
     );
     dp.validate(&ctx.params).unwrap_or_else(|e| panic!("{e}"));
-    let alpha = initial_mask(ctx, &vec![true; ctx.num_samples()]);
-    let codec = ctx.packing_codec(LabelSource::of_task(ctx.current_task()));
-    train_from_roots(ctx, vec![NodeMask::Alpha(alpha)], &codec, Some(*dp)).remove(0)
+    train_from_masks(ctx, &[vec![true; ctx.num_samples()]], Some(*dp)).remove(0)
 }
 
 #[cfg(test)]

@@ -192,7 +192,7 @@ fn train_residual_trees(
     let roots = residuals
         .iter()
         .map(|_| {
-            let alpha = initial_mask(ctx, &vec![true; n]);
+            let alpha = initial_mask(ctx, &vec![true; n], None).remove(0);
             let mut chunks: Vec<Vec<Ciphertext>> = encrypted
                 .clone()
                 .map(|_| sums.by_ref().take(n).collect())
@@ -208,7 +208,7 @@ fn train_residual_trees(
         })
         .collect();
     ctx.task_override = Some(Task::Regression);
-    let trees = train_from_roots(ctx, roots, codec, None);
+    let trees = train_from_roots(ctx, roots, LabelSource::ShareSums, None);
     ctx.task_override = None;
     trees
 }

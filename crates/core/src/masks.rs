@@ -3,13 +3,14 @@
 //!
 //! Every statistics pass reads one type, [`PackedLabels`]: per sample, the
 //! stride `(α_j, γ_1(j), …)` laid out in the slots of the run's
-//! `SlotCodec`, cut into chunks of at most `slots` values. There is one
-//! builder, [`compute_packed_label_masks`]. With one slot — the whole
-//! plaintext — every chunk is one vector of the stride and chunk 0 *is*
-//! `[α]`, which every party already holds. A GBDT node carries its whole
-//! stride in that layout already (`NodeMask::Carried`) and lends every
-//! chunk: its elements are share sums below `m·p`, which the slot-width
-//! audit budgets as their own label source (`LabelSource::ShareSums`).
+//! `SlotCodec`, cut into chunks of at most `slots` values. A Pivot-Basic
+//! node carries its stride (`NodeMask::Carried`, §7.2's route): the super
+//! client encrypts it once per tree at the root ([`initial_mask`]), and the
+//! winner masks every chunk with its split indicator. A GBDT node carries
+//! share sums below `m·p` instead, audited as their own label source
+//! (`LabelSource::ShareSums`). The enhanced protocol keeps `[α]` alone,
+//! because Eqn 10 updates α alone, so its super client rebuilds the stride
+//! at every pass ([`compute_packed_label_masks`]).
 //!
 //! Classification: one vector per class `k` with `γ_k = β_k ⊙ α`.
 //! Regression: `γ_1 = (y+1) ⊙ α` and `γ_2 = (y+1)² ⊙ α` — labels are
@@ -20,6 +21,7 @@
 //! "Scale discipline"); the offset is removed linearly after share
 //! conversion ([`crate::gain::node_shares_from_packed`]).
 
+use crate::config::LabelSource;
 use crate::party::PartyContext;
 use crate::stats::PackedChunking;
 use crate::train_basic::NodeMask;
@@ -77,25 +79,35 @@ impl<T> Sides<Option<T>> {
     }
 }
 
-/// Fresh root mask: `[α] = ([1], …, [1])` — all samples on the root
-/// (encrypted 0/1 per the given plaintext mask for ensemble bootstraps).
-///
-/// The super client encrypts and broadcasts so **every party holds the
+/// A tree's root, encrypted once: the super client encrypts it, proves it
+/// with popk under `setup` and broadcasts it, so **every party holds the
 /// identical ciphertexts** — a hard protocol invariant: joint threshold
 /// decryption combines partial decryptions of what must be one ciphertext.
-/// Timed as the `update` phase, the mask's first value: callers hold no
-/// phase span.
-pub fn initial_mask(ctx: &mut PartyContext<'_>, included: &[bool]) -> Vec<Ciphertext> {
+///
+/// Per chunk of the `stride` plan, each sample's packed stride (the plan's
+/// multipliers) times its 0/1 inclusion bit, chunk-major — a Pivot-Basic
+/// root. Without a plan, one chunk: the mask `[α]` of the bits (the
+/// enhanced root, and the α slot of a GBDT root). Timed as the `update`
+/// phase, the root's first value: callers hold no phase span.
+pub(crate) fn initial_mask(
+    ctx: &mut PartyContext<'_>,
+    included: &[bool],
+    stride: Option<&PackedLabelPlan>,
+) -> Vec<Vec<Ciphertext>> {
     let _update = pivot_trace::phase_span(&ctx.counters, "update");
+    let n = included.len();
     let (cts, bundle) = if ctx.is_super_client() {
-        let values: Vec<BigUint> = included
-            .iter()
-            .map(|&b| BigUint::from_u64(u64::from(b)))
+        let multipliers =
+            stride.map_or_else(|| vec![vec![BigUint::one(); n]], |p| p.multipliers(ctx));
+        let values: Vec<BigUint> = multipliers
+            .into_iter()
+            .flatten()
+            .zip(included.iter().cycle())
+            .map(|(x, &b)| if b { x } else { BigUint::zero() })
             .collect();
         verify::scrub_witnesses(ctx);
         let mut cts = batch::encrypt_batch(&ctx.pk, &values, &ctx.nonces, ctx.crypto_threads());
-        ctx.counters
-            .add(Counter::Encryptions, included.len() as u64);
+        ctx.counters.add(Counter::Encryptions, values.len() as u64);
         let bundle = verify::prove_popk(ctx, "setup", &mut cts, &values);
         ctx.ep.broadcast(&cts);
         (cts, bundle)
@@ -103,7 +115,11 @@ pub fn initial_mask(ctx: &mut PartyContext<'_>, included: &[bool]) -> Vec<Cipher
         (ctx.ep.recv(ctx.super_client), None)
     };
     verify::check_popk(ctx, "setup", ctx.super_client, &cts, bundle);
-    cts
+    let chunks = cts.len() / n;
+    let mut cts = cts.into_iter();
+    (0..chunks)
+        .map(|_| cts.by_ref().take(n).collect())
+        .collect()
 }
 
 /// The label vectors of one node: per chunk of the stride, one ciphertext
@@ -112,8 +128,8 @@ pub fn initial_mask(ctx: &mut PartyContext<'_>, included: &[bool]) -> Vec<Cipher
 /// move: the packing factor divides the per-split ciphertext work).
 pub struct PackedLabels<'a> {
     /// `chunks[c][sample]` — slots `c·chunk_width …` of the stride.
-    /// Borrowed where the node already holds the vector (`[α]` in the
-    /// one-slot layout; every chunk of the stride a GBDT node carries).
+    /// Borrowed where the node already holds the vector (every chunk of a
+    /// carried stride; an enhanced node's `[α]` at one slot).
     pub chunks: Vec<Cow<'a, [Ciphertext]>>,
     pub chunking: PackedChunking,
     pub samples: usize,
@@ -121,69 +137,76 @@ pub struct PackedLabels<'a> {
     pub offset_encoded: bool,
 }
 
-/// The per-sample packed label multipliers `Σ_k β_k(j)·2^(w·k)` — fixed
-/// for a whole training run (they depend only on the labels, task and
-/// codec), so [`plan_packed_labels`] builds them once and every node
-/// reuses the table. Non-super clients carry no multipliers; they only
-/// receive the broadcast ciphertexts.
-pub struct PackedLabelPlan {
-    pub chunking: PackedChunking,
-    /// `multipliers[chunk][sample]`, at the super client of a tree whose
-    /// label vectors it derives.
-    multipliers: Option<Vec<Vec<BigUint>>>,
-    offset_encoded: bool,
+/// How the stride of a run's label source lies in the slots of its codec,
+/// for every node of every tree of the run.
+pub(crate) struct PackedLabelPlan {
+    pub(crate) codec: SlotCodec,
+    pub(crate) chunking: PackedChunking,
+    labels: LabelSource,
 }
 
-/// Precompute the packed label-multiplier table for this run. A tree whose
-/// nodes carry their stride (`carried`, §7.2) is cut by the same chunking
-/// but never reads a multiplier — the labels the super client holds are
-/// not what it trains on.
-pub fn plan_packed_labels(
-    ctx: &PartyContext<'_>,
-    codec: &SlotCodec,
-    carried: bool,
-) -> PackedLabelPlan {
-    let task = ctx.current_task();
-    let stride = 1 + match task {
+/// The label plan of trees whose roots' vectors come from `labels`: the
+/// audited codec, and the current task's stride cut into its chunks.
+pub(crate) fn plan_packed_labels(ctx: &PartyContext<'_>, labels: LabelSource) -> PackedLabelPlan {
+    let codec = ctx.packing_codec(labels);
+    let stride = 1 + match ctx.current_task() {
         Task::Classification { classes } => classes,
         Task::Regression => 2,
     };
-    let chunking = PackedChunking::new(stride, codec.slots());
-    let multipliers = (ctx.is_super_client() && !carried).then(|| {
+    PackedLabelPlan {
+        chunking: PackedChunking::new(stride, codec.slots()),
+        codec,
+        labels,
+    }
+}
+
+impl PackedLabelPlan {
+    /// `multipliers[chunk][sample]`: each sample's stride packed, from the
+    /// labels the super client holds. Built where read — per Basic root,
+    /// per enhanced pass and node — at one pack per sample beside the
+    /// encryption or `mul_plain` it feeds.
+    fn multipliers(&self, ctx: &PartyContext<'_>) -> Vec<Vec<BigUint>> {
+        assert!(
+            self.labels != LabelSource::ShareSums,
+            "share sums have no multipliers"
+        );
+        let task = ctx.current_task();
         let labels = ctx.view.labels.as_ref().expect("super client holds labels");
-        (0..chunking.chunks())
+        (0..self.chunking.chunks())
             .map(|c| {
+                let stride = |y| {
+                    self.chunking
+                        .stride_range(c)
+                        .map(move |t| label_slot_value(ctx, task, y, t))
+                };
                 labels
                     .iter()
-                    .map(|&y| {
-                        let slot_vals: Vec<BigUint> = chunking
-                            .stride_range(c)
-                            .map(|t| label_slot_value(ctx, task, y, t))
-                            .collect();
-                        codec.pack(&slot_vals)
-                    })
+                    .map(|&y| self.codec.pack(&stride(y).collect::<Vec<_>>()))
                     .collect()
             })
             .collect()
-    });
-    PackedLabelPlan {
-        chunking,
-        multipliers,
-        offset_encoded: matches!(task, Task::Regression),
+    }
+
+    /// The vectors a node holds, as its statistics pass reads them.
+    fn labels<'a>(&self, chunks: Vec<Cow<'a, [Ciphertext]>>) -> PackedLabels<'a> {
+        PackedLabels {
+            samples: chunks[0].len(),
+            chunks,
+            chunking: self.chunking.clone(),
+            offset_encoded: self.labels == LabelSource::OffsetMoments,
+        }
     }
 }
 
 /// The label vectors of the node that holds `mask` (§4.1 local computation
 /// step, first half).
 ///
-/// A node that carries its stride (§7.2) lends its chunks as they are: no
-/// copy, nothing sent, no multiplier read. Otherwise the super client
-/// builds every chunk from `plan` and broadcasts it. Slot `0` carries `α_j`
-/// itself; slot `1+k` carries `γ_k(j) = β_k(j)·α_j`. Because the super
-/// client knows the plaintext multipliers `β_k(j)`, a chunk is one
-/// `mul_plain` of `[α_j]` by the packed multiplier plus a re-randomization
-/// (one nonce per element, chunk order) — no extra encryptions, and under
-/// verification one popcm per element.
+/// A node that carries its stride (every basic and GBDT node) lends its
+/// chunks as they are: no copy, nothing sent. An enhanced node holds `[α]`
+/// alone: the super client builds every chunk but a lent `[α]` (chunk 0 at
+/// one slot) and broadcasts it — one `mul_plain` of `[α_j]` by the packed
+/// multiplier plus a re-randomization (one nonce per element, chunk order).
+/// The enhanced protocol carries no proofs.
 pub(crate) fn compute_packed_label_masks<'a>(
     ctx: &mut PartyContext<'_>,
     mask: &'a NodeMask,
@@ -193,54 +216,25 @@ pub(crate) fn compute_packed_label_masks<'a>(
         NodeMask::Alpha(alpha) => alpha.as_slice(),
         NodeMask::Carried(chunks) => {
             assert_eq!(chunks.len(), plan.chunking.chunks(), "carried stride shape");
-            // Residual vectors are slack-positive share sums; they carry
-            // no +1 offset (see ensemble::gbdt).
-            return PackedLabels {
-                chunks: chunks.iter().map(|c| Cow::Borrowed(c.as_slice())).collect(),
-                chunking: plan.chunking.clone(),
-                samples: chunks[0].len(),
-                offset_encoded: false,
-            };
+            return plan.labels(chunks.iter().map(|c| Cow::Borrowed(c.as_slice())).collect());
         }
     };
-    let n = alpha.len();
     let threads = ctx.crypto_threads();
-    let lent = usize::from(plan.chunking.alpha_alone());
-    // The super client's proof of each chunk; `None` at the receivers.
-    let mut bundles = Vec::with_capacity(plan.chunking.chunks() - lent);
-    let built: Vec<Vec<Ciphertext>> = (lent..plan.chunking.chunks())
-        .map(|c| {
-            let Some(multipliers) = &plan.multipliers else {
-                bundles.push(None);
-                return ctx.ep.recv(ctx.super_client);
-            };
-            assert_eq!(multipliers[c].len(), n);
-            verify::scrub_witnesses(ctx);
+    let lent = plan.chunking.alpha_alone();
+    let multipliers = ctx.is_super_client().then(|| plan.multipliers(ctx));
+    let built = (usize::from(lent)..plan.chunking.chunks()).map(|c| match &multipliers {
+        Some(multipliers) => {
             let scaled = batch::mul_plain_batch(&ctx.pk, alpha, &multipliers[c], threads);
-            let mut packed = batch::rerandomize_batch(&ctx.pk, &scaled, &ctx.nonces, threads);
-            ctx.counters.add(Counter::CiphertextOps, 2 * n as u64);
-            let proof =
-                verify::prove_popcm(ctx, "label_masks", alpha, &mut packed, &multipliers[c]);
-            bundles.push(proof);
+            let packed = batch::rerandomize_batch(&ctx.pk, &scaled, &ctx.nonces, threads);
+            ctx.counters
+                .add(Counter::CiphertextOps, 2 * alpha.len() as u64);
             ctx.ep.broadcast(&packed);
-            packed
-        })
-        .collect();
-    for (chunk, bundle) in built.iter().zip(bundles) {
-        verify::check_popcm(ctx, "label_masks", ctx.super_client, alpha, chunk, bundle);
-    }
-    PackedLabels {
-        chunks: plan
-            .chunking
-            .alpha_alone()
-            .then_some(Cow::Borrowed(alpha))
-            .into_iter()
-            .chain(built.into_iter().map(Cow::Owned))
-            .collect(),
-        chunking: plan.chunking.clone(),
-        samples: n,
-        offset_encoded: plan.offset_encoded,
-    }
+            Cow::Owned(packed)
+        }
+        None => Cow::Owned(ctx.ep.recv(ctx.super_client)),
+    });
+    let alpha = lent.then_some(Cow::Borrowed(alpha));
+    plan.labels(alpha.into_iter().chain(built).collect())
 }
 
 /// The plaintext multiplier for stride slot `t` of sample with label `y`:
@@ -272,11 +266,11 @@ fn label_slot_value(ctx: &PartyContext<'_>, task: Task, y: f64, t: usize) -> Big
 }
 
 /// Basic-protocol model update (§4.1, generalized per §7.2): the winning
-/// client masks every vector the node holds — `[α]`, or the chunks of the
-/// stride `(α, γ₁, γ₂)` a GBDT node carries, a 0/1 multiplier masking every
-/// slot of a packed element alike — with its plaintext split indicator and
-/// broadcasts the `wanted` sides of each. A child's vectors are produced
-/// only where something reads them (see `crate::trainer`).
+/// client masks every chunk of the stride the node carries — a 0/1
+/// multiplier masking every slot of a packed element alike — with its
+/// plaintext split indicator and broadcasts the `wanted` sides of each. A
+/// child's vectors are produced only where something reads them (see
+/// `crate::trainer`).
 pub fn update_vectors_plain(
     ctx: &mut PartyContext<'_>,
     vectors: &[Vec<Ciphertext>],

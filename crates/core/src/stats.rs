@@ -18,8 +18,9 @@
 //! (`crate::train_basic::PaillierPass`).
 //!
 //! Where the label vectors come from is not this pass's business: the
-//! super client's per-node broadcast and the stride a GBDT node carries
-//! (§7.2) arrive as the same [`PackedLabels`], cut by the same
+//! stride a basic or GBDT node carries (§7.2) and the super client's
+//! per-pass broadcast to an enhanced node arrive as the same
+//! [`PackedLabels`], cut by the same
 //! [`PackedChunking`], and differ only in the width the slots were audited
 //! to (`LabelSource`).
 

@@ -6,11 +6,13 @@
 //! split selection happens on shares, and only the agreed outputs (split
 //! identifier + threshold per node, leaf labels) are opened.
 //!
-//! [`train_from_roots`] additionally supports the GBDT mode of §7.2 where
-//! the label vectors are *pre-encrypted residuals* the roots carry
-//! (`NodeMask::Carried`): the winning client then updates `[γ₁]`, `[γ₂]`
-//! alongside `[α]` with the same split indicator (the paper's optimization
-//! avoiding per-node ciphertext multiplications).
+//! Every tree here carries its label vectors from the root
+//! (`NodeMask::Carried`, the route §7.2 names): the super client encrypts
+//! each sample's stride `(α, γ₁, …)` once per tree, and the winning client
+//! masks `[γ_k]` alongside `[α]` with the same split indicator — the
+//! paper's optimization avoiding per-node ciphertext multiplications.
+//! [`train_from_roots`] takes any carried roots: the GBDT trees' roots
+//! carry *pre-encrypted residuals* instead of the super client's labels.
 //!
 //! The level-wise loop itself is `crate::trainer`; this file is the
 //! basic protocol's side of it: the Paillier statistics pass
@@ -39,25 +41,27 @@ use crate::trainer::{
 };
 use pivot_data::Task;
 use pivot_mpc::{Fp, Share};
-use pivot_paillier::{Ciphertext, SlotCodec};
+use pivot_paillier::Ciphertext;
 use pivot_trees::{DecisionTree, Node};
 
 /// The encrypted vectors of a node.
 pub(crate) enum NodeMask {
-    /// The sample mask `[α]`: the super client derives the label vectors
-    /// from its plaintext labels at every node.
+    /// The enhanced protocol's sample mask `[α]` alone: its Eqn-10 update
+    /// rewrites α alone, so the super client derives the label vectors
+    /// from its plaintext labels at every statistics pass.
     Alpha(Vec<Ciphertext>),
-    /// §7.2: a GBDT residual tree's node carries its label vectors. Per
-    /// sample, the stride `(α, γ₁, γ₂)` lies in the slots of the run's
-    /// codec, cut by `PackedChunking::new(3, slots)` like any other label
-    /// stride — `chunks` vectors of `n` ciphertexts: one from three slots
-    /// up, `[α]`, `[γ₁]`, `[γ₂]` themselves at one.
+    /// Every Pivot-Basic node (§7.2's route): the node carries its label
+    /// vectors. Per sample, the stride `(α, γ₁, …)` lies in the slots of
+    /// the run's codec, cut by the label plan's `PackedChunking` —
+    /// `chunks` vectors of `n` ciphertexts: one where the stride fits a
+    /// ciphertext, `[α]`, `[γ₁]`, … themselves at one slot. A single, RF
+    /// or DP tree's root holds the super client's labels times each
+    /// sample's inclusion bit; a GBDT root the residual moments.
     Carried(Vec<Vec<Ciphertext>>),
 }
 
 impl NodeMask {
-    /// `[α]` of a node that carries nothing else — the only kind the
-    /// enhanced protocol grows.
+    /// `[α]` of an enhanced node.
     pub fn alpha_mut(&mut self) -> &mut Vec<Ciphertext> {
         match self {
             NodeMask::Alpha(alpha) => alpha,
@@ -78,12 +82,9 @@ impl NodeMask {
 /// (`PivotParams::slot_plan`), not a second route. A winning split
 /// divides a node's vectors by the winner's plaintext indicator.
 pub(crate) struct PaillierPass {
-    /// The slot layout of the statistics, audited for the source of the
-    /// roots' label vectors (`PartyContext::packing_codec`): the root of a
-    /// GBDT residual tree already lies in its slots.
-    codec: SlotCodec,
-    /// The label multipliers depend only on labels/task/codec — built
-    /// once, reused by every node of every tree at every level.
+    /// The slot layout of the statistics and the label stride, audited for
+    /// the source of the roots' label vectors: a carried root already lies
+    /// in its slots.
     label_plan: PackedLabelPlan,
     /// The masks below the root are Eqn-10 products (§5.2), linearized
     /// before a multi-slot pass reads them
@@ -92,24 +93,12 @@ pub(crate) struct PaillierPass {
 }
 
 impl PaillierPass {
-    /// The pass over `roots`; `eqn10_masks` for the enhanced protocol,
-    /// whose masks below the root carry Eqn-10 slack.
-    pub(crate) fn new(
-        ctx: &PartyContext<'_>,
-        codec: &SlotCodec,
-        roots: &[NodeMask],
-        eqn10_masks: bool,
-    ) -> Self {
-        let carried = matches!(roots.first(), Some(NodeMask::Carried(_)));
-        assert!(
-            roots
-                .iter()
-                .all(|root| matches!(root, NodeMask::Carried(_)) == carried),
-            "the trees of one frontier share one label plan"
-        );
+    /// The pass over roots whose label vectors come from `labels`;
+    /// `eqn10_masks` for the enhanced protocol, whose masks below the root
+    /// carry Eqn-10 slack.
+    pub(crate) fn new(ctx: &PartyContext<'_>, labels: LabelSource, eqn10_masks: bool) -> Self {
         PaillierPass {
-            codec: codec.clone(),
-            label_plan: plan_packed_labels(ctx, codec, carried),
+            label_plan: plan_packed_labels(ctx, labels),
             eqn10_masks,
         }
     }
@@ -128,7 +117,8 @@ impl LevelPass for PaillierPass {
     ) -> Vec<NodeShares> {
         // A lone slot is the whole plaintext: no neighbour for the slack
         // to carry into.
-        if self.eqn10_masks && depth > 0 && self.codec.slots() > 1 {
+        let codec = &self.label_plan.codec;
+        if self.eqn10_masks && depth > 0 && codec.slots() > 1 {
             crate::train_enhanced::refresh_masks(ctx, layout, masks);
         }
         let per_node: Vec<PackedStats> = {
@@ -139,12 +129,12 @@ impl LevelPass for PaillierPass {
                 .collect();
             labels
                 .iter()
-                .map(|packed| packed_pooled_statistics(ctx, layout, local, packed, &self.codec))
+                .map(|packed| packed_pooled_statistics(ctx, layout, local, packed, codec))
                 .collect()
         };
         let _conv = pivot_trace::phase_span(&ctx.counters, "conversion");
         let (cts, used) = conversion_batch(&per_node);
-        let slot_shares = packed_ciphers_to_shares(ctx, &self.codec, &cts, &used);
+        let slot_shares = packed_ciphers_to_shares(ctx, codec, &cts, &used);
         let mut rest = slot_shares.as_slice();
         per_node
             .iter()
@@ -156,9 +146,9 @@ impl LevelPass for PaillierPass {
             .collect()
     }
 
-    /// Mask every vector the node holds — `[α]`, or the stride a GBDT
-    /// node carries — with the winning indicator, on the sides that are
-    /// read.
+    /// Mask every chunk of the stride the node carries with the winning
+    /// indicator, on the sides that are read. An enhanced node's `[α]`
+    /// divides by Eqn 10 instead (`crate::train_enhanced`).
     fn divide(
         &mut self,
         ctx: &mut PartyContext<'_>,
@@ -169,21 +159,13 @@ impl LevelPass for PaillierPass {
         wanted: Sides<bool>,
     ) -> Sides<Option<NodeMask>> {
         let (winner, local_feature, split_idx) = layout.locate(global);
-        let (vectors, carried) = match mask {
-            NodeMask::Alpha(alpha) => (vec![alpha], false),
-            NodeMask::Carried(chunks) => (chunks, true),
+        let NodeMask::Carried(vectors) = mask else {
+            unreachable!("an [α] alone divides by Eqn 10")
         };
         let indicator =
             (ctx.id() == winner).then(|| local.indicators[local_feature][split_idx].as_slice());
-        let child_mask = |mut vectors: Vec<Vec<Ciphertext>>| {
-            if carried {
-                NodeMask::Carried(vectors)
-            } else {
-                NodeMask::Alpha(vectors.remove(0))
-            }
-        };
         update_vectors_plain(ctx, &vectors, winner, indicator, wanted)
-            .map(|side| side.map(child_mask))
+            .map(|side| side.map(NodeMask::Carried))
     }
 }
 
@@ -205,25 +187,36 @@ pub fn train_with_masks(
     ctx: &mut PartyContext<'_>,
     included: &[impl AsRef<[bool]>],
 ) -> Vec<DecisionTree> {
+    train_from_masks(ctx, included, None)
+}
+
+/// [`train_with_masks`], with §9.2's DP queries under `noise`: each root
+/// carries the super client's label stride times its inclusion bits.
+pub(crate) fn train_from_masks(
+    ctx: &mut PartyContext<'_>,
+    included: &[impl AsRef<[bool]>],
+    noise: Option<DpParams>,
+) -> Vec<DecisionTree> {
+    let labels = LabelSource::of_task(ctx.current_task());
+    let plan = plan_packed_labels(ctx, labels);
     let roots = included
         .iter()
         .map(|mask| {
             assert_eq!(mask.as_ref().len(), ctx.num_samples());
-            NodeMask::Alpha(initial_mask(ctx, mask.as_ref()))
+            NodeMask::Carried(initial_mask(ctx, mask.as_ref(), Some(&plan)))
         })
         .collect();
-    let codec = ctx.packing_codec(LabelSource::of_task(ctx.current_task()));
-    train_from_roots(ctx, roots, &codec, None)
+    train_from_roots(ctx, roots, labels, noise)
 }
 
-/// Train from explicit root vectors laid out in the slots of `codec` (the
+/// Train from carried roots whose label vectors come from `labels` (the
 /// GBDT entry point: its roots carry the residual label vectors). With
 /// `noise`, the prune, leaf and split queries are §9.2's DP mechanisms
 /// (`crate::dp`).
 pub(crate) fn train_from_roots(
     ctx: &mut PartyContext<'_>,
     roots: Vec<NodeMask>,
-    codec: &SlotCodec,
+    labels: LabelSource,
     noise: Option<DpParams>,
 ) -> Vec<DecisionTree> {
     let (local, layout) = {
@@ -232,10 +225,9 @@ pub(crate) fn train_from_roots(
         let layout = SplitLayout::build(ctx.ep, &local.counts());
         (local, layout)
     };
-    let mut pass = PaillierPass::new(ctx, codec, &roots, false);
+    let mut pass = PaillierPass::new(ctx, labels, false);
     let mut reveal = Reveal::new(
-        ctx.params.tree.stop_when_pure
-            && roots.iter().all(|root| matches!(root, NodeMask::Alpha(_))),
+        ctx.params.tree.stop_when_pure && labels != LabelSource::ShareSums,
         noise,
     );
     let task = ctx.current_task();
@@ -267,7 +259,7 @@ impl ArenaNode for Node {
 /// is opened are the answers of §9.2's DP queries.
 pub(crate) struct Reveal {
     /// `tree.stop_when_pure`, for exact trees on the labels the super
-    /// client holds.
+    /// client holds (not on a GBDT round's share sums).
     purity_check: bool,
     /// The DP trainer's budget: its queries replace the exact ones.
     noise: Option<DpParams>,

@@ -82,10 +82,8 @@ pub fn train(ctx: &mut PartyContext<'_>) -> ConcealedTree {
         let layout = SplitLayout::build(ctx.ep, &local.counts());
         (local, layout)
     };
-    let alpha = initial_mask(ctx, &mask);
-    let codec = ctx.packing_codec(LabelSource::of_task(ctx.current_task()));
-    let roots = vec![NodeMask::Alpha(alpha)];
-    let mut pass = PaillierPass::new(ctx, &codec, &roots, true);
+    let roots = vec![NodeMask::Alpha(initial_mask(ctx, &mask, None).remove(0))];
+    let mut pass = PaillierPass::new(ctx, LabelSource::of_task(ctx.current_task()), true);
     let (nodes, root) = grow_tree(ctx, &mut pass, &mut Conceal, &local, &layout, roots).remove(0);
     ConcealedTree {
         nodes,

@@ -5,10 +5,10 @@
 //! attaches a proof bundle to the ciphertexts it publishes:
 //!
 //! * **popk** ([`PlaintextProof`]) on fresh encryptions — the super
-//!   client's split-indicator commits at setup, party `m−1`'s η
+//!   client's root stride `(α, γ₁, …)` at setup, party `m−1`'s η
 //!   initialization in Algorithm 4;
-//! * **popcm** ([`MultiplicationProof`]) on `β ⊗ [α]` masking — label
-//!   masks, plaintext model updates, the Algorithm-4 η refinements;
+//! * **popcm** ([`MultiplicationProof`]) on `β ⊗ [α]` masking — plaintext
+//!   model updates, the Algorithm-4 η refinements;
 //! * **pohdp** ([`DotProductProof`]) on the Eqn-7 encrypted split
 //!   statistics, proving each pooled dot product used the *committed*
 //!   indicator vector.

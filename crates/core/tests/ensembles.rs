@@ -3,8 +3,8 @@
 
 use pivot_core::config::{LabelSource, Packing, PivotParams};
 use pivot_core::ensemble::{
-    gbdt::predict_gbdt_batch, rf::predict_rf_batch, train_gbdt, train_rf, GbdtProtocolParams,
-    RfProtocolParams,
+    bootstrap_masks, gbdt::predict_gbdt_batch, rf::predict_rf_batch, train_gbdt, train_rf,
+    GbdtProtocolParams, RfProtocolParams,
 };
 use pivot_core::party::PartyContext;
 use pivot_core::train_basic::{train_with_mask, train_with_masks};
@@ -12,7 +12,7 @@ use pivot_core::{Counter, FixedConfig};
 use pivot_data::{candidate_splits, metrics, partition_vertically, synth, Dataset, Task};
 use pivot_paillier::SlotCodec;
 use pivot_transport::run_parties;
-use pivot_trees::{DecisionTree, Node, TreeParams};
+use pivot_trees::{CartTrainer, DecisionTree, Node, TreeParams};
 
 fn params(tree: TreeParams) -> PivotParams {
     PivotParams {
@@ -106,6 +106,54 @@ fn random_forest_regression_mean() {
             "sample {i}: {} vs {central}",
             preds[i]
         );
+    }
+}
+
+#[test]
+fn random_forest_regression_trees_are_the_cart_oracle_on_their_bootstrap() {
+    // A bootstrap root encrypts a stride for every sample, and an excluded
+    // sample's is all zero — its offset moments `(y+1)·2^f`, `(y+1)²·2^f`
+    // included — so only the included rows reach a statistic. Both
+    // layouts: the stride as three one-slot vectors, and packed in one.
+    let data = synth::make_regression(&synth::RegressionSpec {
+        samples: 48,
+        features: 4,
+        informative: 3,
+        noise: 0.05,
+        seed: 5,
+    });
+    let tree = TreeParams {
+        max_depth: 3,
+        min_samples: 8,
+        max_splits: 3,
+        stop_when_pure: false,
+    };
+    let rf = RfProtocolParams {
+        trees: 3,
+        ..Default::default()
+    };
+    let masks = bootstrap_masks(data.num_samples(), &rf);
+    let oracle = CartTrainer::new(&data, tree.clone());
+    let m = 2;
+    let partition = partition_vertically(&data, m, 0);
+    for packing in [Packing::Off, Packing::Auto] {
+        let p = PivotParams {
+            keysize: 256,
+            packing,
+            ..params(tree.clone())
+        };
+        let models = run_parties(m, |ep| {
+            let view = partition.views[ep.id()].clone();
+            let mut ctx = PartyContext::setup(&ep, view, p.clone());
+            train_rf(&mut ctx, &rf)
+        });
+        for (party, model) in models.iter().enumerate() {
+            for (w, (tree, mask)) in model.trees.iter().zip(&masks).enumerate() {
+                let what = format!("{packing:?} party {party} tree {w}");
+                assert!(tree.internal_count() >= 2, "{what}: a tree worth comparing");
+                assert_same_tree(tree, &oracle.train_masked(mask), 1e-4, &what);
+            }
+        }
     }
 }
 

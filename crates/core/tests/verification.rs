@@ -77,9 +77,8 @@ fn honest_run(
     })
 }
 
-/// Labels in `[-1, 1]`: the label masks are `[α]` scaled by fixed-point
-/// moments `(y+1)·2^f`, `(y+1)²·2^f` — a popcm over a multiplier that is
-/// not a bit.
+/// Labels in `[-1, 1]`: the root's label vectors hold the fixed-point
+/// moments `(y+1)·2^f`, `(y+1)²·2^f` — plaintexts that are not bits.
 fn regression_dataset() -> Dataset {
     synth::make_regression(&synth::RegressionSpec {
         samples: 24,
@@ -199,11 +198,12 @@ fn tampered_setup_commit_is_caught_and_attributed() {
 
 #[test]
 fn tampered_label_mask_is_caught_and_attributed() {
-    // Index 17 lands in the root's label vectors: a class indicator
-    // times `[α]` (16 samples: the second vector), or the first
-    // regression moment times `[α]` (24 samples).
+    // The super client commits the root's stride `(α, γ₁, γ₂)` at `setup`,
+    // one one-slot vector after another: index `n + 1` lands in `[γ₁]`, a
+    // class indicator (16 samples) or the first regression moment (24).
     for data in [crisp_dataset(), regression_dataset()] {
-        assert_detected(&data, 2, "party 0 phase=label_masks index=17", "popcm");
+        let spec = format!("party 0 phase=setup index={}", data.num_samples() + 1);
+        assert_detected(&data, 2, &spec, "popk");
     }
 }
 
