@@ -236,6 +236,26 @@
 //!     are the winner's masked vectors, fresh ciphertexts of the same
 //!     values under other nonces, a few of which encode a byte shorter.
 //!
+//!     The decryption and bytes columns of `enhanced-h3` were re-recorded
+//!     when an encrypted vector began to carry its bound and an enhanced
+//!     mask to be converted once per level. At keysize 256 the statistics
+//!     codec has three slots, so a level-1 left mask above the `m·p` the
+//!     slots admit is refreshed before its pass, and the refresh now keeps
+//!     the shares it converted. Its Eqn-10 update reads those shares
+//!     instead of converting the refreshed mask again, at the Eqn-10
+//!     width, which is one slot here: expected `−n` decryptions per
+//!     refreshed level-1 mask that splits, and as many fewer mask
+//!     encryptions. One such mask at `n = 40`, per party:
+//!
+//!     | row | decryptions | train bytes, per party | train messages |
+//!     |---|---|---|---|
+//!     | `enhanced-h3` | 291 → 251 | −12 154 / −12 155 / −12 156 | same |
+//!
+//!     The right mask of level 1 is not refreshed (no pass reads it), so
+//!     the update still converts it in the same exchange: no message goes.
+//!     Rounds, mults, comparisons, every other row and every prediction
+//!     are as recorded before.
+//!
 //! Every protocol runs at three depths, because the mask rule differs at
 //! each: `max_depth = 1` (no mask update at all), `2` (left masks only —
 //! the depth of every benchmark workload) and `3` (right masks wanted at
@@ -373,9 +393,9 @@ const ENHANCED: [Case; 3] = [
         body: ENHANCED_NOISY,
         tree: DEPTH_3,
         golden: [
-            [164, 28535, 2193, 291, 1082194, 374],
-            [164, 28535, 2193, 291, 1046465, 362],
-            [164, 28535, 2193, 291, 1046254, 358],
+            [164, 28535, 2193, 251, 1070040, 374],
+            [164, 28535, 2193, 251, 1034310, 362],
+            [164, 28535, 2193, 251, 1034098, 358],
         ],
         predictions: &[
             0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0,

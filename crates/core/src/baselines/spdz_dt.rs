@@ -182,7 +182,6 @@ impl LevelPass for SharedPass {
         ctx: &mut PartyContext<'_>,
         _local: &LocalSplits,
         _layout: &SplitLayout,
-        _depth: usize,
         masks: &mut [&mut Vec<Share>],
     ) -> Vec<NodeShares> {
         let _stats = pivot_trace::phase_span(&ctx.counters, "stats");

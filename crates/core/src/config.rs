@@ -275,15 +275,7 @@ impl PivotParams {
         // A sum of m encrypted shares: the secret plus a mod-p slack
         // multiple, below m·p.
         let share_sum = Fp::share_sum_bound(parties);
-        // Per-sample mask plaintext: the basic protocol's [α] is an exact
-        // 0/1 bit, but the enhanced Eqn-10 update rebuilds [α] as a sum of
-        // m share terms, so its plaintext carries slack at *every* level
-        // (the per-level conversion re-reduces, so slack never compounds
-        // across depths).
-        let alpha_bound: u128 = match self.protocol {
-            Protocol::Basic => 1,
-            Protocol::Enhanced => share_sum,
-        };
+        let alpha_bound = self.alpha_bound(parties);
         let element_bound: u128 = match labels {
             LabelSource::ClassIndicators => alpha_bound,
             LabelSource::OffsetMoments => alpha_bound << (fixed.frac_bits + 2),
@@ -300,6 +292,16 @@ impl PivotParams {
         let mask_bound = share_sum - m;
         let worst = stat_bound + offset + mask_bound;
         128 - worst.leading_zeros()
+    }
+
+    /// The bound the slot audit admits for a mask plaintext: the basic `[α]`
+    /// is a 0/1 bit, the enhanced one a sum of `m` shares below `m·p`, as
+    /// its refresh leaves it (`crate::train_enhanced::refresh_masks`).
+    pub(crate) fn alpha_bound(&self, parties: usize) -> u128 {
+        match self.protocol {
+            Protocol::Basic => 1,
+            Protocol::Enhanced => Fp::share_sum_bound(parties),
+        }
     }
 
     /// The slot layout of this run's statistics: audited-width slots

@@ -11,19 +11,21 @@
 //!   differ only in how the public signedness offset gets into the slots
 //!   before the masks do: [`packed_ciphers_to_shares`] (ciphertexts
 //!   already packed by the statistics pass),
-//!   [`packed_share_conversion_groups`] (scalars shift-added under a
-//!   per-group audited width by `crate::decrypt::pack_scalars`, which
-//!   Algorithm 4's packed opening shares).
+//!   [`packed_share_conversion_groups`] (`crate::decrypt::Bounded`
+//!   scalars, shift-added under a width audited for each group's bound by
+//!   `crate::decrypt::pack_scalars`, which Algorithm 4's packed opening
+//!   shares).
 //! * [`shares_to_ciphers`] is the reverse direction used by the enhanced
 //!   protocol (§5.2): every client encrypts its own share and the
 //!   ciphertexts are summed homomorphically. The result's plaintext may
-//!   carry an additive multiple of the share modulus `p` (share sums wrap);
-//!   every consumer reduces modulo `p` on the next conversion, so the slack
-//!   is harmless — see [`crate::gain`], "Scale discipline". It too is the
-//!   one-slot case of a conversion over slots, [`share_rows_to_ciphers`],
-//!   which GBDT's residual vectors take (§7.2).
+//!   carry an additive multiple of the share modulus `p` (share sums wrap),
+//!   so the sums come out `Bounded` by `m·p`; every consumer reduces modulo
+//!   `p` on the next conversion, so the slack is harmless — see
+//!   [`crate::gain`], "Scale discipline". It too is the one-slot case of a
+//!   conversion over slots, [`share_rows_to_ciphers`], which GBDT's
+//!   residual vectors take (§7.2).
 
-use crate::decrypt::{joint_decrypt_vec, pack_scalars};
+use crate::decrypt::{joint_decrypt_vec, pack_scalars, Bounded};
 use crate::party::PartyContext;
 use pivot_bignum::BigUint;
 use pivot_mpc::{Fp, Share};
@@ -145,21 +147,21 @@ pub fn packed_ciphers_to_shares(
 /// Algorithm 2 over **dynamically packed** scalar ciphertexts, with one
 /// audited slot width per group.
 ///
-/// Each group supplies a bound `2^bound_bits` on its plaintexts' signed
-/// magnitude — *including* any mod-p slack the ciphertexts carry (§5.2
-/// sums, Eqn-10 products). The conversion shift-adds as many scalars as
+/// Each group carries the bound on its plaintexts' signed magnitude —
+/// *including* any mod-p slack the ciphertexts carry (§5.2 sums, Eqn-10
+/// products). The conversion shift-adds as many scalars as
 /// the audited width admits into each packed ciphertext, so one joint
 /// decryption yields up to `slots` shares instead of one; a width the
 /// keysize admits once is a one-slot group. All groups settle in a single
 /// exchange and a single decryption round.
 ///
 /// Slot audit (`crate::decrypt::pack_scalars`): a slot accumulates
-/// `x + 2^bound_bits` plus every party's conversion mask `< m·(p−1)`; the
-/// slot width is the bit length of that worst case. Values are recovered
-/// mod p, slack reduces away.
+/// `x + 2^bits(bound)` plus every party's conversion mask `< m·(p−1)`;
+/// the slot width is the bit length of that worst case. Values are
+/// recovered mod p, slack reduces away.
 pub fn packed_share_conversion_groups(
     ctx: &mut PartyContext<'_>,
-    groups: &[(&[Ciphertext], u32)],
+    groups: &[Bounded],
 ) -> Vec<Vec<Share>> {
     let m = ctx.parties();
     let mask_bound = BigUint::from_u128(Fp::share_sum_bound(m) - m as u128);
@@ -171,7 +173,7 @@ pub fn packed_share_conversion_groups(
         .collect();
     let mut out: Vec<Vec<Share>> = groups
         .iter()
-        .map(|(cts, _)| Vec::with_capacity(cts.len()))
+        .map(|group| Vec::with_capacity(group.cts.len()))
         .collect();
     for (shares, &(g, _)) in masked_shares(ctx, &packed.cts, &layouts)
         .into_iter()
@@ -182,25 +184,24 @@ pub fn packed_share_conversion_groups(
     out
 }
 
-/// Single-group [`packed_share_conversion_groups`]: pack `cts` under one
-/// magnitude bound.
-pub fn packed_share_conversion(
-    ctx: &mut PartyContext<'_>,
-    cts: &[Ciphertext],
-    bound_bits: u32,
-) -> Vec<Share> {
-    packed_share_conversion_groups(ctx, &[(cts, bound_bits)])
+/// Single-group [`packed_share_conversion_groups`].
+pub fn packed_share_conversion(ctx: &mut PartyContext<'_>, values: &Bounded) -> Vec<Share> {
+    packed_share_conversion_groups(ctx, std::slice::from_ref(values))
         .pop()
         .expect("one group in, one group out")
 }
 
-/// §5.2 reverse conversion: every client encrypts its own share and the
-/// ciphertexts are homomorphically summed. The plaintext equals the secret
-/// plus a slack multiple of `p` below `m·p ≪ N`.
-pub fn shares_to_ciphers(ctx: &mut PartyContext<'_>, shares: &[Share]) -> Vec<Ciphertext> {
+/// §5.2 reverse conversion, one vector per group of shares: every client
+/// encrypts its own share and the ciphertexts are homomorphically summed.
+/// A plaintext equals the secret plus a slack multiple of `p`: a sum of
+/// `m` shares below `p`, bounded by `m·p ≪ N`.
+pub fn shares_to_ciphers(ctx: &mut PartyContext<'_>, groups: &[Vec<Share>]) -> Vec<Bounded> {
     let codec = ctx.params.one_slot_codec();
-    let rows: Vec<Vec<Share>> = shares.iter().map(|&s| vec![s]).collect();
-    share_rows_to_ciphers(ctx, &codec, &rows)
+    let rows: Vec<Vec<Share>> = groups.concat().into_iter().map(|s| vec![s]).collect();
+    let mut cts = share_rows_to_ciphers(ctx, &codec, &rows).into_iter();
+    let bound = BigUint::from_u128(Fp::share_sum_bound(ctx.parties()));
+    let mut group = |len| Bounded::new(cts.by_ref().take(len).collect(), bound.clone());
+    groups.iter().map(|shares| group(shares.len())).collect()
 }
 
 /// The reverse conversion over the slots of `codec`: ciphertext `i` holds

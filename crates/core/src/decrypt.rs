@@ -12,11 +12,16 @@
 //! the whole batch, where a ciphertext on its own would pay one each.
 //!
 //! A decryption is paid per *ciphertext*, so scalars whose magnitude is
-//! bounded ride it packed: `pack_scalars` offsets each scalar into
-//! non-negative range and shift-adds as many as an audited slot holds
-//! into one ciphertext. Algorithm 2 packs with its masks' headroom
-//! (`crate::conversion`), Algorithm 4 opens its predictions with none
-//! (`joint_decrypt_signed`): `⌈t/slots⌉` decryptions for `t` values.
+//! bounded ride it packed. A [`Bounded`] vector carries that bound, set by
+//! whoever made its ciphertexts: the enhanced protocol's fresh `[α]` (1),
+//! `crate::conversion::shares_to_ciphers` (`m·p`), the PIR columns and
+//! Eqn-10 products (`crate::train_enhanced`), and Algorithm 4's sums
+//! (`crate::predict_basic::prediction_bound_bits`). `pack_scalars` offsets
+//! each scalar into non-negative range and shift-adds as many as a slot
+//! audited for its vector's bound holds into one ciphertext. Algorithm 2
+//! packs with its masks' headroom (`crate::conversion`), Algorithm 4 opens
+//! its predictions with none (`joint_decrypt_signed`): `⌈t/slots⌉`
+//! decryptions for `t` values.
 
 use crate::config::SlotPlan;
 use crate::party::PartyContext;
@@ -47,6 +52,25 @@ pub fn joint_decrypt_vec(ctx: &mut PartyContext<'_>, cts: &[Ciphertext]) -> Vec<
     ctx.combiner.combine_batch(&per_ct, threads)
 }
 
+/// Scalar ciphertexts and one bound on every plaintext's signed magnitude,
+/// mod-p slack included: `|x| ≤ bound`, a negative encoded as `N − |x|`.
+#[derive(Clone)]
+pub struct Bounded {
+    pub cts: Vec<Ciphertext>,
+    pub bound: BigUint,
+}
+
+impl Bounded {
+    pub fn new(cts: Vec<Ciphertext>, bound: BigUint) -> Self {
+        Bounded { cts, bound }
+    }
+
+    /// Plaintexts of signed magnitude below `2^bits`.
+    pub fn below_pow2(cts: Vec<Ciphertext>, bits: u32) -> Self {
+        Bounded::new(cts, &BigUint::pow2(bits) - &BigUint::one())
+    }
+}
+
 /// Scalar ciphertexts shift-added into packed ones by [`pack_scalars`].
 pub(crate) struct PackedScalars {
     /// One audited codec per group; its offset is the group's `2^bound`.
@@ -57,10 +81,9 @@ pub(crate) struct PackedScalars {
 }
 
 /// Pack every group's scalar ciphertexts under one audited slot width per
-/// group. Group `(cts, bound_bits)` promises plaintexts of signed
-/// magnitude below `2^bound_bits` (negatives encoded as `N − |x|`,
-/// including any mod-p slack they carry); `headroom` is what the slot must
-/// hold on top of the offset value before it is opened.
+/// group, read off the group's bound: its plaintexts lie below
+/// `2^bound_bits`, `bound_bits = bits(bound)`. `headroom` is what the slot
+/// must hold on top of the offset value before it is opened.
 ///
 /// Slot audit: a slot accumulates `x + 2^bound_bits` — the signedness
 /// offset is applied homomorphically *before* the shift-add, so a negative
@@ -70,12 +93,13 @@ pub(crate) struct PackedScalars {
 /// Chunks are group-major, in order.
 pub(crate) fn pack_scalars(
     ctx: &mut PartyContext<'_>,
-    groups: &[(&[Ciphertext], u32)],
+    groups: &[Bounded],
     headroom: &BigUint,
 ) -> PackedScalars {
     let codecs: Vec<SlotCodec> = groups
         .iter()
-        .map(|&(_, bound_bits)| {
+        .map(|group| {
+            let bound_bits = group.bound.bits();
             let worst = &BigUint::pow2(bound_bits + 1) + headroom;
             let slot_bits = worst.bits();
             let plan = match SlotCodec::max_slots(ctx.params.keysize, slot_bits) {
@@ -88,7 +112,7 @@ pub(crate) fn pack_scalars(
     let jobs: Vec<(usize, &[Ciphertext])> = groups
         .iter()
         .enumerate()
-        .flat_map(|(g, &(cts, _))| cts.chunks(codecs[g].slots()).map(move |c| (g, c)))
+        .flat_map(|(g, group)| group.cts.chunks(codecs[g].slots()).map(move |c| (g, c)))
         .collect();
 
     // `Σ (cᵢ + [2^b]) · 2^(w·i)` per chunk.
@@ -100,7 +124,7 @@ pub(crate) fn pack_scalars(
             let weights: Vec<BigUint> = (0..chunk.len()).map(|i| codec.shift_factor(i)).collect();
             vector::dot_plain(&ctx.pk, &shifted, &weights)
         });
-    let total: usize = groups.iter().map(|(cts, _)| cts.len()).sum();
+    let total: usize = groups.iter().map(|group| group.cts.len()).sum();
     ctx.counters.add(Counter::CiphertextOps, 2 * total as u64);
     PackedScalars {
         codecs,
@@ -109,17 +133,14 @@ pub(crate) fn pack_scalars(
     }
 }
 
-/// Jointly decrypt scalars of signed magnitude below `2^bound_bits`,
-/// packed: one decryption per [`pack_scalars`] ciphertext, with no
-/// headroom (nothing is added before the opening). Returns the signed
-/// values in order; `bound_bits` must stay below 127.
-pub(crate) fn joint_decrypt_signed(
-    ctx: &mut PartyContext<'_>,
-    cts: &[Ciphertext],
-    bound_bits: u32,
-) -> Vec<i128> {
+/// Jointly decrypt bounded scalars, packed: one decryption per
+/// [`pack_scalars`] ciphertext, with no headroom (nothing is added before
+/// the opening). Returns the signed values in order; the bound must stay
+/// below `2^127`.
+pub(crate) fn joint_decrypt_signed(ctx: &mut PartyContext<'_>, values: &Bounded) -> Vec<i128> {
+    let bound_bits = values.bound.bits();
     assert!(bound_bits < 127, "a {bound_bits}-bit bound exceeds i128");
-    let packed = pack_scalars(ctx, &[(cts, bound_bits)], &BigUint::zero());
+    let packed = pack_scalars(ctx, std::slice::from_ref(values), &BigUint::zero());
     let codec = &packed.codecs[0];
     let offset = 1i128 << bound_bits;
     let opened = joint_decrypt_vec(ctx, &packed.cts);

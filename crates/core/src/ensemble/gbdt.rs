@@ -23,17 +23,17 @@
 use super::open_argmax;
 use crate::config::LabelSource;
 use crate::conversion::{packed_share_conversion_groups, share_rows_to_ciphers};
-use crate::masks::initial_mask;
+use crate::decrypt::Bounded;
+use crate::masks::{initial_mask, plan_packed_labels};
 use crate::party::PartyContext;
 use crate::predict_basic::{leaf_values, predict_batch_encrypted, prediction_bound_bits};
-use crate::stats::PackedChunking;
 use crate::train_basic::train_from_roots;
 use crate::train_basic::NodeMask;
 use pivot_bignum::BigUint;
 use pivot_data::Task;
 use pivot_mpc::{Fp, Share};
 use pivot_paillier::packing::add_packed;
-use pivot_paillier::{Ciphertext, SlotCodec};
+use pivot_paillier::Ciphertext;
 use pivot_trace::Counter;
 use pivot_trees::DecisionTree;
 
@@ -69,10 +69,8 @@ pub struct GbdtModel {
 pub fn train_gbdt(ctx: &mut PartyContext<'_>, gbdt: &GbdtProtocolParams) -> GbdtModel {
     // `PartyContext::setup` audited the slots for the labels the super
     // client holds; the trees below train on share sums.
-    let labels = LabelSource::ShareSums;
     ctx.params
-        .assert_valid_for(ctx.num_samples(), ctx.parties(), labels);
-    let codec = ctx.packing_codec(labels);
+        .assert_valid_for(ctx.num_samples(), ctx.parties(), LabelSource::ShareSums);
     let n = ctx.num_samples();
     let task = ctx.view.task;
     // What each forest fits, shared by the super client once: the
@@ -120,7 +118,7 @@ pub fn train_gbdt(ctx: &mut PartyContext<'_>, gbdt: &GbdtProtocolParams) -> Gbdt
                 .map(|(target, fit)| target.iter().zip(fit).map(|(&t, &f)| t - f).collect())
                 .collect()
         };
-        let trees = train_residual_trees(ctx, &codec, &residuals);
+        let trees = train_residual_trees(ctx, &residuals);
         // Only a later round reads the cumulative scores.
         if round + 1 < gbdt.rounds {
             let _predict = pivot_trace::phase_span(&ctx.counters, "predict");
@@ -160,14 +158,13 @@ fn share_labels(ctx: &mut PartyContext<'_>, f: impl Fn(f64) -> f64) -> Vec<Share
 
 /// One boosting stage: encrypt the residual moments of every tree of the
 /// round and train the regression trees on them with the basic protocol,
-/// in one frontier.
-fn train_residual_trees(
-    ctx: &mut PartyContext<'_>,
-    codec: &SlotCodec,
-    residuals: &[Vec<Share>],
-) -> Vec<DecisionTree> {
+/// in one frontier. The share-sum label plan lays out the rows, as the
+/// statistics pass reads them.
+fn train_residual_trees(ctx: &mut PartyContext<'_>, residuals: &[Vec<Share>]) -> Vec<DecisionTree> {
     let n = ctx.num_samples();
-    let chunking = PackedChunking::new(3, codec.slots());
+    ctx.task_override = Some(Task::Regression);
+    let plan = plan_packed_labels(ctx, LabelSource::ShareSums);
+    let chunking = &plan.chunking;
     let encrypted = usize::from(chunking.alpha_alone())..chunking.chunks();
     // [γ₁] = [R], [γ₂] = [R²] — encrypted once per round (§7.2): per sample
     // and chunk of the stride (α, γ₁, γ₂), every client encrypts ONE packed
@@ -186,7 +183,7 @@ fn train_residual_trees(
                 rows.extend(stride.map(|stride| stride[range.clone()].to_vec()));
             }
         }
-        share_rows_to_ciphers(ctx, codec, &rows)
+        share_rows_to_ciphers(ctx, &plan.codec, &rows)
     };
     let mut sums = sums.into_iter();
     let roots = residuals
@@ -207,8 +204,7 @@ fn train_residual_trees(
             NodeMask::Carried(chunks)
         })
         .collect();
-    ctx.task_override = Some(Task::Regression);
-    let trees = train_from_roots(ctx, roots, LabelSource::ShareSums, None);
+    let trees = train_from_roots(ctx, roots, plan, None);
     ctx.task_override = None;
     trees
 }
@@ -239,13 +235,11 @@ fn group_scores(
         })
         .collect();
     let sums = predict_batch_encrypted(ctx, &trees, &outputs, local_samples);
-    let bounded: Vec<(&[Ciphertext], u32)> = sums
-        .iter()
+    let bits = |trees: usize| prediction_bound_bits(ctx, trees, Task::Regression);
+    let bounded: Vec<Bounded> = sums
+        .into_iter()
         .zip(groups)
-        .map(|(cts, group)| {
-            let bound = prediction_bound_bits(ctx, group.len(), Task::Regression);
-            (cts.as_slice(), bound)
-        })
+        .map(|(cts, group)| Bounded::below_pow2(cts, bits(group.len())))
         .collect();
     let shares = packed_share_conversion_groups(ctx, &bounded).concat();
     ctx.engine.fixscale_vec(&shares, learning_rate)

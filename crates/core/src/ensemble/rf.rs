@@ -8,6 +8,7 @@
 
 use super::open_argmax;
 use crate::conversion::packed_share_conversion;
+use crate::decrypt::Bounded;
 use crate::party::PartyContext;
 use crate::predict_basic::{leaf_values, predict_batch_encrypted, predict_sum_batch};
 use crate::train_basic::train_with_masks;
@@ -94,8 +95,8 @@ pub fn predict_rf_batch(
                 .map(|k| labels.iter().map(|l| u64::from(*l == k).into()).collect())
                 .collect();
             let tallies = predict_batch_encrypted(ctx, &trees, &votes, local_samples).concat();
-            let bound_bits = (w + 1).next_power_of_two().trailing_zeros();
-            let shares = packed_share_conversion(ctx, &tallies, bound_bits);
+            let tallies = Bounded::new(tallies, BigUint::from_u64(w as u64));
+            let shares = packed_share_conversion(ctx, &tallies);
             let width = pivot_mpc::width_for_magnitude(w as u64);
             open_argmax(ctx, &shares, local_samples.len(), width)
         }

@@ -10,7 +10,9 @@
 //! share sums below `m·p` instead, audited as their own label source
 //! (`LabelSource::ShareSums`). The enhanced protocol keeps `[α]` alone,
 //! because Eqn 10 updates α alone, so its super client rebuilds the stride
-//! at every pass ([`compute_packed_label_masks`]).
+//! at every pass ([`compute_packed_label_masks`]), from an `[α]` that is a
+//! `crate::decrypt::Bounded` vector: 1 for [`initial_mask`]'s root, and
+//! below it whatever bound `crate::train_enhanced` sets.
 //!
 //! Classification: one vector per class `k` with `γ_k = β_k ⊙ α`.
 //! Regression: `γ_1 = (y+1) ⊙ α` and `γ_2 = (y+1)² ⊙ α` — labels are
@@ -142,13 +144,17 @@ pub struct PackedLabels<'a> {
 pub(crate) struct PackedLabelPlan {
     pub(crate) codec: SlotCodec,
     pub(crate) chunking: PackedChunking,
-    labels: LabelSource,
+    pub(crate) labels: LabelSource,
 }
 
 /// The label plan of trees whose roots' vectors come from `labels`: the
-/// audited codec, and the current task's stride cut into its chunks.
+/// run's audited codec for them (`PivotParams::slot_plan`), and the
+/// current task's stride cut into its chunks.
 pub(crate) fn plan_packed_labels(ctx: &PartyContext<'_>, labels: LabelSource) -> PackedLabelPlan {
-    let codec = ctx.packing_codec(labels);
+    let slots = ctx
+        .params
+        .slot_plan(ctx.parties(), ctx.num_samples(), labels);
+    let codec = slots.codec(&ctx.engine.cfg);
     let stride = 1 + match ctx.current_task() {
         Task::Classification { classes } => classes,
         Task::Regression => 2,
@@ -213,7 +219,7 @@ pub(crate) fn compute_packed_label_masks<'a>(
     plan: &PackedLabelPlan,
 ) -> PackedLabels<'a> {
     let alpha = match mask {
-        NodeMask::Alpha(alpha) => alpha.as_slice(),
+        NodeMask::Alpha { alpha, .. } => alpha.cts.as_slice(),
         NodeMask::Carried(chunks) => {
             assert_eq!(chunks.len(), plan.chunking.chunks(), "carried stride shape");
             return plan.labels(chunks.iter().map(|c| Cow::Borrowed(c.as_slice())).collect());

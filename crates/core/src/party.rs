@@ -180,15 +180,6 @@ impl<'a> PartyContext<'a> {
         self.params.crypto_threads.max(1)
     }
 
-    /// The slot layout of this run's statistics: `params.packing` resolved
-    /// against this run's `m`, `n`, protocol and the source of the trees'
-    /// label vectors (see [`PivotParams::slot_plan`]).
-    pub fn packing_codec(&self, labels: LabelSource) -> pivot_paillier::SlotCodec {
-        self.params
-            .slot_plan(self.parties(), self.num_samples(), labels)
-            .codec(&self.engine.cfg)
-    }
-
     /// The task the *current* (sub)protocol trains for.
     pub fn current_task(&self) -> pivot_data::Task {
         self.task_override.unwrap_or(self.view.task)

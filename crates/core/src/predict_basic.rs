@@ -23,7 +23,7 @@
 //! K outputs, each zero outside its tree. This function is the only place
 //! the ring runs.
 
-use crate::decrypt::joint_decrypt_signed;
+use crate::decrypt::{joint_decrypt_signed, Bounded};
 use crate::masks::encode_signed;
 use crate::party::PartyContext;
 use crate::verify;
@@ -55,12 +55,12 @@ pub fn predict_sum_batch(
     let task = ctx.current_task();
     let z = leaf_values(ctx, trees, task);
     let enc = predict_batch_encrypted(ctx, trees, &[z], local_samples).remove(0);
-    let bound_bits = prediction_bound_bits(ctx, trees.len(), task);
+    let enc = Bounded::below_pow2(enc, prediction_bound_bits(ctx, trees.len(), task));
     let scale = match task {
         Task::Classification { .. } => 1.0,
         Task::Regression => (1u64 << ctx.engine.cfg.frac_bits) as f64,
     };
-    joint_decrypt_signed(ctx, &enc, bound_bits)
+    joint_decrypt_signed(ctx, &enc)
         .into_iter()
         .map(|v| v as f64 / scale)
         .collect()

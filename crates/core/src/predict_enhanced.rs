@@ -5,6 +5,7 @@
 //! are combined multiplicatively so only the final output is opened.
 
 use crate::conversion::packed_share_conversion_groups;
+use crate::decrypt::Bounded;
 use crate::model::{ConcealedNode, ConcealedTree};
 use crate::party::PartyContext;
 use crate::train_enhanced::threshold_offset_bits;
@@ -46,9 +47,8 @@ pub fn predict_batch(
         let m_p = BigUint::from_u128(Fp::share_sum_bound(ctx.parties()));
         let splits = BigUint::from_u64(ctx.params.tree.max_splits.max(1) as u64);
         let t_bound = &(&m_p * &splits) * &BigUint::pow2(threshold_offset_bits(ctx) + 1);
-        let (t_cts, l_cts) = cts.split_at(internals.len());
-        let groups =
-            packed_share_conversion_groups(ctx, &[(t_cts, t_bound.bits()), (l_cts, m_p.bits())]);
+        let leaves = Bounded::new(cts.split_off(internals.len()), m_p);
+        let groups = packed_share_conversion_groups(ctx, &[Bounded::new(cts, t_bound), leaves]);
         let shares: Vec<Share> = groups.into_iter().flatten().collect();
         let off = Fp::pow2(threshold_offset_bits(ctx));
         let party = ctx.id();

@@ -22,6 +22,7 @@
 
 use crate::config::LabelSource;
 use crate::conversion::packed_ciphers_to_shares;
+use crate::decrypt::Bounded;
 use crate::dp::DpParams;
 use crate::gain::{
     best_split_batch, leaf_label_shares_batch, node_shares_from_packed, prune_decisions_batch,
@@ -39,6 +40,7 @@ use crate::trainer::{
     allocate_children, children, grow_tree, Arena, ArenaNode, Disclosure, FrontierNode, LevelPass,
     Survivor,
 };
+use pivot_bignum::BigUint;
 use pivot_data::Task;
 use pivot_mpc::{Fp, Share};
 use pivot_paillier::Ciphertext;
@@ -48,8 +50,14 @@ use pivot_trees::{DecisionTree, Node};
 pub(crate) enum NodeMask {
     /// The enhanced protocol's sample mask `[α]` alone: its Eqn-10 update
     /// rewrites α alone, so the super client derives the label vectors
-    /// from its plaintext labels at every statistics pass.
-    Alpha(Vec<Ciphertext>),
+    /// from its plaintext labels at every statistics pass. `alpha` carries
+    /// the bound its producer set (`crate::train_enhanced`); `shares` are
+    /// shares of α, held by a mask the statistics pass refreshed, which
+    /// its Eqn-10 update reads instead of converting `alpha` again.
+    Alpha {
+        alpha: Bounded,
+        shares: Option<Vec<Share>>,
+    },
     /// Every Pivot-Basic node (§7.2's route): the node carries its label
     /// vectors. Per sample, the stride `(α, γ₁, …)` lies in the slots of
     /// the run's codec, cut by the label plan's `PackedChunking` —
@@ -60,21 +68,6 @@ pub(crate) enum NodeMask {
     Carried(Vec<Vec<Ciphertext>>),
 }
 
-impl NodeMask {
-    /// `[α]` of an enhanced node.
-    pub fn alpha_mut(&mut self) -> &mut Vec<Ciphertext> {
-        match self {
-            NodeMask::Alpha(alpha) => alpha,
-            NodeMask::Carried(_) => panic!("a carried stride has no [α] of its own"),
-        }
-    }
-
-    /// [`NodeMask::alpha_mut`], by value.
-    pub fn into_alpha(mut self) -> Vec<Ciphertext> {
-        std::mem::take(self.alpha_mut())
-    }
-}
-
 /// The Pivot trainers' statistics pass (§4.1): label vectors, encrypted
 /// dot products and pooling, then ONE Algorithm-2 conversion for the
 /// level — all over the slots of the run's `SlotCodec`. The paper's
@@ -82,26 +75,9 @@ impl NodeMask {
 /// (`PivotParams::slot_plan`), not a second route. A winning split
 /// divides a node's vectors by the winner's plaintext indicator.
 pub(crate) struct PaillierPass {
-    /// The slot layout of the statistics and the label stride, audited for
-    /// the source of the roots' label vectors: a carried root already lies
-    /// in its slots.
-    label_plan: PackedLabelPlan,
-    /// The masks below the root are Eqn-10 products (§5.2), linearized
-    /// before a multi-slot pass reads them
-    /// (`crate::train_enhanced::refresh_masks`).
-    eqn10_masks: bool,
-}
-
-impl PaillierPass {
-    /// The pass over roots whose label vectors come from `labels`;
-    /// `eqn10_masks` for the enhanced protocol, whose masks below the root
-    /// carry Eqn-10 slack.
-    pub(crate) fn new(ctx: &PartyContext<'_>, labels: LabelSource, eqn10_masks: bool) -> Self {
-        PaillierPass {
-            label_plan: plan_packed_labels(ctx, labels),
-            eqn10_masks,
-        }
-    }
+    /// The slot layout of the statistics and the label stride the roots
+    /// were built with: a carried root already lies in its slots.
+    pub(crate) label_plan: PackedLabelPlan,
 }
 
 impl LevelPass for PaillierPass {
@@ -112,14 +88,19 @@ impl LevelPass for PaillierPass {
         ctx: &mut PartyContext<'_>,
         local: &LocalSplits,
         layout: &SplitLayout,
-        depth: usize,
         masks: &mut [&mut NodeMask],
     ) -> Vec<NodeShares> {
-        // A lone slot is the whole plaintext: no neighbour for the slack
-        // to carry into.
+        // An `[α]` above the bound its slots were audited for is refreshed
+        // first; a lone slot is the whole plaintext and admits any bound.
         let codec = &self.label_plan.codec;
-        if self.eqn10_masks && depth > 0 && codec.slots() > 1 {
-            crate::train_enhanced::refresh_masks(ctx, layout, masks);
+        let audited = BigUint::from_u128(ctx.params.alpha_bound(ctx.parties()));
+        let stale: Vec<&mut NodeMask> = masks
+            .iter_mut()
+            .map(|mask| &mut **mask)
+            .filter(|mask| matches!(mask, NodeMask::Alpha { alpha, .. } if alpha.bound > audited))
+            .collect();
+        if codec.slots() > 1 && !stale.is_empty() {
+            crate::train_enhanced::refresh_masks(ctx, stale);
         }
         let per_node: Vec<PackedStats> = {
             let _stats = pivot_trace::phase_span(&ctx.counters, "stats");
@@ -197,8 +178,7 @@ pub(crate) fn train_from_masks(
     included: &[impl AsRef<[bool]>],
     noise: Option<DpParams>,
 ) -> Vec<DecisionTree> {
-    let labels = LabelSource::of_task(ctx.current_task());
-    let plan = plan_packed_labels(ctx, labels);
+    let plan = plan_packed_labels(ctx, LabelSource::of_task(ctx.current_task()));
     let roots = included
         .iter()
         .map(|mask| {
@@ -206,17 +186,16 @@ pub(crate) fn train_from_masks(
             NodeMask::Carried(initial_mask(ctx, mask.as_ref(), Some(&plan)))
         })
         .collect();
-    train_from_roots(ctx, roots, labels, noise)
+    train_from_roots(ctx, roots, plan, noise)
 }
 
-/// Train from carried roots whose label vectors come from `labels` (the
-/// GBDT entry point: its roots carry the residual label vectors). With
-/// `noise`, the prune, leaf and split queries are §9.2's DP mechanisms
-/// (`crate::dp`).
+/// Train from carried roots laid out by `label_plan` (the GBDT entry
+/// point: its roots carry the residual label vectors). With `noise`, the
+/// prune, leaf and split queries are §9.2's DP mechanisms (`crate::dp`).
 pub(crate) fn train_from_roots(
     ctx: &mut PartyContext<'_>,
     roots: Vec<NodeMask>,
-    labels: LabelSource,
+    label_plan: PackedLabelPlan,
     noise: Option<DpParams>,
 ) -> Vec<DecisionTree> {
     let (local, layout) = {
@@ -225,11 +204,11 @@ pub(crate) fn train_from_roots(
         let layout = SplitLayout::build(ctx.ep, &local.counts());
         (local, layout)
     };
-    let mut pass = PaillierPass::new(ctx, labels, false);
     let mut reveal = Reveal::new(
-        ctx.params.tree.stop_when_pure && labels != LabelSource::ShareSums,
+        ctx.params.tree.stop_when_pure && label_plan.labels != LabelSource::ShareSums,
         noise,
     );
+    let mut pass = PaillierPass { label_plan };
     let task = ctx.current_task();
     grow_tree(ctx, &mut pass, &mut reveal, &local, &layout, roots)
         .into_iter()

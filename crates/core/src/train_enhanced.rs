@@ -14,18 +14,24 @@
 //!   separates Pivot-Enhanced from Pivot-Basic in Figures 4–5;
 //! * leaf labels are converted share→ciphertext instead of being opened.
 //!
+//! Every encrypted vector here is a `crate::decrypt::Bounded` whose maker
+//! sets its bound, mod-p slack included: 1 for the root's fresh `[α]`,
+//! `m·p` for the share sums `[λ]` and a refreshed mask, `b·m·p` for a PIR
+//! column over the layout's widest block `b`, and `m·p` times the column's
+//! for an Eqn-10 product. Conversions pack under those bounds.
+//!
 //! Everything else is the shared level-wise loop of `crate::trainer` over
 //! the basic protocol's Paillier statistics pass; this file is the
 //! enhanced protocol's side of its disclosure hooks, and the mask refresh
-//! its pass runs before a multi-slot level.
+//! its pass runs on masks above what their slots admit. A refreshed mask
+//! keeps its shares, so each mask is converted once per level.
 
 use crate::config::{LabelSource, Protocol};
-use crate::conversion::{
-    packed_share_conversion, packed_share_conversion_groups, shares_to_ciphers,
-};
+use crate::conversion::{packed_share_conversion, shares_to_ciphers};
+use crate::decrypt::Bounded;
 use crate::gain::{concealed_columns_batch, reveal_blocks_batch};
 use crate::gain::{NodeShares, NodeTotals};
-use crate::masks::{initial_mask, Sides};
+use crate::masks::{initial_mask, plan_packed_labels, Sides};
 use crate::model::{ConcealedNode, ConcealedTree};
 use crate::party::PartyContext;
 use crate::stats::{LocalSplits, SplitLayout};
@@ -43,25 +49,6 @@ use pivot_trace::Counter;
 /// encodings would wrap mod `N` and break the mod-`p` slack discipline).
 pub fn threshold_offset_bits(ctx: &PartyContext<'_>) -> u32 {
     ctx.engine.cfg.int_bits - 2
-}
-
-/// Audited magnitude bound (in bits) on an Eqn-10 mask plaintext: after a
-/// masked-product update, `[α'] = Σ_m ⟨α⟩·[v]` where each `⟨α⟩ < p` and
-/// the PIR-selected `[v]` plaintext is a `≤ b`-term sum of λ-ciphertexts
-/// each carrying `< m·p` slack — worst case `m²·b·p²` (the quadratic
-/// slack behind the enhanced keysize floor).
-fn eqn10_alpha_bound_bits(ctx: &PartyContext<'_>, layout: &SplitLayout) -> u32 {
-    let m_p = BigUint::from_u128(Fp::share_sum_bound(ctx.parties()));
-    let b = layout
-        .counts
-        .iter()
-        .flat_map(|per_feature| per_feature.iter())
-        .copied()
-        .max()
-        .unwrap_or(1)
-        .max(1);
-    let worst = &(&m_p * &m_p) * &BigUint::from_u64(b as u64);
-    worst.bits()
 }
 
 /// Train a single concealed decision tree (enhanced protocol).
@@ -82,8 +69,13 @@ pub fn train(ctx: &mut PartyContext<'_>) -> ConcealedTree {
         let layout = SplitLayout::build(ctx.ep, &local.counts());
         (local, layout)
     };
-    let roots = vec![NodeMask::Alpha(initial_mask(ctx, &mask, None).remove(0))];
-    let mut pass = PaillierPass::new(ctx, LabelSource::of_task(ctx.current_task()), true);
+    let alpha = Bounded::new(initial_mask(ctx, &mask, None).remove(0), BigUint::one());
+    let roots = vec![NodeMask::Alpha {
+        alpha,
+        shares: None,
+    }];
+    let label_plan = plan_packed_labels(ctx, LabelSource::of_task(ctx.current_task()));
+    let mut pass = PaillierPass { label_plan };
     let (nodes, root) = grow_tree(ctx, &mut pass, &mut Conceal, &local, &layout, roots).remove(0);
     ConcealedTree {
         nodes,
@@ -107,43 +99,59 @@ impl ArenaNode for ConcealedNode {
     }
 }
 
-/// Split `flat` back into consecutive vectors of the given lengths.
-fn split_lengths<T>(flat: Vec<T>, lens: impl IntoIterator<Item = usize>) -> Vec<Vec<T>> {
-    let mut flat = flat.into_iter();
-    lens.into_iter()
-        .map(|len| flat.by_ref().take(len).collect())
+/// Each mask's shares of α: a refreshed mask's as it carries them, every
+/// other mask's from ONE Algorithm-2 call. Those others share one bound —
+/// the roots' 1, or the Eqn-10 product bound of the layout's widest block
+/// — so they pack as one group.
+fn alpha_shares(
+    ctx: &mut PartyContext<'_>,
+    masks: impl IntoIterator<Item = NodeMask>,
+) -> Vec<Vec<Share>> {
+    let mut pending = Bounded::new(Vec::new(), BigUint::one());
+    let held: Vec<Result<Vec<Share>, usize>> = masks
+        .into_iter()
+        .map(|mask| {
+            let NodeMask::Alpha { alpha, shares } = mask else {
+                unreachable!("a carried stride divides by its indicator")
+            };
+            shares.ok_or_else(|| {
+                let first = pending.cts.is_empty();
+                debug_assert!(first || pending.bound == alpha.bound, "one bound per level");
+                let len = alpha.cts.len();
+                pending.bound = alpha.bound;
+                pending.cts.extend(alpha.cts);
+                len
+            })
+        })
+        .collect();
+    let mut converted = packed_share_conversion(ctx, &pending).into_iter();
+    held.into_iter()
+        .map(|held| held.unwrap_or_else(|len| converted.by_ref().take(len).collect()))
         .collect()
 }
 
-/// Eqn-10 masks carry *quadratic* mod-p slack (shares scaled by
-/// slack-carrying PIR ciphertexts reach ~m²·b·p² — the reason for the
-/// enhanced keysize floor). The slot-width audit budgets only the linear
-/// `m·p` bound, so the Paillier pass linearizes the slack of the masks a
-/// multi-slot level reads below the root: one batched share round-trip
-/// re-encrypts them as plain share sums. The conversion packs under the
-/// Eqn-10 bound, as the update's does — `⌈n/s⌉` decryptions and `n`
-/// re-encryptions for `n` samples in `s` slots. Values are untouched mod
-/// p, so the trained tree is unaffected; a slot that is the whole
-/// plaintext needs no refresh, and neither does a mask only the next
-/// Eqn-10 update reads (its conversion budgets the quadratic bound).
-pub(crate) fn refresh_masks(
-    ctx: &mut PartyContext<'_>,
-    layout: &SplitLayout,
-    masks: &mut [&mut NodeMask],
-) {
+/// An Eqn-10 product carries *quadratic* mod-p slack: `m` shares below
+/// `p` times a PIR column of `b·m·p` (the reason for the enhanced keysize
+/// floor), where the slot-width audit budgets an `[α]` of `m·p`. So the
+/// Paillier pass refreshes the masks it reads above that bound on a
+/// multi-slot level: one batched share round-trip re-encrypts them as plain
+/// share sums, bounded by `m·p`. The conversion packs under the masks' own
+/// bound — `⌈n/s⌉` decryptions and `n` re-encryptions for `n` samples in
+/// `s` slots — and each mask keeps its shares, which its Eqn-10 update
+/// reads instead of converting the mask again. Values are untouched mod p,
+/// so the trained tree is unaffected.
+pub(crate) fn refresh_masks(ctx: &mut PartyContext<'_>, mut masks: Vec<&mut NodeMask>) {
     let _conv = pivot_trace::phase_span(&ctx.counters, "conversion");
-    let lens: Vec<usize> = masks
+    let stale = masks
         .iter_mut()
-        .map(|mask| mask.alpha_mut().len())
-        .collect();
-    let flat: Vec<Ciphertext> = masks
-        .iter_mut()
-        .flat_map(|mask| mask.alpha_mut().drain(..))
-        .collect();
-    let shares = packed_share_conversion(ctx, &flat, eqn10_alpha_bound_bits(ctx, layout));
-    let fresh = split_lengths(shares_to_ciphers(ctx, &shares), lens);
-    for (mask, alpha) in masks.iter_mut().zip(fresh) {
-        *mask.alpha_mut() = alpha;
+        .map(|mask| std::mem::replace(&mut **mask, NodeMask::Carried(Vec::new())));
+    let shares = alpha_shares(ctx, stale);
+    let alphas = shares_to_ciphers(ctx, &shares);
+    for ((mask, alpha), shares) in masks.into_iter().zip(alphas).zip(shares) {
+        *mask = NodeMask::Alpha {
+            alpha,
+            shares: Some(shares),
+        };
     }
 }
 
@@ -164,7 +172,8 @@ impl Disclosure<PaillierPass> for Conceal {
         labels: Vec<Share>,
         arena: &mut Arena<ConcealedNode>,
     ) {
-        for (slot, enc_value) in slots.into_iter().zip(shares_to_ciphers(ctx, &labels)) {
+        let leaves = shares_to_ciphers(ctx, &[labels]).remove(0);
+        for (slot, enc_value) in slots.into_iter().zip(leaves.cts) {
             arena[slot] = Some(ConcealedNode::Leaf { enc_value });
         }
     }
@@ -203,9 +212,7 @@ impl Disclosure<PaillierPass> for Conceal {
                 .zip(&survivors)
                 .map(|(left, s)| s.stats.child_totals(left))
                 .collect();
-            let lens: Vec<usize> = lambdas.iter().map(Vec::len).collect();
-            let flat: Vec<Share> = lambdas.into_iter().flatten().collect();
-            let lambda_encs = split_lengths(shares_to_ciphers(ctx, &flat), lens);
+            let lambda_encs = shares_to_ciphers(ctx, &lambdas);
             (blocks, lambda_encs, totals)
         };
 
@@ -215,49 +222,26 @@ impl Disclosure<PaillierPass> for Conceal {
             blocks
                 .iter()
                 .zip(&lambda_encs)
-                .map(|(&(winner, local_feature, _), lambda_enc)| {
-                    let (selected, enc_threshold, feature_global) =
-                        pir_select(ctx, local, winner, local_feature, lambda_enc, wanted);
-                    (selected, (enc_threshold, feature_global))
+                .map(|(block, lambda_enc)| {
+                    pir_select(ctx, local, layout, block, lambda_enc, wanted)
                 })
                 .unzip()
         };
 
-        // Eqn-10, where a child's mask is read: ONE share conversion for
-        // every survivor's mask, then per-node masked products (the sides
-        // wanted share one gather round).
+        // Eqn-10, where a child's mask is read: the shares of every
+        // survivor's α (at most ONE conversion, for the masks no refresh
+        // converted), then per-node masked products (the sides wanted
+        // share one gather round).
         let _update = pivot_trace::phase_span(&ctx.counters, "update");
-        let (slots, masks): (Vec<usize>, Vec<(bool, Option<NodeMask>)>) = survivors
+        let (slots, masks): (Vec<usize>, Vec<Option<NodeMask>>) = survivors
             .into_iter()
-            .map(|s| (s.node.slot, (s.node.totals.is_none(), s.node.mask)))
+            .map(|s| (s.node.slot, s.node.mask))
             .unzip();
         let child_alphas: Vec<Selected> = if wanted.any() {
-            // A root's `[α]` is `initial_mask`'s fresh 0/1 encryption and
-            // converts at bound 1; every other mask is an Eqn-10 product
-            // and converts under its slack bound — which needs ~2·61-bit
-            // slots, so it packs only at large keysizes and is a one-slot
-            // group below them.
-            let mut flat: [Vec<Ciphertext>; 2] = Default::default();
-            let mut nodes = Vec::with_capacity(masks.len());
-            for (root, mask) in masks {
-                let mask = mask.expect("a node whose children read a mask holds one");
-                let alpha = mask.into_alpha();
-                nodes.push((usize::from(root), alpha.len()));
-                flat[usize::from(root)].extend(alpha);
-            }
-            let groups = [
-                (flat[0].as_slice(), eqn10_alpha_bound_bits(ctx, layout)),
-                (flat[1].as_slice(), 1),
-            ];
-            let mut converted: Vec<_> = packed_share_conversion_groups(ctx, &groups)
+            let masks = masks
                 .into_iter()
-                .map(Vec::into_iter)
-                .collect();
-            let alpha_shares: Vec<Vec<Share>> = nodes
-                .iter()
-                .map(|&(group, len)| converted[group].by_ref().take(len).collect())
-                .collect();
-            alpha_shares
+                .map(|m| m.expect("a split node holds a mask"));
+            alpha_shares(ctx, masks)
                 .iter()
                 .zip(&selections)
                 .zip(&blocks)
@@ -286,7 +270,12 @@ impl Disclosure<PaillierPass> for Conceal {
                 left: child_slots.0,
                 right: child_slots.1,
             });
-            let masks = alphas.map(|alpha| alpha.map(NodeMask::Alpha));
+            let masks = alphas.map(|alpha| {
+                alpha.map(|alpha| NodeMask::Alpha {
+                    alpha,
+                    shares: None,
+                })
+            });
             next.extend(children(child_slots, totals, masks));
         }
         next
@@ -295,19 +284,24 @@ impl Disclosure<PaillierPass> for Conceal {
 
 /// The PIR-selected indicator columns `[v_l]`, `[v_r]` of one winner, on
 /// the sides whose mask is wanted.
-type Selected = Sides<Option<Vec<Ciphertext>>>;
+type Selected = Sides<Option<Bounded>>;
 
-/// §5.2 private split selection at the winner: Theorem-2 PIR selection of
-/// the `wanted` split-indicator columns and the encrypted threshold,
-/// broadcast to everyone.
+/// §5.2 private split selection at the winner of `block`: Theorem-2 PIR
+/// selection of the `wanted` split-indicator columns and the encrypted
+/// threshold, with the winner's global feature, broadcast to everyone. A
+/// column is bounded as if it summed the layout's widest block of `[λ]`,
+/// so every column of a level packs at one width.
 fn pir_select(
     ctx: &mut PartyContext<'_>,
     local: &LocalSplits,
-    winner: usize,
-    local_feature: usize,
-    lambda_enc: &[Ciphertext],
+    layout: &SplitLayout,
+    &(winner, local_feature, _): &(usize, usize, Share),
+    lambda_enc: &Bounded,
     wanted: Sides<bool>,
-) -> (Selected, Ciphertext, usize) {
+) -> (Selected, (Ciphertext, usize)) {
+    let widest = layout.counts.concat().into_iter().fold(1, usize::max);
+    let bound = &lambda_enc.bound * &BigUint::from_u64(widest as u64);
+    let bounded = |cts| Bounded::new(cts, bound.clone());
     if ctx.id() == winner {
         let inds = &local.indicators[local_feature];
         let n = ctx.view.num_samples();
@@ -319,39 +313,41 @@ fn pir_select(
             .map(|complement| {
                 pivot_runtime::global().map(ctx.crypto_threads(), &samples, |&j| {
                     let row: Vec<bool> = inds.iter().map(|ind| ind[j] != complement).collect();
-                    vector::dot_binary(&ctx.pk, lambda_enc, &row)
+                    vector::dot_binary(&ctx.pk, &lambda_enc.cts, &row)
                 })
             })
             .collect();
         ctx.counters.add(
             Counter::CiphertextOps,
-            (columns.len() * n * lambda_enc.len()) as u64,
+            (columns.len() * n * lambda_enc.cts.len()) as u64,
         );
         let enc_vals: Vec<BigUint> = local.candidates[local_feature]
             .thresholds
             .iter()
             .map(|&t| encode_threshold(ctx, t))
             .collect();
-        let enc_threshold = vector::dot_plain(&ctx.pk, lambda_enc, &enc_vals);
+        let enc_threshold = vector::dot_plain(&ctx.pk, &lambda_enc.cts, &enc_vals);
         let feature_global = ctx.view.feature_indices[local_feature];
         for column in &columns {
             ctx.ep.broadcast(column);
         }
         ctx.ep.broadcast(&enc_threshold);
         ctx.ep.broadcast(&feature_global);
-        (wanted.fill(columns), enc_threshold, feature_global)
+        let selected = wanted.fill(columns.into_iter().map(bounded));
+        (selected, (enc_threshold, feature_global))
     } else {
-        let selected = wanted.fill(wanted.complements().map(|_| ctx.ep.recv(winner)));
+        let selected = wanted.fill(wanted.complements().map(|_| bounded(ctx.ep.recv(winner))));
         let enc_threshold: Ciphertext = ctx.ep.recv(winner);
         let feature_global: usize = ctx.ep.recv(winner);
-        (selected, enc_threshold, feature_global)
+        (selected, (enc_threshold, feature_global))
     }
 }
 
 /// Eqn (10), `[α'_j] = Σᵢ [⟨α_j⟩ᵢ · v_j]`: every client scales the encrypted
 /// split indicator by its own share of `α`; the winner aggregates and
 /// broadcasts. The children of one node share a single gather round — the
-/// selected indicator vectors concatenate.
+/// selected indicator vectors concatenate. A child's mask is bounded by
+/// `m·p` times its column's bound: `m` shares below `p` scale it.
 fn masked_products(
     ctx: &mut PartyContext<'_>,
     alpha_shares: &[Share],
@@ -368,7 +364,7 @@ fn masked_products(
         .iter()
         .map(|s| BigUint::from_u64(s.0.value()))
         .collect();
-    let v: Vec<Ciphertext> = selected.present().flatten().cloned().collect();
+    let v: Vec<Ciphertext> = selected.present().flat_map(|c| c.cts.clone()).collect();
     let repeated: Vec<BigUint> = selected
         .present()
         .flat_map(|_| share_values.iter().cloned())
@@ -394,7 +390,9 @@ fn masked_products(
     } else {
         ctx.ep.recv(winner)
     };
-    wanted.fill(sums.chunks(n).map(<[Ciphertext]>::to_vec))
+    let m_p = BigUint::from_u128(Fp::share_sum_bound(ctx.parties()));
+    let products = sums.chunks(n).zip(selected.present());
+    wanted.fill(products.map(|(sums, v)| Bounded::new(sums.to_vec(), &m_p * &v.bound)))
 }
 
 /// Encode a plaintext threshold for PIR selection: fixed-point plus the
@@ -419,56 +417,160 @@ mod tests {
     use pivot_data::{partition_vertically, Dataset, Task};
     use pivot_transport::run_parties;
 
-    #[test]
-    fn refresh_converts_at_the_eqn10_width() {
-        // m = 3 at keysize 512, b = 8 candidates: the Eqn-10 bound
-        // (m·p)²·b has 129 bits, a slot holds it plus the offset and three
-        // masks in 131, three slots per ciphertext. Every mask plaintext is
-        // α + K·p with the largest K the bound admits.
+    /// `m` parties at `keysize` over a two-sample toy view, each running `f`.
+    fn with_parties<T: Send>(
+        m: usize,
+        keysize: u32,
+        f: impl Fn(&mut PartyContext<'_>) -> T + Sync,
+    ) -> Vec<T> {
         let params = PivotParams {
-            keysize: 512,
+            keysize,
             ..Default::default()
         };
-        let (m, n) = (3, 10);
-        let layout = SplitLayout::from_counts(vec![vec![8]; m]);
-        let alpha: Vec<u64> = (0..n).map(|j| u64::from(j % 3 == 0)).collect();
         let data = Dataset::new(
             vec![vec![0.0; m]; 2],
             vec![0.0, 1.0],
             Task::Classification { classes: 2 },
         );
         let partition = partition_vertically(&data, m, 0);
-        let p = BigUint::from_u128(Fp::share_sum_bound(1));
-        let results = run_parties(m, |ep| {
+        run_parties(m, |ep| {
             let mut ctx =
                 PartyContext::setup(&ep, partition.views[ep.id()].clone(), params.clone());
-            let bound = eqn10_alpha_bound_bits(&ctx, &layout);
-            assert_eq!(bound, 129);
+            f(&mut ctx)
+        })
+    }
+
+    /// Every producer behind an Eqn-10 product at its worst, over a layout
+    /// of `b = 8` candidates per party: every share is `p − 1`, so `[λ]`
+    /// opens to `m·(p − 1)`; the winner's left indicator column selects all
+    /// 8 entries of it (its right column none); and each column is scaled
+    /// by shares of `p − 1`. Returns `[λ]`, the columns and the products.
+    fn worst_eqn10_products(ctx: &mut PartyContext<'_>) -> (Bounded, Selected, Selected) {
+        let (b, n) = (8, ctx.view.num_samples());
+        let top = Share(Fp::new((Fp::share_sum_bound(1) - 1) as u64));
+        let layout = SplitLayout::from_counts(vec![vec![b]; ctx.parties()]);
+        let local = LocalSplits {
+            candidates: vec![pivot_data::SplitCandidates {
+                thresholds: (0..b).map(|t| t as f64).collect(),
+            }],
+            indicators: vec![vec![vec![true; n]; b]],
+        };
+        let lambda = shares_to_ciphers(ctx, &[vec![top; b]]).remove(0);
+        let both = Sides {
+            left: true,
+            right: true,
+        };
+        let (columns, _) = pir_select(ctx, &local, &layout, &(0, 0, top), &lambda, both);
+        let products = masked_products(ctx, &vec![top; n], &columns, 0);
+        (lambda, columns, products)
+    }
+
+    #[test]
+    fn refresh_converts_at_the_eqn10_width() {
+        // m = 3 at keysize 512, b = 8 candidates: an Eqn-10 product is
+        // bounded by m·p times a column's 8·m·p, 129 bits; a slot holds it
+        // plus the offset and three masks in 131, three slots per
+        // ciphertext. Every mask plaintext is α + K·p with the largest K
+        // the width admits.
+        let (m, n) = (3, 10);
+        let m_p = BigUint::from_u128(Fp::share_sum_bound(m));
+        let alpha: Vec<u64> = (0..n).map(|j| u64::from(j % 3 == 0)).collect();
+        let p = BigUint::from_u128(Fp::share_sum_bound(1));
+        let results = with_parties(m, 512, |ctx| {
+            let (_, _, products) = worst_eqn10_products(ctx);
+            let bits = products.left.expect("left wanted").bound.bits();
+            assert_eq!(bits, 129);
             let cts: Vec<Ciphertext> = alpha
                 .iter()
                 .map(|&a| {
-                    let top = &BigUint::pow2(bound) - &BigUint::from_u64(a + 1);
+                    let top = &BigUint::pow2(bits) - &BigUint::from_u64(a + 1);
                     let k = &top / &p;
                     let value = &(&k * &p) + &BigUint::from_u64(a);
-                    assert!(value.bits() <= bound && (&value + &p).bits() > bound);
+                    assert!(value.bits() <= bits && (&value + &p).bits() > bits);
                     ctx.pk.encrypt_trivial(&value)
                 })
                 .collect();
+            let paid = |ctx: &PartyContext<'_>, before: &pivot_trace::Snapshot, c: Counter| {
+                ctx.counters.snapshot()[c] - before[c]
+            };
             let before = ctx.counters.snapshot();
-            let mut mask = NodeMask::Alpha(cts);
-            refresh_masks(&mut ctx, &layout, &mut [&mut mask]);
-            let after = ctx.counters.snapshot();
-            let paid = |c: Counter| after[c] - before[c];
-            assert_eq!(paid(Counter::ThresholdDecryptions), 4, "⌈10/3⌉ decryptions");
-            assert_eq!(paid(Counter::Encryptions), 4 + 10, "masks, then shares");
-            joint_decrypt_vec(&mut ctx, &mask.into_alpha())
+            let mut mask = NodeMask::Alpha {
+                alpha: Bounded::below_pow2(cts, bits),
+                shares: None,
+            };
+            refresh_masks(ctx, vec![&mut mask]);
+            let decryptions = paid(ctx, &before, Counter::ThresholdDecryptions);
+            assert_eq!(decryptions, 4, "⌈10/3⌉ decryptions");
+            let encryptions = paid(ctx, &before, Counter::Encryptions);
+            assert_eq!(encryptions, 4 + 10, "masks, then shares");
+            let NodeMask::Alpha { alpha, shares } = mask else {
+                unreachable!("a refresh keeps an [α]")
+            };
+            assert_eq!(alpha.bound, m_p, "a refreshed mask is a share sum");
+            let carried = shares.clone().expect("a refresh keeps its shares");
+            // The settle-level conversion reads the shares the refresh
+            // kept: nothing is decrypted or encrypted again.
+            let before = ctx.counters.snapshot();
+            let refreshed = NodeMask::Alpha {
+                alpha: alpha.clone(),
+                shares,
+            };
+            let settled = alpha_shares(ctx, [refreshed]).remove(0);
+            assert_eq!(paid(ctx, &before, Counter::ThresholdDecryptions), 0);
+            assert_eq!(paid(ctx, &before, Counter::Encryptions), 0);
+            assert_eq!(settled, carried);
+            (joint_decrypt_vec(ctx, &alpha.cts), settled)
         });
-        let share_sum = BigUint::from_u128(Fp::share_sum_bound(m));
-        for opened in &results {
+        for (opened, _) in &results {
             for (j, (v, &a)) in opened.iter().zip(&alpha).enumerate() {
-                assert!(v < &share_sum, "sample {j}: slack beyond m·p");
+                assert!(v < &m_p, "sample {j}: slack beyond m·p");
                 assert_eq!(v.rem_of(&p), BigUint::from_u64(a), "sample {j}");
             }
+        }
+        for (j, &a) in alpha.iter().enumerate() {
+            let sum = results
+                .iter()
+                .fold(Fp::ZERO, |acc, (_, shares)| acc + shares[j].0);
+            assert_eq!(sum, Fp::new(a), "carried shares of sample {j}");
+        }
+    }
+
+    #[test]
+    fn producers_stay_within_their_carried_bounds() {
+        // m = 3 at keysize 512: `[λ]` from `shares_to_ciphers`, the PIR
+        // columns `pir_select` bounds by the layout's widest block, and
+        // their Eqn-10 products, each at its worst case, joint-decrypt to
+        // values within the bound their producer carried.
+        let m = 3;
+        let results = with_parties(m, 512, |ctx| {
+            let (lambda, columns, products) = worst_eqn10_products(ctx);
+            let mut opened = vec![(joint_decrypt_vec(ctx, &lambda.cts), lambda.bound)];
+            for side in columns.present().chain(products.present()) {
+                opened.push((joint_decrypt_vec(ctx, &side.cts), side.bound.clone()));
+            }
+            opened
+        });
+        let m_p = BigUint::from_u128(Fp::share_sum_bound(m));
+        let worst = BigUint::from_u128(Fp::share_sum_bound(m) - m as u128);
+        let column = &worst * &BigUint::from_u64(8);
+        for opened in &results {
+            assert_eq!(opened.len(), 5, "[λ], two columns, two products");
+            assert_eq!(opened[0].1, m_p, "[λ] is a share sum");
+            assert_eq!(
+                opened[1].1,
+                &m_p * &BigUint::from_u64(8),
+                "the widest block"
+            );
+            // The Eqn-10 bound keeps the width its conversion audits.
+            assert_eq!(opened[3].1, &m_p * &opened[1].1);
+            assert_eq!(opened[3].1.bits(), 129);
+            for (values, bound) in opened {
+                assert!(values.iter().all(|v| v <= bound), "within {bound:?}");
+            }
+            // The left side reaches each worst case.
+            assert!(opened[0].0.iter().all(|v| v == &worst));
+            assert!(opened[1].0.iter().all(|v| v == &column));
+            assert!(opened[3].0.iter().all(|v| v == &(&worst * &column)));
         }
     }
 }

@@ -123,7 +123,6 @@ pub(crate) trait LevelPass {
         ctx: &mut PartyContext<'_>,
         local: &LocalSplits,
         layout: &SplitLayout,
-        depth: usize,
         masks: &mut [&mut Self::Mask],
     ) -> Vec<NodeShares>;
 
@@ -307,7 +306,7 @@ pub(crate) fn grow_tree<P: LevelPass, D: Disclosure<P>>(
                 .step_by(if depth == 0 { 1 } else { 2 })
                 .map(|node| node.mask.as_mut().expect("a pass reads its node's mask"))
                 .collect();
-            let passed = pass.statistics(ctx, local, layout, depth, &mut passing);
+            let passed = pass.statistics(ctx, local, layout, &mut passing);
             if depth == 0 {
                 passed
             } else {

@@ -9,6 +9,7 @@ use pivot_core::config::{LabelSource, PivotParams};
 use pivot_core::conversion::{
     packed_ciphers_to_shares, packed_share_conversion, packed_share_conversion_groups,
 };
+use pivot_core::decrypt::Bounded;
 use pivot_core::party::PartyContext;
 use pivot_core::Counter;
 use pivot_data::{Dataset, Task, VerticalView};
@@ -72,7 +73,7 @@ fn packed_conversion_recovers_values_mod_p() {
         let view = toy_view(ep.id(), m);
         let mut ctx = PartyContext::setup(&ep, view, params.clone());
         let cts: Vec<_> = values.iter().map(|&v| trivial_signed(&ctx, v)).collect();
-        packed_share_conversion(&mut ctx, &cts, 100)
+        packed_share_conversion(&mut ctx, &Bounded::below_pow2(cts, 100))
     });
     for (i, &v) in values.iter().enumerate() {
         assert_eq!(open(&results, i), expected_share(v), "value {i}");
@@ -96,7 +97,13 @@ fn grouped_conversion_audits_each_width_separately() {
         let mut ctx = PartyContext::setup(&ep, view, params.clone());
         let wide_cts: Vec<_> = wide.iter().map(|&v| trivial_signed(&ctx, v)).collect();
         let narrow_cts: Vec<_> = narrow.iter().map(|&v| trivial_signed(&ctx, v)).collect();
-        packed_share_conversion_groups(&mut ctx, &[(&wide_cts, 126), (&narrow_cts, 63)])
+        packed_share_conversion_groups(
+            &mut ctx,
+            &[
+                Bounded::below_pow2(wide_cts, 126),
+                Bounded::below_pow2(narrow_cts, 63),
+            ],
+        )
     });
     for (i, &v) in wide.iter().enumerate() {
         let opened = results
@@ -129,7 +136,7 @@ fn one_slot_group_when_slots_too_narrow() {
         let view = toy_view(ep.id(), m);
         let mut ctx = PartyContext::setup(&ep, view, params.clone());
         let cts: Vec<_> = values.iter().map(|&v| trivial_signed(&ctx, v)).collect();
-        let shares = packed_share_conversion(&mut ctx, &cts, 100);
+        let shares = packed_share_conversion(&mut ctx, &Bounded::below_pow2(cts, 100));
         assert_eq!(
             ctx.counters.get(Counter::ThresholdDecryptions),
             2,
@@ -170,7 +177,11 @@ fn whole_plaintext_and_audited_groups_share_one_round() {
         let messages = ep.counters().get(Counter::MessagesSent);
         let shares = packed_share_conversion_groups(
             &mut ctx,
-            &[(&whole_cts, 300), (&wide_cts, 126), (&narrow_cts, 63)],
+            &[
+                Bounded::below_pow2(whole_cts, 300),
+                Bounded::below_pow2(wide_cts, 126),
+                Bounded::below_pow2(narrow_cts, 63),
+            ],
         );
         // 2 one-slot ciphertexts + ⌈4/3⌉ + ⌈3/7⌉ packed ones.
         assert_eq!(ctx.counters.get(Counter::ThresholdDecryptions), 2 + 2 + 1);
@@ -246,7 +257,7 @@ fn share_sum_statistics_convert_at_the_audited_bound() {
 }
 
 #[test]
-fn eqn10_masks_convert_at_the_audited_bound() {
+fn eqn10_products_convert_at_the_audited_bound() {
     // The mask refresh's worst case: an Eqn-10 mask α' = Σ ⟨α⟩ᵢ·[v] with
     // every share below p and the PIR-selected [v] a b-term sum of λs of
     // slack below m·p, so α' < (m·p)²·b — 129 bits at m = 3, b = 8. Each
@@ -277,7 +288,7 @@ fn eqn10_masks_convert_at_the_audited_bound() {
         let view = toy_view(ep.id(), m);
         let mut ctx = PartyContext::setup(&ep, view, params.clone());
         let cts: Vec<_> = values.iter().map(|v| ctx.pk.encrypt_trivial(v)).collect();
-        let shares = packed_share_conversion(&mut ctx, &cts, bound);
+        let shares = packed_share_conversion(&mut ctx, &Bounded::below_pow2(cts, bound));
         assert_eq!(ctx.counters.get(Counter::ThresholdDecryptions), 4);
         shares
     });
