@@ -79,6 +79,19 @@
 //! were no faster than pairs, and a naive eight-lane transposed layout
 //! (digit j of eight bases in one register) ran at 0.86–1.11× of single
 //! ladders: its 40 digit accumulators spill out of the 32 registers.
+//!
+//! # Products
+//!
+//! [`Montgomery::product`], and [`Montgomery::mul`] as its product of two,
+//! runs on the selected kernel as well, without entering its factors into
+//! the form: each factor is loaded as it is (a copy on the portable kernel,
+//! a change of radix on IFMA), and a kernel multiplication of two plain
+//! residues is their product times `R^{−1}`. So a chain of `k` factors
+//! pays `k − 1` multiplications and ends short of `R^{k−1}`, and one
+//! multiplication by `R^k mod n` — the kernel form of `R^{k−1}`, a ladder
+//! of O(log k) steps from the form of `R`, `R² mod n` itself for two
+//! factors — restores it. A Paillier sum of `k` ciphertexts thus costs `k`
+//! kernel multiplications.
 
 use crate::{BigUint, Limb};
 use std::borrow::{Borrow, Cow};
@@ -448,13 +461,18 @@ impl Montgomery {
     }
 
     /// Modular multiplication convenience: `a·b mod n` on plain values,
-    /// reduced or not.
-    ///
-    /// Two kernel calls: `a·b·R^{-1}`, then times `R²` to cancel the `R^{-1}`
-    /// of both.
+    /// reduced or not — the [`Montgomery::product`] of two.
     pub fn mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        let ab = self.mont_mul(&self.residue(a), &self.residue(b));
-        BigUint::from_limbs(self.mont_mul(&ab, &self.r2))
+        self.product([a, b])
+    }
+
+    /// `Π xᵢ mod n` over factors reduced or not, on the selected kernel;
+    /// the empty product is 1. Two or more factors cost one kernel
+    /// multiplication each and no conversion ("Products" in the module
+    /// docs); the product of two needs no ladder step.
+    pub fn product<'a>(&self, factors: impl IntoIterator<Item = &'a BigUint>) -> BigUint {
+        let residues = factors.into_iter().map(|x| self.residue(x));
+        on_kernel!(self, |k| chain(k, residues)).map_or_else(BigUint::one, BigUint::from_limbs)
     }
 
     /// Simultaneous multi-exponentiation: `Π baseᵢ^expᵢ mod n` via
@@ -502,6 +520,8 @@ trait Kernel {
     fn scratch_words(&self) -> usize;
     /// The form of 1.
     fn one(&self) -> &[u64];
+    /// The form of `R`, which is `R² mod n`.
+    fn r2(&self) -> &[u64];
     /// `out = a·b`, in the form.
     fn mul(&self, out: &mut [u64], a: &[u64], b: &[u64]);
     /// `out = a²`, in the form.
@@ -534,6 +554,13 @@ trait Kernel {
     /// `x` out of the kernel's form into `form`, fully reduced, as `limbs`
     /// words.
     fn leave(&self, x: &[u64], form: Form) -> Vec<Limb>;
+    /// A residue, `limbs` words below `n`, as the kernel's element of the
+    /// same integer, without a multiplication: the integer `x` is then the
+    /// form of `x·R^{−1}`.
+    fn load(&self, out: &mut [u64], x: &[Limb]);
+    /// The integer an element holds, fully reduced, as `limbs` words —
+    /// [`Kernel::load`] reversed, without a multiplication.
+    fn store(&self, x: &[u64]) -> Vec<Limb>;
 }
 
 /// The 64-bit CIOS kernel, whose form is the public one.
@@ -548,6 +575,10 @@ impl Kernel for Montgomery {
 
     fn one(&self) -> &[u64] {
         &self.r1
+    }
+
+    fn r2(&self) -> &[u64] {
+        &self.r2
     }
 
     fn mul(&self, out: &mut [u64], a: &[u64], b: &[u64]) {
@@ -580,37 +611,92 @@ impl Kernel for Montgomery {
             Form::Mont => x.to_vec(),
         }
     }
+
+    fn load(&self, out: &mut [u64], x: &[Limb]) {
+        out.copy_from_slice(x);
+    }
+
+    /// Every kernel call reduces fully, so an element is its residue.
+    fn store(&self, x: &[u64]) -> Vec<Limb> {
+        x.to_vec()
+    }
+}
+
+/// The chain of [`Montgomery::product`] on kernel `k` over residues of
+/// `limbs` words: `Π xᵢ` as `limbs` words, `None` for no factor.
+fn chain<'a, K: Kernel>(
+    k: &K,
+    factors: impl Iterator<Item = Cow<'a, [Limb]>>,
+) -> Option<Vec<Limb>> {
+    let mut acc = Accumulator::new(k, 1);
+    let mut factor = vec![0; k.words()];
+    let mut count = 0u64;
+    for x in factors {
+        if count == 0 {
+            k.load(&mut acc.value, &x);
+        } else {
+            k.load(&mut factor, &x);
+            acc.mul(&factor);
+        }
+        count += 1;
+    }
+    if count == 0 {
+        return None;
+    }
+    if count > 1 {
+        // The kernel form of R^(k−1) is the integer R^k mod n.
+        let sched = ExponentSchedule::recode(&BigUint::from_u64(count - 1));
+        let cancel = ladder(k, k.r2().to_vec(), &sched);
+        acc.mul(cancel.value());
+    }
+    Some(k.store(acc.value()))
 }
 
 /// The one sliding-window ladder: `baseᵍ^exp` for every base of a group
 /// of `G`, bases and results in `form`, replaying `sched` on kernel `k`.
-/// The members advance in lockstep — one group square or group multiply
-/// per step — through one schedule, so a step is one kernel call whatever
-/// `G` is. `pow_scheduled` is the group of one.
-///
-/// *Sliding* windows: only the odd powers `base^1, base^3, …` up to the
-/// largest digit the schedule references are tabulated, runs of zero
-/// exponent bits cost one squaring each with no multiplication, and every
-/// window is anchored on a set low bit, so there is one table
-/// multiplication per *occupied* window.
+/// `pow_scheduled` is the group of one.
 fn replay<K: Kernel, const G: usize>(
     k: &K,
     bases: [&[Limb]; G],
     form: Form,
     sched: &ExponentSchedule,
 ) -> [Vec<Limb>; G] {
-    let Some(first) = sched.first else {
+    if sched.first.is_none() {
         return bases.map(|_| k.leave(k.one(), form));
-    };
+    }
     let w = k.words();
-    let group = G * w;
-    let mut acc = Accumulator::new(k, G);
-    // Odd powers base^(2i+1), i = 0..=max_index, laid out back to back, each
-    // entry the group's members back to back: entry i is one group operand.
-    let mut odd_pow = vec![0; (sched.max_index + 1) * group];
-    for (slot, base) in odd_pow[..group].chunks_exact_mut(w).zip(bases) {
+    let mut entered = vec![0; G * w];
+    for (slot, base) in entered.chunks_exact_mut(w).zip(bases) {
         k.enter(slot, base, form);
     }
+    let acc = ladder(k, entered, sched);
+    let mut members = acc.value().chunks_exact(w);
+    bases.map(|_| k.leave(members.next().expect("G members"), form))
+}
+
+/// [`replay`]'s ladder within the kernel's form: every member of
+/// `entered`, a group of elements back to back, raised to the schedule's
+/// exponent, which is not zero. The members advance in lockstep — one
+/// group square or group multiply per step — through one schedule, so a
+/// step is one kernel call whatever the group's size.
+///
+/// *Sliding* windows: only the odd powers `base^1, base^3, …` up to the
+/// largest digit the schedule references are tabulated, runs of zero
+/// exponent bits cost one squaring each with no multiplication, and every
+/// window is anchored on a set low bit, so there is one table
+/// multiplication per *occupied* window.
+fn ladder<'a, K: Kernel>(
+    k: &'a K,
+    entered: Vec<u64>,
+    sched: &ExponentSchedule,
+) -> Accumulator<'a, K> {
+    let first = sched.first.expect("the ladder runs a nonzero exponent");
+    let group = entered.len();
+    let mut acc = Accumulator::new(k, group / k.words());
+    // Odd powers base^(2i+1), i = 0..=max_index, laid out back to back, each
+    // entry the group's members back to back: entry i is one group operand.
+    let mut odd_pow = entered;
+    odd_pow.resize((sched.max_index + 1) * group, 0);
     if sched.max_index > 0 {
         acc.set(&odd_pow[..group]);
         acc.sqr();
@@ -630,8 +716,7 @@ fn replay<K: Kernel, const G: usize>(
     for _ in 0..sched.tail {
         acc.sqr();
     }
-    let mut members = acc.value().chunks_exact(w);
-    bases.map(|_| k.leave(members.next().expect("G members"), form))
+    acc
 }
 
 /// The interleaved-window ladder of [`Montgomery::multi_pow`] on kernel

@@ -108,7 +108,11 @@ impl Ifma52 {
         let n = &cios.n;
         let r = BigUint::pow2(DIGIT_BITS * digits as u32).rem_of(n);
         let r2 = (&r * &r).rem_of(n);
-        let to_digits = |x: &BigUint| to_digits(&pad(x, cios.limbs), words);
+        let to_digits = |x: &BigUint| {
+            let mut digits = vec![0; words];
+            to_digits(&mut digits, &pad(x, cios.limbs));
+            digits
+        };
         let mut unit = vec![0; words];
         unit[0] = 1;
         Some(Ifma52 {
@@ -138,6 +142,10 @@ impl Kernel for Ifma52 {
 
     fn one(&self) -> &[u64] {
         &self.one
+    }
+
+    fn r2(&self) -> &[u64] {
+        &self.r2
     }
 
     fn mul(&self, out: &mut [u64], a: &[u64], b: &[u64]) {
@@ -172,7 +180,9 @@ impl Kernel for Ifma52 {
             Form::Plain => &self.r2,
             Form::Mont => &self.from_cios,
         };
-        self.mul(out, &to_digits(x, self.words), factor);
+        let mut digits = vec![0; self.words];
+        self.load(&mut digits, x);
+        self.mul(out, &digits, factor);
     }
 
     fn leave(&self, x: &[u64], form: Form) -> Vec<Limb> {
@@ -182,6 +192,16 @@ impl Kernel for Ifma52 {
         };
         let mut t = vec![0; self.words];
         self.mul(&mut t, x, factor);
+        self.store(&t)
+    }
+
+    fn load(&self, out: &mut [u64], x: &[Limb]) {
+        to_digits(out, x);
+    }
+
+    /// An element is below `2m`: one subtraction reduces it.
+    fn store(&self, x: &[u64]) -> Vec<Limb> {
+        let mut t = x.to_vec();
         if ge(&t, &self.m) {
             sub_digits(&mut t, &self.m);
         }
@@ -189,19 +209,17 @@ impl Kernel for Ifma52 {
     }
 }
 
-/// `x`'s 64-bit limbs as `words` digits of 52 bits.
-fn to_digits(x: &[Limb], words: usize) -> Vec<u64> {
-    (0..words)
-        .map(|d| {
-            let (limb, shift) = (d * 52 / 64, (d * 52 % 64) as u32);
-            let lo = x.get(limb).map_or(0, |&l| l >> shift);
-            let hi = match (shift, x.get(limb + 1)) {
-                (13.., Some(&l)) => l << (64 - shift),
-                _ => 0,
-            };
-            (lo | hi) & DIGIT_MASK
-        })
-        .collect()
+/// `x`'s 64-bit limbs as the digits of 52 bits that fill `out`.
+fn to_digits(out: &mut [u64], x: &[Limb]) {
+    for (d, digit) in out.iter_mut().enumerate() {
+        let (limb, shift) = (d * 52 / 64, (d * 52 % 64) as u32);
+        let lo = x.get(limb).map_or(0, |&l| l >> shift);
+        let hi = match (shift, x.get(limb + 1)) {
+            (13.., Some(&l)) => l << (64 - shift),
+            _ => 0,
+        };
+        *digit = (lo | hi) & DIGIT_MASK;
+    }
 }
 
 /// Normalised digits as `limbs` 64-bit limbs; the value must fit.

@@ -115,6 +115,49 @@ proptest! {
     }
 
     #[test]
+    fn product_matches_naive_product_at_every_limb_count(
+        raw in proptest::collection::vec(any::<u64>(), 3 * KERNEL_LIMBS..3 * KERNEL_LIMBS + 1),
+    ) {
+        for limbs in 1..=KERNEL_LIMBS {
+            for shape in 0..4 {
+                let n = edge_modulus(limbs, shape, &raw);
+                let ctx = Montgomery::new(&n);
+                let all_ones = &BigUint::pow2(64 * limbs as u32) - &BigUint::one();
+                // Reduced and unreduced factors, 0 and 1 among them.
+                let factors = [
+                    BigUint::from_limbs(raw[KERNEL_LIMBS..][..limbs].to_vec()),
+                    &n - &BigUint::one(),
+                    all_ones,
+                    BigUint::one(),
+                    &n + &BigUint::from_limbs(raw[2 * KERNEL_LIMBS..][..limbs].to_vec()),
+                    BigUint::from_limbs(raw[2 * KERNEL_LIMBS..][..limbs].to_vec()),
+                    BigUint::zero(),
+                ];
+                // Many factors: every nonzero one, three times over.
+                let many: Vec<&BigUint> = factors[..6].iter().cycle().take(18).collect();
+                let cases: [&[&BigUint]; 7] = [
+                    &[],
+                    &[&factors[0]],
+                    &[&factors[2]],
+                    &[&factors[0], &factors[1]],
+                    &[&factors[3], &factors[4]],
+                    &many,
+                    &[&factors[0], &factors[6], &factors[1]],
+                ];
+                for case in cases {
+                    let expect = case
+                        .iter()
+                        .fold(BigUint::one().rem_of(&n), |acc, x| (&acc * *x).rem_of(&n));
+                    prop_assert!(
+                        ctx.product(case.iter().copied()) == expect,
+                        "{} factors, {} limbs, shape {}", case.len(), limbs, shape
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn ladders_match_naive_pow_at_every_window_width(
         m in arb_nonzero(),
         bases in proptest::collection::vec(arb_biguint(), 2..3),
@@ -364,6 +407,14 @@ fn kernels_agree_bit_for_bit_on_every_ladder() {
                 assert_eq!(ifma.from_mont(&got_m), expect, "pow_mont_scheduled, {at}");
             }
         }
+        // The last `len` bases: unreduced from 2 on, zero at 5.
+        for len in [0, 1, 2, 3, bases.len()] {
+            assert_eq!(
+                ifma.product(&bases[bases.len() - len..]),
+                portable.product(&bases[bases.len() - len..]),
+                "product of {len}, {bits} bits"
+            );
+        }
         let pairs: Vec<(&BigUint, &BigUint)> = bases.iter().zip(exps.iter().rev()).collect();
         assert_eq!(
             ifma.multi_pow(&pairs),
@@ -441,6 +492,18 @@ fn kernels_agree_bit_for_bit_on_every_ladder() {
                 "portable batch"
             );
         }
+        // Zero would make every longer product trivially agree.
+        let many: Vec<&BigUint> = bases
+            .iter()
+            .filter(|b| !b.is_zero())
+            .cycle()
+            .take(40)
+            .collect();
+        assert_eq!(
+            ifma.product(many.iter().copied()),
+            portable.product(many.iter().copied()),
+            "product, {vectors} vectors"
+        );
     }
 }
 

@@ -73,11 +73,8 @@ fn masked_shares(
     let all_masks: Vec<Vec<Ciphertext>> = ctx.ep.exchange_all(&my_enc_masks);
     let indices: Vec<usize> = (0..cts.len()).collect();
     let masked: Vec<Ciphertext> = pivot_runtime::global().map(threads, &indices, |&j| {
-        let mut acc = cts[j].clone();
-        for party_masks in &all_masks {
-            acc = ctx.pk.add(&acc, &party_masks[j]);
-        }
-        acc
+        let masks = all_masks.iter().map(|party_masks| &party_masks[j]);
+        ctx.pk.add_all(std::iter::once(&cts[j]).chain(masks))
     });
     ctx.counters
         .add(Counter::CiphertextOps, (cts.len() * ctx.parties()) as u64);
@@ -228,10 +225,6 @@ pub fn share_rows_to_ciphers(
         .add(Counter::CiphertextOps, (rows.len() * ctx.parties()) as u64);
     let indices: Vec<usize> = (0..rows.len()).collect();
     pivot_runtime::global().map(threads, &indices, |&j| {
-        let mut acc = all[0][j].clone();
-        for party in all.iter().skip(1) {
-            acc = ctx.pk.add(&acc, &party[j]);
-        }
-        acc
+        ctx.pk.add_all(all.iter().map(|party| &party[j]))
     })
 }

@@ -17,6 +17,16 @@
 //! packing counters below, and the enhanced protocol's mask refresh
 //! (`crate::train_basic::PaillierPass`).
 //!
+//! Within a chunk a client's statistics are bucket sums, SecureBoost+'s
+//! histogram. A feature's thresholds are sorted, so split `s` sends left
+//! exactly the samples of buckets `0..=s` ([`LocalSplits::buckets`]), and
+//! its statistic is the running sum of those buckets: one addition per
+//! sample per feature and one per split, where a binary dot product per
+//! split paid one per sample per split. The running sum past the last
+//! bucket is the node total. Paillier addition is multiplication mod `N²`,
+//! so every statistic is the same integer the split's dot product gives;
+//! the verified run's proofs commit to indicator bits read off the buckets.
+//!
 //! Where the label vectors come from is not this pass's business: the
 //! stride a basic or GBDT node carries (§7.2) and the super client's
 //! per-pass broadcast to an enhanced node arrive as the same
@@ -28,7 +38,7 @@ use crate::masks::PackedLabels;
 use crate::party::PartyContext;
 use crate::verify;
 use pivot_data::{candidate_splits, SplitCandidates};
-use pivot_paillier::{vector, Ciphertext, SlotCodec};
+use pivot_paillier::{Ciphertext, PublicKey, SlotCodec};
 use pivot_trace::Counter;
 use pivot_transport::Endpoint;
 
@@ -103,41 +113,89 @@ impl SplitLayout {
     }
 }
 
-/// One client's precomputed local split data: candidate thresholds and the
-/// left-side indicator vector per split (plaintext, never leaves the
-/// client).
+/// One client's precomputed local split data (plaintext, never leaves the
+/// client): per local feature, its candidate thresholds and every sample's
+/// bucket among them.
 pub struct LocalSplits {
     pub candidates: Vec<SplitCandidates>,
-    /// `indicators[feature][split][sample]` — true iff sample goes left.
-    pub indicators: Vec<Vec<Vec<bool>>>,
+    /// `buckets[feature][sample]`: the sample's `bucket`. Split `s` sends
+    /// a sample left iff its bucket is at most `s`, so a feature's left sets
+    /// are nested. Empty for a feature without candidates: nothing reads it.
+    pub buckets: Vec<Vec<u32>>,
+}
+
+/// The bucket of `v` among a feature's sorted thresholds: how many of them
+/// fail the split predicate `v ≤ t`. So `bucket ≤ s ⇔ v ≤ t_s` for every
+/// split `s`, and a NaN, which fails every comparison, lands right of
+/// every split, as `v ≤ t` sends it (a naive `t < v` would send it left).
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+pub(crate) fn bucket(thresholds: &[f64], v: f64) -> u32 {
+    let bucket = thresholds.partition_point(|&t| !(v <= t));
+    u32::try_from(bucket).expect("a feature has fewer than 2^32 thresholds")
 }
 
 impl LocalSplits {
     /// Precompute from the client's vertical view.
     pub fn precompute(ctx: &PartyContext<'_>) -> LocalSplits {
         let view = &ctx.view;
-        let mut candidates = Vec::with_capacity(view.num_local_features());
-        let mut indicators = Vec::with_capacity(view.num_local_features());
-        for j in 0..view.num_local_features() {
-            let column = view.column(j);
-            let cand = candidate_splits(&column, ctx.params.tree.max_splits);
-            let per_split: Vec<Vec<bool>> = cand
-                .thresholds
-                .iter()
-                .map(|&t| column.iter().map(|&v| v <= t).collect())
-                .collect();
-            candidates.push(cand);
-            indicators.push(per_split);
-        }
+        let columns = (0..view.num_local_features()).map(|j| view.column(j));
+        LocalSplits::from_columns(columns, ctx.params.tree.max_splits)
+    }
+
+    /// At most `max_splits` candidates per feature column, and every
+    /// sample's bucket among them.
+    fn from_columns(columns: impl Iterator<Item = Vec<f64>>, max_splits: usize) -> LocalSplits {
+        let (candidates, buckets) = columns
+            .map(|column| {
+                let cand = candidate_splits(&column, max_splits);
+                let buckets = match cand.is_empty() {
+                    true => Vec::new(),
+                    false => column
+                        .iter()
+                        .map(|&v| bucket(&cand.thresholds, v))
+                        .collect(),
+                };
+                (cand, buckets)
+            })
+            .unzip();
         LocalSplits {
             candidates,
-            indicators,
+            buckets,
         }
     }
 
     /// Flat per-feature candidate counts (for [`SplitLayout::build`]).
     pub fn counts(&self) -> Vec<usize> {
         self.candidates.iter().map(|c| c.len()).collect()
+    }
+
+    /// Every local split as `(feature, split)`, in layout order.
+    pub(crate) fn splits(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let per_feature = self.candidates.iter().enumerate();
+        per_feature.flat_map(|(f, c)| (0..c.len()).map(move |s| (f, s)))
+    }
+
+    /// The left-side indicator of split `split` of `feature`: true for the
+    /// samples it sends left.
+    pub(crate) fn goes_left(&self, feature: usize, split: usize) -> Vec<bool> {
+        let buckets = &self.buckets[feature];
+        buckets.iter().map(|&b| b as usize <= split).collect()
+    }
+
+    /// Per feature with candidates, its samples by bucket: entry `k` of a
+    /// feature lists the samples of bucket `k`, for `k` in `0..=splits`.
+    fn by_bucket(&self) -> Vec<Vec<Vec<usize>>> {
+        let features = self.candidates.iter().zip(&self.buckets);
+        features
+            .filter(|(cand, _)| !cand.is_empty())
+            .map(|(cand, buckets)| {
+                let mut members = vec![Vec::new(); cand.len() + 1];
+                for (j, &b) in buckets.iter().enumerate() {
+                    members[b as usize].push(j);
+                }
+                members
+            })
+            .collect()
     }
 }
 
@@ -220,7 +278,101 @@ fn split_major(chunks: &[Vec<Ciphertext>]) -> Vec<Ciphertext> {
         .collect()
 }
 
-/// Local computation + pooling (Eqn 7 / Eqn 9): dot products run against
+/// The running sum after each group of `terms`, a group given by the
+/// terms' indices: a group's terms join the sum so far in one product
+/// chain, one multiplication per term. Over a feature's buckets of one
+/// chunk's labels, the sum after bucket `s` is split `s`'s statistic, the
+/// labels of the samples it sends left, and the sum after the last bucket
+/// is every label's, the node total: the feature costs one multiplication
+/// per sample and one per bucket, not one per sample per split.
+pub(crate) fn running_sums<G: IntoIterator<Item = usize>>(
+    pk: &PublicKey,
+    terms: &[Ciphertext],
+    groups: impl IntoIterator<Item = G>,
+) -> Vec<Ciphertext> {
+    let mut sums: Vec<Ciphertext> = Vec::new();
+    for group in groups {
+        let group = group.into_iter().map(|j| &terms[j]);
+        let sum = pk.add_all(sums.last().into_iter().chain(group));
+        sums.push(sum);
+    }
+    sums
+}
+
+/// Groups of neighbouring splits merged into one ciphertext each: member
+/// `t` lands `t·width` slots up, by Horner's rule from the last member
+/// down, every step shifting by one member's width, so a group of `g`
+/// pays `g − 1` shifts of `width` slots each.
+fn merge_groups(
+    pk: &PublicKey,
+    threads: usize,
+    per_split: &[Ciphertext],
+    (group, width): (usize, usize),
+    codec: &SlotCodec,
+) -> Vec<Ciphertext> {
+    let groups: Vec<&[Ciphertext]> = per_split.chunks(group).collect();
+    pivot_runtime::global().map(threads, &groups, |members| {
+        let (last, below) = members.split_last().expect("groups are nonempty");
+        below.iter().rev().fold(last.clone(), |acc, member| {
+            let shifted = pk.mul_plain(&acc, &codec.shift_factor(width));
+            pk.add(&shifted, member)
+        })
+    })
+}
+
+/// One client's statistics of one node (Eqn 7), before pooling: per
+/// chunk, its splits' statistics merged into groups, and the packed node
+/// totals. A feature's statistics are the running sums of its bucket
+/// histogram ([`running_sums`]), equal ciphertext for ciphertext to
+/// one binary dot product per split: Paillier addition is multiplication
+/// mod `N²`, and the same factors give the same residue.
+fn local_statistics(
+    ctx: &mut PartyContext<'_>,
+    local: &LocalSplits,
+    labels: &PackedLabels<'_>,
+    codec: &SlotCodec,
+) -> (Vec<Vec<Ciphertext>>, Vec<Ciphertext>) {
+    let chunking = &labels.chunking;
+    let members = local.by_bucket();
+    let splits = local.splits().count();
+    let threads = ctx.crypto_threads();
+    let mut mine = Vec::with_capacity(chunking.chunks());
+    let mut totals = Vec::with_capacity(chunking.chunks());
+    for (c, chunk) in labels.chunks.iter().enumerate() {
+        let features = pivot_runtime::global().map(threads, &members, |m| {
+            running_sums(
+                &ctx.pk,
+                chunk,
+                m.iter().map(|bucket| bucket.iter().copied()),
+            )
+        });
+        // The sum past the last bucket is the node total; a client without
+        // candidates sums its labels for the totals alone.
+        totals.push(match features.first() {
+            Some(sums) => sums.last().expect("a bucket past the last split").clone(),
+            None => ctx.pk.add_all(chunk.iter()),
+        });
+        let per_split: Vec<Ciphertext> = features
+            .into_iter()
+            .flat_map(|mut sums| {
+                sums.pop();
+                sums
+            })
+            .collect();
+        let shape = (chunking.group, chunking.widths[c]);
+        let merged = merge_groups(&ctx.pk, threads, &per_split, shape, codec);
+        // One addition per sample per feature and one per split, plus one
+        // shift per split merged into its group's first.
+        ctx.counters.add(
+            Counter::CiphertextOps,
+            (labels.samples * members.len() + 2 * splits - merged.len()) as u64,
+        );
+        mine.push(merged);
+    }
+    (mine, totals)
+}
+
+/// Local computation + pooling (Eqn 7 / Eqn 9): bucket sums run against
 /// the label vectors (one per chunk), neighbouring splits merge via slot
 /// shifts, and only the merged ciphertexts cross the network.
 pub fn packed_pooled_statistics(
@@ -231,37 +383,7 @@ pub fn packed_pooled_statistics(
     codec: &SlotCodec,
 ) -> PackedStats {
     let chunking = labels.chunking.clone();
-    let n_samples = labels.samples;
-    let threads = ctx.crypto_threads();
-    let splits: Vec<&Vec<bool>> = local.indicators.iter().flatten().collect();
-
-    let mut mine: Vec<Vec<Ciphertext>> = Vec::with_capacity(chunking.chunks());
-    for (c, chunk_labels) in labels.chunks.iter().enumerate() {
-        let width = chunking.widths[c];
-        // One dot product per split (the whole chunk of the stride at
-        // once), then groups merge via slot shifts.
-        let per_split: Vec<Ciphertext> = pivot_runtime::global().map(threads, &splits, |v_l| {
-            vector::dot_binary(&ctx.pk, chunk_labels, v_l)
-        });
-        // Member t lands `t·width` slots up: by Horner's rule from the last
-        // member down, every step shifting by one member's width, so a
-        // group of g pays g − 1 shifts of `width` slots each.
-        let groups: Vec<&[Ciphertext]> = per_split.chunks(chunking.group).collect();
-        let merged: Vec<Ciphertext> = pivot_runtime::global().map(threads, &groups, |members| {
-            let (last, below) = members.split_last().expect("groups are nonempty");
-            below.iter().rev().fold(last.clone(), |acc, member| {
-                let shifted = ctx.pk.mul_plain(&acc, &codec.shift_factor(width));
-                ctx.pk.add(&shifted, member)
-            })
-        });
-        // The dot products, plus one shift per split merged into its
-        // group's first.
-        ctx.counters.add(
-            Counter::CiphertextOps,
-            (n_samples * splits.len() + splits.len() - merged.len()) as u64,
-        );
-        mine.push(merged);
-    }
+    let (mut mine, totals) = local_statistics(ctx, local, labels, codec);
 
     // Verification: commit the indicator bits and prove every pooled dot
     // product against those commitments (pohdp, Eqn 7). The proofs cover
@@ -272,22 +394,13 @@ pub fn packed_pooled_statistics(
     if ctx.verify.is_some() {
         assert_eq!(codec.slots(), 1, "the statistics proofs cover one slot");
         let mut commits = split_major(&mine);
-        bundle = verify::prove_pohdp(ctx, "stats", &sets, &splits, &mut commits);
+        bundle = verify::prove_pohdp(ctx, "stats", &sets, local, &mut commits);
         // An `[adversary]` injection lands in the published ciphertexts.
         let stride = mine.len();
         for (i, ct) in commits.into_iter().enumerate() {
             mine[i % stride][i / stride] = ct;
         }
     }
-
-    // Packed node totals: the all-true dot product per chunk (every client
-    // can compute them from the label vectors).
-    let all_true = vec![true; n_samples];
-    let totals: Vec<Ciphertext> = labels
-        .chunks
-        .iter()
-        .map(|chunk_labels| vector::dot_binary(&ctx.pk, chunk_labels, &all_true))
-        .collect();
 
     // Pool the merged ciphertexts (safe to publish); group sizes are public
     // (derived from the public layout), so every party reassembles
@@ -373,6 +486,154 @@ pub fn conversion_batch(per_node: &[PackedStats]) -> (Vec<&Ciphertext>, Vec<usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PivotParams;
+    use pivot_bignum::BigUint;
+    use pivot_data::{partition_vertically, Dataset, Task};
+    use pivot_paillier::vector;
+    use pivot_transport::run_parties;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use std::borrow::Cow;
+
+    #[test]
+    fn buckets_keep_the_split_predicate() {
+        let thresholds = [-1.5, 0.0, 2.5, 7.0];
+        let values = [
+            f64::NEG_INFINITY,
+            -2.0,
+            -1.5,
+            -1.0,
+            0.0,
+            1.0,
+            2.5,
+            7.0,
+            7.5,
+            f64::INFINITY,
+            f64::NAN,
+            -0.0,
+        ];
+        for v in values {
+            let b = bucket(&thresholds, v) as usize;
+            for (s, &t) in thresholds.iter().enumerate() {
+                assert_eq!(b <= s, v <= t, "value {v}, split {s} at {t}");
+            }
+        }
+        // A value equal to a threshold goes left of it; NaN and +∞ go right
+        // of every split, −∞ left of every one.
+        assert_eq!(bucket(&thresholds, 2.5), 2);
+        assert_eq!(bucket(&thresholds, f64::NAN), 4);
+        assert_eq!(bucket(&thresholds, f64::INFINITY), 4);
+        assert_eq!(bucket(&thresholds, f64::NEG_INFINITY), 0);
+        // Through precomputation: a constant column has no candidates and
+        // keeps no bucket row; the indicators read off the others are the
+        // predicate's.
+        let columns = vec![
+            vec![3.0; 6],
+            vec![1.0, f64::NAN, 4.0, 2.0, f64::NEG_INFINITY, 4.0],
+        ];
+        let local = LocalSplits::from_columns(columns.clone().into_iter(), 8);
+        assert_eq!(local.counts(), vec![0, 2]);
+        assert!(local.buckets[0].is_empty(), "no row for a constant column");
+        assert_eq!(local.splits().collect::<Vec<_>>(), vec![(1, 0), (1, 1)]);
+        for (s, &t) in local.candidates[1].thresholds.iter().enumerate() {
+            let expect: Vec<bool> = columns[1].iter().map(|&v| v <= t).collect();
+            assert_eq!(local.goes_left(1, s), expect, "split {s}");
+        }
+    }
+
+    /// One split per dot product against its indicator, and the node
+    /// totals as the all-true dot product: the statistics as they were made
+    /// before the bucket sums.
+    fn reference_statistics(
+        pk: &PublicKey,
+        local: &LocalSplits,
+        labels: &PackedLabels<'_>,
+        codec: &SlotCodec,
+    ) -> (Vec<Vec<Ciphertext>>, Vec<Ciphertext>) {
+        let chunking = &labels.chunking;
+        let mine = labels.chunks.iter().enumerate().map(|(c, chunk)| {
+            let per_split: Vec<Ciphertext> = local
+                .splits()
+                .map(|(f, s)| vector::dot_binary(pk, chunk, &local.goes_left(f, s)))
+                .collect();
+            let shape = (chunking.group, chunking.widths[c]);
+            merge_groups(pk, 1, &per_split, shape, codec)
+        });
+        let all = vec![true; labels.samples];
+        let totals = labels
+            .chunks
+            .iter()
+            .map(|chunk| vector::dot_binary(pk, chunk, &all));
+        (mine.collect(), totals.collect())
+    }
+
+    #[test]
+    fn bucket_sums_equal_per_split_dot_products() {
+        // Party 0 holds features with candidates (ties, a NaN, ±∞ and a
+        // constant column among them); party 1 only constant columns, so
+        // its totals come from the labels alone.
+        let n = 12;
+        let columns: [Vec<Vec<f64>>; 2] = [
+            vec![
+                (0..n).map(|j| (j % 5) as f64).collect(),
+                vec![1.0; n],
+                (0..n)
+                    .map(|j| match j {
+                        3 => f64::NAN,
+                        5 => f64::INFINITY,
+                        7 => f64::NEG_INFINITY,
+                        _ => (j * 7 % 11) as f64 / 3.0,
+                    })
+                    .collect(),
+            ],
+            vec![vec![2.0; n], vec![-4.0; n]],
+        ];
+        let params = PivotParams {
+            keysize: 256,
+            ..Default::default()
+        };
+        let data = Dataset::new(
+            vec![vec![0.0; 2]; n],
+            vec![0.0; n],
+            Task::Classification { classes: 2 },
+        );
+        let partition = partition_vertically(&data, 2, 0);
+        run_parties(2, |ep| {
+            let mut ctx =
+                PartyContext::setup(&ep, partition.views[ep.id()].clone(), params.clone());
+            let local = LocalSplits::from_columns(columns[ep.id()].clone().into_iter(), 3);
+            let mut rng = StdRng::seed_from_u64(ep.id() as u64);
+            // Stride 3 in one slot, in 8 slots (two splits per ciphertext)
+            // and in 2 slots (chunks of 2 and 1).
+            for (slots, slot_bits) in [(1, 256), (8, 24), (2, 100)] {
+                let chunking = PackedChunking::new(3, slots);
+                let chunks = (0..chunking.chunks())
+                    .map(|c| {
+                        let values = (0..n).map(|j| BigUint::from_u64((7 * j + c) as u64 % 5));
+                        Cow::Owned(values.map(|v| ctx.pk.encrypt(&v, &mut rng)).collect())
+                    })
+                    .collect();
+                let labels = PackedLabels {
+                    chunks,
+                    chunking,
+                    samples: n,
+                    offset_encoded: false,
+                };
+                let codec = SlotCodec::new(slot_bits, slots);
+                let before = ctx.counters.get(Counter::CiphertextOps);
+                let made = local_statistics(&mut ctx, &local, &labels, &codec);
+                let expect = reference_statistics(&ctx.pk, &local, &labels, &codec);
+                assert_eq!(made, expect, "party {}, {slots} slots", ep.id());
+                // One addition per sample and feature with candidates, one
+                // per split, and the shifts, per chunk.
+                let (d, splits) = (local.by_bucket().len(), local.splits().count());
+                let merged: usize = made.0.iter().map(Vec::len).sum();
+                let ops = labels.chunks.len() * (n * d + 2 * splits) - merged;
+                let booked = ctx.counters.get(Counter::CiphertextOps) - before;
+                assert_eq!(booked, ops as u64, "party {}, {slots} slots", ep.id());
+            }
+        });
+    }
 
     #[test]
     fn layout_round_trips_indices() {

@@ -143,9 +143,8 @@ impl LevelPass for PaillierPass {
         let NodeMask::Carried(vectors) = mask else {
             unreachable!("an [α] alone divides by Eqn 10")
         };
-        let indicator =
-            (ctx.id() == winner).then(|| local.indicators[local_feature][split_idx].as_slice());
-        update_vectors_plain(ctx, &vectors, winner, indicator, wanted)
+        let indicator = (ctx.id() == winner).then(|| local.goes_left(local_feature, split_idx));
+        update_vectors_plain(ctx, &vectors, winner, indicator.as_deref(), wanted)
             .map(|side| side.map(NodeMask::Carried))
     }
 }

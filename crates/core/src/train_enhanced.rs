@@ -34,14 +34,14 @@ use crate::gain::{NodeShares, NodeTotals};
 use crate::masks::{initial_mask, plan_packed_labels, Sides};
 use crate::model::{ConcealedNode, ConcealedTree};
 use crate::party::PartyContext;
-use crate::stats::{LocalSplits, SplitLayout};
+use crate::stats::{running_sums, LocalSplits, SplitLayout};
 use crate::train_basic::{NodeMask, PaillierPass};
 use crate::trainer::{
     allocate_children, children, grow_tree, Arena, ArenaNode, Disclosure, FrontierNode, Survivor,
 };
 use pivot_bignum::BigUint;
 use pivot_mpc::{Fp, Share};
-use pivot_paillier::{batch, vector, Ciphertext};
+use pivot_paillier::{batch, vector, Ciphertext, PublicKey};
 use pivot_trace::Counter;
 
 /// Public offset added to fixed-point thresholds before encryption so the
@@ -303,23 +303,24 @@ fn pir_select(
     let bound = &lambda_enc.bound * &BigUint::from_u64(widest as u64);
     let bounded = |cts| Bounded::new(cts, bound.clone());
     if ctx.id() == winner {
-        let inds = &local.indicators[local_feature];
-        let n = ctx.view.num_samples();
-        // Theorem-2 PIR selection per sample and side: independent
-        // dot products, batched over the worker pool.
-        let samples: Vec<usize> = (0..n).collect();
+        // Split `s` sends sample `j` left iff `bucket_j ≤ s`: the left
+        // column's entry is the suffix sum of `[λ]` from the sample's
+        // bucket, the right column's the prefix sum below it.
+        let buckets = &local.buckets[local_feature];
+        let lambda = &lambda_enc.cts;
         let columns: Vec<Vec<Ciphertext>> = wanted
             .complements()
             .map(|complement| {
-                pivot_runtime::global().map(ctx.crypto_threads(), &samples, |&j| {
-                    let row: Vec<bool> = inds.iter().map(|ind| ind[j] != complement).collect();
-                    vector::dot_binary(&ctx.pk, &lambda_enc.cts, &row)
-                })
+                let sums = match complement {
+                    false => suffix_sums(&ctx.pk, lambda),
+                    true => prefix_sums(&ctx.pk, lambda),
+                };
+                buckets.iter().map(|&b| sums[b as usize].clone()).collect()
             })
             .collect();
         ctx.counters.add(
             Counter::CiphertextOps,
-            (columns.len() * n * lambda_enc.cts.len()) as u64,
+            (columns.len() * lambda.len()) as u64,
         );
         let enc_vals: Vec<BigUint> = local.candidates[local_feature]
             .thresholds
@@ -341,6 +342,21 @@ fn pir_select(
         let feature_global: usize = ctx.ep.recv(winner);
         (selected, (enc_threshold, feature_global))
     }
+}
+
+/// `[Σ_{s<k} xₛ]` for every `k` in `0..=len`, one addition each.
+fn prefix_sums(pk: &PublicKey, xs: &[Ciphertext]) -> Vec<Ciphertext> {
+    let mut sums = vec![pk.trivial_zero().clone()];
+    sums.extend(running_sums(pk, xs, (0..xs.len()).map(std::iter::once)));
+    sums
+}
+
+/// `[Σ_{s≥k} xₛ]` for every `k` in `0..=len`, one addition each.
+fn suffix_sums(pk: &PublicKey, xs: &[Ciphertext]) -> Vec<Ciphertext> {
+    let mut sums = running_sums(pk, xs, (0..xs.len()).rev().map(std::iter::once));
+    sums.reverse();
+    sums.push(pk.trivial_zero().clone());
+    sums
 }
 
 /// Eqn (10), `[α'_j] = Σᵢ [⟨α_j⟩ᵢ · v_j]`: every client scales the encrypted
@@ -377,11 +393,7 @@ fn masked_products(
         let parts = gathered.expect("winner gathers");
         let indices: Vec<usize> = (0..v.len()).collect();
         let sums: Vec<Ciphertext> = pivot_runtime::global().map(threads, &indices, |&j| {
-            let mut acc = parts[0][j].clone();
-            for part in parts.iter().skip(1) {
-                acc = ctx.pk.add(&acc, &part[j]);
-            }
-            acc
+            ctx.pk.add_all(parts.iter().map(|part| &part[j]))
         });
         ctx.counters
             .add(Counter::CiphertextOps, (v.len() * ctx.parties()) as u64);
@@ -453,7 +465,8 @@ mod tests {
             candidates: vec![pivot_data::SplitCandidates {
                 thresholds: (0..b).map(|t| t as f64).collect(),
             }],
-            indicators: vec![vec![vec![true; n]; b]],
+            // Bucket 0: every sample goes left of every split.
+            buckets: vec![vec![0; n]],
         };
         let lambda = shares_to_ciphers(ctx, &[vec![top; b]]).remove(0);
         let both = Sides {
@@ -463,6 +476,49 @@ mod tests {
         let (columns, _) = pir_select(ctx, &local, &layout, &(0, 0, top), &lambda, both);
         let products = masked_products(ctx, &vec![top; n], &columns, 0);
         (lambda, columns, products)
+    }
+
+    #[test]
+    fn pir_columns_equal_per_sample_dot_products() {
+        // b = 4 candidates, samples in every bucket 0..=4: each column
+        // entry equals the binary dot product of `[λ]` with the sample's
+        // row of the indicator matrix, on both sides.
+        let b = 4;
+        let buckets: Vec<u32> = vec![0, 4, 2, 1, 3, 2, 0, 4, 4, 1];
+        with_parties(2, 256, |ctx| {
+            let layout = SplitLayout::from_counts(vec![vec![b]; ctx.parties()]);
+            let local = LocalSplits {
+                candidates: vec![pivot_data::SplitCandidates {
+                    thresholds: (0..b).map(|t| t as f64).collect(),
+                }],
+                buckets: vec![buckets.clone()],
+            };
+            // The same seed at every party: one `[λ]` for all.
+            let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(5);
+            let cts = (1..=b as u64)
+                .map(|v| ctx.pk.encrypt(&BigUint::from_u64(v), &mut rng))
+                .collect();
+            let lambda = Bounded::new(cts, BigUint::one());
+            let both = Sides {
+                left: true,
+                right: true,
+            };
+            let before = ctx.counters.get(Counter::CiphertextOps);
+            let block = (0, 0, Share(Fp::ZERO));
+            let (columns, _) = pir_select(ctx, &local, &layout, &block, &lambda, both);
+            let ops = ctx.counters.get(Counter::CiphertextOps) - before;
+            assert_eq!(ops, if ctx.id() == 0 { 2 * b as u64 } else { 0 });
+            let sides = [(columns.left, false), (columns.right, true)];
+            for (column, complement) in sides {
+                let column = column.expect("both sides wanted").cts;
+                let indicators: Vec<Vec<bool>> = (0..b).map(|s| local.goes_left(0, s)).collect();
+                let rows = (0..buckets.len()).map(|j| {
+                    let row: Vec<bool> = indicators.iter().map(|v| v[j] != complement).collect();
+                    vector::dot_binary(&ctx.pk, &lambda.cts, &row)
+                });
+                assert_eq!(column, rows.collect::<Vec<_>>(), "complement {complement}");
+            }
+        });
     }
 
     #[test]

@@ -33,6 +33,7 @@
 //! honest-but-curious protocol.
 
 use crate::party::PartyContext;
+use crate::stats::LocalSplits;
 use pivot_bignum::{rng as brng, BigUint};
 use pivot_paillier::Ciphertext;
 use pivot_trace::Counter;
@@ -405,29 +406,31 @@ pub(crate) fn check_popcm(
 }
 
 /// Prover side of the Eqn-7 statistics commit: for every local split,
-/// commit the indicator bits (`Enc(xᵢ)` under plane randomness) and prove
-/// each of the `stride` pooled dot products against those commitments.
-/// `sets[k]` is the `k`-th input vector (`[α]`, then each `[γ]`), shared
-/// by every split; `outputs` is the flattened split-major statistics
-/// vector exactly as it goes on the wire. `dot_binary` folds raw products
-/// with no extra randomizer, so the proof's rerandomizer is `s = 1`.
+/// commit the indicator bits (`Enc(xᵢ)` under plane randomness), read off
+/// the samples' buckets, and prove each of the `stride` pooled dot products
+/// against those commitments. `sets[k]` is the `k`-th input vector (`[α]`,
+/// then each `[γ]`), shared by every split; `outputs` is the flattened
+/// split-major statistics vector exactly as it goes on the wire. A
+/// statistic is the plain product of the selected ciphertexts with no
+/// extra randomizer, so the proof's rerandomizer is `s = 1`.
 pub(crate) fn prove_pohdp(
     ctx: &PartyContext<'_>,
     phase: &str,
     sets: &[&[Ciphertext]],
-    indicators: &[&Vec<bool>],
+    local: &LocalSplits,
     outputs: &mut [Ciphertext],
 ) -> Option<Vec<PohdpSplitMsg>> {
     let plane = ctx.verify.as_ref()?;
     let started = Instant::now();
     let stride = sets.len();
-    assert_eq!(outputs.len(), indicators.len() * stride);
+    let splits: Vec<(usize, usize)> = local.splits().collect();
+    assert_eq!(outputs.len(), splits.len() * stride);
     let n = sets.first().map_or(0, |s| s.len());
     // Per split: commitment nonces plus one proof seed per statistic,
     // drawn serially so the parallel batch is schedule-independent.
     let jobs: Vec<(usize, Vec<BigUint>, Vec<u64>)> = {
         let mut rng = plane.rng.borrow_mut();
-        (0..indicators.len())
+        (0..splits.len())
             .map(|sidx| {
                 let rs: Vec<BigUint> = (0..n)
                     .map(|_| brng::gen_coprime(&mut *rng, ctx.pk.n()))
@@ -442,7 +445,9 @@ pub(crate) fn prove_pohdp(
     let one = BigUint::one();
     let msgs: Vec<PohdpSplitMsg> =
         pivot_runtime::global().map(ctx.crypto_threads(), &jobs, |(sidx, rs, seeds)| {
-            let xs: Vec<BigUint> = indicators[*sidx]
+            let (feature, split) = splits[*sidx];
+            let xs: Vec<BigUint> = local
+                .goes_left(feature, split)
                 .iter()
                 .map(|&bit| BigUint::from_u64(u64::from(bit)))
                 .collect();

@@ -47,11 +47,6 @@ pub fn keypair_from_primes(p: &BigUint, q: &BigUint) -> KeyPair {
 }
 
 impl PrivateKey {
-    /// The matching public key.
-    pub fn public_key(&self) -> &PublicKey {
-        &self.pk
-    }
-
     /// Decrypt: `x = L(c^λ mod N²) · μ mod N` with `L(u) = (u-1)/N`.
     pub fn decrypt(&self, c: &Ciphertext) -> BigUint {
         let u = self.pk.mont().pow(c.raw(), &self.lambda);

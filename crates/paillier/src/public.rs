@@ -146,7 +146,14 @@ impl PublicKey {
 
     /// Homomorphic addition (paper Eqn 1): `[x1] ⊕ [x2] = [x1 + x2]`.
     pub fn add(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        Ciphertext::from_raw(self.mont().mul(a.raw(), b.raw()))
+        self.add_all([a, b])
+    }
+
+    /// The homomorphic sum of every ciphertext, `[Σ xᵢ]`: their product
+    /// mod `N²` as one [`Montgomery::product`] chain, one kernel
+    /// multiplication per term. The empty sum is the trivial `[0]`, raw 1.
+    pub fn add_all<'a>(&self, cts: impl IntoIterator<Item = &'a Ciphertext>) -> Ciphertext {
+        Ciphertext::from_raw(self.mont().product(cts.into_iter().map(Ciphertext::raw)))
     }
 
     /// Homomorphic plaintext multiplication (paper Eqn 2):

@@ -205,11 +205,6 @@ impl SecretKeyShare {
 }
 
 impl Combiner {
-    /// The public key this combiner belongs to.
-    pub fn public_key(&self) -> &PublicKey {
-        &self.pk
-    }
-
     /// The public `θ = βM mod N` (exposed for ZKP verification).
     pub fn theta(&self) -> &BigUint {
         &self.theta

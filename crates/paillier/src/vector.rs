@@ -1,6 +1,12 @@
 //! Encrypted-vector helpers: the homomorphic dot products of paper Eqn (3),
 //! which also carry the PIR-style private selection of Theorem 2 (§5.2): a
 //! dot product with an encrypted one-hot vector.
+//!
+//! A binary dot product is a homomorphic sum, one [`PublicKey::add_all`]
+//! chain: a selected term costs one multiplication on the selected
+//! Montgomery kernel, and the whole chain one more. Training makes its
+//! split statistics and PIR columns as bucket sums instead (pivot-core's
+//! `stats` module), the same ciphertexts at a fraction of the terms.
 
 use crate::{Ciphertext, PublicKey};
 use pivot_bignum::BigUint;
@@ -17,55 +23,38 @@ pub fn encrypt_vec<R: Rng + ?Sized>(
 
 /// Homomorphic dot product `x ⊙ [v]` with a **binary** plaintext vector
 /// (paper Eqn 3 where `x ∈ {0,1}^n` — the dominant case in Pivot: indicator
-/// vectors selecting samples). Only ciphertext multiplications are needed.
+/// vectors selecting samples): the product of the selected ciphertexts, one
+/// [`PublicKey::add_all`] chain.
 pub fn dot_binary(pk: &PublicKey, enc: &[Ciphertext], select: &[bool]) -> Ciphertext {
     assert_eq!(enc.len(), select.len(), "dimension mismatch in dot product");
-    // Seed the accumulator from the first selected element: multiplying
-    // into the trivial 1 would cost one full Montgomery multiplication
-    // per dot product for nothing (1·c ≡ c mod N²).
-    let mut acc: Option<Ciphertext> = None;
-    for (c, &keep) in enc.iter().zip(select) {
-        if keep {
-            acc = Some(match acc {
-                None => c.clone(),
-                Some(a) => pk.add(&a, c),
-            });
-        }
-    }
-    acc.unwrap_or_else(|| pk.trivial_zero().clone())
+    pk.add_all(
+        enc.iter()
+            .zip(select)
+            .filter(|(_, &keep)| keep)
+            .map(|(c, _)| c),
+    )
 }
 
 /// Homomorphic dot product `x ⊙ [v]` with an arbitrary plaintext vector
 /// (paper Eqn 3): `Π [vᵢ]^{xᵢ} = [Σ xᵢ·vᵢ]`.
 pub fn dot_plain(pk: &PublicKey, enc: &[Ciphertext], plain: &[BigUint]) -> Ciphertext {
     assert_eq!(enc.len(), plain.len(), "dimension mismatch in dot product");
-    // Split the product: weight-1 terms are plain multiplications; the
-    // rest form one simultaneous multi-exponentiation `Π cᵢ^{xᵢ}` whose
-    // squaring chain is shared across every term (Shamir's trick) instead
-    // of paying a full windowed `mul_plain` per ciphertext.
+    // Split the product: weight-1 terms join one product chain; the rest
+    // form one simultaneous multi-exponentiation `Π cᵢ^{xᵢ}` whose squaring
+    // chain is shared across every term (Shamir's trick) instead of paying
+    // a full windowed `mul_plain` per ciphertext.
     let mut pow_pairs: Vec<(&BigUint, &BigUint)> = Vec::new();
-    let mut acc: Option<Ciphertext> = None;
+    let mut ones: Vec<&Ciphertext> = Vec::new();
     for (c, x) in enc.iter().zip(plain) {
-        if x.is_zero() {
-            continue;
-        }
         if x.is_one() {
-            acc = Some(match acc {
-                None => c.clone(),
-                Some(a) => pk.add(&a, c),
-            });
-        } else {
+            ones.push(c);
+        } else if !x.is_zero() {
             pow_pairs.push((c.raw(), x));
         }
     }
-    if !pow_pairs.is_empty() {
-        let product = Ciphertext::from_raw(pk.mont().multi_pow(&pow_pairs));
-        acc = Some(match acc {
-            None => product,
-            Some(a) => pk.add(&a, &product),
-        });
-    }
-    acc.unwrap_or_else(|| pk.trivial_zero().clone())
+    let powers =
+        (!pow_pairs.is_empty()).then(|| Ciphertext::from_raw(pk.mont().multi_pow(&pow_pairs)));
+    pk.add_all(ones.into_iter().chain(&powers))
 }
 
 /// Element-wise homomorphic multiplication of an encrypted vector by a
@@ -89,21 +78,6 @@ pub fn mask_binary<R: Rng + ?Sized>(
             }
         })
         .collect()
-}
-
-/// Homomorphic sum of an encrypted vector.
-pub fn sum(pk: &PublicKey, enc: &[Ciphertext]) -> Ciphertext {
-    // Seed the accumulator from the first element (see `dot_binary`).
-    match enc.split_first() {
-        None => pk.trivial_zero().clone(),
-        Some((first, rest)) => {
-            let mut acc = first.clone();
-            for c in rest {
-                acc = pk.add(&acc, c);
-            }
-            acc
-        }
-    }
 }
 
 #[cfg(test)]
@@ -197,9 +171,12 @@ mod tests {
     }
 
     #[test]
-    fn vector_sum() {
+    fn add_all_sums_a_vector() {
         let (kp, mut rng) = setup();
         let enc = encrypt_vec(&kp.pk, &nums(&[1, 2, 3, 4]), &mut rng);
-        assert_eq!(kp.sk.decrypt(&sum(&kp.pk, &enc)), BigUint::from_u64(10));
+        assert_eq!(kp.sk.decrypt(&kp.pk.add_all(&enc)), BigUint::from_u64(10));
+        // The empty sum is the trivial [0]; a sum of one is its term.
+        assert_eq!(kp.pk.add_all([]).raw(), kp.pk.trivial_zero().raw());
+        assert_eq!(kp.pk.add_all(&enc[..1]).raw(), enc[0].raw());
     }
 }

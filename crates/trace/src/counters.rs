@@ -137,7 +137,7 @@ registry! {
     Encryptions: Count, ["counters.encryptions"],
         "Each fresh Paillier encryption (the paper's Ce).";
     CiphertextOps: Count, ["counters.ciphertext_ops"],
-        "Each homomorphic ciphertext operation (the paper's Ce).";
+        "Each homomorphic ciphertext operation (the paper's Ce). A statistics pass books, per chunk, one addition per sample per feature with candidates and one per split (its bucket sums), plus one slot shift per merged split; a PIR selection one addition per [λ] entry per column.";
     ThresholdDecryptions: Count, ["counters.threshold_decryptions"],
         "Each ciphertext jointly decrypted (the paper's Cd).";
     Rounds: Count by_phase, ["counters.mpc_rounds"],
