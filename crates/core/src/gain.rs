@@ -47,7 +47,7 @@ use crate::masks::Sides;
 use crate::party::PartyContext;
 use crate::stats::{PackedStats, SplitLayout};
 use pivot_data::Task;
-use pivot_mpc::{width_for_magnitude, Fp, Share};
+use pivot_mpc::{width_for_magnitude, Affine, Fp, Share};
 
 /// Comparison width covering integer node counts (`|v| ≤ n`).
 fn count_width(ctx: &PartyContext<'_>) -> u32 {
@@ -331,7 +331,8 @@ pub fn split_gains_batch(ctx: &mut PartyContext<'_>, nodes: &[&NodeShares]) -> V
         sides_int.extend(node.n_l.iter().copied());
         sides_int.extend(rights.iter().copied());
     }
-    let (recips, zero_flags) = engine.recip_vec_int_with_zeros(&sides_int, n_bound);
+    // The reciprocals' last truncation rides the gain's first products.
+    let (recips, zero_flags) = engine.recip_int_pending(&sides_int, n_bound, true);
 
     // Validity: both sides non-empty. a = 1[n_l = 0], b = 1[n_r = 0]
     // came out of the reciprocal's comparison batch; they cannot both
@@ -365,21 +366,19 @@ pub fn split_gains_batch(ctx: &mut PartyContext<'_>, nodes: &[&NodeShares]) -> V
             let mut at = 0;
             for (i, node) in nodes.iter().enumerate() {
                 let n_splits = splits_per_node[i];
-                let (recip_l, recip_r) = recips[at..at + 2 * n_splits].split_at(n_splits);
-                at += 2 * n_splits;
                 for k in 0..node.g_l.len() {
                     gs.extend_from_slice(&node.g_l[k]);
                     gs.extend_from_slice(&g_r[i][k]);
-                    rs.extend_from_slice(recip_l);
-                    rs.extend_from_slice(recip_r);
+                    rs.extend((at..at + 2 * n_splits).map(Affine::lane));
                     vs.extend_from_slice(&valid[i]);
                     vs.extend_from_slice(&valid[i]);
                 }
+                at += 2 * n_splits;
             }
             let lanes_g = gs.len();
-            let lhs: Vec<Share> = gs.iter().chain(&vs).copied().collect();
-            let rhs: Vec<Share> = rs.into_iter().chain(gs).collect();
-            let pq = engine.mul_vec(&lhs, &rhs);
+            let lhs: Vec<Affine> = gs.iter().chain(&vs).map(|&x| Affine::share(x)).collect();
+            rs.extend(Affine::shares(&gs));
+            let (_, pq) = engine.trunc_mul_vec(&recips.raw, recips.t, &lhs, &rs);
             let terms = engine.mul_vec(&pq[..lanes_g], &pq[lanes_g..]);
             let mut base = 0;
             for (i, node) in nodes.iter().enumerate() {
@@ -398,30 +397,28 @@ pub fn split_gains_batch(ctx: &mut PartyContext<'_>, nodes: &[&NodeShares]) -> V
         }
         Task::Regression => {
             // mean = γ₁·recip and q = valid·n_side in one round, then
-            // gain_side = mean²·q.
+            // gain_side = mean²·q: each truncation rides the next
+            // product's opening.
             let mut g1 = Vec::with_capacity(2 * lanes);
-            let mut recs = Vec::with_capacity(2 * lanes);
             let mut vs = Vec::with_capacity(2 * lanes);
             let mut counts = Vec::with_capacity(2 * lanes);
-            let mut at = 0;
             for (i, node) in nodes.iter().enumerate() {
-                let n_splits = splits_per_node[i];
                 g1.extend_from_slice(&node.g_l[0]);
                 g1.extend_from_slice(&g_r[i][0]);
-                recs.extend_from_slice(&recips[at..at + 2 * n_splits]);
                 vs.extend_from_slice(&valid[i]);
                 vs.extend_from_slice(&valid[i]);
                 counts.extend_from_slice(&node.n_l);
                 counts.extend_from_slice(&n_r[i]);
-                at += 2 * n_splits;
             }
-            let lhs: Vec<Share> = g1.into_iter().chain(vs).collect();
-            let rhs: Vec<Share> = recs.into_iter().chain(counts).collect();
-            let mq = engine.mul_vec(&lhs, &rhs);
+            // The sides are laid out as the reciprocals are.
+            let truncated = Affine::lanes(2 * lanes);
+            let lhs: Vec<Affine> = g1.into_iter().chain(vs).map(Affine::share).collect();
+            let mut rhs = truncated.clone();
+            rhs.extend(Affine::shares(&counts));
+            let (_, mq) = engine.trunc_mul_vec(&recips.raw, recips.t, &lhs, &rhs);
             let (mean_raw, qs) = mq.split_at(2 * lanes);
-            let means = engine.trunc_vec(mean_raw, frac_bits);
-            let m2 = engine.fixmul_vec(&means, &means);
-            let terms = engine.mul_vec(&m2, qs);
+            let (_, m2) = engine.trunc_mul_vec(mean_raw, frac_bits, &truncated, &truncated);
+            let (_, terms) = engine.trunc_mul_vec(&m2, frac_bits, &truncated, &Affine::shares(qs));
             let mut at = 0;
             for &n_splits in &splits_per_node {
                 gains_raw.push(
@@ -484,9 +481,11 @@ pub fn leaf_label_shares_batch(ctx: &mut PartyContext<'_>, nodes: &[&NodeTotals]
         }
         Task::Regression => {
             let sizes: Vec<Share> = nodes.iter().map(|t| t.n).collect();
-            let recips = ctx.engine.recip_vec_int(&sizes, n_bound);
-            let g1: Vec<Share> = nodes.iter().map(|t| t.g[0]).collect();
-            ctx.engine.fixmul_vec(&g1, &recips)
+            let (recips, _) = ctx.engine.recip_int_pending(&sizes, n_bound, false);
+            let g1: Vec<Affine> = nodes.iter().map(|t| Affine::share(t.g[0])).collect();
+            let lanes = Affine::lanes(nodes.len());
+            let (_, means) = ctx.engine.trunc_mul_vec(&recips.raw, recips.t, &g1, &lanes);
+            ctx.engine.trunc_vec(&means, ctx.engine.cfg.frac_bits)
         }
     }
 }

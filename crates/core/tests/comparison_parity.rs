@@ -397,7 +397,7 @@ fn gbdt_residual_gain_argmax_keeps_full_width() {
 
 #[test]
 fn bounded_regression_gbdt_leaves_match_within_ulp() {
-    // Regression exercises recip_vec_int's Goldschmidt tail and the
+    // Regression exercises the integer reciprocal's Newton tail and the
     // fixed-point leaf means. Truncation masks come from the dealer's
     // call-order stream, which no comparison advances, so the leaves are
     // not merely within an ulp of the full-width run's but equal.

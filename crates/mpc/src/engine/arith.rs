@@ -1,31 +1,43 @@
-//! Derived fixed-point arithmetic: reciprocal/division (Goldschmidt with
-//! oblivious normalization), exponential and natural log approximations —
-//! the "secure division and secure exponential" primitives the paper draws
-//! from SPDZ (§2.2).
+//! Derived fixed-point arithmetic: reciprocal/division (Newton–Raphson
+//! with oblivious normalization), exponential and natural log
+//! approximations — the "secure division and secure exponential"
+//! primitives the paper draws from SPDZ (§2.2). Every truncation that a
+//! product reads rides that product's opening
+//! ([`MpcEngine::trunc_mul_vec`]); only a chain's last truncation opens
+//! on its own.
 
-use super::MpcEngine;
+use super::{Affine, MpcEngine, Pending};
 use crate::field::Fp;
 use crate::share::Share;
 
-/// Goldschmidt iterations after normalizing into `[1/2, 1)`; 4 iterations
-/// give ≈ `0.086^16 ≈ 2^-56` relative error, beyond the fixed-point ulp.
-/// What remains is the ±1-ulp noise of the tail's truncations: an integer
-/// reciprocal lands within 2 ulp of `2^f/d` (its normalizing truncation
-/// is exact), asserted for every `d ≤ 2^9` in
+/// Newton–Raphson iterations `w ← w·(2 − d·w)` after normalizing into
+/// `[1/2, 1)`; each squares the relative error, so 4 iterations take the
+/// linear estimate's ≈ 0.086 to ≈ `0.086^16 ≈ 2^-56`, beyond the
+/// fixed-point ulp. What remains is the ±1-ulp noise of the tail's
+/// truncations: an integer reciprocal lands within 2 ulp of `2^f/d` (its
+/// normalizing truncation is exact), asserted for every `d ≤ 2^9` in
 /// `crates/mpc/tests/compare_bounded.rs`.
-const GOLDSCHMIDT_ITERS: usize = 4;
+const NEWTON_ITERS: usize = 4;
 
 impl MpcEngine<'_> {
     /// Fixed-point reciprocal of **positive** values `d ∈ [1, bound]`
     /// (value-wise; `d` is a fixed-point share at scale `2^f`).
     ///
     /// Strategy: obliviously normalize each `d` into `[1/2, 1)` by counting
-    /// power-of-two thresholds with one batched comparison, run Goldschmidt
-    /// with a linear initial estimate, then undo the normalization.
+    /// power-of-two thresholds with one batched comparison, run
+    /// Newton–Raphson from a linear initial estimate, then undo the
+    /// normalization.
     pub fn recip_vec(&mut self, d: &[Share], bound: f64) -> Vec<Share> {
+        let recip = self.recip_pending(d, bound);
+        self.settle(recip)
+    }
+
+    /// [`Self::recip_vec`] before its last truncation, for a product to
+    /// fuse.
+    fn recip_pending(&mut self, d: &[Share], bound: f64) -> Pending {
         let n = d.len();
         if n == 0 {
-            return Vec::new();
+            return Pending::default();
         }
         assert!(bound >= 1.0, "bound must cover the input range");
         let s = (bound.log2().ceil() as u32).max(1);
@@ -52,35 +64,29 @@ impl MpcEngine<'_> {
     /// `d ∈ [1, bound]` at scale `2^0` (e.g. node sample counts): the
     /// normalization comparisons run in the *integer* domain
     /// (`1[d·2^f < 2^(f+j)] = 1[d < 2^j]`, width `⌈log₂ bound⌉ + 2`
-    /// instead of `f + ⌈log₂ bound⌉ + 2`), then the Goldschmidt tail is
+    /// instead of `f + ⌈log₂ bound⌉ + 2`), then the Newton tail is
     /// shared with [`Self::recip_vec`]. Returns `⟨1/d⟩` at scale `2^f`.
     pub fn recip_vec_int(&mut self, d: &[Share], bound: f64) -> Vec<Share> {
-        self.recip_int_lanes(d, bound, false).0
+        let recip = self.recip_int_pending(d, bound, false).0;
+        self.settle(recip)
     }
 
-    /// [`Self::recip_vec_int`] for integer `d ∈ [0, bound]`, also returning
-    /// `⟨1[d = 0]⟩` per element (the reciprocal of a zero is garbage). The
-    /// flag is `1[d < 2^0]`, one more lane of the normalization batch.
-    pub fn recip_vec_int_with_zeros(
-        &mut self,
-        d: &[Share],
-        bound: f64,
-    ) -> (Vec<Share>, Vec<Share>) {
-        self.recip_int_lanes(d, bound, true)
-    }
-
-    /// Lanes `1[d < 2^j]` for `j` in `1..=s` (or `0..=s` with `zeros`) in
-    /// one comparison batch at width `s + 2`, which covers
-    /// `|d − 2^j| ≤ 2^s` for every `d ∈ [0, 2^s]`.
-    fn recip_int_lanes(
+    /// [`Self::recip_vec_int`] before its last truncation, which the
+    /// caller's next product carries ([`Self::trunc_mul_vec`]). Lanes
+    /// `1[d < 2^j]` for `j` in `1..=s` in one comparison batch at width
+    /// `s + 2`, which covers `|d − 2^j| ≤ 2^s` for every `d ∈ [0, 2^s]`.
+    /// With `zeros`, `d` may also be 0: the batch gains lane `j = 0`, and
+    /// `⟨1[d = 0]⟩` comes back per element (the reciprocal of a zero is
+    /// garbage); without, the flags are empty.
+    pub fn recip_int_pending(
         &mut self,
         d: &[Share],
         bound: f64,
         zeros: bool,
-    ) -> (Vec<Share>, Vec<Share>) {
+    ) -> (Pending, Vec<Share>) {
         let n = d.len();
         if n == 0 {
-            return (Vec::new(), Vec::new());
+            return (Pending::default(), Vec::new());
         }
         assert!(bound >= 1.0, "bound must cover the input range");
         let s = (bound.log2().ceil() as u32).max(1);
@@ -107,17 +113,23 @@ impl MpcEngine<'_> {
         (self.recip_tail(&fixed, &bits, s), zero_flags)
     }
 
-    /// Shared Goldschmidt tail: normalization bits → oblivious scaling →
-    /// iterated refinement → denormalization. `d` is fixed-point at scale
-    /// `2^f`; `bits` holds one equal-length row per element whose last `s`
-    /// lanes are `b_j = 1[d_i < 2^(f+j+1)]`, `j = 0..s`.
-    fn recip_tail(&mut self, d: &[Share], bits: &[Share], s: u32) -> Vec<Share> {
+    /// Shared Newton tail: normalization bits → oblivious scaling →
+    /// iterated refinement → denormalization, up to the denormalizing
+    /// truncation it returns pending. `d` is fixed-point at scale `2^f`;
+    /// `bits` holds one equal-length row per element whose last `s` lanes
+    /// are `b_j = 1[d_i < 2^(f+j+1)]`, `j = 0..s`.
+    ///
+    /// Ten products per element in ten rounds: every truncation but the
+    /// last rides the opening of the product that reads it.
+    fn recip_tail(&mut self, d: &[Share], bits: &[Share], s: u32) -> Pending {
         let party = self.party();
+        let f = self.cfg.frac_bits;
+        let n = d.len();
 
         // v = 2^z with z = Σ_j b_j. The b_j are monotone in j (a
         // thermometer code), so v = Σ_j (b_j − b_{j−1})·2^(s−j) +
         // (1 − b_{s−1}) = 1 + Σ_j b_j·2^(s−1−j): a local linear form.
-        let lanes = bits.len() / d.len();
+        let lanes = bits.len() / n;
         let v: Vec<Share> = bits
             .chunks(lanes)
             .map(|row| {
@@ -129,36 +141,60 @@ impl MpcEngine<'_> {
             })
             .collect();
 
-        // d_norm = d · 2^z / 2^(s+1) ∈ [1/2, 1).
+        // d_norm = d · 2^z / 2^(s+1) ∈ [1/2, 1), and w0 = 2.9142 − 2·d_norm
+        // (standard linear estimate on [1/2, 1)): the first Newton
+        // product d_norm·w0 reads the normalizing truncation on both sides.
         let dv = self.mul_vec(d, &v);
-        let d_norm = self.trunc_vec(&dv, s + 1);
-
-        // w0 = 2.9142 − 2·d_norm (standard linear estimate on [1/2, 1)).
-        let c_init = self.cfg.encode(2.9142);
+        let c_init = Share::from_public(party, self.cfg.encode(2.9142));
+        let w0: Vec<Affine> = (0..n)
+            .map(|lane| Affine {
+                lane,
+                alpha: Fp::from_i64(-2),
+                beta: c_init,
+            })
+            .collect();
+        let trunc = Affine::lanes(n);
+        let (d_norm, mut dw) = self.trunc_mul_vec(&dv, s + 1, &trunc, &w0);
         let mut w: Vec<Share> = d_norm
             .iter()
-            .map(|&dn| Share::from_public(party, c_init) - dn.scale(Fp::new(2)))
+            .map(|&dn| c_init - dn.scale(Fp::new(2)))
             .collect();
-        // w ← w·(2 − d_norm·w), quadratic convergence.
-        let two = self.cfg.encode(2.0);
-        for _ in 0..GOLDSCHMIDT_ITERS {
-            let dw = self.fixmul_vec(&d_norm, &w);
-            let corr: Vec<Share> = dw
-                .iter()
-                .map(|&x| Share::from_public(party, two) - x)
-                .collect();
-            w = self.fixmul_vec(&w, &corr);
+
+        // w ← w·(2 − d_norm·w), quadratic convergence. The truncation of
+        // d_norm·w rides w·(2 − ·), and that product's truncation, the
+        // next w, rides the next d_norm·w (the last one rides w·v).
+        let two = Share::from_public(party, self.cfg.encode(2.0));
+        let corr: Vec<Affine> = (0..n)
+            .map(|lane| Affine {
+                lane,
+                alpha: Fp::from_i64(-1),
+                beta: two,
+            })
+            .collect();
+        let d_norm = Affine::shares(&d_norm);
+        let mut wc = Vec::new();
+        for iter in 0..NEWTON_ITERS {
+            (_, wc) = self.trunc_mul_vec(&dw, f, &Affine::shares(&w), &corr);
+            if iter + 1 < NEWTON_ITERS {
+                (w, dw) = self.trunc_mul_vec(&wc, f, &d_norm, &trunc);
+            }
         }
 
         // 1/d = (1/d_norm) · 2^z / 2^(s+1) = trunc(w · v, s+1).
-        let wv = self.mul_vec(&w, &v);
-        self.trunc_vec(&wv, s + 1)
+        let (_, wv) = self.trunc_mul_vec(&wc, f, &trunc, &Affine::shares(&v));
+        Pending { raw: wv, t: s + 1 }
     }
 
     /// Fixed-point division `a / b` for positive `b ∈ [1, bound]`.
     pub fn div_vec(&mut self, a: &[Share], b: &[Share], bound: f64) -> Vec<Share> {
-        let recip = self.recip_vec(b, bound);
-        self.fixmul_vec(a, &recip)
+        let recip = self.recip_pending(b, bound);
+        let (_, q) = self.trunc_mul_vec(
+            &recip.raw,
+            recip.t,
+            &Affine::shares(a),
+            &Affine::lanes(a.len()),
+        );
+        self.trunc_vec(&q, self.cfg.frac_bits)
     }
 
     /// Secure exponential via the compound limit
@@ -225,15 +261,24 @@ impl MpcEngine<'_> {
         }
         let clamped = self.select_vec(&conds, &thens, &elses);
 
-        // base = 1 + x/256, then square 8 times.
+        // base = 1 + x/256, then square 8 times: each squaring reads the
+        // truncation before it, so only the last truncation opens alone.
         let t = 8u32;
-        let shifted = self.trunc_vec(&clamped, t);
-        let one = self.cfg.encode(1.0);
-        let mut acc: Vec<Share> = shifted.iter().map(|&v| v.add_public(party, one)).collect();
-        for _ in 0..t {
-            acc = self.fixmul_vec(&acc, &acc);
+        let f = self.cfg.frac_bits;
+        let one = Share::from_public(party, self.cfg.encode(1.0));
+        let base: Vec<Affine> = (0..n)
+            .map(|lane| Affine {
+                lane,
+                alpha: Fp::ONE,
+                beta: one,
+            })
+            .collect();
+        let (_, mut square) = self.trunc_mul_vec(&clamped, t, &base, &base);
+        let acc = Affine::lanes(n);
+        for _ in 1..t {
+            (_, square) = self.trunc_mul_vec(&square, f, &acc, &acc);
         }
-        acc
+        self.trunc_vec(&square, f)
     }
 
     /// Secure natural log of `y ∈ (0, 1]` via the Mercator series
@@ -247,21 +292,32 @@ impl MpcEngine<'_> {
             return Vec::new();
         }
         let party = self.party();
+        let f = self.cfg.frac_bits;
         let one = self.cfg.encode(1.0);
         let z: Vec<Share> = y
             .iter()
             .map(|&v| Share::from_public(party, one) - v)
             .collect();
-        // Horner: ln(1−z) = −z·(1 + z·(1/2 + z·(1/3 + …))).
-        let mut acc: Vec<Share> = (0..n)
+        // Horner: ln(1−z) = −z·(1 + z·(1/2 + z·(1/3 + …))). Each step's
+        // accumulator is the last product's truncation plus a coefficient,
+        // so the truncation rides the next product's opening.
+        let acc: Vec<Share> = (0..n)
             .map(|_| self.constant_f64(1.0 / TERMS as f64))
             .collect();
+        let mut raw = self.mul_vec(&acc, &z);
+        let z = Affine::shares(&z);
         for i in (1..TERMS).rev() {
-            let zi = self.fixmul_vec(&acc, &z);
-            let coeff = self.cfg.encode(1.0 / i as f64);
-            acc = zi.into_iter().map(|v| v.add_public(party, coeff)).collect();
+            let coeff = Share::from_public(party, self.cfg.encode(1.0 / i as f64));
+            let acc: Vec<Affine> = (0..n)
+                .map(|lane| Affine {
+                    lane,
+                    alpha: Fp::ONE,
+                    beta: coeff,
+                })
+                .collect();
+            (_, raw) = self.trunc_mul_vec(&raw, f, &acc, &z);
         }
-        let total = self.fixmul_vec(&acc, &z);
+        let total = self.trunc_vec(&raw, f);
         total.into_iter().map(|v| -v).collect()
     }
 
@@ -349,18 +405,12 @@ impl MpcEngine<'_> {
             })
             .collect();
         // Row sums lie in [≈1, classes] (the max contributes e^0 = 1).
-        let recips = self.recip_vec(&sums, classes as f64 + 1.0);
-        let mut out = Vec::with_capacity(rows * classes);
-        let mut lhs = Vec::with_capacity(rows * classes);
-        let mut rhs = Vec::with_capacity(rows * classes);
-        for r in 0..rows {
-            for c in 0..classes {
-                lhs.push(exps[r * classes + c]);
-                rhs.push(recips[r]);
-            }
-        }
-        let scaled = self.fixmul_vec(&lhs, &rhs);
-        out.extend(scaled);
-        out
+        // Every exponential of a row reads its row's reciprocal.
+        let recips = self.recip_pending(&sums, classes as f64 + 1.0);
+        let rhs: Vec<Affine> = (0..rows * classes)
+            .map(|i| Affine::lane(i / classes))
+            .collect();
+        let (_, scaled) = self.trunc_mul_vec(&recips.raw, recips.t, &Affine::shares(&exps), &rhs);
+        self.trunc_vec(&scaled, self.cfg.frac_bits)
     }
 }

@@ -11,7 +11,7 @@
 mod arith;
 mod compare;
 
-use crate::dealer::DealerClient;
+use crate::dealer::{DealerClient, TripleShare};
 use crate::field::Fp;
 use crate::fixed::FixedConfig;
 use crate::share::Share;
@@ -38,6 +38,58 @@ pub enum CompareBits {
 /// how call sites turn a proven magnitude bound into a width request.
 pub fn width_for_magnitude(bound: u64) -> u32 {
     (64 - bound.leading_zeros() + 1).max(2)
+}
+
+/// One factor of a product fused after a truncation
+/// ([`MpcEngine::trunc_mul_vec`]): `alpha·tr[lane] + beta`, with `tr` the
+/// truncation's output, `alpha` public and `beta` a share known before
+/// the round.
+#[derive(Clone, Copy, Debug)]
+pub struct Affine {
+    /// The truncated element the factor reads (unused at `alpha = 0`).
+    pub lane: usize,
+    pub alpha: Fp,
+    pub beta: Share,
+}
+
+impl Affine {
+    /// A factor that does not read the truncation.
+    pub fn share(beta: Share) -> Affine {
+        Affine {
+            lane: 0,
+            alpha: Fp::ZERO,
+            beta,
+        }
+    }
+
+    /// The truncated element `tr[lane]` itself.
+    pub fn lane(lane: usize) -> Affine {
+        Affine {
+            lane,
+            alpha: Fp::ONE,
+            beta: Share::ZERO,
+        }
+    }
+
+    /// [`Affine::share`] of each share.
+    pub fn shares(shares: &[Share]) -> Vec<Affine> {
+        shares.iter().map(|&s| Affine::share(s)).collect()
+    }
+
+    /// [`Affine::lane`] of each of the first `n` truncated elements.
+    pub fn lanes(n: usize) -> Vec<Affine> {
+        (0..n).map(Affine::lane).collect()
+    }
+}
+
+/// A probabilistic truncation `raw >> t` not opened yet. It rides the next
+/// product's opening ([`MpcEngine::trunc_mul_vec`]) or, when no product
+/// follows, opens on its own ([`MpcEngine::settle`]).
+#[derive(Default)]
+#[must_use = "a pending truncation is settled or fused into a product"]
+pub struct Pending {
+    pub raw: Vec<Share>,
+    pub t: u32,
 }
 
 /// Per-party online engine.
@@ -294,30 +346,34 @@ impl<'a> MpcEngine<'a> {
         if n == 0 {
             return Vec::new();
         }
-        let triples = self.dealer.triples(n);
+        let triples = self.draw_triples(n);
+        // e = a - ta, f = b - tb, opened together in one round.
+        let mut masked = Vec::with_capacity(2 * n);
+        masked.extend(a.iter().zip(&triples).map(|(&x, t)| x - Share(t.a)));
+        masked.extend(b.iter().zip(&triples).map(|(&y, t)| y - Share(t.b)));
+        let opened = self.open_vec(&masked);
+        self.count(Counter::SecureMults, n as u64);
+        let (e, f) = opened.split_at(n);
+        self.beaver_outputs(&triples, e, f)
+    }
+
+    /// `n` Beaver triples, booked to the comparison rows inside one.
+    fn draw_triples(&mut self, n: usize) -> Vec<TripleShare> {
         if self.in_comparison {
             self.count(Counter::CmpTriples, n as u64);
         }
-        // e = a - ta, f = b - tb, opened together in one round.
-        let mut masked = Vec::with_capacity(2 * n);
-        for i in 0..n {
-            masked.push(a[i] - Share(triples[i].a));
-        }
-        for i in 0..n {
-            masked.push(b[i] - Share(triples[i].b));
-        }
-        let opened = self.open_vec(&masked);
-        self.count(Counter::SecureMults, n as u64);
+        self.dealer.triples(n)
+    }
+
+    /// The product shares of opened `e = a − ta`, `f = b − tb`:
+    /// `z = c + e·⟨b⟩ + f·⟨a⟩ + e·f` (public part at party 0).
+    fn beaver_outputs(&self, triples: &[TripleShare], e: &[Fp], f: &[Fp]) -> Vec<Share> {
         let party = self.party();
-        (0..n)
-            .map(|i| {
-                let e = opened[i];
-                let f = opened[n + i];
-                // z = c + e·⟨b⟩ + f·⟨a⟩ + e·f (public part at party 0).
-                let z = Share(triples[i].c)
-                    + Share(triples[i].b).scale(e)
-                    + Share(triples[i].a).scale(f);
-                z.add_public(party, e * f)
+        triples
+            .iter()
+            .zip(e.iter().zip(f))
+            .map(|(t, (&e, &f))| {
+                (Share(t.c) + Share(t.b).scale(e) + Share(t.a).scale(f)).add_public(party, e * f)
             })
             .collect()
     }
@@ -331,34 +387,95 @@ impl<'a> MpcEngine<'a> {
     ///
     /// Inputs must be signed values of magnitude below `2^(int_bits - 1)`.
     pub fn trunc_vec(&mut self, v: &[Share], t: u32) -> Vec<Share> {
-        let n = v.len();
-        if n == 0 {
-            return Vec::new();
+        self.trunc_mul_vec(v, t, &[], &[]).0
+    }
+
+    /// Open a [`Pending`] truncation in a round of its own: what a
+    /// truncation that no product follows costs.
+    pub fn settle(&mut self, pending: Pending) -> Vec<Share> {
+        self.trunc_vec(&pending.raw, pending.t)
+    }
+
+    /// A probabilistic truncation `tr = trunc(x, t)` and the product
+    /// `a ⊙ b` of factors that read it (each `α·tr[lane] + β`, see
+    /// [`Affine`]), in one round. Returns `(tr, a ⊙ b)`.
+    ///
+    /// Bit for bit [`Self::trunc_vec`] then [`Self::mul_vec`]: the same
+    /// truncation pairs (call-order stream) and then the same triples
+    /// (triple stream), and the same output shares. Only the exchange
+    /// count drops. The opening of `c = x + r + 2^(k−1)` fixes
+    /// `tr = (c >> t) − r_high − 2^(k−1−t)`, so a factor's masked share
+    /// `α·(−r_high − 2^(k−1−t)) + β − ⟨a⟩` is known before `c` is, rides
+    /// the same opening, and `e = opened + α·(c >> t)` afterwards.
+    pub fn trunc_mul_vec(
+        &mut self,
+        x: &[Share],
+        t: u32,
+        a: &[Affine],
+        b: &[Affine],
+    ) -> (Vec<Share>, Vec<Share>) {
+        assert_eq!(a.len(), b.len(), "trunc_mul_vec length mismatch");
+        let (n, m) = (x.len(), a.len());
+        if n + m == 0 {
+            return (Vec::new(), Vec::new());
         }
         let k = self.cfg.int_bits;
         assert!(t < k, "truncation by {t} exceeds {k}-bit layout");
-        let offset = Fp::pow2(k - 1);
         let party = self.party();
         let pairs: Vec<(Fp, Fp)> = (0..n)
             .map(|_| self.dealer.trunc_pair(t, &self.cfg))
             .collect();
-        let masked: Vec<Share> = v
+        let triples = self.draw_triples(m);
+        // c = (x + 2^(k-1)) + r exactly over the integers (no wrap), so
+        // c >> t = r_high + (x + 2^(k-1)) >> t + {0,1}: `known` is the
+        // share part of tr = (c >> t) + known.
+        let known: Vec<Share> = pairs
             .iter()
-            .zip(&pairs)
-            .map(|(&x, &(r, _))| (x + Share(r)).add_public(party, offset))
+            .map(|&(_, r_high)| (-Share(r_high)).sub_public(party, Fp::pow2(k - 1 - t)))
             .collect();
+        let known_part = |f: &Affine| match f.alpha {
+            Fp::ZERO => f.beta,
+            alpha => known[f.lane].scale(alpha) + f.beta,
+        };
+        let mut masked = Vec::with_capacity(n + 2 * m);
+        masked.extend(
+            x.iter()
+                .zip(&pairs)
+                .map(|(&v, &(r, _))| (v + Share(r)).add_public(party, Fp::pow2(k - 1))),
+        );
+        masked.extend(
+            a.iter()
+                .zip(&triples)
+                .map(|(f, tr)| known_part(f) - Share(tr.a)),
+        );
+        masked.extend(
+            b.iter()
+                .zip(&triples)
+                .map(|(f, tr)| known_part(f) - Share(tr.b)),
+        );
         let opened = self.open_vec(&masked);
-        opened
+        if m > 0 {
+            self.count(Counter::SecureMults, m as u64);
+        }
+        let (c, ef) = opened.split_at(n);
+        let shifted: Vec<Fp> = c.iter().map(|c| Fp::new(c.value() >> t)).collect();
+        let unmask = |fs: &[Affine], opened: &[Fp]| -> Vec<Fp> {
+            fs.iter()
+                .zip(opened)
+                .map(|(f, &o)| match f.alpha {
+                    Fp::ZERO => o,
+                    alpha => o + alpha * shifted[f.lane],
+                })
+                .collect()
+        };
+        let e = unmask(a, &ef[..m]);
+        let f = unmask(b, &ef[m..]);
+        let tr = shifted
             .iter()
-            .zip(&pairs)
-            .map(|(&c, &(_, r_high))| {
-                // c = (v + 2^(k-1)) + r exactly over the integers (no wrap),
-                // so c >> t = r_high + (v + 2^(k-1)) >> t + {0,1}.
-                let c_shift = Fp::new(c.value() >> t);
-                (Share::from_public(party, c_shift) - Share(r_high))
-                    .sub_public(party, Fp::pow2(k - 1 - t))
-            })
-            .collect()
+            .zip(&known)
+            .map(|(&c, &kn)| Share::from_public(party, c) + kn)
+            .collect();
+        (tr, self.beaver_outputs(&triples, &e, &f))
     }
 
     /// Fixed-point multiplication: multiply then truncate the extra scale.

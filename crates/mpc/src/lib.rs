@@ -12,8 +12,9 @@
 //!   protocol pays zero communication for preprocessing (exactly the cost
 //!   model of the paper's reported numbers).
 //! * [`MpcEngine`] — vectorized online protocols: open, multiply (Beaver),
-//!   fixed-point truncation, comparison (Catrina–de Hoogh style with shared
-//!   random bits), division (Goldschmidt reciprocal), exponential/softmax
+//!   fixed-point truncation (fused into the next product's opening where
+//!   one follows), comparison (Catrina–de Hoogh style with shared random
+//!   bits), division (Newton–Raphson reciprocal), exponential/softmax
 //!   (for GBDT, §7.2), argmax (best-split selection, §4.1), and the
 //!   differential-privacy samplers of §9.2 (Algorithms 5 and 6).
 //!
@@ -28,7 +29,7 @@ mod fixed;
 mod share;
 
 pub use dealer::DealerClient;
-pub use engine::{width_for_magnitude, CompareBits, MpcEngine};
+pub use engine::{width_for_magnitude, Affine, CompareBits, MpcEngine, Pending};
 pub use field::{Fp, MODULUS};
 pub use fixed::FixedConfig;
 pub use share::{add_vec, scale_vec, sub_vec, sum_shares, Share};

@@ -498,13 +498,15 @@ fn exhaustive_comparisons_pay_exact_costs() {
     }
 }
 
-/// `recip_vec_int_with_zeros` over every `d ∈ [0, 2^s]` for `s = 1..=9`:
+/// `recip_int_pending` with zero flags, settled, over every
+/// `d ∈ [0, 2^s]` for `s = 1..=9`:
 /// exact zero flags, every reciprocal within 2 ulp of `2^f/d` (the worst
 /// case over every outcome of its ±1-ulp truncations; an integer's
-/// normalizing truncation is exact), and the exact cost of a call — one
-/// comparison unit over `s + 1` lanes at width `s + 2`, then the tail's
-/// 20 rounds and 10 products per element (one to normalize, two per
-/// Newton step, one to denormalize).
+/// normalizing truncation is exact), and the exact cost of a stand-alone
+/// call — one comparison unit over `s + 1` lanes at width `s + 2`, then
+/// the tail's 10 products per element (one to normalize, two per Newton
+/// step, one to denormalize) in 10 rounds, each truncation riding the
+/// next product's opening, and 1 round for the last truncation.
 #[test]
 fn recip_vec_int_is_within_two_ulp_at_exact_cost() {
     for s in 1u32..=9 {
@@ -513,7 +515,8 @@ fn recip_vec_int_is_within_two_ulp_at_exact_cost() {
         let (flags, recips, rounds_spent, triples) = mpc_mode(3, CompareBits::Auto, |e| {
             let d: Vec<Share> = (0..=top).map(|v| e.constant(Fp::new(v))).collect();
             let before = counters(e);
-            let (r, z) = e.recip_vec_int_with_zeros(&d, top as f64);
+            let (r, z) = e.recip_int_pending(&d, top as f64, true);
+            let r = e.settle(r);
             let spent = &counters(e) - &before;
             let flags: Vec<u64> = e.open_vec(&z).iter().map(|v| v.value()).collect();
             let recips: Vec<i64> = e.open_vec(&r).iter().map(|v| v.to_i64()).collect();
@@ -532,7 +535,7 @@ fn recip_vec_int_is_within_two_ulp_at_exact_cost() {
             let err = (got as f64 - one / d as f64).abs();
             assert!(err <= 2.0, "s = {s}, d = {d}: {got} is {err} ulp off");
         }
-        assert_eq!(rounds_spent, rounds(s + 2) + 20, "s = {s}: rounds");
+        assert_eq!(rounds_spent, rounds(s + 2) + 11, "s = {s}: rounds");
         assert_eq!(
             triples,
             n * u64::from(s + 1) * products(s + 1) + 10 * n,

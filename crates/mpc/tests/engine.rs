@@ -2,7 +2,7 @@
 //! with real threads and message passing, and checked against plaintext
 //! reference computations.
 
-use pivot_mpc::{dp, FixedConfig, Fp, MpcEngine, Share};
+use pivot_mpc::{dp, Affine, FixedConfig, Fp, MpcEngine, Share};
 use pivot_trace::Counter;
 use pivot_transport::run_parties;
 
@@ -96,6 +96,172 @@ fn truncation_handles_negatives() {
     });
     for r in results {
         assert!((r + 1000).abs() <= 1, "got {r}");
+    }
+}
+
+/// What one party saw of a truncation followed by a product: its output
+/// shares, the rounds, products and dealer rows the step cost, and the
+/// next truncation pair the call-order stream deals afterwards.
+#[derive(Debug, PartialEq)]
+struct FusedRun {
+    tr: Vec<u64>,
+    prod: Vec<u64>,
+    rounds: u64,
+    mults: u64,
+    rows: u64,
+    next_pair: (u64, u64),
+}
+
+/// A truncation input `x` (privately shared by party 1), its shift and
+/// the two factor rows of the product that follows.
+type FusedCase = fn(&mut MpcEngine<'_>) -> (Vec<Share>, u32, Vec<Affine>, Vec<Affine>);
+
+/// Run `case` three-party, either fused (`trunc_mul_vec`) or as the
+/// reference `trunc_vec` then `mul_vec` on factors evaluated from the
+/// truncation's output.
+fn fused_run(case: FusedCase, fused: bool) -> Vec<FusedRun> {
+    mpc(3, |e| {
+        let (x, t, a, b) = case(e);
+        let counters = e.endpoint().counters().clone();
+        let (rounds0, mults0) = (
+            counters.get(Counter::Rounds),
+            counters.get(Counter::SecureMults),
+        );
+        let rows0 = e.dealer_mut().rows_drawn();
+        let (tr, prod) = if fused {
+            e.trunc_mul_vec(&x, t, &a, &b)
+        } else {
+            let tr = e.trunc_vec(&x, t);
+            let eval = |fs: &[Affine]| -> Vec<Share> {
+                fs.iter()
+                    .map(|f| match f.alpha {
+                        Fp::ZERO => f.beta,
+                        alpha => tr[f.lane].scale(alpha) + f.beta,
+                    })
+                    .collect()
+            };
+            let (lhs, rhs) = (eval(&a), eval(&b));
+            let prod = e.mul_vec(&lhs, &rhs);
+            (tr, prod)
+        };
+        let cfg = e.cfg;
+        let (r, r_high) = e.dealer_mut().trunc_pair(cfg.frac_bits, &cfg);
+        let values = |v: &[Share]| v.iter().map(|s| s.0.value()).collect();
+        FusedRun {
+            tr: values(&tr),
+            prod: values(&prod),
+            rounds: counters.get(Counter::Rounds) - rounds0,
+            mults: counters.get(Counter::SecureMults) - mults0,
+            rows: e.dealer_mut().rows_drawn() - rows0,
+            next_pair: (r.value(), r_high.value()),
+        }
+    })
+}
+
+/// Party 1's private fixed-point inputs, shared (one round, before the
+/// step under test).
+fn shared_inputs(e: &mut MpcEngine<'_>, vals: &[f64]) -> Vec<Share> {
+    let cfg = e.cfg;
+    let enc: Vec<Fp> = vals.iter().map(|&v| cfg.encode(v)).collect();
+    let mine = (e.party() == 1).then_some(enc.as_slice());
+    e.share_input(1, mine)
+}
+
+#[test]
+fn fused_truncation_equals_truncate_then_multiply() {
+    let cases: [(&str, FusedCase, u64); 4] = [
+        // α = 0: the product does not read the truncation.
+        (
+            "alpha 0",
+            |e| {
+                let x = shared_inputs(e, &[3.25, -1.5, 700.0]);
+                let p = shared_inputs(e, &[0.5, -2.0]);
+                let q = shared_inputs(e, &[4.0, 1.25]);
+                (x, 20, Affine::shares(&p), Affine::shares(&q))
+            },
+            2,
+        ),
+        // Both factors read the truncation, with shared offsets, one
+        // lane read twice and one lane not read at all.
+        (
+            "both affine",
+            |e| {
+                let x = shared_inputs(e, &[2.0, -0.75, 9.5]);
+                let beta = shared_inputs(e, &[1.0, -3.0, 0.25]);
+                let a = vec![
+                    Affine::lane(2),
+                    Affine {
+                        lane: 0,
+                        alpha: Fp::from_i64(-2),
+                        beta: beta[0],
+                    },
+                    Affine {
+                        lane: 2,
+                        alpha: Fp::new(3),
+                        beta: beta[1],
+                    },
+                ];
+                let b = vec![
+                    Affine {
+                        lane: 0,
+                        alpha: Fp::from_i64(-1),
+                        beta: beta[2],
+                    },
+                    Affine::lane(0),
+                    Affine::share(beta[0]),
+                ];
+                (x, 8, a, b)
+            },
+            3,
+        ),
+        // A public offset, as in the Newton step's `2 − tr`.
+        (
+            "public beta",
+            |e| {
+                let x = shared_inputs(e, &[1.75, 0.5]);
+                let w = shared_inputs(e, &[0.25, -1.0]);
+                let two = Share::from_public(e.party(), e.cfg.encode(2.0));
+                let corr: Vec<Affine> = (0..2)
+                    .map(|lane| Affine {
+                        lane,
+                        alpha: Fp::from_i64(-1),
+                        beta: two,
+                    })
+                    .collect();
+                (x, 20, Affine::shares(&w), corr)
+            },
+            2,
+        ),
+        ("empty", |_| (Vec::new(), 20, Vec::new(), Vec::new()), 0),
+    ];
+    for (name, case, mults) in cases {
+        let fused = fused_run(case, true);
+        let reference = fused_run(case, false);
+        let empty = mults == 0;
+        for (party, (got, want)) in fused.iter().zip(&reference).enumerate() {
+            assert_eq!(got.tr, want.tr, "{name}, party {party}: truncation shares");
+            assert_eq!(got.prod, want.prod, "{name}, party {party}: product shares");
+            assert_eq!(got.mults, mults, "{name}, party {party}: products");
+            assert_eq!(
+                want.mults, mults,
+                "{name}, party {party}: reference products"
+            );
+            assert_eq!(got.rows, want.rows, "{name}, party {party}: dealer rows");
+            assert_eq!(
+                got.next_pair, want.next_pair,
+                "{name}, party {party}: next pair"
+            );
+            assert_eq!(
+                got.rounds,
+                u64::from(!empty),
+                "{name}, party {party}: rounds"
+            );
+            assert_eq!(
+                want.rounds,
+                2 * u64::from(!empty),
+                "{name}: reference rounds"
+            );
+        }
     }
 }
 

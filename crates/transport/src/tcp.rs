@@ -113,8 +113,12 @@ const BACKOFF_MAX: Duration = Duration::from_secs(1);
 /// Per-attempt cap on a single blocking `connect` during redial, so one
 /// black-holed SYN cannot eat the whole budget.
 const DIAL_ATTEMPT_CAP: Duration = Duration::from_secs(2);
-/// Send a cumulative ACK after this many delivered data frames.
+/// Send a cumulative ACK after this many delivered data frames, or after
+/// [`ACK_BYTES`] of delivered payload, whichever comes first: the sender's
+/// ring then holds at most about that much unacknowledged data, whether
+/// its frames are many and small or few and large.
 const ACK_EVERY: u64 = 64;
+const ACK_BYTES: usize = 64 << 10;
 /// Retransmit ring bounds: oldest unacked frames are evicted first once
 /// either cap is exceeded (a later resume that still needs an evicted
 /// frame fails loudly with a "replay gap" error).
@@ -219,6 +223,8 @@ struct SessionState {
     delivered: u64,
     /// Last `delivered` value we acked to the peer.
     acked_out: u64,
+    /// Payload bytes delivered since that ack.
+    unacked_bytes: usize,
     /// Highest outbound sequence the peer has acked (outside durable
     /// mode the ring is pruned to it).
     peer_acked: u64,
@@ -438,9 +444,12 @@ fn drain_frames(
                         (false, false)
                     } else if seq == st.delivered + 1 {
                         st.delivered = seq;
-                        let ack = st.delivered - st.acked_out >= ACK_EVERY;
+                        st.unacked_bytes += len;
+                        let ack = st.delivered - st.acked_out >= ACK_EVERY
+                            || st.unacked_bytes >= ACK_BYTES;
                         if ack {
                             st.acked_out = st.delivered;
+                            st.unacked_bytes = 0;
                         }
                         (true, ack)
                     } else {
@@ -817,6 +826,7 @@ impl SessionLink {
                 next_seq: 1,
                 delivered: 0,
                 acked_out: 0,
+                unacked_bytes: 0,
                 peer_acked: 0,
                 ring: VecDeque::new(),
                 ring_bytes: 0,
@@ -856,6 +866,14 @@ impl SessionLink {
             reader: Some(reader),
             heartbeat,
         })
+    }
+
+    /// Payload bytes the retransmit ring holds, and the highest outbound
+    /// sequence the peer has acked.
+    #[cfg(test)]
+    fn ring_state(&self) -> (usize, u64) {
+        let st = self.shared.state.lock().unwrap();
+        (st.ring_bytes, st.peer_acked)
     }
 
     /// Queue one frame for the writer thread; `sever` rings it without
@@ -1806,5 +1824,56 @@ mod tests {
         });
         let expected: u64 = (0..200).sum();
         assert_eq!(results, vec![expected, expected]);
+    }
+
+    /// Two sessions over one loopback socket: party 0 sends `frames`
+    /// frames of `size` bytes that get no reply, party 1 drains them. Party
+    /// 0's ring and ack horizon once `settled` holds for them or a
+    /// five-second budget runs out.
+    fn ring_after_drain(
+        durable_sessions: bool,
+        frames: usize,
+        size: usize,
+        settled: impl Fn((usize, u64)) -> bool,
+    ) -> (usize, u64) {
+        let addr = format!("127.0.0.1:{}", ports(1));
+        let listener = TcpListener::bind(&addr).unwrap();
+        let accept = thread::spawn(move || listener.accept().unwrap().0);
+        let dialed = connect_with_retry(&addr, Instant::now() + Duration::from_secs(5), 1).unwrap();
+        let net = NetConfig {
+            durable_sessions,
+            ..NetConfig::default()
+        };
+        let sender = SessionLink::new(0, 1, dialed, None, net.clone()).unwrap();
+        let receiver = SessionLink::new(1, 0, accept.join().unwrap(), None, net).unwrap();
+        for i in 0..frames {
+            sender.send_bytes(vec![i as u8; size]).unwrap();
+        }
+        for i in 0..frames {
+            let frame = receiver.recv_bytes(Duration::from_secs(10)).unwrap();
+            assert_eq!(frame, vec![i as u8; size], "frame {i}");
+        }
+        // The last ack may still be on its way back.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !settled(sender.ring_state()) && Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(10));
+        }
+        sender.ring_state()
+    }
+
+    #[test]
+    fn large_frames_are_acked_by_bytes() {
+        // Fifteen 32 KiB frames are far fewer than `ACK_EVERY`: only the
+        // byte rule acks them, every second frame, so one frame stays
+        // unacked.
+        let size = 32 << 10;
+        let bound = ACK_BYTES + size;
+        let (held, acked) = ring_after_drain(false, 15, size, |(held, _)| held <= bound);
+        assert!(held <= bound, "ring holds {held} bytes, bound {bound}");
+        assert_eq!(acked, 14, "acked through the last full 64 KiB");
+        // A durable ring is never pruned, acks or not.
+        let (held, acked) = ring_after_drain(true, 15, size, |(_, acked)| acked >= 14);
+        assert_eq!(acked, 14, "the peer acks by bytes in durable mode too");
+        assert_eq!(held, 15 * size, "a durable ring keeps every frame");
     }
 }
