@@ -273,7 +273,7 @@ pub fn predict_batch_encrypted(
         // compare against what it published.
         let rows: Vec<&[Ciphertext]> = upstream.chunks(n_leaves.max(1)).collect();
         let expected = dot_products(&ctx.pk, &rows);
-        verify::check_recompute(ctx, "predict", 0, &expected, &flat_outputs);
+        verify::check_recompute(ctx, "predict", 0, expected, &flat_outputs);
     }
     let mut flat_outputs = flat_outputs.into_iter();
     outputs

@@ -231,8 +231,8 @@ impl ArenaNode for Node {
 }
 
 /// §4 disclosure: leaf labels and winning split identifiers are opened —
-/// both through the engine's deferred queue, so one round per level
-/// settles every leaf label and every winner index — and the winner
+/// the labels queue until the level's winners join them, so one round per
+/// level settles every leaf label and every winner index — and the winner
 /// announces its feature and plaintext threshold. With `noise` set, what
 /// is opened are the answers of §9.2's DP queries.
 pub(crate) struct Reveal {
@@ -241,9 +241,9 @@ pub(crate) struct Reveal {
     purity_check: bool,
     /// The DP trainer's budget: its queries replace the exact ones.
     noise: Option<DpParams>,
-    /// `(arena slot, deferred-open ticket)` of leaf labels queued since
-    /// the last opening round.
-    pending_leaves: Vec<(usize, usize)>,
+    /// `(arena slot, label share)` of the leaves queued since the last
+    /// opening round.
+    pending_leaves: Vec<(usize, Share)>,
 }
 
 impl Reveal {
@@ -255,20 +255,31 @@ impl Reveal {
         }
     }
 
-    /// ONE opening round for everything queued; fills the pending leaves
-    /// and returns every ticket's opened values.
-    fn open_queued(&mut self, ctx: &mut PartyContext<'_>, arena: &mut Arena<Node>) -> Vec<Vec<Fp>> {
-        let opened = ctx.engine.resolve();
+    /// ONE opening round for the queued leaf labels, then `extra`; fills
+    /// the pending leaves and returns `extra` opened. No round when
+    /// nothing is queued.
+    fn open_queued(
+        &mut self,
+        ctx: &mut PartyContext<'_>,
+        arena: &mut Arena<Node>,
+        extra: &[Share],
+    ) -> Vec<Fp> {
+        let leaves = self.pending_leaves.iter().map(|&(_, label)| label);
+        let shares: Vec<Share> = leaves.chain(extra.iter().copied()).collect();
+        if shares.is_empty() {
+            return Vec::new();
+        }
+        let mut opened = ctx.engine.open_vec(&shares);
+        let extra = opened.split_off(self.pending_leaves.len());
         let task = ctx.current_task();
-        for (slot, ticket) in self.pending_leaves.drain(..) {
-            let label = opened[ticket][0];
+        for ((slot, _), label) in self.pending_leaves.drain(..).zip(opened) {
             let value = match task {
                 Task::Classification { .. } => label.value() as f64,
                 Task::Regression => ctx.engine.cfg.decode(label),
             };
             arena[slot] = Some(Node::Leaf { value });
         }
-        opened
+        extra
     }
 }
 
@@ -298,19 +309,16 @@ impl<P: LevelPass> Disclosure<P> for Reveal {
 
     fn settle_leaves(
         &mut self,
-        ctx: &mut PartyContext<'_>,
+        _ctx: &mut PartyContext<'_>,
         slots: Vec<usize>,
         labels: Vec<Share>,
         _arena: &mut Arena<Node>,
     ) {
-        for (slot, label) in slots.into_iter().zip(labels) {
-            self.pending_leaves
-                .push((slot, ctx.engine.open_deferred(&[label])));
-        }
+        self.pending_leaves.extend(slots.into_iter().zip(labels));
     }
 
     fn flush_leaves(&mut self, ctx: &mut PartyContext<'_>, arena: &mut Arena<Node>) {
-        self.open_queued(ctx, arena);
+        self.open_queued(ctx, arena, &[]);
     }
 
     fn settle_splits(
@@ -323,23 +331,20 @@ impl<P: LevelPass> Disclosure<P> for Reveal {
         wanted: Sides<bool>,
         arena: &mut Arena<Node>,
     ) -> Vec<FrontierNode<P::Mask>> {
-        let tickets: Vec<usize> = survivors
-            .iter()
-            .map(|s| ctx.engine.open_deferred(&[s.best]))
-            .collect();
-        let opened = {
+        let bests: Vec<Share> = survivors.iter().map(|s| s.best).collect();
+        let winners = {
             let _reveal = pivot_trace::phase_span(&ctx.counters, "split_reveal");
-            self.open_queued(ctx, arena)
+            self.open_queued(ctx, arena, &bests)
         };
 
         // Winner announcements and mask divisions; the per-node frames of
         // this stage coalesce at the transport layer.
         let mut next = Vec::with_capacity(2 * survivors.len());
-        for (Survivor { node, stats, .. }, ticket) in survivors.into_iter().zip(tickets) {
+        for (Survivor { node, stats, .. }, winner) in survivors.into_iter().zip(winners) {
             // The identifier (i*, j*, s*) is public (§4.1 model update
             // step); the winner announces the global feature id and
             // plaintext threshold, both part of the released model.
-            let global = opened[ticket][0].value() as usize;
+            let global = winner.value() as usize;
             let (winner, local_feature, split_idx) = layout.locate(global);
             let (feature, threshold) = {
                 let _reveal = pivot_trace::phase_span(&ctx.counters, "split_reveal");

@@ -13,6 +13,18 @@
 //!   statistics, proving each pooled dot product used the *committed*
 //!   indicator vector.
 //!
+//! Party 0's Algorithm-4 outputs carry no proof: every party recomputes
+//! them from public data and compares.
+//!
+//! Every kind runs through the same two routines, and supplies only the
+//! closure that proves or verifies one commit. The **prover tail**
+//! (`prove`) draws the kind's proof randomness serially, proves every
+//! commit on the pool, advances the prover's commit index and applies
+//! any `[adversary]` injection. The **checker** (`check`) publishes the
+//! bundle, advances the lockstep check index, rejects a bundle whose
+//! shape does not match its commits, and verifies the spot-selected
+//! subset.
+//!
 //! Proof generation is **full** (every commit carries a proof — that is
 //! what makes cheating unconditionally attributable); verification is
 //! **spot-checked**: each party checks a seeded-deterministic `p`-fraction
@@ -111,13 +123,6 @@ impl VerifyPlane {
         (h as f64) < self.probability * (u64::MAX as f64)
     }
 
-    /// Pre-draw per-proof seeds (serially, so the parallel proof batch is
-    /// schedule-independent), returned enumerated for the worker map.
-    fn draw_seeds(&self, n: usize) -> Vec<(usize, u64)> {
-        let mut rng = self.rng.borrow_mut();
-        (0..n).map(|i| (i, rng.next_u64())).collect()
-    }
-
     fn advance(map: &RefCell<HashMap<(String, usize), u64>>, phase: &str, p: usize, n: u64) -> u64 {
         let mut map = map.borrow_mut();
         let slot = map.entry((phase.to_string(), p)).or_insert(0);
@@ -169,35 +174,93 @@ fn reject(ctx: &PartyContext<'_>, prover: usize, phase: &str, kind: &str, detail
     .raise()
 }
 
-/// Record one verification pass and raise on the first failed check.
+/// The prover tail every kind shares. `draw` takes the kind's per-job
+/// randomness from the plane's private stream, serially, so the parallel
+/// batch is schedule-independent; `prove_one` proves one job against the
+/// honest `commits`. Then the prover's commit index advances and any
+/// `[adversary]` injection lands in `commits`. `None` with verification
+/// off.
+fn prove<J: Sync, M: Send>(
+    ctx: &PartyContext<'_>,
+    phase: &str,
+    commits: &mut [Ciphertext],
+    draw: impl FnOnce(&mut StdRng) -> Vec<J>,
+    prove_one: impl Fn(&J, &[Ciphertext]) -> M + Sync,
+) -> Option<Vec<M>> {
+    let plane = ctx.verify.as_ref()?;
+    let started = Instant::now();
+    let jobs = draw(&mut plane.rng.borrow_mut());
+    let held: &[Ciphertext] = commits;
+    let msgs = pivot_runtime::global().map(ctx.crypto_threads(), &jobs, |job| prove_one(job, held));
+    let base = VerifyPlane::advance(&plane.prove_counts, phase, ctx.id(), commits.len() as u64);
+    plane.tamper(ctx, phase, base, commits);
+    ctx.counters
+        .add_duration(Counter::VerificationNs, started.elapsed());
+    Some(msgs)
+}
+
+/// What the checker verifies a prover's commits against.
+enum Evidence<M> {
+    /// A proof bundle: `Some` at the prover, which publishes it.
+    Bundle(Option<Vec<M>>),
+    /// Values every party recomputed itself; nothing is published.
+    Recomputed(Vec<M>),
+}
+
+/// The checker every kind shares, run by every party (the prover
+/// included) on `commits` commits of `prover`: take the evidence, advance
+/// the lockstep check index, reject evidence that `fits` says does not
+/// match the commits, then verify the spot-selected subset on the pool
+/// (`verify_one` checks commit `i`) and raise on the first failure.
 #[allow(clippy::too_many_arguments)]
-fn conclude(
+fn check<M: Wire + Sync>(
     ctx: &PartyContext<'_>,
     phase: &str,
     prover: usize,
     kind: &str,
-    base: u64,
-    total: usize,
-    picked: &[usize],
-    verdicts: &[bool],
-    started: Instant,
+    commits: usize,
+    evidence: Evidence<M>,
+    fits: impl FnOnce(&[M]) -> bool,
+    verify_one: impl Fn(&[M], usize) -> bool + Sync,
 ) {
-    let rejected = verdicts.iter().filter(|&&ok| !ok).count() as u64;
-    ctx.counters
-        .add(Counter::ProofsVerified, picked.len() as u64);
-    ctx.counters
-        .add(Counter::ProofsSkipped, (total - picked.len()) as u64);
-    ctx.counters.add(Counter::ProofsRejected, rejected);
-    ctx.counters
-        .add_duration(Counter::VerificationNs, started.elapsed());
-    if let Some(pos) = verdicts.iter().position(|&ok| !ok) {
-        reject(
-            ctx,
-            prover,
-            phase,
-            kind,
-            format!("commit index {}", base + picked[pos] as u64),
+    let Some(plane) = ctx.verify.as_ref() else {
+        return;
+    };
+    let msgs = match evidence {
+        Evidence::Recomputed(expected) => expected,
+        Evidence::Bundle(own) if ctx.id() == prover => {
+            let msgs = own.expect("prover supplies its own proof bundle");
+            ctx.counters.add(Counter::ProofsGenerated, commits as u64);
+            ctx.counters.add(Counter::ProofBytes, wire_len(&msgs));
+            ctx.ep.broadcast(&msgs);
+            msgs
+        }
+        Evidence::Bundle(_) => ctx.ep.recv(prover),
+    };
+    let started = Instant::now();
+    let base = VerifyPlane::advance(&plane.check_counts, phase, prover, commits as u64);
+    if !fits(&msgs) {
+        ctx.counters.add(Counter::ProofsRejected, 1);
+        let detail = format!(
+            "bundle carries {} entries for {commits} commits",
+            msgs.len()
         );
+        reject(ctx, prover, phase, kind, detail);
+    }
+    let picked: Vec<usize> = (0..commits)
+        .filter(|&i| plane.selected(phase, prover, base + i as u64))
+        .collect();
+    let verdicts: Vec<bool> =
+        pivot_runtime::global().map(ctx.crypto_threads(), &picked, |&i| verify_one(&msgs, i));
+    let rejected = verdicts.iter().filter(|&&ok| !ok).count() as u64;
+    let counters = &ctx.counters;
+    counters.add(Counter::ProofsVerified, picked.len() as u64);
+    counters.add(Counter::ProofsSkipped, (commits - picked.len()) as u64);
+    counters.add(Counter::ProofsRejected, rejected);
+    counters.add_duration(Counter::VerificationNs, started.elapsed());
+    if let Some(pos) = verdicts.iter().position(|&ok| !ok) {
+        let detail = format!("commit index {}", base + picked[pos] as u64);
+        reject(ctx, prover, phase, kind, detail);
     }
 }
 
@@ -210,6 +273,14 @@ pub(crate) fn scrub_witnesses(ctx: &PartyContext<'_>) {
     }
 }
 
+/// The nonces of the batch a `kind` commit just encrypted: exactly one
+/// per commit.
+fn witnesses(ctx: &PartyContext<'_>, kind: &str, phase: &str, n: usize) -> Vec<BigUint> {
+    let ws = ctx.nonces.drain_witnesses();
+    assert_eq!(ws.len(), n, "{kind} witness count at {phase}");
+    ws
+}
+
 /// Prover side of a popk commit: prove knowledge of every `(xᵢ, rᵢ)`
 /// behind the fresh encryptions in `cts` (nonces drained from the pool),
 /// then apply any tampering injection in place. Call *between* the
@@ -220,25 +291,19 @@ pub(crate) fn prove_popk(
     cts: &mut [Ciphertext],
     xs: &[BigUint],
 ) -> Option<Vec<PopkMsg>> {
-    let plane = ctx.verify.as_ref()?;
-    let started = Instant::now();
-    let rs = ctx.nonces.drain_witnesses();
-    assert_eq!(rs.len(), cts.len(), "popk witness count at {phase}");
-    assert_eq!(xs.len(), cts.len());
-    let jobs = plane.draw_seeds(cts.len());
+    let n = cts.len();
+    let draw = |rng: &mut StdRng| {
+        let rs = witnesses(ctx, "popk", phase, n);
+        assert_eq!(xs.len(), n);
+        let jobs = rs.into_iter().enumerate();
+        jobs.map(|(i, r)| (i, r, rng.next_u64())).collect()
+    };
     let pk = &ctx.pk;
-    let held: &[Ciphertext] = cts;
-    let msgs: Vec<PopkMsg> =
-        pivot_runtime::global().map(ctx.crypto_threads(), &jobs, |&(i, seed)| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let p = PlaintextProof::prove(pk, &held[i], &xs[i], &rs[i], &mut rng);
-            (p.commitment, p.z, p.w)
-        });
-    let base = VerifyPlane::advance(&plane.prove_counts, phase, ctx.id(), cts.len() as u64);
-    plane.tamper(ctx, phase, base, cts);
-    ctx.counters
-        .add_duration(Counter::VerificationNs, started.elapsed());
-    Some(msgs)
+    prove(ctx, phase, cts, draw, |(i, r, seed), held| {
+        let mut rng = StdRng::seed_from_u64(*seed);
+        let p = PlaintextProof::prove(pk, &held[*i], &xs[*i], r, &mut rng);
+        (p.commitment, p.z, p.w)
+    })
 }
 
 /// All-party side of a popk commit: the prover broadcasts its bundle,
@@ -251,54 +316,12 @@ pub(crate) fn check_popk(
     cts: &[Ciphertext],
     bundle: Option<Vec<PopkMsg>>,
 ) {
-    let Some(plane) = ctx.verify.as_ref() else {
-        return;
-    };
-    let msgs: Vec<PopkMsg> = if ctx.id() == prover {
-        let msgs = bundle.expect("prover supplies its own proof bundle");
-        ctx.counters
-            .add(Counter::ProofsGenerated, msgs.len() as u64);
-        ctx.counters.add(Counter::ProofBytes, wire_len(&msgs));
-        ctx.ep.broadcast(&msgs);
-        msgs
-    } else {
-        ctx.ep.recv(prover)
-    };
-    let started = Instant::now();
-    let base = VerifyPlane::advance(&plane.check_counts, phase, prover, cts.len() as u64);
-    if msgs.len() != cts.len() {
-        ctx.counters.add(Counter::ProofsRejected, 1);
-        reject(
-            ctx,
-            prover,
-            phase,
-            "popk",
-            format!(
-                "bundle carries {} proofs for {} commits",
-                msgs.len(),
-                cts.len()
-            ),
-        );
-    }
-    let picked: Vec<usize> = (0..cts.len())
-        .filter(|&i| plane.selected(phase, prover, base + i as u64))
-        .collect();
-    let pk = &ctx.pk;
-    let verdicts: Vec<bool> = pivot_runtime::global().map(ctx.crypto_threads(), &picked, |&i| {
+    let (pk, n, bundle) = (&ctx.pk, cts.len(), Evidence::Bundle(bundle));
+    let fits = |msgs: &[PopkMsg]| msgs.len() == n;
+    check(ctx, phase, prover, "popk", n, bundle, fits, |msgs, i| {
         let (commitment, z, w) = msgs[i].clone();
         PlaintextProof { commitment, z, w }.verify(pk, &cts[i])
     });
-    conclude(
-        ctx,
-        phase,
-        prover,
-        "popk",
-        base,
-        cts.len(),
-        &picked,
-        &verdicts,
-        started,
-    );
 }
 
 /// Prover side of a popcm commit: each `outputs[i] = inputs[i]^{xᵢ}·sᵢ^N`
@@ -312,36 +335,24 @@ pub(crate) fn prove_popcm(
     outputs: &mut [Ciphertext],
     xs: &[BigUint],
 ) -> Option<Vec<PopcmMsg>> {
-    let plane = ctx.verify.as_ref()?;
-    let started = Instant::now();
-    let ss = ctx.nonces.drain_witnesses();
-    assert_eq!(ss.len(), outputs.len(), "popcm witness count at {phase}");
-    assert_eq!(inputs.len(), outputs.len());
-    assert_eq!(xs.len(), outputs.len());
-    let (r1s, jobs) = {
-        let mut rng = plane.rng.borrow_mut();
-        let r1s: Vec<BigUint> = (0..outputs.len())
-            .map(|_| brng::gen_coprime(&mut *rng, ctx.pk.n()))
-            .collect();
-        let jobs: Vec<(usize, u64)> = (0..outputs.len()).map(|i| (i, rng.next_u64())).collect();
-        (r1s, jobs)
+    let n = outputs.len();
+    let draw = |rng: &mut StdRng| {
+        let ss = witnesses(ctx, "popcm", phase, n);
+        assert_eq!(inputs.len(), n);
+        assert_eq!(xs.len(), n);
+        let r1s: Vec<BigUint> = (0..n).map(|_| brng::gen_coprime(rng, ctx.pk.n())).collect();
+        let jobs = ss.into_iter().zip(r1s).enumerate();
+        jobs.map(|(i, (s, r1))| (i, s, r1, rng.next_u64()))
+            .collect()
     };
     let pk = &ctx.pk;
-    let held: &[Ciphertext] = outputs;
-    let msgs: Vec<PopcmMsg> =
-        pivot_runtime::global().map(ctx.crypto_threads(), &jobs, |&(i, seed)| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let c1 = pk.encrypt_with(&xs[i], &r1s[i]);
-            let p = MultiplicationProof::prove(
-                pk, &c1, &inputs[i], &held[i], &xs[i], &r1s[i], &ss[i], &mut rng,
-            );
-            (c1.into_raw(), (p.a, p.b), (p.z, p.w1, p.w2))
-        });
-    let base = VerifyPlane::advance(&plane.prove_counts, phase, ctx.id(), outputs.len() as u64);
-    plane.tamper(ctx, phase, base, outputs);
-    ctx.counters
-        .add_duration(Counter::VerificationNs, started.elapsed());
-    Some(msgs)
+    prove(ctx, phase, outputs, draw, |(i, s, r1, seed), held| {
+        let mut rng = StdRng::seed_from_u64(*seed);
+        let x = &xs[*i];
+        let c1 = pk.encrypt_with(x, r1);
+        let p = MultiplicationProof::prove(pk, &c1, &inputs[*i], &held[*i], x, r1, s, &mut rng);
+        (c1.into_raw(), (p.a, p.b), (p.z, p.w1, p.w2))
+    })
 }
 
 /// All-party side of a popcm commit; `inputs` are the `c₂` ciphertexts
@@ -354,55 +365,13 @@ pub(crate) fn check_popcm(
     outputs: &[Ciphertext],
     bundle: Option<Vec<PopcmMsg>>,
 ) {
-    let Some(plane) = ctx.verify.as_ref() else {
-        return;
-    };
-    let msgs: Vec<PopcmMsg> = if ctx.id() == prover {
-        let msgs = bundle.expect("prover supplies its own proof bundle");
-        ctx.counters
-            .add(Counter::ProofsGenerated, msgs.len() as u64);
-        ctx.counters.add(Counter::ProofBytes, wire_len(&msgs));
-        ctx.ep.broadcast(&msgs);
-        msgs
-    } else {
-        ctx.ep.recv(prover)
-    };
-    let started = Instant::now();
-    let base = VerifyPlane::advance(&plane.check_counts, phase, prover, outputs.len() as u64);
-    if msgs.len() != outputs.len() || inputs.len() != outputs.len() {
-        ctx.counters.add(Counter::ProofsRejected, 1);
-        reject(
-            ctx,
-            prover,
-            phase,
-            "popcm",
-            format!(
-                "bundle carries {} proofs for {} commits",
-                msgs.len(),
-                outputs.len()
-            ),
-        );
-    }
-    let picked: Vec<usize> = (0..outputs.len())
-        .filter(|&i| plane.selected(phase, prover, base + i as u64))
-        .collect();
-    let pk = &ctx.pk;
-    let verdicts: Vec<bool> = pivot_runtime::global().map(ctx.crypto_threads(), &picked, |&i| {
+    let (pk, n, bundle) = (&ctx.pk, outputs.len(), Evidence::Bundle(bundle));
+    let fits = |msgs: &[PopcmMsg]| msgs.len() == n && inputs.len() == n;
+    check(ctx, phase, prover, "popcm", n, bundle, fits, |msgs, i| {
         let (c1_raw, (a, b), (z, w1, w2)) = msgs[i].clone();
         let c1 = Ciphertext::from_raw(c1_raw);
         MultiplicationProof { a, b, z, w1, w2 }.verify(pk, &c1, &inputs[i], &outputs[i])
     });
-    conclude(
-        ctx,
-        phase,
-        prover,
-        "popcm",
-        base,
-        outputs.len(),
-        &picked,
-        &verdicts,
-        started,
-    );
 }
 
 /// Prover side of the Eqn-7 statistics commit: for every local split,
@@ -420,68 +389,38 @@ pub(crate) fn prove_pohdp(
     local: &LocalSplits,
     outputs: &mut [Ciphertext],
 ) -> Option<Vec<PohdpSplitMsg>> {
-    let plane = ctx.verify.as_ref()?;
-    let started = Instant::now();
-    let stride = sets.len();
-    let splits: Vec<(usize, usize)> = local.splits().collect();
-    assert_eq!(outputs.len(), splits.len() * stride);
+    let (stride, total) = (sets.len(), outputs.len());
     let n = sets.first().map_or(0, |s| s.len());
-    // Per split: commitment nonces plus one proof seed per statistic,
-    // drawn serially so the parallel batch is schedule-independent.
-    let jobs: Vec<(usize, Vec<BigUint>, Vec<u64>)> = {
-        let mut rng = plane.rng.borrow_mut();
-        (0..splits.len())
-            .map(|sidx| {
-                let rs: Vec<BigUint> = (0..n)
-                    .map(|_| brng::gen_coprime(&mut *rng, ctx.pk.n()))
-                    .collect();
-                let seeds: Vec<u64> = (0..stride).map(|_| rng.next_u64()).collect();
-                (sidx, rs, seeds)
-            })
-            .collect()
+    // Per split: its indicator bits, commitment nonces, then one proof
+    // seed per statistic.
+    let draw = |rng: &mut StdRng| {
+        let job = |(sidx, (feature, split))| {
+            let bits = local.goes_left(feature, split).into_iter();
+            let xs: Vec<BigUint> = bits.map(|b| BigUint::from_u64(u64::from(b))).collect();
+            let rs: Vec<BigUint> = (0..n).map(|_| brng::gen_coprime(rng, ctx.pk.n())).collect();
+            let seeds: Vec<u64> = (0..stride).map(|_| rng.next_u64()).collect();
+            (sidx, xs, rs, seeds)
+        };
+        let jobs: Vec<_> = local.splits().enumerate().map(job).collect();
+        assert_eq!(total, jobs.len() * stride);
+        jobs
     };
-    let pk = &ctx.pk;
-    let held: &[Ciphertext] = outputs;
-    let one = BigUint::one();
-    let msgs: Vec<PohdpSplitMsg> =
-        pivot_runtime::global().map(ctx.crypto_threads(), &jobs, |(sidx, rs, seeds)| {
-            let (feature, split) = splits[*sidx];
-            let xs: Vec<BigUint> = local
-                .goes_left(feature, split)
-                .iter()
-                .map(|&bit| BigUint::from_u64(u64::from(bit)))
-                .collect();
-            let commitments: Vec<Ciphertext> = xs
-                .iter()
-                .zip(rs)
-                .map(|(x, r)| pk.encrypt_with(x, r))
-                .collect();
-            let proofs: Vec<PohdpProofMsg> = (0..stride)
-                .map(|k| {
-                    let mut rng = StdRng::seed_from_u64(seeds[k]);
-                    let p = DotProductProof::prove(
-                        pk,
-                        &commitments,
-                        sets[k],
-                        &held[sidx * stride + k],
-                        &xs,
-                        rs,
-                        &one,
-                        &mut rng,
-                    );
-                    (p.a, (p.b, p.z), (p.w1, p.w2))
-                })
-                .collect();
-            (
-                commitments.into_iter().map(Ciphertext::into_raw).collect(),
-                proofs,
-            )
-        });
-    let base = VerifyPlane::advance(&plane.prove_counts, phase, ctx.id(), outputs.len() as u64);
-    plane.tamper(ctx, phase, base, outputs);
-    ctx.counters
-        .add_duration(Counter::VerificationNs, started.elapsed());
-    Some(msgs)
+    let (pk, one) = (&ctx.pk, BigUint::one());
+    prove(ctx, phase, outputs, draw, |(sidx, xs, rs, seeds), held| {
+        let cs: Vec<Ciphertext> = xs
+            .iter()
+            .zip(rs)
+            .map(|(x, r)| pk.encrypt_with(x, r))
+            .collect();
+        let stats = &held[sidx * stride..];
+        let proof = |k: usize| {
+            let mut rng = StdRng::seed_from_u64(seeds[k]);
+            let p = DotProductProof::prove(pk, &cs, sets[k], &stats[k], xs, rs, &one, &mut rng);
+            (p.a, (p.b, p.z), (p.w1, p.w2))
+        };
+        let proofs = (0..stride).map(proof).collect();
+        (cs.into_iter().map(Ciphertext::into_raw).collect(), proofs)
+    })
 }
 
 /// All-party side of one prover's statistics commit (`outputs` = that
@@ -494,69 +433,29 @@ pub(crate) fn check_pohdp(
     outputs: &[Ciphertext],
     bundle: Option<Vec<PohdpSplitMsg>>,
 ) {
-    let Some(plane) = ctx.verify.as_ref() else {
-        return;
-    };
-    let msgs: Vec<PohdpSplitMsg> = if ctx.id() == prover {
-        let msgs = bundle.expect("prover supplies its own proof bundle");
-        ctx.counters
-            .add(Counter::ProofsGenerated, outputs.len() as u64);
-        ctx.counters.add(Counter::ProofBytes, wire_len(&msgs));
-        ctx.ep.broadcast(&msgs);
-        msgs
-    } else {
-        ctx.ep.recv(prover)
-    };
-    let started = Instant::now();
     let stride = sets.len();
     let n = sets.first().map_or(0, |s| s.len());
-    let base = VerifyPlane::advance(&plane.check_counts, phase, prover, outputs.len() as u64);
-    let malformed = msgs.len() * stride != outputs.len()
-        || msgs
-            .iter()
-            .any(|(craws, proofs)| craws.len() != n || proofs.len() != stride);
-    if malformed {
-        ctx.counters.add(Counter::ProofsRejected, 1);
-        reject(
-            ctx,
-            prover,
-            phase,
-            "pohdp",
-            format!(
-                "bundle carries {} splits for {} commits of stride {stride}",
-                msgs.len(),
-                outputs.len()
-            ),
-        );
-    }
-    let picked: Vec<usize> = (0..outputs.len())
-        .filter(|&i| plane.selected(phase, prover, base + i as u64))
-        .collect();
-    let pk = &ctx.pk;
-    let verdicts: Vec<bool> = pivot_runtime::global().map(ctx.crypto_threads(), &picked, |&idx| {
-        let (craws, proofs) = &msgs[idx / stride];
-        let commitments: Vec<Ciphertext> = craws
-            .iter()
-            .map(|raw| Ciphertext::from_raw(raw.clone()))
-            .collect();
-        let (a, (b, z), (w1, w2)) = proofs[idx % stride].clone();
-        DotProductProof { a, b, z, w1, w2 }.verify(
-            pk,
-            &commitments,
-            sets[idx % stride],
-            &outputs[idx],
-        )
-    });
-    conclude(
+    let fits = |msgs: &[PohdpSplitMsg]| {
+        let entry_fits =
+            |(craws, proofs): &PohdpSplitMsg| craws.len() == n && proofs.len() == stride;
+        msgs.len() * stride == outputs.len() && msgs.iter().all(entry_fits)
+    };
+    let (pk, total, bundle) = (&ctx.pk, outputs.len(), Evidence::Bundle(bundle));
+    check(
         ctx,
         phase,
         prover,
         "pohdp",
-        base,
-        outputs.len(),
-        &picked,
-        &verdicts,
-        started,
+        total,
+        bundle,
+        fits,
+        |msgs, i| {
+            let (craws, proofs) = &msgs[i / stride];
+            let cs: Vec<Ciphertext> = craws.iter().cloned().map(Ciphertext::from_raw).collect();
+            let (a, (b, z), (w1, w2)) = proofs[i % stride].clone();
+            let proof = DotProductProof { a, b, z, w1, w2 };
+            proof.verify(pk, &cs, sets[i % stride], &outputs[i])
+        },
     );
 }
 
@@ -564,11 +463,7 @@ pub(crate) fn check_pohdp(
 /// rather than a proof (party 0's public-leaf dot products): advances the
 /// prover's commit counter and applies any tampering injection.
 pub(crate) fn tamper_outputs(ctx: &PartyContext<'_>, phase: &str, cts: &mut [Ciphertext]) {
-    let Some(plane) = ctx.verify.as_ref() else {
-        return;
-    };
-    let base = VerifyPlane::advance(&plane.prove_counts, phase, ctx.id(), cts.len() as u64);
-    plane.tamper(ctx, phase, base, cts);
+    prove(ctx, phase, cts, |_| Vec::<()>::new(), |_, _| ());
 }
 
 /// All-party check of a deterministically recomputable commit: compare
@@ -578,33 +473,13 @@ pub(crate) fn check_recompute(
     ctx: &PartyContext<'_>,
     phase: &str,
     prover: usize,
-    expected: &[Ciphertext],
+    expected: Vec<Ciphertext>,
     actual: &[Ciphertext],
 ) {
-    let Some(plane) = ctx.verify.as_ref() else {
-        return;
-    };
-    let started = Instant::now();
-    assert_eq!(expected.len(), actual.len());
-    let base = VerifyPlane::advance(&plane.check_counts, phase, prover, actual.len() as u64);
-    let picked: Vec<usize> = (0..actual.len())
-        .filter(|&i| plane.selected(phase, prover, base + i as u64))
-        .collect();
-    let verdicts: Vec<bool> = picked
-        .iter()
-        .map(|&i| expected[i].raw() == actual[i].raw())
-        .collect();
-    conclude(
-        ctx,
-        phase,
-        prover,
-        "recompute",
-        base,
-        actual.len(),
-        &picked,
-        &verdicts,
-        started,
-    );
+    let (n, expected) = (actual.len(), Evidence::Recomputed(expected));
+    let fits = |expected: &[Ciphertext]| expected.len() == n;
+    let same = |expected: &[Ciphertext], i: usize| expected[i].raw() == actual[i].raw();
+    check(ctx, phase, prover, "recompute", n, expected, fits, same);
 }
 
 /// Equivocation guard for ring phases: the party that received `direct`
@@ -642,6 +517,10 @@ pub(crate) fn check_equivocation(
 mod tests {
     use super::*;
     use crate::config::{PivotParams, Verification};
+    use pivot_data::{partition_vertically, Dataset, Task};
+    use pivot_paillier::{batch, vector};
+    use pivot_transport::{catch_failures, run_parties, RunFailure};
+    use pivot_trees::TreeParams;
 
     fn plane_with(p: f64, seed: u64) -> VerifyPlane {
         let params = PivotParams {
@@ -687,5 +566,134 @@ mod tests {
         // Prove-side counting is independent of check-side counting.
         assert_eq!(VerifyPlane::advance(&plane.prove_counts, "setup", 0, 4), 0);
         assert_eq!(VerifyPlane::advance(&plane.prove_counts, "setup", 0, 4), 4);
+    }
+
+    /// Public ciphertexts every party builds alike: encryptions of `xs`
+    /// under one seeded stream.
+    fn public_cts(ctx: &PartyContext<'_>, xs: &[BigUint], seed: u64) -> Vec<Ciphertext> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        xs.iter().map(|x| ctx.pk.encrypt(x, &mut rng)).collect()
+    }
+
+    fn small(xs: &[u64]) -> Vec<BigUint> {
+        xs.iter().map(|&x| BigUint::from_u64(x)).collect()
+    }
+
+    /// Runs `commit` (one commit by party 1, proven and checked) at m = 2
+    /// with the keysize-128 fixture: first whole, which every party must
+    /// accept, then with its bundle one proof short. Every party must
+    /// reject the short one as `kind`, accusing party 1, and book exactly
+    /// one `ProofsRejected` for it.
+    fn rejects_short_bundle(kind: &str, commit: impl Fn(&PartyContext<'_>, bool) + Sync) {
+        let features = (0..6)
+            .map(|i| vec![f64::from(i), f64::from(i % 3)])
+            .collect();
+        let labels = (0..6).map(|i| f64::from(i % 2)).collect();
+        let data = Dataset::new(features, labels, Task::Classification { classes: 2 });
+        let partition = partition_vertically(&data, 2, 0);
+        let params = PivotParams {
+            keysize: 128,
+            verification: Verification::Spot(1.0),
+            tree: TreeParams {
+                max_splits: 2,
+                ..TreeParams::default()
+            },
+            ..PivotParams::default()
+        };
+        let results = run_parties(2, |ep| {
+            let ctx = PartyContext::setup(&ep, partition.views[ep.id()].clone(), params.clone());
+            commit(&ctx, false);
+            let before = ctx.counters.get(Counter::ProofsRejected);
+            let failure = catch_failures(|| commit(&ctx, true)).err();
+            (failure, ctx.counters.get(Counter::ProofsRejected) - before)
+        });
+        for (observer, (failure, rejected)) in results.into_iter().enumerate() {
+            let Some(RunFailure::Protocol(ProtocolError::ProofRejected {
+                party,
+                observer: seen_by,
+                proof_kind,
+                ..
+            })) = failure
+            else {
+                panic!("party {observer}: expected ProofRejected, got {failure:?}");
+            };
+            assert_eq!((party, seen_by), (1, observer), "{kind}: accused, observer");
+            assert_eq!(proof_kind, kind);
+            assert_eq!(rejected, 1, "{kind}: party {observer} ProofsRejected");
+        }
+    }
+
+    #[test]
+    fn popk_bundle_one_proof_short_is_rejected() {
+        rejects_short_bundle("popk", |ctx, short| {
+            let (cts, bundle) = if ctx.id() == 1 {
+                let xs = small(&[3, 0, 7]);
+                scrub_witnesses(ctx);
+                let mut cts = batch::encrypt_batch(&ctx.pk, &xs, &ctx.nonces, 1);
+                let mut bundle = prove_popk(ctx, "setup", &mut cts, &xs).expect("verifying");
+                if short {
+                    bundle.pop();
+                }
+                ctx.ep.broadcast(&cts);
+                (cts, Some(bundle))
+            } else {
+                (ctx.ep.recv(1), None)
+            };
+            check_popk(ctx, "setup", 1, &cts, bundle);
+        });
+    }
+
+    #[test]
+    fn popcm_bundle_one_proof_short_is_rejected() {
+        rejects_short_bundle("popcm", |ctx, short| {
+            let inputs = public_cts(ctx, &small(&[5, 9, 2]), 17);
+            let (outputs, bundle) = if ctx.id() == 1 {
+                let bits = [true, false, true];
+                scrub_witnesses(ctx);
+                let mut out = batch::mask_binary_batch(&ctx.pk, &inputs, &bits, &ctx.nonces, 1);
+                let xs = small(&[1, 0, 1]);
+                let mut bundle =
+                    prove_popcm(ctx, "update", &inputs, &mut out, &xs).expect("verifying");
+                if short {
+                    bundle.pop();
+                }
+                ctx.ep.broadcast(&out);
+                (out, Some(bundle))
+            } else {
+                (ctx.ep.recv(1), None)
+            };
+            check_popcm(ctx, "update", 1, &inputs, &outputs, bundle);
+        });
+    }
+
+    #[test]
+    fn pohdp_bundle_one_proof_short_is_rejected() {
+        rejects_short_bundle("pohdp", |ctx, short| {
+            let n = ctx.view.num_samples() as u64;
+            let alpha = public_cts(ctx, &small(&vec![1; n as usize]), 23);
+            let gamma = public_cts(ctx, &small(&(0..n).map(|i| i % 2).collect::<Vec<_>>()), 29);
+            let sets: [&[Ciphertext]; 2] = [&alpha, &gamma];
+            let (stats, bundle) = if ctx.id() == 1 {
+                let local = LocalSplits::precompute(ctx);
+                let mut stats: Vec<Ciphertext> = local
+                    .splits()
+                    .flat_map(|(f, s)| {
+                        let left = local.goes_left(f, s);
+                        sets.map(|set| vector::dot_binary(&ctx.pk, set, &left))
+                    })
+                    .collect();
+                assert!(!stats.is_empty(), "the prover has a split to prove");
+                let mut bundle =
+                    prove_pohdp(ctx, "stats", &sets, &local, &mut stats).expect("verifying");
+                if short {
+                    bundle.last_mut().expect("one entry per split").1.pop();
+                }
+                ctx.ep.broadcast(&stats);
+                (stats, Some(bundle))
+            } else {
+                (ctx.ep.recv(1), None)
+            };
+            check_pohdp(ctx, "stats", 1, &sets, &stats, bundle);
+        });
     }
 }

@@ -2,7 +2,7 @@
 //! sampling (Algorithm 5) and exponential-mechanism selection (Algorithm 6).
 //! No party ever sees the plaintext noise or the sampled index.
 
-use crate::engine::MpcEngine;
+use crate::engine::{Affine, MpcEngine};
 use crate::field::Fp;
 use crate::share::Share;
 
@@ -37,14 +37,24 @@ pub fn laplace_sample_vec(engine: &mut MpcEngine<'_>, mu: f64, b: f64, count: us
         .iter()
         .map(|&a| (Share::from_public(party, one) - a.scale(Fp::new(2))).add_public(party, Fp::ONE))
         .collect();
-    let lns = engine.ln_unit_vec(&args);
+    let ln = engine.ln_unit_pending(&args);
 
     // Us = 1 − 2·neg ∈ {−1, +1} (integer-valued share), X = µ − b·Us·ln(...).
+    // The log is `−tr` of its last truncation, which rides the product's
+    // opening.
     let us: Vec<Share> = neg
         .iter()
         .map(|&s| Share::from_public(party, Fp::ONE) - s.scale(Fp::new(2)))
         .collect();
-    let signed_ln = engine.mul_vec(&us, &lns); // integer × fixed → scale f
+    let lns: Vec<Affine> = (0..count)
+        .map(|lane| Affine {
+            lane,
+            alpha: -Fp::ONE,
+            beta: Share::ZERO,
+        })
+        .collect();
+    // integer × fixed → scale f
+    let (_, signed_ln) = engine.trunc_mul_vec(&ln.raw, ln.t, &Affine::shares(&us), &lns);
     let scaled = engine.fixscale_vec(&signed_ln, b);
     let mu_enc = engine.cfg.encode(mu);
     scaled

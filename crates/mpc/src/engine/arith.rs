@@ -286,10 +286,19 @@ impl MpcEngine<'_> {
     /// `y → 0` (`z → 1`); used by the DP Laplace sampler where the tail
     /// shape, not exactness, matters (§9.2).
     pub fn ln_unit_vec(&mut self, y: &[Share]) -> Vec<Share> {
+        let pending = self.ln_unit_pending(y);
+        let total = self.settle(pending);
+        total.into_iter().map(|v| -v).collect()
+    }
+
+    /// [`Self::ln_unit_vec`] before its last truncation: the log is the
+    /// negated output of the returned truncation, which can ride a
+    /// following product's opening.
+    pub(crate) fn ln_unit_pending(&mut self, y: &[Share]) -> Pending {
         const TERMS: usize = 31;
         let n = y.len();
         if n == 0 {
-            return Vec::new();
+            return Pending::default();
         }
         let party = self.party();
         let f = self.cfg.frac_bits;
@@ -317,8 +326,7 @@ impl MpcEngine<'_> {
                 .collect();
             (_, raw) = self.trunc_mul_vec(&raw, f, &acc, &z);
         }
-        let total = self.trunc_vec(&raw, f);
-        total.into_iter().map(|v| -v).collect()
+        Pending { raw, t: f }
     }
 
     /// Secure softmax over a batch of `rows × classes` logits (row-major):

@@ -105,11 +105,6 @@ pub struct MpcEngine<'a> {
     /// Set while a comparison protocol is on the stack, so the generic
     /// open/multiply layers can attribute their costs to comparisons.
     in_comparison: bool,
-    /// Openings queued by [`MpcEngine::open_deferred`], settled together
-    /// by the next [`MpcEngine::resolve`].
-    deferred_shares: Vec<Share>,
-    /// Per-ticket lengths of the queued openings.
-    deferred_spans: Vec<usize>,
 }
 
 impl<'a> MpcEngine<'a> {
@@ -129,8 +124,6 @@ impl<'a> MpcEngine<'a> {
             rng,
             cmp_bits: CompareBits::default(),
             in_comparison: false,
-            deferred_shares: Vec::new(),
-            deferred_spans: Vec::new(),
         }
     }
 
@@ -293,46 +286,6 @@ impl<'a> MpcEngine<'a> {
     /// Open a single share.
     pub fn open(&mut self, share: Share) -> Fp {
         self.open_vec(&[share])[0]
-    }
-
-    /// Queue a vector of shares for a deferred opening and return its
-    /// ticket — the index of its result in the next [`MpcEngine::resolve`].
-    ///
-    /// Independent openings a protocol step produces (prune bits, winner
-    /// indices, leaf labels, …) queue here instead of each paying an
-    /// `open_vec` round; `resolve` settles the whole queue in one round.
-    /// Like every collective, all parties must queue the same vectors in
-    /// the same order.
-    pub fn open_deferred(&mut self, shares: &[Share]) -> usize {
-        self.deferred_shares.extend_from_slice(shares);
-        self.deferred_spans.push(shares.len());
-        self.deferred_spans.len() - 1
-    }
-
-    /// Number of deferred openings currently queued.
-    pub fn deferred_pending(&self) -> usize {
-        self.deferred_spans.len()
-    }
-
-    /// Settle every queued deferred opening in a single round. Returns
-    /// one result vector per ticket, in queue order, and clears the
-    /// queue. No-op (and no round) when nothing is queued.
-    pub fn resolve(&mut self) -> Vec<Vec<Fp>> {
-        if self.deferred_spans.is_empty() {
-            return Vec::new();
-        }
-        let shares = std::mem::take(&mut self.deferred_shares);
-        let spans = std::mem::take(&mut self.deferred_spans);
-        let flat = self.open_vec(&shares);
-        let mut at = 0;
-        spans
-            .into_iter()
-            .map(|len| {
-                let chunk = flat[at..at + len].to_vec();
-                at += len;
-                chunk
-            })
-            .collect()
     }
 
     // ------------------------------------------------------------------

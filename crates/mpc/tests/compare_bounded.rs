@@ -267,33 +267,6 @@ fn argmax_many_shares_rounds_across_rows() {
     );
 }
 
-/// Deferred openings settle in one round regardless of ticket count.
-#[test]
-fn deferred_opens_settle_in_one_round() {
-    let results = mpc_mode(2, CompareBits::Auto, |e| {
-        let a = [e.constant(Fp::from_i64(-3)), e.constant(Fp::new(11))];
-        let b = [e.constant(Fp::new(42))];
-        let before = rounds_so_far(e);
-        let t_a = e.open_deferred(&a);
-        let t_b = e.open_deferred(&b);
-        assert_eq!(e.deferred_pending(), 2);
-        let opened = e.resolve();
-        let rounds = rounds_so_far(e) - before;
-        assert_eq!(e.deferred_pending(), 0);
-        assert!(e.resolve().is_empty(), "second resolve is a no-op");
-        (
-            opened[t_a].iter().map(|v| v.value()).collect::<Vec<_>>(),
-            opened[t_b][0].value(),
-            rounds,
-        )
-    });
-    for (a, b, rounds) in results {
-        assert_eq!(a, vec![Fp::from_i64(-3).value(), 11]);
-        assert_eq!(b, 42);
-        assert_eq!(rounds, 1);
-    }
-}
-
 #[test]
 fn recip_vec_int_matches_fixed_point_path() {
     // Integer-domain normalization vs the same denominators pre-scaled to

@@ -526,6 +526,61 @@ fn laplace_sampler_statistics() {
     assert!(has_pos && has_neg, "both signs should occur");
 }
 
+/// Algorithm 5 step by step, with the log settled on its own and then
+/// multiplied and scaled (`ln_unit_vec`, `mul_vec`, `fixscale_vec`): the
+/// same dealer draws as `dp::laplace_sample_vec` in the same order.
+fn laplace_unfused(e: &mut MpcEngine<'_>, mu: f64, b: f64, count: usize) -> Vec<Share> {
+    let (party, cfg) = (e.party(), e.cfg);
+    let u: Vec<Share> = (0..count)
+        .map(|_| {
+            Share(e.dealer_mut().random_unit_fraction(&cfg)).sub_public(party, cfg.encode(0.5))
+        })
+        .collect();
+    let neg = e.ltz_vec_bounded(&u, cfg.frac_bits + 2);
+    let minus_u: Vec<Share> = u.iter().map(|&x| -x).collect();
+    let ua = e.select_vec(&neg, &minus_u, &u);
+    let one = Share::from_public(party, cfg.encode(1.0));
+    let args: Vec<Share> = ua
+        .iter()
+        .map(|&a| (one - a.scale(Fp::new(2))).add_public(party, Fp::ONE))
+        .collect();
+    let lns = e.ln_unit_vec(&args);
+    let us: Vec<Share> = neg
+        .iter()
+        .map(|&s| Share::from_public(party, Fp::ONE) - s.scale(Fp::new(2)))
+        .collect();
+    let signed_ln = e.mul_vec(&us, &lns);
+    let scaled = e.fixscale_vec(&signed_ln, b);
+    let mu = cfg.encode(mu);
+    scaled
+        .into_iter()
+        .map(|t| (-t).add_public(party, mu))
+        .collect()
+}
+
+#[test]
+fn laplace_log_truncation_rides_the_product() {
+    let run = |fused: bool| {
+        mpc(3, move |e| {
+            let counters = e.endpoint().counters().clone();
+            let rounds = counters.get(Counter::Rounds);
+            let samples = if fused {
+                dp::laplace_sample_vec(e, 0.5, 2.0, 8)
+            } else {
+                laplace_unfused(e, 0.5, 2.0, 8)
+            };
+            let shares: Vec<u64> = samples.iter().map(|s| s.0.value()).collect();
+            (shares, counters.get(Counter::Rounds) - rounds)
+        })
+    };
+    let (fused, unfused) = (run(true), run(false));
+    for (party, ((got, got_rounds), (want, want_rounds))) in fused.iter().zip(&unfused).enumerate()
+    {
+        assert_eq!(got, want, "party {party}: sample shares");
+        assert_eq!(*got_rounds + 1, *want_rounds, "party {party}: rounds");
+    }
+}
+
 #[test]
 fn exponential_mechanism_prefers_high_scores() {
     // One candidate has a much higher score; with ε=4, Δ=1 it should win

@@ -173,11 +173,11 @@ registry! {
     ProofsGenerated: Count, ["counters.verification.proofs_generated"],
         "Each zero-knowledge proof this party generates.";
     ProofsVerified: Count, ["counters.verification.proofs_verified"],
-        "Each peer proof this party checks.";
+        "Each commit this party checks: a proof, its own or a peer's, or one of party 0's recomputed prediction outputs.";
     ProofsSkipped: Count, ["counters.verification.proofs_skipped"],
-        "Each peer proof the spot check skips.";
+        "Each commit (proof or recomputed output) the spot check skips.";
     ProofsRejected: Count, ["counters.verification.proofs_rejected"],
-        "Each peer proof that fails its check.";
+        "Each checked commit that fails, plus one for each bundle whose shape does not match its commits and each ring equivocation.";
     ProofBytes: Bytes, ["counters.verification.proof_bytes"],
         "Bytes of proof material this party broadcasts.";
     VerificationNs: Nanos, ["counters.verification.wall_s"],
